@@ -6,7 +6,7 @@
 //! reorganization, and the interpreted-vs-compiled contrast.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use h2o_exec::{compile, execute, AccessPlan, Strategy};
+use h2o_exec::{compile, execute, AccessPlan, ExecCtx, ExecPolicy, Strategy};
 use h2o_expr::interp::interpret_over;
 use h2o_storage::{AttrId, Relation, Schema};
 use h2o_workload::micro::{QueryGen, Template};
@@ -93,8 +93,11 @@ fn bench_reorg(c: &mut Criterion) {
     bg.bench_function("materialize_columnwise", |b| {
         b.iter(|| h2o_exec::reorg::materialize(col_rel.catalog(), &attrs).unwrap())
     });
+    let serial = ExecCtx::new(ExecPolicy::serial());
     bg.bench_function("online_fused_from_rows", |b| {
-        b.iter(|| h2o_exec::reorg::reorg_and_execute(row_rel.catalog(), &attrs, &q).unwrap())
+        b.iter(|| {
+            h2o_exec::reorg::reorg_and_execute(row_rel.catalog(), &attrs, &q, &serial).unwrap()
+        })
     });
     bg.finish();
 }

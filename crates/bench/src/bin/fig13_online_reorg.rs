@@ -11,7 +11,7 @@
 
 use h2o_bench::{csv_header, fmt_s, time_hot, Args};
 use h2o_exec::reorg::{materialize_rowwise, reorg_and_execute};
-use h2o_exec::{compile, execute, AccessPlan, Strategy};
+use h2o_exec::{compile, execute, AccessPlan, ExecCtx, ExecPolicy, Strategy};
 use h2o_storage::{AttrId, LayoutCatalog, Relation, Schema};
 use h2o_workload::micro::{QueryGen, Template};
 use h2o_workload::synth::gen_columns;
@@ -60,8 +60,11 @@ fn main() {
         });
 
         // Online: one fused pass.
-        let t_online = time_hot(3, || reorg_and_execute(rel.catalog(), attrs, &q).unwrap());
-        let (group, online_result) = reorg_and_execute(rel.catalog(), attrs, &q).unwrap();
+        let serial = ExecCtx::new(ExecPolicy::serial());
+        let t_online = time_hot(3, || {
+            reorg_and_execute(rel.catalog(), attrs, &q, &serial).unwrap()
+        });
+        let (group, online_result) = reorg_and_execute(rel.catalog(), attrs, &q, &serial).unwrap();
         assert_eq!(group.width(), attrs.len());
         // Cross-check correctness against the interpreter.
         let want = h2o_expr::interpret(rel.catalog(), &q).unwrap();

@@ -39,8 +39,8 @@
 use h2o_bench::{time_hot, Args};
 use h2o_core::{EngineConfig, H2oEngine, Request};
 use h2o_exec::{
-    compile_join, execute_join_with_policy, execute_join_with_policy_opts, AccessPlan, ExecPolicy,
-    JoinOptions, Strategy,
+    compile_join, execute_join_with_policy, run_join, AccessPlan, ExecCtx, ExecPolicy, JoinOptions,
+    Strategy,
 };
 use h2o_expr::{check_join, interpret_join, Aggregate, Conjunction, JoinQuery, Predicate, Side};
 use h2o_storage::{LogicalType, Relation, Schema, Value};
@@ -66,6 +66,14 @@ fn dim_schema() -> std::sync::Arc<Schema> {
 
 /// The swept join shape: project one payload column per side, residual
 /// filter `v0 < t` on the fact side sized for `sel`.
+/// `policy` with explicit join fast-path switches.
+fn join_ctx(policy: &ExecPolicy, join: JoinOptions) -> ExecCtx<'static> {
+    ExecCtx {
+        join,
+        ..ExecCtx::new(*policy)
+    }
+}
+
 fn join_query(sel: f64) -> JoinQuery {
     let threshold = threshold_for_selectivity(sel);
     let jb = JoinQuery::builder(("R", fact_schema()), ("dim", dim_schema()))
@@ -266,37 +274,33 @@ fn main() {
             let mut bloom_s = f64::INFINITY;
             for _ in 0..2 {
                 base_s = base_s.min(time_hot(reps, || {
-                    execute_join_with_policy_opts(
+                    run_join(
                         fact.catalog(),
                         dim.catalog(),
                         &op,
-                        &ExecPolicy::serial(),
-                        off,
+                        &join_ctx(&ExecPolicy::serial(), off),
                     )
                     .unwrap()
                 }));
                 bloom_s = bloom_s.min(time_hot(reps, || {
-                    execute_join_with_policy_opts(
+                    run_join(
                         fact.catalog(),
                         dim.catalog(),
                         &op,
-                        &ExecPolicy::serial(),
-                        on,
+                        &join_ctx(&ExecPolicy::serial(), on),
                     )
                     .unwrap()
                 }));
             }
-            let (serial, stats) = execute_join_with_policy_opts(
+            let (serial, stats) = run_join(
                 fact.catalog(),
                 dim.catalog(),
                 &op,
-                &ExecPolicy::serial(),
-                on,
+                &join_ctx(&ExecPolicy::serial(), on),
             )
             .unwrap();
             let (par, _) =
-                execute_join_with_policy_opts(fact.catalog(), dim.catalog(), &op, &parallel, on)
-                    .unwrap();
+                run_join(fact.catalog(), dim.catalog(), &op, &join_ctx(&parallel, on)).unwrap();
             let speedup = base_s / bloom_s;
             eprintln!(
                 "fig21: bloom {:<11} 1% match: off {base_s:.4}s vs on {bloom_s:.4}s \
@@ -364,36 +368,32 @@ fn main() {
                 fuse: true,
             };
             let base_s = time_hot(reps, || {
-                execute_join_with_policy_opts(
+                run_join(
                     fact.catalog(),
                     dim.catalog(),
                     &op,
-                    &ExecPolicy::serial(),
-                    off,
+                    &join_ctx(&ExecPolicy::serial(), off),
                 )
                 .unwrap()
             });
             let fused_s = time_hot(reps, || {
-                execute_join_with_policy_opts(
+                run_join(
                     fact.catalog(),
                     dim.catalog(),
                     &op,
-                    &ExecPolicy::serial(),
-                    on,
+                    &join_ctx(&ExecPolicy::serial(), on),
                 )
                 .unwrap()
             });
-            let (serial, _) = execute_join_with_policy_opts(
+            let (serial, _) = run_join(
                 fact.catalog(),
                 dim.catalog(),
                 &op,
-                &ExecPolicy::serial(),
-                on,
+                &join_ctx(&ExecPolicy::serial(), on),
             )
             .unwrap();
             let (par, _) =
-                execute_join_with_policy_opts(fact.catalog(), dim.catalog(), &op, &parallel, on)
-                    .unwrap();
+                run_join(fact.catalog(), dim.catalog(), &op, &join_ctx(&parallel, on)).unwrap();
             let speedup = base_s / fused_s;
             eprintln!(
                 "fig21: fusion {:<11} dup={dup}: two-phase {base_s:.4}s vs fused \

@@ -33,11 +33,7 @@ use crate::stats::EngineStats;
 use h2o_adapt::{AdviceQueue, Adviser, SharedWindow};
 use h2o_cost::{AccessPattern, CostModel, GroupSpec, JoinRole, PlanSpec, Residence};
 use h2o_exec::{
-    execute_join_with_policy as exec_execute_join_with_policy,
-    execute_join_with_policy_cancel as exec_execute_join_with_policy_cancel,
-    execute_with_policy_cancel as exec_execute_with_policy_cancel,
-    execute_with_policy_stats as exec_execute_with_policy_stats, reorg, AccessPlan, CancelToken,
-    ExecError, JoinExecStats, OperatorCache, Strategy,
+    reorg, AccessPlan, CancelToken, ExecCtx, ExecError, JoinExecStats, OperatorCache, Strategy,
 };
 use h2o_expr::{JoinQuery, Query, QueryError, QueryResult, Side};
 use h2o_storage::{
@@ -491,22 +487,55 @@ impl H2oEngine {
     /// snapshot they were computed against, so callers can check the
     /// answer against an oracle on the exact same data.
     pub fn run(&self, req: Request<'_>) -> Result<Outcome, EngineError> {
-        match req.kind {
+        let opts = &req.opts;
+        self.guarded(opts, |ctx| match req.kind {
             RequestKind::Query(q) => {
-                let (snap, result) = self.execute_snapshot_inner(q, &req.opts)?;
+                let (snap, result) = self.execute_attempt(q, opts.selectivity_hint, ctx)?;
                 Ok(Outcome {
                     result,
                     snapshot: ExecSnapshot::Relation(snap),
                 })
             }
             RequestKind::Join(q) => {
-                let (db, result) = self.execute_join_inner(q, &req.opts)?;
+                let forced_build_is_left = opts.build_side.map(|s| s == Side::Left);
+                let (db, result) = self.execute_join_attempt(q, forced_build_is_left, ctx)?;
                 Ok(Outcome {
                     result,
                     snapshot: ExecSnapshot::Db(db),
                 })
             }
+        })
+    }
+
+    /// The shared execution guard of every request kind: resolves the
+    /// request's stop token into the [`ExecCtx`] the attempt runs under,
+    /// isolates panics, and keeps the failure counters.
+    ///
+    /// Panic isolation: a kernel or reorganization panic is caught here —
+    /// below any engine lock acquisition (the vendored `parking_lot`
+    /// recovers poisoned state anyway) and above the caller — and surfaced
+    /// as a typed error. Copy-on-write discipline means an unwound
+    /// mutation left no trace: the catalog swap happens only after a build
+    /// fully succeeds.
+    fn guarded<T>(
+        &self,
+        opts: &ExecOptions,
+        attempt: impl FnOnce(&ExecCtx<'_>) -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        let token = self.resolve_token(opts);
+        let ctx = ExecCtx {
+            cancel: token.as_ref(),
+            ..ExecCtx::new(self.config.exec_policy())
+        };
+        let out = catch_unwind(AssertUnwindSafe(|| attempt(&ctx))).unwrap_or_else(|payload| {
+            Err(EngineError::ExecutionPanicked {
+                payload: panic_message(payload.as_ref()),
+            })
+        });
+        if let Err(e) = &out {
+            self.count_failure(e);
         }
+        out
     }
 
     /// What the engine did for the most recent join query (racy under
@@ -558,34 +587,11 @@ impl H2oEngine {
         }
     }
 
-    /// Panic-isolation wrapper of the join path, mirroring
-    /// [`Self::execute_snapshot_inner`].
-    fn execute_join_inner(
-        &self,
-        q: &JoinQuery,
-        opts: &ExecOptions,
-    ) -> Result<(DbSnapshot, QueryResult), EngineError> {
-        let forced_build_is_left = opts.build_side.map(|s| s == Side::Left);
-        let token = self.resolve_token(opts);
-        let out = match catch_unwind(AssertUnwindSafe(|| {
-            self.execute_join_attempt(q, forced_build_is_left, token.as_ref())
-        })) {
-            Ok(r) => r,
-            Err(payload) => Err(EngineError::ExecutionPanicked {
-                payload: panic_message(payload.as_ref()),
-            }),
-        };
-        if let Err(e) = &out {
-            self.count_failure(e);
-        }
-        out
-    }
-
     fn execute_join_attempt(
         &self,
         q: &JoinQuery,
         forced_build_is_left: Option<bool>,
-        cancel: Option<&CancelToken>,
+        ctx: &ExecCtx<'_>,
     ) -> Result<(DbSnapshot, QueryResult), EngineError> {
         // Plan-time type gate, as on the single-relation path: join keys
         // must share a logical type, dict keys join on codes only when the
@@ -656,16 +662,7 @@ impl H2oEngine {
         for &id in &rplan.layouts {
             right.note_use(id, epoch);
         }
-        let (result, exec) = match cancel {
-            Some(token) => exec_execute_join_with_policy_cancel(
-                &left,
-                &right,
-                &op,
-                &self.config.exec_policy(),
-                token,
-            )?,
-            None => exec_execute_join_with_policy(&left, &right, &op, &self.config.exec_policy())?,
-        };
+        let (result, exec) = h2o_exec::run_join(&left, &right, &op, ctx)?;
         let skipped = exec.build_segments_skipped + exec.probe_segments_skipped;
         if skipped > 0 || exec.probe_bloom_rejects > 0 {
             let mut stats = self.stats.lock();
@@ -689,14 +686,10 @@ impl H2oEngine {
             )
         };
         for (side, obs) in [(Side::Left, l_obs), (Side::Right, r_obs)] {
-            if q.filter(side).is_always_true() {
-                continue;
-            }
             let Some(observed) = obs else { continue };
-            let sig = Self::join_side_signature(q, side);
-            let mut hist = self.sel_history.lock();
-            let entry = hist.entry(sig).or_insert(observed);
-            *entry = 0.5 * *entry + 0.5 * observed;
+            if !q.filter(side).is_always_true() {
+                self.record_selectivity(Self::join_side_signature(q, side), observed);
+            }
         }
 
         // Monitoring: sides bound to the primary relation are observed as
@@ -704,20 +697,13 @@ impl H2oEngine {
         // where), so the adviser learns join-shaped column groups.
         // Secondary relations are static this PR — observing their
         // patterns into the primary's window would only pollute it.
-        let mut adapt_now = false;
-        for (side, pat) in [(Side::Left, &lpat), (Side::Right, &rpat)] {
-            if q.rel(side).name() == PRIMARY_RELATION {
-                adapt_now |= self.window.observe(pat.clone());
-            }
-        }
-        if adapt_now && self.config.adaptive {
-            if self.config.background_reorg {
-                self.adapt_due.store(true, Ordering::Release);
-            } else if !self.adapt_running.swap(true, Ordering::AcqRel) {
-                self.adapt();
-                self.adapt_running.store(false, Ordering::Release);
-            }
-        }
+        let primary: Vec<&AccessPattern> = [(Side::Left, &lpat), (Side::Right, &rpat)]
+            .into_iter()
+            .filter(|(side, _)| q.rel(*side).name() == PRIMARY_RELATION)
+            .map(|(_, pat)| pat)
+            .collect();
+        self.observe(primary.iter().map(|&pat| pat.clone()));
+
         // Lazy materialization, join flavour: the fused reorg-and-execute
         // operator only answers single-relation shapes, so instead of
         // materializing *while* answering (the `try_pending` path), the
@@ -725,10 +711,8 @@ impl H2oEngine {
         // answering — the next join over this shape runs on the improved
         // layout.
         if self.config.adaptive && !self.config.background_reorg {
-            for (side, pat) in [(Side::Left, &lpat), (Side::Right, &rpat)] {
-                if q.rel(side).name() == PRIMARY_RELATION {
-                    self.materialize_pending_for(pat);
-                }
+            for pat in primary {
+                self.materialize_pending_for(pat);
             }
         }
 
@@ -811,40 +795,11 @@ impl H2oEngine {
         h.finish()
     }
 
-    /// The shared execution entry: arms the implicit config deadline when
-    /// the caller brought no token, isolates panics, and keeps the failure
-    /// counters.
-    fn execute_snapshot_inner(
-        &self,
-        q: &Query,
-        opts: &ExecOptions,
-    ) -> Result<(CatalogSnapshot, QueryResult), EngineError> {
-        let token = self.resolve_token(opts);
-        // Panic isolation: a kernel or reorganization panic is caught here
-        // — below any engine lock acquisition (the vendored `parking_lot`
-        // recovers poisoned state anyway) and above the caller — and
-        // surfaced as a typed error. Copy-on-write discipline means an
-        // unwound mutation left no trace: the catalog swap happens only
-        // after a build fully succeeds.
-        let out = match catch_unwind(AssertUnwindSafe(|| {
-            self.execute_attempt(q, opts.selectivity_hint, token.as_ref())
-        })) {
-            Ok(r) => r,
-            Err(payload) => Err(EngineError::ExecutionPanicked {
-                payload: panic_message(payload.as_ref()),
-            }),
-        };
-        if let Err(e) = &out {
-            self.count_failure(e);
-        }
-        out
-    }
-
     fn execute_attempt(
         &self,
         q: &Query,
         selectivity_hint: Option<f64>,
-        cancel: Option<&CancelToken>,
+        ctx: &ExecCtx<'_>,
     ) -> Result<(CatalogSnapshot, QueryResult), EngineError> {
         // Plan-time type gate: an ill-typed query (cross-type predicate or
         // arithmetic, ordered dict comparison, dict measure) is rejected
@@ -858,7 +813,7 @@ impl H2oEngine {
         let sel = self.estimate_selectivity(q, selectivity_hint);
         let pattern = AccessPattern::of(q, sel);
 
-        let (snap, result) = match self.try_pending(q, &pattern, epoch, cancel) {
+        let (snap, result) = match self.try_pending(q, &pattern, epoch, ctx) {
             Some(r) => r?,
             None => {
                 let snap = self.snapshot();
@@ -876,15 +831,7 @@ impl H2oEngine {
                     estimated_cost: cost,
                     selectivity_estimate: sel,
                 });
-                let (r, exec_stats) = match cancel {
-                    Some(token) => exec_execute_with_policy_cancel(
-                        &snap,
-                        &op,
-                        &self.config.exec_policy(),
-                        token,
-                    )?,
-                    None => exec_execute_with_policy_stats(&snap, &op, &self.config.exec_policy())?,
-                };
+                let (r, exec_stats) = h2o_exec::run(&snap, &op, ctx)?;
                 if exec_stats.segments_skipped > 0 {
                     self.stats.lock().segments_skipped += exec_stats.segments_skipped;
                 }
@@ -897,16 +844,30 @@ impl H2oEngine {
         // count, not the qualifying-tuple count).
         if !q.is_aggregate() && !q.is_grouped() && snap.rows() > 0 && !q.filter().is_always_true() {
             let observed = result.rows() as f64 / snap.rows() as f64;
-            let sig = Self::filter_signature(q);
-            let mut hist = self.sel_history.lock();
-            let entry = hist.entry(sig).or_insert(observed);
-            *entry = 0.5 * *entry + 0.5 * observed;
+            self.record_selectivity(Self::filter_signature(q), observed);
         }
+        self.observe([pattern]);
+        Ok((snap, result))
+    }
 
-        // Monitoring + periodic adaptation. In background mode the query
-        // path only flags that an adaptation round is due; `maintain()`
-        // (the reorganizer thread) runs it off the hot path.
-        let adapt_now = self.window.observe(pattern);
+    /// Folds one observed selectivity into the exponentially smoothed
+    /// history under the filter signature `sig`.
+    fn record_selectivity(&self, sig: u64, observed: f64) {
+        let mut hist = self.sel_history.lock();
+        let entry = hist.entry(sig).or_insert(observed);
+        *entry = 0.5 * *entry + 0.5 * observed;
+    }
+
+    /// Monitoring + periodic adaptation: feeds the executed request's
+    /// access patterns to the window and, when that completes an interval,
+    /// triggers the adaptation round. In background mode the query path
+    /// only flags that a round is due; `maintain()` (the reorganizer
+    /// thread) runs it off the hot path.
+    fn observe(&self, patterns: impl IntoIterator<Item = AccessPattern>) {
+        let mut adapt_now = false;
+        for pattern in patterns {
+            adapt_now |= self.window.observe(pattern);
+        }
         if adapt_now && self.config.adaptive {
             if self.config.background_reorg {
                 self.adapt_due.store(true, Ordering::Release);
@@ -918,7 +879,6 @@ impl H2oEngine {
                 self.adapt_running.store(false, Ordering::Release);
             }
         }
-        Ok((snap, result))
     }
 
     /// Picks the cheapest `(covering layouts, strategy)` plan for a
@@ -953,15 +913,7 @@ impl H2oEngine {
 
         let mut best: Option<(AccessPlan, f64)> = None;
         for plan in plans {
-            let groups: Vec<GroupSpec> = plan
-                .layouts
-                .iter()
-                .map(|&id| {
-                    catalog
-                        .group(id)
-                        .map(|g| GroupSpec::new(g.attr_set().clone()))
-                })
-                .collect::<Result<_, _>>()?;
+            let groups = Self::plan_groups(catalog, &plan)?;
             let cost = self.model.plan_cost(
                 pattern,
                 &PlanSpec {
@@ -991,7 +943,7 @@ impl H2oEngine {
         q: &Query,
         pattern: &AccessPattern,
         epoch: Epoch,
-        cancel: Option<&CancelToken>,
+        ctx: &ExecCtx<'_>,
     ) -> Option<Result<(CatalogSnapshot, QueryResult), EngineError>> {
         if !self.config.adaptive || self.config.background_reorg || self.pending.is_empty() {
             return None;
@@ -1017,40 +969,7 @@ impl H2oEngine {
             Err(e) => return Some(Err(e)),
         };
 
-        // Find the pending layout whose materialization most improves this
-        // query: hypothetically add it to the configuration, cover any
-        // remaining attributes from the existing layouts, and compare the
-        // best achievable cost against the current best plan. (The
-        // window-level amortization was already established by the
-        // adviser; this is the per-query "can benefit" check of §3.2.)
-        let pending = self.pending.get();
-        let mut best: Option<(usize, f64)> = None;
-        for (i, g) in pending.iter().enumerate() {
-            if !needed.intersects(&g.attrs) || snap.find_exact(&g.attrs).is_some() {
-                continue;
-            }
-            let remaining = needed.difference(&g.attrs);
-            let mut groups = vec![g.clone()];
-            if !remaining.is_empty() {
-                let cover = match snap.cover(
-                    &remaining,
-                    h2o_storage::catalog::CoverPolicy::LeastExcessWidth,
-                ) {
-                    Ok(c) => c,
-                    Err(_) => continue, // uncoverable remainder: not a candidate
-                };
-                for (id, _) in cover {
-                    let Ok(src) = snap.group(id) else { continue };
-                    groups.push(GroupSpec::new(src.attr_set().clone()));
-                }
-            }
-            let cost = self.model.best_cost(pattern, &groups, snap.rows());
-            if cost < current_cost && best.is_none_or(|(_, c)| cost < c) {
-                best = Some((i, cost));
-            }
-        }
-        let (idx, new_cost) = best?;
-        let g = pending[idx].clone();
+        let (g, new_cost) = self.best_pending(&snap, pattern, current_cost)?;
 
         // Build the successor catalog: evict under the space budget, stitch
         // the new group, admit it — then publish the whole thing in one
@@ -1068,14 +987,7 @@ impl H2oEngine {
         self.opcache.cost_model().charge(charge);
 
         let t0 = Instant::now();
-        let out = reorg::reorg_and_execute_cancellable(
-            &new_cat,
-            &attrs,
-            q,
-            &self.config.exec_policy(),
-            cancel,
-        );
-        let (group, result) = match out {
+        let (group, result) = match reorg::reorg_and_execute(&new_cat, &attrs, q, ctx) {
             Ok(v) => v,
             // Includes cooperative stops: a cancelled fused reorganization
             // abandons `new_cat` (copy-on-write — never published) and the
@@ -1245,26 +1157,25 @@ impl H2oEngine {
         false
     }
 
-    /// Materializes the pending group that most improves `pattern`'s best
-    /// plan on the primary, if any does — the join path's analogue of
-    /// [`Self::try_pending`]'s per-query "can benefit" check (§3.2), run
-    /// after answering instead of fused into the answer.
-    fn materialize_pending_for(&self, pattern: &AccessPattern) {
-        if self.pending.is_empty() {
-            return;
-        }
+    /// The pending layout whose materialization most improves `pattern`
+    /// over its current best plan (`current_cost`) on `snap`, with the cost
+    /// it would achieve: hypothetically add each pending group to the
+    /// configuration, cover any remaining attributes from the existing
+    /// layouts, and compare the best achievable cost. (The window-level
+    /// amortization was already established by the adviser; this is the
+    /// per-query "can benefit" check of §3.2.)
+    fn best_pending(
+        &self,
+        snap: &LayoutCatalog,
+        pattern: &AccessPattern,
+        current_cost: f64,
+    ) -> Option<(GroupSpec, f64)> {
         let needed = pattern.all_attrs();
-        let snap = self.snapshot();
-        let Ok((_, current_cost)) = self.plan_on(&snap, pattern) else {
-            return;
-        };
         let mut best: Option<(GroupSpec, f64)> = None;
         for g in self.pending.get() {
             if !needed.intersects(&g.attrs) || snap.find_exact(&g.attrs).is_some() {
                 continue;
             }
-            // Hypothetically add the pending group, cover the remainder
-            // from existing layouts, and compare against the current best.
             let remaining = needed.difference(&g.attrs);
             let mut groups = vec![g.clone()];
             if !remaining.is_empty() {
@@ -1284,7 +1195,24 @@ impl H2oEngine {
                 best = Some((g, cost));
             }
         }
-        let Some((g, _)) = best else { return };
+        best
+    }
+
+    /// Materializes the pending group that most improves `pattern`'s best
+    /// plan on the primary, if any does — the join path's analogue of
+    /// [`Self::try_pending`]'s per-query "can benefit" check (§3.2), run
+    /// after answering instead of fused into the answer.
+    fn materialize_pending_for(&self, pattern: &AccessPattern) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let snap = self.snapshot();
+        let Ok((_, current_cost)) = self.plan_on(&snap, pattern) else {
+            return;
+        };
+        let Some((g, _)) = self.best_pending(&snap, pattern, current_cost) else {
+            return;
+        };
         self.build_pending_group(&g);
         self.pending.remove(&g);
     }

@@ -130,8 +130,7 @@ impl<'a> GroupViews<'a> {
     /// poll it every [`CANCEL_CHECK_ROWS`] rows (see [`SegRuns`]). A
     /// kernel running over cancelled views drains quickly and returns a
     /// partial result; the execution driver must check the token and
-    /// discard that result (see
-    /// [`execute_with_policy_cancel`](crate::compile::execute_with_policy_cancel)).
+    /// discard that result (see [`ExecCtx`](crate::compile::ExecCtx)).
     pub fn set_cancel(&mut self, token: CancelToken) {
         self.cancel = Some(token);
     }

@@ -3,19 +3,21 @@
 //!
 //! [`compile`] is the analogue of the paper's source-template instantiation
 //! (§3.4): it resolves every attribute reference against the plan's layouts
-//! and selects/parameterizes the kernel. [`execute`] is the analogue of
+//! and selects/parameterizes the kernel. [`run`] is the analogue of
 //! invoking the dynamically linked library: it binds raw group views and
 //! runs the kernel's loops.
 
 use crate::bind::{BoundAttr, GroupViews};
 use crate::cancel::{CancelReason, CancelToken};
 use crate::filter::{CompiledFilter, CompiledPred};
-use crate::kernels::{self, SelectProgram};
-use crate::parallel::{run_chunks, run_morsels, ExecPolicy};
+use crate::join::JoinOptions;
+use crate::kernels;
+use crate::parallel::{run_ranges, ExecPolicy};
 use crate::plan::{AccessPlan, Strategy};
 use crate::program::CompiledExpr;
 use crate::selvec::SelVec;
-use h2o_expr::agg::{AggOp, AggState};
+use crate::sink::SelectProgram;
+use h2o_expr::agg::AggOp;
 use h2o_expr::typecheck::{self, QueryTypes};
 use h2o_expr::{Query, QueryError, QueryResult};
 use h2o_storage::{AttrId, LayoutCatalog, LayoutId, StorageError, Value};
@@ -249,16 +251,92 @@ pub fn compile_checked(
     })
 }
 
-/// Executes a compiled operator against the catalog, serially (the
-/// paper-faithful single-threaded path).
-pub fn execute(catalog: &LayoutCatalog, op: &CompiledOp) -> Result<QueryResult, ExecError> {
-    let views = GroupViews::resolve(catalog, &op.plan.layouts)?;
-    Ok(execute_with_views(&views, op))
+/// Everything an execution takes besides the operator and its data: the
+/// parallelism policy, an optional cooperative-stop token, and the join
+/// fast-path switches (read by [`run_join`](crate::join::run_join) only).
+#[derive(Debug, Clone, Copy)]
+pub struct ExecCtx<'a> {
+    /// How (and whether) scans split into morsels.
+    pub policy: ExecPolicy,
+    /// Cancellation / deadline / morsel-budget token. Every scan polls it
+    /// per segment run (capped at
+    /// [`CANCEL_CHECK_ROWS`](crate::cancel::CANCEL_CHECK_ROWS) rows) and at
+    /// id-chunk boundaries; once it trips, partial results are
+    /// **discarded** and the matching typed [`ExecError`] is returned. A
+    /// token that never trips changes no result bit.
+    pub cancel: Option<&'a CancelToken>,
+    /// Join fast-path switches.
+    pub join: JoinOptions,
 }
 
-/// Executes a compiled operator against the catalog under a parallelism
-/// policy. Results are bit-identical to [`execute`] for every strategy and
-/// query shape (see `crate::parallel` for why).
+impl ExecCtx<'_> {
+    /// A context running under `policy`, with no stop token and the join
+    /// fast paths on.
+    pub fn new(policy: ExecPolicy) -> Self {
+        ExecCtx {
+            policy,
+            cancel: None,
+            join: JoinOptions::default(),
+        }
+    }
+
+    /// The typed error for a tripped token. Drivers call this before
+    /// starting (a tripped token runs nothing) and again before anything
+    /// escapes: kernels running over a tripped token drain early and
+    /// return garbage partials, which must never be observable.
+    pub(crate) fn check(&self) -> Result<(), ExecError> {
+        match self.cancel.and_then(|t| t.should_stop()) {
+            Some(reason) => Err(reason.into()),
+            None => Ok(()),
+        }
+    }
+
+    /// [`Self::check`]s, then resolves `layouts` into views with the token
+    /// attached.
+    pub(crate) fn views<'c>(
+        &self,
+        catalog: &'c LayoutCatalog,
+        layouts: &[LayoutId],
+    ) -> Result<GroupViews<'c>, ExecError> {
+        self.check()?;
+        let mut views = GroupViews::resolve(catalog, layouts)?;
+        if let Some(token) = self.cancel {
+            views.set_cancel(token.clone());
+        }
+        Ok(views)
+    }
+}
+
+/// Executes a compiled operator against the catalog — the one
+/// single-relation entry point. Results are bit-identical for every
+/// strategy, query shape and policy (see `crate::parallel`), and a serial
+/// policy is bit-identical to the reference interpreter. Also returns the
+/// execution counters (zone-map segment skips) the engine folds into
+/// `EngineStats`.
+pub fn run(
+    catalog: &LayoutCatalog,
+    op: &CompiledOp,
+    ctx: &ExecCtx<'_>,
+) -> Result<(QueryResult, ExecStats), ExecError> {
+    let views = ctx.views(catalog, &op.plan.layouts)?;
+    let result = scan(
+        &views,
+        op.plan.strategy,
+        &op.filter,
+        &op.select,
+        &ctx.policy,
+    );
+    ctx.check()?;
+    let segments_skipped = views.segments_skipped();
+    Ok((result, ExecStats { segments_skipped }))
+}
+
+/// [`run`], serially (the paper-faithful single-threaded path).
+pub fn execute(catalog: &LayoutCatalog, op: &CompiledOp) -> Result<QueryResult, ExecError> {
+    execute_with_policy(catalog, op, &ExecPolicy::serial())
+}
+
+/// [`run`] under a parallelism policy, result only.
 pub fn execute_with_policy(
     catalog: &LayoutCatalog,
     op: &CompiledOp,
@@ -267,251 +345,77 @@ pub fn execute_with_policy(
     execute_with_policy_stats(catalog, op, policy).map(|(r, _)| r)
 }
 
-/// [`execute_with_policy`], also returning the execution counters (zone-map
-/// segment skips) — what the engine folds into `EngineStats`.
+/// [`run`] under a parallelism policy.
 pub fn execute_with_policy_stats(
     catalog: &LayoutCatalog,
     op: &CompiledOp,
     policy: &ExecPolicy,
 ) -> Result<(QueryResult, ExecStats), ExecError> {
-    let views = GroupViews::resolve(catalog, &op.plan.layouts)?;
-    let result = execute_with_views_policy(&views, op, policy);
-    Ok((
-        result,
-        ExecStats {
-            segments_skipped: views.segments_skipped(),
-        },
-    ))
+    run(catalog, op, &ExecCtx::new(*policy))
 }
 
-/// [`execute_with_policy_stats`] under cooperative cancellation: the
-/// token is attached to the resolved views, so every kernel strategy
-/// polls it at morsel boundaries and every
-/// [`CANCEL_CHECK_ROWS`](crate::cancel::CANCEL_CHECK_ROWS) rows inside
-/// segment-run loops. When the token trips — before, during or after the
-/// scan — the partial result is **discarded** and the matching
-/// [`ExecError::Cancelled`] / [`ExecError::DeadlineExpired`] is returned;
-/// a token that never trips yields results bit-identical to
-/// [`execute_with_policy_stats`].
-pub fn execute_with_policy_cancel(
-    catalog: &LayoutCatalog,
-    op: &CompiledOp,
-    policy: &ExecPolicy,
-    token: &CancelToken,
-) -> Result<(QueryResult, ExecStats), ExecError> {
-    // Pre-check: an already-tripped token runs nothing.
-    if let Some(reason) = token.should_stop() {
-        return Err(reason.into());
-    }
-    let mut views = GroupViews::resolve(catalog, &op.plan.layouts)?;
-    views.set_cancel(token.clone());
-    let result = execute_with_views_policy(&views, op, policy);
-    // Post-check before anything escapes: kernels running over a tripped
-    // token drain early and return garbage partials, which must never be
-    // observable.
-    if let Some(reason) = token.should_stop() {
-        return Err(reason.into());
-    }
-    Ok((
-        result,
-        ExecStats {
-            segments_skipped: views.segments_skipped(),
-        },
-    ))
-}
-
-/// Executes a compiled operator against pre-resolved views, serially (lets
-/// callers hoist view resolution out of timing loops).
-pub fn execute_with_views(views: &GroupViews<'_>, op: &CompiledOp) -> QueryResult {
-    match op.plan.strategy {
-        Strategy::FusedVolcano => kernels::fused::run(views, &op.filter, &op.select),
-        Strategy::SelVector => kernels::selvector::run(views, &op.filter, &op.select),
-        Strategy::ColumnMajor => kernels::colmajor::run(views, &op.filter, &op.select),
-    }
-}
-
-/// Executes a compiled operator against pre-resolved views under a
-/// parallelism policy. Small relations (per `policy`'s serial threshold)
-/// fall back to the serial kernels on the calling thread.
-pub fn execute_with_views_policy(
+/// The scan driver over pre-resolved views. The strategies differ only in
+/// the **source** of each range's [`Partial`](crate::sink::Partial) —
+///
+/// * fused: row range → partial, in one pass;
+/// * selection-vector / column-major: row range → qualifying ids, stitched
+///   in range order, then id chunk → partial (chunking by *qualifying*
+///   rows keeps phase 2 balanced at any selectivity). The column-major
+///   no-filter bare-column aggregate streams row ranges directly — no
+///   selection vector exists to chunk;
+///
+/// — and the select shape's sink finishes the partials in range order.
+/// Ranges come from [`run_ranges`]: one range under a serial policy, so
+/// there is no separate serial path.
+pub(crate) fn scan(
     views: &GroupViews<'_>,
-    op: &CompiledOp,
+    strategy: Strategy,
+    filter: &CompiledFilter,
+    select: &SelectProgram,
     policy: &ExecPolicy,
 ) -> QueryResult {
-    let rows = views.rows();
-    if policy.is_serial_for(rows) {
-        return execute_with_views(views, op);
-    }
-    // Align morsel boundaries to the storage's segment granularity so
-    // multi-segment morsels visit whole segment runs (bit-identical either
-    // way; see `ExecPolicy::aligned_to`).
-    let policy = &policy.aligned_to(views.seg_rows());
-    match op.plan.strategy {
-        Strategy::FusedVolcano => match &op.select {
-            SelectProgram::Project(exprs) => concat_blocks(
-                exprs.len(),
-                run_morsels(rows, policy, |r| {
-                    kernels::fused::project_range(views, &op.filter, exprs, r)
-                }),
-            ),
-            SelectProgram::Aggregate(aggs) => merge_and_finish(
-                aggs,
-                run_morsels(rows, policy, |r| {
-                    kernels::fused::aggregate_range(views, &op.filter, aggs, r)
-                }),
-            ),
-            SelectProgram::Grouped {
-                keys,
-                key_types,
-                aggs,
-            } => kernels::grouped::merge_and_finish(
-                key_types,
-                aggs,
-                run_morsels(rows, policy, |r| {
-                    kernels::grouped::fused_range(views, &op.filter, keys, key_types, aggs, r)
-                }),
-            ),
-        },
-        Strategy::SelVector => {
-            // Phase 1 splits by row range; phase 2 by qualifying-id chunk,
-            // so consume work stays balanced at any selectivity.
-            let sel = stitch_selvecs(run_morsels(rows, policy, |r| {
-                kernels::selvector::build_selvec_range(views, &op.filter, r)
-            }));
-            // Phase-2 consumers walk ids, not segment runs, so their
-            // cancellation poll happens here at chunk (morsel) boundaries;
-            // a tripped token yields identity partials the driver's caller
-            // discards.
-            match &op.select {
-                SelectProgram::Project(exprs) => concat_blocks(
-                    exprs.len(),
-                    run_chunks(sel.ids(), policy, |ids| {
-                        if views.cancel_stopped() {
-                            return QueryResult::with_capacity(exprs.len(), 0);
-                        }
-                        kernels::selvector::project_ids(views, ids, exprs)
-                    }),
-                ),
-                SelectProgram::Aggregate(aggs) => merge_and_finish(
-                    aggs,
-                    run_chunks(sel.ids(), policy, |ids| {
-                        if views.cancel_stopped() {
-                            return aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
-                        }
-                        kernels::selvector::aggregate_ids(views, ids, aggs)
-                    }),
-                ),
-                SelectProgram::Grouped {
-                    keys,
-                    key_types,
-                    aggs,
-                } => kernels::grouped::merge_and_finish(
-                    key_types,
-                    aggs,
-                    run_chunks(sel.ids(), policy, |ids| {
-                        if views.cancel_stopped() {
-                            return kernels::grouped::table_for(key_types, aggs);
-                        }
-                        kernels::grouped::aggregate_ids(views, ids, keys, key_types, aggs)
-                    }),
-                ),
+    let (rows, seg_rows) = (views.rows(), views.seg_rows());
+    let columnar = strategy == Strategy::ColumnMajor;
+    let streaming = columnar.then(|| select.streaming_cols(filter)).flatten();
+    let parts = if strategy == Strategy::FusedVolcano {
+        run_ranges(rows, seg_rows, policy, |r| {
+            select.scan_range(views, filter, r)
+        })
+    } else if let Some(cols) = streaming {
+        run_ranges(rows, seg_rows, policy, |r| {
+            cols.iter()
+                .map(|&(f, a)| kernels::colmajor::agg_full_column_range(views, a, f, r.clone()))
+                .collect::<Vec<_>>()
+                .into()
+        })
+    } else {
+        let sel = stitch(run_ranges(rows, seg_rows, policy, |r| {
+            kernels::qualifying_ids(columnar, views, filter, r)
+        }));
+        // Phase-2 kernels walk ids, not segment runs, so their
+        // cancellation poll happens here at chunk boundaries; a tripped
+        // token yields empty partials the caller discards.
+        run_ranges(sel.len(), seg_rows, policy, |r| {
+            if views.cancel_stopped() {
+                return select.partial();
             }
-        }
-        Strategy::ColumnMajor => {
-            // The no-filter bare-column streaming path splits by row range
-            // directly — no selection vector exists to chunk.
-            if kernels::colmajor::is_streaming_aggregate(&op.filter, &op.select) {
-                let SelectProgram::Aggregate(aggs) = &op.select else {
-                    unreachable!("streaming shape implies aggregate");
-                };
-                return merge_and_finish(
-                    aggs,
-                    run_morsels(rows, policy, |r| {
-                        aggs.iter()
-                            .map(|(f, e)| {
-                                let CompiledExpr::Col(a) = e else {
-                                    unreachable!("streaming shape implies bare columns");
-                                };
-                                kernels::colmajor::agg_full_column_range(views, *a, *f, r.clone())
-                            })
-                            .collect::<Vec<_>>()
-                    }),
-                );
-            }
-            let sel = stitch_selvecs(run_morsels(rows, policy, |r| {
-                kernels::colmajor::build_selvec_columnar_range(views, &op.filter, r)
-            }));
-            match &op.select {
-                SelectProgram::Project(exprs) => concat_blocks(
-                    exprs.len(),
-                    run_chunks(sel.ids(), policy, |ids| {
-                        if views.cancel_stopped() {
-                            return QueryResult::with_capacity(exprs.len(), 0);
-                        }
-                        kernels::colmajor::project_ids_columnar(views, ids, exprs)
-                    }),
-                ),
-                SelectProgram::Aggregate(aggs) => merge_and_finish(
-                    aggs,
-                    run_chunks(sel.ids(), policy, |ids| {
-                        if views.cancel_stopped() {
-                            return aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
-                        }
-                        kernels::colmajor::aggregate_ids_columnar(views, ids, aggs)
-                    }),
-                ),
-                SelectProgram::Grouped {
-                    keys,
-                    key_types,
-                    aggs,
-                } => kernels::grouped::merge_and_finish(
-                    key_types,
-                    aggs,
-                    run_chunks(sel.ids(), policy, |ids| {
-                        if views.cancel_stopped() {
-                            return kernels::grouped::table_for(key_types, aggs);
-                        }
-                        kernels::grouped::aggregate_ids_columnar(views, ids, keys, key_types, aggs)
-                    }),
-                ),
-            }
-        }
-    }
+            select.gather(views, &sel.ids()[r], columnar)
+        })
+    };
+    select.finish(parts)
 }
 
-/// Concatenates per-morsel projection blocks in morsel order.
-pub(crate) fn concat_blocks(width: usize, blocks: Vec<QueryResult>) -> QueryResult {
-    let total: usize = blocks.iter().map(|b| b.rows()).sum();
-    let mut out = QueryResult::with_capacity(width, total);
-    for b in &blocks {
-        out.append(b);
+/// Stitches per-range selection vectors in range order (a single range's
+/// vector is already the whole).
+fn stitch(mut parts: Vec<SelVec>) -> SelVec {
+    if parts.len() <= 1 {
+        return parts.pop().unwrap_or_default();
+    }
+    let mut out = SelVec::with_capacity(parts.iter().map(|p| p.len()).sum());
+    for part in &parts {
+        out.extend_from(part);
     }
     out
-}
-
-/// Stitches per-range selection vectors in morsel order.
-pub(crate) fn stitch_selvecs(parts: Vec<SelVec>) -> SelVec {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut out = SelVec::with_capacity(total);
-    for p in &parts {
-        out.extend_from(p);
-    }
-    out
-}
-
-/// Merges per-morsel aggregate partials in morsel order and finishes them
-/// into the one-row result (shared with the parallel reorganization path).
-pub(crate) fn merge_and_finish(
-    aggs: &[(AggOp, CompiledExpr)],
-    partials: Vec<Vec<AggState>>,
-) -> QueryResult {
-    let mut total: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
-    for partial in &partials {
-        for (t, p) in total.iter_mut().zip(partial) {
-            t.merge(p);
-        }
-    }
-    kernels::fused::finish_states(aggs.len(), &total)
 }
 
 #[cfg(test)]
@@ -521,15 +425,35 @@ mod tests {
     use h2o_storage::{Relation, Schema};
 
     fn relation(partition: Vec<Vec<AttrId>>) -> Relation {
+        relation_of(50, partition)
+    }
+
+    fn relation_of(rows: usize, partition: Vec<Vec<AttrId>>) -> Relation {
         let schema = Schema::with_width(6).into_shared();
         let cols: Vec<Vec<Value>> = (0..6)
             .map(|k| {
-                (0..50)
+                (0..rows)
                     .map(|r| ((k as Value + 1) * 37 + r as Value * 13) % 101 - 50)
                     .collect()
             })
             .collect();
         Relation::partitioned(schema, cols, partition).unwrap()
+    }
+
+    /// A parallel policy whose 7-row morsels leave odd tails everywhere.
+    fn odd_morsels() -> ExecPolicy {
+        ExecPolicy {
+            parallelism: Some(4),
+            morsel_rows: 7,
+            serial_threshold: 0,
+        }
+    }
+
+    fn cancellable<'a>(policy: &ExecPolicy, token: &'a CancelToken) -> ExecCtx<'a> {
+        ExecCtx {
+            cancel: Some(token),
+            ..ExecCtx::new(*policy)
+        }
     }
 
     fn queries() -> Vec<Query> {
@@ -569,7 +493,9 @@ mod tests {
         ]
     }
 
-    /// All strategies over all layouts must equal the reference interpreter.
+    /// All strategies over all layouts must equal the reference interpreter
+    /// — on a populated and on a zero-row relation, serially and under odd
+    /// morsel tails.
     #[test]
     fn differential_all_strategies_all_layouts() {
         let partitions: Vec<Vec<Vec<AttrId>>> = vec![
@@ -581,8 +507,11 @@ mod tests {
                 vec![AttrId(5)],
             ], // groups
         ];
-        for partition in partitions {
-            let rel = relation(partition);
+        for (partition, rows) in partitions
+            .into_iter()
+            .flat_map(|p| [(p.clone(), 50), (p, 0)])
+        {
+            let rel = relation_of(rows, partition);
             let layouts = rel.catalog().layout_ids();
             for q in queries() {
                 let want = interpret(rel.catalog(), &q).unwrap();
@@ -593,7 +522,14 @@ mod tests {
                     assert_eq!(
                         got.fingerprint(),
                         want.fingerprint(),
-                        "strategy {} query {q}",
+                        "strategy {} rows {rows} query {q}",
+                        strategy.name()
+                    );
+                    let par = execute_with_policy(rel.catalog(), &op, &odd_morsels()).unwrap();
+                    assert_eq!(
+                        par,
+                        got,
+                        "odd morsels: strategy {} rows {rows} query {q}",
                         strategy.name()
                     );
                 }
@@ -613,35 +549,32 @@ mod tests {
                 let op = compile(rel.catalog(), &plan, &q).unwrap();
                 // A live token that never trips: bit-identical results.
                 let live = CancelToken::new();
-                let (got, _) =
-                    execute_with_policy_cancel(rel.catalog(), &op, &policy, &live).unwrap();
+                let (got, _) = run(rel.catalog(), &op, &cancellable(&policy, &live)).unwrap();
                 assert_eq!(got.fingerprint(), want.fingerprint());
                 // Pre-cancelled: typed error, nothing runs.
                 let cancelled = CancelToken::new();
                 cancelled.cancel();
                 assert_eq!(
-                    execute_with_policy_cancel(rel.catalog(), &op, &policy, &cancelled)
-                        .unwrap_err(),
+                    run(rel.catalog(), &op, &cancellable(&policy, &cancelled)).unwrap_err(),
                     ExecError::Cancelled
                 );
                 // Expired deadline: the other typed error.
                 let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
                 assert_eq!(
-                    execute_with_policy_cancel(rel.catalog(), &op, &policy, &expired).unwrap_err(),
+                    run(rel.catalog(), &op, &cancellable(&policy, &expired)).unwrap_err(),
                     ExecError::DeadlineExpired
                 );
                 // Zero morsel budget: stopped before the first run.
                 let broke = CancelToken::new();
                 broke.set_budget(0);
                 assert_eq!(
-                    execute_with_policy_cancel(rel.catalog(), &op, &policy, &broke).unwrap_err(),
+                    run(rel.catalog(), &op, &cancellable(&policy, &broke)).unwrap_err(),
                     ExecError::BudgetExhausted
                 );
                 // A generous budget never trips: bit-identical results.
                 let rich = CancelToken::new();
                 rich.set_budget(1 << 20);
-                let (got, _) =
-                    execute_with_policy_cancel(rel.catalog(), &op, &policy, &rich).unwrap();
+                let (got, _) = run(rel.catalog(), &op, &cancellable(&policy, &rich)).unwrap();
                 assert_eq!(got.fingerprint(), want.fingerprint());
             }
         }
@@ -661,7 +594,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let policy = ExecPolicy::serial();
-        assert!(execute_with_policy_cancel(rel.catalog(), &op, &policy, &token).is_err());
+        assert!(run(rel.catalog(), &op, &cancellable(&policy, &token)).is_err());
         let want = interpret(rel.catalog(), q).unwrap();
         let (got, _) = execute_with_policy_stats(rel.catalog(), &op, &policy).unwrap();
         assert_eq!(got.fingerprint(), want.fingerprint());
@@ -680,27 +613,17 @@ mod tests {
         for policy in [ExecPolicy::serial(), ExecPolicy::with_threads(4)] {
             let token = CancelToken::new();
             token.cancel();
-            let err = reorg::reorg_and_execute_cancellable(
-                rel.catalog(),
-                &attrs,
-                &q,
-                &policy,
-                Some(&token),
-            )
-            .unwrap_err();
+            let err =
+                reorg::reorg_and_execute(rel.catalog(), &attrs, &q, &cancellable(&policy, &token))
+                    .unwrap_err();
             assert_eq!(err, ExecError::Cancelled);
             // A live token builds the identical group to the uncancelled path.
             let live = CancelToken::new();
-            let (g, r) = reorg::reorg_and_execute_cancellable(
-                rel.catalog(),
-                &attrs,
-                &q,
-                &policy,
-                Some(&live),
-            )
-            .unwrap();
+            let (g, r) =
+                reorg::reorg_and_execute(rel.catalog(), &attrs, &q, &cancellable(&policy, &live))
+                    .unwrap();
             let (g0, r0) =
-                reorg::reorg_and_execute_with(rel.catalog(), &attrs, &q, &policy).unwrap();
+                reorg::reorg_and_execute(rel.catalog(), &attrs, &q, &ExecCtx::new(policy)).unwrap();
             assert_eq!(g.collect_values(), g0.collect_values());
             assert_eq!(r.fingerprint(), r0.fingerprint());
         }

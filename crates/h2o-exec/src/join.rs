@@ -16,14 +16,14 @@
 //!
 //! Both sides reuse the single-relation machinery end-to-end: zone-map
 //! pruning via [`GroupViews::runs_pruned`], the vectorized selection
-//! kernels, and the same per-morsel partial merges (blocks concatenated,
-//! [`AggState`] partials merged, grouped tables merged — all in morsel
-//! order), so parallel join execution is bit-identical to serial for a
-//! fixed build side.
+//! kernels, the range driver ([`run_ranges`]) and the select program's
+//! sink ([`crate::sink`] — blocks concatenated, aggregate partials merged,
+//! grouped tables merged, all in morsel order), so parallel join execution
+//! is bit-identical to serial for a fixed build side.
 //!
 //! # Build, probe, and determinism
 //!
-//! [`execute_join_with_policy`] hash-partitions the **build** side: each
+//! [`run_join`] hash-partitions the **build** side: each
 //! morsel gathers its qualifying rows' key and payload lanes in row order,
 //! and the per-morsel parts are inserted into one hash table sequentially
 //! in morsel order — identical to a serial row-order build. Keys hash and
@@ -45,8 +45,8 @@
 //! bit-identical serial vs parallel, segmented vs monolithic.
 //!
 //! Joins participate in cooperative cancellation like single-relation
-//! scans ([`crate::cancel`]): [`execute_join_with_policy_cancel`]
-//! attaches the token to **both** the build and the probe views, so a
+//! scans ([`crate::cancel`]): [`run_join`] attaches
+//! [`ExecCtx::cancel`] to **both** the build and the probe views, so a
 //! cancel, deadline expiry, or morsel-budget exhaustion is observed at
 //! segment-run granularity in either phase. As everywhere else, the
 //! contract is result-level: partials are drained and discarded, and the
@@ -77,7 +77,8 @@
 //!   select-clause attribute (its payload is empty), every build match
 //!   of a probe row stitches the *same* combined tuple, so a scalar or
 //!   grouped aggregate over the join folds the tuple once with the match
-//!   count as a multiplicity ([`AggState::update_n`] /
+//!   count as a multiplicity
+//!   ([`AggState::update_n`](h2o_expr::agg::AggState::update_n) /
 //!   [`GroupedAggs::update_n`](h2o_expr::grouped::GroupedAggs::update_n))
 //!   instead of once per pair — factorized aggregation: the joined
 //!   stream is never materialized, and a row matching a thousand build
@@ -94,14 +95,14 @@
 
 use crate::bind::{BoundAttr, GroupViews};
 use crate::bloom::JoinFilter;
-use crate::cancel::CancelToken;
-use crate::compile::{bind_attr, concat_blocks, merge_and_finish, ExecError};
+use crate::compile::{bind_attr, ExecCtx, ExecError};
 use crate::filter::{CompiledFilter, CompiledPred};
-use crate::kernels::{self, simd, SelectProgram};
-use crate::parallel::{run_chunks, run_morsels, ExecPolicy};
+use crate::kernels::{self, simd};
+use crate::parallel::{run_chunks, run_ranges, ExecPolicy};
 use crate::plan::{AccessPlan, Strategy};
 use crate::program::CompiledExpr;
-use h2o_expr::agg::{AggOp, AggState};
+use crate::sink::{Partial, SelectProgram};
+use h2o_expr::agg::AggOp;
 use h2o_expr::typecheck::{JoinTypes, TypedPredicate};
 use h2o_expr::{CmpOp, JoinQuery, QueryResult, Side};
 use h2o_storage::{AttrId, LayoutCatalog, LayoutId, LogicalType, Value};
@@ -156,16 +157,9 @@ impl CompiledJoinSide {
                 }
                 n
             }
-            Strategy::SelVector => {
-                let sel = kernels::selvector::build_selvec_range(views, &self.filter, range);
-                for &id in sel.ids() {
-                    f(id as usize);
-                }
-                sel.len()
-            }
-            Strategy::ColumnMajor => {
-                let sel =
-                    kernels::colmajor::build_selvec_columnar_range(views, &self.filter, range);
+            strategy => {
+                let columnar = strategy == Strategy::ColumnMajor;
+                let sel = kernels::qualifying_ids(columnar, views, &self.filter, range);
                 for &id in sel.ids() {
                     f(id as usize);
                 }
@@ -442,7 +436,7 @@ pub fn compile_join(
     // select folds them as one multiplicity update. Derived purely from
     // the compiled shape, so a cached operator carries the same flag for
     // every execution.
-    let fused = build.payload.is_empty() && !matches!(select, SelectProgram::Project(_));
+    let fused = build.payload.is_empty() && select.is_fold();
     Ok(CompiledJoinOp {
         build,
         probe,
@@ -521,108 +515,45 @@ impl Default for JoinOptions {
     }
 }
 
-/// Executes a compiled join serially.
-pub fn execute_join(
-    left: &LayoutCatalog,
-    right: &LayoutCatalog,
-    op: &CompiledJoinOp,
-) -> Result<QueryResult, ExecError> {
-    execute_join_with_policy(left, right, op, &ExecPolicy::serial()).map(|(r, _)| r)
-}
-
-/// Executes a compiled join under a parallelism policy, returning the
+/// Executes a compiled join — the one join entry point — returning the
 /// result and the per-side cardinality counters.
 ///
-/// Build and probe each split into morsels independently; per-morsel
-/// partials are re-assembled in morsel order (see the module docs), so for
-/// a fixed `build_is_left` the result is bit-identical to serial
-/// execution.
-pub fn execute_join_with_policy(
+/// Build and probe are each one source of the shared range driver
+/// ([`run_ranges`]): morsels under a parallel policy, per-range partials
+/// re-assembled in range order (see the module docs), so for a fixed
+/// `build_is_left` the result is bit-identical across policies — and a
+/// serial policy probes **one** range, so `F64` sums fold the same single
+/// row-order chain as [`h2o_expr::interp::interpret_join`].
+///
+/// `ctx.cancel` is attached to both the build and the probe scan, each of
+/// which polls it per segment run and charges the token's morsel budget, if
+/// one is set; on a triggered token the partial build table / probe
+/// accumulators are discarded and the typed [`ExecError`] for the stop
+/// reason is returned. `ctx.join` carries the fast-path switches.
+pub fn run_join(
     left: &LayoutCatalog,
     right: &LayoutCatalog,
     op: &CompiledJoinOp,
-    policy: &ExecPolicy,
-) -> Result<(QueryResult, JoinExecStats), ExecError> {
-    join_with_policy_inner(left, right, op, policy, JoinOptions::default(), None)
-}
-
-/// [`execute_join_with_policy`] with explicit fast-path switches.
-pub fn execute_join_with_policy_opts(
-    left: &LayoutCatalog,
-    right: &LayoutCatalog,
-    op: &CompiledJoinOp,
-    policy: &ExecPolicy,
-    opts: JoinOptions,
-) -> Result<(QueryResult, JoinExecStats), ExecError> {
-    join_with_policy_inner(left, right, op, policy, opts, None)
-}
-
-/// [`execute_join_with_policy`] under a [`CancelToken`]: the token is
-/// attached to both the build and the probe scan, each of which polls it
-/// per segment run (capped at [`crate::cancel::CANCEL_CHECK_ROWS`] rows)
-/// and charges the token's morsel budget, if one is set. On a triggered
-/// token the partial build table / probe accumulators are discarded and
-/// the typed [`ExecError`] for the stop reason is returned.
-pub fn execute_join_with_policy_cancel(
-    left: &LayoutCatalog,
-    right: &LayoutCatalog,
-    op: &CompiledJoinOp,
-    policy: &ExecPolicy,
-    token: &CancelToken,
-) -> Result<(QueryResult, JoinExecStats), ExecError> {
-    execute_join_with_policy_opts_cancel(left, right, op, policy, JoinOptions::default(), token)
-}
-
-/// [`execute_join_with_policy_cancel`] with explicit fast-path switches.
-pub fn execute_join_with_policy_opts_cancel(
-    left: &LayoutCatalog,
-    right: &LayoutCatalog,
-    op: &CompiledJoinOp,
-    policy: &ExecPolicy,
-    opts: JoinOptions,
-    token: &CancelToken,
-) -> Result<(QueryResult, JoinExecStats), ExecError> {
-    if let Some(reason) = token.should_stop() {
-        return Err(reason.into());
-    }
-    let out = join_with_policy_inner(left, right, op, policy, opts, Some(token))?;
-    if let Some(reason) = token.should_stop() {
-        return Err(reason.into());
-    }
-    Ok(out)
-}
-
-fn join_with_policy_inner(
-    left: &LayoutCatalog,
-    right: &LayoutCatalog,
-    op: &CompiledJoinOp,
-    policy: &ExecPolicy,
-    opts: JoinOptions,
-    cancel: Option<&CancelToken>,
+    ctx: &ExecCtx<'_>,
 ) -> Result<(QueryResult, JoinExecStats), ExecError> {
     let (build_cat, probe_cat) = if op.build_is_left {
         (left, right)
     } else {
         (right, left)
     };
-    let mut build_views = GroupViews::resolve(build_cat, &op.build.plan.layouts)?;
-    let mut probe_views = GroupViews::resolve(probe_cat, &op.probe.plan.layouts)?;
-    if let Some(token) = cancel {
-        build_views.set_cancel(token.clone());
-        probe_views.set_cancel(token.clone());
-    }
+    let build_views = ctx.views(build_cat, &op.build.plan.layouts)?;
+    let probe_views = ctx.views(probe_cat, &op.probe.plan.layouts)?;
+    let policy = &ctx.policy;
 
-    // Phase 1 — build: per-morsel gather of qualifying (key, payload)
-    // lanes in row order, then a sequential morsel-order insert (identical
+    // Phase 1 — build: per-range gather of qualifying (key, payload)
+    // lanes in row order, then a sequential range-order insert (identical
     // to a serial row-order build, so the table — and every downstream
     // result — is independent of the parallelism policy).
     let key_width = op.build.keys.len();
     let payload_width = op.build.payload.len();
     let build_rows_total = build_views.rows();
-    let parts: Vec<(Vec<Value>, Vec<Value>, usize)> = run_morsels(
-        build_rows_total,
-        &policy.aligned_to(build_views.seg_rows()),
-        |r| {
+    let parts: Vec<(Vec<Value>, Vec<Value>, usize)> =
+        run_ranges(build_rows_total, build_views.seg_rows(), policy, |r| {
             let mut keys: Vec<Value> = Vec::new();
             let mut pays: Vec<Value> = Vec::new();
             let n = op.build.for_qualifying(&build_views, r, |row| {
@@ -634,8 +565,7 @@ fn join_with_policy_inner(
                 }
             });
             (keys, pays, n)
-        },
-    );
+        });
     let build_qualifying: usize = parts.iter().map(|(_, _, n)| n).sum();
     // The observed post-prune cardinality sizes both probe-phase
     // structures: the hash table's bucket array and the bloom filter's
@@ -652,9 +582,9 @@ fn join_with_policy_inner(
         }
     }
     // Derive the probe prefilter from the gathered parts: one partial
-    // filter per chunk of build morsels, OR-merged in chunk order (the
+    // filter per chunk of build ranges, OR-merged in chunk order (the
     // merge is commutative, so the result is independent of the policy).
-    let bloom: Option<JoinFilter> = if opts.bloom && build_qualifying > 0 {
+    let bloom: Option<JoinFilter> = if ctx.join.bloom && build_qualifying > 0 {
         let partials = run_chunks(&parts, policy, |chunk| {
             let mut f = JoinFilter::with_capacity(build_qualifying, op.key_types.clone());
             for (keys, _, n) in chunk {
@@ -678,124 +608,49 @@ fn join_with_policy_inner(
         build_input_rows: build_rows_total,
         build_rows: build_qualifying,
         probe_input_rows: probe_views.rows(),
-        probe_rows: 0,
-        output_pairs: 0,
-        build_segments_skipped: 0,
-        probe_segments_skipped: 0,
-        probe_bloom_rejects: 0,
         build_is_left: op.build_is_left,
+        ..JoinExecStats::default()
     };
 
-    // Phase 2 — probe, fused with the select program. An empty build side
-    // short-circuits the probe scan entirely (greedy early-exit): the
-    // empty-match result shapes below coincide with the interpreter's
-    // conventions (empty projection block, neutral aggregate row, zero
-    // grouped rows).
-    let result = if table.len == 0 {
-        match &op.select {
-            SelectProgram::Project(exprs) => QueryResult::with_capacity(exprs.len(), 0),
-            SelectProgram::Aggregate(aggs) => merge_and_finish(aggs, Vec::new()),
-            SelectProgram::Grouped {
-                key_types, aggs, ..
-            } => kernels::grouped::merge_and_finish(key_types, aggs, Vec::new()),
+    // Phase 2 — probe, feeding the select program's sink. An empty build
+    // side short-circuits the probe scan entirely (greedy early-exit): no
+    // partials finish as the empty-match result, which coincides with the
+    // interpreter's conventions.
+    let mut parts = Vec::new();
+    if table.len != 0 {
+        let fuse = ctx.join.fuse && op.fused;
+        for (part, qual, pairs, rejects) in
+            probe_parts(&probe_views, op, &table, bloom.as_ref(), fuse, policy)
+        {
+            stats.probe_rows += qual;
+            stats.output_pairs += pairs;
+            stats.probe_bloom_rejects += rejects;
+            parts.push(part);
         }
-    } else {
-        let filter = bloom.as_ref();
-        let fuse = opts.fuse && op.fused;
-        match &op.select {
-            SelectProgram::Project(exprs) => {
-                let width = exprs.len();
-                let (parts, qual, pairs, rejects) = probe_parts(
-                    &probe_views,
-                    op,
-                    &table,
-                    filter,
-                    false,
-                    policy,
-                    || {
-                        (
-                            QueryResult::with_capacity(width, 0),
-                            vec![0 as Value; width],
-                        )
-                    },
-                    |(out, row), tuple, _| {
-                        for (slot, e) in row.iter_mut().zip(exprs) {
-                            *slot = e.eval_tuple(tuple);
-                        }
-                        out.push_row(row);
-                    },
-                );
-                stats.probe_rows = qual;
-                stats.output_pairs = pairs;
-                stats.probe_bloom_rejects = rejects;
-                concat_blocks(width, parts.into_iter().map(|(out, _)| out).collect())
-            }
-            SelectProgram::Aggregate(aggs) => {
-                let (parts, qual, pairs, rejects) = probe_parts(
-                    &probe_views,
-                    op,
-                    &table,
-                    filter,
-                    fuse,
-                    policy,
-                    || -> Vec<AggState> { aggs.iter().map(|(f, _)| AggState::new(*f)).collect() },
-                    |states, tuple, n| {
-                        for (st, (_, e)) in states.iter_mut().zip(aggs) {
-                            st.update_n(e.eval_tuple(tuple), n);
-                        }
-                    },
-                );
-                stats.probe_rows = qual;
-                stats.output_pairs = pairs;
-                stats.probe_bloom_rejects = rejects;
-                merge_and_finish(aggs, parts)
-            }
-            SelectProgram::Grouped {
-                keys,
-                key_types,
-                aggs,
-            } => {
-                let (parts, qual, pairs, rejects) = probe_parts(
-                    &probe_views,
-                    op,
-                    &table,
-                    filter,
-                    fuse,
-                    policy,
-                    || {
-                        (
-                            kernels::grouped::table_for(key_types, aggs),
-                            vec![0 as Value; keys.len()],
-                            vec![0 as Value; aggs.len()],
-                        )
-                    },
-                    |(t, kb, vb), tuple, n| {
-                        kernels::grouped::update_from_tuple_n(t, keys, aggs, kb, vb, tuple, n)
-                    },
-                );
-                stats.probe_rows = qual;
-                stats.output_pairs = pairs;
-                stats.probe_bloom_rejects = rejects;
-                kernels::grouped::merge_and_finish(
-                    key_types,
-                    aggs,
-                    parts.into_iter().map(|(t, _, _)| t).collect(),
-                )
-            }
-        }
-    };
+    }
+    let result = op.select.finish(parts);
+    ctx.check()?;
     stats.build_segments_skipped = build_views.segments_skipped();
     stats.probe_segments_skipped = probe_views.segments_skipped();
     Ok((result, stats))
 }
 
-/// The probe driver: splits the probe side into morsels; per qualifying
-/// probe row, an optional build-filter test, then one hash lookup; per
-/// matched build row, stitches the combined tuple buffer and invokes
-/// `fold` on the morsel-local accumulator from `make` with a pair
-/// multiplicity (always `1` unless `fused`). Returns per-morsel
-/// accumulators in morsel order plus the qualifying-row, matched-pair,
-/// and filter-reject totals.
+/// [`run_join`] under a parallelism policy, fast paths on, no stop token.
+pub fn execute_join_with_policy(
+    left: &LayoutCatalog,
+    right: &LayoutCatalog,
+    op: &CompiledJoinOp,
+    policy: &ExecPolicy,
+) -> Result<(QueryResult, JoinExecStats), ExecError> {
+    run_join(left, right, op, &ExecCtx::new(*policy))
+}
+
+/// The probe source: per range of the probe side and per qualifying probe
+/// row, an optional build-filter test, then one hash lookup; per matched
+/// build row, stitches the combined tuple buffer and pushes it into the
+/// range's sink partial with a pair multiplicity (always `1` unless
+/// `fused`). Returns, in range order, each range's partial with its
+/// qualifying-row, matched-pair and filter-reject counts.
 ///
 /// With a filter and a single-column key, qualifying rows batch eight at
 /// a time: the exact `[min, max]` range is tested over the batched key
@@ -804,22 +659,14 @@ fn join_with_policy_inner(
 /// looked up in lane (= ascending row) order — the fold order is exactly
 /// the unfiltered path's, so `F64` sums stay bit-identical. Multi-column
 /// keys test the filter scalar per row.
-#[allow(clippy::too_many_arguments)]
-fn probe_parts<T, M, F>(
+fn probe_parts(
     views: &GroupViews<'_>,
     op: &CompiledJoinOp,
     table: &JoinTable,
     filter: Option<&JoinFilter>,
     fused: bool,
     policy: &ExecPolicy,
-    make: M,
-    fold: F,
-) -> (Vec<T>, usize, usize, u64)
-where
-    T: Send,
-    M: Fn() -> T + Sync,
-    F: Fn(&mut T, &[Value], u64) + Sync,
-{
+) -> Vec<(Partial, usize, usize, u64)> {
     // Comparator-key range predicates for the vectorized single-key
     // prefilter. `CompiledPred.value` lives in cmp-key space, which is
     // exactly where `JoinFilter` keeps its ranges; the bound attr is
@@ -846,8 +693,8 @@ where
         }
         _ => None,
     };
-    let parts = run_morsels(views.rows(), &policy.aligned_to(views.seg_rows()), |r| {
-        let mut acc = make();
+    run_ranges(views.rows(), views.seg_rows(), policy, |r| {
+        let mut acc = op.select.partial();
         let mut pairs = 0usize;
         let mut rejects = 0u64;
         let mut key: Vec<Value> = vec![0; op.probe.keys.len()];
@@ -880,17 +727,9 @@ where
                             rejects += 1;
                             continue;
                         }
+                        let key = &keys_b[i..=i];
                         probe_one(
-                            views,
-                            op,
-                            table,
-                            fused,
-                            &fold,
-                            &mut acc,
-                            &mut buf,
-                            &mut pairs,
-                            &keys_b[i..=i],
-                            rows_b[i],
+                            views, op, table, fused, &mut acc, &mut buf, &mut pairs, key, rows_b[i],
                         );
                     }
                 }
@@ -903,7 +742,7 @@ where
                         return;
                     }
                     probe_one(
-                        views, op, table, fused, &fold, &mut acc, &mut buf, &mut pairs, &key, row,
+                        views, op, table, fused, &mut acc, &mut buf, &mut pairs, &key, row,
                     );
                 }
                 _ => {
@@ -911,7 +750,7 @@ where
                         *slot = views.get(k, row);
                     }
                     probe_one(
-                        views, op, table, fused, &fold, &mut acc, &mut buf, &mut pairs, &key, row,
+                        views, op, table, fused, &mut acc, &mut buf, &mut pairs, &key, row,
                     );
                 }
             });
@@ -923,46 +762,28 @@ where
                     rejects += 1;
                     continue;
                 }
+                let key = &keys_b[i..=i];
                 probe_one(
-                    views,
-                    op,
-                    table,
-                    fused,
-                    &fold,
-                    &mut acc,
-                    &mut buf,
-                    &mut pairs,
-                    &keys_b[i..=i],
-                    rows_b[i],
+                    views, op, table, fused, &mut acc, &mut buf, &mut pairs, key, rows_b[i],
                 );
             }
         }
         (acc, qual, pairs, rejects)
-    });
-    let mut accs = Vec::with_capacity(parts.len());
-    let (mut qual, mut pairs, mut rejects) = (0usize, 0usize, 0u64);
-    for (a, q, p, rj) in parts {
-        accs.push(a);
-        qual += q;
-        pairs += p;
-        rejects += rj;
-    }
-    (accs, qual, pairs, rejects)
+    })
 }
 
 /// One probe lookup for `key` at probe row `row`: stitch the probe row's
-/// loop-invariant lanes, then fold per matched build row — or **once**
+/// loop-invariant lanes, then push per matched build row — or **once**
 /// with the match count as multiplicity when `fused` (the build payload
 /// is empty, so every match would stitch the identical tuple).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn probe_one<T, F: Fn(&mut T, &[Value], u64)>(
+fn probe_one(
     views: &GroupViews<'_>,
     op: &CompiledJoinOp,
     table: &JoinTable,
     fused: bool,
-    fold: &F,
-    acc: &mut T,
+    acc: &mut Partial,
     buf: &mut [Value],
     pairs: &mut usize,
     key: &[Value],
@@ -978,7 +799,7 @@ fn probe_one<T, F: Fn(&mut T, &[Value], u64)>(
     }
     if fused {
         *pairs += idxs.len();
-        fold(acc, buf, idxs.len() as u64);
+        op.select.push(acc, buf, idxs.len() as u64);
         return;
     }
     for &idx in idxs {
@@ -986,16 +807,53 @@ fn probe_one<T, F: Fn(&mut T, &[Value], u64)>(
             buf[p as usize] = v;
         }
         *pairs += 1;
-        fold(acc, buf, 1);
+        op.select.push(acc, buf, 1);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
     use h2o_expr::{check_join, interpret_join, Aggregate, Conjunction, Predicate, Query};
     use h2o_storage::{f64_lane, LogicalType, Relation, Schema};
     use std::sync::Arc;
+
+    fn execute_join(
+        left: &LayoutCatalog,
+        right: &LayoutCatalog,
+        op: &CompiledJoinOp,
+    ) -> Result<QueryResult, ExecError> {
+        execute_join_with_policy(left, right, op, &ExecPolicy::serial()).map(|(r, _)| r)
+    }
+
+    fn execute_join_with_policy_opts(
+        left: &LayoutCatalog,
+        right: &LayoutCatalog,
+        op: &CompiledJoinOp,
+        policy: &ExecPolicy,
+        join: JoinOptions,
+    ) -> Result<(QueryResult, JoinExecStats), ExecError> {
+        let ctx = ExecCtx {
+            join,
+            ..ExecCtx::new(*policy)
+        };
+        run_join(left, right, op, &ctx)
+    }
+
+    fn execute_join_with_policy_cancel(
+        left: &LayoutCatalog,
+        right: &LayoutCatalog,
+        op: &CompiledJoinOp,
+        policy: &ExecPolicy,
+        token: &CancelToken,
+    ) -> Result<(QueryResult, JoinExecStats), ExecError> {
+        let ctx = ExecCtx {
+            cancel: Some(token),
+            ..ExecCtx::new(*policy)
+        };
+        run_join(left, right, op, &ctx)
+    }
 
     fn photo_schema() -> Arc<Schema> {
         Schema::typed([
@@ -1019,16 +877,22 @@ mod tests {
     /// flags ∈ 0..4. spec: 30 rows, bestObjID = i % 12 (4 dangle past the
     /// photo key domain), z dyadic f64.
     fn fixture(segmented: bool) -> (Relation, Relation) {
+        fixture_of(segmented, 40, 30)
+    }
+
+    fn fixture_of(segmented: bool, photo_rows: Value, spec_rows: Value) -> (Relation, Relation) {
         let shift = if segmented { 3 } else { 20 };
         let photo_cols: Vec<Vec<Value>> = vec![
-            (0..40).map(|i| i % 8).collect(),
-            (0..40).map(|i| f64_lane(i as f64 * 0.25)).collect(),
-            (0..40).map(|i| (i * 7) % 4).collect(),
+            (0..photo_rows).map(|i| i % 8).collect(),
+            (0..photo_rows).map(|i| f64_lane(i as f64 * 0.25)).collect(),
+            (0..photo_rows).map(|i| (i * 7) % 4).collect(),
         ];
         let spec_cols: Vec<Vec<Value>> = vec![
-            (0..30).map(|i| 1000 + i).collect(),
-            (0..30).map(|i| i % 12).collect(),
-            (0..30).map(|i| f64_lane(i as f64 * 0.5 - 4.0)).collect(),
+            (0..spec_rows).map(|i| 1000 + i).collect(),
+            (0..spec_rows).map(|i| i % 12).collect(),
+            (0..spec_rows)
+                .map(|i| f64_lane(i as f64 * 0.5 - 4.0))
+                .collect(),
         ];
         let photo = Relation::partitioned_with_shift(
             photo_schema(),
@@ -1105,10 +969,26 @@ mod tests {
         }
     }
 
+    /// 7-row morsels: odd tails on both sides of every fixture.
+    fn odd_morsels() -> ExecPolicy {
+        ExecPolicy {
+            morsel_rows: 7,
+            ..par_policy()
+        }
+    }
+
     #[test]
     fn differential_all_strategies_build_sides_and_policies() {
-        for segmented in [false, true] {
-            let (photo, spec) = fixture(segmented);
+        // Populated, and with either side zero-row (empty build short
+        // circuit / empty probe scan, per build side).
+        let fixtures = [
+            (false, 40, 30),
+            (true, 40, 30),
+            (true, 0, 30),
+            (false, 40, 0),
+        ];
+        for (segmented, photo_rows, spec_rows) in fixtures {
+            let (photo, spec) = fixture_of(segmented, photo_rows, spec_rows);
             for q in queries() {
                 let checked = check_join(&q).unwrap();
                 let want = interpret_join(photo.catalog(), spec.catalog(), &q).unwrap();
@@ -1136,14 +1016,16 @@ mod tests {
                         );
                         // Parallel is bit-identical (not just fingerprint-
                         // equal) for a fixed build side.
-                        let (par, _) = execute_join_with_policy(
-                            photo.catalog(),
-                            spec.catalog(),
-                            &op,
-                            &par_policy(),
-                        )
-                        .unwrap();
-                        assert_eq!(par.data(), serial.data());
+                        for policy in [par_policy(), odd_morsels()] {
+                            let (par, _) = execute_join_with_policy(
+                                photo.catalog(),
+                                spec.catalog(),
+                                &op,
+                                &policy,
+                            )
+                            .unwrap();
+                            assert_eq!(par.data(), serial.data());
+                        }
                     }
                 }
             }

@@ -29,7 +29,7 @@
 //! materializes its own (proportionally smaller) intermediate columns, so
 //! the strategy's cost structure is preserved per morsel.
 
-use super::{simd, SelectProgram};
+use super::simd;
 use crate::bind::{BoundAttr, GroupViews};
 use crate::filter::CompiledFilter;
 use crate::program::{CompiledExpr, OpCode};
@@ -53,22 +53,11 @@ fn gather_attr(views: &GroupViews<'_>, attr: BoundAttr, ids: &[u32]) -> Vec<Valu
     ids.iter().map(|&i| acc.value(i as usize, off)).collect()
 }
 
-/// Column-at-a-time filter evaluation (paper §2.1): the first predicate
-/// scans its column; each later predicate first materializes the candidate
-/// values as an intermediate column, then refines the id list.
-pub fn build_selvec_columnar(views: &GroupViews<'_>, filter: &CompiledFilter) -> SelVec {
-    let rows = views.rows();
-    if filter.is_always_true() {
-        if !views.charge_scan(rows) {
-            return SelVec::with_capacity(0);
-        }
-        return SelVec::identity(rows);
-    }
-    build_selvec_columnar_range(views, filter, 0..rows)
-}
-
-/// Columnar filter evaluation over one row range; per-range outputs stitch
-/// by concatenation exactly as [`build_selvec_columnar`]'s full vector.
+/// Column-at-a-time filter evaluation (paper §2.1) over one row range:
+/// the first predicate scans its column; each later predicate first
+/// materializes the candidate values as an intermediate column, then
+/// refines the id list. Per-range outputs stitch by concatenation into the
+/// full range's vector.
 ///
 /// Both phases are vectorized with the shared chunk primitives
 /// ([`super::simd`]): the first predicate's per-run scan builds 8-row
@@ -357,15 +346,6 @@ fn fold_colvec(cv: &ColVec, n: usize, func: AggOp) -> AggState {
     st
 }
 
-/// Whether `select` is the no-filter bare-column aggregate shape that
-/// streams each column independently (the Fig. 10(b) fast path); the
-/// parallel driver asks so it can split that path by row range.
-pub(crate) fn is_streaming_aggregate(filter: &CompiledFilter, select: &SelectProgram) -> bool {
-    filter.is_always_true()
-        && matches!(select, SelectProgram::Aggregate(aggs)
-            if aggs.iter().all(|(_, e)| matches!(e, CompiledExpr::Col(_))))
-}
-
 /// Column-at-a-time aggregation over one id chunk, returning mergeable
 /// partials (each chunk materializes its own intermediate columns).
 pub fn aggregate_ids_columnar(
@@ -410,53 +390,28 @@ pub fn project_ids_columnar(
     out
 }
 
-/// Runs the full column-major strategy.
-pub fn run(views: &GroupViews<'_>, filter: &CompiledFilter, select: &SelectProgram) -> QueryResult {
-    match select {
-        SelectProgram::Aggregate(aggs) => {
-            // Fast path: no where-clause and bare-column aggregates stream
-            // each column independently with no selection vector at all.
-            if is_streaming_aggregate(filter, select) {
-                let rows = views.rows();
-                let mut out = QueryResult::new(aggs.len());
-                let row: Vec<Value> = aggs
-                    .iter()
-                    .map(|(f, e)| {
-                        let CompiledExpr::Col(a) = e else {
-                            unreachable!()
-                        };
-                        agg_full_column_range(views, *a, *f, 0..rows).finish()
-                    })
-                    .collect();
-                out.push_row(&row);
-                return out;
-            }
-            let sel = build_selvec_columnar(views, filter);
-            let states = aggregate_ids_columnar(views, sel.ids(), aggs);
-            super::fused::finish_states(aggs.len(), &states)
-        }
-        SelectProgram::Project(exprs) => {
-            let sel = build_selvec_columnar(views, filter);
-            project_ids_columnar(views, sel.ids(), exprs)
-        }
-        SelectProgram::Grouped {
-            keys,
-            key_types,
-            aggs,
-        } => {
-            let sel = build_selvec_columnar(views, filter);
-            super::grouped::aggregate_ids_columnar(views, sel.ids(), keys, key_types, aggs).finish()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::filter::CompiledPred;
+    use crate::sink::SelectProgram;
     use h2o_expr::{AggFunc, CmpOp};
     use h2o_storage::LogicalType;
     use h2o_storage::{AttrId, GroupBuilder};
+
+    fn build_selvec_columnar(views: &GroupViews<'_>, filter: &CompiledFilter) -> SelVec {
+        build_selvec_columnar_range(views, filter, 0..views.rows())
+    }
+
+    fn is_streaming_aggregate(filter: &CompiledFilter, select: &SelectProgram) -> bool {
+        select.streaming_cols(filter).is_some()
+    }
+
+    /// The full column-major strategy, serially, through the one driver.
+    fn run(views: &GroupViews<'_>, filter: &CompiledFilter, select: &SelectProgram) -> QueryResult {
+        let policy = crate::ExecPolicy::serial();
+        crate::compile::scan(views, crate::Strategy::ColumnMajor, filter, select, &policy)
+    }
 
     fn columns() -> Vec<h2o_storage::ColumnGroup> {
         // Three width-1 groups: a0 = 1..=4, a1 = [5,5,0,5], a2 = [9,8,7,6]

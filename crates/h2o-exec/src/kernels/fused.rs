@@ -12,9 +12,9 @@
 //! driver (`crate::parallel`) can run disjoint row ranges on worker threads:
 //! projections return a per-range [`QueryResult`] block (concatenated in
 //! morsel order), aggregates return per-range [`AggState`] partials (merged
-//! in morsel order). [`run`] executes the full range serially.
+//! in morsel order); a serial execution is the single range `0..rows`.
 
-use super::{simd, upd_max, upd_min, upd_sum, SelectProgram};
+use super::{simd, upd_max, upd_min, upd_sum};
 use crate::bind::GroupViews;
 use crate::filter::CompiledFilter;
 use crate::program::CompiledExpr;
@@ -22,32 +22,6 @@ use h2o_expr::agg::{AggOp, AggState};
 use h2o_expr::QueryResult;
 use h2o_storage::Value;
 use std::ops::Range;
-
-/// Runs the fused kernel over all tuples.
-pub fn run(views: &GroupViews<'_>, filter: &CompiledFilter, select: &SelectProgram) -> QueryResult {
-    let rows = views.rows();
-    match select {
-        SelectProgram::Project(exprs) => project_range(views, filter, exprs, 0..rows),
-        SelectProgram::Aggregate(aggs) => {
-            let states = aggregate_range(views, filter, aggs, 0..rows);
-            finish_states(aggs.len(), &states)
-        }
-        SelectProgram::Grouped {
-            keys,
-            key_types,
-            aggs,
-        } => super::grouped::fused_range(views, filter, keys, key_types, aggs, 0..rows).finish(),
-    }
-}
-
-/// Turns final aggregate states into the one-row result block.
-pub(crate) fn finish_states(width: usize, states: &[AggState]) -> QueryResult {
-    debug_assert_eq!(width, states.len());
-    let mut out = QueryResult::new(width);
-    let row: Vec<Value> = states.iter().map(|s| s.finish()).collect();
-    out.push_row(&row);
-    out
-}
 
 /// Fused projection over one row range. The Fig. 5 specialization applies
 /// when the whole plan reads a single column group: the range is walked one
@@ -373,27 +347,27 @@ fn aggregate_cols_specialized(
     (acc, matched)
 }
 
-/// Finishes raw specialized accumulators into final values (used by the
-/// fused reorganization operator, which shares the dense-aggregate tier).
-pub(crate) fn finish_specialized(
-    aggs: &[(AggOp, CompiledExpr)],
-    acc: &[Value],
-    matched: u64,
-) -> Vec<Value> {
-    aggs.iter()
-        .zip(acc)
-        .map(|((f, _), &raw)| AggState::from_parts(*f, raw, matched).finish())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bind::BoundAttr;
     use crate::filter::CompiledPred;
+    use crate::sink::SelectProgram;
     use h2o_expr::{AggFunc, CmpOp};
     use h2o_storage::LogicalType;
     use h2o_storage::{AttrId, GroupBuilder};
+
+    /// The fused strategy, serially, through the one driver.
+    fn run(views: &GroupViews<'_>, filter: &CompiledFilter, select: &SelectProgram) -> QueryResult {
+        let policy = crate::ExecPolicy::serial();
+        crate::compile::scan(
+            views,
+            crate::Strategy::FusedVolcano,
+            filter,
+            select,
+            &policy,
+        )
+    }
 
     fn sample_group() -> h2o_storage::ColumnGroup {
         // attrs a,b,d: rows (1,10,0), (2,20,1), (3,30,2), (4,40,3)

@@ -16,11 +16,11 @@
 //!   then a single fold walks the materialized columns.
 //!
 //! Every kernel returns a [`GroupedAggs`] table, which is the morsel-local
-//! partial of parallel execution: the driver merges per-morsel tables
-//! ([`GroupedAggs::merge`] — associative and commutative per key, the
-//! `AggState::from_parts`-style bridge for grouped state) and finishes once,
-//! and because [`GroupedAggs::finish`] sorts by key vector, parallel
-//! execution is bit-identical to serial for every strategy.
+//! partial of parallel execution: the sink ([`crate::sink`]) merges
+//! per-morsel tables ([`GroupedAggs::merge`] — associative and commutative
+//! per key, the `AggState::from_parts`-style bridge for grouped state) and
+//! finishes once, and because [`GroupedAggs::finish`] sorts by key vector,
+//! parallel execution is bit-identical to serial for every strategy.
 
 use super::simd;
 use crate::bind::GroupViews;
@@ -38,11 +38,9 @@ pub fn table_for(key_types: &[LogicalType], aggs: &[(AggOp, CompiledExpr)]) -> G
     GroupedAggs::new(key_types.to_vec(), aggs.iter().map(|(f, _)| *f).collect())
 }
 
-/// Folds one stitched/sliced tuple into the table: evaluates the key and
+/// Folds one sliced tuple into the table: evaluates the key and
 /// aggregate-input expressions against `tuple` through the caller's reused
-/// buffers. Shared by the fused single-group tier and the online
-/// reorganization operator (`crate::reorg`), so a change to grouped update
-/// semantics lands in one place.
+/// buffers (the fused single-group tier's per-row step).
 #[inline]
 pub(crate) fn update_from_tuple(
     table: &mut GroupedAggs,
@@ -61,11 +59,12 @@ pub(crate) fn update_from_tuple(
     table.update(key_buf, val_buf);
 }
 
-/// [`update_from_tuple`] with a pair multiplicity: folds the tuple's key
-/// and aggregate inputs `n` times in one table probe
-/// ([`GroupedAggs::update_n`]). The fused join-aggregate path uses this to
-/// collapse a probe row's `n` identical build matches into a single
-/// factorized update.
+/// [`update_from_tuple`] with a multiplicity: folds the tuple's key and
+/// aggregate inputs `n` times in one table probe
+/// ([`GroupedAggs::update_n`]). This is the grouped sink's per-tuple step
+/// ([`SelectProgram::push`](crate::sink::SelectProgram::push)); the fused
+/// join-aggregate path uses `n` to collapse a probe row's identical build
+/// matches into a single factorized update.
 #[inline]
 pub(crate) fn update_from_tuple_n(
     table: &mut GroupedAggs,
@@ -222,20 +221,6 @@ pub fn aggregate_ids_columnar(
     table
 }
 
-/// Merges per-morsel tables in morsel order and finishes into the sorted
-/// result block.
-pub fn merge_and_finish(
-    key_types: &[LogicalType],
-    aggs: &[(AggOp, CompiledExpr)],
-    partials: Vec<GroupedAggs>,
-) -> h2o_expr::QueryResult {
-    let mut total = table_for(key_types, aggs);
-    for partial in partials {
-        total.merge(partial);
-    }
-    total.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,7 +289,13 @@ mod tests {
             .into_iter()
             .map(|r| fused_range(&views, &CompiledFilter::always(), &keys, KT1, &aggs, r))
             .collect();
-        assert_eq!(merge_and_finish(KT1, &aggs, partials), full);
+        let select = crate::sink::SelectProgram::Grouped {
+            keys,
+            key_types: KT1.to_vec(),
+            aggs,
+        };
+        let partials = partials.into_iter().map(Into::into).collect();
+        assert_eq!(select.finish(partials), full);
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! docs for the lane/tail contract that keeps vectorized results
 //! bit-identical to scalar ones.
 //!
-//! Kernels operate on [`GroupViews`](crate::bind::GroupViews) (raw slices)
+//! Kernels operate on [`GroupViews`] (raw slices)
 //! and offset-resolved programs; nothing in a per-tuple loop consults a
 //! schema or expression tree (grouped aggregation consults exactly one
-//! hash table, which is the operation itself).
+//! hash table, which is the operation itself). Each kernel is written for
+//! one select shape; [`crate::sink`] picks the kernel for a program.
 
 pub mod colmajor;
 pub mod fused;
@@ -25,49 +26,26 @@ pub mod grouped;
 pub mod selvector;
 pub mod simd;
 
-use crate::program::CompiledExpr;
-use h2o_expr::agg::AggOp;
+use crate::bind::GroupViews;
+use crate::filter::CompiledFilter;
+use crate::selvec::SelVec;
 use h2o_storage::{LogicalType, Value};
+use std::ops::Range;
 
-/// The select-clause half of a compiled operator. Aggregates carry their
-/// typed op ([`AggOp`]) and grouped programs their key types — the types
-/// are baked in at generation time so the kernels' inner loops never
-/// consult a schema.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SelectProgram {
-    /// One output row per qualifying tuple.
-    Project(Vec<CompiledExpr>),
-    /// One output row total.
-    Aggregate(Vec<(AggOp, CompiledExpr)>),
-    /// One output row per distinct key vector, sorted ascending by key in
-    /// each key column's typed order (the grouped-aggregation determinism
-    /// convention — see [`h2o_expr::grouped::GroupedAggs`]).
-    Grouped {
-        keys: Vec<CompiledExpr>,
-        key_types: Vec<LogicalType>,
-        aggs: Vec<(AggOp, CompiledExpr)>,
-    },
-}
-
-impl SelectProgram {
-    /// Values per output row.
-    pub fn width(&self) -> usize {
-        match self {
-            SelectProgram::Project(es) => es.len(),
-            SelectProgram::Aggregate(aggs) => aggs.len(),
-            SelectProgram::Grouped { keys, aggs, .. } => keys.len() + aggs.len(),
-        }
-    }
-
-    /// The compiled expressions, regardless of kind.
-    pub fn exprs(&self) -> Box<dyn Iterator<Item = &CompiledExpr> + '_> {
-        match self {
-            SelectProgram::Project(es) => Box::new(es.iter()),
-            SelectProgram::Aggregate(aggs) => Box::new(aggs.iter().map(|(_, e)| e)),
-            SelectProgram::Grouped { keys, aggs, .. } => {
-                Box::new(keys.iter().chain(aggs.iter().map(|(_, e)| e)))
-            }
-        }
+/// Phase 1 of the two id-based strategies over one row range: the
+/// qualifying ids within `range`, ascending — by the one-pass conjunction
+/// scan ([`selvector::build_selvec_range`]) or, when `columnar`, by
+/// column-at-a-time refinement ([`colmajor::build_selvec_columnar_range`]).
+pub(crate) fn qualifying_ids(
+    columnar: bool,
+    views: &GroupViews<'_>,
+    filter: &CompiledFilter,
+    range: Range<usize>,
+) -> SelVec {
+    if columnar {
+        colmajor::build_selvec_columnar_range(views, filter, range)
+    } else {
+        selvector::build_selvec_range(views, filter, range)
     }
 }
 

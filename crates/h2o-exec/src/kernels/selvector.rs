@@ -1,21 +1,21 @@
 //! The selection-vector kernel pair (paper Fig. 6).
 //!
-//! Phase 1 ([`build_selvec`]) is the generated `q1_sel_vector`: a single
-//! pass over the group(s) storing the where-clause attributes that
-//! materializes the qualifying row ids. Phase 2 ([`consume`]) is
-//! `q1_compute_expression`: it walks the selection vector and computes the
-//! select-items by gathering from the select-clause group(s). The paper
+//! Phase 1 ([`build_selvec_range`]) is the generated `q1_sel_vector`: a
+//! single pass over the group(s) storing the where-clause attributes that
+//! materializes the qualifying row ids. Phase 2 ([`project_ids`],
+//! [`aggregate_ids`]) is `q1_compute_expression`: it walks the selection
+//! vector and computes the select-items by gathering from the
+//! select-clause group(s). The paper
 //! notes the trade-off explicitly: computation is avoided for
 //! non-qualifying tuples, "on the other hand, the materialization of the
 //! selection vector is required".
 //!
 //! Both phases are morsel-parallelizable: phase 1 builds per-row-range
-//! selection vectors whose ascending-id segments stitch by concatenation
-//! ([`build_selvec_range`]); phase 2 consumes contiguous **id chunks**
-//! ([`project_ids`], [`aggregate_ids`]) so work is balanced by qualifying
-//! rows, not raw ranges.
+//! selection vectors whose ascending-id segments stitch by concatenation;
+//! phase 2 consumes contiguous **id chunks** so work is balanced by
+//! qualifying rows, not raw ranges.
 
-use super::{simd, upd_max, upd_min, upd_sum, SelectProgram};
+use super::{simd, upd_max, upd_min, upd_sum};
 use crate::bind::GroupViews;
 use crate::filter::CompiledFilter;
 use crate::program::CompiledExpr;
@@ -25,21 +25,9 @@ use h2o_expr::QueryResult;
 use h2o_storage::Value;
 use std::ops::Range;
 
-/// Phase 1: materializes the selection vector for `filter`.
-pub fn build_selvec(views: &GroupViews<'_>, filter: &CompiledFilter) -> SelVec {
-    let rows = views.rows();
-    if filter.is_always_true() {
-        if !views.charge_scan(rows) {
-            return SelVec::with_capacity(0);
-        }
-        return SelVec::identity(rows);
-    }
-    build_selvec_range(views, filter, 0..rows)
-}
-
 /// Phase 1 over one row range: the qualifying ids within `range`, in
 /// ascending order. Concatenating consecutive ranges' outputs yields
-/// exactly [`build_selvec`]'s vector.
+/// exactly the full range's vector.
 ///
 /// The body is the vectorized scan: each segment run resolves the filter
 /// into raw strided slices once (`simd::RunFilter`), evaluates the
@@ -112,22 +100,6 @@ pub fn build_selvec_range_scalar(
         }
     }
     sel
-}
-
-/// Phase 2: computes the select-items for the rows in `sel`.
-pub fn consume(views: &GroupViews<'_>, sel: &SelVec, select: &SelectProgram) -> QueryResult {
-    match select {
-        SelectProgram::Project(exprs) => project_ids(views, sel.ids(), exprs),
-        SelectProgram::Aggregate(aggs) => {
-            let states = aggregate_ids(views, sel.ids(), aggs);
-            super::fused::finish_states(aggs.len(), &states)
-        }
-        SelectProgram::Grouped {
-            keys,
-            key_types,
-            aggs,
-        } => super::grouped::aggregate_ids(views, sel.ids(), keys, key_types, aggs).finish(),
-    }
 }
 
 /// Phase-2 projection over a contiguous chunk of qualifying ids.
@@ -266,21 +238,31 @@ fn aggregate_gather_specialized(
         .collect()
 }
 
-/// Convenience: both phases over one set of views.
-pub fn run(views: &GroupViews<'_>, filter: &CompiledFilter, select: &SelectProgram) -> QueryResult {
-    let sel = build_selvec(views, filter);
-    consume(views, &sel, select)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bind::BoundAttr;
     use crate::filter::CompiledPred;
     use crate::program::CompiledExpr;
+    use crate::sink::SelectProgram;
     use h2o_expr::{AggFunc, CmpOp};
     use h2o_storage::LogicalType;
     use h2o_storage::{AttrId, GroupBuilder};
+
+    fn build_selvec(views: &GroupViews<'_>, filter: &CompiledFilter) -> SelVec {
+        build_selvec_range(views, filter, 0..views.rows())
+    }
+
+    /// Phase 2 over a whole selection vector, through the sink.
+    fn consume(views: &GroupViews<'_>, sel: &SelVec, select: &SelectProgram) -> QueryResult {
+        select.finish(vec![select.gather(views, sel.ids(), false)])
+    }
+
+    /// Both phases, serially, through the one driver.
+    fn run(views: &GroupViews<'_>, filter: &CompiledFilter, select: &SelectProgram) -> QueryResult {
+        let policy = crate::ExecPolicy::serial();
+        crate::compile::scan(views, crate::Strategy::SelVector, filter, select, &policy)
+    }
 
     #[test]
     fn two_phase_matches_paper_q1_shape() {

@@ -45,7 +45,8 @@
 //! on top of the unchanged kernel loops: a scan is split into fixed-size
 //! morsels of consecutive rows, a pool of scoped worker threads claims
 //! morsels greedily off a shared atomic counter, and the per-morsel partial
-//! results are re-assembled deterministically —
+//! results are re-assembled deterministically by the select shape's
+//! **sink** ([`sink`]) —
 //!
 //! * **projections**: per-morsel [`QueryResult`](h2o_expr::QueryResult)
 //!   blocks concatenated in morsel (= physical row) order;
@@ -56,15 +57,20 @@
 //!   concatenation, then *consumed* in qualifying-id chunks so phase-2
 //!   work stays balanced at any selectivity.
 //!
-//! Parallel execution therefore returns **bit-identical** results to the
-//! serial path for all three strategies ([`compile::execute_with_policy`]
-//! vs [`compile::execute`]); the top-level differential tests assert this.
-//! [`ExecPolicy`] carries the knobs (`parallelism`, `morsel_rows`, and a
-//! serial-fallback row threshold so tiny relations never pay fork/join
-//! overhead); it is surfaced on `EngineConfig` in `h2o-core`. Online
-//! reorganization ([`reorg`]) parallelizes the same way: gather/stitch
-//! loops fill disjoint morsel-aligned blocks of the new group while the
-//! piggybacked query's partials merge exactly as above.
+//! There is **one execution path** per operator kind — [`run`] for
+//! single-relation operators, [`run_join`] for joins,
+//! [`reorg::reorg_and_execute`] for the fused reorganization operator —
+//! each taking an [`ExecCtx`] (policy, optional stop token, join
+//! switches). A serial policy is the same driver over the single range
+//! `0..rows` ([`parallel::run_ranges`]), so parallel execution returns
+//! **bit-identical** results to serial for all three strategies, and serial
+//! execution is bit-identical to the reference interpreter; the top-level
+//! differential tests assert both. ([`execute`], [`execute_with_policy`],
+//! [`execute_with_policy_stats`] and [`execute_join_with_policy`] are
+//! one-line conveniences over the two `run`s.) [`ExecPolicy`] carries the
+//! knobs (`parallelism`, `morsel_rows`, and a serial-fallback row threshold
+//! so tiny relations never pay fork/join overhead); it is surfaced on
+//! `EngineConfig` in `h2o-core`.
 
 pub mod bind;
 pub mod bloom;
@@ -79,23 +85,23 @@ pub mod plan;
 pub mod program;
 pub mod reorg;
 pub mod selvec;
+pub mod sink;
 
 pub use bind::{BoundAttr, GroupViews, SegRun, SlotAccessor};
 pub use bloom::JoinFilter;
 pub use cancel::{CancelReason, CancelToken, CANCEL_CHECK_ROWS};
 pub use compile::{
-    compile, compile_checked, execute, execute_with_policy, execute_with_policy_cancel,
-    execute_with_policy_stats, execute_with_views, execute_with_views_policy, CompiledOp,
-    ExecError, ExecStats,
+    compile, compile_checked, execute, execute_with_policy, execute_with_policy_stats, run,
+    CompiledOp, ExecCtx, ExecError, ExecStats,
 };
 pub use filter::CompiledFilter;
 pub use join::{
-    compile_join, execute_join, execute_join_with_policy, execute_join_with_policy_cancel,
-    execute_join_with_policy_opts, execute_join_with_policy_opts_cancel, CompiledJoinOp,
-    CompiledJoinSide, JoinExecStats, JoinOptions,
+    compile_join, execute_join_with_policy, run_join, CompiledJoinOp, CompiledJoinSide,
+    JoinExecStats, JoinOptions,
 };
 pub use opcache::{CompileCostModel, OperatorCache, OperatorKey};
 pub use parallel::ExecPolicy;
 pub use plan::{AccessPlan, Strategy};
 pub use program::CompiledExpr;
 pub use selvec::{BitSel, SelVec};
+pub use sink::SelectProgram;

@@ -632,8 +632,11 @@ mod tests {
         assert_eq!(cache.stats().hits, 1);
         // And the per-side rebinding is effective: every fact row matches a
         // dim row, so the count is the number of rows below the cutoff.
-        let r1 = crate::execute_join(dim.catalog(), fact.catalog(), &op1).unwrap();
-        let r2 = crate::execute_join(dim.catalog(), fact.catalog(), &op2).unwrap();
+        let serial = crate::ExecPolicy::serial();
+        let (r1, _) =
+            crate::execute_join_with_policy(dim.catalog(), fact.catalog(), &op1, &serial).unwrap();
+        let (r2, _) =
+            crate::execute_join_with_policy(dim.catalog(), fact.catalog(), &op2, &serial).unwrap();
         assert_eq!(r1.row(0), &[5]);
         assert_eq!(r2.row(0), &[11]);
     }

@@ -230,6 +230,27 @@ where
     tagged.into_iter().map(|(_, v)| v).collect()
 }
 
+/// The execution driver's one scheduling decision: runs `f` over the ranges
+/// a scan of `0..rows` splits into under `policy` and returns the results
+/// in range order. A serial scan ([`ExecPolicy::is_serial_for`]) is the
+/// **single range `0..rows`** on the calling thread — one fold chain, so
+/// serial execution is bit-identical to the reference interpreter even for
+/// `F64` sums; otherwise the ranges are [`run_morsels`]' morsels, aligned
+/// to the storage's `seg_rows` granularity ([`ExecPolicy::aligned_to`]).
+/// Every source (scan, id-chunk gather, fused reorganization, join build
+/// and probe) goes through here, so "serial" means the same thing for all.
+pub fn run_ranges<T, F>(rows: usize, seg_rows: usize, policy: &ExecPolicy, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(Range<usize>) -> T + Sync,
+{
+    if policy.is_serial_for(rows) {
+        failpoints::hit("morsel_start");
+        return vec![f(0..rows)];
+    }
+    run_morsels(rows, &policy.aligned_to(seg_rows), f)
+}
+
 /// Runs `f` over morsel-sized contiguous chunks of `items` and returns the
 /// per-chunk results in order. Used for the phase-2 consumers that walk a
 /// selection vector rather than raw row ranges: the chunking unit is

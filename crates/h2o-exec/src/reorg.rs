@@ -19,37 +19,25 @@
 //! Every entry point reads the catalog through `&LayoutCatalog` and
 //! returns the new group *without* admitting it, which is exactly the
 //! contract the concurrent engine's off-path reorganizer needs: a
-//! background thread builds the group from an immutable snapshot (the
-//! `*_with` variants morsel-parallelize the stitch), and the caller
+//! background thread builds the group from an immutable snapshot (a
+//! parallel policy morsel-parallelizes the stitch), and the caller
 //! decides when — and into which successor catalog version — the group is
 //! published. In-flight queries on older snapshots are never involved.
 
 use crate::bind::{BoundAttr, GroupViews};
-use crate::cancel::CancelToken;
-use crate::compile::ExecError;
+use crate::compile::{ExecCtx, ExecError};
 use crate::filter::{CompiledFilter, CompiledPred};
-use crate::kernels::{upd_max, upd_min, upd_sum, SelectProgram};
-use crate::parallel::{run_morsels, ExecPolicy};
+use crate::parallel::{run_morsels, run_ranges, ExecPolicy};
 use crate::program::CompiledExpr;
-use h2o_expr::agg::{AggOp, AggState};
+use crate::sink::SelectProgram;
+use h2o_expr::agg::AggOp;
 use h2o_expr::typecheck;
 use h2o_expr::{Query, QueryResult};
 use h2o_storage::catalog::CoverPolicy;
 use h2o_storage::{
-    failpoints, AttrId, ColumnGroup, GroupBuilder, LayoutCatalog, LogicalType, Value,
-    DEFAULT_SEG_SHIFT,
+    failpoints, AttrId, ColumnGroup, LayoutCatalog, LogicalType, Value, DEFAULT_SEG_SHIFT,
 };
 use std::ops::Range;
-
-/// Returns the matching error if `cancel` has tripped. Build paths call
-/// this before assembling any output from (possibly truncated) stitched
-/// blocks, so a cancelled reorganization never yields a malformed group.
-fn check_cancel(cancel: Option<&CancelToken>) -> Result<(), ExecError> {
-    match cancel.and_then(|t| t.should_stop()) {
-        Some(reason) => Err(reason.into()),
-        None => Ok(()),
-    }
-}
 
 /// Resolves, for each target attribute in order, where to read it from the
 /// chosen source groups: `(slot, offset)` pairs in plan-slot space.
@@ -310,43 +298,24 @@ fn compile_against_tuple(
 /// two-group designs — e.g. a pending select-clause group is created while
 /// the where-clause attributes are read from their existing layouts.
 ///
+/// The stitch is one more source of the shared range driver
+/// ([`run_ranges`]): each range stitches whole **output segments** of the
+/// new group's payload and pushes every qualifying working tuple into the
+/// query's sink partial; blocks concatenate (byte-identical group) and
+/// partials finish (bit-identical result) in range order, so under a
+/// parallel `ctx.policy` online reorganization overlaps across cores.
+///
+/// A tripped `ctx.cancel` abandons the build: the half-stitched group is
+/// dropped (it was never admitted to any catalog — copy-on-write publish
+/// discipline) and the typed stop error is returned.
+///
 /// Returns the new group (not yet admitted to the catalog) and the query
 /// result.
 pub fn reorg_and_execute(
     catalog: &LayoutCatalog,
     target_attrs: &[AttrId],
     query: &Query,
-) -> Result<(ColumnGroup, QueryResult), ExecError> {
-    reorg_and_execute_with(catalog, target_attrs, query, &ExecPolicy::serial())
-}
-
-/// [`reorg_and_execute`] under a parallelism policy: the single
-/// stitch-store-evaluate scan is morsel-split, so online reorganization
-/// overlaps across cores. Each worker stitches its morsel into a
-/// disjoint block of the new group's payload and folds the query over the
-/// stitched tuples; blocks concatenate (byte-identical group) and query
-/// partials merge (bit-identical result) in morsel order.
-pub fn reorg_and_execute_with(
-    catalog: &LayoutCatalog,
-    target_attrs: &[AttrId],
-    query: &Query,
-    policy: &ExecPolicy,
-) -> Result<(ColumnGroup, QueryResult), ExecError> {
-    reorg_and_execute_cancellable(catalog, target_attrs, query, policy, None)
-}
-
-/// [`reorg_and_execute_with`] under cooperative cancellation. A tripped
-/// token abandons the build: the half-stitched group is dropped (it was
-/// never admitted to any catalog — copy-on-write publish discipline) and
-/// [`ExecError::Cancelled`] / [`ExecError::DeadlineExpired`] is returned.
-/// With `None` (or a token that never trips) the behavior is identical to
-/// [`reorg_and_execute_with`].
-pub fn reorg_and_execute_cancellable(
-    catalog: &LayoutCatalog,
-    target_attrs: &[AttrId],
-    query: &Query,
-    policy: &ExecPolicy,
-    cancel: Option<&CancelToken>,
+    ctx: &ExecCtx<'_>,
 ) -> Result<(ColumnGroup, QueryResult), ExecError> {
     // Working-tuple layout: the target attributes first (these are stored),
     // then any extra attributes the query needs (evaluation only).
@@ -357,243 +326,41 @@ pub fn reorg_and_execute_cancellable(
         }
     }
     let (layouts, bindings) = source_bindings(catalog, &tuple_attrs)?;
-    let mut views = GroupViews::resolve(catalog, &layouts)?;
-    if let Some(token) = cancel {
-        views.set_cancel(token.clone());
-    }
-    check_cancel(cancel)?;
+    let views = ctx.views(catalog, &layouts)?;
     failpoints::hit("reorg_build");
     let (filter, select) = compile_against_tuple(catalog, query, &tuple_attrs)?;
     let rows = views.rows();
     let width = target_attrs.len();
+    let seg_rows = 1usize << DEFAULT_SEG_SHIFT;
 
-    if !policy.is_serial_for(rows) {
-        // One morsel = one output segment: stitch each row's working
-        // tuple (source slices resolved once per segment run), store its
-        // target prefix, evaluate the query over it.
-        let stitch_block = |range: Range<usize>, per_row: &mut dyn FnMut(&[Value])| -> Vec<Value> {
-            let mut block = Vec::with_capacity(range.len() * width);
-            let mut tuple = vec![0 as Value; tuple_attrs.len()];
-            stitch_each(&views, &bindings, range, &mut tuple, &mut |t| {
-                block.extend_from_slice(&t[..width]);
-                per_row(t);
-            });
-            block
-        };
-        let build = segment_build_policy(policy);
-        return match &select {
-            SelectProgram::Aggregate(aggs) => {
-                let parts: Vec<(Vec<Value>, Vec<AggState>)> = run_morsels(rows, &build, |range| {
-                    let mut states: Vec<AggState> =
-                        aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
-                    let block = stitch_block(range, &mut |tuple| {
-                        if filter.matches_tuple(tuple) {
-                            for (st, (_, e)) in states.iter_mut().zip(aggs) {
-                                st.update(e.eval_tuple(tuple));
-                            }
-                        }
-                    });
-                    (block, states)
-                });
-                check_cancel(cancel)?;
-                let out = crate::compile::merge_and_finish(
-                    aggs,
-                    parts.iter().map(|(_, states)| states.clone()).collect(),
-                );
-                let group = group_from_payloads(
-                    catalog,
-                    target_attrs,
-                    rows,
-                    parts.into_iter().map(|(b, _)| b).collect(),
-                );
-                Ok((group, out))
-            }
-            SelectProgram::Project(exprs) => {
-                let out_width = exprs.len();
-                let parts: Vec<(Vec<Value>, QueryResult)> = run_morsels(rows, &build, |range| {
-                    let mut out = QueryResult::with_capacity(out_width, range.len() / 4);
-                    let mut row_buf = vec![0 as Value; out_width];
-                    let block = stitch_block(range, &mut |tuple| {
-                        if filter.matches_tuple(tuple) {
-                            for (slot, e) in row_buf.iter_mut().zip(exprs) {
-                                *slot = e.eval_tuple(tuple);
-                            }
-                            out.push_row(&row_buf);
-                        }
-                    });
-                    (block, out)
-                });
-                check_cancel(cancel)?;
-                let total_rows: usize = parts.iter().map(|(_, r)| r.rows()).sum();
-                let mut out = QueryResult::with_capacity(out_width, total_rows);
-                for (_, r) in &parts {
-                    out.append(r);
-                }
-                let group = group_from_payloads(
-                    catalog,
-                    target_attrs,
-                    rows,
-                    parts.into_iter().map(|(b, _)| b).collect(),
-                );
-                Ok((group, out))
-            }
-            SelectProgram::Grouped {
-                keys,
-                key_types,
-                aggs,
-            } => {
-                let parts: Vec<(Vec<Value>, h2o_expr::GroupedAggs)> =
-                    run_morsels(rows, &build, |range| {
-                        let mut table = crate::kernels::grouped::table_for(key_types, aggs);
-                        let mut key = vec![0 as Value; keys.len()];
-                        let mut vals = vec![0 as Value; aggs.len()];
-                        let block = stitch_block(range, &mut |tuple| {
-                            if filter.matches_tuple(tuple) {
-                                crate::kernels::grouped::update_from_tuple(
-                                    &mut table, keys, aggs, &mut key, &mut vals, tuple,
-                                );
-                            }
-                        });
-                        (block, table)
-                    });
-                check_cancel(cancel)?;
-                let mut total = crate::kernels::grouped::table_for(key_types, aggs);
-                let mut blocks = Vec::with_capacity(parts.len());
-                for (block, table) in parts {
-                    total.merge(table);
-                    blocks.push(block);
-                }
-                let group = group_from_payloads(catalog, target_attrs, rows, blocks);
-                Ok((group, total.finish()))
-            }
-        };
-    }
-
-    let target_types = catalog
-        .schema()
-        .types_for(target_attrs)
-        .map_err(ExecError::Storage)?;
-    let mut builder = GroupBuilder::typed(target_attrs.to_vec(), target_types, rows)
-        .map_err(ExecError::Storage)?;
-    let mut tuple = vec![0 as Value; tuple_attrs.len()];
-
-    match &select {
-        SelectProgram::Aggregate(aggs) => {
-            // Dense specialization (same tier as the fused kernel's): all
-            // aggregates are bare columns over one contiguous offset range
-            // of the stitched tuple — the exact shape of the "create the
-            // group its own queries want" trigger queries.
-            let dense = {
-                use crate::program::CompiledExpr as CE;
-                let mut offs = aggs.iter().map(|(_, e)| match e {
-                    CE::Col(a) => Some(a.offset as usize),
-                    _ => None,
-                });
-                let first = offs.next().flatten();
-                match first {
-                    Some(base)
-                        if aggs.len() > 1
-                            && aggs.iter().map(|(f, _)| f).all(|f| *f == aggs[0].0)
-                            && offs.enumerate().all(|(j, o)| o == Some(base + j + 1)) =>
-                    {
-                        Some((aggs[0].0, base, aggs.len()))
-                    }
-                    _ => None,
-                }
-            };
-            if let Some((func, base, k)) = dense {
-                use h2o_expr::AggFunc;
-                let mut acc: Vec<Value> = vec![
-                    match func.func {
-                        AggFunc::Min => Value::MAX,
-                        AggFunc::Max => Value::MIN,
-                        _ => 0,
-                    };
-                    k
-                ];
-                let mut matched: u64 = 0;
-                stitch_each(&views, &bindings, 0..rows, &mut tuple, &mut |t| {
-                    builder.push_tuple(&t[..width]);
+    let build = segment_build_policy(&ctx.policy);
+    let parts = run_ranges(rows, views.seg_rows(), &build, |range| {
+        let mut partial = select.partial();
+        let mut tuple = vec![0 as Value; tuple_attrs.len()];
+        // Stitch each row's working tuple (source slices resolved once per
+        // segment run), store its target prefix, push it to the sink.
+        let blocks: Vec<Vec<Value>> = (range.start..range.end)
+            .step_by(seg_rows)
+            .map(|start| {
+                let seg = start..(start + seg_rows).min(range.end);
+                let mut block = Vec::with_capacity(seg.len() * width);
+                stitch_each(&views, &bindings, seg, &mut tuple, &mut |t| {
+                    block.extend_from_slice(&t[..width]);
                     if filter.matches_tuple(t) {
-                        matched += 1;
-                        let vals = &t[base..base + k];
-                        match func.func {
-                            AggFunc::Max => {
-                                for (a, &v) in acc.iter_mut().zip(vals) {
-                                    upd_max(func.ty, a, v);
-                                }
-                            }
-                            AggFunc::Min => {
-                                for (a, &v) in acc.iter_mut().zip(vals) {
-                                    upd_min(func.ty, a, v);
-                                }
-                            }
-                            AggFunc::Sum | AggFunc::Avg => {
-                                for (a, &v) in acc.iter_mut().zip(vals) {
-                                    upd_sum(func.ty, a, v);
-                                }
-                            }
-                            AggFunc::Count => {}
-                        }
+                        select.push(&mut partial, t, 1);
                     }
                 });
-                check_cancel(cancel)?;
-                let row = crate::kernels::fused::finish_specialized(aggs, &acc, matched);
-                let mut out = QueryResult::new(aggs.len());
-                out.push_row(&row);
-                return Ok((builder.finish(), out));
-            }
-            let mut states: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
-            stitch_each(&views, &bindings, 0..rows, &mut tuple, &mut |t| {
-                builder.push_tuple(&t[..width]);
-                if filter.matches_tuple(t) {
-                    for (st, (_, e)) in states.iter_mut().zip(aggs) {
-                        st.update(e.eval_tuple(t));
-                    }
-                }
-            });
-            check_cancel(cancel)?;
-            let mut out = QueryResult::new(aggs.len());
-            let row: Vec<Value> = states.iter().map(|s| s.finish()).collect();
-            out.push_row(&row);
-            Ok((builder.finish(), out))
-        }
-        SelectProgram::Project(exprs) => {
-            let out_width = exprs.len();
-            let mut out = QueryResult::with_capacity(out_width, rows / 4);
-            let mut row_buf = vec![0 as Value; out_width];
-            stitch_each(&views, &bindings, 0..rows, &mut tuple, &mut |t| {
-                builder.push_tuple(&t[..width]);
-                if filter.matches_tuple(t) {
-                    for (slot, e) in row_buf.iter_mut().zip(exprs) {
-                        *slot = e.eval_tuple(t);
-                    }
-                    out.push_row(&row_buf);
-                }
-            });
-            check_cancel(cancel)?;
-            Ok((builder.finish(), out))
-        }
-        SelectProgram::Grouped {
-            keys,
-            key_types,
-            aggs,
-        } => {
-            let mut table = crate::kernels::grouped::table_for(key_types, aggs);
-            let mut key = vec![0 as Value; keys.len()];
-            let mut vals = vec![0 as Value; aggs.len()];
-            stitch_each(&views, &bindings, 0..rows, &mut tuple, &mut |t| {
-                builder.push_tuple(&t[..width]);
-                if filter.matches_tuple(t) {
-                    crate::kernels::grouped::update_from_tuple(
-                        &mut table, keys, aggs, &mut key, &mut vals, t,
-                    );
-                }
-            });
-            check_cancel(cancel)?;
-            Ok((builder.finish(), table.finish()))
-        }
-    }
+                block
+            })
+            .collect();
+        (blocks, partial)
+    });
+    // Before assembling anything from (possibly truncated) stitched blocks.
+    ctx.check()?;
+    let (blocks, partials): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+    let payloads = blocks.into_iter().flatten().collect();
+    let group = group_from_payloads(catalog, target_attrs, rows, payloads);
+    Ok((group, select.finish(partials)))
 }
 
 #[cfg(test)]
@@ -602,11 +369,19 @@ mod tests {
     use h2o_expr::{interpret, Aggregate, Conjunction, Expr, Predicate};
     use h2o_storage::{Relation, Schema};
 
+    fn serial() -> ExecCtx<'static> {
+        ExecCtx::new(ExecPolicy::serial())
+    }
+
     fn rel(columnar: bool) -> Relation {
+        rel_of(columnar, 40)
+    }
+
+    fn rel_of(columnar: bool, rows: usize) -> Relation {
         let schema = Schema::with_width(6).into_shared();
         let cols: Vec<Vec<Value>> = (0..6)
             .map(|k| {
-                (0..40)
+                (0..rows)
                     .map(|r| ((k * 61 + r * 17) % 97) as Value - 48)
                     .collect()
             })
@@ -615,6 +390,32 @@ mod tests {
             Relation::columnar(schema, cols).unwrap()
         } else {
             Relation::row_major(schema, cols).unwrap()
+        }
+    }
+
+    /// The online operator's differential: over both source layouts, a
+    /// populated, a zero-row and a two-output-segment relation (the last
+    /// one leaves the parallel policy an odd tail range), serially and in
+    /// parallel — the group equals the offline build and the result equals
+    /// the interpreter's, bit for bit (all lanes are `I64`).
+    fn check_online(attrs: &[AttrId], q: &Query) {
+        let odd = ExecCtx::new(ExecPolicy {
+            parallelism: Some(4),
+            morsel_rows: 7,
+            serial_threshold: 0,
+        });
+        for columnar in [true, false] {
+            for rows in [40, 0, 70_000] {
+                let r = rel_of(columnar, rows);
+                let offline = materialize(r.catalog(), attrs).unwrap();
+                let want = interpret(r.catalog(), q).unwrap();
+                for ctx in [serial(), odd] {
+                    let (group, result) = reorg_and_execute(r.catalog(), attrs, q, &ctx).unwrap();
+                    assert_eq!(group.attrs(), attrs);
+                    assert_eq!(group.collect_values(), offline.collect_values());
+                    assert_eq!(result, want, "rows {rows} columnar {columnar} query {q}");
+                }
+            }
         }
     }
 
@@ -644,13 +445,14 @@ mod tests {
                 Conjunction::of([Predicate::gt(5u32, 0)]),
             )
             .unwrap();
-            let (group, result) = reorg_and_execute(r.catalog(), &attrs, &q).unwrap();
+            let (group, result) = reorg_and_execute(r.catalog(), &attrs, &q, &serial()).unwrap();
             // Group identical to offline materialization.
             let offline = materialize(r.catalog(), &attrs).unwrap();
             assert_eq!(group.collect_values(), offline.collect_values());
             // Result identical to the reference interpreter.
             let want = interpret(r.catalog(), &q).unwrap();
             assert_eq!(result.fingerprint(), want.fingerprint());
+            check_online(&attrs, &q);
         }
     }
 
@@ -667,10 +469,11 @@ mod tests {
             Conjunction::of([Predicate::le(1u32, 10)]),
         )
         .unwrap();
-        let (group, result) = reorg_and_execute(r.catalog(), &attrs, &q).unwrap();
+        let (group, result) = reorg_and_execute(r.catalog(), &attrs, &q, &serial()).unwrap();
         assert_eq!(group.width(), 2);
         let want = interpret(r.catalog(), &q).unwrap();
         assert_eq!(result, want);
+        check_online(&attrs, &q);
     }
 
     #[test]
@@ -681,7 +484,8 @@ mod tests {
         let r = rel(true);
         let q =
             Query::project([Expr::col(0u32)], Conjunction::of([Predicate::gt(5u32, 0)])).unwrap();
-        let (group, result) = reorg_and_execute(r.catalog(), &[AttrId(0), AttrId(1)], &q).unwrap();
+        let (group, result) =
+            reorg_and_execute(r.catalog(), &[AttrId(0), AttrId(1)], &q, &serial()).unwrap();
         assert_eq!(
             group.attrs(),
             &[AttrId(0), AttrId(1)],
@@ -706,7 +510,7 @@ mod tests {
             Conjunction::of([Predicate::gt(2u32, -10)]),
         )
         .unwrap();
-        let (group, result) = reorg_and_execute(r.catalog(), &attrs, &q).unwrap();
+        let (group, result) = reorg_and_execute(r.catalog(), &attrs, &q, &serial()).unwrap();
         let offline = materialize(r.catalog(), &attrs).unwrap();
         assert_eq!(group.collect_values(), offline.collect_values());
         let want = interpret(r.catalog(), &q).unwrap();
@@ -717,9 +521,10 @@ mod tests {
             morsel_rows: 7,
             serial_threshold: 0,
         };
-        let (pg, pr) = reorg_and_execute_with(r.catalog(), &attrs, &q, &policy).unwrap();
+        let (pg, pr) = reorg_and_execute(r.catalog(), &attrs, &q, &ExecCtx::new(policy)).unwrap();
         assert_eq!(pg.collect_values(), group.collect_values());
         assert_eq!(pr, result);
+        check_online(&attrs, &q);
     }
 
     #[test]

@@ -145,7 +145,11 @@ impl From<AggFunc> for AggOp {
 /// `F64` sums as one in-order scalar chain per morsel, vectorizing only
 /// the qualifying-row scan around them (see `h2o-exec`'s
 /// `kernels::simd`). The `f64_sum_fold_order_is_pinned` test nails the
-/// contract down.
+/// contract down. A **serial** execution is one morsel — the single range
+/// `0..rows` — for every source `h2o-exec` drives (scans, the fused
+/// reorganization operator, and join probes alike), so "serial ≡
+/// interpreter bit-for-bit" holds for `F64` sums on arbitrary values, and
+/// it holds for joins too (`tests/joins.rs` pins it on non-dyadic data).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AggState {
     op: AggOp,

@@ -245,10 +245,10 @@
 //!   hash table and filter, and the `h2o-cost` model prices the filter
 //!   build and per-probe test so build-side choice stays honest.
 //!
-//! Both toggles default on;
-//! [`JoinOptions`](h2o_exec::JoinOptions) /
-//! [`execute_join_with_policy_opts`](h2o_exec::execute_join_with_policy_opts)
-//! switch them off for differential runs, and `fig21_join`'s
+//! Both toggles default on; [`JoinOptions`](h2o_exec::JoinOptions) on
+//! the [`ExecCtx`](h2o_exec::ExecCtx) handed to
+//! [`run_join`](h2o_exec::run_join) switches them off for differential
+//! runs, and `fig21_join`'s
 //! `bloom`/`fusion` entries gate the win in CI
 //! (`check_guardrail --min-bloom-speedup/--min-fusion-speedup`).
 //!
@@ -260,9 +260,9 @@
 //! [`Request`](h2o_core::Request) (a query shape plus composable
 //! [`ExecOptions`](h2o_core::ExecOptions)) and returns an
 //! [`Outcome`](h2o_core::Outcome): the result rows plus the exact
-//! snapshot they were computed from. Options compose freely — the old
-//! `execute_*` method-per-combination family survives only as deprecated
-//! wrappers:
+//! snapshot they were computed from. Options compose freely — there is
+//! no method-per-combination family (the old `H2oEngine::execute_*`
+//! methods are gone):
 //!
 //! ```
 //! use h2o::prelude::*;
@@ -411,3 +411,10 @@ pub mod prelude {
     };
     pub use h2o_storage::{AttrId, AttrSet, CatalogSnapshot, Relation, Schema, Value};
 }
+
+/// The README's Rust blocks, compiled and run as doctests so a snippet
+/// that calls a removed API fails `cargo test` (fragments that are not
+/// whole programs are fenced `rust,ignore`).
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

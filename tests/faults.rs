@@ -22,7 +22,7 @@
 
 use h2o_core::{CancelToken, EngineConfig, EngineError, H2oEngine, Request};
 use h2o_cost::AccessPattern;
-use h2o_exec::{compile, execute_with_policy_cancel, AccessPlan, ExecError, ExecPolicy, Strategy};
+use h2o_exec::{compile, run, AccessPlan, ExecCtx, ExecError, ExecPolicy, Strategy};
 use h2o_expr::{interpret, Aggregate, Conjunction, Expr, Predicate, Query};
 use h2o_storage::failpoints as fp;
 use h2o_storage::{AttrId, CatalogSnapshot, Relation, Schema};
@@ -94,6 +94,14 @@ fn chaos_engine(rows: usize, mut cfg: EngineConfig) -> H2oEngine {
         })
         .collect();
     H2oEngine::new(Relation::columnar(schema, cols).unwrap(), cfg)
+}
+
+/// `policy` with a stop token attached.
+fn stoppable<'a>(policy: &ExecPolicy, token: &'a CancelToken) -> ExecCtx<'a> {
+    ExecCtx {
+        cancel: Some(token),
+        ..ExecCtx::new(*policy)
+    }
 }
 
 fn random_query(rng: &mut SmallRng) -> Query {
@@ -393,14 +401,14 @@ fn chaos_all_strategies_cancel_and_panic() {
             let cancelled = CancelToken::new();
             cancelled.cancel();
             assert_eq!(
-                execute_with_policy_cancel(&snap, &op, policy, &cancelled).unwrap_err(),
+                run(&snap, &op, &stoppable(policy, &cancelled)).unwrap_err(),
                 ExecError::Cancelled,
                 "{} cancelled",
                 strategy.name()
             );
             let expired = CancelToken::with_deadline(Duration::ZERO);
             assert_eq!(
-                execute_with_policy_cancel(&snap, &op, policy, &expired).unwrap_err(),
+                run(&snap, &op, &stoppable(policy, &expired)).unwrap_err(),
                 ExecError::DeadlineExpired,
                 "{} expired",
                 strategy.name()
@@ -412,7 +420,7 @@ fn chaos_all_strategies_cancel_and_panic() {
             for _ in 0..30 {
                 let live = CancelToken::new();
                 match catch_unwind(AssertUnwindSafe(|| {
-                    execute_with_policy_cancel(&snap, &op, policy, &live)
+                    run(&snap, &op, &stoppable(policy, &live))
                 })) {
                     Ok(Ok((got, _))) => {
                         completed += 1;

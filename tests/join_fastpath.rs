@@ -11,9 +11,7 @@
 //! proptests bloom-on ≡ bloom-off bit-identity over random match
 //! rates, key skew, and empty build sides.
 
-use h2o::exec::{
-    compile_join, execute_join_with_policy_opts, AccessPlan, ExecPolicy, JoinOptions, Strategy,
-};
+use h2o::exec::{compile_join, run_join, AccessPlan, ExecCtx, ExecPolicy, JoinOptions, Strategy};
 use h2o::expr::{check_join, interpret_join, JoinQuery};
 use h2o::prelude::*;
 use h2o::storage::LogicalType;
@@ -125,6 +123,14 @@ fn opts(bloom: bool, fuse: bool) -> JoinOptions {
     JoinOptions { bloom, fuse }
 }
 
+/// `policy` with explicit fast-path switches.
+fn join_ctx(policy: &ExecPolicy, join: JoinOptions) -> ExecCtx<'static> {
+    ExecCtx {
+        join,
+        ..ExecCtx::new(*policy)
+    }
+}
+
 /// Fused join-aggregates agree with the two-phase path and the
 /// interpreter: 3 strategies × serial/parallel × both build sides, with
 /// every fast-path toggle combination held to the both-off baseline.
@@ -171,12 +177,11 @@ fn fused_aggregates_match_two_phase_and_interpreter() {
                     "{shape}: fusion requires an empty build payload"
                 );
                 for (pname, policy) in &policies {
-                    let (slow, slow_stats) = execute_join_with_policy_opts(
+                    let (slow, slow_stats) = run_join(
                         dim.catalog(),
                         fact.catalog(),
                         &op,
-                        policy,
-                        opts(false, false),
+                        &join_ctx(policy, opts(false, false)),
                     )
                     .unwrap();
                     assert_eq!(
@@ -190,12 +195,11 @@ fn fused_aggregates_match_two_phase_and_interpreter() {
                         "bloom off rejects nothing"
                     );
                     for (bloom, fuse) in [(true, true), (true, false), (false, true)] {
-                        let (fast, fast_stats) = execute_join_with_policy_opts(
+                        let (fast, fast_stats) = run_join(
                             dim.catalog(),
                             fact.catalog(),
                             &op,
-                            policy,
-                            opts(bloom, fuse),
+                            &join_ctx(policy, opts(bloom, fuse)),
                         )
                         .unwrap();
                         assert_eq!(
@@ -237,12 +241,11 @@ fn in_domain_misses_are_rejected_by_bloom_bits_not_the_range() {
         true,
     )
     .unwrap();
-    let (_, stats) = execute_join_with_policy_opts(
+    let (_, stats) = run_join(
         dim.catalog(),
         fact.catalog(),
         &op,
-        &ExecPolicy::serial(),
-        opts(true, true),
+        &join_ctx(&ExecPolicy::serial(), opts(true, true)),
     )
     .unwrap();
     let misses = stats.probe_rows - stats.output_pairs.min(stats.probe_rows);
@@ -282,20 +285,18 @@ fn bloom_invisible(dim_rows: usize, fact_rows: usize, match_rate: f64, skew: f64
                 )
                 .unwrap();
                 for policy in [&ExecPolicy::serial(), &par] {
-                    let (off, _) = execute_join_with_policy_opts(
+                    let (off, _) = run_join(
                         dim.catalog(),
                         fact.catalog(),
                         &op,
-                        policy,
-                        opts(false, true),
+                        &join_ctx(policy, opts(false, true)),
                     )
                     .unwrap();
-                    let (on, _) = execute_join_with_policy_opts(
+                    let (on, _) = run_join(
                         dim.catalog(),
                         fact.catalog(),
                         &op,
-                        policy,
-                        opts(true, true),
+                        &join_ctx(policy, opts(true, true)),
                     )
                     .unwrap();
                     prop_assert_eq!(

@@ -236,6 +236,109 @@ fn join_strategy_layout_parallelism_sweep() {
     }
 }
 
+/// Serial joins fold `F64` sums in one row-order chain — **bit-identical**
+/// to [`interpret_join`], not merely equal on dyadic grids. The probe side
+/// spans several 64K-row morsels and the values are non-dyadic, so a serial
+/// probe that folded per morsel and merged would be off by an ulp. Foreign
+/// keys are clustered ascending, so pairs stream in the same order
+/// whichever side builds and both build sides must match the interpreter
+/// (which builds left and probes right in row order).
+#[test]
+fn serial_join_f64_sums_are_bit_identical_to_the_interpreter() {
+    let (photo_rows, spec_rows) = (1_000usize, 200_000usize);
+    let per_key = (spec_rows / photo_rows) as Value;
+    let non_dyadic = |i: usize, step: f64| h2o::storage::f64_lane(i as f64 * step + 0.1);
+    let photo_cols: Vec<Vec<Value>> = vec![
+        (0..photo_rows as Value).collect(),
+        (0..photo_rows).map(|i| non_dyadic(i, 0.3)).collect(),
+        (0..photo_rows).map(|i| non_dyadic(i, 0.7)).collect(),
+        (0..photo_rows).map(|i| ((i * 13) % 32) as Value).collect(),
+    ];
+    let spec_cols: Vec<Vec<Value>> = vec![
+        (0..spec_rows as Value).map(|i| i / per_key).collect(),
+        (0..spec_rows).map(|i| non_dyadic(i, 0.1)).collect(),
+        (0..spec_rows).map(|i| ((i * 5) % 6) as Value).collect(),
+    ];
+    let b = |left: &'static str| {
+        JoinQuery::builder((left, photo_schema()), ("spec", spec_schema()))
+            .on("objID", "bestObjID")
+            .unwrap()
+    };
+    let shapes = |left: &'static str| {
+        let z = || b(left).col("z").unwrap();
+        let ra = b(left).col("ra").unwrap();
+        let class = b(left).col("specClass").unwrap();
+        [
+            // Probe-side measure: fuses when photo builds.
+            b(left)
+                .aggregate([Aggregate::sum(z()), Aggregate::avg(z())])
+                .unwrap(),
+            // Build-key-side measure: 200 identical pairs per photo row,
+            // one multiplicity fold when spec builds.
+            b(left).aggregate([Aggregate::sum(ra)]).unwrap(),
+            b(left)
+                .grouped([class], [Aggregate::sum(z()), Aggregate::avg(z())])
+                .unwrap(),
+        ]
+    };
+    let photo = Relation::columnar(photo_schema(), photo_cols.clone()).unwrap();
+    let spec = Relation::columnar(spec_schema(), spec_cols.clone()).unwrap();
+    for q in shapes("photo") {
+        let checked = check_join(&q).unwrap();
+        let want = interpret_join(photo.catalog(), spec.catalog(), &q).unwrap();
+        for strategy in Strategy::ALL {
+            let lplan = AccessPlan::new(photo.catalog().layout_ids(), strategy);
+            let rplan = AccessPlan::new(spec.catalog().layout_ids(), strategy);
+            for build_is_left in [true, false] {
+                let op = compile_join(
+                    photo.catalog(),
+                    spec.catalog(),
+                    &lplan,
+                    &rplan,
+                    &q,
+                    &checked,
+                    build_is_left,
+                )
+                .unwrap();
+                let (got, _) = execute_join_with_policy(
+                    photo.catalog(),
+                    spec.catalog(),
+                    &op,
+                    &ExecPolicy::serial(),
+                )
+                .unwrap();
+                assert_eq!(
+                    got.data(),
+                    want.data(),
+                    "{} build_is_left={build_is_left} query {q}",
+                    strategy.name()
+                );
+            }
+        }
+    }
+    // And through the engine: a single-threaded engine's join answers are
+    // the interpreter's, bit for bit.
+    let e = H2oEngine::new(
+        Relation::columnar(photo_schema(), photo_cols).unwrap(),
+        EngineConfig {
+            compile_cost: h2o::exec::CompileCostModel::ZERO,
+            ..EngineConfig::single_threaded()
+        },
+    );
+    e.add_relation(
+        "spec",
+        Relation::columnar(spec_schema(), spec_cols).unwrap(),
+    )
+    .unwrap();
+    for q in shapes("R") {
+        let out = e.run(Request::join(&q)).unwrap();
+        let db = out.snapshot.db().unwrap();
+        let want =
+            interpret_join(db.relation("R").unwrap(), db.relation("spec").unwrap(), &q).unwrap();
+        assert_eq!(out.result.data(), want.data(), "engine, query {q}");
+    }
+}
+
 /// The adaptive engine agrees with the interpreter on the same snapshot,
 /// for both greedy and forced build orders. `ctx` labels failures (the
 /// stress sweep passes its replay seed through it).

@@ -3,7 +3,9 @@
 //! query shape, every layout, any morsel size and any worker count.
 
 use h2o::core::{EngineConfig, H2oEngine};
-use h2o::exec::{compile, execute, execute_with_policy, reorg, AccessPlan, ExecPolicy, Strategy};
+use h2o::exec::{
+    compile, execute, execute_with_policy, reorg, AccessPlan, ExecCtx, ExecPolicy, Strategy,
+};
 use h2o::expr::interpret;
 use h2o::prelude::*;
 use h2o::workload::synth::{gen_columns, threshold_for_selectivity};
@@ -170,12 +172,14 @@ fn parallel_reorganization_is_byte_identical() {
         Conjunction::of([Predicate::gt(6u32, 0)]),
     )
     .unwrap();
+    let serial = ExecCtx::new(ExecPolicy::serial());
     let (serial_group, serial_result) =
-        reorg::reorg_and_execute(rel.catalog(), &targets, &q).unwrap();
+        reorg::reorg_and_execute(rel.catalog(), &targets, &q, &serial).unwrap();
     let serial_offline = reorg::materialize(rel.catalog(), &targets).unwrap();
     let serial_rowwise = reorg::materialize_rowwise(rel.catalog(), &targets).unwrap();
     for (pname, policy) in policies() {
-        let (g, r) = reorg::reorg_and_execute_with(rel.catalog(), &targets, &q, &policy).unwrap();
+        let ctx = ExecCtx::new(policy);
+        let (g, r) = reorg::reorg_and_execute(rel.catalog(), &targets, &q, &ctx).unwrap();
         assert_eq!(
             g.collect_values(),
             serial_group.collect_values(),
@@ -201,9 +205,10 @@ fn parallel_reorganization_is_byte_identical() {
         Conjunction::of([Predicate::le(1u32, 0)]),
     )
     .unwrap();
-    let (sg, sr) = reorg::reorg_and_execute(rel.catalog(), &targets, &qp).unwrap();
+    let (sg, sr) = reorg::reorg_and_execute(rel.catalog(), &targets, &qp, &serial).unwrap();
     for (pname, policy) in policies() {
-        let (g, r) = reorg::reorg_and_execute_with(rel.catalog(), &targets, &qp, &policy).unwrap();
+        let ctx = ExecCtx::new(policy);
+        let (g, r) = reorg::reorg_and_execute(rel.catalog(), &targets, &qp, &ctx).unwrap();
         assert_eq!(
             g.collect_values(),
             sg.collect_values(),

@@ -2,7 +2,9 @@
 #![allow(clippy::needless_range_loop)]
 
 use h2o::cost::{AccessPattern, CostModel, GroupSpec};
-use h2o::exec::{compile, execute, reorg, AccessPlan, Strategy as ExecStrategy};
+use h2o::exec::{
+    compile, execute, reorg, AccessPlan, ExecCtx, ExecPolicy, Strategy as ExecStrategy,
+};
 use h2o::expr::interp::interpret_over;
 use h2o::expr::interpret;
 use h2o::prelude::*;
@@ -108,7 +110,9 @@ proptest! {
             Conjunction::of([Predicate::gt(AttrId::from(n - 1), sel_value)]),
         )
         .unwrap();
-        let (group, result) = reorg::reorg_and_execute(rel.catalog(), &attrs, &q).unwrap();
+        let serial = ExecCtx::new(ExecPolicy::serial());
+        let (group, result) =
+            reorg::reorg_and_execute(rel.catalog(), &attrs, &q, &serial).unwrap();
         let offline = reorg::materialize(rel.catalog(), &attrs).unwrap();
         prop_assert_eq!(group.collect_values(), offline.collect_values());
         let want = interpret(rel.catalog(), &q).unwrap();

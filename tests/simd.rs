@@ -10,8 +10,8 @@
 
 use h2o::exec::kernels::{colmajor, fused, selvector};
 use h2o::exec::{
-    compile, execute, execute_with_policy, execute_with_policy_cancel, AccessPlan, BoundAttr,
-    CancelToken, ExecPolicy, GroupViews, Strategy,
+    compile, execute, execute_with_policy, run, AccessPlan, BoundAttr, CancelToken, ExecCtx,
+    ExecPolicy, GroupViews, Strategy,
 };
 use h2o::expr::agg::AggOp;
 use h2o::expr::{interpret, AggFunc, CmpOp};
@@ -263,7 +263,11 @@ fn capped_runs_under_live_cancel_token_are_identical() {
         let op = compile(rel.catalog(), &plan, &q).unwrap();
         let plain = execute(rel.catalog(), &op).unwrap();
         let live = CancelToken::new();
-        let (capped, _) = execute_with_policy_cancel(rel.catalog(), &op, &policy, &live).unwrap();
+        let ctx = ExecCtx {
+            cancel: Some(&live),
+            ..ExecCtx::new(policy)
+        };
+        let (capped, _) = run(rel.catalog(), &op, &ctx).unwrap();
         assert_eq!(capped, plain, "strategy {}", strategy.name());
     }
 }
