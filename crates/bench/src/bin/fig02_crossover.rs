@@ -1,7 +1,8 @@
 //! Figures 1 and 2 — "DBMS-C vs DBMS-R: the 'optimal' DBMS changes with
 //! the workload."
 //!
-//! The paper runs two commercial systems; per DESIGN.md the substitution is
+//! The paper runs two commercial systems; per the README's crate map
+//! (`h2o-core`: "the static row/column-store baselines") the substitution is
 //! our own column-store and row-store engines (the same substitution the
 //! paper itself makes for every later experiment). A select-(project-)
 //! aggregate query sweeps projectivity from 2% to 100% at three selectivity
@@ -14,7 +15,6 @@
 
 use h2o_bench::{csv_header, fmt_s, time_hot, Args};
 use h2o_core::{StaticEngine, StaticKind};
-use h2o_exec::CompileCostModel;
 use h2o_storage::{AttrId, Schema};
 use h2o_workload::micro::{QueryGen, Template};
 use h2o_workload::synth::gen_columns;
@@ -31,20 +31,9 @@ fn main() {
 
     let schema = Schema::with_width(args.attrs).into_shared();
     let columns = gen_columns(args.attrs, args.tuples, args.seed);
-    let col_engine = StaticEngine::new(
-        schema.clone(),
-        columns.clone(),
-        StaticKind::ColumnStore,
-        CompileCostModel::ZERO,
-    )
-    .unwrap();
-    let row_engine = StaticEngine::new(
-        schema,
-        columns,
-        StaticKind::RowStore,
-        CompileCostModel::ZERO,
-    )
-    .unwrap();
+    let col_engine =
+        StaticEngine::new(schema.clone(), columns.clone(), StaticKind::ColumnStore).unwrap();
+    let row_engine = StaticEngine::new(schema, columns, StaticKind::RowStore).unwrap();
 
     csv_header(&[
         "figure",

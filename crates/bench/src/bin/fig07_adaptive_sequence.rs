@@ -15,7 +15,6 @@
 
 use h2o_bench::{csv_header, fmt_s, time, Args};
 use h2o_core::{oracle, EngineConfig, H2oEngine, Request, StaticEngine, StaticKind};
-use h2o_exec::CompileCostModel;
 use h2o_storage::{Relation, Schema};
 use h2o_workload::sequence::fig7_sequence;
 use h2o_workload::synth::gen_columns;
@@ -33,20 +32,10 @@ fn main() {
 
     let schema = Schema::with_width(args.attrs).into_shared();
     let columns = gen_columns(args.attrs, args.tuples, args.seed);
-    let row_engine = StaticEngine::new(
-        schema.clone(),
-        columns.clone(),
-        StaticKind::RowStore,
-        CompileCostModel::ZERO,
-    )
-    .unwrap();
-    let col_engine = StaticEngine::new(
-        schema.clone(),
-        columns.clone(),
-        StaticKind::ColumnStore,
-        CompileCostModel::ZERO,
-    )
-    .unwrap();
+    let row_engine =
+        StaticEngine::new(schema.clone(), columns.clone(), StaticKind::RowStore).unwrap();
+    let col_engine =
+        StaticEngine::new(schema.clone(), columns.clone(), StaticKind::ColumnStore).unwrap();
     let h2o_relation = Relation::columnar(schema, columns).unwrap();
     let oracle_relation = col_engine.relation().clone();
     // Paper comparison: the static baselines are serial, so H2O runs
@@ -137,7 +126,7 @@ fn main() {
     );
     let oc = h2o.opcache_stats();
     eprintln!(
-        "H2O breakdown: advise {:.3}s, reorg {:.3}s, simulated compile {:.3}s ({} ops), shifts {}, recommendations {}",
+        "H2O breakdown: advise {:.3}s, reorg {:.3}s, compile {:.3}s ({} ops), shifts {}, recommendations {}",
         stats.advise_time.as_secs_f64(),
         stats.reorg_time.as_secs_f64(),
         oc.compile_time.as_secs_f64(),

@@ -5,7 +5,8 @@
 //! (drifting) workload runs over the fixed fragments. H2O starts from plain
 //! columns with no workload knowledge and adapts per query.
 //!
-//! Per DESIGN.md the SDSS data/queries are substituted with a synthetic
+//! Per the README's crate map (`h2o-workload`: "SkyServer-like") the SDSS
+//! data/queries are substituted with a synthetic
 //! PhotoObjAll (64 attributes, clustered skewed access, three-phase drift).
 //!
 //! Expected shape: H2O total (creation + execution) < AutoPart total —
@@ -50,7 +51,6 @@ fn main() {
     // adaptation off (the layout is fixed by the advisor).
     let mut ap_cfg = EngineConfig::non_adaptive();
     ap_cfg.parallelism = Some(1); // paper comparison: single-threaded
-    ap_cfg.compile_cost = h2o_exec::CompileCostModel::scaled_default();
     let ap_engine = H2oEngine::new(ap_relation, ap_cfg);
 
     let mut t_ap_exec = 0.0;

@@ -59,7 +59,7 @@ fn build_engine(rows: usize, attrs: usize, seed: u64, background: bool) -> Arc<H
     let mut cfg = if background {
         EngineConfig::background()
     } else {
-        EngineConfig::no_compile_latency()
+        EngineConfig::default()
     };
     cfg.window.initial = 16;
     cfg.window.min = 4;

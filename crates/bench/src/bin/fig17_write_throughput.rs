@@ -41,7 +41,7 @@ fn build_engine(rows: usize, seed: u64, seg_shift: Option<u32>) -> H2oEngine {
         Some(shift) => Relation::partitioned_with_shift(schema, columns, partition, shift).unwrap(),
         None => Relation::partitioned(schema, columns, partition).unwrap(),
     };
-    H2oEngine::new(relation, EngineConfig::no_compile_latency())
+    H2oEngine::new(relation, EngineConfig::default())
 }
 
 fn main() {

@@ -14,8 +14,8 @@
 //!   same sorted-by-key order);
 //! * all three strategies agree with each other (implied by the first).
 //!
-//! The emitted JSON carries the fingerprints so the `check_guardrail` CI
-//! binary can re-assert the identities from the uploaded artifact.
+//! The emitted JSON carries the fingerprints; `tests/grouped.rs` asserts
+//! the same identities in tier-1.
 
 use h2o_bench::{time_hot, Args};
 use h2o_exec::{compile, execute, execute_with_policy, AccessPlan, ExecPolicy, Strategy};

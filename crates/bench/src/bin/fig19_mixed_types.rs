@@ -19,9 +19,9 @@
 //! serial ≡ interpreter (fingerprint) and parallel ≡ serial
 //! (bit-identical). A third case, `zone_range_filter`, scans a
 //! segment-clustered (monotone) column with a selective range predicate
-//! and reports how many sealed-segment runs the zone maps skipped — the
-//! `check_guardrail` CI binary asserts the fingerprint identities and a
-//! non-zero skip count from the uploaded JSON.
+//! and reports how many sealed-segment runs the zone maps skipped
+//! (`tests/mixed_types.rs` asserts the identities and a non-zero skip
+//! count in tier-1).
 
 use h2o_bench::{time_hot, Args};
 use h2o_exec::{

@@ -14,9 +14,7 @@
 //! Correctness rides along: per (strategy, selectivity) the engine-level
 //! serial, morsel-parallel, and interpreter results must be
 //! fingerprint-identical — a throughput number for a wrong answer is
-//! worthless. The `check_guardrail --fig20` CI gate asserts those
-//! identities for every entry and a minimum speedup on the selective
-//! selection-vector scans.
+//! worthless (`tests/simd.rs` asserts the same identities in tier-1).
 //!
 //! Interpreting the numbers: the selection-vector build gains the most —
 //! its scalar reference pays per-row slot indirection that the chunked

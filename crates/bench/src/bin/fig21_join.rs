@@ -14,27 +14,25 @@
 //!   engine runs the same join greedily (build side from its observed
 //!   per-predicate selectivity history, warmed by one prior execution)
 //!   and with the build side forced to the opposite, worst order. Both
-//!   must be fingerprint-identical to the interpreter; `check_guardrail
-//!   --fig21` gates the summed greedy time against the summed worst-order
-//!   time (greedy throughput >= worst-order throughput overall).
+//!   must be fingerprint-identical to the interpreter; the summed greedy
+//!   time against the summed worst-order time is the figure's headline.
 //! * **bloom** entries — a low-match-rate probe (1% of fact foreign keys
 //!   hit the dimension; the misses sit *between* real keys, so the exact
 //!   `[min,max]` range check cannot reject them) with the build-side
-//!   join filter on vs off. `check_guardrail --min-bloom-speedup` gates
-//!   the ratio: skipping the hash lookup for provably-absent keys must
-//!   pay for building and testing the filter.
+//!   join filter on vs off: skipping the hash lookup for provably-absent
+//!   keys must pay for building and testing the filter.
 //! * **fusion** entries — a grouped join-rollup over a duplicate-key
 //!   dimension (each probe hit matches `dup` build rows) with the fused
 //!   probe loop on vs off. Fusion collapses the `dup` identical
 //!   aggregate updates per probe row into one multiplicity-weighted
-//!   update; `check_guardrail --min-fusion-speedup` gates the ratio.
+//!   update.
 //!
 //! Interpreting the numbers: the ordering gap is widest where the sides
 //! are most asymmetric (selectivity 0.5 against a small dimension — the
 //! worst order builds a hash table over half the fact table); at
 //! selectivity 0.01 the post-filter fact side is comparable to the
-//! dimension and the two orders converge, which is why the guardrail
-//! gates the sum rather than each point.
+//! dimension and the two orders converge, which is why the sum, not each
+//! point, is the number to read.
 
 use h2o_bench::{time_hot, Args};
 use h2o_core::{EngineConfig, H2oEngine, Request};

@@ -13,9 +13,9 @@
 //!
 //! Build with `--features failpoints` to additionally price the
 //! sites-compiled-but-disarmed configuration (`failpoints_compiled` in
-//! the output flips to true). The `check_guardrail --fig22` gate asserts
-//! the summed guarded/baseline overhead stays within 1.03x — fault
-//! tolerance must be effectively free when nothing faults.
+//! the output flips to true). The summed guarded/baseline overhead was
+//! within 1.03x when recorded — fault tolerance must be effectively free
+//! when nothing faults.
 //!
 //! Every guarded run is fingerprint-checked against its baseline: a cheap
 //! cancellation check that changed the answer would be a correctness bug,

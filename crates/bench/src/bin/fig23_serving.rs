@@ -12,8 +12,8 @@
 //! bit-identity guarantee, not a sample.
 //!
 //! Admission is sized (8 slots) so these client counts never shed; the
-//! `shed` column existing and staying 0 is exactly what the CI
-//! guardrail pins.
+//! `shed` column existing and staying 0 is what
+//! `crates/h2o-server/tests/server.rs` asserts in tier-1.
 
 use h2o_bench::Args;
 use h2o_core::{EngineConfig, H2oEngine};

@@ -1,11 +1,13 @@
 //! Shared harness utilities for the paper-reproduction benchmark binaries.
 //!
 //! Each `fig*` binary in `src/bin/` regenerates one figure or table of the
-//! paper's evaluation (the mapping is in `DESIGN.md` §5). Binaries print
-//! CSV-style rows to stdout and a human-readable summary to stderr, take
-//! `--tuples/--attrs/--queries/--seed` overrides, and default to sizes that
-//! finish in tens of seconds on a single-core container while preserving
-//! the paper's *shapes* (who wins, by what factor, where crossovers fall).
+//! paper's evaluation (each binary's module docs name its figure; the
+//! README's "Building and testing" section shows how to run them).
+//! Binaries print CSV-style rows to stdout and a human-readable summary to
+//! stderr, take `--tuples/--attrs/--queries/--seed` overrides, and default
+//! to sizes that finish in tens of seconds on a single-core container while
+//! preserving the paper's *shapes* (who wins, by what factor, where
+//! crossovers fall).
 
 use std::time::Instant;
 
@@ -77,81 +79,6 @@ pub fn csv_header(cols: &[&str]) {
     println!("{}", cols.join(","));
 }
 
-/// Minimal extraction over the **flat** JSON documents the `fig*` binaries
-/// emit (one top-level object whose `"results"` array holds objects with
-/// only string/number/bool fields — no nesting). Used by the
-/// `check_guardrail` binary so CI can assert perf thresholds without a
-/// JSON dependency (the build environment is offline).
-pub mod json {
-    /// The `"results"` array's objects, as raw `{...}` slices.
-    pub fn results(doc: &str) -> Vec<&str> {
-        let Some(start) = doc.find("\"results\":[") else {
-            return Vec::new();
-        };
-        let body = &doc[start + "\"results\":[".len()..];
-        let mut out = Vec::new();
-        let mut depth = 0usize;
-        let mut obj_start = None;
-        for (i, c) in body.char_indices() {
-            match c {
-                '{' => {
-                    if depth == 0 {
-                        obj_start = Some(i);
-                    }
-                    depth += 1;
-                }
-                '}' => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        if let Some(s) = obj_start.take() {
-                            out.push(&body[s..=i]);
-                        }
-                    }
-                }
-                ']' if depth == 0 => break,
-                _ => {}
-            }
-        }
-        out
-    }
-
-    /// The raw text of `key`'s value in a flat object (up to the next
-    /// top-level `,` or `}`).
-    pub fn raw<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-        let pat = format!("\"{key}\":");
-        let start = obj.find(&pat)? + pat.len();
-        let rest = &obj[start..];
-        let mut end = rest.len();
-        let mut in_str = false;
-        for (i, c) in rest.char_indices() {
-            match c {
-                '"' => in_str = !in_str,
-                ',' | '}' if !in_str => {
-                    end = i;
-                    break;
-                }
-                _ => {}
-            }
-        }
-        Some(rest[..end].trim())
-    }
-
-    /// `key`'s value as a number.
-    pub fn num(obj: &str, key: &str) -> Option<f64> {
-        raw(obj, key)?.parse().ok()
-    }
-
-    /// `key`'s value as an unquoted string.
-    pub fn string<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-        Some(raw(obj, key)?.trim_matches('"'))
-    }
-
-    /// `key`'s value as a bool.
-    pub fn boolean(obj: &str, key: &str) -> Option<bool> {
-        raw(obj, key)?.parse().ok()
-    }
-}
-
 /// Formats seconds with fixed precision for CSV output.
 pub fn fmt_s(seconds: f64) -> String {
     format!("{seconds:.6}")
@@ -177,23 +104,5 @@ mod tests {
     #[test]
     fn fmt() {
         assert_eq!(fmt_s(1.5), "1.500000");
-    }
-
-    #[test]
-    fn json_extraction_over_fig_shaped_docs() {
-        let doc = "{\"bench\":\"fig\",\"seed\":42,\"results\":[\
-                   {\"mode\":\"segmented\",\"rows\":100,\"seconds_per_batch\":0.000014,\"ok\":true},\
-                   {\"mode\":\"monolithic\",\"rows\":100,\"seconds_per_batch\":0.004100,\"ok\":false}]}";
-        let objs = json::results(doc);
-        assert_eq!(objs.len(), 2);
-        assert_eq!(json::string(objs[0], "mode"), Some("segmented"));
-        assert_eq!(json::num(objs[0], "rows"), Some(100.0));
-        assert_eq!(json::num(objs[1], "seconds_per_batch"), Some(0.0041));
-        assert_eq!(json::boolean(objs[0], "ok"), Some(true));
-        assert_eq!(json::boolean(objs[1], "ok"), Some(false));
-        assert_eq!(json::num(objs[0], "missing"), None);
-        assert!(json::results("{\"no\":\"results\"}").is_empty());
-        // Top-level fields of the doc itself are reachable with raw/num.
-        assert_eq!(json::num(doc, "seed"), Some(42.0));
     }
 }

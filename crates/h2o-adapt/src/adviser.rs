@@ -21,37 +21,24 @@ use h2o_cost::{AccessPattern, CostModel, GroupSpec};
 use h2o_storage::AttrSet;
 use std::collections::HashSet;
 
-/// Tuning knobs for the adviser.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdviserConfig {
-    /// Upper bound on merge iterations (safety valve; the loop normally
-    /// terminates on "no further improvement").
-    pub max_merge_rounds: usize,
-    /// Maximum number of candidate groups recommended per round (the
-    /// Fig. 7 walkthrough proposes a candidate list of 4).
-    pub max_candidates: usize,
-    /// Only merge group pairs whose affinity-matrix signal is at least
-    /// this (prunes the quadratic pair space).
-    pub min_merge_affinity: f64,
-    /// How many monitoring windows a new layout is expected to serve. The
-    /// Eq. 1 transformation cost is divided by this factor: the window is
-    /// a *sample* of the workload, and "the benefit of a new data layout
-    /// depends on ... how many times H2O is going to use it in order to
-    /// amortize the creation cost" (§3.2) — uses continue beyond the
-    /// window. `1.0` charges the full build cost against the window alone.
-    pub amortization_horizon: f64,
-}
+/// Upper bound on merge iterations (safety valve; the loop normally
+/// terminates on "no further improvement").
+const MAX_MERGE_ROUNDS: usize = 16;
 
-impl Default for AdviserConfig {
-    fn default() -> Self {
-        AdviserConfig {
-            max_merge_rounds: 16,
-            max_candidates: 4,
-            min_merge_affinity: 0.25,
-            amortization_horizon: 3.0,
-        }
-    }
-}
+/// Maximum number of candidate groups recommended per round (the Fig. 7
+/// walkthrough proposes a candidate list of 4).
+const MAX_CANDIDATES: usize = 4;
+
+/// Only group pairs whose affinity-matrix signal is at least this are
+/// merged (prunes the quadratic pair space).
+const MIN_MERGE_AFFINITY: f64 = 0.25;
+
+/// How many monitoring windows a new layout is expected to serve. The
+/// Eq. 1 transformation cost is divided by this factor: the window is a
+/// *sample* of the workload, and "the benefit of a new data layout depends
+/// on ... how many times H2O is going to use it in order to amortize the
+/// creation cost" (§3.2) — uses continue beyond the window.
+const AMORTIZATION_HORIZON: f64 = 3.0;
 
 /// The adviser's output: layouts worth materializing, with the expected
 /// window-cost saving that justified them.
@@ -80,20 +67,9 @@ impl Recommendation {
 #[derive(Debug, Clone, Default)]
 pub struct Adviser {
     model: CostModel,
-    config: AdviserConfig,
 }
 
 impl Adviser {
-    /// Creates an adviser.
-    pub fn new(model: CostModel, config: AdviserConfig) -> Self {
-        Adviser { model, config }
-    }
-
-    /// The cost model in use.
-    pub fn model(&self) -> &CostModel {
-        &self.model
-    }
-
     /// Evaluates Eq. 1 for `current ∪ pool`: the window's total query cost
     /// under best covers/strategies, plus transformation cost for every
     /// *pool* group that at least one query's cover actually uses. Returns
@@ -124,8 +100,7 @@ impl Adviser {
         for (i, g) in pool.iter().enumerate() {
             let already = current.iter().any(|c| c.attrs == g.attrs);
             if used[i] && !already {
-                total += self.model.transform_cost(rows, g, current)
-                    / self.config.amortization_horizon.max(1.0);
+                total += self.model.transform_cost(rows, g, current) / AMORTIZATION_HORIZON;
             }
         }
         (total, used)
@@ -187,14 +162,14 @@ impl Adviser {
 
         // Iterative merging: take the best cost-improving pairwise union
         // until no merge improves the objective.
-        for _ in 0..self.config.max_merge_rounds {
+        for _ in 0..MAX_MERGE_ROUNDS {
             let mut best_merge: Option<(usize, usize, f64)> = None;
             for i in 0..pool.len() {
                 for j in (i + 1)..pool.len() {
                     let signal = aff_select
                         .group_affinity(&pool[i].attrs, &pool[j].attrs)
                         .max(aff_where.group_affinity(&pool[i].attrs, &pool[j].attrs));
-                    if signal < self.config.min_merge_affinity {
+                    if signal < MIN_MERGE_AFFINITY {
                         continue;
                     }
                     let merged = GroupSpec::new(pool[i].attrs.union(&pool[j].attrs));
@@ -289,7 +264,7 @@ impl Adviser {
             })
             .collect();
         ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        ranked.truncate(self.config.max_candidates);
+        ranked.truncate(MAX_CANDIDATES);
 
         let groups: Vec<GroupSpec> = ranked.into_iter().map(|(_, g)| g).collect();
         let (cost_capped, _) = self.window_cost(window, current, &groups, rows);
@@ -330,6 +305,19 @@ mod tests {
 
     const ROWS: usize = 1_000_000;
 
+    /// A recommendation as `(groups in order, expected_benefit bits)`. The
+    /// tests below pin both: the engine materializes exactly these groups
+    /// in exactly this order, so a refactor of the adviser or of the cost
+    /// model underneath it must not move either.
+    fn pinned(rec: &Recommendation) -> (Vec<Vec<usize>>, u64) {
+        let groups = rec
+            .groups
+            .iter()
+            .map(|g| g.attrs.iter().map(|a| a.index()).collect())
+            .collect();
+        (groups, rec.expected_benefit.to_bits())
+    }
+
     #[test]
     fn empty_window_recommends_nothing() {
         let adv = Adviser::default();
@@ -361,6 +349,10 @@ mod tests {
             aset(&[0, 1, 2, 3, 4]).is_subset(&union),
             "candidates must cover the hot select set, got {union:?}"
         );
+        assert_eq!(
+            pinned(&rec),
+            (vec![vec![0, 1, 2, 3, 4]], 0x3ff6_dfea_2798_3c0c)
+        );
     }
 
     #[test]
@@ -380,6 +372,7 @@ mod tests {
                 "must not re-recommend an existing layout"
             );
         }
+        assert_eq!(pinned(&rec), (vec![], 0));
     }
 
     #[test]
@@ -393,30 +386,39 @@ mod tests {
             .collect();
         let rec = adv.recommend(&window, &columns(40), 50_000);
         // With tiny relations and one use each, building layouts cannot
-        // amortize; benefit must not be significantly positive.
-        assert!(
-            rec.groups.len() <= AdviserConfig::default().max_candidates,
-            "candidate cap respected"
-        );
+        // amortize.
+        assert_eq!(pinned(&rec), (vec![], 0));
     }
 
     #[test]
     fn candidate_cap_respected() {
-        let adv = Adviser::new(
-            CostModel::default(),
-            AdviserConfig {
-                max_candidates: 2,
-                ..AdviserConfig::default()
-            },
-        );
-        // Two disjoint hot clusters + hot predicates: up to 4 seeds.
+        // Six disjoint hot clusters all pay off; only the best
+        // `MAX_CANDIDATES` are recommended.
+        let adv = Adviser::default();
         let mut window = Vec::new();
         for _ in 0..20 {
-            window.push(expr_pattern(&[0, 1, 2], &[3], 0.2));
-            window.push(expr_pattern(&[10, 11, 12], &[13], 0.2));
+            for c in 0..6 {
+                window.push(expr_pattern(
+                    &[c * 4, c * 4 + 1, c * 4 + 2],
+                    &[c * 4 + 3],
+                    0.2,
+                ));
+            }
         }
-        let rec = adv.recommend(&window, &columns(20), ROWS);
-        assert!(rec.groups.len() <= 2);
+        let rec = adv.recommend(&window, &columns(24), ROWS);
+        assert_eq!(rec.groups.len(), MAX_CANDIDATES);
+        assert_eq!(
+            pinned(&rec),
+            (
+                vec![
+                    vec![0, 1, 2],
+                    vec![4, 5, 6],
+                    vec![8, 9, 10],
+                    vec![12, 13, 14]
+                ],
+                0x3ff2_cd9e_83e4_2598
+            )
+        );
     }
 
     #[test]
@@ -425,6 +427,7 @@ mod tests {
         let window: Vec<AccessPattern> = (0..10).map(|_| expr_pattern(&[0], &[], 1.0)).collect();
         let rec = adv.recommend(&window, &columns(4), 1000);
         assert!(rec.expected_benefit >= 0.0);
+        assert_eq!(pinned(&rec), (vec![], 0));
     }
 
     #[test]
@@ -442,5 +445,6 @@ mod tests {
             let from_seeds = aset(&[0, 1]).is_subset(s) || aset(&[5, 6]).is_subset(s);
             assert!(from_seeds, "candidate {s:?} must derive from query seeds");
         }
+        assert_eq!(pinned(&rec), (vec![vec![0, 1]], 0x3fd2_bb0c_f87d_9c6c));
     }
 }

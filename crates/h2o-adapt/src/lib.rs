@@ -30,7 +30,7 @@ pub mod affinity;
 pub mod shared;
 pub mod window;
 
-pub use adviser::{Adviser, AdviserConfig, Recommendation};
+pub use adviser::{Adviser, Recommendation};
 pub use affinity::AffinityMatrix;
 pub use shared::{AdviceQueue, SharedWindow};
 pub use window::{MonitoringWindow, WindowConfig};

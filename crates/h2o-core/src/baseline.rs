@@ -13,9 +13,9 @@
 //!   column-at-a-time execution with selection vectors and intermediate
 //!   materialization (§3.3 "Column-major").
 //!
-//! Both share H2O's kernels, operator cache and (optionally) its simulated
-//! compile latency; the only differences are the fixed layout and the fixed
-//! strategy — exactly the experimental isolation the paper argues for.
+//! Both share H2O's kernels and operator cache; the only differences are
+//! the fixed layout and the fixed strategy — exactly the experimental
+//! isolation the paper argues for.
 
 use h2o_exec::{
     execute_with_policy as exec_execute_with_policy, AccessPlan, CompileCostModel, ExecError,
@@ -61,7 +61,6 @@ impl StaticEngine {
         schema: Arc<Schema>,
         columns: Vec<Vec<Value>>,
         kind: StaticKind,
-        compile_cost: CompileCostModel,
     ) -> Result<Self, StorageError> {
         let relation = match kind {
             StaticKind::RowStore => Relation::row_major(schema, columns)?,
@@ -70,7 +69,7 @@ impl StaticEngine {
         Ok(StaticEngine {
             relation,
             kind,
-            opcache: OperatorCache::new(256, compile_cost),
+            opcache: OperatorCache::new(256, CompileCostModel::ZERO),
             policy: ExecPolicy::serial(),
         })
     }
@@ -78,15 +77,11 @@ impl StaticEngine {
     /// Wraps an existing relation (its layouts must match `kind`'s
     /// expectations for the results to be meaningful; execution is correct
     /// regardless).
-    pub fn from_relation(
-        relation: Relation,
-        kind: StaticKind,
-        compile_cost: CompileCostModel,
-    ) -> Self {
+    pub fn from_relation(relation: Relation, kind: StaticKind) -> Self {
         StaticEngine {
             relation,
             kind,
-            opcache: OperatorCache::new(256, compile_cost),
+            opcache: OperatorCache::new(256, CompileCostModel::ZERO),
             policy: ExecPolicy::serial(),
         }
     }
@@ -157,20 +152,8 @@ mod tests {
 
     fn engines(n: usize, rows: usize) -> (StaticEngine, StaticEngine) {
         let schema = Schema::with_width(n).into_shared();
-        let row = StaticEngine::new(
-            schema.clone(),
-            cols(n, rows),
-            StaticKind::RowStore,
-            CompileCostModel::ZERO,
-        )
-        .unwrap();
-        let col = StaticEngine::new(
-            schema,
-            cols(n, rows),
-            StaticKind::ColumnStore,
-            CompileCostModel::ZERO,
-        )
-        .unwrap();
+        let row = StaticEngine::new(schema.clone(), cols(n, rows), StaticKind::RowStore).unwrap();
+        let col = StaticEngine::new(schema, cols(n, rows), StaticKind::ColumnStore).unwrap();
         (row, col)
     }
 

@@ -1,31 +1,24 @@
 //! Engine configuration.
 
-use h2o_adapt::{AdviserConfig, WindowConfig};
-use h2o_cost::HardwareParams;
+use h2o_adapt::WindowConfig;
 use h2o_exec::parallel::{DEFAULT_MORSEL_ROWS, DEFAULT_SERIAL_THRESHOLD};
 use h2o_exec::{CompileCostModel, ExecPolicy};
 use std::time::Duration;
 
-/// All tuning knobs of the adaptive engine in one place. The defaults
+/// Everything about the adaptive engine a caller can set. The defaults
 /// reproduce the paper's setup scaled to this environment — with one
 /// deliberate deviation: intra-query parallelism defaults to all available
 /// cores, where the paper's prototype is single-threaded (use
 /// [`EngineConfig::single_threaded`] for paper-faithful comparisons, as
-/// the figure-reproduction binaries do). Everything is overridable for
-/// experiments ("hands-free" means no knob is *required*, not that none
-/// exists).
+/// the figure-reproduction binaries do). "Hands-free" means no field is
+/// *required*; the adviser's and the cost model's constants are not
+/// fields at all.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
     /// Dynamic monitoring window configuration (§3.2). The paper's Fig. 7
     /// run starts at 20 queries.
     pub window: WindowConfig,
-    /// Candidate generation/selection knobs.
-    pub adviser: AdviserConfig,
-    /// Cost-model hardware parameters.
-    pub hardware: HardwareParams,
-    /// Simulated operator-generation latency charged on operator-cache
-    /// misses (see `h2o-exec::opcache`). Defaults to the scaled-down
-    /// equivalent of the paper's 10–150 ms external-compiler overhead.
+    /// Inert; `benchmark/` (frozen) sets it in its struct literals.
     pub compile_cost: CompileCostModel,
     /// Operator cache capacity (number of generated operators retained).
     pub opcache_capacity: usize,
@@ -33,8 +26,6 @@ pub struct EngineConfig {
     /// degenerates to a fixed-layout engine with cost-based strategy choice
     /// (useful for ablations).
     pub adaptive: bool,
-    /// Selectivity assumed for filters never observed before.
-    pub default_selectivity: f64,
     /// Storage budget in bytes for *all* layouts together, or `None` for
     /// unlimited. When a lazy materialization would exceed the budget the
     /// engine first evicts least-recently-used redundant layouts; if no
@@ -80,12 +71,9 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             window: WindowConfig::default(),
-            adviser: AdviserConfig::default(),
-            hardware: HardwareParams::default(),
-            compile_cost: CompileCostModel::scaled_default(),
+            compile_cost: CompileCostModel::ZERO,
             opcache_capacity: 256,
             adaptive: true,
-            default_selectivity: 0.5,
             space_budget_bytes: None,
             parallelism: None,
             morsel_rows: DEFAULT_MORSEL_ROWS,
@@ -105,22 +93,12 @@ impl EngineConfig {
         }
     }
 
-    /// A configuration with zero simulated compile latency (pure library
-    /// use; unit tests).
-    pub fn no_compile_latency() -> Self {
-        EngineConfig {
-            compile_cost: CompileCostModel::ZERO,
-            ..EngineConfig::default()
-        }
-    }
-
     /// A configuration for shared multi-client serving: adaptation advice
     /// and reorganization run only in `maintain()` (background reorganizer),
-    /// never on the query path, and no compile latency is simulated.
+    /// never on the query path.
     pub fn background() -> Self {
         EngineConfig {
             background_reorg: true,
-            compile_cost: CompileCostModel::ZERO,
             ..EngineConfig::default()
         }
     }
@@ -154,7 +132,6 @@ mod tests {
         let c = EngineConfig::default();
         assert!(c.adaptive);
         assert_eq!(c.window.initial, 20);
-        assert!(c.default_selectivity > 0.0 && c.default_selectivity <= 1.0);
         assert_eq!(c.query_deadline, None, "no implicit deadline by default");
     }
 
@@ -163,10 +140,6 @@ mod tests {
         assert!(!EngineConfig::non_adaptive().adaptive);
         assert!(EngineConfig::background().background_reorg);
         assert!(!EngineConfig::default().background_reorg);
-        assert_eq!(
-            EngineConfig::no_compile_latency().compile_cost,
-            CompileCostModel::ZERO
-        );
         assert_eq!(EngineConfig::single_threaded().parallelism, Some(1));
     }
 

@@ -31,7 +31,7 @@ use crate::config::EngineConfig;
 use crate::request::{ExecOptions, ExecSnapshot, Outcome, Request, RequestKind};
 use crate::stats::EngineStats;
 use h2o_adapt::{AdviceQueue, Adviser, SharedWindow};
-use h2o_cost::{AccessPattern, CostModel, GroupSpec, JoinRole, PlanSpec, Residence};
+use h2o_cost::{AccessPattern, CostModel, GroupSpec, JoinRole, PlanSpec};
 use h2o_exec::{
     reorg, AccessPlan, CancelToken, ExecCtx, ExecError, JoinExecStats, OperatorCache, Strategy,
 };
@@ -306,11 +306,10 @@ impl H2oEngine {
     /// adaptive engine. The paper stresses H2O "can adapt regardless of the
     /// initial data layout".
     pub fn new(relation: Relation, config: EngineConfig) -> Self {
-        let model = CostModel::new(config.hardware);
         H2oEngine {
             window: SharedWindow::new(config.window),
-            adviser: Adviser::new(model.clone(), config.adviser),
-            model,
+            adviser: Adviser::default(),
+            model: CostModel,
             opcache: OperatorCache::new(config.opcache_capacity, config.compile_cost),
             catalog: RwLock::new(Arc::new(relation.into_catalog())),
             secondary: RwLock::new(Arc::new(HashMap::new())),
@@ -429,7 +428,7 @@ impl H2oEngine {
         s
     }
 
-    /// Operator-cache statistics (hits/misses/simulated compile time).
+    /// Operator-cache statistics (hits/misses/measured compile time).
     pub fn opcache_stats(&self) -> h2o_exec::opcache::CacheStats {
         self.opcache.stats()
     }
@@ -632,7 +631,6 @@ impl H2oEngine {
             &PlanSpec {
                 strategy: lplan.strategy,
                 groups: Self::plan_groups(&left, &lplan)?,
-                residence: Residence::Memory,
             },
             left.rows(),
             lrole,
@@ -641,7 +639,6 @@ impl H2oEngine {
             &PlanSpec {
                 strategy: rplan.strategy,
                 groups: Self::plan_groups(&right, &rplan)?,
-                residence: Residence::Memory,
             },
             right.rows(),
             rrole,
@@ -771,6 +768,9 @@ impl H2oEngine {
         }
     }
 
+    /// Selectivity assumed for a filter never observed before.
+    const DEFAULT_SELECTIVITY: f64 = 0.5;
+
     fn estimate_join_selectivity(&self, q: &JoinQuery, side: Side) -> f64 {
         if q.filter(side).is_always_true() {
             return 1.0;
@@ -779,7 +779,7 @@ impl H2oEngine {
             .lock()
             .get(&Self::join_side_signature(q, side))
             .copied()
-            .unwrap_or(self.config.default_selectivity)
+            .unwrap_or(Self::DEFAULT_SELECTIVITY)
     }
 
     /// Signature of one join side's residual filter mixed with its
@@ -919,7 +919,6 @@ impl H2oEngine {
                 &PlanSpec {
                     strategy: plan.strategy,
                     groups,
-                    residence: Residence::Memory,
                 },
                 catalog.rows(),
             );
@@ -977,15 +976,7 @@ impl H2oEngine {
         let mut new_cat = (*snap).clone();
         let evicted = self.evict_for(&mut new_cat, g.attrs.len())?;
 
-        // Generate the fused reorganization operator (charged like any
-        // other generated operator) and run it.
         let attrs: Vec<AttrId> = g.attrs.to_vec();
-        let charge = self
-            .opcache
-            .cost_model()
-            .cost(attrs.len() + q.select_node_count());
-        self.opcache.cost_model().charge(charge);
-
         let t0 = Instant::now();
         let (group, result) = match reorg::reorg_and_execute(&new_cat, &attrs, q, ctx) {
             Ok(v) => v,
@@ -1472,7 +1463,7 @@ impl H2oEngine {
             .lock()
             .get(&sig)
             .copied()
-            .unwrap_or(self.config.default_selectivity)
+            .unwrap_or(Self::DEFAULT_SELECTIVITY)
     }
 
     /// Signature of a filter (attributes, operators and constants): the key
@@ -1616,7 +1607,7 @@ mod tests {
 
     #[test]
     fn engine_answers_match_interpreter() {
-        let e = engine(8, 500, EngineConfig::no_compile_latency());
+        let e = engine(8, 500, EngineConfig::default());
         let queries = [
             expr_query(&[0, 1, 2], 3, 100),
             Query::aggregate(
@@ -1636,7 +1627,7 @@ mod tests {
 
     #[test]
     fn repeated_hot_queries_trigger_adaptation_and_lazy_creation() {
-        let mut cfg = EngineConfig::no_compile_latency();
+        let mut cfg = EngineConfig::default();
         cfg.window.initial = 10;
         cfg.window.min = 4;
         let e = engine(30, 4000, cfg);
@@ -1692,7 +1683,7 @@ mod tests {
 
     #[test]
     fn grouped_queries_match_interpreter_and_drive_adaptation() {
-        let mut cfg = EngineConfig::no_compile_latency();
+        let mut cfg = EngineConfig::default();
         cfg.window.initial = 8;
         cfg.window.min = 4;
         let e = grouped_engine(16, 20, 3000, cfg);
@@ -1732,7 +1723,7 @@ mod tests {
     fn grouped_selectivity_history_not_polluted() {
         // Grouped row counts are distinct-key counts; they must not feed
         // the selectivity EWMA.
-        let e = grouped_engine(4, 6, 1000, EngineConfig::no_compile_latency());
+        let e = grouped_engine(4, 6, 1000, EngineConfig::default());
         let q = Query::grouped(
             [Expr::col(0u32)],
             [Aggregate::count()],
@@ -1752,7 +1743,7 @@ mod tests {
         // Differential-test the engine against the interpreter on every
         // query of a shifting workload (correctness during adaptation is
         // the engine's core invariant).
-        let mut cfg = EngineConfig::no_compile_latency();
+        let mut cfg = EngineConfig::default();
         cfg.window.initial = 6;
         cfg.window.min = 3;
         let e = engine(20, 1500, cfg);
@@ -1833,7 +1824,6 @@ mod tests {
     #[test]
     fn non_adaptive_engine_never_creates_layouts() {
         let mut cfg = EngineConfig::non_adaptive();
-        cfg.compile_cost = h2o_exec::CompileCostModel::ZERO;
         cfg.window.initial = 5;
         let e = engine(12, 800, cfg);
         for i in 0..30 {
@@ -1848,7 +1838,7 @@ mod tests {
 
     #[test]
     fn plan_picks_single_group_when_available() {
-        let mut cfg = EngineConfig::no_compile_latency();
+        let mut cfg = EngineConfig::default();
         cfg.window.initial = 200; // no adaptation interference
         let e = engine(10, 500, cfg);
         let id = e
@@ -1876,9 +1866,8 @@ mod tests {
 
     #[test]
     fn selectivity_feedback_updates_history() {
-        let mut cfg = EngineConfig::no_compile_latency();
+        let mut cfg = EngineConfig::default();
         cfg.window.initial = 100;
-        cfg.default_selectivity = 0.5;
         let e = engine(6, 1000, cfg);
         let q = expr_query(&[0, 1], 2, -900); // very selective
         assert_eq!(e.observed_selectivity(&q), None);
@@ -1897,7 +1886,7 @@ mod tests {
 
     #[test]
     fn hint_overrides_history() {
-        let e = engine(6, 500, EngineConfig::no_compile_latency());
+        let e = engine(6, 500, EngineConfig::default());
         let q = expr_query(&[0], 1, 0);
         e.run(Request::query(&q).hint(0.05)).unwrap();
         assert!((e.last_report().unwrap().selectivity_estimate - 0.05).abs() < 1e-9);
@@ -1905,7 +1894,7 @@ mod tests {
 
     #[test]
     fn materialize_now_and_drop_layout() {
-        let e = engine(5, 300, EngineConfig::no_compile_latency());
+        let e = engine(5, 300, EngineConfig::default());
         let id = e.materialize_now(&[AttrId(1), AttrId(3)]).unwrap();
         assert_eq!(e.catalog().group_count(), 6);
         e.drop_layout(id).unwrap();
@@ -1920,7 +1909,7 @@ mod tests {
 
     #[test]
     fn inserts_are_visible_in_every_layout() {
-        let e = engine(6, 100, EngineConfig::no_compile_latency());
+        let e = engine(6, 100, EngineConfig::default());
         e.materialize_now(&[AttrId(0), AttrId(1), AttrId(2)])
             .unwrap();
         let q = Query::aggregate(
@@ -1944,7 +1933,7 @@ mod tests {
 
     #[test]
     fn snapshots_are_isolated_from_later_writes() {
-        let e = engine(4, 50, EngineConfig::no_compile_latency());
+        let e = engine(4, 50, EngineConfig::default());
         let before = e.snapshot();
         e.insert(&[vec![9, 9, 9, 9]]).unwrap();
         let after = e.snapshot();
@@ -1964,7 +1953,7 @@ mod tests {
 
     #[test]
     fn insert_rejects_ragged_tuples() {
-        let e = engine(4, 10, EngineConfig::no_compile_latency());
+        let e = engine(4, 10, EngineConfig::default());
         assert!(matches!(
             e.insert(&[vec![1, 2]]),
             Err(EngineError::Storage(StorageError::WidthMismatch {
@@ -1979,7 +1968,7 @@ mod tests {
     fn empty_insert_is_a_no_op() {
         // Regression: an empty batch used to clone the full catalog and
         // publish a snapshot for nothing.
-        let e = engine(4, 10, EngineConfig::no_compile_latency());
+        let e = engine(4, 10, EngineConfig::default());
         e.insert(&[]).unwrap();
         let stats = e.stats();
         assert_eq!(stats.snapshots_published, 0);
@@ -1992,7 +1981,7 @@ mod tests {
     fn space_budget_caps_layout_growth() {
         let rows = 3000;
         let n_attrs = 30;
-        let mut cfg = EngineConfig::no_compile_latency();
+        let mut cfg = EngineConfig::default();
         cfg.window.initial = 6;
         cfg.window.min = 4;
         // Budget: base columns + roughly two extra 10-attr groups.
@@ -2017,7 +2006,7 @@ mod tests {
 
     #[test]
     fn explain_describes_the_plan() {
-        let e = engine(8, 200, EngineConfig::no_compile_latency());
+        let e = engine(8, 200, EngineConfig::default());
         let q = expr_query(&[0, 1, 2], 3, 50);
         let text = e.explain(&q).unwrap();
         assert!(text.contains("strategy:"), "{text}");
@@ -2031,14 +2020,14 @@ mod tests {
     fn empty_relation_is_fine() {
         let schema = Schema::with_width(3).into_shared();
         let rel = Relation::columnar(schema, vec![vec![], vec![], vec![]]).unwrap();
-        let e = H2oEngine::new(rel, EngineConfig::no_compile_latency());
+        let e = H2oEngine::new(rel, EngineConfig::default());
         let q = Query::project([Expr::col(0u32)], Conjunction::always()).unwrap();
         assert!(e.run(Request::query(&q)).unwrap().result.is_empty());
     }
 
     #[test]
     fn unknown_attribute_is_an_error() {
-        let e = engine(3, 100, EngineConfig::no_compile_latency());
+        let e = engine(3, 100, EngineConfig::default());
         let q = Query::project([Expr::col(99u32)], Conjunction::always()).unwrap();
         assert!(e.run(Request::query(&q)).is_err());
     }
@@ -2064,7 +2053,7 @@ mod tests {
 
     #[test]
     fn cancelled_query_is_typed_counted_and_side_effect_free() {
-        let e = engine(6, 500, EngineConfig::no_compile_latency());
+        let e = engine(6, 500, EngineConfig::default());
         let q = expr_query(&[0, 1], 2, 100);
         let token = CancelToken::new();
         token.cancel();
@@ -2093,7 +2082,7 @@ mod tests {
 
     #[test]
     fn deadlines_time_out_explicitly_and_implicitly() {
-        let e = engine(6, 500, EngineConfig::no_compile_latency());
+        let e = engine(6, 500, EngineConfig::default());
         let q = expr_query(&[0, 1], 2, 100);
         assert_eq!(
             e.run(Request::query(&q).deadline(Duration::ZERO))
@@ -2110,8 +2099,10 @@ mod tests {
         assert_eq!(e.stats().queries_timed_out, 1);
 
         // The config-level deadline applies implicitly to plain execute()…
-        let mut cfg = EngineConfig::no_compile_latency();
-        cfg.query_deadline = Some(Duration::ZERO);
+        let cfg = EngineConfig {
+            query_deadline: Some(Duration::ZERO),
+            ..EngineConfig::default()
+        };
         let e2 = engine(6, 500, cfg);
         assert_eq!(
             e2.run(Request::query(&q)).map(Outcome::into_result),
@@ -2129,7 +2120,7 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_is_typed_counted_and_side_effect_free() {
-        let e = engine(6, 500, EngineConfig::no_compile_latency());
+        let e = engine(6, 500, EngineConfig::default());
         let q = expr_query(&[0, 1], 2, 100);
         assert_eq!(
             e.run(Request::query(&q).budget(0))
@@ -2156,7 +2147,7 @@ mod tests {
     fn options_compose_on_one_request() {
         // Hint + deadline + cancel token + budget on one request — a
         // spelling the old nine-method surface could not express.
-        let e = engine(6, 500, EngineConfig::no_compile_latency());
+        let e = engine(6, 500, EngineConfig::default());
         let q = expr_query(&[0], 1, 0);
         let want = interpret(&e.catalog(), &q).unwrap();
         let token = CancelToken::new();
@@ -2176,7 +2167,7 @@ mod tests {
 
     #[test]
     fn join_stop_controls_publish_nothing() {
-        let (e, fs, ds) = join_engine(400, 16, EngineConfig::no_compile_latency());
+        let (e, fs, ds) = join_engine(400, 16, EngineConfig::default());
         let b = Query::join(("R", fs.clone()), ("dim", ds.clone()));
         let v0 = b.col("v0").unwrap();
         let tag = b.col("tag").unwrap();
@@ -2239,10 +2230,12 @@ mod tests {
 
         // 1. A worker panic mid-query surfaces as ExecutionPanicked — the
         //    process does not abort and the counter moves.
-        let mut cfg = EngineConfig::no_compile_latency();
-        cfg.parallelism = Some(2);
-        cfg.parallel_row_threshold = 0; // force the morsel scheduler…
-        cfg.morsel_rows = 64; // …with several morsels over 500 rows
+        let cfg = EngineConfig {
+            parallelism: Some(2),
+            parallel_row_threshold: 0, // force the morsel scheduler…
+            morsel_rows: 64,           // …with several morsels over 500 rows
+            ..EngineConfig::default()
+        };
         let e = engine(8, 500, cfg);
         let q = expr_query(&[0, 1, 2], 3, 100);
         let want = interpret(&e.catalog(), &q).unwrap();
@@ -2392,7 +2385,7 @@ mod tests {
 
     #[test]
     fn join_matches_interpreter_on_one_snapshot() {
-        let (e, fs, ds) = join_engine(400, 16, EngineConfig::no_compile_latency());
+        let (e, fs, ds) = join_engine(400, 16, EngineConfig::default());
         let b = Query::join(("R", fs.clone()), ("dim", ds.clone()));
         let v0 = b.col("v0").unwrap();
         let tag = b.col("tag").unwrap();
@@ -2434,7 +2427,7 @@ mod tests {
         // default estimate (0.5) for the left side — 500 estimated rows
         // against 100 — so it builds over the right. Execution observes
         // the true 0.01, and the second run flips the build side.
-        let (e, fs, ds) = join_engine(1000, 100, EngineConfig::no_compile_latency());
+        let (e, fs, ds) = join_engine(1000, 100, EngineConfig::default());
         let b = Query::join(("R", fs), ("dim", ds));
         let v0 = b.col("v0").unwrap();
         let tag = b.col("tag").unwrap();
@@ -2473,7 +2466,7 @@ mod tests {
 
     #[test]
     fn forced_build_side_is_bit_identical_and_reported() {
-        let (e, fs, ds) = join_engine(300, 8, EngineConfig::no_compile_latency());
+        let (e, fs, ds) = join_engine(300, 8, EngineConfig::default());
         let b = Query::join(("R", fs), ("dim", ds));
         let v1 = b.col("v1").unwrap();
         let tag = b.col("tag").unwrap();
@@ -2498,7 +2491,7 @@ mod tests {
 
     #[test]
     fn join_error_messages_are_stable() {
-        let (e, fs, ds) = join_engine(50, 4, EngineConfig::no_compile_latency());
+        let (e, fs, ds) = join_engine(50, 4, EngineConfig::default());
         // Unknown relation name, resolved at execution time.
         let b = Query::join(("R", fs.clone()), ("nope", ds.clone()));
         let v0 = b.col("v0").unwrap();
@@ -2535,7 +2528,7 @@ mod tests {
 
     #[test]
     fn secondary_relations_are_snapshot_isolated() {
-        let (e, _fs, _ds) = join_engine(100, 8, EngineConfig::no_compile_latency());
+        let (e, _fs, _ds) = join_engine(100, 8, EngineConfig::default());
         assert_eq!(e.db_snapshot().relation_names(), vec!["R", "dim"]);
         let before = e.db_snapshot();
         e.insert_into("dim", &[vec![100, 1000], vec![101, 1010]])
@@ -2556,7 +2549,7 @@ mod tests {
         // A join-heavy workload over the primary must make the adviser
         // materialize a group covering the key + payload columns it
         // gathers, exactly as a grouped workload does for its keys.
-        let mut cfg = EngineConfig::no_compile_latency();
+        let mut cfg = EngineConfig::default();
         cfg.window.initial = 8;
         cfg.window.min = 4;
         let fact_schema = Schema::with_width(20).into_shared();

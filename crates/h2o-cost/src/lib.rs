@@ -3,8 +3,10 @@
 //! Implements the paper's two cost formulas (SIGMOD 2014 §3.2, §3.5):
 //!
 //! * **Eq. 2 — query cost**: `q(L) = Σ_i max(cost_IO_i, cost_CPU_i)` over
-//!   the layouts `L` a plan reads, assuming disk I/O and CPU overlap. The
-//!   CPU term is estimated from **data cache misses** ("they can provide a
+//!   the layouts `L` a plan reads, assuming disk I/O and CPU overlap. Data
+//!   is memory-resident here, as in the paper's experiments, so the I/O
+//!   term is zero and only the CPU term is modelled. It is estimated from
+//!   **data cache misses** ("they can provide a
 //!   good indication regarding the expected execution cost of query plans"),
 //!   following the HYRISE-style cache-line model the paper cites, plus
 //!   per-value compute and intermediate-result materialization terms.
@@ -16,13 +18,11 @@
 //!
 //! The model is deliberately *relative*: its job is to rank alternatives
 //! (plans in the query processor, candidate configurations in the
-//! adaptation mechanism), not to predict wall-clock seconds. Parameters are
-//! in [`HardwareParams`] and can be calibrated.
+//! adaptation mechanism), not to predict wall-clock seconds; its machine
+//! parameters are constants at the top of [`model`].
 
 pub mod model;
-pub mod params;
 pub mod pattern;
 
-pub use model::{CostModel, GroupSpec, JoinRole, PlanSpec, Residence};
-pub use params::HardwareParams;
+pub use model::{CostModel, GroupSpec, JoinRole, PlanSpec};
 pub use pattern::AccessPattern;

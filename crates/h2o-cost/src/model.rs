@@ -1,18 +1,35 @@
 //! The cost model proper: Eq. 2 (plan cost), transformation cost, and
 //! Eq. 1 (configuration cost over a monitoring window).
 
-use crate::params::HardwareParams;
 use crate::pattern::AccessPattern;
 use h2o_exec::Strategy;
 use h2o_storage::{AttrSet, VALUE_BYTES};
 
-/// Where a layout's data lives. The paper's experiments (and this
-/// reproduction's) are hot in-memory runs; `Disk` exists so the Eq. 2
-/// `max(IO, CPU)` structure is exercised and testable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Residence {
-    Memory,
-    Disk,
+// Machine characteristics the model is parameterized on: order-of-magnitude
+// values for a commodity x86 server. Only their *ratios* matter for plan
+// and configuration ranking.
+
+/// Cache line size in bytes.
+const CACHE_LINE_BYTES: f64 = 64.0;
+
+/// Cost of one last-level cache miss, in seconds (~memory latency).
+const CACHE_MISS_SECONDS: f64 = 80e-9;
+
+/// Per-value CPU work for touching/processing one attribute value, in
+/// seconds (branch + arithmetic in a compiled kernel).
+const CPU_VALUE_SECONDS: f64 = 1.2e-9;
+
+/// Per-tuple cost of reading from one *additional* group in the same pass
+/// (tuple stitching across groups: extra address streams defeat the
+/// prefetcher and add pointer arithmetic), in seconds.
+const CPU_STITCH_SECONDS: f64 = 2.5e-9;
+
+/// Per-operator CPU work for one expression opcode, in seconds.
+const CPU_OP_SECONDS: f64 = 0.8e-9;
+
+/// Number of cache lines covering `bytes` of contiguous data.
+fn lines(bytes: f64) -> f64 {
+    (bytes / CACHE_LINE_BYTES).ceil().max(0.0)
 }
 
 /// An abstract layout: just its attribute set. Width in bytes follows from
@@ -40,12 +57,11 @@ impl GroupSpec {
     }
 }
 
-/// An abstract plan: the groups it reads, the strategy, and the residence.
+/// An abstract plan: the groups it reads and the strategy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanSpec {
     pub strategy: Strategy,
     pub groups: Vec<GroupSpec>,
-    pub residence: Residence,
 }
 
 /// Which role a relation plays in a hash join. The build side is scanned
@@ -78,23 +94,13 @@ const BLOOM_BUILD_OPS: f64 = 2.0;
 /// cache-resident word where the table probe takes a random access.
 const BLOOM_TEST_OPS: f64 = 2.0;
 
-/// The H2O cost model.
-#[derive(Debug, Clone, Default)]
-pub struct CostModel {
-    params: HardwareParams,
-}
+/// The H2O cost model. Data is memory-resident (hot runs, as in the
+/// paper's experiments), so the I/O side of Eq. 2's `max(IO, CPU)` is zero
+/// and every per-layout term is its CPU term.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CostModel;
 
 impl CostModel {
-    /// A model with explicit hardware parameters.
-    pub fn new(params: HardwareParams) -> Self {
-        CostModel { params }
-    }
-
-    /// The hardware parameters in use.
-    pub fn params(&self) -> &HardwareParams {
-        &self.params
-    }
-
     // ------------------------------------------------------------------
     // Cache-miss primitives (the CPU side of Eq. 2)
     // ------------------------------------------------------------------
@@ -113,11 +119,10 @@ impl CostModel {
         if accessed == 0 || width_bytes <= 0.0 {
             return 0.0;
         }
-        let line = self.params.cache_line_bytes;
-        if width_bytes <= line {
-            width_bytes / line
+        if width_bytes <= CACHE_LINE_BYTES {
+            width_bytes / CACHE_LINE_BYTES
         } else {
-            let m = width_bytes / line;
+            let m = width_bytes / CACHE_LINE_BYTES;
             m * (1.0 - (1.0 - 1.0 / m).powi(accessed as i32))
         }
     }
@@ -147,37 +152,12 @@ impl CostModel {
         (selected * per_tuple).min(self.scan_misses(rows, width_bytes, accessed))
     }
 
-    // ------------------------------------------------------------------
-    // I/O primitives
-    // ------------------------------------------------------------------
-
-    /// Sequential read cost of `bytes` for the given residence. Memory
-    /// residence costs zero I/O — bandwidth is accounted on the CPU side
-    /// through cache misses (hot in-memory runs, as in the paper's
-    /// experiments).
-    pub fn io_seq(&self, residence: Residence, bytes: f64) -> f64 {
-        match residence {
-            Residence::Memory => 0.0,
-            Residence::Disk => bytes / self.params.disk_bandwidth,
-        }
-    }
-
-    /// Random-access read cost: per-access seek plus transfer.
-    pub fn io_random(&self, residence: Residence, accesses: f64, bytes: f64) -> f64 {
-        match residence {
-            Residence::Memory => 0.0,
-            Residence::Disk => {
-                accesses * self.params.disk_seek_seconds + bytes / self.params.disk_bandwidth
-            }
-        }
-    }
-
     /// Cost of materializing `bytes` of intermediate results in memory,
     /// priced in cache-line transfers so it is commensurable with the scan
     /// and gather miss costs (write-allocate: every written line is a
     /// miss).
     pub fn materialize(&self, bytes: f64) -> f64 {
-        self.params.lines(bytes) * self.params.cache_miss_seconds
+        lines(bytes) * CACHE_MISS_SECONDS
     }
 
     // ------------------------------------------------------------------
@@ -187,15 +167,13 @@ impl CostModel {
     /// Estimated cost of executing a query with `pat`'s access pattern
     /// using `plan`, over a relation of `rows` tuples.
     ///
-    /// Implements `q(L) = Σ max(cost_IO, cost_CPU)` per layout, plus
-    /// strategy-specific intermediate-result and output-materialization
-    /// terms.
+    /// Implements `q(L) = Σ cost_CPU` per layout (see [`CostModel`] on the
+    /// I/O term), plus strategy-specific intermediate-result and
+    /// output-materialization terms.
     pub fn plan_cost(&self, pat: &AccessPattern, plan: &PlanSpec, rows: usize) -> f64 {
-        let p = &self.params;
         let n = rows as f64;
-        let sel = pat.selectivity;
-        let selected = n * sel;
-        let miss = p.cache_miss_seconds;
+        let selected = n * pat.selectivity;
+        let miss = CACHE_MISS_SECONDS;
         let needed = pat.all_attrs();
 
         // Output materialization (row-major result block, §3.3). Grouped
@@ -212,7 +190,7 @@ impl CostModel {
         // table — so relative plan choice stays driven by scan/gather
         // costs, exactly as for scalar aggregates.
         let group_cost = if pat.is_grouped {
-            selected * (HASH_PROBE_OPS + pat.output_width as f64) * p.cpu_op_seconds
+            selected * (HASH_PROBE_OPS + pat.output_width as f64) * CPU_OP_SECONDS
         } else {
             0.0
         };
@@ -232,15 +210,13 @@ impl CostModel {
                         continue;
                     }
                     active_groups += 1;
-                    let cpu = self.scan_misses(rows, g.width_bytes(), acc_all) * miss
-                        + n * acc_where as f64 * p.cpu_value_seconds;
-                    let io = self.io_seq(plan.residence, g.bytes(rows));
-                    total += io.max(cpu);
+                    total += self.scan_misses(rows, g.width_bytes(), acc_all) * miss
+                        + n * acc_where as f64 * CPU_VALUE_SECONDS;
                 }
                 // Stitching across multiple groups in the same pass.
-                total += n * active_groups.saturating_sub(1) as f64 * p.cpu_stitch_seconds;
+                total += n * active_groups.saturating_sub(1) as f64 * CPU_STITCH_SECONDS;
                 // Select-item compute only for qualifying tuples.
-                total += selected * pat.select_ops as f64 * p.cpu_op_seconds;
+                total += selected * pat.select_ops as f64 * CPU_OP_SECONDS;
                 total + out_cost
             }
             Strategy::SelVector => {
@@ -251,10 +227,8 @@ impl CostModel {
                     if acc == 0 {
                         continue;
                     }
-                    let cpu = self.scan_misses(rows, g.width_bytes(), acc) * miss
-                        + n * acc as f64 * p.cpu_value_seconds;
-                    let io = self.io_seq(plan.residence, g.bytes(rows));
-                    total += io.max(cpu);
+                    total += self.scan_misses(rows, g.width_bytes(), acc) * miss
+                        + n * acc as f64 * CPU_VALUE_SECONDS;
                 }
                 // Selection-vector materialization (u32 ids).
                 if pat.has_filter() {
@@ -269,16 +243,10 @@ impl CostModel {
                     }
                     gather_groups += 1;
                     let misses = self.gather_misses(selected, rows, g.width_bytes(), acc);
-                    let cpu = misses * miss + selected * acc as f64 * p.cpu_value_seconds;
-                    let io = self.io_random(
-                        plan.residence,
-                        if sel < 1.0 { selected } else { 0.0 },
-                        g.bytes(rows) * sel,
-                    );
-                    total += io.max(cpu);
+                    total += misses * miss + selected * acc as f64 * CPU_VALUE_SECONDS;
                 }
-                total += selected * gather_groups.saturating_sub(1) as f64 * p.cpu_stitch_seconds;
-                total += selected * pat.select_ops as f64 * p.cpu_op_seconds;
+                total += selected * gather_groups.saturating_sub(1) as f64 * CPU_STITCH_SECONDS;
+                total += selected * pat.select_ops as f64 * CPU_OP_SECONDS;
                 total + out_cost
             }
             Strategy::ColumnMajor => {
@@ -300,19 +268,17 @@ impl CostModel {
                 for (i, attr) in pat.where_.iter().enumerate() {
                     let w = width_of(attr);
                     if i == 0 {
-                        let cpu = self.scan_misses(rows, w, 1) * miss + n * p.cpu_value_seconds;
-                        let io = self.io_seq(plan.residence, n * w);
-                        total += io.max(cpu);
+                        total += self.scan_misses(rows, w, 1) * miss + n * CPU_VALUE_SECONDS;
                     } else {
                         let misses = self.gather_misses(selected, rows, w, 1);
-                        let cpu = misses * miss + selected * p.cpu_value_seconds;
+                        let cpu = misses * miss + selected * CPU_VALUE_SECONDS;
                         total += cpu + self.materialize(selected * col_width);
                     }
                 }
                 // Source column reads: one gather per select attribute.
                 for attr in pat.select.iter() {
                     let misses = self.gather_misses(selected, rows, width_of(attr), 1);
-                    total += misses * miss + selected * p.cpu_value_seconds;
+                    total += misses * miss + selected * CPU_VALUE_SECONDS;
                 }
                 // Intermediate materializations: one fresh column per
                 // operator beyond the raw loads (§2.1: "a+b+c results into
@@ -320,11 +286,7 @@ impl CostModel {
                 // both written and re-read.
                 let intermediates = pat.select_ops.saturating_sub(pat.select.len());
                 total += intermediates as f64 * 2.0 * self.materialize(selected * col_width);
-                total += selected * pat.select_ops as f64 * p.cpu_op_seconds;
-                if plan.residence == Residence::Disk {
-                    let bytes: f64 = needed.len() as f64 * n * col_width;
-                    total = total.max(bytes / self.params.disk_bandwidth);
-                }
+                total += selected * pat.select_ops as f64 * CPU_OP_SECONDS;
                 total + out_cost
             }
         }
@@ -355,7 +317,7 @@ impl CostModel {
             JoinRole::Build => HASH_INSERT_OPS + BLOOM_BUILD_OPS + pat.output_width as f64,
             JoinRole::Probe => HASH_PROBE_OPS + BLOOM_TEST_OPS,
         };
-        self.plan_cost(pat, plan, rows) + selected * hash_ops * self.params.cpu_op_seconds
+        self.plan_cost(pat, plan, rows) + selected * hash_ops * CPU_OP_SECONDS
     }
 
     /// The best (minimum) join-side cost over all strategies for a fixed
@@ -375,7 +337,6 @@ impl CostModel {
                     &PlanSpec {
                         strategy,
                         groups: groups.to_vec(),
-                        residence: Residence::Memory,
                     },
                     rows,
                     role,
@@ -397,7 +358,6 @@ impl CostModel {
                     &PlanSpec {
                         strategy,
                         groups: groups.to_vec(),
-                        residence: Residence::Memory,
                     },
                     rows,
                 )
@@ -427,9 +387,9 @@ impl CostModel {
             .map(|s| s.bytes(rows))
             .sum();
         let write_bytes = target.bytes(rows);
-        let misses = self.params.lines(read_bytes) + self.params.lines(write_bytes);
-        misses * self.params.cache_miss_seconds * SEQ_OVERLAP
-            + n * target.attrs.len() as f64 * self.params.cpu_value_seconds
+        let misses = lines(read_bytes) + lines(write_bytes);
+        misses * CACHE_MISS_SECONDS * SEQ_OVERLAP
+            + n * target.attrs.len() as f64 * CPU_VALUE_SECONDS
     }
 
     /// Greedy cover of `attrs` by the groups of `partition`; returns
@@ -573,7 +533,7 @@ mod tests {
     fn narrow_access_prefers_columns_over_row_major() {
         // Query touching 3 of 150 attrs: columnar layouts must cost less
         // than the full row-major group (Figs. 1–2's low-projectivity side).
-        let m = CostModel::default();
+        let m = CostModel;
         let pat = pattern(&[0, 1, 2], &[3], 0.4);
         let columns: Vec<GroupSpec> = (0..150).map(|i| spec(&[i])).collect();
         let needed_cols: Vec<GroupSpec> = [0, 1, 2, 3].iter().map(|&i| spec(&[i])).collect();
@@ -592,7 +552,7 @@ mod tests {
         // Query touching 120 of 150 attrs with an expression: row-major
         // fused must cost less than column-at-a-time (the crossover of
         // Figs. 1–2 at high projectivity).
-        let m = CostModel::default();
+        let m = CostModel;
         let attrs: Vec<usize> = (0..120).collect();
         let mut pat = pattern(&attrs, &[120], 0.4);
         pat.select_ops = 239; // left-deep sum over 120 columns
@@ -605,7 +565,6 @@ mod tests {
             &PlanSpec {
                 strategy: Strategy::FusedVolcano,
                 groups: row,
-                residence: Residence::Memory,
             },
             ROWS,
         );
@@ -614,7 +573,6 @@ mod tests {
             &PlanSpec {
                 strategy: Strategy::ColumnMajor,
                 groups: cols,
-                residence: Residence::Memory,
             },
             ROWS,
         );
@@ -626,7 +584,7 @@ mod tests {
 
     #[test]
     fn exact_group_is_at_least_as_good_as_row_major() {
-        let m = CostModel::default();
+        let m = CostModel;
         let pat = pattern(&[0, 1, 2, 3, 4], &[5], 0.1);
         let exact = vec![spec(&[0, 1, 2, 3, 4, 5])];
         let row = vec![spec(&(0..150).collect::<Vec<_>>())];
@@ -635,7 +593,7 @@ mod tests {
 
     #[test]
     fn selectivity_lowers_selvector_cost() {
-        let m = CostModel::default();
+        let m = CostModel;
         let groups = vec![spec(&[0, 1, 2]), spec(&[3])];
         let plan = |sel: f64| {
             m.plan_cost(
@@ -643,7 +601,6 @@ mod tests {
                 &PlanSpec {
                     strategy: Strategy::SelVector,
                     groups: groups.clone(),
-                    residence: Residence::Memory,
                 },
                 ROWS,
             )
@@ -654,7 +611,7 @@ mod tests {
 
     #[test]
     fn grouped_queries_cost_more_than_scalar_but_choose_the_same_layouts() {
-        let m = CostModel::default();
+        let m = CostModel;
         let scalar = pattern(&[0, 1], &[2], 0.5);
         let grouped = AccessPattern {
             is_grouped: true,
@@ -673,7 +630,7 @@ mod tests {
 
     #[test]
     fn cost_monotone_in_rows() {
-        let m = CostModel::default();
+        let m = CostModel;
         let groups = vec![spec(&[0, 1])];
         let pat = pattern(&[0, 1], &[], 1.0);
         let c1 = m.best_cost(&pat, &groups, 1000);
@@ -683,34 +640,16 @@ mod tests {
     }
 
     #[test]
-    fn disk_residence_dominated_by_io() {
-        let m = CostModel::default();
-        let pat = pattern(&[0], &[], 1.0);
-        let groups = vec![spec(&[0])];
-        let mem = m.plan_cost(
-            &pat,
-            &PlanSpec {
-                strategy: Strategy::FusedVolcano,
-                groups: groups.clone(),
-                residence: Residence::Memory,
-            },
-            ROWS,
-        );
-        let disk = m.plan_cost(
-            &pat,
-            &PlanSpec {
-                strategy: Strategy::FusedVolcano,
-                groups,
-                residence: Residence::Disk,
-            },
-            ROWS,
-        );
-        assert!(disk > mem, "disk {disk} must exceed memory {mem}");
+    fn lines_rounds_up() {
+        assert_eq!(lines(1.0), 1.0);
+        assert_eq!(lines(64.0), 1.0);
+        assert_eq!(lines(65.0), 2.0);
+        assert_eq!(lines(0.0), 0.0);
     }
 
     #[test]
     fn transform_cost_scales_with_width() {
-        let m = CostModel::default();
+        let m = CostModel;
         let sources = vec![spec(&(0..100).collect::<Vec<_>>())];
         let t_small = m.transform_cost(ROWS, &spec(&[0, 1, 2]), &sources);
         let t_big = m.transform_cost(ROWS, &(spec(&(0..50).collect::<Vec<_>>())), &sources);
@@ -722,13 +661,12 @@ mod tests {
     fn join_build_costs_more_than_probe() {
         // Same side, same plan: the build role pays insert + payload copy,
         // the probe role only the table probe.
-        let m = CostModel::default();
+        let m = CostModel;
         let pat = pattern(&[0, 1], &[2], 0.5);
         let groups = vec![spec(&[0, 1, 2])];
         let plan = PlanSpec {
             strategy: Strategy::SelVector,
             groups,
-            residence: Residence::Memory,
         };
         let build = m.join_side_cost(&pat, &plan, ROWS, JoinRole::Build);
         let probe = m.join_side_cost(&pat, &plan, ROWS, JoinRole::Probe);
@@ -743,7 +681,7 @@ mod tests {
         // Two sides with very different observed selectivity: pricing both
         // orders must prefer building on the selective (small post-filter)
         // side — the greedy ordering rule the engine applies.
-        let m = CostModel::default();
+        let m = CostModel;
         let selective = pattern(&[0, 1], &[2], 0.05);
         let broad = pattern(&[0, 1], &[2], 0.8);
         let groups = vec![spec(&[0, 1, 2])];
@@ -763,7 +701,7 @@ mod tests {
         // a tailored key+payload group must beat the wide row-major group —
         // this is the gradient the adviser follows toward join-shaped
         // column groups.
-        let m = CostModel::default();
+        let m = CostModel;
         let pat = pattern(&[0, 1], &[2], 0.2);
         let tailored = vec![spec(&[0, 1, 2])];
         let wide = vec![spec(&(0..150).collect::<Vec<_>>())];
@@ -808,7 +746,7 @@ mod tests {
         // enough to amortize the build (~30 queries at these parameters —
         // the same amortization threshold the paper's lazy creation is
         // designed around).
-        let m = CostModel::default();
+        let m = CostModel;
         let window: Vec<AccessPattern> = (0..40).map(|_| expr_pattern()).collect();
         let columns: Vec<GroupSpec> = (0..10).map(|i| spec(&[i])).collect();
         let grouped: Vec<GroupSpec> = {
@@ -844,7 +782,7 @@ mod tests {
         // A narrow-attribute query against a config holding both a wide
         // group and tailored narrow groups: the best cover must not be
         // forced onto the wide group.
-        let m = CostModel::default();
+        let m = CostModel;
         let config = vec![
             spec(&(0..150).collect::<Vec<_>>()),
             spec(&[0, 1, 2]),
@@ -866,7 +804,7 @@ mod tests {
 
     #[test]
     fn configuration_cost_infinite_when_uncovered() {
-        let m = CostModel::default();
+        let m = CostModel;
         let window = vec![pattern(&[5], &[], 1.0)];
         let config = vec![spec(&[0])];
         assert!(m
@@ -880,7 +818,7 @@ mod tests {
         // the {0,1,2} group should NOT pay off for a single use at small
         // row counts... but the paper's point is amortization: with many
         // repetitions it must pay off. Check the crossover exists.
-        let m = CostModel::default();
+        let m = CostModel;
         let columns: Vec<GroupSpec> = (0..10).map(|i| spec(&[i])).collect();
         let grouped: Vec<GroupSpec> = {
             let mut v = vec![spec(&[0, 1, 2, 3])];

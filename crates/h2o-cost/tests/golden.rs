@@ -1,0 +1,161 @@
+//! Golden cost table: the model's outputs, bit for bit.
+//!
+//! The planner, the join orderer and the adviser only ever *compare* these
+//! numbers, so any change to a bit can flip a plan, a recommendation or a
+//! layout. A refactor of the model that is meant to be behaviour-neutral
+//! must leave this table untouched; a deliberate recalibration regenerates
+//! it from the values the failing assertion prints.
+
+use h2o_cost::{AccessPattern, CostModel, GroupSpec, JoinRole, PlanSpec};
+use h2o_exec::Strategy;
+use h2o_storage::AttrSet;
+
+const ATTRS: usize = 24;
+const ROWS: usize = 262_144;
+
+/// splitmix64 — the grid must not depend on any crate's generator.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn attrs(&mut self, count: usize) -> AttrSet {
+        let mut set = AttrSet::new();
+        while set.len() < count {
+            set.insert(self.below(ATTRS).into());
+        }
+        set
+    }
+}
+
+fn patterns(rng: &mut Rng) -> Vec<AccessPattern> {
+    const SELECTIVITIES: [f64; 5] = [0.001, 0.01, 0.1, 0.5, 1.0];
+    (0..8)
+        .map(|i| {
+            let width = 1 + rng.below(6);
+            let select = rng.attrs(width);
+            let where_ = rng.attrs(i % 3);
+            let selectivity = if where_.is_empty() {
+                1.0
+            } else {
+                SELECTIVITIES[rng.below(SELECTIVITIES.len())]
+            };
+            let is_grouped = i % 4 == 3;
+            AccessPattern {
+                select_ops: select.len() + rng.below(2 * select.len()),
+                output_width: 1 + rng.below(select.len()),
+                is_aggregate: !is_grouped && i % 2 == 0,
+                is_grouped,
+                select,
+                where_,
+                selectivity,
+            }
+        })
+        .collect()
+}
+
+/// Four configurations, each covering every attribute: pure columns, one
+/// row-major group, a random partition, and that partition plus three
+/// overlapping groups (the shape adaptation produces).
+fn configs(rng: &mut Rng) -> Vec<Vec<GroupSpec>> {
+    let columns: Vec<GroupSpec> = (0..ATTRS)
+        .map(|a| GroupSpec::new([a].into_iter().collect()))
+        .collect();
+    let row = vec![GroupSpec::new(AttrSet::all(ATTRS))];
+    let mut parts = vec![AttrSet::new(); 5];
+    for a in 0..ATTRS {
+        parts[rng.below(5)].insert(a.into());
+    }
+    let partition: Vec<GroupSpec> = parts
+        .into_iter()
+        .filter(|p| !p.is_empty())
+        .map(GroupSpec::new)
+        .collect();
+    let mut overlapping = partition.clone();
+    for _ in 0..3 {
+        let width = 2 + rng.below(5);
+        overlapping.push(GroupSpec::new(rng.attrs(width)));
+    }
+    vec![columns, row, partition, overlapping]
+}
+
+fn plan(strategy: Strategy, groups: &[GroupSpec]) -> PlanSpec {
+    PlanSpec {
+        strategy,
+        groups: groups.to_vec(),
+    }
+}
+
+/// Every priced quantity for one (pattern, configuration) cell: `plan_cost`
+/// and `join_side_cost` in both roles per strategy, `best_cover_cost`, and
+/// the `transform_cost` of building the pattern's exact group.
+fn cell(model: &CostModel, pat: &AccessPattern, config: &[GroupSpec]) -> Vec<u64> {
+    let mut bits = Vec::new();
+    for strategy in Strategy::ALL {
+        let plan = plan(strategy, config);
+        bits.push(model.plan_cost(pat, &plan, ROWS));
+        bits.push(model.join_side_cost(pat, &plan, ROWS, JoinRole::Build));
+        bits.push(model.join_side_cost(pat, &plan, ROWS, JoinRole::Probe));
+    }
+    let (cover_cost, _) = model
+        .best_cover_cost(pat, config, ROWS)
+        .expect("every configuration covers every attribute");
+    bits.push(cover_cost);
+    bits.push(model.transform_cost(ROWS, &GroupSpec::new(pat.all_attrs()), config));
+    bits.into_iter().map(f64::to_bits).collect()
+}
+
+/// FNV-1a over the cell's bit patterns: one table entry per cell.
+fn fold(bits: &[u64]) -> u64 {
+    bits.iter()
+        .flat_map(|b| b.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// `GOLDEN[pattern][configuration]`, seed 42.
+#[rustfmt::skip]
+const GOLDEN: [[u64; 4]; 8] = [
+    [0x1daf236b732b9108, 0xe4d768f1a82c8287, 0xcfdc0490da64fdc9, 0x34a2da20c518d332],
+    [0xe99dfc946ce62cd2, 0x2dee06740b8801bc, 0x0c57bc8e1d581925, 0x0a79f47019d82eab],
+    [0xdb68ae7a0975e4ad, 0x8b954aa42adeddd1, 0x6d95fac17ee25d1c, 0xbfa5b713a2181460],
+    [0xbe4a4e050389d9fc, 0x7267ca1d1dcf7c28, 0x15b183674a08570a, 0xf3ad930bb4f25163],
+    [0x57d3f56317a255b7, 0x01de267bb08857e3, 0x42a94a8591c17172, 0x03f48c999d73bbe2],
+    [0x43ca91cf30d04ef6, 0x8bc2fb655b80476b, 0x18635bf0a44976d5, 0x2eb51929e37902a1],
+    [0xc481ee156ffb80da, 0x5fcf0d31dd1d5e86, 0x8b1a16f6ea7cad9d, 0xfc81765f8a662ea6],
+    [0x5d643d09e2509022, 0x5d731dbca0ea9170, 0x1c54ea3f91f1d36f, 0x5edd5995ed57950d],
+];
+
+#[test]
+fn cost_bits_match_the_golden_table() {
+    let mut rng = Rng(42);
+    let patterns = patterns(&mut rng);
+    let configs = configs(&mut rng);
+    let model = CostModel;
+    let cells: Vec<Vec<Vec<u64>>> = patterns
+        .iter()
+        .map(|p| configs.iter().map(|c| cell(&model, p, c)).collect())
+        .collect();
+    let table: Vec<Vec<u64>> = cells
+        .iter()
+        .map(|row| row.iter().map(|c| fold(c)).collect())
+        .collect();
+    assert!(
+        table
+            .iter()
+            .map(Vec::as_slice)
+            .eq(GOLDEN.iter().map(|r| &r[..])),
+        "cost bits moved; new table {table:#018x?}\ncell values {cells:#018x?}"
+    );
+}

@@ -124,18 +124,6 @@ impl CompiledOp {
     pub fn rebind_constants(&mut self, values: &[Value]) {
         self.filter.rebind_constants(values);
     }
-
-    /// Rough size of the generated "code" (opcode count), used by the
-    /// simulated compile-latency model.
-    pub fn code_size(&self) -> usize {
-        let expr_size = |e: &CompiledExpr| match e {
-            CompiledExpr::Col(_) => 1,
-            CompiledExpr::SumCols(c) | CompiledExpr::SumColsF(c) => c.len(),
-            CompiledExpr::Program { ops, .. } => ops.len(),
-        };
-        let select_size: usize = self.select.exprs().map(expr_size).sum();
-        select_size + self.filter.preds().len()
-    }
 }
 
 /// Resolves `attr` to the first plan slot whose group stores it.
@@ -653,18 +641,5 @@ mod tests {
         assert_eq!(execute(rel.catalog(), &op).unwrap().row(0), &[0]);
         op.rebind_constants(&[1000]);
         assert_eq!(execute(rel.catalog(), &op).unwrap().row(0), &[50]);
-    }
-
-    #[test]
-    fn code_size_counts_ops() {
-        let rel = relation(vec![(0u32..6).map(AttrId::from).collect()]);
-        let q = Query::project(
-            [Expr::sum_of([AttrId(0), AttrId(1), AttrId(2)])],
-            Conjunction::of([Predicate::lt(3u32, 0)]),
-        )
-        .unwrap();
-        let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::FusedVolcano);
-        let op = compile(rel.catalog(), &plan, &q).unwrap();
-        assert_eq!(op.code_size(), 4); // 3 summed cols + 1 predicate
     }
 }

@@ -247,24 +247,6 @@ impl CompiledJoinOp {
         self.build.filter.rebind_constants(b);
         self.probe.filter.rebind_constants(p);
     }
-
-    /// Rough size of the generated "code" (opcode count) for the simulated
-    /// compile-latency model, mirroring
-    /// [`CompiledOp::code_size`](crate::CompiledOp::code_size) plus the
-    /// join's key-hash ops.
-    pub fn code_size(&self) -> usize {
-        let expr_size = |e: &CompiledExpr| match e {
-            CompiledExpr::Col(_) => 1,
-            CompiledExpr::SumCols(c) | CompiledExpr::SumColsF(c) => c.len(),
-            CompiledExpr::Program { ops, .. } => ops.len(),
-        };
-        let select_size: usize = self.select.exprs().map(expr_size).sum();
-        select_size
-            + self.build.filter.preds().len()
-            + self.probe.filter.preds().len()
-            + self.build.keys.len()
-            + self.probe.keys.len()
-    }
 }
 
 /// Per-join execution counters: the post-filter cardinalities the engine
@@ -1294,7 +1276,6 @@ mod tests {
         op.rebind_constants(&[3], &[1004]);
         let again = execute_join(photo.catalog(), spec.catalog(), &op).unwrap();
         assert_eq!(again.data(), before.data());
-        assert!(op.code_size() > 0);
     }
 
     #[test]

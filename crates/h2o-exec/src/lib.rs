@@ -17,11 +17,10 @@
 //! loops specialized by shape ([`kernels`]), selected at run time by
 //! compiling a [`Query`](h2o_expr::Query) + [`AccessPlan`]
 //! into a [`CompiledOp`] of flat, offset-resolved
-//! programs. (3) is the [`OperatorCache`], which
-//! also charges a configurable simulated code-generation latency on miss so
-//! the cost structure of the paper's external-compiler design is preserved
-//! (§4: "the compilation overhead in our experiments varies from 10 to
-//! 150 ms ... included in the query execution time").
+//! programs. (3) is the [`OperatorCache`]; a miss
+//! pays the real cost of instantiating a kernel (microseconds, against the
+//! paper's 10–150 ms external compiler, §4) and the cache reports the
+//! measured total.
 //!
 //! The three execution strategies (paper §3.3):
 //!

@@ -1,4 +1,4 @@
-//! The operator cache and the simulated code-generation cost model.
+//! The operator cache.
 //!
 //! "To minimize the overhead of code generation, H2O stores newly generated
 //! operators into a cache. If the same operator is requested by a future
@@ -9,18 +9,15 @@
 //! queries differing only in constants share one operator. On a hit the
 //! cached operator is cloned and re-parameterized.
 //!
-//! # Simulated compile latency
+//! # Compile time
 //!
 //! The paper generates C++ and invokes an external compiler: "the
 //! compilation overhead in our experiments varies from 10 to 150 ms and
 //! depends on the query complexity ... in all experiments, the compilation
 //! overhead is included in the query execution time" (§4). Our kernels are
-//! ahead-of-time monomorphized, so instantiating one costs microseconds; to
-//! preserve the paper's cost structure (first use of a new operator pays,
-//! later uses amortize) the [`CompileCostModel`] charges a configurable
-//! synthetic latency on every cache miss, scaled to the generated code
-//! size. It defaults to zero (pure library use); the engine and the
-//! benchmark harness enable it explicitly.
+//! ahead-of-time monomorphized, so instantiating one costs microseconds.
+//! That real cost is all a miss pays; [`CacheStats::compile_time`] is its
+//! measured wall time.
 
 use crate::compile::{CompiledOp, ExecError};
 use crate::join::CompiledJoinOp;
@@ -34,56 +31,14 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Synthetic cost of "generating and compiling" one operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompileCostModel {
-    /// Fixed cost per generated operator.
-    pub base: Duration,
-    /// Additional cost per opcode of the generated operator.
-    pub per_op: Duration,
-}
+/// Carries nothing and selects nothing; kept because `benchmark/` (frozen)
+/// builds its caches and engine configs with `CompileCostModel::ZERO`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CompileCostModel;
 
 impl CompileCostModel {
-    /// No simulated latency (default).
-    pub const ZERO: CompileCostModel = CompileCostModel {
-        base: Duration::ZERO,
-        per_op: Duration::ZERO,
-    };
-
-    /// A latency model scaled for this reproduction's data sizes: paper
-    /// compile times were 10–150 ms against 1–10 s queries (roughly 2–5%
-    /// of a query); with our ~5–50 ms queries the equivalent proportional
-    /// charge is ~0.1–0.5 ms depending on operator complexity.
-    pub fn scaled_default() -> CompileCostModel {
-        CompileCostModel {
-            base: Duration::from_micros(100),
-            per_op: Duration::from_micros(10),
-        }
-    }
-
-    /// The charge for an operator of `code_size` opcodes.
-    pub fn cost(&self, code_size: usize) -> Duration {
-        self.base + self.per_op * code_size as u32
-    }
-
-    /// Burns wall-clock time for `d` (spin wait: the charge must appear in
-    /// measured query latency, and `thread::sleep` has millisecond-level
-    /// jitter that would swamp it).
-    pub fn charge(&self, d: Duration) {
-        if d.is_zero() {
-            return;
-        }
-        let start = Instant::now();
-        while start.elapsed() < d {
-            std::hint::spin_loop();
-        }
-    }
-}
-
-impl Default for CompileCostModel {
-    fn default() -> Self {
-        CompileCostModel::ZERO
-    }
+    /// The only value.
+    pub const ZERO: CompileCostModel = CompileCostModel;
 }
 
 /// Cache key: query *shape* (constants excluded from the filter), plan
@@ -160,7 +115,7 @@ impl OperatorKey {
 pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,
-    /// Total simulated compile latency charged.
+    /// Total measured wall time of operator compilation (misses only).
     pub compile_time: Duration,
 }
 
@@ -170,8 +125,7 @@ pub struct CacheStats {
 /// iteration stays trivial.
 const SHARDS: usize = 8;
 
-/// A bounded, thread-safe operator cache with simulated compile latency on
-/// miss.
+/// A bounded, thread-safe operator cache.
 ///
 /// The cache is `Send + Sync` by construction: the entry map is split into
 /// `SHARDS` (8) independently locked shards keyed by the operator key's hash,
@@ -186,9 +140,8 @@ pub struct OperatorCache {
     join_shards: [Mutex<HashMap<OperatorKey, CompiledJoinOp>>; SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Total simulated compile latency charged, in nanoseconds.
+    /// Total measured compile time, in nanoseconds.
     compile_nanos: AtomicU64,
-    cost_model: CompileCostModel,
     /// Total capacity across all shards. Enforced before each insert by
     /// summing shard sizes; under concurrent misses the bound is
     /// approximate (a racing insert may briefly overshoot by one).
@@ -202,33 +155,27 @@ const _: fn() = || {
 };
 
 impl OperatorCache {
-    /// Creates a cache holding up to `capacity` operators with the given
-    /// latency model.
-    pub fn new(capacity: usize, cost_model: CompileCostModel) -> Self {
+    /// Creates a cache holding up to `capacity` operators. The second
+    /// parameter is inert; `benchmark/` (frozen) passes it.
+    pub fn new(capacity: usize, _: CompileCostModel) -> Self {
         OperatorCache {
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             join_shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             compile_nanos: AtomicU64::new(0),
-            cost_model,
             capacity: capacity.max(1),
         }
-    }
-
-    /// The configured cost model.
-    pub fn cost_model(&self) -> CompileCostModel {
-        self.cost_model
     }
 
     fn shard(&self, key: OperatorKey) -> &Mutex<HashMap<OperatorKey, CompiledOp>> {
         &self.shards[key.0 as usize % SHARDS]
     }
 
-    /// Returns the operator for `(query, plan)`, generating (and charging
-    /// compile latency) on miss. The returned operator already carries this
-    /// query's predicate constants. The query is type-checked against the
-    /// catalog's schema on every lookup (hit or miss) — the check is what
+    /// Returns the operator for `(query, plan)`, generating it on miss. The
+    /// returned operator already carries this query's predicate constants.
+    /// The query is type-checked against the catalog's schema on every
+    /// lookup (hit or miss) — the check is what
     /// resolves typed constants (`f64`s, dictionary labels) into the lane
     /// words a cached operator is re-parameterized with, and an ill-typed
     /// query must be rejected even when its shape is cached.
@@ -261,20 +208,16 @@ impl OperatorCache {
             op.rebind_constants(&constants);
             return Ok(op);
         }
+        let started = Instant::now();
         let op = crate::compile::compile_checked(catalog, plan, query, checked)?;
-        let charge = self.cost_model.cost(op.code_size());
-        self.cost_model.charge(charge);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.compile_nanos
-            .fetch_add(charge.as_nanos() as u64, Ordering::Relaxed);
-        self.evict_to_capacity(key);
+        self.record_miss(key, started);
         self.shard(key).lock().insert(key, op.clone());
         Ok(op)
     }
 
     /// Returns the join operator for `(query, side plans, build role)`,
-    /// generating (and charging compile latency) on miss — the join
-    /// counterpart of [`Self::get_or_compile_checked`]. The caller's
+    /// generating it on miss — the join counterpart of
+    /// [`Self::get_or_compile_checked`]. The caller's
     /// plan-time typing provides the constants a cached operator is
     /// re-parameterized with.
     #[allow(clippy::too_many_arguments)]
@@ -297,6 +240,7 @@ impl OperatorCache {
             op.rebind_constants(&left_lanes, &right_lanes);
             return Ok(op);
         }
+        let started = Instant::now();
         let op = crate::join::compile_join(
             left,
             right,
@@ -306,14 +250,18 @@ impl OperatorCache {
             checked,
             build_is_left,
         )?;
-        let charge = self.cost_model.cost(op.code_size());
-        self.cost_model.charge(charge);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.compile_nanos
-            .fetch_add(charge.as_nanos() as u64, Ordering::Relaxed);
-        self.evict_to_capacity(key);
+        self.record_miss(key, started);
         self.join_shard(key).lock().insert(key, op.clone());
         Ok(op)
+    }
+
+    /// Accounts for a compile that began at `started` and makes room for
+    /// its operator.
+    fn record_miss(&self, key: OperatorKey, started: Instant) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.compile_nanos
+            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.evict_to_capacity(key);
     }
 
     fn join_shard(&self, key: OperatorKey) -> &Mutex<HashMap<OperatorKey, CompiledJoinOp>> {
@@ -493,27 +441,20 @@ mod tests {
     }
 
     #[test]
-    fn compile_latency_charged_once() {
+    fn compile_time_is_measured_on_misses_only() {
         let rel = rel();
-        let model = CompileCostModel {
-            base: Duration::from_millis(2),
-            per_op: Duration::ZERO,
-        };
-        let cache = OperatorCache::new(16, model);
+        let cache = OperatorCache::new(16, CompileCostModel::ZERO);
         let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::SelVector);
-        let t0 = Instant::now();
+        assert_eq!(cache.stats().compile_time, Duration::ZERO);
         cache
             .get_or_compile(rel.catalog(), &plan, &count_below(5))
             .unwrap();
-        let first = t0.elapsed();
-        let t1 = Instant::now();
+        let after_miss = cache.stats().compile_time;
+        assert!(after_miss > Duration::ZERO);
         cache
             .get_or_compile(rel.catalog(), &plan, &count_below(7))
             .unwrap();
-        let second = t1.elapsed();
-        assert!(first >= Duration::from_millis(2));
-        assert!(second < Duration::from_millis(2));
-        assert_eq!(cache.stats().compile_time, Duration::from_millis(2));
+        assert_eq!(cache.stats().compile_time, after_miss);
     }
 
     #[test]

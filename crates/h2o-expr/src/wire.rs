@@ -81,6 +81,12 @@ impl From<QueryError> for WireError {
     }
 }
 
+/// Deepest container (or expression) nesting a wire document may carry.
+/// The parser and the expression decoder recurse once per level, and a
+/// stack overflow aborts the process rather than unwinding, so hostile
+/// input must be refused before it can exhaust a session thread's stack.
+const MAX_NESTING: usize = 128;
+
 fn shape(msg: impl Into<String>) -> WireError {
     WireError::Shape(msg.into())
 }
@@ -177,6 +183,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -263,6 +270,8 @@ fn write_escaped(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -311,12 +320,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, WireError>,
+    ) -> Result<Json, WireError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, WireError> {
@@ -577,7 +599,10 @@ fn expr_to_json(e: &Expr, space: &dyn ColSpace) -> Json {
     }
 }
 
-fn expr_from_json(j: &Json, space: &dyn ColSpace) -> Result<Expr, WireError> {
+fn expr_from_json(j: &Json, space: &dyn ColSpace, depth: usize) -> Result<Expr, WireError> {
+    if depth == MAX_NESTING {
+        return Err(shape("expression nesting too deep"));
+    }
     let Json::Obj(fields) = j else {
         return Err(shape(format!(
             "expression must be an object, got {}",
@@ -599,8 +624,8 @@ fn expr_from_json(j: &Json, space: &dyn ColSpace) -> Result<Expr, WireError> {
             "*" => ArithOp::Mul,
             other => return Err(shape(format!("unknown arithmetic operator \"{other}\""))),
         };
-        let lhs = expr_from_json(j.get("lhs"), space)?;
-        let rhs = expr_from_json(j.get("rhs"), space)?;
+        let lhs = expr_from_json(j.get("lhs"), space, depth + 1)?;
+        let rhs = expr_from_json(j.get("rhs"), space, depth + 1)?;
         return Ok(Expr::Binary {
             op,
             lhs: Box::new(lhs),
@@ -695,14 +720,14 @@ fn agg_from_json(j: &Json, space: &dyn ColSpace) -> Result<Aggregate, WireError>
         "count" => return Ok(Aggregate::count()),
         other => return Err(shape(format!("unknown aggregate function \"{other}\""))),
     };
-    let expr = expr_from_json(j.get("expr"), space)?;
+    let expr = expr_from_json(j.get("expr"), space, 0)?;
     Ok(Aggregate::new(func, expr))
 }
 
 fn exprs_from_json(j: &Json, space: &dyn ColSpace, what: &str) -> Result<Vec<Expr>, WireError> {
     j.arr(what)?
         .iter()
-        .map(|e| expr_from_json(e, space))
+        .map(|e| expr_from_json(e, space, 0))
         .collect()
 }
 

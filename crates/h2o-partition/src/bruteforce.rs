@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn oracle_result_is_valid_and_not_worse_than_autopart() {
-        let model = CostModel::default();
+        let model = CostModel;
         let w = vec![
             pattern(&[0, 1], &[2], 0.3),
             pattern(&[0, 1], &[2], 0.3),
@@ -173,7 +173,7 @@ mod tests {
 
     #[test]
     fn oracle_groups_coaccessed_attrs() {
-        let model = CostModel::default();
+        let model = CostModel;
         // Strong signal: {0,1,2} always together with a filter on 3.
         let w: Vec<AccessPattern> = (0..8).map(|_| pattern(&[0, 1, 2], &[3], 0.2)).collect();
         let (opt, _) = brute_force(&model, &w, 5, 500_000);
@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn zero_and_one_attrs() {
-        let model = CostModel::default();
+        let model = CostModel;
         let (p0, c0) = brute_force(&model, &[], 0, 100);
         assert!(p0.is_empty());
         assert_eq!(c0, 0.0);
@@ -197,6 +197,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "oracle")]
     fn too_many_attrs_panics() {
-        brute_force(&CostModel::default(), &[], 13, 100);
+        brute_force(&CostModel, &[], 13, 100);
     }
 }

@@ -94,7 +94,7 @@ mod tests {
 
     #[test]
     fn partition_cost_infinite_when_uncovered() {
-        let model = CostModel::default();
+        let model = CostModel;
         let pat = AccessPattern {
             select: aset(&[5]),
             where_: AttrSet::new(),

@@ -24,10 +24,10 @@ use crate::protocol::{self, WireOptions, WireRequest};
 use h2o_core::{ExecOptions, H2oEngine, Outcome, ReorganizerHandle, Request};
 use h2o_expr::{
     interpret, interpret_join, result_to_json, Conjunction, Datum, JoinQuery, Json, Predicate,
-    Query,
+    Query, WireError,
 };
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,6 +38,11 @@ use std::time::Duration;
 /// flag. Short enough that shutdown drains promptly; partial request
 /// lines accumulated before a timeout are preserved across polls.
 const READ_POLL: Duration = Duration::from_millis(25);
+
+/// Longest request line (newline excluded) a session buffers. A client
+/// that sends more without a newline gets a typed error and is
+/// disconnected, so a session's memory is bounded whatever it is sent.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// How long the accept loop sleeps when no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
@@ -260,7 +265,7 @@ fn session_loop(stream: TcpStream, shared: Arc<Shared>) {
     let mut reader = BufReader::new(reader_stream);
     let mut writer = stream;
     let mut prepared: HashMap<String, Prepared> = HashMap::new();
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     loop {
         // Between requests, honor shutdown; a request being processed
         // below always completes and flushes first (the drain
@@ -268,19 +273,34 @@ fn session_loop(stream: TcpStream, shared: Arc<Shared>) {
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
-        match reader.read_line(&mut line) {
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut line) {
             Ok(0) => break,
             Ok(_) => {
-                if line.trim().is_empty() {
+                if line.iter().all(u8::is_ascii_whitespace) {
                     line.clear();
                     continue;
                 }
                 shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-                let response = handle_line(line.trim(), &shared, &mut prepared);
+                // The cap was reached before a newline: answer, then hang
+                // up rather than skip an unbounded remainder.
+                let too_long = line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n");
+                let response = if too_long {
+                    reject(
+                        &shared,
+                        WireError::Syntax {
+                            offset: MAX_LINE_BYTES,
+                            msg: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                        },
+                    )
+                } else {
+                    handle_line(&line, &shared, &mut prepared)
+                };
                 line.clear();
                 if writer.write_all(response.as_bytes()).is_err()
                     || writer.write_all(b"\n").is_err()
                     || writer.flush().is_err()
+                    || too_long
                 {
                     break;
                 }
@@ -294,15 +314,24 @@ fn session_loop(stream: TcpStream, shared: Arc<Shared>) {
     }
 }
 
+/// The response to a line that never became a request.
+fn reject(shared: &Shared, e: WireError) -> String {
+    shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+    protocol::err_line(&Json::Null, &ServerError::Wire(e))
+}
+
 /// Decodes, executes and renders one request line. Infallible: every
 /// failure becomes a typed `"err"` response.
-fn handle_line(line: &str, shared: &Shared, prepared: &mut HashMap<String, Prepared>) -> String {
-    let doc = match Json::parse(line) {
+fn handle_line(line: &[u8], shared: &Shared, prepared: &mut HashMap<String, Prepared>) -> String {
+    let parsed = std::str::from_utf8(line)
+        .map_err(|e| WireError::Syntax {
+            offset: e.valid_up_to(),
+            msg: "invalid utf-8".to_string(),
+        })
+        .and_then(|text| Json::parse(text.trim()));
+    let doc = match parsed {
         Ok(doc) => doc,
-        Err(e) => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            return protocol::err_line(&Json::Null, &ServerError::Wire(e));
-        }
+        Err(e) => return reject(shared, e),
     };
     let id = doc.get("id").clone();
     match handle_request(&doc, shared, prepared) {

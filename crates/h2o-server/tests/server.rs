@@ -1,8 +1,9 @@
 //! End-to-end serving tests over real TCP connections: concurrent
 //! clients with interpreter-checked fingerprints while the background
 //! reorganizer churns, prepared-statement rebinding, typed
-//! rendered-message regressions, deterministic admission shedding, and
-//! the graceful-shutdown drain guarantee.
+//! rendered-message regressions, deterministic admission shedding, the
+//! graceful-shutdown drain guarantee, and hostile input (deep nesting,
+//! unbounded lines, truncated documents, arbitrary bytes).
 
 use h2o_core::{EngineConfig, H2oEngine};
 use h2o_expr::Json;
@@ -37,7 +38,7 @@ fn engine(rows: usize) -> Arc<H2oEngine> {
     ];
     let e = H2oEngine::new(
         Relation::columnar(primary_schema(), cols).unwrap(),
-        EngineConfig::no_compile_latency(),
+        EngineConfig::default(),
     );
     let dim_rows = 64usize;
     let dim = vec![
@@ -62,6 +63,7 @@ struct Client {
 impl Client {
     fn connect(addr: SocketAddr) -> Client {
         let writer = TcpStream::connect(addr).unwrap();
+        writer.set_nodelay(true).unwrap();
         let reader = BufReader::new(writer.try_clone().unwrap());
         Client { reader, writer }
     }
@@ -364,4 +366,89 @@ fn graceful_shutdown_drains_the_inflight_request() {
     let stats = handle.stats();
     assert_eq!(stats.ok, 1);
     assert_eq!(stats.mismatches, 0);
+}
+
+/// Asserts `resp` is a typed `"malformed"` error whose message starts
+/// with `prefix`.
+fn assert_malformed(resp: &Json, prefix: &str) {
+    assert_eq!(
+        resp.get("err").get("kind").str("kind").unwrap(),
+        "malformed",
+        "got: {resp:?}"
+    );
+    let msg = resp.get("err").get("msg").str("msg").unwrap();
+    assert!(msg.starts_with(prefix), "got: {msg}");
+}
+
+/// Opens a fresh connection and checks the server still answers
+/// correctly — what every hostile-input case must leave true.
+fn assert_still_serving(handle: &ServerHandle) {
+    assert_checked_ok(&Client::connect(handle.addr()).roundtrip(POINT));
+}
+
+#[test]
+fn deeply_nested_documents_get_a_typed_error_not_a_stack_overflow() {
+    let handle = start(1_000, ServerConfig::default());
+    let mut c = Client::connect(handle.addr());
+    // One recursion per level would overflow the session thread's stack,
+    // which aborts the process — nothing a test could catch.
+    for (open, depth) in [("[", 1_000_000), ("{\"a\":", 200_000)] {
+        let resp = c.roundtrip(&open.repeat(depth));
+        assert_malformed(&resp, "malformed json at byte ");
+        assert!(resp.to_string().contains("nesting too deep"), "{resp:?}");
+    }
+    // The session itself survives, and so does the rest of the server.
+    assert_checked_ok(&c.roundtrip(POINT));
+    assert_still_serving(&handle);
+}
+
+#[test]
+fn a_line_with_no_newline_is_cut_off_at_the_cap() {
+    let handle = start(1_000, ServerConfig::default());
+    let mut c = Client::connect(handle.addr());
+    // 4 MiB and no newline: the server answers once it has seen the cap
+    // and hangs up, so the tail of the write may fail — that is the point.
+    let _ = c.writer.write_all(&vec![b'1'; 4 << 20]);
+    let resp = c.read().expect("the cap must be reported before the close");
+    assert_malformed(
+        &resp,
+        "malformed json at byte 1048576: request line exceeds",
+    );
+    assert!(
+        matches!(c.reader.read_line(&mut String::new()), Ok(0) | Err(_)),
+        "the connection must close"
+    );
+    assert_still_serving(&handle);
+    assert_eq!(handle.stats().errors, 1);
+}
+
+#[test]
+fn truncated_and_arbitrary_bytes_always_get_a_typed_error() {
+    let handle = start(1_000, ServerConfig::default());
+    let mut c = Client::connect(handle.addr());
+    // A valid request cut at every byte: no strict prefix of an object is
+    // a document.
+    for cut in 1..POINT.len() {
+        let resp = c.roundtrip(&POINT[..cut]);
+        assert_malformed(&resp, "malformed json at byte ");
+    }
+    // Seeded arbitrary bytes behind a plausible opening, one line each.
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    for _ in 0..200 {
+        let mut line = b"{\"id\":".to_vec();
+        for _ in 0..1 + state % 64 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let byte = (state >> 32) as u8;
+            line.push(if byte == b'\n' { 0 } else { byte });
+        }
+        line.push(b'\n');
+        c.writer.write_all(&line).unwrap();
+        let resp = c.read().expect("every line gets a response");
+        assert!(!resp.get("err").is_null(), "got: {resp:?}");
+    }
+    // The same session still executes a valid request.
+    assert_checked_ok(&c.roundtrip(POINT));
+    assert_still_serving(&handle);
 }

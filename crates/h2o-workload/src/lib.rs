@@ -18,7 +18,7 @@
 //! * [`skyserver`] — a synthetic stand-in for the SDSS SkyServer
 //!   "PhotoObjAll" workload of Fig. 8 (wide table, clustered skewed
 //!   access, drift), since the real data/query logs are not redistributable
-//!   (see DESIGN.md, substitution table) — plus the photo↔spec **join**
+//!   (see the README's crate map) — plus the photo↔spec **join**
 //!   workload ([`skyserver::skyserver_join_workload`], beyond the paper)
 //!   over foreign-key columns with controllable match rate and skew
 //!   ([`synth::gen_fk_column`]).

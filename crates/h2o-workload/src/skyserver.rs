@@ -4,7 +4,7 @@
 //! table which is the most commonly used and 250 of the SkyServer
 //! queries". The real SDSS data and query logs are not redistributable, so
 //! this module generates a stand-in that preserves the properties that
-//! drive the experiment (see DESIGN.md):
+//! drive the experiment (the README's crate map lists it as "SkyServer-like"):
 //!
 //! * a **wide table** whose attributes form semantic clusters
 //!   (astrometry, per-band photometry, per-band shape, flags) — real

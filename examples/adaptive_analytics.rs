@@ -11,7 +11,6 @@
 //! ```
 
 use h2o::core::{StaticEngine, StaticKind};
-use h2o::exec::CompileCostModel;
 use h2o::prelude::*;
 use std::time::Instant;
 
@@ -35,20 +34,9 @@ fn main() {
         Relation::columnar(schema.clone(), columns.clone()).unwrap(),
         EngineConfig::default(),
     );
-    let row_store = StaticEngine::new(
-        schema.clone(),
-        columns.clone(),
-        StaticKind::RowStore,
-        CompileCostModel::ZERO,
-    )
-    .unwrap();
-    let col_store = StaticEngine::new(
-        schema,
-        columns,
-        StaticKind::ColumnStore,
-        CompileCostModel::ZERO,
-    )
-    .unwrap();
+    let row_store =
+        StaticEngine::new(schema.clone(), columns.clone(), StaticKind::RowStore).unwrap();
+    let col_store = StaticEngine::new(schema, columns, StaticKind::ColumnStore).unwrap();
 
     let phases = [
         ("sensors (attrs 0..9)", 0u32),

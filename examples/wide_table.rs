@@ -11,7 +11,6 @@
 //! ```
 
 use h2o::core::{StaticEngine, StaticKind};
-use h2o::exec::CompileCostModel;
 use h2o::prelude::*;
 use h2o::workload::micro::{QueryGen, Template};
 use std::time::Instant;
@@ -22,20 +21,10 @@ fn main() {
     let schema = Schema::with_width(n_attrs).into_shared();
     let columns = h2o::workload::gen_columns(n_attrs, rows, 3);
 
-    let row_store = StaticEngine::new(
-        schema.clone(),
-        columns.clone(),
-        StaticKind::RowStore,
-        CompileCostModel::ZERO,
-    )
-    .unwrap();
-    let col_store = StaticEngine::new(
-        schema.clone(),
-        columns.clone(),
-        StaticKind::ColumnStore,
-        CompileCostModel::ZERO,
-    )
-    .unwrap();
+    let row_store =
+        StaticEngine::new(schema.clone(), columns.clone(), StaticKind::RowStore).unwrap();
+    let col_store =
+        StaticEngine::new(schema.clone(), columns.clone(), StaticKind::ColumnStore).unwrap();
     let h2o_engine = H2oEngine::new(
         Relation::columnar(schema, columns).unwrap(),
         EngineConfig::default(),

@@ -109,9 +109,7 @@
 //! engine's determinism convention pins `f64` sums to row order within a
 //! morsel (the fold-order contract on
 //! [`AggState`](h2o_expr::agg::AggState)). The `fig20_simd_scan` binary
-//! measures vectorized vs scalar rows/sec per strategy, and the CI
-//! guardrail pins a ≥ 2x speedup on selective selection-vector scans
-//! plus fingerprint identity.
+//! measures vectorized vs scalar rows/sec per strategy.
 //!
 //! ## Grouped aggregation (deviation from the paper)
 //!
@@ -208,8 +206,8 @@
 //! row count builds the hash table (ties build left); forcing the other
 //! side via
 //! [`ExecOptions::build_side`](h2o_core::ExecOptions::build_side)
-//! is how the `fig21_join` guardrail demonstrates the greedy order
-//! beats the worst order. Join sides bound to the primary relation also
+//! is how `fig21_join` measures the greedy order against the worst
+//! order. Join sides bound to the primary relation also
 //! feed the monitoring window as key + payload access patterns, so a
 //! join workload converges the physical layout to the join's column
 //! group (`examples/join_analytics.rs`). Joins honor the same
@@ -248,9 +246,7 @@
 //! Both toggles default on; [`JoinOptions`](h2o_exec::JoinOptions) on
 //! the [`ExecCtx`](h2o_exec::ExecCtx) handed to
 //! [`run_join`](h2o_exec::run_join) switches them off for differential
-//! runs, and `fig21_join`'s
-//! `bloom`/`fusion` entries gate the win in CI
-//! (`check_guardrail --min-bloom-speedup/--min-fusion-speedup`).
+//! runs, and `fig21_join`'s `bloom`/`fusion` entries measure the win.
 //!
 //! ## One entry point: `run` and `ExecOptions`
 //!
@@ -372,8 +368,8 @@
 //! All of it is exercised by `tests/faults.rs`, a seeded chaos suite
 //! over deterministic fault-injection sites
 //! (`h2o_storage::failpoints`, compiled only under
-//! `--features failpoints`), and the `fig22_fault_overhead` guardrail
-//! pins the hot-path cost of the machinery at ≤ 1.03x. See the README's
+//! `--features failpoints`), and `fig22_fault_overhead` measures the
+//! hot-path cost of the machinery (≤ 1.03x when recorded). See the README's
 //! "Failure model" section for the full contract.
 //!
 //! The crates behind this facade:

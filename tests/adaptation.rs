@@ -9,7 +9,7 @@ use h2o::workload::sequence::{oscillating_sequence, shifted_sequence};
 use h2o::workload::synth::gen_columns;
 
 fn engine_with(relation: Relation, window: usize) -> H2oEngine {
-    let mut cfg = EngineConfig::no_compile_latency();
+    let mut cfg = EngineConfig::default();
     cfg.window.initial = window;
     cfg.window.min = 4;
     H2oEngine::new(relation, cfg)
@@ -127,9 +127,7 @@ fn oscillating_workload_does_not_thrash() {
 
 #[test]
 fn non_adaptive_ablation_still_correct() {
-    let mut cfg = EngineConfig::non_adaptive();
-    cfg.compile_cost = h2o::exec::CompileCostModel::ZERO;
-    let engine = H2oEngine::new(columnar(20, 2_000, 5), cfg);
+    let engine = H2oEngine::new(columnar(20, 2_000, 5), EngineConfig::non_adaptive());
     let workload = shifted_sequence(20, 30, 10, 8, 3);
     let engine = drive(engine, &workload);
     assert_eq!(engine.stats().layouts_created, 0);

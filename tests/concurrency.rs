@@ -49,7 +49,7 @@ fn shared_engine(cfg: EngineConfig) -> Arc<H2oEngine> {
 }
 
 fn adaptive_config() -> EngineConfig {
-    let mut cfg = EngineConfig::no_compile_latency();
+    let mut cfg = EngineConfig::default();
     cfg.window.initial = 8;
     cfg.window.min = 4;
     cfg
@@ -209,7 +209,7 @@ fn background_reorganizer_stress_is_differentially_correct() {
 /// All six results must be bit-identical to the oracle on that snapshot.
 #[test]
 fn all_three_strategies_agree_on_concurrent_snapshots() {
-    let engine = shared_engine(EngineConfig::no_compile_latency());
+    let engine = shared_engine(EngineConfig::default());
     let parallel_policy = ExecPolicy {
         parallelism: Some(4),
         morsel_rows: 512,

@@ -6,7 +6,6 @@
 //! must agree before, during, and after layout reorganization.
 
 use h2o::core::{EngineConfig, H2oEngine, StaticEngine, StaticKind};
-use h2o::exec::CompileCostModel;
 use h2o::expr::interpret;
 use h2o::prelude::*;
 use h2o::workload::micro::{QueryGen, Template};
@@ -17,7 +16,7 @@ fn engines(n_attrs: usize, rows: usize, seed: u64) -> (H2oEngine, StaticEngine, 
     let schema = Schema::with_width(n_attrs).into_shared();
     let columns = gen_columns(n_attrs, rows, seed);
     let h2o = {
-        let mut cfg = EngineConfig::no_compile_latency();
+        let mut cfg = EngineConfig::default();
         cfg.window.initial = 8;
         cfg.window.min = 4;
         H2oEngine::new(
@@ -25,20 +24,8 @@ fn engines(n_attrs: usize, rows: usize, seed: u64) -> (H2oEngine, StaticEngine, 
             cfg,
         )
     };
-    let row = StaticEngine::new(
-        schema.clone(),
-        columns.clone(),
-        StaticKind::RowStore,
-        CompileCostModel::ZERO,
-    )
-    .unwrap();
-    let col = StaticEngine::new(
-        schema,
-        columns,
-        StaticKind::ColumnStore,
-        CompileCostModel::ZERO,
-    )
-    .unwrap();
+    let row = StaticEngine::new(schema.clone(), columns.clone(), StaticKind::RowStore).unwrap();
+    let col = StaticEngine::new(schema, columns, StaticKind::ColumnStore).unwrap();
     (h2o, row, col)
 }
 
@@ -97,6 +84,125 @@ fn agreement_survives_explicit_reorganizations() {
     assert_eq!(h2o.run(Request::query(&q)).unwrap().result, want);
     // Same data now lives in three formats simultaneously.
     assert!(h2o.catalog().group_count() >= 14);
+}
+
+/// Integer `sum`/`avg` wrap modulo 2^64 — in the interpreter, in every
+/// strategy's kernels, and in the fused join's multiplicity-weighted fold
+/// (`AggState::update_n` multiplies instead of adding `n` times) — so at
+/// the `i64::MAX` boundary they all still agree bit for bit.
+#[test]
+fn integer_aggregates_wrap_identically_at_the_i64_boundary() {
+    use h2o::exec::{
+        compile, compile_join, execute, run_join, AccessPlan, ExecCtx, ExecPolicy, Strategy,
+    };
+    use h2o::expr::{check_join, interpret_join, JoinQuery};
+    use h2o::storage::LogicalType;
+
+    const EDGE: [i64; 7] = [i64::MAX, i64::MAX - 1, 1, i64::MIN, -1, i64::MAX / 2 + 1, 7];
+    // Long enough for full SIMD blocks plus a ragged tail.
+    let rows = 301;
+    let columns: Vec<Vec<i64>> = vec![
+        (0..rows).map(|r| EDGE[r % EDGE.len()]).collect(),
+        (0..rows).map(|r| EDGE[(r * 3 + 1) % EDGE.len()]).collect(),
+        (0..rows).map(|r| (r % 4) as i64).collect(),
+    ];
+
+    let (a, b) = (Expr::col(0u32), Expr::col(1u32));
+    let aggs = [
+        Aggregate::sum(a.clone()),
+        Aggregate::avg(a.clone()),
+        Aggregate::sum(a.clone().add(b.clone())),
+        Aggregate::avg(a.clone().mul(b)),
+        Aggregate::count(),
+    ];
+    let some = Conjunction::of([Predicate::lt(2u32, 3)]);
+    let queries = [
+        Query::aggregate(aggs.clone(), Conjunction::always()).unwrap(),
+        Query::aggregate(aggs.clone(), some.clone()).unwrap(),
+        Query::grouped([Expr::col(2u32)], aggs.clone(), some).unwrap(),
+    ];
+    // The sums really do leave the i64 range: a checked fold fails where
+    // the wrapping one carries on.
+    assert!(columns[0]
+        .iter()
+        .try_fold(0i64, |s, &v| s.checked_add(v))
+        .is_none());
+    let schema = Schema::with_width(3).into_shared();
+    for rel in [
+        Relation::columnar(schema.clone(), columns.clone()).unwrap(),
+        Relation::row_major(schema, columns.clone()).unwrap(),
+    ] {
+        for q in &queries {
+            let want = interpret(rel.catalog(), q).unwrap();
+            for strategy in Strategy::ALL {
+                let plan = AccessPlan::new(rel.catalog().layout_ids(), strategy);
+                let op = compile(rel.catalog(), &plan, q).unwrap();
+                let got = execute(rel.catalog(), &op).unwrap();
+                assert_eq!(got.data(), want.data(), "{} on {q}", strategy.name());
+            }
+        }
+    }
+
+    // Join: every dimension key appears three times, so when the dimension
+    // builds, each fact row folds with multiplicity 3 through `update_n`.
+    let typed = |names: [&'static str; 2]| {
+        Schema::typed(names.map(|n| (n, LogicalType::I64))).into_shared()
+    };
+    let dim = Relation::columnar(
+        typed(["key", "pad"]),
+        vec![(0..12).map(|i| i % 4).collect(), vec![0; 12]],
+    )
+    .unwrap();
+    let fact = Relation::columnar(
+        typed(["fk", "val"]),
+        vec![columns[2].clone(), columns[0].clone()],
+    )
+    .unwrap();
+    let b = JoinQuery::builder(
+        ("dim", dim.catalog().schema().clone()),
+        ("fact", fact.catalog().schema().clone()),
+    );
+    let val = b.col("val").unwrap();
+    let q = b
+        .on("key", "fk")
+        .unwrap()
+        .aggregate([
+            Aggregate::sum(val.clone()),
+            Aggregate::avg(val),
+            Aggregate::count(),
+        ])
+        .unwrap();
+    let checked = check_join(&q).unwrap();
+    let want = interpret_join(dim.catalog(), fact.catalog(), &q).unwrap();
+    for strategy in Strategy::ALL {
+        let lplan = AccessPlan::new(dim.catalog().layout_ids(), strategy);
+        let rplan = AccessPlan::new(fact.catalog().layout_ids(), strategy);
+        for build_is_left in [true, false] {
+            let op = compile_join(
+                dim.catalog(),
+                fact.catalog(),
+                &lplan,
+                &rplan,
+                &q,
+                &checked,
+                build_is_left,
+            )
+            .unwrap();
+            assert_eq!(
+                op.fused(),
+                build_is_left,
+                "the dimension side has no payload"
+            );
+            let ctx = ExecCtx::new(ExecPolicy::serial());
+            let (got, _) = run_join(dim.catalog(), fact.catalog(), &op, &ctx).unwrap();
+            assert_eq!(
+                got.data(),
+                want.data(),
+                "{} build_is_left={build_is_left}",
+                strategy.name()
+            );
+        }
+    }
 }
 
 proptest! {

@@ -257,7 +257,7 @@ fn chaos_lazy_engine_differential() {
     fp::disarm_all();
     let seed = fault_seed();
     let mut rng = SmallRng::seed_from_u64(seed);
-    let e = chaos_engine(4000, EngineConfig::no_compile_latency());
+    let e = chaos_engine(4000, EngineConfig::default());
     fp::arm_all_probability(seed, 0.004);
 
     let mut completed = 0u64;

@@ -171,7 +171,7 @@ fn grouped_matches_interpreter_for_every_strategy_layout_and_policy() {
 
 #[test]
 fn grouped_engine_stays_correct_through_adaptation() {
-    let mut cfg = EngineConfig::no_compile_latency();
+    let mut cfg = EngineConfig::default();
     cfg.window.initial = 8;
     cfg.window.min = 4;
     cfg.parallelism = Some(4);

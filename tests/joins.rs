@@ -320,10 +320,7 @@ fn serial_join_f64_sums_are_bit_identical_to_the_interpreter() {
     // the interpreter's, bit for bit.
     let e = H2oEngine::new(
         Relation::columnar(photo_schema(), photo_cols).unwrap(),
-        EngineConfig {
-            compile_cost: h2o::exec::CompileCostModel::ZERO,
-            ..EngineConfig::single_threaded()
-        },
+        EngineConfig::single_threaded(),
     );
     e.add_relation(
         "spec",
@@ -351,7 +348,7 @@ fn engine_agrees(
     ctx: &str,
 ) {
     let (photo_cols, spec_cols) = photo_spec_columns(photo_rows, spec_rows, match_rate, skew, seed);
-    let mut cfg = EngineConfig::no_compile_latency();
+    let mut cfg = EngineConfig::default();
     cfg.window.initial = 8;
     cfg.window.min = 4;
     let e = H2oEngine::new(Relation::columnar(photo_schema(), photo_cols).unwrap(), cfg);
@@ -444,7 +441,7 @@ fn stress_seed_replay_sweep() {
 #[test]
 fn join_workload_converges_to_key_payload_group() {
     let w = skyserver_join_workload(2_000, 1_500, 80, 0.85, 0.3, 21);
-    let mut cfg = EngineConfig::no_compile_latency();
+    let mut cfg = EngineConfig::default();
     cfg.window.initial = 8;
     cfg.window.min = 4;
     let e = H2oEngine::new(
@@ -499,7 +496,7 @@ fn join_deadline_expiring_mid_run_types_timeout_and_publishes_nothing() {
     let (photo_cols, spec_cols) = photo_spec_columns(30_000, 30_000, 0.9, 0.5, 77);
     let e = H2oEngine::new(
         Relation::columnar(photo_schema(), photo_cols).unwrap(),
-        EngineConfig::no_compile_latency(),
+        EngineConfig::default(),
     );
     e.add_relation(
         "spec",

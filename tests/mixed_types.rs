@@ -309,7 +309,7 @@ fn zone_maps_skip_sealed_segments_and_preserve_results() {
     let v: Vec<Value> = (0..rows).map(|r| (r % 1000) as Value).collect();
     let rel =
         Relation::partitioned(schema, vec![t, v], vec![vec![AttrId(0)], vec![AttrId(1)]]).unwrap();
-    let engine = H2oEngine::new(rel.clone(), EngineConfig::no_compile_latency());
+    let engine = H2oEngine::new(rel.clone(), EngineConfig::default());
     // A range predicate covering only the first segment's values.
     let cutoff = (1usize << DEFAULT_SEG_SHIFT) as f64 * F64_GRID / 2.0;
     let q = Query::aggregate(
@@ -338,7 +338,7 @@ fn type_mismatch_rendered_messages_at_the_engine() {
     let columns = mixed_columns(&schema, 64, 3);
     let engine = H2oEngine::new(
         Relation::columnar(schema, columns).unwrap(),
-        EngineConfig::no_compile_latency(),
+        EngineConfig::default(),
     );
     let expect_msg = |q: &Query, needle: &str, full: &str| {
         let err = engine.run(Request::query(q)).unwrap_err();
@@ -405,7 +405,7 @@ fn type_mismatch_rendered_messages_at_the_engine() {
 fn adaptive_engine_matches_interpreter_on_mixed_skyserver_workload() {
     let (spec, columns, queries) = h2o::workload::skyserver_grouped_workload(2_000, 60, 21);
     let rel = Relation::columnar(spec.schema.clone(), columns).unwrap();
-    let mut cfg = EngineConfig::no_compile_latency();
+    let mut cfg = EngineConfig::default();
     cfg.window.initial = 8;
     cfg.window.min = 4;
     let engine = H2oEngine::new(rel, cfg);

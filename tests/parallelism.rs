@@ -226,7 +226,7 @@ fn parallel_engine_agrees_with_interpreter_through_adaptation() {
     // reorganization.
     let schema = Schema::with_width(12).into_shared();
     let columns = gen_columns(12, 3_000, 5);
-    let mut cfg = EngineConfig::no_compile_latency();
+    let mut cfg = EngineConfig::default();
     cfg.window.initial = 8;
     cfg.window.min = 4;
     cfg.parallelism = Some(4);

@@ -20,7 +20,7 @@ fn pattern(select: &[usize], where_: &[usize], sel: f64) -> AccessPattern {
 
 #[test]
 fn autopart_close_to_optimal_on_structured_workloads() {
-    let model = CostModel::default();
+    let model = CostModel;
     let rows = 200_000;
     // Three structured workloads with known-good fragmentations.
     let workloads: Vec<Vec<AccessPattern>> = vec![
@@ -78,7 +78,7 @@ proptest! {
                 pattern(&select, &where_, rng.gen_range(0.01..1.0))
             })
             .collect();
-        let model = CostModel::default();
+        let model = CostModel;
         let rows = 100_000;
         let ap = AutoPart::default();
         let parts = ap.partition(&workload, n_attrs, rows);

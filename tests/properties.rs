@@ -165,7 +165,7 @@ proptest! {
         sel in 0.0f64..1.0,
         rows in 1usize..1_000_000,
     ) {
-        let model = CostModel::default();
+        let model = CostModel;
         let attrs: AttrSet = (0..k).collect();
         let pat = AccessPattern {
             select: attrs.clone(),
@@ -216,7 +216,7 @@ mod selectivity_feedback {
     use h2o::core::{EngineConfig, H2oEngine};
 
     fn quiet_config() -> EngineConfig {
-        let mut cfg = EngineConfig::no_compile_latency();
+        let mut cfg = EngineConfig::default();
         // No adaptation interference: the window never completes.
         cfg.window.initial = 10_000;
         cfg.window.max = 10_000;
@@ -330,6 +330,119 @@ mod selectivity_feedback {
                     }
                 }
             }
+        }
+    }
+}
+
+/// The wire decoders face input from outside the process: whatever they
+/// are given, they return — a value or a typed [`WireError`] — and never
+/// panic or exhaust the stack.
+mod hostile_wire {
+    use super::*;
+    use h2o::expr::{join_from_json, query_from_json, query_to_json, Json, WireError};
+    use std::sync::Arc;
+
+    fn schema() -> Arc<Schema> {
+        Schema::with_width(4).into_shared()
+    }
+
+    /// A valid query document to mutate.
+    fn valid_doc() -> String {
+        let q = Query::project(
+            [Expr::sum_of([AttrId(0), AttrId(1)])],
+            Conjunction::of([Predicate::lt(2u32, 7)]),
+        )
+        .unwrap();
+        query_to_json(&q, &schema()).to_string()
+    }
+
+    /// Runs every decoder over `input`; the only acceptable outcomes are
+    /// `Ok` and `Err(WireError)`.
+    fn decode(input: &str) -> Result<(), WireError> {
+        let doc = Json::parse(input)?;
+        let schema = schema();
+        let single = query_from_json(&doc, &schema).map(drop);
+        let join = join_from_json(&doc, &|_| Some(schema.clone())).map(drop);
+        single.and(join)
+    }
+
+    /// `depth` levels of `{"op":"+","lhs":…,"rhs":{"lit":1}}` around a
+    /// literal, built directly (the parser's own cap would refuse it).
+    fn nested_expr(depth: usize) -> Json {
+        let lit = || Json::Obj(vec![("lit".to_string(), Json::Int(1))]);
+        (0..depth).fold(lit(), |inner, _| {
+            Json::Obj(vec![
+                ("op".to_string(), Json::Str("+".to_string())),
+                ("lhs".to_string(), inner),
+                ("rhs".to_string(), lit()),
+            ])
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes (lossily decoded) and strings of JSON
+        /// punctuation, which reach deeper into the parser.
+        #[test]
+        fn arbitrary_input_never_panics(
+            bytes in proptest::collection::vec(any::<u8>(), 0..200),
+            tokens in proptest::collection::vec(0usize..12, 0..200),
+        ) {
+            const TOKENS: [&str; 12] = [
+                "{", "}", "[", "]", "\"", ":", ",", "\\", "select", "-1", "e9", " ",
+            ];
+            let _ = decode(&String::from_utf8_lossy(&bytes));
+            let _ = decode(&tokens.iter().map(|&t| TOKENS[t]).collect::<String>());
+        }
+
+        /// A valid document truncated anywhere, or with a byte replaced.
+        #[test]
+        fn mutated_documents_never_panic(cut in 0usize..400, byte in any::<u8>()) {
+            let doc = valid_doc();
+            prop_assert!(decode(&doc).is_err(), "a single-relation query is no join");
+            let cut = cut % doc.len();
+            prop_assert!(decode(&doc[..cut]).is_err(), "a strict prefix is no document");
+            let mut mutated = doc.into_bytes();
+            mutated[cut] = byte;
+            let _ = decode(&String::from_utf8_lossy(&mutated));
+        }
+
+        /// Nesting is refused at a fixed depth, in the parser and in the
+        /// expression decoder, long before recursion can hurt.
+        #[test]
+        fn nesting_is_capped(depth in 0usize..2_000) {
+            for open in ["[", "{\"a\":"] {
+                match Json::parse(&open.repeat(depth)) {
+                    Err(WireError::Syntax { msg, .. }) => {
+                        prop_assert_eq!(msg == "nesting too deep", depth > 128)
+                    }
+                    other => prop_assert!(false, "unterminated input parsed: {other:?}"),
+                }
+            }
+            let doc = Json::Obj(vec![(
+                "select".to_string(),
+                Json::Arr(vec![nested_expr(depth)]),
+            )]);
+            match query_from_json(&doc, &schema()) {
+                Ok(_) => prop_assert!(depth < 128),
+                Err(e) => {
+                    prop_assert!(depth >= 128);
+                    prop_assert_eq!(
+                        e.to_string(),
+                        "malformed request: expression nesting too deep"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Far past any stack: a million levels, once.
+    #[test]
+    fn a_million_levels_is_a_typed_error() {
+        for open in ["[", "{\"a\":"] {
+            let err = Json::parse(&open.repeat(1_000_000)).unwrap_err();
+            assert!(err.to_string().ends_with("nesting too deep"), "got {err}");
         }
     }
 }

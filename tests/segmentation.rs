@@ -28,7 +28,7 @@ fn columnar_engine(attrs: usize, rows: usize) -> H2oEngine {
                 .collect()
         })
         .collect();
-    let mut cfg = EngineConfig::no_compile_latency();
+    let mut cfg = EngineConfig::default();
     // No adaptation interference: the window never completes.
     cfg.window.initial = 10_000;
     cfg.window.max = 10_000;

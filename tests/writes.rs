@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 fn engine(n_attrs: usize, rows: usize, seed: u64) -> H2oEngine {
     let schema = Schema::with_width(n_attrs).into_shared();
     let relation = Relation::columnar(schema, gen_columns(n_attrs, rows, seed)).unwrap();
-    let mut cfg = EngineConfig::no_compile_latency();
+    let mut cfg = EngineConfig::default();
     cfg.window.initial = 6;
     cfg.window.min = 4;
     H2oEngine::new(relation, cfg)
