@@ -12,6 +12,7 @@
 //! H2O increases the adaptation window." (§3.2)
 
 use h2o_cost::AccessPattern;
+use h2o_storage::AttrSet;
 use std::collections::VecDeque;
 
 /// Tuning knobs for the dynamic window.
@@ -66,11 +67,44 @@ impl WindowConfig {
     }
 }
 
+/// The attribute footprint of one pattern (`select ∪ where`) with its
+/// size, kept beside every retained pattern so shift detection compares
+/// bitsets without building a set per comparison.
+#[derive(Debug, Clone)]
+struct Footprint {
+    attrs: AttrSet,
+    len: usize,
+}
+
+impl Footprint {
+    fn of(pat: &AccessPattern) -> Self {
+        let attrs = pat.all_attrs();
+        Footprint {
+            len: attrs.len(),
+            attrs,
+        }
+    }
+
+    /// Jaccard similarity of two footprints — "it examines whether the
+    /// input query access pattern is new or if it has been observed"
+    /// (§3.2). Two empty footprints are identical (1.0).
+    fn similarity(&self, other: &Footprint) -> f64 {
+        let inter = self.attrs.intersection_len(&other.attrs);
+        let union = self.len + other.len - inter;
+        if union == 0 {
+            1.0
+        } else {
+            inter as f64 / union as f64
+        }
+    }
+}
+
 /// The sliding window of recent query access patterns.
 #[derive(Debug, Clone)]
 pub struct MonitoringWindow {
     config: WindowConfig,
-    patterns: VecDeque<AccessPattern>,
+    /// Retained patterns, oldest first, each with its footprint.
+    patterns: VecDeque<(AccessPattern, Footprint)>,
     /// Current adaptive window size (queries between adaptation rounds).
     size: usize,
     /// Queries observed since the last adaptation round.
@@ -112,7 +146,7 @@ impl MonitoringWindow {
 
     /// The recorded patterns, oldest first.
     pub fn patterns(&self) -> impl Iterator<Item = &AccessPattern> {
-        self.patterns.iter()
+        self.patterns.iter().map(|(p, _)| p)
     }
 
     /// The patterns of the *current adaptation window* (the most recent
@@ -121,7 +155,7 @@ impl MonitoringWindow {
     /// detection, which must survive window shrinks.
     pub fn snapshot(&self) -> Vec<AccessPattern> {
         let start = self.patterns.len().saturating_sub(self.size);
-        self.patterns.iter().skip(start).cloned().collect()
+        self.patterns().skip(start).cloned().collect()
     }
 
     /// Queries observed since the last adaptation round.
@@ -145,20 +179,28 @@ impl MonitoringWindow {
     /// classes look novel (that feedback loop would pin the window at its
     /// minimum).
     pub fn is_novel(&self, pat: &AccessPattern) -> bool {
+        self.is_novel_footprint(&Footprint::of(pat))
+    }
+
+    fn is_novel_footprint(&self, fp: &Footprint) -> bool {
         if self.patterns.is_empty() {
             return false;
         }
-        let similar = self
-            .patterns
-            .iter()
-            .filter(|p| p.similarity(pat) >= self.config.novelty_threshold)
-            .count();
         // The bound must be at least `shift_votes`: the first few queries
         // of a genuinely new phase land in history and must not make each
         // other look familiar before the votes accumulate. A recurring
         // class (≥ shift_votes occurrences across the retained history)
         // is never novel.
-        similar < self.config.shift_votes.min(self.patterns.len())
+        self.similar(fp) < self.config.shift_votes.min(self.patterns.len())
+    }
+
+    /// How many retained patterns are at least `novelty_threshold`
+    /// similar to `fp`.
+    fn similar(&self, fp: &Footprint) -> usize {
+        self.patterns
+            .iter()
+            .filter(|(_, p)| p.similarity(fp) >= self.config.novelty_threshold)
+            .count()
     }
 
     /// Records one query's access pattern. Returns `true` if this
@@ -166,7 +208,8 @@ impl MonitoringWindow {
     /// should run an adaptation round now.
     pub fn observe(&mut self, pat: AccessPattern) -> bool {
         // Shift detection before inserting (compare against history only).
-        if self.is_novel(&pat) {
+        let fp = Footprint::of(&pat);
+        if self.is_novel_footprint(&fp) {
             self.novel_streak += 1;
             if self.novel_streak >= self.config.shift_votes {
                 self.on_shift();
@@ -176,7 +219,7 @@ impl MonitoringWindow {
             self.novel_streak = 0;
         }
 
-        self.patterns.push_back(pat);
+        self.patterns.push_back((pat, fp));
         while self.patterns.len() > self.config.max {
             self.patterns.pop_front();
         }
@@ -357,5 +400,75 @@ mod tests {
         let w = MonitoringWindow::new(WindowConfig::default());
         assert!(!w.is_novel(&pat(&[7])));
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn footprint_similarity_is_jaccard() {
+        let sim =
+            |a: &[usize], b: &[usize]| Footprint::of(&pat(a)).similarity(&Footprint::of(&pat(b)));
+        // {0,1} vs {1,2}: intersection 1, union 3.
+        assert!((sim(&[0, 1], &[1, 2]) - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(sim(&[0, 1], &[0, 1]), 1.0);
+        assert_eq!(sim(&[0], &[70]), 0.0);
+        assert_eq!(sim(&[], &[]), 1.0, "two empty footprints are identical");
+        assert_eq!(sim(&[], &[3]), 0.0);
+        // The where clause is part of the footprint.
+        let mut filtered = pat(&[0]);
+        filtered.where_ = [1usize].into_iter().collect();
+        assert_eq!(
+            Footprint::of(&filtered).similarity(&Footprint::of(&pat(&[0, 1]))),
+            1.0
+        );
+    }
+
+    /// Jaccard similarity as shift detection computed it before
+    /// footprints were kept: both sets rebuilt from the patterns on every
+    /// comparison.
+    fn rebuilt_similarity(a: &AccessPattern, b: &AccessPattern) -> f64 {
+        let (a, b) = (a.all_attrs(), b.all_attrs());
+        let inter = a.intersection_len(&b);
+        let union = a.len() + b.len() - inter;
+        if union == 0 {
+            1.0
+        } else {
+            inter as f64 / union as f64
+        }
+    }
+
+    #[test]
+    fn kept_footprints_count_the_same_similar_patterns_as_rebuilt_sets() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let cfg = WindowConfig {
+            max: 64,
+            ..WindowConfig::default()
+        };
+        let mut w = MonitoringWindow::new(cfg);
+        let mut empty = 0;
+        for _ in 0..2_000 {
+            // Small attribute domain so similarities land on both sides of
+            // the threshold; one pattern in eight touches nothing at all.
+            let mut p = pat(&[]);
+            if next(8) != 0 {
+                p.select = (0..next(4)).map(|_| next(10)).collect();
+                p.where_ = (0..next(3)).map(|_| next(10)).collect();
+            }
+            empty += usize::from(p.all_attrs().is_empty());
+            let want = w
+                .patterns()
+                .filter(|q| rebuilt_similarity(q, &p) >= cfg.novelty_threshold)
+                .count();
+            assert_eq!(w.similar(&Footprint::of(&p)), want);
+            let bound = cfg.shift_votes.min(w.len());
+            assert_eq!(w.is_novel(&p), !w.is_empty() && want < bound);
+            w.observe(p);
+        }
+        assert!(empty > 100, "empty footprints must be exercised: {empty}");
+        assert!(w.shifts_detected() > 0, "the sequence must shift");
     }
 }

@@ -14,7 +14,11 @@
 //!   `cost(W, C_i) = Σ_j q_j(C_i) + T(C_{i-1}, C_i)` — the cost of a whole
 //!   monitoring window under a candidate layout configuration, including
 //!   the transformation cost `T` of materializing the new layouts. This is
-//!   the objective the adaptation mechanism minimizes.
+//!   the objective the adaptation mechanism minimizes. The model supplies
+//!   its terms — `q_j` of one pattern under its best cover
+//!   ([`CostModel::best_cover_cost`]) and `T` of one new group
+//!   ([`CostModel::transform_cost`]); the window sum, with amortization,
+//!   is the adviser's (`h2o-adapt`), and exists only there.
 //!
 //! The model is deliberately *relative*: its job is to rank alternatives
 //! (plans in the query processor, candidate configurations in the

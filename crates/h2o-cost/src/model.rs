@@ -1,5 +1,6 @@
-//! The cost model proper: Eq. 2 (plan cost), transformation cost, and
-//! Eq. 1 (configuration cost over a monitoring window).
+//! The cost model proper: Eq. 2 (plan cost), transformation cost, and the
+//! best cover of one pattern over a configuration — the per-query term of
+//! Eq. 1, which the adviser (`h2o-adapt`) sums over its monitoring window.
 
 use crate::pattern::AccessPattern;
 use h2o_exec::Strategy;
@@ -320,31 +321,6 @@ impl CostModel {
         self.plan_cost(pat, plan, rows) + selected * hash_ops * CPU_OP_SECONDS
     }
 
-    /// The best (minimum) join-side cost over all strategies for a fixed
-    /// group set — the join counterpart of [`Self::best_cost`].
-    pub fn best_join_side_cost(
-        &self,
-        pat: &AccessPattern,
-        groups: &[GroupSpec],
-        rows: usize,
-        role: JoinRole,
-    ) -> f64 {
-        Strategy::ALL
-            .iter()
-            .map(|&strategy| {
-                self.join_side_cost(
-                    pat,
-                    &PlanSpec {
-                        strategy,
-                        groups: groups.to_vec(),
-                    },
-                    rows,
-                    role,
-                )
-            })
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// The best (minimum) plan cost over all strategies for a fixed group
     /// set — what the adaptation mechanism assumes the query processor will
     /// achieve ("H2O evaluates the alternative execution strategies and
@@ -366,7 +342,7 @@ impl CostModel {
     }
 
     // ------------------------------------------------------------------
-    // Transformation cost and Eq. 1
+    // Transformation cost and covers (the terms of Eq. 1)
     // ------------------------------------------------------------------
 
     /// `T(C_{i-1}, C_i)` for materializing one new group: stream-read the
@@ -467,39 +443,6 @@ impl CostModel {
             }
         }
         best
-    }
-
-    /// **Eq. 1**: `cost(W, C_i) = Σ_j q_j(C_i) + T(C_{i-1}, C_i)`.
-    ///
-    /// Evaluates candidate configuration `config` against the monitoring
-    /// window `window`, charging the transformation cost of every group in
-    /// `config` that is not already materialized in `current`.
-    pub fn configuration_cost(
-        &self,
-        window: &[AccessPattern],
-        config: &[GroupSpec],
-        current: &[GroupSpec],
-        rows: usize,
-    ) -> f64 {
-        let mut total = 0.0;
-        for pat in window {
-            let needed = pat.all_attrs();
-            match Self::cover_abstract(config, &needed) {
-                Some(idx) => {
-                    let groups: Vec<GroupSpec> =
-                        idx.into_iter().map(|i| config[i].clone()).collect();
-                    total += self.best_cost(pat, &groups, rows);
-                }
-                None => return f64::INFINITY,
-            }
-        }
-        for g in config {
-            let exists = current.iter().any(|c| c.attrs == g.attrs);
-            if !exists {
-                total += self.transform_cost(rows, g, current);
-            }
-        }
-        total
     }
 }
 
@@ -678,40 +621,47 @@ mod tests {
 
     #[test]
     fn join_ordering_prefers_selective_build_side() {
-        // Two sides with very different observed selectivity: pricing both
-        // orders must prefer building on the selective (small post-filter)
-        // side — the greedy ordering rule the engine applies.
+        // Two sides with very different observed selectivity: under every
+        // strategy, building on the selective (small post-filter) side is
+        // cheaper — the greedy ordering rule the engine applies.
         let m = CostModel;
         let selective = pattern(&[0, 1], &[2], 0.05);
         let broad = pattern(&[0, 1], &[2], 0.8);
-        let groups = vec![spec(&[0, 1, 2])];
-        let order_a = m.best_join_side_cost(&selective, &groups, ROWS, JoinRole::Build)
-            + m.best_join_side_cost(&broad, &groups, ROWS, JoinRole::Probe);
-        let order_b = m.best_join_side_cost(&broad, &groups, ROWS, JoinRole::Build)
-            + m.best_join_side_cost(&selective, &groups, ROWS, JoinRole::Probe);
-        assert!(
-            order_a < order_b,
-            "selective build {order_a} must beat broad build {order_b}"
-        );
+        for &strategy in Strategy::ALL.iter() {
+            let plan = PlanSpec {
+                strategy,
+                groups: vec![spec(&[0, 1, 2])],
+            };
+            let side = |pat, role| m.join_side_cost(pat, &plan, ROWS, role);
+            let order_a = side(&selective, JoinRole::Build) + side(&broad, JoinRole::Probe);
+            let order_b = side(&broad, JoinRole::Build) + side(&selective, JoinRole::Probe);
+            assert!(
+                order_a < order_b,
+                "{strategy:?}: selective build {order_a} must beat broad build {order_b}"
+            );
+        }
     }
 
     #[test]
     fn join_side_cost_prefers_key_payload_group() {
         // A join side reading keys {0} + payload {1} behind a filter on {2}:
-        // a tailored key+payload group must beat the wide row-major group —
-        // this is the gradient the adviser follows toward join-shaped
-        // column groups.
+        // under every strategy and role, a tailored key+payload group beats
+        // the wide row-major group — the gradient the adviser follows
+        // toward join-shaped column groups.
         let m = CostModel;
         let pat = pattern(&[0, 1], &[2], 0.2);
-        let tailored = vec![spec(&[0, 1, 2])];
-        let wide = vec![spec(&(0..150).collect::<Vec<_>>())];
-        for role in [JoinRole::Build, JoinRole::Probe] {
-            let narrow_cost = m.best_join_side_cost(&pat, &tailored, ROWS, role);
-            let wide_cost = m.best_join_side_cost(&pat, &wide, ROWS, role);
-            assert!(
-                narrow_cost < wide_cost,
-                "{role:?}: {narrow_cost} vs {wide_cost}"
-            );
+        let plan = |strategy, groups| PlanSpec { strategy, groups };
+        for &strategy in Strategy::ALL.iter() {
+            for role in [JoinRole::Build, JoinRole::Probe] {
+                let tailored = plan(strategy, vec![spec(&[0, 1, 2])]);
+                let wide = plan(strategy, vec![spec(&(0..150).collect::<Vec<_>>())]);
+                let narrow_cost = m.join_side_cost(&pat, &tailored, ROWS, role);
+                let wide_cost = m.join_side_cost(&pat, &wide, ROWS, role);
+                assert!(
+                    narrow_cost < wide_cost,
+                    "{strategy:?} {role:?}: {narrow_cost} vs {wide_cost}"
+                );
+            }
         }
     }
 
@@ -721,45 +671,6 @@ mod tests {
         let cover = CostModel::cover_abstract(&partition, &aset(&[0, 3])).unwrap();
         assert_eq!(cover, vec![2]);
         assert!(CostModel::cover_abstract(&partition, &aset(&[9])).is_none());
-    }
-
-    /// A filtered arithmetic-expression query over {0,1,2} — the workload
-    /// shape where the paper shows column groups clearly beat pure columns
-    /// (Figs. 10(c)/(f): no intermediate results in the fused plan).
-    fn expr_pattern() -> AccessPattern {
-        AccessPattern {
-            select: aset(&[0, 1, 2]),
-            where_: aset(&[3]),
-            selectivity: 0.4,
-            output_width: 1,
-            select_ops: 5, // a0 + a1 + a2 as a tree
-            is_aggregate: false,
-            is_grouped: false,
-        }
-    }
-
-    #[test]
-    fn configuration_cost_prefers_matching_partition() {
-        // Window: every query computes a filtered expression over {0,1,2}.
-        // A configuration with a {0,1,2,3} group must beat all-columns even
-        // after paying its transformation cost, once the window is long
-        // enough to amortize the build (~30 queries at these parameters —
-        // the same amortization threshold the paper's lazy creation is
-        // designed around).
-        let m = CostModel;
-        let window: Vec<AccessPattern> = (0..40).map(|_| expr_pattern()).collect();
-        let columns: Vec<GroupSpec> = (0..10).map(|i| spec(&[i])).collect();
-        let grouped: Vec<GroupSpec> = {
-            let mut v = vec![spec(&[0, 1, 2, 3])];
-            v.extend((4..10).map(|i| spec(&[i])));
-            v
-        };
-        let cost_cols = m.configuration_cost(&window, &columns, &columns, ROWS);
-        let cost_grouped = m.configuration_cost(&window, &grouped, &columns, ROWS);
-        assert!(
-            cost_grouped < cost_cols,
-            "grouped {cost_grouped} should beat columnar {cost_cols}"
-        );
     }
 
     #[test]
@@ -800,42 +711,5 @@ mod tests {
         assert!(m
             .best_cover_cost(&pattern(&[999], &[], 1.0), &config, ROWS)
             .is_none());
-    }
-
-    #[test]
-    fn configuration_cost_infinite_when_uncovered() {
-        let m = CostModel;
-        let window = vec![pattern(&[5], &[], 1.0)];
-        let config = vec![spec(&[0])];
-        assert!(m
-            .configuration_cost(&window, &config, &config, ROWS)
-            .is_infinite());
-    }
-
-    #[test]
-    fn transformation_cost_discourages_one_off_layouts() {
-        // One query for {0,1,2} in a window of unrelated queries: building
-        // the {0,1,2} group should NOT pay off for a single use at small
-        // row counts... but the paper's point is amortization: with many
-        // repetitions it must pay off. Check the crossover exists.
-        let m = CostModel;
-        let columns: Vec<GroupSpec> = (0..10).map(|i| spec(&[i])).collect();
-        let grouped: Vec<GroupSpec> = {
-            let mut v = vec![spec(&[0, 1, 2, 3])];
-            v.extend((4..10).map(|i| spec(&[i])));
-            v
-        };
-        let pat = expr_pattern();
-        let once = vec![pat.clone()];
-        let many: Vec<AccessPattern> = (0..100).map(|_| pat.clone()).collect();
-        let delta_once = m.configuration_cost(&once, &grouped, &columns, ROWS)
-            - m.configuration_cost(&once, &columns, &columns, ROWS);
-        let delta_many = m.configuration_cost(&many, &grouped, &columns, ROWS)
-            - m.configuration_cost(&many, &columns, &columns, ROWS);
-        assert!(
-            delta_many < delta_once,
-            "amortization must improve the grouped configuration"
-        );
-        assert!(delta_many < 0.0, "100 uses must amortize the build cost");
     }
 }

@@ -86,21 +86,6 @@ impl AccessPattern {
     pub fn has_filter(&self) -> bool {
         !self.where_.is_empty()
     }
-
-    /// Jaccard similarity of the attribute footprints of two patterns —
-    /// used by workload-shift detection ("it examines whether the input
-    /// query access pattern is new or if it has been observed", §3.2).
-    pub fn similarity(&self, other: &AccessPattern) -> f64 {
-        let a = self.all_attrs();
-        let b = other.all_attrs();
-        let inter = a.intersection_len(&b);
-        let union = a.len() + b.len() - inter;
-        if union == 0 {
-            1.0
-        } else {
-            inter as f64 / union as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -185,16 +170,5 @@ mod tests {
         assert_eq!(AccessPattern::of(&q, 7.0).selectivity, 1.0);
         assert_eq!(AccessPattern::of(&q, -1.0).selectivity, 0.0);
         assert!(AccessPattern::of(&q, 1.0).is_aggregate);
-    }
-
-    #[test]
-    fn similarity_metric() {
-        let qa = Query::project([Expr::col(0u32), Expr::col(1u32)], Conjunction::always()).unwrap();
-        let qb = Query::project([Expr::col(1u32), Expr::col(2u32)], Conjunction::always()).unwrap();
-        let pa = AccessPattern::of(&qa, 1.0);
-        let pb = AccessPattern::of(&qb, 1.0);
-        // {0,1} vs {1,2}: intersection 1, union 3.
-        assert!((pa.similarity(&pb) - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(pa.similarity(&pa), 1.0);
     }
 }

@@ -285,7 +285,7 @@ fn session_loop(stream: TcpStream, shared: Arc<Shared>) {
                 // The cap was reached before a newline: answer, then hang
                 // up rather than skip an unbounded remainder.
                 let too_long = line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n");
-                let response = if too_long {
+                let mut response = if too_long {
                     reject(
                         &shared,
                         WireError::Syntax {
@@ -297,8 +297,11 @@ fn session_loop(stream: TcpStream, shared: Arc<Shared>) {
                     handle_line(&line, &shared, &mut prepared)
                 };
                 line.clear();
+                // One write per response: on a no-delay socket a separate
+                // newline write is a second segment and a second client
+                // wake-up per request.
+                response.push('\n');
                 if writer.write_all(response.as_bytes()).is_err()
-                    || writer.write_all(b"\n").is_err()
                     || writer.flush().is_err()
                     || too_long
                 {

@@ -9,7 +9,7 @@ use h2o_core::{EngineConfig, H2oEngine};
 use h2o_expr::Json;
 use h2o_server::{Server, ServerConfig, ServerHandle};
 use h2o_storage::{LogicalType, Relation, Schema};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread;
@@ -366,6 +366,26 @@ fn graceful_shutdown_drains_the_inflight_request() {
     let stats = handle.stats();
     assert_eq!(stats.ok, 1);
     assert_eq!(stats.mismatches, 0);
+}
+
+#[test]
+fn a_response_is_one_line_in_one_read() {
+    // The server writes each response line, newline included, at once. A
+    // body and its newline written separately leave a no-delay socket as
+    // two segments, and a reader woken by the first sees half a line.
+    let handle = start(1_000, ServerConfig::default());
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut buf = [0u8; 4096];
+    for i in 0..100 {
+        stream.write_all(b"{\"id\":7,\"kind\":\"ping\"}\n").unwrap();
+        let n = stream.read(&mut buf).unwrap();
+        assert_eq!(
+            &buf[..n],
+            b"{\"id\":7,\"ok\":{\"pong\":true}}\n",
+            "round trip {i}: one read must return the whole line"
+        );
+    }
 }
 
 /// Asserts `resp` is a typed `"malformed"` error whose message starts
