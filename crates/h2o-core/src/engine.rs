@@ -1358,15 +1358,15 @@ impl H2oEngine {
     /// An empty batch is a no-op: nothing is cloned and no snapshot is
     /// published.
     ///
-    /// Cost note: group payloads are segmented
-    /// ([`h2o_storage::ColumnGroup`]), so snapshot isolation's
-    /// copy-on-write clones at most each group's *tail segment* (≤ 64K
-    /// rows) on the first appended row of a batch — old snapshots keep the
-    /// originals, sealed segments are shared untouched. A batch therefore
-    /// costs O(batch × live layouts + one tail segment per layout),
-    /// independent of relation size (`EngineStats::bytes_cloned_on_write`
-    /// measures exactly this). Batching still amortizes the per-publish
-    /// tail clone across more rows.
+    /// Cost note: group payloads are segmented, with the unsealed tail
+    /// held as 1 024-row chunks ([`h2o_storage::ColumnGroup`]), so
+    /// snapshot isolation's copy-on-write clones at most each group's
+    /// *last tail chunk* (fewer than 1 024 rows) once per batch — old
+    /// snapshots keep the originals, sealed segments and earlier chunks are
+    /// shared untouched. Each layout takes the whole batch in one
+    /// projection pass. A batch therefore costs O(batch × live layouts +
+    /// one chunk per layout), independent of relation and tail size
+    /// (`EngineStats::bytes_cloned_on_write` measures exactly this).
     pub fn insert(&self, tuples: &[Vec<h2o_storage::Value>]) -> Result<(), EngineError> {
         if tuples.is_empty() {
             return Ok(());

@@ -20,9 +20,9 @@ pub struct EngineStats {
     /// Tuples appended through the write path.
     pub rows_appended: u64,
     /// Payload bytes cloned by copy-on-write appends: when a published
-    /// snapshot still shares a group's tail segment, the first append of a
-    /// batch clones that one segment. Bounded by (groups × one segment)
-    /// per batch — *not* by relation size — which is the invariant the
+    /// snapshot still shares a group's last tail chunk, the batch clones
+    /// that one chunk. Bounded by (groups × one 1 024-row chunk) per batch
+    /// — *not* by tail or relation size — which is the invariant the
     /// segmented-storage tests pin down.
     pub bytes_cloned_on_write: u64,
     /// Payload segments sealed (filled to capacity, immutable from then

@@ -3,21 +3,24 @@
 //! A compiled operator never touches attribute ids at run time. At compile
 //! time every referenced attribute is resolved to a [`BoundAttr`] — *(which
 //! group in the plan, at which offset)* — and at execution time the plan's
-//! layout ids are resolved to [`GroupViews`]: per-slot, per-**segment** raw
-//! slices over the groups' payloads. The per-tuple path is then pure index
-//! arithmetic (a shift/mask locates the segment), which is what lets the
-//! kernels match what the paper's generated C++ achieves.
+//! layout ids are resolved to [`GroupViews`]: per-slot, per-**chunk-slot**
+//! raw slices over the groups' payloads. The per-tuple path is then pure
+//! index arithmetic (a shift/mask locates the slice), which is what lets
+//! the kernels match what the paper's generated C++ achieves.
 //!
-//! Because groups store segmented payloads ([`h2o_storage::ColumnGroup`]),
-//! a scan range is not one contiguous slice per group. Kernels therefore
+//! Because groups store segmented payloads ([`h2o_storage::ColumnGroup`]:
+//! sealed segments plus an unsealed tail of chunk-aligned pieces), a scan
+//! range is not one contiguous slice per group. Each slot's table holds one
+//! slice per chunk slot, running from that chunk's first row to the end of
+//! the piece holding it (a sealed segment, or a tail piece). Kernels
 //! iterate **segment runs** ([`GroupViews::runs`]): maximal sub-ranges that
 //! lie within a single segment of *every* bound group (segment capacities
-//! are powers of two, so boundaries nest). Within a run,
-//! [`SegRun::view`] hands back exactly the old contiguous `(&[Value],
-//! width)` pair and the tight loops are unchanged. Random access by row id
-//! (selection-vector consumers) goes through [`GroupViews::get`] /
-//! [`SlotAccessor`], which add one shift, one mask and one extra indexed
-//! load per access.
+//! are powers of two, so boundaries nest) and, inside an unsealed tail,
+//! within a single piece. Within a run, [`SegRun::view`] hands back
+//! exactly the old contiguous `(&[Value], width)` pair and the tight loops
+//! are unchanged. Random access by row id (selection-vector consumers) goes
+//! through [`GroupViews::get`] / [`SlotAccessor`], which add one shift, one
+//! mask and one extra indexed load per access.
 
 use crate::cancel::{CancelToken, CANCEL_CHECK_ROWS};
 use crate::filter::{CompiledFilter, CompiledPred};
@@ -35,15 +38,17 @@ pub struct BoundAttr {
     pub offset: u32,
 }
 
-/// One bound group: its segment slices plus the shift/mask that maps a
-/// global row id to (segment, local row), and the per-segment zone-map
-/// statistics (`None` for the mutable tail / unsealed segments).
+/// One bound group: one slice per chunk slot (from the chunk's first row
+/// to the end of its piece) plus the shift/mask that maps a global row id
+/// to (chunk slot, local row), and the zone-map statistics of its sealed
+/// segments (indexed by `row >> seg_shift`; the unsealed tail has none).
 struct SlotView<'a> {
     segs: Vec<&'a [Value]>,
-    stats: Vec<Option<&'a SegStats>>,
+    stats: Vec<&'a SegStats>,
     width: usize,
     shift: u32,
     mask: usize,
+    seg_shift: u32,
 }
 
 /// Raw views over the groups of an access plan, in plan slot order.
@@ -55,8 +60,8 @@ pub struct GroupViews<'a> {
     slots: Vec<SlotView<'a>>,
     rows: usize,
     /// Minimum segment shift across slots: runs split at this granularity,
-    /// which nests inside every slot's boundaries (capacities are powers
-    /// of two).
+    /// which nests inside every slot's segment boundaries (capacities are
+    /// powers of two).
     min_shift: u32,
     /// Segment runs skipped by zone-map pruning ([`Self::runs_pruned`]).
     /// Relaxed: a statistic, shared by `&` across morsel workers.
@@ -75,12 +80,25 @@ const _: fn() = || {
 };
 
 fn slot_of(g: &ColumnGroup) -> SlotView<'_> {
+    let width = g.width();
+    let chunk_values = g.chunk_rows() * width;
+    let mut segs = Vec::with_capacity(g.rows().div_ceil(g.chunk_rows()));
+    for piece in g.pieces() {
+        segs.extend(
+            (0..piece.len())
+                .step_by(chunk_values)
+                .map(|lo| &piece[lo..]),
+        );
+    }
     SlotView {
-        segs: g.segments().collect(),
-        stats: (0..g.segment_count()).map(|i| g.seg_stats(i)).collect(),
-        width: g.width(),
-        shift: g.seg_shift(),
-        mask: g.seg_rows() - 1,
+        segs,
+        stats: (0..g.sealed_segment_count())
+            .filter_map(|i| g.seg_stats(i))
+            .collect(),
+        width,
+        shift: g.chunk_shift(),
+        mask: g.chunk_rows() - 1,
+        seg_shift: g.seg_shift(),
     }
 }
 
@@ -114,7 +132,7 @@ impl<'a> GroupViews<'a> {
     fn assemble(slots: Vec<SlotView<'a>>, rows: usize) -> GroupViews<'a> {
         let min_shift = slots
             .iter()
-            .map(|s| s.shift)
+            .map(|s| s.seg_shift)
             .min()
             .unwrap_or(DEFAULT_SEG_SHIFT);
         GroupViews {
@@ -161,10 +179,13 @@ impl<'a> GroupViews<'a> {
         self.slots.is_empty()
     }
 
-    /// The run granularity: every [`Self::runs`] run spans at most this
-    /// many rows, and runs starting at multiples of it never split.
-    /// Schedulers align morsel boundaries to it
-    /// ([`ExecPolicy::aligned_to`](crate::parallel::ExecPolicy::aligned_to)).
+    /// The segment granularity: no [`Self::runs`] run crosses a multiple
+    /// of it, and over sealed segments runs starting at multiples of it
+    /// never split (inside an unsealed tail they also end at piece ends,
+    /// i.e. chunk boundaries). Schedulers align morsel boundaries to it
+    /// ([`ExecPolicy::aligned_to`](crate::parallel::ExecPolicy::aligned_to)),
+    /// so morsel shapes — and parallel fold order — do not depend on how
+    /// the tail is chunked.
     #[inline]
     pub fn seg_rows(&self) -> usize {
         1usize << self.min_shift
@@ -209,6 +230,7 @@ impl<'a> GroupViews<'a> {
             cur: range.start,
             end: range.end,
             preds: &[],
+            window_end: range.start,
         }
     }
 
@@ -230,6 +252,7 @@ impl<'a> GroupViews<'a> {
             cur: range.start,
             end: range.end,
             preds: filter.preds(),
+            window_end: range.start,
         }
     }
 
@@ -238,11 +261,21 @@ impl<'a> GroupViews<'a> {
     fn run_prunable(&self, start: usize, preds: &[CompiledPred]) -> bool {
         preds.iter().any(|p| {
             let s = &self.slots[p.attr.slot as usize];
-            match s.stats[start >> s.shift] {
+            match s.stats.get(start >> s.seg_shift) {
                 Some(stats) => !p.zone_can_match_stats(stats),
                 None => false,
             }
         })
+    }
+
+    /// The first row past the piece holding `row`, minimised over slots:
+    /// a sealed segment's end, or a tail piece's end.
+    fn piece_end(&self, row: usize) -> usize {
+        self.slots
+            .iter()
+            .map(|s| (row & !s.mask) + s.segs[row >> s.shift].len() / s.width)
+            .min()
+            .unwrap_or(usize::MAX)
     }
 
     /// Segment runs skipped by zone-map pruning over this view's lifetime
@@ -282,6 +315,11 @@ pub struct SegRuns<'v, 'a> {
     end: usize,
     /// Zone-map pruning predicates (empty for unpruned iteration).
     preds: &'v [CompiledPred],
+    /// End of the current cancellation window: the run the iteration would
+    /// yield if the tail were not chunked (at most [`CANCEL_CHECK_ROWS`]
+    /// rows of one segment). A morsel-budget unit is charged once per
+    /// window, however many piece runs it splits into.
+    window_end: usize,
 }
 
 impl<'v, 'a> Iterator for SegRuns<'v, 'a> {
@@ -311,22 +349,26 @@ impl<'v, 'a> Iterator for SegRuns<'v, 'a> {
                 self.cur = seg_stop;
                 continue;
             }
+            // Inside an unsealed tail a run also ends where some slot's
+            // piece ends (over sealed segments that is the segment end).
+            let mut stop = seg_stop.min(self.views.piece_end(self.cur));
             // With a token attached, cap runs so the poll above happens at
             // least every `CANCEL_CHECK_ROWS` rows even inside one huge
             // segment. Results are bit-identical for any run shape: every
-            // consumer folds runs in row order. Each yielded run also
+            // consumer folds runs in row order. Each cancellation window
             // charges one unit against the token's morsel budget (pruned
-            // segments are free — no rows were scanned).
-            let stop = match self.views.cancel.as_ref() {
-                Some(token) => {
+            // segments are free — no rows were scanned), so the budget a
+            // query needs does not depend on how its tail is chunked.
+            if let Some(token) = self.views.cancel.as_ref() {
+                if self.cur >= self.window_end {
                     if !token.charge_unit() {
                         self.cur = self.end;
                         return None;
                     }
-                    seg_stop.min(self.cur + CANCEL_CHECK_ROWS)
+                    self.window_end = seg_stop.min(self.cur + CANCEL_CHECK_ROWS);
                 }
-                None => seg_stop,
-            };
+                stop = stop.min(self.window_end);
+            }
             let run = SegRun {
                 views: self.views,
                 start: self.cur,
@@ -338,8 +380,8 @@ impl<'v, 'a> Iterator for SegRuns<'v, 'a> {
     }
 }
 
-/// One contiguous sub-range of a scan: all rows live in the same segment of
-/// every bound group.
+/// One contiguous sub-range of a scan: all rows live in the same segment —
+/// and, inside an unsealed tail, the same piece — of every bound group.
 pub struct SegRun<'v, 'a> {
     views: &'v GroupViews<'a>,
     start: usize,
@@ -429,7 +471,7 @@ impl<'a> SlotAccessor<'_, 'a> {
     }
 
     /// The full tuple of `row` as a contiguous slice (tuples never
-    /// straddle segment boundaries).
+    /// straddle pieces).
     #[inline(always)]
     pub fn tuple(&self, row: usize) -> &'a [Value] {
         let base = (row & self.mask) * self.width;
@@ -522,6 +564,50 @@ mod tests {
                     d1[k]
                 );
             }
+        }
+    }
+
+    #[test]
+    fn runs_split_at_tail_piece_ends_but_seg_rows_stays_the_segment() {
+        // 4 096-row segments, 1 024-row chunks. 1 500 rows load as a
+        // 1 024-row head piece plus a 476-row chunk; appending 2 000 more
+        // fills that chunk and adds two more pieces.
+        let schema = Schema::with_width(2).into_shared();
+        let cols: Vec<Vec<i64>> = vec![(0..1_500).collect(), (0..1_500).map(|r| -r).collect()];
+        let mut cat = Relation::partitioned_with_shift(
+            schema,
+            cols,
+            vec![vec![AttrId(0)], vec![AttrId(1)]],
+            12,
+        )
+        .unwrap()
+        .into_catalog();
+        let batch: Vec<Vec<i64>> = (1_500..3_500).map(|r| vec![r, -r]).collect();
+        cat.append_rows(&batch).unwrap();
+        let views = GroupViews::resolve(&cat, &cat.layout_ids()).unwrap();
+        assert_eq!(views.seg_rows(), 4_096);
+        let ranges: Vec<_> = views.runs(0..3_500).map(|r| r.range()).collect();
+        assert_eq!(
+            ranges,
+            vec![0..1_024, 1_024..2_048, 2_048..3_072, 3_072..3_500]
+        );
+        let ranges: Vec<_> = views.runs(100..3_100).map(|r| r.range()).collect();
+        assert_eq!(
+            ranges,
+            vec![100..1_024, 1_024..2_048, 2_048..3_072, 3_072..3_100]
+        );
+        for run in views.runs(0..3_500) {
+            let (d0, _) = run.view(0);
+            let (d1, _) = run.attr_view(BoundAttr { slot: 1, offset: 0 });
+            for k in 0..run.len() {
+                let row = (run.start() + k) as i64;
+                assert_eq!((d0[k], d1[k]), (row, -row));
+            }
+        }
+        let acc = views.accessor(1);
+        for row in [0, 1_023, 1_024, 1_499, 1_500, 3_499] {
+            assert_eq!(acc.value(row, 0), -(row as i64));
+            assert_eq!(views.get(BoundAttr { slot: 0, offset: 0 }, row), row as i64);
         }
     }
 

@@ -7,9 +7,11 @@
 //! granularities:
 //!
 //! * every morsel a worker claims (each morsel's first segment run), and
-//! * every [`CANCEL_CHECK_ROWS`] rows *inside* a segment-run loop — a
+//! * every segment run, with runs capped at [`CANCEL_CHECK_ROWS`] rows — a
 //!   token-carrying scan caps its segment runs at that length, so even a
-//!   serial scan over one huge segment observes cancellation promptly.
+//!   serial scan over one huge segment observes cancellation promptly
+//!   (runs over an unsealed tail are shorter still: they end at chunk
+//!   piece ends).
 //!
 //! Polling an armed-but-untriggered token costs one relaxed atomic load
 //! (plus one `Instant::now()` per check when a deadline is set) per
@@ -27,12 +29,13 @@ use std::sync::atomic::{AtomicI64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Rows a token-carrying scan processes between cancellation checks.
-/// Equal to the sealed-segment size, so the cap never splits a natural
-/// segment run — the poll rides the per-run loop boundary and the
-/// guarded scan shape is identical to the unguarded one. A kernel
-/// covers this many rows in tens of microseconds, which bounds how
-/// stale a deadline or cancellation can go unobserved.
+/// Rows a token-carrying scan processes between cancellation checks, and
+/// the most rows one morsel-budget unit pays for. Equal to the
+/// sealed-segment size, so the cap never splits a natural segment run —
+/// the poll rides the per-run loop boundary and the guarded scan shape is
+/// identical to the unguarded one. A kernel covers this many rows in tens
+/// of microseconds, which bounds how stale a deadline or cancellation can
+/// go unobserved.
 pub const CANCEL_CHECK_ROWS: usize = 65_536;
 
 const LIVE: u8 = 0;
@@ -59,8 +62,9 @@ struct Inner {
     state: AtomicU8,
     /// Armed at most once; checked lazily by [`CancelToken::should_stop`].
     deadline: OnceLock<Instant>,
-    /// Remaining morsel budget in segment-run units (each at most
-    /// [`CANCEL_CHECK_ROWS`] rows). `UNBOUNDED` means no budget is set.
+    /// Remaining morsel budget in scan-window units (each at most
+    /// [`CANCEL_CHECK_ROWS`] rows of one segment). `UNBOUNDED` means no
+    /// budget is set.
     budget: AtomicI64,
 }
 
@@ -100,9 +104,10 @@ impl CancelToken {
         self.inner.deadline.set(Instant::now() + timeout).is_ok()
     }
 
-    /// Sets a morsel budget: the total number of segment-run units (each
-    /// at most [`CANCEL_CHECK_ROWS`] rows) the query may scan before it
-    /// is stopped with [`CancelReason::BudgetExhausted`]. Like
+    /// Sets a morsel budget: the total number of scan-window units (each
+    /// at most [`CANCEL_CHECK_ROWS`] rows of one segment, however many
+    /// chunk runs of an unsealed tail it spans) the query may scan before
+    /// it is stopped with [`CancelReason::BudgetExhausted`]. Like
     /// deadlines, the first budget set wins; later calls return `false`.
     pub fn set_budget(&self, units: u64) -> bool {
         let units = i64::try_from(units)
@@ -119,11 +124,11 @@ impl CancelToken {
         self.inner.budget.load(Ordering::Relaxed) != UNBOUNDED
     }
 
-    /// Charges one segment-run unit against the budget. Returns `false`
+    /// Charges one scan-window unit against the budget. Returns `false`
     /// — and latches the token into the exhausted state — when the
     /// budget is spent; tokens without a budget always return `true`.
-    /// Called by the scan layer immediately before yielding a run, so a
-    /// budget of `n` permits exactly `n` guarded runs.
+    /// Called by the scan layer immediately before yielding the first run
+    /// of each window, so a budget of `n` permits exactly `n` windows.
     #[inline]
     pub fn charge_unit(&self) -> bool {
         if !self.has_budget() {

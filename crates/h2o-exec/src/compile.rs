@@ -247,7 +247,7 @@ pub struct ExecCtx<'a> {
     /// How (and whether) scans split into morsels.
     pub policy: ExecPolicy,
     /// Cancellation / deadline / morsel-budget token. Every scan polls it
-    /// per segment run (capped at
+    /// per run (capped at
     /// [`CANCEL_CHECK_ROWS`](crate::cancel::CANCEL_CHECK_ROWS) rows) and at
     /// id-chunk boundaries; once it trips, partial results are
     /// **discarded** and the matching typed [`ExecError`] is returned. A

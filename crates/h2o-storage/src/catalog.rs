@@ -25,7 +25,7 @@ pub type CatalogSnapshot = Arc<LayoutCatalog>;
 /// Checks that a relation of `rows` tuples fits the engine-wide row-id
 /// domain ([`MAX_ROWS`] — row ids are `u32` in every selection vector).
 ///
-/// [`LayoutCatalog::append_row`] enforces this on every write, and
+/// [`LayoutCatalog::append_rows`] enforces this on every write, and
 /// execution re-checks it when binding views, so the guard is testable
 /// with synthetic counts without materializing a 4-billion-row relation.
 #[inline]
@@ -91,9 +91,9 @@ pub enum CoverPolicy {
 /// Groups are stored behind `Arc`s: cloning the catalog (the copy-on-write
 /// step of every snapshot publish) duplicates only the id → group table.
 /// Group payloads are segmented ([`ColumnGroup`]) and copied lazily at
-/// segment granularity, only by the one mutation that actually rewrites
-/// them ([`Self::append_row`] via `Arc::make_mut`, which clones at most
-/// each group's shared tail segment).
+/// chunk granularity, only by the one mutation that actually rewrites
+/// them ([`Self::append_rows`] via `Arc::make_mut`, which clones at most
+/// each group's shared last tail chunk).
 #[derive(Debug, Clone)]
 pub struct LayoutCatalog {
     schema: Arc<Schema>,
@@ -341,57 +341,44 @@ impl LayoutCatalog {
         Ok(out)
     }
 
-    /// Appends one logical tuple (full schema order) to **every** live
-    /// group, keeping all layouts row-aligned. This is the write path the
-    /// paper leaves as future work ("updates might become quite
+    /// Appends a batch of logical tuples (full schema order) to **every**
+    /// live group, keeping all layouts row-aligned. This is the write path
+    /// the paper leaves as future work ("updates might become quite
     /// expensive"); the cost is proportional to the number of coexisting
     /// layouts, which is exactly the trade-off an adaptive multi-layout
     /// store makes.
     ///
+    /// Validate-then-mutate: every tuple's width and the row-id capacity
+    /// are checked once up front, so a failure leaves the catalog
+    /// untouched. Each group then takes one `Arc::make_mut` and one
+    /// projection pass over the whole batch
+    /// ([`ColumnGroup`]'s chunked tail).
+    ///
     /// Returns the copy-on-write accounting: if a published snapshot still
-    /// shares a group's *tail segment*, the first append clones that one
-    /// segment (never the sealed ones), so a batch against a shared
-    /// catalog costs O(batch + one tail segment per group) — not
-    /// O(relation) as the monolithic representation did.
-    pub fn append_row(&mut self, tuple: &[Value]) -> Result<AppendDelta, StorageError> {
-        if tuple.len() != self.schema.len() {
+    /// shares a group, `make_mut` copies only its piece pointer tables and
+    /// the append clones at most its last tail *chunk* (never sealed
+    /// segments or earlier pieces), so a batch against a shared catalog
+    /// costs O(batch + one chunk per group) — independent of both the
+    /// relation and the tail length.
+    pub fn append_rows(&mut self, tuples: &[Vec<Value>]) -> Result<AppendDelta, StorageError> {
+        let width = self.schema.len();
+        if let Some(t) = tuples.iter().find(|t| t.len() != width) {
             return Err(StorageError::WidthMismatch {
-                expected: self.schema.len(),
-                got: tuple.len(),
+                expected: width,
+                got: t.len(),
             });
         }
         // Row ids are 32-bit engine-wide; refuse to grow past the domain
         // rather than let a selection vector silently wrap.
-        check_row_capacity(self.rows + 1)?;
-        // Validate-then-mutate: build every group's projection first so a
-        // failure cannot leave groups misaligned.
-        let mut projections: Vec<Vec<Value>> = Vec::with_capacity(self.groups.len());
-        for g in self.groups.values() {
-            projections.push(g.attrs().iter().map(|a| tuple[a.index()]).collect());
-        }
+        check_row_capacity(self.rows + tuples.len())?;
         let mut delta = AppendDelta::default();
-        for (g, proj) in self.groups.values_mut().zip(projections) {
-            // Copy-on-write: if a published snapshot still shares this
-            // group, `make_mut` clones only its segment pointer table; the
-            // group then clones (at most) its shared tail segment. Within a
-            // batch everything is already unique and appends are in-place.
-            delta.absorb(
-                Arc::make_mut(g)
-                    .append_tuple(&proj)
-                    .expect("projection width matches"),
-            );
+        if tuples.is_empty() {
+            return Ok(delta);
         }
-        self.rows += 1;
-        Ok(delta)
-    }
-
-    /// Appends many tuples (see [`Self::append_row`]), returning the
-    /// accumulated copy-on-write accounting for the whole batch.
-    pub fn append_rows(&mut self, tuples: &[Vec<Value>]) -> Result<AppendDelta, StorageError> {
-        let mut delta = AppendDelta::default();
-        for t in tuples {
-            delta.absorb(self.append_row(t)?);
+        for g in self.groups.values_mut() {
+            delta.absorb(Arc::make_mut(g).append_projected(tuples));
         }
+        self.rows += tuples.len();
         Ok(delta)
     }
 
@@ -482,7 +469,7 @@ mod tests {
         // The append path consults the same guard (full-capacity appends
         // cannot be exercised directly; the unit above pins the boundary).
         let mut cat = catalog_with(&[&[0]], 2);
-        assert!(cat.append_row(&[7]).is_ok());
+        assert!(cat.append_rows(&[vec![7]]).is_ok());
         assert_eq!(cat.rows(), 3);
     }
 
@@ -625,9 +612,9 @@ mod tests {
     }
 
     #[test]
-    fn append_row_updates_every_layout() {
+    fn append_rows_updates_every_layout() {
         let mut cat = catalog_with(&[&[0, 1], &[1, 2], &[2]], 2);
-        cat.append_row(&[7, 8, 9]).unwrap();
+        cat.append_rows(&[vec![7, 8, 9]]).unwrap();
         assert_eq!(cat.rows(), 3);
         for g in cat.groups() {
             assert_eq!(g.rows(), 3);
@@ -640,10 +627,11 @@ mod tests {
     }
 
     #[test]
-    fn append_row_rejects_wrong_width() {
+    fn append_rows_rejects_wrong_width_atomically() {
         let mut cat = catalog_with(&[&[0, 1]], 2);
+        // The bad tuple comes second: nothing of the batch may land.
         assert_eq!(
-            cat.append_row(&[1]).unwrap_err(),
+            cat.append_rows(&[vec![1, 2], vec![1]]).unwrap_err(),
             StorageError::WidthMismatch {
                 expected: 2,
                 got: 1
@@ -654,19 +642,19 @@ mod tests {
     }
 
     #[test]
-    fn append_after_clone_clones_only_tail_segments() {
+    fn append_after_clone_clones_only_tail_chunks() {
         // A clone (what publishing a snapshot does) shares every segment;
-        // the next append must clone exactly one tail segment per group,
-        // not the groups' whole payloads.
+        // the next batch must clone exactly one tail chunk per group, not
+        // the groups' whole payloads, and only once per batch.
         let mut cat = catalog_with(&[&[0, 1], &[2]], 4);
         let snapshot = cat.clone();
-        let delta = cat.append_row(&[7, 8, 9]).unwrap();
+        let delta = cat.append_rows(&[vec![7, 8, 9], vec![1, 2, 3]]).unwrap();
         // Tails: 4 rows × (width 2 + width 1) values × 8 bytes.
         assert_eq!(delta.bytes_cloned, (4 * 3 * 8) as u64);
-        // Second row of the same batch: everything already unique.
-        let delta = cat.append_row(&[1, 2, 3]).unwrap();
+        // Next batch without a snapshot in between: everything is unique.
+        let delta = cat.append_rows(&[vec![4, 5, 6]]).unwrap();
         assert_eq!(delta.bytes_cloned, 0);
-        assert_eq!(cat.rows(), 6);
+        assert_eq!(cat.rows(), 7);
         assert_eq!(snapshot.rows(), 4, "clone keeps its own payloads");
         assert!(snapshot.groups().all(|g| g.rows() == 4));
     }

@@ -40,10 +40,11 @@
 
 /// All known failpoint site names, in dependency order.
 ///
-/// * `segment_seal` — a tail segment crossing the seal boundary
+/// * `segment_seal` — a tail reaching a full segment, just before its
+///   chunks are concatenated into the sealed segment
 ///   ([`crate::ColumnGroup`] append path).
-/// * `cow_clone` — the first copy-on-write clone of a shared tail
-///   segment in an append batch.
+/// * `cow_clone` — the copy-on-write clone of a shared last tail chunk
+///   (at most once per group per append batch).
 /// * `catalog_publish` — just before an engine swaps a new catalog
 ///   version into the published slot.
 /// * `morsel_start` — a worker claiming a morsel in the parallel

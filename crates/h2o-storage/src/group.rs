@@ -15,20 +15,29 @@
 //!
 //! # Segmented payloads
 //!
-//! The payload is **not** one monolithic array: it is a sequence of
-//! `Arc`-shared *segments* of `1 << seg_shift` rows each (`2^16 = 65 536`
-//! by default, [`DEFAULT_SEG_SHIFT`]). Every segment except the last is
-//! exactly full ("sealed"); the last segment is the mutable *tail* that
-//! appends grow. Rows map to segments by shift/mask, so point access costs
-//! one extra indexed load over the monolithic representation, while scans
-//! iterate whole-segment contiguous slices (`h2o-exec` binds them as
-//! per-segment views and runs its tight loops over *segment runs*).
+//! The payload is **not** one monolithic array. Rows `0..k << seg_shift`
+//! live in `Arc`-shared *sealed segments* of `1 << seg_shift` rows each
+//! (`2^16 = 65 536` by default, [`DEFAULT_SEG_SHIFT`]): contiguous,
+//! immutable, each with a zone map computed when it sealed. The remaining
+//! rows form the unsealed *tail*, held as a short list of `Arc`-shared
+//! **pieces**, each starting on a *chunk* boundary (`1 << chunk_shift`
+//! rows, [`CHUNK_SHIFT`] capped at the segment size). A piece handed over
+//! by a constructor or reorganization builder may span many chunks (the
+//! frozen "head"); every later piece is one chunk, and appends only ever
+//! write the last one. When the tail reaches a full segment its pieces are
+//! concatenated once into a new sealed segment.
 //!
-//! Segmentation is what makes copy-on-write appends cheap: cloning a group
-//! copies only the segment *pointer table*; appending then clones (at most)
-//! the shared tail segment via `Arc::make_mut`, so a write batch against a
-//! snapshot-shared group costs O(batch + one tail segment), not O(relation)
-//! — see [`LayoutCatalog::append_row`](crate::catalog::LayoutCatalog::append_row).
+//! Rows map to a piece by shift/mask, so point access costs one extra
+//! indexed load over a monolithic array, while scans iterate contiguous
+//! slices (`h2o-exec` binds one slice per chunk slot and runs its tight
+//! loops over *segment runs*, which split at piece ends inside the tail).
+//!
+//! This is what makes copy-on-write appends cheap: cloning a group copies
+//! only the piece pointer tables; appending then clones (at most) the
+//! shared last chunk — fewer than `1 << chunk_shift` rows — so a write
+//! batch against a snapshot-shared group costs O(batch + one chunk), not
+//! O(tail) or O(relation) — see
+//! [`LayoutCatalog::append_rows`](crate::catalog::LayoutCatalog::append_rows).
 
 use crate::error::StorageError;
 use crate::types::{AttrId, LayoutId, LogicalType, Value, VALUE_BYTES};
@@ -63,18 +72,22 @@ fn stats_of(seg: &[Value], width: usize, types: &[LogicalType]) -> Arc<SegStats>
 
 /// Default log2 of rows per segment: 65 536-row segments. Large enough
 /// that sequential scans are effectively contiguous (one boundary per 64K
-/// rows) and that per-segment `Arc` overhead is noise; small enough that
-/// the copy-on-write unit (one tail segment) is a tiny fraction of any
-/// relation worth segmenting.
+/// rows) and that per-segment `Arc` overhead is noise.
 pub const DEFAULT_SEG_SHIFT: u32 = 16;
+
+/// log2 of rows per copy-on-write **chunk** of the unsealed tail: 1 024
+/// rows. A group's effective chunk shift is `min(CHUNK_SHIFT, seg_shift)`,
+/// so chunks always nest inside segments. An append against a
+/// snapshot-shared group clones fewer than one chunk's rows.
+pub const CHUNK_SHIFT: u32 = 10;
 
 /// What one append did to a group's physical storage — the copy-on-write
 /// accounting surfaced as `EngineStats::bytes_cloned_on_write` /
 /// `segments_sealed` in `h2o-core`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AppendDelta {
-    /// Payload bytes copied because a snapshot still shared the tail
-    /// segment (the COW cost of the append; 0 once the tail is unique).
+    /// Payload bytes copied because a snapshot still shared the last tail
+    /// chunk (the COW cost of the append; 0 once the chunk is unique).
     pub bytes_cloned: u64,
     /// Segments that became full (immutable from now on) during the append.
     pub segments_sealed: u64,
@@ -106,16 +119,19 @@ pub struct ColumnGroup {
     rows: usize,
     /// log2 of rows per segment.
     seg_shift: u32,
-    /// Row-major strided payload, split into `Arc`-shared segments of
-    /// `1 << seg_shift` rows (`* width` values) each; every segment but the
-    /// last is exactly full, the last is the append tail. Empty iff
-    /// `rows == 0`.
-    segments: Vec<Arc<Vec<Value>>>,
-    /// Zone-map statistics, parallel to `segments`: `Some` exactly for
-    /// sealed (full) segments, recorded when the segment seals; the
-    /// mutable tail has none. `Arc`-shared so copy-on-write catalog clones
-    /// copy only the pointer table.
-    seg_stats: Vec<Option<Arc<SegStats>>>,
+    /// Sealed segments: each exactly `1 << seg_shift` rows (`* width`
+    /// values), row-major strided, immutable.
+    sealed: Vec<Arc<Vec<Value>>>,
+    /// Zone-map statistics, parallel to `sealed`, recorded when each
+    /// segment sealed. `Arc`-shared so copy-on-write catalog clones copy
+    /// only the pointer table.
+    seg_stats: Vec<Arc<SegStats>>,
+    /// The unsealed tail (rows `sealed.len() << seg_shift .. rows`) as
+    /// pieces in row order, each starting on a chunk boundary. The first
+    /// piece may hold any number of whole chunks (or be the only, partial,
+    /// piece); every later piece holds one chunk — full, except possibly
+    /// the last, the only piece appends write. Empty iff the tail is.
+    tail: Vec<Arc<Vec<Value>>>,
 }
 
 impl ColumnGroup {
@@ -134,8 +150,8 @@ impl ColumnGroup {
     /// [`Self::from_parts`] with an explicit segment size (`1 << seg_shift`
     /// rows per segment). Small shifts exist for tests that want to
     /// exercise many segments without huge relations; a shift large enough
-    /// that the whole relation fits one segment reproduces the monolithic
-    /// pre-segmentation behavior exactly.
+    /// that the whole relation fits one segment leaves everything in the
+    /// unsealed tail (no zone maps).
     pub fn from_parts_with_shift(
         id: LayoutId,
         attrs: Vec<AttrId>,
@@ -158,13 +174,9 @@ impl ColumnGroup {
         data: Vec<Value>,
         seg_shift: u32,
     ) -> Result<Self, StorageError> {
-        if types.len() != attrs.len() {
-            return Err(StorageError::WidthMismatch {
-                expected: attrs.len(),
-                got: types.len(),
-            });
+        if attrs.is_empty() {
+            return Err(StorageError::EmptyGroup);
         }
-        let (offsets, attr_set) = Self::index_attrs(&attrs)?;
         if data.len() != rows * attrs.len() {
             // Both fields row-denominated (a partial trailing tuple rounds
             // down — the message still pinpoints the mismatch).
@@ -174,32 +186,13 @@ impl ColumnGroup {
             });
         }
         let cap_values = (1usize << seg_shift) * attrs.len();
-        let segments: Vec<Arc<Vec<Value>>> = if data.is_empty() {
-            Vec::new()
-        } else if data.len() <= cap_values {
+        let payloads: Vec<Vec<Value>> = if data.len() <= cap_values {
             // Common case (relation fits one segment): move, don't copy.
-            vec![Arc::new(data)]
+            vec![data]
         } else {
-            data.chunks(cap_values)
-                .map(|c| Arc::new(c.to_vec()))
-                .collect()
+            data.chunks(cap_values).map(|c| c.to_vec()).collect()
         };
-        let width = attrs.len();
-        let seg_stats = segments
-            .iter()
-            .map(|s| (s.len() == cap_values).then(|| stats_of(s, width, &types)))
-            .collect();
-        Ok(ColumnGroup {
-            id,
-            attrs,
-            types,
-            offsets,
-            attr_set,
-            rows,
-            seg_shift,
-            segments,
-            seg_stats,
-        })
+        Self::assemble(id, attrs, types, rows, payloads, None, seg_shift)
     }
 
     /// Assembles a group directly from pre-built segment payloads (the
@@ -227,39 +220,18 @@ impl ColumnGroup {
         payloads: Vec<Vec<Value>>,
         seg_shift: u32,
     ) -> Result<Self, StorageError> {
-        Self::from_segments_with_stats(id, attrs, types, rows, payloads, None, seg_shift)
-    }
-
-    /// The full-control constructor: pre-built payloads plus (optionally)
-    /// pre-computed sealed-segment statistics, as [`GroupBuilder`] records
-    /// them while sealing. When `stats` is `None` the statistics of every
-    /// sealed segment are computed here.
-    fn from_segments_with_stats(
-        id: LayoutId,
-        attrs: Vec<AttrId>,
-        types: Vec<LogicalType>,
-        rows: usize,
-        payloads: Vec<Vec<Value>>,
-        stats: Option<Vec<Option<Arc<SegStats>>>>,
-        seg_shift: u32,
-    ) -> Result<Self, StorageError> {
-        if types.len() != attrs.len() {
-            return Err(StorageError::WidthMismatch {
-                expected: attrs.len(),
-                got: types.len(),
-            });
+        if attrs.is_empty() {
+            return Err(StorageError::EmptyGroup);
         }
-        let (offsets, attr_set) = Self::index_attrs(&attrs)?;
         let width = attrs.len();
         let cap_rows = 1usize << seg_shift;
-        let cap_values = cap_rows * width;
         for (i, p) in payloads.iter().enumerate() {
             let interior = i + 1 < payloads.len();
             let ok = p.len() % width == 0
                 && if interior {
-                    p.len() == cap_values
+                    p.len() == cap_rows * width
                 } else {
-                    !p.is_empty() && p.len() <= cap_values
+                    !p.is_empty() && p.len() <= cap_rows * width
                 };
             if !ok {
                 return Err(StorageError::BadSegment {
@@ -276,14 +248,44 @@ impl ColumnGroup {
                 got: total / width,
             });
         }
+        Self::assemble(id, attrs, types, rows, payloads, None, seg_shift)
+    }
+
+    /// The one constructor every path funnels into: `payloads` are
+    /// well-formed segments (all full but possibly the last, which may be
+    /// empty), and `stats`, when given, holds the zone map of every full
+    /// one (as [`GroupBuilder`] records them while sealing); otherwise they
+    /// are computed here. A partial last payload becomes the tail: its
+    /// whole chunks stay in place as the head piece (no copy) and the
+    /// fewer-than-one-chunk remainder moves into a first chunk.
+    fn assemble(
+        id: LayoutId,
+        attrs: Vec<AttrId>,
+        types: Vec<LogicalType>,
+        rows: usize,
+        mut payloads: Vec<Vec<Value>>,
+        stats: Option<Vec<Arc<SegStats>>>,
+        seg_shift: u32,
+    ) -> Result<Self, StorageError> {
+        if types.len() != attrs.len() {
+            return Err(StorageError::WidthMismatch {
+                expected: attrs.len(),
+                got: types.len(),
+            });
+        }
+        let (offsets, attr_set) = Self::index_attrs(&attrs)?;
+        let width = attrs.len();
+        let cap_values = (1usize << seg_shift) * width;
+        let tail_payload = payloads.pop_if(|p| p.len() < cap_values);
         let seg_stats = match stats {
-            Some(s) if s.len() == payloads.len() => s,
-            _ => payloads
+            Some(s) => s,
+            None => payloads
                 .iter()
-                .map(|p| (p.len() == cap_values).then(|| stats_of(p, width, &types)))
+                .map(|p| stats_of(p, width, &types))
                 .collect(),
         };
-        Ok(ColumnGroup {
+        debug_assert_eq!(seg_stats.len(), payloads.len());
+        let mut group = ColumnGroup {
             id,
             attrs,
             types,
@@ -291,9 +293,26 @@ impl ColumnGroup {
             attr_set,
             rows,
             seg_shift,
-            segments: payloads.into_iter().map(Arc::new).collect(),
+            sealed: payloads.into_iter().map(Arc::new).collect(),
             seg_stats,
-        })
+            tail: Vec::new(),
+        };
+        if let Some(mut head) = tail_payload.filter(|p| !p.is_empty()) {
+            let chunk_values = group.chunk_rows() * width;
+            let whole = head.len() / chunk_values * chunk_values;
+            if whole < head.len() {
+                let mut chunk = Vec::with_capacity(chunk_values);
+                chunk.extend_from_slice(&head[whole..]);
+                head.truncate(whole);
+                if !head.is_empty() {
+                    group.tail.push(Arc::new(head));
+                }
+                group.tail.push(Arc::new(chunk));
+            } else {
+                group.tail.push(Arc::new(head));
+            }
+        }
+        Ok(group)
     }
 
     fn index_attrs(attrs: &[AttrId]) -> Result<(HashMap<AttrId, usize>, AttrSet), StorageError> {
@@ -347,11 +366,11 @@ impl ColumnGroup {
 
     /// The zone-map statistics of segment `seg`: per-offset `(min, max)`
     /// bounds in comparator-key space, present exactly for sealed
-    /// segments. `None` means "cannot prune" (the mutable tail, or an
+    /// segments. `None` means "cannot prune" (the unsealed tail, or an
     /// index past the payload).
     #[inline]
     pub fn seg_stats(&self, seg: usize) -> Option<&SegStats> {
-        self.seg_stats.get(seg).and_then(|s| s.as_deref())
+        self.seg_stats.get(seg).map(|s| s.as_ref())
     }
 
     /// Membership bitset.
@@ -396,29 +415,43 @@ impl ColumnGroup {
         1usize << self.seg_shift
     }
 
-    /// Number of payload segments.
+    /// log2 of rows per tail chunk: `min(CHUNK_SHIFT, seg_shift)`.
+    #[inline]
+    pub fn chunk_shift(&self) -> u32 {
+        CHUNK_SHIFT.min(self.seg_shift)
+    }
+
+    /// Rows per tail chunk.
+    #[inline]
+    pub fn chunk_rows(&self) -> usize {
+        1usize << self.chunk_shift()
+    }
+
+    /// Number of payload segments: the sealed ones plus the unsealed tail,
+    /// if any.
     pub fn segment_count(&self) -> usize {
-        self.segments.len()
+        self.sealed.len() + usize::from(!self.tail.is_empty())
     }
 
     /// Number of full (sealed, immutable-from-now-on) segments.
     pub fn sealed_segment_count(&self) -> usize {
-        let cap = self.seg_rows() * self.width();
-        self.segments.iter().filter(|s| s.len() == cap).count()
+        self.sealed.len()
     }
 
-    /// The raw per-segment payload slices, in row order. Kernels resolve
-    /// these once per scan and iterate contiguous segment runs.
-    pub fn segments(&self) -> impl Iterator<Item = &[Value]> {
-        self.segments.iter().map(|s| s.as_slice())
+    /// The raw payload pieces in row order: every sealed segment, then the
+    /// tail's pieces. Each piece starts on a chunk boundary
+    /// ([`Self::chunk_shift`]) and tuples never straddle pieces; kernels
+    /// resolve these once per scan and iterate contiguous runs.
+    pub fn pieces(&self) -> impl Iterator<Item = &[Value]> {
+        self.sealed.iter().chain(&self.tail).map(|s| s.as_slice())
     }
 
     /// Flattens the payload into one contiguous vector (tests, oracles and
     /// comparisons only — execution never needs the copy).
     pub fn collect_values(&self) -> Vec<Value> {
         let mut out = Vec::with_capacity(self.rows * self.width());
-        for s in &self.segments {
-            out.extend_from_slice(s);
+        for p in self.pieces() {
+            out.extend_from_slice(p);
         }
         out
     }
@@ -443,21 +476,40 @@ impl ColumnGroup {
         })
     }
 
+    /// The piece holding `row` and the value index of its tuple within it.
+    #[inline]
+    fn locate(&self, row: usize) -> (&[Value], usize) {
+        let w = self.width();
+        let seg = row >> self.seg_shift;
+        if let Some(s) = self.sealed.get(seg) {
+            return (s, (row & (self.seg_rows() - 1)) * w);
+        }
+        // Tail: a first piece of whole chunks, then one piece per chunk.
+        let local = row - (self.sealed.len() << self.seg_shift);
+        let head = self.tail[0].len() / w;
+        if local < head {
+            return (&self.tail[0], local * w);
+        }
+        let k = local - head;
+        (
+            &self.tail[1 + (k >> self.chunk_shift())],
+            (k & (self.chunk_rows() - 1)) * w,
+        )
+    }
+
     /// The `row`-th tuple as a contiguous slice of `width()` values
-    /// (tuples never straddle segment boundaries).
+    /// (tuples never straddle pieces).
     #[inline]
     pub fn tuple(&self, row: usize) -> &[Value] {
-        let w = self.width();
-        let seg = &self.segments[row >> self.seg_shift];
-        let base = (row & (self.seg_rows() - 1)) * w;
-        &seg[base..base + w]
+        let (piece, base) = self.locate(row);
+        &piece[base..base + self.width()]
     }
 
     /// A single cell.
     #[inline]
     pub fn value(&self, row: usize, offset: usize) -> Value {
-        let seg = &self.segments[row >> self.seg_shift];
-        seg[(row & (self.seg_rows() - 1)) * self.width() + offset]
+        let (piece, base) = self.locate(row);
+        piece[base + offset]
     }
 
     /// Reads attribute `attr` of tuple `row` (slow path; kernels resolve the
@@ -472,76 +524,93 @@ impl ColumnGroup {
         let off = self.try_offset_of(attr)?;
         let w = self.width();
         let mut out = Vec::with_capacity(self.rows);
-        for seg in &self.segments {
-            out.extend(seg.chunks_exact(w).map(|t| t[off]));
+        for p in self.pieces() {
+            out.extend(p.chunks_exact(w).map(|t| t[off]));
         }
         Ok(out)
     }
 
-    /// Appends one tuple, given the values of this group's attributes in
-    /// the group's physical order. The append path of the store: every
-    /// live group receives the projection of each inserted tuple, so all
-    /// layouts stay row-aligned (see
-    /// [`LayoutCatalog::append_row`](crate::catalog::LayoutCatalog::append_row)).
+    /// Appends a batch of tuples given in **relation schema order**: each
+    /// tuple is projected onto this group's attributes (`tuple[a.index()]`
+    /// for every stored `a`) in one pass. The append path of the store —
+    /// every live group receives the projection of each inserted tuple, so
+    /// all layouts stay row-aligned; the caller
+    /// ([`LayoutCatalog::append_rows`](crate::catalog::LayoutCatalog::append_rows))
+    /// has validated every tuple's width, so this cannot fail.
     ///
-    /// Copy-on-write granularity: if a published snapshot still shares the
-    /// *tail* segment, it is cloned once (at most one segment's bytes);
-    /// sealed segments are never touched. The returned [`AppendDelta`]
-    /// reports the bytes actually cloned and whether the tail sealed.
-    pub fn append_tuple(&mut self, values: &[Value]) -> Result<AppendDelta, StorageError> {
-        let w = self.width();
-        if values.len() != w {
-            return Err(StorageError::WidthMismatch {
-                expected: w,
-                got: values.len(),
-            });
-        }
-        let cap_values = self.seg_rows() * w;
+    /// Copy-on-write granularity: only the tail's last chunk is ever
+    /// written, so if a published snapshot still shares it, fewer than one
+    /// chunk's rows are cloned (into a full-chunk allocation, so the rest
+    /// of the batch does not reallocate); sealed segments and earlier
+    /// pieces are never touched. A tail that reaches a full segment is
+    /// concatenated once into a sealed segment with its zone map. The
+    /// returned [`AppendDelta`] reports the bytes cloned and segments
+    /// sealed.
+    pub(crate) fn append_projected(&mut self, tuples: &[Vec<Value>]) -> AppendDelta {
         let mut delta = AppendDelta::default();
-        match self.segments.last_mut() {
-            Some(tail) if tail.len() < cap_values => {
-                if Arc::get_mut(tail).is_none() {
+        let mut rest = tuples;
+        while !rest.is_empty() {
+            let room = self.open_chunk(&mut delta);
+            let (now, later) = rest.split_at(room.min(rest.len()));
+            let chunk = Arc::get_mut(self.tail.last_mut().expect("open chunk"))
+                .expect("open chunk is unique");
+            for t in now {
+                chunk.extend(self.attrs.iter().map(|a| t[a.index()]));
+            }
+            self.rows += now.len();
+            rest = later;
+            if self.rows - (self.sealed.len() << self.seg_shift) == self.seg_rows() {
+                self.seal_tail(&mut delta);
+            }
+        }
+        delta
+    }
+
+    /// Makes the tail's last piece a uniquely owned, partially filled chunk
+    /// and returns how many rows it still has room for (never past the
+    /// segment end: chunks nest in segments). A full last piece gets a
+    /// fresh chunk after it; a shared one is cloned — the copy-on-write
+    /// step, fewer than one chunk's rows.
+    fn open_chunk(&mut self, delta: &mut AppendDelta) -> usize {
+        let w = self.width();
+        let chunk_rows = self.chunk_rows();
+        let filled = match self.tail.last_mut() {
+            Some(last) if !(last.len() / w).is_multiple_of(chunk_rows) => {
+                if Arc::get_mut(last).is_none() {
                     crate::failpoints::hit("cow_clone");
-                    delta.bytes_cloned = (tail.len() * VALUE_BYTES) as u64;
+                    delta.bytes_cloned += (last.len() * VALUE_BYTES) as u64;
+                    let mut copy = Vec::with_capacity(chunk_rows * w);
+                    copy.extend_from_slice(last);
+                    *last = Arc::new(copy);
                 }
-                let t = Arc::make_mut(tail);
-                t.extend_from_slice(values);
-                if t.len() == cap_values {
-                    crate::failpoints::hit("segment_seal");
-                    delta.segments_sealed = 1;
-                    // Seal-time zone map: the segment is immutable from
-                    // here on, record its per-attribute bounds once.
-                    *self.seg_stats.last_mut().expect("stats parallel") =
-                        Some(stats_of(t, w, &self.types));
-                }
+                last.len() / w
             }
             _ => {
-                // Tail full (or no segment yet): start a fresh segment.
-                // After sealing a segment the group is clearly under a
-                // sustained append workload, so reserve the whole next
-                // segment up front (one reallocation-free tail per group);
-                // a brand-new group starts small instead.
-                let cap = if self.segments.is_empty() {
-                    values.len()
-                } else {
-                    cap_values
-                };
-                let mut seg = Vec::with_capacity(cap);
-                seg.extend_from_slice(values);
-                let sealed = cap_values == w;
-                if sealed {
-                    crate::failpoints::hit("segment_seal");
-                }
-                self.seg_stats
-                    .push(sealed.then(|| stats_of(&seg, w, &self.types)));
-                self.segments.push(Arc::new(seg));
-                if sealed {
-                    delta.segments_sealed = 1;
-                }
+                self.tail.push(Arc::new(Vec::with_capacity(chunk_rows * w)));
+                0
             }
-        }
-        self.rows += 1;
-        Ok(delta)
+        };
+        chunk_rows - filled
+    }
+
+    /// Seals a tail that holds exactly one segment's rows: a single piece
+    /// is adopted as is, several are concatenated once; the zone map is
+    /// recorded here, since the segment is immutable from now on.
+    fn seal_tail(&mut self, delta: &mut AppendDelta) {
+        crate::failpoints::hit("segment_seal");
+        let seg = if self.tail.len() == 1 {
+            self.tail.pop().expect("one piece")
+        } else {
+            let mut seg = Vec::with_capacity(self.seg_rows() * self.width());
+            for p in self.tail.drain(..) {
+                seg.extend_from_slice(&p);
+            }
+            Arc::new(seg)
+        };
+        self.seg_stats
+            .push(stats_of(&seg, self.width(), &self.types));
+        self.sealed.push(seg);
+        delta.segments_sealed += 1;
     }
 }
 
@@ -564,7 +633,7 @@ pub struct GroupBuilder {
     /// Sealed (exactly full) segments.
     sealed: Vec<Vec<Value>>,
     /// Zone-map statistics of the sealed segments, recorded as each seals.
-    sealed_stats: Vec<Option<Arc<SegStats>>>,
+    sealed_stats: Vec<Arc<SegStats>>,
     /// The growing tail segment.
     tail: Vec<Value>,
     /// Running per-offset key-space bounds of the tail, folded as tuples
@@ -662,7 +731,7 @@ impl GroupBuilder {
             let width = self.attrs.len();
             let stats =
                 std::mem::replace(&mut self.tail_stats, vec![(Value::MAX, Value::MIN); width]);
-            self.sealed_stats.push(Some(Arc::new(stats)));
+            self.sealed_stats.push(Arc::new(stats));
         }
     }
 
@@ -673,16 +742,15 @@ impl GroupBuilder {
 
     /// Finishes the build. The id is a placeholder until the catalog admits
     /// the group (see [`LayoutCatalog::add_group`](crate::catalog::LayoutCatalog::add_group)).
+    /// A non-full final segment becomes the group's unsealed tail (no zone
+    /// map: appends would invalidate it); a final segment that is exactly
+    /// full was already sealed by [`Self::push_tuple`].
     pub fn finish(mut self) -> ColumnGroup {
         let rows = self.rows();
         if !self.tail.is_empty() {
             self.sealed.push(self.tail);
-            // A non-full final segment is the group's mutable tail: no
-            // zone map (appends would invalidate it). A final segment that
-            // is exactly full was already sealed above.
-            self.sealed_stats.push(None);
         }
-        ColumnGroup::from_segments_with_stats(
+        ColumnGroup::assemble(
             LayoutId(u32::MAX),
             self.attrs,
             self.types,
@@ -842,6 +910,12 @@ mod tests {
         assert_eq!(g.extract_column(AttrId(1)).unwrap(), vec![1, 3, 5, 7, 9]);
     }
 
+    /// Appends single-value tuples (schema order = group order here).
+    fn append(g: &mut ColumnGroup, vals: &[Value]) -> AppendDelta {
+        let batch: Vec<Vec<Value>> = vals.iter().map(|&v| vec![v]).collect();
+        g.append_projected(&batch)
+    }
+
     #[test]
     fn append_seals_and_reports_cow() {
         let mut g = ColumnGroup::from_parts_with_shift(
@@ -849,11 +923,11 @@ mod tests {
             ids(&[0]),
             1,
             vec![7],
-            1, // 2 rows per segment
+            1, // 2 rows per segment (and per chunk)
         )
         .unwrap();
         // Unique tail: no clone; second row fills → seals.
-        let d = g.append_tuple(&[8]).unwrap();
+        let d = append(&mut g, &[8]);
         assert_eq!(
             d,
             AppendDelta {
@@ -862,7 +936,7 @@ mod tests {
             }
         );
         // Tail full → new segment, nothing cloned.
-        let d = g.append_tuple(&[9]).unwrap();
+        let d = append(&mut g, &[9]);
         assert_eq!(d, AppendDelta::default());
         assert_eq!(g.rows(), 3);
         assert_eq!(g.segment_count(), 2);
@@ -870,7 +944,7 @@ mod tests {
         // Share the group (as a snapshot would): the next append must clone
         // only the one-row tail, never the sealed segment.
         let snapshot = g.clone();
-        let d = g.append_tuple(&[10]).unwrap();
+        let d = append(&mut g, &[10]);
         assert_eq!(d.bytes_cloned, VALUE_BYTES as u64);
         assert_eq!(d.segments_sealed, 1);
         assert_eq!(g.collect_values(), vec![7, 8, 9, 10]);
@@ -882,17 +956,94 @@ mod tests {
     }
 
     #[test]
-    fn append_wrong_width_is_width_mismatch() {
-        let mut g = ColumnGroup::from_parts(LayoutId(0), ids(&[0, 1]), 1, vec![1, 2]).unwrap();
-        let err = g.append_tuple(&[1, 2, 3]).unwrap_err();
-        assert_eq!(
-            err,
-            StorageError::WidthMismatch {
-                expected: 2,
-                got: 3
+    fn append_projects_schema_order_tuples_onto_the_group() {
+        // Group over (a2, a0) of a 3-attribute relation.
+        let mut g = ColumnGroup::from_parts(LayoutId(0), ids(&[2, 0]), 1, vec![30, 10]).unwrap();
+        g.append_projected(&[vec![1, 2, 3], vec![4, 5, 6]]);
+        assert_eq!(g.rows(), 3);
+        assert_eq!(g.collect_values(), vec![30, 10, 3, 1, 6, 4]);
+    }
+
+    #[test]
+    fn constructor_tail_keeps_whole_chunks_in_place() {
+        // 4 096-row segments, 1 024-row chunks; 2 500 rows → no sealed
+        // segment, a 2 048-row head piece (the caller's allocation, not a
+        // copy) and a 452-row first chunk.
+        let data: Vec<Value> = (0..5_000).collect();
+        let ptr = data.as_ptr();
+        let g =
+            ColumnGroup::from_parts_with_shift(LayoutId(0), ids(&[0, 1]), 2_500, data, 12).unwrap();
+        assert_eq!(g.chunk_rows(), 1 << CHUNK_SHIFT);
+        let pieces: Vec<&[Value]> = g.pieces().collect();
+        assert_eq!(pieces.len(), 2);
+        assert_eq!(pieces[0].len(), 2 * 2_048);
+        assert_eq!(pieces[0].as_ptr(), ptr, "head adopted without a copy");
+        assert_eq!(pieces[1].len(), 2 * 452);
+        assert_eq!(g.collect_values(), (0..5_000).collect::<Vec<_>>());
+        for row in [0, 2_047, 2_048, 2_499] {
+            assert_eq!(g.tuple(row), &[2 * row as Value, 2 * row as Value + 1]);
+        }
+        // A tail of whole chunks is one piece and no chunk at all.
+        let g =
+            ColumnGroup::from_parts_with_shift(LayoutId(0), ids(&[0]), 2_048, vec![0; 2_048], 12)
+                .unwrap();
+        assert_eq!(g.pieces().count(), 1);
+    }
+
+    #[test]
+    fn appends_clone_at_most_one_chunk_and_seal_by_concatenation() {
+        // 4 096-row segments, 1 024-row chunks, starting from a head split
+        // at a non-multiple of a chunk. Before every 37-row batch a
+        // snapshot is pinned, so every batch pays the copy-on-write step.
+        let start = 1_500usize;
+        let mut g = ColumnGroup::from_parts_with_shift(
+            LayoutId(0),
+            ids(&[0]),
+            start,
+            (0..start as Value).collect(),
+            12,
+        )
+        .unwrap();
+        let chunk_bytes = (g.chunk_rows() * VALUE_BYTES) as u64;
+        let mut pinned = Vec::new();
+        let mut next = start as Value;
+        let mut sealed = 0;
+        while g.rows() < 2 * g.seg_rows() + 100 {
+            pinned.push(g.clone());
+            let batch: Vec<Value> = (next..next + 37).collect();
+            let d = append(&mut g, &batch);
+            next += 37;
+            assert!(d.bytes_cloned < chunk_bytes, "cloned {}", d.bytes_cloned);
+            sealed += d.segments_sealed;
+            assert_eq!(sealed as usize, g.sealed_segment_count());
+            // Tail pieces: a head of whole chunks, then single chunks.
+            let tail: Vec<usize> = g
+                .pieces()
+                .skip(g.sealed_segment_count())
+                .map(|p| p.len())
+                .collect();
+            assert!(tail.iter().skip(1).all(|&n| n <= g.chunk_rows()));
+        }
+        assert_eq!(sealed, 2);
+        // Sealing concatenated the pieces into one contiguous segment with
+        // the zone map a from-scratch build records.
+        let whole =
+            GroupBuilder::from_columns_with_shift(ids(&[0]), &[&g.collect_values()], 12).unwrap();
+        for s in 0..2 {
+            assert_eq!(g.pieces().nth(s).unwrap().len(), g.seg_rows());
+            assert_eq!(g.seg_stats(s), whole.seg_stats(s));
+        }
+        assert_eq!(g.collect_values(), (0..next).collect::<Vec<_>>());
+        // Every pinned snapshot still reads exactly its own rows.
+        for snap in &pinned {
+            assert_eq!(
+                snap.collect_values(),
+                (0..snap.rows() as Value).collect::<Vec<_>>()
+            );
+            for row in [0, snap.rows() / 2, snap.rows() - 1] {
+                assert_eq!(snap.value(row, 0), row as Value);
             }
-        );
-        assert_eq!(g.rows(), 1, "failed append must not change state");
+        }
     }
 
     #[test]
@@ -1044,11 +1195,11 @@ mod tests {
         let mut g =
             ColumnGroup::from_parts_with_shift(LayoutId(0), ids(&[0]), 1, vec![7], 1).unwrap();
         assert!(g.seg_stats(0).is_none(), "tail starts unsealed");
-        g.append_tuple(&[3]).unwrap(); // seals segment 0
+        append(&mut g, &[3]); // seals segment 0
         assert_eq!(g.seg_stats(0).unwrap(), &vec![(3, 7)]);
-        g.append_tuple(&[100]).unwrap(); // new tail
+        append(&mut g, &[100]); // new tail
         assert!(g.seg_stats(1).is_none());
-        g.append_tuple(&[-5]).unwrap(); // seals segment 1
+        append(&mut g, &[-5]); // seals segment 1
         assert_eq!(g.seg_stats(1).unwrap(), &vec![(-5, 100)]);
     }
 

@@ -41,7 +41,7 @@ pub use attrset::AttrSet;
 pub use catalog::{check_row_capacity, CatalogSnapshot, GroupStats, LayoutCatalog};
 pub use dict::Dictionary;
 pub use error::StorageError;
-pub use group::{AppendDelta, ColumnGroup, GroupBuilder, SegStats, DEFAULT_SEG_SHIFT};
+pub use group::{AppendDelta, ColumnGroup, GroupBuilder, SegStats, CHUNK_SHIFT, DEFAULT_SEG_SHIFT};
 pub use relation::Relation;
 pub use schema::{Attribute, Schema};
 pub use types::{

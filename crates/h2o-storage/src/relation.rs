@@ -48,9 +48,8 @@ impl Relation {
     /// [`Self::partitioned`] with an explicit segment size (`1 << seg_shift`
     /// rows per payload segment). Small shifts let tests exercise many
     /// segments on tiny relations; a shift large enough that the whole
-    /// relation fits one segment reproduces the monolithic
-    /// pre-segmentation storage exactly (the `fig17_write_throughput`
-    /// baseline).
+    /// relation fits one segment keeps everything in the unsealed tail
+    /// (no sealed segments, so no zone maps).
     pub fn partitioned_with_shift(
         schema: Arc<Schema>,
         columns: Vec<Vec<Value>>,

@@ -329,11 +329,11 @@
 //! administration and adaptive reorganization serialize behind a writer
 //! lock and publish new catalog versions in one atomic swap — in-flight
 //! readers keep their snapshot and never block. Group payloads are
-//! **segmented** (64K-row `Arc`-shared segments plus a mutable tail), so
-//! the copy-on-write cost of an append batch is O(batch + one tail
-//! segment per layout), independent of relation size
-//! (`EngineStats::bytes_cloned_on_write` exposes it, and the
-//! `fig17_write_throughput` binary measures it). With
+//! **segmented** (64K-row `Arc`-shared segments plus a tail of `Arc`-shared
+//! 1K-row chunks), so the copy-on-write cost of an append batch is
+//! O(batch + one chunk per layout), independent of relation and tail size
+//! (`EngineStats::bytes_cloned_on_write` exposes it, and
+//! `tests/segmentation.rs` pins the bound). With
 //! [`EngineConfig::background`](h2o_core::EngineConfig::background),
 //! reorganization moves entirely off the query path onto a background
 //! reorganizer
