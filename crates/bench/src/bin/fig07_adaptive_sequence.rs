@@ -39,7 +39,7 @@ fn main() {
     let h2o_relation = Relation::columnar(schema, columns).unwrap();
     let oracle_relation = col_engine.relation().clone();
     // Paper comparison: the static baselines are serial, so H2O runs
-    // single-threaded here too (parallel scaling is fig15's subject).
+    // single-threaded here too.
     let mut config = EngineConfig::single_threaded();
     config.window.initial = 20;
     let h2o = H2oEngine::new(h2o_relation, config);

@@ -40,9 +40,6 @@ fn main() {
         initial: 30,
         min: 5,
         max: 60,
-        shrink_factor: 0.5,
-        grow_step: 5,
-        ..WindowConfig::default()
     });
 
     let workload = fig9_sequence(args.attrs, args.seed);

@@ -2,7 +2,8 @@
 //!
 //! Each `fig*` binary in `src/bin/` regenerates one figure or table of the
 //! paper's evaluation (each binary's module docs name its figure; the
-//! README's "Building and testing" section shows how to run them).
+//! README's "Building and testing" section shows how to run them), and
+//! `ablation_adaptivity` separates what each of H2O's moving parts buys.
 //! Binaries print CSV-style rows to stdout and a human-readable summary to
 //! stderr, take `--tuples/--attrs/--queries/--seed` overrides, and default
 //! to sizes that finish in tens of seconds on a single-core container while

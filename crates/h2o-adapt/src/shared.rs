@@ -108,16 +108,6 @@ impl AdviceQueue {
         *self.inner.lock() = specs;
     }
 
-    /// Pops the next spec to work on, if any.
-    pub fn pop(&self) -> Option<GroupSpec> {
-        let mut q = self.inner.lock();
-        if q.is_empty() {
-            None
-        } else {
-            Some(q.remove(0))
-        }
-    }
-
     /// Removes the first spec with this attribute set; returns whether one
     /// was present.
     pub fn remove(&self, spec: &GroupSpec) -> bool {
@@ -135,11 +125,6 @@ impl AdviceQueue {
     pub fn retain(&self, keep: impl FnMut(&GroupSpec) -> bool) {
         self.inner.lock().retain(keep)
     }
-
-    /// Drops all queued advice.
-    pub fn clear(&self) {
-        self.inner.lock().clear()
-    }
 }
 
 #[cfg(test)]
@@ -152,15 +137,18 @@ mod tests {
     }
 
     #[test]
-    fn queue_replace_pop_remove() {
+    fn queue_replace_get_remove() {
         let q = AdviceQueue::new();
         assert!(q.is_empty());
         q.replace(vec![spec(&[0, 1]), spec(&[2])]);
         assert_eq!(q.len(), 2);
         assert!(q.remove(&spec(&[2])));
         assert!(!q.remove(&spec(&[2])), "second removal is a no-op");
-        assert_eq!(q.pop().unwrap().attrs, spec(&[0, 1]).attrs);
-        assert!(q.pop().is_none());
+        let left = q.get();
+        assert_eq!(left.len(), 1);
+        assert_eq!(left[0].attrs, spec(&[0, 1]).attrs);
+        assert!(q.remove(&left[0]));
+        assert!(q.is_empty() && q.get().is_empty());
     }
 
     #[test]
@@ -169,7 +157,7 @@ mod tests {
         q.replace(vec![spec(&[0]), spec(&[1]), spec(&[0, 1])]);
         q.retain(|g| g.attrs.len() == 1);
         assert_eq!(q.len(), 2);
-        q.clear();
+        q.retain(|_| false);
         assert!(q.is_empty());
     }
 
@@ -179,7 +167,6 @@ mod tests {
             initial: 3,
             min: 2,
             max: 10,
-            ..WindowConfig::default()
         });
         let pat = AccessPattern {
             select: [0usize, 1].into_iter().collect(),

@@ -18,8 +18,7 @@
 //! isolation the paper argues for.
 
 use h2o_exec::{
-    execute_with_policy as exec_execute_with_policy, AccessPlan, CompileCostModel, ExecError,
-    ExecPolicy, OperatorCache, Strategy,
+    execute as exec_execute, AccessPlan, CompileCostModel, ExecError, OperatorCache, Strategy,
 };
 use h2o_expr::{Query, QueryResult};
 use h2o_storage::catalog::CoverPolicy;
@@ -43,15 +42,12 @@ impl StaticKind {
     }
 }
 
-/// A fixed-layout, fixed-strategy engine.
+/// A fixed-layout, fixed-strategy engine. It executes serially, like the
+/// paper's single-threaded baselines.
 pub struct StaticEngine {
     relation: Relation,
     kind: StaticKind,
     opcache: OperatorCache,
-    /// Intra-query parallelism policy. Defaults to serial (the paper's
-    /// single-threaded baselines); [`StaticEngine::set_exec_policy`] opts
-    /// into morsel parallelism for scaling comparisons.
-    policy: ExecPolicy,
 }
 
 impl StaticEngine {
@@ -70,7 +66,6 @@ impl StaticEngine {
             relation,
             kind,
             opcache: OperatorCache::new(256, CompileCostModel::ZERO),
-            policy: ExecPolicy::serial(),
         })
     }
 
@@ -82,13 +77,7 @@ impl StaticEngine {
             relation,
             kind,
             opcache: OperatorCache::new(256, CompileCostModel::ZERO),
-            policy: ExecPolicy::serial(),
         }
-    }
-
-    /// Sets the intra-query parallelism policy (default: serial).
-    pub fn set_exec_policy(&mut self, policy: ExecPolicy) {
-        self.policy = policy;
     }
 
     /// The engine kind.
@@ -125,7 +114,7 @@ impl StaticEngine {
         let op = self
             .opcache
             .get_or_compile(self.relation.catalog(), &plan, q)?;
-        exec_execute_with_policy(self.relation.catalog(), &op, &self.policy)
+        exec_execute(self.relation.catalog(), &op)
     }
 
     /// Operator-cache statistics.

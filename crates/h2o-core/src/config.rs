@@ -93,16 +93,6 @@ impl EngineConfig {
         }
     }
 
-    /// A configuration for shared multi-client serving: adaptation advice
-    /// and reorganization run only in `maintain()` (background reorganizer),
-    /// never on the query path.
-    pub fn background() -> Self {
-        EngineConfig {
-            background_reorg: true,
-            ..EngineConfig::default()
-        }
-    }
-
     /// A configuration pinned to the paper's single-threaded execution
     /// model (useful for reproducing the paper's absolute numbers).
     pub fn single_threaded() -> Self {
@@ -138,7 +128,6 @@ mod tests {
     #[test]
     fn presets() {
         assert!(!EngineConfig::non_adaptive().adaptive);
-        assert!(EngineConfig::background().background_reorg);
         assert!(!EngineConfig::default().background_reorg);
         assert_eq!(EngineConfig::single_threaded().parallelism, Some(1));
     }

@@ -1763,7 +1763,10 @@ mod tests {
 
     #[test]
     fn background_mode_defers_reorg_to_maintain() {
-        let mut cfg = EngineConfig::background();
+        let mut cfg = EngineConfig {
+            background_reorg: true,
+            ..EngineConfig::default()
+        };
         cfg.window.initial = 8;
         cfg.window.min = 4;
         let e = engine(24, 2000, cfg);
@@ -1798,7 +1801,10 @@ mod tests {
 
     #[test]
     fn background_reorganizer_thread_builds_layouts() {
-        let mut cfg = EngineConfig::background();
+        let mut cfg = EngineConfig {
+            background_reorg: true,
+            ..EngineConfig::default()
+        };
         cfg.window.initial = 6;
         cfg.window.min = 4;
         let e = Arc::new(engine(20, 1500, cfg));
@@ -2205,7 +2211,14 @@ mod tests {
 
     #[test]
     fn reorganizer_stop_is_idempotent_and_status_reports() {
-        let e = Arc::new(engine(8, 300, EngineConfig::background()));
+        let e = Arc::new(engine(
+            8,
+            300,
+            EngineConfig {
+                background_reorg: true,
+                ..EngineConfig::default()
+            },
+        ));
         let mut h = e.spawn_reorganizer(Duration::from_millis(1)).unwrap();
         let st = h.status();
         assert!(st.alive, "freshly spawned supervisor must be running");
@@ -2271,7 +2284,10 @@ mod tests {
         // 3. maintain() retires advice only after a build round returns: a
         //    build-phase panic keeps the spec pending, and the retry after
         //    recovery completes the round.
-        let mut cfg = EngineConfig::background();
+        let mut cfg = EngineConfig {
+            background_reorg: true,
+            ..EngineConfig::default()
+        };
         cfg.window.initial = 8;
         cfg.window.min = 4;
         let e = engine(24, 2000, cfg);
@@ -2297,7 +2313,10 @@ mod tests {
         // 4. The supervised reorganizer absorbs the same fault on its own
         //    thread: panic counted, backoff taken, pump resumed, round
         //    completed.
-        let mut cfg = EngineConfig::background();
+        let mut cfg = EngineConfig {
+            background_reorg: true,
+            ..EngineConfig::default()
+        };
         cfg.window.initial = 8;
         cfg.window.min = 4;
         let e = Arc::new(engine(24, 2000, cfg));

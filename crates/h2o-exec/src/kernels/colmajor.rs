@@ -132,8 +132,7 @@ pub fn build_selvec_columnar_range(
 
 /// The scalar reference for [`build_selvec_columnar_range`] — the exact
 /// pre-vectorization body (per-lane branch in the first-column scan,
-/// per-value refine). Kept for differential tests and the
-/// `fig20_simd_scan` benchmark.
+/// per-value refine). Kept as the oracle of `tests/simd.rs`.
 pub fn build_selvec_columnar_range_scalar(
     views: &GroupViews<'_>,
     filter: &CompiledFilter,

@@ -147,8 +147,7 @@ pub fn aggregate_range(
 /// Scalar reference for [`aggregate_range`]: identical dispatch, but the
 /// single-group bare-column specialization runs the exact
 /// pre-vectorization per-tuple loop ([`CompiledFilter::matches_tuple`]
-/// plus `upd_*` per value). Kept for differential tests and the
-/// `fig20_simd_scan` benchmark.
+/// plus `upd_*` per value). Kept as the oracle of `tests/simd.rs`.
 pub fn aggregate_range_scalar(
     views: &GroupViews<'_>,
     filter: &CompiledFilter,

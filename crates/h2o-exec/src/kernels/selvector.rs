@@ -74,8 +74,8 @@ pub fn build_selvec_range(
 
 /// The scalar reference for [`build_selvec_range`]: per-row
 /// [`CompiledFilter::matches`] through the segment-resolving accessor.
-/// This is the exact pre-vectorization kernel body; the differential
-/// tests and the `fig20_simd_scan` benchmark compare against it.
+/// This is the exact pre-vectorization kernel body, kept as the oracle
+/// of `tests/simd.rs`.
 pub fn build_selvec_range_scalar(
     views: &GroupViews<'_>,
     filter: &CompiledFilter,

@@ -13,7 +13,7 @@
 //! Everything here is gated behind the `failpoints` cargo feature. With
 //! the feature **off** (the default), [`hit`] is an empty `#[inline]`
 //! function: call sites compile to nothing and the production hot path is
-//! untouched — the `fig22_fault_overhead` binary measures this. With the
+//! untouched. With the
 //! feature **on** but no site armed, each call is one relaxed atomic
 //! load.
 //!

@@ -39,6 +39,6 @@ pub use skyserver::{
 };
 pub use synth::{
     f64_threshold_for_selectivity, gen_columns, gen_columns_with_keys, gen_dict_column,
-    gen_f64_column, gen_fk_column, gen_fk_column_in_domain, gen_key_column, gen_sparse_key_column,
+    gen_f64_column, gen_fk_column, gen_fk_column_in_domain, gen_key_column,
     threshold_for_selectivity, F64_GRID, VALUE_MAX, VALUE_MIN,
 };

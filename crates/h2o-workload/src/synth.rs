@@ -120,22 +120,10 @@ pub fn gen_fk_column(
         .collect()
 }
 
-/// Generates one **sparse** key column: `rows` values uniformly drawn
-/// from the even numbers in `[0, 2·cardinality)`. Pairs with
-/// [`gen_fk_column_in_domain`]: because every key is even, the odd
-/// values in between are guaranteed non-joining yet sit *inside* the
-/// key range — misses a `[min, max]` check alone cannot reject.
-pub fn gen_sparse_key_column(rows: usize, cardinality: u64, seed: u64) -> Vec<Value> {
-    gen_key_column(rows, cardinality, seed)
-        .into_iter()
-        .map(|v| v * 2)
-        .collect()
-}
-
 /// [`gen_fk_column`] with **in-domain** misses: instead of out-of-range
 /// sentinels, each miss is an *odd* value uniformly drawn from inside
 /// `parent`'s `[min, max]` key span. Every value of `parent` must be
-/// even ([`gen_sparse_key_column`]); the misses then provably never
+/// even (e.g. a doubled [`gen_key_column`]); the misses then provably never
 /// join while remaining indistinguishable from matches to a range
 /// check — the regime that exercises a bloom filter's hash bits rather
 /// than its range guard. `match_rate` and `skew` behave exactly as in
@@ -283,7 +271,10 @@ mod tests {
 
     #[test]
     fn in_domain_misses_stay_inside_the_parent_key_range() {
-        let parent = gen_sparse_key_column(1_000, 4_096, 3);
+        let parent: Vec<Value> = gen_key_column(1_000, 4_096, 3)
+            .into_iter()
+            .map(|v| v * 2)
+            .collect();
         assert!(parent.iter().all(|&v| v % 2 == 0), "sparse keys are even");
         let parents: std::collections::HashSet<Value> = parent.iter().copied().collect();
         let lo = *parent.iter().min().unwrap();

@@ -86,7 +86,7 @@
 //! a morsel and merge in morsel order, and the workload generators draw
 //! doubles from dyadic grids so sums are exact — serial, parallel and all
 //! three strategies stay bit-identical on mixed-type workloads
-//! (`tests/mixed_types.rs`, `fig19_mixed_types`). Sealed 64K-row segments
+//! (`tests/mixed_types.rs`). Sealed 64K-row segments
 //! carry min/max **zone maps**; scans skip segments that cannot satisfy a
 //! conjunctive predicate (`EngineStats::segments_skipped`).
 //!
@@ -108,8 +108,7 @@
 //! vectorized — because float addition is not associative and the
 //! engine's determinism convention pins `f64` sums to row order within a
 //! morsel (the fold-order contract on
-//! [`AggState`](h2o_expr::agg::AggState)). The `fig20_simd_scan` binary
-//! measures vectorized vs scalar rows/sec per strategy.
+//! [`AggState`](h2o_expr::agg::AggState)).
 //!
 //! ## Grouped aggregation (deviation from the paper)
 //!
@@ -125,9 +124,8 @@
 //! results are bit-identical across strategies and serial/parallel
 //! execution. Group-key columns count as hot select-clause attributes for
 //! the adaptation mechanism, so grouped workloads drive layout convergence
-//! like any other (see `examples/grouped_analytics.rs`); the
-//! `fig18_grouped_agg` bench binary measures rows/sec versus group
-//! cardinality per strategy.
+//! like any other (see `examples/grouped_analytics.rs`); `tests/grouped.rs`
+//! pins the cross-strategy identity.
 //!
 //! ## Multi-relation queries (deviation from the paper)
 //!
@@ -206,8 +204,7 @@
 //! row count builds the hash table (ties build left); forcing the other
 //! side via
 //! [`ExecOptions::build_side`](h2o_core::ExecOptions::build_side)
-//! is how `fig21_join` measures the greedy order against the worst
-//! order. Join sides bound to the primary relation also
+//! pins either order for differential runs. Join sides bound to the primary relation also
 //! feed the monitoring window as key + payload access patterns, so a
 //! join workload converges the physical layout to the join's column
 //! group (`examples/join_analytics.rs`). Joins honor the same
@@ -246,7 +243,7 @@
 //! Both toggles default on; [`JoinOptions`](h2o_exec::JoinOptions) on
 //! the [`ExecCtx`](h2o_exec::ExecCtx) handed to
 //! [`run_join`](h2o_exec::run_join) switches them off for differential
-//! runs, and `fig21_join`'s `bloom`/`fusion` entries measure the win.
+//! runs.
 //!
 //! ## One entry point: `run` and `ExecOptions`
 //!
@@ -314,9 +311,8 @@
 //! * `parallel_row_threshold: usize` — relations at or below this row count
 //!   always run serially, so tiny scans never pay fork/join overhead.
 //!
-//! See `h2o_exec::parallel` for the scheduler and the determinism argument,
-//! and the `fig15_parallel_scaling` bench binary for thread-scaling
-//! measurements.
+//! See `h2o_exec::parallel` for the scheduler and the determinism argument;
+//! `tests/parallelism.rs` pins parallel ≡ serial.
 //!
 //! ## Concurrent serving (deviation from the paper)
 //!
@@ -334,15 +330,14 @@
 //! O(batch + one chunk per layout), independent of relation and tail size
 //! (`EngineStats::bytes_cloned_on_write` exposes it, and
 //! `tests/segmentation.rs` pins the bound). With
-//! [`EngineConfig::background`](h2o_core::EngineConfig::background),
+//! [`EngineConfig::background_reorg`](h2o_core::EngineConfig::background_reorg),
 //! reorganization moves entirely off the query path onto a background
 //! reorganizer
 //! ([`H2oEngine::spawn_reorganizer`](h2o_core::H2oEngine::spawn_reorganizer)
 //! or an explicit
 //! [`maintain()`](h2o_core::H2oEngine::maintain) pump). The
 //! `tests/concurrency.rs` stress suite pins all of this differentially
-//! against the serial interpreter, and `fig16_concurrent_throughput`
-//! measures queries/sec versus reader-thread count.
+//! against the serial interpreter.
 //!
 //! ## Fault tolerance (deviation from the paper)
 //!
@@ -368,8 +363,8 @@
 //! All of it is exercised by `tests/faults.rs`, a seeded chaos suite
 //! over deterministic fault-injection sites
 //! (`h2o_storage::failpoints`, compiled only under
-//! `--features failpoints`), and `fig22_fault_overhead` measures the
-//! hot-path cost of the machinery (≤ 1.03x when recorded). See the README's
+//! `--features failpoints`); with the feature off the sites compile to
+//! nothing. See the README's
 //! "Failure model" section for the full contract.
 //!
 //! The crates behind this facade:

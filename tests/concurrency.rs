@@ -162,10 +162,13 @@ fn readers_writer_and_lazy_adaptation_are_differentially_correct() {
 }
 
 /// Same stress shape with the background reorganizer thread doing all
-/// adaptation off the query path (`EngineConfig::background`).
+/// adaptation off the query path (`EngineConfig::background_reorg`).
 #[test]
 fn background_reorganizer_stress_is_differentially_correct() {
-    let mut cfg = EngineConfig::background();
+    let mut cfg = EngineConfig {
+        background_reorg: true,
+        ..EngineConfig::default()
+    };
     cfg.window.initial = 8;
     cfg.window.min = 4;
     let engine = shared_engine(cfg);

@@ -295,7 +295,13 @@ fn chaos_supervised_reorganizer_recovers() {
     fp::disarm_all();
     let seed = fault_seed() ^ 0x0B5E_55ED;
     let mut rng = SmallRng::seed_from_u64(seed);
-    let e = Arc::new(chaos_engine(4000, EngineConfig::background()));
+    let e = Arc::new(chaos_engine(
+        4000,
+        EngineConfig {
+            background_reorg: true,
+            ..EngineConfig::default()
+        },
+    ));
     let mut h = e.spawn_reorganizer(Duration::from_millis(1)).unwrap();
 
     // Phase 1: probabilistic storm with the supervisor pumping alongside.
@@ -313,13 +319,36 @@ fn chaos_supervised_reorganizer_recovers() {
     );
     fp::disarm_all();
 
-    // Phase 2: a deterministic panic in the *next* background build. The
-    // nth-hit failpoint self-disarms when it fires, so the retry after the
+    // Phase 2 needs a build to panic in. Depending on the storm's timing,
+    // phase 1 may already have built layouts that serve phase 2's class
+    // (e.g. [9, 10] + [11, 12]); the adviser then recommends nothing and
+    // no build ever runs. So: wait until the supervisor is idle — two
+    // completed rounds with no advice left means no build is in flight
+    // and none is due — then drop every layout phase 1 built, leaving the
+    // single-column base, against which the class does need a build.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let rounds = h.status().rounds;
+        while h.status().rounds < rounds + 2 {
+            assert!(Instant::now() < deadline, "supervisor stopped pumping");
+            h.nudge();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        if e.pending().is_empty() {
+            break;
+        }
+    }
+    for g in e.snapshot().groups().filter(|g| g.attr_set().len() > 1) {
+        e.drop_layout(g.id()).unwrap();
+    }
+    assert!(e.snapshot().groups().all(|g| g.attr_set().len() == 1));
+
+    // A deterministic panic in the *next* background build. The nth-hit
+    // failpoint self-disarms when it fires, so the retry after the
     // supervisor's backoff must complete the round.
     let panics_before = h.status().panics;
     let built_before = e.stats().reorgs_completed;
     fp::arm_nth("reorg_build", 1);
-    let deadline = Instant::now() + Duration::from_secs(30);
     'drive: loop {
         for i in 0..30 {
             let q = Query::project(

@@ -15,7 +15,7 @@ use h2o::exec::{compile_join, run_join, AccessPlan, ExecCtx, ExecPolicy, JoinOpt
 use h2o::expr::{check_join, interpret_join, JoinQuery};
 use h2o::prelude::*;
 use h2o::storage::LogicalType;
-use h2o::workload::{gen_f64_column, gen_fk_column_in_domain, gen_sparse_key_column};
+use h2o::workload::{gen_f64_column, gen_fk_column_in_domain, gen_key_column};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -49,7 +49,10 @@ fn dim_fact_columns(
     skew: f64,
     seed: u64,
 ) -> (Vec<Vec<Value>>, Vec<Vec<Value>>) {
-    let keys = gen_sparse_key_column(dim_rows, (dim_rows as u64).max(1) * 4, seed);
+    let keys: Vec<Value> = gen_key_column(dim_rows, (dim_rows as u64).max(1) * 4, seed)
+        .into_iter()
+        .map(|v| v * 2)
+        .collect();
     let dim = vec![
         keys.clone(),
         gen_f64_column(dim_rows, 0.0, 50.0, seed ^ 1),
