@@ -21,7 +21,6 @@
 use h2o_bench::{csv_header, fmt_s, time_hot, Args};
 use h2o_exec::{compile, execute, AccessPlan, Strategy};
 use h2o_expr::Query;
-use h2o_storage::catalog::CoverPolicy;
 use h2o_storage::{AttrId, LayoutCatalog, Relation, Schema};
 use h2o_workload::micro::{QueryGen, Template};
 use h2o_workload::synth::gen_columns;
@@ -35,11 +34,7 @@ fn run_row(rel: &Relation, q: &Query) -> f64 {
 
 /// Executes `q` on the columnar relation with the DSM strategy.
 fn run_column(rel: &Relation, q: &Query) -> f64 {
-    let cover = rel
-        .catalog()
-        .cover(&q.all_attrs(), CoverPolicy::LeastExcessWidth)
-        .unwrap();
-    let ids = cover.into_iter().map(|(id, _)| id).collect();
+    let ids = rel.catalog().cover(&q.all_attrs()).unwrap();
     let plan = AccessPlan::new(ids, Strategy::ColumnMajor);
     let op = compile(rel.catalog(), &plan, q).unwrap();
     time_hot(3, || execute(rel.catalog(), &op).unwrap())

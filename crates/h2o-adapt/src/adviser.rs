@@ -27,14 +27,18 @@
 //! * **Classes.** Window patterns equal in every field — `selectivity`
 //!   compared by its bits, never bucketed — form one class, and a trial
 //!   prices each class once.
-//! * **The cover depends only on the ordered intersecting groups.** Both
-//!   greedy covers (`CostModel::cover_abstract{,_min_excess}`) only ever
+//! * **The plan depends only on the ordered intersecting groups.** A
+//!   pattern is priced by `CostModel::best_plan`, exactly the plan the
+//!   query planner would run. Both of its greedy covers
+//!   (`h2o_storage::{cover_fewest_groups, cover_least_excess}`) only ever
 //!   pick a group that intersects the still-uncovered attributes, a subset
 //!   of the pattern's own, and break ties by position among those
-//!   candidates. So `best_cover_cost` over a configuration equals
-//!   `best_cover_cost` over the subsequence of its groups that intersect
-//!   the pattern, and that result (cost *and* cover) is memoised for the
-//!   round under `(class, ordered ids of those groups)`.
+//!   candidates; the narrowest single group holding every attribute, when
+//!   one exists, is the fewest-groups cover itself, so it intersects the
+//!   pattern too. So `best_plan` over a configuration equals `best_plan`
+//!   over the subsequence of its groups that intersect the pattern, and
+//!   that result (cost, cover *and* strategy) is memoised for the round
+//!   under `(class, ordered ids of those groups)`.
 //! * **Totals are summed in window order.** f64 addition does not
 //!   associate, so the window total is still accumulated pattern by
 //!   pattern in window order (never class cost × multiplicity), the first
@@ -44,7 +48,7 @@
 //! The memo has no capacity setting: it lives and dies with the round.
 
 use crate::affinity::AffinityMatrix;
-use h2o_cost::{AccessPattern, CostModel, GroupSpec};
+use h2o_cost::{AccessPattern, CostModel, GroupSpec, PricedPlan};
 use h2o_storage::AttrSet;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -143,10 +147,9 @@ struct Class<'a> {
     key: Vec<usize>,
 }
 
-/// The memoised `best_cover_cost` of one class over its intersecting
-/// groups: `(cost, cover as positions in that subsequence)`, `None` when
-/// uncovered.
-type Priced = Option<(f64, Vec<usize>)>;
+/// The memoised `best_plan` of one class over its intersecting groups (the
+/// cover as positions in that subsequence), `None` when uncovered.
+type Priced = Option<PricedPlan>;
 
 /// One adaptation round's pricing state (see the module docs for why every
 /// memo hit is bit-identical to recomputing it). Pool groups are interned:
@@ -294,22 +297,22 @@ impl<'a> Round<'a> {
                 }
             }
             if !self.memo.contains_key(key.as_slice()) {
-                let config: Vec<GroupSpec> = key[1..]
+                let config: Vec<&AttrSet> = key[1..]
                     .iter()
                     .map(|&k| match k.checked_sub(n) {
-                        None => self.current[k].clone(),
-                        Some(id) => self.groups[id].clone(),
+                        None => &self.current[k].attrs,
+                        Some(id) => &self.groups[id].attrs,
                     })
                     .collect();
-                let priced = self.model.best_cover_cost(class.pat, &config, self.rows);
+                let priced = self.model.best_plan(class.pat, &config, self.rows);
                 self.memo.insert(key.clone(), priced);
             }
-            let Some((cost, cover)) = &self.memo[key.as_slice()] else {
+            let Some(plan) = &self.memo[key.as_slice()] else {
                 return (f64::INFINITY, used);
             };
-            costs.push(*cost);
+            costs.push(plan.cost);
             let in_current = class.key.len() - 1;
-            for &s in cover {
+            for &s in &plan.cover {
                 if let Some(h) = s.checked_sub(in_current) {
                     used[hits[h]] = true;
                 }
@@ -663,8 +666,10 @@ mod tests {
             config.extend(pool.iter().cloned());
             let mut used = vec![false; pool.len()];
             let mut total = 0.0;
+            let config: Vec<&AttrSet> = config.iter().map(|g| &g.attrs).collect();
             for pat in window {
-                let Some((cost, cover)) = model.best_cover_cost(pat, &config, rows) else {
+                let Some(PricedPlan { cost, cover, .. }) = model.best_plan(pat, &config, rows)
+                else {
                     return (f64::INFINITY, used);
                 };
                 total += cost;

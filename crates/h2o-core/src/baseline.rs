@@ -21,7 +21,6 @@ use h2o_exec::{
     execute as exec_execute, AccessPlan, CompileCostModel, ExecError, OperatorCache, Strategy,
 };
 use h2o_expr::{Query, QueryResult};
-use h2o_storage::catalog::CoverPolicy;
 use h2o_storage::{LayoutId, Relation, Schema, StorageError, Value};
 use std::sync::Arc;
 
@@ -69,17 +68,6 @@ impl StaticEngine {
         })
     }
 
-    /// Wraps an existing relation (its layouts must match `kind`'s
-    /// expectations for the results to be meaningful; execution is correct
-    /// regardless).
-    pub fn from_relation(relation: Relation, kind: StaticKind) -> Self {
-        StaticEngine {
-            relation,
-            kind,
-            opcache: OperatorCache::new(256, CompileCostModel::ZERO),
-        }
-    }
-
     /// The engine kind.
     pub fn kind(&self) -> StaticKind {
         self.kind
@@ -101,8 +89,7 @@ impl StaticEngine {
             }
             StaticKind::ColumnStore => {
                 // The column-store reads exactly the referenced columns.
-                let cover = catalog.cover(&q.all_attrs(), CoverPolicy::LeastExcessWidth)?;
-                let ids: Vec<LayoutId> = cover.into_iter().map(|(id, _)| id).collect();
+                let ids = catalog.cover(&q.all_attrs())?;
                 Ok(AccessPlan::new(ids, Strategy::ColumnMajor))
             }
         }

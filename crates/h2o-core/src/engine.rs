@@ -31,14 +31,14 @@ use crate::config::EngineConfig;
 use crate::request::{ExecOptions, ExecSnapshot, Outcome, Request, RequestKind};
 use crate::stats::EngineStats;
 use h2o_adapt::{AdviceQueue, Adviser, SharedWindow};
-use h2o_cost::{AccessPattern, CostModel, GroupSpec, JoinRole, PlanSpec};
+use h2o_cost::{AccessPattern, CostModel, GroupSpec, JoinRole};
 use h2o_exec::{
     reorg, AccessPlan, CancelToken, ExecCtx, ExecError, JoinExecStats, OperatorCache, Strategy,
 };
 use h2o_expr::{JoinQuery, Query, QueryError, QueryResult, Side};
 use h2o_storage::{
-    failpoints, AttrId, CatalogSnapshot, Epoch, LayoutCatalog, LayoutId, Relation, Schema,
-    StorageError,
+    failpoints, AttrId, AttrSet, CatalogSnapshot, ColumnGroup, Epoch, LayoutCatalog, LayoutId,
+    Relation, Schema, StorageError,
 };
 use parking_lot::{Mutex, RwLock};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -610,8 +610,8 @@ impl H2oEngine {
         let rsel = self.estimate_join_selectivity(q, Side::Right);
         let lpat = AccessPattern::of_join_side(q, Side::Left, lsel);
         let rpat = AccessPattern::of_join_side(q, Side::Right, rsel);
-        let (lplan, _) = self.plan_on(&left, &lpat)?;
-        let (rplan, _) = self.plan_on(&right, &rpat)?;
+        let (lplan, lcost) = self.plan_on(&left, &lpat)?;
+        let (rplan, rcost) = self.plan_on(&right, &rpat)?;
 
         // Greedy selectivity-driven ordering: build over the side with
         // fewer estimated post-filter rows — physical row count (a
@@ -626,23 +626,8 @@ impl H2oEngine {
         } else {
             (JoinRole::Probe, JoinRole::Build)
         };
-        let cost = self.model.join_side_cost(
-            &lpat,
-            &PlanSpec {
-                strategy: lplan.strategy,
-                groups: Self::plan_groups(&left, &lplan)?,
-            },
-            left.rows(),
-            lrole,
-        ) + self.model.join_side_cost(
-            &rpat,
-            &PlanSpec {
-                strategy: rplan.strategy,
-                groups: Self::plan_groups(&right, &rplan)?,
-            },
-            right.rows(),
-            rrole,
-        );
+        let cost = self.model.join_side_cost(&lpat, lcost, left.rows(), lrole)
+            + self.model.join_side_cost(&rpat, rcost, right.rows(), rrole);
 
         let op = self.opcache.get_or_compile_join(
             &left,
@@ -725,22 +710,6 @@ impl H2oEngine {
             exec,
         });
         Ok((db, result))
-    }
-
-    /// The abstract group specs a plan's layouts read on `catalog`.
-    fn plan_groups(
-        catalog: &LayoutCatalog,
-        plan: &AccessPlan,
-    ) -> Result<Vec<GroupSpec>, EngineError> {
-        plan.layouts
-            .iter()
-            .map(|&id| {
-                catalog
-                    .group(id)
-                    .map(|g| GroupSpec::new(g.attr_set().clone()))
-                    .map_err(EngineError::from)
-            })
-            .collect()
     }
 
     /// Rejects a join whose relation binding was typed against a schema
@@ -890,45 +859,22 @@ impl H2oEngine {
     }
 
     /// [`Self::plan`] against an explicit snapshot (so one query plans,
-    /// compiles and executes against a single catalog version).
+    /// compiles and executes against a single catalog version): the
+    /// cost model's [`CostModel::best_plan`] over the snapshot's layouts in
+    /// id order.
     fn plan_on(
         &self,
         catalog: &LayoutCatalog,
         pattern: &AccessPattern,
     ) -> Result<(AccessPlan, f64), EngineError> {
-        let needed = pattern.all_attrs();
-        let mut plans: Vec<AccessPlan> = Vec::new();
-        for cover in catalog.cover_alternatives(&needed)? {
-            let ids: Vec<LayoutId> = cover.iter().map(|(id, _)| *id).collect();
-            for strategy in Strategy::ALL {
-                plans.push(AccessPlan::new(ids.clone(), strategy));
-            }
-        }
-        if let Some(sup) = catalog.find_superset(&needed) {
-            for strategy in [Strategy::FusedVolcano, Strategy::SelVector] {
-                plans.push(AccessPlan::new(vec![sup], strategy));
-            }
-        }
-        plans.dedup();
-
-        let mut best: Option<(AccessPlan, f64)> = None;
-        for plan in plans {
-            let groups = Self::plan_groups(catalog, &plan)?;
-            let cost = self.model.plan_cost(
-                pattern,
-                &PlanSpec {
-                    strategy: plan.strategy,
-                    groups,
-                },
-                catalog.rows(),
-            );
-            if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-                best = Some((plan, cost));
-            }
-        }
-        best.ok_or_else(|| {
-            EngineError::Storage(StorageError::NoCover(needed.first().unwrap_or(AttrId(0))))
-        })
+        let groups: Vec<&ColumnGroup> = catalog.groups().collect();
+        let attrs: Vec<&AttrSet> = groups.iter().map(|g| g.attr_set()).collect();
+        let Some(plan) = self.model.best_plan(pattern, &attrs, catalog.rows()) else {
+            let missing = catalog.first_uncovered(&pattern.all_attrs());
+            return Err(StorageError::NoCover(missing.unwrap_or(AttrId(0))).into());
+        };
+        let layouts = plan.cover.iter().map(|&i| groups[i].id()).collect();
+        Ok((AccessPlan::new(layouts, plan.strategy), plan.cost))
     }
 
     /// Lazy materialization: if a pending layout covers this query and the
@@ -1150,11 +1096,11 @@ impl H2oEngine {
 
     /// The pending layout whose materialization most improves `pattern`
     /// over its current best plan (`current_cost`) on `snap`, with the cost
-    /// it would achieve: hypothetically add each pending group to the
-    /// configuration, cover any remaining attributes from the existing
-    /// layouts, and compare the best achievable cost. (The window-level
-    /// amortization was already established by the adviser; this is the
-    /// per-query "can benefit" check of §3.2.)
+    /// it would achieve: the planner's own [`CostModel::best_plan`] over
+    /// `snap`'s layouts plus that one pending group, appended last as the
+    /// id it would be admitted under. (The window-level amortization was
+    /// already established by the adviser; this is the per-query "can
+    /// benefit" check of §3.2.)
     fn best_pending(
         &self,
         snap: &LayoutCatalog,
@@ -1162,31 +1108,24 @@ impl H2oEngine {
         current_cost: f64,
     ) -> Option<(GroupSpec, f64)> {
         let needed = pattern.all_attrs();
-        let mut best: Option<(GroupSpec, f64)> = None;
-        for g in self.pending.get() {
+        let pending = self.pending.get();
+        let mut config: Vec<&AttrSet> = snap.groups().map(|g| g.attr_set()).collect();
+        let mut best: Option<(&GroupSpec, f64)> = None;
+        for g in &pending {
             if !needed.intersects(&g.attrs) || snap.find_exact(&g.attrs).is_some() {
                 continue;
             }
-            let remaining = needed.difference(&g.attrs);
-            let mut groups = vec![g.clone()];
-            if !remaining.is_empty() {
-                let Ok(cover) = snap.cover(
-                    &remaining,
-                    h2o_storage::catalog::CoverPolicy::LeastExcessWidth,
-                ) else {
-                    continue; // uncoverable remainder: not a candidate
-                };
-                for (id, _) in cover {
-                    let Ok(src) = snap.group(id) else { continue };
-                    groups.push(GroupSpec::new(src.attr_set().clone()));
-                }
-            }
-            let cost = self.model.best_cost(pattern, &groups, snap.rows());
-            if cost < current_cost && best.as_ref().is_none_or(|(_, c)| cost < *c) {
+            config.push(&g.attrs);
+            let cost = self
+                .model
+                .best_plan(pattern, &config, snap.rows())
+                .map_or(f64::INFINITY, |p| p.cost);
+            config.pop();
+            if cost < current_cost && best.is_none_or(|(_, c)| cost < c) {
                 best = Some((g, cost));
             }
         }
-        best
+        best.map(|(g, cost)| (g.clone(), cost))
     }
 
     /// Materializes the pending group that most improves `pattern`'s best
@@ -1597,6 +1536,12 @@ mod tests {
         H2oEngine::new(rel, config)
     }
 
+    /// Whether some layout of `catalog` stores every attribute of `attrs`.
+    fn some_layout_holds(catalog: &LayoutCatalog, attrs: &[usize]) -> bool {
+        let attrs: AttrSet = attrs.iter().copied().collect();
+        catalog.groups().any(|g| attrs.is_subset(g.attr_set()))
+    }
+
     fn expr_query(select: &[u32], where_attr: u32, bound: Value) -> Query {
         Query::project(
             [Expr::sum_of(select.iter().map(|&i| AttrId(i)))],
@@ -1652,9 +1597,8 @@ mod tests {
         // The created layout must cover the hot select cluster (the
         // where-clause attribute keeps its own layout — the paper's
         // two-group design of Fig. 6).
-        let hot: h2o_storage::AttrSet = [0usize, 1, 2, 3, 4].into_iter().collect();
         assert!(
-            e.catalog().find_superset(&hot).is_some(),
+            some_layout_holds(&e.catalog(), &[0, 1, 2, 3, 4]),
             "expected a group covering the hot select cluster"
         );
         // And later queries should be using it.
@@ -1712,9 +1656,8 @@ mod tests {
         );
         // The adviser saw the group-key column as hot: some created layout
         // covers the key together with aggregate inputs.
-        let hot: h2o_storage::AttrSet = [0usize, 1, 2, 3].into_iter().collect();
         assert!(
-            e.catalog().find_superset(&hot).is_some(),
+            some_layout_holds(&e.catalog(), &[0, 1, 2, 3]),
             "expected a group covering key + aggregate inputs"
         );
     }
@@ -2611,9 +2554,8 @@ mod tests {
             "join workload must materialize a layout; stats: {stats:?}"
         );
         // Key {0} + payload {1,2} form the hot select cluster.
-        let hot: h2o_storage::AttrSet = [0usize, 1, 2].into_iter().collect();
         assert!(
-            e.catalog().find_superset(&hot).is_some(),
+            some_layout_holds(&e.catalog(), &[0, 1, 2]),
             "expected a group covering join key + payload"
         );
     }

@@ -15,10 +15,15 @@
 //!   monitoring window under a candidate layout configuration, including
 //!   the transformation cost `T` of materializing the new layouts. This is
 //!   the objective the adaptation mechanism minimizes. The model supplies
-//!   its terms — `q_j` of one pattern under its best cover
-//!   ([`CostModel::best_cover_cost`]) and `T` of one new group
+//!   its terms — `q_j` of one pattern under its best plan
+//!   ([`CostModel::best_plan`]) and `T` of one new group
 //!   ([`CostModel::transform_cost`]); the window sum, with amortization,
 //!   is the adviser's (`h2o-adapt`), and exists only there.
+//!
+//! [`CostModel::best_plan`] is the one place a cover and a strategy are
+//! chosen: the query planner runs the plan it returns, and the adviser,
+//! the engine's lazy "can it benefit" check and AutoPart price exactly
+//! that plan.
 //!
 //! The model is deliberately *relative*: its job is to rank alternatives
 //! (plans in the query processor, candidate configurations in the
@@ -28,5 +33,5 @@
 pub mod model;
 pub mod pattern;
 
-pub use model::{CostModel, GroupSpec, JoinRole, PlanSpec};
+pub use model::{CostModel, GroupSpec, JoinRole, PricedPlan};
 pub use pattern::AccessPattern;

@@ -1,10 +1,11 @@
 //! The cost model proper: Eq. 2 (plan cost), transformation cost, and the
-//! best cover of one pattern over a configuration — the per-query term of
-//! Eq. 1, which the adviser (`h2o-adapt`) sums over its monitoring window.
+//! best plan of one pattern over a configuration — what the query planner
+//! runs and the per-query term of Eq. 1, which the adviser (`h2o-adapt`)
+//! sums over its monitoring window.
 
 use crate::pattern::AccessPattern;
 use h2o_exec::Strategy;
-use h2o_storage::{AttrSet, VALUE_BYTES};
+use h2o_storage::{cover_fewest_groups, cover_least_excess, AttrSet, VALUE_BYTES};
 
 // Machine characteristics the model is parameterized on: order-of-magnitude
 // values for a commodity x86 server. Only their *ratios* matter for plan
@@ -33,6 +34,11 @@ fn lines(bytes: f64) -> f64 {
     (bytes / CACHE_LINE_BYTES).ceil().max(0.0)
 }
 
+/// Width in bytes of one tuple of a group over `attrs`.
+fn width_bytes(attrs: &AttrSet) -> f64 {
+    (attrs.len() * VALUE_BYTES) as f64
+}
+
 /// An abstract layout: just its attribute set. Width in bytes follows from
 /// the fixed 8-byte attribute size. Used both for materialized groups and
 /// for *candidate* groups the adaptation mechanism is still evaluating.
@@ -47,22 +53,22 @@ impl GroupSpec {
         GroupSpec { attrs }
     }
 
-    /// Width of one tuple of this group, bytes.
-    pub fn width_bytes(&self) -> f64 {
-        (self.attrs.len() * VALUE_BYTES) as f64
-    }
-
     /// Total size for `rows` tuples, bytes.
     pub fn bytes(&self, rows: usize) -> f64 {
-        self.width_bytes() * rows as f64
+        width_bytes(&self.attrs) * rows as f64
     }
 }
 
-/// An abstract plan: the groups it reads and the strategy.
+/// The plan [`CostModel::best_plan`] picks for one pattern.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PlanSpec {
+pub struct PricedPlan {
+    /// Its Eq. 2 cost.
+    pub cost: f64,
+    /// The groups it reads, as positions in the configuration, in the
+    /// order the cover picked them (the order the cost was summed in).
+    pub cover: Vec<usize>,
+    /// How it executes.
     pub strategy: Strategy,
-    pub groups: Vec<GroupSpec>,
 }
 
 /// Which role a relation plays in a hash join. The build side is scanned
@@ -166,12 +172,18 @@ impl CostModel {
     // ------------------------------------------------------------------
 
     /// Estimated cost of executing a query with `pat`'s access pattern
-    /// using `plan`, over a relation of `rows` tuples.
+    /// with `strategy` over `groups`, on a relation of `rows` tuples.
     ///
     /// Implements `q(L) = Σ cost_CPU` per layout (see [`CostModel`] on the
     /// I/O term), plus strategy-specific intermediate-result and
     /// output-materialization terms.
-    pub fn plan_cost(&self, pat: &AccessPattern, plan: &PlanSpec, rows: usize) -> f64 {
+    pub fn plan_cost(
+        &self,
+        pat: &AccessPattern,
+        strategy: Strategy,
+        groups: &[&AttrSet],
+        rows: usize,
+    ) -> f64 {
         let n = rows as f64;
         let selected = n * pat.selectivity;
         let miss = CACHE_MISS_SECONDS;
@@ -197,21 +209,21 @@ impl CostModel {
         };
         let out_cost = self.materialize(out_bytes) + group_cost;
 
-        match plan.strategy {
+        match strategy {
             Strategy::FusedVolcano => {
                 // One pass over every group; all accessed attributes of a
                 // group are charged at scan rate (predicates force the
                 // stream regardless of selectivity).
                 let mut total = 0.0;
                 let mut active_groups = 0usize;
-                for g in &plan.groups {
-                    let acc_where = g.attrs.intersection_len(&pat.where_);
-                    let acc_all = g.attrs.intersection_len(&needed);
+                for g in groups {
+                    let acc_where = g.intersection_len(&pat.where_);
+                    let acc_all = g.intersection_len(&needed);
                     if acc_all == 0 {
                         continue;
                     }
                     active_groups += 1;
-                    total += self.scan_misses(rows, g.width_bytes(), acc_all) * miss
+                    total += self.scan_misses(rows, width_bytes(g), acc_all) * miss
                         + n * acc_where as f64 * CPU_VALUE_SECONDS;
                 }
                 // Stitching across multiple groups in the same pass.
@@ -223,12 +235,12 @@ impl CostModel {
             Strategy::SelVector => {
                 let mut total = 0.0;
                 // Phase 1: full scan of groups holding where attributes.
-                for g in &plan.groups {
-                    let acc = g.attrs.intersection_len(&pat.where_);
+                for g in groups {
+                    let acc = g.intersection_len(&pat.where_);
                     if acc == 0 {
                         continue;
                     }
-                    total += self.scan_misses(rows, g.width_bytes(), acc) * miss
+                    total += self.scan_misses(rows, width_bytes(g), acc) * miss
                         + n * acc as f64 * CPU_VALUE_SECONDS;
                 }
                 // Selection-vector materialization (u32 ids).
@@ -237,13 +249,13 @@ impl CostModel {
                 }
                 // Phase 2: gather from groups holding select attributes.
                 let mut gather_groups = 0usize;
-                for g in &plan.groups {
-                    let acc = g.attrs.intersection_len(&pat.select);
+                for g in groups {
+                    let acc = g.intersection_len(&pat.select);
                     if acc == 0 {
                         continue;
                     }
                     gather_groups += 1;
-                    let misses = self.gather_misses(selected, rows, g.width_bytes(), acc);
+                    let misses = self.gather_misses(selected, rows, width_bytes(g), acc);
                     total += misses * miss + selected * acc as f64 * CPU_VALUE_SECONDS;
                 }
                 total += selected * gather_groups.saturating_sub(1) as f64 * CPU_STITCH_SECONDS;
@@ -255,10 +267,10 @@ impl CostModel {
                 // whatever group physically stores it; on non-unit-width
                 // groups every per-attribute pass pays strided access.
                 let width_of = |attr: h2o_storage::AttrId| -> f64 {
-                    plan.groups
+                    groups
                         .iter()
-                        .find(|g| g.attrs.contains(attr))
-                        .map(|g| g.width_bytes())
+                        .find(|g| g.contains(attr))
+                        .map(|g| width_bytes(g))
                         .unwrap_or(VALUE_BYTES as f64)
                 };
                 let col_width = VALUE_BYTES as f64;
@@ -293,10 +305,10 @@ impl CostModel {
         }
     }
 
-    /// Estimated cost of one **side** of a hash join executed with `plan`:
-    /// the side's scan/filter/gather cost ([`Self::plan_cost`] over the
-    /// side pattern — see [`AccessPattern::of_join_side`]) plus the
-    /// role-specific hash work per qualifying tuple. The build side pays a
+    /// Estimated cost of one **side** of a hash join whose own plan costs
+    /// `plan_cost` (the side's scan/filter/gather cost, [`Self::plan_cost`]
+    /// over the side pattern — see [`AccessPattern::of_join_side`]) plus
+    /// the role-specific hash work per qualifying tuple. The build side pays a
     /// table insert, the payload copy (the pattern's `output_width`
     /// values), and the join-filter build; the probe side pays the
     /// join-filter test plus a table probe. Output materialization of the
@@ -309,7 +321,7 @@ impl CostModel {
     pub fn join_side_cost(
         &self,
         pat: &AccessPattern,
-        plan: &PlanSpec,
+        plan_cost: f64,
         rows: usize,
         role: JoinRole,
     ) -> f64 {
@@ -318,31 +330,62 @@ impl CostModel {
             JoinRole::Build => HASH_INSERT_OPS + BLOOM_BUILD_OPS + pat.output_width as f64,
             JoinRole::Probe => HASH_PROBE_OPS + BLOOM_TEST_OPS,
         };
-        self.plan_cost(pat, plan, rows) + selected * hash_ops * CPU_OP_SECONDS
+        plan_cost + selected * hash_ops * CPU_OP_SECONDS
     }
 
-    /// The best (minimum) plan cost over all strategies for a fixed group
-    /// set — what the adaptation mechanism assumes the query processor will
-    /// achieve ("H2O evaluates the alternative execution strategies and
-    /// selects the most appropriate one", §3.3).
-    pub fn best_cost(&self, pat: &AccessPattern, groups: &[GroupSpec], rows: usize) -> f64 {
-        Strategy::ALL
-            .iter()
-            .map(|&strategy| {
-                self.plan_cost(
-                    pat,
-                    &PlanSpec {
-                        strategy,
-                        groups: groups.to_vec(),
-                    },
-                    rows,
-                )
-            })
-            .fold(f64::INFINITY, f64::min)
+    /// The cheapest plan for `pat` over the groups of `config` — the one
+    /// decision the query planner executes, the adviser prices, the lazy
+    /// "can it benefit" check compares and AutoPart sums ("H2O evaluates
+    /// the alternative execution strategies and selects the most
+    /// appropriate one", §3.3).
+    ///
+    /// The candidates are the two greedy covers of the pattern's attributes
+    /// ([`cover_fewest_groups`], then [`cover_least_excess`] if it
+    /// differs), each under every strategy of [`Strategy::ALL`]; the first
+    /// strictly cheapest wins. The narrowest single group holding every
+    /// attribute needs no candidate of its own: when one exists, it is the
+    /// whole fewest-groups cover (most covered, then least excess, then
+    /// earliest).
+    ///
+    /// Both covers depend only on the groups that intersect the pattern's
+    /// attributes and on their relative order, so pricing that subsequence
+    /// of `config` gives the same plan (as positions in the subsequence).
+    /// `None` when `config` does not cover the pattern.
+    pub fn best_plan(
+        &self,
+        pat: &AccessPattern,
+        config: &[&AttrSet],
+        rows: usize,
+    ) -> Option<PricedPlan> {
+        let needed = pat.all_attrs();
+        let fewest = cover_fewest_groups(config, &needed)?;
+        let least_excess = cover_least_excess(config, &needed).filter(|c| *c != fewest);
+        let covers = [Some(fewest), least_excess];
+
+        let mut best: Option<(f64, usize, Strategy)> = None;
+        let mut groups = Vec::new();
+        for (k, cover) in covers.iter().enumerate() {
+            let Some(cover) = cover else { continue };
+            groups.clear();
+            groups.extend(cover.iter().map(|&i| config[i]));
+            for strategy in Strategy::ALL {
+                let cost = self.plan_cost(pat, strategy, &groups, rows);
+                if best.is_none_or(|(c, ..)| cost < c) {
+                    best = Some((cost, k, strategy));
+                }
+            }
+        }
+        let (cost, k, strategy) = best?;
+        let cover = covers.into_iter().nth(k)??;
+        Some(PricedPlan {
+            cost,
+            cover,
+            strategy,
+        })
     }
 
     // ------------------------------------------------------------------
-    // Transformation cost and covers (the terms of Eq. 1)
+    // Transformation cost (the other term of Eq. 1)
     // ------------------------------------------------------------------
 
     /// `T(C_{i-1}, C_i)` for materializing one new group: stream-read the
@@ -367,83 +410,6 @@ impl CostModel {
         misses * CACHE_MISS_SECONDS * SEQ_OVERLAP
             + n * target.attrs.len() as f64 * CPU_VALUE_SECONDS
     }
-
-    /// Greedy cover of `attrs` by the groups of `partition`; returns
-    /// indices into `partition`. (The abstract-configuration counterpart of
-    /// the catalog's cover; greedy for the same NP-hardness reason.)
-    pub fn cover_abstract(partition: &[GroupSpec], attrs: &AttrSet) -> Option<Vec<usize>> {
-        let mut remaining = attrs.clone();
-        let mut chosen = Vec::new();
-        while !remaining.is_empty() {
-            let best = partition
-                .iter()
-                .enumerate()
-                .filter(|(i, g)| !chosen.contains(i) && g.attrs.intersects(&remaining))
-                .max_by_key(|(_, g)| g.attrs.intersection_len(&remaining))?;
-            remaining.difference_with(&best.1.attrs);
-            chosen.push(best.0);
-        }
-        Some(chosen)
-    }
-
-    /// Greedy cover preferring the **least excess width** (narrowest
-    /// tailored groups) — the abstract counterpart of the catalog's
-    /// `LeastExcessWidth` policy. Essential when configurations overlap: a
-    /// full-width group covers everything in one step, but the cheaper
-    /// plan usually reads the narrow groups.
-    pub fn cover_abstract_min_excess(
-        partition: &[GroupSpec],
-        attrs: &AttrSet,
-    ) -> Option<Vec<usize>> {
-        let mut remaining = attrs.clone();
-        let mut chosen = Vec::new();
-        while !remaining.is_empty() {
-            let best = partition
-                .iter()
-                .enumerate()
-                .filter(|(i, g)| !chosen.contains(i) && g.attrs.intersects(&remaining))
-                .max_by(|(_, a), (_, b)| {
-                    let ca = a.attrs.intersection_len(&remaining);
-                    let cb = b.attrs.intersection_len(&remaining);
-                    let ea = a.attrs.len() - ca;
-                    let eb = b.attrs.len() - cb;
-                    // Maximize coverage-per-excess (integer-safe form).
-                    (ca * (eb + 1)).cmp(&(cb * (ea + 1))).then(ca.cmp(&cb))
-                })?;
-            remaining.difference_with(&best.1.attrs);
-            chosen.push(best.0);
-        }
-        Some(chosen)
-    }
-
-    /// The cheapest cost over the cover alternatives of `config` for one
-    /// pattern: both cover policies are priced with their best strategies
-    /// and the minimum wins (mirroring the engine's plan enumeration).
-    /// Returns `(cost, chosen cover indices)` or `None` if uncovered.
-    pub fn best_cover_cost(
-        &self,
-        pat: &AccessPattern,
-        config: &[GroupSpec],
-        rows: usize,
-    ) -> Option<(f64, Vec<usize>)> {
-        let needed = pat.all_attrs();
-        let a = Self::cover_abstract(config, &needed)?;
-        let b = Self::cover_abstract_min_excess(config, &needed)?;
-        let mut best: Option<(f64, Vec<usize>)> = None;
-        let mut seen_first: Option<&[usize]> = None;
-        for cover in [&a, &b] {
-            if seen_first == Some(cover.as_slice()) {
-                continue;
-            }
-            seen_first = Some(cover.as_slice());
-            let groups: Vec<GroupSpec> = cover.iter().map(|&i| config[i].clone()).collect();
-            let cost = self.best_cost(pat, &groups, rows);
-            if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                best = Some((cost, cover.clone()));
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -454,8 +420,8 @@ mod tests {
         ids.iter().copied().collect()
     }
 
-    fn spec(ids: &[usize]) -> GroupSpec {
-        GroupSpec::new(aset(ids))
+    fn span(n: usize) -> AttrSet {
+        AttrSet::all(n)
     }
 
     fn pattern(select: &[usize], where_: &[usize], sel: f64) -> AccessPattern {
@@ -472,22 +438,26 @@ mod tests {
 
     const ROWS: usize = 1_000_000;
 
+    /// [`CostModel::best_plan`] over `config`, which must cover `pat`.
+    fn best(m: &CostModel, pat: &AccessPattern, config: &[AttrSet], rows: usize) -> PricedPlan {
+        let refs: Vec<&AttrSet> = config.iter().collect();
+        m.best_plan(pat, &refs, rows)
+            .expect("config covers the pattern")
+    }
+
     #[test]
     fn narrow_access_prefers_columns_over_row_major() {
         // Query touching 3 of 150 attrs: columnar layouts must cost less
         // than the full row-major group (Figs. 1–2's low-projectivity side).
         let m = CostModel;
         let pat = pattern(&[0, 1, 2], &[3], 0.4);
-        let columns: Vec<GroupSpec> = (0..150).map(|i| spec(&[i])).collect();
-        let needed_cols: Vec<GroupSpec> = [0, 1, 2, 3].iter().map(|&i| spec(&[i])).collect();
-        let row: Vec<GroupSpec> = vec![spec(&(0..150).collect::<Vec<_>>())];
-        let col_cost = m.best_cost(&pat, &needed_cols, ROWS);
-        let row_cost = m.best_cost(&pat, &row, ROWS);
+        let columns: Vec<AttrSet> = (0..150).map(|i| aset(&[i])).collect();
+        let col_cost = best(&m, &pat, &columns, ROWS).cost;
+        let row_cost = best(&m, &pat, &[span(150)], ROWS).cost;
         assert!(
             col_cost < row_cost,
             "columns {col_cost} should beat row-major {row_cost} at low projectivity"
         );
-        let _ = columns;
     }
 
     #[test]
@@ -501,24 +471,11 @@ mod tests {
         pat.select_ops = 239; // left-deep sum over 120 columns
         pat.is_aggregate = false;
         pat.output_width = 1;
-        let row = vec![spec(&(0..150).collect::<Vec<_>>())];
-        let cols: Vec<GroupSpec> = (0..121).map(|i| spec(&[i])).collect();
-        let row_fused = m.plan_cost(
-            &pat,
-            &PlanSpec {
-                strategy: Strategy::FusedVolcano,
-                groups: row,
-            },
-            ROWS,
-        );
-        let col_dsm = m.plan_cost(
-            &pat,
-            &PlanSpec {
-                strategy: Strategy::ColumnMajor,
-                groups: cols,
-            },
-            ROWS,
-        );
+        let row = span(150);
+        let cols: Vec<AttrSet> = (0..121).map(|i| aset(&[i])).collect();
+        let col_refs: Vec<&AttrSet> = cols.iter().collect();
+        let row_fused = m.plan_cost(&pat, Strategy::FusedVolcano, &[&row], ROWS);
+        let col_dsm = m.plan_cost(&pat, Strategy::ColumnMajor, &col_refs, ROWS);
         assert!(
             row_fused < col_dsm,
             "row fused {row_fused} should beat columnar {col_dsm} at high projectivity"
@@ -529,22 +486,19 @@ mod tests {
     fn exact_group_is_at_least_as_good_as_row_major() {
         let m = CostModel;
         let pat = pattern(&[0, 1, 2, 3, 4], &[5], 0.1);
-        let exact = vec![spec(&[0, 1, 2, 3, 4, 5])];
-        let row = vec![spec(&(0..150).collect::<Vec<_>>())];
-        assert!(m.best_cost(&pat, &exact, ROWS) < m.best_cost(&pat, &row, ROWS));
+        let exact = best(&m, &pat, &[aset(&[0, 1, 2, 3, 4, 5])], ROWS);
+        assert!(exact.cost < best(&m, &pat, &[span(150)], ROWS).cost);
     }
 
     #[test]
     fn selectivity_lowers_selvector_cost() {
         let m = CostModel;
-        let groups = vec![spec(&[0, 1, 2]), spec(&[3])];
+        let (a, b) = (aset(&[0, 1, 2]), aset(&[3]));
         let plan = |sel: f64| {
             m.plan_cost(
                 &pattern(&[0, 1, 2], &[3], sel),
-                &PlanSpec {
-                    strategy: Strategy::SelVector,
-                    groups: groups.clone(),
-                },
+                Strategy::SelVector,
+                &[&a, &b],
                 ROWS,
             )
         };
@@ -562,22 +516,23 @@ mod tests {
             output_width: 2,
             ..scalar.clone()
         };
-        let narrow = vec![spec(&[0, 1, 2])];
-        let wide = vec![spec(&(0..150).collect::<Vec<_>>())];
+        let narrow = [aset(&[0, 1, 2])];
+        let wide = [span(150)];
+        let cost = |pat, config: &[AttrSet]| best(&m, pat, config, ROWS).cost;
         // The hash probe makes grouped strictly costlier on the same plan...
-        assert!(m.best_cost(&grouped, &narrow, ROWS) > m.best_cost(&scalar, &narrow, ROWS));
+        assert!(cost(&grouped, &narrow) > cost(&scalar, &narrow));
         // ...but layout preference is unchanged: the charge is
         // strategy/layout-independent.
-        assert!(m.best_cost(&grouped, &narrow, ROWS) < m.best_cost(&grouped, &wide, ROWS));
+        assert!(cost(&grouped, &narrow) < cost(&grouped, &wide));
     }
 
     #[test]
     fn cost_monotone_in_rows() {
         let m = CostModel;
-        let groups = vec![spec(&[0, 1])];
+        let groups = [aset(&[0, 1])];
         let pat = pattern(&[0, 1], &[], 1.0);
-        let c1 = m.best_cost(&pat, &groups, 1000);
-        let c2 = m.best_cost(&pat, &groups, 10_000);
+        let c1 = best(&m, &pat, &groups, 1000).cost;
+        let c2 = best(&m, &pat, &groups, 10_000).cost;
         assert!(c2 > c1);
         assert!(c1 >= 0.0);
     }
@@ -593,9 +548,9 @@ mod tests {
     #[test]
     fn transform_cost_scales_with_width() {
         let m = CostModel;
-        let sources = vec![spec(&(0..100).collect::<Vec<_>>())];
-        let t_small = m.transform_cost(ROWS, &spec(&[0, 1, 2]), &sources);
-        let t_big = m.transform_cost(ROWS, &(spec(&(0..50).collect::<Vec<_>>())), &sources);
+        let sources = vec![GroupSpec::new(span(100))];
+        let t_small = m.transform_cost(ROWS, &GroupSpec::new(aset(&[0, 1, 2])), &sources);
+        let t_big = m.transform_cost(ROWS, &GroupSpec::new(span(50)), &sources);
         assert!(t_big > t_small);
         assert!(t_small > 0.0);
     }
@@ -606,13 +561,9 @@ mod tests {
         // the probe role only the table probe.
         let m = CostModel;
         let pat = pattern(&[0, 1], &[2], 0.5);
-        let groups = vec![spec(&[0, 1, 2])];
-        let plan = PlanSpec {
-            strategy: Strategy::SelVector,
-            groups,
-        };
-        let build = m.join_side_cost(&pat, &plan, ROWS, JoinRole::Build);
-        let probe = m.join_side_cost(&pat, &plan, ROWS, JoinRole::Probe);
+        let plan = m.plan_cost(&pat, Strategy::SelVector, &[&aset(&[0, 1, 2])], ROWS);
+        let build = m.join_side_cost(&pat, plan, ROWS, JoinRole::Build);
+        let probe = m.join_side_cost(&pat, plan, ROWS, JoinRole::Probe);
         assert!(
             build > probe,
             "build {build} must exceed probe {probe} on the same side"
@@ -627,12 +578,12 @@ mod tests {
         let m = CostModel;
         let selective = pattern(&[0, 1], &[2], 0.05);
         let broad = pattern(&[0, 1], &[2], 0.8);
+        let group = aset(&[0, 1, 2]);
         for &strategy in Strategy::ALL.iter() {
-            let plan = PlanSpec {
-                strategy,
-                groups: vec![spec(&[0, 1, 2])],
+            let side = |pat, role| {
+                let plan = m.plan_cost(pat, strategy, &[&group], ROWS);
+                m.join_side_cost(pat, plan, ROWS, role)
             };
-            let side = |pat, role| m.join_side_cost(pat, &plan, ROWS, role);
             let order_a = side(&selective, JoinRole::Build) + side(&broad, JoinRole::Probe);
             let order_b = side(&broad, JoinRole::Build) + side(&selective, JoinRole::Probe);
             assert!(
@@ -650,13 +601,12 @@ mod tests {
         // toward join-shaped column groups.
         let m = CostModel;
         let pat = pattern(&[0, 1], &[2], 0.2);
-        let plan = |strategy, groups| PlanSpec { strategy, groups };
+        let (tailored, wide) = (aset(&[0, 1, 2]), span(150));
         for &strategy in Strategy::ALL.iter() {
             for role in [JoinRole::Build, JoinRole::Probe] {
-                let tailored = plan(strategy, vec![spec(&[0, 1, 2])]);
-                let wide = plan(strategy, vec![spec(&(0..150).collect::<Vec<_>>())]);
-                let narrow_cost = m.join_side_cost(&pat, &tailored, ROWS, role);
-                let wide_cost = m.join_side_cost(&pat, &wide, ROWS, role);
+                let side =
+                    |g| m.join_side_cost(&pat, m.plan_cost(&pat, strategy, &[g], ROWS), ROWS, role);
+                let (narrow_cost, wide_cost) = (side(&tailored), side(&wide));
                 assert!(
                     narrow_cost < wide_cost,
                     "{strategy:?} {role:?}: {narrow_cost} vs {wide_cost}"
@@ -666,50 +616,54 @@ mod tests {
     }
 
     #[test]
-    fn cover_abstract_finds_minimal_cover() {
-        let partition = vec![spec(&[0, 1]), spec(&[2, 3]), spec(&[0, 1, 2, 3])];
-        let cover = CostModel::cover_abstract(&partition, &aset(&[0, 3])).unwrap();
-        assert_eq!(cover, vec![2]);
-        assert!(CostModel::cover_abstract(&partition, &aset(&[9])).is_none());
-    }
-
-    #[test]
-    fn min_excess_cover_prefers_narrow_groups() {
-        // Wide group covers everything; narrow groups cover exactly.
-        let partition = vec![
-            spec(&(0..30).collect::<Vec<_>>()),
-            spec(&[0, 1]),
-            spec(&[2]),
-        ];
-        let max_cover = CostModel::cover_abstract(&partition, &aset(&[0, 1, 2])).unwrap();
-        assert_eq!(max_cover, vec![0], "max-cover takes the wide group");
-        let min_excess =
-            CostModel::cover_abstract_min_excess(&partition, &aset(&[0, 1, 2])).unwrap();
-        assert_eq!(min_excess, vec![1, 2], "min-excess takes the narrow groups");
-    }
-
-    #[test]
-    fn best_cover_cost_picks_the_cheaper_alternative() {
+    fn best_plan_picks_the_cheaper_cover() {
         // A narrow-attribute query against a config holding both a wide
-        // group and tailored narrow groups: the best cover must not be
-        // forced onto the wide group.
+        // group and tailored narrow groups: the fewest-groups cover is the
+        // wide group, the least-excess cover the tailored ones, and the
+        // plan must not be forced onto the wide group.
         let m = CostModel;
-        let config = vec![
-            spec(&(0..150).collect::<Vec<_>>()),
-            spec(&[0, 1, 2]),
-            spec(&[3]),
-        ];
+        let config = [span(150), aset(&[0, 1, 2]), aset(&[3])];
         let pat = pattern(&[0, 1, 2], &[3], 0.3);
-        let (cost, cover) = m.best_cover_cost(&pat, &config, ROWS).unwrap();
-        assert!(
-            cover.contains(&1),
-            "expected the tailored group in {cover:?}"
-        );
-        let wide_only = m.best_cost(&pat, &config[..1], ROWS);
-        assert!(cost < wide_only);
+        let plan = best(&m, &pat, &config, ROWS);
+        assert_eq!(plan.cover, vec![1, 2]);
+        let wide_only = best(&m, &pat, &config[..1], ROWS);
+        assert_eq!(wide_only.cover, vec![0]);
+        assert!(plan.cost < wide_only.cost);
+        // The cost is the chosen plan's, bit for bit.
+        let refs = [&config[1], &config[2]];
+        let again = m.plan_cost(&pat, plan.strategy, &refs, ROWS);
+        assert_eq!(plan.cost.to_bits(), again.to_bits());
         // Uncoverable pattern yields None.
+        let refs: Vec<&AttrSet> = config.iter().collect();
         assert!(m
-            .best_cover_cost(&pattern(&[999], &[], 1.0), &config, ROWS)
+            .best_plan(&pattern(&[999], &[], 1.0), &refs, ROWS)
             .is_none());
+    }
+
+    #[test]
+    fn best_plan_ignores_groups_outside_the_footprint() {
+        // Groups that miss every attribute of the pattern cannot move the
+        // plan: what the adviser's memo relies on.
+        let m = CostModel;
+        let pat = pattern(&[0, 1], &[2], 0.2);
+        let config = [
+            aset(&[0, 1]),
+            aset(&[7, 8]),
+            aset(&[2]),
+            aset(&[0, 1, 2, 9]),
+        ];
+        let full = best(&m, &pat, &config, ROWS);
+        let relevant = [config[0].clone(), config[2].clone(), config[3].clone()];
+        let sub = best(&m, &pat, &relevant, ROWS);
+        let back = [0, 2, 3];
+        assert_eq!(
+            full.cover,
+            sub.cover.iter().map(|&i| back[i]).collect::<Vec<_>>()
+        );
+        assert_eq!(full.strategy, sub.strategy);
+        assert_eq!(full.cost.to_bits(), sub.cost.to_bits());
+        // A pattern touching no attribute is served by the empty cover.
+        let count_star = pattern(&[], &[], 1.0);
+        assert!(best(&m, &count_star, &config, ROWS).cover.is_empty());
     }
 }

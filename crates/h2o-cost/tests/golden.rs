@@ -6,7 +6,7 @@
 //! must leave this table untouched; a deliberate recalibration regenerates
 //! it from the values the failing assertion prints.
 
-use h2o_cost::{AccessPattern, CostModel, GroupSpec, JoinRole, PlanSpec};
+use h2o_cost::{AccessPattern, CostModel, GroupSpec, JoinRole};
 use h2o_exec::Strategy;
 use h2o_storage::AttrSet;
 
@@ -89,28 +89,23 @@ fn configs(rng: &mut Rng) -> Vec<Vec<GroupSpec>> {
     vec![columns, row, partition, overlapping]
 }
 
-fn plan(strategy: Strategy, groups: &[GroupSpec]) -> PlanSpec {
-    PlanSpec {
-        strategy,
-        groups: groups.to_vec(),
-    }
-}
-
 /// Every priced quantity for one (pattern, configuration) cell: `plan_cost`
-/// and `join_side_cost` in both roles per strategy, `best_cover_cost`, and
-/// the `transform_cost` of building the pattern's exact group.
+/// over the whole configuration and `join_side_cost` in both roles per
+/// strategy, `best_plan`'s cost, and the `transform_cost` of building the
+/// pattern's exact group.
 fn cell(model: &CostModel, pat: &AccessPattern, config: &[GroupSpec]) -> Vec<u64> {
+    let groups: Vec<&AttrSet> = config.iter().map(|g| &g.attrs).collect();
     let mut bits = Vec::new();
     for strategy in Strategy::ALL {
-        let plan = plan(strategy, config);
-        bits.push(model.plan_cost(pat, &plan, ROWS));
-        bits.push(model.join_side_cost(pat, &plan, ROWS, JoinRole::Build));
-        bits.push(model.join_side_cost(pat, &plan, ROWS, JoinRole::Probe));
+        let plan = model.plan_cost(pat, strategy, &groups, ROWS);
+        bits.push(plan);
+        bits.push(model.join_side_cost(pat, plan, ROWS, JoinRole::Build));
+        bits.push(model.join_side_cost(pat, plan, ROWS, JoinRole::Probe));
     }
-    let (cover_cost, _) = model
-        .best_cover_cost(pat, config, ROWS)
+    let best = model
+        .best_plan(pat, &groups, ROWS)
         .expect("every configuration covers every attribute");
-    bits.push(cover_cost);
+    bits.push(best.cost);
     bits.push(model.transform_cost(ROWS, &GroupSpec::new(pat.all_attrs()), config));
     bits.into_iter().map(f64::to_bits).collect()
 }
@@ -125,6 +120,14 @@ fn fold(bits: &[u64]) -> u64 {
 }
 
 /// `GOLDEN[pattern][configuration]`, seed 42.
+///
+/// Cell `[5][2]` was re-pinned when the adviser's cover search became the
+/// planner's (`best_plan`): that pattern needs all five groups of the
+/// partition, so both greedy covers hold the same five groups and only the
+/// order they are picked in — now by the planner's tie-breaks (least
+/// excess, then earliest group) — changed. That order is the f64 summation order of the plan
+/// cost, so the best cost moved from 5.52206336e-2 to
+/// 5.5220633600000006e-2 (one ulp); every other cell kept its bits.
 #[rustfmt::skip]
 const GOLDEN: [[u64; 4]; 8] = [
     [0x1daf236b732b9108, 0xe4d768f1a82c8287, 0xcfdc0490da64fdc9, 0x34a2da20c518d332],
@@ -132,7 +135,7 @@ const GOLDEN: [[u64; 4]; 8] = [
     [0xdb68ae7a0975e4ad, 0x8b954aa42adeddd1, 0x6d95fac17ee25d1c, 0xbfa5b713a2181460],
     [0xbe4a4e050389d9fc, 0x7267ca1d1dcf7c28, 0x15b183674a08570a, 0xf3ad930bb4f25163],
     [0x57d3f56317a255b7, 0x01de267bb08857e3, 0x42a94a8591c17172, 0x03f48c999d73bbe2],
-    [0x43ca91cf30d04ef6, 0x8bc2fb655b80476b, 0x18635bf0a44976d5, 0x2eb51929e37902a1],
+    [0x43ca91cf30d04ef6, 0x8bc2fb655b80476b, 0xf9cbcd2440c1fe20, 0x2eb51929e37902a1],
     [0xc481ee156ffb80da, 0x5fcf0d31dd1d5e86, 0x8b1a16f6ea7cad9d, 0xfc81765f8a662ea6],
     [0x5d643d09e2509022, 0x5d731dbca0ea9170, 0x1c54ea3f91f1d36f, 0x5edd5995ed57950d],
 ];

@@ -102,5 +102,5 @@ pub use opcache::{CompileCostModel, OperatorCache, OperatorKey};
 pub use parallel::ExecPolicy;
 pub use plan::{AccessPlan, Strategy};
 pub use program::CompiledExpr;
-pub use selvec::{BitSel, SelVec};
+pub use selvec::SelVec;
 pub use sink::SelectProgram;

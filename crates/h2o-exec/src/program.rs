@@ -193,21 +193,6 @@ impl CompiledExpr {
             }
         }
     }
-
-    /// The attributes this expression loads (plan-slot bound).
-    pub fn bound_attrs(&self) -> Vec<BoundAttr> {
-        match self {
-            CompiledExpr::Col(a) => vec![*a],
-            CompiledExpr::SumCols(cols) | CompiledExpr::SumColsF(cols) => cols.clone(),
-            CompiledExpr::Program { ops, .. } => ops
-                .iter()
-                .filter_map(|op| match op {
-                    OpCode::Load(a) => Some(*a),
-                    _ => None,
-                })
-                .collect(),
-        }
-    }
 }
 
 #[inline]
@@ -318,16 +303,6 @@ mod tests {
         } else {
             panic!("expected Program");
         }
-    }
-
-    #[test]
-    fn bound_attrs_reported() {
-        let e = Expr::col(0u32).mul(Expr::col(2u32)).add(Expr::lit(1));
-        let c = CompiledExpr::lower(&e, direct_bind);
-        let attrs = c.bound_attrs();
-        assert_eq!(attrs.len(), 2);
-        assert_eq!(attrs[0].offset, 0);
-        assert_eq!(attrs[1].offset, 2);
     }
 
     #[test]

@@ -33,7 +33,6 @@ use crate::sink::SelectProgram;
 use h2o_expr::agg::AggOp;
 use h2o_expr::typecheck;
 use h2o_expr::{Query, QueryResult};
-use h2o_storage::catalog::CoverPolicy;
 use h2o_storage::{
     failpoints, AttrId, ColumnGroup, LayoutCatalog, LogicalType, Value, DEFAULT_SEG_SHIFT,
 };
@@ -46,8 +45,7 @@ fn source_bindings(
     target_attrs: &[AttrId],
 ) -> Result<(Vec<h2o_storage::LayoutId>, Vec<BoundAttr>), ExecError> {
     let want = target_attrs.iter().copied().collect();
-    let cover = catalog.cover(&want, CoverPolicy::LeastExcessWidth)?;
-    let layouts: Vec<_> = cover.iter().map(|(id, _)| *id).collect();
+    let layouts = catalog.cover(&want)?;
     let groups: Vec<&ColumnGroup> = layouts
         .iter()
         .map(|&id| catalog.group(id))

@@ -160,119 +160,6 @@ impl FromIterator<u32> for SelVec {
     }
 }
 
-/// The alternative selection representation the paper mentions (§2.1:
-/// "bit-vectors instead of list of IDs"): one bit per tuple.
-///
-/// Trade-off vs [`SelVec`]: a bit-vector's size is fixed at `rows/8` bytes
-/// regardless of selectivity, it supports O(words) conjunction
-/// (`intersect_with`), and consuming it skips non-qualifying tuples with
-/// bit tricks; an id list is smaller below ~3 % selectivity and gathers
-/// without decode. [`BitSel::is_denser_than_ids`] captures the break-even
-/// the planner can use.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitSel {
-    words: Vec<u64>,
-    rows: usize,
-}
-
-impl BitSel {
-    /// An all-zero bit-vector over `rows` tuples.
-    pub fn new(rows: usize) -> Self {
-        BitSel {
-            words: vec![0; rows.div_ceil(64)],
-            rows,
-        }
-    }
-
-    /// An all-ones bit-vector (no where-clause).
-    pub fn all(rows: usize) -> Self {
-        let mut s = BitSel::new(rows);
-        for (i, w) in s.words.iter_mut().enumerate() {
-            let bits = (rows - i * 64).min(64);
-            *w = if bits == 64 {
-                u64::MAX
-            } else {
-                (1u64 << bits) - 1
-            };
-        }
-        s
-    }
-
-    /// Number of tuples the vector covers.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Marks tuple `row` as qualifying.
-    #[inline(always)]
-    pub fn set(&mut self, row: usize) {
-        self.words[row / 64] |= 1 << (row % 64);
-    }
-
-    /// Whether tuple `row` qualifies.
-    #[inline]
-    pub fn get(&self, row: usize) -> bool {
-        self.words[row / 64] & (1 << (row % 64)) != 0
-    }
-
-    /// Number of qualifying tuples (popcount).
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// In-place conjunction with another bit-vector of the same length —
-    /// the constant-per-word `AND` that makes bit-vectors attractive for
-    /// multi-predicate filters.
-    pub fn intersect_with(&mut self, other: &BitSel) {
-        debug_assert_eq!(self.rows, other.rows);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
-    /// Iterates over qualifying row ids in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
-            let mut w = word;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros();
-                    w &= w - 1;
-                    Some((wi as u32) * 64 + b)
-                }
-            })
-        })
-    }
-
-    /// Decodes into an id-list selection vector.
-    pub fn to_selvec(&self) -> SelVec {
-        self.iter().collect()
-    }
-
-    /// Encodes an id-list into a bit-vector over `rows` tuples.
-    pub fn from_selvec(sel: &SelVec, rows: usize) -> BitSel {
-        let mut s = BitSel::new(rows);
-        for &id in sel.ids() {
-            s.set(id as usize);
-        }
-        s
-    }
-
-    /// Footprint in bytes.
-    pub fn bytes(&self) -> usize {
-        self.words.len() * 8
-    }
-
-    /// Whether the bit-vector is the smaller representation for its
-    /// population (break-even at 1 bit vs 32 bits per qualifying tuple ≈
-    /// 3.1 % selectivity).
-    pub fn is_denser_than_ids(&self) -> bool {
-        self.bytes() <= self.count() * std::mem::size_of::<u32>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,52 +245,5 @@ mod tests {
     #[test]
     fn bytes_footprint() {
         assert_eq!(SelVec::identity(10).bytes(), 40);
-    }
-
-    #[test]
-    fn bitsel_set_get_count() {
-        let mut b = BitSel::new(130);
-        assert_eq!(b.count(), 0);
-        b.set(0);
-        b.set(63);
-        b.set(64);
-        b.set(129);
-        assert!(b.get(63) && b.get(64) && !b.get(1));
-        assert_eq!(b.count(), 4);
-        assert_eq!(b.iter().collect::<Vec<_>>(), vec![0, 63, 64, 129]);
-    }
-
-    #[test]
-    fn bitsel_all_respects_tail() {
-        let b = BitSel::all(70);
-        assert_eq!(b.count(), 70);
-        assert!(b.get(69));
-        assert_eq!(b.rows(), 70);
-    }
-
-    #[test]
-    fn bitsel_roundtrips_with_selvec() {
-        let sel = SelVec::from_ids(vec![1, 5, 64, 99]);
-        let bits = BitSel::from_selvec(&sel, 100);
-        assert_eq!(bits.to_selvec(), sel);
-        assert_eq!(bits.count(), sel.len());
-    }
-
-    #[test]
-    fn bitsel_intersection_is_conjunction() {
-        let a = BitSel::from_selvec(&SelVec::from_ids(vec![0, 2, 4, 6]), 8);
-        let b = BitSel::from_selvec(&SelVec::from_ids(vec![2, 3, 4]), 8);
-        let mut c = a.clone();
-        c.intersect_with(&b);
-        assert_eq!(c.to_selvec().ids(), &[2, 4]);
-    }
-
-    #[test]
-    fn bitsel_density_breakeven() {
-        // 128 rows → 16 bytes of bits; ids cost 4 bytes each.
-        let sparse = BitSel::from_selvec(&SelVec::from_ids(vec![7]), 128);
-        assert!(!sparse.is_denser_than_ids(), "1 id (4B) < 16B of bits");
-        let dense = BitSel::from_selvec(&SelVec::from_ids((0..64).collect()), 128);
-        assert!(dense.is_denser_than_ids(), "64 ids (256B) > 16B of bits");
     }
 }

@@ -18,7 +18,6 @@ use crate::grouped::GroupedAggs;
 use crate::predicate::CmpOp;
 use crate::query::Query;
 use crate::result::QueryResult;
-use h2o_storage::catalog::CoverPolicy;
 use h2o_storage::{AttrId, ColumnGroup, LayoutCatalog, LogicalType, Schema, StorageError, Value};
 
 /// Resolves each referenced attribute to `(group index, offset in group)`
@@ -236,14 +235,14 @@ fn interpret_impl(
 }
 
 /// Evaluates `q` against a catalog, letting the catalog pick a covering set
-/// of groups (fewest-groups policy). This is the reference entry point used
+/// of groups ([`LayoutCatalog::cover`]). This is the reference entry point used
 /// by tests and by the engine's fallback path. String predicate constants
 /// resolve through the schema's dictionaries.
 pub fn interpret(catalog: &LayoutCatalog, q: &Query) -> Result<QueryResult, StorageError> {
-    let cover = catalog.cover(&q.all_attrs(), CoverPolicy::FewestGroups)?;
-    let mut groups: Vec<&ColumnGroup> = cover
-        .iter()
-        .map(|(id, _)| catalog.group(*id))
+    let mut groups: Vec<&ColumnGroup> = catalog
+        .cover(&q.all_attrs())?
+        .into_iter()
+        .map(|id| catalog.group(id))
         .collect::<Result<_, _>>()?;
     if groups.is_empty() {
         // A query whose expressions reference no attribute at all — plain
@@ -286,10 +285,10 @@ pub fn interpret_join(
         catalog: &'a LayoutCatalog,
         needed: &h2o_storage::AttrSet,
     ) -> Result<Vec<&'a ColumnGroup>, StorageError> {
-        let cover = catalog.cover(needed, CoverPolicy::FewestGroups)?;
-        cover
-            .iter()
-            .map(|(id, _)| catalog.group(*id))
+        catalog
+            .cover(needed)?
+            .into_iter()
+            .map(|id| catalog.group(id))
             .collect::<Result<_, _>>()
     }
     let lgroups = resolve(left, &q.side_attrs(Side::Left))?;

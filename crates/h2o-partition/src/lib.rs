@@ -27,29 +27,23 @@ pub mod bruteforce;
 pub use autopart::{AutoPart, AutoPartConfig};
 pub use bruteforce::brute_force;
 
-use h2o_cost::{AccessPattern, CostModel, GroupSpec};
+use h2o_cost::{AccessPattern, CostModel};
 use h2o_storage::AttrSet;
 
 /// Total workload cost of a complete partition: each query is priced with
-/// its best strategy over the fragments that cover it.
+/// the plan the engine's planner would pick over the fragments
+/// ([`CostModel::best_plan`]); `∞` if some query is not covered.
 pub fn partition_cost(
     model: &CostModel,
     workload: &[AccessPattern],
     partition: &[AttrSet],
     rows: usize,
 ) -> f64 {
-    let specs: Vec<GroupSpec> = partition
-        .iter()
-        .map(|a| GroupSpec::new(a.clone()))
-        .collect();
+    let fragments: Vec<&AttrSet> = partition.iter().collect();
     let mut total = 0.0;
     for pat in workload {
-        let needed = pat.all_attrs();
-        match CostModel::cover_abstract(&specs, &needed) {
-            Some(cover) => {
-                let groups: Vec<GroupSpec> = cover.into_iter().map(|i| specs[i].clone()).collect();
-                total += model.best_cost(pat, &groups, rows);
-            }
+        match model.best_plan(pat, &fragments, rows) {
+            Some(plan) => total += plan.cost,
             None => return f64::INFINITY,
         }
     }

@@ -73,17 +73,61 @@ impl StatsCell {
     }
 }
 
-/// How a covering set of groups should be chosen when several could serve
-/// the same attribute set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoverPolicy {
-    /// Prefer the fewest groups (then least excess width). Minimizing the
-    /// number of groups minimizes stitching/selection-vector passes.
-    FewestGroups,
-    /// Prefer the least total excess width (then fewest groups). Minimizing
-    /// excess width minimizes wasted memory bandwidth (paper §4.2.2,
-    /// Fig. 11).
-    LeastExcessWidth,
+/// Greedy cover of `attrs` by `groups` that prefers the **fewest groups**:
+/// each step takes the group covering the most still-uncovered attributes,
+/// ties to the least excess (stored attributes `attrs` does not need).
+/// Fewer groups means fewer stitching / selection-vector passes.
+///
+/// Returns positions into `groups` in pick order, or `None` when their
+/// union misses an attribute of `attrs`. Greedy set cover is the standard
+/// ln(n)-approximation; the paper's own search is heuristic for the same
+/// NP-hardness reason (§3.2).
+pub fn cover_fewest_groups(groups: &[&AttrSet], attrs: &AttrSet) -> Option<Vec<usize>> {
+    greedy_cover(groups, attrs, |(c, e), (best_c, best_e)| {
+        c > best_c || (c == best_c && e < best_e)
+    })
+}
+
+/// Greedy cover of `attrs` by `groups` that prefers the **least excess
+/// width**: each step takes the best covered-per-excess ratio, ties to the
+/// most covered. Less excess means less wasted memory bandwidth (paper
+/// §4.2.2, Fig. 11). Same contract as [`cover_fewest_groups`].
+pub fn cover_least_excess(groups: &[&AttrSet], attrs: &AttrSet) -> Option<Vec<usize>> {
+    greedy_cover(groups, attrs, |(c, e), (best_c, best_e)| {
+        // c / (e + 1) against best_c / (best_e + 1), without floats.
+        let (lhs, rhs) = (c * (best_e + 1), best_c * (e + 1));
+        lhs > rhs || (lhs == rhs && c > best_c)
+    })
+}
+
+/// The one greedy set-cover loop. `better(candidate, best)` compares
+/// `(covered, excess)` scores; remaining ties go to the earliest position,
+/// so only groups that intersect `attrs`, and their relative order, can
+/// influence the result.
+fn greedy_cover(
+    groups: &[&AttrSet],
+    attrs: &AttrSet,
+    better: impl Fn((usize, usize), (usize, usize)) -> bool,
+) -> Option<Vec<usize>> {
+    let mut remaining = attrs.clone();
+    let mut chosen = Vec::new();
+    while !remaining.is_empty() {
+        let mut best: Option<(usize, (usize, usize))> = None;
+        for (i, g) in groups.iter().enumerate() {
+            let covered = g.intersection_len(&remaining);
+            if covered == 0 {
+                continue;
+            }
+            let score = (covered, g.len() - covered);
+            if best.is_none_or(|(_, b)| better(score, b)) {
+                best = Some((i, score));
+            }
+        }
+        let (i, _) = best?;
+        remaining.difference_with(groups[i]);
+        chosen.push(i);
+    }
+    Some(chosen)
 }
 
 /// The set of materialized layouts for one relation.
@@ -245,100 +289,33 @@ impl LayoutCatalog {
             .map(|g| g.id())
     }
 
-    /// Finds the narrowest single group containing *all* of `attrs`, if any.
-    pub fn find_superset(&self, attrs: &AttrSet) -> Option<LayoutId> {
-        self.groups
-            .values()
-            .filter(|g| attrs.is_subset(g.attr_set()))
-            .min_by_key(|g| g.width())
-            .map(|g| g.id())
-    }
-
-    /// Whether the union of live groups covers `attrs`.
-    pub fn covers(&self, attrs: &AttrSet) -> bool {
-        let mut remaining = attrs.clone();
-        for g in self.groups.values() {
-            remaining.difference_with(g.attr_set());
-            if remaining.is_empty() {
-                return true;
-            }
-        }
-        remaining.is_empty()
-    }
-
     /// Whether the live groups cover the entire schema (the catalog's core
     /// invariant once loading finishes).
     pub fn covers_schema(&self) -> bool {
-        self.covers(&AttrSet::all(self.schema.len()))
+        self.first_uncovered(&AttrSet::all(self.schema.len()))
+            .is_none()
     }
 
-    /// Greedily selects a covering set of groups for `attrs` under the given
-    /// policy. Returns the chosen layout ids together with, for each, the
-    /// subset of `attrs` it is *responsible* for (each requested attribute
-    /// is assigned to exactly one chosen group).
-    ///
-    /// Greedy set cover is the standard ln(n)-approximation; the paper's own
-    /// search is heuristic for the same NP-hardness reason (§3.2).
-    pub fn cover(
-        &self,
-        attrs: &AttrSet,
-        policy: CoverPolicy,
-    ) -> Result<Vec<(LayoutId, AttrSet)>, StorageError> {
-        let mut remaining = attrs.clone();
-        let mut chosen = Vec::new();
-        while !remaining.is_empty() {
-            let best = self
-                .groups
-                .values()
-                .filter(|g| g.attr_set().intersects(&remaining))
-                .max_by(|a, b| {
-                    let (ca, cb) = (
-                        a.attr_set().intersection_len(&remaining),
-                        b.attr_set().intersection_len(&remaining),
-                    );
-                    // Excess = stored attributes that the query does not need.
-                    let (ea, eb) = (a.width() - ca, b.width() - cb);
-                    match policy {
-                        CoverPolicy::FewestGroups => {
-                            ca.cmp(&cb).then(eb.cmp(&ea)).then(b.id().cmp(&a.id()))
-                        }
-                        CoverPolicy::LeastExcessWidth => {
-                            // Maximize covered-per-excess: compare ca*(eb+1)
-                            // vs cb*(ea+1) to avoid floats.
-                            (ca * (eb + 1))
-                                .cmp(&(cb * (ea + 1)))
-                                .then(ca.cmp(&cb))
-                                .then(b.id().cmp(&a.id()))
-                        }
-                    }
-                });
-            let Some(best) = best else {
-                return Err(StorageError::NoCover(remaining.first().expect("non-empty")));
-            };
-            let responsible = best.attr_set().intersection(&remaining);
-            remaining.difference_with(&responsible);
-            chosen.push((best.id(), responsible));
-        }
-        Ok(chosen)
+    /// The first attribute of `attrs` that no live group stores, if any.
+    pub fn first_uncovered(&self, attrs: &AttrSet) -> Option<AttrId> {
+        attrs.iter().find(|&a| self.groups_for(a).next().is_none())
     }
 
-    /// Enumerates the distinct covering sets produced by every
-    /// [`CoverPolicy`], deduplicated — the planner costs each alternative
-    /// (paper §3.3: "H2O evaluates the alternative execution strategies and
-    /// selects the most appropriate one").
-    pub fn cover_alternatives(
-        &self,
-        attrs: &AttrSet,
-    ) -> Result<Vec<Vec<(LayoutId, AttrSet)>>, StorageError> {
-        let a = self.cover(attrs, CoverPolicy::FewestGroups)?;
-        let b = self.cover(attrs, CoverPolicy::LeastExcessWidth)?;
-        let mut out = vec![a];
-        if out[0].iter().map(|(id, _)| *id).collect::<Vec<_>>()
-            != b.iter().map(|(id, _)| *id).collect::<Vec<_>>()
-        {
-            out.push(b);
+    /// The layouts that serve `attrs`: [`cover_least_excess`] over the live
+    /// groups in id order. This is the cover of the paths whose strategy is
+    /// fixed — reorganization source stitching, the interpreter, the static
+    /// baselines; the query planner prices both greedy covers and every
+    /// strategy through `h2o_cost::CostModel::best_plan` instead.
+    pub fn cover(&self, attrs: &AttrSet) -> Result<Vec<LayoutId>, StorageError> {
+        let groups: Vec<&ColumnGroup> = self.groups().collect();
+        let sets: Vec<&AttrSet> = groups.iter().map(|g| g.attr_set()).collect();
+        match cover_least_excess(&sets, attrs) {
+            Some(cover) => Ok(cover.into_iter().map(|i| groups[i].id()).collect()),
+            None => Err(StorageError::NoCover(
+                self.first_uncovered(attrs)
+                    .expect("a failed cover misses an attribute"),
+            )),
         }
-        Ok(out)
     }
 
     /// Appends a batch of logical tuples (full schema order) to **every**
@@ -513,75 +490,58 @@ mod tests {
 
     #[test]
     fn cover_single_group_preferred() {
-        let cat = catalog_with(&[&[0], &[1], &[2], &[0, 1, 2]], 2);
-        let cover = cat
-            .cover(&aset(&[0, 1, 2]), CoverPolicy::FewestGroups)
-            .unwrap();
-        assert_eq!(cover.len(), 1);
-        assert_eq!(cover[0].1, aset(&[0, 1, 2]));
+        let groups = [aset(&[0]), aset(&[1]), aset(&[2]), aset(&[0, 1, 2])];
+        let refs: Vec<&AttrSet> = groups.iter().collect();
+        let want = aset(&[0, 1, 2]);
+        assert_eq!(cover_fewest_groups(&refs, &want), Some(vec![3]));
+        assert_eq!(cover_least_excess(&refs, &want), Some(vec![3]));
     }
 
     #[test]
-    fn cover_least_excess_prefers_narrow_columns() {
-        // Wide group [0..9] vs two exact columns 0 and 1. For {0,1} the
-        // least-excess policy should take the columns; fewest-groups may
-        // take... the wide group covers both in one group but with excess 8.
+    fn the_two_greedy_orders_disagree_on_a_wide_group() {
+        // Wide group [0..9] vs two exact columns 0 and 1: for {0,1} the
+        // fewest-groups order takes the wide group, the least-excess order
+        // the two columns.
+        let groups = [aset(&(0..10).collect::<Vec<_>>()), aset(&[0]), aset(&[1])];
+        let refs: Vec<&AttrSet> = groups.iter().collect();
+        let want = aset(&[0, 1]);
+        assert_eq!(cover_fewest_groups(&refs, &want), Some(vec![0]));
+        assert_eq!(cover_least_excess(&refs, &want), Some(vec![1, 2]));
         let cat = catalog_with(&[&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], &[0], &[1]], 2);
-        let lee = cat
-            .cover(&aset(&[0, 1]), CoverPolicy::LeastExcessWidth)
-            .unwrap();
-        let total_excess: usize = lee
-            .iter()
-            .map(|(id, got)| cat.group(*id).unwrap().width() - got.len())
-            .sum();
-        assert_eq!(
-            total_excess, 0,
-            "least-excess cover should use the two columns"
-        );
-        let few = cat
-            .cover(&aset(&[0, 1]), CoverPolicy::FewestGroups)
-            .unwrap();
-        assert_eq!(
-            few.len(),
-            1,
-            "fewest-groups cover should use the wide group"
-        );
+        let ids = cat.layout_ids();
+        assert_eq!(cat.cover(&want).unwrap(), vec![ids[1], ids[2]]);
+    }
+
+    #[test]
+    fn greedy_ties_go_to_the_earliest_group() {
+        // {0,1} and {1,2} score alike for {0,1,2}: the earlier one is taken
+        // first under both orders, and groups that miss `attrs` never shift
+        // the result.
+        let groups = [aset(&[7]), aset(&[1, 2]), aset(&[0, 1]), aset(&[0, 1])];
+        let refs: Vec<&AttrSet> = groups.iter().collect();
+        let want = aset(&[0, 1, 2]);
+        assert_eq!(cover_fewest_groups(&refs, &want), Some(vec![1, 2]));
+        assert_eq!(cover_least_excess(&refs, &want), Some(vec![1, 2]));
+        assert_eq!(cover_fewest_groups(&refs, &AttrSet::new()), Some(vec![]));
     }
 
     #[test]
     fn cover_missing_attr_errors() {
         let cat = catalog_with(&[&[0, 1]], 2);
-        let err = cat.cover(&aset(&[5]), CoverPolicy::FewestGroups);
-        assert!(matches!(err, Err(StorageError::NoCover(_))));
+        assert_eq!(
+            cat.cover(&aset(&[1, 5, 6])),
+            Err(StorageError::NoCover(AttrId(5)))
+        );
+        assert_eq!(cat.first_uncovered(&aset(&[0, 1])), None);
+        let refs = [cat.group(cat.layout_ids()[0]).unwrap().attr_set()];
+        assert_eq!(cover_fewest_groups(&refs, &aset(&[5])), None);
     }
 
     #[test]
-    fn cover_alternatives_dedup() {
-        let cat = catalog_with(&[&[0, 1, 2]], 2);
-        let alts = cat.cover_alternatives(&aset(&[0, 2])).unwrap();
-        assert_eq!(alts.len(), 1, "identical covers must deduplicate");
-    }
-
-    #[test]
-    fn find_exact_and_superset() {
+    fn find_exact() {
         let cat = catalog_with(&[&[0, 1], &[2, 3, 4]], 2);
         assert!(cat.find_exact(&aset(&[0, 1])).is_some());
         assert!(cat.find_exact(&aset(&[0])).is_none());
-        assert!(cat.find_superset(&aset(&[2, 4])).is_some());
-        assert!(cat.find_superset(&aset(&[0, 4])).is_none());
-    }
-
-    #[test]
-    fn responsibility_partition_is_exact() {
-        let cat = catalog_with(&[&[0, 1, 2], &[2, 3], &[4]], 2);
-        let want = aset(&[1, 2, 3, 4]);
-        let cover = cat.cover(&want, CoverPolicy::FewestGroups).unwrap();
-        let mut seen = AttrSet::new();
-        for (_, resp) in &cover {
-            assert!(!resp.intersects(&seen), "responsibilities must be disjoint");
-            seen.union_with(resp);
-        }
-        assert_eq!(seen, want);
     }
 
     #[test]

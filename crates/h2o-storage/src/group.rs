@@ -359,11 +359,6 @@ impl ColumnGroup {
         self.types[offset]
     }
 
-    /// Logical type of `attr`, if stored in this group.
-    pub fn type_of_attr(&self, attr: AttrId) -> Option<LogicalType> {
-        self.offset_of(attr).map(|off| self.types[off])
-    }
-
     /// The zone-map statistics of segment `seg`: per-offset `(min, max)`
     /// bounds in comparator-key space, present exactly for sealed
     /// segments. `None` means "cannot prune" (the unsealed tail, or an
@@ -516,18 +511,6 @@ impl ColumnGroup {
     /// offset once and use [`Self::value`]).
     pub fn value_of(&self, row: usize, attr: AttrId) -> Result<Value, StorageError> {
         Ok(self.value(row, self.try_offset_of(attr)?))
-    }
-
-    /// Copies one full column out of the group (used by reorganization and
-    /// tests; query execution never needs this).
-    pub fn extract_column(&self, attr: AttrId) -> Result<Vec<Value>, StorageError> {
-        let off = self.try_offset_of(attr)?;
-        let w = self.width();
-        let mut out = Vec::with_capacity(self.rows);
-        for p in self.pieces() {
-            out.extend(p.chunks_exact(w).map(|t| t[off]));
-        }
-        Ok(out)
     }
 
     /// Appends a batch of tuples given in **relation schema order**: each
@@ -907,7 +890,8 @@ mod tests {
             assert_eq!(g.tuple(row), &[2 * row as Value, 2 * row as Value + 1]);
             assert_eq!(g.value(row, 1), 2 * row as Value + 1);
         }
-        assert_eq!(g.extract_column(AttrId(1)).unwrap(), vec![1, 3, 5, 7, 9]);
+        let col: Vec<Value> = (0..5).map(|r| g.value_of(r, AttrId(1)).unwrap()).collect();
+        assert_eq!(col, vec![1, 3, 5, 7, 9]);
     }
 
     /// Appends single-value tuples (schema order = group order here).
@@ -1090,7 +1074,7 @@ mod tests {
         let g = GroupBuilder::from_columns(ids(&[8, 9]), &[&c0, &c1]).unwrap();
         assert_eq!(g.tuple(0), &[1, 10]);
         assert_eq!(g.tuple(2), &[3, 30]);
-        assert_eq!(g.extract_column(AttrId(9)).unwrap(), vec![10, 20, 30]);
+        assert_eq!(g.value_of(1, AttrId(9)), Ok(20));
     }
 
     #[test]
@@ -1134,10 +1118,10 @@ mod tests {
     }
 
     #[test]
-    fn extract_missing_column_errors() {
+    fn reading_a_missing_attr_errors() {
         let g = GroupBuilder::from_columns(ids(&[3]), &[&[7]]).unwrap();
         assert!(matches!(
-            g.extract_column(AttrId(0)),
+            g.value_of(0, AttrId(0)),
             Err(StorageError::AttrNotInGroup { .. })
         ));
     }
@@ -1186,8 +1170,6 @@ mod tests {
         assert_eq!(hi, LogicalType::F64.cmp_key(f64_lane(3.5)));
         assert!(lo < hi);
         assert_eq!(g.type_at(0), LogicalType::F64);
-        assert_eq!(g.type_of_attr(AttrId(0)), Some(LogicalType::F64));
-        assert_eq!(g.type_of_attr(AttrId(9)), None);
     }
 
     #[test]

@@ -38,7 +38,10 @@ pub mod schema;
 pub mod types;
 
 pub use attrset::AttrSet;
-pub use catalog::{check_row_capacity, CatalogSnapshot, GroupStats, LayoutCatalog};
+pub use catalog::{
+    check_row_capacity, cover_fewest_groups, cover_least_excess, CatalogSnapshot, GroupStats,
+    LayoutCatalog,
+};
 pub use dict::Dictionary;
 pub use error::StorageError;
 pub use group::{AppendDelta, ColumnGroup, GroupBuilder, SegStats, CHUNK_SHIFT, DEFAULT_SEG_SHIFT};

@@ -100,12 +100,6 @@ impl Relation {
         Ok(Relation { catalog })
     }
 
-    /// Wraps an already-populated catalog (used by harnesses that build
-    /// layouts directly).
-    pub fn from_catalog(catalog: LayoutCatalog) -> Self {
-        Relation { catalog }
-    }
-
     /// Builds a row-major relation from tuples (mostly for tests/examples).
     pub fn from_rows(schema: Arc<Schema>, rows: &[Vec<Value>]) -> Result<Self, StorageError> {
         let width = schema.len();
@@ -138,11 +132,6 @@ impl Relation {
     /// Immutable access to the layout catalog.
     pub fn catalog(&self) -> &LayoutCatalog {
         &self.catalog
-    }
-
-    /// Mutable access to the layout catalog (the engine's adaptation path).
-    pub fn catalog_mut(&mut self) -> &mut LayoutCatalog {
-        &mut self.catalog
     }
 
     /// Unwraps the relation into its catalog (the engine's snapshot

@@ -156,25 +156,6 @@ impl QueryGen {
         let q = Query::grouped(key_attrs.iter().map(|&a| Expr::Col(a)), aggs, filter).unwrap();
         (q, sel)
     }
-
-    /// Random grouped template: draws `k` aggregate attributes (reusing
-    /// `n_preds` of them as filter predicates) over the given key columns.
-    pub fn random_grouped(
-        &mut self,
-        key_attrs: &[AttrId],
-        k: usize,
-        n_preds: usize,
-        selectivity: f64,
-    ) -> (Query, f64) {
-        let attrs: Vec<AttrId> = self
-            .random_attrs(k + key_attrs.len())
-            .into_iter()
-            .filter(|a| !key_attrs.contains(a))
-            .take(k)
-            .collect();
-        let filter_attrs: Vec<AttrId> = attrs.iter().copied().take(n_preds).collect();
-        Self::build_grouped(key_attrs, &attrs, &filter_attrs, selectivity)
-    }
 }
 
 #[cfg(test)]
@@ -212,17 +193,6 @@ mod tests {
         assert!((s - 0.25).abs() < 1e-12);
         // Keys are select-clause attributes (hot for the adviser).
         assert!(q.select_attrs().contains(AttrId(0)));
-
-        let mut g = QueryGen::new(20, 11);
-        let (q, _) = g.random_grouped(&keys, 4, 2, 0.5);
-        assert!(q.is_grouped());
-        assert!(!q.select_attrs().is_empty());
-        assert!(
-            !q.aggregates()
-                .iter()
-                .any(|a| a.expr.attrs().contains(AttrId(0))),
-            "aggregate inputs avoid the key column"
-        );
     }
 
     #[test]

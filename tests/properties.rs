@@ -1,7 +1,7 @@
 //! Property-based invariants over the storage and execution substrates.
 #![allow(clippy::needless_range_loop)]
 
-use h2o::cost::{AccessPattern, CostModel, GroupSpec};
+use h2o::cost::{AccessPattern, CostModel};
 use h2o::exec::{
     compile, execute, reorg, AccessPlan, ExecCtx, ExecPolicy, Strategy as ExecStrategy,
 };
@@ -176,10 +176,10 @@ proptest! {
             is_aggregate: true,
             is_grouped: false,
         };
-        let groups = vec![GroupSpec::new(attrs)];
-        let c = model.best_cost(&pat, &groups, rows);
+        let groups = [&attrs];
+        let c = model.best_plan(&pat, &groups, rows).unwrap().cost;
         prop_assert!(c.is_finite() && c >= 0.0);
-        let c2 = model.best_cost(&pat, &groups, rows * 2);
+        let c2 = model.best_plan(&pat, &groups, rows * 2).unwrap().cost;
         prop_assert!(c2 >= c);
     }
 
