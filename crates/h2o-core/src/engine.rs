@@ -35,7 +35,7 @@ use h2o_cost::{AccessPattern, CostModel, GroupSpec, JoinRole};
 use h2o_exec::{
     reorg, AccessPlan, CancelToken, ExecCtx, ExecError, JoinExecStats, OperatorCache, Strategy,
 };
-use h2o_expr::{JoinQuery, Query, QueryError, QueryResult, Side};
+use h2o_expr::{JoinQuery, Query, QueryError, QueryResult, Select, Side};
 use h2o_storage::{
     failpoints, AttrId, AttrSet, CatalogSnapshot, ColumnGroup, Epoch, LayoutCatalog, LayoutId,
     Relation, Schema, StorageError,
@@ -363,11 +363,12 @@ impl H2oEngine {
                 "{PRIMARY_RELATION:?} is the reserved primary relation name"
             )));
         }
-        let _w = self.writer.lock();
-        let mut map = (**self.secondary.read()).clone();
-        map.insert(name.to_string(), Arc::new(relation.into_catalog()));
-        *self.secondary.write() = Arc::new(map);
-        Ok(())
+        self.mutate(|| {
+            let mut map = (**self.secondary.read()).clone();
+            map.insert(name.to_string(), Arc::new(relation.into_catalog()));
+            *self.secondary.write() = Arc::new(map);
+            Ok(())
+        })
     }
 
     /// The published catalog version of a named relation
@@ -392,24 +393,53 @@ impl H2oEngine {
             self.db_snapshot().relation(name)?; // still validate the name
             return Ok(());
         }
-        let _w = self.writer.lock();
-        let map = self.secondary.read().clone();
-        let snap = map
-            .get(name)
-            .ok_or_else(|| QueryError::UnknownRelation(name.to_string()))?;
-        let mut new_cat = (**snap).clone();
+        self.mutate(|| {
+            let map = self.secondary.read().clone();
+            let snap = map
+                .get(name)
+                .ok_or_else(|| QueryError::UnknownRelation(name.to_string()))?;
+            let new_cat = self.appended(snap, tuples)?;
+            let mut new_map = (*map).clone();
+            new_map.insert(name.to_string(), Arc::new(new_cat));
+            *self.secondary.write() = Arc::new(new_map);
+            self.stats.lock().snapshots_published += 1;
+            Ok(())
+        })
+    }
+
+    /// The write-path counterpart of [`Self::guarded`]: runs one catalog
+    /// mutation behind the writer lock with panics isolated. Copy-on-write
+    /// discipline means an unwound mutation abandons its clone before the
+    /// publish swap, so readers keep the old version and the engine stays
+    /// consistent and usable; the panic surfaces as
+    /// [`EngineError::ExecutionPanicked`].
+    fn mutate<T>(&self, f: impl FnOnce() -> Result<T, EngineError>) -> Result<T, EngineError> {
+        catch_unwind(AssertUnwindSafe(|| {
+            let _w = self.writer.lock();
+            f()
+        }))
+        .unwrap_or_else(|payload| {
+            self.stats.lock().queries_panicked += 1;
+            Err(EngineError::ExecutionPanicked {
+                payload: panic_message(payload.as_ref()),
+            })
+        })
+    }
+
+    /// A copy of `catalog` with `tuples` appended to every layout, the
+    /// write counted in the engine statistics. Callers publish it.
+    fn appended(
+        &self,
+        catalog: &LayoutCatalog,
+        tuples: &[Vec<h2o_storage::Value>],
+    ) -> Result<LayoutCatalog, EngineError> {
+        let mut new_cat = catalog.clone();
         let delta = new_cat.append_rows(tuples)?;
-        {
-            let mut s = self.stats.lock();
-            s.rows_appended += tuples.len() as u64;
-            s.bytes_cloned_on_write += delta.bytes_cloned;
-            s.segments_sealed += delta.segments_sealed;
-            s.snapshots_published += 1;
-        }
-        let mut new_map = (*map).clone();
-        new_map.insert(name.to_string(), Arc::new(new_cat));
-        *self.secondary.write() = Arc::new(new_map);
-        Ok(())
+        let mut s = self.stats.lock();
+        s.rows_appended += tuples.len() as u64;
+        s.bytes_cloned_on_write += delta.bytes_cloned;
+        s.segments_sealed += delta.segments_sealed;
+        Ok(new_cat)
     }
 
     /// Swaps in a new catalog version. Callers must hold the writer lock.
@@ -811,7 +841,8 @@ impl H2oEngine {
         // Selectivity feedback (projection queries expose the match count;
         // grouped queries do not — their row count is the distinct-key
         // count, not the qualifying-tuple count).
-        if !q.is_aggregate() && !q.is_grouped() && snap.rows() > 0 && !q.filter().is_always_true() {
+        let projects = matches!(q.select_clause(), Select::Project(_));
+        if projects && snap.rows() > 0 && !q.filter().is_always_true() {
             let observed = result.rows() as f64 / snap.rows() as f64;
             self.record_selectivity(Self::filter_signature(q), observed);
         }
@@ -1259,33 +1290,35 @@ impl H2oEngine {
     /// Materializes a layout *offline* (separate pass, no query). Used by
     /// the Fig. 13 comparison and by explicit administration.
     pub fn materialize_now(&self, attrs: &[AttrId]) -> Result<LayoutId, EngineError> {
-        let _w = self.writer.lock();
-        let snap = self.snapshot();
-        let t0 = Instant::now();
-        let group = reorg::materialize_with(&snap, attrs, &self.config.exec_policy())?;
-        let mut new_cat = (*snap).clone();
-        let id = new_cat.add_group(group, self.epoch.load(Ordering::Relaxed))?;
-        self.commit_reorg(&[], t0);
-        self.publish(new_cat);
-        // The spec is no longer pending advice: it exists. Pruning *after*
-        // the publish pairs with adapt()'s replace-then-prune ordering so
-        // the two cannot interleave into re-advertising an existing layout.
-        let spec_attrs: h2o_storage::AttrSet = attrs.iter().copied().collect();
-        self.pending.retain(|g| g.attrs != spec_attrs);
-        Ok(id)
+        self.mutate(|| {
+            let snap = self.snapshot();
+            let t0 = Instant::now();
+            let group = reorg::materialize_with(&snap, attrs, &self.config.exec_policy())?;
+            let mut new_cat = (*snap).clone();
+            let id = new_cat.add_group(group, self.epoch.load(Ordering::Relaxed))?;
+            self.commit_reorg(&[], t0);
+            self.publish(new_cat);
+            // The spec is no longer pending advice: it exists. Pruning
+            // *after* the publish pairs with adapt()'s replace-then-prune
+            // ordering so the two cannot interleave into re-advertising an
+            // existing layout.
+            let spec_attrs: h2o_storage::AttrSet = attrs.iter().copied().collect();
+            self.pending.retain(|g| g.attrs != spec_attrs);
+            Ok(id)
+        })
     }
 
     /// Drops a layout (refusing to uncover attributes) and invalidates
     /// dependent cached operators. Pending advice is untouched: a spec
     /// whose layout is dropped simply becomes materializable again.
     pub fn drop_layout(&self, id: LayoutId) -> Result<(), EngineError> {
-        let _w = self.writer.lock();
-        let snap = self.snapshot();
-        let mut new_cat = (*snap).clone();
-        new_cat.drop_group(id)?;
-        self.publish(new_cat);
-        self.opcache.invalidate_layout(id);
-        Ok(())
+        self.mutate(|| {
+            let mut new_cat = (*self.snapshot()).clone();
+            new_cat.drop_group(id)?;
+            self.publish(new_cat);
+            self.opcache.invalidate_layout(id);
+            Ok(())
+        })
     }
 
     /// Appends tuples (full schema order) to the relation. Every
@@ -1310,33 +1343,11 @@ impl H2oEngine {
         if tuples.is_empty() {
             return Ok(());
         }
-        // The mutation section is panic-isolated like the query path: an
-        // unwound append abandons the copy-on-write clone before the
-        // publish swap, so readers keep the old version and the engine
-        // stays consistent and usable.
-        let out = catch_unwind(AssertUnwindSafe(|| {
-            let _w = self.writer.lock();
-            let snap = self.snapshot();
-            let mut new_cat = (*snap).clone();
-            let delta = new_cat.append_rows(tuples)?;
-            {
-                let mut s = self.stats.lock();
-                s.rows_appended += tuples.len() as u64;
-                s.bytes_cloned_on_write += delta.bytes_cloned;
-                s.segments_sealed += delta.segments_sealed;
-            }
+        self.mutate(|| {
+            let new_cat = self.appended(&self.snapshot(), tuples)?;
             self.publish(new_cat);
             Ok(())
-        }));
-        match out {
-            Ok(r) => r,
-            Err(payload) => {
-                self.stats.lock().queries_panicked += 1;
-                Err(EngineError::ExecutionPanicked {
-                    payload: panic_message(payload.as_ref()),
-                })
-            }
-        }
+        })
     }
 
     /// A human-readable description of the plan the engine would choose
@@ -2297,6 +2308,43 @@ mod tests {
             st.restarts >= 1 && st.last_backoff >= REORG_BACKOFF_BASE,
             "{st:?}"
         );
+    }
+
+    /// Every write path is panic-isolated, not only `insert`: a fault in a
+    /// named relation's append or in an offline materialization surfaces
+    /// typed and leaves the published state untouched.
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn write_path_faults_are_isolated() {
+        use h2o_storage::failpoints as fp;
+        fp::disarm_all();
+
+        // 1. `dim` has 16 rows: its tail chunk is partial and shared with
+        //    the published snapshot, so the append clones it.
+        let (e, _, _) = join_engine(64, 16, EngineConfig::default());
+        let dim_rows = || e.relation_snapshot("dim").unwrap().rows();
+        fp::arm_nth("cow_clone", 1);
+        let err = e.insert_into("dim", &[vec![100, 1000]]);
+        assert!(
+            matches!(err, Err(EngineError::ExecutionPanicked { .. })),
+            "clone fault must be typed: {err:?}"
+        );
+        assert_eq!(dim_rows(), 16, "no torn append");
+        e.insert_into("dim", &[vec![101, 1010]]).unwrap();
+        assert_eq!(dim_rows(), 17);
+
+        // 2. An offline build that panics publishes nothing.
+        let before = e.catalog().layout_ids();
+        fp::arm_nth("reorg_build", 1);
+        let err = e.materialize_now(&[AttrId(1), AttrId(2)]);
+        assert!(
+            matches!(err, Err(EngineError::ExecutionPanicked { .. })),
+            "build fault must be typed: {err:?}"
+        );
+        assert_eq!(e.catalog().layout_ids(), before, "catalog unchanged");
+        e.materialize_now(&[AttrId(1), AttrId(2)]).unwrap();
+        assert_eq!(e.catalog().layout_ids().len(), before.len() + 1);
+        fp::disarm_all();
     }
 
     // ---- multi-relation queries ----

@@ -39,14 +39,15 @@ impl AccessPattern {
     /// caller (the engine passes observed selectivity from execution
     /// feedback; a priori estimates default to 1.0 for no filter).
     pub fn of(query: &Query, selectivity: f64) -> AccessPattern {
+        let select = query.select_clause();
         AccessPattern {
-            select: query.select_attrs(),
+            select: select.attrs(),
             where_: query.where_attrs(),
             selectivity: selectivity.clamp(0.0, 1.0),
-            output_width: query.output_width(),
-            select_ops: query.select_node_count(),
-            is_aggregate: query.is_aggregate(),
-            is_grouped: query.is_grouped(),
+            output_width: select.output_width(),
+            select_ops: select.node_count(),
+            is_aggregate: select.is_aggregate(),
+            is_grouped: select.is_grouped(),
         }
     }
 

@@ -9,15 +9,13 @@
 
 use crate::bind::{BoundAttr, GroupViews};
 use crate::cancel::{CancelReason, CancelToken};
-use crate::filter::{CompiledFilter, CompiledPred};
+use crate::filter::CompiledFilter;
 use crate::join::JoinOptions;
 use crate::kernels;
 use crate::parallel::{run_ranges, ExecPolicy};
 use crate::plan::{AccessPlan, Strategy};
-use crate::program::CompiledExpr;
 use crate::selvec::SelVec;
 use crate::sink::SelectProgram;
-use h2o_expr::agg::AggOp;
 use h2o_expr::typecheck::{self, QueryTypes};
 use h2o_expr::{Query, QueryError, QueryResult};
 use h2o_storage::{AttrId, LayoutCatalog, LayoutId, StorageError, Value};
@@ -170,67 +168,9 @@ pub fn compile_checked(
         .map(|&id| catalog.group(id).map(|g| (id, g)))
         .collect::<Result<_, _>>()?;
 
-    let preds = query
-        .filter()
-        .predicates()
-        .iter()
-        .zip(&checked.predicates)
-        .map(|(p, tp)| {
-            Ok(CompiledPred::from_lane(
-                bind_attr(&groups, p.attr)?,
-                p.op,
-                tp.ty,
-                tp.lane,
-            ))
-        })
-        .collect::<Result<Vec<_>, ExecError>>()?;
-    let filter = CompiledFilter::new(preds);
-
-    let lower =
-        |e: &h2o_expr::Expr, ty: h2o_storage::LogicalType| -> Result<CompiledExpr, ExecError> {
-            let mut err = None;
-            let compiled = CompiledExpr::lower_typed(e, ty, |attr| {
-                bind_attr(&groups, attr).unwrap_or_else(|x| {
-                    err = Some(x);
-                    BoundAttr { slot: 0, offset: 0 }
-                })
-            });
-            match err {
-                Some(e) => Err(e),
-                None => Ok(compiled),
-            }
-        };
-    let lower_aggs = || -> Result<Vec<(AggOp, CompiledExpr)>, ExecError> {
-        query
-            .aggregates()
-            .iter()
-            .zip(&checked.aggs)
-            .map(|(a, &op)| Ok((op, lower(&a.expr, op.ty)?)))
-            .collect()
-    };
-    let select = if query.is_grouped() {
-        SelectProgram::Grouped {
-            keys: query
-                .group_by()
-                .iter()
-                .zip(&checked.keys)
-                .map(|(e, &ty)| lower(e, ty))
-                .collect::<Result<_, _>>()?,
-            key_types: checked.keys.clone(),
-            aggs: lower_aggs()?,
-        }
-    } else if query.is_aggregate() {
-        SelectProgram::Aggregate(lower_aggs()?)
-    } else {
-        SelectProgram::Project(
-            query
-                .projections()
-                .iter()
-                .zip(&checked.projections)
-                .map(|(e, &ty)| lower(e, ty))
-                .collect::<Result<_, _>>()?,
-        )
-    };
+    let bind = |attr| bind_attr(&groups, attr);
+    let filter = CompiledFilter::lower(query.filter(), &checked.predicates, bind)?;
+    let select = SelectProgram::lower(query.select_clause(), &checked.select, bind)?;
 
     Ok(CompiledOp {
         plan: plan.clone(),

@@ -21,8 +21,9 @@
 //! integer interval arithmetic.
 
 use crate::bind::{BoundAttr, GroupViews};
-use h2o_expr::CmpOp;
-use h2o_storage::{LogicalType, SegStats, Value};
+use crate::compile::ExecError;
+use h2o_expr::{CmpOp, Conjunction, TypedPredicate};
+use h2o_storage::{AttrId, LogicalType, SegStats, Value};
 
 /// One compiled predicate: `view[attr] op value`, with `value` stored in
 /// comparator-key space of `ty` (for `I64`/`Dict` the key *is* the lane).
@@ -106,6 +107,22 @@ impl CompiledFilter {
     /// Builds a compiled filter from resolved predicates.
     pub fn new(preds: Vec<CompiledPred>) -> Self {
         CompiledFilter { preds }
+    }
+
+    /// Lowers a where-clause with its plan-time typing (`typed`, in clause
+    /// order): `bind` resolves each predicate's attribute — to a plan slot
+    /// and group offset for a scan, to a stitched-tuple position for the
+    /// fused reorganization.
+    pub(crate) fn lower(
+        filter: &Conjunction,
+        typed: &[TypedPredicate],
+        mut bind: impl FnMut(AttrId) -> Result<BoundAttr, ExecError>,
+    ) -> Result<Self, ExecError> {
+        let preds = filter.predicates().iter().zip(typed);
+        let preds = preds
+            .map(|(p, tp)| Ok(CompiledPred::from_lane(bind(p.attr)?, p.op, tp.ty, tp.lane)))
+            .collect::<Result<_, ExecError>>()?;
+        Ok(CompiledFilter { preds })
     }
 
     /// The always-true filter.

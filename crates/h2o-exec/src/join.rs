@@ -32,7 +32,7 @@
 //! [`h2o_expr::interp::interpret_join`]. The probe side then streams: per
 //! qualifying probe row, one hash lookup; per matched build row, the
 //! combined tuple is stitched into a flat buffer and the select program
-//! runs against it ([`CompiledExpr::eval_tuple`]).
+//! runs against it ([`CompiledExpr::eval_tuple`](crate::program::CompiledExpr::eval_tuple)).
 //!
 //! Which side builds is the **caller's** choice ([`compile_join`]'s
 //! `build_is_left`): the engine picks the side it observes to be smaller
@@ -100,9 +100,7 @@ use crate::filter::{CompiledFilter, CompiledPred};
 use crate::kernels::{self, simd};
 use crate::parallel::{run_chunks, run_ranges, ExecPolicy};
 use crate::plan::{AccessPlan, Strategy};
-use crate::program::CompiledExpr;
 use crate::sink::{Partial, SelectProgram};
-use h2o_expr::agg::AggOp;
 use h2o_expr::typecheck::{JoinTypes, TypedPredicate};
 use h2o_expr::{CmpOp, JoinQuery, QueryResult, Side};
 use h2o_storage::{AttrId, LayoutCatalog, LayoutId, LogicalType, Value};
@@ -292,25 +290,12 @@ fn compile_side(
         .iter()
         .map(|&id| catalog.group(id).map(|g| (id, g)))
         .collect::<Result<_, _>>()?;
-    let filter = CompiledFilter::new(
-        q.filter(side)
-            .predicates()
-            .iter()
-            .zip(preds)
-            .map(|(p, tp)| {
-                Ok(CompiledPred::from_lane(
-                    bind_attr(&groups, p.attr)?,
-                    p.op,
-                    tp.ty,
-                    tp.lane,
-                ))
-            })
-            .collect::<Result<Vec<_>, ExecError>>()?,
-    );
+    let bind = |attr| bind_attr(&groups, attr);
+    let filter = CompiledFilter::lower(q.filter(side), preds, bind)?;
     let keys = q
         .key_attrs(side)
-        .iter()
-        .map(|&k| bind_attr(&groups, k))
+        .into_iter()
+        .map(bind)
         .collect::<Result<Vec<_>, _>>()?;
     // Combined-tuple positions are assigned over the sorted combined
     // attribute set, so they are identical for either build-side choice.
@@ -318,7 +303,7 @@ fn compile_side(
     for (&combined, &p) in pos {
         let (s, local) = q.side_of(combined);
         if s == side {
-            payload.push((bind_attr(&groups, local)?, p));
+            payload.push((bind(local)?, p));
         }
     }
     payload.sort_by_key(|&(_, p)| p);
@@ -343,7 +328,7 @@ pub fn compile_join(
     checked: &JoinTypes,
     build_is_left: bool,
 ) -> Result<CompiledJoinOp, ExecError> {
-    let select_attrs = q.select_attrs();
+    let select_attrs = q.select_clause().attrs();
     let tuple_width = select_attrs.len();
     let pos: HashMap<AttrId, u32> = select_attrs
         .iter()
@@ -371,41 +356,12 @@ pub fn compile_join(
     // Lower select expressions against combined-tuple positions: the
     // bound `offset` indexes the stitched buffer, `slot` is unused
     // (`CompiledExpr::eval_tuple` semantics).
-    let lower = |e: &h2o_expr::Expr, ty: h2o_storage::LogicalType| -> CompiledExpr {
-        CompiledExpr::lower_typed(e, ty, |attr| BoundAttr {
+    let select = SelectProgram::lower(q.select_clause(), &checked.select, |attr| {
+        Ok(BoundAttr {
             slot: 0,
             offset: pos[&attr],
         })
-    };
-    let lower_aggs = || -> Vec<(AggOp, CompiledExpr)> {
-        q.aggregates()
-            .iter()
-            .zip(&checked.aggs)
-            .map(|(a, &op)| (op, lower(&a.expr, op.ty)))
-            .collect()
-    };
-    let select = if q.is_grouped() {
-        SelectProgram::Grouped {
-            keys: q
-                .group_by()
-                .iter()
-                .zip(&checked.keys)
-                .map(|(e, &ty)| lower(e, ty))
-                .collect(),
-            key_types: checked.keys.clone(),
-            aggs: lower_aggs(),
-        }
-    } else if q.is_aggregate() {
-        SelectProgram::Aggregate(lower_aggs())
-    } else {
-        SelectProgram::Project(
-            q.projections()
-                .iter()
-                .zip(&checked.projections)
-                .map(|(e, &ty)| lower(e, ty))
-                .collect(),
-        )
-    };
+    })?;
 
     let (build, probe) = if build_is_left {
         (lhs, rhs)
@@ -1177,7 +1133,7 @@ mod tests {
                     !build_is_left,
                 )
                 .unwrap();
-                if q.is_grouped() {
+                if q.select_clause().is_grouped() {
                     assert!(!flipped.fused());
                 }
                 for policy in [ExecPolicy::serial(), par_policy()] {

@@ -22,7 +22,7 @@
 use crate::compile::{CompiledOp, ExecError};
 use crate::join::CompiledJoinOp;
 use crate::plan::AccessPlan;
-use h2o_expr::{JoinQuery, Query, Side};
+use h2o_expr::{Conjunction, JoinQuery, Query, Select, Side};
 use h2o_storage::{LayoutCatalog, Value};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
@@ -50,33 +50,17 @@ impl OperatorKey {
     /// Builds the key for `(query, plan)`.
     pub fn new(query: &Query, plan: &AccessPlan) -> OperatorKey {
         let mut h = DefaultHasher::new();
-        // Select-items: full structure (constants in select expressions are
-        // part of the generated code). Group keys are part of the shape —
-        // a grouped and a scalar aggregation over the same aggregates must
-        // not share an operator.
-        query.projections().hash(&mut h);
-        query.group_by().hash(&mut h);
-        for a in query.aggregates() {
-            a.func.hash(&mut h);
-            a.expr.hash(&mut h);
-        }
-        // Filter: shape only.
-        for p in query.filter().predicates() {
-            p.attr.hash(&mut h);
-            p.op.hash(&mut h);
-        }
-        plan.layouts.hash(&mut h);
-        plan.strategy.hash(&mut h);
+        hash_shape(&mut h, query.select_clause(), [query.filter()]);
+        plan.hash(&mut h);
         OperatorKey(h.finish())
     }
 
     /// Builds the key for a join `(query, side plans, build role)`. Shape
     /// means: relation names (layout ids are per-catalog, so the names
-    /// disambiguate operators cached across relations), key pairs, per-side
-    /// filter shapes (constants excluded, as for single-relation keys), the
-    /// full select structure, both plans, and the build-side choice (the
-    /// build role changes the generated operator, not just its
-    /// parameters).
+    /// disambiguate operators cached across relations), key pairs, the
+    /// query shape of [`Self::new`] with one filter per side, both plans,
+    /// and the build-side choice (the build role changes the generated
+    /// operator, not just its parameters).
     pub fn for_join(
         query: &JoinQuery,
         left_plan: &AccessPlan,
@@ -87,26 +71,32 @@ impl OperatorKey {
         query.left().name().hash(&mut h);
         query.right().name().hash(&mut h);
         query.on().hash(&mut h);
-        for side in [Side::Left, Side::Right] {
-            for p in query.filter(side).predicates() {
-                p.attr.hash(&mut h);
-                p.op.hash(&mut h);
-            }
-            // Delimit the two sides so predicates cannot slide between them.
-            u64::MAX.hash(&mut h);
-        }
-        query.projections().hash(&mut h);
-        query.group_by().hash(&mut h);
-        for a in query.aggregates() {
-            a.func.hash(&mut h);
-            a.expr.hash(&mut h);
-        }
-        for plan in [left_plan, right_plan] {
-            plan.layouts.hash(&mut h);
-            plan.strategy.hash(&mut h);
-        }
+        let filters = [Side::Left, Side::Right].map(|side| query.filter(side));
+        hash_shape(&mut h, query.select_clause(), filters);
+        left_plan.hash(&mut h);
+        right_plan.hash(&mut h);
         build_is_left.hash(&mut h);
         OperatorKey(h.finish())
+    }
+}
+
+/// Hashes a query's shape: the select clause whole (constants in select
+/// expressions are part of the generated code, and a grouped and a scalar
+/// aggregation over the same aggregates must not share an operator), then
+/// each filter's predicate attributes and operators — constants excluded,
+/// each filter delimited so predicates cannot slide between them.
+fn hash_shape<'a>(
+    h: &mut DefaultHasher,
+    select: &Select,
+    filters: impl IntoIterator<Item = &'a Conjunction>,
+) {
+    select.hash(h);
+    for filter in filters {
+        for p in filter.predicates() {
+            p.attr.hash(h);
+            p.op.hash(h);
+        }
+        u64::MAX.hash(h);
     }
 }
 

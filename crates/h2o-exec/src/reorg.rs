@@ -26,16 +26,12 @@
 
 use crate::bind::{BoundAttr, GroupViews};
 use crate::compile::{ExecCtx, ExecError};
-use crate::filter::{CompiledFilter, CompiledPred};
+use crate::filter::CompiledFilter;
 use crate::parallel::{run_morsels, run_ranges, ExecPolicy};
-use crate::program::CompiledExpr;
 use crate::sink::SelectProgram;
-use h2o_expr::agg::AggOp;
 use h2o_expr::typecheck;
 use h2o_expr::{Query, QueryResult};
-use h2o_storage::{
-    failpoints, AttrId, ColumnGroup, LayoutCatalog, LogicalType, Value, DEFAULT_SEG_SHIFT,
-};
+use h2o_storage::{failpoints, AttrId, ColumnGroup, LayoutCatalog, Value, DEFAULT_SEG_SHIFT};
 use std::ops::Range;
 
 /// Resolves, for each target attribute in order, where to read it from the
@@ -212,80 +208,6 @@ pub fn materialize_rowwise_with(
     Ok(group_from_payloads(catalog, target_attrs, rows, payloads))
 }
 
-/// Lowers `query` so every attribute reference indexes a stitched tuple of
-/// `target_attrs` (slot is unused; offset = position in `target_attrs`).
-/// Type checks against the catalog schema and bakes the typed ops in,
-/// exactly as [`crate::compile::compile`] does for plan-bound operators.
-fn compile_against_tuple(
-    catalog: &LayoutCatalog,
-    query: &Query,
-    target_attrs: &[AttrId],
-) -> Result<(CompiledFilter, SelectProgram), ExecError> {
-    let checked = typecheck::check(query, catalog.schema())?;
-    let pos = |a: AttrId| -> Result<BoundAttr, ExecError> {
-        target_attrs
-            .iter()
-            .position(|&t| t == a)
-            .map(|i| BoundAttr {
-                slot: 0,
-                offset: i as u32,
-            })
-            .ok_or(ExecError::Unbound(a))
-    };
-    let preds = query
-        .filter()
-        .predicates()
-        .iter()
-        .zip(&checked.predicates)
-        .map(|(p, tp)| Ok(CompiledPred::from_lane(pos(p.attr)?, p.op, tp.ty, tp.lane)))
-        .collect::<Result<Vec<_>, ExecError>>()?;
-    let lower = |e: &h2o_expr::Expr, ty: LogicalType| -> Result<CompiledExpr, ExecError> {
-        let mut err = None;
-        let c = CompiledExpr::lower_typed(e, ty, |a| {
-            pos(a).unwrap_or_else(|x| {
-                err = Some(x);
-                BoundAttr { slot: 0, offset: 0 }
-            })
-        });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(c),
-        }
-    };
-    let lower_aggs = || -> Result<Vec<(AggOp, CompiledExpr)>, ExecError> {
-        query
-            .aggregates()
-            .iter()
-            .zip(&checked.aggs)
-            .map(|(a, &op)| Ok((op, lower(&a.expr, op.ty)?)))
-            .collect()
-    };
-    let select = if query.is_grouped() {
-        SelectProgram::Grouped {
-            keys: query
-                .group_by()
-                .iter()
-                .zip(&checked.keys)
-                .map(|(e, &ty)| lower(e, ty))
-                .collect::<Result<Vec<_>, ExecError>>()?,
-            key_types: checked.keys.clone(),
-            aggs: lower_aggs()?,
-        }
-    } else if query.is_aggregate() {
-        SelectProgram::Aggregate(lower_aggs()?)
-    } else {
-        SelectProgram::Project(
-            query
-                .projections()
-                .iter()
-                .zip(&checked.projections)
-                .map(|(e, &ty)| lower(e, ty))
-                .collect::<Result<Vec<_>, ExecError>>()?,
-        )
-    };
-    Ok((CompiledFilter::new(preds), select))
-}
-
 /// Online reorganization fused with query execution: a single scan that
 /// stitches every tuple of the new group **and** computes `query` from the
 /// stitched buffer.
@@ -326,7 +248,17 @@ pub fn reorg_and_execute(
     let (layouts, bindings) = source_bindings(catalog, &tuple_attrs)?;
     let views = ctx.views(catalog, &layouts)?;
     failpoints::hit("reorg_build");
-    let (filter, select) = compile_against_tuple(catalog, query, &tuple_attrs)?;
+    // Lower the query against the working tuple: every attribute reference
+    // indexes its position there (slot unused), with the same typed ops a
+    // plan-bound operator bakes in.
+    let checked = typecheck::check(query, catalog.schema())?;
+    let pos = |a: AttrId| -> Result<BoundAttr, ExecError> {
+        let i = tuple_attrs.iter().position(|&t| t == a);
+        let offset = i.ok_or(ExecError::Unbound(a))? as u32;
+        Ok(BoundAttr { slot: 0, offset })
+    };
+    let filter = CompiledFilter::lower(query.filter(), &checked.predicates, pos)?;
+    let select = SelectProgram::lower(query.select_clause(), &checked.select, pos)?;
     let rows = views.rows();
     let width = target_attrs.len();
     let seg_rows = 1usize << DEFAULT_SEG_SHIFT;

@@ -20,13 +20,14 @@
 //! run (one range, nothing to merge) bit-identical to the interpreter.
 
 use crate::bind::{BoundAttr, GroupViews};
+use crate::compile::ExecError;
 use crate::filter::CompiledFilter;
 use crate::kernels::{colmajor, fused, grouped, selvector};
 use crate::program::CompiledExpr;
 use h2o_expr::agg::{AggOp, AggState};
 use h2o_expr::grouped::GroupedAggs;
-use h2o_expr::QueryResult;
-use h2o_storage::{LogicalType, Value};
+use h2o_expr::{QueryResult, Select, SelectTypes};
+use h2o_storage::{AttrId, LogicalType, Value};
 use std::ops::Range;
 
 /// The select-clause half of a compiled operator. Aggregates carry their
@@ -96,6 +97,48 @@ impl From<Acc> for Partial {
 }
 
 impl SelectProgram {
+    /// Generates the program for a select clause with its plan-time typing:
+    /// `bind` resolves each attribute reference — to a plan slot and group
+    /// offset for a scan, to a stitched-tuple position for the fused
+    /// reorganization and the join probe. An unbound attribute fails the
+    /// lowering with `bind`'s error.
+    pub(crate) fn lower(
+        select: &Select,
+        types: &SelectTypes,
+        mut bind: impl FnMut(AttrId) -> Result<BoundAttr, ExecError>,
+    ) -> Result<SelectProgram, ExecError> {
+        let mut lower = |e: &h2o_expr::Expr, ty: LogicalType| -> Result<CompiledExpr, ExecError> {
+            let mut err = None;
+            let compiled = CompiledExpr::lower_typed(e, ty, |attr| {
+                bind(attr).unwrap_or_else(|x| {
+                    err = Some(x);
+                    BoundAttr { slot: 0, offset: 0 }
+                })
+            });
+            err.map_or(Ok(compiled), Err)
+        };
+        let (exprs, aggs) = select.parts();
+        let exprs = exprs
+            .iter()
+            .zip(&types.exprs)
+            .map(|(e, &ty)| lower(e, ty))
+            .collect::<Result<Vec<_>, _>>()?;
+        let aggs = aggs
+            .iter()
+            .zip(&types.aggs)
+            .map(|(a, &op)| Ok((op, lower(&a.expr, op.ty)?)))
+            .collect::<Result<Vec<_>, ExecError>>()?;
+        Ok(match select {
+            Select::Project(_) => SelectProgram::Project(exprs),
+            Select::Aggregate(_) => SelectProgram::Aggregate(aggs),
+            Select::Grouped { .. } => SelectProgram::Grouped {
+                keys: exprs,
+                key_types: types.exprs.clone(),
+                aggs,
+            },
+        })
+    }
+
     /// Values per output row.
     pub fn width(&self) -> usize {
         match self {

@@ -11,13 +11,15 @@
 //! correctness oracle: every specialized kernel in `h2o-exec` is
 //! differential-tested against [`interpret`].
 
-use crate::agg::{AggOp, AggState};
+use crate::agg::{AggState, Aggregate};
 use crate::datum::Datum;
 use crate::expr::Expr;
 use crate::grouped::GroupedAggs;
 use crate::predicate::CmpOp;
 use crate::query::Query;
 use crate::result::QueryResult;
+use crate::select::Select;
+use crate::typecheck::{check_select, SelectTypes};
 use h2o_storage::{AttrId, ColumnGroup, LayoutCatalog, LogicalType, Schema, StorageError, Value};
 
 /// Resolves each referenced attribute to `(group index, offset in group)`
@@ -33,11 +35,7 @@ struct Binding {
 }
 
 impl Binding {
-    fn build(groups: &[&ColumnGroup], q: &Query) -> Result<Binding, StorageError> {
-        Self::build_for(groups, &q.all_attrs())
-    }
-
-    fn build_for(
+    fn build(
         groups: &[&ColumnGroup],
         needed: &h2o_storage::AttrSet,
     ) -> Result<Binding, StorageError> {
@@ -71,13 +69,89 @@ impl Binding {
     fn type_of(&self, attr: AttrId) -> LogicalType {
         self.types.get(attr.index()).copied().unwrap_or_default()
     }
+}
 
-    /// The (uniform) type of `e` under this binding. Panics on an
-    /// ill-typed expression — the interpreter's contract is a query the
-    /// plan-time checker ([`crate::typecheck::check`]) has admitted.
-    fn expr_type(&self, e: &Expr) -> LogicalType {
-        e.type_of(&|a: AttrId| Ok(self.type_of(a)))
-            .expect("interpreter requires a type-checked query")
+/// The select clause's accumulator, shared by [`interpret`] and
+/// [`interpret_join`]: typed once, then fed one qualifying tuple at a time
+/// through an attribute fetcher.
+struct SelectAcc<'q> {
+    exprs: &'q [Expr],
+    aggs: &'q [Aggregate],
+    types: SelectTypes,
+    out: Acc,
+    /// The output row (projection) or key vector (grouped).
+    row: Vec<Value>,
+    /// Aggregate inputs of one grouped tuple.
+    vals: Vec<Value>,
+}
+
+enum Acc {
+    Rows(QueryResult),
+    Aggs(Vec<AggState>),
+    Groups(GroupedAggs),
+}
+
+impl<'q> SelectAcc<'q> {
+    /// Types `select` under `ty_of`. Panics on an ill-typed clause — the
+    /// interpreter's contract is a query the plan-time checker
+    /// ([`crate::typecheck::check`]) has admitted.
+    fn new(select: &'q Select, ty_of: impl Fn(AttrId) -> LogicalType) -> SelectAcc<'q> {
+        let types = check_select(select, &|a| Ok(ty_of(a)))
+            .expect("interpreter requires a type-checked query");
+        let out = match select {
+            Select::Project(_) => Acc::Rows(QueryResult::new(select.output_width())),
+            Select::Aggregate(_) => {
+                Acc::Aggs(types.aggs.iter().map(|&op| AggState::new(op)).collect())
+            }
+            Select::Grouped { .. } => {
+                Acc::Groups(GroupedAggs::new(types.exprs.clone(), types.aggs.clone()))
+            }
+        };
+        let (exprs, aggs) = select.parts();
+        SelectAcc {
+            exprs,
+            aggs,
+            out,
+            row: Vec::with_capacity(exprs.len()),
+            vals: vec![0; aggs.len()],
+            types,
+        }
+    }
+
+    /// Folds (or emits) one qualifying tuple.
+    fn push<F: Fn(AttrId) -> Value + Copy>(&mut self, fetch: F) {
+        self.row.clear();
+        for (e, &ty) in self.exprs.iter().zip(&self.types.exprs) {
+            self.row.push(e.eval_lane(ty, fetch));
+        }
+        let inputs = self.aggs.iter().zip(&self.types.aggs);
+        match &mut self.out {
+            Acc::Rows(out) => out.push_row(&self.row),
+            Acc::Aggs(states) => {
+                for (st, (a, op)) in states.iter_mut().zip(inputs) {
+                    st.update(a.expr.eval_lane(op.ty, fetch));
+                }
+            }
+            Acc::Groups(table) => {
+                for (slot, (a, op)) in self.vals.iter_mut().zip(inputs) {
+                    *slot = a.expr.eval_lane(op.ty, fetch);
+                }
+                table.update(&self.row, &self.vals);
+            }
+        }
+    }
+
+    fn finish(self) -> QueryResult {
+        match self.out {
+            Acc::Rows(out) => out,
+            Acc::Aggs(states) => {
+                let row: Vec<Value> = states.iter().map(|s| s.finish()).collect();
+                let mut out = QueryResult::new(row.len());
+                out.push_row(&row);
+                out
+            }
+            Acc::Groups(table) => table.finish(),
+        }
     }
 }
 
@@ -157,7 +231,7 @@ fn interpret_impl(
 ) -> Result<QueryResult, StorageError> {
     let rows = groups.first().map_or(0, |g| g.rows());
     debug_assert!(groups.iter().all(|g| g.rows() == rows));
-    let binding = Binding::build(groups, q)?;
+    let binding = Binding::build(groups, &q.all_attrs())?;
     let preds = resolve_preds(q.filter(), &binding, schema);
     let matches = |row: usize| {
         preds
@@ -165,73 +239,13 @@ fn interpret_impl(
             .all(|p| p.matches(binding.fetch(groups, row, p.attr)))
     };
 
-    if q.is_grouped() {
-        let key_exprs: Vec<(&Expr, LogicalType)> = q
-            .group_by()
-            .iter()
-            .map(|e| (e, binding.expr_type(e)))
-            .collect();
-        let agg_ops: Vec<AggOp> = q
-            .aggregates()
-            .iter()
-            .map(|a| AggOp::new(a.func, binding.expr_type(&a.expr)))
-            .collect();
-        let mut table = GroupedAggs::new(
-            key_exprs.iter().map(|(_, ty)| *ty).collect(),
-            agg_ops.clone(),
-        );
-        let mut key: Vec<Value> = vec![0; q.group_by().len()];
-        let mut vals: Vec<Value> = vec![0; q.aggregates().len()];
-        for row in 0..rows {
-            if matches(row) {
-                for (slot, (k, ty)) in key.iter_mut().zip(&key_exprs) {
-                    *slot = k.eval_lane(*ty, |a| binding.fetch(groups, row, a));
-                }
-                for (slot, (agg, op)) in vals.iter_mut().zip(q.aggregates().iter().zip(&agg_ops)) {
-                    *slot = agg.expr.eval_lane(op.ty, |a| binding.fetch(groups, row, a));
-                }
-                table.update(&key, &vals);
-            }
+    let mut acc = SelectAcc::new(q.select_clause(), |a| binding.type_of(a));
+    for row in 0..rows {
+        if matches(row) {
+            acc.push(|a| binding.fetch(groups, row, a));
         }
-        return Ok(table.finish());
     }
-    if q.is_aggregate() {
-        let agg_ops: Vec<AggOp> = q
-            .aggregates()
-            .iter()
-            .map(|a| AggOp::new(a.func, binding.expr_type(&a.expr)))
-            .collect();
-        let mut states: Vec<AggState> = agg_ops.iter().map(|&op| AggState::new(op)).collect();
-        for row in 0..rows {
-            if matches(row) {
-                for ((st, agg), op) in states.iter_mut().zip(q.aggregates()).zip(&agg_ops) {
-                    st.update(agg.expr.eval_lane(op.ty, |a| binding.fetch(groups, row, a)));
-                }
-            }
-        }
-        let mut out = QueryResult::new(q.output_width());
-        let row: Vec<Value> = states.iter().map(|s| s.finish()).collect();
-        out.push_row(&row);
-        Ok(out)
-    } else {
-        let proj: Vec<(&Expr, LogicalType)> = q
-            .projections()
-            .iter()
-            .map(|e| (e, binding.expr_type(e)))
-            .collect();
-        let mut out = QueryResult::new(q.output_width());
-        let mut row_buf: Vec<Value> = Vec::with_capacity(q.output_width());
-        for row in 0..rows {
-            if matches(row) {
-                row_buf.clear();
-                for (e, ty) in &proj {
-                    row_buf.push(e.eval_lane(*ty, |a| binding.fetch(groups, row, a)));
-                }
-                out.push_row(&row_buf);
-            }
-        }
-        Ok(out)
-    }
+    Ok(acc.finish())
 }
 
 /// Evaluates `q` against a catalog, letting the catalog pick a covering set
@@ -293,8 +307,8 @@ pub fn interpret_join(
     }
     let lgroups = resolve(left, &q.side_attrs(Side::Left))?;
     let rgroups = resolve(right, &q.side_attrs(Side::Right))?;
-    let lbind = Binding::build_for(&lgroups, &q.side_attrs(Side::Left))?;
-    let rbind = Binding::build_for(&rgroups, &q.side_attrs(Side::Right))?;
+    let lbind = Binding::build(&lgroups, &q.side_attrs(Side::Left))?;
+    let rbind = Binding::build(&rgroups, &q.side_attrs(Side::Right))?;
     let lpreds = resolve_preds(q.filter(Side::Left), &lbind, Some(left.schema()));
     let rpreds = resolve_preds(q.filter(Side::Right), &rbind, Some(right.schema()));
     let lrows = lgroups.first().map_or(0, |g| g.rows());
@@ -320,47 +334,16 @@ pub fn interpret_join(
 
     // Combined-space type and value resolution: an attribute resolves
     // through its side's binding.
-    let ctype = |a: AttrId| -> LogicalType {
+    let mut acc = SelectAcc::new(q.select_clause(), |a| {
         let (side, local) = q.side_of(a);
         match side {
             Side::Left => lbind.type_of(local),
             Side::Right => rbind.type_of(local),
         }
-    };
-    let expr_type = |e: &Expr| -> LogicalType {
-        e.type_of(&|a: AttrId| Ok(ctype(a)))
-            .expect("join interpreter requires a type-checked query")
-    };
-
-    enum Out {
-        Project(QueryResult),
-        Aggregate(Vec<AggState>),
-        Grouped(GroupedAggs),
-    }
-    let proj: Vec<(&Expr, LogicalType)> =
-        q.projections().iter().map(|e| (e, expr_type(e))).collect();
-    let key_exprs: Vec<(&Expr, LogicalType)> =
-        q.group_by().iter().map(|e| (e, expr_type(e))).collect();
-    let agg_ops: Vec<AggOp> = q
-        .aggregates()
-        .iter()
-        .map(|a| AggOp::new(a.func, expr_type(&a.expr)))
-        .collect();
-    let mut out = if q.is_grouped() {
-        Out::Grouped(GroupedAggs::new(
-            key_exprs.iter().map(|(_, ty)| *ty).collect(),
-            agg_ops.clone(),
-        ))
-    } else if q.is_aggregate() {
-        Out::Aggregate(agg_ops.iter().map(|&op| AggState::new(op)).collect())
-    } else {
-        Out::Project(QueryResult::new(q.output_width()))
-    };
+    });
 
     // Probe with the right side, in row order; matches in left-row order.
     let mut key_buf: Vec<Value> = vec![0; q.on().len()];
-    let mut row_buf: Vec<Value> = Vec::with_capacity(q.output_width());
-    let mut vals: Vec<Value> = vec![0; q.aggregates().len()];
     for rrow in 0..rrows {
         if !rpreds
             .iter()
@@ -375,52 +358,16 @@ pub fn interpret_join(
             continue;
         };
         for &lrow in matches {
-            let fetch = |a: AttrId| -> Value {
+            acc.push(|a: AttrId| -> Value {
                 let (side, local) = q.side_of(a);
                 match side {
                     Side::Left => lbind.fetch(&lgroups, lrow, local),
                     Side::Right => rbind.fetch(&rgroups, rrow, local),
                 }
-            };
-            match &mut out {
-                Out::Project(res) => {
-                    row_buf.clear();
-                    for (e, ty) in &proj {
-                        row_buf.push(e.eval_lane(*ty, fetch));
-                    }
-                    res.push_row(&row_buf);
-                }
-                Out::Aggregate(states) => {
-                    for ((st, agg), op) in states.iter_mut().zip(q.aggregates()).zip(&agg_ops) {
-                        st.update(agg.expr.eval_lane(op.ty, fetch));
-                    }
-                }
-                Out::Grouped(tbl) => {
-                    let mut key: Vec<Value> = Vec::with_capacity(key_exprs.len());
-                    for (k, ty) in &key_exprs {
-                        key.push(k.eval_lane(*ty, fetch));
-                    }
-                    for (slot, (agg, op)) in
-                        vals.iter_mut().zip(q.aggregates().iter().zip(&agg_ops))
-                    {
-                        *slot = agg.expr.eval_lane(op.ty, fetch);
-                    }
-                    tbl.update(&key, &vals);
-                }
-            }
+            });
         }
     }
-
-    Ok(match out {
-        Out::Project(res) => res,
-        Out::Aggregate(states) => {
-            let mut res = QueryResult::new(q.output_width());
-            let row: Vec<Value> = states.iter().map(|s| s.finish()).collect();
-            res.push_row(&row);
-            res
-        }
-        Out::Grouped(tbl) => tbl.finish(),
-    })
+    Ok(acc.finish())
 }
 
 #[cfg(test)]

@@ -2,8 +2,10 @@
 //!
 //! A [`JoinQuery`] binds two **named** relations, declares one or more
 //! equi-join key pairs, carries a residual filter per side, and selects
-//! through the same three shapes as a single-relation [`Query`](crate::Query):
-//! projection, scalar aggregation, or grouped aggregation. The paper's
+//! through the same [`Select`] clause as a single-relation
+//! [`Query`](crate::Query) — projection, scalar aggregation, or grouped
+//! aggregation, validated, typed, lowered and encoded by the same code.
+//! The paper's
 //! evaluation is single-relation (§2.2); joins are this reproduction's
 //! extension of the adaptive story — the engine observes join-side access
 //! patterns, so adaptive storage and join ordering co-evolve (see the
@@ -28,6 +30,7 @@ use crate::agg::Aggregate;
 use crate::expr::Expr;
 use crate::predicate::Conjunction;
 use crate::query::QueryError;
+use crate::select::Select;
 use h2o_storage::{AttrId, AttrSet, Schema};
 use std::fmt;
 use std::sync::Arc;
@@ -81,11 +84,8 @@ pub struct JoinQuery {
     left_filter: Conjunction,
     /// Residual filter over the right side, right-local attribute ids.
     right_filter: Conjunction,
-    /// Select clause in **combined** space (see module docs). Exactly one
-    /// of the three single-relation shapes, enforced at build time.
-    projections: Vec<Expr>,
-    aggregates: Vec<Aggregate>,
-    group_by: Vec<Expr>,
+    /// Select clause in **combined** space (see module docs).
+    select: Select,
 }
 
 impl JoinQuery {
@@ -165,73 +165,31 @@ impl JoinQuery {
         }
     }
 
-    /// Lifts a `side`-local attribute into the combined space.
-    pub fn combined(&self, side: Side, attr: AttrId) -> AttrId {
-        match side {
-            Side::Left => attr,
-            Side::Right => AttrId((self.left_width() + attr.index()) as u32),
-        }
+    /// The select clause (combined space).
+    pub fn select_clause(&self) -> &Select {
+        &self.select
     }
 
-    /// The projection expressions (combined space).
+    /// The projection expressions ([`Select::projections`]).
     pub fn projections(&self) -> &[Expr] {
-        &self.projections
+        self.select.projections()
     }
 
-    /// The aggregates (combined space).
+    /// The aggregates ([`Select::aggregates`]).
     pub fn aggregates(&self) -> &[Aggregate] {
-        &self.aggregates
+        self.select.aggregates()
     }
 
-    /// The group-key expressions (combined space).
+    /// The group-key expressions ([`Select::group_by`]).
     pub fn group_by(&self) -> &[Expr] {
-        &self.group_by
-    }
-
-    /// Whether this is a scalar aggregation join (one output row total).
-    pub fn is_aggregate(&self) -> bool {
-        !self.aggregates.is_empty() && self.group_by.is_empty()
-    }
-
-    /// Whether this is a grouped aggregation join.
-    pub fn is_grouped(&self) -> bool {
-        !self.group_by.is_empty()
-    }
-
-    /// Values per output row.
-    pub fn output_width(&self) -> usize {
-        if self.is_grouped() {
-            self.group_by.len() + self.aggregates.len()
-        } else if self.is_aggregate() {
-            self.aggregates.len()
-        } else {
-            self.projections.len()
-        }
-    }
-
-    /// The select-items' expressions (projections, group keys, aggregate
-    /// inputs), combined space.
-    pub fn select_exprs(&self) -> impl Iterator<Item = &Expr> {
-        self.projections
-            .iter()
-            .chain(self.group_by.iter())
-            .chain(self.aggregates.iter().map(|a| &a.expr))
-    }
-
-    /// Combined-space attributes referenced in the select clause.
-    pub fn select_attrs(&self) -> AttrSet {
-        let mut s = AttrSet::new();
-        for e in self.select_exprs() {
-            e.collect_attrs(&mut s);
-        }
-        s
+        self.select.group_by()
     }
 
     /// `side`-local attributes the select clause reads from that side —
     /// the join *payload* (join keys excluded unless also selected).
     pub fn payload_attrs(&self, side: Side) -> AttrSet {
         let mut out = AttrSet::new();
-        for a in self.select_attrs().iter() {
+        for a in self.select.attrs().iter() {
             let (s, local) = self.side_of(a);
             if s == side {
                 out.insert(local);
@@ -251,12 +209,6 @@ impl JoinQuery {
         }
         out.union_with(&self.filter(side).attrs());
         out
-    }
-
-    /// Total expression-tree nodes across select items (the
-    /// interpretation-overhead term of the cost model).
-    pub fn select_node_count(&self) -> usize {
-        self.select_exprs().map(|e| e.node_count()).sum()
     }
 }
 
@@ -278,38 +230,24 @@ impl JoinBuilder {
     /// schemas define the name and [`QueryError::UnknownColumn`] when
     /// neither does.
     pub fn col(&self, name: &str) -> Result<Expr, QueryError> {
-        let l = self.left.schema.attr_by_name(name).ok();
-        let r = self.right.schema.attr_by_name(name).ok();
-        match (l, r) {
-            (Some(_), Some(_)) => Err(QueryError::AmbiguousAttr(name.to_string())),
-            (Some(a), None) => Ok(Expr::col(a)),
-            (None, Some(a)) => Ok(Expr::col(self.lift_right(a))),
-            (None, None) => Err(QueryError::UnknownColumn(name.to_string())),
-        }
+        column(&self.left, &self.right, None, name)
     }
 
     /// Resolves a column name on the **left** side (combined space ==
     /// left-local space).
     pub fn lcol(&self, name: &str) -> Result<Expr, QueryError> {
-        self.left
-            .schema
-            .attr_by_name(name)
-            .map(Expr::col)
-            .map_err(|_| QueryError::UnknownColumn(format!("{}.{name}", self.left.name)))
+        column(&self.left, &self.right, Some(Side::Left), name)
     }
 
     /// Resolves a column name on the **right** side into the combined
     /// space.
     pub fn rcol(&self, name: &str) -> Result<Expr, QueryError> {
-        self.right
-            .schema
-            .attr_by_name(name)
-            .map(|a| Expr::col(self.lift_right(a)))
-            .map_err(|_| QueryError::UnknownColumn(format!("{}.{name}", self.right.name)))
+        column(&self.left, &self.right, Some(Side::Right), name)
     }
 
-    fn lift_right(&self, a: AttrId) -> AttrId {
-        AttrId((self.left.schema.len() + a.index()) as u32)
+    /// The two relation bindings.
+    pub(crate) fn rels(&self) -> (&RelRef, &RelRef) {
+        (&self.left, &self.right)
     }
 
     /// Adds an equi-join key pair by column name (left name, right name).
@@ -361,45 +299,29 @@ impl JoinBuilder {
     }
 
     /// The general ungrouped finisher: plain expressions *or* aggregates,
-    /// never both — the same [`QueryError::MixedSelect`] taxonomy as
-    /// [`Query::select`](crate::Query::select).
+    /// never both ([`Select::new`]).
     pub fn select<P, A>(self, exprs: P, aggs: A) -> Result<JoinQuery, QueryError>
     where
         P: IntoIterator<Item = Expr>,
         A: IntoIterator<Item = Aggregate>,
     {
-        let projections: Vec<Expr> = exprs.into_iter().collect();
-        let aggregates: Vec<Aggregate> = aggs.into_iter().collect();
-        if projections.is_empty() && aggregates.is_empty() {
-            return Err(QueryError::EmptySelect);
-        }
-        if !projections.is_empty() && !aggregates.is_empty() {
-            return Err(QueryError::MixedSelect);
-        }
-        self.finish(projections, aggregates, Vec::new())
+        self.finish(Select::new(exprs, aggs)?)
     }
 
-    /// Finishes as a grouped aggregation join: one output row per distinct
-    /// key vector, sorted ascending by key (the engine-wide grouped
-    /// determinism convention).
+    /// Finishes as a grouped aggregation join ([`Select::grouped`]): one
+    /// output row per distinct key vector, sorted ascending by key (the
+    /// engine-wide grouped determinism convention).
     pub fn grouped<K, A>(self, keys: K, aggs: A) -> Result<JoinQuery, QueryError>
     where
         K: IntoIterator<Item = Expr>,
         A: IntoIterator<Item = Aggregate>,
     {
-        let group_by: Vec<Expr> = keys.into_iter().collect();
-        if group_by.is_empty() {
-            return Err(QueryError::EmptySelect);
-        }
-        self.finish(Vec::new(), aggs.into_iter().collect(), group_by)
+        self.finish(Select::grouped(keys, aggs)?)
     }
 
-    fn finish(
-        self,
-        projections: Vec<Expr>,
-        aggregates: Vec<Aggregate>,
-        group_by: Vec<Expr>,
-    ) -> Result<JoinQuery, QueryError> {
+    /// Finishes with an already validated select clause (combined space).
+    /// Fails with [`QueryError::NoJoinKeys`] when no key pair was added.
+    pub fn finish(self, select: Select) -> Result<JoinQuery, QueryError> {
         if self.on.is_empty() {
             return Err(QueryError::NoJoinKeys);
         }
@@ -409,32 +331,48 @@ impl JoinBuilder {
             on: self.on,
             left_filter: self.left_filter,
             right_filter: self.right_filter,
-            projections,
-            aggregates,
-            group_by,
+            select,
         })
+    }
+}
+
+/// Resolves a column name against a join's two relation bindings into the
+/// combined space: on `side` when qualified, else on whichever side
+/// uniquely defines it.
+pub(crate) fn column(
+    left: &RelRef,
+    right: &RelRef,
+    side: Option<Side>,
+    name: &str,
+) -> Result<Expr, QueryError> {
+    let lift = |a: AttrId| AttrId((left.schema.len() + a.index()) as u32);
+    let unknown = |rel: &RelRef| QueryError::UnknownColumn(format!("{}.{name}", rel.name));
+    match side {
+        Some(Side::Left) => left
+            .schema
+            .attr_by_name(name)
+            .map(Expr::col)
+            .map_err(|_| unknown(left)),
+        Some(Side::Right) => right
+            .schema
+            .attr_by_name(name)
+            .map(|a| Expr::col(lift(a)))
+            .map_err(|_| unknown(right)),
+        None => match (
+            left.schema.attr_by_name(name).ok(),
+            right.schema.attr_by_name(name).ok(),
+        ) {
+            (Some(_), Some(_)) => Err(QueryError::AmbiguousAttr(name.to_string())),
+            (Some(a), None) => Ok(Expr::col(a)),
+            (None, Some(a)) => Ok(Expr::col(lift(a))),
+            (None, None) => Err(QueryError::UnknownColumn(name.to_string())),
+        },
     }
 }
 
 impl fmt::Display for JoinQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "select ")?;
-        let mut first = true;
-        let mut sep = |f: &mut fmt::Formatter<'_>| -> fmt::Result {
-            if !first {
-                write!(f, ", ")?;
-            }
-            first = false;
-            Ok(())
-        };
-        for e in self.group_by.iter().chain(&self.projections) {
-            sep(f)?;
-            write!(f, "{e}")?;
-        }
-        for a in &self.aggregates {
-            sep(f)?;
-            write!(f, "{a}")?;
-        }
+        write!(f, "select {}", self.select)?;
         write!(f, " from {} join {} on", self.left.name, self.right.name)?;
         for (i, (l, r)) in self.on.iter().enumerate() {
             if i > 0 {
@@ -453,16 +391,7 @@ impl fmt::Display for JoinQuery {
             }
             write!(f, "[{}] {}", self.right.name, self.right_filter)?;
         }
-        if self.is_grouped() {
-            write!(f, " group by ")?;
-            for (i, k) in self.group_by.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{k}")?;
-            }
-        }
-        Ok(())
+        self.select.fmt_group_by(f)
     }
 }
 
@@ -531,7 +460,6 @@ mod tests {
         assert_eq!(q.left_width(), 3);
         assert_eq!(q.side_of(AttrId(1)), (Side::Left, AttrId(1)));
         assert_eq!(q.side_of(AttrId(5)), (Side::Right, AttrId(2)));
-        assert_eq!(q.combined(Side::Right, AttrId(2)), AttrId(5));
         assert_eq!(q.key_attrs(Side::Left), vec![AttrId(0)]);
         assert_eq!(q.key_attrs(Side::Right), vec![AttrId(1)]);
         assert_eq!(q.payload_attrs(Side::Left).to_vec(), vec![AttrId(1)]);
@@ -545,9 +473,9 @@ mod tests {
             q.side_attrs(Side::Right).to_vec(),
             vec![AttrId(1), AttrId(2), AttrId(3)]
         );
-        assert!(!q.is_aggregate());
-        assert!(!q.is_grouped());
-        assert_eq!(q.output_width(), 2);
+        assert!(!q.select_clause().is_aggregate());
+        assert!(!q.select_clause().is_grouped());
+        assert_eq!(q.select_clause().output_width(), 2);
     }
 
     #[test]
@@ -585,8 +513,8 @@ mod tests {
             QueryError::EmptySelect
         );
         let g = b.grouped([ra], [Aggregate::count()]).unwrap();
-        assert!(g.is_grouped());
-        assert_eq!(g.output_width(), 2);
+        assert!(g.select_clause().is_grouped());
+        assert_eq!(g.select_clause().output_width(), 2);
     }
 
     #[test]

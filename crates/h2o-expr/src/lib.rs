@@ -7,10 +7,14 @@
 //! * [`Predicate`]/[`Conjunction`] — conjunctive range filters
 //!   (`d < v1 and e > v2`),
 //! * [`Aggregate`] — `sum`/`min`/`max`/`count`/`avg` over expressions,
-//! * [`Query`] — the select-project-aggregate statement with the paper's
-//!   three templates (projection, aggregation, arithmetic expression) plus
-//!   grouped aggregation ([`Query::grouped`], beyond the paper's
-//!   evaluation),
+//! * [`Select`] — the select clause: projection, scalar aggregation, or
+//!   grouped aggregation (beyond the paper's evaluation), validated on
+//!   construction and shared by both query kinds,
+//! * [`Query`] — the select-project-aggregate statement (a [`Select`] plus
+//!   a where-clause) with the paper's three templates (projection,
+//!   aggregation, arithmetic expression),
+//! * [`JoinQuery`] — a two-relation equi-join with a filter per side and
+//!   the same [`Select`] over the combined attribute space,
 //! * [`QueryResult`] — row-major output blocks ("all execution strategies
 //!   materialize the output results ... in a row-major layout", §3.3),
 //! * [`GroupedAggs`] — the grouped-aggregation hash
@@ -52,6 +56,7 @@ pub mod join;
 pub mod predicate;
 pub mod query;
 pub mod result;
+pub mod select;
 pub mod typecheck;
 pub mod wire;
 
@@ -64,7 +69,8 @@ pub use join::{JoinBuilder, JoinQuery, RelRef, Side};
 pub use predicate::{CmpOp, Conjunction, Predicate};
 pub use query::{Query, QueryError};
 pub use result::QueryResult;
-pub use typecheck::{check_join, JoinTypes, QueryTypes, TypedPredicate};
+pub use select::Select;
+pub use typecheck::{check_join, JoinTypes, QueryTypes, SelectTypes, TypedPredicate};
 pub use wire::{
     join_from_json, join_to_json, query_from_json, query_to_json, result_to_json, Json, WireError,
 };

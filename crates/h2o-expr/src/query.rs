@@ -1,26 +1,12 @@
-//! The select-project-aggregate(-group) query statement.
-//!
-//! A [`Query`] has one of three shapes:
-//!
-//! * a *projection* query (select-items are expressions, one output row per
-//!   qualifying tuple);
-//! * a *scalar aggregation* query (all select-items are aggregates, one
-//!   output row total) — these two are the shapes of the paper's evaluation
-//!   (§2.2, §4.2.1 templates i–iii);
-//! * a *grouped aggregation* query ([`Query::grouped`]): group-key
-//!   expressions plus aggregates, one output row per distinct key vector.
-//!   The paper does not evaluate group-by; this reproduction adds it as a
-//!   first-class query class (see the workspace README's query-shape
-//!   section).
-//!
-//! Mixing plain projections and aggregates remains illegal **without** a
-//! grouping clause ([`QueryError::MixedSelect`]); with a grouping clause the
-//! group keys are exactly the non-aggregate select-items, which is the SQL
-//! rule this engine enforces by construction.
+//! The single-relation select-project-aggregate(-group) query statement:
+//! a [`Select`] clause over the relation plus a conjunctive where-clause.
+//! The select clause's three shapes and their validation rules live in
+//! [`crate::select`].
 
 use crate::agg::Aggregate;
 use crate::expr::Expr;
 use crate::predicate::Conjunction;
+use crate::select::Select;
 use h2o_storage::AttrSet;
 use std::fmt;
 
@@ -31,7 +17,7 @@ pub enum QueryError {
     EmptySelect,
     /// Projections and aggregates cannot be mixed without a grouping
     /// clause. With one, the non-aggregate select-items *are* the group
-    /// keys — use [`Query::grouped`].
+    /// keys — use [`Query::grouped`] / [`Select::grouped`].
     MixedSelect,
     /// The query is ill-typed against the relation schema: a cross-type
     /// predicate or arithmetic expression, an ordered comparison or
@@ -94,17 +80,16 @@ impl std::error::Error for QueryError {}
 /// grouped by key expressions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Query {
-    projections: Vec<Expr>,
-    aggregates: Vec<Aggregate>,
-    /// Group-key expressions. Non-empty exactly for grouped queries; the
-    /// output row is then `keys ++ aggregates`, one row per distinct key
-    /// vector, in ascending key order (the engine-wide determinism
-    /// convention — see [`crate::grouped::GroupedAggs`]).
-    group_by: Vec<Expr>,
+    select: Select,
     filter: Conjunction,
 }
 
 impl Query {
+    /// A query from an already validated select clause.
+    pub(crate) fn new(select: Select, filter: Conjunction) -> Query {
+        Query { select, filter }
+    }
+
     /// A projection query: `select <exprs> from R where <filter>`.
     pub fn project<I: IntoIterator<Item = Expr>>(
         exprs: I,
@@ -121,54 +106,28 @@ impl Query {
         Self::select([], aggs, filter)
     }
 
-    /// The general ungrouped constructor: plain expressions *or* aggregates,
-    /// never both. This is where the [`QueryError::MixedSelect`] taxonomy
-    /// lives: a mixed select-list is only meaningful with a grouping clause
-    /// ([`Self::grouped`]).
+    /// The general ungrouped constructor: plain expressions *or*
+    /// aggregates, never both ([`Select::new`]).
     pub fn select<P, A>(exprs: P, aggs: A, filter: Conjunction) -> Result<Self, QueryError>
     where
         P: IntoIterator<Item = Expr>,
         A: IntoIterator<Item = Aggregate>,
     {
-        let projections: Vec<Expr> = exprs.into_iter().collect();
-        let aggregates: Vec<Aggregate> = aggs.into_iter().collect();
-        if projections.is_empty() && aggregates.is_empty() {
-            return Err(QueryError::EmptySelect);
-        }
-        if !projections.is_empty() && !aggregates.is_empty() {
-            return Err(QueryError::MixedSelect);
-        }
-        Ok(Query {
-            projections,
-            aggregates,
-            group_by: Vec::new(),
-            filter,
-        })
+        Ok(Query::new(Select::new(exprs, aggs)?, filter))
     }
 
     /// A grouped aggregation query:
-    /// `select <keys>, <aggs> from R where <filter> group by <keys>`.
-    ///
-    /// Requires at least one key expression; `aggs` may be empty (the
-    /// `select distinct <keys>` degenerate). Output rows are `keys ++
-    /// aggregate values`, one per distinct key vector, **sorted ascending by
-    /// key vector** so every execution strategy (and the parallel driver)
-    /// produces bit-identical results.
+    /// `select <keys>, <aggs> from R where <filter> group by <keys>`
+    /// ([`Select::grouped`]). Output rows are `keys ++ aggregate values`,
+    /// one per distinct key vector, **sorted ascending by key vector** so
+    /// every execution strategy (and the parallel driver) produces
+    /// bit-identical results.
     pub fn grouped<K, A>(keys: K, aggs: A, filter: Conjunction) -> Result<Self, QueryError>
     where
         K: IntoIterator<Item = Expr>,
         A: IntoIterator<Item = Aggregate>,
     {
-        let group_by: Vec<Expr> = keys.into_iter().collect();
-        if group_by.is_empty() {
-            return Err(QueryError::EmptySelect);
-        }
-        Ok(Query {
-            projections: Vec::new(),
-            aggregates: aggs.into_iter().collect(),
-            group_by,
-            filter,
-        })
+        Ok(Query::new(Select::grouped(keys, aggs)?, filter))
     }
 
     /// Starts a two-relation equi-join query against named relation
@@ -184,71 +143,35 @@ impl Query {
         crate::join::JoinQuery::builder(left, right)
     }
 
-    /// The projection expressions (empty for aggregation and grouped
-    /// queries).
+    /// The same select clause under another where-clause (a prepared
+    /// statement rebound to new constants).
+    pub fn with_filter(&self, filter: Conjunction) -> Query {
+        Query::new(self.select.clone(), filter)
+    }
+
+    /// The select clause.
+    pub fn select_clause(&self) -> &Select {
+        &self.select
+    }
+
+    /// The projection expressions ([`Select::projections`]).
     pub fn projections(&self) -> &[Expr] {
-        &self.projections
+        self.select.projections()
     }
 
-    /// The aggregates (empty for projection queries; possibly empty for
-    /// grouped queries — the distinct-keys degenerate).
+    /// The aggregates ([`Select::aggregates`]).
     pub fn aggregates(&self) -> &[Aggregate] {
-        &self.aggregates
+        self.select.aggregates()
     }
 
-    /// The group-key expressions (empty unless [`Self::is_grouped`]).
+    /// The group-key expressions ([`Select::group_by`]).
     pub fn group_by(&self) -> &[Expr] {
-        &self.group_by
+        self.select.group_by()
     }
 
     /// The where-clause.
     pub fn filter(&self) -> &Conjunction {
         &self.filter
-    }
-
-    /// Whether this is a **scalar** aggregation query (one output row
-    /// total). Grouped queries report `false` here — their output
-    /// cardinality scales with the number of distinct keys, not with 1.
-    pub fn is_aggregate(&self) -> bool {
-        !self.aggregates.is_empty() && self.group_by.is_empty()
-    }
-
-    /// Whether this is a grouped aggregation query.
-    pub fn is_grouped(&self) -> bool {
-        !self.group_by.is_empty()
-    }
-
-    /// Number of output values per result row.
-    pub fn output_width(&self) -> usize {
-        if self.is_grouped() {
-            self.group_by.len() + self.aggregates.len()
-        } else if self.is_aggregate() {
-            self.aggregates.len()
-        } else {
-            self.projections.len()
-        }
-    }
-
-    /// The select-items' expressions (projection exprs, group keys, and
-    /// aggregate inputs).
-    pub fn select_exprs(&self) -> impl Iterator<Item = &Expr> {
-        self.projections
-            .iter()
-            .chain(self.group_by.iter())
-            .chain(self.aggregates.iter().map(|a| &a.expr))
-    }
-
-    /// Attributes referenced in the **select clause** (group keys
-    /// included — the adaptation mechanism must see key columns as hot).
-    /// The mechanism keeps this separate from [`Self::where_attrs`]: "H2O
-    /// considers attributes accessed together in the select and the where
-    /// clause as different potential groups" (§3.2).
-    pub fn select_attrs(&self) -> AttrSet {
-        let mut s = AttrSet::new();
-        for e in self.select_exprs() {
-            e.collect_attrs(&mut s);
-        }
-        s
     }
 
     /// Attributes referenced in the **where clause**.
@@ -258,49 +181,17 @@ impl Query {
 
     /// All attributes the query touches.
     pub fn all_attrs(&self) -> AttrSet {
-        self.select_attrs().union(&self.where_attrs())
-    }
-
-    /// Total expression-tree nodes across select items (drives the
-    /// interpretation-overhead term of the CPU cost model).
-    pub fn select_node_count(&self) -> usize {
-        self.select_exprs().map(|e| e.node_count()).sum()
+        self.select.attrs().union(&self.where_attrs())
     }
 }
 
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "select ")?;
-        let mut first = true;
-        let mut sep = |f: &mut fmt::Formatter<'_>| -> fmt::Result {
-            if !first {
-                write!(f, ", ")?;
-            }
-            first = false;
-            Ok(())
-        };
-        for e in self.group_by.iter().chain(&self.projections) {
-            sep(f)?;
-            write!(f, "{e}")?;
-        }
-        for a in &self.aggregates {
-            sep(f)?;
-            write!(f, "{a}")?;
-        }
-        write!(f, " from R")?;
+        write!(f, "select {} from R", self.select)?;
         if !self.filter.is_always_true() {
             write!(f, " where {}", self.filter)?;
         }
-        if self.is_grouped() {
-            write!(f, " group by ")?;
-            for (i, k) in self.group_by.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{k}")?;
-            }
-        }
-        Ok(())
+        self.select.fmt_group_by(f)
     }
 }
 
@@ -319,11 +210,11 @@ mod tests {
             Conjunction::of([Predicate::lt(3u32, 10), Predicate::gt(4u32, -10)]),
         )
         .unwrap();
-        assert!(!q.is_aggregate());
-        assert!(!q.is_grouped());
-        assert_eq!(q.output_width(), 1);
+        assert!(!q.select_clause().is_aggregate());
+        assert!(!q.select_clause().is_grouped());
+        assert_eq!(q.select_clause().output_width(), 1);
         assert_eq!(
-            q.select_attrs().to_vec(),
+            q.select_clause().attrs().to_vec(),
             vec![AttrId(0), AttrId(1), AttrId(2)]
         );
         assert_eq!(q.where_attrs().to_vec(), vec![AttrId(3), AttrId(4)]);
@@ -344,8 +235,8 @@ mod tests {
             Conjunction::always(),
         )
         .unwrap();
-        assert!(q.is_aggregate());
-        assert_eq!(q.output_width(), 2);
+        assert!(q.select_clause().is_aggregate());
+        assert_eq!(q.select_clause().output_width(), 2);
         assert!(q.where_attrs().is_empty());
         assert_eq!(q.to_string(), "select max(a0), max(a1) from R");
     }
@@ -359,12 +250,18 @@ mod tests {
             Conjunction::of([Predicate::lt(2u32, 5)]),
         )
         .unwrap();
-        assert!(q.is_grouped());
-        assert!(!q.is_aggregate(), "grouped queries are not scalar");
-        assert_eq!(q.output_width(), 3);
+        assert!(q.select_clause().is_grouped());
+        assert!(
+            !q.select_clause().is_aggregate(),
+            "grouped queries are not scalar"
+        );
+        assert_eq!(q.select_clause().output_width(), 3);
         assert_eq!(q.group_by().len(), 1);
         // Key attrs count as select attrs (hot for the adviser).
-        assert_eq!(q.select_attrs().to_vec(), vec![AttrId(0), AttrId(1)]);
+        assert_eq!(
+            q.select_clause().attrs().to_vec(),
+            vec![AttrId(0), AttrId(1)]
+        );
         assert_eq!(q.all_attrs().len(), 3);
         assert_eq!(
             q.to_string(),
@@ -380,12 +277,12 @@ mod tests {
             Conjunction::always(),
         )
         .unwrap();
-        assert_eq!(q.output_width(), 3);
-        assert_eq!(q.select_attrs().len(), 4);
+        assert_eq!(q.select_clause().output_width(), 3);
+        assert_eq!(q.select_clause().attrs().len(), 4);
         // Distinct-keys degenerate: no aggregates is legal with grouping.
         let d = Query::grouped([Expr::col(5u32)], [], Conjunction::always()).unwrap();
-        assert!(d.is_grouped());
-        assert_eq!(d.output_width(), 1);
+        assert!(d.select_clause().is_grouped());
+        assert_eq!(d.select_clause().output_width(), 1);
         assert_eq!(d.to_string(), "select a5 from R group by a5");
         // ... but a grouped query still needs at least one key.
         assert_eq!(
@@ -446,14 +343,14 @@ mod tests {
             Conjunction::always(),
         )
         .unwrap();
-        assert_eq!(q.select_node_count(), 4);
+        assert_eq!(q.select_clause().node_count(), 4);
         let g = Query::grouped(
             [Expr::col(0u32)],
             [Aggregate::sum(Expr::col(1u32).add(Expr::col(2u32)))],
             Conjunction::always(),
         )
         .unwrap();
-        assert_eq!(g.select_node_count(), 4); // key (1) + sum input (3)
+        assert_eq!(g.select_clause().node_count(), 4); // key (1) + sum input (3)
     }
 
     #[test]
@@ -467,6 +364,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(q.all_attrs().len(), 1);
-        assert_eq!(q.select_attrs(), q.where_attrs());
+        assert_eq!(q.select_clause().attrs(), q.where_attrs());
     }
 }

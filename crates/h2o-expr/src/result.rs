@@ -103,7 +103,7 @@ impl QueryResult {
 
     /// Decodes row `i` into typed [`Datum`]s. `types` gives the output
     /// column types (from
-    /// [`QueryTypes::output_types`](crate::typecheck::QueryTypes::output_types));
+    /// [`SelectTypes::output_types`](crate::typecheck::SelectTypes::output_types));
     /// `dicts` the per-column dictionary for `Dict` columns (`None`
     /// entries — or a short slice — decode codes as raw integers).
     pub fn row_datums(

@@ -3,8 +3,9 @@
 //!
 //! [`check`] validates a [`Query`] against a [`Schema`] and, on success,
 //! returns everything operator generation needs to bake **typed** ops into
-//! programs: the lane-encoded predicate constants, each select-item's
-//! [`LogicalType`], and one [`AggOp`] per aggregate. The engine, the
+//! programs: the lane-encoded predicate constants and the typed select
+//! clause ([`SelectTypes`]: each plain select-item's [`LogicalType`] and
+//! one [`AggOp`] per aggregate). The engine, the
 //! operator generator and the operator cache all call it; the reference
 //! interpreter re-derives the same types from the groups it scans (and so
 //! only ever sees queries this gate has admitted).
@@ -21,10 +22,11 @@
 //! description of the offending clause, *before* planning, compilation or
 //! any scan.
 
-use crate::agg::{AggFunc, AggOp, Aggregate};
+use crate::agg::{AggFunc, AggOp};
 use crate::join::{JoinQuery, Side};
 use crate::predicate::Conjunction;
 use crate::query::{Query, QueryError};
+use crate::select::Select;
 use h2o_storage::{AttrId, LogicalType, Schema, Value};
 use std::sync::Arc;
 
@@ -37,35 +39,36 @@ pub struct TypedPredicate {
     pub lane: Value,
 }
 
+/// The typing of a [`Select`] clause, parallel to [`Select::parts`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SelectTypes {
+    /// Type of each plain expression (projection or group key), in clause
+    /// order.
+    pub exprs: Vec<LogicalType>,
+    /// Typed op per aggregate, in clause order.
+    pub aggs: Vec<AggOp>,
+}
+
+impl SelectTypes {
+    /// The logical types of the output columns, in output order — what a
+    /// caller needs to render a
+    /// [`QueryResult`](crate::result::QueryResult)'s lanes.
+    pub fn output_types(&self) -> Vec<LogicalType> {
+        let aggs = self.aggs.iter().map(|a| a.output_type());
+        self.exprs.iter().copied().chain(aggs).collect()
+    }
+}
+
 /// The typing of a checked query (see [`check`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryTypes {
     /// Per where-clause predicate, in clause order.
     pub predicates: Vec<TypedPredicate>,
-    /// Type of each projection expression (empty unless a projection
-    /// query).
-    pub projections: Vec<LogicalType>,
-    /// Type of each group-key expression (empty unless grouped).
-    pub keys: Vec<LogicalType>,
-    /// Typed op per aggregate, in select order.
-    pub aggs: Vec<AggOp>,
+    /// The select clause.
+    pub select: SelectTypes,
 }
 
 impl QueryTypes {
-    /// The logical types of the query's output columns, in output order —
-    /// what a caller needs to render a
-    /// [`QueryResult`](crate::result::QueryResult)'s lanes.
-    pub fn output_types(&self) -> Vec<LogicalType> {
-        let aggs = self.aggs.iter().map(|a| a.output_type());
-        if !self.keys.is_empty() {
-            self.keys.iter().copied().chain(aggs).collect()
-        } else if !self.aggs.is_empty() {
-            aggs.collect()
-        } else {
-            self.projections.clone()
-        }
-    }
-
     /// The raw lane constants of the predicates, in clause order (what the
     /// operator cache re-parameterizes cached operators with).
     pub fn predicate_lanes(&self) -> Vec<Value> {
@@ -120,27 +123,15 @@ fn check_predicates(
     Ok(predicates)
 }
 
-/// The typed select clause: projection types, group-key types, and the
-/// typed aggregate ops, in clause order.
-type SelectTypes = (Vec<LogicalType>, Vec<LogicalType>, Vec<AggOp>);
-
-/// Types the select clause (projections, group keys, aggregates) under a
-/// per-attribute type oracle — shared by the single-relation and join
-/// gates, which differ only in how `ty_of` resolves an attribute.
-fn check_select<F>(
-    projections: &[crate::expr::Expr],
-    group_by: &[crate::expr::Expr],
-    aggregates: &[Aggregate],
-    ty_of: &F,
-) -> Result<SelectTypes, QueryError>
+/// Types a select clause under a per-attribute type oracle — the one
+/// select gate of [`check`], [`check_join`] (which differ only in how
+/// `ty_of` resolves an attribute) and the reference interpreter.
+pub(crate) fn check_select<F>(select: &Select, ty_of: &F) -> Result<SelectTypes, QueryError>
 where
     F: Fn(AttrId) -> Result<LogicalType, QueryError>,
 {
-    let proj = projections
-        .iter()
-        .map(|e| e.type_of(ty_of))
-        .collect::<Result<Vec<_>, _>>()?;
-    let keys = group_by
+    let (exprs, aggregates) = select.parts();
+    let exprs = exprs
         .iter()
         .map(|e| e.type_of(ty_of))
         .collect::<Result<Vec<_>, _>>()?;
@@ -156,20 +147,15 @@ where
         }
         aggs.push(AggOp::new(a.func, ty));
     }
-    Ok((proj, keys, aggs))
+    Ok(SelectTypes { exprs, aggs })
 }
 
 /// Type-checks `q` against `schema` (see module docs).
 pub fn check(q: &Query, schema: &Schema) -> Result<QueryTypes, QueryError> {
     let ty_of = |a: AttrId| -> Result<LogicalType, QueryError> { Ok(type_or_default(schema, a)) };
-    let predicates = check_predicates(q.filter(), schema)?;
-    let (projections, keys, aggs) =
-        check_select(q.projections(), q.group_by(), q.aggregates(), &ty_of)?;
     Ok(QueryTypes {
-        predicates,
-        projections,
-        keys,
-        aggs,
+        predicates: check_predicates(q.filter(), schema)?,
+        select: check_select(q.select_clause(), &ty_of)?,
     })
 }
 
@@ -182,27 +168,11 @@ pub struct JoinTypes {
     pub right_predicates: Vec<TypedPredicate>,
     /// The shared logical type of each equi-join key pair, in `on` order.
     pub key_types: Vec<LogicalType>,
-    /// Type of each projection expression (combined space).
-    pub projections: Vec<LogicalType>,
-    /// Type of each group-key expression.
-    pub keys: Vec<LogicalType>,
-    /// Typed op per aggregate, in select order.
-    pub aggs: Vec<AggOp>,
+    /// The select clause (combined space).
+    pub select: SelectTypes,
 }
 
 impl JoinTypes {
-    /// The logical types of the join's output columns, in output order.
-    pub fn output_types(&self) -> Vec<LogicalType> {
-        let aggs = self.aggs.iter().map(|a| a.output_type());
-        if !self.keys.is_empty() {
-            self.keys.iter().copied().chain(aggs).collect()
-        } else if !self.aggs.is_empty() {
-            aggs.collect()
-        } else {
-            self.projections.clone()
-        }
-    }
-
     /// The raw lane constants of `side`'s filter, in clause order.
     pub fn predicate_lanes(&self, side: Side) -> Vec<Value> {
         let preds = match side {
@@ -270,16 +240,11 @@ pub fn check_join(q: &JoinQuery) -> Result<JoinTypes, QueryError> {
         let (side, local) = q.side_of(a);
         Ok(type_or_default(q.rel(side).schema(), local))
     };
-    let (projections, keys, aggs) =
-        check_select(q.projections(), q.group_by(), q.aggregates(), &ty_of)?;
-
     Ok(JoinTypes {
         left_predicates,
         right_predicates,
         key_types,
-        projections,
-        keys,
-        aggs,
+        select: check_select(q.select_clause(), &ty_of)?,
     })
 }
 
@@ -334,10 +299,10 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(t.keys, vec![LogicalType::Dict]);
-        assert_eq!(t.aggs[0], AggOp::new(AggFunc::Sum, LogicalType::F64));
+        assert_eq!(t.select.exprs, vec![LogicalType::Dict]);
+        assert_eq!(t.select.aggs[0], AggOp::new(AggFunc::Sum, LogicalType::F64));
         assert_eq!(
-            t.output_types(),
+            t.select.output_types(),
             vec![LogicalType::Dict, LogicalType::F64, LogicalType::I64]
         );
         assert_eq!(t.predicate_lanes(), vec![f64_lane(3.25), 0, 7]);
@@ -420,7 +385,10 @@ mod tests {
         )
         .unwrap();
         let t = check(&ok, &s).unwrap();
-        assert_eq!(t.output_types(), vec![LogicalType::Dict, LogicalType::I64]);
+        assert_eq!(
+            t.select.output_types(),
+            vec![LogicalType::Dict, LogicalType::I64]
+        );
     }
 
     #[test]
@@ -464,10 +432,10 @@ mod tests {
         assert_eq!(t.key_types, vec![LogicalType::I64]);
         assert_eq!(t.left_predicates[0].ty, LogicalType::F64);
         assert_eq!(t.right_predicates[0].ty, LogicalType::F64);
-        assert_eq!(t.keys, vec![LogicalType::F64]);
-        assert_eq!(t.aggs[0], AggOp::new(AggFunc::Sum, LogicalType::F64));
+        assert_eq!(t.select.exprs, vec![LogicalType::F64]);
+        assert_eq!(t.select.aggs[0], AggOp::new(AggFunc::Sum, LogicalType::F64));
         assert_eq!(
-            t.output_types(),
+            t.select.output_types(),
             vec![LogicalType::F64, LogicalType::F64, LogicalType::I64]
         );
         assert_eq!(
@@ -537,7 +505,7 @@ mod tests {
             .unwrap()
             .project([ra.clone().add(z)])
             .unwrap();
-        assert_eq!(check_join(&q).unwrap().projections, vec![LogicalType::F64]);
+        assert_eq!(check_join(&q).unwrap().select.exprs, vec![LogicalType::F64]);
         // ...but ra + bestObjID (right i64) mixes types and is rejected.
         let best = b.col("bestObjID").unwrap();
         let q = b
@@ -562,7 +530,7 @@ mod tests {
         )
         .unwrap();
         let t = check(&q, &empty).unwrap();
-        assert_eq!(t.projections, vec![LogicalType::I64]);
+        assert_eq!(t.select.exprs, vec![LogicalType::I64]);
         assert_eq!(t.predicates[0].ty, LogicalType::I64);
         // ... but a float constant against the implied i64 attr still fails.
         let bad = Query::project(

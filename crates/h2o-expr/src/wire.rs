@@ -4,7 +4,10 @@
 //! module is its vocabulary, kept next to the query model so the two can
 //! never drift. No external JSON dependency — a [`Json`] tree with a
 //! recursive-descent parser and a canonical writer, plus converters
-//! between the tree and [`Query`] / [`JoinQuery`] / [`QueryResult`].
+//! between the tree and [`Query`] / [`JoinQuery`] / [`QueryResult`]. Both
+//! query kinds encode their [`Select`] clause through one encoder and
+//! decoder (`"select"` / `"aggs"` / `"group_by"`), so the two kinds cannot
+//! drift apart either.
 //!
 //! Two deliberate choices:
 //!
@@ -23,10 +26,11 @@
 use crate::agg::{AggFunc, Aggregate};
 use crate::datum::Datum;
 use crate::expr::{ArithOp, Expr};
-use crate::join::{JoinQuery, Side};
+use crate::join::{self, JoinQuery, RelRef, Side};
 use crate::predicate::{CmpOp, Conjunction, Predicate};
 use crate::query::{Query, QueryError};
 use crate::result::QueryResult;
+use crate::select::Select;
 use h2o_storage::Schema;
 use std::fmt;
 use std::sync::Arc;
@@ -485,10 +489,18 @@ impl<'a> Parser<'a> {
 
 /// How a decoder turns a column name into a combined-space expression,
 /// and an encoder does the reverse. One implementation for single-relation
-/// schemas, one for join builders.
+/// schemas, one for a join's two relation bindings.
 trait ColSpace {
     fn resolve(&self, key: &str, name: &str) -> Result<Expr, WireError>;
     fn name_of(&self, attr: h2o_storage::AttrId) -> (&'static str, String);
+}
+
+/// The name of `attr` in `schema`, or its id rendering outside it.
+fn attr_name(schema: &Schema, attr: h2o_storage::AttrId) -> String {
+    schema
+        .attr(attr)
+        .map(|a| a.name().to_string())
+        .unwrap_or_else(|_| attr.to_string())
 }
 
 struct SingleRel<'a>(&'a Schema);
@@ -507,56 +519,35 @@ impl ColSpace for SingleRel<'_> {
     }
 
     fn name_of(&self, attr: h2o_storage::AttrId) -> (&'static str, String) {
-        let name = self
-            .0
-            .attr(attr)
-            .map(|a| a.name().to_string())
-            .unwrap_or_else(|_| attr.to_string());
-        ("col", name)
+        ("col", attr_name(self.0, attr))
     }
 }
 
-struct JoinRels<'a>(&'a JoinQuery);
+/// A join's combined column space: `"col"` resolves on whichever side
+/// uniquely defines the name, `"lcol"` / `"rcol"` on one side (the
+/// [`JoinBuilder`](crate::JoinBuilder) rules and errors); encoding always
+/// side-qualifies.
+struct JoinRels<'a>(&'a RelRef, &'a RelRef);
 
 impl ColSpace for JoinRels<'_> {
     fn resolve(&self, key: &str, name: &str) -> Result<Expr, WireError> {
-        let q = self.0;
-        let (side, schema) = match key {
-            "lcol" => (Side::Left, q.left().schema()),
-            "rcol" => (Side::Right, q.right().schema()),
-            "col" => {
-                // Unqualified: unique across both sides, else ambiguous.
-                let l = q.left().schema().attr_by_name(name).ok();
-                let r = q.right().schema().attr_by_name(name).ok();
-                return match (l, r) {
-                    (Some(_), Some(_)) => Err(shape(format!(
-                        "column \"{name}\" is ambiguous; qualify with \"lcol\"/\"rcol\""
-                    ))),
-                    (Some(a), None) => Ok(Expr::col(q.combined(Side::Left, a))),
-                    (None, Some(a)) => Ok(Expr::col(q.combined(Side::Right, a))),
-                    (None, None) => Err(shape(format!("unknown column \"{name}\""))),
-                };
-            }
+        let side = match key {
+            "col" => None,
+            "lcol" => Some(Side::Left),
+            "rcol" => Some(Side::Right),
             other => return Err(shape(format!("unknown column key \"{other}\""))),
         };
-        schema
-            .attr_by_name(name)
-            .map(|a| Expr::col(q.combined(side, a)))
-            .map_err(|_| shape(format!("unknown column \"{name}\" on the {key} side")))
+        Ok(join::column(self.0, self.1, side, name)?)
     }
 
     fn name_of(&self, attr: h2o_storage::AttrId) -> (&'static str, String) {
-        let q = self.0;
-        let (side, local) = q.side_of(attr);
-        let (key, schema) = match side {
-            Side::Left => ("lcol", q.left().schema()),
-            Side::Right => ("rcol", q.right().schema()),
-        };
-        let name = schema
-            .attr(local)
-            .map(|a| a.name().to_string())
-            .unwrap_or_else(|_| local.to_string());
-        (key, name)
+        let width = self.0.schema().len();
+        if attr.index() < width {
+            ("lcol", attr_name(self.0.schema(), attr))
+        } else {
+            let local = h2o_storage::AttrId((attr.index() - width) as u32);
+            ("rcol", attr_name(self.1.schema(), local))
+        }
     }
 }
 
@@ -731,58 +722,54 @@ fn exprs_from_json(j: &Json, space: &dyn ColSpace, what: &str) -> Result<Vec<Exp
         .collect()
 }
 
-fn aggs_from_json(j: &Json, space: &dyn ColSpace, what: &str) -> Result<Vec<Aggregate>, WireError> {
-    j.arr(what)?
-        .iter()
-        .map(|a| agg_from_json(a, space))
-        .collect()
+/// Encodes a select clause as its object fields: `"select"` for a
+/// projection, `"aggs"` for a scalar aggregate, `"group_by"` then `"aggs"`
+/// when grouped.
+fn select_to_json(select: &Select, space: &dyn ColSpace) -> Vec<(String, Json)> {
+    let (exprs, aggs) = select.parts();
+    let exprs = Json::Arr(exprs.iter().map(|e| expr_to_json(e, space)).collect());
+    let aggs = Json::Arr(aggs.iter().map(|a| agg_to_json(a, space)).collect());
+    match select {
+        Select::Project(_) => vec![("select".to_string(), exprs)],
+        Select::Aggregate(_) => vec![("aggs".to_string(), aggs)],
+        Select::Grouped { .. } => vec![("group_by".to_string(), exprs), ("aggs".to_string(), aggs)],
+    }
+}
+
+/// Decodes the select clause of a query object `j` (the field rules of
+/// [`query_from_json`], shared by both query kinds). `what` names the
+/// query kind in the error for a missing clause.
+fn select_from_json(j: &Json, space: &dyn ColSpace, what: &str) -> Result<Select, WireError> {
+    let aggs = || -> Result<Vec<Aggregate>, WireError> {
+        if j.get("aggs").is_null() {
+            return Ok(Vec::new());
+        }
+        j.get("aggs")
+            .arr("\"aggs\"")?
+            .iter()
+            .map(|a| agg_from_json(a, space))
+            .collect()
+    };
+    let select = if !j.get("group_by").is_null() {
+        let keys = exprs_from_json(j.get("group_by"), space, "\"group_by\"")?;
+        Select::grouped(keys, aggs()?)?
+    } else if !j.get("aggs").is_null() {
+        Select::new([], aggs()?)?
+    } else if !j.get("select").is_null() {
+        Select::new(exprs_from_json(j.get("select"), space, "\"select\"")?, [])?
+    } else {
+        return Err(shape(format!(
+            "{what} needs a \"select\", \"aggs\" or \"group_by\" field"
+        )));
+    };
+    Ok(select)
 }
 
 /// Encodes a single-relation query, referencing attributes by their
 /// `schema` names. Inverse of [`query_from_json`].
 pub fn query_to_json(q: &Query, schema: &Schema) -> Json {
     let space = SingleRel(schema);
-    let mut fields = Vec::new();
-    if q.is_grouped() {
-        fields.push((
-            "group_by".to_string(),
-            Json::Arr(
-                q.group_by()
-                    .iter()
-                    .map(|e| expr_to_json(e, &space))
-                    .collect(),
-            ),
-        ));
-        fields.push((
-            "aggs".to_string(),
-            Json::Arr(
-                q.aggregates()
-                    .iter()
-                    .map(|a| agg_to_json(a, &space))
-                    .collect(),
-            ),
-        ));
-    } else if q.is_aggregate() {
-        fields.push((
-            "aggs".to_string(),
-            Json::Arr(
-                q.aggregates()
-                    .iter()
-                    .map(|a| agg_to_json(a, &space))
-                    .collect(),
-            ),
-        ));
-    } else {
-        fields.push((
-            "select".to_string(),
-            Json::Arr(
-                q.projections()
-                    .iter()
-                    .map(|e| expr_to_json(e, &space))
-                    .collect(),
-            ),
-        ));
-    }
+    let mut fields = select_to_json(q.select_clause(), &space);
     if !q.filter().is_always_true() {
         fields.push(("where".to_string(), conj_to_json(q.filter(), &space)));
     }
@@ -802,114 +789,40 @@ pub fn query_from_json(j: &Json, schema: &Schema) -> Result<Query, WireError> {
     }
     let space = SingleRel(schema);
     let filter = conj_from_json(j.get("where"), &space, "\"where\"")?;
-    let q = if !j.get("group_by").is_null() {
-        let keys = exprs_from_json(j.get("group_by"), &space, "\"group_by\"")?;
-        let aggs = if j.get("aggs").is_null() {
-            Vec::new()
-        } else {
-            aggs_from_json(j.get("aggs"), &space, "\"aggs\"")?
-        };
-        Query::grouped(keys, aggs, filter)?
-    } else if !j.get("aggs").is_null() {
-        Query::aggregate(aggs_from_json(j.get("aggs"), &space, "\"aggs\"")?, filter)?
-    } else if !j.get("select").is_null() {
-        Query::project(
-            exprs_from_json(j.get("select"), &space, "\"select\"")?,
-            filter,
-        )?
-    } else {
-        return Err(shape(
-            "query needs a \"select\", \"aggs\" or \"group_by\" field",
-        ));
-    };
-    Ok(q)
+    Ok(Query::new(select_from_json(j, &space, "query")?, filter))
 }
 
 /// Encodes a join query. Relation bindings travel by name; columns by
 /// side-qualified name. Inverse of [`join_from_json`].
 pub fn join_to_json(q: &JoinQuery) -> Json {
-    let space = JoinRels(q);
-    let lschema = q.left().schema();
-    let rschema = q.right().schema();
-    let attr_name = |schema: &Schema, a: h2o_storage::AttrId| {
-        schema
-            .attr(a)
-            .map(|at| at.name().to_string())
-            .unwrap_or_else(|_| a.to_string())
-    };
+    let (lschema, rschema) = (q.left().schema(), q.right().schema());
+    let on = q.on().iter().map(|&(l, r)| {
+        Json::Arr(vec![
+            Json::Str(attr_name(lschema, l)),
+            Json::Str(attr_name(rschema, r)),
+        ])
+    });
     let mut fields = vec![
         ("left".to_string(), Json::Str(q.left().name().to_string())),
         ("right".to_string(), Json::Str(q.right().name().to_string())),
-        (
-            "on".to_string(),
-            Json::Arr(
-                q.on()
-                    .iter()
-                    .map(|&(l, r)| {
-                        Json::Arr(vec![
-                            Json::Str(attr_name(lschema, l)),
-                            Json::Str(attr_name(rschema, r)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("on".to_string(), Json::Arr(on.collect())),
     ];
     // Side filters are encoded in each side's local name space.
-    let lspace = SingleRel(lschema);
-    let rspace = SingleRel(rschema);
-    if !q.filter(Side::Left).is_always_true() {
-        fields.push((
-            "where_left".to_string(),
-            conj_to_json(q.filter(Side::Left), &lspace),
-        ));
+    for (side, key, schema) in [
+        (Side::Left, "where_left", lschema),
+        (Side::Right, "where_right", rschema),
+    ] {
+        if !q.filter(side).is_always_true() {
+            fields.push((
+                key.to_string(),
+                conj_to_json(q.filter(side), &SingleRel(schema)),
+            ));
+        }
     }
-    if !q.filter(Side::Right).is_always_true() {
-        fields.push((
-            "where_right".to_string(),
-            conj_to_json(q.filter(Side::Right), &rspace),
-        ));
-    }
-    if q.is_grouped() {
-        fields.push((
-            "group_by".to_string(),
-            Json::Arr(
-                q.group_by()
-                    .iter()
-                    .map(|e| expr_to_json(e, &space))
-                    .collect(),
-            ),
-        ));
-        fields.push((
-            "aggs".to_string(),
-            Json::Arr(
-                q.aggregates()
-                    .iter()
-                    .map(|a| agg_to_json(a, &space))
-                    .collect(),
-            ),
-        ));
-    } else if q.is_aggregate() {
-        fields.push((
-            "aggs".to_string(),
-            Json::Arr(
-                q.aggregates()
-                    .iter()
-                    .map(|a| agg_to_json(a, &space))
-                    .collect(),
-            ),
-        ));
-    } else {
-        fields.push((
-            "select".to_string(),
-            Json::Arr(
-                q.projections()
-                    .iter()
-                    .map(|e| expr_to_json(e, &space))
-                    .collect(),
-            ),
-        ));
-    }
+    fields.extend(select_to_json(
+        q.select_clause(),
+        &JoinRels(q.left(), q.right()),
+    ));
     Json::Obj(fields)
 }
 
@@ -952,46 +865,10 @@ pub fn join_from_json(
         "\"where_right\"",
     )?;
     b = b.filter_left(lf).filter_right(rf);
-
-    // The combined column space needs a JoinQuery; build a minimal probe
-    // via an empty-select error path is not possible, so resolve combined
-    // columns through a cloned builder finished with a placeholder — the
-    // builder itself exposes col/lcol/rcol, which is all we need.
-    let builder = b.clone();
-    struct BuilderSpace<'a>(&'a crate::join::JoinBuilder);
-    impl ColSpace for BuilderSpace<'_> {
-        fn resolve(&self, key: &str, name: &str) -> Result<Expr, WireError> {
-            match key {
-                "col" => self.0.col(name).map_err(WireError::Query),
-                "lcol" => self.0.lcol(name).map_err(WireError::Query),
-                "rcol" => self.0.rcol(name).map_err(WireError::Query),
-                other => Err(shape(format!("unknown column key \"{other}\""))),
-            }
-        }
-        fn name_of(&self, attr: h2o_storage::AttrId) -> (&'static str, String) {
-            ("col", attr.to_string()) // encoder never uses this space
-        }
-    }
-    let space = BuilderSpace(&builder);
-
-    let q = if !j.get("group_by").is_null() {
-        let keys = exprs_from_json(j.get("group_by"), &space, "\"group_by\"")?;
-        let aggs = if j.get("aggs").is_null() {
-            Vec::new()
-        } else {
-            aggs_from_json(j.get("aggs"), &space, "\"aggs\"")?
-        };
-        b.grouped(keys, aggs)?
-    } else if !j.get("aggs").is_null() {
-        b.aggregate(aggs_from_json(j.get("aggs"), &space, "\"aggs\"")?)?
-    } else if !j.get("select").is_null() {
-        b.project(exprs_from_json(j.get("select"), &space, "\"select\"")?)?
-    } else {
-        return Err(shape(
-            "join query needs a \"select\", \"aggs\" or \"group_by\" field",
-        ));
-    };
-    Ok(q)
+    // Select-clause columns live in the combined space of both bindings.
+    let (left, right) = b.rels();
+    let select = select_from_json(j, &JoinRels(left, right), "join query")?;
+    Ok(b.finish(select)?)
 }
 
 /// Encodes a result: row count, width, sorted-rows fingerprint (as a
@@ -1067,10 +944,9 @@ mod tests {
         assert!(msg.starts_with("malformed json at byte "), "got {msg}");
     }
 
-    #[test]
-    fn queries_round_trip_through_json_by_name() {
-        let s = schema();
-        let queries = [
+    /// One query per select shape: projection, scalar aggregate, grouped.
+    fn single_queries() -> [Query; 3] {
+        [
             Query::project(
                 [Expr::col(0u32), Expr::col(1u32).add(Expr::lit(3))],
                 Conjunction::of([Predicate::lt(1u32, 100), Predicate::eq(3u32, "STAR")]),
@@ -1090,8 +966,39 @@ mod tests {
                 Conjunction::always(),
             )
             .unwrap(),
-        ];
-        for q in queries {
+        ]
+    }
+
+    fn spec_schema() -> Arc<Schema> {
+        Schema::typed([("bestid", LogicalType::I64), ("z", LogicalType::I64)]).into_shared()
+    }
+
+    /// One join per select shape over `R` (the [`schema`] fixture) and
+    /// `spec`, with a filter on each side.
+    fn join_queries(photo: &Arc<Schema>, spec: &Arc<Schema>) -> [JoinQuery; 3] {
+        let b = Query::join(("R", photo.clone()), ("spec", spec.clone()))
+            .on("id", "bestid")
+            .unwrap()
+            .filter_left(Conjunction::of([Predicate::lt(1u32, 5)]))
+            .filter_right(Conjunction::of([Predicate::gt(1u32, 2)]));
+        let mag = b.col("mag").unwrap();
+        let z = b.col("z").unwrap();
+        [
+            b.clone()
+                .project([mag.clone(), z.clone().add(mag.clone())])
+                .unwrap(),
+            b.clone()
+                .aggregate([Aggregate::max(mag.clone()), Aggregate::count()])
+                .unwrap(),
+            b.grouped([z], [Aggregate::sum(mag), Aggregate::count()])
+                .unwrap(),
+        ]
+    }
+
+    #[test]
+    fn queries_round_trip_through_json_by_name() {
+        let s = schema();
+        for q in single_queries() {
             let wire = query_to_json(&q, &s).to_string();
             let back = query_from_json(&Json::parse(&wire).unwrap(), &s).unwrap();
             assert_eq!(back, q, "round-trip diverged for {q} via {wire}");
@@ -1101,20 +1008,7 @@ mod tests {
     #[test]
     fn join_queries_round_trip_through_json() {
         let photo = schema();
-        let spec =
-            Schema::typed([("bestid", LogicalType::I64), ("z", LogicalType::I64)]).into_shared();
-        let b = Query::join(("R", photo.clone()), ("spec", spec.clone()));
-        let mag = b.col("mag").unwrap();
-        let z = b.col("z").unwrap();
-        let q = b
-            .on("id", "bestid")
-            .unwrap()
-            .filter_left(Conjunction::of([Predicate::lt(1u32, 5)]))
-            .filter_right(Conjunction::of([Predicate::gt(1u32, 2)]))
-            .grouped([z], [Aggregate::sum(mag), Aggregate::count()])
-            .unwrap();
-
-        let wire = join_to_json(&q).to_string();
+        let spec = spec_schema();
         let resolve = |name: &str| -> Option<Arc<Schema>> {
             match name {
                 "R" => Some(photo.clone()),
@@ -1122,15 +1016,57 @@ mod tests {
                 _ => None,
             }
         };
-        let back = join_from_json(&Json::parse(&wire).unwrap(), &resolve).unwrap();
-        // JoinQuery has no PartialEq; its Display form pins the whole shape.
-        assert_eq!(back.to_string(), q.to_string(), "via {wire}");
-        assert_eq!(back.on(), q.on());
+        for q in join_queries(&photo, &spec) {
+            let wire = join_to_json(&q).to_string();
+            let back = join_from_json(&Json::parse(&wire).unwrap(), &resolve).unwrap();
+            // JoinQuery has no PartialEq; its Display form pins the whole shape.
+            assert_eq!(back.to_string(), q.to_string(), "via {wire}");
+            assert_eq!(back.on(), q.on());
 
-        // Unknown relation names surface the engine's own error rendering.
-        let bad = wire.replace("\"spec\"", "\"nope\"");
-        let err = join_from_json(&Json::parse(&bad).unwrap(), &resolve).unwrap_err();
-        assert_eq!(err.to_string(), "invalid query: unknown relation: nope");
+            // Unknown relation names surface the engine's own error rendering.
+            let bad = wire.replace("\"spec\"", "\"nope\"");
+            let err = join_from_json(&Json::parse(&bad).unwrap(), &resolve).unwrap_err();
+            assert_eq!(err.to_string(), "invalid query: unknown relation: nope");
+        }
+    }
+
+    /// The encoders' exact bytes, one per (query kind, select shape): a
+    /// field reorder or a renamed key breaks every deployed client, and
+    /// the round-trip tests above cannot see either.
+    #[test]
+    fn encodings_are_pinned_byte_for_byte() {
+        let s = schema();
+        let single: Vec<String> = single_queries()
+            .iter()
+            .map(|q| query_to_json(q, &s).to_string())
+            .collect();
+        let joins: Vec<String> = join_queries(&s, &spec_schema())
+            .iter()
+            .map(|q| join_to_json(q).to_string())
+            .collect();
+        assert_eq!(
+            single,
+            [
+                r#"{"select":[{"col":"id"},{"op":"+","lhs":{"col":"mag"},"rhs":{"lit":3}}],"where":[{"col":"mag","op":"<","value":100},{"col":"class","op":"=","value":"STAR"}]}"#,
+                r#"{"aggs":[{"fn":"sum","expr":{"op":"*","lhs":{"col":"ra"},"rhs":{"lit":2.0}}},{"fn":"count"}],"where":[{"col":"ra","op":">","value":180.0}]}"#,
+                r#"{"group_by":[{"col":"class"}],"aggs":[{"fn":"min","expr":{"col":"mag"}},{"fn":"count"}]}"#,
+            ]
+        );
+        let head = r#""left":"R","right":"spec","on":[["id","bestid"]],"where_left":[{"col":"mag","op":"<","value":5}],"where_right":[{"col":"z","op":">","value":2}]"#;
+        assert_eq!(
+            joins,
+            [
+                format!(
+                    r#"{{{head},"select":[{{"lcol":"mag"}},{{"op":"+","lhs":{{"rcol":"z"}},"rhs":{{"lcol":"mag"}}}}]}}"#
+                ),
+                format!(
+                    r#"{{{head},"aggs":[{{"fn":"max","expr":{{"lcol":"mag"}}}},{{"fn":"count"}}]}}"#
+                ),
+                format!(
+                    r#"{{{head},"group_by":[{{"rcol":"z"}}],"aggs":[{{"fn":"sum","expr":{{"lcol":"mag"}}}},{{"fn":"count"}}]}}"#
+                ),
+            ]
+        );
     }
 
     #[test]
@@ -1158,6 +1094,13 @@ mod tests {
             let err = query_from_json(&Json::parse(input).unwrap(), &s).unwrap_err();
             assert_eq!(err.to_string(), want, "for {input}");
         }
+        let resolve = |_: &str| Some(s.clone());
+        let join = r#"{"left":"R","right":"R","on":[["id","id"]]}"#;
+        let err = join_from_json(&Json::parse(join).unwrap(), &resolve).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "malformed request: join query needs a \"select\", \"aggs\" or \"group_by\" field"
+        );
     }
 
     #[test]

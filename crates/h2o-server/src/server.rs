@@ -475,20 +475,7 @@ fn rebind(statement: &Query, params: &[Datum]) -> Result<Query, ServerError> {
                 .map(|(p, value)| Predicate::new(p.attr, p.op, value.clone())),
         )
     };
-    let rebound = if statement.is_grouped() {
-        Query::grouped(
-            statement.group_by().to_vec(),
-            statement.aggregates().to_vec(),
-            filter,
-        )
-    } else {
-        Query::select(
-            statement.projections().to_vec(),
-            statement.aggregates().to_vec(),
-            filter,
-        )
-    };
-    rebound.map_err(|e| ServerError::Wire(h2o_expr::WireError::Query(e)))
+    Ok(statement.with_filter(filter))
 }
 
 /// Fills server-level defaults for stop-control options the client

@@ -166,18 +166,18 @@ mod tests {
     fn templates_have_expected_shapes() {
         let attrs = [AttrId(1), AttrId(3), AttrId(5)];
         let (p, s) = QueryGen::build(Template::Projection, &attrs, &[], 0.5);
-        assert!(!p.is_aggregate());
-        assert_eq!(p.output_width(), 3);
+        assert!(!p.select_clause().is_aggregate());
+        assert_eq!(p.select_clause().output_width(), 3);
         assert_eq!(s, 1.0, "no filter means selectivity 1");
 
         let (a, _) = QueryGen::build(Template::Aggregation, &attrs, &[AttrId(1)], 0.2);
-        assert!(a.is_aggregate());
+        assert!(a.select_clause().is_aggregate());
         assert_eq!(a.aggregates().len(), 3);
         assert_eq!(a.where_attrs().len(), 1);
 
         let (e, s) = QueryGen::build(Template::Expression, &attrs, &[AttrId(5)], 0.3);
-        assert_eq!(e.output_width(), 1);
-        assert_eq!(e.select_attrs().len(), 3);
+        assert_eq!(e.select_clause().output_width(), 1);
+        assert_eq!(e.select_clause().attrs().len(), 3);
         assert!((s - 0.3).abs() < 1e-12);
     }
 
@@ -186,13 +186,13 @@ mod tests {
         let keys = [AttrId(0)];
         let aggs = [AttrId(2), AttrId(4)];
         let (q, s) = QueryGen::build_grouped(&keys, &aggs, &[AttrId(2)], 0.25);
-        assert!(q.is_grouped());
+        assert!(q.select_clause().is_grouped());
         assert_eq!(q.group_by().len(), 1);
         assert_eq!(q.aggregates().len(), 3, "sum per attr + count(*)");
-        assert_eq!(q.output_width(), 4);
+        assert_eq!(q.select_clause().output_width(), 4);
         assert!((s - 0.25).abs() < 1e-12);
         // Keys are select-clause attributes (hot for the adviser).
-        assert!(q.select_attrs().contains(AttrId(0)));
+        assert!(q.select_clause().attrs().contains(AttrId(0)));
     }
 
     #[test]
@@ -210,7 +210,7 @@ mod tests {
     fn random_query_filter_attrs_within_accessed() {
         let mut g = QueryGen::new(30, 5);
         let (q, _) = g.random(Template::Expression, 8, 2, 0.4);
-        assert!(q.where_attrs().is_subset(&q.select_attrs()));
+        assert!(q.where_attrs().is_subset(&q.select_clause().attrs()));
         assert_eq!(q.where_attrs().len(), 2);
     }
 

@@ -412,7 +412,8 @@ pub fn skyserver_grouped_workload(
             }
             let agg_attrs: Vec<AttrId> = tq
                 .query
-                .select_attrs()
+                .select_clause()
+                .attrs()
                 .iter()
                 .filter(|a| !keys.contains(a) && spec.domain(*a).logical().is_numeric())
                 .take(6)
@@ -712,7 +713,10 @@ mod tests {
         let (spec, cols, w) = skyserver_grouped_workload(500, 200, 13);
         assert_eq!(w.len(), 200);
         // A substantial fraction of the sequence is grouped, keyed on flags.
-        let grouped: Vec<_> = w.iter().filter(|tq| tq.query.is_grouped()).collect();
+        let grouped: Vec<_> = w
+            .iter()
+            .filter(|tq| tq.query.select_clause().is_grouped())
+            .collect();
         assert!(
             grouped.len() >= 40 && grouped.len() <= 120,
             "grouped share ~40%: {}",
@@ -791,7 +795,7 @@ mod tests {
             assert_eq!(q.left().name(), "R");
             assert_eq!(q.right().name(), "spec");
             assert_eq!(q.on(), &[(obj_id, best)]);
-            if q.is_grouped() {
+            if q.select_clause().is_grouped() {
                 grouped += 1;
             }
             if !q.filter(h2o_expr::Side::Right).is_always_true() {
@@ -831,7 +835,7 @@ mod tests {
         let (spec, _, w) = skyserver_workload(100, 100, 9);
         let mut within = 0;
         for tq in &w {
-            let attrs = tq.query.select_attrs();
+            let attrs = tq.query.select_clause().attrs();
             let clusters_touched = spec
                 .clusters
                 .iter()

@@ -98,7 +98,11 @@ fn main() {
     }
 
     // A sample rollup over the join: object class x summed redshift.
-    let rollup = w.queries.iter().find(|q| q.is_grouped()).unwrap();
+    let rollup = w
+        .queries
+        .iter()
+        .find(|q| q.select_clause().is_grouped())
+        .unwrap();
     let out = engine.run(Request::join(rollup)).unwrap().result;
     let report = engine.last_join_report().unwrap();
     println!(

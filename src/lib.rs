@@ -54,7 +54,7 @@
 //! assert_eq!(rolled.rows(), 2);
 //! // Render decodes lanes through the output types: codes back to labels,
 //! // f64 bit patterns back to doubles.
-//! let types = h2o::expr::typecheck::check(&rollup, &schema).unwrap().output_types();
+//! let types = h2o::expr::typecheck::check(&rollup, &schema).unwrap().select.output_types();
 //! let dicts = vec![schema.dictionary(AttrId(0)).cloned(), None, None];
 //! assert!(rolled.render(&types, &dicts).contains("\"STAR\""));
 //!

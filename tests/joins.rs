@@ -368,14 +368,7 @@ fn engine_agrees(
             }
             jb = jb.filter_left(q.filter(Side::Left).clone());
             jb = jb.filter_right(q.filter(Side::Right).clone());
-            if q.is_grouped() {
-                jb.grouped(q.group_by().to_vec(), q.aggregates().to_vec())
-                    .unwrap()
-            } else if q.is_aggregate() {
-                jb.aggregate(q.aggregates().to_vec()).unwrap()
-            } else {
-                jb.project(q.projections().to_vec()).unwrap()
-            }
+            jb.finish(q.select_clause().clone()).unwrap()
         };
         let out = e.run(Request::join(&q)).unwrap();
         let (db, got) = (out.snapshot.db().unwrap(), out.result);

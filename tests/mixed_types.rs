@@ -430,7 +430,10 @@ fn adaptive_engine_matches_interpreter_on_mixed_skyserver_workload() {
         Conjunction::always(),
     )
     .unwrap();
-    let types = typecheck::check(&q, &spec.schema).unwrap().output_types();
+    let types = typecheck::check(&q, &spec.schema)
+        .unwrap()
+        .select
+        .output_types();
     let out = engine.run(Request::query(&q)).unwrap().result;
     let dicts = vec![
         spec.schema
@@ -632,7 +635,7 @@ fn dictionary_predicates_and_rendering() {
     );
     // Datum round-trip through a rendered projection row.
     let q = Query::project([Expr::col(0u32), Expr::col(2u32)], Conjunction::always()).unwrap();
-    let types = typecheck::check(&q, &schema).unwrap().output_types();
+    let types = typecheck::check(&q, &schema).unwrap().select.output_types();
     assert_eq!(types, vec![LogicalType::Dict, LogicalType::F64]);
     let out = interpret(rel.catalog(), &q).unwrap();
     let dicts = vec![schema.dictionary(AttrId(0)).cloned(), None];
