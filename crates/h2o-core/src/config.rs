@@ -27,11 +27,14 @@ pub struct EngineConfig {
     /// (useful for ablations).
     pub adaptive: bool,
     /// Storage budget in bytes for *all* layouts together, or `None` for
-    /// unlimited. When a lazy materialization would exceed the budget the
-    /// engine first evicts least-recently-used redundant layouts; if no
-    /// layout can be evicted safely, the materialization is skipped. (The
-    /// paper motivates this: "there is not enough space to store these
-    /// alternatives" is exactly why H2O cannot prepare every layout.)
+    /// unlimited. When an adaptive build — lazy (fused with a query) or
+    /// background (`maintain()`) — would exceed the budget, the engine
+    /// first evicts least-recently-used redundant layouts; if no layout
+    /// can be evicted safely, the build is skipped. An explicit
+    /// [`H2oEngine::materialize_now`](crate::H2oEngine::materialize_now)
+    /// is never budgeted. (The paper motivates this: "there is not enough
+    /// space to store these alternatives" is exactly why H2O cannot
+    /// prepare every layout.)
     pub space_budget_bytes: Option<usize>,
     /// Intra-query worker threads (morsel-driven parallelism — a deviation
     /// from the paper's single-threaded prototype; see

@@ -28,14 +28,14 @@
 //!   skips the lazy path for that query).
 
 use crate::config::EngineConfig;
-use crate::request::{ExecOptions, ExecSnapshot, Outcome, Request, RequestKind};
+use crate::request::{ExecOptions, Outcome, Request, RequestKind};
 use crate::stats::EngineStats;
 use h2o_adapt::{AdviceQueue, Adviser, SharedWindow};
 use h2o_cost::{AccessPattern, CostModel, GroupSpec, JoinRole};
 use h2o_exec::{
     reorg, AccessPlan, CancelToken, ExecCtx, ExecError, JoinExecStats, OperatorCache, Strategy,
 };
-use h2o_expr::{JoinQuery, Query, QueryError, QueryResult, Select, Side};
+use h2o_expr::{Conjunction, JoinQuery, Query, QueryError, QueryResult, Select, Side};
 use h2o_storage::{
     failpoints, AttrId, AttrSet, CatalogSnapshot, ColumnGroup, Epoch, LayoutCatalog, LayoutId,
     Relation, Schema, StorageError,
@@ -289,7 +289,8 @@ pub struct H2oEngine {
     /// round (and grow the window N times too fast).
     adapt_running: AtomicBool,
     stats: Mutex<EngineStats>,
-    /// Observed selectivity per filter signature (exponentially smoothed).
+    /// Observed selectivity per [`Self::sel_key`] (exponentially smoothed),
+    /// for single-relation filters and join sides alike.
     sel_history: Mutex<HashMap<u64, f64>>,
     last_report: Mutex<Option<QueryReport>>,
     last_join_report: Mutex<Option<JoinReport>>,
@@ -365,8 +366,16 @@ impl H2oEngine {
         }
         self.mutate(|| {
             let mut map = (**self.secondary.read()).clone();
-            map.insert(name.to_string(), Arc::new(relation.into_catalog()));
+            let rebound = map
+                .insert(name.to_string(), Arc::new(relation.into_catalog()))
+                .is_some();
             *self.secondary.write() = Arc::new(map);
+            if rebound {
+                // Join keys hash relation names and plan layout ids, and the
+                // new binding numbers its layouts from 0 again: a cached
+                // join operator would read the old partitioning's offsets.
+                self.opcache.invalidate_joins();
+            }
             Ok(())
         })
     }
@@ -480,15 +489,15 @@ impl H2oEngine {
     }
 
     /// The exponentially smoothed selectivity the engine has observed for
-    /// queries with `q`'s filter signature, if any.
+    /// single-relation queries with `q`'s filter, if any.
     pub fn observed_selectivity(&self, q: &Query) -> Option<f64> {
-        if q.filter().is_always_true() {
-            return None;
-        }
-        self.sel_history
-            .lock()
-            .get(&Self::filter_signature(q))
-            .copied()
+        self.observed(None, q.filter())
+    }
+
+    /// The exponentially smoothed selectivity the engine has observed for
+    /// `side`'s residual filter of join queries shaped like `q`, if any.
+    pub fn observed_join_selectivity(&self, q: &JoinQuery, side: Side) -> Option<f64> {
+        self.observed(Some(q.rel(side).name()), q.filter(side))
     }
 
     /// Executes one [`Request`] — **the** engine entry point. The request
@@ -517,22 +526,15 @@ impl H2oEngine {
     /// answer against an oracle on the exact same data.
     pub fn run(&self, req: Request<'_>) -> Result<Outcome, EngineError> {
         let opts = &req.opts;
-        self.guarded(opts, |ctx| match req.kind {
-            RequestKind::Query(q) => {
-                let (snap, result) = self.execute_attempt(q, opts.selectivity_hint, ctx)?;
-                Ok(Outcome {
-                    result,
-                    snapshot: ExecSnapshot::Relation(snap),
-                })
-            }
-            RequestKind::Join(q) => {
-                let forced_build_is_left = opts.build_side.map(|s| s == Side::Left);
-                let (db, result) = self.execute_join_attempt(q, forced_build_is_left, ctx)?;
-                Ok(Outcome {
-                    result,
-                    snapshot: ExecSnapshot::Db(db),
-                })
-            }
+        self.guarded(opts, |ctx| {
+            let (snapshot, result) = match req.kind {
+                RequestKind::Query(q) => self.execute_attempt(q, opts.selectivity_hint, ctx)?,
+                RequestKind::Join(q) => {
+                    let forced_build_is_left = opts.build_side.map(|s| s == Side::Left);
+                    self.execute_join_attempt(q, forced_build_is_left, ctx)?
+                }
+            };
+            Ok(Outcome { result, snapshot })
         })
     }
 
@@ -571,18 +573,6 @@ impl H2oEngine {
     /// concurrent clients, like [`Self::last_report`]).
     pub fn last_join_report(&self) -> Option<JoinReport> {
         self.last_join_report.lock().clone()
-    }
-
-    /// The exponentially smoothed selectivity the engine has observed for
-    /// `side`'s residual filter of join queries shaped like `q`, if any.
-    pub fn observed_join_selectivity(&self, q: &JoinQuery, side: Side) -> Option<f64> {
-        if q.filter(side).is_always_true() {
-            return None;
-        }
-        self.sel_history
-            .lock()
-            .get(&Self::join_side_signature(q, side))
-            .copied()
     }
 
     /// Resolves a request's options into the execution token: the
@@ -636,8 +626,9 @@ impl H2oEngine {
         self.stats.lock().queries += 1;
 
         // Per-side patterns with selectivity from observed history.
-        let lsel = self.estimate_join_selectivity(q, Side::Left);
-        let rsel = self.estimate_join_selectivity(q, Side::Right);
+        let side_sel =
+            |side| self.estimate_selectivity(Some(q.rel(side).name()), q.filter(side), None);
+        let (lsel, rsel) = (side_sel(Side::Left), side_sel(Side::Right));
         let lpat = AccessPattern::of_join_side(q, Side::Left, lsel);
         let rpat = AccessPattern::of_join_side(q, Side::Right, rsel);
         let (lplan, lcost) = self.plan_on(&left, &lpat)?;
@@ -698,9 +689,8 @@ impl H2oEngine {
             )
         };
         for (side, obs) in [(Side::Left, l_obs), (Side::Right, r_obs)] {
-            let Some(observed) = obs else { continue };
-            if !q.filter(side).is_always_true() {
-                self.record_selectivity(Self::join_side_signature(q, side), observed);
+            if let Some(observed) = obs {
+                self.record_selectivity(Some(q.rel(side).name()), q.filter(side), observed);
             }
         }
 
@@ -770,28 +760,60 @@ impl H2oEngine {
     /// Selectivity assumed for a filter never observed before.
     const DEFAULT_SELECTIVITY: f64 = 0.5;
 
-    fn estimate_join_selectivity(&self, q: &JoinQuery, side: Side) -> f64 {
-        if q.filter(side).is_always_true() {
-            return 1.0;
-        }
-        self.sel_history
-            .lock()
-            .get(&Self::join_side_signature(q, side))
-            .copied()
-            .unwrap_or(Self::DEFAULT_SELECTIVITY)
-    }
-
-    /// Signature of one join side's residual filter mixed with its
-    /// relation name — the selectivity-history key. The name is part of
-    /// the key because the same filter shape can be arbitrarily more or
-    /// less selective on a different relation's data.
-    fn join_side_signature(q: &JoinQuery, side: Side) -> u64 {
+    /// The selectivity-history key: `filter`'s predicates (constants
+    /// included), mixed with the relation name for a join side. The name
+    /// keeps a join side's history apart from a single-relation query's
+    /// and one relation's from another's, because the same filter can be
+    /// arbitrarily more or less selective on different data.
+    /// Single-relation queries pass `None`.
+    fn sel_key(relation: Option<&str>, filter: &Conjunction) -> u64 {
         let mut h = DefaultHasher::new();
-        q.rel(side).name().hash(&mut h);
-        for p in q.filter(side).predicates() {
+        if let Some(name) = relation {
+            name.hash(&mut h);
+        }
+        for p in filter.predicates() {
             p.hash(&mut h);
         }
         h.finish()
+    }
+
+    /// The smoothed observed selectivity under [`Self::sel_key`], if any;
+    /// a filter that is always true has no history.
+    fn observed(&self, relation: Option<&str>, filter: &Conjunction) -> Option<f64> {
+        if filter.is_always_true() {
+            return None;
+        }
+        let key = Self::sel_key(relation, filter);
+        self.sel_history.lock().get(&key).copied()
+    }
+
+    /// The planning estimate: 1 without a filter, else the caller's hint,
+    /// else the observed history, else [`Self::DEFAULT_SELECTIVITY`].
+    fn estimate_selectivity(
+        &self,
+        relation: Option<&str>,
+        filter: &Conjunction,
+        hint: Option<f64>,
+    ) -> f64 {
+        if filter.is_always_true() {
+            return 1.0;
+        }
+        hint.map(|h| h.clamp(0.0, 1.0))
+            .or_else(|| self.observed(relation, filter))
+            .unwrap_or(Self::DEFAULT_SELECTIVITY)
+    }
+
+    /// Folds one observed selectivity into the exponentially smoothed
+    /// history under [`Self::sel_key`] (nothing for an always-true filter).
+    fn record_selectivity(&self, relation: Option<&str>, filter: &Conjunction, observed: f64) {
+        if filter.is_always_true() {
+            return;
+        }
+        let mut hist = self.sel_history.lock();
+        let entry = hist
+            .entry(Self::sel_key(relation, filter))
+            .or_insert(observed);
+        *entry = 0.5 * *entry + 0.5 * observed;
     }
 
     fn execute_attempt(
@@ -799,17 +821,19 @@ impl H2oEngine {
         q: &Query,
         selectivity_hint: Option<f64>,
         ctx: &ExecCtx<'_>,
-    ) -> Result<(CatalogSnapshot, QueryResult), EngineError> {
+    ) -> Result<(DbSnapshot, QueryResult), EngineError> {
         // Plan-time type gate: an ill-typed query (cross-type predicate or
         // arithmetic, ordered dict comparison, dict measure) is rejected
         // here, before planning, monitoring or adaptation observe it. The
         // typing is threaded into operator-cache lookups so validation
         // runs once per query, not once per layer.
         let checked = h2o_expr::typecheck::check(q, self.catalog.read().schema())?;
+        // The outcome's secondary relations: the map as the request started.
+        let named = self.secondary.read().clone();
 
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats.lock().queries += 1;
-        let sel = self.estimate_selectivity(q, selectivity_hint);
+        let sel = self.estimate_selectivity(None, q.filter(), selectivity_hint);
         let pattern = AccessPattern::of(q, sel);
 
         let (snap, result) = match self.try_pending(q, &pattern, epoch, ctx) {
@@ -842,20 +866,16 @@ impl H2oEngine {
         // grouped queries do not — their row count is the distinct-key
         // count, not the qualifying-tuple count).
         let projects = matches!(q.select_clause(), Select::Project(_));
-        if projects && snap.rows() > 0 && !q.filter().is_always_true() {
+        if projects && snap.rows() > 0 {
             let observed = result.rows() as f64 / snap.rows() as f64;
-            self.record_selectivity(Self::filter_signature(q), observed);
+            self.record_selectivity(None, q.filter(), observed);
         }
         self.observe([pattern]);
-        Ok((snap, result))
-    }
-
-    /// Folds one observed selectivity into the exponentially smoothed
-    /// history under the filter signature `sig`.
-    fn record_selectivity(&self, sig: u64, observed: f64) {
-        let mut hist = self.sel_history.lock();
-        let entry = hist.entry(sig).or_insert(observed);
-        *entry = 0.5 * *entry + 0.5 * observed;
+        let db = DbSnapshot {
+            primary: snap,
+            named,
+        };
+        Ok((db, result))
     }
 
     /// Monitoring + periodic adaptation: feeds the executed request's
@@ -1356,7 +1376,7 @@ impl H2oEngine {
     pub fn explain(&self, q: &Query) -> Result<String, EngineError> {
         use std::fmt::Write;
         let snap = self.snapshot();
-        let sel = self.estimate_selectivity(q, None);
+        let sel = self.estimate_selectivity(None, q.filter(), None);
         let pattern = AccessPattern::of(q, sel);
         let (plan, cost) = self.plan_on(&snap, &pattern)?;
         let mut out = String::new();
@@ -1399,31 +1419,6 @@ impl H2oEngine {
             .unwrap();
         }
         Ok(out)
-    }
-
-    fn estimate_selectivity(&self, q: &Query, hint: Option<f64>) -> f64 {
-        if q.filter().is_always_true() {
-            return 1.0;
-        }
-        if let Some(h) = hint {
-            return h.clamp(0.0, 1.0);
-        }
-        let sig = Self::filter_signature(q);
-        self.sel_history
-            .lock()
-            .get(&sig)
-            .copied()
-            .unwrap_or(Self::DEFAULT_SELECTIVITY)
-    }
-
-    /// Signature of a filter (attributes, operators and constants): the key
-    /// for observed-selectivity history.
-    fn filter_signature(q: &Query) -> u64 {
-        let mut h = DefaultHasher::new();
-        for p in q.filter().predicates() {
-            p.hash(&mut h);
-        }
-        h.finish()
     }
 }
 
@@ -2157,7 +2152,7 @@ mod tests {
         // The engine stays fully usable; the unrestricted answer matches
         // the interpreter on the outcome's own snapshot.
         let out = e.run(Request::join(&q)).unwrap();
-        let db = out.snapshot.db().unwrap();
+        let db = &out.snapshot;
         let want =
             interpret_join(db.relation("R").unwrap(), db.relation("dim").unwrap(), &q).unwrap();
         assert_eq!(out.result.fingerprint(), want.fingerprint());
@@ -2406,7 +2401,7 @@ mod tests {
             .project([v0, tag])
             .unwrap();
         let out = e.run(Request::join(&q)).unwrap();
-        let (db, got) = (out.snapshot.db().unwrap(), out.result);
+        let (db, got) = (&out.snapshot, out.result);
         let want =
             interpret_join(db.relation("R").unwrap(), db.relation("dim").unwrap(), &q).unwrap();
         assert_eq!(got.fingerprint(), want.fingerprint());
@@ -2424,7 +2419,7 @@ mod tests {
             .grouped([tag], [Aggregate::sum(v0), Aggregate::count()])
             .unwrap();
         let out = e.run(Request::join(&q)).unwrap();
-        let (db, got) = (out.snapshot.db().unwrap(), out.result);
+        let (db, got) = (&out.snapshot, out.result);
         let want =
             interpret_join(db.relation("R").unwrap(), db.relation("dim").unwrap(), &q).unwrap();
         assert_eq!(got, want, "grouped join output is sorted: bit-identical");
@@ -2472,6 +2467,53 @@ mod tests {
         assert!((r2.left_selectivity_estimate - 0.01).abs() < 1e-9);
         // Build-side choice is invisible in the result.
         assert_eq!(first.fingerprint(), second.fingerprint());
+    }
+
+    #[test]
+    fn single_queries_and_join_sides_keep_separate_histories() {
+        // The same filter over `R`, once as a single-relation query and
+        // once as a join side bound to `R`: one history key function, two
+        // key spaces.
+        let filter = Conjunction::of([Predicate::lt(1u32, 500)]);
+        let single = Query::project([Expr::col(0u32)], filter.clone()).unwrap();
+        let join = |fs: Arc<Schema>, ds: Arc<Schema>| {
+            let b = Query::join(("R", fs), ("dim", ds));
+            let tag = b.col("tag").unwrap();
+            b.on("fk", "k")
+                .unwrap()
+                .filter_left(filter.clone())
+                .project([tag])
+                .unwrap()
+        };
+
+        let (e, fs, ds) = join_engine(400, 16, EngineConfig::default());
+        let q = join(fs, ds);
+        e.run(Request::query(&single)).unwrap();
+        assert!(e.observed_selectivity(&single).is_some());
+        assert_eq!(e.observed_join_selectivity(&q, Side::Left), None);
+
+        let (e, fs, ds) = join_engine(400, 16, EngineConfig::default());
+        let q = join(fs, ds);
+        e.run(Request::join(&q)).unwrap();
+        assert!(e.observed_join_selectivity(&q, Side::Left).is_some());
+        assert_eq!(e.observed_selectivity(&single), None);
+    }
+
+    #[test]
+    fn single_relation_outcome_resolves_every_bound_relation() {
+        let (e, _fs, ds) = join_engine(100, 8, EngineConfig::default());
+        let extra = Relation::columnar(ds, vec![vec![1, 2], vec![10, 20]]).unwrap();
+        e.add_relation("extra", extra).unwrap();
+        let q = expr_query(&[1], 2, 500);
+        let out = e.run(Request::query(&q)).unwrap();
+        let snap = &out.snapshot;
+        assert_eq!(snap.relation_names(), vec!["R", "dim", "extra"]);
+        assert!(Arc::ptr_eq(snap.relation("R").unwrap(), snap.primary()));
+        assert_eq!(snap.relation("dim").unwrap().rows(), 8);
+        assert_eq!(snap.relation("extra").unwrap().rows(), 2);
+        assert!(snap.relation("nope").is_err());
+        let want = interpret(snap.primary(), &q).unwrap();
+        assert_eq!(out.result.fingerprint(), want.fingerprint());
     }
 
     #[test]
@@ -2590,7 +2632,7 @@ mod tests {
                 .project([p1, p2, tag])
                 .unwrap();
             let out = e.run(Request::join(&q)).unwrap();
-            let (db, got) = (out.snapshot.db().unwrap(), out.result);
+            let (db, got) = (&out.snapshot, out.result);
             let want =
                 interpret_join(db.relation("R").unwrap(), db.relation("dim").unwrap(), &q).unwrap();
             assert_eq!(got.fingerprint(), want.fingerprint(), "join query {i}");

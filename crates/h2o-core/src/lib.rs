@@ -36,5 +36,5 @@ pub use engine::{
     ReorganizerHandle, ReorganizerStatus, PRIMARY_RELATION, REORG_BACKOFF_BASE, REORG_BACKOFF_CAP,
 };
 pub use h2o_exec::{CancelReason, CancelToken};
-pub use request::{ExecOptions, ExecSnapshot, Outcome, Request};
+pub use request::{ExecOptions, Outcome, Request};
 pub use stats::EngineStats;

@@ -9,14 +9,14 @@
 //! the old nine-method surface could not express.
 //!
 //! Every successful run returns an [`Outcome`]: the result rows plus the
-//! [`ExecSnapshot`] they were computed against, so callers (differential
-//! tests, the `h2o-server` oracle check) can re-derive the answer from
-//! the exact same data without a separate `_snapshot` method family.
+//! [`DbSnapshot`] they were computed against — one snapshot type for both
+//! request kinds — so callers (differential tests, the `h2o-server` oracle
+//! check) can re-derive the answer from the exact same data without a
+//! separate `_snapshot` method family.
 
-use crate::engine::{DbSnapshot, PRIMARY_RELATION};
+use crate::engine::DbSnapshot;
 use h2o_exec::CancelToken;
-use h2o_expr::{JoinQuery, Query, QueryError, QueryResult, Side};
-use h2o_storage::CatalogSnapshot;
+use h2o_expr::{JoinQuery, Query, QueryResult, Side};
 use std::time::Duration;
 
 /// Composable per-request execution options. Construct with
@@ -194,52 +194,6 @@ impl<'a> Request<'a> {
     }
 }
 
-/// The data a successful request was answered from: the primary
-/// relation's catalog version for single-relation queries, or the
-/// consistent multi-relation [`DbSnapshot`] for joins. Snapshots are
-/// `Arc`-backed — returning one is two reference-count bumps, never a
-/// data copy.
-#[derive(Debug, Clone)]
-pub enum ExecSnapshot {
-    /// A single-relation query's catalog version.
-    Relation(CatalogSnapshot),
-    /// A join's consistent view of every relation it touched.
-    Db(DbSnapshot),
-}
-
-impl ExecSnapshot {
-    /// The primary relation's catalog version, whichever shape ran.
-    pub fn primary(&self) -> &CatalogSnapshot {
-        match self {
-            ExecSnapshot::Relation(s) => s,
-            ExecSnapshot::Db(d) => d.primary(),
-        }
-    }
-
-    /// Resolves a relation name against this snapshot. Single-relation
-    /// outcomes resolve only [`PRIMARY_RELATION`].
-    pub fn relation(&self, name: &str) -> Result<&CatalogSnapshot, QueryError> {
-        match self {
-            ExecSnapshot::Relation(s) => {
-                if name == PRIMARY_RELATION {
-                    Ok(s)
-                } else {
-                    Err(QueryError::UnknownRelation(name.to_string()))
-                }
-            }
-            ExecSnapshot::Db(d) => d.relation(name),
-        }
-    }
-
-    /// The multi-relation snapshot, when the request was a join.
-    pub fn db(&self) -> Option<&DbSnapshot> {
-        match self {
-            ExecSnapshot::Db(d) => Some(d),
-            ExecSnapshot::Relation(_) => None,
-        }
-    }
-}
-
 /// What [`H2oEngine::run`](crate::H2oEngine::run) returns: the result
 /// rows plus the snapshot they were computed against.
 #[derive(Debug)]
@@ -248,8 +202,12 @@ pub struct Outcome {
     pub result: QueryResult,
     /// The exact data version the result was computed from — the hook
     /// differential tests and the server's oracle check use to re-derive
-    /// the answer on the same data.
-    pub snapshot: ExecSnapshot,
+    /// the answer on the same data. A join's is the one view both sides
+    /// resolved against. A single-relation query's pairs the primary
+    /// catalog version it ran on (the one it published, after a fused
+    /// reorganization) with the secondary relations as the request
+    /// started. `Arc`-backed: returning it copies no data.
+    pub snapshot: DbSnapshot,
 }
 
 impl Outcome {

@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 /// Counters the engine maintains across its lifetime. These power the
-//  benchmark harness' reporting (e.g. Fig. 8 splits layout-creation time
+/// benchmark harness' reporting (e.g. Fig. 8 splits layout-creation time
 /// from query-execution time) and the engine's own introspection API.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
@@ -13,7 +13,8 @@ pub struct EngineStats {
     pub adaptations: u64,
     /// Adaptation rounds that produced at least one candidate.
     pub recommendations: u64,
-    /// Layouts materialized lazily (online, fused with a query).
+    /// Layouts materialized, by any path: fused with a query (lazy),
+    /// background `maintain()` builds, or explicit `materialize_now`.
     pub layouts_created: u64,
     /// Layouts evicted under the storage budget.
     pub layouts_evicted: u64,
@@ -44,8 +45,9 @@ pub struct EngineStats {
     /// Catalog snapshots atomically published (appends, layout creations,
     /// drops — each is one copy-on-write swap readers pick up).
     pub snapshots_published: u64,
-    /// Wall-clock time spent inside fused reorganization operators
-    /// (includes answering the triggering queries).
+    /// Wall-clock time spent building layouts, by the same paths as
+    /// [`Self::layouts_created`]. A fused build's time includes answering
+    /// its triggering query.
     pub reorg_time: Duration,
     /// Wall-clock time spent running the adviser.
     pub advise_time: Duration,

@@ -482,7 +482,7 @@ impl<'a> SlotAccessor<'_, 'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2o_storage::{AttrId, GroupBuilder, Relation, Schema};
+    use h2o_storage::{AttrId, ColumnGroup, Relation, Schema};
 
     #[test]
     fn resolve_and_get() {
@@ -509,7 +509,7 @@ mod tests {
 
     #[test]
     fn from_groups() {
-        let g = GroupBuilder::from_columns(vec![AttrId(0)], &[&[5, 6, 7]]).unwrap();
+        let g = ColumnGroup::from_columns(vec![AttrId(0)], &[&[5, 6, 7]]).unwrap();
         let views = GroupViews::from_groups(&[&g]);
         assert_eq!(views.rows(), 3);
         assert_eq!(views.get(BoundAttr { slot: 0, offset: 0 }, 2), 7);
@@ -522,7 +522,7 @@ mod tests {
     fn runs_split_at_segment_boundaries() {
         // 10 rows at shift 2 (4 rows/segment): segments [0..4), [4..8), [8..10).
         let col: Vec<i64> = (0..10).collect();
-        let g = GroupBuilder::from_columns_with_shift(vec![AttrId(0)], &[&col], 2).unwrap();
+        let g = ColumnGroup::from_columns_with_shift(vec![AttrId(0)], &[&col], 2).unwrap();
         let views = GroupViews::from_groups(&[&g]);
         assert_eq!(views.seg_rows(), 4);
         let ranges: Vec<_> = views.runs(1..10).map(|r| r.range()).collect();
@@ -547,8 +547,8 @@ mod tests {
         // stay contiguous within every run.
         let c0: Vec<i64> = (0..6).collect();
         let c1: Vec<i64> = (100..106).collect();
-        let fine = GroupBuilder::from_columns_with_shift(vec![AttrId(0)], &[&c0], 1).unwrap();
-        let coarse = GroupBuilder::from_columns_with_shift(vec![AttrId(1)], &[&c1], 20).unwrap();
+        let fine = ColumnGroup::from_columns_with_shift(vec![AttrId(0)], &[&c0], 1).unwrap();
+        let coarse = ColumnGroup::from_columns_with_shift(vec![AttrId(1)], &[&c1], 20).unwrap();
         let views = GroupViews::from_groups(&[&fine, &coarse]);
         assert_eq!(views.seg_rows(), 2);
         let ranges: Vec<_> = views.runs(0..6).map(|r| r.range()).collect();

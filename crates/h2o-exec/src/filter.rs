@@ -180,7 +180,7 @@ impl CompiledFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2o_storage::{AttrId, GroupBuilder};
+    use h2o_storage::{AttrId, ColumnGroup};
 
     fn views_one_group<'a>(g: &'a h2o_storage::ColumnGroup) -> GroupViews<'a> {
         GroupViews::from_groups(std::slice::from_ref(&g))
@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn two_pred_fused_path() {
         // Group (d, e): tuples (1,9), (5,5), (9,1).
-        let g = GroupBuilder::from_columns(vec![AttrId(3), AttrId(4)], &[&[1, 5, 9], &[9, 5, 1]])
+        let g = ColumnGroup::from_columns(vec![AttrId(3), AttrId(4)], &[&[1, 5, 9], &[9, 5, 1]])
             .unwrap();
         let views = views_one_group(&g);
         let f = CompiledFilter::new(vec![
@@ -213,7 +213,7 @@ mod tests {
 
     #[test]
     fn empty_single_and_many_pred_paths() {
-        let g = GroupBuilder::from_columns(vec![AttrId(0)], &[&[3, 7]]).unwrap();
+        let g = ColumnGroup::from_columns(vec![AttrId(0)], &[&[3, 7]]).unwrap();
         let views = views_one_group(&g);
         let a = BoundAttr { slot: 0, offset: 0 };
         assert!(CompiledFilter::always().matches(&views, 0));
@@ -251,7 +251,7 @@ mod tests {
 
     #[test]
     fn rebind_constants() {
-        let g = GroupBuilder::from_columns(vec![AttrId(0)], &[&[3]]).unwrap();
+        let g = ColumnGroup::from_columns(vec![AttrId(0)], &[&[3]]).unwrap();
         let views = views_one_group(&g);
         let mut f = CompiledFilter::new(vec![CompiledPred {
             attr: BoundAttr { slot: 0, offset: 0 },

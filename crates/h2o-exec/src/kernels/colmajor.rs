@@ -396,7 +396,7 @@ mod tests {
     use crate::sink::SelectProgram;
     use h2o_expr::{AggFunc, CmpOp};
     use h2o_storage::LogicalType;
-    use h2o_storage::{AttrId, GroupBuilder};
+    use h2o_storage::{AttrId, ColumnGroup};
 
     fn build_selvec_columnar(views: &GroupViews<'_>, filter: &CompiledFilter) -> SelVec {
         build_selvec_columnar_range(views, filter, 0..views.rows())
@@ -415,9 +415,9 @@ mod tests {
     fn columns() -> Vec<h2o_storage::ColumnGroup> {
         // Three width-1 groups: a0 = 1..=4, a1 = [5,5,0,5], a2 = [9,8,7,6]
         vec![
-            GroupBuilder::from_columns(vec![AttrId(0)], &[&[1, 2, 3, 4]]).unwrap(),
-            GroupBuilder::from_columns(vec![AttrId(1)], &[&[5, 5, 0, 5]]).unwrap(),
-            GroupBuilder::from_columns(vec![AttrId(2)], &[&[9, 8, 7, 6]]).unwrap(),
+            ColumnGroup::from_columns(vec![AttrId(0)], &[&[1, 2, 3, 4]]).unwrap(),
+            ColumnGroup::from_columns(vec![AttrId(1)], &[&[5, 5, 0, 5]]).unwrap(),
+            ColumnGroup::from_columns(vec![AttrId(2)], &[&[9, 8, 7, 6]]).unwrap(),
         ]
     }
 
@@ -544,9 +544,8 @@ mod tests {
     fn works_on_strided_groups_too() {
         // The columnar strategy is defined for any layout; verify
         // correctness when the "columns" live in one wide group.
-        let g =
-            GroupBuilder::from_columns(vec![AttrId(0), AttrId(1)], &[&[1, 2, 3], &[10, 20, 30]])
-                .unwrap();
+        let g = ColumnGroup::from_columns(vec![AttrId(0), AttrId(1)], &[&[1, 2, 3], &[10, 20, 30]])
+            .unwrap();
         let views = GroupViews::from_groups(&[&g]);
         let filter = CompiledFilter::new(vec![CompiledPred {
             attr: BoundAttr { slot: 0, offset: 0 },
@@ -566,7 +565,7 @@ mod tests {
         // first-pred scan exercises the strided load path.
         let c0: Vec<Value> = (0..27).map(|i| (i * 11) % 23 - 6).collect();
         let c1: Vec<Value> = (0..27).map(|i| (i * 7) % 19 - 3).collect();
-        let g = GroupBuilder::from_columns_with_shift(vec![AttrId(0), AttrId(1)], &[&c0, &c1], 3)
+        let g = ColumnGroup::from_columns_with_shift(vec![AttrId(0), AttrId(1)], &[&c0, &c1], 3)
             .unwrap();
         let views = GroupViews::from_groups(&[&g]);
         let filter = CompiledFilter::new(vec![

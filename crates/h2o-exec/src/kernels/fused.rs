@@ -354,7 +354,7 @@ mod tests {
     use crate::sink::SelectProgram;
     use h2o_expr::{AggFunc, CmpOp};
     use h2o_storage::LogicalType;
-    use h2o_storage::{AttrId, GroupBuilder};
+    use h2o_storage::{AttrId, ColumnGroup};
 
     /// The fused strategy, serially, through the one driver.
     fn run(views: &GroupViews<'_>, filter: &CompiledFilter, select: &SelectProgram) -> QueryResult {
@@ -370,7 +370,7 @@ mod tests {
 
     fn sample_group() -> h2o_storage::ColumnGroup {
         // attrs a,b,d: rows (1,10,0), (2,20,1), (3,30,2), (4,40,3)
-        GroupBuilder::from_columns(
+        ColumnGroup::from_columns(
             vec![AttrId(0), AttrId(1), AttrId(3)],
             &[&[1, 2, 3, 4], &[10, 20, 30, 40], &[0, 1, 2, 3]],
         )
@@ -432,8 +432,8 @@ mod tests {
 
     #[test]
     fn fused_over_two_groups_stitches() {
-        let g1 = GroupBuilder::from_columns(vec![AttrId(0)], &[&[1, 2, 3]]).unwrap();
-        let g2 = GroupBuilder::from_columns(vec![AttrId(1)], &[&[5, 5, 0]]).unwrap();
+        let g1 = ColumnGroup::from_columns(vec![AttrId(0)], &[&[1, 2, 3]]).unwrap();
+        let g2 = ColumnGroup::from_columns(vec![AttrId(1)], &[&[5, 5, 0]]).unwrap();
         let views = GroupViews::from_groups(&[&g1, &g2]);
         // select a0 where a1 = 5
         let filter = CompiledFilter::new(vec![CompiledPred {
@@ -450,7 +450,7 @@ mod tests {
 
     #[test]
     fn empty_relation() {
-        let g = GroupBuilder::from_columns(vec![AttrId(0)], &[&[][..]]).unwrap();
+        let g = ColumnGroup::from_columns(vec![AttrId(0)], &[&[][..]]).unwrap();
         let views = GroupViews::from_groups(&[&g]);
         let select = SelectProgram::Project(vec![CompiledExpr::Col(ba(0))]);
         let out = run(&views, &CompiledFilter::always(), &select);
@@ -469,7 +469,7 @@ mod tests {
         let c2: Vec<Value> = (0..27)
             .map(|i| f64_lane(((i * 5) % 13) as f64 / 8.0))
             .collect();
-        let g = GroupBuilder::from_columns_typed(
+        let g = ColumnGroup::from_columns_typed(
             vec![AttrId(0), AttrId(1), AttrId(2)],
             vec![LogicalType::I64, LogicalType::F64, LogicalType::F64],
             &[&c0, &c1, &c2],

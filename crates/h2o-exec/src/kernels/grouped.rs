@@ -228,7 +228,7 @@ mod tests {
     use crate::filter::CompiledPred;
     use h2o_expr::{AggFunc, CmpOp};
     use h2o_storage::LogicalType;
-    use h2o_storage::{AttrId, GroupBuilder};
+    use h2o_storage::{AttrId, ColumnGroup};
 
     fn ba(offset: u32) -> BoundAttr {
         BoundAttr { slot: 0, offset }
@@ -237,7 +237,7 @@ mod tests {
     /// One wide group: key = [1,2,1,2,1], val = [10,20,30,40,50],
     /// filter attr = [0,1,2,3,4].
     fn sample() -> h2o_storage::ColumnGroup {
-        GroupBuilder::from_columns(
+        ColumnGroup::from_columns(
             vec![AttrId(0), AttrId(1), AttrId(2)],
             &[&[1, 2, 1, 2, 1], &[10, 20, 30, 40, 50], &[0, 1, 2, 3, 4]],
         )
@@ -300,8 +300,8 @@ mod tests {
 
     #[test]
     fn multi_group_plans_stitch() {
-        let g1 = GroupBuilder::from_columns(vec![AttrId(0)], &[&[7, 7, 8]]).unwrap();
-        let g2 = GroupBuilder::from_columns(vec![AttrId(1)], &[&[1, 2, 3]]).unwrap();
+        let g1 = ColumnGroup::from_columns(vec![AttrId(0)], &[&[7, 7, 8]]).unwrap();
+        let g2 = ColumnGroup::from_columns(vec![AttrId(1)], &[&[1, 2, 3]]).unwrap();
         let views = GroupViews::from_groups(&[&g1, &g2]);
         let keys = vec![CompiledExpr::Col(BoundAttr { slot: 0, offset: 0 })];
         let aggs = vec![(

@@ -247,7 +247,7 @@ mod tests {
     use crate::sink::SelectProgram;
     use h2o_expr::{AggFunc, CmpOp};
     use h2o_storage::LogicalType;
-    use h2o_storage::{AttrId, GroupBuilder};
+    use h2o_storage::{AttrId, ColumnGroup};
 
     fn build_selvec(views: &GroupViews<'_>, filter: &CompiledFilter) -> SelVec {
         build_selvec_range(views, filter, 0..views.rows())
@@ -267,12 +267,12 @@ mod tests {
     #[test]
     fn two_phase_matches_paper_q1_shape() {
         // R1(a,b,c) and R2(d,e) as in Fig. 6.
-        let r1 = GroupBuilder::from_columns(
+        let r1 = ColumnGroup::from_columns(
             vec![AttrId(0), AttrId(1), AttrId(2)],
             &[&[1, 2, 3], &[10, 20, 30], &[100, 200, 300]],
         )
         .unwrap();
-        let r2 = GroupBuilder::from_columns(vec![AttrId(3), AttrId(4)], &[&[5, 1, 9], &[0, 7, 7]])
+        let r2 = ColumnGroup::from_columns(vec![AttrId(3), AttrId(4)], &[&[5, 1, 9], &[0, 7, 7]])
             .unwrap();
         let views = GroupViews::from_groups(&[&r1, &r2]);
         // where d < 6 and e > 3  -> row 1 only.
@@ -305,7 +305,7 @@ mod tests {
 
     #[test]
     fn no_filter_uses_identity_selvec() {
-        let g = GroupBuilder::from_columns(vec![AttrId(0)], &[&[4, 5]]).unwrap();
+        let g = ColumnGroup::from_columns(vec![AttrId(0)], &[&[4, 5]]).unwrap();
         let views = GroupViews::from_groups(&[&g]);
         let sel = build_selvec(&views, &CompiledFilter::always());
         assert_eq!(sel.ids(), &[0, 1]);
@@ -313,7 +313,7 @@ mod tests {
 
     #[test]
     fn aggregate_over_selvec() {
-        let g = GroupBuilder::from_columns(vec![AttrId(0)], &[&[1, 2, 3, 4]]).unwrap();
+        let g = ColumnGroup::from_columns(vec![AttrId(0)], &[&[1, 2, 3, 4]]).unwrap();
         let views = GroupViews::from_groups(&[&g]);
         let sel = SelVec::from_ids(vec![0, 3]);
         let select = SelectProgram::Aggregate(vec![(
@@ -326,7 +326,7 @@ mod tests {
 
     #[test]
     fn run_combines_phases() {
-        let g = GroupBuilder::from_columns(vec![AttrId(0)], &[&[1, -1, 2, -2]]).unwrap();
+        let g = ColumnGroup::from_columns(vec![AttrId(0)], &[&[1, -1, 2, -2]]).unwrap();
         let views = GroupViews::from_groups(&[&g]);
         let a = BoundAttr { slot: 0, offset: 0 };
         let filter = CompiledFilter::new(vec![CompiledPred {
@@ -345,7 +345,7 @@ mod tests {
 
     #[test]
     fn empty_selvec_aggregate_conventions() {
-        let g = GroupBuilder::from_columns(vec![AttrId(0)], &[&[1]]).unwrap();
+        let g = ColumnGroup::from_columns(vec![AttrId(0)], &[&[1]]).unwrap();
         let views = GroupViews::from_groups(&[&g]);
         let select = SelectProgram::Aggregate(vec![(
             AggFunc::Min.into(),
@@ -357,7 +357,7 @@ mod tests {
 
     #[test]
     fn range_selvecs_stitch_to_full_build() {
-        let g = GroupBuilder::from_columns(vec![AttrId(0)], &[&[1, -1, 2, -2, 3, -3, 4]]).unwrap();
+        let g = ColumnGroup::from_columns(vec![AttrId(0)], &[&[1, -1, 2, -2, 3, -3, 4]]).unwrap();
         let views = GroupViews::from_groups(&[&g]);
         let a = BoundAttr { slot: 0, offset: 0 };
         for filter in [
@@ -385,7 +385,7 @@ mod tests {
         // 2 segments of 8 rows (shift 3) + partial third: runs end both on
         // and off lane boundaries; ranges start mid-chunk.
         let col: Vec<i64> = (0..21).map(|i| (i * 13) % 17 - 5).collect();
-        let g = GroupBuilder::from_columns_with_shift(vec![AttrId(0)], &[&col], 3).unwrap();
+        let g = ColumnGroup::from_columns_with_shift(vec![AttrId(0)], &[&col], 3).unwrap();
         let views = GroupViews::from_groups(&[&g]);
         let a = BoundAttr { slot: 0, offset: 0 };
         for op in [CmpOp::Lt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne] {
@@ -407,7 +407,7 @@ mod tests {
 
     #[test]
     fn id_chunk_partials_stitch_to_full_consume() {
-        let g = GroupBuilder::from_columns(
+        let g = ColumnGroup::from_columns(
             vec![AttrId(0), AttrId(1)],
             &[&[1, 2, 3, 4, 5], &[9, 8, 7, 6, 5]],
         )

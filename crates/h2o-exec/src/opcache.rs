@@ -23,7 +23,7 @@ use crate::compile::{CompiledOp, ExecError};
 use crate::join::CompiledJoinOp;
 use crate::plan::AccessPlan;
 use h2o_expr::{Conjunction, JoinQuery, Query, Select, Side};
-use h2o_storage::{LayoutCatalog, Value};
+use h2o_storage::{LayoutCatalog, LayoutId, Value};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -115,7 +115,45 @@ pub struct CacheStats {
 /// iteration stays trivial.
 const SHARDS: usize = 8;
 
-/// A bounded, thread-safe operator cache.
+/// One cached operator: a single-relation scan or a two-relation join.
+/// Both kinds share one key space; a key that finds the other kind is a
+/// miss (and the compiled operator replaces the entry).
+#[derive(Debug, Clone)]
+enum CachedOp {
+    Scan(CompiledOp),
+    Join(CompiledJoinOp),
+}
+
+impl CachedOp {
+    fn scan(&self) -> Option<&CompiledOp> {
+        match self {
+            CachedOp::Scan(op) => Some(op),
+            CachedOp::Join(_) => None,
+        }
+    }
+
+    fn join(&self) -> Option<&CompiledJoinOp> {
+        match self {
+            CachedOp::Join(op) => Some(op),
+            CachedOp::Scan(_) => None,
+        }
+    }
+
+    /// Whether the operator's plan reads `layout` — either side's, for a
+    /// join.
+    fn reads(&self, layout: LayoutId) -> bool {
+        match self {
+            CachedOp::Scan(op) => op.plan().layouts.contains(&layout),
+            CachedOp::Join(op) => {
+                op.build().plan().layouts.contains(&layout)
+                    || op.probe().plan().layouts.contains(&layout)
+            }
+        }
+    }
+}
+
+/// A bounded, thread-safe operator cache holding scan and join operators
+/// in one map.
 ///
 /// The cache is `Send + Sync` by construction: the entry map is split into
 /// `SHARDS` (8) independently locked shards keyed by the operator key's hash,
@@ -124,17 +162,15 @@ const SHARDS: usize = 8;
 /// global lock.
 #[derive(Debug)]
 pub struct OperatorCache {
-    shards: [Mutex<HashMap<OperatorKey, CompiledOp>>; SHARDS],
-    /// Join operators, sharded the same way. A separate map because the
-    /// two operator types are different sizes and never alias keys.
-    join_shards: [Mutex<HashMap<OperatorKey, CompiledJoinOp>>; SHARDS],
+    shards: [Mutex<HashMap<OperatorKey, CachedOp>>; SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
     /// Total measured compile time, in nanoseconds.
     compile_nanos: AtomicU64,
-    /// Total capacity across all shards. Enforced before each insert by
-    /// summing shard sizes; under concurrent misses the bound is
-    /// approximate (a racing insert may briefly overshoot by one).
+    /// Total capacity across all shards and both operator kinds. Enforced
+    /// before each insert by summing shard sizes; under concurrent misses
+    /// the bound is approximate (a racing insert may briefly overshoot by
+    /// one).
     capacity: usize,
 }
 
@@ -150,7 +186,6 @@ impl OperatorCache {
     pub fn new(capacity: usize, _: CompileCostModel) -> Self {
         OperatorCache {
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            join_shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             compile_nanos: AtomicU64::new(0),
@@ -158,7 +193,7 @@ impl OperatorCache {
         }
     }
 
-    fn shard(&self, key: OperatorKey) -> &Mutex<HashMap<OperatorKey, CompiledOp>> {
+    fn shard(&self, key: OperatorKey) -> &Mutex<HashMap<OperatorKey, CachedOp>> {
         &self.shards[key.0 as usize % SHARDS]
     }
 
@@ -192,16 +227,13 @@ impl OperatorCache {
     ) -> Result<CompiledOp, ExecError> {
         let key = OperatorKey::new(query, plan);
         let constants: Vec<Value> = checked.predicate_lanes();
-        if let Some(cached) = self.shard(key).lock().get(&key).cloned() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            let mut op = cached;
+        if let Some(mut op) = self.lookup(key, CachedOp::scan) {
             op.rebind_constants(&constants);
             return Ok(op);
         }
         let started = Instant::now();
         let op = crate::compile::compile_checked(catalog, plan, query, checked)?;
-        self.record_miss(key, started);
-        self.shard(key).lock().insert(key, op.clone());
+        self.insert(key, CachedOp::Scan(op.clone()), started);
         Ok(op)
     }
 
@@ -224,9 +256,7 @@ impl OperatorCache {
         let key = OperatorKey::for_join(query, left_plan, right_plan, build_is_left);
         let left_lanes: Vec<Value> = checked.predicate_lanes(Side::Left);
         let right_lanes: Vec<Value> = checked.predicate_lanes(Side::Right);
-        if let Some(cached) = self.join_shard(key).lock().get(&key).cloned() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            let mut op = cached;
+        if let Some(mut op) = self.lookup(key, CachedOp::join) {
             op.rebind_constants(&left_lanes, &right_lanes);
             return Ok(op);
         }
@@ -240,90 +270,78 @@ impl OperatorCache {
             checked,
             build_is_left,
         )?;
-        self.record_miss(key, started);
-        self.join_shard(key).lock().insert(key, op.clone());
+        self.insert(key, CachedOp::Join(op.clone()), started);
         Ok(op)
     }
 
-    /// Accounts for a compile that began at `started` and makes room for
-    /// its operator.
-    fn record_miss(&self, key: OperatorKey, started: Instant) {
+    /// A copy of the operator cached under `key` if it is of the kind
+    /// `kind` selects, counted as a hit.
+    fn lookup<T: Clone>(&self, key: OperatorKey, kind: fn(&CachedOp) -> Option<&T>) -> Option<T> {
+        let op = self.shard(key).lock().get(&key).and_then(kind).cloned();
+        if op.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        op
+    }
+
+    /// Accounts for a compile that began at `started`, makes room and
+    /// caches its operator.
+    fn insert(&self, key: OperatorKey, op: CachedOp, started: Instant) {
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.compile_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.evict_to_capacity(key);
-    }
-
-    fn join_shard(&self, key: OperatorKey) -> &Mutex<HashMap<OperatorKey, CompiledJoinOp>> {
-        &self.join_shards[key.0 as usize % SHARDS]
+        self.shard(key).lock().insert(key, op);
     }
 
     /// Simple random-ish eviction: drop an arbitrary entry (from the
-    /// target shard if it has one, else from any non-empty shard, then the
-    /// join shards). The paper does not specify an eviction policy;
-    /// capacity pressure only arises in adversarial workloads.
+    /// target shard if it has one, else from any non-empty shard). The
+    /// paper does not specify an eviction policy; capacity pressure only
+    /// arises in adversarial workloads.
     fn evict_to_capacity(&self, incoming: OperatorKey) {
         while self.len() >= self.capacity {
-            let mut evicted = false;
-            for shard in std::iter::once(self.shard(incoming)).chain(&self.shards) {
-                let mut entries = shard.lock();
-                if let Some(&victim) = entries.keys().next() {
-                    entries.remove(&victim);
-                    evicted = true;
-                    break;
-                }
-            }
-            if !evicted {
-                for shard in &self.join_shards {
+            let evicted = std::iter::once(self.shard(incoming))
+                .chain(&self.shards)
+                .any(|shard| {
                     let mut entries = shard.lock();
-                    if let Some(&victim) = entries.keys().next() {
-                        entries.remove(&victim);
-                        evicted = true;
-                        break;
-                    }
-                }
-            }
+                    let victim = entries.keys().next().copied();
+                    victim.is_some_and(|v| entries.remove(&v).is_some())
+                });
             if !evicted {
                 break;
             }
         }
     }
 
+    /// Keeps only the operators `keep` accepts.
+    fn retain(&self, keep: impl Fn(&CachedOp) -> bool) {
+        for shard in &self.shards {
+            shard.lock().retain(|_, op| keep(op));
+        }
+    }
+
     /// Drops every operator whose plan reads `layout` — required when a
     /// layout is dropped from the catalog. Join operators are dropped when
     /// *either* side's plan reads it.
-    pub fn invalidate_layout(&self, layout: h2o_storage::LayoutId) {
-        for shard in &self.shards {
-            shard
-                .lock()
-                .retain(|_, op| !op.plan().layouts.contains(&layout));
-        }
-        for shard in &self.join_shards {
-            shard.lock().retain(|_, op| {
-                !op.build().plan().layouts.contains(&layout)
-                    && !op.probe().plan().layouts.contains(&layout)
-            });
-        }
+    pub fn invalidate_layout(&self, layout: LayoutId) {
+        self.retain(|op| !op.reads(layout));
+    }
+
+    /// Drops every join operator — required when a relation a join may
+    /// name is rebound: join keys hash relation names and plan layout ids,
+    /// and a rebound relation numbers its layouts from 0 again.
+    pub fn invalidate_joins(&self) {
+        self.retain(|op| op.scan().is_some());
     }
 
     /// Clears the cache.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
-        for shard in &self.join_shards {
-            shard.lock().clear();
-        }
+        self.retain(|_| false);
     }
 
     /// Number of cached operators (single-relation and join).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum::<usize>()
-            + self
-                .join_shards
-                .iter()
-                .map(|s| s.lock().len())
-                .sum::<usize>()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// Whether the cache is empty.
@@ -628,5 +646,111 @@ mod tests {
                 .unwrap();
         }
         assert!(cache.len() <= 2);
+    }
+
+    /// Compiles `q` over the join fixture with the given build role.
+    fn join_op(
+        cache: &OperatorCache,
+        dim: &Relation,
+        fact: &Relation,
+        q: &h2o_expr::JoinQuery,
+        build_is_left: bool,
+    ) -> CompiledJoinOp {
+        let dplan = AccessPlan::new(dim.catalog().layout_ids(), Strategy::SelVector);
+        let fplan = AccessPlan::new(fact.catalog().layout_ids(), Strategy::SelVector);
+        let c = h2o_expr::check_join(q).unwrap();
+        cache
+            .get_or_compile_join(
+                dim.catalog(),
+                fact.catalog(),
+                &dplan,
+                &fplan,
+                q,
+                &c,
+                build_is_left,
+            )
+            .unwrap()
+    }
+
+    #[test]
+    fn capacity_counts_scan_and_join_operators() {
+        let rel = rel();
+        let (dim, fact) = join_fixture();
+        let cache = OperatorCache::new(2, CompileCostModel::ZERO);
+        let q = join_count_below(&dim, &fact, 5);
+        join_op(&cache, &dim, &fact, &q, true);
+        join_op(&cache, &dim, &fact, &q, false);
+        assert_eq!(cache.len(), 2);
+        let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::SelVector);
+        cache
+            .get_or_compile(rel.catalog(), &plan, &count_below(5))
+            .unwrap();
+        assert_eq!(cache.len(), 2, "a scan evicts a join at capacity");
+        assert_eq!(cache.stats().misses, 3);
+    }
+
+    #[test]
+    fn invalidate_layout_drops_both_kinds() {
+        let rel = rel();
+        let (dim, fact) = join_fixture();
+        let cache = OperatorCache::new(16, CompileCostModel::ZERO);
+        let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::SelVector);
+        cache
+            .get_or_compile(rel.catalog(), &plan, &count_below(5))
+            .unwrap();
+        join_op(&cache, &dim, &fact, &join_count_below(&dim, &fact, 5), true);
+        assert_eq!(cache.len(), 2);
+        // Layout ids are per catalog: both plans read an `L0`.
+        let shared = rel.catalog().layout_ids()[0];
+        assert_eq!(fact.catalog().layout_ids()[0], shared);
+        cache.invalidate_layout(shared);
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn a_key_holding_the_other_kind_is_a_miss() {
+        let rel = rel();
+        let (dim, fact) = join_fixture();
+        let cache = OperatorCache::new(16, CompileCostModel::ZERO);
+        let scan_plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::SelVector);
+        let scan = count_below(5);
+        let q = join_count_below(&dim, &fact, 5);
+        // Plant the other kind under each lookup's key.
+        let dplan = AccessPlan::new(dim.catalog().layout_ids(), Strategy::SelVector);
+        let fplan = AccessPlan::new(fact.catalog().layout_ids(), Strategy::SelVector);
+        let join_key = OperatorKey::for_join(&q, &dplan, &fplan, true);
+        let scan_key = OperatorKey::new(&scan, &scan_plan);
+        let other = OperatorCache::new(16, CompileCostModel::ZERO);
+        let planted_scan = other
+            .get_or_compile(rel.catalog(), &scan_plan, &scan)
+            .unwrap();
+        let planted_join = join_op(&other, &dim, &fact, &q, true);
+        cache
+            .shard(join_key)
+            .lock()
+            .insert(join_key, CachedOp::Scan(planted_scan));
+        cache
+            .shard(scan_key)
+            .lock()
+            .insert(scan_key, CachedOp::Join(planted_join));
+
+        let op = join_op(&cache, &dim, &fact, &q, true);
+        let serial = crate::ExecPolicy::serial();
+        let (r, _) =
+            crate::execute_join_with_policy(dim.catalog(), fact.catalog(), &op, &serial).unwrap();
+        assert_eq!(r.row(0), &[5]);
+        let op = cache
+            .get_or_compile(rel.catalog(), &scan_plan, &scan)
+            .unwrap();
+        assert_eq!(execute(rel.catalog(), &op).unwrap().row(0), &[5]);
+        assert_eq!(cache.stats().hits, 0);
+        assert_eq!(cache.stats().misses, 2);
+        // The compiled operators replaced the planted ones: now both hit.
+        join_op(&cache, &dim, &fact, &q, true);
+        cache
+            .get_or_compile(rel.catalog(), &scan_plan, &scan)
+            .unwrap();
+        assert_eq!(cache.stats().hits, 2);
+        assert_eq!(cache.len(), 2);
     }
 }

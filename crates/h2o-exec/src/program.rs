@@ -248,11 +248,11 @@ fn eval_program(ops: &[OpCode], views: &GroupViews<'_>, row: usize, stack: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2o_storage::{AttrId, GroupBuilder};
+    use h2o_storage::{AttrId, ColumnGroup};
 
     fn one_group_views(cols: &[&[Value]]) -> h2o_storage::ColumnGroup {
         let attrs: Vec<AttrId> = (0..cols.len()).map(AttrId::from).collect();
-        GroupBuilder::from_columns(attrs, cols).unwrap()
+        ColumnGroup::from_columns(attrs, cols).unwrap()
     }
 
     fn direct_bind(a: h2o_storage::AttrId) -> BoundAttr {

@@ -66,7 +66,7 @@ fn source_bindings(
 /// The policy the reorganization builders use to fill the new group's
 /// payload: one morsel per **output segment**
 /// (`1 << DEFAULT_SEG_SHIFT` rows), so each worker hands back a sealed
-/// segment that [`ColumnGroup::from_segments`] adopts without a
+/// segment that [`ColumnGroup::from_segments_typed`] adopts without a
 /// re-chunking copy. Thread count and serial threshold pass through.
 fn segment_build_policy(policy: &ExecPolicy) -> ExecPolicy {
     ExecPolicy {

@@ -569,8 +569,8 @@ mod tests {
         // String constants resolve through the schema's dictionaries,
         // which `interpret_over` does not have — it must refuse loudly
         // rather than silently match nothing.
-        use h2o_storage::{GroupBuilder, LogicalType};
-        let g = GroupBuilder::from_columns_typed(
+        use h2o_storage::{ColumnGroup, LogicalType};
+        let g = ColumnGroup::from_columns_typed(
             vec![AttrId(0)],
             vec![LogicalType::Dict],
             &[&[0, 1, 0]],

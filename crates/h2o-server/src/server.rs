@@ -545,17 +545,12 @@ fn verify_query(out: &Outcome, q: &Query, shared: &Shared) -> bool {
 
 fn verify_join(out: &Outcome, q: &JoinQuery, shared: &Shared) -> bool {
     shared.counters.checked.fetch_add(1, Ordering::Relaxed);
-    let matched = out
-        .snapshot
-        .db()
-        .and_then(|db| {
-            let left = db.relation(q.left().name()).ok()?;
-            let right = db.relation(q.right().name()).ok()?;
-            interpret_join(left, right, q)
-                .ok()
-                .map(|want| want.fingerprint() == out.result.fingerprint())
-        })
-        .unwrap_or(false);
+    let db = &out.snapshot;
+    let matched = match (db.relation(q.left().name()), db.relation(q.right().name())) {
+        (Ok(left), Ok(right)) => interpret_join(left, right, q)
+            .is_ok_and(|want| want.fingerprint() == out.result.fingerprint()),
+        _ => false,
+    };
     if !matched {
         shared.counters.mismatches.fetch_add(1, Ordering::Relaxed);
     }

@@ -407,7 +407,7 @@ impl LayoutCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group::GroupBuilder;
+    use crate::group::ColumnGroup;
 
     fn catalog_with(groups: &[&[u32]], rows: usize) -> LayoutCatalog {
         let max_attr = groups.iter().flat_map(|g| g.iter()).max().unwrap() + 1;
@@ -420,7 +420,7 @@ mod tests {
                 .map(|&a| (0..rows as i64).map(|r| (a as i64) * 1000 + r).collect())
                 .collect();
             let refs: Vec<&[i64]> = cols.iter().map(|c| c.as_slice()).collect();
-            let g = GroupBuilder::from_columns(ids, &refs).unwrap();
+            let g = ColumnGroup::from_columns(ids, &refs).unwrap();
             cat.add_group(g, 0).unwrap();
         }
         cat
@@ -463,12 +463,12 @@ mod tests {
     #[test]
     fn add_rejects_wrong_rows_and_unknown_attrs() {
         let mut cat = catalog_with(&[&[0, 1]], 4);
-        let g = GroupBuilder::from_columns(vec![AttrId(0)], &[&[1, 2]]).unwrap();
+        let g = ColumnGroup::from_columns(vec![AttrId(0)], &[&[1, 2]]).unwrap();
         assert!(matches!(
             cat.add_group(g, 0),
             Err(StorageError::RowCountMismatch { .. })
         ));
-        let g = GroupBuilder::from_columns(vec![AttrId(99)], &[&[1, 2, 3, 4]]).unwrap();
+        let g = ColumnGroup::from_columns(vec![AttrId(99)], &[&[1, 2, 3, 4]]).unwrap();
         assert!(matches!(
             cat.add_group(g, 0),
             Err(StorageError::UnknownAttr(_))
@@ -645,7 +645,7 @@ mod tests {
         let mut cat = catalog_with(&[&[0], &[0, 1]], 2);
         let first = cat.layout_ids()[0];
         cat.drop_group(first).unwrap();
-        let g = GroupBuilder::from_columns(vec![AttrId(0)], &[&[0, 0]]).unwrap();
+        let g = ColumnGroup::from_columns(vec![AttrId(0)], &[&[0, 0]]).unwrap();
         let new_id = cat.add_group(g, 1).unwrap();
         assert_ne!(new_id, first);
     }

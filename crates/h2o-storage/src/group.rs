@@ -38,6 +38,20 @@
 //! batch against a snapshot-shared group costs O(batch + one chunk), not
 //! O(tail) or O(relation) — see
 //! [`LayoutCatalog::append_rows`](crate::catalog::LayoutCatalog::append_rows).
+//!
+//! # Construction
+//!
+//! A group comes from one of two sources, and both end in one private
+//! `assemble` that records every sealed segment's zone map:
+//!
+//! * [`ColumnGroup::from_segments_typed`] adopts pre-built row-major
+//!   segment payloads without a copy — the reorganization builders, which
+//!   fill one output segment per morsel;
+//! * [`ColumnGroup::from_columns_typed`] transposes whole columns — relation
+//!   loading.
+//!
+//! There is no row-at-a-time builder; after construction a group grows only
+//! through the append path.
 
 use crate::error::StorageError;
 use crate::types::{AttrId, LayoutId, LogicalType, Value, VALUE_BYTES};
@@ -109,8 +123,8 @@ pub struct ColumnGroup {
     /// vector is its byte-offset/`VALUE_BYTES` within a tuple of the group.
     attrs: Vec<AttrId>,
     /// Logical type per attribute, parallel to `attrs`. Groups built by
-    /// the untyped constructors default to all-`I64`; the catalog verifies
-    /// group types against the schema on admission.
+    /// the untyped `from_columns{,_with_shift}` default to all-`I64`; the
+    /// catalog verifies group types against the schema on admission.
     types: Vec<LogicalType>,
     /// Fast attribute → offset lookup.
     offsets: HashMap<AttrId, usize>,
@@ -135,83 +149,80 @@ pub struct ColumnGroup {
 }
 
 impl ColumnGroup {
-    /// Assembles a group from a flat payload with the default segment size.
-    /// `data.len()` must equal `rows * attrs.len()` and `attrs` must be
-    /// non-empty and duplicate-free.
-    pub fn from_parts(
-        id: LayoutId,
-        attrs: Vec<AttrId>,
-        rows: usize,
-        data: Vec<Value>,
-    ) -> Result<Self, StorageError> {
-        Self::from_parts_with_shift(id, attrs, rows, data, DEFAULT_SEG_SHIFT)
+    /// Builds an all-`I64` group from per-attribute columns (default
+    /// segment size). All columns must have the same length, and there
+    /// must be exactly one column per attribute. The id is a placeholder
+    /// until the catalog admits the group (see
+    /// [`LayoutCatalog::add_group`](crate::catalog::LayoutCatalog::add_group)).
+    pub fn from_columns(attrs: Vec<AttrId>, columns: &[&[Value]]) -> Result<Self, StorageError> {
+        Self::from_columns_with_shift(attrs, columns, DEFAULT_SEG_SHIFT)
     }
 
-    /// [`Self::from_parts`] with an explicit segment size (`1 << seg_shift`
+    /// [`Self::from_columns`] with an explicit segment size (`1 << seg_shift`
     /// rows per segment). Small shifts exist for tests that want to
     /// exercise many segments without huge relations; a shift large enough
     /// that the whole relation fits one segment leaves everything in the
     /// unsealed tail (no zone maps).
-    pub fn from_parts_with_shift(
-        id: LayoutId,
+    pub fn from_columns_with_shift(
         attrs: Vec<AttrId>,
-        rows: usize,
-        data: Vec<Value>,
+        columns: &[&[Value]],
         seg_shift: u32,
     ) -> Result<Self, StorageError> {
         let types = vec![LogicalType::I64; attrs.len()];
-        Self::from_parts_typed(id, attrs, types, rows, data, seg_shift)
+        Self::from_columns_typed(attrs, types, columns, seg_shift)
     }
 
-    /// [`Self::from_parts_with_shift`] with explicit per-attribute logical
-    /// types (parallel to `attrs`). Sealed segments get their zone-map
-    /// statistics computed with the attribute types' comparator keys.
-    pub fn from_parts_typed(
-        id: LayoutId,
+    /// [`Self::from_columns_with_shift`] with explicit per-attribute
+    /// logical types (parallel to `attrs`) — the relation-loading path.
+    /// The columns are transposed into row-major segment payloads.
+    pub fn from_columns_typed(
         attrs: Vec<AttrId>,
         types: Vec<LogicalType>,
-        rows: usize,
-        data: Vec<Value>,
+        columns: &[&[Value]],
         seg_shift: u32,
     ) -> Result<Self, StorageError> {
-        if attrs.is_empty() {
+        if attrs.is_empty() || columns.is_empty() {
             return Err(StorageError::EmptyGroup);
         }
-        if data.len() != rows * attrs.len() {
-            // Both fields row-denominated (a partial trailing tuple rounds
-            // down — the message still pinpoints the mismatch).
-            return Err(StorageError::RowCountMismatch {
-                expected: rows,
-                got: data.len() / attrs.len(),
+        if attrs.len() != columns.len() {
+            return Err(StorageError::WidthMismatch {
+                expected: attrs.len(),
+                got: columns.len(),
             });
         }
-        let cap_values = (1usize << seg_shift) * attrs.len();
-        let payloads: Vec<Vec<Value>> = if data.len() <= cap_values {
-            // Common case (relation fits one segment): move, don't copy.
-            vec![data]
-        } else {
-            data.chunks(cap_values).map(|c| c.to_vec()).collect()
-        };
-        Self::assemble(id, attrs, types, rows, payloads, None, seg_shift)
+        let rows = columns[0].len();
+        for c in columns {
+            if c.len() != rows {
+                return Err(StorageError::RowCountMismatch {
+                    expected: rows,
+                    got: c.len(),
+                });
+            }
+        }
+        let width = attrs.len();
+        let seg_rows = 1usize << seg_shift;
+        let mut payloads = Vec::with_capacity(rows.div_ceil(seg_rows));
+        let mut start = 0usize;
+        while start < rows {
+            let end = (start + seg_rows).min(rows);
+            let mut seg = vec![0 as Value; (end - start) * width];
+            for (off, col) in columns.iter().enumerate() {
+                for (k, &v) in col[start..end].iter().enumerate() {
+                    seg[k * width + off] = v;
+                }
+            }
+            payloads.push(seg);
+            start = end;
+        }
+        Self::from_segments_typed(LayoutId(u32::MAX), attrs, types, rows, payloads, seg_shift)
     }
 
     /// Assembles a group directly from pre-built segment payloads (the
     /// zero-copy path for reorganization builders that emit sealed
-    /// segments). Every payload except the last must hold exactly
-    /// `1 << seg_shift` rows, the last must be non-empty, and together
-    /// they must hold `rows` tuples of `attrs.len()` values.
-    pub fn from_segments(
-        id: LayoutId,
-        attrs: Vec<AttrId>,
-        rows: usize,
-        payloads: Vec<Vec<Value>>,
-        seg_shift: u32,
-    ) -> Result<Self, StorageError> {
-        let types = vec![LogicalType::I64; attrs.len()];
-        Self::from_segments_typed(id, attrs, types, rows, payloads, seg_shift)
-    }
-
-    /// [`Self::from_segments`] with explicit per-attribute logical types.
+    /// segments), with per-attribute logical types parallel to `attrs`.
+    /// Every payload except the last must hold exactly `1 << seg_shift`
+    /// rows, the last must be non-empty, and together they must hold `rows`
+    /// tuples of `attrs.len()` values.
     pub fn from_segments_typed(
         id: LayoutId,
         attrs: Vec<AttrId>,
@@ -248,23 +259,21 @@ impl ColumnGroup {
                 got: total / width,
             });
         }
-        Self::assemble(id, attrs, types, rows, payloads, None, seg_shift)
+        Self::assemble(id, attrs, types, rows, payloads, seg_shift)
     }
 
     /// The one constructor every path funnels into: `payloads` are
     /// well-formed segments (all full but possibly the last, which may be
-    /// empty), and `stats`, when given, holds the zone map of every full
-    /// one (as [`GroupBuilder`] records them while sealing); otherwise they
-    /// are computed here. A partial last payload becomes the tail: its
-    /// whole chunks stay in place as the head piece (no copy) and the
-    /// fewer-than-one-chunk remainder moves into a first chunk.
+    /// empty), and the zone map of every full one is computed here. A
+    /// partial last payload becomes the tail: its whole chunks stay in
+    /// place as the head piece (no copy) and the fewer-than-one-chunk
+    /// remainder moves into a first chunk.
     fn assemble(
         id: LayoutId,
         attrs: Vec<AttrId>,
         types: Vec<LogicalType>,
         rows: usize,
         mut payloads: Vec<Vec<Value>>,
-        stats: Option<Vec<Arc<SegStats>>>,
         seg_shift: u32,
     ) -> Result<Self, StorageError> {
         if types.len() != attrs.len() {
@@ -277,14 +286,10 @@ impl ColumnGroup {
         let width = attrs.len();
         let cap_values = (1usize << seg_shift) * width;
         let tail_payload = payloads.pop_if(|p| p.len() < cap_values);
-        let seg_stats = match stats {
-            Some(s) => s,
-            None => payloads
-                .iter()
-                .map(|p| stats_of(p, width, &types))
-                .collect(),
-        };
-        debug_assert_eq!(seg_stats.len(), payloads.len());
+        let seg_stats = payloads
+            .iter()
+            .map(|p| stats_of(p, width, &types))
+            .collect();
         let mut group = ColumnGroup {
             id,
             attrs,
@@ -597,226 +602,6 @@ impl ColumnGroup {
     }
 }
 
-/// Incremental builder for a [`ColumnGroup`].
-///
-/// Two construction styles are supported, matching how groups arise in the
-/// engine:
-///
-/// * [`GroupBuilder::push_tuple`] — row-at-a-time, used by the fused
-///   reorganization operators that stitch a new group together *while
-///   scanning* (paper §3.2 "Data Reorganization"); segments are sealed as
-///   they fill, so the finished group needs no re-chunking pass;
-/// * [`GroupBuilder::from_columns`] — bulk build from whole columns, used at
-///   load time and by tests.
-#[derive(Debug)]
-pub struct GroupBuilder {
-    attrs: Vec<AttrId>,
-    types: Vec<LogicalType>,
-    seg_shift: u32,
-    /// Sealed (exactly full) segments.
-    sealed: Vec<Vec<Value>>,
-    /// Zone-map statistics of the sealed segments, recorded as each seals.
-    sealed_stats: Vec<Arc<SegStats>>,
-    /// The growing tail segment.
-    tail: Vec<Value>,
-    /// Running per-offset key-space bounds of the tail, folded as tuples
-    /// arrive so sealing costs O(width), not a re-scan of the segment.
-    tail_stats: SegStats,
-}
-
-impl GroupBuilder {
-    /// Starts a builder for an all-`I64` group storing `attrs` (in this
-    /// physical order). `rows_hint` pre-sizes the tail allocation (capped
-    /// at one segment).
-    pub fn new(attrs: Vec<AttrId>, rows_hint: usize) -> Result<Self, StorageError> {
-        Self::new_with_shift(attrs, rows_hint, DEFAULT_SEG_SHIFT)
-    }
-
-    /// [`Self::new`] with an explicit segment size.
-    pub fn new_with_shift(
-        attrs: Vec<AttrId>,
-        rows_hint: usize,
-        seg_shift: u32,
-    ) -> Result<Self, StorageError> {
-        let types = vec![LogicalType::I64; attrs.len()];
-        Self::typed_with_shift(attrs, types, rows_hint, seg_shift)
-    }
-
-    /// Starts a builder with explicit per-attribute logical types (the
-    /// path every schema-aware group construction takes).
-    pub fn typed(
-        attrs: Vec<AttrId>,
-        types: Vec<LogicalType>,
-        rows_hint: usize,
-    ) -> Result<Self, StorageError> {
-        Self::typed_with_shift(attrs, types, rows_hint, DEFAULT_SEG_SHIFT)
-    }
-
-    /// [`Self::typed`] with an explicit segment size.
-    pub fn typed_with_shift(
-        attrs: Vec<AttrId>,
-        types: Vec<LogicalType>,
-        rows_hint: usize,
-        seg_shift: u32,
-    ) -> Result<Self, StorageError> {
-        if attrs.is_empty() {
-            return Err(StorageError::EmptyGroup);
-        }
-        if types.len() != attrs.len() {
-            return Err(StorageError::WidthMismatch {
-                expected: attrs.len(),
-                got: types.len(),
-            });
-        }
-        let mut seen = AttrSet::new();
-        for &a in &attrs {
-            if !seen.insert(a) {
-                return Err(StorageError::DuplicateAttr(a));
-            }
-        }
-        let width = attrs.len();
-        let hint = rows_hint.min(1usize << seg_shift) * width;
-        Ok(GroupBuilder {
-            tail_stats: vec![(Value::MAX, Value::MIN); width],
-            attrs,
-            types,
-            seg_shift,
-            sealed: Vec::new(),
-            sealed_stats: Vec::new(),
-            tail: Vec::with_capacity(hint),
-        })
-    }
-
-    /// Appends one tuple, sealing the tail segment when it fills (the
-    /// segment's zone-map statistics are recorded at that moment). `tuple`
-    /// must have exactly the group's width; this is a hot path for the
-    /// reorganization kernels, so the check is a `debug_assert`.
-    #[inline]
-    pub fn push_tuple(&mut self, tuple: &[Value]) {
-        debug_assert_eq!(tuple.len(), self.attrs.len());
-        self.tail.extend_from_slice(tuple);
-        for ((lo, hi), (&v, &ty)) in self
-            .tail_stats
-            .iter_mut()
-            .zip(tuple.iter().zip(&self.types))
-        {
-            let k = ty.cmp_key(v);
-            if k < *lo {
-                *lo = k;
-            }
-            if k > *hi {
-                *hi = k;
-            }
-        }
-        if self.tail.len() == (1usize << self.seg_shift) * self.attrs.len() {
-            crate::failpoints::hit("segment_seal");
-            self.sealed.push(std::mem::take(&mut self.tail));
-            let width = self.attrs.len();
-            let stats =
-                std::mem::replace(&mut self.tail_stats, vec![(Value::MAX, Value::MIN); width]);
-            self.sealed_stats.push(Arc::new(stats));
-        }
-    }
-
-    /// Number of tuples appended so far.
-    pub fn rows(&self) -> usize {
-        (self.sealed.len() << self.seg_shift) + self.tail.len() / self.attrs.len()
-    }
-
-    /// Finishes the build. The id is a placeholder until the catalog admits
-    /// the group (see [`LayoutCatalog::add_group`](crate::catalog::LayoutCatalog::add_group)).
-    /// A non-full final segment becomes the group's unsealed tail (no zone
-    /// map: appends would invalidate it); a final segment that is exactly
-    /// full was already sealed by [`Self::push_tuple`].
-    pub fn finish(mut self) -> ColumnGroup {
-        let rows = self.rows();
-        if !self.tail.is_empty() {
-            self.sealed.push(self.tail);
-        }
-        ColumnGroup::assemble(
-            LayoutId(u32::MAX),
-            self.attrs,
-            self.types,
-            rows,
-            self.sealed,
-            Some(self.sealed_stats),
-            self.seg_shift,
-        )
-        .expect("builder maintains invariants")
-    }
-
-    /// Bulk-builds an all-`I64` group from per-attribute columns (default
-    /// segment size). All columns must have the same length, and there
-    /// must be exactly one column per attribute.
-    pub fn from_columns(
-        attrs: Vec<AttrId>,
-        columns: &[&[Value]],
-    ) -> Result<ColumnGroup, StorageError> {
-        Self::from_columns_with_shift(attrs, columns, DEFAULT_SEG_SHIFT)
-    }
-
-    /// [`Self::from_columns`] with an explicit segment size.
-    pub fn from_columns_with_shift(
-        attrs: Vec<AttrId>,
-        columns: &[&[Value]],
-        seg_shift: u32,
-    ) -> Result<ColumnGroup, StorageError> {
-        let types = vec![LogicalType::I64; attrs.len()];
-        Self::from_columns_typed(attrs, types, columns, seg_shift)
-    }
-
-    /// [`Self::from_columns_with_shift`] with explicit per-attribute
-    /// logical types.
-    pub fn from_columns_typed(
-        attrs: Vec<AttrId>,
-        types: Vec<LogicalType>,
-        columns: &[&[Value]],
-        seg_shift: u32,
-    ) -> Result<ColumnGroup, StorageError> {
-        if attrs.is_empty() || columns.is_empty() {
-            return Err(StorageError::EmptyGroup);
-        }
-        if attrs.len() != columns.len() {
-            return Err(StorageError::WidthMismatch {
-                expected: attrs.len(),
-                got: columns.len(),
-            });
-        }
-        let rows = columns[0].len();
-        for c in columns {
-            if c.len() != rows {
-                return Err(StorageError::RowCountMismatch {
-                    expected: rows,
-                    got: c.len(),
-                });
-            }
-        }
-        let width = attrs.len();
-        let seg_rows = 1usize << seg_shift;
-        let mut payloads = Vec::with_capacity(rows.div_ceil(seg_rows.max(1)));
-        let mut start = 0usize;
-        while start < rows {
-            let end = (start + seg_rows).min(rows);
-            let mut seg = vec![0 as Value; (end - start) * width];
-            for (off, col) in columns.iter().enumerate() {
-                for (k, &v) in col[start..end].iter().enumerate() {
-                    seg[k * width + off] = v;
-                }
-            }
-            payloads.push(seg);
-            start = end;
-        }
-        ColumnGroup::from_segments_typed(
-            LayoutId(u32::MAX),
-            attrs,
-            types,
-            rows,
-            payloads,
-            seg_shift,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -825,11 +610,21 @@ mod tests {
         v.iter().map(|&i| AttrId(i)).collect()
     }
 
+    /// An all-`I64` group adopting `payloads` as its segments.
+    fn segments(
+        attrs: &[u32],
+        rows: usize,
+        payloads: Vec<Vec<Value>>,
+        seg_shift: u32,
+    ) -> Result<ColumnGroup, StorageError> {
+        let types = vec![LogicalType::I64; attrs.len()];
+        ColumnGroup::from_segments_typed(LayoutId(0), ids(attrs), types, rows, payloads, seg_shift)
+    }
+
     #[test]
-    fn from_parts_strided_access() {
+    fn from_columns_strided_access() {
         // Two attributes, three tuples: (1,10), (2,20), (3,30).
-        let g = ColumnGroup::from_parts(LayoutId(0), ids(&[4, 7]), 3, vec![1, 10, 2, 20, 3, 30])
-            .unwrap();
+        let g = ColumnGroup::from_columns(ids(&[4, 7]), &[&[1, 2, 3], &[10, 20, 30]]).unwrap();
         assert_eq!(g.width(), 2);
         assert_eq!(g.rows(), 3);
         assert_eq!(g.tuple(1), &[2, 20]);
@@ -844,17 +639,21 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_rejects_bad_shapes() {
+    fn constructors_reject_bad_shapes() {
         assert!(matches!(
-            ColumnGroup::from_parts(LayoutId(0), vec![], 0, vec![]),
+            ColumnGroup::from_columns(vec![], &[]),
             Err(StorageError::EmptyGroup)
         ));
         assert!(matches!(
-            ColumnGroup::from_parts(LayoutId(0), ids(&[1, 1]), 1, vec![0, 0]),
+            segments(&[], 0, vec![], 16),
+            Err(StorageError::EmptyGroup)
+        ));
+        assert!(matches!(
+            ColumnGroup::from_columns(ids(&[1, 1]), &[&[0], &[0]]),
             Err(StorageError::DuplicateAttr(_))
         ));
         assert!(matches!(
-            ColumnGroup::from_parts(LayoutId(0), ids(&[1]), 2, vec![0]),
+            segments(&[1], 2, vec![vec![0]], 16),
             Err(StorageError::RowCountMismatch { .. })
         ));
     }
@@ -863,7 +662,7 @@ mod tests {
     fn row_count_mismatch_is_row_denominated() {
         // Three rows expected, four rows of width-2 data supplied: the
         // message must speak in rows on both sides, not mix rows/values.
-        let err = ColumnGroup::from_parts(LayoutId(0), ids(&[0, 1]), 3, vec![0; 8]).unwrap_err();
+        let err = segments(&[0, 1], 3, vec![vec![0; 8]], 16).unwrap_err();
         assert_eq!(
             err,
             StorageError::RowCountMismatch {
@@ -881,8 +680,9 @@ mod tests {
     fn small_segments_shape_and_access() {
         // shift 1 → 2 rows per segment; 5 rows → segments of 2,2,1.
         let data: Vec<Value> = (0..10).collect();
-        let g = ColumnGroup::from_parts_with_shift(LayoutId(0), ids(&[0, 1]), 5, data.clone(), 1)
-            .unwrap();
+        let evens: Vec<Value> = (0..5).map(|r| 2 * r).collect();
+        let odds: Vec<Value> = (0..5).map(|r| 2 * r + 1).collect();
+        let g = ColumnGroup::from_columns_with_shift(ids(&[0, 1]), &[&evens, &odds], 1).unwrap();
         assert_eq!(g.segment_count(), 3);
         assert_eq!(g.sealed_segment_count(), 2);
         assert_eq!(g.collect_values(), data);
@@ -891,7 +691,7 @@ mod tests {
             assert_eq!(g.value(row, 1), 2 * row as Value + 1);
         }
         let col: Vec<Value> = (0..5).map(|r| g.value_of(r, AttrId(1)).unwrap()).collect();
-        assert_eq!(col, vec![1, 3, 5, 7, 9]);
+        assert_eq!(col, odds);
     }
 
     /// Appends single-value tuples (schema order = group order here).
@@ -902,14 +702,8 @@ mod tests {
 
     #[test]
     fn append_seals_and_reports_cow() {
-        let mut g = ColumnGroup::from_parts_with_shift(
-            LayoutId(0),
-            ids(&[0]),
-            1,
-            vec![7],
-            1, // 2 rows per segment (and per chunk)
-        )
-        .unwrap();
+        // 2 rows per segment (and per chunk).
+        let mut g = ColumnGroup::from_columns_with_shift(ids(&[0]), &[&[7]], 1).unwrap();
         // Unique tail: no clone; second row fills → seals.
         let d = append(&mut g, &[8]);
         assert_eq!(
@@ -942,7 +736,7 @@ mod tests {
     #[test]
     fn append_projects_schema_order_tuples_onto_the_group() {
         // Group over (a2, a0) of a 3-attribute relation.
-        let mut g = ColumnGroup::from_parts(LayoutId(0), ids(&[2, 0]), 1, vec![30, 10]).unwrap();
+        let mut g = ColumnGroup::from_columns(ids(&[2, 0]), &[&[30], &[10]]).unwrap();
         g.append_projected(&[vec![1, 2, 3], vec![4, 5, 6]]);
         assert_eq!(g.rows(), 3);
         assert_eq!(g.collect_values(), vec![30, 10, 3, 1, 6, 4]);
@@ -955,8 +749,7 @@ mod tests {
         // copy) and a 452-row first chunk.
         let data: Vec<Value> = (0..5_000).collect();
         let ptr = data.as_ptr();
-        let g =
-            ColumnGroup::from_parts_with_shift(LayoutId(0), ids(&[0, 1]), 2_500, data, 12).unwrap();
+        let g = segments(&[0, 1], 2_500, vec![data], 12).unwrap();
         assert_eq!(g.chunk_rows(), 1 << CHUNK_SHIFT);
         let pieces: Vec<&[Value]> = g.pieces().collect();
         assert_eq!(pieces.len(), 2);
@@ -968,9 +761,7 @@ mod tests {
             assert_eq!(g.tuple(row), &[2 * row as Value, 2 * row as Value + 1]);
         }
         // A tail of whole chunks is one piece and no chunk at all.
-        let g =
-            ColumnGroup::from_parts_with_shift(LayoutId(0), ids(&[0]), 2_048, vec![0; 2_048], 12)
-                .unwrap();
+        let g = ColumnGroup::from_columns_with_shift(ids(&[0]), &[&[0; 2_048]], 12).unwrap();
         assert_eq!(g.pieces().count(), 1);
     }
 
@@ -979,18 +770,11 @@ mod tests {
         // 4 096-row segments, 1 024-row chunks, starting from a head split
         // at a non-multiple of a chunk. Before every 37-row batch a
         // snapshot is pinned, so every batch pays the copy-on-write step.
-        let start = 1_500usize;
-        let mut g = ColumnGroup::from_parts_with_shift(
-            LayoutId(0),
-            ids(&[0]),
-            start,
-            (0..start as Value).collect(),
-            12,
-        )
-        .unwrap();
+        let start: Vec<Value> = (0..1_500).collect();
+        let mut g = ColumnGroup::from_columns_with_shift(ids(&[0]), &[&start], 12).unwrap();
         let chunk_bytes = (g.chunk_rows() * VALUE_BYTES) as u64;
         let mut pinned = Vec::new();
-        let mut next = start as Value;
+        let mut next = start.len() as Value;
         let mut sealed = 0;
         while g.rows() < 2 * g.seg_rows() + 100 {
             pinned.push(g.clone());
@@ -1012,7 +796,7 @@ mod tests {
         // Sealing concatenated the pieces into one contiguous segment with
         // the zone map a from-scratch build records.
         let whole =
-            GroupBuilder::from_columns_with_shift(ids(&[0]), &[&g.collect_values()], 12).unwrap();
+            ColumnGroup::from_columns_with_shift(ids(&[0]), &[&g.collect_values()], 12).unwrap();
         for s in 0..2 {
             assert_eq!(g.pieces().nth(s).unwrap().len(), g.seg_rows());
             assert_eq!(g.seg_stats(s), whole.seg_stats(s));
@@ -1031,47 +815,10 @@ mod tests {
     }
 
     #[test]
-    fn builder_push_tuples() {
-        let mut b = GroupBuilder::new(ids(&[0, 2, 5]), 2).unwrap();
-        b.push_tuple(&[1, 2, 3]);
-        b.push_tuple(&[4, 5, 6]);
-        assert_eq!(b.rows(), 2);
-        let g = b.finish();
-        assert_eq!(g.rows(), 2);
-        assert_eq!(g.tuple(0), &[1, 2, 3]);
-        assert_eq!(g.tuple(1), &[4, 5, 6]);
-    }
-
-    #[test]
-    fn builder_seals_segments_as_it_fills() {
-        let mut b = GroupBuilder::new_with_shift(ids(&[0]), 0, 2).unwrap(); // 4 rows/seg
-        for v in 0..10 {
-            b.push_tuple(&[v]);
-        }
-        assert_eq!(b.rows(), 10);
-        let g = b.finish();
-        assert_eq!(g.segment_count(), 3);
-        assert_eq!(g.sealed_segment_count(), 2);
-        assert_eq!(g.collect_values(), (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn builder_rejects_duplicates() {
-        assert!(matches!(
-            GroupBuilder::new(ids(&[3, 3]), 0),
-            Err(StorageError::DuplicateAttr(_))
-        ));
-        assert!(matches!(
-            GroupBuilder::new(vec![], 0),
-            Err(StorageError::EmptyGroup)
-        ));
-    }
-
-    #[test]
     fn from_columns_transposes() {
         let c0 = [1, 2, 3];
         let c1 = [10, 20, 30];
-        let g = GroupBuilder::from_columns(ids(&[8, 9]), &[&c0, &c1]).unwrap();
+        let g = ColumnGroup::from_columns(ids(&[8, 9]), &[&c0, &c1]).unwrap();
         assert_eq!(g.tuple(0), &[1, 10]);
         assert_eq!(g.tuple(2), &[3, 30]);
         assert_eq!(g.value_of(1, AttrId(9)), Ok(20));
@@ -1082,7 +829,7 @@ mod tests {
         let c0 = [1, 2, 3];
         let c1 = [10, 20];
         assert!(matches!(
-            GroupBuilder::from_columns(ids(&[0, 1]), &[&c0, &c1]),
+            ColumnGroup::from_columns(ids(&[0, 1]), &[&c0, &c1]),
             Err(StorageError::RowCountMismatch { .. })
         ));
     }
@@ -1090,7 +837,7 @@ mod tests {
     #[test]
     fn from_columns_attr_column_count_mismatch_is_an_error_not_a_panic() {
         let c0 = [1, 2];
-        let err = GroupBuilder::from_columns(ids(&[0, 1]), &[&c0]).unwrap_err();
+        let err = ColumnGroup::from_columns(ids(&[0, 1]), &[&c0]).unwrap_err();
         assert_eq!(
             err,
             StorageError::WidthMismatch {
@@ -1104,22 +851,22 @@ mod tests {
     fn from_columns_with_small_segments_matches_default() {
         let cols: Vec<Vec<Value>> = vec![(0..23).collect(), (100..123).collect()];
         let refs: Vec<&[Value]> = cols.iter().map(|c| c.as_slice()).collect();
-        let mono = GroupBuilder::from_columns(ids(&[0, 1]), &refs).unwrap();
-        let seg = GroupBuilder::from_columns_with_shift(ids(&[0, 1]), &refs, 2).unwrap();
+        let mono = ColumnGroup::from_columns(ids(&[0, 1]), &refs).unwrap();
+        let seg = ColumnGroup::from_columns_with_shift(ids(&[0, 1]), &refs, 2).unwrap();
         assert_eq!(seg.segment_count(), 6);
         assert_eq!(mono.collect_values(), seg.collect_values());
     }
 
     #[test]
     fn width_one_group_is_a_column() {
-        let g = GroupBuilder::from_columns(ids(&[3]), &[&[7, 8, 9]]).unwrap();
+        let g = ColumnGroup::from_columns(ids(&[3]), &[&[7, 8, 9]]).unwrap();
         assert_eq!(g.width(), 1);
         assert_eq!(g.collect_values(), vec![7, 8, 9]);
     }
 
     #[test]
     fn reading_a_missing_attr_errors() {
-        let g = GroupBuilder::from_columns(ids(&[3]), &[&[7]]).unwrap();
+        let g = ColumnGroup::from_columns(ids(&[3]), &[&[7]]).unwrap();
         assert!(matches!(
             g.value_of(0, AttrId(0)),
             Err(StorageError::AttrNotInGroup { .. })
@@ -1128,7 +875,7 @@ mod tests {
 
     #[test]
     fn empty_relation_zero_rows() {
-        let g = ColumnGroup::from_parts(LayoutId(1), ids(&[0, 1]), 0, vec![]).unwrap();
+        let g = ColumnGroup::from_columns(ids(&[0, 1]), &[&[], &[]]).unwrap();
         assert_eq!(g.rows(), 0);
         assert_eq!(g.bytes(), 0);
         assert_eq!(g.segment_count(), 0);
@@ -1140,18 +887,16 @@ mod tests {
         // shift 1 → 2 rows/segment; 5 rows → sealed, sealed, tail.
         let c0: Vec<Value> = vec![5, 1, 9, 3, 7];
         let c1: Vec<Value> = vec![-2, -8, 0, 4, 6];
-        let g = GroupBuilder::from_columns_with_shift(ids(&[0, 1]), &[&c0, &c1], 1).unwrap();
+        let g = ColumnGroup::from_columns_with_shift(ids(&[0, 1]), &[&c0, &c1], 1).unwrap();
         assert_eq!(g.segment_count(), 3);
         assert_eq!(g.seg_stats(0).unwrap(), &vec![(1, 5), (-8, -2)]);
         assert_eq!(g.seg_stats(1).unwrap(), &vec![(3, 9), (0, 4)]);
         assert!(g.seg_stats(2).is_none(), "tail has no zone map");
         assert!(g.seg_stats(9).is_none());
-        // The incremental builder records identical stats at seal time.
-        let mut b = GroupBuilder::new_with_shift(ids(&[0, 1]), 0, 1).unwrap();
-        for (a, b_) in c0.iter().zip(&c1) {
-            b.push_tuple(&[*a, *b_]);
-        }
-        let g2 = b.finish();
+        // The append path records identical stats as each segment seals.
+        let mut g2 = ColumnGroup::from_columns_with_shift(ids(&[0, 1]), &[&[], &[]], 1).unwrap();
+        let tuples: Vec<Vec<Value>> = c0.iter().zip(&c1).map(|(&a, &b)| vec![a, b]).collect();
+        g2.append_projected(&tuples);
         assert_eq!(g2.seg_stats(0), g.seg_stats(0));
         assert_eq!(g2.seg_stats(1), g.seg_stats(1));
         assert!(g2.seg_stats(2).is_none());
@@ -1159,11 +904,11 @@ mod tests {
 
     #[test]
     fn zone_maps_use_comparator_keys_for_f64() {
-        use crate::types::{f64_lane, LogicalType};
+        use crate::types::f64_lane;
         let vals = [3.5f64, -2.25, 0.5, 10.0];
         let col: Vec<Value> = vals.iter().map(|&x| f64_lane(x)).collect();
-        let g = GroupBuilder::from_columns_typed(ids(&[0]), vec![LogicalType::F64], &[&col], 1)
-            .unwrap();
+        let g =
+            ColumnGroup::from_columns_typed(ids(&[0]), vec![LogicalType::F64], &[&col], 1).unwrap();
         // Segment 0 holds {3.5, -2.25}: min key is -2.25's, max is 3.5's.
         let (lo, hi) = g.seg_stats(0).unwrap()[0];
         assert_eq!(lo, LogicalType::F64.cmp_key(f64_lane(-2.25)));
@@ -1174,8 +919,7 @@ mod tests {
 
     #[test]
     fn append_seals_record_zone_maps() {
-        let mut g =
-            ColumnGroup::from_parts_with_shift(LayoutId(0), ids(&[0]), 1, vec![7], 1).unwrap();
+        let mut g = ColumnGroup::from_columns_with_shift(ids(&[0]), &[&[7]], 1).unwrap();
         assert!(g.seg_stats(0).is_none(), "tail starts unsealed");
         append(&mut g, &[3]); // seals segment 0
         assert_eq!(g.seg_stats(0).unwrap(), &vec![(3, 7)]);
@@ -1187,20 +931,19 @@ mod tests {
 
     #[test]
     fn typed_constructor_rejects_mismatched_type_count() {
-        use crate::types::LogicalType;
         assert!(matches!(
-            ColumnGroup::from_parts_typed(
+            ColumnGroup::from_segments_typed(
                 LayoutId(0),
                 ids(&[0, 1]),
                 vec![LogicalType::I64],
                 1,
-                vec![1, 2],
+                vec![vec![1, 2]],
                 4,
             ),
             Err(StorageError::WidthMismatch { .. })
         ));
         assert!(matches!(
-            GroupBuilder::typed(ids(&[0]), vec![], 0),
+            ColumnGroup::from_columns_typed(ids(&[0]), vec![], &[&[1]], 0),
             Err(StorageError::WidthMismatch { .. })
         ));
     }
@@ -1210,14 +953,7 @@ mod tests {
         // Middle segment not full: a precise per-segment error, not a
         // (self-contradictory) total-row-count mismatch.
         assert_eq!(
-            ColumnGroup::from_segments(
-                LayoutId(0),
-                ids(&[0]),
-                5,
-                vec![vec![0, 1], vec![2], vec![3, 4]],
-                1,
-            )
-            .unwrap_err(),
+            segments(&[0], 5, vec![vec![0, 1], vec![2], vec![3, 4]], 1).unwrap_err(),
             StorageError::BadSegment {
                 index: 1,
                 expected: 2,
@@ -1226,21 +962,14 @@ mod tests {
         );
         // Totals off with well-formed segments: row-count mismatch.
         assert_eq!(
-            ColumnGroup::from_segments(LayoutId(0), ids(&[0]), 5, vec![vec![0, 1]], 1).unwrap_err(),
+            segments(&[0], 5, vec![vec![0, 1]], 1).unwrap_err(),
             StorageError::RowCountMismatch {
                 expected: 5,
                 got: 2
             }
         );
         // Valid: 2,2,1 rows at shift 1.
-        let g = ColumnGroup::from_segments(
-            LayoutId(0),
-            ids(&[0]),
-            5,
-            vec![vec![0, 1], vec![2, 3], vec![4]],
-            1,
-        )
-        .unwrap();
+        let g = segments(&[0], 5, vec![vec![0, 1], vec![2, 3], vec![4]], 1).unwrap();
         assert_eq!(g.collect_values(), vec![0, 1, 2, 3, 4]);
     }
 }

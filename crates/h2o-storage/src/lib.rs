@@ -13,6 +13,9 @@
 //! group of one attribute *is* a column, and a group of all attributes *is*
 //! the row-major layout. This mirrors the paper's observation that columns
 //! and rows are "the two extremes of the physical data layout design space".
+//! A group is built from whole columns (relation loading) or adopted from
+//! row-major segment payloads (reorganization); there is no row-at-a-time
+//! builder, and [`LayoutCatalog::append_rows`] is the only way a group grows.
 //!
 //! The [`LayoutCatalog`] is the paper's *Data Layout Manager* (Fig. 3): it
 //! owns every materialized group, guarantees the set of groups always covers
@@ -44,7 +47,7 @@ pub use catalog::{
 };
 pub use dict::Dictionary;
 pub use error::StorageError;
-pub use group::{AppendDelta, ColumnGroup, GroupBuilder, SegStats, CHUNK_SHIFT, DEFAULT_SEG_SHIFT};
+pub use group::{AppendDelta, ColumnGroup, SegStats, CHUNK_SHIFT, DEFAULT_SEG_SHIFT};
 pub use relation::Relation;
 pub use schema::{Attribute, Schema};
 pub use types::{

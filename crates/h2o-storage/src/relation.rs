@@ -7,7 +7,7 @@
 
 use crate::catalog::LayoutCatalog;
 use crate::error::StorageError;
-use crate::group::GroupBuilder;
+use crate::group::ColumnGroup;
 use crate::schema::Schema;
 use crate::types::{AttrId, Value};
 use crate::AttrSet;
@@ -94,7 +94,7 @@ impl Relation {
                 .map(|a| columns[a.index()].as_slice())
                 .collect();
             let types = schema.types_for(&attrs)?;
-            let g = GroupBuilder::from_columns_typed(attrs, types, &refs, seg_shift)?;
+            let g = ColumnGroup::from_columns_typed(attrs, types, &refs, seg_shift)?;
             catalog.add_group(g, 0)?;
         }
         Ok(Relation { catalog })

@@ -52,7 +52,7 @@ fn main() {
         let mut checked = 0;
         for (i, q) in chunk.iter().enumerate() {
             let out = engine.run(Request::join(q)).unwrap();
-            let (db, got) = (out.snapshot.db().unwrap(), out.result);
+            let (db, got) = (&out.snapshot, out.result);
             // Differential check on a sample of the stream, against the
             // interpreter on the very snapshot the engine answered from.
             if i % 10 == 0 {

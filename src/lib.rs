@@ -176,7 +176,7 @@
 //!
 //! let out = engine.run(Request::join(&q)).unwrap();
 //! // Differential oracle on the very snapshot the engine answered from:
-//! let db = out.snapshot.db().unwrap();
+//! let db = &out.snapshot;
 //! let want = h2o::expr::interpret_join(
 //!     db.relation("R").unwrap(), db.relation("spec").unwrap(), &q,
 //! ).unwrap();
@@ -394,7 +394,7 @@ pub use h2o_workload as workload;
 /// The most common imports in one place.
 pub mod prelude {
     pub use h2o_core::{
-        CancelToken, EngineConfig, EngineStats, ExecOptions, ExecSnapshot, H2oEngine,
+        CancelToken, DbSnapshot, EngineConfig, EngineStats, ExecOptions, H2oEngine,
         MaintenanceReport, Outcome, ReorganizerHandle, Request, StaticEngine, StaticKind,
     };
     pub use h2o_expr::{

@@ -329,7 +329,7 @@ fn serial_join_f64_sums_are_bit_identical_to_the_interpreter() {
     .unwrap();
     for q in shapes("R") {
         let out = e.run(Request::join(&q)).unwrap();
-        let db = out.snapshot.db().unwrap();
+        let db = &out.snapshot;
         let want =
             interpret_join(db.relation("R").unwrap(), db.relation("spec").unwrap(), &q).unwrap();
         assert_eq!(out.result.data(), want.data(), "engine, query {q}");
@@ -371,7 +371,7 @@ fn engine_agrees(
             jb.finish(q.select_clause().clone()).unwrap()
         };
         let out = e.run(Request::join(&q)).unwrap();
-        let (db, got) = (out.snapshot.db().unwrap(), out.result);
+        let (db, got) = (&out.snapshot, out.result);
         let want = interpret_join(db.relation("R").unwrap(), db.relation("spec").unwrap(), &q)
             .unwrap()
             .fingerprint();
@@ -448,7 +448,7 @@ fn join_workload_converges_to_key_payload_group() {
     .unwrap();
     for (i, q) in w.queries.iter().enumerate() {
         let out = e.run(Request::join(q)).unwrap();
-        let (db, got) = (out.snapshot.db().unwrap(), out.result);
+        let (db, got) = (&out.snapshot, out.result);
         let want =
             interpret_join(db.relation("R").unwrap(), db.relation("spec").unwrap(), q).unwrap();
         assert_eq!(got.fingerprint(), want.fingerprint(), "workload query {i}");
@@ -549,10 +549,55 @@ fn join_deadline_expiring_mid_run_types_timeout_and_publishes_nothing() {
     // The engine is unharmed: an unrestricted rerun still matches the
     // nested-loop interpreter bit-for-bit.
     let out = e.run(Request::join(&q)).unwrap();
-    let db = out.snapshot.db().unwrap();
+    let db = &out.snapshot;
     let oracle = interpret_join(db.relation("R").unwrap(), db.relation("spec").unwrap(), &q)
         .unwrap()
         .fingerprint();
     assert_eq!(out.result.fingerprint(), want);
     assert_eq!(out.result.fingerprint(), oracle);
+}
+
+/// Rebinding a secondary relation must not serve a join operator compiled
+/// for the old binding. Join operator keys hash relation names and plan
+/// layout ids, and the new binding numbers its layouts from 0 again: here
+/// both bindings store `dim`'s key and payload in layout 0, in swapped
+/// column order, so a stale operator would read the payload as the key.
+#[test]
+fn rebinding_a_relation_drops_its_cached_join_operators() {
+    let fact = Schema::typed([("k", LogicalType::I64)]).into_shared();
+    let dim = Schema::typed([
+        ("a0", LogicalType::I64),
+        ("a1", LogicalType::I64),
+        ("a2", LogicalType::I64),
+    ])
+    .into_shared();
+    let dim_cols = || vec![vec![0, 1, 2, 3], vec![100, 200, 300, 400], vec![7; 4]];
+    let bind = |e: &H2oEngine, first: [u32; 2]| {
+        let partition = vec![first.map(AttrId).to_vec(), vec![AttrId(2)]];
+        let rel = Relation::partitioned(dim.clone(), dim_cols(), partition).unwrap();
+        e.add_relation("dim", rel).unwrap();
+    };
+    let e = H2oEngine::new(
+        Relation::columnar(fact.clone(), vec![vec![0, 1, 2, 3]]).unwrap(),
+        EngineConfig::default(),
+    );
+    let b = JoinQuery::builder(("R", fact), ("dim", dim.clone()));
+    let a1 = b.rcol("a1").unwrap();
+    let q = b.on("k", "a0").unwrap().project([a1]).unwrap();
+
+    for first in [[0, 1], [1, 0]] {
+        bind(&e, first);
+        let out = e.run(Request::join(&q)).unwrap();
+        let db = &out.snapshot;
+        let want =
+            interpret_join(db.relation("R").unwrap(), db.relation("dim").unwrap(), &q).unwrap();
+        let mut got: Vec<Value> = (0..out.result.rows())
+            .map(|r| out.result.row(r)[0])
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![100, 200, 300, 400], "binding {first:?}");
+        assert_eq!(out.result.fingerprint(), want.fingerprint());
+    }
+    let cache = e.opcache_stats();
+    assert_eq!((cache.hits, cache.misses), (0, 2), "the rebind must miss");
 }

@@ -16,7 +16,7 @@ use h2o::exec::{
 use h2o::expr::agg::AggOp;
 use h2o::expr::{interpret, AggFunc, CmpOp};
 use h2o::prelude::*;
-use h2o::storage::{f64_lane, GroupBuilder, LogicalType};
+use h2o::storage::{f64_lane, ColumnGroup, LogicalType};
 use h2o_exec::filter::{CompiledFilter, CompiledPred};
 use h2o_exec::program::CompiledExpr;
 use proptest::prelude::*;
@@ -35,7 +35,7 @@ fn build_group(rows: usize, shift: u32, seed: u64) -> h2o::storage::ColumnGroup 
             f64_lane(k as f64 / 10.0)
         })
         .collect();
-    GroupBuilder::from_columns_typed(
+    ColumnGroup::from_columns_typed(
         vec![AttrId(0), AttrId(1)],
         vec![LogicalType::I64, LogicalType::F64],
         &[&c0, &c1],
