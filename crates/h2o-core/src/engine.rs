@@ -366,16 +366,8 @@ impl H2oEngine {
         }
         self.mutate(|| {
             let mut map = (**self.secondary.read()).clone();
-            let rebound = map
-                .insert(name.to_string(), Arc::new(relation.into_catalog()))
-                .is_some();
+            map.insert(name.to_string(), Arc::new(relation.into_catalog()));
             *self.secondary.write() = Arc::new(map);
-            if rebound {
-                // Join keys hash relation names and plan layout ids, and the
-                // new binding numbers its layouts from 0 again: a cached
-                // join operator would read the old partitioning's offsets.
-                self.opcache.invalidate_joins();
-            }
             Ok(())
         })
     }

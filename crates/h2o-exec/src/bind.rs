@@ -129,6 +129,22 @@ impl<'a> GroupViews<'a> {
         Self::assemble(groups.iter().map(|g| slot_of(g)).collect(), rows)
     }
 
+    /// Builds views over raw row-major `(data, width)` payloads of `rows`
+    /// tuples, one per plan slot (a chunk online reorganization stitched):
+    /// one segment per slot, no zone maps, no stop token.
+    pub(crate) fn from_slices(slots: &[(&'a [Value], usize)], rows: usize) -> GroupViews<'a> {
+        let shift = rows.next_power_of_two().trailing_zeros();
+        let slot = |&(data, width): &(&'a [Value], usize)| SlotView {
+            segs: vec![data],
+            stats: Vec::new(),
+            width,
+            shift,
+            mask: (1 << shift) - 1,
+            seg_shift: shift,
+        };
+        Self::assemble(slots.iter().map(slot).collect(), rows)
+    }
+
     fn assemble(slots: Vec<SlotView<'a>>, rows: usize) -> GroupViews<'a> {
         let min_shift = slots
             .iter()

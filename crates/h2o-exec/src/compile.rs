@@ -18,7 +18,7 @@ use crate::selvec::SelVec;
 use crate::sink::SelectProgram;
 use h2o_expr::typecheck::{self, QueryTypes};
 use h2o_expr::{Query, QueryError, QueryResult};
-use h2o_storage::{AttrId, LayoutCatalog, LayoutId, StorageError, Value};
+use h2o_storage::{AttrId, ColumnGroup, LayoutCatalog, LayoutId, StorageError, Value};
 use std::fmt;
 
 /// Errors from operator compilation or execution.
@@ -124,20 +124,23 @@ impl CompiledOp {
     }
 }
 
-/// Resolves `attr` to the first plan slot whose group stores it.
-pub(crate) fn bind_attr(
-    groups: &[(LayoutId, &h2o_storage::ColumnGroup)],
-    attr: AttrId,
-) -> Result<BoundAttr, ExecError> {
-    for (slot, (_, g)) in groups.iter().enumerate() {
-        if let Some(off) = g.offset_of(attr) {
-            return Ok(BoundAttr {
-                slot: slot as u32,
-                offset: off as u32,
-            });
-        }
-    }
-    Err(ExecError::Unbound(attr))
+/// The binding rule of every operator: resolves an attribute to the first
+/// of `layouts` (plan slot order) whose group stores it.
+pub(crate) fn plan_binder<'c>(
+    catalog: &'c LayoutCatalog,
+    layouts: &[LayoutId],
+) -> Result<impl Fn(AttrId) -> Result<BoundAttr, ExecError> + 'c, ExecError> {
+    let groups = layouts.iter().map(|&id| catalog.group(id));
+    let groups: Vec<&ColumnGroup> = groups.collect::<Result<_, _>>()?;
+    Ok(move |attr| {
+        let found = groups
+            .iter()
+            .enumerate()
+            .find_map(|(s, g)| Some((s, g.offset_of(attr)?)));
+        let (slot, offset) = found.ok_or(ExecError::Unbound(attr))?;
+        let (slot, offset) = (slot as u32, offset as u32);
+        Ok(BoundAttr { slot, offset })
+    })
 }
 
 /// Generates the operator for `query` over `plan`. Type checks the query
@@ -162,15 +165,9 @@ pub fn compile_checked(
     query: &Query,
     checked: &QueryTypes,
 ) -> Result<CompiledOp, ExecError> {
-    let groups: Vec<(LayoutId, &h2o_storage::ColumnGroup)> = plan
-        .layouts
-        .iter()
-        .map(|&id| catalog.group(id).map(|g| (id, g)))
-        .collect::<Result<_, _>>()?;
-
-    let bind = |attr| bind_attr(&groups, attr);
-    let filter = CompiledFilter::lower(query.filter(), &checked.predicates, bind)?;
-    let select = SelectProgram::lower(query.select_clause(), &checked.select, bind)?;
+    let bind = plan_binder(catalog, &plan.layouts)?;
+    let filter = CompiledFilter::lower(query.filter(), &checked.predicates, &bind)?;
+    let select = SelectProgram::lower(query.select_clause(), &checked.select, &bind)?;
 
     Ok(CompiledOp {
         plan: plan.clone(),
@@ -307,7 +304,9 @@ pub(crate) fn scan(
     let streaming = columnar.then(|| select.streaming_cols(filter)).flatten();
     let parts = if strategy == Strategy::FusedVolcano {
         run_ranges(rows, seg_rows, policy, |r| {
-            select.scan_range(views, filter, r)
+            let mut part = select.partial();
+            select.scan_range(views, filter, r, &mut part);
+            part
         })
     } else if let Some(cols) = streaming {
         run_ranges(rows, seg_rows, policy, |r| {

@@ -165,10 +165,9 @@ impl CompiledFilter {
         }
     }
 
-    /// Evaluates the conjunction against a stitched tuple buffer, where each
-    /// predicate's `offset` indexes the buffer directly (`slot` is ignored).
-    /// Used by the fused reorganization kernel, which assembles each tuple
-    /// once and answers the query from the assembled bytes.
+    /// Evaluates the conjunction against one tuple sliced from a
+    /// single-group run, where each predicate's `offset` indexes the slice
+    /// directly (`slot` is ignored).
     #[inline(always)]
     pub fn matches_tuple(&self, tuple: &[Value]) -> bool {
         self.preds

@@ -95,7 +95,7 @@
 
 use crate::bind::{BoundAttr, GroupViews};
 use crate::bloom::JoinFilter;
-use crate::compile::{bind_attr, ExecCtx, ExecError};
+use crate::compile::{plan_binder, ExecCtx, ExecError};
 use crate::filter::{CompiledFilter, CompiledPred};
 use crate::kernels::{self, simd};
 use crate::parallel::{run_chunks, run_ranges, ExecPolicy};
@@ -103,7 +103,7 @@ use crate::plan::{AccessPlan, Strategy};
 use crate::sink::{Partial, SelectProgram};
 use h2o_expr::typecheck::{JoinTypes, TypedPredicate};
 use h2o_expr::{CmpOp, JoinQuery, QueryResult, Side};
-use h2o_storage::{AttrId, LayoutCatalog, LayoutId, LogicalType, Value};
+use h2o_storage::{AttrId, LayoutCatalog, LogicalType, Value};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -285,17 +285,12 @@ fn compile_side(
     preds: &[TypedPredicate],
     pos: &HashMap<AttrId, u32>,
 ) -> Result<CompiledJoinSide, ExecError> {
-    let groups: Vec<(LayoutId, &h2o_storage::ColumnGroup)> = plan
-        .layouts
-        .iter()
-        .map(|&id| catalog.group(id).map(|g| (id, g)))
-        .collect::<Result<_, _>>()?;
-    let bind = |attr| bind_attr(&groups, attr);
-    let filter = CompiledFilter::lower(q.filter(side), preds, bind)?;
+    let bind = plan_binder(catalog, &plan.layouts)?;
+    let filter = CompiledFilter::lower(q.filter(side), preds, &bind)?;
     let keys = q
         .key_attrs(side)
         .into_iter()
-        .map(bind)
+        .map(&bind)
         .collect::<Result<Vec<_>, _>>()?;
     // Combined-tuple positions are assigned over the sorted combined
     // attribute set, so they are identical for either build-side choice.

@@ -5,14 +5,15 @@
 //! select-items are computed immediately. No selection vector, no
 //! intermediate columns — the access pattern the paper generates when all
 //! needed attributes live in one column group, generalized here to plans
-//! that stitch several groups tuple-at-a-time (used by online
-//! reorganization and multi-group volcano plans).
+//! that stitch several groups tuple-at-a-time (multi-group volcano plans).
 //!
-//! Every loop is parameterized by a row **range** so the morsel-parallel
-//! driver (`crate::parallel`) can run disjoint row ranges on worker threads:
-//! projections return a per-range [`QueryResult`] block (concatenated in
-//! morsel order), aggregates return per-range [`AggState`] partials (merged
-//! in morsel order); a serial execution is the single range `0..rows`.
+//! Every loop is parameterized by a row **range** and continues a
+//! caller-owned accumulator, so the morsel-parallel driver
+//! (`crate::parallel`) can run disjoint row ranges on worker threads —
+//! projection blocks concatenated and [`AggState`] partials merged in
+//! morsel order; a serial execution is the single range `0..rows` — and
+//! online reorganization ([`crate::reorg`]) can run a range in the 1K-row
+//! chunks it stitches, every chunk continuing the range's one accumulator.
 
 use super::{simd, upd_max, upd_min, upd_sum};
 use crate::bind::GroupViews;
@@ -23,20 +24,20 @@ use h2o_expr::QueryResult;
 use h2o_storage::Value;
 use std::ops::Range;
 
-/// Fused projection over one row range. The Fig. 5 specialization applies
-/// when the whole plan reads a single column group: the range is walked one
-/// segment run at a time, each tuple is sliced once from the run's
-/// contiguous payload and everything evaluates against the slice — no
-/// per-access slot/stride arithmetic in the inner loop.
+/// Fused projection over one row range, appending to `out`. The Fig. 5
+/// specialization applies when the whole plan reads a single column
+/// group: the range is walked one segment run at a time, each tuple is
+/// sliced once from the run's contiguous payload and everything evaluates
+/// against the slice — no per-access slot/stride arithmetic in the inner
+/// loop.
 pub fn project_range(
     views: &GroupViews<'_>,
     filter: &CompiledFilter,
     exprs: &[CompiledExpr],
     range: Range<usize>,
-) -> QueryResult {
-    let out_width = exprs.len();
-    let mut out = QueryResult::with_capacity(out_width, range.len() / 4);
-    let mut row_buf: Vec<Value> = vec![0; out_width];
+    out: &mut QueryResult,
+) {
+    let mut row_buf: Vec<Value> = vec![0; exprs.len()];
     if views.len() == 1 {
         for run in views.runs_pruned(range, filter) {
             let (data, width) = run.view(0);
@@ -60,7 +61,7 @@ pub fn project_range(
                 }
             }
         }
-        return out;
+        return;
     }
     // Multi-group stitching walks pruned segment runs too: a run some
     // predicate's zone map excludes is skipped before any row is touched.
@@ -89,16 +90,18 @@ pub fn project_range(
             }
         }
     }
-    out
 }
 
-/// Fused aggregation over one row range, returning mergeable partials.
+/// Fused aggregation over one row range, continuing `states` (one per
+/// aggregate, in order): a range split in pieces folds exactly like the
+/// whole, `F64` sums included.
 pub fn aggregate_range(
     views: &GroupViews<'_>,
     filter: &CompiledFilter,
     aggs: &[(AggOp, CompiledExpr)],
     range: Range<usize>,
-) -> Vec<AggState> {
+    states: &mut [AggState],
+) {
     if views.len() == 1 {
         // Specialization: when every aggregate input is a bare column,
         // resolve the offsets once and keep the inner loop down to
@@ -111,14 +114,14 @@ pub fn aggregate_range(
             })
             .collect();
         if let Some(offsets) = col_offsets {
-            let (acc, matched) = aggregate_cols_specialized(views, range, filter, aggs, &offsets);
-            return aggs
-                .iter()
-                .zip(&acc)
-                .map(|((f, _), &raw)| AggState::from_parts(*f, raw, matched))
-                .collect();
+            let mut acc: Vec<Value> = states.iter().map(AggState::raw).collect();
+            let matched =
+                aggregate_cols_specialized(views, range, filter, aggs, &offsets, &mut acc);
+            for ((st, (f, _)), &raw) in states.iter_mut().zip(aggs).zip(&acc) {
+                *st = AggState::from_parts(*f, raw, st.count() + matched);
+            }
+            return;
         }
-        let mut states: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
         for run in views.runs_pruned(range, filter) {
             let (data, width) = run.view(0);
             for tuple in data.chunks_exact(width) {
@@ -129,9 +132,8 @@ pub fn aggregate_range(
                 }
             }
         }
-        return states;
+        return;
     }
-    let mut states: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
     for run in views.runs_pruned(range, filter) {
         for row in run.range() {
             if filter.matches(views, row) {
@@ -141,7 +143,6 @@ pub fn aggregate_range(
             }
         }
     }
-    states
 }
 
 /// Scalar reference for [`aggregate_range`]: identical dispatch, but the
@@ -213,16 +214,18 @@ pub fn aggregate_range_scalar(
 /// (template ii over one group): aggregates are grouped by function so the
 /// inner loop contains no dispatch at all, and a single shared counter
 /// tracks qualifying tuples (every bare-column aggregate folds exactly the
-/// same rows). The range is folded one contiguous segment run at a time.
-/// Returns the raw accumulators plus the match count — the caller lifts
-/// them into mergeable [`AggState`] partials.
+/// same rows). The range is folded one contiguous segment run at a time
+/// into the raw accumulators `acc` ([`AggState::raw`]; min/max in
+/// comparator-key space, sum/avg in the lane domain). Returns the match
+/// count — the caller lifts both into mergeable [`AggState`] partials.
 fn aggregate_cols_specialized(
     views: &GroupViews<'_>,
     range: Range<usize>,
     filter: &CompiledFilter,
     aggs: &[(AggOp, CompiledExpr)],
     offsets: &[usize],
-) -> (Vec<Value>, u64) {
+    acc: &mut [Value],
+) -> u64 {
     use h2o_expr::AggFunc;
     // (typed op, [(accumulator index, tuple offset)])
     let mut groups: Vec<(AggOp, Vec<(usize, usize)>)> = Vec::new();
@@ -232,16 +235,6 @@ fn aggregate_cols_specialized(
             None => groups.push((*f, vec![(i, off)])),
         }
     }
-    // Min/max accumulate in comparator-key space (identity for I64);
-    // sum/avg in the lane domain (0 is also +0.0's bit pattern).
-    let mut acc: Vec<Value> = aggs
-        .iter()
-        .map(|(f, _)| match f.func {
-            AggFunc::Min => Value::MAX,
-            AggFunc::Max => Value::MIN,
-            _ => 0,
-        })
-        .collect();
     let mut matched: u64 = 0;
 
     // Tightest tier: one function over a dense offset range (the exact
@@ -312,7 +305,7 @@ fn aggregate_cols_specialized(
                 }
             }
         }
-        return (acc, matched);
+        return matched;
     }
 
     for run in views.runs_pruned(range, filter) {
@@ -343,7 +336,7 @@ fn aggregate_cols_specialized(
             }
         }
     }
-    (acc, matched)
+    matched
 }
 
 #[cfg(test)]
@@ -379,6 +372,10 @@ mod tests {
 
     fn ba(offset: u32) -> BoundAttr {
         BoundAttr { slot: 0, offset }
+    }
+
+    fn fresh(aggs: &[(AggOp, CompiledExpr)]) -> Vec<AggState> {
+        aggs.iter().map(|(f, _)| AggState::new(*f)).collect()
     }
 
     #[test]
@@ -503,12 +500,22 @@ mod tests {
                     (AggOp::new(f, LogicalType::F64), CompiledExpr::Col(ba(2))),
                 ];
                 for range in [0..27, 0..8, 5..23, 24..27] {
-                    let vec_states = aggregate_range(&views, filter, &aggs, range.clone());
+                    let mut vec_states = fresh(&aggs);
+                    aggregate_range(&views, filter, &aggs, range.clone(), &mut vec_states);
                     let ref_states = aggregate_range_scalar(&views, filter, &aggs, range.clone());
                     let vec_row: Vec<Value> = vec_states.iter().map(|s| s.finish()).collect();
                     let ref_row: Vec<Value> = ref_states.iter().map(|s| s.finish()).collect();
                     assert_eq!(vec_row, ref_row, "{} over {range:?}", f.name());
                 }
+                // Continuing one accumulator over pieces is the whole fold,
+                // bit for bit (the F64 fold-order contract).
+                let mut whole = fresh(&aggs);
+                aggregate_range(&views, filter, &aggs, 0..27, &mut whole);
+                let mut pieces = fresh(&aggs);
+                for r in [0..5, 5..19, 19..27] {
+                    aggregate_range(&views, filter, &aggs, r, &mut pieces);
+                }
+                assert_eq!(pieces, whole, "{} continued", f.name());
             }
         }
     }
@@ -523,14 +530,13 @@ mod tests {
             ty: LogicalType::I64,
             value: 1,
         }]);
-        // Projection: concatenating per-range blocks equals the full run.
+        // Projection: appending range after range equals the full run.
         let exprs = vec![CompiledExpr::SumCols(vec![ba(0), ba(1)])];
-        let full = project_range(&views, &filter, &exprs, 0..4);
+        let mut full = QueryResult::new(1);
+        project_range(&views, &filter, &exprs, 0..4, &mut full);
         let mut stitched = QueryResult::new(1);
         for r in [0..2, 2..3, 3..4] {
-            for row in project_range(&views, &filter, &exprs, r).iter_rows() {
-                stitched.push_row(row);
-            }
+            project_range(&views, &filter, &exprs, r, &mut stitched);
         }
         assert_eq!(stitched, full);
         // Aggregation: merging per-range partials equals the full fold.
@@ -539,14 +545,14 @@ mod tests {
             (AggFunc::Min.into(), CompiledExpr::Col(ba(1))),
             (AggFunc::Avg.into(), CompiledExpr::Col(ba(0))),
         ];
-        let want = aggregate_range(&views, &filter, &aggs, 0..4);
-        let mut merged: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
+        let mut want = fresh(&aggs);
+        aggregate_range(&views, &filter, &aggs, 0..4, &mut want);
+        let mut merged = fresh(&aggs);
         for r in [0..1, 1..3, 3..4] {
-            for (m, p) in merged
-                .iter_mut()
-                .zip(aggregate_range(&views, &filter, &aggs, r))
-            {
-                m.merge(&p);
+            let mut part = fresh(&aggs);
+            aggregate_range(&views, &filter, &aggs, r, &mut part);
+            for (m, p) in merged.iter_mut().zip(&part) {
+                m.merge(p);
             }
         }
         let want_row: Vec<Value> = want.iter().map(|s| s.finish()).collect();

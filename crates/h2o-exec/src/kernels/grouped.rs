@@ -84,19 +84,19 @@ pub(crate) fn update_from_tuple_n(
     table.update_n(key_buf, val_buf, n);
 }
 
-/// Fused grouped aggregation over one row range, returning a mergeable
-/// per-range table. Single-group plans walk contiguous segment runs and
-/// evaluate keys/inputs against the sliced tuple (no per-access slot
-/// arithmetic); multi-group plans stitch tuple-at-a-time.
+/// Fused grouped aggregation over one row range, folding into `table`
+/// (a range split in pieces folds exactly like the whole). Single-group
+/// plans walk contiguous segment runs and evaluate keys/inputs against the
+/// sliced tuple (no per-access slot arithmetic); multi-group plans stitch
+/// tuple-at-a-time.
 pub fn fused_range(
     views: &GroupViews<'_>,
     filter: &CompiledFilter,
     keys: &[CompiledExpr],
-    key_types: &[LogicalType],
     aggs: &[(AggOp, CompiledExpr)],
     range: Range<usize>,
-) -> GroupedAggs {
-    let mut table = table_for(key_types, aggs);
+    table: &mut GroupedAggs,
+) {
     let mut key: Vec<Value> = vec![0; keys.len()];
     let mut vals: Vec<Value> = vec![0; aggs.len()];
     if views.len() == 1 {
@@ -110,10 +110,10 @@ pub fn fused_range(
             for run in views.runs_pruned(range, filter) {
                 let (data, width) = run.view(0);
                 for tuple in data.chunks_exact(width) {
-                    update_from_tuple(&mut table, keys, aggs, &mut key, &mut vals, tuple);
+                    update_from_tuple(table, keys, aggs, &mut key, &mut vals, tuple);
                 }
             }
-            return table;
+            return;
         }
         let mut masks: Vec<u8> = Vec::new();
         for run in views.runs_pruned(range, filter) {
@@ -133,17 +133,17 @@ pub fn fused_range(
                     let i = base + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     let tuple = &data[i * width..(i + 1) * width];
-                    update_from_tuple(&mut table, keys, aggs, &mut key, &mut vals, tuple);
+                    update_from_tuple(table, keys, aggs, &mut key, &mut vals, tuple);
                 }
             }
             for i in full * simd::LANES..n {
                 let tuple = &data[i * width..(i + 1) * width];
                 if filter.matches_tuple(tuple) {
-                    update_from_tuple(&mut table, keys, aggs, &mut key, &mut vals, tuple);
+                    update_from_tuple(table, keys, aggs, &mut key, &mut vals, tuple);
                 }
             }
         }
-        return table;
+        return;
     }
     for run in views.runs_pruned(range, filter) {
         for row in run.range() {
@@ -158,7 +158,6 @@ pub fn fused_range(
             }
         }
     }
-    table
 }
 
 /// Selection-vector phase-2 grouped aggregation over one contiguous chunk
@@ -256,6 +255,18 @@ mod tests {
         )
     }
 
+    fn fused(
+        views: &GroupViews<'_>,
+        filter: &CompiledFilter,
+        keys: &[CompiledExpr],
+        aggs: &[(AggOp, CompiledExpr)],
+        range: Range<usize>,
+    ) -> GroupedAggs {
+        let mut table = table_for(KT1, aggs);
+        fused_range(views, filter, keys, aggs, range, &mut table);
+        table
+    }
+
     #[test]
     fn all_three_kernels_agree() {
         let g = sample();
@@ -268,7 +279,7 @@ mod tests {
             value: 4,
         }]);
         // Qualifying rows 0..=3: key 1 -> {10, 30}, key 2 -> {20, 40}.
-        let fused = fused_range(&views, &filter, &keys, KT1, &aggs, 0..5).finish();
+        let fused = fused(&views, &filter, &keys, &aggs, 0..5).finish();
         assert_eq!(fused.rows(), 2);
         assert_eq!(fused.row(0), &[1, 40, 2]);
         assert_eq!(fused.row(1), &[2, 60, 2]);
@@ -284,10 +295,10 @@ mod tests {
         let g = sample();
         let views = GroupViews::from_groups(&[&g]);
         let (keys, aggs) = program();
-        let full = fused_range(&views, &CompiledFilter::always(), &keys, KT1, &aggs, 0..5).finish();
+        let full = fused(&views, &CompiledFilter::always(), &keys, &aggs, 0..5).finish();
         let partials: Vec<GroupedAggs> = [0..2, 2..3, 3..5]
             .into_iter()
-            .map(|r| fused_range(&views, &CompiledFilter::always(), &keys, KT1, &aggs, r))
+            .map(|r| fused(&views, &CompiledFilter::always(), &keys, &aggs, r))
             .collect();
         let select = crate::sink::SelectProgram::Grouped {
             keys,
@@ -308,7 +319,7 @@ mod tests {
             AggFunc::Max.into(),
             CompiledExpr::Col(BoundAttr { slot: 1, offset: 0 }),
         )];
-        let out = fused_range(&views, &CompiledFilter::always(), &keys, KT1, &aggs, 0..3).finish();
+        let out = fused(&views, &CompiledFilter::always(), &keys, &aggs, 0..3).finish();
         assert_eq!(out.rows(), 2);
         assert_eq!(out.row(0), &[7, 2]);
         assert_eq!(out.row(1), &[8, 3]);

@@ -60,8 +60,11 @@
 //! single-relation operators, [`run_join`] for joins,
 //! [`reorg::reorg_and_execute`] for the fused reorganization operator —
 //! each taking an [`ExecCtx`] (policy, optional stop token, join
-//! switches). A serial policy is the same driver over the single range
-//! `0..rows` ([`parallel::run_ranges`]), so parallel execution returns
+//! switches). The fused reorganization operator has no query loop of its
+//! own: it stitches the new group in 1K-row chunks with
+//! [`reorg::materialize`]'s loop and runs the scan kernels' fused source
+//! over each chunk. A serial policy is the same driver over the single
+//! range `0..rows` ([`parallel::run_ranges`]), so parallel execution returns
 //! **bit-identical** results to serial for all three strategies, and serial
 //! execution is bit-identical to the reference interpreter; the top-level
 //! differential tests assert both. ([`execute`], [`execute_with_policy`],

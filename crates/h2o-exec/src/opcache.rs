@@ -55,21 +55,24 @@ impl OperatorKey {
         OperatorKey(h.finish())
     }
 
-    /// Builds the key for a join `(query, side plans, build role)`. Shape
-    /// means: relation names (layout ids are per-catalog, so the names
-    /// disambiguate operators cached across relations), key pairs, the
-    /// query shape of [`Self::new`] with one filter per side, both plans,
-    /// and the build-side choice (the build role changes the generated
-    /// operator, not just its parameters).
+    /// Builds the key for a join `(query, side catalogs, side plans, build
+    /// role)`. Shape means: both sides' catalog lineages (layout ids are
+    /// numbered per lineage, so a relation rebound under the same name
+    /// with a new partitioning keys apart from the old one, even for an
+    /// operator compiled against the old binding after the rebind), key
+    /// pairs, the query shape of [`Self::new`] with one filter per side,
+    /// both plans, and the build-side choice (the build role changes the
+    /// generated operator, not just its parameters).
     pub fn for_join(
         query: &JoinQuery,
+        [left, right]: [&LayoutCatalog; 2],
         left_plan: &AccessPlan,
         right_plan: &AccessPlan,
         build_is_left: bool,
     ) -> OperatorKey {
         let mut h = DefaultHasher::new();
-        query.left().name().hash(&mut h);
-        query.right().name().hash(&mut h);
+        left.lineage().hash(&mut h);
+        right.lineage().hash(&mut h);
         query.on().hash(&mut h);
         let filters = [Side::Left, Side::Right].map(|side| query.filter(side));
         hash_shape(&mut h, query.select_clause(), filters);
@@ -253,7 +256,7 @@ impl OperatorCache {
         checked: &h2o_expr::JoinTypes,
         build_is_left: bool,
     ) -> Result<CompiledJoinOp, ExecError> {
-        let key = OperatorKey::for_join(query, left_plan, right_plan, build_is_left);
+        let key = OperatorKey::for_join(query, [left, right], left_plan, right_plan, build_is_left);
         let left_lanes: Vec<Value> = checked.predicate_lanes(Side::Left);
         let right_lanes: Vec<Value> = checked.predicate_lanes(Side::Right);
         if let Some(mut op) = self.lookup(key, CachedOp::join) {
@@ -327,13 +330,6 @@ impl OperatorCache {
         self.retain(|op| !op.reads(layout));
     }
 
-    /// Drops every join operator — required when a relation a join may
-    /// name is rebound: join keys hash relation names and plan layout ids,
-    /// and a rebound relation numbers its layouts from 0 again.
-    pub fn invalidate_joins(&self) {
-        self.retain(|op| op.scan().is_some());
-    }
-
     /// Clears the cache.
     pub fn clear(&self) {
         self.retain(|_| false);
@@ -365,7 +361,7 @@ mod tests {
     use crate::execute;
     use crate::plan::Strategy;
     use h2o_expr::{Aggregate, Conjunction, Expr, Predicate};
-    use h2o_storage::{Relation, Schema};
+    use h2o_storage::{AttrId, Relation, Schema};
 
     fn rel() -> Relation {
         let schema = Schema::with_width(3).into_shared();
@@ -673,6 +669,49 @@ mod tests {
     }
 
     #[test]
+    fn a_rebound_catalog_with_the_same_layout_ids_misses() {
+        let (dim, fact) = join_fixture();
+        let cache = OperatorCache::new(16, CompileCostModel::ZERO);
+        let q = join_count_below(&dim, &fact, 5);
+        join_op(&cache, &dim, &fact, &q, true);
+        // Pair B: the same names and layout ids (L0, L1), but `dim`'s
+        // columns stored the other way round.
+        let schema = dim.catalog().schema().clone();
+        let cols = vec![(0..8).collect(), (0..8).map(|i| i * 10).collect()];
+        let swapped = vec![vec![AttrId(1)], vec![AttrId(0)]];
+        let rebound = Relation::partitioned(schema, cols, swapped).unwrap();
+        assert_eq!(rebound.catalog().layout_ids(), dim.catalog().layout_ids());
+        let op = join_op(&cache, &rebound, &fact, &q, true);
+        assert_eq!(
+            cache.stats().misses,
+            2,
+            "pair B must not reuse pair A's operator"
+        );
+        let serial = crate::ExecPolicy::serial();
+        let (r, _) =
+            crate::execute_join_with_policy(rebound.catalog(), fact.catalog(), &op, &serial)
+                .unwrap();
+        assert_eq!(r.row(0), &[5]);
+        // A clone keeps its lineage, so every version of pair A still hits.
+        let dim_version = dim.catalog().clone();
+        let plan = |c: &LayoutCatalog| AccessPlan::new(c.layout_ids(), Strategy::SelVector);
+        let checked = h2o_expr::check_join(&q).unwrap();
+        let (dplan, fplan) = (plan(&dim_version), plan(fact.catalog()));
+        cache
+            .get_or_compile_join(
+                &dim_version,
+                fact.catalog(),
+                &dplan,
+                &fplan,
+                &q,
+                &checked,
+                true,
+            )
+            .unwrap();
+        assert_eq!(cache.stats().hits, 1);
+    }
+
+    #[test]
     fn capacity_counts_scan_and_join_operators() {
         let rel = rel();
         let (dim, fact) = join_fixture();
@@ -718,7 +757,8 @@ mod tests {
         // Plant the other kind under each lookup's key.
         let dplan = AccessPlan::new(dim.catalog().layout_ids(), Strategy::SelVector);
         let fplan = AccessPlan::new(fact.catalog().layout_ids(), Strategy::SelVector);
-        let join_key = OperatorKey::for_join(&q, &dplan, &fplan, true);
+        let join_key =
+            OperatorKey::for_join(&q, [dim.catalog(), fact.catalog()], &dplan, &fplan, true);
         let scan_key = OperatorKey::new(&scan, &scan_plan);
         let other = OperatorCache::new(16, CompileCostModel::ZERO);
         let planted_scan = other

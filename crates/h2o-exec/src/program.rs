@@ -161,9 +161,10 @@ impl CompiledExpr {
         }
     }
 
-    /// Evaluates the expression against a stitched tuple buffer, where each
-    /// bound attribute's `offset` indexes the buffer (`slot` is ignored).
-    /// The fused reorganization kernel's counterpart of [`Self::eval`].
+    /// Evaluates the expression against one tuple's values, where each
+    /// bound attribute's `offset` indexes the slice (`slot` is ignored): a
+    /// tuple sliced from a single-group run, or a join's stitched tuple.
+    /// The single-group kernels' counterpart of [`Self::eval`].
     #[inline]
     pub fn eval_tuple(&self, tuple: &[Value]) -> Value {
         match self {

@@ -10,117 +10,137 @@
 //! generate the data layout and compute the query result without scanning
 //! the relation twice." (§3.2)
 //!
-//! * [`materialize`] — the **offline** path: a standalone pass that builds
-//!   the new group from the best available covering groups.
-//! * [`reorg_and_execute`] — the **online** path: one pass that stitches
-//!   each tuple, appends it to the new group, and answers the triggering
-//!   query from the stitched buffer (the Fig. 13 "online" bars).
+//! [`materialize`] (offline) and [`reorg_and_execute`] (online, the
+//! Fig. 13 "online" bars) run one stitch loop: every output segment is
+//! built from 1K-row chunks (`h2o_storage::CHUNK_SHIFT`), each stitched
+//! column-wise from the source runs into a cached buffer and appended.
+//! The online operator also runs the query's own fused scan kernel over
+//! each chunk before it is appended — slot 0 of the chunk's view is the
+//! new group's chunk, slot 1 (only when the query reads attributes
+//! outside the target) the same rows of those. So online is offline minus
+//! one memory round trip, and its query half is the code every other scan
+//! runs.
 //!
-//! Every entry point reads the catalog through `&LayoutCatalog` and
-//! returns the new group *without* admitting it, which is exactly the
-//! contract the concurrent engine's off-path reorganizer needs: a
-//! background thread builds the group from an immutable snapshot (a
-//! parallel policy morsel-parallelizes the stitch), and the caller
-//! decides when — and into which successor catalog version — the group is
-//! published. In-flight queries on older snapshots are never involved.
+//! Both read the catalog through `&LayoutCatalog` and return the new
+//! group *without* admitting it, which is exactly the contract the
+//! concurrent engine's off-path reorganizer needs: a background thread
+//! builds the group from an immutable snapshot (a parallel policy
+//! morsel-parallelizes the stitch), and the caller decides when — and
+//! into which successor catalog version — the group is published.
 
-use crate::bind::{BoundAttr, GroupViews};
-use crate::compile::{ExecCtx, ExecError};
+use crate::bind::{BoundAttr, GroupViews, SegRun};
+use crate::compile::{plan_binder, ExecCtx, ExecError};
 use crate::filter::CompiledFilter;
-use crate::parallel::{run_morsels, run_ranges, ExecPolicy};
+use crate::parallel::{run_ranges, ExecPolicy};
 use crate::sink::SelectProgram;
 use h2o_expr::typecheck;
 use h2o_expr::{Query, QueryResult};
-use h2o_storage::{failpoints, AttrId, ColumnGroup, LayoutCatalog, Value, DEFAULT_SEG_SHIFT};
+use h2o_storage::{
+    failpoints, AttrId, ColumnGroup, LayoutCatalog, LayoutId, Value, CHUNK_SHIFT, DEFAULT_SEG_SHIFT,
+};
 use std::ops::Range;
 
-/// Resolves, for each target attribute in order, where to read it from the
-/// chosen source groups: `(slot, offset)` pairs in plan-slot space.
+/// Rows per output segment (one sealed segment of the new group).
+const SEG_ROWS: usize = 1 << DEFAULT_SEG_SHIFT;
+
+/// Rows per stitched chunk: a chunk of the new group (and of a row-major
+/// source) stays cached between its fill and its query.
+const CHUNK_ROWS: usize = 1 << CHUNK_SHIFT;
+
+/// Resolves each of `attrs`, in order, against the least-excess cover of
+/// them: the cover's layouts and one `(slot, offset)` per attribute.
 fn source_bindings(
     catalog: &LayoutCatalog,
-    target_attrs: &[AttrId],
-) -> Result<(Vec<h2o_storage::LayoutId>, Vec<BoundAttr>), ExecError> {
-    let want = target_attrs.iter().copied().collect();
-    let layouts = catalog.cover(&want)?;
-    let groups: Vec<&ColumnGroup> = layouts
-        .iter()
-        .map(|&id| catalog.group(id))
-        .collect::<Result<_, _>>()?;
-    let mut bindings = Vec::with_capacity(target_attrs.len());
-    for &a in target_attrs {
-        let mut found = None;
-        for (slot, g) in groups.iter().enumerate() {
-            if let Some(off) = g.offset_of(a) {
-                found = Some(BoundAttr {
-                    slot: slot as u32,
-                    offset: off as u32,
-                });
-                break;
-            }
-        }
-        bindings.push(found.ok_or(ExecError::Unbound(a))?);
-    }
+    attrs: &[AttrId],
+) -> Result<(Vec<LayoutId>, Vec<BoundAttr>), ExecError> {
+    let layouts = catalog.cover(&attrs.iter().copied().collect())?;
+    let bind = plan_binder(catalog, &layouts)?;
+    let bindings = attrs.iter().map(|&a| bind(a)).collect::<Result<_, _>>()?;
     Ok((layouts, bindings))
 }
 
-/// The policy the reorganization builders use to fill the new group's
-/// payload: one morsel per **output segment**
-/// (`1 << DEFAULT_SEG_SHIFT` rows), so each worker hands back a sealed
-/// segment that [`ColumnGroup::from_segments_typed`] adopts without a
-/// re-chunking copy. Thread count and serial threshold pass through.
-fn segment_build_policy(policy: &ExecPolicy) -> ExecPolicy {
-    ExecPolicy {
-        morsel_rows: 1usize << DEFAULT_SEG_SHIFT,
-        ..*policy
-    }
-}
-
-/// Wraps morsel-built segment payloads into the finished group, imprinting
-/// the schema's per-attribute types (zone-map statistics of the sealed
-/// segments are computed on adoption).
-fn group_from_payloads(
+/// The stitch loop of both builders: builds the group over `target_attrs`
+/// from the `stored` bindings on `policy`'s ranges (one range if serial,
+/// else whole output segments per worker). Each range walks its source
+/// runs once — polling a stop token and charging a budget as a scan does
+/// — and hands each chunk, once filled, to `per_chunk` with the range's
+/// state (from `init`) and the same rows of the `extra` bindings.
+/// Returns the group and the states in range order.
+fn stitch<S: Send>(
     catalog: &LayoutCatalog,
     target_attrs: &[AttrId],
-    rows: usize,
-    payloads: Vec<Vec<Value>>,
-) -> ColumnGroup {
+    views: &GroupViews<'_>,
+    (stored, extra): (&[BoundAttr], &[BoundAttr]),
+    policy: &ExecPolicy,
+    init: impl Fn() -> S + Sync,
+    per_chunk: impl Fn(&mut S, &[Value], &[Value]) + Sync,
+) -> (ColumnGroup, Vec<S>) {
+    let (width, side_width) = (stored.len(), extra.len());
+    let policy = ExecPolicy {
+        morsel_rows: SEG_ROWS,
+        ..*policy
+    };
+    let parts = run_ranges(views.rows(), views.seg_rows(), &policy, |range| {
+        let mut state = init();
+        let mut stage = vec![0 as Value; CHUNK_ROWS * width];
+        let mut side = vec![0 as Value; CHUNK_ROWS * side_width];
+        let mut blocks = Vec::new();
+        for start in range.clone().step_by(SEG_ROWS) {
+            let seg = start..(start + SEG_ROWS).min(range.end);
+            let mut block = Vec::with_capacity(seg.len() * width);
+            let mut chunk = seg.start;
+            for run in views.runs(seg.clone()) {
+                let end = run.range().end;
+                let mut lo = run.start();
+                while lo < end {
+                    let hi = ((lo / CHUNK_ROWS + 1) * CHUNK_ROWS).min(end);
+                    let rows = lo - run.start()..hi - run.start();
+                    let at = |w: usize| (lo - chunk) * w..(hi - chunk) * w;
+                    fill(&run, rows.clone(), stored, &mut stage[at(width)]);
+                    fill(&run, rows, extra, &mut side[at(side_width)]);
+                    if hi % CHUNK_ROWS == 0 || hi == seg.end {
+                        let n = hi - chunk;
+                        per_chunk(&mut state, &stage[..n * width], &side[..n * side_width]);
+                        block.extend_from_slice(&stage[..n * width]);
+                        chunk = hi;
+                    }
+                    lo = hi;
+                }
+            }
+            // A tripped stop token ends the runs early; the caller discards
+            // the group, but it must still assemble.
+            block.resize(seg.len() * width, 0);
+            blocks.push(block);
+        }
+        (blocks, state)
+    });
+    let (blocks, states): (Vec<Vec<Vec<Value>>>, Vec<S>) = parts.into_iter().unzip();
     let types = catalog
         .schema()
         .types_for(target_attrs)
         .expect("reorg targets are schema attributes");
-    ColumnGroup::from_segments_typed(
-        h2o_storage::LayoutId(u32::MAX),
+    let group = ColumnGroup::from_segments_typed(
+        LayoutId(u32::MAX),
         target_attrs.to_vec(),
         types,
-        rows,
-        payloads,
+        views.rows(),
+        blocks.into_iter().flatten().collect(),
         DEFAULT_SEG_SHIFT,
     )
-    .expect("morsel blocks are exactly the output segments")
+    .expect("stitched blocks are exactly the output segments");
+    (group, states)
 }
 
-/// Stitches every row of `range`: resolves each binding's source slice once
-/// per segment run, fills `tuple` per row, and hands it to `per_row`.
-fn stitch_each(
-    views: &GroupViews<'_>,
-    bindings: &[BoundAttr],
-    range: Range<usize>,
-    tuple: &mut [Value],
-    per_row: &mut dyn FnMut(&[Value]),
-) {
-    for run in views.runs(range) {
-        let resolved: Vec<(&[Value], usize, usize)> = bindings
-            .iter()
-            .map(|b| {
-                let (d, w) = run.view(b.slot);
-                (d, w, b.offset as usize)
-            })
-            .collect();
-        for k in 0..run.len() {
-            for (slot, &(d, w, off)) in tuple.iter_mut().zip(&resolved) {
-                *slot = d[k * w + off];
-            }
-            per_row(tuple);
+/// Copies the run-local `rows` of `run` at `bindings` into `out`, one
+/// attribute at a time: a sequential read per source column, a strided
+/// write into the `bindings.len()`-wide chunk.
+fn fill(run: &SegRun<'_, '_>, rows: Range<usize>, bindings: &[BoundAttr], out: &mut [Value]) {
+    let width = bindings.len();
+    for (t, b) in bindings.iter().enumerate() {
+        let (src, src_width) = run.view(b.slot);
+        let src = &src[rows.start * src_width + b.offset as usize..];
+        for (k, row) in out.chunks_exact_mut(width).enumerate() {
+            row[t] = src[k * src_width];
         }
     }
 }
@@ -137,11 +157,8 @@ pub fn materialize(
 }
 
 /// [`materialize`] under a parallelism policy: worker threads each build
-/// whole **output segments** of the new group's payload (morsel boundaries
-/// are aligned to segments, so every block workers hand back is a sealed
-/// segment adopted without a re-chunking copy). The output is
-/// byte-identical to the serial build (each segment is a pure function of
-/// its row range).
+/// whole output segments, so the group is byte-identical to the serial
+/// build.
 pub fn materialize_with(
     catalog: &LayoutCatalog,
     target_attrs: &[AttrId],
@@ -150,146 +167,83 @@ pub fn materialize_with(
     let (layouts, bindings) = source_bindings(catalog, target_attrs)?;
     let views = GroupViews::resolve(catalog, &layouts)?;
     failpoints::hit("reorg_build");
-    let rows = views.rows();
-    let width = target_attrs.len();
-    // Column-wise fill: for each target attribute, stride through its
-    // source group one segment run at a time. Sequential reads per source,
-    // strided writes.
-    let payloads = run_morsels(rows, &segment_build_policy(policy), |range| {
-        let mut block = vec![0 as Value; range.len() * width];
-        for (t, &b) in bindings.iter().enumerate() {
-            let off = b.offset as usize;
-            for run in views.runs(range.clone()) {
-                let (src, src_w) = run.view(b.slot);
-                let base = run.start() - range.start;
-                for k in 0..run.len() {
-                    block[(base + k) * width + t] = src[k * src_w + off];
-                }
-            }
-        }
-        block
-    });
-    Ok(group_from_payloads(catalog, target_attrs, rows, payloads))
+    let parts = (&bindings[..], &[][..]);
+    let (group, _) = stitch(
+        catalog,
+        target_attrs,
+        &views,
+        parts,
+        policy,
+        || (),
+        |_, _, _| {},
+    );
+    Ok(group)
 }
 
-/// Offline reorganization through the **same row-wise stitch loop** the
-/// online operator uses — the "offline" half of the Fig. 13 comparison
-/// must differ from the online operator only by the missing query fusion,
-/// not by a different memory access pattern. ([`materialize`] with its
-/// column-wise fill remains the fastest standalone builder and is what
-/// non-comparative callers use.)
-pub fn materialize_rowwise(
-    catalog: &LayoutCatalog,
-    target_attrs: &[AttrId],
-) -> Result<ColumnGroup, ExecError> {
-    materialize_rowwise_with(catalog, target_attrs, &ExecPolicy::serial())
-}
-
-/// [`materialize_rowwise`] under a parallelism policy: each worker runs the
-/// same row-wise stitch loop over its own whole output segment.
-pub fn materialize_rowwise_with(
-    catalog: &LayoutCatalog,
-    target_attrs: &[AttrId],
-    policy: &ExecPolicy,
-) -> Result<ColumnGroup, ExecError> {
-    let (layouts, bindings) = source_bindings(catalog, target_attrs)?;
-    let views = GroupViews::resolve(catalog, &layouts)?;
-    failpoints::hit("reorg_build");
-    let rows = views.rows();
-    let width = target_attrs.len();
-    let payloads = run_morsels(rows, &segment_build_policy(policy), |range| {
-        let mut block = Vec::with_capacity(range.len() * width);
-        let mut tuple = vec![0 as Value; width];
-        stitch_each(&views, &bindings, range, &mut tuple, &mut |t| {
-            block.extend_from_slice(t);
-        });
-        block
-    });
-    Ok(group_from_payloads(catalog, target_attrs, rows, payloads))
-}
-
-/// Online reorganization fused with query execution: a single scan that
-/// stitches every tuple of the new group **and** computes `query` from the
-/// stitched buffer.
+/// Online reorganization fused with query execution: [`materialize`]'s
+/// stitch, which also runs `query`'s fused scan kernel over each chunk.
 ///
-/// The query need not be confined to `target_attrs`: any further
-/// attributes it references are stitched into the scan's working tuple for
-/// evaluation but *not* stored in the new group. This covers the paper's
-/// two-group designs — e.g. a pending select-clause group is created while
-/// the where-clause attributes are read from their existing layouts.
+/// The query need not be confined to `target_attrs`: its other attributes
+/// are stitched into a chunk-sized side buffer (slot 1 of the chunk's
+/// view) but *not* stored — the paper's two-group designs, e.g. a pending
+/// select-clause group built while the where-clause attributes are read
+/// from their layouts.
 ///
-/// The stitch is one more source of the shared range driver
-/// ([`run_ranges`]): each range stitches whole **output segments** of the
-/// new group's payload and pushes every qualifying working tuple into the
-/// query's sink partial; blocks concatenate (byte-identical group) and
-/// partials finish (bit-identical result) in range order, so under a
-/// parallel `ctx.policy` online reorganization overlaps across cores.
-///
-/// A tripped `ctx.cancel` abandons the build: the half-stitched group is
-/// dropped (it was never admitted to any catalog — copy-on-write publish
-/// discipline) and the typed stop error is returned.
-///
-/// Returns the new group (not yet admitted to the catalog) and the query
-/// result.
+/// Each range of the shared driver ([`run_ranges`]) folds its chunks, in
+/// row order, into one partial, so a serial run is one fold chain —
+/// bit-identical to the interpreter even for `F64` sums (see
+/// [`AggState`](h2o_expr::agg::AggState)). The group is byte-identical to
+/// [`materialize`]'s. A tripped `ctx.cancel` drops the never-admitted
+/// group and returns the typed stop error.
 pub fn reorg_and_execute(
     catalog: &LayoutCatalog,
     target_attrs: &[AttrId],
     query: &Query,
     ctx: &ExecCtx<'_>,
 ) -> Result<(ColumnGroup, QueryResult), ExecError> {
-    // Working-tuple layout: the target attributes first (these are stored),
-    // then any extra attributes the query needs (evaluation only).
-    let mut tuple_attrs: Vec<AttrId> = target_attrs.to_vec();
-    for a in query.all_attrs().iter() {
-        if !target_attrs.contains(&a) {
-            tuple_attrs.push(a);
-        }
-    }
-    let (layouts, bindings) = source_bindings(catalog, &tuple_attrs)?;
+    // Stitched attributes: the target ones (stored), then the query's
+    // others (slot 1 of each chunk's view).
+    let mut attrs = target_attrs.to_vec();
+    attrs.extend(
+        query
+            .all_attrs()
+            .iter()
+            .filter(|a| !target_attrs.contains(a)),
+    );
+    let (layouts, bindings) = source_bindings(catalog, &attrs)?;
+    let width = target_attrs.len();
     let views = ctx.views(catalog, &layouts)?;
     failpoints::hit("reorg_build");
-    // Lower the query against the working tuple: every attribute reference
-    // indexes its position there (slot unused), with the same typed ops a
-    // plan-bound operator bakes in.
     let checked = typecheck::check(query, catalog.schema())?;
-    let pos = |a: AttrId| -> Result<BoundAttr, ExecError> {
-        let i = tuple_attrs.iter().position(|&t| t == a);
-        let offset = i.ok_or(ExecError::Unbound(a))? as u32;
-        Ok(BoundAttr { slot: 0, offset })
+    let bind = |a: AttrId| {
+        let p = attrs.iter().position(|&t| t == a);
+        let p = p.ok_or(ExecError::Unbound(a))? as u32;
+        let (slot, offset) = if p < width as u32 {
+            (0, p)
+        } else {
+            (1, p - width as u32)
+        };
+        Ok(BoundAttr { slot, offset })
     };
-    let filter = CompiledFilter::lower(query.filter(), &checked.predicates, pos)?;
-    let select = SelectProgram::lower(query.select_clause(), &checked.select, pos)?;
-    let rows = views.rows();
-    let width = target_attrs.len();
-    let seg_rows = 1usize << DEFAULT_SEG_SHIFT;
-
-    let build = segment_build_policy(&ctx.policy);
-    let parts = run_ranges(rows, views.seg_rows(), &build, |range| {
-        let mut partial = select.partial();
-        let mut tuple = vec![0 as Value; tuple_attrs.len()];
-        // Stitch each row's working tuple (source slices resolved once per
-        // segment run), store its target prefix, push it to the sink.
-        let blocks: Vec<Vec<Value>> = (range.start..range.end)
-            .step_by(seg_rows)
-            .map(|start| {
-                let seg = start..(start + seg_rows).min(range.end);
-                let mut block = Vec::with_capacity(seg.len() * width);
-                stitch_each(&views, &bindings, seg, &mut tuple, &mut |t| {
-                    block.extend_from_slice(&t[..width]);
-                    if filter.matches_tuple(t) {
-                        select.push(&mut partial, t, 1);
-                    }
-                });
-                block
-            })
-            .collect();
-        (blocks, partial)
-    });
-    // Before assembling anything from (possibly truncated) stitched blocks.
+    let filter = CompiledFilter::lower(query.filter(), &checked.predicates, bind)?;
+    let select = SelectProgram::lower(query.select_clause(), &checked.select, bind)?;
+    let slot_count = if attrs.len() > width { 2 } else { 1 };
+    let (group, partials) = stitch(
+        catalog,
+        target_attrs,
+        &views,
+        bindings.split_at(width),
+        &ctx.policy,
+        || select.partial(),
+        |partial, chunk, side| {
+            let rows = chunk.len() / width;
+            let slots = [(chunk, width), (side, attrs.len() - width)];
+            let view = GroupViews::from_slices(&slots[..slot_count], rows);
+            select.scan_range(&view, &filter, 0..rows, partial);
+        },
+    );
+    // Before anything built from (possibly truncated) chunks escapes.
     ctx.check()?;
-    let (blocks, partials): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
-    let payloads = blocks.into_iter().flatten().collect();
-    let group = group_from_payloads(catalog, target_attrs, rows, payloads);
     Ok((group, select.finish(partials)))
 }
 
@@ -323,12 +277,50 @@ mod tests {
         }
     }
 
+    /// `(i64, f64, dict, i64, f64, i64)` columns. The doubles are dyadic,
+    /// so their sums are exact in any fold order and parallel partials
+    /// agree with the interpreter too.
+    fn typed_rel_of(columnar: bool, rows: usize) -> Relation {
+        use h2o_storage::{f64_lane, LogicalType::*};
+        let schema = Schema::typed([
+            ("k", I64),
+            ("x", F64),
+            ("c", Dict),
+            ("v", I64),
+            ("y", F64),
+            ("z", I64),
+        ])
+        .into_shared();
+        let dict = schema.dictionary(AttrId(2)).unwrap();
+        let codes: Vec<Value> = ["a", "b", "c"].iter().map(|l| dict.intern(l)).collect();
+        let col = |f: &dyn Fn(usize) -> Value| (0..rows).map(f).collect::<Vec<_>>();
+        let cols = vec![
+            col(&|r| r as Value),
+            col(&|r| f64_lane((r % 97) as f64 / 8.0 - 6.0)),
+            col(&|r| codes[(r * 7 / 5) % 3]),
+            col(&|r| ((r * 17) % 97) as Value - 48),
+            col(&|r| f64_lane((r % 13) as f64 / 4.0 - 1.5)),
+            col(&|r| ((r * 29) % 11) as Value),
+        ];
+        if columnar {
+            Relation::columnar(schema, cols).unwrap()
+        } else {
+            Relation::row_major(schema, cols).unwrap()
+        }
+    }
+
+    /// The online operator's differential over [`rel_of`]'s relations.
+    fn check_online(attrs: &[AttrId], q: &Query) {
+        check_online_over(rel_of, attrs, q);
+    }
+
     /// The online operator's differential: over both source layouts, a
     /// populated, a zero-row and a two-output-segment relation (the last
-    /// one leaves the parallel policy an odd tail range), serially and in
-    /// parallel — the group equals the offline build and the result equals
-    /// the interpreter's, bit for bit (all lanes are `I64`).
-    fn check_online(attrs: &[AttrId], q: &Query) {
+    /// one leaves the parallel policy an odd tail range and crosses
+    /// 1K-row chunk boundaries), serially and in parallel — the group
+    /// equals the offline build and the result equals the interpreter's,
+    /// bit for bit.
+    fn check_online_over(rel: fn(bool, usize) -> Relation, attrs: &[AttrId], q: &Query) {
         let odd = ExecCtx::new(ExecPolicy {
             parallelism: Some(4),
             morsel_rows: 7,
@@ -336,7 +328,7 @@ mod tests {
         });
         for columnar in [true, false] {
             for rows in [40, 0, 70_000] {
-                let r = rel_of(columnar, rows);
+                let r = rel(columnar, rows);
                 let offline = materialize(r.catalog(), attrs).unwrap();
                 let want = interpret(r.catalog(), q).unwrap();
                 for ctx in [serial(), odd] {
@@ -425,12 +417,47 @@ mod tests {
         assert_eq!(group.collect_values(), offline.collect_values());
         let want = interpret(r.catalog(), &q).unwrap();
         assert_eq!(result.fingerprint(), want.fingerprint());
+        check_online(&[AttrId(0), AttrId(1)], &q);
+    }
+
+    #[test]
+    fn online_reorg_over_f64_and_dict_lanes() {
+        // Inside the target: a dictionary filter and f64 folds.
+        let q = Query::aggregate(
+            [
+                Aggregate::sum(Expr::col(1u32)),
+                Aggregate::avg(Expr::col(1u32)),
+                Aggregate::min(Expr::col(4u32)),
+                Aggregate::count(),
+            ],
+            Conjunction::of([Predicate::eq(2u32, "b")]),
+        )
+        .unwrap();
+        check_online_over(typed_rel_of, &[AttrId(1), AttrId(2), AttrId(4)], &q);
+        // Outside it: the filter and an aggregate input live in slot 1.
+        let grouped = Query::grouped(
+            [Expr::col(2u32)],
+            [
+                Aggregate::sum(Expr::col(1u32)),
+                Aggregate::max(Expr::col(4u32)),
+            ],
+            Conjunction::of([Predicate::gt(3u32, 0)]),
+        )
+        .unwrap();
+        let project = Query::project(
+            [Expr::col(2u32), Expr::col(1u32).mul(Expr::lit(2.0))],
+            Conjunction::of([Predicate::lt(4u32, 0.5)]),
+        )
+        .unwrap();
+        for q in [grouped, project] {
+            check_online_over(typed_rel_of, &[AttrId(2), AttrId(1)], &q);
+        }
     }
 
     #[test]
     fn online_reorg_grouped_query() {
         // A grouped query can trigger lazy materialization too: the fused
-        // reorganization operator folds each stitched tuple into the
+        // reorganization operator folds each stitched chunk into the
         // grouped hash state while storing the new group.
         let r = rel(true);
         let attrs = [AttrId(0), AttrId(2)];

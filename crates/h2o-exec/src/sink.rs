@@ -7,12 +7,13 @@
 //! range, and the sink finishing them in range order:
 //!
 //! * the fused scan hands a whole range to the shape's range kernel
-//!   (`SelectProgram::scan_range`);
+//!   (`SelectProgram::scan_range`), and the fused reorganization operator
+//!   hands it each freshly stitched chunk of a range, continuing the
+//!   range's one partial;
 //! * the selection-vector and column-major scans hand qualifying-id chunks
 //!   to the shape's gather kernel (`SelectProgram::gather`);
-//! * the fused reorganization operator and the join probe produce stitched
-//!   tuples and [`SelectProgram::push`] them, with a multiplicity, into a
-//!   fresh [`SelectProgram::partial`].
+//! * the join probe produces stitched tuples and [`SelectProgram::push`]es
+//!   them, with a multiplicity, into a fresh [`SelectProgram::partial`].
 //!
 //! [`SelectProgram::finish`] concatenates projection blocks, merges
 //! aggregate states and merges grouped tables — all in range order, which
@@ -99,9 +100,9 @@ impl From<Acc> for Partial {
 impl SelectProgram {
     /// Generates the program for a select clause with its plan-time typing:
     /// `bind` resolves each attribute reference — to a plan slot and group
-    /// offset for a scan, to a stitched-tuple position for the fused
-    /// reorganization and the join probe. An unbound attribute fails the
-    /// lowering with `bind`'s error.
+    /// offset for a scan and the fused reorganization, to a stitched-tuple
+    /// position for the join probe. An unbound attribute fails the lowering
+    /// with `bind`'s error.
     pub(crate) fn lower(
         select: &Select,
         types: &SelectTypes,
@@ -188,7 +189,7 @@ impl SelectProgram {
             .collect()
     }
 
-    /// An empty partial to [`Self::push`] tuples into.
+    /// An empty partial to [`Self::push`] tuples (or scan ranges) into.
     pub fn partial(&self) -> Partial {
         let (acc, scratch) = match self {
             SelectProgram::Project(es) => (Acc::Rows(QueryResult::new(es.len())), es.len()),
@@ -241,25 +242,27 @@ impl SelectProgram {
         }
     }
 
-    /// The fused source: filter and select-items in one pass over `range`.
+    /// The fused source: filter and select-items in one pass over `range`,
+    /// folded into `partial` (from this program's [`Self::partial`]), so
+    /// consecutive ranges continue one fold chain.
     pub(crate) fn scan_range(
         &self,
         views: &GroupViews<'_>,
         filter: &CompiledFilter,
         range: Range<usize>,
-    ) -> Partial {
-        match self {
-            SelectProgram::Project(exprs) => {
-                fused::project_range(views, filter, exprs, range).into()
+        partial: &mut Partial,
+    ) {
+        match (self, &mut partial.acc) {
+            (SelectProgram::Project(exprs), Acc::Rows(out)) => {
+                fused::project_range(views, filter, exprs, range, out)
             }
-            SelectProgram::Aggregate(aggs) => {
-                fused::aggregate_range(views, filter, aggs, range).into()
+            (SelectProgram::Aggregate(aggs), Acc::Aggs(states)) => {
+                fused::aggregate_range(views, filter, aggs, range, states)
             }
-            SelectProgram::Grouped {
-                keys,
-                key_types,
-                aggs,
-            } => grouped::fused_range(views, filter, keys, key_types, aggs, range).into(),
+            (SelectProgram::Grouped { keys, aggs, .. }, Acc::Groups(table)) => {
+                grouped::fused_range(views, filter, keys, aggs, range, table)
+            }
+            _ => unreachable!("partial belongs to a different select shape"),
         }
     }
 

@@ -150,6 +150,8 @@ impl From<AggFunc> for AggOp {
 /// reorganization operator, and join probes alike), so "serial ≡
 /// interpreter bit-for-bit" holds for `F64` sums on arbitrary values, and
 /// it holds for joins too (`tests/joins.rs` pins it on non-dyadic data).
+/// The fused reorganization operator's chunks of a range continue one
+/// accumulator ([`Self::raw`]) instead of merging per-chunk partials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AggState {
     op: AggOp,
@@ -300,6 +302,16 @@ impl AggState {
             AggFunc::Count => {}
         }
         st
+    }
+
+    /// The inverse of [`Self::from_parts`]'s `raw` (`0` for `count`).
+    pub fn raw(&self) -> Value {
+        match self.op.func {
+            AggFunc::Sum | AggFunc::Avg => self.sum,
+            AggFunc::Min => self.min,
+            AggFunc::Max => self.max,
+            AggFunc::Count => 0,
+        }
     }
 
     /// Finishes the aggregate into an output lane. Empty-input results are

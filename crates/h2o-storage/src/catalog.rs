@@ -145,6 +145,7 @@ pub struct LayoutCatalog {
     groups: BTreeMap<LayoutId, Arc<ColumnGroup>>,
     stats: BTreeMap<LayoutId, Arc<StatsCell>>,
     next_id: u32,
+    lineage: u64,
 }
 
 impl LayoutCatalog {
@@ -152,13 +153,21 @@ impl LayoutCatalog {
     /// whole schema before the catalog is usable for queries; prefer
     /// [`Relation`](crate::relation::Relation) constructors which do this.
     pub fn new(schema: Arc<Schema>, rows: usize) -> Self {
+        static NEXT_LINEAGE: AtomicU64 = AtomicU64::new(0);
         LayoutCatalog {
             schema,
             rows,
             groups: BTreeMap::new(),
             stats: BTreeMap::new(),
             next_id: 0,
+            lineage: NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    /// Unique per [`Self::new`] in the process, kept by clones, appends and
+    /// reorganizations: layout ids are numbered per lineage.
+    pub fn lineage(&self) -> u64 {
+        self.lineage
     }
 
     /// The relation schema.

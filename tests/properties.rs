@@ -119,20 +119,6 @@ proptest! {
         prop_assert_eq!(result.fingerprint(), want.fingerprint());
     }
 
-    /// The row-wise and column-wise offline builders agree bit-for-bit.
-    #[test]
-    fn rowwise_and_columnwise_builders_agree(
-        columns in arb_columns(),
-    ) {
-        let n = columns.len();
-        let schema = Schema::with_width(n).into_shared();
-        let rel = Relation::columnar(schema, columns).unwrap();
-        let attrs: Vec<AttrId> = (0..n).rev().map(AttrId::from).collect();
-        let a = reorg::materialize(rel.catalog(), &attrs).unwrap();
-        let b = reorg::materialize_rowwise(rel.catalog(), &attrs).unwrap();
-        prop_assert_eq!(a.collect_values(), b.collect_values());
-    }
-
     /// Interpreting over a tailored single group equals interpreting over
     /// the original columns (the oracle's soundness).
     #[test]

@@ -10,10 +10,10 @@
 
 use h2o::exec::kernels::{colmajor, fused, selvector};
 use h2o::exec::{
-    compile, execute, execute_with_policy, run, AccessPlan, BoundAttr, CancelToken, ExecCtx,
+    compile, execute, execute_with_policy, reorg, run, AccessPlan, BoundAttr, CancelToken, ExecCtx,
     ExecPolicy, GroupViews, Strategy,
 };
-use h2o::expr::agg::AggOp;
+use h2o::expr::agg::{AggOp, AggState};
 use h2o::expr::{interpret, AggFunc, CmpOp};
 use h2o::prelude::*;
 use h2o::storage::{f64_lane, ColumnGroup, LogicalType};
@@ -123,8 +123,9 @@ proptest! {
                 (AggOp::new(f, LogicalType::I64), CompiledExpr::Col(BoundAttr { slot: 0, offset: 0 })),
                 (AggOp::new(f, LogicalType::F64), CompiledExpr::Col(BoundAttr { slot: 0, offset: 1 })),
             ];
-            let vec_fin: Vec<Value> = fused::aggregate_range(&views, &filter, &aggs, 0..rows)
-                .iter().map(|s| s.finish()).collect();
+            let mut vec_states: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
+            fused::aggregate_range(&views, &filter, &aggs, 0..rows, &mut vec_states);
+            let vec_fin: Vec<Value> = vec_states.iter().map(|s| s.finish()).collect();
             let ref_fin: Vec<Value> = fused::aggregate_range_scalar(&views, &filter, &aggs, 0..rows)
                 .iter().map(|s| s.finish()).collect();
             prop_assert_eq!(vec_fin, ref_fin, "fused {} filtered={}", f.name(), !filter.is_always_true());
@@ -278,8 +279,6 @@ fn capped_runs_under_live_cancel_token_are_identical() {
 #[test]
 fn f64_sum_bit_identity_on_non_dyadic_values() {
     let rows = 3_001; // odd: chunk tails everywhere
-    let rel = pruned_relation(rows, 10.0);
-    let layouts = rel.catalog().layout_ids();
     let q = Query::aggregate(
         [
             Aggregate::sum(Expr::col(1u32)),
@@ -288,16 +287,35 @@ fn f64_sum_bit_identity_on_non_dyadic_values() {
         Conjunction::of([Predicate::gt(2u32, 0)]),
     )
     .unwrap();
-    let want = interpret(rel.catalog(), &q).unwrap();
-    for strategy in Strategy::ALL {
-        let plan = AccessPlan::new(layouts.clone(), strategy);
-        let op = compile(rel.catalog(), &plan, &q).unwrap();
-        let got = execute(rel.catalog(), &op).unwrap();
-        assert_eq!(
-            got.data(),
-            want.data(),
-            "bit-level f64 divergence in {}",
-            strategy.name()
-        );
+    // Thirds as well as tenths: on these rows, merging the online
+    // operator's per-chunk partials instead of continuing one fold chain
+    // changes the bits only for thirds.
+    for denom in [10.0, 3.0] {
+        let rel = pruned_relation(rows, denom);
+        let layouts = rel.catalog().layout_ids();
+        let want = interpret(rel.catalog(), &q).unwrap();
+        for strategy in Strategy::ALL {
+            let plan = AccessPlan::new(layouts.clone(), strategy);
+            let op = compile(rel.catalog(), &plan, &q).unwrap();
+            let got = execute(rel.catalog(), &op).unwrap();
+            assert_eq!(
+                got.data(),
+                want.data(),
+                "bit-level f64 divergence in {}, /{denom}",
+                strategy.name()
+            );
+        }
+        // Online reorganization folds all its stitched chunks in one
+        // chain: with the filter attribute inside the new group, and
+        // outside it.
+        let serial = ExecCtx::new(ExecPolicy::serial());
+        for targets in [vec![AttrId(2), AttrId(1)], vec![AttrId(1)]] {
+            let (_, got) = reorg::reorg_and_execute(rel.catalog(), &targets, &q, &serial).unwrap();
+            assert_eq!(
+                got.data(),
+                want.data(),
+                "bit-level f64 divergence in online reorg into {targets:?}, /{denom}"
+            );
+        }
     }
 }
