@@ -34,7 +34,7 @@ fn main() {
         .iter()
         .map(|tq| AccessPattern::of(&tq.query, tq.selectivity))
         .collect();
-    let autopart = AutoPart::default();
+    let autopart = AutoPart;
     let (fragments, t_advise) =
         time(|| autopart.partition(&patterns, spec.schema.len(), args.tuples));
     eprintln!(

@@ -19,18 +19,13 @@
 //!
 //! The adviser only *recommends* layouts; materialization is lazy and
 //! happens inside the engine (`h2o-core`) when a query actually benefits.
-
-//! For the concurrent engine, [`SharedWindow`] and [`AdviceQueue`] wrap the
-//! window and the recommendation list in interior mutability so monitoring
-//! and advice hand-off work through shared references from many query
-//! threads at once.
+//! Everything here is single-threaded: the concurrent engine keeps the
+//! window and its list of recommended groups behind one mutex each.
 
 pub mod adviser;
 pub mod affinity;
-pub mod shared;
 pub mod window;
 
 pub use adviser::{Adviser, Recommendation};
 pub use affinity::AffinityMatrix;
-pub use shared::{AdviceQueue, SharedWindow};
 pub use window::{MonitoringWindow, WindowConfig};

@@ -1,9 +1,7 @@
 //! Engine configuration.
 
 use h2o_adapt::WindowConfig;
-use h2o_exec::parallel::{DEFAULT_MORSEL_ROWS, DEFAULT_SERIAL_THRESHOLD};
 use h2o_exec::{CompileCostModel, ExecPolicy};
-use std::time::Duration;
 
 /// Everything about the adaptive engine a caller can set. The defaults
 /// reproduce the paper's setup scaled to this environment — with one
@@ -11,8 +9,11 @@ use std::time::Duration;
 /// cores, where the paper's prototype is single-threaded (use
 /// [`EngineConfig::single_threaded`] for paper-faithful comparisons, as
 /// the figure-reproduction binaries do). "Hands-free" means no field is
-/// *required*; the adviser's and the cost model's constants are not
-/// fields at all.
+/// *required*, and every field has a caller outside the tests: eight
+/// settable values (the window's three, then `opcache_capacity`,
+/// `adaptive`, `space_budget_bytes`, `parallelism` and
+/// `background_reorg`). The adviser's and the cost model's constants,
+/// the morsel shape and the join fast paths are not fields at all.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
     /// Dynamic monitoring window configuration (§3.2). The paper's Fig. 7
@@ -41,12 +42,6 @@ pub struct EngineConfig {
     /// `h2o_exec::parallel`). `None` uses the host's available
     /// parallelism; `Some(1)` forces the paper-faithful serial path.
     pub parallelism: Option<usize>,
-    /// Rows per morsel for parallel scans.
-    pub morsel_rows: usize,
-    /// Serial fallback: relations with at most this many rows always
-    /// execute on the calling thread, so tiny scans never pay fork/join
-    /// overhead.
-    pub parallel_row_threshold: usize,
     /// Moves adaptive reorganization off the query path. With `false` (the
     /// default, the paper's behavior) a query that benefits from a pending
     /// layout materializes it *while answering* through the fused
@@ -58,16 +53,6 @@ pub struct EngineConfig {
     /// — which builds new groups from a snapshot and atomically publishes
     /// them while in-flight queries keep reading their own snapshots.
     pub background_reorg: bool,
-    /// Default per-query deadline. When set, every
-    /// [`H2oEngine::run`](crate::H2oEngine::run) call runs under an
-    /// implicit [`CancelToken`](h2o_exec::CancelToken) armed with this
-    /// timeout and fails with
-    /// [`EngineError::Timeout`](crate::EngineError::Timeout) once it
-    /// expires. Requests that set any stop-control option themselves — a
-    /// deadline, a cancel token or a morsel budget
-    /// ([`ExecOptions`](crate::ExecOptions)) — opt out of the implicit
-    /// deadline. `None` (the default) never times queries out.
-    pub query_deadline: Option<Duration>,
 }
 
 impl Default for EngineConfig {
@@ -79,10 +64,7 @@ impl Default for EngineConfig {
             adaptive: true,
             space_budget_bytes: None,
             parallelism: None,
-            morsel_rows: DEFAULT_MORSEL_ROWS,
-            parallel_row_threshold: DEFAULT_SERIAL_THRESHOLD,
             background_reorg: false,
-            query_deadline: None,
         }
     }
 }
@@ -105,13 +87,13 @@ impl EngineConfig {
         }
     }
 
-    /// The execution-parallelism policy these knobs describe; handed to
-    /// `h2o-exec` on every scan and reorganization.
+    /// The execution-parallelism policy handed to `h2o-exec` on every
+    /// scan and reorganization: [`Self::parallelism`] workers over the
+    /// default morsel shape ([`ExecPolicy::default`]).
     pub fn exec_policy(&self) -> ExecPolicy {
         ExecPolicy {
             parallelism: self.parallelism,
-            morsel_rows: self.morsel_rows.max(1),
-            serial_threshold: self.parallel_row_threshold,
+            ..ExecPolicy::default()
         }
     }
 }
@@ -119,13 +101,35 @@ impl EngineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use h2o_exec::parallel::{DEFAULT_MORSEL_ROWS, DEFAULT_SERIAL_THRESHOLD};
 
     #[test]
     fn defaults() {
         let c = EngineConfig::default();
         assert!(c.adaptive);
         assert_eq!(c.window.initial, 20);
-        assert_eq!(c.query_deadline, None, "no implicit deadline by default");
+    }
+
+    /// Every settable value, by name. A new field fails to compile here
+    /// until it is added — and counted in [`EngineConfig`]'s docs, which
+    /// keep the settable values at eight.
+    #[test]
+    fn settable_values_are_the_documented_eight() {
+        let EngineConfig {
+            window: WindowConfig { initial, min, max },
+            compile_cost: _, // inert
+            opcache_capacity,
+            adaptive,
+            space_budget_bytes,
+            parallelism,
+            background_reorg,
+        } = EngineConfig::default();
+        assert_eq!((initial, min, max), (20, 4, 200));
+        assert_eq!(opcache_capacity, 256);
+        assert!(adaptive);
+        assert_eq!(space_budget_bytes, None);
+        assert_eq!(parallelism, None);
+        assert!(!background_reorg);
     }
 
     #[test]
@@ -136,20 +140,17 @@ mod tests {
     }
 
     #[test]
-    fn exec_policy_reflects_knobs() {
-        let mut c = EngineConfig {
+    fn exec_policy_keeps_the_default_morsel_shape() {
+        let c = EngineConfig {
             parallelism: Some(4),
-            morsel_rows: 1000,
-            parallel_row_threshold: 50,
             ..EngineConfig::default()
         };
         let p = c.exec_policy();
         assert_eq!(p.threads(), 4);
-        assert_eq!(p.morsel_rows, 1000);
-        assert!(p.is_serial_for(50));
-        assert!(!p.is_serial_for(5000));
-        // morsel_rows = 0 is clamped rather than dividing by zero.
-        c.morsel_rows = 0;
-        assert_eq!(c.exec_policy().morsel_rows, 1);
+        assert_eq!(p.morsel_rows, DEFAULT_MORSEL_ROWS);
+        assert_eq!(p.serial_threshold, DEFAULT_SERIAL_THRESHOLD);
+        assert!(p.is_serial_for(DEFAULT_SERIAL_THRESHOLD));
+        assert!(!p.is_serial_for(2 * DEFAULT_MORSEL_ROWS + 1));
+        assert_eq!(EngineConfig::default().exec_policy(), ExecPolicy::default());
     }
 }

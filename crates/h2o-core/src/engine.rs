@@ -30,7 +30,7 @@
 use crate::config::EngineConfig;
 use crate::request::{ExecOptions, Outcome, Request, RequestKind};
 use crate::stats::EngineStats;
-use h2o_adapt::{AdviceQueue, Adviser, SharedWindow};
+use h2o_adapt::{Adviser, MonitoringWindow};
 use h2o_cost::{AccessPattern, CostModel, GroupSpec, JoinRole};
 use h2o_exec::{
     reorg, AccessPlan, CancelToken, ExecCtx, ExecError, JoinExecStats, OperatorCache, Strategy,
@@ -77,10 +77,9 @@ pub enum EngineError {
     /// partial result, catalog version, cached operator or statistics
     /// feedback is ever published from a cancelled query.
     Cancelled,
-    /// The query's deadline (explicit via
-    /// [`ExecOptions::deadline`](crate::ExecOptions::deadline), or
-    /// implicit via [`EngineConfig::query_deadline`]) expired before it
-    /// finished. Same no-partial-effects guarantee as
+    /// The query's deadline
+    /// ([`ExecOptions::deadline`](crate::ExecOptions::deadline)) expired
+    /// before it finished. Same no-partial-effects guarantee as
     /// [`EngineError::Cancelled`].
     Timeout,
     /// The query's morsel budget
@@ -275,10 +274,14 @@ pub struct H2oEngine {
     /// Serializes every catalog mutation (append / reorganize / drop).
     /// Readers never take it.
     writer: Mutex<()>,
-    window: SharedWindow,
+    /// The monitoring window every request's patterns feed. One coarse
+    /// mutex: an observation is a few comparisons against at most
+    /// `WindowConfig::max` patterns, never meaningful next to a scan.
+    window: Mutex<MonitoringWindow>,
     /// Layouts recommended by the last adaptation round, awaiting
     /// materialization (lazy on the query path, or eager in `maintain()`).
-    pending: AdviceQueue,
+    /// Specs leave it by value ([`Self::retire`]), never by index.
+    pending: Mutex<Vec<GroupSpec>>,
     epoch: AtomicU64,
     /// Set when the window completes an interval in background-reorg mode;
     /// consumed by the next `maintain()` pump.
@@ -308,7 +311,7 @@ impl H2oEngine {
     /// initial data layout".
     pub fn new(relation: Relation, config: EngineConfig) -> Self {
         H2oEngine {
-            window: SharedWindow::new(config.window),
+            window: Mutex::new(MonitoringWindow::new(config.window)),
             adviser: Adviser::default(),
             model: CostModel,
             opcache: OperatorCache::new(config.opcache_capacity, config.compile_cost),
@@ -316,7 +319,7 @@ impl H2oEngine {
             secondary: RwLock::new(Arc::new(HashMap::new())),
             writer: Mutex::new(()),
             config,
-            pending: AdviceQueue::new(),
+            pending: Mutex::new(Vec::new()),
             epoch: AtomicU64::new(0),
             adapt_due: AtomicBool::new(false),
             adapt_running: AtomicBool::new(false),
@@ -455,7 +458,7 @@ impl H2oEngine {
     /// Engine statistics.
     pub fn stats(&self) -> EngineStats {
         let mut s = *self.stats.lock();
-        s.shifts_detected = self.window.shifts_detected();
+        s.shifts_detected = self.window.lock().shifts_detected();
         s
     }
 
@@ -466,12 +469,12 @@ impl H2oEngine {
 
     /// Current monitoring-window size.
     pub fn window_size(&self) -> usize {
-        self.window.size()
+        self.window.lock().size()
     }
 
     /// Layouts recommended but not yet materialized (a point-in-time copy).
     pub fn pending(&self) -> Vec<GroupSpec> {
-        self.pending.get()
+        self.pending.lock().clone()
     }
 
     /// What the engine did for the most recent query (racy under concurrent
@@ -510,8 +513,7 @@ impl H2oEngine {
     /// A stopped request (cancelled, past its deadline, over its morsel
     /// budget) fails with the matching typed error and publishes
     /// **nothing** — no result rows, no catalog version, no cached
-    /// operator, no statistics feedback. Setting any stop-control option
-    /// opts out of the implicit [`EngineConfig::query_deadline`].
+    /// operator, no statistics feedback.
     ///
     /// The returned [`Outcome`] carries the result rows *and* the
     /// snapshot they were computed against, so callers can check the
@@ -545,7 +547,7 @@ impl H2oEngine {
         opts: &ExecOptions,
         attempt: impl FnOnce(&ExecCtx<'_>) -> Result<T, EngineError>,
     ) -> Result<T, EngineError> {
-        let token = self.resolve_token(opts);
+        let token = Self::resolve_token(opts);
         let ctx = ExecCtx {
             cancel: token.as_ref(),
             ..ExecCtx::new(self.config.exec_policy())
@@ -568,22 +570,23 @@ impl H2oEngine {
     }
 
     /// Resolves a request's options into the execution token: the
-    /// caller's token (armed with the request's deadline/budget) when any
-    /// stop-control option is set, else the engine's implicit
-    /// [`EngineConfig::query_deadline`] token, else none.
-    fn resolve_token(&self, opts: &ExecOptions) -> Option<CancelToken> {
-        if opts.has_stop_control() {
-            let token = opts.cancel.clone().unwrap_or_default();
-            if let Some(d) = opts.deadline {
-                token.arm_deadline(d);
+    /// caller's token (or a fresh one) armed with the request's deadline
+    /// and budget, or none when the request sets no stop control.
+    fn resolve_token(opts: &ExecOptions) -> Option<CancelToken> {
+        let token = match &opts.cancel {
+            Some(token) => token.clone(),
+            None if opts.deadline.is_some() || opts.morsel_budget.is_some() => {
+                CancelToken::default()
             }
-            if let Some(b) = opts.morsel_budget {
-                token.set_budget(b);
-            }
-            Some(token)
-        } else {
-            self.config.query_deadline.map(CancelToken::with_deadline)
+            None => return None,
+        };
+        if let Some(d) = opts.deadline {
+            token.arm_deadline(d);
         }
+        if let Some(b) = opts.morsel_budget {
+            token.set_budget(b);
+        }
+        Some(token)
     }
 
     /// Bumps the failure counter matching a typed error outcome.
@@ -699,15 +702,12 @@ impl H2oEngine {
         self.observe(primary.iter().map(|&pat| pat.clone()));
 
         // Lazy materialization, join flavour: the fused reorg-and-execute
-        // operator only answers single-relation shapes, so instead of
-        // materializing *while* answering (the `try_pending` path), the
-        // join path materializes a beneficial pending group right after
-        // answering — the next join over this shape runs on the improved
-        // layout.
-        if self.config.adaptive && !self.config.background_reorg {
-            for pat in primary {
-                self.materialize_pending_for(pat);
-            }
+        // operator only answers single-relation shapes, so a beneficial
+        // pending group is built right after answering — the next join
+        // over this shape runs on the improved layout. The join already
+        // has its answer, so a failed build only leaves the spec pending.
+        for pat in primary {
+            let _ = self.try_pending(None, pat, epoch, ctx);
         }
 
         *self.last_join_report.lock() = Some(JoinReport {
@@ -828,9 +828,10 @@ impl H2oEngine {
         let sel = self.estimate_selectivity(None, q.filter(), selectivity_hint);
         let pattern = AccessPattern::of(q, sel);
 
-        let (snap, result) = match self.try_pending(q, &pattern, epoch, ctx) {
-            Some(r) => r?,
-            None => {
+        let (snap, result) = match self.try_pending(Some(q), &pattern, epoch, ctx) {
+            Some(Ok((snap, Some(result)))) => (snap, result),
+            Some(Err(e)) => return Err(e),
+            _ => {
                 let snap = self.snapshot();
                 let (plan, cost) = self.plan_on(&snap, &pattern)?;
                 let op = self
@@ -878,7 +879,7 @@ impl H2oEngine {
     fn observe(&self, patterns: impl IntoIterator<Item = AccessPattern>) {
         let mut adapt_now = false;
         for pattern in patterns {
-            adapt_now |= self.window.observe(pattern);
+            adapt_now |= self.window.lock().observe(pattern);
         }
         if adapt_now && self.config.adaptive {
             if self.config.background_reorg {
@@ -920,29 +921,33 @@ impl H2oEngine {
         Ok((AccessPlan::new(layouts, plan.strategy), plan.cost))
     }
 
-    /// Lazy materialization: if a pending layout covers this query and the
-    /// cost model says the query benefits, materialize it *while answering
-    /// the query* through the fused reorganization operator. Runs behind
-    /// the writer lock; if another writer holds it, the lazy path is
-    /// skipped for this query (readers must never block on reorganization).
+    /// Lazy materialization (§3.2), the one admission for both request
+    /// kinds: if a pending layout covers `pattern` and the cost model says
+    /// the request benefits, materialize it on the request's path. A
+    /// single-relation query (`Some`) is answered *while* the group is
+    /// stitched, through the fused reorganization operator, and its result
+    /// returned; a join side (`None`) builds the group offline. Runs
+    /// behind the writer lock; if another writer holds it, the lazy path
+    /// is skipped for this request (readers must never block on
+    /// reorganization).
     #[allow(clippy::type_complexity)]
     fn try_pending(
         &self,
-        q: &Query,
+        q: Option<&Query>,
         pattern: &AccessPattern,
         epoch: Epoch,
         ctx: &ExecCtx<'_>,
-    ) -> Option<Result<(CatalogSnapshot, QueryResult), EngineError>> {
-        if !self.config.adaptive || self.config.background_reorg || self.pending.is_empty() {
+    ) -> Option<Result<(CatalogSnapshot, Option<QueryResult>), EngineError>> {
+        if !self.config.adaptive || self.config.background_reorg {
             return None;
         }
-        // Cheap lock-free screen: only queries that intersect some pending
-        // spec may take the writer lock and pay for planning — unrelated
-        // queries must never serialize against writers.
+        // Cheap screen: only requests that intersect some pending spec may
+        // take the writer lock and pay for planning — unrelated requests
+        // must never serialize against writers.
         let needed = pattern.all_attrs();
         if !self
             .pending
-            .get()
+            .lock()
             .iter()
             .any(|g| needed.intersects(&g.attrs))
         {
@@ -967,31 +972,39 @@ impl H2oEngine {
 
         let attrs: Vec<AttrId> = g.attrs.to_vec();
         let t0 = Instant::now();
-        let (group, result) = match reorg::reorg_and_execute(&new_cat, &attrs, q, ctx) {
+        let built = match q {
+            Some(q) => reorg::reorg_and_execute(&new_cat, &attrs, q, ctx)
+                .map(|(group, result)| (group, Some(result))),
+            None => reorg::materialize_with(&new_cat, &attrs, &ctx.policy).map(|g| (g, None)),
+        };
+        let (group, result) = match built {
             Ok(v) => v,
             // Includes cooperative stops: a cancelled fused reorganization
             // abandons `new_cat` (copy-on-write — never published) and the
-            // advice stays pending for a later query.
+            // advice stays pending for a later request.
             Err(e) => return Some(Err(e.into())),
         };
+        let build_time = t0.elapsed();
         let id = match new_cat.add_group(group, epoch) {
             Ok(id) => id,
             Err(e) => return Some(Err(e.into())),
         };
-        self.commit_reorg(&evicted, t0);
+        self.commit_reorg(&evicted, build_time);
         // Publish before retiring the advice: adapt()'s race-closing prune
         // snapshots the catalog after its replace, so as long as every
         // materialization publishes first, a concurrently re-recommended
         // spec can never survive as pending for an existing layout.
         let published = self.publish(new_cat);
-        self.pending.remove(&g);
-        *self.last_report.lock() = Some(QueryReport {
-            strategy: Strategy::FusedVolcano,
-            layouts: vec![id],
-            created_layout: Some(id),
-            estimated_cost: new_cost,
-            selectivity_estimate: pattern.selectivity,
-        });
+        self.retire(&g);
+        if q.is_some() {
+            *self.last_report.lock() = Some(QueryReport {
+                strategy: Strategy::FusedVolcano,
+                layouts: vec![id],
+                created_layout: Some(id),
+                estimated_cost: new_cost,
+                selectivity_estimate: pattern.selectivity,
+            });
+        }
         Some(Ok((published, result)))
     }
 
@@ -1006,9 +1019,8 @@ impl H2oEngine {
             .map(|g| GroupSpec::new(g.attr_set().clone()))
             .collect();
         let t0 = Instant::now();
-        let rec = self
-            .adviser
-            .recommend(&self.window.snapshot(), &current, snap.rows());
+        let window = self.window.lock().snapshot();
+        let rec = self.adviser.recommend(&window, &current, snap.rows());
         let elapsed = t0.elapsed();
         {
             let mut s = self.stats.lock();
@@ -1018,7 +1030,7 @@ impl H2oEngine {
             }
         }
         if !rec.groups.is_empty() {
-            self.pending.replace(rec.groups);
+            *self.pending.lock() = rec.groups;
             // The recommendation was computed from a possibly stale
             // snapshot: a layout materialized concurrently (e.g. by
             // `materialize_now`, whose own retain may have run before our
@@ -1027,9 +1039,11 @@ impl H2oEngine {
             // interleaving, because `materialize_now` publishes before it
             // retains.
             let now = self.snapshot();
-            self.pending.retain(|g| now.find_exact(&g.attrs).is_none());
+            self.pending
+                .lock()
+                .retain(|g| now.find_exact(&g.attrs).is_none());
         }
-        self.window.adaptation_done();
+        self.window.lock().adaptation_done();
     }
 
     /// One background-maintenance pump: runs a due adaptation round, then
@@ -1052,7 +1066,9 @@ impl H2oEngine {
             // prunes advice that already materialized (e.g. via
             // `materialize_now`) so `pending()` stays consistent.
             let snap = self.snapshot();
-            self.pending.retain(|g| snap.find_exact(&g.attrs).is_none());
+            self.pending
+                .lock()
+                .retain(|g| snap.find_exact(&g.attrs).is_none());
             return report;
         }
         // Peek-build-remove (not pop-build): the spec is retired from the
@@ -1061,25 +1077,29 @@ impl H2oEngine {
         // still pending when the supervised reorganizer restarts the pump,
         // so recovery completes the interrupted round instead of silently
         // dropping the recommendation.
-        while let Some(spec) = self.pending.get().into_iter().next() {
+        loop {
+            let next = self.pending.lock().first().cloned();
+            let Some(spec) = next else { break };
             if self.build_pending_group(&spec) {
                 report.layouts_built += 1;
             }
-            // A concurrent `replace` may have retired the spec already;
-            // removal is by value and simply no-ops then.
-            self.pending.remove(&spec);
+            // A concurrent adaptation round may have replaced the advice
+            // already; retiring by value simply no-ops then.
+            self.retire(&spec);
         }
         report
     }
 
-    /// Builds one recommended group and publishes it. The expensive stitch
-    /// runs *without* the writer lock (from a pinned snapshot), so
-    /// concurrent appends proceed during the build; the lock is taken only
-    /// to admit and publish. If appends landed mid-build (the row count
-    /// moved), the build retries from a fresh snapshot; the final attempt
-    /// builds under the lock so it cannot be outrun forever. All side
-    /// effects (opcache invalidation, stats) happen only when a new
-    /// catalog version is actually published.
+    /// Builds one recommended group and publishes it — `maintain()`'s
+    /// build step. The expensive stitch runs *without* the writer lock
+    /// (from a pinned snapshot), so concurrent appends proceed during the
+    /// build; the lock is taken only to admit and publish. If appends
+    /// landed mid-build (the row count moved), the build retries from a
+    /// fresh snapshot; the final attempt builds under the lock so it
+    /// cannot be outrun forever. All side effects (opcache invalidation,
+    /// stats) happen only when a new catalog version is actually
+    /// published, and the recorded reorganization time is the published
+    /// group's build — never the wait for the writer lock.
     fn build_pending_group(&self, spec: &GroupSpec) -> bool {
         let attrs: Vec<AttrId> = spec.attrs.to_vec();
         const ATTEMPTS: usize = 3;
@@ -1100,13 +1120,18 @@ impl H2oEngine {
                     return false;
                 }
             }
-            let t0 = Instant::now();
+            let policy = self.config.exec_policy();
+            let timed = |catalog: &LayoutCatalog| {
+                let t0 = Instant::now();
+                let group = reorg::materialize_with(catalog, &attrs, &policy).ok();
+                group.map(|g| (g, t0.elapsed()))
+            };
             let built = if locked_build {
                 None
             } else {
-                match reorg::materialize_with(&base, &attrs, &self.config.exec_policy()) {
-                    Ok(g) => Some(g),
-                    Err(_) => return false, // spec no longer coverable
+                match timed(&base) {
+                    Some(b) => Some(b),
+                    None => return false, // spec no longer coverable
                 }
             };
             let _w = self.writer.lock();
@@ -1114,12 +1139,12 @@ impl H2oEngine {
             if latest.find_exact(&spec.attrs).is_some() {
                 return false;
             }
-            let group = match built {
-                Some(g) if g.rows() == latest.rows() => g,
+            let (group, build_time) = match built {
+                Some((g, t)) if g.rows() == latest.rows() => (g, t),
                 Some(_) => continue, // appends landed mid-build: rebuild
-                _ => match reorg::materialize_with(&latest, &attrs, &self.config.exec_policy()) {
-                    Ok(g) => g,
-                    Err(_) => return false,
+                None => match timed(&latest) {
+                    Some(b) => b,
+                    None => return false,
                 },
             };
             let mut new_cat = (*latest).clone();
@@ -1130,7 +1155,7 @@ impl H2oEngine {
             if new_cat.add_group(group, epoch).is_err() {
                 return false;
             }
-            self.commit_reorg(&evicted, t0);
+            self.commit_reorg(&evicted, build_time);
             self.publish(new_cat);
             return true;
         }
@@ -1151,7 +1176,7 @@ impl H2oEngine {
         current_cost: f64,
     ) -> Option<(GroupSpec, f64)> {
         let needed = pattern.all_attrs();
-        let pending = self.pending.get();
+        let pending = self.pending();
         let mut config: Vec<&AttrSet> = snap.groups().map(|g| g.attr_set()).collect();
         let mut best: Option<(&GroupSpec, f64)> = None;
         for g in &pending {
@@ -1171,23 +1196,15 @@ impl H2oEngine {
         best.map(|(g, cost)| (g.clone(), cost))
     }
 
-    /// Materializes the pending group that most improves `pattern`'s best
-    /// plan on the primary, if any does — the join path's analogue of
-    /// [`Self::try_pending`]'s per-query "can benefit" check (§3.2), run
-    /// after answering instead of fused into the answer.
-    fn materialize_pending_for(&self, pattern: &AccessPattern) {
-        if self.pending.is_empty() {
-            return;
+    /// Retires `spec` from the pending advice — by value, not by index: a
+    /// concurrent adaptation round may have replaced the list since the
+    /// caller read it, and then this is a harmless no-op instead of
+    /// retiring the wrong spec.
+    fn retire(&self, spec: &GroupSpec) {
+        let mut pending = self.pending.lock();
+        if let Some(i) = pending.iter().position(|g| g.attrs == spec.attrs) {
+            pending.remove(i);
         }
-        let snap = self.snapshot();
-        let Ok((_, current_cost)) = self.plan_on(&snap, pattern) else {
-            return;
-        };
-        let Some((g, _)) = self.best_pending(&snap, pattern, current_cost) else {
-            return;
-        };
-        self.build_pending_group(&g);
-        self.pending.remove(&g);
     }
 
     /// Evicts least-recently-used redundant layouts from `new_cat` until a
@@ -1213,13 +1230,13 @@ impl H2oEngine {
     /// Applies the side effects of a completed reorganization whose new
     /// catalog version is about to be (or was just) published: invalidates
     /// cached operators over evicted layouts and updates the counters.
-    fn commit_reorg(&self, evicted: &[LayoutId], started: Instant) {
+    fn commit_reorg(&self, evicted: &[LayoutId], build_time: Duration) {
         for &victim in evicted {
             self.opcache.invalidate_layout(victim);
         }
         let mut s = self.stats.lock();
         s.layouts_evicted += evicted.len() as u64;
-        s.reorg_time += started.elapsed();
+        s.reorg_time += build_time;
         s.layouts_created += 1;
         s.reorgs_completed += 1;
     }
@@ -1307,15 +1324,16 @@ impl H2oEngine {
             let t0 = Instant::now();
             let group = reorg::materialize_with(&snap, attrs, &self.config.exec_policy())?;
             let mut new_cat = (*snap).clone();
+            let build_time = t0.elapsed();
             let id = new_cat.add_group(group, self.epoch.load(Ordering::Relaxed))?;
-            self.commit_reorg(&[], t0);
+            self.commit_reorg(&[], build_time);
             self.publish(new_cat);
             // The spec is no longer pending advice: it exists. Pruning
             // *after* the publish pairs with adapt()'s replace-then-prune
             // ordering so the two cannot interleave into re-advertising an
             // existing layout.
             let spec_attrs: h2o_storage::AttrSet = attrs.iter().copied().collect();
-            self.pending.retain(|g| g.attrs != spec_attrs);
+            self.pending.lock().retain(|g| g.attrs != spec_attrs);
             Ok(id)
         })
     }
@@ -1386,7 +1404,7 @@ impl H2oEngine {
         let needed = pattern.all_attrs();
         let pending_hit = self
             .pending
-            .get()
+            .lock()
             .iter()
             .any(|g| needed.intersects(&g.attrs) && snap.find_exact(&g.attrs).is_none());
         if self.config.adaptive && pending_hit {
@@ -2028,7 +2046,7 @@ mod tests {
     }
 
     #[test]
-    fn deadlines_time_out_explicitly_and_implicitly() {
+    fn request_deadlines_time_out() {
         let e = engine(6, 500, EngineConfig::default());
         let q = expr_query(&[0, 1], 2, 100);
         assert_eq!(
@@ -2044,25 +2062,6 @@ mod tests {
             .result;
         assert_eq!(got.fingerprint(), want.fingerprint());
         assert_eq!(e.stats().queries_timed_out, 1);
-
-        // The config-level deadline applies implicitly to plain execute()…
-        let cfg = EngineConfig {
-            query_deadline: Some(Duration::ZERO),
-            ..EngineConfig::default()
-        };
-        let e2 = engine(6, 500, cfg);
-        assert_eq!(
-            e2.run(Request::query(&q)).map(Outcome::into_result),
-            Err(EngineError::Timeout)
-        );
-        assert_eq!(e2.stats().queries_timed_out, 1);
-        // …and an explicit caller token opts out of it.
-        let got = e2
-            .run(Request::query(&q).cancel(&CancelToken::new()))
-            .unwrap()
-            .result;
-        assert_eq!(got.fingerprint(), want.fingerprint());
-        assert_eq!(e2.stats().queries_timed_out, 1);
     }
 
     #[test]
@@ -2186,11 +2185,12 @@ mod tests {
         //    process does not abort and the counter moves.
         let cfg = EngineConfig {
             parallelism: Some(2),
-            parallel_row_threshold: 0, // force the morsel scheduler…
-            morsel_rows: 64,           // …with several morsels over 500 rows
             ..EngineConfig::default()
         };
-        let e = engine(8, 500, cfg);
+        // Three default-size morsels: the morsel scheduler runs the scan.
+        let rows = 2 * h2o_exec::parallel::DEFAULT_MORSEL_ROWS + 1_000;
+        assert!(!cfg.exec_policy().is_serial_for(rows));
+        let e = engine(8, rows, cfg);
         let q = expr_query(&[0, 1, 2], 3, 100);
         let want = interpret(&e.catalog(), &q).unwrap();
         fp::arm_nth("morsel_start", 1);
@@ -2415,6 +2415,75 @@ mod tests {
         let want =
             interpret_join(db.relation("R").unwrap(), db.relation("dim").unwrap(), &q).unwrap();
         assert_eq!(got, want, "grouped join output is sorted: bit-identical");
+    }
+
+    /// Lazy materialization never waits for the writer lock, for either
+    /// request kind: with the lock held elsewhere, a join and a query that
+    /// would each benefit from a pending group answer without building
+    /// it, and the group stays pending.
+    #[test]
+    fn lazy_requests_skip_a_held_writer_lock() {
+        let (e, fs, ds) = join_engine(4000, 16, EngineConfig::default());
+        let spec = GroupSpec::new([AttrId(0), AttrId(1)].into_iter().collect::<AttrSet>());
+        *e.pending.lock() = vec![spec.clone()];
+        let b = Query::join(("R", fs), ("dim", ds));
+        let v0 = b.col("v0").unwrap();
+        let tag = b.col("tag").unwrap();
+        let join = b.on("fk", "k").unwrap().project([v0, tag]).unwrap();
+        let query =
+            Query::project([Expr::col(1u32)], Conjunction::of([Predicate::lt(0u32, 8)])).unwrap();
+        // Both requests would build `{fk, v0}` if they could.
+        let snap = e.snapshot();
+        for pat in [
+            AccessPattern::of_join_side(&join, Side::Left, H2oEngine::DEFAULT_SELECTIVITY),
+            AccessPattern::of(&query, H2oEngine::DEFAULT_SELECTIVITY),
+        ] {
+            let (_, cost) = e.plan_on(&snap, &pat).unwrap();
+            assert!(e.best_pending(&snap, &pat, cost).is_some(), "{pat:?}");
+        }
+
+        let held = e.writer.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let j = e.run(Request::join(&join)).unwrap();
+                let q = e.run(Request::query(&query)).unwrap();
+                tx.send((j, q)).unwrap();
+            });
+            let answered = rx.recv_timeout(Duration::from_secs(3));
+            drop(held);
+            let (j, q) = answered.expect("a lazy request blocked on the writer lock");
+            let db = &j.snapshot;
+            let want = interpret_join(
+                db.relation("R").unwrap(),
+                db.relation("dim").unwrap(),
+                &join,
+            );
+            assert_eq!(j.result.fingerprint(), want.unwrap().fingerprint());
+            let want = interpret(q.snapshot.primary(), &query).unwrap();
+            assert_eq!(q.result, want);
+        });
+        assert_eq!(e.pending().len(), 1, "the spec stays pending");
+        let stats = e.stats();
+        assert_eq!(stats.layouts_created, 0);
+        assert_eq!(stats.reorg_time, Duration::ZERO);
+    }
+
+    /// Advice leaves the pending list by value: the first spec with the
+    /// attribute set goes, and retiring an absent spec (one a concurrent
+    /// adaptation round already replaced) is a no-op.
+    #[test]
+    fn retiring_advice_is_by_value_and_idempotent() {
+        let e = engine(4, 10, EngineConfig::default());
+        let spec = |ids: &[usize]| GroupSpec::new(ids.iter().copied().collect::<AttrSet>());
+        *e.pending.lock() = vec![spec(&[0, 1]), spec(&[2]), spec(&[0, 1])];
+        e.retire(&spec(&[0, 1]));
+        let left: Vec<AttrSet> = e.pending().into_iter().map(|g| g.attrs).collect();
+        assert_eq!(left, [spec(&[2]).attrs, spec(&[0, 1]).attrs]);
+        e.retire(&spec(&[3]));
+        e.retire(&spec(&[2]));
+        e.retire(&spec(&[2]));
+        assert_eq!(e.pending().len(), 1);
     }
 
     #[test]

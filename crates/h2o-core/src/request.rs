@@ -24,13 +24,6 @@ use std::time::Duration;
 /// pass to [`Request::with_options`] or use the forwarding builders on
 /// [`Request`] directly.
 ///
-/// Unset options inherit the engine's configuration: in particular, a
-/// request with **no** stop-control option (deadline, cancel token,
-/// morsel budget) runs under the engine's implicit
-/// [`query_deadline`](crate::EngineConfig::query_deadline), while setting
-/// any of them opts out of the implicit deadline (the explicit contract
-/// wins).
-///
 /// The `h2o-server` wire protocol mirrors this struct field-for-field
 /// (its `opts` request object converts 1:1 via one conversion), so a
 /// network client composes exactly the options an in-process caller can.
@@ -44,8 +37,8 @@ pub struct ExecOptions {
 }
 
 impl ExecOptions {
-    /// No options: plan from observed history, no deadline (beyond the
-    /// engine's implicit one), greedy build side, unbounded budget.
+    /// No options: plan from observed history, no deadline, greedy build
+    /// side, unbounded budget.
     pub fn new() -> ExecOptions {
         ExecOptions::default()
     }
@@ -100,13 +93,6 @@ impl ExecOptions {
     pub fn budget(mut self, units: u64) -> ExecOptions {
         self.morsel_budget = Some(units);
         self
-    }
-
-    /// Whether any stop-control option (deadline, cancel token, morsel
-    /// budget) is set — i.e. whether this request opts out of the
-    /// engine's implicit deadline.
-    pub(crate) fn has_stop_control(&self) -> bool {
-        self.cancel.is_some() || self.deadline.is_some() || self.morsel_budget.is_some()
     }
 }
 

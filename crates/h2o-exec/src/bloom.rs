@@ -10,9 +10,9 @@
 //! never hit the build side — most probe rows never touch the table.
 //!
 //! The structure is *one-sided*: it can say "definitely absent" but never
-//! "present", so turning it on or off cannot change which pairs match —
-//! results are bit-identical either way (the probe loop's fold order is
-//! untouched; only dead lookups are elided). Both halves are exact about
+//! "present", so testing it cannot change which pairs match — results
+//! are bit-identical to an unfiltered probe (the probe loop's fold order
+//! is untouched; only dead lookups are elided). Both halves are exact about
 //! that contract:
 //!
 //! * the **range** is the exact comparator-key span

@@ -10,7 +10,6 @@
 use crate::bind::{BoundAttr, GroupViews};
 use crate::cancel::{CancelReason, CancelToken};
 use crate::filter::CompiledFilter;
-use crate::join::JoinOptions;
 use crate::kernels;
 use crate::parallel::{run_ranges, ExecPolicy};
 use crate::plan::{AccessPlan, Strategy};
@@ -177,8 +176,7 @@ pub fn compile_checked(
 }
 
 /// Everything an execution takes besides the operator and its data: the
-/// parallelism policy, an optional cooperative-stop token, and the join
-/// fast-path switches (read by [`run_join`](crate::join::run_join) only).
+/// parallelism policy and an optional cooperative-stop token.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecCtx<'a> {
     /// How (and whether) scans split into morsels.
@@ -190,18 +188,14 @@ pub struct ExecCtx<'a> {
     /// **discarded** and the matching typed [`ExecError`] is returned. A
     /// token that never trips changes no result bit.
     pub cancel: Option<&'a CancelToken>,
-    /// Join fast-path switches.
-    pub join: JoinOptions,
 }
 
 impl ExecCtx<'_> {
-    /// A context running under `policy`, with no stop token and the join
-    /// fast paths on.
+    /// A context running under `policy`, with no stop token.
     pub fn new(policy: ExecPolicy) -> Self {
         ExecCtx {
             policy,
             cancel: None,
-            join: JoinOptions::default(),
         }
     }
 

@@ -55,8 +55,8 @@
 //!
 //! # The probe fast path
 //!
-//! Two optimizations (both on by default, [`JoinOptions`]) attack the
-//! probe loop's dominant costs without changing a single output bit:
+//! Two optimizations, always on, attack the probe loop's dominant costs
+//! without changing a single output bit:
 //!
 //! * **Bloom-filtered probes** — when the build finishes, its qualifying
 //!   keys derive a [`JoinFilter`]: a blocked
@@ -71,8 +71,8 @@
 //!   key has no build match, so low-match-rate probes skip the
 //!   random-access lookup entirely ([`JoinExecStats::probe_bloom_rejects`]
 //!   counts them). The filter has no false negatives and rejected rows
-//!   fold nothing, so results are bit-identical with the filter on or
-//!   off.
+//!   fold nothing, so results are bit-identical to the interpreter's
+//!   unfiltered nested loop.
 //! * **Join-aggregate fusion** — when the build side contributes no
 //!   select-clause attribute (its payload is empty), every build match
 //!   of a probe row stitches the *same* combined tuple, so a scalar or
@@ -87,8 +87,8 @@
 //!   apply `n` sequential adds in row order), preserving the
 //!   serial ≡ parallel ≡ interpreter fingerprint contract.
 //!
-//! Build-side zone-map pruning needs no switch: all three strategies
-//! already scan via [`GroupViews::runs_pruned`], so segment runs the
+//! Build-side zone-map pruning comes with the scans: all three strategies
+//! scan via [`GroupViews::runs_pruned`], so segment runs the
 //! build filter's zone maps disprove are never read —
 //! [`JoinExecStats::build_segments_skipped`] /
 //! [`JoinExecStats::probe_segments_skipped`] report the per-side skips.
@@ -228,7 +228,7 @@ impl CompiledJoinOp {
     }
 
     /// Whether this operator folds probe matches with a multiplicity
-    /// (join-aggregate fusion) when [`JoinOptions::fuse`] is on.
+    /// (join-aggregate fusion).
     pub fn fused(&self) -> bool {
         self.fused
     }
@@ -425,29 +425,6 @@ impl JoinTable {
     }
 }
 
-/// Runtime switches for the join fast path (see the module docs). Both
-/// default **on**; turning either off changes performance counters only —
-/// never a result bit. The off positions exist for the differential tests
-/// and the benchmark baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JoinOptions {
-    /// Probe the build filter (blocked bloom + exact key range) before
-    /// the hash table.
-    pub bloom: bool,
-    /// Fold probe matches with a multiplicity when the operator is
-    /// fusion-eligible ([`CompiledJoinOp::fused`]).
-    pub fuse: bool,
-}
-
-impl Default for JoinOptions {
-    fn default() -> JoinOptions {
-        JoinOptions {
-            bloom: true,
-            fuse: true,
-        }
-    }
-}
-
 /// Executes a compiled join — the one join entry point — returning the
 /// result and the per-side cardinality counters.
 ///
@@ -462,7 +439,7 @@ impl Default for JoinOptions {
 /// which polls it per segment run and charges the token's morsel budget, if
 /// one is set; on a triggered token the partial build table / probe
 /// accumulators are discarded and the typed [`ExecError`] for the stop
-/// reason is returned. `ctx.join` carries the fast-path switches.
+/// reason is returned.
 pub fn run_join(
     left: &LayoutCatalog,
     right: &LayoutCatalog,
@@ -517,7 +494,8 @@ pub fn run_join(
     // Derive the probe prefilter from the gathered parts: one partial
     // filter per chunk of build ranges, OR-merged in chunk order (the
     // merge is commutative, so the result is independent of the policy).
-    let bloom: Option<JoinFilter> = if ctx.join.bloom && build_qualifying > 0 {
+    // An empty build side needs none: its probe is skipped below.
+    let bloom = (build_qualifying > 0).then(|| {
         let partials = run_chunks(&parts, policy, |chunk| {
             let mut f = JoinFilter::with_capacity(build_qualifying, op.key_types.clone());
             for (keys, _, n) in chunk {
@@ -531,10 +509,8 @@ pub fn run_join(
         for p in &partials {
             filter.merge(p);
         }
-        Some(filter)
-    } else {
-        None
-    };
+        filter
+    });
     drop(parts);
 
     let mut stats = JoinExecStats {
@@ -550,11 +526,8 @@ pub fn run_join(
     // partials finish as the empty-match result, which coincides with the
     // interpreter's conventions.
     let mut parts = Vec::new();
-    if table.len != 0 {
-        let fuse = ctx.join.fuse && op.fused;
-        for (part, qual, pairs, rejects) in
-            probe_parts(&probe_views, op, &table, bloom.as_ref(), fuse, policy)
-        {
+    if let Some(bloom) = &bloom {
+        for (part, qual, pairs, rejects) in probe_parts(&probe_views, op, &table, bloom, policy) {
             stats.probe_rows += qual;
             stats.output_pairs += pairs;
             stats.probe_bloom_rejects += rejects;
@@ -568,7 +541,7 @@ pub fn run_join(
     Ok((result, stats))
 }
 
-/// [`run_join`] under a parallelism policy, fast paths on, no stop token.
+/// [`run_join`] under a parallelism policy, no stop token.
 pub fn execute_join_with_policy(
     left: &LayoutCatalog,
     right: &LayoutCatalog,
@@ -579,53 +552,49 @@ pub fn execute_join_with_policy(
 }
 
 /// The probe source: per range of the probe side and per qualifying probe
-/// row, an optional build-filter test, then one hash lookup; per matched
-/// build row, stitches the combined tuple buffer and pushes it into the
-/// range's sink partial with a pair multiplicity (always `1` unless
-/// `fused`). Returns, in range order, each range's partial with its
-/// qualifying-row, matched-pair and filter-reject counts.
+/// row, a build-filter test, then one hash lookup; per matched build row,
+/// stitches the combined tuple buffer and pushes it into the range's sink
+/// partial with a pair multiplicity (always `1` unless the operator is
+/// [`CompiledJoinOp::fused`]). Returns, in range order, each range's
+/// partial with its qualifying-row, matched-pair and filter-reject counts.
 ///
-/// With a filter and a single-column key, qualifying rows batch eight at
-/// a time: the exact `[min, max]` range is tested over the batched key
-/// lanes with the vectorized mask kernels ([`simd::and_pred_masks`]),
-/// surviving lanes take the scalar blocked-bloom word probe and are then
-/// looked up in lane (= ascending row) order — the fold order is exactly
-/// the unfiltered path's, so `F64` sums stay bit-identical. Multi-column
-/// keys test the filter scalar per row.
+/// With a single-column key, qualifying rows batch eight at a time: the
+/// exact `[min, max]` range is tested over the batched key lanes with the
+/// vectorized mask kernels ([`simd::and_pred_masks`]), surviving lanes
+/// take the scalar blocked-bloom word probe and are then looked up in lane
+/// (= ascending row) order — the fold order is exactly an unfiltered row
+/// walk's, so `F64` sums stay bit-identical. Multi-column keys test the
+/// filter scalar per row.
 fn probe_parts(
     views: &GroupViews<'_>,
     op: &CompiledJoinOp,
     table: &JoinTable,
-    filter: Option<&JoinFilter>,
-    fused: bool,
+    filter: &JoinFilter,
     policy: &ExecPolicy,
 ) -> Vec<(Partial, usize, usize, u64)> {
     // Comparator-key range predicates for the vectorized single-key
     // prefilter. `CompiledPred.value` lives in cmp-key space, which is
     // exactly where `JoinFilter` keeps its ranges; the bound attr is
     // irrelevant when masking a contiguous batch.
-    let range_preds: Option<[CompiledPred; 2]> = match filter {
-        Some(f) if op.probe.keys.len() == 1 => {
-            let (lo, hi) = f.range(0);
-            let attr = BoundAttr { slot: 0, offset: 0 };
-            let ty = op.key_types[0];
-            Some([
-                CompiledPred {
-                    attr,
-                    op: CmpOp::Ge,
-                    ty,
-                    value: lo,
-                },
-                CompiledPred {
-                    attr,
-                    op: CmpOp::Le,
-                    ty,
-                    value: hi,
-                },
-            ])
-        }
-        _ => None,
-    };
+    let range_preds: Option<[CompiledPred; 2]> = (op.probe.keys.len() == 1).then(|| {
+        let (lo, hi) = filter.range(0);
+        let attr = BoundAttr { slot: 0, offset: 0 };
+        let ty = op.key_types[0];
+        [
+            CompiledPred {
+                attr,
+                op: CmpOp::Ge,
+                ty,
+                value: lo,
+            },
+            CompiledPred {
+                attr,
+                op: CmpOp::Le,
+                ty,
+                value: hi,
+            },
+        ]
+    });
     run_ranges(views.rows(), views.seg_rows(), policy, |r| {
         let mut acc = op.select.partial();
         let mut pairs = 0usize;
@@ -636,70 +605,56 @@ fn probe_parts(
         let mut rows_b = [0usize; simd::LANES];
         let mut keys_b = [0 as Value; simd::LANES];
         let mut blen = 0usize;
-        let qual = op
-            .probe
-            .for_qualifying(views, r, |row| match (&range_preds, filter) {
-                (Some(preds), Some(f)) => {
-                    keys_b[blen] = views.get(op.probe.keys[0], row);
-                    rows_b[blen] = row;
-                    blen += 1;
-                    if blen < simd::LANES {
-                        return;
-                    }
-                    blen = 0;
-                    let mut masks = [u8::MAX];
-                    let col = simd::RunCol::contiguous(&keys_b[..]);
-                    simd::and_pred_masks(&col, &preds[0], &mut masks);
-                    simd::and_pred_masks(&col, &preds[1], &mut masks);
-                    let mut bits = masks[0] as u32;
-                    rejects += u64::from(simd::LANES as u32 - bits.count_ones());
-                    while bits != 0 {
-                        let i = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        if !f.test_lane(keys_b[i]) {
-                            rejects += 1;
-                            continue;
-                        }
-                        let key = &keys_b[i..=i];
-                        probe_one(
-                            views, op, table, fused, &mut acc, &mut buf, &mut pairs, key, rows_b[i],
-                        );
-                    }
+        let qual = op.probe.for_qualifying(views, r, |row| match &range_preds {
+            Some(preds) => {
+                keys_b[blen] = views.get(op.probe.keys[0], row);
+                rows_b[blen] = row;
+                blen += 1;
+                if blen < simd::LANES {
+                    return;
                 }
-                (None, Some(f)) => {
-                    for (slot, &k) in key.iter_mut().zip(&op.probe.keys) {
-                        *slot = views.get(k, row);
-                    }
-                    if !f.contains(&key) {
+                blen = 0;
+                let mut masks = [u8::MAX];
+                let col = simd::RunCol::contiguous(&keys_b[..]);
+                simd::and_pred_masks(&col, &preds[0], &mut masks);
+                simd::and_pred_masks(&col, &preds[1], &mut masks);
+                let mut bits = masks[0] as u32;
+                rejects += u64::from(simd::LANES as u32 - bits.count_ones());
+                while bits != 0 {
+                    let i = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if !filter.test_lane(keys_b[i]) {
                         rejects += 1;
-                        return;
+                        continue;
                     }
+                    let key = &keys_b[i..=i];
                     probe_one(
-                        views, op, table, fused, &mut acc, &mut buf, &mut pairs, &key, row,
+                        views, op, table, &mut acc, &mut buf, &mut pairs, key, rows_b[i],
                     );
                 }
-                _ => {
-                    for (slot, &k) in key.iter_mut().zip(&op.probe.keys) {
-                        *slot = views.get(k, row);
-                    }
-                    probe_one(
-                        views, op, table, fused, &mut acc, &mut buf, &mut pairs, &key, row,
-                    );
+            }
+            None => {
+                for (slot, &k) in key.iter_mut().zip(&op.probe.keys) {
+                    *slot = views.get(k, row);
                 }
-            });
+                if !filter.contains(&key) {
+                    rejects += 1;
+                    return;
+                }
+                probe_one(views, op, table, &mut acc, &mut buf, &mut pairs, &key, row);
+            }
+        });
         // Scalar tail: the last partial batch. `contains` applies the
         // same range + bloom tests as the vectorized flush.
-        if let Some(f) = filter {
-            for i in 0..blen {
-                if !f.contains(&keys_b[i..=i]) {
-                    rejects += 1;
-                    continue;
-                }
-                let key = &keys_b[i..=i];
-                probe_one(
-                    views, op, table, fused, &mut acc, &mut buf, &mut pairs, key, rows_b[i],
-                );
+        for i in 0..blen {
+            if !filter.contains(&keys_b[i..=i]) {
+                rejects += 1;
+                continue;
             }
+            let key = &keys_b[i..=i];
+            probe_one(
+                views, op, table, &mut acc, &mut buf, &mut pairs, key, rows_b[i],
+            );
         }
         (acc, qual, pairs, rejects)
     })
@@ -707,15 +662,15 @@ fn probe_parts(
 
 /// One probe lookup for `key` at probe row `row`: stitch the probe row's
 /// loop-invariant lanes, then push per matched build row — or **once**
-/// with the match count as multiplicity when `fused` (the build payload
-/// is empty, so every match would stitch the identical tuple).
+/// with the match count as multiplicity when the operator is fused (the
+/// build payload is empty, so every match would stitch the identical
+/// tuple).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn probe_one(
     views: &GroupViews<'_>,
     op: &CompiledJoinOp,
     table: &JoinTable,
-    fused: bool,
     acc: &mut Partial,
     buf: &mut [Value],
     pairs: &mut usize,
@@ -730,7 +685,7 @@ fn probe_one(
     for &(a, p) in &op.probe.payload {
         buf[p as usize] = views.get(a, row);
     }
-    if fused {
+    if op.fused {
         *pairs += idxs.len();
         op.select.push(acc, buf, idxs.len() as u64);
         return;
@@ -758,20 +713,6 @@ mod tests {
         op: &CompiledJoinOp,
     ) -> Result<QueryResult, ExecError> {
         execute_join_with_policy(left, right, op, &ExecPolicy::serial()).map(|(r, _)| r)
-    }
-
-    fn execute_join_with_policy_opts(
-        left: &LayoutCatalog,
-        right: &LayoutCatalog,
-        op: &CompiledJoinOp,
-        policy: &ExecPolicy,
-        join: JoinOptions,
-    ) -> Result<(QueryResult, JoinExecStats), ExecError> {
-        let ctx = ExecCtx {
-            join,
-            ..ExecCtx::new(*policy)
-        };
-        run_join(left, right, op, &ctx)
     }
 
     fn execute_join_with_policy_cancel(
@@ -1006,74 +947,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_toggles_never_change_results() {
-        let toggles = [
-            JoinOptions {
-                bloom: true,
-                fuse: false,
-            },
-            JoinOptions {
-                bloom: false,
-                fuse: true,
-            },
-            JoinOptions::default(),
-        ];
-        for segmented in [false, true] {
-            let (photo, spec) = fixture(segmented);
-            for q in queries() {
-                let checked = check_join(&q).unwrap();
-                for strategy in Strategy::ALL {
-                    let lp = AccessPlan::new(photo.catalog().layout_ids(), strategy);
-                    let rp = AccessPlan::new(spec.catalog().layout_ids(), strategy);
-                    for build_is_left in [true, false] {
-                        let op = compile_join(
-                            photo.catalog(),
-                            spec.catalog(),
-                            &lp,
-                            &rp,
-                            &q,
-                            &checked,
-                            build_is_left,
-                        )
-                        .unwrap();
-                        let (base, bstats) = execute_join_with_policy_opts(
-                            photo.catalog(),
-                            spec.catalog(),
-                            &op,
-                            &par_policy(),
-                            JoinOptions {
-                                bloom: false,
-                                fuse: false,
-                            },
-                        )
-                        .unwrap();
-                        assert_eq!(bstats.probe_bloom_rejects, 0);
-                        for opts in toggles {
-                            let (got, stats) = execute_join_with_policy_opts(
-                                photo.catalog(),
-                                spec.catalog(),
-                                &op,
-                                &par_policy(),
-                                opts,
-                            )
-                            .unwrap();
-                            assert_eq!(
-                                got.data(),
-                                base.data(),
-                                "opts {opts:?} strategy {} build_is_left {build_is_left} \
-                                 segmented {segmented} query {q}",
-                                strategy.name()
-                            );
-                            assert_eq!(stats.output_pairs, bstats.output_pairs);
-                            assert_eq!(stats.probe_rows, bstats.probe_rows);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn fused_rollups_match_two_phase_and_bloom_counts_rejects() {
         let (photo, spec) = fixture(false);
         // Selects that read only one side: with the other side building,
@@ -1132,27 +1005,14 @@ mod tests {
                     assert!(!flipped.fused());
                 }
                 for policy in [ExecPolicy::serial(), par_policy()] {
-                    let (fast, fstats) = execute_join_with_policy_opts(
-                        photo.catalog(),
-                        spec.catalog(),
-                        &op,
-                        &policy,
-                        JoinOptions::default(),
-                    )
-                    .unwrap();
-                    let (slow, sstats) = execute_join_with_policy_opts(
-                        photo.catalog(),
-                        spec.catalog(),
-                        &op,
-                        &policy,
-                        JoinOptions {
-                            bloom: false,
-                            fuse: false,
-                        },
-                    )
-                    .unwrap();
-                    assert_eq!(fast.data(), slow.data());
+                    let run = |op| {
+                        execute_join_with_policy(photo.catalog(), spec.catalog(), op, &policy)
+                            .unwrap()
+                    };
+                    let (fast, fstats) = run(&op);
+                    let (slow, sstats) = run(&flipped);
                     assert_eq!(fast.fingerprint(), want.fingerprint());
+                    assert_eq!(slow.fingerprint(), want.fingerprint());
                     assert_eq!(fstats.output_pairs, sstats.output_pairs);
                     // With photo building, spec rows with bestObjID in
                     // 8..12 fall outside the build key range [0, 7] and

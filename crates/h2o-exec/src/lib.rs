@@ -59,8 +59,7 @@
 //! There is **one execution path** per operator kind — [`run`] for
 //! single-relation operators, [`run_join`] for joins,
 //! [`reorg::reorg_and_execute`] for the fused reorganization operator —
-//! each taking an [`ExecCtx`] (policy, optional stop token, join
-//! switches). The fused reorganization operator has no query loop of its
+//! each taking an [`ExecCtx`] (policy, optional stop token). The fused reorganization operator has no query loop of its
 //! own: it stitches the new group in 1K-row chunks with
 //! [`reorg::materialize`]'s loop and runs the scan kernels' fused source
 //! over each chunk. A serial policy is the same driver over the single
@@ -70,9 +69,11 @@
 //! differential tests assert both. ([`execute`], [`execute_with_policy`],
 //! [`execute_with_policy_stats`] and [`execute_join_with_policy`] are
 //! one-line conveniences over the two `run`s.) [`ExecPolicy`] carries the
-//! knobs (`parallelism`, `morsel_rows`, and a serial-fallback row threshold
-//! so tiny relations never pay fork/join overhead); it is surfaced on
-//! `EngineConfig` in `h2o-core`.
+//! morsel shape (`parallelism`, `morsel_rows`, and a serial-fallback row
+//! threshold so tiny relations never pay fork/join overhead). The engine
+//! in `h2o-core` sets only `parallelism` (`EngineConfig::parallelism`) and
+//! keeps the default morsel size and threshold; the bit-identity suites
+//! construct policies with other shapes directly.
 
 pub mod bind;
 pub mod bloom;
@@ -99,7 +100,7 @@ pub use compile::{
 pub use filter::CompiledFilter;
 pub use join::{
     compile_join, execute_join_with_policy, run_join, CompiledJoinOp, CompiledJoinSide,
-    JoinExecStats, JoinOptions,
+    JoinExecStats,
 };
 pub use opcache::{CompileCostModel, OperatorCache, OperatorKey};
 pub use parallel::ExecPolicy;

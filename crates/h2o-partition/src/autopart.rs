@@ -20,32 +20,15 @@ use h2o_cost::{AccessPattern, CostModel};
 use h2o_storage::AttrSet;
 use std::collections::HashMap;
 
-/// Tuning knobs for AutoPart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AutoPartConfig {
-    /// Safety bound on merge iterations.
-    pub max_rounds: usize,
-}
+/// Safety bound on merge iterations.
+const MAX_ROUNDS: usize = 64;
 
-impl Default for AutoPartConfig {
-    fn default() -> Self {
-        AutoPartConfig { max_rounds: 64 }
-    }
-}
-
-/// The AutoPart offline partitioner.
-#[derive(Debug, Clone, Default)]
-pub struct AutoPart {
-    model: CostModel,
-    config: AutoPartConfig,
-}
+/// The AutoPart offline partitioner, pricing fragmentations with the
+/// engine's [`CostModel`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AutoPart;
 
 impl AutoPart {
-    /// Creates a partitioner over the given cost model.
-    pub fn new(model: CostModel, config: AutoPartConfig) -> Self {
-        AutoPart { model, config }
-    }
-
     /// Phase 1: primary partitions — equivalence classes of attributes
     /// under "accessed by exactly the same queries". Attributes untouched
     /// by the workload form one leftover fragment.
@@ -86,8 +69,8 @@ impl AutoPart {
         if workload.is_empty() {
             return parts;
         }
-        let mut best = partition_cost(&self.model, workload, &parts, rows);
-        for _ in 0..self.config.max_rounds {
+        let mut best = partition_cost(&CostModel, workload, &parts, rows);
+        for _ in 0..MAX_ROUNDS {
             let mut best_merge: Option<(usize, usize, f64)> = None;
             for i in 0..parts.len() {
                 for j in (i + 1)..parts.len() {
@@ -98,7 +81,7 @@ impl AutoPart {
                         }
                     }
                     trial.push(parts[i].union(&parts[j]));
-                    let cost = partition_cost(&self.model, workload, &trial, rows);
+                    let cost = partition_cost(&CostModel, workload, &trial, rows);
                     if cost < best && best_merge.is_none_or(|(_, _, c)| cost < c) {
                         best_merge = Some((i, j, cost));
                     }
@@ -123,7 +106,7 @@ impl AutoPart {
     /// The workload cost of a fragmentation under this partitioner's model
     /// (exposed for benchmarking and tests).
     pub fn cost(&self, workload: &[AccessPattern], partition: &[AttrSet], rows: usize) -> f64 {
-        partition_cost(&self.model, workload, partition, rows)
+        partition_cost(&CostModel, workload, partition, rows)
     }
 }
 
@@ -165,7 +148,7 @@ mod tests {
 
     #[test]
     fn partition_is_always_valid() {
-        let ap = AutoPart::default();
+        let ap = AutoPart;
         let w = vec![
             pattern(&[0, 1, 2], &[7], 0.3),
             pattern(&[2, 3], &[7], 0.3),
@@ -186,7 +169,7 @@ mod tests {
             w.push(pattern(&[0, 1], &[2, 3], 0.2));
             w.push(pattern(&[0, 1, 2, 3], &[], 1.0));
         }
-        let ap = AutoPart::default();
+        let ap = AutoPart;
         let parts = ap.partition(&w, 8, ROWS);
         assert!(is_valid_partition(&parts, 8));
         let containing0 = parts.iter().find(|p| p.contains(0usize.into())).unwrap();
@@ -198,7 +181,7 @@ mod tests {
 
     #[test]
     fn merging_never_worsens_cost() {
-        let ap = AutoPart::default();
+        let ap = AutoPart;
         let w = vec![pattern(&[0, 1, 2], &[3], 0.4), pattern(&[4, 5], &[3], 0.4)];
         let primaries = AutoPart::primary_partitions(&w, 8);
         let final_parts = ap.partition(&w, 8, ROWS);
@@ -213,13 +196,13 @@ mod tests {
         // All attributes share the empty access vector.
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0], AttrSet::all(5));
-        let ap = AutoPart::default();
+        let ap = AutoPart;
         assert!(is_valid_partition(&ap.partition(&[], 5, ROWS), 5));
     }
 
     #[test]
     fn zero_attrs() {
-        let ap = AutoPart::default();
+        let ap = AutoPart;
         assert!(ap.partition(&[], 0, ROWS).is_empty());
     }
 

@@ -162,7 +162,7 @@ mod tests {
         let rows = 200_000;
         let (opt, opt_cost) = brute_force(&model, &w, 6, rows);
         assert!(is_valid_partition(&opt, 6));
-        let ap = AutoPart::default();
+        let ap = AutoPart;
         let heuristic = ap.partition(&w, 6, rows);
         let h_cost = ap.cost(&w, &heuristic, rows);
         assert!(

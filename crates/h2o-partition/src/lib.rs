@@ -24,7 +24,7 @@
 pub mod autopart;
 pub mod bruteforce;
 
-pub use autopart::{AutoPart, AutoPartConfig};
+pub use autopart::AutoPart;
 pub use bruteforce::brute_force;
 
 use h2o_cost::{AccessPattern, CostModel};

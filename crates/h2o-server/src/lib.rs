@@ -42,5 +42,5 @@ pub mod server;
 
 pub use admission::{Admission, Permit};
 pub use error::ServerError;
-pub use protocol::{options_from_json, WireOptions, WireRequest};
+pub use protocol::{options_from_json, Statement, WireRequest};
 pub use server::{Server, ServerConfig, ServerHandle, ServerStats};

@@ -27,35 +27,12 @@
 //! the rendered-message taxonomy of the layers below verbatim.
 
 use crate::error::ServerError;
-use h2o_core::ExecOptions;
+use h2o_core::{ExecOptions, Request};
 use h2o_expr::wire::datum_from_json;
 use h2o_expr::{join_from_json, query_from_json, Datum, JoinQuery, Json, Query, Side, WireError};
 use h2o_storage::Schema;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Decoded `"opts"`: the [`ExecOptions`] plus which stop-control fields
-/// the client set explicitly (so the server only fills defaults for the
-/// ones it did not).
-#[derive(Debug)]
-pub struct WireOptions {
-    /// The engine options, ready for `Request::with_options`.
-    pub opts: ExecOptions,
-    /// Whether the wire carried `"deadline_ms"`.
-    pub has_deadline: bool,
-    /// Whether the wire carried `"budget"`.
-    pub has_budget: bool,
-}
-
-impl WireOptions {
-    fn none() -> WireOptions {
-        WireOptions {
-            opts: ExecOptions::new(),
-            has_deadline: false,
-            has_budget: false,
-        }
-    }
-}
 
 /// Decodes an `"opts"` object onto [`ExecOptions`] — the single
 /// protocol↔engine conversion. Fields map 1:1:
@@ -67,17 +44,18 @@ impl WireOptions {
 /// | `"budget"`      | [`ExecOptions::budget`]      |
 /// | `"build_side"`  | [`ExecOptions::build_side`]  |
 ///
-/// (Cancellation tokens are process-local by nature and have no wire
-/// form; a client cancels by closing its connection or bounding the
+/// Unset fields stay unset: the server adds no deadline or budget of its
+/// own. (Cancellation tokens are process-local by nature and have no
+/// wire form; a client cancels by closing its connection or bounding the
 /// query with a deadline/budget.)
-pub fn options_from_json(j: &Json) -> Result<WireOptions, WireError> {
+pub fn options_from_json(j: &Json) -> Result<ExecOptions, WireError> {
+    let mut opts = ExecOptions::new();
     if j.is_null() {
-        return Ok(WireOptions::none());
+        return Ok(opts);
     }
-    let mut wire = WireOptions::none();
     let hint = j.get("hint");
     if !hint.is_null() {
-        wire.opts = wire.opts.hint(hint.num("\"opts.hint\"")?);
+        opts = opts.hint(hint.num("\"opts.hint\"")?);
     }
     let deadline = j.get("deadline_ms");
     if !deadline.is_null() {
@@ -87,8 +65,7 @@ pub fn options_from_json(j: &Json) -> Result<WireOptions, WireError> {
                 "\"opts.deadline_ms\" must be non-negative".to_string(),
             ));
         }
-        wire.opts = wire.opts.deadline(Duration::from_millis(ms as u64));
-        wire.has_deadline = true;
+        opts = opts.deadline(Duration::from_millis(ms as u64));
     }
     let budget = j.get("budget");
     if !budget.is_null() {
@@ -98,8 +75,7 @@ pub fn options_from_json(j: &Json) -> Result<WireOptions, WireError> {
                 "\"opts.budget\" must be non-negative".to_string(),
             ));
         }
-        wire.opts = wire.opts.budget(units as u64);
-        wire.has_budget = true;
+        opts = opts.budget(units as u64);
     }
     let side = j.get("build_side");
     if !side.is_null() {
@@ -112,9 +88,29 @@ pub fn options_from_json(j: &Json) -> Result<WireOptions, WireError> {
                 )))
             }
         };
-        wire.opts = wire.opts.build_side(side);
+        opts = opts.build_side(side);
     }
-    Ok(wire)
+    Ok(opts)
+}
+
+/// What a request asks the engine to answer.
+#[derive(Debug)]
+pub enum Statement {
+    /// A single-relation query against the primary relation.
+    Query(Query),
+    /// A two-relation hash join.
+    Join(Box<JoinQuery>),
+}
+
+impl Statement {
+    /// The engine request for this statement under `opts`.
+    pub fn request(&self, opts: ExecOptions) -> Request<'_> {
+        match self {
+            Statement::Query(q) => Request::query(q),
+            Statement::Join(q) => Request::join(q),
+        }
+        .with_options(opts)
+    }
 }
 
 /// A decoded request line, ready for the session loop to execute.
@@ -125,16 +121,10 @@ pub enum WireRequest {
     /// Engine + server counter snapshot; answered without taking an
     /// admission slot.
     Stats,
-    /// One-shot single-relation query against the primary relation.
-    Query {
-        q: Query,
-        opts: WireOptions,
-        check: bool,
-    },
-    /// One-shot two-relation hash join.
-    Join {
-        q: Box<JoinQuery>,
-        opts: WireOptions,
+    /// A one-shot `"query"` or `"join"`.
+    Run {
+        stmt: Statement,
+        opts: ExecOptions,
         check: bool,
     },
     /// Cache a single-relation statement under `name` for this session.
@@ -144,7 +134,7 @@ pub enum WireRequest {
     Exec {
         name: String,
         params: Vec<Datum>,
-        opts: WireOptions,
+        opts: ExecOptions,
         check: bool,
     },
 }
@@ -166,23 +156,18 @@ pub fn request_from_json(
             c.bool("\"check\"").map_err(ServerError::Wire)?
         }
     };
+    let run = |stmt| {
+        let opts = options_from_json(j.get("opts"))?;
+        Ok(WireRequest::Run { stmt, opts, check })
+    };
     match kind {
         "ping" => Ok(WireRequest::Ping),
         "stats" => Ok(WireRequest::Stats),
-        "query" => {
-            let q = query_from_json(j.get("q"), primary)?;
-            let opts = options_from_json(j.get("opts"))?;
-            Ok(WireRequest::Query { q, opts, check })
-        }
-        "join" => {
-            let q = join_from_json(j.get("q"), resolve)?;
-            let opts = options_from_json(j.get("opts"))?;
-            Ok(WireRequest::Join {
-                q: Box::new(q),
-                opts,
-                check,
-            })
-        }
+        "query" => run(Statement::Query(query_from_json(j.get("q"), primary)?)),
+        "join" => run(Statement::Join(Box::new(join_from_json(
+            j.get("q"),
+            resolve,
+        )?))),
         "prepare" => {
             let name = j.get("name").str("\"name\"").map_err(ServerError::Wire)?;
             let doc = j.get("q");
@@ -295,7 +280,10 @@ mod tests {
                 .unwrap(),
         )
         .unwrap();
-        assert!(all.has_deadline && all.has_budget);
+        let all = format!("{all:?}");
+        for field in ["Some(0.25)", "Some(40ms)", "Some(8)", "Some(Right)"] {
+            assert!(all.contains(field), "{field} missing from {all}");
+        }
     }
 
     #[test]
@@ -318,7 +306,11 @@ mod tests {
         )
         .unwrap();
         match req {
-            WireRequest::Query { q, check, .. } => {
+            WireRequest::Run {
+                stmt: Statement::Query(q),
+                check,
+                ..
+            } => {
                 assert!(check);
                 assert_eq!(q.projections().len(), 1);
             }

@@ -20,11 +20,11 @@
 
 use crate::admission::{Admission, Permit};
 use crate::error::ServerError;
-use crate::protocol::{self, WireOptions, WireRequest};
-use h2o_core::{ExecOptions, H2oEngine, Outcome, ReorganizerHandle, Request};
+use crate::protocol::{self, Statement, WireRequest};
+use h2o_core::{ExecOptions, H2oEngine, Outcome, ReorganizerHandle};
 use h2o_expr::{
-    interpret, interpret_join, result_to_json, Conjunction, Datum, JoinQuery, Json, Predicate,
-    Query, WireError,
+    interpret, interpret_join, result_to_json, Conjunction, Datum, Json, Predicate, Query,
+    WireError,
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -47,9 +47,10 @@ const MAX_LINE_BYTES: usize = 1 << 20;
 /// How long the accept loop sleeps when no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
-/// Server tuning knobs. `Default` serves on an ephemeral localhost port
-/// with admission sized to the machine's parallelism and no implicit
-/// per-query limits.
+/// Server tuning knobs: four settable values. `Default` serves on an
+/// ephemeral localhost port with admission sized to the machine's
+/// parallelism. Per-query limits are the client's (`"opts"`); the server
+/// adds none.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` by default — pick a free port).
@@ -58,10 +59,6 @@ pub struct ServerConfig {
     pub max_inflight: usize,
     /// Requests allowed to wait for a slot before shedding.
     pub max_queued: usize,
-    /// Deadline applied to requests that do not set `"deadline_ms"`.
-    pub default_deadline: Option<Duration>,
-    /// Morsel budget applied to requests that do not set `"budget"`.
-    pub default_budget: Option<u64>,
     /// When set, the server owns a supervised background reorganizer
     /// polling at this interval, stopped on shutdown.
     pub reorg_poll: Option<Duration>,
@@ -73,8 +70,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             max_inflight: thread::available_parallelism().map_or(4, |p| p.get()),
             max_queued: 16,
-            default_deadline: None,
-            default_budget: None,
             reorg_poll: None,
         }
     }
@@ -119,8 +114,6 @@ struct Shared {
     admission: Arc<Admission>,
     counters: Counters,
     stop: AtomicBool,
-    default_deadline: Option<Duration>,
-    default_budget: Option<u64>,
 }
 
 /// The serving front end. See [`Server::start`].
@@ -148,8 +141,6 @@ impl Server {
             admission: Admission::new(config.max_inflight, config.max_queued),
             counters: Counters::default(),
             stop: AtomicBool::new(false),
-            default_deadline: config.default_deadline,
-            default_budget: config.default_budget,
         });
         let accept_shared = shared.clone();
         let accept = thread::Builder::new()
@@ -382,7 +373,7 @@ fn handle_request(
             prepared.insert(name, Prepared { query: q });
             Ok(protocol::ok_line(id, body, None))
         }
-        WireRequest::Query { q, opts, check } => run_query(id, &q, opts, check, shared),
+        WireRequest::Run { stmt, opts, check } => run(id, &stmt, opts, check, shared),
         WireRequest::Exec {
             name,
             params,
@@ -392,10 +383,9 @@ fn handle_request(
             let statement = prepared
                 .get(&name)
                 .ok_or(ServerError::UnknownStatement(name))?;
-            let bound = rebind(&statement.query, &params)?;
-            run_query(id, &bound, opts, check, shared)
+            let bound = Statement::Query(rebind(&statement.query, &params)?);
+            run(id, &bound, opts, check, shared)
         }
-        WireRequest::Join { q, opts, check } => run_join(id, &q, opts, check, shared),
     }
 }
 
@@ -478,79 +468,35 @@ fn rebind(statement: &Query, params: &[Datum]) -> Result<Query, ServerError> {
     Ok(statement.with_filter(filter))
 }
 
-/// Fills server-level defaults for stop-control options the client
-/// left unset — the wire's explicit values always win.
-fn apply_defaults(wire: WireOptions, shared: &Shared) -> ExecOptions {
-    let mut opts = wire.opts;
-    if !wire.has_deadline {
-        if let Some(deadline) = shared.default_deadline {
-            opts = opts.deadline(deadline);
-        }
-    }
-    if !wire.has_budget {
-        if let Some(budget) = shared.default_budget {
-            opts = opts.budget(budget);
-        }
-    }
-    opts
-}
-
-fn admit(shared: &Shared) -> Result<Permit, ServerError> {
-    shared.admission.admit()
-}
-
-fn run_query(
+/// Admits, executes and renders one statement — both request kinds.
+fn run(
     id: &Json,
-    q: &Query,
-    opts: WireOptions,
+    stmt: &Statement,
+    opts: ExecOptions,
     check: bool,
     shared: &Shared,
 ) -> Result<String, ServerError> {
-    let permit = admit(shared)?;
-    let opts = apply_defaults(opts, shared);
-    let out = shared.engine.run(Request::query(q).with_options(opts))?;
+    let permit = shared.admission.admit()?;
+    let out = shared.engine.run(stmt.request(opts))?;
     drop(permit);
-    let checked = check.then(|| verify_query(&out, q, shared));
+    let checked = check.then(|| verify(&out, stmt, shared));
     Ok(protocol::ok_line(id, result_to_json(&out.result), checked))
 }
 
-fn run_join(
-    id: &Json,
-    q: &JoinQuery,
-    opts: WireOptions,
-    check: bool,
-    shared: &Shared,
-) -> Result<String, ServerError> {
-    let permit = admit(shared)?;
-    let opts = apply_defaults(opts, shared);
-    let out = shared.engine.run(Request::join(q).with_options(opts))?;
-    drop(permit);
-    let checked = check.then(|| verify_join(&out, q, shared));
-    Ok(protocol::ok_line(id, result_to_json(&out.result), checked))
-}
-
-/// Re-runs the query through the generic interpreter on the snapshot
+/// Re-runs the statement through the generic interpreter on the snapshot
 /// the engine executed against and compares result fingerprints —
 /// bit-identical by the engine's determinism contract.
-fn verify_query(out: &Outcome, q: &Query, shared: &Shared) -> bool {
-    shared.counters.checked.fetch_add(1, Ordering::Relaxed);
-    let matched = interpret(out.snapshot.primary(), q)
-        .map(|want| want.fingerprint() == out.result.fingerprint())
-        .unwrap_or(false);
-    if !matched {
-        shared.counters.mismatches.fetch_add(1, Ordering::Relaxed);
-    }
-    matched
-}
-
-fn verify_join(out: &Outcome, q: &JoinQuery, shared: &Shared) -> bool {
+fn verify(out: &Outcome, stmt: &Statement, shared: &Shared) -> bool {
     shared.counters.checked.fetch_add(1, Ordering::Relaxed);
     let db = &out.snapshot;
-    let matched = match (db.relation(q.left().name()), db.relation(q.right().name())) {
-        (Ok(left), Ok(right)) => interpret_join(left, right, q)
-            .is_ok_and(|want| want.fingerprint() == out.result.fingerprint()),
-        _ => false,
+    let want = match stmt {
+        Statement::Query(q) => interpret(db.primary(), q).ok(),
+        Statement::Join(q) => match (db.relation(q.left().name()), db.relation(q.right().name())) {
+            (Ok(left), Ok(right)) => interpret_join(left, right, q).ok(),
+            _ => None,
+        },
     };
+    let matched = want.is_some_and(|want| want.fingerprint() == out.result.fingerprint());
     if !matched {
         shared.counters.mismatches.fetch_add(1, Ordering::Relaxed);
     }

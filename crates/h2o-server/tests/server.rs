@@ -102,6 +102,23 @@ const POINT: &str = r#"{"id":1,"kind":"query","q":{"select":[{"col":"id"},{"col"
 const ROLLUP: &str = r#"{"id":2,"kind":"query","q":{"group_by":[{"col":"grp"}],"aggs":[{"fn":"sum","expr":{"col":"val"}},{"fn":"count"}]},"check":true}"#;
 const JOIN: &str = r#"{"id":3,"kind":"join","q":{"left":"R","right":"dim","on":[["id","key"]],"where_right":[{"col":"weight","op":"<","value":40}],"select":[{"lcol":"val"},{"rcol":"weight"}]},"check":true}"#;
 
+/// Every settable value, by name. A new field fails to compile here
+/// until it is added — and counted in `ServerConfig`'s docs, which keep
+/// the settable values at four.
+#[test]
+fn server_config_has_the_documented_four_values() {
+    let ServerConfig {
+        addr,
+        max_inflight,
+        max_queued,
+        reorg_poll,
+    } = ServerConfig::default();
+    assert_eq!(addr, "127.0.0.1:0");
+    assert!(max_inflight >= 1);
+    assert_eq!(max_queued, 16);
+    assert_eq!(reorg_poll, None);
+}
+
 #[test]
 fn concurrent_clients_get_interpreter_checked_answers_under_reorg_churn() {
     let handle = start(

@@ -224,8 +224,8 @@
 //!   lane *before* touching the hash table, so low-match-rate probes
 //!   skip the random-access lookup
 //!   ([`JoinExecStats::probe_bloom_rejects`](h2o_exec::JoinExecStats)
-//!   counts the savings). No false negatives ⇒ bit-identical on or off
-//!   (`tests/join_fastpath.rs` proptests it).
+//!   counts the savings). No false negatives ⇒ bit-identical to the
+//!   interpreter (`tests/join_fastpath.rs` proptests it).
 //! * *Join-aggregate fusion* — when no select expression reads a
 //!   build-side attribute, the build payload is empty and a probe
 //!   row's `k` matches are `k` identical aggregate updates;
@@ -240,10 +240,8 @@
 //!   hash table and filter, and the `h2o-cost` model prices the filter
 //!   build and per-probe test so build-side choice stays honest.
 //!
-//! Both toggles default on; [`JoinOptions`](h2o_exec::JoinOptions) on
-//! the [`ExecCtx`](h2o_exec::ExecCtx) handed to
-//! [`run_join`](h2o_exec::run_join) switches them off for differential
-//! runs.
+//! Both are always on; `tests/join_fastpath.rs`
+//! asserts that they engage and holds every answer to the interpreter.
 //!
 //! ## One entry point: `run` and `ExecOptions`
 //!
@@ -301,15 +299,14 @@
 //! and per-morsel partials are re-assembled deterministically (projection
 //! blocks concatenated in row order, aggregate accumulators merged, online
 //! reorganization stitching disjoint blocks of the new layout), so parallel
-//! results are **bit-identical** to serial ones. Three
-//! [`EngineConfig`](h2o_core::EngineConfig) knobs control it:
-//!
-//! * `parallelism: Option<usize>` — worker count; `None` = all available
-//!   cores, `Some(1)` = the paper-faithful serial path
-//!   ([`EngineConfig::single_threaded`](h2o_core::EngineConfig::single_threaded));
-//! * `morsel_rows: usize` — rows per morsel (default 65 536);
-//! * `parallel_row_threshold: usize` — relations at or below this row count
-//!   always run serially, so tiny scans never pay fork/join overhead.
+//! results are **bit-identical** to serial ones. One
+//! [`EngineConfig`](h2o_core::EngineConfig) value controls it:
+//! `parallelism: Option<usize>`, the worker count — `None` = all available
+//! cores, `Some(1)` = the paper-faithful serial path
+//! ([`EngineConfig::single_threaded`](h2o_core::EngineConfig::single_threaded)).
+//! Morsels are 65 536 rows, and relations of at most 16 384 rows always
+//! run serially, so tiny scans never pay fork/join overhead
+//! ([`ExecPolicy`](h2o_exec::ExecPolicy)'s defaults).
 //!
 //! See `h2o_exec::parallel` for the scheduler and the determinism argument;
 //! `tests/parallelism.rs` pins parallel ≡ serial.
@@ -350,8 +347,7 @@
 //! cooperatively cancellable
 //! ([`ExecOptions::cancel`](h2o_core::ExecOptions::cancel) with a shared
 //! [`CancelToken`](h2o_core::CancelToken)), deadline-bounded
-//! ([`ExecOptions::deadline`](h2o_core::ExecOptions::deadline) or the
-//! engine-wide [`EngineConfig::query_deadline`](h2o_core::EngineConfig))
+//! ([`ExecOptions::deadline`](h2o_core::ExecOptions::deadline))
 //! and work-bounded
 //! ([`ExecOptions::budget`](h2o_core::ExecOptions::budget)), returning
 //! `EngineError::Cancelled` / `EngineError::Timeout` /

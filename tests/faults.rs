@@ -71,11 +71,11 @@ fn install_filtering_hook() {
 const ATTRS: usize = 16;
 
 fn chaos_engine(rows: usize, mut cfg: EngineConfig) -> H2oEngine {
-    // Small morsels + zero serial threshold: every query exercises the
-    // morsel scheduler (and its panic isolation), not just big ones.
+    // The engine's default morsel shape runs these relations as one
+    // range; worker-thread panics re-raise on the calling thread exactly
+    // like serial ones, and `chaos_all_strategies_cancel_and_panic`
+    // drives small parallel morsels directly.
     cfg.parallelism = Some(3);
-    cfg.morsel_rows = 256;
-    cfg.parallel_row_threshold = 0;
     cfg.window.initial = 8;
     cfg.window.min = 4;
     let schema = Schema::with_width(ATTRS).into_shared();

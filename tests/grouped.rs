@@ -14,6 +14,7 @@
 //! exactly (same seed ⇒ same relations, keys, cardinalities and filters).
 
 use h2o::core::{EngineConfig, H2oEngine};
+use h2o::exec::parallel::DEFAULT_MORSEL_ROWS;
 use h2o::exec::{compile, execute, execute_with_policy, AccessPlan, ExecPolicy, Strategy};
 use h2o::expr::interpret;
 use h2o::prelude::*;
@@ -171,16 +172,17 @@ fn grouped_matches_interpreter_for_every_strategy_layout_and_policy() {
 
 #[test]
 fn grouped_engine_stays_correct_through_adaptation() {
+    // Three default-size morsels: the parallel path runs every scan.
+    let rows = 2 * DEFAULT_MORSEL_ROWS + 4_096;
     let mut cfg = EngineConfig::default();
     cfg.window.initial = 8;
     cfg.window.min = 4;
     cfg.parallelism = Some(4);
-    cfg.morsel_rows = 256;
-    cfg.parallel_row_threshold = 0;
-    let schema = Schema::with_width(12).into_shared();
-    let columns = gen_columns_with_keys(12, 3_000, 5, 1, 16);
+    assert!(!cfg.exec_policy().is_serial_for(rows));
+    let schema = Schema::with_width(5).into_shared();
+    let columns = gen_columns_with_keys(5, rows, 5, 1, 16);
     let engine = H2oEngine::new(Relation::columnar(schema, columns).unwrap(), cfg);
-    for i in 0..40 {
+    for i in 0..20 {
         let q = Query::grouped(
             [Expr::col(0u32)],
             [

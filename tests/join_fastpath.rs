@@ -1,17 +1,18 @@
 //! Join fast-path differential suite: **bloom-filtered probes and
 //! join-aggregate fusion never change an answer.**
 //!
-//! The fast paths are pure execution shortcuts — a blocked bloom filter
-//! plus exact key range that skips hash lookups for provably-absent
-//! keys, and a fused probe loop that folds matches straight into the
-//! aggregate state when the build side contributes no payload. Both
-//! must be bit-invisible: this suite sweeps fused join-aggregates
-//! against the two-phase path and the nested-loop interpreter across
-//! all three strategies × serial/parallel × both build sides, then
-//! proptests bloom-on ≡ bloom-off bit-identity over random match
-//! rates, key skew, and empty build sides.
+//! The fast paths are pure execution shortcuts, always on — a blocked
+//! bloom filter plus exact key range that skips hash lookups for
+//! provably-absent keys, and a fused probe loop that folds matches
+//! straight into the aggregate state when the build side contributes no
+//! payload. Both must be bit-invisible: this suite checks that they
+//! engage (filter rejects, fused operators) and holds every answer to
+//! the nested-loop interpreter across all three strategies ×
+//! serial/parallel × both build sides — one of which fuses and one of
+//! which runs the two-phase probe — then proptests the same over random
+//! match rates, key skew, and empty build sides.
 
-use h2o::exec::{compile_join, run_join, AccessPlan, ExecCtx, ExecPolicy, JoinOptions, Strategy};
+use h2o::exec::{compile_join, run_join, AccessPlan, ExecCtx, ExecPolicy, Strategy};
 use h2o::expr::{check_join, interpret_join, JoinQuery};
 use h2o::prelude::*;
 use h2o::storage::LogicalType;
@@ -122,37 +123,21 @@ fn fused_queries() -> Vec<(&'static str, JoinQuery)> {
     out
 }
 
-fn opts(bloom: bool, fuse: bool) -> JoinOptions {
-    JoinOptions { bloom, fuse }
-}
-
-/// `policy` with explicit fast-path switches.
-fn join_ctx(policy: &ExecPolicy, join: JoinOptions) -> ExecCtx<'static> {
-    ExecCtx {
-        join,
-        ..ExecCtx::new(*policy)
-    }
-}
-
 /// Fused join-aggregates agree with the two-phase path and the
-/// interpreter: 3 strategies × serial/parallel × both build sides, with
-/// every fast-path toggle combination held to the both-off baseline.
+/// interpreter: 3 strategies × serial/parallel × both build sides. The
+/// dimension side building fuses; the fact side building runs two-phase.
+/// Both match the interpreter, count the same pairs, and are
+/// bit-identical serial vs parallel.
 #[test]
 fn fused_aggregates_match_two_phase_and_interpreter() {
     let (dim_cols, fact_cols) = dim_fact_columns(600, 4_000, 0.35, 0.4, 23);
     let dim = Relation::columnar(dim_schema(), dim_cols).unwrap();
     let fact = Relation::columnar(fact_schema(), fact_cols).unwrap();
-    let policies = [
-        ("serial", ExecPolicy::serial()),
-        (
-            "parallel",
-            ExecPolicy {
-                parallelism: Some(4),
-                morsel_rows: 128,
-                serial_threshold: 0,
-            },
-        ),
-    ];
+    let parallel = ExecPolicy {
+        parallelism: Some(4),
+        morsel_rows: 128,
+        serial_threshold: 0,
+    };
     for (shape, q) in fused_queries() {
         let checked = check_join(&q).unwrap();
         let want = interpret_join(dim.catalog(), fact.catalog(), &q)
@@ -161,6 +146,7 @@ fn fused_aggregates_match_two_phase_and_interpreter() {
         for strategy in Strategy::ALL {
             let lplan = AccessPlan::new(dim.catalog().layout_ids(), strategy);
             let rplan = AccessPlan::new(fact.catalog().layout_ids(), strategy);
+            let mut pairs = Vec::new();
             for build_is_left in [true, false] {
                 let op = compile_join(
                     dim.catalog(),
@@ -179,44 +165,22 @@ fn fused_aggregates_match_two_phase_and_interpreter() {
                     build_is_left,
                     "{shape}: fusion requires an empty build payload"
                 );
-                for (pname, policy) in &policies {
-                    let (slow, slow_stats) = run_join(
-                        dim.catalog(),
-                        fact.catalog(),
-                        &op,
-                        &join_ctx(policy, opts(false, false)),
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        slow.fingerprint(),
-                        want,
-                        "{shape} {} {pname} build_is_left={build_is_left}: two-phase",
-                        strategy.name()
-                    );
-                    assert_eq!(
-                        slow_stats.probe_bloom_rejects, 0,
-                        "bloom off rejects nothing"
-                    );
-                    for (bloom, fuse) in [(true, true), (true, false), (false, true)] {
-                        let (fast, fast_stats) = run_join(
-                            dim.catalog(),
-                            fact.catalog(),
-                            &op,
-                            &join_ctx(policy, opts(bloom, fuse)),
-                        )
-                        .unwrap();
-                        assert_eq!(
-                            fast.data(),
-                            slow.data(),
-                            "{shape} {} {pname} build_is_left={build_is_left} \
-                             bloom={bloom} fuse={fuse}",
-                            strategy.name()
-                        );
-                        assert_eq!(fast_stats.output_pairs, slow_stats.output_pairs);
-                        assert_eq!(fast_stats.probe_rows, slow_stats.probe_rows);
-                    }
-                }
+                let run = |policy| {
+                    run_join(dim.catalog(), fact.catalog(), &op, &ExecCtx::new(policy)).unwrap()
+                };
+                let (serial, stats) = run(ExecPolicy::serial());
+                let label = format!("{shape} {} build_is_left={build_is_left}", strategy.name());
+                assert_eq!(serial.fingerprint(), want, "{label}");
+                let (par, par_stats) = run(parallel);
+                assert_eq!(par.data(), serial.data(), "{label}: serial vs parallel");
+                assert_eq!(par_stats.output_pairs, stats.output_pairs);
+                assert_eq!(par_stats.probe_rows, stats.probe_rows);
+                pairs.push(stats.output_pairs);
             }
+            assert_eq!(
+                pairs[0], pairs[1],
+                "{shape}: fused and two-phase count the same pairs"
+            );
         }
     }
 }
@@ -248,10 +212,11 @@ fn in_domain_misses_are_rejected_by_bloom_bits_not_the_range() {
         dim.catalog(),
         fact.catalog(),
         &op,
-        &join_ctx(&ExecPolicy::serial(), opts(true, true)),
+        &ExecCtx::new(ExecPolicy::serial()),
     )
     .unwrap();
     let misses = stats.probe_rows - stats.output_pairs.min(stats.probe_rows);
+    assert!(stats.probe_bloom_rejects > 0, "the filter must engage");
     assert!(
         stats.probe_bloom_rejects as usize >= misses / 2,
         "bloom should reject most of the {misses} missing probes; \
@@ -261,8 +226,15 @@ fn in_domain_misses_are_rejected_by_bloom_bits_not_the_range() {
 }
 
 /// One proptest case: every query shape × strategy × build side ×
-/// serial/parallel, bloom-on against bloom-off, byte-identical.
-fn bloom_invisible(dim_rows: usize, fact_rows: usize, match_rate: f64, skew: f64, seed: u64) {
+/// serial/parallel matches the interpreter, and parallel is
+/// byte-identical to serial.
+fn bloom_filtered_joins_agree(
+    dim_rows: usize,
+    fact_rows: usize,
+    match_rate: f64,
+    skew: f64,
+    seed: u64,
+) {
     let (dim_cols, fact_cols) = dim_fact_columns(dim_rows, fact_rows, match_rate, skew, seed);
     let dim = Relation::columnar(dim_schema(), dim_cols).unwrap();
     let fact = Relation::columnar(fact_schema(), fact_cols).unwrap();
@@ -273,6 +245,9 @@ fn bloom_invisible(dim_rows: usize, fact_rows: usize, match_rate: f64, skew: f64
     };
     for (shape, q) in fused_queries() {
         let checked = check_join(&q).unwrap();
+        let want = interpret_join(dim.catalog(), fact.catalog(), &q)
+            .unwrap()
+            .fingerprint();
         for strategy in Strategy::ALL {
             let lplan = AccessPlan::new(dim.catalog().layout_ids(), strategy);
             let rplan = AccessPlan::new(fact.catalog().layout_ids(), strategy);
@@ -287,31 +262,28 @@ fn bloom_invisible(dim_rows: usize, fact_rows: usize, match_rate: f64, skew: f64
                     build_is_left,
                 )
                 .unwrap();
-                for policy in [&ExecPolicy::serial(), &par] {
-                    let (off, _) = run_join(
-                        dim.catalog(),
-                        fact.catalog(),
-                        &op,
-                        &join_ctx(policy, opts(false, true)),
-                    )
-                    .unwrap();
-                    let (on, _) = run_join(
-                        dim.catalog(),
-                        fact.catalog(),
-                        &op,
-                        &join_ctx(policy, opts(true, true)),
-                    )
-                    .unwrap();
-                    prop_assert_eq!(
-                        on.data(),
-                        off.data(),
-                        "{} {} build_is_left={} parallelism={:?}",
-                        shape,
-                        strategy.name(),
-                        build_is_left,
-                        policy.parallelism
-                    );
-                }
+                let run = |policy| {
+                    run_join(dim.catalog(), fact.catalog(), &op, &ExecCtx::new(policy))
+                        .unwrap()
+                        .0
+                };
+                let serial = run(ExecPolicy::serial());
+                prop_assert_eq!(
+                    serial.fingerprint(),
+                    want,
+                    "{} {} build_is_left={}",
+                    shape,
+                    strategy.name(),
+                    build_is_left
+                );
+                prop_assert_eq!(
+                    run(par).data(),
+                    serial.data(),
+                    "{} {} build_is_left={} parallel",
+                    shape,
+                    strategy.name(),
+                    build_is_left
+                );
             }
         }
     }
@@ -320,16 +292,17 @@ fn bloom_invisible(dim_rows: usize, fact_rows: usize, match_rate: f64, skew: f64
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Bloom filtering is bit-invisible for any match rate, key skew,
-    /// and relation size — including empty build and probe sides.
+    /// Bloom-filtered (and, where eligible, fused) joins match the
+    /// interpreter for any match rate, key skew, and relation size —
+    /// including empty build and probe sides.
     #[test]
-    fn bloom_on_equals_bloom_off(
+    fn bloom_filtered_joins_match_the_interpreter(
         seed in 0u64..1000,
         dim_rows in 0usize..250,
         fact_rows in 0usize..250,
         match_rate in 0.0f64..=1.0,
         skew in 0.0f64..=1.0,
     ) {
-        bloom_invisible(dim_rows, fact_rows, match_rate, skew, seed);
+        bloom_filtered_joins_agree(dim_rows, fact_rows, match_rate, skew, seed);
     }
 }

@@ -3,6 +3,7 @@
 //! query shape, every layout, any morsel size and any worker count.
 
 use h2o::core::{EngineConfig, H2oEngine};
+use h2o::exec::parallel::DEFAULT_MORSEL_ROWS;
 use h2o::exec::{
     compile, execute, execute_with_policy, reorg, AccessPlan, ExecCtx, ExecPolicy, Strategy,
 };
@@ -218,20 +219,21 @@ fn parallel_reorganization_is_byte_identical() {
 
 #[test]
 fn parallel_engine_agrees_with_interpreter_through_adaptation() {
-    // A full adaptive run with the parallel path forced on (threshold 0,
-    // small morsels, several workers): every answer must still match the
-    // reference interpreter, including the queries that trigger online
-    // reorganization.
-    let schema = Schema::with_width(12).into_shared();
-    let columns = gen_columns(12, 3_000, 5);
+    // A full adaptive run on the parallel path (several workers over a
+    // relation of three default-size morsels): every answer must still
+    // match the reference interpreter, including the queries that trigger
+    // online reorganization.
+    let rows = 2 * DEFAULT_MORSEL_ROWS + 4_096;
+    let schema = Schema::with_width(6).into_shared();
+    let columns = gen_columns(6, rows, 5);
     let mut cfg = EngineConfig::default();
     cfg.window.initial = 8;
     cfg.window.min = 4;
     cfg.parallelism = Some(4);
-    cfg.morsel_rows = 256;
-    cfg.parallel_row_threshold = 0;
+    assert_eq!(cfg.exec_policy().morsel_count(rows), 3);
+    assert!(!cfg.exec_policy().is_serial_for(rows));
     let engine = H2oEngine::new(Relation::columnar(schema, columns).unwrap(), cfg);
-    for i in 0..40 {
+    for i in 0..20 {
         let q = Query::project(
             [Expr::sum_of([AttrId(0), AttrId(1), AttrId(2), AttrId(3)])],
             Conjunction::of([Predicate::lt(

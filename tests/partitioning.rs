@@ -37,7 +37,7 @@ fn autopart_close_to_optimal_on_structured_workloads() {
     ];
     for (i, w) in workloads.iter().enumerate() {
         let (_, opt_cost) = brute_force(&model, w, 6, rows);
-        let ap = AutoPart::default();
+        let ap = AutoPart;
         let parts = ap.partition(w, 6, rows);
         assert!(is_valid_partition(&parts, 6));
         let ap_cost = ap.cost(w, &parts, rows);
@@ -80,7 +80,7 @@ proptest! {
             .collect();
         let model = CostModel;
         let rows = 100_000;
-        let ap = AutoPart::default();
+        let ap = AutoPart;
         let parts = ap.partition(&workload, n_attrs, rows);
         prop_assert!(is_valid_partition(&parts, n_attrs));
         let (_, opt) = brute_force(&model, &workload, n_attrs, rows);
@@ -100,7 +100,7 @@ fn autopart_partition_usable_as_relation_layout() {
     let n_attrs = 10;
     let rows = 1_000;
     let workload: Vec<AccessPattern> = (0..10).map(|_| pattern(&[0, 1, 2], &[9], 0.3)).collect();
-    let ap = AutoPart::default();
+    let ap = AutoPart;
     let parts = ap.partition(&workload, n_attrs, rows);
     let partition: Vec<Vec<AttrId>> = parts.iter().map(|p| p.to_vec()).collect();
 
