@@ -47,7 +47,7 @@ fn run_group(source: &Relation, q: &Query) -> f64 {
     let attrs: Vec<AttrId> = q.all_attrs().to_vec();
     let group = h2o_exec::reorg::materialize(source.catalog(), &attrs).unwrap();
     let mut catalog = LayoutCatalog::new(source.schema().clone(), source.rows());
-    let id = catalog.add_group(group, 0).unwrap();
+    let id = catalog.add_group(group).unwrap();
     [Strategy::FusedVolcano, Strategy::SelVector]
         .into_iter()
         .map(|strategy| {

@@ -20,7 +20,7 @@ use h2o_workload::synth::gen_columns;
 fn timed_on_group(source: &Relation, group_attrs: &[AttrId], q: &Query) -> f64 {
     let group = h2o_exec::reorg::materialize(source.catalog(), group_attrs).unwrap();
     let mut catalog = LayoutCatalog::new(source.schema().clone(), source.rows());
-    let id = catalog.add_group(group, 0).unwrap();
+    let id = catalog.add_group(group).unwrap();
     let plan = AccessPlan::new(vec![id], Strategy::FusedVolcano);
     let op = compile(&catalog, &plan, q).unwrap();
     time_hot(5, || execute(&catalog, &op).unwrap())

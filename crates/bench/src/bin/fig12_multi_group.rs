@@ -34,7 +34,7 @@ fn timed_on_groups(source: &Relation, parts: &[Vec<AttrId>], q: &Query) -> f64 {
     let mut ids = Vec::new();
     for part in parts {
         let group = h2o_exec::reorg::materialize(source.catalog(), part).unwrap();
-        ids.push(catalog.add_group(group, 0).unwrap());
+        ids.push(catalog.add_group(group).unwrap());
     }
     // H2O picks the best execution strategy per (layout, query); report
     // best-of for each configuration (fused Fig. 5 vs sel-vector Fig. 6).

@@ -65,7 +65,7 @@ fn main() {
         let offline = || {
             let group = materialize(rel.catalog(), attrs).unwrap();
             let mut catalog = LayoutCatalog::new(rel.schema().clone(), rel.rows());
-            let id = catalog.add_group(group, 0).unwrap();
+            let id = catalog.add_group(group).unwrap();
             let plan = AccessPlan::new(vec![id], Strategy::FusedVolcano);
             let op = compile(&catalog, &plan, &q).unwrap();
             execute(&catalog, &op).unwrap()

@@ -35,7 +35,7 @@ fn compare(
     // miss (amortized paths hit the cache; this measures the first-use
     // cost as the paper does).
     let mut catalog = LayoutCatalog::new(schema.clone(), rows);
-    let id = catalog.add_group(group.clone(), 0).unwrap();
+    let id = catalog.add_group(group.clone()).unwrap();
     let plan = AccessPlan::new(vec![id], Strategy::FusedVolcano);
     let cache = OperatorCache::new(1, CompileCostModel::ZERO);
     let op = cache.get_or_compile(&catalog, &plan, q).unwrap();

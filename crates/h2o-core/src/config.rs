@@ -9,11 +9,11 @@ use h2o_exec::{CompileCostModel, ExecPolicy};
 /// cores, where the paper's prototype is single-threaded (use
 /// [`EngineConfig::single_threaded`] for paper-faithful comparisons, as
 /// the figure-reproduction binaries do). "Hands-free" means no field is
-/// *required*, and every field has a caller outside the tests: eight
+/// *required*, and every field has a caller outside the tests: seven
 /// settable values (the window's three, then `opcache_capacity`,
-/// `adaptive`, `space_budget_bytes`, `parallelism` and
-/// `background_reorg`). The adviser's and the cost model's constants,
-/// the morsel shape and the join fast paths are not fields at all.
+/// `adaptive`, `parallelism` and `background_reorg`). The adviser's and
+/// the cost model's constants, the morsel shape and the join fast paths
+/// are not fields at all.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
     /// Dynamic monitoring window configuration (§3.2). The paper's Fig. 7
@@ -27,16 +27,6 @@ pub struct EngineConfig {
     /// degenerates to a fixed-layout engine with cost-based strategy choice
     /// (useful for ablations).
     pub adaptive: bool,
-    /// Storage budget in bytes for *all* layouts together, or `None` for
-    /// unlimited. When an adaptive build — lazy (fused with a query) or
-    /// background (`maintain()`) — would exceed the budget, the engine
-    /// first evicts least-recently-used redundant layouts; if no layout
-    /// can be evicted safely, the build is skipped. An explicit
-    /// [`H2oEngine::materialize_now`](crate::H2oEngine::materialize_now)
-    /// is never budgeted. (The paper motivates this: "there is not enough
-    /// space to store these alternatives" is exactly why H2O cannot
-    /// prepare every layout.)
-    pub space_budget_bytes: Option<usize>,
     /// Intra-query worker threads (morsel-driven parallelism — a deviation
     /// from the paper's single-threaded prototype; see
     /// `h2o_exec::parallel`). `None` uses the host's available
@@ -62,7 +52,6 @@ impl Default for EngineConfig {
             compile_cost: CompileCostModel::ZERO,
             opcache_capacity: 256,
             adaptive: true,
-            space_budget_bytes: None,
             parallelism: None,
             background_reorg: false,
         }
@@ -112,22 +101,20 @@ mod tests {
 
     /// Every settable value, by name. A new field fails to compile here
     /// until it is added — and counted in [`EngineConfig`]'s docs, which
-    /// keep the settable values at eight.
+    /// keep the settable values at seven.
     #[test]
-    fn settable_values_are_the_documented_eight() {
+    fn settable_values_are_the_documented_seven() {
         let EngineConfig {
             window: WindowConfig { initial, min, max },
             compile_cost: _, // inert
             opcache_capacity,
             adaptive,
-            space_budget_bytes,
             parallelism,
             background_reorg,
         } = EngineConfig::default();
         assert_eq!((initial, min, max), (20, 4, 200));
         assert_eq!(opcache_capacity, 256);
         assert!(adaptive);
-        assert_eq!(space_budget_bytes, None);
         assert_eq!(parallelism, None);
         assert!(!background_reorg);
     }

@@ -37,8 +37,8 @@ use h2o_exec::{
 };
 use h2o_expr::{Conjunction, JoinQuery, Query, QueryError, QueryResult, Select, Side};
 use h2o_storage::{
-    failpoints, AttrId, AttrSet, CatalogSnapshot, ColumnGroup, Epoch, LayoutCatalog, LayoutId,
-    Relation, Schema, StorageError,
+    failpoints, AttrId, AttrSet, CatalogSnapshot, ColumnGroup, LayoutCatalog, LayoutId, Relation,
+    Schema, StorageError,
 };
 use parking_lot::{Mutex, RwLock};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -282,7 +282,6 @@ pub struct H2oEngine {
     /// materialization (lazy on the query path, or eager in `maintain()`).
     /// Specs leave it by value ([`Self::retire`]), never by index.
     pending: Mutex<Vec<GroupSpec>>,
-    epoch: AtomicU64,
     /// Set when the window completes an interval in background-reorg mode;
     /// consumed by the next `maintain()` pump.
     adapt_due: AtomicBool,
@@ -320,7 +319,6 @@ impl H2oEngine {
             writer: Mutex::new(()),
             config,
             pending: Mutex::new(Vec::new()),
-            epoch: AtomicU64::new(0),
             adapt_due: AtomicBool::new(false),
             adapt_running: AtomicBool::new(false),
             stats: Mutex::new(EngineStats::default()),
@@ -617,7 +615,6 @@ impl H2oEngine {
         Self::check_schema_binding(q, Side::Left, left.schema())?;
         Self::check_schema_binding(q, Side::Right, right.schema())?;
 
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats.lock().queries += 1;
 
         // Per-side patterns with selectivity from observed history.
@@ -654,12 +651,6 @@ impl H2oEngine {
             &checked,
             build_is_left,
         )?;
-        for &id in &lplan.layouts {
-            left.note_use(id, epoch);
-        }
-        for &id in &rplan.layouts {
-            right.note_use(id, epoch);
-        }
         let (result, exec) = h2o_exec::run_join(&left, &right, &op, ctx)?;
         let skipped = exec.build_segments_skipped + exec.probe_segments_skipped;
         if skipped > 0 || exec.probe_bloom_rejects > 0 {
@@ -707,7 +698,7 @@ impl H2oEngine {
         // over this shape runs on the improved layout. The join already
         // has its answer, so a failed build only leaves the spec pending.
         for pat in primary {
-            let _ = self.try_pending(None, pat, epoch, ctx);
+            let _ = self.try_pending(None, pat, ctx);
         }
 
         *self.last_join_report.lock() = Some(JoinReport {
@@ -823,12 +814,11 @@ impl H2oEngine {
         // The outcome's secondary relations: the map as the request started.
         let named = self.secondary.read().clone();
 
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats.lock().queries += 1;
         let sel = self.estimate_selectivity(None, q.filter(), selectivity_hint);
         let pattern = AccessPattern::of(q, sel);
 
-        let (snap, result) = match self.try_pending(Some(q), &pattern, epoch, ctx) {
+        let (snap, result) = match self.try_pending(Some(q), &pattern, ctx) {
             Some(Ok((snap, Some(result)))) => (snap, result),
             Some(Err(e)) => return Err(e),
             _ => {
@@ -837,9 +827,6 @@ impl H2oEngine {
                 let op = self
                     .opcache
                     .get_or_compile_checked(&snap, &plan, q, &checked)?;
-                for &id in &plan.layouts {
-                    snap.note_use(id, epoch);
-                }
                 *self.last_report.lock() = Some(QueryReport {
                     strategy: plan.strategy,
                     layouts: plan.layouts.clone(),
@@ -935,7 +922,6 @@ impl H2oEngine {
         &self,
         q: Option<&Query>,
         pattern: &AccessPattern,
-        epoch: Epoch,
         ctx: &ExecCtx<'_>,
     ) -> Option<Result<(CatalogSnapshot, Option<QueryResult>), EngineError>> {
         if !self.config.adaptive || self.config.background_reorg {
@@ -964,38 +950,25 @@ impl H2oEngine {
 
         let (g, new_cost) = self.best_pending(&snap, pattern, current_cost)?;
 
-        // Build the successor catalog: evict under the space budget, stitch
-        // the new group, admit it — then publish the whole thing in one
-        // atomic swap. Readers see either the old or the new version.
-        let mut new_cat = (*snap).clone();
-        let evicted = self.evict_for(&mut new_cat, g.attrs.len())?;
-
         let attrs: Vec<AttrId> = g.attrs.to_vec();
         let t0 = Instant::now();
         let built = match q {
-            Some(q) => reorg::reorg_and_execute(&new_cat, &attrs, q, ctx)
+            Some(q) => reorg::reorg_and_execute(&snap, &attrs, q, ctx)
                 .map(|(group, result)| (group, Some(result))),
-            None => reorg::materialize_with(&new_cat, &attrs, &ctx.policy).map(|g| (g, None)),
+            None => reorg::materialize_with(&snap, &attrs, &ctx.policy).map(|g| (g, None)),
         };
         let (group, result) = match built {
             Ok(v) => v,
             // Includes cooperative stops: a cancelled fused reorganization
-            // abandons `new_cat` (copy-on-write — never published) and the
-            // advice stays pending for a later request.
+            // publishes nothing and the advice stays pending for a later
+            // request.
             Err(e) => return Some(Err(e.into())),
         };
-        let build_time = t0.elapsed();
-        let id = match new_cat.add_group(group, epoch) {
-            Ok(id) => id,
-            Err(e) => return Some(Err(e.into())),
+        let (id, published) = match self.admit(group, t0.elapsed()) {
+            Ok(Some(admitted)) => admitted,
+            Ok(None) => return Some(Ok((snap, result))),
+            Err(e) => return Some(Err(e)),
         };
-        self.commit_reorg(&evicted, build_time);
-        // Publish before retiring the advice: adapt()'s race-closing prune
-        // snapshots the catalog after its replace, so as long as every
-        // materialization publishes first, a concurrently re-recommended
-        // spec can never survive as pending for an existing layout.
-        let published = self.publish(new_cat);
-        self.retire(&g);
         if q.is_some() {
             *self.last_report.lock() = Some(QueryReport {
                 strategy: Strategy::FusedVolcano,
@@ -1032,12 +1005,11 @@ impl H2oEngine {
         if !rec.groups.is_empty() {
             *self.pending.lock() = rec.groups;
             // The recommendation was computed from a possibly stale
-            // snapshot: a layout materialized concurrently (e.g. by
-            // `materialize_now`, whose own retain may have run before our
-            // replace) must not be re-advertised. Pruning against a
-            // post-replace snapshot closes the race for every
-            // interleaving, because `materialize_now` publishes before it
-            // retains.
+            // snapshot: a layout admitted concurrently (whose own retire
+            // may have run before our replace) must not be re-advertised.
+            // Pruning against a post-replace snapshot closes the race for
+            // every interleaving, because `admit` publishes before it
+            // retires.
             let now = self.snapshot();
             self.pending
                 .lock()
@@ -1083,9 +1055,10 @@ impl H2oEngine {
             if self.build_pending_group(&spec) {
                 report.layouts_built += 1;
             }
-            // A concurrent adaptation round may have replaced the advice
-            // already; retiring by value simply no-ops then.
-            self.retire(&spec);
+            // A built spec was retired by `admit`; a skipped one is retired
+            // here. Retiring by value no-ops when a concurrent adaptation
+            // round replaced the advice already.
+            self.retire(&spec.attrs);
         }
         report
     }
@@ -1096,10 +1069,9 @@ impl H2oEngine {
     /// build; the lock is taken only to admit and publish. If appends
     /// landed mid-build (the row count moved), the build retries from a
     /// fresh snapshot; the final attempt builds under the lock so it
-    /// cannot be outrun forever. All side effects (opcache invalidation,
-    /// stats) happen only when a new catalog version is actually
-    /// published, and the recorded reorganization time is the published
-    /// group's build — never the wait for the writer lock.
+    /// cannot be outrun forever. The group enters through [`Self::admit`],
+    /// and the recorded reorganization time is the admitted group's build —
+    /// never the wait for the writer lock.
     fn build_pending_group(&self, spec: &GroupSpec) -> bool {
         let attrs: Vec<AttrId> = spec.attrs.to_vec();
         const ATTEMPTS: usize = 3;
@@ -1108,17 +1080,6 @@ impl H2oEngine {
             let base = self.snapshot();
             if base.find_exact(&spec.attrs).is_some() {
                 return false; // already materialized (e.g. materialize_now)
-            }
-            // Feasibility before cost: simulate the budget eviction on a
-            // cheap table-only clone so an unfittable spec is skipped
-            // *before* paying for a full-table stitch (a tight budget plus
-            // a stable workload would otherwise re-stitch and discard the
-            // same group every adaptation round).
-            if self.config.space_budget_bytes.is_some() {
-                let mut scratch = (*base).clone();
-                if self.evict_for(&mut scratch, attrs.len()).is_none() {
-                    return false;
-                }
             }
             let policy = self.config.exec_policy();
             let timed = |catalog: &LayoutCatalog| {
@@ -1136,9 +1097,6 @@ impl H2oEngine {
             };
             let _w = self.writer.lock();
             let latest = self.snapshot();
-            if latest.find_exact(&spec.attrs).is_some() {
-                return false;
-            }
             let (group, build_time) = match built {
                 Some((g, t)) if g.rows() == latest.rows() => (g, t),
                 Some(_) => continue, // appends landed mid-build: rebuild
@@ -1147,17 +1105,7 @@ impl H2oEngine {
                     None => return false,
                 },
             };
-            let mut new_cat = (*latest).clone();
-            let Some(evicted) = self.evict_for(&mut new_cat, attrs.len()) else {
-                return false; // cannot fit: skip the spec, no side effects
-            };
-            let epoch = self.epoch.load(Ordering::Relaxed);
-            if new_cat.add_group(group, epoch).is_err() {
-                return false;
-            }
-            self.commit_reorg(&evicted, build_time);
-            self.publish(new_cat);
-            return true;
+            return matches!(self.admit(group, build_time), Ok(Some(_)));
         }
         false
     }
@@ -1196,49 +1144,46 @@ impl H2oEngine {
         best.map(|(g, cost)| (g.clone(), cost))
     }
 
-    /// Retires `spec` from the pending advice — by value, not by index: a
-    /// concurrent adaptation round may have replaced the list since the
-    /// caller read it, and then this is a harmless no-op instead of
-    /// retiring the wrong spec.
-    fn retire(&self, spec: &GroupSpec) {
+    /// Retires the spec for `attrs` from the pending advice — by value,
+    /// not by index: a concurrent adaptation round may have replaced the
+    /// list since the caller read it, and then this is a harmless no-op
+    /// instead of retiring the wrong spec.
+    fn retire(&self, attrs: &AttrSet) {
         let mut pending = self.pending.lock();
-        if let Some(i) = pending.iter().position(|g| g.attrs == spec.attrs) {
+        if let Some(i) = pending.iter().position(|g| g.attrs == *attrs) {
             pending.remove(i);
         }
     }
 
-    /// Evicts least-recently-used redundant layouts from `new_cat` until a
-    /// new `new_width`-attribute group fits the space budget. Returns the
-    /// victims (side effects deferred to [`Self::commit_reorg`], so an
-    /// abandoned copy-on-write attempt leaves no trace) or `None` when the
-    /// group cannot be made to fit.
-    fn evict_for(&self, new_cat: &mut LayoutCatalog, new_width: usize) -> Option<Vec<LayoutId>> {
-        let mut evicted = Vec::new();
-        if let Some(budget) = self.config.space_budget_bytes {
-            let new_bytes = new_width * h2o_storage::VALUE_BYTES * new_cat.rows();
-            while new_cat.total_bytes() + new_bytes > budget {
-                let victim = new_cat.eviction_candidate()?;
-                if new_cat.drop_group(victim).is_err() {
-                    return None;
-                }
-                evicted.push(victim);
-            }
+    /// Admits a built group — the one way a layout enters the catalog.
+    /// Callers hold the writer lock, so the published version cannot move
+    /// under it. In order: refuses (`None`) an attribute set the catalog
+    /// already stores, adds the group, counts the build, publishes, and
+    /// retires the spec from the pending advice. Publishing before
+    /// retiring closes the race with [`Self::adapt`]: its prune snapshots
+    /// the catalog after replacing the advice, so a concurrently
+    /// re-recommended spec can never survive as pending for an existing
+    /// layout.
+    fn admit(
+        &self,
+        group: ColumnGroup,
+        build_time: Duration,
+    ) -> Result<Option<(LayoutId, CatalogSnapshot)>, EngineError> {
+        let current = self.snapshot();
+        let attrs = group.attr_set().clone();
+        if current.find_exact(&attrs).is_some() {
+            return Ok(None);
         }
-        Some(evicted)
-    }
-
-    /// Applies the side effects of a completed reorganization whose new
-    /// catalog version is about to be (or was just) published: invalidates
-    /// cached operators over evicted layouts and updates the counters.
-    fn commit_reorg(&self, evicted: &[LayoutId], build_time: Duration) {
-        for &victim in evicted {
-            self.opcache.invalidate_layout(victim);
+        let mut new_cat = (*current).clone();
+        let id = new_cat.add_group(group)?;
+        {
+            let mut s = self.stats.lock();
+            s.reorg_time += build_time;
+            s.layouts_created += 1;
         }
-        let mut s = self.stats.lock();
-        s.layouts_evicted += evicted.len() as u64;
-        s.reorg_time += build_time;
-        s.layouts_created += 1;
-        s.reorgs_completed += 1;
+        let published = self.publish(new_cat);
+        self.retire(&attrs);
+        Ok(Some((id, published)))
     }
 
     /// Spawns a **supervised** reorganizer thread that pumps
@@ -1316,25 +1261,20 @@ impl H2oEngine {
         })
     }
 
-    /// Materializes a layout *offline* (separate pass, no query). Used by
-    /// the Fig. 13 comparison and by explicit administration.
+    /// Materializes a layout *offline* (separate pass, no query), for
+    /// explicit administration. An attribute set the catalog already
+    /// stores is not built again: its existing layout's id is returned and
+    /// nothing is published or counted.
     pub fn materialize_now(&self, attrs: &[AttrId]) -> Result<LayoutId, EngineError> {
         self.mutate(|| {
             let snap = self.snapshot();
+            if let Some(id) = snap.find_exact(&attrs.iter().copied().collect()) {
+                return Ok(id);
+            }
             let t0 = Instant::now();
             let group = reorg::materialize_with(&snap, attrs, &self.config.exec_policy())?;
-            let mut new_cat = (*snap).clone();
-            let build_time = t0.elapsed();
-            let id = new_cat.add_group(group, self.epoch.load(Ordering::Relaxed))?;
-            self.commit_reorg(&[], build_time);
-            self.publish(new_cat);
-            // The spec is no longer pending advice: it exists. Pruning
-            // *after* the publish pairs with adapt()'s replace-then-prune
-            // ordering so the two cannot interleave into re-advertising an
-            // existing layout.
-            let spec_attrs: h2o_storage::AttrSet = attrs.iter().copied().collect();
-            self.pending.lock().retain(|g| g.attrs != spec_attrs);
-            Ok(id)
+            let admitted = self.admit(group, t0.elapsed())?;
+            Ok(admitted.expect("checked above under the writer lock").0)
         })
     }
 
@@ -1608,7 +1548,6 @@ mod tests {
             stats.layouts_created >= 1,
             "hot cluster must have produced a materialized group; stats: {stats:?}"
         );
-        assert!(stats.reorgs_completed >= 1);
         assert!(stats.snapshots_published >= 1);
         // The created layout must cover the hot select cluster (the
         // where-clause attribute keeps its own layout — the paper's
@@ -1746,7 +1685,7 @@ mod tests {
             built += e.maintain().layouts_built;
         }
         assert!(built >= 1, "maintain() must build the recommended layouts");
-        assert!(e.stats().reorgs_completed >= 1);
+        assert!(e.stats().layouts_created >= 1);
         // Queries keep matching the oracle and can now use the new group.
         for i in 0..10 {
             let q = expr_query(&[0, 1, 2, 3], 4, (i % 5) * 100 - 200);
@@ -1779,11 +1718,10 @@ mod tests {
         }
         handle.stop();
         assert!(
-            e.stats().reorgs_completed >= 1,
+            e.stats().layouts_created >= 1,
             "reorganizer thread must have built a layout; stats: {:?}",
             e.stats()
         );
-        assert_eq!(e.stats().layouts_created, e.stats().reorgs_completed);
     }
 
     #[test]
@@ -1862,6 +1800,12 @@ mod tests {
         let e = engine(5, 300, EngineConfig::default());
         let id = e.materialize_now(&[AttrId(1), AttrId(3)]).unwrap();
         assert_eq!(e.catalog().group_count(), 6);
+        // A second call finds the layout instead of storing a second copy:
+        // nothing is stitched, counted or published.
+        let (before, stats) = (e.snapshot(), e.stats());
+        assert_eq!(e.materialize_now(&[AttrId(1), AttrId(3)]).unwrap(), id);
+        assert!(Arc::ptr_eq(&before, &e.snapshot()));
+        assert_eq!(e.stats(), stats);
         e.drop_layout(id).unwrap();
         assert_eq!(e.catalog().group_count(), 5);
         // Dropping a base column must fail (would uncover).
@@ -1940,33 +1884,6 @@ mod tests {
         assert_eq!(stats.rows_appended, 0);
         assert_eq!(stats.bytes_cloned_on_write, 0);
         assert_eq!(e.catalog().rows(), 10);
-    }
-
-    #[test]
-    fn space_budget_caps_layout_growth() {
-        let rows = 3000;
-        let n_attrs = 30;
-        let mut cfg = EngineConfig::default();
-        cfg.window.initial = 6;
-        cfg.window.min = 4;
-        // Budget: base columns + roughly two extra 10-attr groups.
-        cfg.space_budget_bytes = Some((n_attrs + 22) * 8 * rows);
-        let e = engine(n_attrs, rows, cfg);
-        // Alternate between three hot clusters so the adviser wants
-        // several layouts over time.
-        for i in 0..90u32 {
-            let base = (i / 10 % 3) * 10;
-            let q = expr_query(&[base, base + 1, base + 2, base + 3], base + 4, 0);
-            let want = interpret(&e.catalog(), &q).unwrap();
-            let got = e.run(Request::query(&q)).unwrap().result;
-            assert_eq!(got.fingerprint(), want.fingerprint(), "query {i}");
-            assert!(
-                e.catalog().total_bytes() <= cfg.space_budget_bytes.unwrap(),
-                "budget violated at query {i}: {} bytes",
-                e.catalog().total_bytes()
-            );
-        }
-        assert!(e.catalog().covers_schema());
     }
 
     #[test]
@@ -2249,7 +2166,7 @@ mod tests {
         }
         assert!(built >= 1, "recovery round must complete the build");
         assert!(e.pending().is_empty());
-        assert!(e.stats().reorgs_completed >= 1);
+        assert!(e.stats().layouts_created >= 1);
 
         // 4. The supervised reorganizer absorbs the same fault on its own
         //    thread: panic counted, backoff taken, pump resumed, round
@@ -2271,7 +2188,7 @@ mod tests {
             e.run(Request::query(&q)).unwrap();
         }
         let deadline = Instant::now() + Duration::from_secs(20);
-        while (h.status().panics < 1 || e.stats().reorgs_completed < 1) && Instant::now() < deadline
+        while (h.status().panics < 1 || e.stats().layouts_created < 1) && Instant::now() < deadline
         {
             h.nudge();
             std::thread::sleep(Duration::from_millis(2));
@@ -2284,7 +2201,7 @@ mod tests {
             "supervisor must have caught the panic: {st:?}"
         );
         assert!(
-            e.stats().reorgs_completed >= 1,
+            e.stats().layouts_created >= 1,
             "supervisor must resume and finish the round: {:?}",
             e.stats()
         );
@@ -2469,6 +2386,67 @@ mod tests {
         assert_eq!(stats.reorg_time, Duration::ZERO);
     }
 
+    /// Every path that builds a layout — a lazy fused query, a lazy join
+    /// side, a background `maintain()` build and `materialize_now` — admits
+    /// it the same way: one new layout, one publish, one counted build, the
+    /// spec retired, and the bytes `reorg::materialize` builds from the
+    /// same parent snapshot.
+    #[test]
+    fn every_build_path_admits_the_same_way() {
+        type Path = fn(&H2oEngine, &JoinQuery, &Query);
+        let paths: [(&str, bool, Path); 4] = [
+            ("lazy query", false, |e, _, q| {
+                let out = e.run(Request::query(q)).unwrap();
+                assert_eq!(out.result, interpret(out.snapshot.primary(), q).unwrap());
+            }),
+            ("lazy join side", false, |e, j, _| {
+                e.run(Request::join(j)).unwrap();
+            }),
+            ("maintain", true, |e, _, _| {
+                assert_eq!(e.maintain().layouts_built, 1);
+            }),
+            ("materialize_now", false, |e, _, _| {
+                e.materialize_now(&[AttrId(0), AttrId(1)]).unwrap();
+            }),
+        ];
+        let attrs: AttrSet = [AttrId(0), AttrId(1)].into_iter().collect();
+        for (name, background_reorg, path) in paths {
+            let cfg = EngineConfig {
+                background_reorg,
+                ..EngineConfig::default()
+            };
+            let (e, fs, ds) = join_engine(4000, 16, cfg);
+            *e.pending.lock() = vec![GroupSpec::new(attrs.clone())];
+            let b = Query::join(("R", fs), ("dim", ds));
+            let v0 = b.col("v0").unwrap();
+            let tag = b.col("tag").unwrap();
+            let join = b.on("fk", "k").unwrap().project([v0, tag]).unwrap();
+            let query =
+                Query::project([Expr::col(1u32)], Conjunction::of([Predicate::lt(0u32, 8)]))
+                    .unwrap();
+            let (parent, before) = (e.snapshot(), e.stats());
+            path(&e, &join, &query);
+            let (now, after) = (e.snapshot(), e.stats());
+            assert_eq!(now.group_count(), parent.group_count() + 1, "{name}");
+            assert_eq!(
+                after.snapshots_published,
+                before.snapshots_published + 1,
+                "{name}"
+            );
+            assert_eq!(after.layouts_created, before.layouts_created + 1, "{name}");
+            assert!(after.reorg_time > before.reorg_time, "{name}");
+            assert_eq!(after.layouts_evicted, 0, "{name}");
+            assert!(e.pending().is_empty(), "{name}");
+            let id = now.find_exact(&attrs).expect(name);
+            let want = reorg::materialize(&parent, &attrs.to_vec()).unwrap();
+            assert_eq!(
+                now.group(id).unwrap().collect_values(),
+                want.collect_values(),
+                "{name}"
+            );
+        }
+    }
+
     /// Advice leaves the pending list by value: the first spec with the
     /// attribute set goes, and retiring an absent spec (one a concurrent
     /// adaptation round already replaced) is a no-op.
@@ -2477,12 +2455,12 @@ mod tests {
         let e = engine(4, 10, EngineConfig::default());
         let spec = |ids: &[usize]| GroupSpec::new(ids.iter().copied().collect::<AttrSet>());
         *e.pending.lock() = vec![spec(&[0, 1]), spec(&[2]), spec(&[0, 1])];
-        e.retire(&spec(&[0, 1]));
+        e.retire(&spec(&[0, 1]).attrs);
         let left: Vec<AttrSet> = e.pending().into_iter().map(|g| g.attrs).collect();
         assert_eq!(left, [spec(&[2]).attrs, spec(&[0, 1]).attrs]);
-        e.retire(&spec(&[3]));
-        e.retire(&spec(&[2]));
-        e.retire(&spec(&[2]));
+        e.retire(&spec(&[3]).attrs);
+        e.retire(&spec(&[2]).attrs);
+        e.retire(&spec(&[2]).attrs);
         assert_eq!(e.pending().len(), 1);
     }
 

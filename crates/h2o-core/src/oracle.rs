@@ -28,7 +28,7 @@ pub fn prepare(relation: &Relation, q: &Query) -> Result<OracleQuery, ExecError>
     let attrs: Vec<AttrId> = q.all_attrs().to_vec();
     let group = h2o_exec::reorg::materialize(relation.catalog(), &attrs)?;
     let mut catalog = LayoutCatalog::new(relation.schema().clone(), relation.rows());
-    let id = catalog.add_group(group, 0)?;
+    let id = catalog.add_group(group)?;
     let plan = AccessPlan::new(vec![id], Strategy::FusedVolcano);
     let op = compile(&catalog, &plan, q)?;
     Ok(OracleQuery { catalog, op })

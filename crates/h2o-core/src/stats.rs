@@ -16,7 +16,8 @@ pub struct EngineStats {
     /// Layouts materialized, by any path: fused with a query (lazy),
     /// background `maintain()` builds, or explicit `materialize_now`.
     pub layouts_created: u64,
-    /// Layouts evicted under the storage budget.
+    /// Always 0: no path evicts a layout. Kept because the frozen
+    /// benchmark harness reads it.
     pub layouts_evicted: u64,
     /// Tuples appended through the write path.
     pub rows_appended: u64,
@@ -39,9 +40,6 @@ pub struct EngineStats {
     pub probe_bloom_rejects: u64,
     /// Workload shifts detected by the monitoring window.
     pub shifts_detected: u64,
-    /// Reorganizations completed, by any path: fused-with-a-query, explicit
-    /// `materialize_now`, or background `maintain()` builds.
-    pub reorgs_completed: u64,
     /// Catalog snapshots atomically published (appends, layout creations,
     /// drops — each is one copy-on-write swap readers pick up).
     pub snapshots_published: u64,
@@ -86,7 +84,6 @@ mod tests {
         assert_eq!(s.segments_sealed, 0);
         assert_eq!(s.segments_skipped, 0);
         assert_eq!(s.probe_bloom_rejects, 0);
-        assert_eq!(s.reorgs_completed, 0);
         assert_eq!(s.snapshots_published, 0);
         assert_eq!(s.reorg_time, Duration::ZERO);
         assert_eq!(s.queries_panicked, 0);

@@ -411,7 +411,6 @@ fn stats_body(shared: &Shared) -> Json {
                     int(e.probe_bloom_rejects),
                 ),
                 ("shifts_detected".to_string(), int(e.shifts_detected)),
-                ("reorgs_completed".to_string(), int(e.reorgs_completed)),
                 ("queries_panicked".to_string(), int(e.queries_panicked)),
             ]),
         ),

@@ -2,15 +2,14 @@
 //!
 //! The catalog owns every materialized [`ColumnGroup`], maintains the
 //! invariant that the union of live groups always covers the full schema
-//! (so any query can be answered), resolves attribute sets to *covering
-//! sets* of groups, and records the usage statistics the adaptation
-//! mechanism consumes.
+//! (so any query can be answered), and resolves attribute sets to
+//! *covering sets* of groups.
 
 use crate::attrset::AttrSet;
 use crate::error::StorageError;
 use crate::group::{AppendDelta, ColumnGroup};
 use crate::schema::Schema;
-use crate::types::{AttrId, Epoch, LayoutId, Value, MAX_ROWS};
+use crate::types::{AttrId, LayoutId, Value, MAX_ROWS};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,40 +36,6 @@ pub fn check_row_capacity(rows: usize) -> Result<(), StorageError> {
         });
     }
     Ok(())
-}
-
-/// Per-group usage statistics, updated by the engine as queries run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GroupStats {
-    /// Epoch (query sequence number) at which the group was materialized.
-    pub created_at: Epoch,
-    /// Epoch of the most recent query that scanned the group.
-    pub last_used: Epoch,
-    /// Number of queries that scanned the group.
-    pub uses: u64,
-}
-
-/// Interior-mutability storage for [`GroupStats`]: usage is recorded from
-/// concurrent readers through a shared reference (`note_use(&self)`), so the
-/// hot counters are atomics. Cells are `Arc`-shared across catalog clones:
-/// usage is a property of the *layout*, not of one published version, so a
-/// `note_use` recorded on an older pinned snapshot still lands in the cell
-/// every successor catalog reads for LRU eviction.
-#[derive(Debug, Default)]
-struct StatsCell {
-    created_at: Epoch,
-    last_used: AtomicU64,
-    uses: AtomicU64,
-}
-
-impl StatsCell {
-    fn snapshot(&self) -> GroupStats {
-        GroupStats {
-            created_at: self.created_at,
-            last_used: self.last_used.load(Ordering::Relaxed),
-            uses: self.uses.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// Greedy cover of `attrs` by `groups` that prefers the **fewest groups**:
@@ -143,7 +108,6 @@ pub struct LayoutCatalog {
     schema: Arc<Schema>,
     rows: usize,
     groups: BTreeMap<LayoutId, Arc<ColumnGroup>>,
-    stats: BTreeMap<LayoutId, Arc<StatsCell>>,
     next_id: u32,
     lineage: u64,
 }
@@ -158,7 +122,6 @@ impl LayoutCatalog {
             schema,
             rows,
             groups: BTreeMap::new(),
-            stats: BTreeMap::new(),
             next_id: 0,
             lineage: NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed),
         }
@@ -193,11 +156,7 @@ impl LayoutCatalog {
 
     /// Admits a group, assigning it a fresh [`LayoutId`]. The group must
     /// match the relation's row count and only reference schema attributes.
-    pub fn add_group(
-        &mut self,
-        mut group: ColumnGroup,
-        now: Epoch,
-    ) -> Result<LayoutId, StorageError> {
+    pub fn add_group(&mut self, mut group: ColumnGroup) -> Result<LayoutId, StorageError> {
         if group.rows() != self.rows {
             return Err(StorageError::RowCountMismatch {
                 expected: self.rows,
@@ -223,14 +182,6 @@ impl LayoutCatalog {
         self.next_id += 1;
         group.set_id(id);
         self.groups.insert(id, Arc::new(group));
-        self.stats.insert(
-            id,
-            Arc::new(StatsCell {
-                created_at: now,
-                last_used: AtomicU64::new(now),
-                uses: AtomicU64::new(0),
-            }),
-        );
         Ok(id)
     }
 
@@ -248,7 +199,6 @@ impl LayoutCatalog {
                 return Err(StorageError::WouldUncover(a));
             }
         }
-        self.stats.remove(&id);
         Ok(self.groups.remove(&id).expect("checked above"))
     }
 
@@ -367,50 +317,6 @@ impl LayoutCatalog {
         self.rows += tuples.len();
         Ok(delta)
     }
-
-    /// The id of the least-recently-used group that can be dropped without
-    /// uncovering any attribute — the eviction candidate when a storage
-    /// budget is in force.
-    pub fn eviction_candidate(&self) -> Option<LayoutId> {
-        let mut candidates: Vec<(Epoch, LayoutId)> = self
-            .groups
-            .values()
-            .filter(|g| {
-                g.attrs().iter().all(|&a| {
-                    self.groups
-                        .values()
-                        .any(|other| other.id() != g.id() && other.contains(a))
-                })
-            })
-            .map(|g| {
-                let last = self
-                    .stats
-                    .get(&g.id())
-                    .map(|s| s.last_used.load(Ordering::Relaxed))
-                    .unwrap_or(0);
-                (last, g.id())
-            })
-            .collect();
-        candidates.sort();
-        candidates.first().map(|&(_, id)| id)
-    }
-
-    /// Records that a query at epoch `now` scanned `id`. Takes `&self`:
-    /// concurrent readers record usage on the published snapshot they hold.
-    pub fn note_use(&self, id: LayoutId, now: Epoch) {
-        if let Some(s) = self.stats.get(&id) {
-            s.last_used.fetch_max(now, Ordering::Relaxed);
-            s.uses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Usage statistics for a live group (a point-in-time copy).
-    pub fn stats(&self, id: LayoutId) -> Result<GroupStats, StorageError> {
-        self.stats
-            .get(&id)
-            .map(|s| s.snapshot())
-            .ok_or(StorageError::UnknownLayout(id))
-    }
 }
 
 #[cfg(test)]
@@ -430,7 +336,7 @@ mod tests {
                 .collect();
             let refs: Vec<&[i64]> = cols.iter().map(|c| c.as_slice()).collect();
             let g = ColumnGroup::from_columns(ids, &refs).unwrap();
-            cat.add_group(g, 0).unwrap();
+            cat.add_group(g).unwrap();
         }
         cat
     }
@@ -474,12 +380,12 @@ mod tests {
         let mut cat = catalog_with(&[&[0, 1]], 4);
         let g = ColumnGroup::from_columns(vec![AttrId(0)], &[&[1, 2]]).unwrap();
         assert!(matches!(
-            cat.add_group(g, 0),
+            cat.add_group(g),
             Err(StorageError::RowCountMismatch { .. })
         ));
         let g = ColumnGroup::from_columns(vec![AttrId(99)], &[&[1, 2, 3, 4]]).unwrap();
         assert!(matches!(
-            cat.add_group(g, 0),
+            cat.add_group(g),
             Err(StorageError::UnknownAttr(_))
         ));
     }
@@ -554,33 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn usage_stats_update() {
-        let cat = catalog_with(&[&[0]], 2);
-        let id = cat.layout_ids()[0];
-        cat.note_use(id, 5);
-        cat.note_use(id, 9);
-        let s = cat.stats(id).unwrap();
-        assert_eq!(s.uses, 2);
-        assert_eq!(s.last_used, 9);
-        assert_eq!(s.created_at, 0);
-    }
-
-    #[test]
-    fn usage_stats_survive_catalog_clones() {
-        // Stats cells are Arc-shared across clones: a reader recording
-        // usage on an old pinned snapshot is still visible to the
-        // published successor (LRU eviction must not see stale counts).
-        let cat = catalog_with(&[&[0]], 2);
-        let id = cat.layout_ids()[0];
-        let successor = cat.clone();
-        cat.note_use(id, 5);
-        assert_eq!(successor.stats(id).unwrap().uses, 1);
-        assert_eq!(successor.stats(id).unwrap().last_used, 5);
-        successor.note_use(id, 9);
-        assert_eq!(cat.stats(id).unwrap().last_used, 9);
-    }
-
-    #[test]
     fn append_rows_updates_every_layout() {
         let mut cat = catalog_with(&[&[0, 1], &[1, 2], &[2]], 2);
         cat.append_rows(&[vec![7, 8, 9]]).unwrap();
@@ -636,26 +515,12 @@ mod tests {
     }
 
     #[test]
-    fn eviction_candidate_is_lru_and_safe() {
-        let mut cat = catalog_with(&[&[0], &[1], &[0, 1]], 2);
-        let ids = cat.layout_ids();
-        // Use the two columns recently; the wide group is stale.
-        cat.note_use(ids[0], 10);
-        cat.note_use(ids[1], 11);
-        assert_eq!(cat.eviction_candidate(), Some(ids[2]));
-        // After dropping it, the columns are each sole coverers — no
-        // candidate remains.
-        cat.drop_group(ids[2]).unwrap();
-        assert_eq!(cat.eviction_candidate(), None);
-    }
-
-    #[test]
     fn ids_are_never_reused() {
         let mut cat = catalog_with(&[&[0], &[0, 1]], 2);
         let first = cat.layout_ids()[0];
         cat.drop_group(first).unwrap();
         let g = ColumnGroup::from_columns(vec![AttrId(0)], &[&[0, 0]]).unwrap();
-        let new_id = cat.add_group(g, 1).unwrap();
+        let new_id = cat.add_group(g).unwrap();
         assert_ne!(new_id, first);
     }
 }

@@ -19,8 +19,7 @@
 //!
 //! The [`LayoutCatalog`] is the paper's *Data Layout Manager* (Fig. 3): it
 //! owns every materialized group, guarantees the set of groups always covers
-//! the full schema, answers "which groups contain these attributes?", and
-//! tracks per-group usage statistics that feed the adaptation mechanism.
+//! the full schema, and answers "which groups contain these attributes?".
 //!
 //! All attributes occupy a fixed-width 64-bit **lane word** (§3.1: "we
 //! consider fixed length attributes"), interpreted per the schema's
@@ -42,14 +41,11 @@ pub mod types;
 
 pub use attrset::AttrSet;
 pub use catalog::{
-    check_row_capacity, cover_fewest_groups, cover_least_excess, CatalogSnapshot, GroupStats,
-    LayoutCatalog,
+    check_row_capacity, cover_fewest_groups, cover_least_excess, CatalogSnapshot, LayoutCatalog,
 };
 pub use dict::Dictionary;
 pub use error::StorageError;
 pub use group::{AppendDelta, ColumnGroup, SegStats, CHUNK_SHIFT, DEFAULT_SEG_SHIFT};
 pub use relation::Relation;
 pub use schema::{Attribute, Schema};
-pub use types::{
-    f64_lane, lane_f64, AttrId, Epoch, LayoutId, LogicalType, Value, MAX_ROWS, VALUE_BYTES,
-};
+pub use types::{f64_lane, lane_f64, AttrId, LayoutId, LogicalType, Value, MAX_ROWS, VALUE_BYTES};

@@ -95,7 +95,7 @@ impl Relation {
                 .collect();
             let types = schema.types_for(&attrs)?;
             let g = ColumnGroup::from_columns_typed(attrs, types, &refs, seg_shift)?;
-            catalog.add_group(g, 0)?;
+            catalog.add_group(g)?;
         }
         Ok(Relation { catalog })
     }

@@ -172,11 +172,6 @@ impl fmt::Display for LayoutId {
     }
 }
 
-/// A monotonically increasing logical clock, advanced once per processed
-/// query. Used to timestamp layout creation and last access so the
-/// adaptation mechanism can reason about recency (paper §3.2).
-pub type Epoch = u64;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -201,9 +201,6 @@ fn background_reorganizer_stress_is_differentially_correct() {
     assert_eq!(stats.rows_appended, (WRITE_BATCHES * BATCH_ROWS) as u64);
     assert_eq!(stats.queries, (READERS * QUERIES_PER_READER) as u64);
     assert_untorn(&engine.snapshot(), "final");
-    // Background mode must never reorganize on the query path: every
-    // created layout is also a completed background reorg.
-    assert_eq!(stats.layouts_created, stats.reorgs_completed);
 }
 
 /// Snapshot isolation per execution strategy: concurrent readers pin a

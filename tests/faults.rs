@@ -347,7 +347,7 @@ fn chaos_supervised_reorganizer_recovers() {
     // failpoint self-disarms when it fires, so the retry after the
     // supervisor's backoff must complete the round.
     let panics_before = h.status().panics;
-    let built_before = e.stats().reorgs_completed;
+    let built_before = e.stats().layouts_created;
     fp::arm_nth("reorg_build", 1);
     'drive: loop {
         for i in 0..30 {
@@ -363,7 +363,7 @@ fn chaos_supervised_reorganizer_recovers() {
             h.nudge();
         }
         let st = h.status();
-        if st.panics > panics_before && e.stats().reorgs_completed > built_before {
+        if st.panics > panics_before && e.stats().layouts_created > built_before {
             break 'drive;
         }
         assert!(

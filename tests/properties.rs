@@ -137,7 +137,7 @@ proptest! {
         let attrs: Vec<AttrId> = q.all_attrs().to_vec();
         let group = reorg::materialize(rel.catalog(), &attrs).unwrap();
         let mut catalog = LayoutCatalog::new(schema, rel.rows());
-        catalog.add_group(group, 0).unwrap();
+        catalog.add_group(group).unwrap();
         let via_group = interpret(&catalog, &q).unwrap();
         let via_columns = interpret(rel.catalog(), &q).unwrap();
         prop_assert_eq!(via_group, via_columns);

@@ -489,8 +489,8 @@ proptest! {
                     let ga = reorg::materialize(&seg, &attrs).unwrap();
                     let gb = reorg::materialize(&mono, &attrs).unwrap();
                     prop_assert_eq!(ga.collect_values(), gb.collect_values());
-                    seg.add_group(ga, 0).unwrap();
-                    mono.add_group(gb, 0).unwrap();
+                    seg.add_group(ga).unwrap();
+                    mono.add_group(gb).unwrap();
                 }
             }
         }
