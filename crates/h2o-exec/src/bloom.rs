@@ -18,9 +18,11 @@
 //! * the **range** is the exact comparator-key span
 //!   ([`LogicalType::cmp_key`]) of the inserted keys, per key column;
 //! * the **bloom** is a blocked filter of register-sized (`u64`) blocks —
-//!   one cache-friendly word probe tests two bits derived from a
-//!   splitmix-style hash of the raw key lanes (raw-bit hashing, matching
-//!   the build table's raw-bit key equality).
+//!   one cache-friendly word probe tests two bits derived from
+//!   [`hash_key`], the fixed-seed splitmix64 chain over the raw key lanes.
+//!   The build table ([`h2o_expr::LaneMap`]) hashes the same bits with the
+//!   same function, so a probe hashes its key once and uses the hash for
+//!   both the bloom test and the table lookup.
 //!
 //! Filters build morsel-parallel: each morsel's gathered keys fold into a
 //! private filter and the partials merge by bitwise OR (and range
@@ -28,6 +30,7 @@
 //! identical for every morsel partition and merge order, preserving the
 //! engine's determinism convention.
 
+use h2o_expr::lanemap::hash_key;
 use h2o_storage::{LogicalType, Value};
 
 /// Target bloom bits per inserted key. With two probe bits per key in
@@ -35,26 +38,6 @@ use h2o_storage::{LogicalType, Value};
 /// percents — cheap insurance, since a false positive merely falls
 /// through to the hash lookup the filter would otherwise skip.
 const BITS_PER_KEY: usize = 12;
-
-/// One step of the splitmix64 sequence — the mixer used to derive block
-/// and bit positions from raw key lanes.
-#[inline(always)]
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Hashes a key vector's raw lanes (the same bits the build table hashes).
-#[inline(always)]
-fn hash_key(key: &[Value]) -> u64 {
-    let mut h = 0x517C_C1B7_2722_0A95u64;
-    for &k in key {
-        h = splitmix64(h ^ k as u64);
-    }
-    h
-}
 
 /// The probe prefilter: blocked bloom + exact per-key-column range. See
 /// the module docs for the no-false-negative contract.
@@ -133,33 +116,25 @@ impl JoinFilter {
         self.ranges[i]
     }
 
-    /// Whether `key` might have been inserted: `false` proves absence, a
-    /// `true` falls through to the hash table. Range check first (two
-    /// integer compares per column), then one blocked-bloom word probe.
+    /// Whether every column of `key` lies in its exact inserted range: a
+    /// `false` proves absence. Two integer compares per column.
     #[inline(always)]
-    pub fn contains(&self, key: &[Value]) -> bool {
-        for ((&k, &(lo, hi)), &ty) in key.iter().zip(&self.ranges).zip(&self.key_types) {
-            let c = ty.cmp_key(k);
-            if c < lo || c > hi {
-                return false;
-            }
-        }
-        self.test_hash(hash_key(key))
+    pub fn in_range(&self, key: &[Value]) -> bool {
+        key.iter()
+            .zip(&self.ranges)
+            .zip(&self.key_types)
+            .all(|((&k, &(lo, hi)), &ty)| (lo..=hi).contains(&ty.cmp_key(k)))
     }
 
-    /// The bloom half alone, for callers that have already range-tested
-    /// (the vectorized probe prefilter batches the range check with the
-    /// SIMD mask machinery and finishes survivors here).
+    /// The bloom half: whether a key whose [`hash_key`] is `h` might have
+    /// been inserted. A `false` proves absence; a `true` falls through to
+    /// the hash table, which the caller probes with the same `h`. Callers
+    /// test [`Self::in_range`] first (the vectorized probe prefilter
+    /// batches that test with the SIMD mask machinery).
     #[inline(always)]
     pub fn test_hash(&self, h: u64) -> bool {
         let (block, bits) = self.slots(h);
         self.blocks[block] & bits == bits
-    }
-
-    /// Bloom test of a single-column key's raw lane.
-    #[inline(always)]
-    pub fn test_lane(&self, lane: Value) -> bool {
-        self.test_hash(splitmix64(0x517C_C1B7_2722_0A95u64 ^ lane as u64))
     }
 
     /// Size of the bloom block array, in bytes (capacity planning and the
@@ -174,6 +149,11 @@ mod tests {
     use super::*;
     use h2o_storage::f64_lane;
 
+    /// The probe's two tests in its order: range, then bloom bits.
+    fn contains(f: &JoinFilter, key: &[Value]) -> bool {
+        f.in_range(key) && f.test_hash(hash_key(key))
+    }
+
     #[test]
     fn no_false_negatives_ever() {
         let keys: Vec<Vec<Value>> = (0..500)
@@ -184,7 +164,7 @@ mod tests {
             f.insert(k);
         }
         for k in &keys {
-            assert!(f.contains(k), "inserted key {k:?} must test present");
+            assert!(contains(&f, k), "inserted key {k:?} must test present");
         }
     }
 
@@ -195,8 +175,8 @@ mod tests {
             f.insert(&[k]);
         }
         assert_eq!(f.range(0), (-3, 12));
-        assert!(!f.contains(&[-4]), "below min is proven absent");
-        assert!(!f.contains(&[13]), "above max is proven absent");
+        assert!(!contains(&f, &[-4]), "below min is proven absent");
+        assert!(!contains(&f, &[13]), "above max is proven absent");
     }
 
     #[test]
@@ -207,18 +187,18 @@ mod tests {
         // total_cmp order: anything outside [-2.5, 4.0] is rejected by the
         // range alone, including negative values whose raw lane bits are
         // huge unsigned numbers.
-        assert!(!f.contains(&[f64_lane(-3.0)]));
-        assert!(!f.contains(&[f64_lane(4.5)]));
-        assert!(!f.contains(&[f64_lane(f64::NEG_INFINITY)]));
-        assert!(f.contains(&[f64_lane(-2.5)]));
-        assert!(f.contains(&[f64_lane(4.0)]));
+        assert!(!contains(&f, &[f64_lane(-3.0)]));
+        assert!(!contains(&f, &[f64_lane(4.5)]));
+        assert!(!contains(&f, &[f64_lane(f64::NEG_INFINITY)]));
+        assert!(contains(&f, &[f64_lane(-2.5)]));
+        assert!(contains(&f, &[f64_lane(4.0)]));
     }
 
     #[test]
     fn empty_filter_rejects_everything() {
         let f = JoinFilter::with_capacity(0, vec![LogicalType::I64]);
         for k in [0, 1, -1, Value::MAX, Value::MIN] {
-            assert!(!f.contains(&[k]));
+            assert!(!contains(&f, &[k]));
         }
     }
 
@@ -250,22 +230,11 @@ mod tests {
         for i in 0..1000 {
             f.insert(&[i * 2]);
         }
-        let false_pos = (0..1000).filter(|&i| f.contains(&[i * 2 + 1])).count();
+        let false_pos = (0..1000).filter(|&i| contains(&f, &[i * 2 + 1])).count();
         assert!(
             false_pos < 200,
             "blocked bloom FPR too high: {false_pos}/1000"
         );
-    }
-
-    #[test]
-    fn lane_test_matches_vector_test_for_single_keys() {
-        let mut f = JoinFilter::with_capacity(64, vec![LogicalType::I64]);
-        for k in 0..64 {
-            f.insert(&[k * 3]);
-        }
-        for k in 0..200 {
-            assert_eq!(f.test_lane(k), f.test_hash(hash_key(&[k])), "lane {k}");
-        }
-        assert!(f.bytes() >= 64 / 8);
+        assert!(f.bytes() >= 1000 * BITS_PER_KEY / 8);
     }
 }

@@ -25,8 +25,12 @@
 //!
 //! [`run_join`] hash-partitions the **build** side: each
 //! morsel gathers its qualifying rows' key and payload lanes in row order,
-//! and the per-morsel parts are inserted into one hash table sequentially
-//! in morsel order — identical to a serial row-order build. Keys hash and
+//! and the per-morsel parts are inserted into one flat hash table
+//! ([`LaneMap`]) sequentially in morsel order — identical to a serial
+//! row-order build. The table gives each distinct key a dense id; a
+//! stable counting sort then lays the payload rows out as one CSR row
+//! list, so key `id`'s build rows are one contiguous slice in build-row
+//! order. Keys hash ([`hash_key`], a fixed-seed splitmix64 chain) and
 //! compare as **raw lane bits** (`f64` keys by bit pattern, dictionary
 //! keys by code — the join gate guarantees a shared dictionary), matching
 //! [`h2o_expr::interp::interpret_join`]. The probe side then streams: per
@@ -63,11 +67,13 @@
 //!   bloom filter plus the exact `[min, max]` key range, built
 //!   morsel-parallel over the gathered build parts and OR-merged
 //!   deterministically, and **sized from the observed post-prune build
-//!   cardinality** (the hash table reserves the same count). Qualifying
-//!   probe rows test the filter *before* the hash table — single-key
-//!   probes batch eight keys and range-test them with the vectorized
-//!   mask kernels ([`kernels::simd`]), survivors take one blocked-bloom
-//!   word probe; multi-key probes test scalar. A filter miss proves the
+//!   cardinality** (the hash table reserves the same count, at most 50%
+//!   load). Qualifying probe rows test the filter *before* the hash table
+//!   — single-key probes batch eight keys and range-test them with the
+//!   vectorized mask kernels ([`kernels::simd`]), multi-key probes test
+//!   the range scalar; survivors hash their key once and take one
+//!   blocked-bloom word probe with that hash, then (on a pass) the table
+//!   lookup with the same hash. A filter miss proves the
 //!   key has no build match, so low-match-rate probes skip the
 //!   random-access lookup entirely ([`JoinExecStats::probe_bloom_rejects`]
 //!   counts them). The filter has no false negatives and rejected rows
@@ -101,8 +107,9 @@ use crate::kernels::{self, simd};
 use crate::parallel::{run_chunks, run_ranges, ExecPolicy};
 use crate::plan::{AccessPlan, Strategy};
 use crate::sink::{Partial, SelectProgram};
+use h2o_expr::lanemap::hash_key;
 use h2o_expr::typecheck::{JoinTypes, TypedPredicate};
-use h2o_expr::{CmpOp, JoinQuery, QueryResult, Side};
+use h2o_expr::{CmpOp, JoinQuery, LaneMap, QueryResult, Side};
 use h2o_storage::{AttrId, LayoutCatalog, LogicalType, Value};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -381,47 +388,72 @@ pub fn compile_join(
     })
 }
 
-/// The build-side hash table: raw-lane key vectors to build-row indices,
-/// with the qualifying rows' payload lanes stored row-major alongside.
+/// The build-side hash table: a [`LaneMap`] from raw-lane key vectors to
+/// dense key ids, and one CSR row list over the ids. Key `id`'s build
+/// rows are payload rows `starts[id]..starts[id + 1]` of `rows`, in build
+/// (= morsel, then row) order.
 struct JoinTable {
-    map: HashMap<Box<[Value]>, Vec<u32>>,
-    /// Payload lanes of qualifying build rows, `width` per row, in
-    /// insertion (= build row) order.
+    keys: LaneMap,
+    /// `keys.len() + 1` offsets into the payload rows.
+    starts: Vec<u32>,
+    /// Payload lanes of the qualifying build rows, `width` per row,
+    /// grouped by key id.
     rows: Vec<Value>,
     width: usize,
-    len: u32,
 }
 
 impl JoinTable {
-    /// `capacity` is the observed post-prune build cardinality — sizing
-    /// the map up front avoids rehash churn during the morsel-order
-    /// insert (distinct keys can only be fewer).
-    fn new(key_width: usize, payload_width: usize, capacity: usize) -> JoinTable {
-        debug_assert!(key_width > 0, "joins always have at least one key");
-        JoinTable {
-            map: HashMap::with_capacity(capacity),
-            rows: Vec::new(),
-            width: payload_width,
-            len: 0,
+    /// Inserts the gathered build parts (`(keys, payloads, rows)` per
+    /// range) in range order, then lays the payloads out by key id with a
+    /// stable counting sort. `build_rows` is the observed post-prune build
+    /// cardinality, which sizes the map (distinct keys can only be fewer).
+    fn build(
+        parts: &[(Vec<Value>, Vec<Value>, usize)],
+        key_width: usize,
+        width: usize,
+        build_rows: usize,
+    ) -> JoinTable {
+        let mut keys = LaneMap::with_capacity(key_width, build_rows);
+        let ids: Vec<u32> = parts
+            .iter()
+            .flat_map(|(k, _, n)| k.chunks_exact(key_width).take(*n))
+            .map(|key| keys.insert(key))
+            .collect();
+        let mut starts = vec![0u32; keys.len() + 1];
+        for &id in &ids {
+            starts[id as usize + 1] += 1;
         }
-    }
-
-    fn push(&mut self, key: &[Value], payload: &[Value]) {
-        let idx = self.len;
-        self.len += 1;
-        self.rows.extend_from_slice(payload);
-        match self.map.get_mut(key) {
-            Some(ids) => ids.push(idx),
-            None => {
-                self.map.insert(key.into(), vec![idx]);
+        for i in 1..starts.len() {
+            starts[i] += starts[i - 1];
+        }
+        let mut rows = vec![0; build_rows * width];
+        if width > 0 {
+            let mut next = starts.clone();
+            let payloads = parts
+                .iter()
+                .flat_map(|(_, p, n)| p.chunks_exact(width).take(*n));
+            for (payload, &id) in payloads.zip(&ids) {
+                let at = next[id as usize] as usize * width;
+                next[id as usize] += 1;
+                rows[at..at + width].copy_from_slice(payload);
             }
         }
+        JoinTable {
+            keys,
+            starts,
+            rows,
+            width,
+        }
     }
 
+    /// The build rows of `key` (whose [`hash_key`] is `h`): the match
+    /// count and their payload lanes, `width` per row. `None` when no
+    /// build row has the key.
     #[inline]
-    fn payload(&self, idx: u32) -> &[Value] {
-        let base = idx as usize * self.width;
-        &self.rows[base..base + self.width]
+    fn matches(&self, key: &[Value], h: u64) -> Option<(usize, &[Value])> {
+        let id = self.keys.get(key, h)? as usize;
+        let (s, e) = (self.starts[id] as usize, self.starts[id + 1] as usize);
+        Some((e - s, &self.rows[s * self.width..e * self.width]))
     }
 }
 
@@ -478,19 +510,10 @@ pub fn run_join(
         });
     let build_qualifying: usize = parts.iter().map(|(_, _, n)| n).sum();
     // The observed post-prune cardinality sizes both probe-phase
-    // structures: the hash table's bucket array and the bloom filter's
+    // structures: the hash table's slot array and the bloom filter's
     // block count (a filter sized for the raw relation would waste cache
     // on heavily filtered builds).
-    let mut table = JoinTable::new(key_width, payload_width, build_qualifying);
-    table.rows.reserve(build_qualifying * payload_width);
-    for (keys, pays, n) in &parts {
-        for i in 0..*n {
-            table.push(
-                &keys[i * key_width..(i + 1) * key_width],
-                &pays[i * payload_width..(i + 1) * payload_width],
-            );
-        }
-    }
+    let table = JoinTable::build(&parts, key_width, payload_width, build_qualifying);
     // Derive the probe prefilter from the gathered parts: one partial
     // filter per chunk of build ranges, OR-merged in chunk order (the
     // merge is commutative, so the result is independent of the policy).
@@ -561,10 +584,10 @@ pub fn execute_join_with_policy(
 /// With a single-column key, qualifying rows batch eight at a time: the
 /// exact `[min, max]` range is tested over the batched key lanes with the
 /// vectorized mask kernels ([`simd::and_pred_masks`]), surviving lanes
-/// take the scalar blocked-bloom word probe and are then looked up in lane
-/// (= ascending row) order — the fold order is exactly an unfiltered row
-/// walk's, so `F64` sums stay bit-identical. Multi-column keys test the
-/// filter scalar per row.
+/// take the blocked-bloom word probe and the lookup in lane (= ascending
+/// row) order — the fold order is exactly an unfiltered row walk's, so
+/// `F64` sums stay bit-identical. Multi-column keys test the range scalar
+/// per row.
 fn probe_parts(
     views: &GroupViews<'_>,
     op: &CompiledJoinOp,
@@ -596,11 +619,13 @@ fn probe_parts(
         ]
     });
     run_ranges(views.rows(), views.seg_rows(), policy, |r| {
-        let mut acc = op.select.partial();
-        let mut pairs = 0usize;
-        let mut rejects = 0u64;
+        let mut st = ProbeAcc {
+            acc: op.select.partial(),
+            buf: vec![0; op.tuple_width],
+            pairs: 0,
+            rejects: 0,
+        };
         let mut key: Vec<Value> = vec![0; op.probe.keys.len()];
-        let mut buf: Vec<Value> = vec![0; op.tuple_width];
         // Batch buffers for the vectorized single-key prefilter.
         let mut rows_b = [0usize; simd::LANES];
         let mut keys_b = [0 as Value; simd::LANES];
@@ -619,83 +644,86 @@ fn probe_parts(
                 simd::and_pred_masks(&col, &preds[0], &mut masks);
                 simd::and_pred_masks(&col, &preds[1], &mut masks);
                 let mut bits = masks[0] as u32;
-                rejects += u64::from(simd::LANES as u32 - bits.count_ones());
+                st.rejects += u64::from(simd::LANES as u32 - bits.count_ones());
                 while bits != 0 {
                     let i = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    if !filter.test_lane(keys_b[i]) {
-                        rejects += 1;
-                        continue;
-                    }
-                    let key = &keys_b[i..=i];
-                    probe_one(
-                        views, op, table, &mut acc, &mut buf, &mut pairs, key, rows_b[i],
-                    );
+                    probe_one(views, op, table, filter, &mut st, &keys_b[i..=i], rows_b[i]);
                 }
             }
             None => {
                 for (slot, &k) in key.iter_mut().zip(&op.probe.keys) {
                     *slot = views.get(k, row);
                 }
-                if !filter.contains(&key) {
-                    rejects += 1;
+                if !filter.in_range(&key) {
+                    st.rejects += 1;
                     return;
                 }
-                probe_one(views, op, table, &mut acc, &mut buf, &mut pairs, &key, row);
+                probe_one(views, op, table, filter, &mut st, &key, row);
             }
         });
-        // Scalar tail: the last partial batch. `contains` applies the
-        // same range + bloom tests as the vectorized flush.
+        // Scalar tail: the last partial batch, range-tested per key.
         for i in 0..blen {
-            if !filter.contains(&keys_b[i..=i]) {
-                rejects += 1;
+            let key = &keys_b[i..=i];
+            if !filter.in_range(key) {
+                st.rejects += 1;
                 continue;
             }
-            let key = &keys_b[i..=i];
-            probe_one(
-                views, op, table, &mut acc, &mut buf, &mut pairs, key, rows_b[i],
-            );
+            probe_one(views, op, table, filter, &mut st, key, rows_b[i]);
         }
-        (acc, qual, pairs, rejects)
+        (st.acc, qual, st.pairs, st.rejects)
     })
 }
 
-/// One probe lookup for `key` at probe row `row`: stitch the probe row's
-/// loop-invariant lanes, then push per matched build row — or **once**
-/// with the match count as multiplicity when the operator is fused (the
-/// build payload is empty, so every match would stitch the identical
-/// tuple).
+/// One probe range's running state: the sink partial, the stitched
+/// combined-tuple buffer, and the matched-pair and filter-reject counts.
+struct ProbeAcc {
+    acc: Partial,
+    buf: Vec<Value>,
+    pairs: usize,
+    rejects: u64,
+}
+
+/// One probe of a range-tested `key` at probe row `row`. The key is
+/// hashed once: the hash takes the bloom test, then the table lookup.
+/// On a match, stitch the probe row's loop-invariant lanes, then push
+/// per matched build row — or **once** with the match count as
+/// multiplicity when the operator is fused (the build payload is empty,
+/// so every match would stitch the identical tuple).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn probe_one(
     views: &GroupViews<'_>,
     op: &CompiledJoinOp,
     table: &JoinTable,
-    acc: &mut Partial,
-    buf: &mut [Value],
-    pairs: &mut usize,
+    filter: &JoinFilter,
+    st: &mut ProbeAcc,
     key: &[Value],
     row: usize,
 ) {
-    let Some(idxs) = table.map.get(key) else {
+    let h = hash_key(key);
+    if !filter.test_hash(h) {
+        st.rejects += 1;
+        return;
+    }
+    let Some((n, payloads)) = table.matches(key, h) else {
         return;
     };
-    // Probe-side lanes are loop-invariant across this row's matches;
-    // build-side lanes are re-stitched per matched row.
     for &(a, p) in &op.probe.payload {
-        buf[p as usize] = views.get(a, row);
+        st.buf[p as usize] = views.get(a, row);
     }
     if op.fused {
-        *pairs += idxs.len();
-        op.select.push(acc, buf, idxs.len() as u64);
+        st.pairs += n;
+        op.select.push(&mut st.acc, &st.buf, n as u64);
         return;
     }
-    for &idx in idxs {
-        for (&v, &(_, p)) in table.payload(idx).iter().zip(&op.build.payload) {
-            buf[p as usize] = v;
+    let width = table.width;
+    for i in 0..n {
+        let payload = &payloads[i * width..(i + 1) * width];
+        for (&v, &(_, p)) in payload.iter().zip(&op.build.payload) {
+            st.buf[p as usize] = v;
         }
-        *pairs += 1;
-        op.select.push(acc, buf, 1);
+        st.pairs += 1;
+        op.select.push(&mut st.acc, &st.buf, 1);
     }
 }
 

@@ -1,5 +1,5 @@
-//! Grouped-aggregation state: the hash table every execution strategy
-//! folds qualifying tuples through.
+//! Grouped-aggregation state: the flat hash table ([`LaneMap`]) every
+//! execution strategy folds qualifying tuples through.
 //!
 //! The engine-wide determinism convention for grouped queries mirrors the
 //! scalar one ([`AggState`]): each strategy — the
@@ -13,25 +13,30 @@
 //! [`QueryResult`].
 
 use crate::agg::{AggOp, AggState};
+use crate::lanemap::LaneMap;
 use crate::result::QueryResult;
 use h2o_storage::{LogicalType, Value};
-use std::collections::HashMap;
 
 /// Running state of one grouped aggregation: `key vector → one
 /// [`AggState`] per aggregate`.
 ///
-/// Keys are stored and hashed as **raw lane bits** (an `f64` key is its
-/// bit pattern, a `Dict` key its code) — grouping is bit-pattern equality,
-/// so e.g. `-0.0` and `+0.0` are distinct groups and every NaN bit
-/// pattern its own group, identically on every strategy. The per-column
-/// [`LogicalType`]s matter only in [`GroupedAggs::finish`], whose
-/// ascending-key sort compares through
+/// Keys live in a [`LaneMap`], which hashes and compares them as **raw
+/// lane bits** (an `f64` key is its bit pattern, a `Dict` key its code) —
+/// grouping is bit-pattern equality, so e.g. `-0.0` and `+0.0` are
+/// distinct groups and every NaN bit pattern its own group, identically
+/// on every strategy. The map hands out dense ids in first-appearance
+/// order, and the states sit in one flat `Vec`, `ops.len()` per id, so a
+/// fold is one lookup in the flat table and a slice update. The
+/// per-column [`LogicalType`]s matter only in [`GroupedAggs::finish`],
+/// whose ascending-key sort compares through
 /// [`cmp_key`](LogicalType::cmp_key) (`total_cmp` order for `F64`).
 #[derive(Debug, Clone)]
 pub struct GroupedAggs {
     key_types: Vec<LogicalType>,
     ops: Vec<AggOp>,
-    map: HashMap<Box<[Value]>, Vec<AggState>>,
+    keys: LaneMap,
+    /// `ops.len()` states per key id, in id order.
+    states: Vec<AggState>,
 }
 
 impl GroupedAggs {
@@ -41,9 +46,10 @@ impl GroupedAggs {
     pub fn new(key_types: Vec<LogicalType>, ops: Vec<AggOp>) -> Self {
         assert!(!key_types.is_empty(), "grouped aggregation requires a key");
         GroupedAggs {
+            keys: LaneMap::new(key_types.len()),
             key_types,
             ops,
-            map: HashMap::new(),
+            states: Vec::new(),
         }
     }
 
@@ -56,8 +62,16 @@ impl GroupedAggs {
         )
     }
 
-    fn key_width(&self) -> usize {
-        self.key_types.len()
+    /// The states of `key`, fresh ones appended if the key is new.
+    #[inline]
+    fn states_mut(&mut self, key: &[Value]) -> &mut [AggState] {
+        let w = self.ops.len();
+        let id = self.keys.insert(key) as usize;
+        if self.states.len() < (id + 1) * w {
+            self.states
+                .extend(self.ops.iter().map(|&op| AggState::new(op)));
+        }
+        &mut self.states[id * w..(id + 1) * w]
     }
 
     /// Folds one qualifying tuple: `key` is its evaluated key vector,
@@ -65,71 +79,51 @@ impl GroupedAggs {
     /// constructor's `funcs`).
     #[inline]
     pub fn update(&mut self, key: &[Value], vals: &[Value]) {
-        debug_assert_eq!(key.len(), self.key_width());
         debug_assert_eq!(vals.len(), self.ops.len());
-        match self.map.get_mut(key) {
-            Some(states) => {
-                for (st, &v) in states.iter_mut().zip(vals) {
-                    st.update(v);
-                }
-            }
-            None => {
-                let mut states: Vec<AggState> =
-                    self.ops.iter().map(|&op| AggState::new(op)).collect();
-                for (st, &v) in states.iter_mut().zip(vals) {
-                    st.update(v);
-                }
-                self.map.insert(key.into(), states);
-            }
+        for (st, &v) in self.states_mut(key).iter_mut().zip(vals) {
+            st.update(v);
         }
     }
 
     /// Folds one qualifying tuple `n` times — bit-identical to `n` calls
-    /// of [`Self::update`] with the same key/vals, at one hash probe and
+    /// of [`Self::update`] with the same key/vals, at one table lookup and
     /// `O(1)` per-aggregate cost (except pinned-order `F64` sums; see
     /// [`AggState::update_n`]). The grouped half of join-aggregate fusion:
     /// a probe row matching `n` build rows folds once with multiplicity
     /// `n` instead of walking the matched pairs.
     #[inline]
     pub fn update_n(&mut self, key: &[Value], vals: &[Value], n: u64) {
-        debug_assert_eq!(key.len(), self.key_width());
         debug_assert_eq!(vals.len(), self.ops.len());
         if n == 0 {
             return;
         }
-        match self.map.get_mut(key) {
-            Some(states) => {
-                for (st, &v) in states.iter_mut().zip(vals) {
-                    st.update_n(v, n);
-                }
-            }
-            None => {
-                let mut states: Vec<AggState> =
-                    self.ops.iter().map(|&op| AggState::new(op)).collect();
-                for (st, &v) in states.iter_mut().zip(vals) {
-                    st.update_n(v, n);
-                }
-                self.map.insert(key.into(), states);
-            }
+        for (st, &v) in self.states_mut(key).iter_mut().zip(vals) {
+            st.update_n(v, n);
         }
     }
 
     /// Merges another table into this one — the combine step of parallel
-    /// execution. Per-key states merge through [`AggState::merge`], whose
-    /// operations are associative and commutative, so any merge order over
-    /// any morsel partition produces the same final table.
+    /// execution. Walks `other`'s key ids in order: a key this table
+    /// already holds merges its states through [`AggState::merge`], whose
+    /// operations are associative and commutative, and a new key takes
+    /// `other`'s states as they are. So any merge order over any morsel
+    /// partition finishes to the same result.
     pub fn merge(&mut self, other: GroupedAggs) {
         debug_assert_eq!(self.key_types, other.key_types);
         debug_assert_eq!(self.ops, other.ops);
-        for (key, partial) in other.map {
-            match self.map.get_mut(&*key) {
-                Some(states) => {
-                    for (st, p) in states.iter_mut().zip(&partial) {
-                        st.merge(p);
-                    }
-                }
-                None => {
-                    self.map.insert(key, partial);
+        let w = self.ops.len();
+        for id in 0..other.keys.len() {
+            let partial = &other.states[id * w..(id + 1) * w];
+            let new = self.keys.len();
+            let mine = self.keys.insert(other.keys.key(id as u32)) as usize;
+            if mine == new {
+                self.states.extend_from_slice(partial);
+            } else {
+                for (st, p) in self.states[mine * w..(mine + 1) * w]
+                    .iter_mut()
+                    .zip(partial)
+                {
+                    st.merge(p);
                 }
             }
         }
@@ -137,17 +131,17 @@ impl GroupedAggs {
 
     /// Number of distinct keys seen so far.
     pub fn groups(&self) -> usize {
-        self.map.len()
+        self.keys.len()
     }
 
     /// Whether no tuple has been folded yet.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.keys.is_empty()
     }
 
     /// Values per output row.
     pub fn output_width(&self) -> usize {
-        self.key_width() + self.ops.len()
+        self.key_types.len() + self.ops.len()
     }
 
     /// Finishes the aggregation into the result block: one row per distinct
@@ -158,11 +152,13 @@ impl GroupedAggs {
     /// unlike scalar aggregates' single neutral row) — all strategies
     /// agree on this.
     pub fn finish(&self) -> QueryResult {
-        let mut keys: Vec<&[Value]> = self.map.keys().map(|k| &**k).collect();
+        let mut ids: Vec<u32> = (0..self.keys.len() as u32).collect();
         // Typed lexicographic order. cmp_key is the identity for I64/Dict,
-        // so all-integer keys sort exactly as before.
-        keys.sort_unstable_by(|a, b| {
-            for ((x, y), &ty) in a.iter().zip(b.iter()).zip(&self.key_types) {
+        // so all-integer keys sort exactly as before. Distinct keys never
+        // compare equal (cmp_key is a bijection), so the order is unique.
+        ids.sort_unstable_by(|&a, &b| {
+            let (a, b) = (self.keys.key(a), self.keys.key(b));
+            for ((x, y), &ty) in a.iter().zip(b).zip(&self.key_types) {
                 let ord = ty.cmp_key(*x).cmp(&ty.cmp_key(*y));
                 if ord != std::cmp::Ordering::Equal {
                     return ord;
@@ -170,12 +166,13 @@ impl GroupedAggs {
             }
             std::cmp::Ordering::Equal
         });
-        let kw = self.key_width();
-        let mut out = QueryResult::with_capacity(self.output_width(), keys.len());
+        let kw = self.key_types.len();
+        let w = self.ops.len();
+        let mut out = QueryResult::with_capacity(self.output_width(), ids.len());
         let mut row: Vec<Value> = vec![0; self.output_width()];
-        for key in keys {
-            row[..kw].copy_from_slice(key);
-            let states = &self.map[key];
+        for id in ids {
+            row[..kw].copy_from_slice(self.keys.key(id));
+            let states = &self.states[id as usize * w..(id as usize + 1) * w];
             for (slot, st) in row[kw..].iter_mut().zip(states) {
                 *slot = st.finish();
             }

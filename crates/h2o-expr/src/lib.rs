@@ -17,8 +17,9 @@
 //!   the same [`Select`] over the combined attribute space,
 //! * [`QueryResult`] — row-major output blocks ("all execution strategies
 //!   materialize the output results ... in a row-major layout", §3.3),
-//! * [`GroupedAggs`] — the grouped-aggregation hash
-//!   state every strategy folds through; output rows are emitted sorted
+//! * [`GroupedAggs`] — the grouped-aggregation state every strategy folds
+//!   through, over the flat raw-lane hash table [`LaneMap`] that the join
+//!   build in `h2o-exec` also uses; output rows are emitted sorted
 //!   ascending by key vector so all strategies (and morsel-parallel
 //!   execution, which merges per-morsel tables) agree bit-for-bit.
 //!
@@ -53,6 +54,7 @@ pub mod expr;
 pub mod grouped;
 pub mod interp;
 pub mod join;
+pub mod lanemap;
 pub mod predicate;
 pub mod query;
 pub mod result;
@@ -66,6 +68,7 @@ pub use expr::{ArithOp, Expr};
 pub use grouped::GroupedAggs;
 pub use interp::{interpret, interpret_join};
 pub use join::{JoinBuilder, JoinQuery, RelRef, Side};
+pub use lanemap::LaneMap;
 pub use predicate::{CmpOp, Conjunction, Predicate};
 pub use query::{Query, QueryError};
 pub use result::QueryResult;

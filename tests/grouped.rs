@@ -272,13 +272,26 @@ proptest! {
 /// Seeded randomized sweep on the stress-seed convention: the relation,
 /// key cardinalities, query shapes and policies are all a pure function of
 /// `H2O_STRESS_SEED`, so a CI failure replays locally with the same seed.
+/// The first 12 rounds draw fewer than 64 key values per column; the
+/// rounds after them draw up to 16 values per row, so the distinct-key
+/// count approaches the row count and every table grows through many
+/// resizes (up to 50K rows in release builds, 5K in debug).
 #[test]
 fn stress_seeded_grouped_sweep() {
     let seed = stress_seed();
     let mut rng = SmallRng::seed_from_u64(seed);
-    for round in 0..12 {
-        let rows = rng.gen_range(1..2_000usize);
-        let card = rng.gen_range(1..64u64);
+    let max_rows = if cfg!(debug_assertions) {
+        5_000
+    } else {
+        50_000
+    };
+    for round in 0..16 {
+        let (rows, card) = if round < 12 {
+            (rng.gen_range(1..2_000usize), rng.gen_range(1..64u64))
+        } else {
+            let rows = rng.gen_range(max_rows / 2..=max_rows);
+            (rows, rows as u64 * rng.gen_range(1..=16))
+        };
         let schema = Schema::with_width(ATTRS).into_shared();
         let columns = gen_columns_with_keys(ATTRS, rows, seed ^ round, 2, card);
         let rel = Relation::columnar(schema, columns).unwrap();

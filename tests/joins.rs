@@ -336,6 +336,164 @@ fn serial_join_f64_sums_are_bit_identical_to_the_interpreter() {
     }
 }
 
+/// `F64` join keys compare by bit pattern on both sides: `-0.0` and
+/// `+0.0` are different keys, every NaN payload is its own key, and
+/// `±inf` join like any other value. Every strategy × build side ×
+/// policy matches [`interpret_join`], over a single `F64` key and a
+/// two-lane (`F64`, `I64`) key. Build keys repeat across morsel and
+/// segment boundaries, so the projection also pins the build table's
+/// per-key row order: with the left side building, the output bytes
+/// equal the interpreter's (probe rows in order, each key's build rows in
+/// row order), and every policy returns the serial bytes.
+#[test]
+fn f64_special_join_keys_match_the_interpreter() {
+    let specials: Vec<Value> = [
+        0.0f64.to_bits(),
+        (-0.0f64).to_bits(),
+        f64::NAN.to_bits(),
+        0x7FF0_0000_0000_0001, // signalling NaN
+        0xFFF8_0000_0000_0000, // negative quiet NaN
+        0x7FF8_DEAD_BEEF_0042, // NaN with a payload
+        f64::INFINITY.to_bits(),
+        f64::NEG_INFINITY.to_bits(),
+        1.5f64.to_bits(),
+        (-1.5f64).to_bits(),
+    ]
+    .into_iter()
+    .map(|b| h2o::storage::f64_lane(f64::from_bits(b)))
+    .collect();
+    // Probe-only keys: a NaN payload and a zero-adjacent value the build
+    // never holds, inside the build's key range.
+    let probe_only: Vec<Value> = [0x7FF8_0000_0000_0007u64, 0x8000_0000_0000_0001]
+        .into_iter()
+        .map(|b| h2o::storage::f64_lane(f64::from_bits(b)))
+        .collect();
+    let left_schema = Schema::typed([
+        ("lk", LogicalType::F64),
+        ("lg", LogicalType::I64),
+        ("la", LogicalType::I64),
+    ])
+    .into_shared();
+    let right_schema = Schema::typed([
+        ("rk", LogicalType::F64),
+        ("rg", LogicalType::I64),
+        ("rb", LogicalType::F64),
+    ])
+    .into_shared();
+    let (lrows, rrows) = (700usize, 900usize);
+    let left_cols: Vec<Vec<Value>> = vec![
+        // Runs of 5 equal keys, cycling: every key recurs in every morsel.
+        (0..lrows)
+            .map(|i| specials[(i / 5 + i % 3) % specials.len()])
+            .collect(),
+        (0..lrows).map(|i| (i % 2) as Value).collect(),
+        (0..lrows as Value).collect(),
+    ];
+    let right_cols: Vec<Vec<Value>> = vec![
+        (0..rrows)
+            .map(|i| match i % 13 {
+                11 | 12 => probe_only[i % 2],
+                _ => specials[(i * 7) % specials.len()],
+            })
+            .collect(),
+        (0..rrows).map(|i| (i % 3 == 0) as Value).collect(),
+        (0..rrows)
+            .map(|i| h2o::storage::f64_lane((i % 16) as f64 * 0.25))
+            .collect(),
+    ];
+    let left = Relation::partitioned_with_shift(
+        left_schema.clone(),
+        left_cols,
+        vec![vec![AttrId(0), AttrId(1)], vec![AttrId(2)]],
+        6,
+    )
+    .unwrap();
+    let right = Relation::partitioned_with_shift(
+        right_schema.clone(),
+        right_cols,
+        (0..3).map(|i| vec![AttrId(i)]).collect(),
+        6,
+    )
+    .unwrap();
+    let b = |two_keys: bool| {
+        let q = JoinQuery::builder(("l", left_schema.clone()), ("r", right_schema.clone()))
+            .on("lk", "rk")
+            .unwrap();
+        if two_keys {
+            q.on("lg", "rg").unwrap()
+        } else {
+            q
+        }
+    };
+    let mut queries = Vec::new();
+    for two_keys in [false, true] {
+        let q = b(two_keys);
+        let (lk, la, rb) = (
+            q.col("lk").unwrap(),
+            q.col("la").unwrap(),
+            q.col("rb").unwrap(),
+        );
+        queries.push(q.project([la.clone(), lk.clone(), rb.clone()]).unwrap());
+        let q = b(two_keys);
+        queries.push(
+            q.aggregate([Aggregate::sum(rb.clone()), Aggregate::count()])
+                .unwrap(),
+        );
+        let q = b(two_keys);
+        queries.push(
+            q.grouped(
+                [lk],
+                [Aggregate::sum(rb), Aggregate::max(la), Aggregate::count()],
+            )
+            .unwrap(),
+        );
+    }
+    for q in &queries {
+        let checked = check_join(q).unwrap();
+        let want = interpret_join(left.catalog(), right.catalog(), q).unwrap();
+        assert!(want.rows() > 0, "query {q} must match something");
+        for strategy in Strategy::ALL {
+            let lplan = AccessPlan::new(left.catalog().layout_ids(), strategy);
+            let rplan = AccessPlan::new(right.catalog().layout_ids(), strategy);
+            for build_is_left in [true, false] {
+                let op = compile_join(
+                    left.catalog(),
+                    right.catalog(),
+                    &lplan,
+                    &rplan,
+                    q,
+                    &checked,
+                    build_is_left,
+                )
+                .unwrap();
+                let label = format!(
+                    "{} build_is_left={build_is_left} query {q}",
+                    strategy.name()
+                );
+                let (serial, stats) = execute_join_with_policy(
+                    left.catalog(),
+                    right.catalog(),
+                    &op,
+                    &ExecPolicy::serial(),
+                )
+                .unwrap();
+                if build_is_left {
+                    assert_eq!(serial.data(), want.data(), "{label}");
+                } else {
+                    assert_eq!(serial.fingerprint(), want.fingerprint(), "{label}");
+                }
+                assert!(stats.probe_bloom_rejects > 0 || !build_is_left, "{label}");
+                for (pname, policy) in policies() {
+                    let (par, _) =
+                        execute_join_with_policy(left.catalog(), right.catalog(), &op, &policy)
+                            .unwrap();
+                    assert_eq!(par.data(), serial.data(), "{label} {pname}");
+                }
+            }
+        }
+    }
+}
+
 /// The adaptive engine agrees with the interpreter on the same snapshot,
 /// for both greedy and forced build orders. `ctx` labels failures (the
 /// stress sweep passes its replay seed through it).
