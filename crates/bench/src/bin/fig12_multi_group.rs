@@ -5,12 +5,15 @@
 //! 2 groups = 10 + 15 attributes, as in the paper). Response times are
 //! normalized by the single-group case.
 //!
+//! Every timed operator's answer is checked against the interpreter's.
+//!
 //! Expected shape: multiple groups impose little overhead (≤ ~1.3×), and
 //! at high selectivity splitting the filter group from the payload groups
 //! can even dip below 1.0 for highly selective queries.
 
 use h2o_bench::{csv_header, time_hot, Args};
 use h2o_exec::{compile, execute, AccessPlan, Strategy};
+use h2o_expr::interp::interpret;
 use h2o_expr::Query;
 use h2o_storage::{AttrId, LayoutCatalog, Relation, Schema};
 use h2o_workload::micro::{QueryGen, Template};
@@ -29,7 +32,10 @@ fn split(attrs: &[AttrId], k: usize) -> Vec<Vec<AttrId>> {
     }
 }
 
+/// Times `q` over the groups `parts` (best of both strategies), after
+/// checking each strategy's answer against the interpreter's.
 fn timed_on_groups(source: &Relation, parts: &[Vec<AttrId>], q: &Query) -> f64 {
+    let want = interpret(source.catalog(), q).unwrap();
     let mut catalog = LayoutCatalog::new(source.schema().clone(), source.rows());
     let mut ids = Vec::new();
     for part in parts {
@@ -43,6 +49,8 @@ fn timed_on_groups(source: &Relation, parts: &[Vec<AttrId>], q: &Query) -> f64 {
         .map(|strategy| {
             let plan = AccessPlan::new(ids.clone(), strategy);
             let op = compile(&catalog, &plan, q).unwrap();
+            let got = execute(&catalog, &op).unwrap();
+            assert_eq!(got, want, "{} over {} groups", strategy.name(), parts.len());
             time_hot(5, || execute(&catalog, &op).unwrap())
         })
         .fold(f64::INFINITY, f64::min)

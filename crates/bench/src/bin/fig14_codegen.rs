@@ -9,6 +9,8 @@
 //! includes its 63–84 ms codegen time in the measurement; ours is
 //! microseconds, because the kernels are monomorphized ahead of time).
 //!
+//! Both operators' answers are checked equal before timing.
+//!
 //! Expected shape: generated code wins by ~16% up to ~1.7× (interpretation
 //! overhead removed).
 
@@ -29,6 +31,7 @@ fn compare(
     q: &Query,
 ) -> (f64, f64, f64) {
     // Generic operator: the interpreter.
+    let want = interpret_over(&[group], q).unwrap();
     let t_generic = time_hot(3, || interpret_over(&[group], q).unwrap());
 
     // Generated code: compile + execute. The compile is one operator-cache
@@ -40,6 +43,7 @@ fn compare(
     let cache = OperatorCache::new(1, CompileCostModel::ZERO);
     let op = cache.get_or_compile(&catalog, &plan, q).unwrap();
     let t_compile = cache.stats().compile_time.as_secs_f64();
+    assert_eq!(execute(&catalog, &op).unwrap(), want, "generated code");
     let t_exec = time_hot(3, || execute(&catalog, &op).unwrap());
     (t_generic, t_exec, t_compile)
 }

@@ -3,10 +3,10 @@
 //! A [`CompiledFilter`] is the where-clause after "code generation": each
 //! predicate's attribute is a [`BoundAttr`] and the comparison is evaluated
 //! with the operator dispatched per predicate, not per tuple-per-node as the
-//! interpreter does. The one- and two-predicate cases — the shapes of every
-//! where-clause in the paper's evaluation (`where d<v1 and e>v2`) — have
-//! dedicated unrolled paths, mirroring Fig. 5 line 10 where both predicates
-//! compile into a single `if`.
+//! interpreter does. Scans evaluate the whole conjunction (`where d<v1 and
+//! e>v2`, Fig. 5 line 10) into one match mask per 8-row chunk, a 1K-row
+//! block at a time (`kernels::simd::RunFilter`), whatever the
+//! number of groups the plan reads.
 //!
 //! # Typed comparison
 //!
@@ -20,7 +20,7 @@
 //! ([`CompiledPred::zone_can_match`]), for every type with the same
 //! integer interval arithmetic.
 
-use crate::bind::{BoundAttr, GroupViews};
+use crate::bind::BoundAttr;
 use crate::compile::ExecError;
 use h2o_expr::{CmpOp, Conjunction, TypedPredicate};
 use h2o_storage::{AttrId, LogicalType, SegStats, Value};
@@ -46,12 +46,6 @@ impl CompiledPred {
             ty,
             value: ty.cmp_key(lane),
         }
-    }
-
-    #[inline(always)]
-    fn matches(&self, views: &GroupViews<'_>, row: usize) -> bool {
-        self.op
-            .apply(self.ty.cmp_key(views.get(self.attr, row)), self.value)
     }
 
     /// Evaluates the predicate against one raw lane word.
@@ -154,31 +148,22 @@ impl CompiledFilter {
         }
     }
 
-    /// Evaluates the conjunction for `row`.
+    /// Evaluates the conjunction for one row, whose lanes `get` fetches
+    /// by bound attribute (the fetch closures of
+    /// [`CompiledExpr::eval`](crate::program::CompiledExpr::eval)). The
+    /// scans never call it per row: they test 8-row chunks through the
+    /// block walker (`kernels::simd::RunFilter`); this is the
+    /// scalar oracles' row test.
     #[inline(always)]
-    pub fn matches(&self, views: &GroupViews<'_>, row: usize) -> bool {
-        match self.preds.as_slice() {
-            [] => true,
-            [p] => p.matches(views, row),
-            [p, q] => p.matches(views, row) && q.matches(views, row),
-            preds => preds.iter().all(|p| p.matches(views, row)),
-        }
-    }
-
-    /// Evaluates the conjunction against one tuple sliced from a
-    /// single-group run, where each predicate's `offset` indexes the slice
-    /// directly (`slot` is ignored).
-    #[inline(always)]
-    pub fn matches_tuple(&self, tuple: &[Value]) -> bool {
-        self.preds
-            .iter()
-            .all(|p| p.matches_lane(tuple[p.attr.offset as usize]))
+    pub fn matches(&self, get: impl Fn(BoundAttr) -> Value) -> bool {
+        self.preds.iter().all(|p| p.matches_lane(get(p.attr)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bind::GroupViews;
     use h2o_storage::{AttrId, ColumnGroup};
 
     fn views_one_group<'a>(g: &'a h2o_storage::ColumnGroup) -> GroupViews<'a> {
@@ -205,9 +190,9 @@ mod tests {
                 value: 4,
             },
         ]);
-        assert!(f.matches(&views, 0));
-        assert!(f.matches(&views, 1));
-        assert!(!f.matches(&views, 2));
+        assert!(f.matches(|a| views.get(a, 0)));
+        assert!(f.matches(|a| views.get(a, 1)));
+        assert!(!f.matches(|a| views.get(a, 2)));
     }
 
     #[test]
@@ -215,15 +200,15 @@ mod tests {
         let g = ColumnGroup::from_columns(vec![AttrId(0)], &[&[3, 7]]).unwrap();
         let views = views_one_group(&g);
         let a = BoundAttr { slot: 0, offset: 0 };
-        assert!(CompiledFilter::always().matches(&views, 0));
+        assert!(CompiledFilter::always().matches(|a| views.get(a, 0)));
         let one = CompiledFilter::new(vec![CompiledPred {
             attr: a,
             op: CmpOp::Ge,
             ty: LogicalType::I64,
             value: 5,
         }]);
-        assert!(!one.matches(&views, 0));
-        assert!(one.matches(&views, 1));
+        assert!(!one.matches(|a| views.get(a, 0)));
+        assert!(one.matches(|a| views.get(a, 1)));
         let three = CompiledFilter::new(vec![
             CompiledPred {
                 attr: a,
@@ -244,8 +229,8 @@ mod tests {
                 value: 3,
             },
         ]);
-        assert!(!three.matches(&views, 0));
-        assert!(three.matches(&views, 1));
+        assert!(!three.matches(|a| views.get(a, 0)));
+        assert!(three.matches(|a| views.get(a, 1)));
     }
 
     #[test]
@@ -258,8 +243,8 @@ mod tests {
             ty: LogicalType::I64,
             value: 0,
         }]);
-        assert!(!f.matches(&views, 0));
+        assert!(!f.matches(|a| views.get(a, 0)));
         f.rebind_constants(&[10]);
-        assert!(f.matches(&views, 0));
+        assert!(f.matches(|a| views.get(a, 0)));
     }
 }

@@ -36,7 +36,8 @@
 //! [`h2o_expr::interp::interpret_join`]. The probe side then streams: per
 //! qualifying probe row, one hash lookup; per matched build row, the
 //! combined tuple is stitched into a flat buffer and the select program
-//! runs against it ([`CompiledExpr::eval_tuple`](crate::program::CompiledExpr::eval_tuple)).
+//! runs against it ([`SelectProgram::push`]: every bound attribute's
+//! `offset` indexes the buffer).
 //!
 //! Which side builds is the **caller's** choice ([`compile_join`]'s
 //! `build_is_left`): the engine picks the side it observes to be smaller
@@ -153,12 +154,11 @@ impl CompiledJoinSide {
             Strategy::FusedVolcano => {
                 let mut n = 0usize;
                 for run in views.runs_pruned(range, &self.filter) {
-                    for row in run.range() {
-                        if self.filter.matches(views, row) {
-                            n += 1;
-                            f(row);
-                        }
-                    }
+                    let start = run.start();
+                    simd::RunFilter::resolve(&run, &self.filter).for_each_row(|i| {
+                        n += 1;
+                        f(start + i);
+                    });
                 }
                 n
             }
@@ -357,7 +357,7 @@ pub fn compile_join(
 
     // Lower select expressions against combined-tuple positions: the
     // bound `offset` indexes the stitched buffer, `slot` is unused
-    // (`CompiledExpr::eval_tuple` semantics).
+    // (`SelectProgram::push` semantics).
     let select = SelectProgram::lower(q.select_clause(), &checked.select, |attr| {
         Ok(BoundAttr {
             slot: 0,

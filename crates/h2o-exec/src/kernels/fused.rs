@@ -1,11 +1,13 @@
 //! The fused volcano kernel (paper Fig. 5).
 //!
-//! One loop over the relation; for each tuple the compiled filter is
-//! evaluated (both predicates in one step) and, if it passes, the
-//! select-items are computed immediately. No selection vector, no
-//! intermediate columns — the access pattern the paper generates when all
-//! needed attributes live in one column group, generalized here to plans
-//! that stitch several groups tuple-at-a-time (multi-group volcano plans).
+//! One pass over the relation: the where-clause is evaluated (both
+//! predicates in one step) and every qualifying tuple's select-items are
+//! computed immediately. No selection vector, no intermediate columns —
+//! the access pattern the paper generates. Each kernel body is written
+//! once, for a plan over one column group or one that combines several
+//! (§3.3, Fig. 12): `scan_rows` finds the qualifying rows in 1K-row
+//! blocks of 8-row chunk masks and hands each to the body as a lane-fetch
+//! closure, compiled once per case.
 //!
 //! Every loop is parameterized by a row **range** and continues a
 //! caller-owned accumulator, so the morsel-parallel driver
@@ -15,21 +17,16 @@
 //! online reorganization ([`crate::reorg`]) can run a range in the 1K-row
 //! chunks it stitches, every chunk continuing the range's one accumulator.
 
-use super::{simd, upd_max, upd_min, upd_sum};
-use crate::bind::GroupViews;
+use super::{scan_rows, simd, upd_max, upd_min, upd_sum, RowBody};
+use crate::bind::{BoundAttr, GroupViews};
 use crate::filter::CompiledFilter;
 use crate::program::CompiledExpr;
 use h2o_expr::agg::{AggOp, AggState};
-use h2o_expr::QueryResult;
+use h2o_expr::{AggFunc, QueryResult};
 use h2o_storage::Value;
 use std::ops::Range;
 
-/// Fused projection over one row range, appending to `out`. The Fig. 5
-/// specialization applies when the whole plan reads a single column
-/// group: the range is walked one segment run at a time, each tuple is
-/// sliced once from the run's contiguous payload and everything evaluates
-/// against the slice — no per-access slot/stride arithmetic in the inner
-/// loop.
+/// Fused projection over one row range, appending to `out`.
 pub fn project_range(
     views: &GroupViews<'_>,
     filter: &CompiledFilter,
@@ -37,64 +34,50 @@ pub fn project_range(
     range: Range<usize>,
     out: &mut QueryResult,
 ) {
-    let mut row_buf: Vec<Value> = vec![0; exprs.len()];
-    if views.len() == 1 {
-        for run in views.runs_pruned(range, filter) {
-            let (data, width) = run.view(0);
-            match exprs {
-                [e] => {
-                    for tuple in data.chunks_exact(width) {
-                        if filter.matches_tuple(tuple) {
-                            out.push1(e.eval_tuple(tuple));
-                        }
-                    }
-                }
-                _ => {
-                    for tuple in data.chunks_exact(width) {
-                        if filter.matches_tuple(tuple) {
-                            for (slot, e) in row_buf.iter_mut().zip(exprs) {
-                                *slot = e.eval_tuple(tuple);
-                            }
-                            out.push_row(&row_buf);
-                        }
-                    }
-                }
-            }
-        }
-        return;
+    struct Project<'a> {
+        exprs: &'a [CompiledExpr],
+        out: &'a mut QueryResult,
+        buf: Vec<Value>,
     }
-    // Multi-group stitching walks pruned segment runs too: a run some
-    // predicate's zone map excludes is skipped before any row is touched.
-    match exprs {
-        // The dominant single-expression template (e.g. `select a+b+c ...`):
-        // keep the inner loop free of the per-expression loop.
-        [e] => {
-            for run in views.runs_pruned(range, filter) {
-                for row in run.range() {
-                    if filter.matches(views, row) {
-                        out.push1(e.eval(views, row));
+    impl RowBody for Project<'_> {
+        #[inline(always)]
+        fn row(&mut self, get: impl Fn(BoundAttr) -> Value) {
+            match self.exprs {
+                // The dominant single-expression template (`select a+b+c
+                // ...`) skips the row buffer.
+                [e] => self.out.push1(e.eval(get)),
+                exprs => {
+                    for (slot, e) in self.buf.iter_mut().zip(exprs) {
+                        *slot = e.eval(&get);
                     }
-                }
-            }
-        }
-        _ => {
-            for run in views.runs_pruned(range, filter) {
-                for row in run.range() {
-                    if filter.matches(views, row) {
-                        for (slot, e) in row_buf.iter_mut().zip(exprs) {
-                            *slot = e.eval(views, row);
-                        }
-                        out.push_row(&row_buf);
-                    }
+                    self.out.push_row(&self.buf);
                 }
             }
         }
     }
+    let buf = vec![0; exprs.len()];
+    scan_rows(views, filter, range, &mut Project { exprs, out, buf });
 }
 
 /// Fused aggregation over one row range, continuing `states` (one per
 /// aggregate, in order): a range split in pieces folds exactly like the
 /// whole, `F64` sums included.
+///
+/// When every aggregate input is a bare column (template ii), the inputs
+/// are resolved once and fold into raw accumulators ([`AggState::raw`]:
+/// min/max in comparator-key space, sum/avg in the lane domain) under one
+/// shared match count, in one of two tiers:
+///
+/// * the columns sit at adjacent offsets of one slot (the exact shape of
+///   `select max(a_j), ..., max(a_{j+k})` over a tailored group): each
+///   column folds its masked chunks a 1K-row block at a time
+///   (`fold_columns`), while the block is cache-resident;
+/// * any other set — scattered offsets of a wide row-major group, or
+///   several groups — updates every accumulator per qualifying row
+///   (`fold_rows`), touching each tuple once.
+///
+/// Each column stays one fold chain in row order in both tiers, so `F64`
+/// sums are bit-identical whichever tier runs.
 pub fn aggregate_range(
     views: &GroupViews<'_>,
     filter: &CompiledFilter,
@@ -102,241 +85,179 @@ pub fn aggregate_range(
     range: Range<usize>,
     states: &mut [AggState],
 ) {
-    if views.len() == 1 {
-        // Specialization: when every aggregate input is a bare column,
-        // resolve the offsets once and keep the inner loop down to
-        // "load, update" per value — the template-(ii) hot path.
-        let col_offsets: Option<Vec<usize>> = aggs
-            .iter()
-            .map(|(_, e)| match e {
-                CompiledExpr::Col(a) => Some(a.offset as usize),
-                _ => None,
-            })
-            .collect();
-        if let Some(offsets) = col_offsets {
-            let mut acc: Vec<Value> = states.iter().map(AggState::raw).collect();
-            let matched =
-                aggregate_cols_specialized(views, range, filter, aggs, &offsets, &mut acc);
-            for ((st, (f, _)), &raw) in states.iter_mut().zip(aggs).zip(&acc) {
-                *st = AggState::from_parts(*f, raw, st.count() + matched);
-            }
-            return;
+    let cols: Option<Vec<BoundAttr>> = aggs
+        .iter()
+        .map(|(_, e)| match e {
+            CompiledExpr::Col(a) => Some(*a),
+            _ => None,
+        })
+        .collect();
+    let Some(cols) = cols else {
+        struct Fold<'a> {
+            aggs: &'a [(AggOp, CompiledExpr)],
+            states: &'a mut [AggState],
         }
-        for run in views.runs_pruned(range, filter) {
-            let (data, width) = run.view(0);
-            for tuple in data.chunks_exact(width) {
-                if filter.matches_tuple(tuple) {
-                    for (st, (_, e)) in states.iter_mut().zip(aggs) {
-                        st.update(e.eval_tuple(tuple));
-                    }
+        impl RowBody for Fold<'_> {
+            #[inline(always)]
+            fn row(&mut self, get: impl Fn(BoundAttr) -> Value) {
+                for (st, (_, e)) in self.states.iter_mut().zip(self.aggs) {
+                    st.update(e.eval(&get));
                 }
             }
         }
+        scan_rows(views, filter, range, &mut Fold { aggs, states });
         return;
-    }
-    for run in views.runs_pruned(range, filter) {
-        for row in run.range() {
-            if filter.matches(views, row) {
-                for (st, (_, e)) in states.iter_mut().zip(aggs) {
-                    st.update(e.eval(views, row));
-                }
-            }
-        }
+    };
+    let ops: Vec<AggOp> = aggs.iter().map(|(f, _)| *f).collect();
+    let mut acc: Vec<Value> = states.iter().map(AggState::raw).collect();
+    let lo = cols.iter().map(|a| a.offset).min().unwrap_or(0);
+    let hi = cols.iter().map(|a| a.offset).max().unwrap_or(0);
+    let adjacent = cols.iter().all(|a| a.slot == cols[0].slot) && ((hi - lo) as usize) < cols.len();
+    let matched = if adjacent {
+        fold_columns(views, filter, range, &ops, &cols, &mut acc)
+    } else {
+        fold_rows(views, filter, range, &ops, &cols, &mut acc)
+    };
+    for ((st, f), &raw) in states.iter_mut().zip(&ops).zip(&acc) {
+        *st = AggState::from_parts(*f, raw, st.count() + matched);
     }
 }
 
-/// Scalar reference for [`aggregate_range`]: identical dispatch, but the
-/// single-group bare-column specialization runs the exact
-/// pre-vectorization per-tuple loop ([`CompiledFilter::matches_tuple`]
-/// plus `upd_*` per value). Kept as the oracle of `tests/simd.rs`.
+/// One scalar update of a raw accumulator (the per-column tier's tail).
+#[inline(always)]
+fn upd(f: AggOp, acc: &mut Value, v: Value) {
+    match f.func {
+        AggFunc::Max => upd_max(f.ty, acc, v),
+        AggFunc::Min => upd_min(f.ty, acc, v),
+        AggFunc::Sum | AggFunc::Avg => upd_sum(f.ty, acc, v),
+        AggFunc::Count => {}
+    }
+}
+
+/// The per-column tier of [`aggregate_range`]: per run, the conjunction is
+/// evaluated into chunk masks one 1K-row block at a time (shared by every
+/// column), then each column folds the block's masked chunks with the
+/// shared lane primitives — integer sums/min/max lane-split, `F64` sums
+/// one in-order chain (the fold-order contract of
+/// [`h2o_expr::agg::AggState`]). Each column's chain continues from block
+/// to block and into the run's scalar tail. Returns the match count.
+fn fold_columns(
+    views: &GroupViews<'_>,
+    filter: &CompiledFilter,
+    range: Range<usize>,
+    ops: &[AggOp],
+    cols: &[BoundAttr],
+    acc: &mut [Value],
+) -> u64 {
+    let mut matched: u64 = 0;
+    for run in views.runs_pruned(range, filter) {
+        let rf = simd::RunFilter::resolve(&run, filter);
+        let lanes: Vec<simd::RunCol<'_>> =
+            cols.iter().map(|&a| simd::RunCol::of(&run, a)).collect();
+        let tail = rf.for_each_block(|start, masks| {
+            matched += simd::popcount(masks);
+            for ((f, a), col) in ops.iter().zip(acc.iter_mut()).zip(&lanes) {
+                let col = col.skip(start);
+                match f.func {
+                    AggFunc::Max => simd::fold_minmax_masked(true, f.ty, a, &col, masks),
+                    AggFunc::Min => simd::fold_minmax_masked(false, f.ty, a, &col, masks),
+                    AggFunc::Sum | AggFunc::Avg => simd::fold_sum_masked(f.ty, a, &col, masks),
+                    AggFunc::Count => {}
+                }
+            }
+        });
+        for i in tail {
+            if rf.matches_row(i) {
+                matched += 1;
+                for ((f, a), col) in ops.iter().zip(acc.iter_mut()).zip(&lanes) {
+                    upd(*f, a, col.get(i));
+                }
+            }
+        }
+    }
+    matched
+}
+
+/// The per-row tier of [`aggregate_range`]: aggregates are grouped by
+/// function so the row step contains no per-value dispatch, and every
+/// accumulator is updated once per qualifying row. Returns the match
+/// count.
+fn fold_rows(
+    views: &GroupViews<'_>,
+    filter: &CompiledFilter,
+    range: Range<usize>,
+    ops: &[AggOp],
+    cols: &[BoundAttr],
+    acc: &mut [Value],
+) -> u64 {
+    struct Rows<'a> {
+        // (typed op, [(accumulator index, bound column)])
+        groups: Vec<(AggOp, Vec<(usize, BoundAttr)>)>,
+        acc: &'a mut [Value],
+        matched: u64,
+    }
+    impl RowBody for Rows<'_> {
+        #[inline(always)]
+        fn row(&mut self, get: impl Fn(BoundAttr) -> Value) {
+            self.matched += 1;
+            for (f, items) in &self.groups {
+                match f.func {
+                    AggFunc::Max => {
+                        for &(i, a) in items {
+                            upd_max(f.ty, &mut self.acc[i], get(a));
+                        }
+                    }
+                    AggFunc::Min => {
+                        for &(i, a) in items {
+                            upd_min(f.ty, &mut self.acc[i], get(a));
+                        }
+                    }
+                    AggFunc::Sum | AggFunc::Avg => {
+                        for &(i, a) in items {
+                            upd_sum(f.ty, &mut self.acc[i], get(a));
+                        }
+                    }
+                    AggFunc::Count => {}
+                }
+            }
+        }
+    }
+    let mut groups: Vec<(AggOp, Vec<(usize, BoundAttr)>)> = Vec::new();
+    for (i, (f, &a)) in ops.iter().zip(cols).enumerate() {
+        match groups.iter_mut().find(|(gf, _)| gf == f) {
+            Some((_, items)) => items.push((i, a)),
+            None => groups.push((*f, vec![(i, a)])),
+        }
+    }
+    let mut body = Rows {
+        groups,
+        acc,
+        matched: 0,
+    };
+    scan_rows(views, filter, range, &mut body);
+    body.matched
+}
+
+/// Scalar reference for [`aggregate_range`]: every row of the range is
+/// tested with [`CompiledFilter::matches`] and folded per aggregate
+/// through the segment-resolving accessor — no masks, blocks or tiers.
+/// Kept as the oracle of `tests/simd.rs`.
 pub fn aggregate_range_scalar(
     views: &GroupViews<'_>,
     filter: &CompiledFilter,
     aggs: &[(AggOp, CompiledExpr)],
     range: Range<usize>,
 ) -> Vec<AggState> {
-    use h2o_expr::AggFunc;
-    if views.len() == 1 {
-        let col_offsets: Option<Vec<usize>> = aggs
-            .iter()
-            .map(|(_, e)| match e {
-                CompiledExpr::Col(a) => Some(a.offset as usize),
-                _ => None,
-            })
-            .collect();
-        if let Some(offsets) = col_offsets {
-            let mut acc: Vec<Value> = aggs
-                .iter()
-                .map(|(f, _)| match f.func {
-                    AggFunc::Min => Value::MAX,
-                    AggFunc::Max => Value::MIN,
-                    _ => 0,
-                })
-                .collect();
-            let mut matched: u64 = 0;
-            for run in views.runs_pruned(range, filter) {
-                let (data, width) = run.view(0);
-                for tuple in data.chunks_exact(width) {
-                    if filter.matches_tuple(tuple) {
-                        matched += 1;
-                        for ((a, (f, _)), &off) in acc.iter_mut().zip(aggs).zip(&offsets) {
-                            match f.func {
-                                AggFunc::Max => upd_max(f.ty, a, tuple[off]),
-                                AggFunc::Min => upd_min(f.ty, a, tuple[off]),
-                                AggFunc::Sum | AggFunc::Avg => upd_sum(f.ty, a, tuple[off]),
-                                AggFunc::Count => {}
-                            }
-                        }
-                    }
-                }
-            }
-            return aggs
-                .iter()
-                .zip(&acc)
-                .map(|((f, _), &raw)| AggState::from_parts(*f, raw, matched))
-                .collect();
-        }
-    }
     let mut states: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
-    for run in views.runs_pruned(range, filter) {
-        for row in run.range() {
-            if filter.matches(views, row) {
-                for (st, (_, e)) in states.iter_mut().zip(aggs) {
-                    st.update(e.eval(views, row));
-                }
+    for row in range {
+        let get = |a| views.get(a, row);
+        if filter.matches(get) {
+            for (st, (_, e)) in states.iter_mut().zip(aggs) {
+                st.update(e.eval(get));
             }
         }
     }
     states
-}
-
-/// The tightest generated loop for `select f(a), f(b), ... from <group>`
-/// (template ii over one group): aggregates are grouped by function so the
-/// inner loop contains no dispatch at all, and a single shared counter
-/// tracks qualifying tuples (every bare-column aggregate folds exactly the
-/// same rows). The range is folded one contiguous segment run at a time
-/// into the raw accumulators `acc` ([`AggState::raw`]; min/max in
-/// comparator-key space, sum/avg in the lane domain). Returns the match
-/// count — the caller lifts both into mergeable [`AggState`] partials.
-fn aggregate_cols_specialized(
-    views: &GroupViews<'_>,
-    range: Range<usize>,
-    filter: &CompiledFilter,
-    aggs: &[(AggOp, CompiledExpr)],
-    offsets: &[usize],
-    acc: &mut [Value],
-) -> u64 {
-    use h2o_expr::AggFunc;
-    // (typed op, [(accumulator index, tuple offset)])
-    let mut groups: Vec<(AggOp, Vec<(usize, usize)>)> = Vec::new();
-    for (i, ((f, _), &off)) in aggs.iter().zip(offsets).enumerate() {
-        match groups.iter_mut().find(|(gf, _)| gf == f) {
-            Some((_, items)) => items.push((i, off)),
-            None => groups.push((*f, vec![(i, off)])),
-        }
-    }
-    let mut matched: u64 = 0;
-
-    // Tightest tier: one function over a dense offset range (the exact
-    // shape of `select max(a_j), ..., max(a_{j+k})`) — the accumulator
-    // update is a straight slice-to-slice loop the compiler vectorizes.
-    let dense = match groups.as_slice() {
-        [(f, items)] => {
-            let base = items.first().map(|&(_, off)| off).unwrap_or(0);
-            let is_dense = items
-                .iter()
-                .enumerate()
-                .all(|(j, &(i, off))| i == j && off == base + j);
-            if is_dense {
-                Some((*f, base, items.len()))
-            } else {
-                None
-            }
-        }
-        _ => None,
-    };
-    if let Some((f, base, k)) = dense {
-        // Vectorized: the conjunction is evaluated into 8-row chunk masks
-        // once per run (shared by every aggregate column), then each
-        // column folds its masked chunks with the shared lane primitives —
-        // integer sums/min/max lane-split, F64 sums stay one in-order
-        // chain per the fold-order contract ([`h2o_expr::agg::AggState`]).
-        // The `len % 8` tail of each run takes the original scalar path.
-        let mut masks: Vec<u8> = Vec::new();
-        for run in views.runs_pruned(range, filter) {
-            let (data, width) = run.view(0);
-            let n = run.len();
-            let full = n / simd::LANES;
-            let rf = simd::RunFilter::resolve(&run, filter);
-            masks.resize(full, 0);
-            rf.fill_masks(&mut masks);
-            matched += simd::popcount(&masks);
-            for (c, a) in acc.iter_mut().enumerate() {
-                let col = simd::RunCol::strided(&data[base + c..], width);
-                match f.func {
-                    AggFunc::Max => simd::fold_minmax_masked(true, f.ty, a, &col, &masks),
-                    AggFunc::Min => simd::fold_minmax_masked(false, f.ty, a, &col, &masks),
-                    AggFunc::Sum | AggFunc::Avg => simd::fold_sum_masked(f.ty, a, &col, &masks),
-                    AggFunc::Count => {}
-                }
-            }
-            for tuple in data[full * simd::LANES * width..n * width].chunks_exact(width) {
-                if filter.matches_tuple(tuple) {
-                    matched += 1;
-                    let vals = &tuple[base..base + k];
-                    match f.func {
-                        AggFunc::Max => {
-                            for (a, &v) in acc.iter_mut().zip(vals) {
-                                upd_max(f.ty, a, v);
-                            }
-                        }
-                        AggFunc::Min => {
-                            for (a, &v) in acc.iter_mut().zip(vals) {
-                                upd_min(f.ty, a, v);
-                            }
-                        }
-                        AggFunc::Sum | AggFunc::Avg => {
-                            for (a, &v) in acc.iter_mut().zip(vals) {
-                                upd_sum(f.ty, a, v);
-                            }
-                        }
-                        AggFunc::Count => {}
-                    }
-                }
-            }
-        }
-        return matched;
-    }
-
-    for run in views.runs_pruned(range, filter) {
-        let (data, width) = run.view(0);
-        for tuple in data.chunks_exact(width) {
-            if filter.matches_tuple(tuple) {
-                matched += 1;
-                for (f, items) in &groups {
-                    match f.func {
-                        AggFunc::Max => {
-                            for &(i, off) in items {
-                                upd_max(f.ty, &mut acc[i], tuple[off]);
-                            }
-                        }
-                        AggFunc::Min => {
-                            for &(i, off) in items {
-                                upd_min(f.ty, &mut acc[i], tuple[off]);
-                            }
-                        }
-                        AggFunc::Sum | AggFunc::Avg => {
-                            for &(i, off) in items {
-                                upd_sum(f.ty, &mut acc[i], tuple[off]);
-                            }
-                        }
-                        AggFunc::Count => {}
-                    }
-                }
-            }
-        }
-    }
-    matched
 }
 
 #[cfg(test)]
@@ -443,6 +364,50 @@ mod tests {
         let out = run(&views, &filter, &select);
         assert_eq!(out.rows(), 2);
         assert_eq!(out.data(), &[1, 2]);
+    }
+
+    #[test]
+    fn multi_group_scans_match_the_interpreter_across_blocks() {
+        use crate::kernels::testing::fused_vs_interpreter;
+        use h2o_expr::{Aggregate, Conjunction, Expr, Predicate, Query};
+        let col = Expr::col::<u32>;
+        let filtered = || Conjunction::of([Predicate::lt(2u32, 60), Predicate::gt(0u32, 0)]);
+        let queries = [
+            Query::project([col(1), col(2).add(col(0))], filtered()).unwrap(),
+            Query::project([col(3)], Conjunction::of([Predicate::gt(0u32, 2)])).unwrap(),
+            // Bare columns of both groups: the per-row tier.
+            Query::aggregate(
+                [
+                    Aggregate::sum(col(1)),
+                    Aggregate::sum(col(3)),
+                    Aggregate::min(col(2)),
+                ],
+                filtered(),
+            )
+            .unwrap(),
+            // Adjacent columns of one slot, filtered on the other: the
+            // per-column tier.
+            Query::aggregate(
+                [Aggregate::sum(col(2)), Aggregate::sum(col(3))],
+                Conjunction::of([Predicate::gt(0u32, 0)]),
+            )
+            .unwrap(),
+            Query::aggregate(
+                [Aggregate::avg(col(1)), Aggregate::min(col(0))],
+                Conjunction::of([Predicate::lt(2u32, 90)]),
+            )
+            .unwrap(),
+            Query::aggregate(
+                [Aggregate::avg(col(3)), Aggregate::max(col(2).add(col(0)))],
+                filtered(),
+            )
+            .unwrap(),
+        ];
+        for q in &queries {
+            let (got, want) = fused_vs_interpreter(q);
+            assert!(!got.is_empty());
+            assert_eq!(got, want, "{q:?}");
+        }
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! module extends each of the paper's execution strategies with it while
 //! preserving their cost structure:
 //!
-//! * **fused** ([`fused_range`]) — one pass, filter + key/aggregate-input
-//!   evaluation + hash update per qualifying tuple, no intermediates (the
-//!   Fig. 5 loop with a hash probe in place of the output append);
+//! * **fused** ([`fused_range`]) — one pass, filter masks + key/aggregate-
+//!   input evaluation + hash update per qualifying tuple, no intermediates
+//!   (the Fig. 5 loop with a hash probe in place of the output append),
+//!   for one column group or many;
 //! * **selection-vector** ([`aggregate_ids`]) — phase 2 of the Fig. 6 pair:
 //!   walk an id chunk and gather keys/inputs from the select-clause
 //!   group(s), folding into the table;
@@ -22,8 +23,8 @@
 //! finishes once, and because [`GroupedAggs::finish`] sorts by key vector,
 //! parallel execution is bit-identical to serial for every strategy.
 
-use super::simd;
-use crate::bind::GroupViews;
+use super::{scan_rows, RowBody};
+use crate::bind::{BoundAttr, GroupViews};
 use crate::filter::CompiledFilter;
 use crate::program::CompiledExpr;
 use h2o_expr::agg::AggOp;
@@ -38,57 +39,37 @@ pub fn table_for(key_types: &[LogicalType], aggs: &[(AggOp, CompiledExpr)]) -> G
     GroupedAggs::new(key_types.to_vec(), aggs.iter().map(|(f, _)| *f).collect())
 }
 
-/// Folds one sliced tuple into the table: evaluates the key and
-/// aggregate-input expressions against `tuple` through the caller's reused
-/// buffers (the fused single-group tier's per-row step).
-#[inline]
-pub(crate) fn update_from_tuple(
+/// Evaluates one row's group keys and aggregate inputs through `get`
+/// into `buf` (keys first, `keys.len() + aggs.len()` lanes) and folds them
+/// `n` times in one table probe ([`GroupedAggs::update_n`]). The fused
+/// and selection-vector kernels' per-row step (`n = 1`) and the grouped
+/// sink's ([`SelectProgram::push`](crate::sink::SelectProgram::push)),
+/// where the fused join-aggregate path uses `n` to collapse a probe row's
+/// identical build matches into a single factorized update.
+#[inline(always)]
+pub(crate) fn fold_row(
     table: &mut GroupedAggs,
     keys: &[CompiledExpr],
     aggs: &[(AggOp, CompiledExpr)],
-    key_buf: &mut [Value],
-    val_buf: &mut [Value],
-    tuple: &[Value],
-) {
-    for (slot, k) in key_buf.iter_mut().zip(keys) {
-        *slot = k.eval_tuple(tuple);
-    }
-    for (slot, (_, e)) in val_buf.iter_mut().zip(aggs) {
-        *slot = e.eval_tuple(tuple);
-    }
-    table.update(key_buf, val_buf);
-}
-
-/// [`update_from_tuple`] with a multiplicity: folds the tuple's key and
-/// aggregate inputs `n` times in one table probe
-/// ([`GroupedAggs::update_n`]). This is the grouped sink's per-tuple step
-/// ([`SelectProgram::push`](crate::sink::SelectProgram::push)); the fused
-/// join-aggregate path uses `n` to collapse a probe row's identical build
-/// matches into a single factorized update.
-#[inline]
-pub(crate) fn update_from_tuple_n(
-    table: &mut GroupedAggs,
-    keys: &[CompiledExpr],
-    aggs: &[(AggOp, CompiledExpr)],
-    key_buf: &mut [Value],
-    val_buf: &mut [Value],
-    tuple: &[Value],
+    buf: &mut [Value],
+    get: impl Fn(BoundAttr) -> Value,
     n: u64,
 ) {
-    for (slot, k) in key_buf.iter_mut().zip(keys) {
-        *slot = k.eval_tuple(tuple);
+    let (key, vals) = buf.split_at_mut(keys.len());
+    for (slot, k) in key.iter_mut().zip(keys) {
+        *slot = k.eval(&get);
     }
-    for (slot, (_, e)) in val_buf.iter_mut().zip(aggs) {
-        *slot = e.eval_tuple(tuple);
+    for (slot, (_, e)) in vals.iter_mut().zip(aggs) {
+        *slot = e.eval(&get);
     }
-    table.update_n(key_buf, val_buf, n);
+    table.update_n(key, vals, n);
 }
 
 /// Fused grouped aggregation over one row range, folding into `table`
-/// (a range split in pieces folds exactly like the whole). Single-group
-/// plans walk contiguous segment runs and evaluate keys/inputs against the
-/// sliced tuple (no per-access slot arithmetic); multi-group plans stitch
-/// tuple-at-a-time.
+/// (a range split in pieces folds exactly like the whole). Qualifying
+/// rows come from the fused scan's block walker (`scan_rows`) in
+/// ascending row order, so per-group `F64` sums keep the scalar fold
+/// order, for one column group or many.
 pub fn fused_range(
     views: &GroupViews<'_>,
     filter: &CompiledFilter,
@@ -97,67 +78,26 @@ pub fn fused_range(
     range: Range<usize>,
     table: &mut GroupedAggs,
 ) {
-    let mut key: Vec<Value> = vec![0; keys.len()];
-    let mut vals: Vec<Value> = vec![0; aggs.len()];
-    if views.len() == 1 {
-        // With a where-clause, the filter is evaluated into 8-row chunk
-        // masks per run (the vectorized scan — [`super::simd`]); only
-        // surviving rows load their key/input tuple and probe the hash
-        // table, in ascending row order so per-group F64 sums keep the
-        // scalar fold order. Without one, every tuple probes: masks would
-        // be pure overhead.
-        if filter.is_always_true() {
-            for run in views.runs_pruned(range, filter) {
-                let (data, width) = run.view(0);
-                for tuple in data.chunks_exact(width) {
-                    update_from_tuple(table, keys, aggs, &mut key, &mut vals, tuple);
-                }
-            }
-            return;
-        }
-        let mut masks: Vec<u8> = Vec::new();
-        for run in views.runs_pruned(range, filter) {
-            let (data, width) = run.view(0);
-            let n = run.len();
-            let full = n / simd::LANES;
-            let rf = simd::RunFilter::resolve(&run, filter);
-            masks.resize(full, 0);
-            rf.fill_masks(&mut masks);
-            for (k, &m) in masks.iter().enumerate() {
-                if m == 0 {
-                    continue;
-                }
-                let base = k * simd::LANES;
-                let mut bits = m as u32;
-                while bits != 0 {
-                    let i = base + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let tuple = &data[i * width..(i + 1) * width];
-                    update_from_tuple(table, keys, aggs, &mut key, &mut vals, tuple);
-                }
-            }
-            for i in full * simd::LANES..n {
-                let tuple = &data[i * width..(i + 1) * width];
-                if filter.matches_tuple(tuple) {
-                    update_from_tuple(table, keys, aggs, &mut key, &mut vals, tuple);
-                }
-            }
-        }
-        return;
+    struct Rows<'a> {
+        table: &'a mut GroupedAggs,
+        keys: &'a [CompiledExpr],
+        aggs: &'a [(AggOp, CompiledExpr)],
+        buf: Vec<Value>,
     }
-    for run in views.runs_pruned(range, filter) {
-        for row in run.range() {
-            if filter.matches(views, row) {
-                for (slot, k) in key.iter_mut().zip(keys) {
-                    *slot = k.eval(views, row);
-                }
-                for (slot, (_, e)) in vals.iter_mut().zip(aggs) {
-                    *slot = e.eval(views, row);
-                }
-                table.update(&key, &vals);
-            }
+    impl RowBody for Rows<'_> {
+        #[inline(always)]
+        fn row(&mut self, get: impl Fn(BoundAttr) -> Value) {
+            fold_row(self.table, self.keys, self.aggs, &mut self.buf, get, 1);
         }
     }
+    let buf = vec![0; keys.len() + aggs.len()];
+    let mut body = Rows {
+        table,
+        keys,
+        aggs,
+        buf,
+    };
+    scan_rows(views, filter, range, &mut body);
 }
 
 /// Selection-vector phase-2 grouped aggregation over one contiguous chunk
@@ -171,17 +111,10 @@ pub fn aggregate_ids(
     aggs: &[(AggOp, CompiledExpr)],
 ) -> GroupedAggs {
     let mut table = table_for(key_types, aggs);
-    let mut key: Vec<Value> = vec![0; keys.len()];
-    let mut vals: Vec<Value> = vec![0; aggs.len()];
+    let mut buf: Vec<Value> = vec![0; keys.len() + aggs.len()];
     for &row in ids {
         let row = row as usize;
-        for (slot, k) in key.iter_mut().zip(keys) {
-            *slot = k.eval(views, row);
-        }
-        for (slot, (_, e)) in vals.iter_mut().zip(aggs) {
-            *slot = e.eval(views, row);
-        }
-        table.update(&key, &vals);
+        fold_row(&mut table, keys, aggs, &mut buf, |a| views.get(a, row), 1);
     }
     table
 }
@@ -307,6 +240,27 @@ mod tests {
         };
         let partials = partials.into_iter().map(Into::into).collect();
         assert_eq!(select.finish(partials), full);
+    }
+
+    #[test]
+    fn filtered_multi_group_grouped_matches_the_interpreter() {
+        use h2o_expr::{Aggregate, Conjunction, Expr, Predicate, Query};
+        // Keys from slot 0, aggregate inputs from both slots, filtered on
+        // slot 1.
+        let q = Query::grouped(
+            [Expr::col(0u32)],
+            [
+                Aggregate::sum(Expr::col(3u32)),
+                Aggregate::max(Expr::col(1u32)),
+                Aggregate::sum(Expr::col(2u32)),
+                Aggregate::count(),
+            ],
+            Conjunction::of([Predicate::lt(2u32, 60)]),
+        )
+        .unwrap();
+        let (got, want) = crate::kernels::testing::fused_vs_interpreter(&q);
+        assert_eq!(got.rows(), 5);
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //! and offset-resolved programs; nothing in a per-tuple loop consults a
 //! schema or expression tree (grouped aggregation consults exactly one
 //! hash table, which is the operation itself). Each kernel is written for
-//! one select shape; [`crate::sink`] picks the kernel for a program.
+//! one select shape; [`crate::sink`] picks the kernel for a program. The
+//! fused kernels are written once for any number of column groups: their
+//! per-row bodies (`RowBody`) run under `scan_rows`, the one place a
+//! plan's group count matters.
 
 pub mod colmajor;
 pub mod fused;
@@ -26,11 +29,50 @@ pub mod grouped;
 pub mod selvector;
 pub mod simd;
 
-use crate::bind::GroupViews;
+use crate::bind::{BoundAttr, GroupViews};
 use crate::filter::CompiledFilter;
 use crate::selvec::SelVec;
 use h2o_storage::{LogicalType, Value};
 use std::ops::Range;
+
+/// A fused kernel's per-row step: what one qualifying row does, given a
+/// closure that fetches its lanes by bound attribute.
+pub(crate) trait RowBody {
+    fn row(&mut self, get: impl Fn(BoundAttr) -> Value);
+}
+
+/// The fused scan, for one column group or many: walks the pruned segment
+/// runs of `range`, finds each run's qualifying rows with the block walker
+/// ([`simd::RunFilter::for_each_row`]: 8-row chunk masks, 1K rows at a
+/// time) and hands them to `body` in ascending row order. This is the one
+/// place the group count matters: one slot slices the row's tuple from
+/// the run once and fetches `tuple[offset]`, many slots pick the run's
+/// slice of `attr.slot` per fetch, and `body` is compiled once for each.
+pub(crate) fn scan_rows(
+    views: &GroupViews<'_>,
+    filter: &CompiledFilter,
+    range: Range<usize>,
+    body: &mut impl RowBody,
+) {
+    let mut slots: Vec<(&[Value], usize)> = Vec::with_capacity(views.len());
+    for run in views.runs_pruned(range, filter) {
+        let rf = simd::RunFilter::resolve(&run, filter);
+        slots.clear();
+        slots.extend((0..views.len() as u32).map(|s| run.view(s)));
+        match slots[..] {
+            [(data, width)] => rf.for_each_row(|i| {
+                let tuple = &data[i * width..(i + 1) * width];
+                body.row(|a| tuple[a.offset as usize])
+            }),
+            ref many => rf.for_each_row(|i| {
+                body.row(|a| {
+                    let (data, width) = many[a.slot as usize];
+                    data[i * width + a.offset as usize]
+                })
+            }),
+        }
+    }
+}
 
 /// Phase 1 of the two id-based strategies over one row range: the
 /// qualifying ids within `range`, ascending — by the one-pass conjunction
@@ -80,4 +122,52 @@ pub(crate) fn upd_sum(ty: LogicalType, acc: &mut Value, v: Value) {
         }
         _ => acc.wrapping_add(v),
     };
+}
+
+#[cfg(test)]
+pub(crate) mod testing {
+    use h2o_expr::interp::interpret_over;
+    use h2o_expr::{Query, QueryResult};
+    use h2o_storage::{f64_lane, AttrId, ColumnGroup, LayoutCatalog, LogicalType, Schema, Value};
+
+    /// Runs `q` serially through the fused strategy over a plan of two
+    /// groups with different segment shifts, and through the interpreter:
+    /// `(engine, interpreter)`. 5 000 rows of `(a0: I64, a1: F64)` in
+    /// 2K-row segments and `(a2: I64, a3: F64)` in 8K-row segments, so
+    /// runs end at either group's segment ends and split into 1K-row
+    /// blocks. The doubles are non-dyadic: their sums depend on fold order.
+    pub(crate) fn fused_vs_interpreter(q: &Query) -> (QueryResult, QueryResult) {
+        use LogicalType::{F64, I64};
+        let rows = 5_000;
+        let col = |f: &dyn Fn(usize) -> Value| (0..rows).map(f).collect::<Vec<Value>>();
+        let a0 = col(&|i| (i * 7 % 5) as Value);
+        let a1 = col(&|i| f64_lane((i % 41) as f64 / 10.0 - 1.7));
+        let a2 = col(&|i| (i * 13 % 97) as Value);
+        let a3 = col(&|i| f64_lane((i * 3 % 29) as f64 / 3.0));
+        let g0 = ColumnGroup::from_columns_typed(
+            vec![AttrId(0), AttrId(1)],
+            vec![I64, F64],
+            &[&a0, &a1],
+            11,
+        )
+        .unwrap();
+        let g1 = ColumnGroup::from_columns_typed(
+            vec![AttrId(2), AttrId(3)],
+            vec![I64, F64],
+            &[&a2, &a3],
+            13,
+        )
+        .unwrap();
+        let want = interpret_over(&[&g0, &g1], q).unwrap();
+        let schema = Schema::typed([("a0", I64), ("a1", F64), ("a2", I64), ("a3", F64)]);
+        let mut catalog = LayoutCatalog::new(schema.into_shared(), rows);
+        let ids = vec![
+            catalog.add_group(g0).unwrap(),
+            catalog.add_group(g1).unwrap(),
+        ];
+        let plan = crate::AccessPlan::new(ids, crate::Strategy::FusedVolcano);
+        let op = crate::compile(&catalog, &plan, q).unwrap();
+        let serial = crate::ExecCtx::new(crate::ExecPolicy::serial());
+        (crate::run(&catalog, &op, &serial).unwrap().0, want)
+    }
 }

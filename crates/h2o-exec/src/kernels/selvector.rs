@@ -31,8 +31,9 @@ use std::ops::Range;
 ///
 /// The body is the vectorized scan: each segment run resolves the filter
 /// into raw strided slices once (`simd::RunFilter`), evaluates the
-/// conjunction over `[Value; 8]` chunks into bit masks, and decodes set
-/// bits into ids; the `len % 8` tail of each run takes the scalar path.
+/// conjunction over `[Value; 8]` chunks into bit masks a 1K-row block at
+/// a time, and decodes set bits into ids; the `len % 8` tail of each run
+/// takes the scalar path.
 /// The chunked and scalar paths select exactly the same rows, so the
 /// output is identical to [`build_selvec_range_scalar`] — the
 /// pre-vectorization body, kept as the differential/benchmark reference.
@@ -55,19 +56,9 @@ pub fn build_selvec_range(
     // Walking segment runs (rather than bare rows) lets zone maps skip
     // whole sealed segments that cannot satisfy the conjunction.
     let mut sel = SelVec::with_capacity(range.len() / 8 + 16);
-    let mut masks: Vec<u8> = Vec::new();
     for run in views.runs_pruned(range, filter) {
-        let rf = simd::RunFilter::resolve(&run, filter);
-        let n = run.len();
-        let full = n / simd::LANES;
-        masks.resize(full, 0);
-        rf.fill_masks(&mut masks);
-        simd::push_mask_ids(&masks, run.start(), &mut sel);
-        for i in full * simd::LANES..n {
-            if rf.matches_row(i) {
-                sel.push((run.start() + i) as u32);
-            }
-        }
+        let start = run.start();
+        simd::RunFilter::resolve(&run, filter).for_each_row(|i| sel.push((start + i) as u32));
     }
     sel
 }
@@ -94,7 +85,7 @@ pub fn build_selvec_range_scalar(
     let mut sel = SelVec::with_capacity(range.len() / 8 + 16);
     for run in views.runs_pruned(range, filter) {
         for row in run.range() {
-            if filter.matches(views, row) {
+            if filter.matches(|a| views.get(a, row)) {
                 sel.push(row as u32);
             }
         }
@@ -110,13 +101,13 @@ pub fn project_ids(views: &GroupViews<'_>, ids: &[u32], exprs: &[CompiledExpr]) 
     match exprs {
         [e] => {
             for &row in ids {
-                out.push1(e.eval(views, row as usize));
+                out.push1(e.eval(|a| views.get(a, row as usize)));
             }
         }
         _ => {
             for &row in ids {
                 for (slot, e) in row_buf.iter_mut().zip(exprs) {
-                    *slot = e.eval(views, row as usize);
+                    *slot = e.eval(|a| views.get(a, row as usize));
                 }
                 out.push_row(&row_buf);
             }
@@ -148,7 +139,7 @@ pub fn aggregate_ids(
     let mut states: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
     for &row in ids {
         for (st, (_, e)) in states.iter_mut().zip(aggs) {
-            st.update(e.eval(views, row as usize));
+            st.update(e.eval(|a| views.get(a, row as usize)));
         }
     }
     states
@@ -157,10 +148,10 @@ pub fn aggregate_ids(
 /// Generated-code-quality gather aggregation: consecutive bare-column
 /// aggregates reading adjacent offsets of the same plan slot are folded by
 /// dense slice-to-slice loops, one segment at a time, with no per-value
-/// dispatch. This keeps multi-group plans on par with the single-group
-/// fused kernel (paper Fig. 12: "narrow groups of columns can be
-/// gracefully combined in the same query operator without imposing
-/// significant overhead").
+/// dispatch, for one plan slot or many — the id-gather counterpart of the
+/// fused kernel's bare-column tiers (paper Fig. 12: "narrow groups of
+/// columns can be gracefully combined in the same query operator without
+/// imposing significant overhead").
 fn aggregate_gather_specialized(
     views: &GroupViews<'_>,
     ids: &[u32],

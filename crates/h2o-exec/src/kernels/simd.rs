@@ -12,8 +12,9 @@
 //!
 //! # The lane/tail contract
 //!
-//! Every run of rows splits into `len / LANES` full chunks plus a scalar
-//! tail of `len % LANES` rows. Chunks are processed with branch-free
+//! Every run of rows splits into `len / LANES` full chunks, walked in
+//! 1K-row blocks (`BLOCK_ROWS`), plus a scalar tail of `len % LANES`
+//! rows after the last block. Chunks are processed with branch-free
 //! masked arithmetic; the tail re-uses the same scalar predicate/fold the
 //! interpreter semantics define. Because the engine's accumulators are
 //! either **associative and commutative in their lane domain** (wrapping
@@ -46,6 +47,7 @@ use crate::bind::SegRun;
 use crate::filter::{CompiledFilter, CompiledPred};
 use h2o_expr::CmpOp;
 use h2o_storage::{lane_f64, LogicalType, Value};
+use std::ops::Range;
 
 /// Fixed chunk width of the vectorized loops, in lanes.
 ///
@@ -53,6 +55,11 @@ use h2o_storage::{lane_f64, LogicalType, Value};
 /// wide enough to keep the ports busy, narrow enough that the per-run
 /// scalar tail stays at most 7 rows.
 pub const LANES: usize = 8;
+
+/// Rows per block of the qualifying-row walker
+/// ([`RunFilter::for_each_block`]): the storage chunk
+/// ([`h2o_storage::CHUNK_SHIFT`]), so one block's masks are 128 bytes.
+pub(crate) const BLOCK_ROWS: usize = 1 << h2o_storage::CHUNK_SHIFT;
 
 /// The branch-free comparator-key mask for a type: `-1` for `F64`
 /// (apply the sign-magnitude fix-up), `0` otherwise (identity). See the
@@ -97,12 +104,13 @@ impl<'a> RunCol<'a> {
         RunCol { data, stride: 1 }
     }
 
-    /// Wraps a pre-offset strided lane view: element `k` is
-    /// `data[k * stride]` (e.g. one attribute of a row-major run payload,
-    /// with `data` already sliced to start at the attribute's offset).
+    /// The view from local row `row` on (a block's first row).
     #[inline]
-    pub fn strided(data: &'a [Value], stride: usize) -> RunCol<'a> {
-        RunCol { data, stride }
+    pub fn skip(&self, row: usize) -> RunCol<'a> {
+        RunCol {
+            data: &self.data[row * self.stride..],
+            stride: self.stride,
+        }
     }
 
     /// Local row `i`'s lane word (the scalar-tail accessor).
@@ -195,13 +203,16 @@ pub(crate) fn and_pred_masks(col: &RunCol<'_>, pred: &CompiledPred, masks: &mut 
 }
 
 /// A [`CompiledFilter`] resolved against one [`SegRun`]: every predicate's
-/// attribute becomes a strided [`RunCol`] over the run's lanes, so both
-/// the chunked mask build and the scalar tail touch raw slices with no
-/// per-row segment lookup (the win over
-/// [`CompiledFilter::matches`], which re-resolves the segment and offset
-/// shift/mask arithmetic on every row).
+/// attribute becomes a strided [`RunCol`] over the run's lanes, for any
+/// plan slot, so the chunked mask build and the scalar tail touch raw
+/// slices with no per-row segment lookup. It is the one qualifying-row
+/// walker ([`Self::for_each_block`], [`Self::for_each_row`]) of every
+/// fused scan, of the join sides and of the selection-vector strategy's
+/// phase 1.
 pub(crate) struct RunFilter<'a> {
     preds: Vec<(RunCol<'a>, CompiledPred)>,
+    /// Rows in the run.
+    rows: usize,
 }
 
 impl<'a> RunFilter<'a> {
@@ -214,15 +225,55 @@ impl<'a> RunFilter<'a> {
                 .iter()
                 .map(|p| (RunCol::of(run, p.attr), *p))
                 .collect(),
+            rows: run.len(),
         }
     }
 
-    /// Fills `masks` with the conjunction's per-chunk match masks for the
-    /// first `masks.len() * LANES` rows of the run.
-    pub fn fill_masks(&self, masks: &mut [u8]) {
-        masks.fill(0xff);
-        for (col, p) in &self.preds {
-            and_pred_masks(col, p, masks);
+    /// Walks the run's full 8-row chunks in [`BLOCK_ROWS`]-row blocks, in
+    /// row order: fills the conjunction's chunk masks once per block and
+    /// hands `block(first local row, masks)` to the caller, so a consumer
+    /// that re-reads the block (one fold per column) finds it
+    /// cache-resident. Returns the scalar tail (the run's last
+    /// `len % LANES` rows) for the caller to test with
+    /// [`Self::matches_row`] after every block.
+    pub fn for_each_block(&self, mut block: impl FnMut(usize, &[u8])) -> Range<usize> {
+        let n = self.rows;
+        let full = n / LANES * LANES;
+        let mut masks = [0u8; BLOCK_ROWS / LANES];
+        for start in (0..full).step_by(BLOCK_ROWS) {
+            let masks = &mut masks[..(full - start).min(BLOCK_ROWS) / LANES];
+            masks.fill(0xff);
+            for (col, p) in &self.preds {
+                and_pred_masks(&col.skip(start), p, masks);
+            }
+            block(start, masks);
+        }
+        full..n
+    }
+
+    /// Calls `f` with every local row of the run that passes the
+    /// conjunction, ascending: the set mask bits of each block
+    /// ([`Self::for_each_block`]), then the scalar tail. Without
+    /// predicates every row passes and no mask is built.
+    #[inline]
+    pub fn for_each_row(&self, mut f: impl FnMut(usize)) {
+        if self.preds.is_empty() {
+            (0..self.rows).for_each(f);
+            return;
+        }
+        let tail = self.for_each_block(|start, masks| {
+            for (k, &m) in masks.iter().enumerate() {
+                let mut bits = m as u32;
+                while bits != 0 {
+                    f(start + k * LANES + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
+        });
+        for i in tail {
+            if self.matches_row(i) {
+                f(i);
+            }
         }
     }
 

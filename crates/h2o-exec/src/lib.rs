@@ -9,8 +9,8 @@
 //!    only the work of the query, with operator/expression dispatch resolved
 //!    *outside* the loop;
 //! 2. **layout-tailored access patterns** — a different loop per layout
-//!    combination (fused single-group scan, selection-vector two-phase plan,
-//!    column-at-a-time with intermediates);
+//!    combination (fused scan over one group or several, selection-vector
+//!    two-phase plan, column-at-a-time with intermediates);
 //! 3. **an operator cache** amortizing generation cost across queries.
 //!
 //! We reproduce (1) and (2) with *monomorphized kernels*: compiled Rust

@@ -20,7 +20,7 @@
 //! at plan time, so each compiled expression has one uniform numeric
 //! type.)
 
-use crate::bind::{BoundAttr, GroupViews};
+use crate::bind::BoundAttr;
 use h2o_expr::{ArithOp, Expr};
 use h2o_storage::{f64_lane, lane_f64, LogicalType, Value};
 
@@ -127,22 +127,27 @@ impl CompiledExpr {
         CompiledExpr::Program { ops, stack: max }
     }
 
-    /// Evaluates the expression for one tuple.
-    #[inline]
-    pub fn eval(&self, views: &GroupViews<'_>, row: usize) -> Value {
+    /// Evaluates the expression for one row, whose lanes `get` fetches
+    /// by bound attribute (the idiom of [`h2o_expr::Expr::eval`]). Every
+    /// caller supplies its own fetch: a stitched tuple (`|a|
+    /// t[a.offset]`), an id gather (`|a| views.get(a, row)`), or a fused
+    /// scan's run row from one slot or many
+    /// (`kernels::scan_rows`).
+    #[inline(always)]
+    pub fn eval(&self, get: impl Fn(BoundAttr) -> Value) -> Value {
         match self {
-            CompiledExpr::Col(a) => views.get(*a, row),
+            CompiledExpr::Col(a) => get(*a),
             CompiledExpr::SumCols(cols) => {
                 let mut acc: Value = 0;
                 for &c in cols {
-                    acc = acc.wrapping_add(views.get(c, row));
+                    acc = acc.wrapping_add(get(c));
                 }
                 acc
             }
             CompiledExpr::SumColsF(cols) => {
                 let mut acc = 0.0f64;
                 for &c in cols {
-                    acc += lane_f64(views.get(c, row));
+                    acc += lane_f64(get(c));
                 }
                 f64_lane(acc)
             }
@@ -152,44 +157,10 @@ impl CompiledExpr {
                 // safely if they do.
                 let mut buf = [0 as Value; 16];
                 if *stack <= buf.len() {
-                    eval_program(ops, views, row, &mut buf)
+                    eval_program(ops, get, &mut buf)
                 } else {
                     let mut heap = vec![0 as Value; *stack];
-                    eval_program(ops, views, row, &mut heap)
-                }
-            }
-        }
-    }
-
-    /// Evaluates the expression against one tuple's values, where each
-    /// bound attribute's `offset` indexes the slice (`slot` is ignored): a
-    /// tuple sliced from a single-group run, or a join's stitched tuple.
-    /// The single-group kernels' counterpart of [`Self::eval`].
-    #[inline]
-    pub fn eval_tuple(&self, tuple: &[Value]) -> Value {
-        match self {
-            CompiledExpr::Col(a) => tuple[a.offset as usize],
-            CompiledExpr::SumCols(cols) => {
-                let mut acc: Value = 0;
-                for c in cols {
-                    acc = acc.wrapping_add(tuple[c.offset as usize]);
-                }
-                acc
-            }
-            CompiledExpr::SumColsF(cols) => {
-                let mut acc = 0.0f64;
-                for c in cols {
-                    acc += lane_f64(tuple[c.offset as usize]);
-                }
-                f64_lane(acc)
-            }
-            CompiledExpr::Program { ops, stack } => {
-                let mut buf = [0 as Value; 16];
-                if *stack <= buf.len() {
-                    eval_program_tuple(ops, tuple, &mut buf)
-                } else {
-                    let mut heap = vec![0 as Value; *stack];
-                    eval_program_tuple(ops, tuple, &mut heap)
+                    eval_program(ops, get, &mut heap)
                 }
             }
         }
@@ -197,37 +168,12 @@ impl CompiledExpr {
 }
 
 #[inline]
-fn eval_program_tuple(ops: &[OpCode], tuple: &[Value], stack: &mut [Value]) -> Value {
+fn eval_program(ops: &[OpCode], get: impl Fn(BoundAttr) -> Value, stack: &mut [Value]) -> Value {
     let mut sp = 0usize;
     for op in ops {
         match op {
             OpCode::Load(a) => {
-                stack[sp] = tuple[a.offset as usize];
-                sp += 1;
-            }
-            OpCode::Const(v) => {
-                stack[sp] = *v;
-                sp += 1;
-            }
-            op @ (OpCode::Arith(_) | OpCode::ArithF(_)) => {
-                let r = stack[sp - 1];
-                let l = stack[sp - 2];
-                stack[sp - 2] = op.apply_arith(l, r);
-                sp -= 1;
-            }
-        }
-    }
-    debug_assert_eq!(sp, 1);
-    stack[0]
-}
-
-#[inline]
-fn eval_program(ops: &[OpCode], views: &GroupViews<'_>, row: usize, stack: &mut [Value]) -> Value {
-    let mut sp = 0usize;
-    for op in ops {
-        match op {
-            OpCode::Load(a) => {
-                stack[sp] = views.get(*a, row);
+                stack[sp] = get(*a);
                 sp += 1;
             }
             OpCode::Const(v) => {
@@ -249,6 +195,7 @@ fn eval_program(ops: &[OpCode], views: &GroupViews<'_>, row: usize, stack: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bind::GroupViews;
     use h2o_storage::{AttrId, ColumnGroup};
 
     fn one_group_views(cols: &[&[Value]]) -> h2o_storage::ColumnGroup {
@@ -289,7 +236,11 @@ mod tests {
             let compiled = CompiledExpr::lower(expr, direct_bind);
             for row in 0..2 {
                 let want = expr.eval(|a| g.value(row, a.index()));
-                assert_eq!(compiled.eval(&views, row), want, "{expr} row {row}");
+                assert_eq!(
+                    compiled.eval(|a| views.get(a, row)),
+                    want,
+                    "{expr} row {row}"
+                );
             }
         }
     }
@@ -321,6 +272,6 @@ mod tests {
         let views = GroupViews::from_groups(&[&g]);
         let c = CompiledExpr::lower(&e, direct_bind);
         let want = e.eval(|_| 2);
-        assert_eq!(c.eval(&views, 1), want);
+        assert_eq!(c.eval(|a| views.get(a, 1)), want);
     }
 }

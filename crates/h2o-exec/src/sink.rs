@@ -213,17 +213,18 @@ impl SelectProgram {
     }
 
     /// Feeds one stitched tuple — every attribute reference of the program
-    /// indexes `tuple` ([`CompiledExpr::eval_tuple`]) — into `partial`,
-    /// `n` times: `n` output rows, or one fold with multiplicity `n`
+    /// indexes `tuple` by its `offset` — into `partial`, `n` times: `n`
+    /// output rows, or one fold with multiplicity `n`
     /// ([`AggState::update_n`], bit-identical to `n` single folds).
     /// `partial` must come from this program's [`Self::partial`].
     #[inline]
     pub fn push(&self, partial: &mut Partial, tuple: &[Value], n: u64) {
+        let get = |a: BoundAttr| tuple[a.offset as usize];
         let scratch = &mut partial.scratch;
         match (self, &mut partial.acc) {
             (SelectProgram::Project(exprs), Acc::Rows(out)) => {
                 for (slot, e) in scratch.iter_mut().zip(exprs) {
-                    *slot = e.eval_tuple(tuple);
+                    *slot = e.eval(get);
                 }
                 for _ in 0..n {
                     out.push_row(scratch);
@@ -231,12 +232,11 @@ impl SelectProgram {
             }
             (SelectProgram::Aggregate(aggs), Acc::Aggs(states)) => {
                 for (st, (_, e)) in states.iter_mut().zip(aggs) {
-                    st.update_n(e.eval_tuple(tuple), n);
+                    st.update_n(e.eval(get), n);
                 }
             }
             (SelectProgram::Grouped { keys, aggs, .. }, Acc::Groups(table)) => {
-                let (key, vals) = scratch.split_at_mut(keys.len());
-                grouped::update_from_tuple_n(table, keys, aggs, key, vals, tuple, n);
+                grouped::fold_row(table, keys, aggs, scratch, get, n);
             }
             _ => unreachable!("partial belongs to a different select shape"),
         }

@@ -44,6 +44,43 @@ fn build_group(rows: usize, shift: u32, seed: u64) -> h2o::storage::ColumnGroup 
     .unwrap()
 }
 
+/// The type at offset `offset` of [`build_wide_group`] (and of
+/// [`build_group`]'s two).
+fn wide_type(offset: u32) -> LogicalType {
+    if offset.is_multiple_of(2) {
+        LogicalType::I64
+    } else {
+        LogicalType::F64
+    }
+}
+
+/// A six-attribute group, `I64` at even offsets and non-dyadic `F64` at
+/// odd ones: scattered aggregate columns in it take the per-row tier.
+fn build_wide_group(rows: usize, shift: u32, seed: u64) -> h2o::storage::ColumnGroup {
+    let cols: Vec<Vec<Value>> = (0..6u32)
+        .map(|c| {
+            (0..rows as u64)
+                .map(|i| {
+                    let k =
+                        (i.wrapping_mul(seed | 1).wrapping_add(c as u64 * 977) % 53) as i64 - 20;
+                    match wide_type(c) {
+                        LogicalType::F64 => f64_lane(k as f64 / 10.0),
+                        _ => k,
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let refs: Vec<&[Value]> = cols.iter().map(Vec::as_slice).collect();
+    ColumnGroup::from_columns_typed(
+        (0..6).map(AttrId).collect(),
+        (0..6).map(wide_type).collect(),
+        &refs,
+        shift,
+    )
+    .unwrap()
+}
+
 fn pred(offset: u32, op: CmpOp, ty: LogicalType, lane: Value) -> CompiledPred {
     CompiledPred::from_lane(BoundAttr { slot: 0, offset }, op, ty, lane)
 }
@@ -101,7 +138,9 @@ proptest! {
 
     /// Fused specialized aggregation and the columnar streaming fold agree
     /// bit-for-bit with their scalar references for every aggregate
-    /// function over both lane types.
+    /// function over both lane types — over one group, and over a wide
+    /// group plus a narrow one at different segment shifts whose runs
+    /// split into 1K-row blocks, in both bare-column tiers.
     #[test]
     fn aggregate_folds_match_scalar(
         rows in 1usize..300,
@@ -110,6 +149,11 @@ proptest! {
         op_i in 0usize..6,
         c_i in -12i64..12,
         func_i in 0usize..5,
+        big_rows in 1usize..5000,
+        wide_shift in 11u32..13,
+        narrow_shift in 11u32..15,
+        lo_frac in 0.0f64..1.0,
+        hi_frac in 0.0f64..1.0,
     ) {
         let funcs = [AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Count, AggFunc::Avg];
         let f = funcs[func_i];
@@ -129,6 +173,53 @@ proptest! {
             let ref_fin: Vec<Value> = fused::aggregate_range_scalar(&views, &filter, &aggs, 0..rows)
                 .iter().map(|s| s.finish()).collect();
             prop_assert_eq!(vec_fin, ref_fin, "fused {} filtered={}", f.name(), !filter.is_always_true());
+        }
+        // Two groups: the wide one (6 attributes, I64/F64 alternating) and
+        // the narrow one (I64, F64), each at its own segment shift.
+        let wide = build_wide_group(big_rows, wide_shift, seed);
+        let narrow = build_group(big_rows, narrow_shift, seed ^ 0x5a);
+        let two = GroupViews::from_groups(&[&wide, &narrow]);
+        let col = |slot: u32, offset: u32| {
+            (AggOp::new(f, wide_type(offset)), CompiledExpr::Col(BoundAttr { slot, offset }))
+        };
+        let sets = [
+            // Adjacent offsets of one slot: the per-column tier.
+            vec![col(0, 2), col(0, 3), col(0, 4)],
+            vec![col(1, 1), col(1, 0)],
+            // Scattered offsets of the wide group, and both groups: the
+            // per-row tier.
+            vec![col(0, 5), col(0, 0), col(0, 3)],
+            vec![col(0, 1), col(1, 1), col(1, 0)],
+        ];
+        let filters = [
+            CompiledFilter::always(),
+            CompiledFilter::new(vec![CompiledPred::from_lane(
+                BoundAttr { slot: 1, offset: 0 },
+                OPS[op_i],
+                LogicalType::I64,
+                c_i,
+            )]),
+            CompiledFilter::new(vec![
+                CompiledPred::from_lane(BoundAttr { slot: 0, offset: 0 }, CmpOp::Ne, LogicalType::I64, c_i),
+                CompiledPred::from_lane(BoundAttr { slot: 1, offset: 1 }, CmpOp::Lt, LogicalType::F64, f64_lane(0.5)),
+            ]),
+        ];
+        let lo = (lo_frac * big_rows as f64) as usize;
+        let hi = lo + (hi_frac * (big_rows - lo) as f64) as usize;
+        // Whole, arbitrary, and straddling the first block and 2K-row
+        // segment ends.
+        let ranges = [0..big_rows, lo..hi, 1000.min(big_rows)..2100.min(big_rows)];
+        for aggs in &sets {
+            for filter in &filters {
+                for range in &ranges {
+                    let mut got: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
+                    fused::aggregate_range(&two, filter, aggs, range.clone(), &mut got);
+                    let got: Vec<Value> = got.iter().map(|s| s.finish()).collect();
+                    let want: Vec<Value> = fused::aggregate_range_scalar(&two, filter, aggs, range.clone())
+                        .iter().map(|s| s.finish()).collect();
+                    prop_assert_eq!(got, want, "two groups {} {:?} over {:?}", f.name(), aggs, range);
+                }
+            }
         }
         // Streaming columnar fold (no filter): full AggState equality, not
         // just the finished lane.
