@@ -81,16 +81,19 @@ impl JoinFilter {
         (block, bits)
     }
 
-    /// Inserts one key vector (raw lanes). Duplicates are harmless.
+    /// Inserts one key vector (raw lanes) whose [`hash_key`] is `h` — the
+    /// hash the build already computed for its table insert. Duplicates
+    /// are harmless.
     #[inline]
-    pub fn insert(&mut self, key: &[Value]) {
+    pub fn insert(&mut self, key: &[Value], h: u64) {
         debug_assert_eq!(key.len(), self.key_types.len());
+        debug_assert_eq!(h, hash_key(key));
         for ((r, &k), &ty) in self.ranges.iter_mut().zip(key).zip(&self.key_types) {
             let c = ty.cmp_key(k);
             r.0 = r.0.min(c);
             r.1 = r.1.max(c);
         }
-        let (block, bits) = self.slots(hash_key(key));
+        let (block, bits) = self.slots(h);
         self.blocks[block] |= bits;
     }
 
@@ -117,20 +120,24 @@ impl JoinFilter {
     }
 
     /// Whether every column of `key` lies in its exact inserted range: a
-    /// `false` proves absence. Two integer compares per column.
+    /// `false` proves absence. Two integer compares per column, combined
+    /// without branches (the probe compacts survivors branch-free).
     #[inline(always)]
     pub fn in_range(&self, key: &[Value]) -> bool {
-        key.iter()
-            .zip(&self.ranges)
-            .zip(&self.key_types)
-            .all(|((&k, &(lo, hi)), &ty)| (lo..=hi).contains(&ty.cmp_key(k)))
+        key.iter().zip(&self.ranges).zip(&self.key_types).fold(
+            true,
+            |ok, ((&k, &(lo, hi)), &ty)| {
+                let c = ty.cmp_key(k);
+                ok & (lo <= c) & (c <= hi)
+            },
+        )
     }
 
     /// The bloom half: whether a key whose [`hash_key`] is `h` might have
     /// been inserted. A `false` proves absence; a `true` falls through to
-    /// the hash table, which the caller probes with the same `h`. Callers
-    /// test [`Self::in_range`] first (the vectorized probe prefilter
-    /// batches that test with the SIMD mask machinery).
+    /// the hash table, which the caller probes with the same `h`. The
+    /// probe takes both halves for every key and keeps the keys that pass
+    /// both.
     #[inline(always)]
     pub fn test_hash(&self, h: u64) -> bool {
         let (block, bits) = self.slots(h);
@@ -161,7 +168,7 @@ mod tests {
             .collect();
         let mut f = JoinFilter::with_capacity(keys.len(), vec![LogicalType::I64, LogicalType::F64]);
         for k in &keys {
-            f.insert(k);
+            f.insert(k, hash_key(k));
         }
         for k in &keys {
             assert!(contains(&f, k), "inserted key {k:?} must test present");
@@ -172,7 +179,7 @@ mod tests {
     fn range_is_exact_and_rejects_outside() {
         let mut f = JoinFilter::with_capacity(8, vec![LogicalType::I64]);
         for k in [5, -3, 12] {
-            f.insert(&[k]);
+            f.insert(&[k], hash_key(&[k]));
         }
         assert_eq!(f.range(0), (-3, 12));
         assert!(!contains(&f, &[-4]), "below min is proven absent");
@@ -182,8 +189,8 @@ mod tests {
     #[test]
     fn f64_ranges_live_in_cmp_key_space() {
         let mut f = JoinFilter::with_capacity(8, vec![LogicalType::F64]);
-        f.insert(&[f64_lane(-2.5)]);
-        f.insert(&[f64_lane(4.0)]);
+        f.insert(&[f64_lane(-2.5)], hash_key(&[f64_lane(-2.5)]));
+        f.insert(&[f64_lane(4.0)], hash_key(&[f64_lane(4.0)]));
         // total_cmp order: anything outside [-2.5, 4.0] is rejected by the
         // range alone, including negative values whose raw lane bits are
         // huge unsigned numbers.
@@ -207,14 +214,14 @@ mod tests {
         let keys: Vec<Value> = (0..200).map(|i| i * 13 % 97).collect();
         let mut whole = JoinFilter::with_capacity(keys.len(), vec![LogicalType::I64]);
         for &k in &keys {
-            whole.insert(&[k]);
+            whole.insert(&[k], hash_key(&[k]));
         }
         for chunk in [1usize, 7, 64, 300] {
             let mut merged = JoinFilter::with_capacity(keys.len(), vec![LogicalType::I64]);
             for part in keys.chunks(chunk) {
                 let mut p = JoinFilter::with_capacity(keys.len(), vec![LogicalType::I64]);
                 for &k in part {
-                    p.insert(&[k]);
+                    p.insert(&[k], hash_key(&[k]));
                 }
                 merged.merge(&p);
             }
@@ -228,7 +235,7 @@ mod tests {
         // only the bloom half can reject. The FPR should be far below 1.
         let mut f = JoinFilter::with_capacity(1000, vec![LogicalType::I64]);
         for i in 0..1000 {
-            f.insert(&[i * 2]);
+            f.insert(&[i * 2], hash_key(&[i * 2]));
         }
         let false_pos = (0..1000).filter(|&i| contains(&f, &[i * 2 + 1])).count();
         assert!(

@@ -6,12 +6,11 @@
 //! ([`h2o_expr::JoinQuery`]) while preserving their cost structure:
 //!
 //! * **fused** — qualifying rows of each side are found by the one-pass
-//!   scan (filter fused into the segment-run loop, no selection vector);
-//!   the probe is fused with the residual filter and the select-items, so
-//!   a matched pair goes straight from hash lookup to output append;
+//!   scan's block walker (filter fused into the segment-run loop, no
+//!   selection vector), and the probe folds them block by block;
 //! * **selection-vector** — each side's where-clause materializes a
 //!   per-morsel selection vector first (the Fig. 6 phase split), and the
-//!   build gather / probe walk consume ids;
+//!   build gather / probe walk consume its ids;
 //! * **column-major** — ids come from the DSM column-at-a-time filter.
 //!
 //! Both sides reuse the single-relation machinery end-to-end: zone-map
@@ -23,21 +22,18 @@
 //!
 //! # Build, probe, and determinism
 //!
-//! [`run_join`] hash-partitions the **build** side: each
-//! morsel gathers its qualifying rows' key and payload lanes in row order,
-//! and the per-morsel parts are inserted into one flat hash table
-//! ([`LaneMap`]) sequentially in morsel order — identical to a serial
-//! row-order build. The table gives each distinct key a dense id; a
-//! stable counting sort then lays the payload rows out as one CSR row
-//! list, so key `id`'s build rows are one contiguous slice in build-row
-//! order. Keys hash ([`hash_key`], a fixed-seed splitmix64 chain) and
-//! compare as **raw lane bits** (`f64` keys by bit pattern, dictionary
-//! keys by code — the join gate guarantees a shared dictionary), matching
-//! [`h2o_expr::interp::interpret_join`]. The probe side then streams: per
-//! qualifying probe row, one hash lookup; per matched build row, the
-//! combined tuple is stitched into a flat buffer and the select program
-//! runs against it ([`SelectProgram::push`]: every bound attribute's
-//! `offset` indexes the buffer).
+//! [`run_join`] hash-partitions the **build** side: each morsel gathers
+//! its qualifying rows' key and payload lanes in row order and hashes
+//! every key once ([`hash_key`], a fixed-seed splitmix64 chain). The
+//! per-morsel parts are inserted into one flat hash table ([`LaneMap`])
+//! sequentially in morsel order — identical to a serial row-order build —
+//! and folded into the probe prefilter, both with those same hashes. The
+//! table gives each distinct key a dense id; a stable counting sort then
+//! lays the payload rows out as one CSR row list, so key `id`'s build rows
+//! are one contiguous slice in build-row order. Keys hash and compare as
+//! **raw lane bits** (`f64` keys by bit pattern, dictionary keys by code —
+//! the join gate guarantees a shared dictionary), matching
+//! [`h2o_expr::interp::interpret_join`].
 //!
 //! Which side builds is the **caller's** choice ([`compile_join`]'s
 //! `build_is_left`): the engine picks the side it observes to be smaller
@@ -58,41 +54,57 @@
 //! driver returns a typed [`ExecError`] — nothing observable is
 //! published from a stopped join.
 //!
-//! # The probe fast path
+//! # The probe: one block pipeline
 //!
-//! Two optimizations, always on, attack the probe loop's dominant costs
-//! without changing a single output bit:
+//! Qualifying probe rows arrive 1K at a time (the last block of a range
+//! may be shorter), from the walkers the scans already use: the fused
+//! scan's block walker over the pruned segment runs, 1K-id chunks of the
+//! selection vector otherwise. Every block runs five stages, for any key
+//! width:
 //!
-//! * **Bloom-filtered probes** — when the build finishes, its qualifying
-//!   keys derive a [`JoinFilter`]: a blocked
-//!   bloom filter plus the exact `[min, max]` key range, built
-//!   morsel-parallel over the gathered build parts and OR-merged
-//!   deterministically, and **sized from the observed post-prune build
-//!   cardinality** (the hash table reserves the same count, at most 50%
-//!   load). Qualifying probe rows test the filter *before* the hash table
-//!   — single-key probes batch eight keys and range-test them with the
-//!   vectorized mask kernels ([`kernels::simd`]), multi-key probes test
-//!   the range scalar; survivors hash their key once and take one
-//!   blocked-bloom word probe with that hash, then (on a pass) the table
-//!   lookup with the same hash. A filter miss proves the
-//!   key has no build match, so low-match-rate probes skip the
-//!   random-access lookup entirely ([`JoinExecStats::probe_bloom_rejects`]
-//!   counts them). The filter has no false negatives and rejected rows
-//!   fold nothing, so results are bit-identical to the interpreter's
-//!   unfiltered nested loop.
-//! * **Join-aggregate fusion** — when the build side contributes no
-//!   select-clause attribute (its payload is empty), every build match
-//!   of a probe row stitches the *same* combined tuple, so a scalar or
-//!   grouped aggregate over the join folds the tuple once with the match
-//!   count as a multiplicity
-//!   ([`AggState::update_n`](h2o_expr::agg::AggState::update_n) /
-//!   [`GroupedAggs::update_n`](h2o_expr::grouped::GroupedAggs::update_n))
-//!   instead of once per pair — factorized aggregation: the joined
-//!   stream is never materialized, and a row matching a thousand build
-//!   entries costs one hash-table update. The multiplicity update is
-//!   bit-identical to the repeated fold by construction (`F64` sums
-//!   apply `n` sequential adds in row order), preserving the
-//!   serial ≡ parallel ≡ interpreter fingerprint contract.
+//! 1. gather the key lanes, column by column;
+//! 2. hash every key;
+//! 3. test every key against the [`JoinFilter`] — the exact `[min, max]`
+//!    range of each key column and a blocked bloom filter over the build
+//!    keys, sized from the post-prune build cardinality — and compact the
+//!    survivors into a list without a branch;
+//! 4. resolve the survivors' key ids in the table, with the same hash;
+//! 5. fold the hits, in ascending row order.
+//!
+//! The filter has no false negatives, so stage 3 drops only rows that
+//! match nothing ([`JoinExecStats::probe_bloom_rejects`] counts them), and
+//! stage 5 sees the hits in the order an unfiltered row walk would.
+//!
+//! # Fold plans: factorized join aggregation
+//!
+//! Stage 5 follows the operator's [`FoldPlan`], which [`compile_join`]
+//! picks from the select clause and the build role. A sum over a join
+//! splits into per-key partial sums, so an aggregate never needs the
+//! joined stream when the sides it reads allow it:
+//!
+//! * [`FoldPlan::ProbeOnly`] — no select expression reads the build side,
+//!   so a probe row's `n` matches are `n` identical tuples: the tuple
+//!   folds once with multiplicity `n`
+//!   ([`AggState::update_n`](h2o_expr::agg::AggState::update_n)).
+//! * [`FoldPlan::BuildAggs`] — scalar aggregates that read only the build
+//!   side: the build folds each key's rows into partial states, the probe
+//!   only counts hits per key id, and the range end merges `partial ×
+//!   hits` ([`AggState::merge_n`](h2o_expr::agg::AggState::merge_n)).
+//! * [`FoldPlan::BuildGroups`] — group keys that read only the build
+//!   side, aggregates only the probe side: the build resolves each key to
+//!   its `(group, multiplicity)` list, the probe folds into a dense
+//!   per-range state array, and only the groups some probe row reached
+//!   enter the range's [`GroupedAggs`].
+//! * [`FoldPlan::PerPair`] — everything else (projections, expressions
+//!   that read both sides, and `F64` `sum`/`avg` over build values): each
+//!   matched pair is stitched into one combined tuple and pushed
+//!   ([`SelectProgram::push`]).
+//!
+//! Every plan folds exactly what the per-pair walk folds: multiplicity
+//! updates of `F64` sums add in sequence, the build-side partials are
+//! restricted to accumulators that associate (wrapping sums, min/max,
+//! counts), and `F64` sums over the build side keep the pairs' order — so
+//! a serial run stays bit-identical to the interpreter.
 //!
 //! Build-side zone-map pruning comes with the scans: all three strategies
 //! scan via [`GroupViews::runs_pruned`], so segment runs the
@@ -103,14 +115,17 @@
 use crate::bind::{BoundAttr, GroupViews};
 use crate::bloom::JoinFilter;
 use crate::compile::{plan_binder, ExecCtx, ExecError};
-use crate::filter::{CompiledFilter, CompiledPred};
-use crate::kernels::{self, simd};
+use crate::filter::CompiledFilter;
+use crate::kernels::simd::{self, BLOCK_ROWS};
+use crate::kernels::{self, grouped};
 use crate::parallel::{run_chunks, run_ranges, ExecPolicy};
 use crate::plan::{AccessPlan, Strategy};
+use crate::program::CompiledExpr;
 use crate::sink::{Partial, SelectProgram};
+use h2o_expr::agg::{AggFunc, AggOp, AggState};
 use h2o_expr::lanemap::hash_key;
-use h2o_expr::typecheck::{JoinTypes, TypedPredicate};
-use h2o_expr::{CmpOp, JoinQuery, LaneMap, QueryResult, Side};
+use h2o_expr::typecheck::{JoinTypes, SelectTypes, TypedPredicate};
+use h2o_expr::{Expr, GroupedAggs, JoinQuery, LaneMap, QueryResult, Select, Side};
 use h2o_storage::{AttrId, LayoutCatalog, LogicalType, Value};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -140,38 +155,93 @@ impl CompiledJoinSide {
         &self.filter
     }
 
-    /// Collects this side's qualifying row ids for `range` according to
-    /// its plan's strategy, invoking `f` per qualifying row in ascending
-    /// row order; returns the qualifying count. This is the per-side
-    /// "find the rows" half of both build and probe.
-    fn for_qualifying<F: FnMut(usize)>(
+    /// Hands this side's qualifying row ids in `range` to `block`,
+    /// ascending and `BLOCK_ROWS` at a time (the last block of the range
+    /// may be shorter), according to its plan's strategy; returns the
+    /// qualifying count. This is the "find the rows" half of both build
+    /// and probe: the fused scan's row walker over the pruned segment
+    /// runs, or 1K-id chunks of the selection vector.
+    fn for_each_block(
         &self,
         views: &GroupViews<'_>,
         range: Range<usize>,
-        mut f: F,
+        mut block: impl FnMut(&[u32]),
     ) -> usize {
         match self.plan.strategy {
             Strategy::FusedVolcano => {
                 let mut n = 0usize;
+                let mut ids: Vec<u32> = Vec::with_capacity(BLOCK_ROWS);
+                let mut flush = |ids: &mut Vec<u32>| {
+                    n += ids.len();
+                    block(ids);
+                    ids.clear();
+                };
                 for run in views.runs_pruned(range, &self.filter) {
                     let start = run.start();
                     simd::RunFilter::resolve(&run, &self.filter).for_each_row(|i| {
-                        n += 1;
-                        f(start + i);
+                        ids.push((start + i) as u32);
+                        if ids.len() == BLOCK_ROWS {
+                            flush(&mut ids);
+                        }
                     });
                 }
+                flush(&mut ids);
                 n
             }
             strategy => {
                 let columnar = strategy == Strategy::ColumnMajor;
                 let sel = kernels::qualifying_ids(columnar, views, &self.filter, range);
-                for &id in sel.ids() {
-                    f(id as usize);
-                }
+                sel.ids().chunks(BLOCK_ROWS).for_each(block);
                 sel.len()
             }
         }
     }
+
+    /// Stage 1 of a block: the key lanes of `rows`, gathered column by
+    /// column into `out`, row-major (`keys.len()` lanes per row).
+    fn gather_keys(&self, views: &GroupViews<'_>, rows: &[u32], out: &mut Vec<Value>) {
+        let w = self.keys.len();
+        out.resize(rows.len() * w, 0);
+        for (c, &k) in self.keys.iter().enumerate() {
+            let col = views.accessor(k.slot);
+            for (slot, &row) in out[c..].iter_mut().step_by(w).zip(rows) {
+                *slot = col.value(row as usize, k.offset as usize);
+            }
+        }
+    }
+
+    /// Writes `row`'s payload lanes into their combined-tuple positions.
+    #[inline(always)]
+    fn stitch(&self, views: &GroupViews<'_>, row: usize, tuple: &mut [Value]) {
+        for &(a, p) in &self.payload {
+            tuple[p as usize] = views.get(a, row);
+        }
+    }
+}
+
+/// How the probe folds a probe row's matches into the select clause —
+/// picked once per compiled operator by [`compile_join`] from the select
+/// clause and the build role (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FoldPlan {
+    /// Every matched (build row, probe row) pair is stitched into one
+    /// combined tuple and pushed: projections, expressions that read both
+    /// sides, and `F64` `sum`/`avg` over build values (whose fold order is
+    /// pinned).
+    PerPair,
+    /// No select expression reads the build side: the probe tuple folds
+    /// once, with its match count as the multiplicity.
+    ProbeOnly,
+    /// Scalar aggregates that read only the build side: per-key partial
+    /// states folded at build time, hits counted per key id by the probe,
+    /// `partial × hits` merged at the range end.
+    BuildAggs,
+    /// Group keys that read only the build side and aggregates that read
+    /// only the probe side: each build key resolves to `(group,
+    /// multiplicity)` pairs at build time, the probe folds into a dense
+    /// per-range state array, and only the groups a probe row reached
+    /// enter the range's table.
+    BuildGroups,
 }
 
 /// A fully generated join operator: two compiled sides (already assigned
@@ -192,11 +262,8 @@ pub struct CompiledJoinOp {
     /// Shared key type per `on` pair (drives the probe prefilter's
     /// comparator-key range tests).
     key_types: Vec<LogicalType>,
-    /// Whether this operator is eligible for join-aggregate fusion: an
-    /// aggregate/grouped select whose build side contributes no payload,
-    /// so a probe row's matches collapse to one multiplicity update (see
-    /// the module docs).
-    fused: bool,
+    /// How the probe folds matches.
+    plan: FoldPlan,
 }
 
 impl CompiledJoinOp {
@@ -234,10 +301,9 @@ impl CompiledJoinOp {
         &self.select
     }
 
-    /// Whether this operator folds probe matches with a multiplicity
-    /// (join-aggregate fusion).
-    pub fn fused(&self) -> bool {
-        self.fused
+    /// How the probe folds matches into the select clause.
+    pub fn fold_plan(&self) -> FoldPlan {
+        self.plan
     }
 
     /// Re-parameterizes both sides' residual-filter constants (raw lane
@@ -317,6 +383,41 @@ fn compile_side(
     })
 }
 
+/// Picks the probe's [`FoldPlan`] from the select clause, its typing and
+/// the build side. A pure function of the compiled shape, so a cached
+/// operator folds the same way on every execution.
+fn fold_plan(q: &JoinQuery, types: &SelectTypes, build_is_left: bool) -> FoldPlan {
+    let reads = |e: &Expr, side: Side| e.attrs().iter().any(|a| q.side_of(a).0 == side);
+    let (build, probe) = if build_is_left {
+        (Side::Left, Side::Right)
+    } else {
+        (Side::Right, Side::Left)
+    };
+    let select = q.select_clause();
+    match select {
+        Select::Project(_) => FoldPlan::PerPair,
+        _ if !select.exprs().any(|e| reads(e, build)) => FoldPlan::ProbeOnly,
+        Select::Aggregate(aggs)
+            if aggs.iter().zip(&types.aggs).all(|(a, op)| {
+                // An F64 sum of build values is not `partial × hits`
+                // bit for bit: it keeps the pairs' fold order.
+                let pinned =
+                    op.ty == LogicalType::F64 && matches!(op.func, AggFunc::Sum | AggFunc::Avg);
+                !pinned && !reads(&a.expr, probe)
+            }) =>
+        {
+            FoldPlan::BuildAggs
+        }
+        Select::Grouped { keys, aggs }
+            if !keys.iter().any(|k| reads(k, probe))
+                && !aggs.iter().any(|a| reads(&a.expr, build)) =>
+        {
+            FoldPlan::BuildGroups
+        }
+        _ => FoldPlan::PerPair,
+    }
+}
+
 /// Generates the join operator for `q` over one access plan per side.
 /// `checked` is the join's plan-time typing ([`h2o_expr::check_join`]);
 /// `build_is_left` assigns the build role (the caller's greedy ordering
@@ -370,13 +471,6 @@ pub fn compile_join(
     } else {
         (rhs, lhs)
     };
-    // Fusion eligibility: an empty build payload means no select
-    // expression reads a build-side attribute (group keys included), so a
-    // probe row's matches are identical tuples and an aggregate/grouped
-    // select folds them as one multiplicity update. Derived purely from
-    // the compiled shape, so a cached operator carries the same flag for
-    // every execution.
-    let fused = build.payload.is_empty() && select.is_fold();
     Ok(CompiledJoinOp {
         build,
         probe,
@@ -384,14 +478,41 @@ pub fn compile_join(
         select,
         tuple_width,
         key_types: checked.key_types.clone(),
-        fused,
+        plan: fold_plan(q, &checked.select, build_is_left),
     })
 }
 
+/// One build range's qualifying rows, in row order: their key lanes
+/// (`key width` per row), each key's [`hash_key`], and their payload
+/// lanes (`payload width` per row).
+#[derive(Default)]
+struct BuildPart {
+    keys: Vec<Value>,
+    hashes: Vec<u64>,
+    payload: Vec<Value>,
+}
+
+/// The per-key folds a [`FoldPlan`] prepares at build time.
+enum BuildFolds {
+    /// [`FoldPlan::PerPair`] and [`FoldPlan::ProbeOnly`] fold at the probe.
+    None,
+    /// [`FoldPlan::BuildAggs`]: the aggregates' states over each key's
+    /// build rows, `aggs.len()` per key id.
+    Partials(Vec<AggState>),
+    /// [`FoldPlan::BuildGroups`]: key `id`'s `(group id, multiplicity)`
+    /// pairs are `list[starts[id]..starts[id + 1]]`; `keys` holds the group
+    /// key vectors by dense group id.
+    Groups {
+        keys: LaneMap,
+        starts: Vec<u32>,
+        list: Vec<(u32, u32)>,
+    },
+}
+
 /// The build-side hash table: a [`LaneMap`] from raw-lane key vectors to
-/// dense key ids, and one CSR row list over the ids. Key `id`'s build
-/// rows are payload rows `starts[id]..starts[id + 1]` of `rows`, in build
-/// (= morsel, then row) order.
+/// dense key ids, one CSR row list over the ids, and the fold plan's
+/// per-key folds. Key `id`'s build rows are payload rows `starts[id]..
+/// starts[id + 1]` of `rows`, in build (= morsel, then row) order.
 struct JoinTable {
     keys: LaneMap,
     /// `keys.len() + 1` offsets into the payload rows.
@@ -400,24 +521,23 @@ struct JoinTable {
     /// grouped by key id.
     rows: Vec<Value>,
     width: usize,
+    folds: BuildFolds,
 }
 
 impl JoinTable {
-    /// Inserts the gathered build parts (`(keys, payloads, rows)` per
-    /// range) in range order, then lays the payloads out by key id with a
-    /// stable counting sort. `build_rows` is the observed post-prune build
-    /// cardinality, which sizes the map (distinct keys can only be fewer).
-    fn build(
-        parts: &[(Vec<Value>, Vec<Value>, usize)],
-        key_width: usize,
-        width: usize,
-        build_rows: usize,
-    ) -> JoinTable {
+    /// Inserts the gathered build parts in range order with their
+    /// precomputed hashes, lays the payloads out by key id with a stable
+    /// counting sort, then prepares `op`'s per-key folds. `build_rows` is
+    /// the observed post-prune build cardinality, which sizes the map
+    /// (distinct keys can only be fewer).
+    fn build(parts: &[BuildPart], op: &CompiledJoinOp, build_rows: usize) -> JoinTable {
+        let key_width = op.build.keys.len();
+        let width = op.build.payload.len();
         let mut keys = LaneMap::with_capacity(key_width, build_rows);
         let ids: Vec<u32> = parts
             .iter()
-            .flat_map(|(k, _, n)| k.chunks_exact(key_width).take(*n))
-            .map(|key| keys.insert(key))
+            .flat_map(|p| p.keys.chunks_exact(key_width).zip(&p.hashes))
+            .map(|(key, &h)| keys.insert_hashed(key, h))
             .collect();
         let mut starts = vec![0u32; keys.len() + 1];
         for &id in &ids {
@@ -429,31 +549,95 @@ impl JoinTable {
         let mut rows = vec![0; build_rows * width];
         if width > 0 {
             let mut next = starts.clone();
-            let payloads = parts
-                .iter()
-                .flat_map(|(_, p, n)| p.chunks_exact(width).take(*n));
+            let payloads = parts.iter().flat_map(|p| p.payload.chunks_exact(width));
             for (payload, &id) in payloads.zip(&ids) {
                 let at = next[id as usize] as usize * width;
                 next[id as usize] += 1;
                 rows[at..at + width].copy_from_slice(payload);
             }
         }
-        JoinTable {
+        let mut table = JoinTable {
             keys,
             starts,
             rows,
             width,
+            folds: BuildFolds::None,
+        };
+        table.folds = table.fold_build(op);
+        table
+    }
+
+    /// The payload-row indices of key `id`'s build rows.
+    #[inline(always)]
+    fn span(&self, id: u32) -> Range<usize> {
+        self.starts[id as usize] as usize..self.starts[id as usize + 1] as usize
+    }
+
+    /// Writes build row `r`'s (of the CSR order) `payload` lanes into
+    /// their combined-tuple positions.
+    #[inline(always)]
+    fn stitch(&self, r: usize, payload: &[(BoundAttr, u32)], tuple: &mut [Value]) {
+        let lanes = &self.rows[r * self.width..(r + 1) * self.width];
+        for (&v, &(_, p)) in lanes.iter().zip(payload) {
+            tuple[p as usize] = v;
         }
     }
 
-    /// The build rows of `key` (whose [`hash_key`] is `h`): the match
-    /// count and their payload lanes, `width` per row. `None` when no
-    /// build row has the key.
-    #[inline]
-    fn matches(&self, key: &[Value], h: u64) -> Option<(usize, &[Value])> {
-        let id = self.keys.get(key, h)? as usize;
-        let (s, e) = (self.starts[id] as usize, self.starts[id + 1] as usize);
-        Some((e - s, &self.rows[s * self.width..e * self.width]))
+    /// Prepares the per-key folds of `op`'s plan over the laid-out build
+    /// rows: each row's payload is stitched into a combined tuple and the
+    /// select's build-side expressions evaluate against it.
+    fn fold_build(&self, op: &CompiledJoinOp) -> BuildFolds {
+        let mut tuple = vec![0; op.tuple_width];
+        let ids = 0..self.keys.len() as u32;
+        match (op.plan, &op.select) {
+            (FoldPlan::BuildAggs, SelectProgram::Aggregate(aggs)) => {
+                let mut partials = Vec::with_capacity(self.keys.len() * aggs.len());
+                for id in ids {
+                    let at = partials.len();
+                    partials.extend(aggs.iter().map(|&(f, _)| AggState::new(f)));
+                    for r in self.span(id) {
+                        self.stitch(r, &op.build.payload, &mut tuple);
+                        for (st, (_, e)) in partials[at..].iter_mut().zip(aggs) {
+                            st.update(e.eval(|a| tuple[a.offset as usize]));
+                        }
+                    }
+                }
+                BuildFolds::Partials(partials)
+            }
+            (FoldPlan::BuildGroups, SelectProgram::Grouped { keys, .. }) => {
+                let mut groups = LaneMap::new(keys.len());
+                let mut key = vec![0; keys.len()];
+                let mut starts = vec![0u32];
+                let mut list: Vec<(u32, u32)> = Vec::new();
+                // Per group, the index of its latest `list` entry.
+                let mut latest: Vec<usize> = Vec::new();
+                for id in ids {
+                    let at = list.len();
+                    for r in self.span(id) {
+                        self.stitch(r, &op.build.payload, &mut tuple);
+                        for (slot, k) in key.iter_mut().zip(keys) {
+                            *slot = k.eval(|a| tuple[a.offset as usize]);
+                        }
+                        let g = groups.insert(&key);
+                        match latest.get(g as usize) {
+                            Some(&i) if i >= at => list[i].1 += 1,
+                            _ => {
+                                latest.resize(latest.len().max(g as usize + 1), 0);
+                                latest[g as usize] = list.len();
+                                list.push((g, 1));
+                            }
+                        }
+                    }
+                    starts.push(list.len() as u32);
+                }
+                BuildFolds::Groups {
+                    keys: groups,
+                    starts,
+                    list,
+                }
+            }
+            _ => BuildFolds::None,
+        }
     }
 }
 
@@ -487,48 +671,51 @@ pub fn run_join(
     let probe_views = ctx.views(probe_cat, &op.probe.plan.layouts)?;
     let policy = &ctx.policy;
 
-    // Phase 1 — build: per-range gather of qualifying (key, payload)
-    // lanes in row order, then a sequential range-order insert (identical
-    // to a serial row-order build, so the table — and every downstream
-    // result — is independent of the parallelism policy).
+    // Phase 1 — build: per-range gather of qualifying (key, hash,
+    // payload) lanes in row order, then a sequential range-order insert
+    // (identical to a serial row-order build, so the table — and every
+    // downstream result — is independent of the parallelism policy).
     let key_width = op.build.keys.len();
-    let payload_width = op.build.payload.len();
     let build_rows_total = build_views.rows();
-    let parts: Vec<(Vec<Value>, Vec<Value>, usize)> =
-        run_ranges(build_rows_total, build_views.seg_rows(), policy, |r| {
-            let mut keys: Vec<Value> = Vec::new();
-            let mut pays: Vec<Value> = Vec::new();
-            let n = op.build.for_qualifying(&build_views, r, |row| {
-                for &k in &op.build.keys {
-                    keys.push(build_views.get(k, row));
-                }
+    let parts: Vec<BuildPart> = run_ranges(build_rows_total, build_views.seg_rows(), policy, |r| {
+        let mut part = BuildPart::default();
+        let mut keys = Vec::new();
+        op.build.for_each_block(&build_views, r, |rows| {
+            op.build.gather_keys(&build_views, rows, &mut keys);
+            part.hashes
+                .extend(keys.chunks_exact(key_width).map(hash_key));
+            part.keys.extend_from_slice(&keys);
+            for &row in rows {
                 for &(a, _) in &op.build.payload {
-                    pays.push(build_views.get(a, row));
+                    part.payload.push(build_views.get(a, row as usize));
                 }
-            });
-            (keys, pays, n)
+            }
         });
-    let build_qualifying: usize = parts.iter().map(|(_, _, n)| n).sum();
+        part
+    });
+    let build_qualifying: usize = parts.iter().map(|p| p.hashes.len()).sum();
     // The observed post-prune cardinality sizes both probe-phase
     // structures: the hash table's slot array and the bloom filter's
     // block count (a filter sized for the raw relation would waste cache
     // on heavily filtered builds).
-    let table = JoinTable::build(&parts, key_width, payload_width, build_qualifying);
-    // Derive the probe prefilter from the gathered parts: one partial
-    // filter per chunk of build ranges, OR-merged in chunk order (the
-    // merge is commutative, so the result is independent of the policy).
-    // An empty build side needs none: its probe is skipped below.
+    let table = JoinTable::build(&parts, op, build_qualifying);
+    // Derive the probe prefilter from the gathered parts and their
+    // hashes: one partial filter per chunk of build ranges, OR-merged in
+    // chunk order (the merge is commutative, so the result is independent
+    // of the policy). An empty build side needs none: its probe is
+    // skipped below.
     let bloom = (build_qualifying > 0).then(|| {
+        let new = || JoinFilter::with_capacity(build_qualifying, op.key_types.clone());
         let partials = run_chunks(&parts, policy, |chunk| {
-            let mut f = JoinFilter::with_capacity(build_qualifying, op.key_types.clone());
-            for (keys, _, n) in chunk {
-                for key in keys.chunks_exact(key_width).take(*n) {
-                    f.insert(key);
+            let mut f = new();
+            for part in chunk {
+                for (key, &h) in part.keys.chunks_exact(key_width).zip(&part.hashes) {
+                    f.insert(key, h);
                 }
             }
             f
         });
-        let mut filter = JoinFilter::with_capacity(build_qualifying, op.key_types.clone());
+        let mut filter = new();
         for p in &partials {
             filter.merge(p);
         }
@@ -550,7 +737,16 @@ pub fn run_join(
     // interpreter's conventions.
     let mut parts = Vec::new();
     if let Some(bloom) = &bloom {
-        for (part, qual, pairs, rejects) in probe_parts(&probe_views, op, &table, bloom, policy) {
+        let probe = run_ranges(probe_views.rows(), probe_views.seg_rows(), policy, |r| {
+            let mut probe = Probe::new(op, &table);
+            let qual = op.probe.for_each_block(&probe_views, r, |rows| {
+                probe.block(&probe_views, bloom, rows)
+            });
+            let rejects = probe.rejects;
+            let (part, pairs) = probe.finish();
+            (part, qual, pairs, rejects)
+        });
+        for (part, qual, pairs, rejects) in probe {
             stats.probe_rows += qual;
             stats.output_pairs += pairs;
             stats.probe_bloom_rejects += rejects;
@@ -574,156 +770,197 @@ pub fn execute_join_with_policy(
     run_join(left, right, op, &ExecCtx::new(*policy))
 }
 
-/// The probe source: per range of the probe side and per qualifying probe
-/// row, a build-filter test, then one hash lookup; per matched build row,
-/// stitches the combined tuple buffer and pushes it into the range's sink
-/// partial with a pair multiplicity (always `1` unless the operator is
-/// [`CompiledJoinOp::fused`]). Returns, in range order, each range's
-/// partial with its qualifying-row, matched-pair and filter-reject counts.
-///
-/// With a single-column key, qualifying rows batch eight at a time: the
-/// exact `[min, max]` range is tested over the batched key lanes with the
-/// vectorized mask kernels ([`simd::and_pred_masks`]), surviving lanes
-/// take the blocked-bloom word probe and the lookup in lane (= ascending
-/// row) order — the fold order is exactly an unfiltered row walk's, so
-/// `F64` sums stay bit-identical. Multi-column keys test the range scalar
-/// per row.
-fn probe_parts(
-    views: &GroupViews<'_>,
-    op: &CompiledJoinOp,
-    table: &JoinTable,
-    filter: &JoinFilter,
-    policy: &ExecPolicy,
-) -> Vec<(Partial, usize, usize, u64)> {
-    // Comparator-key range predicates for the vectorized single-key
-    // prefilter. `CompiledPred.value` lives in cmp-key space, which is
-    // exactly where `JoinFilter` keeps its ranges; the bound attr is
-    // irrelevant when masking a contiguous batch.
-    let range_preds: Option<[CompiledPred; 2]> = (op.probe.keys.len() == 1).then(|| {
-        let (lo, hi) = filter.range(0);
-        let attr = BoundAttr { slot: 0, offset: 0 };
-        let ty = op.key_types[0];
-        [
-            CompiledPred {
-                attr,
-                op: CmpOp::Ge,
-                ty,
-                value: lo,
-            },
-            CompiledPred {
-                attr,
-                op: CmpOp::Le,
-                ty,
-                value: hi,
-            },
-        ]
-    });
-    run_ranges(views.rows(), views.seg_rows(), policy, |r| {
-        let mut st = ProbeAcc {
-            acc: op.select.partial(),
-            buf: vec![0; op.tuple_width],
-            pairs: 0,
-            rejects: 0,
-        };
-        let mut key: Vec<Value> = vec![0; op.probe.keys.len()];
-        // Batch buffers for the vectorized single-key prefilter.
-        let mut rows_b = [0usize; simd::LANES];
-        let mut keys_b = [0 as Value; simd::LANES];
-        let mut blen = 0usize;
-        let qual = op.probe.for_qualifying(views, r, |row| match &range_preds {
-            Some(preds) => {
-                keys_b[blen] = views.get(op.probe.keys[0], row);
-                rows_b[blen] = row;
-                blen += 1;
-                if blen < simd::LANES {
-                    return;
-                }
-                blen = 0;
-                let mut masks = [u8::MAX];
-                let col = simd::RunCol::contiguous(&keys_b[..]);
-                simd::and_pred_masks(&col, &preds[0], &mut masks);
-                simd::and_pred_masks(&col, &preds[1], &mut masks);
-                let mut bits = masks[0] as u32;
-                st.rejects += u64::from(simd::LANES as u32 - bits.count_ones());
-                while bits != 0 {
-                    let i = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    probe_one(views, op, table, filter, &mut st, &keys_b[i..=i], rows_b[i]);
-                }
-            }
-            None => {
-                for (slot, &k) in key.iter_mut().zip(&op.probe.keys) {
-                    *slot = views.get(k, row);
-                }
-                if !filter.in_range(&key) {
-                    st.rejects += 1;
-                    return;
-                }
-                probe_one(views, op, table, filter, &mut st, &key, row);
-            }
-        });
-        // Scalar tail: the last partial batch, range-tested per key.
-        for i in 0..blen {
-            let key = &keys_b[i..=i];
-            if !filter.in_range(key) {
-                st.rejects += 1;
-                continue;
-            }
-            probe_one(views, op, table, filter, &mut st, key, rows_b[i]);
-        }
-        (st.acc, qual, st.pairs, st.rejects)
-    })
+/// What one probe range folds into, by [`FoldPlan`].
+enum RangeFold<'a> {
+    /// [`FoldPlan::PerPair`] and [`FoldPlan::ProbeOnly`]: the select
+    /// program's partial, fed stitched tuples.
+    Tuples(Partial),
+    /// [`FoldPlan::BuildAggs`]: hits per build key id.
+    KeyHits(Vec<u32>),
+    /// [`FoldPlan::BuildGroups`]: `aggs.len()` states per group id, which
+    /// groups a probe row reached, and one row's aggregate inputs.
+    Groups {
+        aggs: &'a [(AggOp, CompiledExpr)],
+        states: Vec<AggState>,
+        hit: Vec<bool>,
+        vals: Vec<Value>,
+    },
 }
 
-/// One probe range's running state: the sink partial, the stitched
-/// combined-tuple buffer, and the matched-pair and filter-reject counts.
-struct ProbeAcc {
-    acc: Partial,
-    buf: Vec<Value>,
+/// One probe range's running state: the block pipeline's buffers, the
+/// range's fold, and its matched-pair and filter-reject counts.
+struct Probe<'a> {
+    op: &'a CompiledJoinOp,
+    table: &'a JoinTable,
+    /// The block's key lanes, row-major.
+    keys: Vec<Value>,
+    /// The block's key hashes.
+    hashes: Vec<u64>,
+    /// Block positions of the keys that passed the filter.
+    survivors: Vec<u32>,
+    /// `(block position, key id)` of the survivors the table holds.
+    hits: Vec<(u32, u32)>,
+    /// The stitched combined tuple.
+    tuple: Vec<Value>,
+    fold: RangeFold<'a>,
     pairs: usize,
     rejects: u64,
 }
 
-/// One probe of a range-tested `key` at probe row `row`. The key is
-/// hashed once: the hash takes the bloom test, then the table lookup.
-/// On a match, stitch the probe row's loop-invariant lanes, then push
-/// per matched build row — or **once** with the match count as
-/// multiplicity when the operator is fused (the build payload is empty,
-/// so every match would stitch the identical tuple).
-#[inline(always)]
-fn probe_one(
-    views: &GroupViews<'_>,
-    op: &CompiledJoinOp,
-    table: &JoinTable,
-    filter: &JoinFilter,
-    st: &mut ProbeAcc,
-    key: &[Value],
-    row: usize,
-) {
-    let h = hash_key(key);
-    if !filter.test_hash(h) {
-        st.rejects += 1;
-        return;
-    }
-    let Some((n, payloads)) = table.matches(key, h) else {
-        return;
-    };
-    for &(a, p) in &op.probe.payload {
-        st.buf[p as usize] = views.get(a, row);
-    }
-    if op.fused {
-        st.pairs += n;
-        op.select.push(&mut st.acc, &st.buf, n as u64);
-        return;
-    }
-    let width = table.width;
-    for i in 0..n {
-        let payload = &payloads[i * width..(i + 1) * width];
-        for (&v, &(_, p)) in payload.iter().zip(&op.build.payload) {
-            st.buf[p as usize] = v;
+impl<'a> Probe<'a> {
+    fn new(op: &'a CompiledJoinOp, table: &'a JoinTable) -> Probe<'a> {
+        let fold = match (op.plan, &op.select, &table.folds) {
+            (FoldPlan::BuildAggs, ..) => RangeFold::KeyHits(vec![0; table.keys.len()]),
+            (
+                FoldPlan::BuildGroups,
+                SelectProgram::Grouped { aggs, .. },
+                BuildFolds::Groups { keys, .. },
+            ) => RangeFold::Groups {
+                aggs,
+                states: (0..keys.len())
+                    .flat_map(|_| aggs.iter().map(|&(f, _)| AggState::new(f)))
+                    .collect(),
+                hit: vec![false; keys.len()],
+                vals: vec![0; aggs.len()],
+            },
+            _ => RangeFold::Tuples(op.select.partial()),
+        };
+        Probe {
+            op,
+            table,
+            keys: Vec::with_capacity(BLOCK_ROWS * op.probe.keys.len()),
+            hashes: Vec::with_capacity(BLOCK_ROWS),
+            survivors: Vec::with_capacity(BLOCK_ROWS),
+            hits: Vec::with_capacity(BLOCK_ROWS),
+            tuple: vec![0; op.tuple_width],
+            fold,
+            pairs: 0,
+            rejects: 0,
         }
-        st.pairs += 1;
-        op.select.push(&mut st.acc, &st.buf, 1);
+    }
+
+    /// Runs the five stages (module docs) over one block of qualifying
+    /// probe rows, ascending.
+    fn block(&mut self, views: &GroupViews<'_>, filter: &JoinFilter, rows: &[u32]) {
+        let (op, table) = (self.op, self.table);
+        let w = op.probe.keys.len();
+        // 1–2: gather and hash every key.
+        op.probe.gather_keys(views, rows, &mut self.keys);
+        self.hashes.clear();
+        self.hashes.extend(self.keys.chunks_exact(w).map(hash_key));
+        // 3: range and bloom test every key; survivors compact without a
+        // branch (each position is written, and kept only if it passed).
+        self.survivors.resize(rows.len(), 0);
+        let mut kept = 0;
+        for (i, (key, &h)) in self.keys.chunks_exact(w).zip(&self.hashes).enumerate() {
+            self.survivors[kept] = i as u32;
+            kept += usize::from(filter.in_range(key) & filter.test_hash(h));
+        }
+        self.rejects += (rows.len() - kept) as u64;
+        // 4: the survivors' key ids.
+        self.hits.clear();
+        for &i in &self.survivors[..kept] {
+            let i = i as usize;
+            if let Some(id) = table
+                .keys
+                .get(&self.keys[i * w..(i + 1) * w], self.hashes[i])
+            {
+                self.hits.push((i as u32, id));
+            }
+        }
+        // 5: fold, in ascending row order.
+        match &mut self.fold {
+            RangeFold::KeyHits(hits) => {
+                for &(_, id) in &self.hits {
+                    hits[id as usize] += 1;
+                }
+            }
+            RangeFold::Tuples(acc) => {
+                let per_pair = op.plan == FoldPlan::PerPair;
+                for &(i, id) in &self.hits {
+                    op.probe
+                        .stitch(views, rows[i as usize] as usize, &mut self.tuple);
+                    let span = table.span(id);
+                    self.pairs += span.len();
+                    if !per_pair {
+                        op.select.push(acc, &self.tuple, span.len() as u64);
+                        continue;
+                    }
+                    for r in span {
+                        table.stitch(r, &op.build.payload, &mut self.tuple);
+                        op.select.push(acc, &self.tuple, 1);
+                    }
+                }
+            }
+            RangeFold::Groups {
+                aggs,
+                states,
+                hit,
+                vals,
+            } => {
+                let BuildFolds::Groups { starts, list, .. } = &table.folds else {
+                    unreachable!("the group plan builds group lists");
+                };
+                let n = aggs.len();
+                for &(i, id) in &self.hits {
+                    op.probe
+                        .stitch(views, rows[i as usize] as usize, &mut self.tuple);
+                    for (v, (_, e)) in vals.iter_mut().zip(aggs.iter()) {
+                        *v = e.eval(|a| self.tuple[a.offset as usize]);
+                    }
+                    let id = id as usize;
+                    for &(g, mult) in &list[starts[id] as usize..starts[id + 1] as usize] {
+                        let g = g as usize;
+                        hit[g] = true;
+                        self.pairs += mult as usize;
+                        for (st, &v) in states[g * n..(g + 1) * n].iter_mut().zip(vals.iter()) {
+                            st.update_n(v, u64::from(mult));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The range's sink partial and matched-pair count.
+    fn finish(self) -> (Partial, usize) {
+        let table = self.table;
+        match self.fold {
+            RangeFold::Tuples(acc) => (acc, self.pairs),
+            RangeFold::KeyHits(hits) => {
+                let (SelectProgram::Aggregate(aggs), BuildFolds::Partials(partials)) =
+                    (&self.op.select, &table.folds)
+                else {
+                    unreachable!("the build-aggregate plan builds partials");
+                };
+                let n = aggs.len();
+                let mut states: Vec<AggState> =
+                    aggs.iter().map(|&(f, _)| AggState::new(f)).collect();
+                let mut pairs = 0;
+                for (id, &h) in hits.iter().enumerate().filter(|(_, &h)| h > 0) {
+                    pairs += h as usize * table.span(id as u32).len();
+                    for (st, p) in states.iter_mut().zip(&partials[id * n..(id + 1) * n]) {
+                        st.merge_n(p, u64::from(h));
+                    }
+                }
+                (states.into(), pairs)
+            }
+            RangeFold::Groups {
+                aggs, states, hit, ..
+            } => {
+                let (SelectProgram::Grouped { key_types, .. }, BuildFolds::Groups { keys, .. }) =
+                    (&self.op.select, &table.folds)
+                else {
+                    unreachable!("the group plan builds group lists");
+                };
+                let n = aggs.len();
+                let mut out: GroupedAggs = grouped::table_for(key_types, aggs);
+                for (g, _) in hit.iter().enumerate().filter(|(_, &h)| h) {
+                    out.merge_group(keys.key(g as u32), &states[g * n..(g + 1) * n]);
+                }
+                (out.into(), self.pairs)
+            }
+        }
     }
 }
 
@@ -978,7 +1215,8 @@ mod tests {
     fn fused_rollups_match_two_phase_and_bloom_counts_rejects() {
         let (photo, spec) = fixture(false);
         // Selects that read only one side: with the other side building,
-        // the build payload is empty and the operator fuses.
+        // the build payload is empty and the probe folds with
+        // multiplicities.
         let jb = || Query::join(("photo", photo_schema()), ("spec", spec_schema()));
         let z = jb().col("z").unwrap();
         let flags = jb().col("flags").unwrap();
@@ -1016,9 +1254,10 @@ mod tests {
                     build_is_left,
                 )
                 .unwrap();
-                assert!(op.fused(), "one-sided aggregate select must fuse");
-                // And the flipped roles put select attrs on the build
-                // side, so fusion is off.
+                assert_eq!(op.fold_plan(), FoldPlan::ProbeOnly);
+                // The flipped roles put the select's attrs on the build
+                // side: the F64 sum keeps the per-pair fold, the rollup
+                // (build-side keys, a count) folds per build group.
                 let flipped = compile_join(
                     photo.catalog(),
                     spec.catalog(),
@@ -1029,9 +1268,12 @@ mod tests {
                     !build_is_left,
                 )
                 .unwrap();
-                if q.select_clause().is_grouped() {
-                    assert!(!flipped.fused());
-                }
+                let want_plan = if q.select_clause().is_grouped() {
+                    FoldPlan::BuildGroups
+                } else {
+                    FoldPlan::PerPair
+                };
+                assert_eq!(flipped.fold_plan(), want_plan);
                 for policy in [ExecPolicy::serial(), par_policy()] {
                     let run = |op| {
                         execute_join_with_policy(photo.catalog(), spec.catalog(), op, &policy)

@@ -44,8 +44,8 @@ pub fn table_for(key_types: &[LogicalType], aggs: &[(AggOp, CompiledExpr)]) -> G
 /// `n` times in one table probe ([`GroupedAggs::update_n`]). The fused
 /// and selection-vector kernels' per-row step (`n = 1`) and the grouped
 /// sink's ([`SelectProgram::push`](crate::sink::SelectProgram::push)),
-/// where the fused join-aggregate path uses `n` to collapse a probe row's
-/// identical build matches into a single factorized update.
+/// where the join's probe-only fold plan uses `n` to collapse a probe
+/// row's identical build matches into a single factorized update.
 #[inline(always)]
 pub(crate) fn fold_row(
     table: &mut GroupedAggs,

@@ -99,7 +99,7 @@ pub use compile::{
 };
 pub use filter::CompiledFilter;
 pub use join::{
-    compile_join, execute_join_with_policy, run_join, CompiledJoinOp, CompiledJoinSide,
+    compile_join, execute_join_with_policy, run_join, CompiledJoinOp, CompiledJoinSide, FoldPlan,
     JoinExecStats,
 };
 pub use opcache::{CompileCostModel, OperatorCache, OperatorKey};

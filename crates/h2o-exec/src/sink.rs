@@ -12,8 +12,10 @@
 //!   range's one partial;
 //! * the selection-vector and column-major scans hand qualifying-id chunks
 //!   to the shape's gather kernel (`SelectProgram::gather`);
-//! * the join probe produces stitched tuples and [`SelectProgram::push`]es
-//!   them, with a multiplicity, into a fresh [`SelectProgram::partial`].
+//! * the join probe folds matches by its fold plan: stitched tuples
+//!   [`SelectProgram::push`]ed, with a multiplicity, into a fresh
+//!   [`SelectProgram::partial`], or aggregate states and grouped tables it
+//!   assembles from per-key build-side folds (`Partial::from`).
 //!
 //! [`SelectProgram::finish`] concatenates projection blocks, merges
 //! aggregate states and merges grouped tables — all in range order, which
@@ -158,13 +160,6 @@ impl SelectProgram {
                 Box::new(keys.iter().chain(aggs.iter().map(|(_, e)| e)))
             }
         }
-    }
-
-    /// Whether the program folds its input (scalar or grouped aggregation)
-    /// rather than emitting a row per tuple — the shapes for which `n`
-    /// identical tuples collapse into one [`Self::push`].
-    pub fn is_fold(&self) -> bool {
-        !matches!(self, SelectProgram::Project(_))
     }
 
     /// The `(op, column)` pairs of the no-filter bare-column aggregate

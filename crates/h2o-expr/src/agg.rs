@@ -204,10 +204,11 @@ impl AggState {
 
     /// Folds one input lane `n` times — **bit-identical** to calling
     /// [`Self::update`] `n` times with the same `v`, at `O(1)` cost for
-    /// every function except the `F64` sum. This is the factorized-
-    /// aggregation primitive of join-aggregate fusion: a probe row whose
-    /// key matches `n` build rows contributes `n` identical updates, which
-    /// collapse to one `update_n`.
+    /// every function except the `F64` sum. This is the probe-side
+    /// primitive of factorized join aggregation: a probe row whose key
+    /// matches `n` build rows contributes `n` identical updates, which
+    /// collapse to one `update_n` (and a build group reached `n` times
+    /// folds the probe value once with multiplicity `n`).
     ///
     /// Integer sums use `v * n` (exact modulo 2^64, same bits as `n`
     /// wrapping adds); min/max/count fold the extremum once and advance
@@ -282,6 +283,27 @@ impl AggState {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         self.count += other.count;
+    }
+
+    /// Merges `other` `n` times — bit-identical to `n` calls of
+    /// [`Self::merge`] with the same `other`, at `O(1)` cost for every
+    /// function except the `F64` sum (which adds `other`'s sum `n` times in
+    /// sequence, as [`Self::update_n`] does). This is the build-side half
+    /// of factorized join aggregation: a build key's rows fold into one
+    /// partial state at build time, and a probe range that hits the key
+    /// `n` times merges the partial `n` times. For integer sums, min/max
+    /// and counts that equals folding every matched pair; for `F64` sums it
+    /// does not (the pairs' fold order is pinned), so the join keeps those
+    /// on its per-pair plan.
+    pub fn merge_n(&mut self, other: &AggState, n: u64) {
+        debug_assert_eq!(self.op, other.op);
+        if n == 0 {
+            return;
+        }
+        self.sum = self.add_n_to_sum(other.sum, n);
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+        self.count += other.count * n;
     }
 
     /// Reconstructs an accumulator from a kernel's raw partial: `raw` is
@@ -620,6 +642,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn merge_n_is_bit_identical_to_repeated_merge() {
+        // A partial over a few values (wrapping and extreme ones included)
+        // merged n times into a running state.
+        for f in [
+            AggFunc::Sum,
+            AggFunc::Min,
+            AggFunc::Max,
+            AggFunc::Count,
+            AggFunc::Avg,
+        ] {
+            let mut partial = AggState::new(f);
+            for v in [7, i64::MAX, -3] {
+                partial.update(v);
+            }
+            for n in [0u64, 1, 2, 5, 1000] {
+                let mut fused = AggState::new(f);
+                fused.update(13);
+                let mut looped = fused;
+                fused.merge_n(&partial, n);
+                for _ in 0..n {
+                    looped.merge(&partial);
+                }
+                assert_eq!(fused, looped, "{} n={n}", f.name());
+            }
+        }
+        // F64 sums merge n times in sequence, like `update_n`.
+        let op = AggOp::new(AggFunc::Sum, LogicalType::F64);
+        let mut partial = AggState::new(op);
+        partial.update(f64_lane(0.1));
+        partial.update(f64_lane(1.0 / 3.0));
+        let mut fused = AggState::new(op);
+        fused.update(f64_lane(1e16));
+        let mut looped = fused;
+        fused.merge_n(&partial, 17);
+        for _ in 0..17 {
+            looped.merge(&partial);
+        }
+        assert_eq!(fused, looped);
     }
 
     #[test]

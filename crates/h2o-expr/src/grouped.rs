@@ -88,9 +88,9 @@ impl GroupedAggs {
     /// Folds one qualifying tuple `n` times — bit-identical to `n` calls
     /// of [`Self::update`] with the same key/vals, at one table lookup and
     /// `O(1)` per-aggregate cost (except pinned-order `F64` sums; see
-    /// [`AggState::update_n`]). The grouped half of join-aggregate fusion:
-    /// a probe row matching `n` build rows folds once with multiplicity
-    /// `n` instead of walking the matched pairs.
+    /// [`AggState::update_n`]). The grouped half of the join's probe-only
+    /// fold plan: a probe row matching `n` build rows folds once with
+    /// multiplicity `n` instead of walking the matched pairs.
     #[inline]
     pub fn update_n(&mut self, key: &[Value], vals: &[Value], n: u64) {
         debug_assert_eq!(vals.len(), self.ops.len());
@@ -111,20 +111,28 @@ impl GroupedAggs {
     pub fn merge(&mut self, other: GroupedAggs) {
         debug_assert_eq!(self.key_types, other.key_types);
         debug_assert_eq!(self.ops, other.ops);
-        let w = self.ops.len();
+        let w = other.ops.len();
         for id in 0..other.keys.len() {
-            let partial = &other.states[id * w..(id + 1) * w];
-            let new = self.keys.len();
-            let mine = self.keys.insert(other.keys.key(id as u32)) as usize;
-            if mine == new {
-                self.states.extend_from_slice(partial);
-            } else {
-                for (st, p) in self.states[mine * w..(mine + 1) * w]
-                    .iter_mut()
-                    .zip(partial)
-                {
-                    st.merge(p);
-                }
+            let states = &other.states[id * w..(id + 1) * w];
+            self.merge_group(other.keys.key(id as u32), states);
+        }
+    }
+
+    /// Merges one group's states (`ops.len()` of them, in `ops` order)
+    /// into this table: merged through [`AggState::merge`] when the table
+    /// holds `key`, taken as they are when it does not. The join's
+    /// build-side group plan enters each group a probe range reached this
+    /// way.
+    pub fn merge_group(&mut self, key: &[Value], states: &[AggState]) {
+        let w = self.ops.len();
+        debug_assert_eq!(states.len(), w);
+        let new = self.keys.len();
+        let mine = self.keys.insert(key) as usize;
+        if mine == new {
+            self.states.extend_from_slice(states);
+        } else {
+            for (st, p) in self.states[mine * w..(mine + 1) * w].iter_mut().zip(states) {
+                st.merge(p);
             }
         }
     }

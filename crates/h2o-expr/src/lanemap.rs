@@ -16,7 +16,9 @@
 //! inline in one `Vec<Value>`, so a probe that hits reads one contiguous
 //! slot. The slot index is the low bits of [`hash_key`], a fixed-seed
 //! splitmix64 chain over the key lanes; the join's bloom filter derives
-//! its bits from the same hash, so a probe key is hashed once for both.
+//! its bits from the same hash, so a key is hashed once for both: a build
+//! key for its insert ([`LaneMap::insert_hashed`]) and its filter bits, a
+//! probe key for its filter test and its lookup ([`LaneMap::get`]).
 //! Nothing about the table depends on the process or the run: the same
 //! insert sequence yields the same ids on every strategy and policy.
 
@@ -112,7 +114,15 @@ impl LaneMap {
     /// one half.
     #[inline]
     pub fn insert(&mut self, key: &[Value]) -> u32 {
-        let h = hash_key(key);
+        self.insert_hashed(key, hash_key(key))
+    }
+
+    /// [`Self::insert`] of `key` whose [`hash_key`] the caller already
+    /// computed as `h` (the join build hashes each key once for the table
+    /// and its bloom filter).
+    #[inline]
+    pub fn insert_hashed(&mut self, key: &[Value], h: u64) -> u32 {
+        debug_assert_eq!(h, hash_key(key));
         let mut slot = match self.find(key, h) {
             Ok(id) => return id,
             Err(slot) => slot,

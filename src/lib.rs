@@ -212,36 +212,43 @@
 //! deadline and morsel budget thread through both the build and probe
 //! phases.
 //!
-//! **The probe fast path.** Three execution shortcuts keep the probe
-//! loop cheap without changing a single output bit:
+//! **The probe.** One block pipeline serves every key width and
+//! strategy, and three execution shortcuts keep it cheap without
+//! changing a single output bit:
 //!
-//! * *Bloom-filtered probes* — the finished build side is folded
-//!   (morsel-parallel, OR-merged in morsel order) into a
-//!   [`JoinFilter`](h2o_exec::JoinFilter): a blocked bloom filter plus
-//!   an exact per-key `[min,max]` range in comparator-key space, sized
-//!   from the post-prune build cardinality. Probes test the range with
-//!   the existing SIMD mask kernels and the bloom bits per surviving
-//!   lane *before* touching the hash table, so low-match-rate probes
-//!   skip the random-access lookup
+//! * *Bloom-filtered probes* — the build hashes each key once, for its
+//!   table insert and for the
+//!   [`JoinFilter`](h2o_exec::JoinFilter) (morsel-parallel, OR-merged in
+//!   morsel order): a blocked bloom filter plus an exact per-key
+//!   `[min,max]` range in comparator-key space, sized from the
+//!   post-prune build cardinality. Probe rows arrive 1K at a time; every
+//!   key of a block is gathered, hashed, range- and bloom-tested, and the
+//!   survivors are compacted without a branch *before* the table lookup,
+//!   so low-match-rate probes skip the random-access lookup
 //!   ([`JoinExecStats::probe_bloom_rejects`](h2o_exec::JoinExecStats)
 //!   counts the savings). No false negatives ⇒ bit-identical to the
 //!   interpreter (`tests/join_fastpath.rs` proptests it).
-//! * *Join-aggregate fusion* — when no select expression reads a
-//!   build-side attribute, the build payload is empty and a probe
-//!   row's `k` matches are `k` identical aggregate updates;
-//!   [`compile_join`](h2o_exec::compile_join) detects this
-//!   ([`CompiledJoinOp::fused`](h2o_exec::CompiledJoinOp::fused)) and
-//!   the probe folds one multiplicity-weighted update instead —
-//!   `f64` sums apply the multiplicity as sequential adds, preserving
-//!   the pinned fold order and the serial ≡ parallel fingerprint
-//!   contract.
+//! * *Factorized fold plans* — [`compile_join`](h2o_exec::compile_join)
+//!   picks a [`FoldPlan`](h2o_exec::FoldPlan) from the select clause and
+//!   the build side
+//!   ([`CompiledJoinOp::fold_plan`](h2o_exec::CompiledJoinOp::fold_plan)).
+//!   When no select expression reads the build side, a probe row's `k`
+//!   matches fold as one multiplicity-weighted update; build-only
+//!   aggregates fold per build key at build time and the probe only
+//!   counts hits per key (`partial × hits`); build-side group keys over
+//!   probe-side aggregates resolve each build key to its `(group,
+//!   multiplicity)` list once. Everything else — projections,
+//!   expressions over both sides, `f64` sums over build values — folds
+//!   per matched pair, which keeps the pinned fold order and the
+//!   serial ≡ interpreter contract.
 //! * *Build pruning + costed sizing* — build-side zone maps prune
 //!   segment runs before hashing, the surviving cardinality sizes the
 //!   hash table and filter, and the `h2o-cost` model prices the filter
 //!   build and per-probe test so build-side choice stays honest.
 //!
-//! Both are always on; `tests/join_fastpath.rs`
-//! asserts that they engage and holds every answer to the interpreter.
+//! All are always on; `tests/join_fastpath.rs` asserts that they engage
+//! (exact reject counts, the expected plan per query and build side) and
+//! holds every answer to the interpreter.
 //!
 //! ## One entry point: `run` and `ExecOptions`
 //!

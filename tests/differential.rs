@@ -87,13 +87,15 @@ fn agreement_survives_explicit_reorganizations() {
 }
 
 /// Integer `sum`/`avg` wrap modulo 2^64 — in the interpreter, in every
-/// strategy's kernels, and in the fused join's multiplicity-weighted fold
-/// (`AggState::update_n` multiplies instead of adding `n` times) — so at
-/// the `i64::MAX` boundary they all still agree bit for bit.
+/// strategy's kernels, and in the join's factorized folds
+/// (`AggState::update_n` and `AggState::merge_n` multiply instead of
+/// adding `n` times) — so at the `i64::MAX` boundary they all still agree
+/// bit for bit.
 #[test]
 fn integer_aggregates_wrap_identically_at_the_i64_boundary() {
     use h2o::exec::{
-        compile, compile_join, execute, run_join, AccessPlan, ExecCtx, ExecPolicy, Strategy,
+        compile, compile_join, execute, run_join, AccessPlan, ExecCtx, ExecPolicy, FoldPlan,
+        Strategy,
     };
     use h2o::expr::{check_join, interpret_join, JoinQuery};
     use h2o::storage::LogicalType;
@@ -144,7 +146,9 @@ fn integer_aggregates_wrap_identically_at_the_i64_boundary() {
     }
 
     // Join: every dimension key appears three times, so when the dimension
-    // builds, each fact row folds with multiplicity 3 through `update_n`.
+    // builds, each fact row folds with multiplicity 3 through `update_n`;
+    // when the fact side builds, each fact key's partial sums merge once
+    // per matching dimension row through `merge_n`.
     let typed = |names: [&'static str; 2]| {
         Schema::typed(names.map(|n| (n, LogicalType::I64))).into_shared()
     };
@@ -188,11 +192,15 @@ fn integer_aggregates_wrap_identically_at_the_i64_boundary() {
                 build_is_left,
             )
             .unwrap();
-            assert_eq!(
-                op.fused(),
-                build_is_left,
-                "the dimension side has no payload"
-            );
+            // The dimension side has no payload: building it, the probe
+            // folds each fact row once with its multiplicity. Building the
+            // fact side, the integer aggregates fold per build key.
+            let want_plan = if build_is_left {
+                FoldPlan::ProbeOnly
+            } else {
+                FoldPlan::BuildAggs
+            };
+            assert_eq!(op.fold_plan(), want_plan);
             let ctx = ExecCtx::new(ExecPolicy::serial());
             let (got, _) = run_join(dim.catalog(), fact.catalog(), &op, &ctx).unwrap();
             assert_eq!(

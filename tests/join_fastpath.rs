@@ -1,21 +1,25 @@
 //! Join fast-path differential suite: **bloom-filtered probes and
-//! join-aggregate fusion never change an answer.**
+//! factorized fold plans never change an answer.**
 //!
 //! The fast paths are pure execution shortcuts, always on — a blocked
 //! bloom filter plus exact key range that skips hash lookups for
-//! provably-absent keys, and a fused probe loop that folds matches
-//! straight into the aggregate state when the build side contributes no
-//! payload. Both must be bit-invisible: this suite checks that they
-//! engage (filter rejects, fused operators) and holds every answer to
-//! the nested-loop interpreter across all three strategies ×
-//! serial/parallel × both build sides — one of which fuses and one of
-//! which runs the two-phase probe — then proptests the same over random
-//! match rates, key skew, and empty build sides.
+//! provably-absent keys, and fold plans that fold a probe row's matches
+//! with a multiplicity, per build key or per build group instead of per
+//! matched pair. Both must be bit-invisible: this suite checks that they
+//! engage (exact filter-reject counts, the expected fold plan per query
+//! and build side) and holds every answer to the nested-loop interpreter
+//! across all three strategies × serial/parallel × both build sides, then
+//! proptests the same over random match rates, key skew, and empty build
+//! sides.
 
-use h2o::exec::{compile_join, run_join, AccessPlan, ExecCtx, ExecPolicy, Strategy};
+use h2o::exec::{
+    compile_join, run_join, AccessPlan, CompiledJoinOp, ExecCtx, ExecPolicy, FoldPlan,
+    JoinExecStats, JoinFilter, Strategy,
+};
+use h2o::expr::lanemap::hash_key;
 use h2o::expr::{check_join, interpret_join, JoinQuery};
 use h2o::prelude::*;
-use h2o::storage::LogicalType;
+use h2o::storage::{f64_lane, LogicalType};
 use h2o::workload::{gen_f64_column, gen_fk_column_in_domain, gen_key_column};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -68,13 +72,16 @@ fn dim_fact_columns(
     (dim, fact)
 }
 
-/// Join-aggregate shapes whose selects read **only fact-side attributes**
-/// — when the dimension side builds, its payload is empty and the probe
-/// loop fuses (one multiplicity-weighted fold per probe row); when the
-/// fact side builds, the same operator runs unfused. Both orders are
-/// swept below.
-fn fused_queries() -> Vec<(&'static str, JoinQuery)> {
+/// Join-aggregate shapes with the fold plan each takes when the
+/// dimension side builds and when the fact side builds. The first three
+/// read **only fact-side attributes**: with the dimension building, the
+/// probe folds each fact row once with its match count; with the fact
+/// side building, they read the build side and fold per pair (the `F64`
+/// sum keeps the pairs' order). The last two read the dimension: its
+/// aggregates fold per build key, its group keys per build group.
+fn plan_queries() -> Vec<(&'static str, JoinQuery, [FoldPlan; 2])> {
     let b = || JoinQuery::builder(("dim", dim_schema()), ("fact", fact_schema()));
+    let one_sided = [FoldPlan::ProbeOnly, FoldPlan::PerPair];
     let mut out = Vec::new();
     {
         let q = b();
@@ -89,6 +96,7 @@ fn fused_queries() -> Vec<(&'static str, JoinQuery)> {
                     Aggregate::count(),
                 ])
                 .unwrap(),
+            one_sided,
         ));
     }
     {
@@ -102,6 +110,7 @@ fn fused_queries() -> Vec<(&'static str, JoinQuery)> {
                 .filter_right(Conjunction::of([Predicate::lt(2u32, 5)]))
                 .grouped([grp], [Aggregate::sum(val), Aggregate::count()])
                 .unwrap(),
+            one_sided,
         ));
     }
     {
@@ -118,16 +127,64 @@ fn fused_queries() -> Vec<(&'static str, JoinQuery)> {
                 .filter_left(Conjunction::of([Predicate::lt(1u32, -1.0)]))
                 .grouped([grp], [Aggregate::sum(val), Aggregate::count()])
                 .unwrap(),
+            one_sided,
+        ));
+    }
+    {
+        // Dimension-only aggregates without an F64 sum: partial states
+        // per build key when the dimension builds.
+        let q = b();
+        let cls = q.col("cls").unwrap();
+        let weight = q.col("weight").unwrap();
+        out.push((
+            "build-aggs",
+            q.on("key", "fk")
+                .unwrap()
+                .aggregate([
+                    Aggregate::sum(cls.clone()),
+                    Aggregate::avg(cls),
+                    Aggregate::max(weight),
+                    Aggregate::count(),
+                ])
+                .unwrap(),
+            [FoldPlan::BuildAggs, FoldPlan::ProbeOnly],
+        ));
+    }
+    {
+        // Dimension group keys over fact aggregates: per build group when
+        // the dimension builds.
+        let q = b();
+        let cls = q.col("cls").unwrap();
+        let val = q.col("val").unwrap();
+        out.push((
+            "build-groups",
+            q.on("key", "fk")
+                .unwrap()
+                .grouped(
+                    [cls],
+                    [
+                        Aggregate::sum(val.clone()),
+                        Aggregate::min(val),
+                        Aggregate::count(),
+                    ],
+                )
+                .unwrap(),
+            [FoldPlan::BuildGroups, FoldPlan::PerPair],
         ));
     }
     out
 }
 
-/// Fused join-aggregates agree with the two-phase path and the
-/// interpreter: 3 strategies × serial/parallel × both build sides. The
-/// dimension side building fuses; the fact side building runs two-phase.
-/// Both match the interpreter, count the same pairs, and are
-/// bit-identical serial vs parallel.
+/// The fold plan `op` takes for a query whose plans per build side are
+/// `plans` (`[dimension builds, fact builds]`).
+fn expected_plan(op: &CompiledJoinOp, plans: [FoldPlan; 2]) -> FoldPlan {
+    plans[usize::from(!op.build_is_left())]
+}
+
+/// Every fold plan agrees with the per-pair fold and the interpreter:
+/// 3 strategies × serial/parallel × both build sides, each taking its
+/// expected plan. Both build sides match the interpreter, count the same
+/// pairs, and are bit-identical serial vs parallel.
 #[test]
 fn fused_aggregates_match_two_phase_and_interpreter() {
     let (dim_cols, fact_cols) = dim_fact_columns(600, 4_000, 0.35, 0.4, 23);
@@ -138,7 +195,7 @@ fn fused_aggregates_match_two_phase_and_interpreter() {
         morsel_rows: 128,
         serial_threshold: 0,
     };
-    for (shape, q) in fused_queries() {
+    for (shape, q, plans) in plan_queries() {
         let checked = check_join(&q).unwrap();
         let want = interpret_join(dim.catalog(), fact.catalog(), &q)
             .unwrap()
@@ -158,12 +215,10 @@ fn fused_aggregates_match_two_phase_and_interpreter() {
                     build_is_left,
                 )
                 .unwrap();
-                // The selects read only fact attributes, so the probe
-                // loop fuses exactly when the dimension side builds.
                 assert_eq!(
-                    op.fused(),
-                    build_is_left,
-                    "{shape}: fusion requires an empty build payload"
+                    op.fold_plan(),
+                    expected_plan(&op, plans),
+                    "{shape} build_is_left={build_is_left}: fold plan"
                 );
                 let run = |policy| {
                     run_join(dim.catalog(), fact.catalog(), &op, &ExecCtx::new(policy)).unwrap()
@@ -179,7 +234,7 @@ fn fused_aggregates_match_two_phase_and_interpreter() {
             }
             assert_eq!(
                 pairs[0], pairs[1],
-                "{shape}: fused and two-phase count the same pairs"
+                "{shape}: both build sides count the same pairs"
             );
         }
     }
@@ -194,7 +249,7 @@ fn in_domain_misses_are_rejected_by_bloom_bits_not_the_range() {
     let (dim_cols, fact_cols) = dim_fact_columns(600, 4_000, 0.35, 0.4, 23);
     let dim = Relation::columnar(dim_schema(), dim_cols).unwrap();
     let fact = Relation::columnar(fact_schema(), fact_cols).unwrap();
-    let (_, q) = fused_queries().remove(0);
+    let (_, q, _) = plan_queries().remove(0);
     let checked = check_join(&q).unwrap();
     let lplan = AccessPlan::new(dim.catalog().layout_ids(), Strategy::SelVector);
     let rplan = AccessPlan::new(fact.catalog().layout_ids(), Strategy::SelVector);
@@ -243,7 +298,7 @@ fn bloom_filtered_joins_agree(
         morsel_rows: 64,
         serial_threshold: 0,
     };
-    for (shape, q) in fused_queries() {
+    for (shape, q, plans) in plan_queries() {
         let checked = check_join(&q).unwrap();
         let want = interpret_join(dim.catalog(), fact.catalog(), &q)
             .unwrap()
@@ -262,6 +317,7 @@ fn bloom_filtered_joins_agree(
                     build_is_left,
                 )
                 .unwrap();
+                prop_assert_eq!(op.fold_plan(), expected_plan(&op, plans));
                 let run = |policy| {
                     run_join(dim.catalog(), fact.catalog(), &op, &ExecCtx::new(policy))
                         .unwrap()
@@ -292,8 +348,8 @@ fn bloom_filtered_joins_agree(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Bloom-filtered (and, where eligible, fused) joins match the
-    /// interpreter for any match rate, key skew, and relation size —
+    /// Bloom-filtered joins match the interpreter under every fold plan,
+    /// for any match rate, key skew, and relation size —
     /// including empty build and probe sides.
     #[test]
     fn bloom_filtered_joins_match_the_interpreter(
@@ -304,5 +360,228 @@ proptest! {
         skew in 0.0f64..=1.0,
     ) {
         bloom_filtered_joins_agree(dim_rows, fact_rows, match_rate, skew, seed);
+    }
+}
+
+/// Runs `q` with the left relation building under every strategy,
+/// asserting the fold plan; per strategy, returns the serial and the
+/// parallel (3 workers, 512-row morsels) result and stats. The parallel
+/// run merges `F64` sums in morsel order, so only its counters are held
+/// to the serial run's here.
+fn run_left_build(
+    left: &Relation,
+    right: &Relation,
+    q: &JoinQuery,
+    plan: FoldPlan,
+) -> Vec<[(QueryResult, JoinExecStats); 2]> {
+    let checked = check_join(q).unwrap();
+    let parallel = ExecPolicy {
+        parallelism: Some(3),
+        morsel_rows: 512,
+        serial_threshold: 0,
+    };
+    Strategy::ALL
+        .iter()
+        .map(|&strategy| {
+            let lplan = AccessPlan::new(left.catalog().layout_ids(), strategy);
+            let rplan = AccessPlan::new(right.catalog().layout_ids(), strategy);
+            let op = compile_join(
+                left.catalog(),
+                right.catalog(),
+                &lplan,
+                &rplan,
+                q,
+                &checked,
+                true,
+            )
+            .unwrap();
+            assert_eq!(op.fold_plan(), plan, "{}", strategy.name());
+            let run = |policy| {
+                run_join(left.catalog(), right.catalog(), &op, &ExecCtx::new(policy)).unwrap()
+            };
+            let (serial, par) = (run(ExecPolicy::serial()), run(parallel));
+            assert_eq!(par.1, serial.1, "{}: parallel stats", strategy.name());
+            [serial, par]
+        })
+        .collect()
+}
+
+/// A build-side `F64` `sum`/`avg` over duplicate keys folds per pair:
+/// `partial × hits` would add each key's partial sum in key order, not
+/// the pairs' row order, and non-dyadic doubles round differently. So the
+/// plan is per-pair, and a serial run is bit-identical to the
+/// interpreter (left builds, the interpreter's build side).
+#[test]
+fn build_side_f64_sums_fold_per_pair_bit_identically() {
+    let dim_rows = 480;
+    let dim = Relation::columnar(
+        dim_schema(),
+        vec![
+            (0..dim_rows).map(|i| (i % 60) as Value).collect(),
+            (0..dim_rows)
+                .map(|i| f64_lane(i as f64 * 0.1 + 1.0 / 3.0 + 1e7 * ((i % 7) as f64)))
+                .collect(),
+            (0..dim_rows).map(|i| (i % 5) as Value).collect(),
+        ],
+    )
+    .unwrap();
+    let fact_rows = 3_000;
+    let fact = Relation::columnar(
+        fact_schema(),
+        vec![
+            (0..fact_rows).map(|i| ((i * 37) % 70) as Value).collect(),
+            vec![f64_lane(0.0); fact_rows],
+            vec![0; fact_rows],
+        ],
+    )
+    .unwrap();
+    let b = JoinQuery::builder(("dim", dim_schema()), ("fact", fact_schema()));
+    let weight = b.col("weight").unwrap();
+    let q = b
+        .on("key", "fk")
+        .unwrap()
+        .aggregate([
+            Aggregate::sum(weight.clone()),
+            Aggregate::avg(weight),
+            Aggregate::count(),
+        ])
+        .unwrap();
+    let want = interpret_join(dim.catalog(), fact.catalog(), &q).unwrap();
+    for [(got, stats), _] in run_left_build(&dim, &fact, &q, FoldPlan::PerPair) {
+        assert!(
+            stats.output_pairs > fact_rows,
+            "keys repeat on the build side"
+        );
+        assert_eq!(got.data(), want.data());
+    }
+}
+
+/// The build-group plan: build key 1 reaches group 10 twice and group 20
+/// once, key 2 reaches group 20, key 4 group 40 — and group 30 belongs to
+/// key 3 alone, which no probe row carries, so it must not appear in the
+/// output. The `F64` sums are non-dyadic: the per-group fold order is the
+/// pairs' order, bit for bit.
+#[test]
+fn build_groups_fold_multiplicities_and_skip_unreached_groups() {
+    let (keys, classes): (Vec<Value>, Vec<Value>) = [
+        (1, 10),
+        (2, 20),
+        (1, 20),
+        (3, 30),
+        (1, 10),
+        (4, 40),
+        (2, 20),
+    ]
+    .into_iter()
+    .unzip();
+    let dim = Relation::columnar(
+        dim_schema(),
+        vec![keys.clone(), vec![f64_lane(0.5); keys.len()], classes],
+    )
+    .unwrap();
+    let fact_rows = 2_500;
+    let fact = Relation::columnar(
+        fact_schema(),
+        vec![
+            (0..fact_rows).map(|i| [1, 2, 4, 5][i % 4]).collect(),
+            (0..fact_rows)
+                .map(|i| f64_lane(i as f64 * 0.37 + 0.1))
+                .collect(),
+            vec![0; fact_rows],
+        ],
+    )
+    .unwrap();
+    let b = JoinQuery::builder(("dim", dim_schema()), ("fact", fact_schema()));
+    let cls = b.col("cls").unwrap();
+    let val = b.col("val").unwrap();
+    let q = b
+        .on("key", "fk")
+        .unwrap()
+        .grouped(
+            [cls],
+            [
+                Aggregate::sum(val.clone()),
+                Aggregate::min(val),
+                Aggregate::count(),
+            ],
+        )
+        .unwrap();
+    let want = interpret_join(dim.catalog(), fact.catalog(), &q).unwrap();
+    let groups: Vec<Value> = (0..want.rows()).map(|r| want.row(r)[0]).collect();
+    assert_eq!(groups, [10, 20, 40], "group 30 is never reached");
+    for [(serial, _), (par, _)] in run_left_build(&dim, &fact, &q, FoldPlan::BuildGroups) {
+        assert_eq!(serial.data(), want.data());
+        // Morsel-order F64 merges aside, the parallel run has the same
+        // groups, minima and counts.
+        let exact = |r: &QueryResult| -> Vec<[Value; 3]> {
+            (0..r.rows())
+                .map(|i| [r.row(i)[0], r.row(i)[2], r.row(i)[3]])
+                .collect()
+        };
+        assert_eq!(exact(&par), exact(&want));
+    }
+}
+
+/// `probe_bloom_rejects` and `output_pairs` are exact: they equal a naive
+/// per-row count (the same filter tested key by key, the matches counted
+/// by a scan of the build keys), for one- and two-column keys, over 2,500
+/// probe rows — two full 1K-row blocks and a partial last block.
+#[test]
+fn probe_counters_match_a_naive_count_across_block_edges() {
+    let dim_rows = 300;
+    let dim_cols = vec![
+        (0..dim_rows).map(|i| (i as Value % 250) * 2).collect(),
+        vec![f64_lane(1.0); dim_rows],
+        (0..dim_rows)
+            .map(|i| (i % 3) as Value)
+            .collect::<Vec<Value>>(),
+    ];
+    // Hits, in-range misses (odd keys), and out-of-range keys on both
+    // sides of the build range; the second key column misses on its own.
+    let fact_rows = 2_500;
+    let fact_cols = vec![
+        (0..fact_rows)
+            .map(|i| (i as Value * 7919) % 620 - 10)
+            .collect(),
+        vec![f64_lane(2.0); fact_rows],
+        (0..fact_rows)
+            .map(|i| (i % 4) as Value)
+            .collect::<Vec<Value>>(),
+    ];
+    let dim = Relation::columnar(dim_schema(), dim_cols.clone()).unwrap();
+    let fact = Relation::columnar(fact_schema(), fact_cols.clone()).unwrap();
+    for width in [1, 2] {
+        let mut b = JoinQuery::builder(("dim", dim_schema()), ("fact", fact_schema()))
+            .on("key", "fk")
+            .unwrap();
+        if width == 2 {
+            b = b.on("cls", "grp").unwrap();
+        }
+        let q = b.aggregate([Aggregate::count()]).unwrap();
+        // Key columns 0 and 2 on both sides.
+        let key_of = |cols: &[Vec<Value>], row: usize| -> Vec<Value> {
+            [0, 2][..width].iter().map(|&c| cols[c][row]).collect()
+        };
+        let build: Vec<Vec<Value>> = (0..dim_rows).map(|r| key_of(&dim_cols, r)).collect();
+        let mut filter = JoinFilter::with_capacity(dim_rows, vec![LogicalType::I64; width]);
+        for key in &build {
+            filter.insert(key, hash_key(key));
+        }
+        let (mut rejects, mut pairs) = (0u64, 0usize);
+        for row in 0..fact_rows {
+            let key = key_of(&fact_cols, row);
+            if !(filter.in_range(&key) && filter.test_hash(hash_key(&key))) {
+                rejects += 1;
+            }
+            pairs += build.iter().filter(|k| **k == key).count();
+        }
+        assert!(rejects > 0 && pairs > 0);
+        for [(got, stats), (par, _)] in run_left_build(&dim, &fact, &q, FoldPlan::ProbeOnly) {
+            assert_eq!(par.data(), got.data(), "width {width}");
+            assert_eq!(stats.probe_rows, fact_rows, "width {width}");
+            assert_eq!(stats.probe_bloom_rejects, rejects, "width {width}");
+            assert_eq!(stats.output_pairs, pairs, "width {width}");
+            assert_eq!(got.row(0), [pairs as Value], "width {width}");
+        }
     }
 }
