@@ -74,8 +74,11 @@ pub enum EngineError {
         payload: String,
     },
     /// The query's [`CancelToken`] was cancelled before it finished. No
-    /// partial result, catalog version, cached operator or statistics
-    /// feedback is ever published from a cancelled query.
+    /// partial result, catalog version, report or statistics feedback is
+    /// ever published from a cancelled query. Its compiled operator may
+    /// stay in the operator cache: the operator depends only on the query
+    /// shape, the plan and the layouts' lineage, so caching it changes no
+    /// answer.
     Cancelled,
     /// The query's deadline
     /// ([`ExecOptions::deadline`](crate::ExecOptions::deadline)) expired
@@ -510,8 +513,10 @@ impl H2oEngine {
     ///
     /// A stopped request (cancelled, past its deadline, over its morsel
     /// budget) fails with the matching typed error and publishes
-    /// **nothing** — no result rows, no catalog version, no cached
-    /// operator, no statistics feedback.
+    /// **nothing** — no result rows, no catalog version, no report, no
+    /// statistics feedback. Only the operator it compiled may stay
+    /// cached, which changes no answer: an operator depends only on the
+    /// query shape, the plan and the layouts' lineage.
     ///
     /// The returned [`Outcome`] carries the result rows *and* the
     /// snapshot they were computed against, so callers can check the
@@ -827,17 +832,17 @@ impl H2oEngine {
                 let op = self
                     .opcache
                     .get_or_compile_checked(&snap, &plan, q, &checked)?;
-                *self.last_report.lock() = Some(QueryReport {
-                    strategy: plan.strategy,
-                    layouts: plan.layouts.clone(),
-                    created_layout: None,
-                    estimated_cost: cost,
-                    selectivity_estimate: sel,
-                });
                 let (r, exec_stats) = h2o_exec::run(&snap, &op, ctx)?;
                 if exec_stats.segments_skipped > 0 {
                     self.stats.lock().segments_skipped += exec_stats.segments_skipped;
                 }
+                *self.last_report.lock() = Some(QueryReport {
+                    strategy: plan.strategy,
+                    layouts: plan.layouts,
+                    created_layout: None,
+                    estimated_cost: cost,
+                    selectivity_estimate: sel,
+                });
                 (snap, r)
             }
         };
@@ -1960,6 +1965,34 @@ mod tests {
         assert_eq!(s.queries_cancelled, 1);
         assert_eq!(s.queries_timed_out, 0);
         assert_eq!(s.queries_panicked, 0);
+    }
+
+    #[test]
+    fn stopped_query_keeps_the_previous_report_and_caches_its_operator() {
+        let config = EngineConfig {
+            adaptive: false,
+            ..EngineConfig::default()
+        };
+        let e = engine(6, 500, config);
+        let first = expr_query(&[0, 1], 2, 100);
+        e.run(Request::query(&first)).unwrap();
+        let before = e.last_report().unwrap();
+        // A new shape under a pre-cancelled token fails typed and leaves
+        // the previous query's report in place.
+        let q = expr_query(&[3, 4], 5, 10);
+        let token = CancelToken::new();
+        token.cancel();
+        assert_eq!(
+            e.run(Request::query(&q).cancel(&token))
+                .map(Outcome::into_result),
+            Err(EngineError::Cancelled)
+        );
+        assert_eq!(e.last_report(), Some(before));
+        // Its operator was cached: the next run of the shape is a hit.
+        let hits = e.opcache_stats().hits;
+        let got = e.run(Request::query(&q)).unwrap().result;
+        assert_eq!(e.opcache_stats().hits, hits + 1);
+        assert_eq!(got, interpret(&e.catalog(), &q).unwrap());
     }
 
     #[test]

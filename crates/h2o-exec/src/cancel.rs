@@ -23,8 +23,9 @@
 //! kernels drain quickly and return garbage partials, and the execution
 //! driver checks the token once at the end and discards the partial
 //! result in favor of a typed error. Nothing observable — no catalog
-//! version, no cached operator, no statistics feedback — is ever
-//! published from a cancelled query.
+//! version, no report, no statistics feedback — is ever published from a
+//! cancelled query. (The operator it compiled may stay cached; it depends
+//! only on query shape, plan and lineage, so that changes no answer.)
 
 use std::sync::atomic::{AtomicI64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};

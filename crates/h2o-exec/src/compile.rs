@@ -10,7 +10,7 @@
 use crate::bind::{BoundAttr, GroupViews};
 use crate::cancel::{CancelReason, CancelToken};
 use crate::filter::CompiledFilter;
-use crate::kernels;
+use crate::kernels::{self, RowSource};
 use crate::parallel::{run_ranges, ExecPolicy};
 use crate::plan::{AccessPlan, Strategy};
 use crate::selvec::SelVec;
@@ -276,12 +276,14 @@ pub fn execute_with_policy_stats(
 /// The scan driver over pre-resolved views. The strategies differ only in
 /// the **source** of each range's [`Partial`](crate::sink::Partial) —
 ///
-/// * fused: row range → partial, in one pass;
-/// * selection-vector / column-major: row range → qualifying ids, stitched
-///   in range order, then id chunk → partial (chunking by *qualifying*
-///   rows keeps phase 2 balanced at any selectivity). The column-major
-///   no-filter bare-column aggregate streams row ranges directly — no
-///   selection vector exists to chunk;
+/// * fused: the filtered rows of a row range, in one pass;
+/// * selection-vector: row range → qualifying ids, stitched in range
+///   order, then the rows of each id chunk (chunking by *qualifying* rows
+///   keeps phase 2 balanced at any selectivity) — both fed to the select
+///   program's one per-row step ([`SelectProgram::feed`]);
+/// * column-major: the same id chunks, evaluated column at a time
+///   ([`SelectProgram::columnar`]). Its no-filter bare-column aggregate
+///   streams row ranges directly — no selection vector exists to chunk;
 ///
 /// — and the select shape's sink finishes the partials in range order.
 /// Ranges come from [`run_ranges`]: one range under a serial policy, so
@@ -299,7 +301,7 @@ pub(crate) fn scan(
     let parts = if strategy == Strategy::FusedVolcano {
         run_ranges(rows, seg_rows, policy, |r| {
             let mut part = select.partial();
-            select.scan_range(views, filter, r, &mut part);
+            select.feed(views, &RowSource::Scan(filter, r), &mut part);
             part
         })
     } else if let Some(cols) = streaming {
@@ -313,14 +315,20 @@ pub(crate) fn scan(
         let sel = stitch(run_ranges(rows, seg_rows, policy, |r| {
             kernels::qualifying_ids(columnar, views, filter, r)
         }));
-        // Phase-2 kernels walk ids, not segment runs, so their
-        // cancellation poll happens here at chunk boundaries; a tripped
-        // token yields empty partials the caller discards.
+        // Phase 2 walks ids, not segment runs, so its cancellation poll
+        // happens here at chunk boundaries; a tripped token yields empty
+        // partials the caller discards.
         run_ranges(sel.len(), seg_rows, policy, |r| {
             if views.cancel_stopped() {
                 return select.partial();
             }
-            select.gather(views, &sel.ids()[r], columnar)
+            let ids = &sel.ids()[r];
+            if columnar {
+                return select.columnar(views, ids);
+            }
+            let mut part = select.partial();
+            select.feed(views, &RowSource::Ids(ids), &mut part);
+            part
         })
     };
     select.finish(parts)

@@ -98,7 +98,8 @@
 //! * [`FoldPlan::PerPair`] — everything else (projections, expressions
 //!   that read both sides, and `F64` `sum`/`avg` over build values): each
 //!   matched pair is stitched into one combined tuple and pushed
-//!   ([`SelectProgram::push`]).
+//!   through the select program's one per-row step, the one every scan
+//!   source feeds ([`SelectProgram::push`], fetching `|a| tuple[a.offset]`).
 //!
 //! Every plan folds exactly what the per-pair walk folds: multiplicity
 //! updates of `F64` sums add in sequence, the build-side partials are
@@ -116,12 +117,12 @@ use crate::bind::{BoundAttr, GroupViews};
 use crate::bloom::JoinFilter;
 use crate::compile::{plan_binder, ExecCtx, ExecError};
 use crate::filter::CompiledFilter;
+use crate::kernels;
 use crate::kernels::simd::{self, BLOCK_ROWS};
-use crate::kernels::{self, grouped};
 use crate::parallel::{run_chunks, run_ranges, ExecPolicy};
 use crate::plan::{AccessPlan, Strategy};
 use crate::program::CompiledExpr;
-use crate::sink::{Partial, SelectProgram};
+use crate::sink::{table_for, Partial, SelectProgram};
 use h2o_expr::agg::{AggFunc, AggOp, AggState};
 use h2o_expr::lanemap::hash_key;
 use h2o_expr::typecheck::{JoinTypes, SelectTypes, TypedPredicate};
@@ -457,8 +458,8 @@ pub fn compile_join(
     )?;
 
     // Lower select expressions against combined-tuple positions: the
-    // bound `offset` indexes the stitched buffer, `slot` is unused
-    // (`SelectProgram::push` semantics).
+    // bound `offset` indexes the stitched buffer and `slot` is unused —
+    // the probe pushes with the fetch `|a| tuple[a.offset]`.
     let select = SelectProgram::lower(q.select_clause(), &checked.select, |attr| {
         Ok(BoundAttr {
             slot: 0,
@@ -883,12 +884,13 @@ impl<'a> Probe<'a> {
                     let span = table.span(id);
                     self.pairs += span.len();
                     if !per_pair {
-                        op.select.push(acc, &self.tuple, span.len() as u64);
+                        op.select
+                            .push(acc, |a| self.tuple[a.offset as usize], span.len() as u64);
                         continue;
                     }
                     for r in span {
                         table.stitch(r, &op.build.payload, &mut self.tuple);
-                        op.select.push(acc, &self.tuple, 1);
+                        op.select.push(acc, |a| self.tuple[a.offset as usize], 1);
                     }
                 }
             }
@@ -954,7 +956,7 @@ impl<'a> Probe<'a> {
                     unreachable!("the group plan builds group lists");
                 };
                 let n = aggs.len();
-                let mut out: GroupedAggs = grouped::table_for(key_types, aggs);
+                let mut out: GroupedAggs = table_for(key_types, aggs);
                 for (g, _) in hit.iter().enumerate().filter(|(_, &h)| h) {
                     out.merge_group(keys.key(g as u32), &states[g * n..(g + 1) * n]);
                 }

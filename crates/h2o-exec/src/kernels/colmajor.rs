@@ -25,7 +25,8 @@
 //!
 //! For morsel parallelism the filter phase splits by row range
 //! ([`build_selvec_columnar_range`]) and the evaluation phase by id chunk
-//! ([`project_ids_columnar`], [`aggregate_ids_columnar`]) — each chunk
+//! ([`project_ids_columnar`], [`aggregate_ids_columnar`],
+//! [`grouped_ids_columnar`]) — each chunk
 //! materializes its own (proportionally smaller) intermediate columns, so
 //! the strategy's cost structure is preserved per morsel.
 
@@ -34,9 +35,10 @@ use crate::bind::{BoundAttr, GroupViews};
 use crate::filter::CompiledFilter;
 use crate::program::{CompiledExpr, OpCode};
 use crate::selvec::SelVec;
+use crate::sink::table_for;
 use h2o_expr::agg::{AggOp, AggState};
-use h2o_expr::QueryResult;
-use h2o_storage::{f64_lane, lane_f64, Value};
+use h2o_expr::{GroupedAggs, QueryResult};
+use h2o_storage::{f64_lane, lane_f64, LogicalType, Value};
 use std::ops::Range;
 
 /// A column-at-a-time operand: a materialized intermediate column or a
@@ -71,14 +73,7 @@ pub fn build_selvec_columnar_range(
     range: Range<usize>,
 ) -> SelVec {
     if filter.is_always_true() {
-        if !views.charge_scan(range.len()) {
-            return SelVec::with_capacity(0);
-        }
-        let mut sel = SelVec::with_capacity(range.len());
-        for row in range {
-            sel.push(row as u32);
-        }
-        return sel;
+        return SelVec::identity(views, range);
     }
     let preds = filter.preds();
     let first = &preds[0];
@@ -139,14 +134,7 @@ pub fn build_selvec_columnar_range_scalar(
     range: Range<usize>,
 ) -> SelVec {
     if filter.is_always_true() {
-        if !views.charge_scan(range.len()) {
-            return SelVec::with_capacity(0);
-        }
-        let mut sel = SelVec::with_capacity(range.len());
-        for row in range {
-            sel.push(row as u32);
-        }
-        return sel;
+        return SelVec::identity(views, range);
     }
     let preds = filter.preds();
     let first = &preds[0];
@@ -248,13 +236,8 @@ fn eval_expr_columns(views: &GroupViews<'_>, ids: &[u32], expr: &CompiledExpr) -
 
 /// Materializes `expr` over the selected rows as one dense intermediate
 /// column (broadcast constants expanded to full length) — the §2.1
-/// materialization step, shared with the grouped-aggregation kernel
-/// ([`super::grouped::aggregate_ids_columnar`]).
-pub(crate) fn materialize_expr_column(
-    views: &GroupViews<'_>,
-    ids: &[u32],
-    expr: &CompiledExpr,
-) -> Vec<Value> {
+/// materialization step of [`grouped_ids_columnar`].
+fn materialize_expr_column(views: &GroupViews<'_>, ids: &[u32], expr: &CompiledExpr) -> Vec<Value> {
     match eval_expr_columns(views, ids, expr) {
         ColVec::Mat(v) => v,
         ColVec::Const(c) => vec![c; ids.len()],
@@ -387,6 +370,40 @@ pub fn project_ids_columnar(
         out.push_row(&row_buf);
     }
     out
+}
+
+/// Column-at-a-time grouped aggregation over one id chunk: every key and
+/// aggregate-input expression is first materialized as an intermediate
+/// column over the selected rows (the §2.1 execution model), then one fold
+/// walks the columns row-wise into the chunk's table.
+pub fn grouped_ids_columnar(
+    views: &GroupViews<'_>,
+    ids: &[u32],
+    keys: &[CompiledExpr],
+    key_types: &[LogicalType],
+    aggs: &[(AggOp, CompiledExpr)],
+) -> GroupedAggs {
+    let key_cols: Vec<Vec<Value>> = keys
+        .iter()
+        .map(|e| materialize_expr_column(views, ids, e))
+        .collect();
+    let val_cols: Vec<Vec<Value>> = aggs
+        .iter()
+        .map(|(_, e)| materialize_expr_column(views, ids, e))
+        .collect();
+    let mut table = table_for(key_types, aggs);
+    let mut key: Vec<Value> = vec![0; keys.len()];
+    let mut vals: Vec<Value> = vec![0; aggs.len()];
+    for i in 0..ids.len() {
+        for (slot, col) in key.iter_mut().zip(&key_cols) {
+            *slot = col[i];
+        }
+        for (slot, col) in vals.iter_mut().zip(&val_cols) {
+            *slot = col[i];
+        }
+        table.update(&key, &vals);
+    }
+    table
 }
 
 #[cfg(test)]

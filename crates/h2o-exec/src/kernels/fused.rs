@@ -1,124 +1,83 @@
-//! The fused volcano kernel (paper Fig. 5).
+//! The fused volcano kernel (paper Fig. 5) and the bare-column aggregate
+//! tiers.
 //!
-//! One pass over the relation: the where-clause is evaluated (both
-//! predicates in one step) and every qualifying tuple's select-items are
-//! computed immediately. No selection vector, no intermediate columns —
-//! the access pattern the paper generates. Each kernel body is written
-//! once, for a plan over one column group or one that combines several
-//! (§3.3, Fig. 12): `scan_rows` finds the qualifying rows in 1K-row
-//! blocks of 8-row chunk masks and hands each to the body as a lane-fetch
-//! closure, compiled once per case.
+//! The fused scan is one pass over the relation: the where-clause is
+//! evaluated (both predicates in one step) and every qualifying tuple's
+//! select-items are computed immediately. No selection vector, no
+//! intermediate columns — the access pattern the paper generates. Its
+//! per-row step is the select program's own
+//! ([`SelectProgram::push`](crate::sink::SelectProgram::push)), the one
+//! the selection-vector strategy's phase 2 and the join probe run too;
+//! [`RowSource::Scan`] finds the qualifying rows in 1K-row blocks of 8-row
+//! chunk masks, over one column group or several (§3.3, Fig. 12). What
+//! stays specialized here is the aggregate whose every input is a bare
+//! column ([`aggregate_range`]).
 //!
-//! Every loop is parameterized by a row **range** and continues a
-//! caller-owned accumulator, so the morsel-parallel driver
+//! Every fold is parameterized by a row **range** (or id chunk) and
+//! continues a caller-owned accumulator, so the morsel-parallel driver
 //! (`crate::parallel`) can run disjoint row ranges on worker threads —
-//! projection blocks concatenated and [`AggState`] partials merged in
-//! morsel order; a serial execution is the single range `0..rows` — and
-//! online reorganization ([`crate::reorg`]) can run a range in the 1K-row
-//! chunks it stitches, every chunk continuing the range's one accumulator.
+//! [`AggState`] partials merged in morsel order; a serial execution is
+//! the single range `0..rows` — and online reorganization
+//! ([`crate::reorg`]) can run a range in the 1K-row chunks it stitches,
+//! every chunk continuing the range's one accumulator.
 
-use super::{scan_rows, simd, upd_max, upd_min, upd_sum, RowBody};
+use super::{simd, upd_max, upd_min, upd_sum, RowBody, RowSource};
 use crate::bind::{BoundAttr, GroupViews};
 use crate::filter::CompiledFilter;
 use crate::program::CompiledExpr;
 use h2o_expr::agg::{AggOp, AggState};
-use h2o_expr::{AggFunc, QueryResult};
+use h2o_expr::AggFunc;
 use h2o_storage::Value;
 use std::ops::Range;
 
-/// Fused projection over one row range, appending to `out`.
-pub fn project_range(
-    views: &GroupViews<'_>,
-    filter: &CompiledFilter,
-    exprs: &[CompiledExpr],
-    range: Range<usize>,
-    out: &mut QueryResult,
-) {
-    struct Project<'a> {
-        exprs: &'a [CompiledExpr],
-        out: &'a mut QueryResult,
-        buf: Vec<Value>,
-    }
-    impl RowBody for Project<'_> {
-        #[inline(always)]
-        fn row(&mut self, get: impl Fn(BoundAttr) -> Value) {
-            match self.exprs {
-                // The dominant single-expression template (`select a+b+c
-                // ...`) skips the row buffer.
-                [e] => self.out.push1(e.eval(get)),
-                exprs => {
-                    for (slot, e) in self.buf.iter_mut().zip(exprs) {
-                        *slot = e.eval(&get);
-                    }
-                    self.out.push_row(&self.buf);
-                }
-            }
-        }
-    }
-    let buf = vec![0; exprs.len()];
-    scan_rows(views, filter, range, &mut Project { exprs, out, buf });
+/// The `(op, column)` pairs of an aggregate list whose every input is a
+/// bare column — the shape [`aggregate_range`] folds; `None` otherwise.
+pub fn bare_columns(aggs: &[(AggOp, CompiledExpr)]) -> Option<Vec<(AggOp, BoundAttr)>> {
+    aggs.iter()
+        .map(|(f, e)| match e {
+            CompiledExpr::Col(a) => Some((*f, *a)),
+            _ => None,
+        })
+        .collect()
 }
 
-/// Fused aggregation over one row range, continuing `states` (one per
-/// aggregate, in order): a range split in pieces folds exactly like the
-/// whole, `F64` sums included.
+/// Bare-column aggregation (template ii) over the rows of `source`,
+/// continuing `states` (one per column, in order): a range split in
+/// pieces folds exactly like the whole, `F64` sums included.
 ///
-/// When every aggregate input is a bare column (template ii), the inputs
-/// are resolved once and fold into raw accumulators ([`AggState::raw`]:
-/// min/max in comparator-key space, sum/avg in the lane domain) under one
-/// shared match count, in one of two tiers:
+/// The columns fold into raw accumulators ([`AggState::raw`]: min/max in
+/// comparator-key space, sum/avg in the lane domain) under one shared
+/// match count, in one of two tiers:
 ///
-/// * the columns sit at adjacent offsets of one slot (the exact shape of
-///   `select max(a_j), ..., max(a_{j+k})` over a tailored group): each
-///   column folds its masked chunks a 1K-row block at a time
+/// * a scan whose columns sit at adjacent offsets of one slot (the exact
+///   shape of `select max(a_j), ..., max(a_{j+k})` over a tailored group):
+///   each column folds its masked chunks a 1K-row block at a time
 ///   (`fold_columns`), while the block is cache-resident;
-/// * any other set — scattered offsets of a wide row-major group, or
-///   several groups — updates every accumulator per qualifying row
-///   (`fold_rows`), touching each tuple once.
+/// * any other set, or an id chunk — scattered offsets of a wide
+///   row-major group, several groups, a selection vector — updates every
+///   accumulator per qualifying row (`fold_rows`), touching each tuple
+///   once.
 ///
 /// Each column stays one fold chain in row order in both tiers, so `F64`
 /// sums are bit-identical whichever tier runs.
 pub fn aggregate_range(
     views: &GroupViews<'_>,
-    filter: &CompiledFilter,
-    aggs: &[(AggOp, CompiledExpr)],
-    range: Range<usize>,
+    source: &RowSource<'_>,
+    cols: &[(AggOp, BoundAttr)],
     states: &mut [AggState],
 ) {
-    let cols: Option<Vec<BoundAttr>> = aggs
-        .iter()
-        .map(|(_, e)| match e {
-            CompiledExpr::Col(a) => Some(*a),
-            _ => None,
-        })
-        .collect();
-    let Some(cols) = cols else {
-        struct Fold<'a> {
-            aggs: &'a [(AggOp, CompiledExpr)],
-            states: &'a mut [AggState],
-        }
-        impl RowBody for Fold<'_> {
-            #[inline(always)]
-            fn row(&mut self, get: impl Fn(BoundAttr) -> Value) {
-                for (st, (_, e)) in self.states.iter_mut().zip(self.aggs) {
-                    st.update(e.eval(&get));
-                }
-            }
-        }
-        scan_rows(views, filter, range, &mut Fold { aggs, states });
-        return;
-    };
-    let ops: Vec<AggOp> = aggs.iter().map(|(f, _)| *f).collect();
     let mut acc: Vec<Value> = states.iter().map(AggState::raw).collect();
-    let lo = cols.iter().map(|a| a.offset).min().unwrap_or(0);
-    let hi = cols.iter().map(|a| a.offset).max().unwrap_or(0);
-    let adjacent = cols.iter().all(|a| a.slot == cols[0].slot) && ((hi - lo) as usize) < cols.len();
-    let matched = if adjacent {
-        fold_columns(views, filter, range, &ops, &cols, &mut acc)
-    } else {
-        fold_rows(views, filter, range, &ops, &cols, &mut acc)
+    let lo = cols.iter().map(|(_, a)| a.offset).min().unwrap_or(0);
+    let hi = cols.iter().map(|(_, a)| a.offset).max().unwrap_or(0);
+    let adjacent =
+        cols.iter().all(|(_, a)| a.slot == cols[0].1.slot) && ((hi - lo) as usize) < cols.len();
+    let matched = match source {
+        RowSource::Scan(filter, range) if adjacent => {
+            fold_columns(views, filter, range.clone(), cols, &mut acc)
+        }
+        _ => fold_rows(views, source, cols, &mut acc),
     };
-    for ((st, f), &raw) in states.iter_mut().zip(&ops).zip(&acc) {
+    for ((st, (f, _)), &raw) in states.iter_mut().zip(cols).zip(&acc) {
         *st = AggState::from_parts(*f, raw, st.count() + matched);
     }
 }
@@ -145,18 +104,19 @@ fn fold_columns(
     views: &GroupViews<'_>,
     filter: &CompiledFilter,
     range: Range<usize>,
-    ops: &[AggOp],
-    cols: &[BoundAttr],
+    cols: &[(AggOp, BoundAttr)],
     acc: &mut [Value],
 ) -> u64 {
     let mut matched: u64 = 0;
     for run in views.runs_pruned(range, filter) {
         let rf = simd::RunFilter::resolve(&run, filter);
-        let lanes: Vec<simd::RunCol<'_>> =
-            cols.iter().map(|&a| simd::RunCol::of(&run, a)).collect();
+        let lanes: Vec<simd::RunCol<'_>> = cols
+            .iter()
+            .map(|&(_, a)| simd::RunCol::of(&run, a))
+            .collect();
         let tail = rf.for_each_block(|start, masks| {
             matched += simd::popcount(masks);
-            for ((f, a), col) in ops.iter().zip(acc.iter_mut()).zip(&lanes) {
+            for (((f, _), a), col) in cols.iter().zip(acc.iter_mut()).zip(&lanes) {
                 let col = col.skip(start);
                 match f.func {
                     AggFunc::Max => simd::fold_minmax_masked(true, f.ty, a, &col, masks),
@@ -169,7 +129,7 @@ fn fold_columns(
         for i in tail {
             if rf.matches_row(i) {
                 matched += 1;
-                for ((f, a), col) in ops.iter().zip(acc.iter_mut()).zip(&lanes) {
+                for (((f, _), a), col) in cols.iter().zip(acc.iter_mut()).zip(&lanes) {
                     upd(*f, a, col.get(i));
                 }
             }
@@ -180,14 +140,12 @@ fn fold_columns(
 
 /// The per-row tier of [`aggregate_range`]: aggregates are grouped by
 /// function so the row step contains no per-value dispatch, and every
-/// accumulator is updated once per qualifying row. Returns the match
+/// accumulator is updated once per row of `source`. Returns the match
 /// count.
 fn fold_rows(
     views: &GroupViews<'_>,
-    filter: &CompiledFilter,
-    range: Range<usize>,
-    ops: &[AggOp],
-    cols: &[BoundAttr],
+    source: &RowSource<'_>,
+    cols: &[(AggOp, BoundAttr)],
     acc: &mut [Value],
 ) -> u64 {
     struct Rows<'a> {
@@ -223,10 +181,10 @@ fn fold_rows(
         }
     }
     let mut groups: Vec<(AggOp, Vec<(usize, BoundAttr)>)> = Vec::new();
-    for (i, (f, &a)) in ops.iter().zip(cols).enumerate() {
-        match groups.iter_mut().find(|(gf, _)| gf == f) {
+    for (i, &(f, a)) in cols.iter().enumerate() {
+        match groups.iter_mut().find(|(gf, _)| *gf == f) {
             Some((_, items)) => items.push((i, a)),
-            None => groups.push((*f, vec![(i, a)])),
+            None => groups.push((f, vec![(i, a)])),
         }
     }
     let mut body = Rows {
@@ -234,7 +192,7 @@ fn fold_rows(
         acc,
         matched: 0,
     };
-    scan_rows(views, filter, range, &mut body);
+    source.for_each(views, &mut body);
     body.matched
 }
 
@@ -263,10 +221,9 @@ pub fn aggregate_range_scalar(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bind::BoundAttr;
     use crate::filter::CompiledPred;
     use crate::sink::SelectProgram;
-    use h2o_expr::{AggFunc, CmpOp};
+    use h2o_expr::{CmpOp, QueryResult};
     use h2o_storage::LogicalType;
     use h2o_storage::{AttrId, ColumnGroup};
 
@@ -367,8 +324,9 @@ mod tests {
     }
 
     #[test]
-    fn multi_group_scans_match_the_interpreter_across_blocks() {
-        use crate::kernels::testing::fused_vs_interpreter;
+    fn scans_match_the_interpreter_across_blocks_for_every_strategy() {
+        use crate::kernels::testing::vs_interpreter;
+        use crate::Strategy;
         use h2o_expr::{Aggregate, Conjunction, Expr, Predicate, Query};
         let col = Expr::col::<u32>;
         let filtered = || Conjunction::of([Predicate::lt(2u32, 60), Predicate::gt(0u32, 0)]);
@@ -403,10 +361,22 @@ mod tests {
             )
             .unwrap(),
         ];
-        for q in &queries {
-            let (got, want) = fused_vs_interpreter(q);
-            assert!(!got.is_empty());
-            assert_eq!(got, want, "{q:?}");
+        for strategy in Strategy::ALL {
+            for q in &queries {
+                let (got, want) = vs_interpreter(q, strategy, true);
+                assert!(!got.is_empty());
+                assert_eq!(got, want, "{strategy:?} {q:?}");
+            }
+        }
+        // One group: the one-slot branch of each row source.
+        let q = Query::aggregate(
+            [Aggregate::sum(col(1)), Aggregate::sum(col(3).add(col(1)))],
+            filtered(),
+        )
+        .unwrap();
+        for strategy in Strategy::ALL {
+            let (got, want) = vs_interpreter(&q, strategy, false);
+            assert_eq!(got, want, "{strategy:?} one group");
         }
     }
 
@@ -458,15 +428,20 @@ mod tests {
             ]),
         ];
         for filter in &filters {
+            let ids = crate::kernels::selvector::build_selvec_range(&views, filter, 0..27);
             for f in [AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg] {
                 // Dense shape: one function over offsets 1..=2 (both F64).
                 let aggs = vec![
                     (AggOp::new(f, LogicalType::F64), CompiledExpr::Col(ba(1))),
                     (AggOp::new(f, LogicalType::F64), CompiledExpr::Col(ba(2))),
                 ];
+                let cols = bare_columns(&aggs).unwrap();
+                let fold = |source: RowSource<'_>, states: &mut Vec<AggState>| {
+                    aggregate_range(&views, &source, &cols, states)
+                };
                 for range in [0..27, 0..8, 5..23, 24..27] {
                     let mut vec_states = fresh(&aggs);
-                    aggregate_range(&views, filter, &aggs, range.clone(), &mut vec_states);
+                    fold(RowSource::Scan(filter, range.clone()), &mut vec_states);
                     let ref_states = aggregate_range_scalar(&views, filter, &aggs, range.clone());
                     let vec_row: Vec<Value> = vec_states.iter().map(|s| s.finish()).collect();
                     let ref_row: Vec<Value> = ref_states.iter().map(|s| s.finish()).collect();
@@ -475,12 +450,18 @@ mod tests {
                 // Continuing one accumulator over pieces is the whole fold,
                 // bit for bit (the F64 fold-order contract).
                 let mut whole = fresh(&aggs);
-                aggregate_range(&views, filter, &aggs, 0..27, &mut whole);
+                fold(RowSource::Scan(filter, 0..27), &mut whole);
                 let mut pieces = fresh(&aggs);
                 for r in [0..5, 5..19, 19..27] {
-                    aggregate_range(&views, filter, &aggs, r, &mut pieces);
+                    fold(RowSource::Scan(filter, r), &mut pieces);
                 }
                 assert_eq!(pieces, whole, "{} continued", f.name());
+                // The per-row tier over the qualifying ids folds the same.
+                let mut by_ids = fresh(&aggs);
+                for chunk in ids.ids().chunks(4) {
+                    fold(RowSource::Ids(chunk), &mut by_ids);
+                }
+                assert_eq!(by_ids, whole, "{} over ids", f.name());
             }
         }
     }
@@ -495,33 +476,27 @@ mod tests {
             ty: LogicalType::I64,
             value: 1,
         }]);
+        // Feeds one partial the ranges between consecutive split points.
+        let feed = |select: &SelectProgram, splits: &[usize]| {
+            let mut part = select.partial();
+            for w in splits.windows(2) {
+                select.feed(&views, &RowSource::Scan(&filter, w[0]..w[1]), &mut part);
+            }
+            part
+        };
         // Projection: appending range after range equals the full run.
-        let exprs = vec![CompiledExpr::SumCols(vec![ba(0), ba(1)])];
-        let mut full = QueryResult::new(1);
-        project_range(&views, &filter, &exprs, 0..4, &mut full);
-        let mut stitched = QueryResult::new(1);
-        for r in [0..2, 2..3, 3..4] {
-            project_range(&views, &filter, &exprs, r, &mut stitched);
-        }
+        let select = SelectProgram::Project(vec![CompiledExpr::SumCols(vec![ba(0), ba(1)])]);
+        let full = select.finish(vec![feed(&select, &[0, 4])]);
+        let stitched = select.finish(vec![feed(&select, &[0, 2, 3, 4])]);
         assert_eq!(stitched, full);
         // Aggregation: merging per-range partials equals the full fold.
-        let aggs = vec![
+        let select = SelectProgram::Aggregate(vec![
             (AggFunc::Sum.into(), CompiledExpr::Col(ba(0))),
             (AggFunc::Min.into(), CompiledExpr::Col(ba(1))),
             (AggFunc::Avg.into(), CompiledExpr::Col(ba(0))),
-        ];
-        let mut want = fresh(&aggs);
-        aggregate_range(&views, &filter, &aggs, 0..4, &mut want);
-        let mut merged = fresh(&aggs);
-        for r in [0..1, 1..3, 3..4] {
-            let mut part = fresh(&aggs);
-            aggregate_range(&views, &filter, &aggs, r, &mut part);
-            for (m, p) in merged.iter_mut().zip(&part) {
-                m.merge(p);
-            }
-        }
-        let want_row: Vec<Value> = want.iter().map(|s| s.finish()).collect();
-        let got_row: Vec<Value> = merged.iter().map(|s| s.finish()).collect();
-        assert_eq!(got_row, want_row);
+        ]);
+        let want = select.finish(vec![feed(&select, &[0, 4])]);
+        let parts = [[0, 1], [1, 3], [3, 4]].map(|r| feed(&select, &r));
+        assert_eq!(select.finish(parts.into()), want);
     }
 }

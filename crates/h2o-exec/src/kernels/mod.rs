@@ -3,9 +3,9 @@
 //! Each submodule is one of the paper's generated-code templates (§3.4):
 //!
 //! * [`fused`] — Fig. 5: one loop, predicates and select-items fused, no
-//!   intermediate results;
-//! * [`selvector`] — Fig. 6: `q1_sel_vector` + `q1_compute_expression`, the
-//!   two-phase plan through a materialized selection vector;
+//!   intermediate results (and the bare-column aggregate tiers);
+//! * [`selvector`] — Fig. 6: `q1_sel_vector`, phase 1 of the two-phase
+//!   plan, materializing a selection vector;
 //! * [`colmajor`] — the pure column-store execution model of §2.1, with
 //!   per-operator intermediate materialization.
 //!
@@ -17,37 +17,62 @@
 //! Kernels operate on [`GroupViews`] (raw slices)
 //! and offset-resolved programs; nothing in a per-tuple loop consults a
 //! schema or expression tree (grouped aggregation consults exactly one
-//! hash table, which is the operation itself). Each kernel is written for
-//! one select shape; [`crate::sink`] picks the kernel for a program. The
-//! fused kernels are written once for any number of column groups: their
-//! per-row bodies (`RowBody`) run under `scan_rows`, the one place a
-//! plan's group count matters.
+//! hash table, which is the operation itself). The fused scan and the
+//! selection-vector strategy's phase 2 differ only in how they find the
+//! qualifying rows: a [`RowSource`] hands each row to one per-row step
+//! (`RowBody`) as a lane-fetch closure — `scan_rows` for a filtered row
+//! range, `id_rows` for a chunk of qualifying ids — and the step is the
+//! select program's ([`crate::sink::SelectProgram::push`]) or a
+//! bare-column aggregate fold ([`fused::aggregate_range`]). These two
+//! functions are the only place a plan's group count matters.
 
 pub mod colmajor;
 pub mod fused;
-pub mod grouped;
 pub mod selvector;
 pub mod simd;
 
-use crate::bind::{BoundAttr, GroupViews};
+use crate::bind::{BoundAttr, GroupViews, SlotAccessor};
 use crate::filter::CompiledFilter;
 use crate::selvec::SelVec;
 use h2o_storage::{LogicalType, Value};
 use std::ops::Range;
 
-/// A fused kernel's per-row step: what one qualifying row does, given a
-/// closure that fetches its lanes by bound attribute.
+/// A per-row step: what one qualifying row does, given a closure that
+/// fetches its lanes by bound attribute.
 pub(crate) trait RowBody {
     fn row(&mut self, get: impl Fn(BoundAttr) -> Value);
+}
+
+/// Where a per-row step's qualifying rows come from, in ascending row
+/// order.
+#[derive(Debug)]
+pub enum RowSource<'s> {
+    /// The rows of a row range that pass a filter (the fused scan and the
+    /// online reorganization's chunks).
+    Scan(&'s CompiledFilter, Range<usize>),
+    /// A chunk of qualifying ids (the selection-vector strategy's
+    /// phase 2).
+    Ids(&'s [u32]),
+}
+
+impl RowSource<'_> {
+    /// Hands every row of the source to `body`.
+    #[inline]
+    pub(crate) fn for_each(&self, views: &GroupViews<'_>, body: &mut impl RowBody) {
+        match self {
+            RowSource::Scan(filter, range) => scan_rows(views, filter, range.clone(), body),
+            RowSource::Ids(ids) => id_rows(views, ids, body),
+        }
+    }
 }
 
 /// The fused scan, for one column group or many: walks the pruned segment
 /// runs of `range`, finds each run's qualifying rows with the block walker
 /// ([`simd::RunFilter::for_each_row`]: 8-row chunk masks, 1K rows at a
-/// time) and hands them to `body` in ascending row order. This is the one
-/// place the group count matters: one slot slices the row's tuple from
-/// the run once and fetches `tuple[offset]`, many slots pick the run's
-/// slice of `attr.slot` per fetch, and `body` is compiled once for each.
+/// time) and hands them to `body` in ascending row order. One slot slices
+/// the row's tuple from the run once and fetches `tuple[offset]`, many
+/// slots pick the run's slice of `attr.slot` per fetch, and `body` is
+/// compiled once for each.
 pub(crate) fn scan_rows(
     views: &GroupViews<'_>,
     filter: &CompiledFilter,
@@ -70,6 +95,27 @@ pub(crate) fn scan_rows(
                     data[i * width + a.offset as usize]
                 })
             }),
+        }
+    }
+}
+
+/// The selection-vector source: hands the rows of an id chunk to `body`
+/// in chunk order. One slot fetches the row's tuple once and reads
+/// `tuple[offset]`; many slots read through one [`SlotAccessor`] each.
+pub(crate) fn id_rows(views: &GroupViews<'_>, ids: &[u32], body: &mut impl RowBody) {
+    let slots: Vec<SlotAccessor<'_, '_>> =
+        (0..views.len() as u32).map(|s| views.accessor(s)).collect();
+    match slots[..] {
+        [slot] => {
+            for &row in ids {
+                let tuple = slot.tuple(row as usize);
+                body.row(|a| tuple[a.offset as usize]);
+            }
+        }
+        ref many => {
+            for &row in ids {
+                body.row(|a| many[a.slot as usize].value(row as usize, a.offset as usize));
+            }
         }
     }
 }
@@ -126,17 +172,23 @@ pub(crate) fn upd_sum(ty: LogicalType, acc: &mut Value, v: Value) {
 
 #[cfg(test)]
 pub(crate) mod testing {
+    use crate::Strategy;
     use h2o_expr::interp::interpret_over;
     use h2o_expr::{Query, QueryResult};
     use h2o_storage::{f64_lane, AttrId, ColumnGroup, LayoutCatalog, LogicalType, Schema, Value};
 
-    /// Runs `q` serially through the fused strategy over a plan of two
-    /// groups with different segment shifts, and through the interpreter:
-    /// `(engine, interpreter)`. 5 000 rows of `(a0: I64, a1: F64)` in
-    /// 2K-row segments and `(a2: I64, a3: F64)` in 8K-row segments, so
-    /// runs end at either group's segment ends and split into 1K-row
-    /// blocks. The doubles are non-dyadic: their sums depend on fold order.
-    pub(crate) fn fused_vs_interpreter(q: &Query) -> (QueryResult, QueryResult) {
+    /// Runs `q` serially through `strategy` and through the interpreter:
+    /// `(engine, interpreter)`, over 5 000 rows of `(a0: I64, a1: F64,
+    /// a2: I64, a3: F64)`. Split, the plan reads two groups, `(a0, a1)` in
+    /// 2K-row segments and `(a2, a3)` in 8K-row segments, so runs end at
+    /// either group's segment ends and split into 1K-row blocks; otherwise
+    /// it reads one group of all four in 2K-row segments. The doubles are
+    /// non-dyadic: their sums depend on fold order.
+    pub(crate) fn vs_interpreter(
+        q: &Query,
+        strategy: Strategy,
+        split: bool,
+    ) -> (QueryResult, QueryResult) {
         use LogicalType::{F64, I64};
         let rows = 5_000;
         let col = |f: &dyn Fn(usize) -> Value| (0..rows).map(f).collect::<Vec<Value>>();
@@ -144,28 +196,27 @@ pub(crate) mod testing {
         let a1 = col(&|i| f64_lane((i % 41) as f64 / 10.0 - 1.7));
         let a2 = col(&|i| (i * 13 % 97) as Value);
         let a3 = col(&|i| f64_lane((i * 3 % 29) as f64 / 3.0));
-        let g0 = ColumnGroup::from_columns_typed(
-            vec![AttrId(0), AttrId(1)],
-            vec![I64, F64],
-            &[&a0, &a1],
-            11,
-        )
-        .unwrap();
-        let g1 = ColumnGroup::from_columns_typed(
-            vec![AttrId(2), AttrId(3)],
-            vec![I64, F64],
-            &[&a2, &a3],
-            13,
-        )
-        .unwrap();
-        let want = interpret_over(&[&g0, &g1], q).unwrap();
+        let group = |attrs: &[u32], cols: &[&[Value]], shift| {
+            let types = attrs.iter().map(|a| [I64, F64][*a as usize % 2]).collect();
+            let attrs = attrs.iter().map(|&a| AttrId(a)).collect();
+            ColumnGroup::from_columns_typed(attrs, types, cols, shift).unwrap()
+        };
+        let groups = if split {
+            vec![
+                group(&[0, 1], &[&a0, &a1], 11),
+                group(&[2, 3], &[&a2, &a3], 13),
+            ]
+        } else {
+            vec![group(&[0, 1, 2, 3], &[&a0, &a1, &a2, &a3], 11)]
+        };
+        let want = interpret_over(&groups.iter().collect::<Vec<_>>(), q).unwrap();
         let schema = Schema::typed([("a0", I64), ("a1", F64), ("a2", I64), ("a3", F64)]);
         let mut catalog = LayoutCatalog::new(schema.into_shared(), rows);
-        let ids = vec![
-            catalog.add_group(g0).unwrap(),
-            catalog.add_group(g1).unwrap(),
-        ];
-        let plan = crate::AccessPlan::new(ids, crate::Strategy::FusedVolcano);
+        let ids = groups
+            .into_iter()
+            .map(|g| catalog.add_group(g).unwrap())
+            .collect();
+        let plan = crate::AccessPlan::new(ids, strategy);
         let op = crate::compile(&catalog, &plan, q).unwrap();
         let serial = crate::ExecCtx::new(crate::ExecPolicy::serial());
         (crate::run(&catalog, &op, &serial).unwrap().0, want)

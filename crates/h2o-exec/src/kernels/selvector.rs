@@ -1,11 +1,11 @@
-//! The selection-vector kernel pair (paper Fig. 6).
+//! Phase 1 of the selection-vector pair (paper Fig. 6).
 //!
-//! Phase 1 ([`build_selvec_range`]) is the generated `q1_sel_vector`: a
-//! single pass over the group(s) storing the where-clause attributes that
-//! materializes the qualifying row ids. Phase 2 ([`project_ids`],
-//! [`aggregate_ids`]) is `q1_compute_expression`: it walks the selection
-//! vector and computes the select-items by gathering from the
-//! select-clause group(s). The paper
+//! [`build_selvec_range`] is the generated `q1_sel_vector`: a single pass
+//! over the group(s) storing the where-clause attributes that
+//! materializes the qualifying row ids. Phase 2, `q1_compute_expression`,
+//! has no kernel of its own: it walks the selection vector in id chunks
+//! ([`RowSource::Ids`](super::RowSource)) and runs the select program's
+//! per-row step, the one the fused scan runs, on each row. The paper
 //! notes the trade-off explicitly: computation is avoided for
 //! non-qualifying tuples, "on the other hand, the materialization of the
 //! selection vector is required".
@@ -15,14 +15,10 @@
 //! phase 2 consumes contiguous **id chunks** so work is balanced by
 //! qualifying rows, not raw ranges.
 
-use super::{simd, upd_max, upd_min, upd_sum};
+use super::simd;
 use crate::bind::GroupViews;
 use crate::filter::CompiledFilter;
-use crate::program::CompiledExpr;
 use crate::selvec::SelVec;
-use h2o_expr::agg::{AggOp, AggState};
-use h2o_expr::QueryResult;
-use h2o_storage::Value;
 use std::ops::Range;
 
 /// Phase 1 over one row range: the qualifying ids within `range`, in
@@ -43,14 +39,7 @@ pub fn build_selvec_range(
     range: Range<usize>,
 ) -> SelVec {
     if filter.is_always_true() {
-        if !views.charge_scan(range.len()) {
-            return SelVec::with_capacity(0);
-        }
-        let mut sel = SelVec::with_capacity(range.len());
-        for row in range {
-            sel.push(row as u32);
-        }
-        return sel;
+        return SelVec::identity(views, range);
     }
     // Start with a modest capacity guess; the vector grows geometrically.
     // Walking segment runs (rather than bare rows) lets zone maps skip
@@ -73,14 +62,7 @@ pub fn build_selvec_range_scalar(
     range: Range<usize>,
 ) -> SelVec {
     if filter.is_always_true() {
-        if !views.charge_scan(range.len()) {
-            return SelVec::with_capacity(0);
-        }
-        let mut sel = SelVec::with_capacity(range.len());
-        for row in range {
-            sel.push(row as u32);
-        }
-        return sel;
+        return SelVec::identity(views, range);
     }
     let mut sel = SelVec::with_capacity(range.len() / 8 + 16);
     for run in views.runs_pruned(range, filter) {
@@ -93,150 +75,15 @@ pub fn build_selvec_range_scalar(
     sel
 }
 
-/// Phase-2 projection over a contiguous chunk of qualifying ids.
-pub fn project_ids(views: &GroupViews<'_>, ids: &[u32], exprs: &[CompiledExpr]) -> QueryResult {
-    let width = exprs.len();
-    let mut out = QueryResult::with_capacity(width, ids.len());
-    let mut row_buf: Vec<Value> = vec![0; width];
-    match exprs {
-        [e] => {
-            for &row in ids {
-                out.push1(e.eval(|a| views.get(a, row as usize)));
-            }
-        }
-        _ => {
-            for &row in ids {
-                for (slot, e) in row_buf.iter_mut().zip(exprs) {
-                    *slot = e.eval(|a| views.get(a, row as usize));
-                }
-                out.push_row(&row_buf);
-            }
-        }
-    }
-    out
-}
-
-/// Phase-2 aggregation over a contiguous chunk of qualifying ids,
-/// returning mergeable partials.
-pub fn aggregate_ids(
-    views: &GroupViews<'_>,
-    ids: &[u32],
-    aggs: &[(AggOp, CompiledExpr)],
-) -> Vec<AggState> {
-    // Specialization mirroring the fused kernel's: when every aggregate
-    // input is a bare column, gather-and-fold with the dispatch hoisted out
-    // of the row loop.
-    let cols: Option<Vec<crate::bind::BoundAttr>> = aggs
-        .iter()
-        .map(|(_, e)| match e {
-            CompiledExpr::Col(a) => Some(*a),
-            _ => None,
-        })
-        .collect();
-    if let Some(cols) = cols {
-        return aggregate_gather_specialized(views, ids, aggs, &cols);
-    }
-    let mut states: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
-    for &row in ids {
-        for (st, (_, e)) in states.iter_mut().zip(aggs) {
-            st.update(e.eval(|a| views.get(a, row as usize)));
-        }
-    }
-    states
-}
-
-/// Generated-code-quality gather aggregation: consecutive bare-column
-/// aggregates reading adjacent offsets of the same plan slot are folded by
-/// dense slice-to-slice loops, one segment at a time, with no per-value
-/// dispatch, for one plan slot or many — the id-gather counterpart of the
-/// fused kernel's bare-column tiers (paper Fig. 12: "narrow groups of
-/// columns can be gracefully combined in the same query operator without
-/// imposing significant overhead").
-fn aggregate_gather_specialized(
-    views: &GroupViews<'_>,
-    ids: &[u32],
-    aggs: &[(AggOp, CompiledExpr)],
-    cols: &[crate::bind::BoundAttr],
-) -> Vec<AggState> {
-    use h2o_expr::AggFunc;
-    struct Seg {
-        slot: u32,
-        func: AggOp,
-        acc_base: usize,
-        off_base: usize,
-        len: usize,
-    }
-    let mut segs: Vec<Seg> = Vec::new();
-    for (i, ((f, _), a)) in aggs.iter().zip(cols).enumerate() {
-        match segs.last_mut() {
-            Some(s)
-                if s.slot == a.slot
-                    && s.func == *f
-                    && a.offset as usize == s.off_base + s.len
-                    && i == s.acc_base + s.len =>
-            {
-                s.len += 1;
-            }
-            _ => segs.push(Seg {
-                slot: a.slot,
-                func: *f,
-                acc_base: i,
-                off_base: a.offset as usize,
-                len: 1,
-            }),
-        }
-    }
-    // Min/max accumulate in comparator-key space (identity for I64).
-    let mut acc: Vec<Value> = aggs
-        .iter()
-        .map(|(f, _)| match f.func {
-            AggFunc::Min => Value::MAX,
-            AggFunc::Max => Value::MIN,
-            _ => 0,
-        })
-        .collect();
-    let resolved: Vec<crate::bind::SlotAccessor<'_, '_>> =
-        segs.iter().map(|s| views.accessor(s.slot)).collect();
-    for &row in ids {
-        let row = row as usize;
-        for (seg, acc_slot) in segs.iter().zip(&resolved) {
-            let tuple = acc_slot.tuple(row);
-            let vals = &tuple[seg.off_base..seg.off_base + seg.len];
-            let accs = &mut acc[seg.acc_base..seg.acc_base + seg.len];
-            match seg.func.func {
-                AggFunc::Max => {
-                    for (a, &v) in accs.iter_mut().zip(vals) {
-                        upd_max(seg.func.ty, a, v);
-                    }
-                }
-                AggFunc::Min => {
-                    for (a, &v) in accs.iter_mut().zip(vals) {
-                        upd_min(seg.func.ty, a, v);
-                    }
-                }
-                AggFunc::Sum | AggFunc::Avg => {
-                    for (a, &v) in accs.iter_mut().zip(vals) {
-                        upd_sum(seg.func.ty, a, v);
-                    }
-                }
-                AggFunc::Count => {}
-            }
-        }
-    }
-    aggs.iter()
-        .zip(&acc)
-        .map(|((f, _), &raw)| AggState::from_parts(*f, raw, ids.len() as u64))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bind::BoundAttr;
     use crate::filter::CompiledPred;
+    use crate::kernels::RowSource;
     use crate::program::CompiledExpr;
     use crate::sink::SelectProgram;
-    use h2o_expr::{AggFunc, CmpOp};
+    use h2o_expr::{AggFunc, CmpOp, QueryResult};
     use h2o_storage::LogicalType;
     use h2o_storage::{AttrId, ColumnGroup};
 
@@ -244,9 +91,16 @@ mod tests {
         build_selvec_range(views, filter, 0..views.rows())
     }
 
-    /// Phase 2 over a whole selection vector, through the sink.
+    /// Phase 2 over one id chunk, through the sink.
+    fn feed(views: &GroupViews<'_>, ids: &[u32], select: &SelectProgram) -> crate::sink::Partial {
+        let mut part = select.partial();
+        select.feed(views, &RowSource::Ids(ids), &mut part);
+        part
+    }
+
+    /// Phase 2 over a whole selection vector.
     fn consume(views: &GroupViews<'_>, sel: &SelVec, select: &SelectProgram) -> QueryResult {
-        select.finish(vec![select.gather(views, sel.ids(), false)])
+        select.finish(vec![feed(views, sel.ids(), select)])
     }
 
     /// Both phases, serially, through the one driver.
@@ -404,28 +258,24 @@ mod tests {
         )
         .unwrap();
         let views = GroupViews::from_groups(&[&g]);
-        let ids: Vec<u32> = vec![0, 2, 3, 4];
-        let aggs = vec![
-            (
-                AggFunc::Sum.into(),
-                CompiledExpr::Col(BoundAttr { slot: 0, offset: 0 }),
-            ),
-            (
-                AggFunc::Min.into(),
-                CompiledExpr::Col(BoundAttr { slot: 0, offset: 1 }),
-            ),
-        ];
-        let want: Vec<_> = aggregate_ids(&views, &ids, &aggs)
-            .iter()
-            .map(|s| s.finish())
-            .collect();
-        let mut merged: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
-        for chunk in ids.chunks(3) {
-            for (m, p) in merged.iter_mut().zip(aggregate_ids(&views, chunk, &aggs)) {
-                m.merge(&p);
-            }
+        let sel = SelVec::from_ids(vec![0, 2, 3, 4]);
+        let a = |offset| CompiledExpr::Col(BoundAttr { slot: 0, offset });
+        for select in [
+            // Bare columns (the per-row tier) and an expression (the
+            // program's own step).
+            SelectProgram::Aggregate(vec![
+                (AggFunc::Sum.into(), a(0)),
+                (AggFunc::Min.into(), a(1)),
+            ]),
+            SelectProgram::Aggregate(vec![(
+                AggFunc::Max.into(),
+                CompiledExpr::SumCols(vec![BoundAttr { slot: 0, offset: 0 }; 2]),
+            )]),
+            SelectProgram::Project(vec![a(1), a(0)]),
+        ] {
+            let want = consume(&views, &sel, &select);
+            let parts = sel.ids().chunks(3).map(|c| feed(&views, c, &select));
+            assert_eq!(select.finish(parts.collect()), want);
         }
-        let got: Vec<_> = merged.iter().map(|s| s.finish()).collect();
-        assert_eq!(got, want);
     }
 }

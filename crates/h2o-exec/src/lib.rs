@@ -29,8 +29,9 @@
 //!   per qualifying tuple; no intermediate results (Fig. 5).
 //! * [`Strategy::SelVector`](plan::Strategy) — phase 1 evaluates the
 //!   where-clause on the group(s) storing the predicate attributes and
-//!   materializes a selection vector of qualifying row ids; phase 2 gathers
-//!   from the select-clause group(s) and computes the select-items (Fig. 6).
+//!   materializes a selection vector of qualifying row ids; phase 2 walks
+//!   it in id chunks and runs the fused scan's per-row step on each row,
+//!   reading the select-clause group(s) (Fig. 6).
 //! * [`Strategy::ColumnMajor`](plan::Strategy) — pure DSM processing:
 //!   column-at-a-time predicate evaluation refining the selection vector,
 //!   and column-at-a-time expression evaluation that **materializes

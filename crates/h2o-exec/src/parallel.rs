@@ -237,7 +237,7 @@ where
 /// serial execution is bit-identical to the reference interpreter even for
 /// `F64` sums; otherwise the ranges are [`run_morsels`]' morsels, aligned
 /// to the storage's `seg_rows` granularity ([`ExecPolicy::aligned_to`]).
-/// Every source (scan, id-chunk gather, fused reorganization, join build
+/// Every source (scan, id chunks, fused reorganization, join build
 /// and probe) goes through here, so "serial" means the same thing for all.
 pub fn run_ranges<T, F>(rows: usize, seg_rows: usize, policy: &ExecPolicy, f: F) -> Vec<T>
 where

@@ -130,9 +130,9 @@ impl CompiledExpr {
     /// Evaluates the expression for one row, whose lanes `get` fetches
     /// by bound attribute (the idiom of [`h2o_expr::Expr::eval`]). Every
     /// caller supplies its own fetch: a stitched tuple (`|a|
-    /// t[a.offset]`), an id gather (`|a| views.get(a, row)`), or a fused
-    /// scan's run row from one slot or many
-    /// (`kernels::scan_rows`).
+    /// t[a.offset]`), or the row of a fused scan's run or of a selection
+    /// vector's id chunk, from one slot or many (`kernels::scan_rows`,
+    /// `kernels::id_rows`).
     #[inline(always)]
     pub fn eval(&self, get: impl Fn(BoundAttr) -> Value) -> Value {
         match self {

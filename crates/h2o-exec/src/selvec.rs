@@ -7,7 +7,9 @@
 //! intermediate result whose materialization cost the paper charges to the
 //! column-style plans.
 
+use crate::bind::GroupViews;
 use h2o_storage::{Value, MAX_ROWS};
+use std::ops::Range;
 
 /// A sorted list of qualifying row ids.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -28,24 +30,32 @@ impl SelVec {
         }
     }
 
-    /// The identity selection `0..rows` (no where-clause).
+    /// The identity selection over `range` (no where-clause), charged as
+    /// `range.len()` rows of scan work against the views' morsel budget
+    /// ([`GroupViews::charge_scan`]); empty once the budget is exhausted
+    /// (the execution driver discards the result and reports the typed
+    /// error).
     ///
     /// # Panics
     ///
-    /// Panics if `rows` exceeds [`MAX_ROWS`]: row ids are `u32`, and
-    /// `rows as u32` would otherwise wrap silently and enumerate the wrong
+    /// Panics if `range.end` exceeds [`MAX_ROWS`]: row ids are `u32`, and
+    /// `as u32` would otherwise wrap silently and enumerate the wrong
     /// ids. Storage enforces the same cap at append time
     /// ([`h2o_storage::check_row_capacity`]) and execution re-checks it when
     /// binding views, so a relation admitted by the engine can never trip
     /// this; the assert is the last line of defense for direct callers.
-    pub fn identity(rows: usize) -> Self {
+    pub fn identity(views: &GroupViews<'_>, range: Range<usize>) -> Self {
         assert!(
-            rows <= MAX_ROWS,
-            "identity selection over {rows} rows exceeds the {MAX_ROWS}-row \
-             engine capacity (row ids are 32-bit)"
+            range.end <= MAX_ROWS,
+            "identity selection over {} rows exceeds the {MAX_ROWS}-row \
+             engine capacity (row ids are 32-bit)",
+            range.end
         );
+        if !views.charge_scan(range.len()) {
+            return SelVec::new();
+        }
         SelVec {
-            ids: (0..rows as u32).collect(),
+            ids: (range.start as u32..range.end as u32).collect(),
         }
     }
 
@@ -164,11 +174,17 @@ impl FromIterator<u32> for SelVec {
 mod tests {
     use super::*;
 
+    fn identity(rows: usize) -> SelVec {
+        SelVec::identity(&GroupViews::from_groups(&[]), 0..rows)
+    }
+
     #[test]
     fn identity_and_push() {
-        let s = SelVec::identity(4);
+        let s = identity(4);
         assert_eq!(s.ids(), &[0, 1, 2, 3]);
         assert_eq!(s.len(), 4);
+        let s = SelVec::identity(&GroupViews::from_groups(&[]), 2..5);
+        assert_eq!(s.ids(), &[2, 3, 4]);
         let mut s = SelVec::new();
         s.push(1);
         s.push(5);
@@ -208,7 +224,7 @@ mod tests {
     fn identity_rejects_rows_beyond_u32() {
         // Would previously truncate `rows as u32` and build a wrapped,
         // wrong id sequence. The guard fires before any allocation.
-        let _ = SelVec::identity(1usize << 33);
+        let _ = identity(1usize << 33);
     }
 
     #[test]
@@ -216,7 +232,7 @@ mod tests {
         // The cap itself is fine (can't allocate 16 GiB here, but the
         // guard must compare with <=, not <): probe the predicate directly.
         assert!(MAX_ROWS <= u32::MAX as usize);
-        let s = SelVec::identity(3);
+        let s = identity(3);
         assert_eq!(s.ids(), &[0, 1, 2]);
     }
 
@@ -244,6 +260,6 @@ mod tests {
 
     #[test]
     fn bytes_footprint() {
-        assert_eq!(SelVec::identity(10).bytes(), 40);
+        assert_eq!(identity(10).bytes(), 40);
     }
 }

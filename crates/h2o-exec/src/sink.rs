@@ -4,16 +4,21 @@
 //! The operator generator emits one loop per *(layout combination,
 //! strategy)*; what that loop feeds is orthogonal to it. Every execution
 //! path is therefore a **source** producing [`Partial`]s, one per row
-//! range, and the sink finishing them in range order:
+//! range, and the sink finishing them in range order. One per-row step,
+//! [`SelectProgram::push`], computes the select-items of every shape from
+//! a lane-fetch closure, whatever source feeds it:
 //!
-//! * the fused scan hands a whole range to the shape's range kernel
-//!   (`SelectProgram::scan_range`), and the fused reorganization operator
-//!   hands it each freshly stitched chunk of a range, continuing the
-//!   range's one partial;
-//! * the selection-vector and column-major scans hand qualifying-id chunks
-//!   to the shape's gather kernel (`SelectProgram::gather`);
+//! * the fused scan and the selection-vector strategy's phase 2 hand their
+//!   rows to `SelectProgram::feed` — a filtered row range or a chunk of
+//!   qualifying ids ([`RowSource`]) — and the fused reorganization
+//!   operator hands it each freshly stitched chunk of a range, continuing
+//!   the range's one partial. Bare-column aggregates take their
+//!   specialized tiers there ([`fused::aggregate_range`]);
+//! * the column-major strategy hands qualifying-id chunks to its own
+//!   kernels (`SelectProgram::columnar`), whose intermediate columns are
+//!   the DSM cost structure (§2.1);
 //! * the join probe folds matches by its fold plan: stitched tuples
-//!   [`SelectProgram::push`]ed, with a multiplicity, into a fresh
+//!   pushed (`|a| tuple[a.offset]`), with a multiplicity, into a fresh
 //!   [`SelectProgram::partial`], or aggregate states and grouped tables it
 //!   assembles from per-key build-side folds (`Partial::from`).
 //!
@@ -25,13 +30,12 @@
 use crate::bind::{BoundAttr, GroupViews};
 use crate::compile::ExecError;
 use crate::filter::CompiledFilter;
-use crate::kernels::{colmajor, fused, grouped, selvector};
+use crate::kernels::{colmajor, fused, RowBody, RowSource};
 use crate::program::CompiledExpr;
 use h2o_expr::agg::{AggOp, AggState};
 use h2o_expr::grouped::GroupedAggs;
 use h2o_expr::{QueryResult, Select, SelectTypes};
 use h2o_storage::{AttrId, LogicalType, Value};
-use std::ops::Range;
 
 /// The select-clause half of a compiled operator. Aggregates carry their
 /// typed op ([`AggOp`]) and grouped programs their key types — the types
@@ -55,8 +59,9 @@ pub enum SelectProgram {
 
 /// One row range's (or id chunk's) contribution to a result, in the form
 /// its shape merges: a projection block, aggregate states, or a grouped
-/// table. Kernels produce one from their native return type (`into()`);
-/// tuple sources start from [`SelectProgram::partial`].
+/// table. Row sources start from [`SelectProgram::partial`]; the
+/// column-major kernels and the join's factorized folds produce one from
+/// their native return type (`into()`).
 #[derive(Debug)]
 pub struct Partial {
     acc: Acc,
@@ -170,21 +175,14 @@ impl SelectProgram {
         &self,
         filter: &CompiledFilter,
     ) -> Option<Vec<(AggOp, BoundAttr)>> {
-        let SelectProgram::Aggregate(aggs) = self else {
-            return None;
-        };
-        if !filter.is_always_true() {
-            return None;
+        match self {
+            SelectProgram::Aggregate(aggs) if filter.is_always_true() => fused::bare_columns(aggs),
+            _ => None,
         }
-        aggs.iter()
-            .map(|(f, e)| match e {
-                CompiledExpr::Col(a) => Some((*f, *a)),
-                _ => None,
-            })
-            .collect()
     }
 
-    /// An empty partial to [`Self::push`] tuples (or scan ranges) into.
+    /// An empty partial to [`Self::push`] rows (or `Self::feed` sources)
+    /// into.
     pub fn partial(&self) -> Partial {
         let (acc, scratch) = match self {
             SelectProgram::Project(es) => (Acc::Rows(QueryResult::new(es.len())), es.len()),
@@ -197,7 +195,7 @@ impl SelectProgram {
                 key_types,
                 aggs,
             } => (
-                Acc::Groups(grouped::table_for(key_types, aggs)),
+                Acc::Groups(table_for(key_types, aggs)),
                 keys.len() + aggs.len(),
             ),
         };
@@ -207,86 +205,103 @@ impl SelectProgram {
         }
     }
 
-    /// Feeds one stitched tuple — every attribute reference of the program
-    /// indexes `tuple` by its `offset` — into `partial`, `n` times: `n`
-    /// output rows, or one fold with multiplicity `n`
-    /// ([`AggState::update_n`], bit-identical to `n` single folds).
-    /// `partial` must come from this program's [`Self::partial`].
-    #[inline]
-    pub fn push(&self, partial: &mut Partial, tuple: &[Value], n: u64) {
-        let get = |a: BoundAttr| tuple[a.offset as usize];
+    /// The one per-row step of every select shape: computes the
+    /// select-items of one row, whose lanes `get` fetches by bound
+    /// attribute, into `partial`, `n` times — `n` output rows, or one fold
+    /// with multiplicity `n` ([`AggState::update_n`], bit-identical to `n`
+    /// single folds; a grouped row probes its table once). `partial` must
+    /// come from this program's [`Self::partial`].
+    #[inline(always)]
+    pub fn push(&self, partial: &mut Partial, get: impl Fn(BoundAttr) -> Value, n: u64) {
         let scratch = &mut partial.scratch;
         match (self, &mut partial.acc) {
             (SelectProgram::Project(exprs), Acc::Rows(out)) => {
-                for (slot, e) in scratch.iter_mut().zip(exprs) {
-                    *slot = e.eval(get);
-                }
-                for _ in 0..n {
-                    out.push_row(scratch);
-                }
+                project_row(exprs, out, scratch, get, n)
             }
             (SelectProgram::Aggregate(aggs), Acc::Aggs(states)) => {
-                for (st, (_, e)) in states.iter_mut().zip(aggs) {
-                    st.update_n(e.eval(get), n);
-                }
+                aggregate_row(aggs, states, get, n)
             }
             (SelectProgram::Grouped { keys, aggs, .. }, Acc::Groups(table)) => {
-                grouped::fold_row(table, keys, aggs, scratch, get, n);
+                grouped_row(keys, aggs, table, scratch, get, n)
             }
             _ => unreachable!("partial belongs to a different select shape"),
         }
     }
 
-    /// The fused source: filter and select-items in one pass over `range`,
-    /// folded into `partial` (from this program's [`Self::partial`]), so
-    /// consecutive ranges continue one fold chain.
-    pub(crate) fn scan_range(
+    /// Folds every row of `source` into `partial` (from this program's
+    /// [`Self::partial`]), so consecutive ranges or id chunks continue one
+    /// fold chain: bare-column aggregates through their specialized tiers
+    /// ([`fused::aggregate_range`]), every other shape through its
+    /// [`Self::push`] step, once per row. The shape is matched once per
+    /// source, not per row, so each source's row loop is compiled for
+    /// each shape's step (matching per row cost 2–9% on fused
+    /// projections, rollups and expression aggregates when measured).
+    pub(crate) fn feed(
         &self,
         views: &GroupViews<'_>,
-        filter: &CompiledFilter,
-        range: Range<usize>,
+        source: &RowSource<'_>,
         partial: &mut Partial,
     ) {
+        struct Project<'p>(&'p [CompiledExpr], &'p mut QueryResult, &'p mut [Value]);
+        impl RowBody for Project<'_> {
+            #[inline(always)]
+            fn row(&mut self, get: impl Fn(BoundAttr) -> Value) {
+                project_row(self.0, self.1, self.2, get, 1)
+            }
+        }
+        struct Aggregate<'p>(&'p [(AggOp, CompiledExpr)], &'p mut [AggState]);
+        impl RowBody for Aggregate<'_> {
+            #[inline(always)]
+            fn row(&mut self, get: impl Fn(BoundAttr) -> Value) {
+                aggregate_row(self.0, self.1, get, 1)
+            }
+        }
+        struct Grouped<'p>(
+            &'p [CompiledExpr],
+            &'p [(AggOp, CompiledExpr)],
+            &'p mut GroupedAggs,
+            &'p mut [Value],
+        );
+        impl RowBody for Grouped<'_> {
+            #[inline(always)]
+            fn row(&mut self, get: impl Fn(BoundAttr) -> Value) {
+                grouped_row(self.0, self.1, self.2, self.3, get, 1)
+            }
+        }
+        let scratch = &mut partial.scratch;
         match (self, &mut partial.acc) {
             (SelectProgram::Project(exprs), Acc::Rows(out)) => {
-                fused::project_range(views, filter, exprs, range, out)
+                source.for_each(views, &mut Project(exprs, out, scratch))
             }
             (SelectProgram::Aggregate(aggs), Acc::Aggs(states)) => {
-                fused::aggregate_range(views, filter, aggs, range, states)
+                match fused::bare_columns(aggs) {
+                    Some(cols) => fused::aggregate_range(views, source, &cols, states),
+                    None => source.for_each(views, &mut Aggregate(aggs, states)),
+                }
             }
             (SelectProgram::Grouped { keys, aggs, .. }, Acc::Groups(table)) => {
-                grouped::fused_range(views, filter, keys, aggs, range, table)
+                source.for_each(views, &mut Grouped(keys, aggs, table, scratch))
             }
             _ => unreachable!("partial belongs to a different select shape"),
         }
     }
 
-    /// Phase 2 of the id-based sources: computes the select-items for one
-    /// contiguous chunk of qualifying ids — tuple-at-a-time gathers for the
-    /// selection-vector strategy, materialized intermediate columns when
-    /// `columnar`.
-    pub(crate) fn gather(&self, views: &GroupViews<'_>, ids: &[u32], columnar: bool) -> Partial {
+    /// Phase 2 of the column-major strategy: computes the select-items for
+    /// one contiguous chunk of qualifying ids column at a time, through
+    /// materialized intermediate columns.
+    pub(crate) fn columnar(&self, views: &GroupViews<'_>, ids: &[u32]) -> Partial {
         match self {
-            SelectProgram::Project(exprs) if columnar => {
+            SelectProgram::Project(exprs) => {
                 colmajor::project_ids_columnar(views, ids, exprs).into()
             }
-            SelectProgram::Project(exprs) => selvector::project_ids(views, ids, exprs).into(),
-            SelectProgram::Aggregate(aggs) if columnar => {
+            SelectProgram::Aggregate(aggs) => {
                 colmajor::aggregate_ids_columnar(views, ids, aggs).into()
             }
-            SelectProgram::Aggregate(aggs) => selvector::aggregate_ids(views, ids, aggs).into(),
             SelectProgram::Grouped {
                 keys,
                 key_types,
                 aggs,
-            } => {
-                let kernel = if columnar {
-                    grouped::aggregate_ids_columnar
-                } else {
-                    grouped::aggregate_ids
-                };
-                kernel(views, ids, keys, key_types, aggs).into()
-            }
+            } => colmajor::grouped_ids_columnar(views, ids, keys, key_types, aggs).into(),
         }
     }
 
@@ -341,6 +356,199 @@ impl SelectProgram {
                 }
                 table.finish()
             }
+        }
+    }
+}
+
+/// [`SelectProgram::push`] for a projection: appends the row's
+/// select-items `n` times. The dominant single-expression template
+/// (`select a+b+c ...`) skips the row buffer.
+#[inline(always)]
+fn project_row(
+    exprs: &[CompiledExpr],
+    out: &mut QueryResult,
+    scratch: &mut [Value],
+    get: impl Fn(BoundAttr) -> Value,
+    n: u64,
+) {
+    if let [e] = exprs {
+        let v = e.eval(get);
+        for _ in 0..n {
+            out.push1(v);
+        }
+        return;
+    }
+    for (slot, e) in scratch.iter_mut().zip(exprs) {
+        *slot = e.eval(&get);
+    }
+    for _ in 0..n {
+        out.push_row(scratch);
+    }
+}
+
+/// [`SelectProgram::push`] for a scalar aggregate: folds each input with
+/// multiplicity `n`.
+#[inline(always)]
+fn aggregate_row(
+    aggs: &[(AggOp, CompiledExpr)],
+    states: &mut [AggState],
+    get: impl Fn(BoundAttr) -> Value,
+    n: u64,
+) {
+    for (st, (_, e)) in states.iter_mut().zip(aggs) {
+        st.update_n(e.eval(&get), n);
+    }
+}
+
+/// [`SelectProgram::push`] for a grouped aggregate: evaluates the keys and
+/// the aggregate inputs into `scratch` (keys first) and folds them with
+/// multiplicity `n` in one table probe.
+#[inline(always)]
+fn grouped_row(
+    keys: &[CompiledExpr],
+    aggs: &[(AggOp, CompiledExpr)],
+    table: &mut GroupedAggs,
+    scratch: &mut [Value],
+    get: impl Fn(BoundAttr) -> Value,
+    n: u64,
+) {
+    let (key, vals) = scratch.split_at_mut(keys.len());
+    for (slot, k) in key.iter_mut().zip(keys) {
+        *slot = k.eval(&get);
+    }
+    for (slot, (_, e)) in vals.iter_mut().zip(aggs) {
+        *slot = e.eval(&get);
+    }
+    table.update_n(key, vals, n);
+}
+
+/// A fresh table for a grouped program. Key types drive the typed
+/// ascending sort of [`GroupedAggs::finish`]; the table itself hashes raw
+/// lane bits.
+pub(crate) fn table_for(key_types: &[LogicalType], aggs: &[(AggOp, CompiledExpr)]) -> GroupedAggs {
+    GroupedAggs::new(key_types.to_vec(), aggs.iter().map(|(f, _)| *f).collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::filter::CompiledPred;
+    use crate::kernels::selvector::build_selvec_range;
+    use h2o_expr::{AggFunc, CmpOp};
+    use h2o_storage::{ColumnGroup, LogicalType};
+
+    fn ba(offset: u32) -> BoundAttr {
+        BoundAttr { slot: 0, offset }
+    }
+
+    /// One wide group: key = [1,2,1,2,1], val = [10,20,30,40,50],
+    /// filter attr = [0,1,2,3,4].
+    fn sample() -> ColumnGroup {
+        ColumnGroup::from_columns(
+            vec![AttrId(0), AttrId(1), AttrId(2)],
+            &[&[1, 2, 1, 2, 1], &[10, 20, 30, 40, 50], &[0, 1, 2, 3, 4]],
+        )
+        .unwrap()
+    }
+
+    /// `select a0, sum(a1), count(*) group by a0`.
+    fn program() -> SelectProgram {
+        SelectProgram::Grouped {
+            keys: vec![CompiledExpr::Col(ba(0))],
+            key_types: vec![LogicalType::I64],
+            aggs: vec![
+                (AggFunc::Sum.into(), CompiledExpr::Col(ba(1))),
+                (AggFunc::Count.into(), CompiledExpr::Col(ba(0))),
+            ],
+        }
+    }
+
+    fn feed(select: &SelectProgram, views: &GroupViews<'_>, source: RowSource<'_>) -> Partial {
+        let mut part = select.partial();
+        select.feed(views, &source, &mut part);
+        part
+    }
+
+    #[test]
+    fn every_source_groups_alike() {
+        let g = sample();
+        let views = GroupViews::from_groups(&[&g]);
+        let select = program();
+        let filter = CompiledFilter::new(vec![CompiledPred {
+            attr: ba(2),
+            op: CmpOp::Lt,
+            ty: LogicalType::I64,
+            value: 4,
+        }]);
+        // Qualifying rows 0..=3: key 1 -> {10, 30}, key 2 -> {20, 40}.
+        let fused = select.finish(vec![feed(&select, &views, RowSource::Scan(&filter, 0..5))]);
+        assert_eq!(fused.rows(), 2);
+        assert_eq!(fused.row(0), &[1, 40, 2]);
+        assert_eq!(fused.row(1), &[2, 60, 2]);
+        let sel = build_selvec_range(&views, &filter, 0..5);
+        assert_eq!(sel.ids(), &[0, 1, 2, 3]);
+        let by_ids = select.finish(vec![feed(&select, &views, RowSource::Ids(sel.ids()))]);
+        let columnar = select.finish(vec![select.columnar(&views, sel.ids())]);
+        assert_eq!(by_ids, fused);
+        assert_eq!(columnar, fused);
+    }
+
+    #[test]
+    fn range_partials_merge_to_full_fold() {
+        let g = sample();
+        let views = GroupViews::from_groups(&[&g]);
+        let select = program();
+        let always = CompiledFilter::always();
+        let full = select.finish(vec![feed(&select, &views, RowSource::Scan(&always, 0..5))]);
+        let partials = [0..2, 2..3, 3..5]
+            .into_iter()
+            .map(|r| feed(&select, &views, RowSource::Scan(&always, r)))
+            .collect();
+        assert_eq!(select.finish(partials), full);
+    }
+
+    #[test]
+    fn filtered_multi_group_grouped_matches_the_interpreter() {
+        use h2o_expr::{Aggregate, Conjunction, Expr, Predicate, Query};
+        // Keys from slot 0, aggregate inputs from both slots, filtered on
+        // slot 1.
+        let q = Query::grouped(
+            [Expr::col(0u32)],
+            [
+                Aggregate::sum(Expr::col(3u32)),
+                Aggregate::max(Expr::col(1u32)),
+                Aggregate::sum(Expr::col(2u32)),
+                Aggregate::count(),
+            ],
+            Conjunction::of([Predicate::lt(2u32, 60)]),
+        )
+        .unwrap();
+        for strategy in crate::Strategy::ALL {
+            let (got, want) = crate::kernels::testing::vs_interpreter(&q, strategy, true);
+            assert_eq!(got.rows(), 5);
+            assert_eq!(got, want, "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn multi_group_plans_stitch() {
+        let g1 = ColumnGroup::from_columns(vec![AttrId(0)], &[&[7, 7, 8]]).unwrap();
+        let g2 = ColumnGroup::from_columns(vec![AttrId(1)], &[&[1, 2, 3]]).unwrap();
+        let views = GroupViews::from_groups(&[&g1, &g2]);
+        let select = SelectProgram::Grouped {
+            keys: vec![CompiledExpr::Col(BoundAttr { slot: 0, offset: 0 })],
+            key_types: vec![LogicalType::I64],
+            aggs: vec![(
+                AggFunc::Max.into(),
+                CompiledExpr::Col(BoundAttr { slot: 1, offset: 0 }),
+            )],
+        };
+        let always = CompiledFilter::always();
+        for source in [RowSource::Scan(&always, 0..3), RowSource::Ids(&[0, 1, 2])] {
+            let out = select.finish(vec![feed(&select, &views, source)]);
+            assert_eq!(out.rows(), 2);
+            assert_eq!(out.row(0), &[7, 2]);
+            assert_eq!(out.row(1), &[8, 3]);
         }
     }
 }

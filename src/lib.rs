@@ -93,8 +93,8 @@
 //! ## Vectorized kernel inner loops (deviation from the paper)
 //!
 //! The paper's generated operators are scalar; this reproduction runs the
-//! hot inner loops — predicate evaluation, selection-vector build and
-//! id-gather, and the fused/column-major aggregate folds — in
+//! hot inner loops — predicate evaluation, the selection-vector build,
+//! and the fused/column-major aggregate folds — in
 //! portable-SIMD style over the 64-bit comparator-key lanes
 //! (`h2o_exec::kernels::simd`). The **lane/tail contract**: every segment
 //! run is processed as fixed-width 8-lane chunks (bounds checks hoisted

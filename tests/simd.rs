@@ -8,7 +8,7 @@
 //! inexact), and the capped runs a cancellation token induces at
 //! `CANCEL_CHECK_ROWS` boundaries.
 
-use h2o::exec::kernels::{colmajor, fused, selvector};
+use h2o::exec::kernels::{colmajor, fused, selvector, RowSource};
 use h2o::exec::{
     compile, execute, execute_with_policy, reorg, run, AccessPlan, BoundAttr, CancelToken, ExecCtx,
     ExecPolicy, GroupViews, Strategy,
@@ -168,7 +168,8 @@ proptest! {
                 (AggOp::new(f, LogicalType::F64), CompiledExpr::Col(BoundAttr { slot: 0, offset: 1 })),
             ];
             let mut vec_states: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
-            fused::aggregate_range(&views, &filter, &aggs, 0..rows, &mut vec_states);
+            let cols = fused::bare_columns(&aggs).unwrap();
+            fused::aggregate_range(&views, &RowSource::Scan(&filter, 0..rows), &cols, &mut vec_states);
             let vec_fin: Vec<Value> = vec_states.iter().map(|s| s.finish()).collect();
             let ref_fin: Vec<Value> = fused::aggregate_range_scalar(&views, &filter, &aggs, 0..rows)
                 .iter().map(|s| s.finish()).collect();
@@ -213,7 +214,8 @@ proptest! {
             for filter in &filters {
                 for range in &ranges {
                     let mut got: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
-                    fused::aggregate_range(&two, filter, aggs, range.clone(), &mut got);
+                    let cols = fused::bare_columns(aggs).unwrap();
+                    fused::aggregate_range(&two, &RowSource::Scan(filter, range.clone()), &cols, &mut got);
                     let got: Vec<Value> = got.iter().map(|s| s.finish()).collect();
                     let want: Vec<Value> = fused::aggregate_range_scalar(&two, filter, aggs, range.clone())
                         .iter().map(|s| s.finish()).collect();
