@@ -62,10 +62,9 @@ fn main() {
 
     let (mut sum_h2o, mut sum_col, mut sum_row, mut sum_opt) = (0.0, 0.0, 0.0, 0.0);
     for (i, tq) in workload.iter().enumerate() {
-        let (r_h2o, t_h2o) = time(|| {
+        let (out, t_h2o) = time(|| {
             h2o.run(Request::query(&tq.query).hint(tq.selectivity))
                 .unwrap()
-                .result
         });
         let (r_col, t_col) = time(|| col_engine.execute(&tq.query).unwrap());
         let (r_row, t_row) = time(|| row_engine.execute(&tq.query).unwrap());
@@ -85,12 +84,12 @@ fn main() {
         let (r_opt, t_opt) = time(|| staged.run().unwrap());
 
         // Every engine must agree — the differential invariant.
-        let want = r_h2o.fingerprint();
+        let want = out.result.fingerprint();
         assert_eq!(r_col.fingerprint(), want, "column mismatch at query {i}");
         assert_eq!(r_row.fingerprint(), want, "row mismatch at query {i}");
         assert_eq!(r_opt.fingerprint(), want, "oracle mismatch at query {i}");
 
-        let report = h2o.last_report().unwrap();
+        let report = out.report.query().unwrap();
         println!(
             "{i},{},{},{},{},{},{}",
             fmt_s(t_h2o),

@@ -14,7 +14,7 @@
 
 use h2o_adapt::WindowConfig;
 use h2o_bench::{csv_header, fmt_s, time, Args};
-use h2o_core::{EngineConfig, H2oEngine, Request};
+use h2o_core::{EngineConfig, H2oEngine, Outcome, Request};
 use h2o_storage::{Relation, Schema};
 use h2o_workload::sequence::fig9_sequence;
 use h2o_workload::synth::gen_columns;
@@ -57,29 +57,19 @@ fn main() {
             static_engine
                 .run(Request::query(&tq.query).hint(tq.selectivity))
                 .unwrap()
-                .result
         });
         let (rd, td) = time(|| {
             dynamic_engine
                 .run(Request::query(&tq.query).hint(tq.selectivity))
                 .unwrap()
-                .result
         });
         assert_eq!(
-            rs.fingerprint(),
-            rd.fingerprint(),
+            rs.result.fingerprint(),
+            rd.result.fingerprint(),
             "engines disagree at {i}"
         );
-        let sc = static_engine
-            .last_report()
-            .unwrap()
-            .created_layout
-            .is_some();
-        let dc = dynamic_engine
-            .last_report()
-            .unwrap()
-            .created_layout
-            .is_some();
+        let created = |out: &Outcome| out.report.query().unwrap().created_layout.is_some();
+        let (sc, dc) = (created(&rs), created(&rd));
         println!("{i},{},{},{sc},{dc}", fmt_s(ts), fmt_s(td));
         sum_s += ts;
         sum_d += td;

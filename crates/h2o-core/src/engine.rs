@@ -7,16 +7,16 @@
 //! `Arc` (or borrow it into scoped threads) and any number of clients can
 //! call [`H2oEngine::run`] at once.
 //!
-//! * **Snapshot-isolated reads.** The layout catalog is published as an
-//!   [`CatalogSnapshot`] (`Arc<LayoutCatalog>`) behind a single swap point.
-//!   A query clones the `Arc` once and plans, compiles and scans against
-//!   that immutable version — it can never observe a torn catalog, a
-//!   half-appended batch, or a half-admitted layout.
-//! * **Serialized writes.** Appends, layout materialization and drops run
-//!   behind one writer mutex. A writer clones the current catalog value
-//!   (cheap: groups are `Arc`-shared inside the catalog), mutates the
-//!   clone, and atomically publishes it. In-flight readers keep their old
-//!   snapshot and never block.
+//! * **Snapshot-isolated reads.** Every relation's catalog is published in
+//!   one [`DbSnapshot`] behind a single swap point. A request clones it
+//!   once and plans, compiles and scans against that immutable version — it
+//!   can never observe a torn catalog, a half-appended batch, a
+//!   half-admitted layout, or two relations from different writes.
+//! * **Serialized writes.** Appends, bindings, layout materialization and
+//!   drops run behind one writer mutex. A writer clones the current
+//!   catalog value (cheap: groups are `Arc`-shared inside the catalog),
+//!   mutates the clone, and atomically publishes it. In-flight readers
+//!   keep their old snapshot and never block.
 //! * **Off-path adaptation.** With
 //!   [`EngineConfig::background_reorg`] set, the query path only *observes*
 //!   patterns; advice and reorganization happen in [`H2oEngine::maintain`]
@@ -35,7 +35,7 @@ use h2o_cost::{AccessPattern, CostModel, GroupSpec, JoinRole};
 use h2o_exec::{
     reorg, AccessPlan, CancelToken, ExecCtx, ExecError, JoinExecStats, OperatorCache, Strategy,
 };
-use h2o_expr::{Conjunction, JoinQuery, Query, QueryError, QueryResult, Select, Side};
+use h2o_expr::{Conjunction, JoinQuery, Query, QueryError, Select, Side};
 use h2o_storage::{
     failpoints, AttrId, AttrSet, CatalogSnapshot, ColumnGroup, LayoutCatalog, LayoutId, Relation,
     Schema, StorageError,
@@ -73,9 +73,10 @@ pub enum EngineError {
         /// The panic message, best-effort stringified.
         payload: String,
     },
-    /// The query's [`CancelToken`] was cancelled before it finished. No
-    /// partial result, catalog version, report or statistics feedback is
-    /// ever published from a cancelled query. Its compiled operator may
+    /// The query's [`CancelToken`] was cancelled before it finished. It
+    /// returns no [`Outcome`], so no report (the last-report shims are not
+    /// written), and publishes no partial result, catalog version or
+    /// statistics feedback. Its compiled operator may
     /// stay in the operator cache: the operator depends only on the query
     /// shape, the plan and the layouts' lineage, so caching it changes no
     /// answer.
@@ -161,9 +162,9 @@ impl From<QueryError> for EngineError {
     }
 }
 
-/// What the engine did for the most recent query — the introspection hook
-/// the benchmark harness uses to annotate per-query timelines (Fig. 7's
-/// "queries 23 and 29 pay the creation overhead").
+/// What the engine did for one single-relation query — the introspection
+/// hook that annotates per-query timelines (Fig. 7's "queries 23 and 29
+/// pay the creation overhead").
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryReport {
     /// Strategy of the executed plan (`FusedVolcano` for fused
@@ -186,11 +187,11 @@ pub struct QueryReport {
 pub const PRIMARY_RELATION: &str = "R";
 
 /// A consistent point-in-time view of every relation the engine serves:
-/// the primary relation's published catalog version plus the published
-/// version of each named secondary relation. A join resolves **both** of
-/// its sides against one `DbSnapshot`, so the two sides can never see
-/// catalog versions from different points of the same relation's history —
-/// the multi-relation extension of the engine's snapshot isolation.
+/// the primary relation's catalog version plus the version of each named
+/// secondary relation, as one write published them. It is the engine's
+/// only published value, so every relation in it coexisted. A join
+/// resolves **both** of its sides against one `DbSnapshot` — the
+/// multi-relation extension of the engine's snapshot isolation.
 #[derive(Debug, Clone)]
 pub struct DbSnapshot {
     primary: CatalogSnapshot,
@@ -224,9 +225,9 @@ impl DbSnapshot {
     }
 }
 
-/// What the engine did for the most recent join query — build-side choice,
-/// per-side plans and selectivity estimates, and the executed join's
-/// cardinality counters.
+/// What the engine did for one join query — build-side choice, per-side
+/// plans and selectivity estimates, and the executed join's cardinality
+/// counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinReport {
     /// Whether the left relation was the hash-table build side.
@@ -249,6 +250,31 @@ pub struct JoinReport {
     pub exec: JoinExecStats,
 }
 
+/// What the engine did for one request ([`Outcome::report`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Report {
+    Query(QueryReport),
+    Join(JoinReport),
+}
+
+impl Report {
+    /// The single-relation query's report, if this is one.
+    pub fn query(&self) -> Option<&QueryReport> {
+        match self {
+            Report::Query(r) => Some(r),
+            Report::Join(_) => None,
+        }
+    }
+
+    /// The join's report, if this is one.
+    pub fn join(&self) -> Option<&JoinReport> {
+        match self {
+            Report::Join(r) => Some(r),
+            Report::Query(_) => None,
+        }
+    }
+}
+
 /// What one [`H2oEngine::maintain`] pump did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintenanceReport {
@@ -264,18 +290,12 @@ pub struct H2oEngine {
     model: CostModel,
     adviser: Adviser,
     opcache: OperatorCache,
-    /// The publish point: the currently visible catalog version of the
-    /// primary relation. Readers clone the `Arc` (snapshot isolation);
-    /// writers swap in a new version.
-    catalog: RwLock<CatalogSnapshot>,
-    /// Named secondary relations ([`H2oEngine::add_relation`]), published
-    /// as one immutable map behind its own swap point. Mutations
-    /// (add/append) run behind the same `writer` lock as primary-catalog
-    /// mutations, clone the map, and swap — readers holding a
-    /// [`DbSnapshot`] keep the old map.
-    secondary: RwLock<Arc<HashMap<String, CatalogSnapshot>>>,
-    /// Serializes every catalog mutation (append / reorganize / drop).
-    /// Readers never take it.
+    /// The publish point: the currently visible version of every relation.
+    /// Readers clone it (snapshot isolation); writers swap in a new one
+    /// through [`Self::publish`].
+    db: RwLock<DbSnapshot>,
+    /// Serializes every catalog mutation (append / bind / reorganize /
+    /// drop). Readers never take it.
     writer: Mutex<()>,
     /// The monitoring window every request's patterns feed. One coarse
     /// mutex: an observation is a few comparisons against at most
@@ -297,8 +317,9 @@ pub struct H2oEngine {
     /// Observed selectivity per [`Self::sel_key`] (exponentially smoothed),
     /// for single-relation filters and join sides alike.
     sel_history: Mutex<HashMap<u64, f64>>,
-    last_report: Mutex<Option<QueryReport>>,
-    last_join_report: Mutex<Option<JoinReport>>,
+    /// The last successful request's report, for the last-report shims.
+    /// Only [`Self::run`] writes it.
+    last: Mutex<Option<Report>>,
 }
 
 // Compile-time proof the engine may be shared across client threads.
@@ -317,8 +338,10 @@ impl H2oEngine {
             adviser: Adviser::default(),
             model: CostModel,
             opcache: OperatorCache::new(config.opcache_capacity, config.compile_cost),
-            catalog: RwLock::new(Arc::new(relation.into_catalog())),
-            secondary: RwLock::new(Arc::new(HashMap::new())),
+            db: RwLock::new(DbSnapshot {
+                primary: Arc::new(relation.into_catalog()),
+                named: Arc::new(HashMap::new()),
+            }),
             writer: Mutex::new(()),
             config,
             pending: Mutex::new(Vec::new()),
@@ -326,16 +349,15 @@ impl H2oEngine {
             adapt_running: AtomicBool::new(false),
             stats: Mutex::new(EngineStats::default()),
             sel_history: Mutex::new(HashMap::new()),
-            last_report: Mutex::new(None),
-            last_join_report: Mutex::new(None),
+            last: Mutex::new(None),
         }
     }
 
-    /// The currently published catalog version. The returned snapshot is
-    /// immutable and stays fully readable (and row-aligned) no matter what
-    /// writers publish afterwards.
+    /// The currently published catalog version of the primary relation.
+    /// The returned snapshot is immutable and stays fully readable (and
+    /// row-aligned) no matter what writers publish afterwards.
     pub fn snapshot(&self) -> CatalogSnapshot {
-        self.catalog.read().clone()
+        self.db.read().primary.clone()
     }
 
     /// The layout catalog (Data Layout Manager state) — an alias for
@@ -345,14 +367,11 @@ impl H2oEngine {
         self.snapshot()
     }
 
-    /// A consistent point-in-time view of every relation the engine serves
-    /// (primary + named secondaries). Joins resolve both sides against one
-    /// such snapshot.
+    /// The published point-in-time view of every relation the engine
+    /// serves: one swap point read once, so its relations coexisted.
+    /// Requests (both sides of a join included) run against one of these.
     pub fn db_snapshot(&self) -> DbSnapshot {
-        DbSnapshot {
-            primary: self.catalog.read().clone(),
-            named: self.secondary.read().clone(),
-        }
+        self.db.read().clone()
     }
 
     /// Binds a named secondary relation. Rebinding an existing name
@@ -369,45 +388,33 @@ impl H2oEngine {
             )));
         }
         self.mutate(|| {
-            let mut map = (**self.secondary.read()).clone();
-            map.insert(name.to_string(), Arc::new(relation.into_catalog()));
-            *self.secondary.write() = Arc::new(map);
+            self.publish(name, relation.into_catalog());
             Ok(())
         })
     }
 
-    /// The published catalog version of a named relation
-    /// ([`PRIMARY_RELATION`] or a bound secondary).
-    pub fn relation_snapshot(&self, name: &str) -> Result<CatalogSnapshot, EngineError> {
-        Ok(self.db_snapshot().relation(name)?.clone())
-    }
-
-    /// Appends tuples to a named relation: [`Self::insert`] semantics
-    /// (atomic publish, every coexisting layout receives the rows),
-    /// addressed by name. The primary relation's name routes to
-    /// [`Self::insert`].
+    /// Appends tuples to a named relation ([`PRIMARY_RELATION`] or a bound
+    /// secondary): [`Self::insert`] semantics (atomic publish, every
+    /// coexisting layout receives the rows), addressed by name.
     pub fn insert_into(
         &self,
         name: &str,
         tuples: &[Vec<h2o_storage::Value>],
     ) -> Result<(), EngineError> {
-        if name == PRIMARY_RELATION {
-            return self.insert(tuples);
-        }
         if tuples.is_empty() {
             self.db_snapshot().relation(name)?; // still validate the name
             return Ok(());
         }
         self.mutate(|| {
-            let map = self.secondary.read().clone();
-            let snap = map
-                .get(name)
-                .ok_or_else(|| QueryError::UnknownRelation(name.to_string()))?;
-            let new_cat = self.appended(snap, tuples)?;
-            let mut new_map = (*map).clone();
-            new_map.insert(name.to_string(), Arc::new(new_cat));
-            *self.secondary.write() = Arc::new(new_map);
-            self.stats.lock().snapshots_published += 1;
+            let mut new_cat = (**self.db_snapshot().relation(name)?).clone();
+            let delta = new_cat.append_rows(tuples)?;
+            {
+                let mut s = self.stats.lock();
+                s.rows_appended += tuples.len() as u64;
+                s.bytes_cloned_on_write += delta.bytes_cloned;
+                s.segments_sealed += delta.segments_sealed;
+            }
+            self.publish(name, new_cat);
             Ok(())
         })
     }
@@ -431,29 +438,20 @@ impl H2oEngine {
         })
     }
 
-    /// A copy of `catalog` with `tuples` appended to every layout, the
-    /// write counted in the engine statistics. Callers publish it.
-    fn appended(
-        &self,
-        catalog: &LayoutCatalog,
-        tuples: &[Vec<h2o_storage::Value>],
-    ) -> Result<LayoutCatalog, EngineError> {
-        let mut new_cat = catalog.clone();
-        let delta = new_cat.append_rows(tuples)?;
-        let mut s = self.stats.lock();
-        s.rows_appended += tuples.len() as u64;
-        s.bytes_cloned_on_write += delta.bytes_cloned;
-        s.segments_sealed += delta.segments_sealed;
-        Ok(new_cat)
-    }
-
-    /// Swaps in a new catalog version. Callers must hold the writer lock.
-    fn publish(&self, new_catalog: LayoutCatalog) -> CatalogSnapshot {
+    /// The one publish: swaps in (and counts) a [`DbSnapshot`] that binds
+    /// `name` to `catalog`. Callers must hold the writer lock.
+    fn publish(&self, name: &str, catalog: LayoutCatalog) -> DbSnapshot {
         failpoints::hit("catalog_publish");
-        let arc = Arc::new(new_catalog);
-        *self.catalog.write() = arc.clone();
+        let mut db = self.db_snapshot();
+        let catalog = Arc::new(catalog);
+        if name == PRIMARY_RELATION {
+            db.primary = catalog;
+        } else {
+            Arc::make_mut(&mut db.named).insert(name.to_string(), catalog);
+        }
+        *self.db.write() = db.clone();
         self.stats.lock().snapshots_published += 1;
-        arc
+        db
     }
 
     /// Engine statistics.
@@ -478,10 +476,17 @@ impl H2oEngine {
         self.pending.lock().clone()
     }
 
-    /// What the engine did for the most recent query (racy under concurrent
-    /// clients — it reports *some* recent query's plan).
+    /// The most recent successful request's report, if it was a
+    /// single-relation query. Racy under concurrent clients: read
+    /// [`Outcome::report`]. Kept, with [`Self::last_join_report`], only for
+    /// the frozen benchmark harness; ROADMAP item 9 deletes both.
     pub fn last_report(&self) -> Option<QueryReport> {
-        self.last_report.lock().clone()
+        self.last.lock().as_ref()?.query().cloned()
+    }
+
+    /// The most recent successful request's report, if it was a join.
+    pub fn last_join_report(&self) -> Option<JoinReport> {
+        self.last.lock().as_ref()?.join().cloned()
     }
 
     /// The exponentially smoothed selectivity the engine has observed for
@@ -518,20 +523,22 @@ impl H2oEngine {
     /// cached, which changes no answer: an operator depends only on the
     /// query shape, the plan and the layouts' lineage.
     ///
-    /// The returned [`Outcome`] carries the result rows *and* the
-    /// snapshot they were computed against, so callers can check the
-    /// answer against an oracle on the exact same data.
+    /// The returned [`Outcome`] carries the result rows, the snapshot
+    /// they were computed against (for an oracle check on the same data)
+    /// and the request's own [`Report`], which `run` also copies into the
+    /// last-report shims.
     pub fn run(&self, req: Request<'_>) -> Result<Outcome, EngineError> {
         let opts = &req.opts;
         self.guarded(opts, |ctx| {
-            let (snapshot, result) = match req.kind {
+            let out = match req.kind {
                 RequestKind::Query(q) => self.execute_attempt(q, opts.selectivity_hint, ctx)?,
                 RequestKind::Join(q) => {
                     let forced_build_is_left = opts.build_side.map(|s| s == Side::Left);
                     self.execute_join_attempt(q, forced_build_is_left, ctx)?
                 }
             };
-            Ok(Outcome { result, snapshot })
+            *self.last.lock() = Some(out.report.clone());
+            Ok(out)
         })
     }
 
@@ -564,12 +571,6 @@ impl H2oEngine {
             self.count_failure(e);
         }
         out
-    }
-
-    /// What the engine did for the most recent join query (racy under
-    /// concurrent clients, like [`Self::last_report`]).
-    pub fn last_join_report(&self) -> Option<JoinReport> {
-        self.last_join_report.lock().clone()
     }
 
     /// Resolves a request's options into the execution token: the
@@ -609,7 +610,7 @@ impl H2oEngine {
         q: &JoinQuery,
         forced_build_is_left: Option<bool>,
         ctx: &ExecCtx<'_>,
-    ) -> Result<(DbSnapshot, QueryResult), EngineError> {
+    ) -> Result<Outcome, EngineError> {
         // Plan-time type gate, as on the single-relation path: join keys
         // must share a logical type, dict keys join on codes only when the
         // dictionaries are shared, measures must be typed.
@@ -706,18 +707,21 @@ impl H2oEngine {
             let _ = self.try_pending(None, pat, ctx);
         }
 
-        *self.last_join_report.lock() = Some(JoinReport {
-            build_is_left,
-            left_strategy: lplan.strategy,
-            right_strategy: rplan.strategy,
-            left_layouts: lplan.layouts.clone(),
-            right_layouts: rplan.layouts.clone(),
-            estimated_cost: cost,
-            left_selectivity_estimate: lsel,
-            right_selectivity_estimate: rsel,
-            exec,
-        });
-        Ok((db, result))
+        Ok(Outcome {
+            result,
+            snapshot: db,
+            report: Report::Join(JoinReport {
+                build_is_left,
+                left_strategy: lplan.strategy,
+                right_strategy: rplan.strategy,
+                left_layouts: lplan.layouts,
+                right_layouts: rplan.layouts,
+                estimated_cost: cost,
+                left_selectivity_estimate: lsel,
+                right_selectivity_estimate: rsel,
+                exec,
+            }),
+        })
     }
 
     /// Rejects a join whose relation binding was typed against a schema
@@ -809,58 +813,55 @@ impl H2oEngine {
         q: &Query,
         selectivity_hint: Option<f64>,
         ctx: &ExecCtx<'_>,
-    ) -> Result<(DbSnapshot, QueryResult), EngineError> {
+    ) -> Result<Outcome, EngineError> {
         // Plan-time type gate: an ill-typed query (cross-type predicate or
         // arithmetic, ordered dict comparison, dict measure) is rejected
         // here, before planning, monitoring or adaptation observe it. The
         // typing is threaded into operator-cache lookups so validation
         // runs once per query, not once per layer.
-        let checked = h2o_expr::typecheck::check(q, self.catalog.read().schema())?;
-        // The outcome's secondary relations: the map as the request started.
-        let named = self.secondary.read().clone();
+        let checked = h2o_expr::typecheck::check(q, self.snapshot().schema())?;
 
         self.stats.lock().queries += 1;
         let sel = self.estimate_selectivity(None, q.filter(), selectivity_hint);
         let pattern = AccessPattern::of(q, sel);
 
-        let (snap, result) = match self.try_pending(Some(q), &pattern, ctx) {
-            Some(Ok((snap, Some(result)))) => (snap, result),
-            Some(Err(e)) => return Err(e),
-            _ => {
-                let snap = self.snapshot();
-                let (plan, cost) = self.plan_on(&snap, &pattern)?;
+        let out = match self.try_pending(Some(q), &pattern, ctx)? {
+            Some(out) => out,
+            None => {
+                let db = self.db_snapshot();
+                let snap = db.primary();
+                let (plan, cost) = self.plan_on(snap, &pattern)?;
                 let op = self
                     .opcache
-                    .get_or_compile_checked(&snap, &plan, q, &checked)?;
-                let (r, exec_stats) = h2o_exec::run(&snap, &op, ctx)?;
+                    .get_or_compile_checked(snap, &plan, q, &checked)?;
+                let (result, exec_stats) = h2o_exec::run(snap, &op, ctx)?;
                 if exec_stats.segments_skipped > 0 {
                     self.stats.lock().segments_skipped += exec_stats.segments_skipped;
                 }
-                *self.last_report.lock() = Some(QueryReport {
-                    strategy: plan.strategy,
-                    layouts: plan.layouts,
-                    created_layout: None,
-                    estimated_cost: cost,
-                    selectivity_estimate: sel,
-                });
-                (snap, r)
+                Outcome {
+                    result,
+                    snapshot: db,
+                    report: Report::Query(QueryReport {
+                        strategy: plan.strategy,
+                        layouts: plan.layouts,
+                        created_layout: None,
+                        estimated_cost: cost,
+                        selectivity_estimate: sel,
+                    }),
+                }
             }
         };
 
         // Selectivity feedback (projection queries expose the match count;
         // grouped queries do not — their row count is the distinct-key
         // count, not the qualifying-tuple count).
-        let projects = matches!(q.select_clause(), Select::Project(_));
-        if projects && snap.rows() > 0 {
-            let observed = result.rows() as f64 / snap.rows() as f64;
+        let rows = out.snapshot.primary().rows();
+        if matches!(q.select_clause(), Select::Project(_)) && rows > 0 {
+            let observed = out.result.rows() as f64 / rows as f64;
             self.record_selectivity(None, q.filter(), observed);
         }
         self.observe([pattern]);
-        let db = DbSnapshot {
-            primary: snap,
-            named,
-        };
-        Ok((db, result))
+        Ok(out)
     }
 
     /// Monitoring + periodic adaptation: feeds the executed request's
@@ -917,20 +918,19 @@ impl H2oEngine {
     /// kinds: if a pending layout covers `pattern` and the cost model says
     /// the request benefits, materialize it on the request's path. A
     /// single-relation query (`Some`) is answered *while* the group is
-    /// stitched, through the fused reorganization operator, and its result
-    /// returned; a join side (`None`) builds the group offline. Runs
-    /// behind the writer lock; if another writer holds it, the lazy path
-    /// is skipped for this request (readers must never block on
-    /// reorganization).
-    #[allow(clippy::type_complexity)]
+    /// stitched, through the fused reorganization operator, and its
+    /// [`Outcome`] returned; a join side (`None`) builds the group offline
+    /// and returns no outcome. Runs behind the writer lock; if another
+    /// writer holds it, the lazy path is skipped for this request (readers
+    /// must never block on reorganization).
     fn try_pending(
         &self,
         q: Option<&Query>,
         pattern: &AccessPattern,
         ctx: &ExecCtx<'_>,
-    ) -> Option<Result<(CatalogSnapshot, Option<QueryResult>), EngineError>> {
+    ) -> Result<Option<Outcome>, EngineError> {
         if !self.config.adaptive || self.config.background_reorg {
-            return None;
+            return Ok(None);
         }
         // Cheap screen: only requests that intersect some pending spec may
         // take the writer lock and pay for planning — unrelated requests
@@ -942,48 +942,42 @@ impl H2oEngine {
             .iter()
             .any(|g| needed.intersects(&g.attrs))
         {
-            return None;
+            return Ok(None);
         }
-        let _w = self.writer.try_lock()?;
-        // Under the writer lock the published catalog cannot change: this
-        // snapshot is the authoritative current version.
-        let snap = self.snapshot();
-        let current_cost = match self.plan_on(&snap, pattern) {
-            Ok((_, c)) => c,
-            Err(e) => return Some(Err(e)),
+        let Some(_w) = self.writer.try_lock() else {
+            return Ok(None);
         };
-
-        let (g, new_cost) = self.best_pending(&snap, pattern, current_cost)?;
+        // Under the writer lock the published snapshot cannot change: it
+        // is the authoritative current version.
+        let db = self.db_snapshot();
+        let snap = db.primary();
+        let current_cost = self.plan_on(snap, pattern)?.1;
+        let Some((g, new_cost)) = self.best_pending(snap, pattern, current_cost) else {
+            return Ok(None);
+        };
 
         let attrs: Vec<AttrId> = g.attrs.to_vec();
         let t0 = Instant::now();
-        let built = match q {
-            Some(q) => reorg::reorg_and_execute(&snap, &attrs, q, ctx)
-                .map(|(group, result)| (group, Some(result))),
-            None => reorg::materialize_with(&snap, &attrs, &ctx.policy).map(|g| (g, None)),
+        // A failed build, cooperative stops included, publishes nothing
+        // and the advice stays pending for a later request.
+        let (group, result) = match q {
+            Some(q) => reorg::reorg_and_execute(snap, &attrs, q, ctx).map(|(g, r)| (g, Some(r)))?,
+            None => (reorg::materialize_with(snap, &attrs, &ctx.policy)?, None),
         };
-        let (group, result) = match built {
-            Ok(v) => v,
-            // Includes cooperative stops: a cancelled fused reorganization
-            // publishes nothing and the advice stays pending for a later
-            // request.
-            Err(e) => return Some(Err(e.into())),
-        };
-        let (id, published) = match self.admit(group, t0.elapsed()) {
-            Ok(Some(admitted)) => admitted,
-            Ok(None) => return Some(Ok((snap, result))),
-            Err(e) => return Some(Err(e)),
-        };
-        if q.is_some() {
-            *self.last_report.lock() = Some(QueryReport {
+        let (id, published) = self.admit(group, t0.elapsed())?;
+        // A refused admission (the layout already stored) published
+        // nothing: the query ran on `db` and created no layout.
+        Ok(result.map(|result| Outcome {
+            result,
+            report: Report::Query(QueryReport {
                 strategy: Strategy::FusedVolcano,
                 layouts: vec![id],
-                created_layout: Some(id),
+                created_layout: published.is_some().then_some(id),
                 estimated_cost: new_cost,
                 selectivity_estimate: pattern.selectivity,
-            });
-        }
-        Some(Ok((published, result)))
+            }),
+            snapshot: published.unwrap_or(db),
+        }))
     }
 
     /// One adaptation round: feed the monitoring window to the adviser and
@@ -1110,7 +1104,7 @@ impl H2oEngine {
                     None => return false,
                 },
             };
-            return matches!(self.admit(group, build_time), Ok(Some(_)));
+            return matches!(self.admit(group, build_time), Ok((_, Some(_))));
         }
         false
     }
@@ -1162,9 +1156,10 @@ impl H2oEngine {
 
     /// Admits a built group — the one way a layout enters the catalog.
     /// Callers hold the writer lock, so the published version cannot move
-    /// under it. In order: refuses (`None`) an attribute set the catalog
-    /// already stores, adds the group, counts the build, publishes, and
-    /// retires the spec from the pending advice. Publishing before
+    /// under it. Returns the layout storing the group's attributes and the
+    /// snapshot published, if any. In order: refuses an attribute set the
+    /// catalog already stores, adds the group, counts the build, publishes,
+    /// and retires the spec from the pending advice. Publishing before
     /// retiring closes the race with [`Self::adapt`]: its prune snapshots
     /// the catalog after replacing the advice, so a concurrently
     /// re-recommended spec can never survive as pending for an existing
@@ -1173,11 +1168,11 @@ impl H2oEngine {
         &self,
         group: ColumnGroup,
         build_time: Duration,
-    ) -> Result<Option<(LayoutId, CatalogSnapshot)>, EngineError> {
+    ) -> Result<(LayoutId, Option<DbSnapshot>), EngineError> {
         let current = self.snapshot();
         let attrs = group.attr_set().clone();
-        if current.find_exact(&attrs).is_some() {
-            return Ok(None);
+        if let Some(id) = current.find_exact(&attrs) {
+            return Ok((id, None));
         }
         let mut new_cat = (*current).clone();
         let id = new_cat.add_group(group)?;
@@ -1186,9 +1181,9 @@ impl H2oEngine {
             s.reorg_time += build_time;
             s.layouts_created += 1;
         }
-        let published = self.publish(new_cat);
+        let published = self.publish(PRIMARY_RELATION, new_cat);
         self.retire(&attrs);
-        Ok(Some((id, published)))
+        Ok((id, Some(published)))
     }
 
     /// Spawns a **supervised** reorganizer thread that pumps
@@ -1278,8 +1273,7 @@ impl H2oEngine {
             }
             let t0 = Instant::now();
             let group = reorg::materialize_with(&snap, attrs, &self.config.exec_policy())?;
-            let admitted = self.admit(group, t0.elapsed())?;
-            Ok(admitted.expect("checked above under the writer lock").0)
+            Ok(self.admit(group, t0.elapsed())?.0)
         })
     }
 
@@ -1290,7 +1284,7 @@ impl H2oEngine {
         self.mutate(|| {
             let mut new_cat = (*self.snapshot()).clone();
             new_cat.drop_group(id)?;
-            self.publish(new_cat);
+            self.publish(PRIMARY_RELATION, new_cat);
             self.opcache.invalidate_layout(id);
             Ok(())
         })
@@ -1315,14 +1309,7 @@ impl H2oEngine {
     /// one chunk per layout), independent of relation and tail size
     /// (`EngineStats::bytes_cloned_on_write` measures exactly this).
     pub fn insert(&self, tuples: &[Vec<h2o_storage::Value>]) -> Result<(), EngineError> {
-        if tuples.is_empty() {
-            return Ok(());
-        }
-        self.mutate(|| {
-            let new_cat = self.appended(&self.snapshot(), tuples)?;
-            self.publish(new_cat);
-            Ok(())
-        })
+        self.insert_into(PRIMARY_RELATION, tuples)
     }
 
     /// A human-readable description of the plan the engine would choose
@@ -1538,11 +1525,13 @@ mod tests {
         cfg.window.min = 4;
         let e = engine(30, 4000, cfg);
         // 40 near-identical queries over {0..4} with filter on 5.
+        let mut last = None;
         for i in 0..40 {
             let q = expr_query(&[0, 1, 2, 3, 4], 5, (i % 7) * 100 - 300);
             let want = interpret(&e.catalog(), &q).unwrap();
-            let got = e.run(Request::query(&q)).unwrap().result;
-            assert_eq!(got.fingerprint(), want.fingerprint(), "query {i}");
+            let out = e.run(Request::query(&q)).unwrap();
+            assert_eq!(out.result.fingerprint(), want.fingerprint(), "query {i}");
+            last = Some(out.report);
         }
         let stats = e.stats();
         assert!(
@@ -1562,7 +1551,8 @@ mod tests {
             "expected a group covering the hot select cluster"
         );
         // And later queries should be using it.
-        let report = e.last_report().unwrap();
+        let last = last.unwrap();
+        let report = last.query().unwrap();
         let used = &report.layouts;
         let wide_used = used
             .iter()
@@ -1779,11 +1769,10 @@ mod tests {
         let e = engine(6, 1000, cfg);
         let q = expr_query(&[0, 1], 2, -900); // very selective
         assert_eq!(e.observed_selectivity(&q), None);
-        e.run(Request::query(&q)).unwrap();
-        let first_est = e.last_report().unwrap().selectivity_estimate;
+        let est = |out: Outcome| out.report.query().unwrap().selectivity_estimate;
+        let first_est = est(e.run(Request::query(&q)).unwrap());
         assert!((first_est - 0.5).abs() < 1e-9, "first run uses the default");
-        e.run(Request::query(&q)).unwrap();
-        let second_est = e.last_report().unwrap().selectivity_estimate;
+        let second_est = est(e.run(Request::query(&q)).unwrap());
         assert!(
             second_est < 0.3,
             "second run must use observed selectivity, got {second_est}"
@@ -1796,8 +1785,8 @@ mod tests {
     fn hint_overrides_history() {
         let e = engine(6, 500, EngineConfig::default());
         let q = expr_query(&[0], 1, 0);
-        e.run(Request::query(&q).hint(0.05)).unwrap();
-        assert!((e.last_report().unwrap().selectivity_estimate - 0.05).abs() < 1e-9);
+        let out = e.run(Request::query(&q).hint(0.05)).unwrap();
+        assert!((out.report.query().unwrap().selectivity_estimate - 0.05).abs() < 1e-9);
     }
 
     #[test]
@@ -2047,7 +2036,7 @@ mod tests {
         let q = expr_query(&[0], 1, 0);
         let want = interpret(&e.catalog(), &q).unwrap();
         let token = CancelToken::new();
-        let got = e
+        let out = e
             .run(
                 Request::query(&q)
                     .hint(0.05)
@@ -2055,10 +2044,9 @@ mod tests {
                     .cancel(&token)
                     .budget(1 << 20),
             )
-            .unwrap()
-            .result;
-        assert_eq!(got.fingerprint(), want.fingerprint());
-        assert!((e.last_report().unwrap().selectivity_estimate - 0.05).abs() < 1e-9);
+            .unwrap();
+        assert_eq!(out.result.fingerprint(), want.fingerprint());
+        assert!((out.report.query().unwrap().selectivity_estimate - 0.05).abs() < 1e-9);
     }
 
     #[test]
@@ -2259,7 +2247,7 @@ mod tests {
         // 1. `dim` has 16 rows: its tail chunk is partial and shared with
         //    the published snapshot, so the append clones it.
         let (e, _, _) = join_engine(64, 16, EngineConfig::default());
-        let dim_rows = || e.relation_snapshot("dim").unwrap().rows();
+        let dim_rows = || e.db_snapshot().relation("dim").unwrap().rows();
         fp::arm_nth("cow_clone", 1);
         let err = e.insert_into("dim", &[vec![100, 1000]]);
         assert!(
@@ -2347,7 +2335,7 @@ mod tests {
         let want =
             interpret_join(db.relation("R").unwrap(), db.relation("dim").unwrap(), &q).unwrap();
         assert_eq!(got.fingerprint(), want.fingerprint());
-        let rep = e.last_join_report().unwrap();
+        let rep = out.report.join().unwrap();
         assert_eq!(rep.exec.output_pairs, got.rows());
         assert_eq!(e.stats().queries, 1);
 
@@ -2515,8 +2503,8 @@ mod tests {
             .project([v0, tag])
             .unwrap();
 
-        let first = e.run(Request::join(&q)).unwrap().result;
-        let r1 = e.last_join_report().unwrap();
+        let out = e.run(Request::join(&q)).unwrap();
+        let (first, r1) = (out.result, out.report.join().unwrap().clone());
         assert!(
             !r1.build_is_left,
             "default estimate must build right: {r1:?}"
@@ -2530,8 +2518,8 @@ mod tests {
             "no filter, no history"
         );
 
-        let second = e.run(Request::join(&q)).unwrap().result;
-        let r2 = e.last_join_report().unwrap();
+        let out = e.run(Request::join(&q)).unwrap();
+        let (second, r2) = (out.result, out.report.join().unwrap().clone());
         assert!(
             r2.build_is_left,
             "observed selectivity must flip the build side: {r2:?}"
@@ -2600,17 +2588,11 @@ mod tests {
             .filter_right(Conjunction::of([Predicate::lt(0u32, 6)]))
             .project([v1, tag])
             .unwrap();
-        let a = e
-            .run(Request::join(&q).build_side(Side::Left))
-            .unwrap()
-            .result;
-        assert!(e.last_join_report().unwrap().exec.build_is_left);
-        let bres = e
-            .run(Request::join(&q).build_side(Side::Right))
-            .unwrap()
-            .result;
-        assert!(!e.last_join_report().unwrap().exec.build_is_left);
-        assert_eq!(a.fingerprint(), bres.fingerprint());
+        let a = e.run(Request::join(&q).build_side(Side::Left)).unwrap();
+        assert!(a.report.join().unwrap().exec.build_is_left);
+        let b = e.run(Request::join(&q).build_side(Side::Right)).unwrap();
+        assert!(!b.report.join().unwrap().exec.build_is_left);
+        assert_eq!(a.result.fingerprint(), b.result.fingerprint());
     }
 
     #[test]
@@ -2652,20 +2634,58 @@ mod tests {
 
     #[test]
     fn secondary_relations_are_snapshot_isolated() {
-        let (e, _fs, _ds) = join_engine(100, 8, EngineConfig::default());
+        let (e, _fs, ds) = join_engine(100, 8, EngineConfig::default());
+        // Binding "dim" was one counted swap.
+        assert_eq!(e.stats().snapshots_published, 1);
         assert_eq!(e.db_snapshot().relation_names(), vec!["R", "dim"]);
         let before = e.db_snapshot();
         e.insert_into("dim", &[vec![100, 1000], vec![101, 1010]])
             .unwrap();
+        assert_eq!(e.stats().snapshots_published, 2);
         // The pre-insert snapshot still sees the old version; a fresh
         // resolution sees the new rows.
         assert_eq!(before.relation("dim").unwrap().rows(), 8);
-        assert_eq!(e.relation_snapshot("dim").unwrap().rows(), 10);
-        // Inserting into an unbound name is an error; into the primary
-        // name, an alias for `insert`.
+        assert_eq!(e.db_snapshot().relation("dim").unwrap().rows(), 10);
+        // Binding another relation counts one more swap and keeps both.
+        let extra = Relation::columnar(ds, vec![vec![1], vec![10]]).unwrap();
+        e.add_relation("extra", extra).unwrap();
+        assert_eq!(e.stats().snapshots_published, 3);
+        assert_eq!(e.db_snapshot().relation("dim").unwrap().rows(), 10);
+        // Inserting into an unbound name is an error that publishes
+        // nothing; into the primary name, an alias for `insert`.
         assert!(e.insert_into("nope", &[vec![1, 2]]).is_err());
+        assert_eq!(e.stats().snapshots_published, 3);
         e.insert_into(PRIMARY_RELATION, &[vec![0, 0, 0]]).unwrap();
         assert_eq!(e.snapshot().rows(), 101);
+        assert_eq!(e.stats().snapshots_published, 4);
+    }
+
+    #[test]
+    fn every_outcome_report_matches_the_shim() {
+        // Lazy mode: the hot cluster is materialized on the query path by
+        // a fused reorganization query, and joins run in between.
+        let mut cfg = EngineConfig::default();
+        cfg.window.initial = 10;
+        cfg.window.min = 4;
+        let (e, fs, ds) = join_engine(4000, 16, cfg);
+        let b = Query::join(("R", fs), ("dim", ds));
+        let (v0, tag) = (b.col("v0").unwrap(), b.col("tag").unwrap());
+        let join = b.on("fk", "k").unwrap().project([v0, tag]).unwrap();
+        let mut created = 0;
+        for i in 0..40 {
+            if i % 10 == 5 {
+                let out = e.run(Request::join(&join)).unwrap();
+                assert_eq!(out.report.join().cloned(), e.last_join_report());
+                assert_eq!(e.last_report(), None, "one slot, one request kind");
+            } else {
+                let q = expr_query(&[1, 2], 0, (i % 7) * 2 + 2);
+                let out = e.run(Request::query(&q)).unwrap();
+                assert_eq!(out.report.query().cloned(), e.last_report());
+                assert_eq!(e.last_join_report(), None, "one slot, one request kind");
+                created += out.report.query().unwrap().created_layout.map_or(0, |_| 1);
+            }
+        }
+        assert!(created >= 1, "a fused reorganization query must have run");
     }
 
     #[test]

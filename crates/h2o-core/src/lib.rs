@@ -33,7 +33,8 @@ pub use baseline::{StaticEngine, StaticKind};
 pub use config::EngineConfig;
 pub use engine::{
     DbSnapshot, EngineError, H2oEngine, JoinReport, MaintenanceReport, QueryReport,
-    ReorganizerHandle, ReorganizerStatus, PRIMARY_RELATION, REORG_BACKOFF_BASE, REORG_BACKOFF_CAP,
+    ReorganizerHandle, ReorganizerStatus, Report, PRIMARY_RELATION, REORG_BACKOFF_BASE,
+    REORG_BACKOFF_CAP,
 };
 pub use h2o_exec::{CancelReason, CancelToken};
 pub use request::{ExecOptions, Outcome, Request};

@@ -8,13 +8,15 @@
 //! a morsel budget, a forced join build side under a deadline — spellings
 //! the old nine-method surface could not express.
 //!
-//! Every successful run returns an [`Outcome`]: the result rows plus the
+//! Every successful run returns an [`Outcome`]: the result rows, the
 //! [`DbSnapshot`] they were computed against — one snapshot type for both
 //! request kinds — so callers (differential tests, the `h2o-server` oracle
-//! check) can re-derive the answer from the exact same data without a
-//! separate `_snapshot` method family.
+//! check) can re-derive the answer from the exact same data, and the
+//! [`Report`] of what the engine did for this request (plan, layouts read,
+//! layout created), which no concurrent request can overwrite. A failed
+//! request returns only its typed error.
 
-use crate::engine::DbSnapshot;
+use crate::engine::{DbSnapshot, Report};
 use h2o_exec::CancelToken;
 use h2o_expr::{JoinQuery, Query, QueryResult, Side};
 use std::time::Duration;
@@ -181,7 +183,8 @@ impl<'a> Request<'a> {
 }
 
 /// What [`H2oEngine::run`](crate::H2oEngine::run) returns: the result
-/// rows plus the snapshot they were computed against.
+/// rows, the snapshot they were computed against, and the request's own
+/// report.
 #[derive(Debug)]
 pub struct Outcome {
     /// The query's result rows.
@@ -189,11 +192,15 @@ pub struct Outcome {
     /// The exact data version the result was computed from — the hook
     /// differential tests and the server's oracle check use to re-derive
     /// the answer on the same data. A join's is the one view both sides
-    /// resolved against. A single-relation query's pairs the primary
-    /// catalog version it ran on (the one it published, after a fused
-    /// reorganization) with the secondary relations as the request
-    /// started. `Arc`-backed: returning it copies no data.
+    /// resolved against; a single-relation query's is the one it ran on
+    /// (the one it published, after a fused reorganization).
+    /// `Arc`-backed: returning it copies no data.
     pub snapshot: DbSnapshot,
+    /// What the engine did for this request: a [`Report::Query`] for a
+    /// single-relation query (strategy, layouts read, the layout a fused
+    /// reorganization created), a [`Report::Join`] for a join (build side,
+    /// per-side plans, cardinalities).
+    pub report: Report,
 }
 
 impl Outcome {

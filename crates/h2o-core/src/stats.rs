@@ -40,8 +40,8 @@ pub struct EngineStats {
     pub probe_bloom_rejects: u64,
     /// Workload shifts detected by the monitoring window.
     pub shifts_detected: u64,
-    /// Catalog snapshots atomically published (appends, layout creations,
-    /// drops — each is one copy-on-write swap readers pick up).
+    /// `DbSnapshot`s atomically published (appends, relation bindings,
+    /// layout creations, drops — each is one swap readers pick up).
     pub snapshots_published: u64,
     /// Wall-clock time spent building layouts, by the same paths as
     /// [`Self::layouts_created`]. A fused build's time includes answering

@@ -49,9 +49,10 @@ fn main() {
     // the adviser built for the join's key + payload columns.
     for (batch, chunk) in w.queries.chunks(40).enumerate() {
         let t0 = Instant::now();
-        let mut checked = 0;
+        let (mut checked, mut build_is_left) = (0, false);
         for (i, q) in chunk.iter().enumerate() {
             let out = engine.run(Request::join(q)).unwrap();
+            build_is_left = out.report.join().unwrap().build_is_left;
             let (db, got) = (&out.snapshot, out.result);
             // Differential check on a sample of the stream, against the
             // interpreter on the very snapshot the engine answered from.
@@ -67,16 +68,11 @@ fn main() {
                 checked += 1;
             }
         }
-        let report = engine.last_join_report().unwrap();
         println!(
             "batch {batch}: 40 joins in {:>7.3}s  ({checked} differentially checked, \
              last build side: {}, {} photo layouts, {} created so far)",
             t0.elapsed().as_secs_f64(),
-            if report.build_is_left {
-                "photo"
-            } else {
-                "spec"
-            },
+            if build_is_left { "photo" } else { "spec" },
             engine.catalog().group_count(),
             engine.stats().layouts_created,
         );
@@ -103,8 +99,8 @@ fn main() {
         .iter()
         .find(|q| q.select_clause().is_grouped())
         .unwrap();
-    let out = engine.run(Request::join(rollup)).unwrap().result;
-    let report = engine.last_join_report().unwrap();
+    let out = engine.run(Request::join(rollup)).unwrap();
+    let report = out.report.join().unwrap();
     println!(
         "\nsample rollup (greedy build side: {}, estimated selectivities \
          photo {:.2} / spec {:.2}):",
@@ -117,7 +113,7 @@ fn main() {
         report.right_selectivity_estimate,
     );
     println!("    type        sum(z)     count");
-    for row in out.iter_rows() {
+    for row in out.result.iter_rows() {
         // Grouped join output: i64 key lane, f64 sum lane, i64 count.
         println!(
             "{:>8}  {:>12.3}  {:>8}",

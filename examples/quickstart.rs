@@ -63,14 +63,12 @@ fn main() {
             Conjunction::of([Predicate::lt(3u32, (i - 10) * 50_000_000)]),
         )
         .unwrap();
-        engine.run(Request::query(&q)).unwrap();
-        if let Some(report) = engine.last_report() {
-            if let Some(layout) = report.created_layout {
-                println!(
-                    "query {:>2}: materialized layout {layout} while answering",
-                    i + 2
-                );
-            }
+        let out = engine.run(Request::query(&q)).unwrap();
+        if let Some(layout) = out.report.query().and_then(|r| r.created_layout) {
+            println!(
+                "query {:>2}: materialized layout {layout} while answering",
+                i + 2
+            );
         }
     }
 

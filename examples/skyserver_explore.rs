@@ -29,12 +29,12 @@ fn main() {
     let mut phase_time = 0.0f64;
     for (i, tq) in workload.iter().enumerate() {
         let t = Instant::now();
-        engine
+        let out = engine
             .run(Request::query(&tq.query).hint(tq.selectivity))
             .unwrap();
         phase_time += t.elapsed().as_secs_f64();
 
-        if let Some(created) = engine.last_report().and_then(|r| r.created_layout) {
+        if let Some(created) = out.report.query().and_then(|r| r.created_layout) {
             let snapshot = engine.catalog();
             let g = snapshot.group(created).unwrap();
             let names: Vec<&str> = g

@@ -257,10 +257,12 @@
 //! [`H2oEngine::run`](h2o_core::H2oEngine::run) takes a
 //! [`Request`](h2o_core::Request) (a query shape plus composable
 //! [`ExecOptions`](h2o_core::ExecOptions)) and returns an
-//! [`Outcome`](h2o_core::Outcome): the result rows plus the exact
-//! snapshot they were computed from. Options compose freely — there is
-//! no method-per-combination family (the old `H2oEngine::execute_*`
-//! methods are gone):
+//! [`Outcome`](h2o_core::Outcome): the result rows, the exact snapshot
+//! they were computed from, and the [`Report`](h2o_core::Report) of what
+//! the engine did for this request alone (plan, layouts read, layout
+//! created), which no concurrent client can overwrite. Options compose
+//! freely — there is no method-per-combination family (the old
+//! `H2oEngine::execute_*` methods are gone):
 //!
 //! ```
 //! use h2o::prelude::*;
@@ -291,6 +293,12 @@
 //! // caller can re-derive it differentially:
 //! let want = h2o::expr::interpret(out.snapshot.primary(), &q).unwrap();
 //! assert_eq!(out.result.fingerprint(), want.fingerprint());
+//!
+//! // ...and its own report: the hinted estimate it planned with, and no
+//! // layout built (nothing was pending yet).
+//! let report = out.report.query().unwrap();
+//! assert_eq!(report.selectivity_estimate, 0.1);
+//! assert_eq!(report.created_layout, None);
 //! ```
 //!
 //! This is also the server's API: the `h2o-server` crate speaks a
@@ -323,12 +331,14 @@
 //! The engine is shared: [`H2oEngine::run`](h2o_core::H2oEngine::run)
 //! takes `&self`, so any number of client threads can query one engine
 //! (wrap it in an `Arc` or borrow it into scoped threads). Reads are
-//! **snapshot-isolated**: each query pins the currently published
-//! `Arc<LayoutCatalog>` ([`storage::CatalogSnapshot`]) and plans, compiles
-//! and scans against that immutable version. Appends, explicit layout
-//! administration and adaptive reorganization serialize behind a writer
-//! lock and publish new catalog versions in one atomic swap — in-flight
-//! readers keep their snapshot and never block. Group payloads are
+//! **snapshot-isolated**: each request pins the currently published
+//! [`DbSnapshot`](h2o_core::DbSnapshot) — one `Arc<LayoutCatalog>`
+//! ([`storage::CatalogSnapshot`]) per relation, all from one point in
+//! time — and plans, compiles and scans against that immutable version.
+//! Appends, relation bindings, explicit layout administration and
+//! adaptive reorganization serialize behind a writer lock and publish a
+//! new `DbSnapshot` in one atomic swap — in-flight readers keep theirs
+//! and never block. Group payloads are
 //! **segmented** (64K-row `Arc`-shared segments plus a tail of `Arc`-shared
 //! 1K-row chunks), so the copy-on-write cost of an append batch is
 //! O(batch + one chunk per layout), independent of relation and tail size

@@ -2,7 +2,7 @@
 //! clusters, shifts re-trigger adaptation, oscillation does not thrash, and
 //! adaptation can start from any initial layout.
 
-use h2o::core::{EngineConfig, H2oEngine};
+use h2o::core::{EngineConfig, H2oEngine, QueryReport};
 use h2o::expr::interpret;
 use h2o::prelude::*;
 use h2o::workload::sequence::{oscillating_sequence, shifted_sequence};
@@ -26,17 +26,22 @@ fn row_major(n_attrs: usize, rows: usize, seed: u64) -> Relation {
 }
 
 /// Drives a workload through the engine, checking every answer against the
-/// interpreter, and returns the engine for inspection.
-fn drive(engine: H2oEngine, workload: &[h2o::workload::TimedQuery]) -> H2oEngine {
+/// interpreter, and returns the last query's report.
+fn drive(engine: &H2oEngine, workload: &[h2o::workload::TimedQuery]) -> QueryReport {
+    let mut last = None;
     for (i, tq) in workload.iter().enumerate() {
         let want = interpret(&engine.catalog(), &tq.query).unwrap();
-        let got = engine
+        let out = engine
             .run(Request::query(&tq.query).hint(tq.selectivity))
-            .unwrap()
-            .result;
-        assert_eq!(got.fingerprint(), want.fingerprint(), "query {i} diverged");
+            .unwrap();
+        assert_eq!(
+            out.result.fingerprint(),
+            want.fingerprint(),
+            "query {i} diverged"
+        );
+        last = out.report.query().cloned();
     }
-    engine
+    last.expect("a non-empty workload of single-relation queries")
 }
 
 #[test]
@@ -56,10 +61,9 @@ fn hot_cluster_produces_layout_and_it_gets_used() {
             }
         })
         .collect();
-    let engine = drive(engine, &workload);
+    let report = drive(&engine, &workload);
     assert!(engine.stats().layouts_created >= 1, "{:?}", engine.stats());
     // The last queries should execute on a multi-attribute group.
-    let report = engine.last_report().unwrap();
     assert!(report
         .layouts
         .iter()
@@ -70,7 +74,7 @@ fn hot_cluster_produces_layout_and_it_gets_used() {
 fn workload_shift_is_detected_and_followed() {
     let engine = engine_with(columnar(60, 5_000, 2), 12);
     let workload = shifted_sequence(60, 70, 25, 20, 7);
-    let engine = drive(engine, &workload);
+    drive(&engine, &workload);
     let stats = engine.stats();
     assert!(stats.shifts_detected >= 1, "shift missed: {stats:?}");
     assert!(
@@ -99,7 +103,7 @@ fn adaptation_works_from_row_major_start() {
             }
         })
         .collect();
-    let engine = drive(engine, &workload);
+    drive(&engine, &workload);
     // Starting from one wide group, the engine should have carved out a
     // narrow layout for the hot trio.
     assert!(
@@ -112,7 +116,7 @@ fn adaptation_works_from_row_major_start() {
 fn oscillating_workload_does_not_thrash() {
     let engine = engine_with(columnar(30, 3_000, 4), 8);
     let workload = oscillating_sequence(30, 80, 5, 9);
-    let engine = drive(engine, &workload);
+    drive(&engine, &workload);
     let stats = engine.stats();
     // Layouts for (at most) the two classes — not one per oscillation.
     assert!(
@@ -129,7 +133,7 @@ fn oscillating_workload_does_not_thrash() {
 fn non_adaptive_ablation_still_correct() {
     let engine = H2oEngine::new(columnar(20, 2_000, 5), EngineConfig::non_adaptive());
     let workload = shifted_sequence(20, 30, 10, 8, 3);
-    let engine = drive(engine, &workload);
+    drive(&engine, &workload);
     assert_eq!(engine.stats().layouts_created, 0);
     assert_eq!(engine.stats().adaptations, 0);
 }

@@ -21,7 +21,7 @@ use h2o::workload::synth::{gen_columns, threshold_for_selectivity, VALUE_MAX, VA
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const ATTRS: usize = 12;
@@ -300,4 +300,83 @@ fn explicit_materialize_and_drop_race_readers_safely() {
         }
     });
     assert_untorn(&engine.snapshot(), "final");
+}
+
+/// Each client's `Outcome` carries the report of its own request, whatever
+/// another client runs meanwhile: over `[a0] [a1, a2]`, a shape reading
+/// `a0` and a shape reading `a1 + a2` plan different layouts, and no
+/// report ever names the other shape's layout.
+#[test]
+fn each_client_gets_its_own_report() {
+    let schema = Schema::with_width(3).into_shared();
+    let partition = vec![vec![AttrId(0)], vec![AttrId(1), AttrId(2)]];
+    let relation =
+        Relation::partitioned(schema, gen_columns(3, ROWS, stress_seed()), partition).unwrap();
+    let engine = H2oEngine::new(relation, EngineConfig::non_adaptive());
+    let snap = engine.snapshot();
+    let layout_of = |a: AttrId| snap.groups().find(|g| g.attrs().contains(&a)).unwrap().id();
+    let shapes = [
+        (Expr::col(0u32), layout_of(AttrId(0))),
+        (Expr::sum_of([AttrId(1), AttrId(2)]), layout_of(AttrId(1))),
+    ];
+    assert_ne!(shapes[0].1, shapes[1].1);
+    let start = Barrier::new(shapes.len());
+    std::thread::scope(|s| {
+        for (expr, layout) in shapes {
+            let (engine, start) = (&engine, &start);
+            s.spawn(move || {
+                let q = Query::aggregate([Aggregate::sum(expr)], Conjunction::always()).unwrap();
+                start.wait();
+                for i in 0..500 {
+                    let out = engine.run(Request::query(&q)).unwrap();
+                    let report = out.report.query().expect("a query's report");
+                    assert_eq!(report.layouts, vec![layout], "request {i} of {q}");
+                }
+            });
+        }
+    });
+}
+
+/// One `db_snapshot()` is one point in time. A writer alternates one-row
+/// appends to `R` and to `dim`, so every published version has
+/// `dim_added <= r_added <= dim_added + 1`; a snapshot pairing the two
+/// relations from different writes breaks it.
+#[test]
+fn db_snapshot_is_one_point_in_time() {
+    const WRITES: usize = 2_000;
+    let engine = shared_engine(EngineConfig::non_adaptive());
+    let dim = Relation::columnar(Schema::with_width(2).into_shared(), vec![vec![0], vec![0]]);
+    engine.add_relation("dim", dim.unwrap()).unwrap();
+    let (done, start) = (AtomicBool::new(false), Barrier::new(READERS + 1));
+    std::thread::scope(|s| {
+        let (engine, done, start) = (&engine, &done, &start);
+        s.spawn(move || {
+            start.wait();
+            for _ in 0..WRITES {
+                engine.insert(&[vec![1; ATTRS]]).unwrap();
+                engine.insert_into("dim", &[vec![1, 1]]).unwrap();
+            }
+            done.store(true, Ordering::Release);
+        });
+        for t in 0..READERS {
+            s.spawn(move || {
+                let mut checks = 0u64;
+                start.wait();
+                while !done.load(Ordering::Acquire) {
+                    let db = engine.db_snapshot();
+                    let r_added = db.primary().rows() - ROWS;
+                    let dim_added = db.relation("dim").unwrap().rows() - 1;
+                    assert!(
+                        dim_added <= r_added && r_added <= dim_added + 1,
+                        "reader {t}: torn snapshot at check {checks}: \
+                         R +{r_added}, dim +{dim_added}"
+                    );
+                    checks += 1;
+                }
+            });
+        }
+    });
+    let db = engine.db_snapshot();
+    assert_eq!(db.primary().rows(), ROWS + WRITES);
+    assert_eq!(db.relation("dim").unwrap().rows(), 1 + WRITES);
 }

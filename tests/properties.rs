@@ -301,8 +301,8 @@ mod selectivity_feedback {
                     } else {
                         Request::query(&q)
                     };
-                    e.run(req).unwrap();
-                    let report = e.last_report().unwrap();
+                    let out = e.run(req).unwrap();
+                    let report = out.report.query().unwrap();
                     prop_assert!(
                         (0.0..=1.0).contains(&report.selectivity_estimate),
                         "planning estimate escaped [0,1]: {}",
