@@ -486,6 +486,18 @@ impl<'a> SlotAccessor<'_, 'a> {
         self.segs[row >> self.shift][(row & self.mask) * self.width + offset]
     }
 
+    /// A fetch of the lanes at `offset` for the ascending, non-empty
+    /// `rows`, when they all lie in one segment: `fetch(row)` is
+    /// [`Self::value`]`(row, offset)` at one slice index.
+    #[inline]
+    pub fn within(&self, rows: &[u32], offset: usize) -> Option<impl Fn(usize) -> Value + 'a> {
+        let (first, last) = (*rows.first()? as usize, *rows.last()? as usize);
+        let seg = self.segs[first >> self.shift];
+        let (mask, width) = (self.mask, self.width);
+        (first >> self.shift == last >> self.shift)
+            .then_some(move |row| seg[(row & mask) * width + offset])
+    }
+
     /// The full tuple of `row` as a contiguous slice (tuples never
     /// straddle pieces).
     #[inline(always)]

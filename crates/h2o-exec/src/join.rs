@@ -118,9 +118,9 @@ use crate::bloom::JoinFilter;
 use crate::compile::{plan_binder, ExecCtx, ExecError};
 use crate::filter::CompiledFilter;
 use crate::kernels;
-use crate::kernels::simd::{self, BLOCK_ROWS};
+use crate::kernels::simd::BLOCK_ROWS;
 use crate::parallel::{run_chunks, run_ranges, ExecPolicy};
-use crate::plan::{AccessPlan, Strategy};
+use crate::plan::AccessPlan;
 use crate::program::CompiledExpr;
 use crate::sink::{table_for, Partial, SelectProgram};
 use h2o_expr::agg::{AggFunc, AggOp, AggState};
@@ -156,46 +156,16 @@ impl CompiledJoinSide {
         &self.filter
     }
 
-    /// Hands this side's qualifying row ids in `range` to `block`,
-    /// ascending and `BLOCK_ROWS` at a time (the last block of the range
-    /// may be shorter), according to its plan's strategy; returns the
-    /// qualifying count. This is the "find the rows" half of both build
-    /// and probe: the fused scan's row walker over the pruned segment
-    /// runs, or 1K-id chunks of the selection vector.
+    /// This side's qualifying row ids in `range`, 1K at a time by its
+    /// plan's strategy ([`kernels::qualifying_blocks`]), handed to `block`;
+    /// returns their count. The "find the rows" half of build and probe.
     fn for_each_block(
         &self,
         views: &GroupViews<'_>,
         range: Range<usize>,
-        mut block: impl FnMut(&[u32]),
+        block: impl FnMut(&[u32]),
     ) -> usize {
-        match self.plan.strategy {
-            Strategy::FusedVolcano => {
-                let mut n = 0usize;
-                let mut ids: Vec<u32> = Vec::with_capacity(BLOCK_ROWS);
-                let mut flush = |ids: &mut Vec<u32>| {
-                    n += ids.len();
-                    block(ids);
-                    ids.clear();
-                };
-                for run in views.runs_pruned(range, &self.filter) {
-                    let start = run.start();
-                    simd::RunFilter::resolve(&run, &self.filter).for_each_row(|i| {
-                        ids.push((start + i) as u32);
-                        if ids.len() == BLOCK_ROWS {
-                            flush(&mut ids);
-                        }
-                    });
-                }
-                flush(&mut ids);
-                n
-            }
-            strategy => {
-                let columnar = strategy == Strategy::ColumnMajor;
-                let sel = kernels::qualifying_ids(columnar, views, &self.filter, range);
-                sel.ids().chunks(BLOCK_ROWS).for_each(block);
-                sel.len()
-            }
-        }
+        kernels::qualifying_blocks(self.plan.strategy, views, &self.filter, range, block)
     }
 
     /// Stage 1 of a block: the key lanes of `rows`, gathered column by
@@ -970,6 +940,7 @@ impl<'a> Probe<'a> {
 mod tests {
     use super::*;
     use crate::cancel::CancelToken;
+    use crate::plan::Strategy;
     use h2o_expr::{check_join, interpret_join, Aggregate, Conjunction, Predicate, Query};
     use h2o_storage::{f64_lane, LogicalType, Relation, Schema};
     use std::sync::Arc;

@@ -30,13 +30,14 @@
 //! materializes its own (proportionally smaller) intermediate columns, so
 //! the strategy's cost structure is preserved per morsel.
 
-use super::simd;
+use super::grouped::GroupBlock;
+use super::simd::{self, BLOCK_ROWS};
 use crate::bind::{BoundAttr, GroupViews};
 use crate::filter::CompiledFilter;
 use crate::program::{CompiledExpr, OpCode};
 use crate::selvec::SelVec;
 use crate::sink::table_for;
-use h2o_expr::agg::{AggOp, AggState};
+use h2o_expr::agg::{AggFunc, AggOp, AggState};
 use h2o_expr::{GroupedAggs, QueryResult};
 use h2o_storage::{f64_lane, lane_f64, LogicalType, Value};
 use std::ops::Range;
@@ -48,11 +49,15 @@ enum ColVec {
     Const(Value),
 }
 
-/// Gathers `attr` for the selected rows into a fresh intermediate column.
+/// Gathers `attr` for the selected rows into a fresh intermediate column
+/// (slicing the segment once when the ascending ids share one).
 fn gather_attr(views: &GroupViews<'_>, attr: BoundAttr, ids: &[u32]) -> Vec<Value> {
     let acc = views.accessor(attr.slot);
     let off = attr.offset as usize;
-    ids.iter().map(|&i| acc.value(i as usize, off)).collect()
+    match acc.within(ids, off) {
+        Some(seg) => ids.iter().map(|&i| seg(i as usize)).collect(),
+        None => ids.iter().map(|&i| acc.value(i as usize, off)).collect(),
+    }
 }
 
 /// Column-at-a-time filter evaluation (paper §2.1) over one row range:
@@ -259,7 +264,6 @@ pub fn agg_full_column_range(
     func: impl Into<AggOp>,
     range: Range<usize>,
 ) -> AggState {
-    use h2o_expr::AggFunc;
     let op: AggOp = func.into();
     let mut acc: Value = match op.func {
         AggFunc::Min => Value::MAX,
@@ -372,10 +376,12 @@ pub fn project_ids_columnar(
     out
 }
 
-/// Column-at-a-time grouped aggregation over one id chunk: every key and
-/// aggregate-input expression is first materialized as an intermediate
-/// column over the selected rows (the §2.1 execution model), then one fold
-/// walks the columns row-wise into the chunk's table.
+/// Column-at-a-time grouped aggregation over one id chunk, through the
+/// grouped block pipeline (`kernels::grouped`) one 1K-id block at a time:
+/// every key and aggregate-input expression is first materialized as an
+/// intermediate column over the block (the §2.1 execution model), then
+/// the block's group ids are resolved and each aggregate column folds
+/// into the chunk's table.
 pub fn grouped_ids_columnar(
     views: &GroupViews<'_>,
     ids: &[u32],
@@ -383,25 +389,28 @@ pub fn grouped_ids_columnar(
     key_types: &[LogicalType],
     aggs: &[(AggOp, CompiledExpr)],
 ) -> GroupedAggs {
-    let key_cols: Vec<Vec<Value>> = keys
-        .iter()
-        .map(|e| materialize_expr_column(views, ids, e))
-        .collect();
-    let val_cols: Vec<Vec<Value>> = aggs
-        .iter()
-        .map(|(_, e)| materialize_expr_column(views, ids, e))
-        .collect();
     let mut table = table_for(key_types, aggs);
-    let mut key: Vec<Value> = vec![0; keys.len()];
-    let mut vals: Vec<Value> = vec![0; aggs.len()];
-    for i in 0..ids.len() {
-        for (slot, col) in key.iter_mut().zip(&key_cols) {
-            *slot = col[i];
-        }
-        for (slot, col) in vals.iter_mut().zip(&val_cols) {
-            *slot = col[i];
-        }
-        table.update(&key, &vals);
+    let mut blk = GroupBlock::default();
+    for ids in ids.chunks(BLOCK_ROWS) {
+        blk.run(
+            &mut table,
+            keys.len(),
+            aggs.len(),
+            ids.len(),
+            |kbuf, vbuf| {
+                for (c, e) in keys.iter().enumerate() {
+                    let col = materialize_expr_column(views, ids, e);
+                    for (slot, v) in kbuf[c..].iter_mut().step_by(keys.len()).zip(col) {
+                        *slot = v;
+                    }
+                }
+                for ((f, e), out) in aggs.iter().zip(vbuf.chunks_exact_mut(ids.len())) {
+                    if f.func != AggFunc::Count {
+                        out.copy_from_slice(&materialize_expr_column(views, ids, e));
+                    }
+                }
+            },
+        );
     }
     table
 }

@@ -31,10 +31,13 @@ use h2o_storage::Value;
 use std::ops::Range;
 
 /// The `(op, column)` pairs of an aggregate list whose every input is a
-/// bare column — the shape [`aggregate_range`] folds; `None` otherwise.
+/// bare column or a `count`'s, whatever it is — the shape
+/// [`aggregate_range`] folds; `None` otherwise. A `count` reads no lane:
+/// its column is slot 0's first, which every plan binds.
 pub fn bare_columns(aggs: &[(AggOp, CompiledExpr)]) -> Option<Vec<(AggOp, BoundAttr)>> {
     aggs.iter()
         .map(|(f, e)| match e {
+            _ if f.func == AggFunc::Count => Some((*f, BoundAttr { slot: 0, offset: 0 })),
             CompiledExpr::Col(a) => Some((*f, *a)),
             _ => None,
         })
@@ -67,10 +70,16 @@ pub fn aggregate_range(
     states: &mut [AggState],
 ) {
     let mut acc: Vec<Value> = states.iter().map(AggState::raw).collect();
-    let lo = cols.iter().map(|(_, a)| a.offset).min().unwrap_or(0);
-    let hi = cols.iter().map(|(_, a)| a.offset).max().unwrap_or(0);
-    let adjacent =
-        cols.iter().all(|(_, a)| a.slot == cols[0].1.slot) && ((hi - lo) as usize) < cols.len();
+    // Adjacency is over the columns read: a `count`'s reads none.
+    let read = || {
+        cols.iter()
+            .filter(|(f, _)| f.func != AggFunc::Count)
+            .map(|(_, a)| a)
+    };
+    let lo = read().map(|a| a.offset).min().unwrap_or(0);
+    let hi = read().map(|a| a.offset).max().unwrap_or(0);
+    let slot = read().next().map_or(0, |a| a.slot);
+    let adjacent = read().all(|a| a.slot == slot) && ((hi - lo) as usize) < read().count();
     let matched = match source {
         RowSource::Scan(filter, range) if adjacent => {
             fold_columns(views, filter, range.clone(), cols, &mut acc)
@@ -377,6 +386,35 @@ mod tests {
         for strategy in Strategy::ALL {
             let (got, want) = vs_interpreter(&q, strategy, false);
             assert_eq!(got, want, "{strategy:?} one group");
+        }
+    }
+
+    #[test]
+    fn count_star_is_bare_and_matches_the_interpreter() {
+        use crate::kernels::testing::vs_interpreter;
+        use crate::Strategy;
+        use h2o_expr::{Aggregate, Conjunction, Expr, Predicate, Query};
+        // `count(*)` is `count(lit 1)`: an expression program, never read.
+        let count = CompiledExpr::lower(&Aggregate::count().expr, |_| ba(0));
+        assert!(matches!(count, CompiledExpr::Program { .. }));
+        let aggs = vec![
+            (
+                AggOp::new(AggFunc::Sum, LogicalType::F64),
+                CompiledExpr::Col(ba(1)),
+            ),
+            (AggFunc::Count.into(), count),
+        ];
+        assert!(bare_columns(&aggs).is_some(), "sum(col), count() is bare");
+        let q = Query::aggregate(
+            [Aggregate::sum(Expr::col(1u32)), Aggregate::count()],
+            Conjunction::of([Predicate::gt(0u32, 0)]),
+        )
+        .unwrap();
+        for strategy in Strategy::ALL {
+            for split in [false, true] {
+                let (got, want) = vs_interpreter(&q, strategy, split);
+                assert_eq!(got, want, "{strategy:?} split {split}");
+            }
         }
     }
 

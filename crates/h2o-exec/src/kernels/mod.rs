@@ -16,25 +16,32 @@
 //!
 //! Kernels operate on [`GroupViews`] (raw slices)
 //! and offset-resolved programs; nothing in a per-tuple loop consults a
-//! schema or expression tree (grouped aggregation consults exactly one
-//! hash table, which is the operation itself). The fused scan and the
+//! schema or expression tree. The fused scan and the
 //! selection-vector strategy's phase 2 differ only in how they find the
 //! qualifying rows: a [`RowSource`] hands each row to one per-row step
 //! (`RowBody`) as a lane-fetch closure — `scan_rows` for a filtered row
 //! range, `id_rows` for a chunk of qualifying ids — and the step is the
 //! select program's ([`crate::sink::SelectProgram::push`]) or a
 //! bare-column aggregate fold ([`fused::aggregate_range`]). These two
-//! functions are the only place a plan's group count matters.
+//! functions are the only place a plan's group count matters. Grouped
+//! aggregation and both join sides take the same rows a block at a time
+//! instead, from the block walker (`RowSource::for_each_block`, 1K row
+//! ids per block): the `grouped` pipeline gathers a block's key and
+//! aggregate-input columns, resolves all its group ids in one pass (a
+//! dense memo or a hash-then-probe pass) and folds each aggregate column.
 
 pub mod colmajor;
 pub mod fused;
+pub(crate) mod grouped;
 pub mod selvector;
 pub mod simd;
 
 use crate::bind::{BoundAttr, GroupViews, SlotAccessor};
 use crate::filter::CompiledFilter;
+use crate::plan::Strategy;
 use crate::selvec::SelVec;
 use h2o_storage::{LogicalType, Value};
+use simd::BLOCK_ROWS;
 use std::ops::Range;
 
 /// A per-row step: what one qualifying row does, given a closure that
@@ -64,6 +71,63 @@ impl RowSource<'_> {
             RowSource::Ids(ids) => id_rows(views, ids, body),
         }
     }
+
+    /// The block walker: hands the source's rows to `block` as row ids,
+    /// ascending and up to [`BLOCK_ROWS`] at a time (a block may be
+    /// shorter, never empty), and returns their count. A scan collects the
+    /// rows of the fused walker ([`simd::RunFilter::for_each_row`]) over
+    /// the pruned segment runs; an id chunk is cut into blocks as it is.
+    /// The grouped-aggregation pipeline ([`grouped`]) and both join sides
+    /// find their rows here.
+    pub(crate) fn for_each_block(
+        &self,
+        views: &GroupViews<'_>,
+        mut block: impl FnMut(&[u32]),
+    ) -> usize {
+        let (filter, range) = match self {
+            RowSource::Ids(ids) => {
+                ids.chunks(BLOCK_ROWS).for_each(block);
+                return ids.len();
+            }
+            RowSource::Scan(filter, range) => (filter, range.clone()),
+        };
+        // A fixed buffer and a local fill count: the per-row append stays
+        // in registers.
+        let (mut ids, mut len, mut n) = ([0u32; BLOCK_ROWS], 0, 0);
+        for run in views.runs_pruned(range, filter) {
+            let start = run.start();
+            simd::RunFilter::resolve(&run, filter).for_each_row(|i| {
+                ids[len] = (start + i) as u32;
+                len += 1;
+                if len == BLOCK_ROWS {
+                    block(&ids);
+                    (n, len) = (n + len, 0);
+                }
+            });
+        }
+        if len > 0 {
+            block(&ids[..len]);
+        }
+        n + len
+    }
+}
+
+/// The qualifying rows of `range` under `strategy`, through the block
+/// walker ([`RowSource::for_each_block`]): the fused scan's walker, or
+/// the chunks of the range's selection vector ([`qualifying_ids`]).
+/// Returns their count.
+pub(crate) fn qualifying_blocks(
+    strategy: Strategy,
+    views: &GroupViews<'_>,
+    filter: &CompiledFilter,
+    range: Range<usize>,
+    block: impl FnMut(&[u32]),
+) -> usize {
+    if strategy == Strategy::FusedVolcano {
+        return RowSource::Scan(filter, range).for_each_block(views, block);
+    }
+    let sel = qualifying_ids(strategy == Strategy::ColumnMajor, views, filter, range);
+    RowSource::Ids(sel.ids()).for_each_block(views, block)
 }
 
 /// The fused scan, for one column group or many: walks the pruned segment

@@ -13,7 +13,8 @@
 //!   qualifying ids ([`RowSource`]) — and the fused reorganization
 //!   operator hands it each freshly stitched chunk of a range, continuing
 //!   the range's one partial. Bare-column aggregates take their
-//!   specialized tiers there ([`fused::aggregate_range`]);
+//!   specialized tiers there ([`fused::aggregate_range`]), and grouped
+//!   aggregates the block pipeline (`kernels::grouped`);
 //! * the column-major strategy hands qualifying-id chunks to its own
 //!   kernels (`SelectProgram::columnar`), whose intermediate columns are
 //!   the DSM cost structure (§2.1);
@@ -30,9 +31,10 @@
 use crate::bind::{BoundAttr, GroupViews};
 use crate::compile::ExecError;
 use crate::filter::CompiledFilter;
+use crate::kernels::grouped::{self, GroupBlock};
 use crate::kernels::{colmajor, fused, RowBody, RowSource};
 use crate::program::CompiledExpr;
-use h2o_expr::agg::{AggOp, AggState};
+use h2o_expr::agg::{AggFunc, AggOp, AggState};
 use h2o_expr::grouped::GroupedAggs;
 use h2o_expr::{QueryResult, Select, SelectTypes};
 use h2o_storage::{AttrId, LogicalType, Value};
@@ -68,6 +70,9 @@ pub struct Partial {
     /// Evaluation buffer of [`SelectProgram::push`] (the output row, or
     /// the key lanes followed by the aggregate-input lanes).
     scratch: Vec<Value>,
+    /// The grouped pipeline's buffers and dense memo, which belong to
+    /// this partial's table (empty until a grouped source is fed).
+    block: GroupBlock,
 }
 
 #[derive(Debug)]
@@ -100,6 +105,7 @@ impl From<Acc> for Partial {
         Partial {
             acc,
             scratch: Vec::new(),
+            block: GroupBlock::default(),
         }
     }
 }
@@ -202,6 +208,7 @@ impl SelectProgram {
         Partial {
             acc,
             scratch: vec![0; scratch],
+            block: GroupBlock::default(),
         }
     }
 
@@ -231,7 +238,10 @@ impl SelectProgram {
     /// Folds every row of `source` into `partial` (from this program's
     /// [`Self::partial`]), so consecutive ranges or id chunks continue one
     /// fold chain: bare-column aggregates through their specialized tiers
-    /// ([`fused::aggregate_range`]), every other shape through its
+    /// ([`fused::aggregate_range`]), grouped aggregates through the block
+    /// pipeline ([`grouped::feed`]: 1K-row blocks, one id-resolving pass
+    /// and one fold per aggregate column each, never one table lookup per
+    /// row and aggregate), projections and other aggregates through their
     /// [`Self::push`] step, once per row. The shape is matched once per
     /// source, not per row, so each source's row loop is compiled for
     /// each shape's step (matching per row cost 2–9% on fused
@@ -256,18 +266,6 @@ impl SelectProgram {
                 aggregate_row(self.0, self.1, get, 1)
             }
         }
-        struct Grouped<'p>(
-            &'p [CompiledExpr],
-            &'p [(AggOp, CompiledExpr)],
-            &'p mut GroupedAggs,
-            &'p mut [Value],
-        );
-        impl RowBody for Grouped<'_> {
-            #[inline(always)]
-            fn row(&mut self, get: impl Fn(BoundAttr) -> Value) {
-                grouped_row(self.0, self.1, self.2, self.3, get, 1)
-            }
-        }
         let scratch = &mut partial.scratch;
         match (self, &mut partial.acc) {
             (SelectProgram::Project(exprs), Acc::Rows(out)) => {
@@ -280,7 +278,7 @@ impl SelectProgram {
                 }
             }
             (SelectProgram::Grouped { keys, aggs, .. }, Acc::Groups(table)) => {
-                source.for_each(views, &mut Grouped(keys, aggs, table, scratch))
+                grouped::feed(views, source, keys, aggs, table, &mut partial.block)
             }
             _ => unreachable!("partial belongs to a different select shape"),
         }
@@ -395,8 +393,8 @@ fn aggregate_row(
     get: impl Fn(BoundAttr) -> Value,
     n: u64,
 ) {
-    for (st, (_, e)) in states.iter_mut().zip(aggs) {
-        st.update_n(e.eval(&get), n);
+    for (st, (f, e)) in states.iter_mut().zip(aggs) {
+        st.update_n(input(*f, e, &get), n);
     }
 }
 
@@ -416,10 +414,19 @@ fn grouped_row(
     for (slot, k) in key.iter_mut().zip(keys) {
         *slot = k.eval(&get);
     }
-    for (slot, (_, e)) in vals.iter_mut().zip(aggs) {
-        *slot = e.eval(&get);
+    for (slot, (f, e)) in vals.iter_mut().zip(aggs) {
+        *slot = input(*f, e, &get);
     }
     table.update_n(key, vals, n);
+}
+
+/// An aggregate's input lane for one row: `count` reads none.
+#[inline(always)]
+fn input(f: AggOp, e: &CompiledExpr, get: impl Fn(BoundAttr) -> Value) -> Value {
+    match f.func {
+        AggFunc::Count => 0,
+        _ => e.eval(get),
+    }
 }
 
 /// A fresh table for a grouped program. Key types drive the typed

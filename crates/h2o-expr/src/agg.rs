@@ -184,19 +184,33 @@ impl AggState {
     /// a compare plus three unrelated updates.
     #[inline(always)]
     pub fn update(&mut self, v: Value) {
-        match self.op.func {
-            AggFunc::Sum => self.sum = self.add_to_sum(v),
+        self.update_as(self.op, v)
+    }
+
+    /// [`Self::update`] through `op`, which must be this state's own: a
+    /// caller folding a column of states that share one op passes it as a
+    /// loop-invariant, so the function dispatch leaves the row loop
+    /// ([`GroupedAggs::fold_block`](crate::GroupedAggs::fold_block)).
+    #[inline(always)]
+    pub(crate) fn update_as(&mut self, op: AggOp, v: Value) {
+        debug_assert_eq!(op, self.op);
+        let sum = |acc: Value| match op.ty {
+            LogicalType::F64 => f64_lane(lane_f64(acc) + lane_f64(v)),
+            _ => acc.wrapping_add(v),
+        };
+        match op.func {
+            AggFunc::Sum => self.sum = sum(self.sum),
             AggFunc::Min => {
-                self.min = self.min.min(self.op.ty.cmp_key(v));
+                self.min = self.min.min(op.ty.cmp_key(v));
                 self.count += 1;
             }
             AggFunc::Max => {
-                self.max = self.max.max(self.op.ty.cmp_key(v));
+                self.max = self.max.max(op.ty.cmp_key(v));
                 self.count += 1;
             }
             AggFunc::Count => self.count += 1,
             AggFunc::Avg => {
-                self.sum = self.add_to_sum(v);
+                self.sum = sum(self.sum);
                 self.count += 1;
             }
         }

@@ -1,5 +1,9 @@
 //! Grouped-aggregation state: the flat hash table ([`LaneMap`]) every
-//! execution strategy folds qualifying tuples through.
+//! execution strategy folds qualifying tuples through — a tuple at a time
+//! ([`GroupedAggs::update`], the interpreter and the join's per-pair
+//! folds) or a block at a time: the kernels' block pipeline resolves a
+//! block's group ids ([`GroupedAggs::id`] / [`GroupedAggs::id_hashed`])
+//! and folds each aggregate column ([`GroupedAggs::fold_block`]).
 //!
 //! The engine-wide determinism convention for grouped queries mirrors the
 //! scalar one ([`AggState`]): each strategy — the
@@ -12,8 +16,8 @@
 //! the input into morsels — and any strategy — yields a bit-identical
 //! [`QueryResult`].
 
-use crate::agg::{AggOp, AggState};
-use crate::lanemap::LaneMap;
+use crate::agg::{AggFunc, AggOp, AggState};
+use crate::lanemap::{hash_key, LaneMap};
 use crate::result::QueryResult;
 use h2o_storage::{LogicalType, Value};
 
@@ -25,8 +29,11 @@ use h2o_storage::{LogicalType, Value};
 /// grouping is bit-pattern equality, so e.g. `-0.0` and `+0.0` are
 /// distinct groups and every NaN bit pattern its own group, identically
 /// on every strategy. The map hands out dense ids in first-appearance
-/// order, and the states sit in one flat `Vec`, `ops.len()` per id, so a
-/// fold is one lookup in the flat table and a slice update. The
+/// order, and the states sit in one flat `Vec`, `ops.len()` per id: a
+/// tuple folds by one lookup in the flat table and a slice update, a
+/// block by resolving its ids and then folding each aggregate's column
+/// into `states[id * ops.len() + j]` in row order — the same states in
+/// the same order either way. The
 /// per-column [`LogicalType`]s matter only in [`GroupedAggs::finish`],
 /// whose ascending-key sort compares through
 /// [`cmp_key`](LogicalType::cmp_key) (`total_cmp` order for `F64`).
@@ -62,16 +69,70 @@ impl GroupedAggs {
         )
     }
 
+    /// The group id of `key`: its existing id, or the next dense id (in
+    /// first-appearance order) with fresh states appended.
+    #[inline]
+    pub fn id(&mut self, key: &[Value]) -> u32 {
+        self.id_hashed(key, hash_key(key))
+    }
+
+    /// [`Self::id`] of `key` whose [`hash_key`] the caller already
+    /// computed as `h` (a block pipeline hashes a whole block of keys
+    /// before it probes).
+    #[inline]
+    pub fn id_hashed(&mut self, key: &[Value], h: u64) -> u32 {
+        let id = self.keys.insert_hashed(key, h);
+        if self.states.len() < (id as usize + 1) * self.ops.len() {
+            self.states
+                .extend(self.ops.iter().map(|&op| AggState::new(op)));
+        }
+        id
+    }
+
     /// The states of `key`, fresh ones appended if the key is new.
     #[inline]
     fn states_mut(&mut self, key: &[Value]) -> &mut [AggState] {
         let w = self.ops.len();
-        let id = self.keys.insert(key) as usize;
-        if self.states.len() < (id + 1) * w {
-            self.states
-                .extend(self.ops.iter().map(|&op| AggState::new(op)));
-        }
+        let id = self.id(key) as usize;
         &mut self.states[id * w..(id + 1) * w]
+    }
+
+    /// Folds one block of tuples whose group ids ([`Self::id`]) are `ids`,
+    /// in order: `vals` holds the aggregate inputs column by column,
+    /// `ids.len()` lanes per aggregate in the constructor's order (a
+    /// `count`'s column is never read). Each aggregate dispatches once
+    /// and folds its column into its state of each row's group, in row
+    /// order — so every group's `F64` sum stays one chain in row order and
+    /// the block folds bit-identically to one [`Self::update`] per tuple.
+    pub fn fold_block(&mut self, ids: &[u32], vals: &[Value]) {
+        let (w, n) = (self.ops.len(), ids.len());
+        debug_assert_eq!(vals.len(), w * n);
+        if n == 0 {
+            return;
+        }
+        /// One aggregate's column: `op` is a constant of each call site
+        /// below, so the row loop holds that function's step alone.
+        #[inline(always)]
+        fn column(states: &mut [AggState], w: usize, op: AggOp, ids: &[u32], col: &[Value]) {
+            for (&id, &v) in ids.iter().zip(col) {
+                states[id as usize * w].update_as(op, v);
+            }
+        }
+        for (j, (&op, col)) in self.ops.iter().zip(vals.chunks_exact(n)).enumerate() {
+            let states = &mut self.states[j..];
+            let with = |func| AggOp { func, ..op };
+            match op.func {
+                AggFunc::Sum => column(states, w, with(AggFunc::Sum), ids, col),
+                AggFunc::Min => column(states, w, with(AggFunc::Min), ids, col),
+                AggFunc::Max => column(states, w, with(AggFunc::Max), ids, col),
+                AggFunc::Avg => column(states, w, with(AggFunc::Avg), ids, col),
+                AggFunc::Count => {
+                    for &id in ids {
+                        states[id as usize * w].update_as(op, 0);
+                    }
+                }
+            }
+        }
     }
 
     /// Folds one qualifying tuple: `key` is its evaluated key vector,
@@ -261,6 +322,44 @@ mod tests {
         let mut t = GroupedAggs::untyped(1, [AggFunc::Count]);
         t.update_n(&[99], &[1], 0);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn fold_block_matches_per_tuple_updates() {
+        use crate::agg::AggOp;
+        use LogicalType::{F64, I64};
+        let ops = vec![
+            AggOp::new(AggFunc::Sum, F64),
+            AggOp::new(AggFunc::Avg, F64),
+            AggOp::new(AggFunc::Min, F64),
+            AggOp::new(AggFunc::Max, I64),
+            AggOp::new(AggFunc::Count, I64),
+            AggOp::new(AggFunc::Sum, I64),
+        ];
+        // Non-dyadic doubles: a sum differs with its fold order.
+        let rows: Vec<(Value, Value, Value)> = (0..500)
+            .map(|i| {
+                (
+                    i * 7 % 13,
+                    f64_lane((i % 37) as f64 / 10.0 - 1.3),
+                    i * 31 % 101 - 50,
+                )
+            })
+            .collect();
+        let mut per_tuple = GroupedAggs::new(vec![I64], ops.clone());
+        for &(k, x, v) in &rows {
+            per_tuple.update(&[k], &[x, x, x, v, 0, v]);
+        }
+        let mut blocked = GroupedAggs::new(vec![I64], ops.clone());
+        for block in rows.chunks(64) {
+            let ids: Vec<u32> = block.iter().map(|&(k, ..)| blocked.id(&[k])).collect();
+            let mut vals = Vec::new();
+            for j in 0..ops.len() {
+                vals.extend(block.iter().map(|&(_, x, v)| [x, x, x, v, 0, v][j]));
+            }
+            blocked.fold_block(&ids, &vals);
+        }
+        assert_eq!(blocked.finish(), per_tuple.finish());
     }
 
     #[test]

@@ -336,3 +336,154 @@ fn stress_seeded_grouped_sweep() {
         }
     }
 }
+
+/// Rows of the block-boundary relation: 44 blocks of 1K rows and a short
+/// last one, in 4K-row segments.
+const BLOCK_TEST_ROWS: usize = 45_123;
+
+/// The typed block-boundary relation, columnar and in two column groups at
+/// segment shift 12. Each key column changes shape every few blocks, so
+/// the grouped pipeline's id tiers switch between blocks:
+///
+/// * `win` — a one-lane `I64` key whose block span is dense (< 1K) in some
+///   stretches, each at a different offset so the dense memo's window
+///   moves, and wide in others;
+/// * `edge` — `I64` keys at `i64::MIN` / `i64::MAX`, alone (dense) or both
+///   in one block (the span overflows `i64`);
+/// * `class` — a dictionary key;
+/// * `fkey` — `F64` keys: two NaN payloads, `-0.0`, `+0.0` and ordinary
+///   values, in blocks of NaNs alone, of zeros alone and of everything;
+/// * `m_f` / `m_d` / `m_i` — a non-dyadic `F64` measure (its sums depend
+///   on fold order), a dyadic one (its sums do not) and an `I64` one.
+fn block_relations() -> Vec<(&'static str, Relation)> {
+    use h2o::storage::{f64_lane, LogicalType};
+    let schema = Schema::typed([
+        ("win", LogicalType::I64),
+        ("edge", LogicalType::I64),
+        ("class", LogicalType::Dict),
+        ("fkey", LogicalType::F64),
+        ("m_f", LogicalType::F64),
+        ("m_i", LogicalType::I64),
+        ("m_d", LogicalType::F64),
+    ])
+    .into_shared();
+    let dict = schema.dictionary(AttrId(2)).expect("class is a dictionary");
+    let codes: Vec<Value> = (0..300).map(|c| dict.intern(&format!("c{c}"))).collect();
+    let mut rng = SmallRng::seed_from_u64(0xB10C);
+    let nans = [
+        f64_lane(f64::NAN),
+        f64_lane(f64::from_bits(0x7FF8_0000_0000_0B0B)),
+    ];
+    let mut cols: Vec<Vec<Value>> = vec![Vec::new(); 7];
+    for i in 0..BLOCK_TEST_ROWS {
+        let stretch = i / 2_500;
+        cols[0].push(match stretch % 4 {
+            0 => 100 * stretch as Value + rng.gen_range(0..40),
+            1 => rng.gen_range(0..900),
+            2 => rng.gen_range(-1_000_000_000..1_000_000_000),
+            _ => 5_000 - 37 * stretch as Value + rng.gen_range(0..40),
+        });
+        let near = rng.gen_range(0..5);
+        cols[1].push(match (i / 1_500) % 3 {
+            0 => Value::MIN + near,
+            1 => Value::MAX - near,
+            _ if rng.gen_bool(0.5) => Value::MIN + near,
+            _ => Value::MAX - near,
+        });
+        cols[2].push(match (i / 3_000) % 2 {
+            0 => codes[rng.gen_range(0..8)],
+            _ => codes[rng.gen_range(0..codes.len())],
+        });
+        let pick = |rng: &mut SmallRng, set: &[Value]| set[rng.gen_range(0..set.len())];
+        let zeros = [f64_lane(-0.0), f64_lane(0.0)];
+        let all = [
+            nans[0],
+            nans[1],
+            zeros[0],
+            zeros[1],
+            f64_lane(1.5),
+            f64_lane(-2.25),
+        ];
+        cols[3].push(match (i / 2_000) % 3 {
+            0 => pick(&mut rng, &nans),
+            1 => pick(&mut rng, &zeros),
+            _ => pick(&mut rng, &all),
+        });
+        cols[4].push(f64_lane(rng.gen_range(-1_000..1_000) as f64 / 10.0 + 0.1));
+        cols[5].push(rng.gen_range(-500..500));
+        cols[6].push(f64_lane(rng.gen_range(-1_000..1_000) as f64 / 8.0));
+    }
+    let columnar: Vec<Vec<AttrId>> = (0u32..7).map(|a| vec![AttrId(a)]).collect();
+    let groups = vec![
+        vec![AttrId(0), AttrId(4)],
+        vec![AttrId(1), AttrId(2), AttrId(3), AttrId(5), AttrId(6)],
+    ];
+    vec![
+        (
+            "columnar",
+            Relation::partitioned_with_shift(schema.clone(), cols.clone(), columnar, 12).unwrap(),
+        ),
+        (
+            "two-groups",
+            Relation::partitioned_with_shift(schema, cols, groups, 12).unwrap(),
+        ),
+    ]
+}
+
+/// The grouped pipeline across block boundaries: every key shape of
+/// [`block_relations`] (and a two-lane key), with `F64` `sum`/`avg`,
+/// `min`, `max` and `count`, unfiltered and filtered, bit-identical to the
+/// interpreter under all three strategies — serially over the non-dyadic
+/// measure (one fold chain per group, in row order) on both layouts, and
+/// under every policy of the suite over the dyadic one (morsel partials
+/// merge, so only order-free sums can match a single chain) on the
+/// two-group layout.
+#[test]
+fn grouped_blocks_match_interpreter_across_key_tiers() {
+    let aggs = |m: u32| {
+        [
+            Aggregate::sum(Expr::col(m)),
+            Aggregate::avg(Expr::col(m)),
+            Aggregate::min(Expr::col(5u32)),
+            Aggregate::max(Expr::col(m)),
+            Aggregate::count(),
+        ]
+    };
+    let keys: [Vec<Expr>; 5] = [
+        vec![Expr::col(0u32)],
+        vec![Expr::col(1u32)],
+        vec![Expr::col(2u32)],
+        vec![Expr::col(3u32)],
+        vec![Expr::col(2u32), Expr::col(1u32)],
+    ];
+    let filters = [
+        Conjunction::always(),
+        Conjunction::of([Predicate::lt(5u32, 300)]),
+    ];
+    for (layout, rel) in block_relations() {
+        let layouts = rel.catalog().layout_ids();
+        for (ki, key) in keys.iter().enumerate() {
+            for (fi, filter) in filters.iter().enumerate() {
+                let grouped = |m| Query::grouped(key.clone(), aggs(m), filter.clone()).unwrap();
+                let (serial_q, policy_q) = (grouped(4), grouped(6));
+                let want = interpret(rel.catalog(), &serial_q).unwrap();
+                let want_dyadic = interpret(rel.catalog(), &policy_q).unwrap();
+                assert!(want.rows() > 1, "key {ki} groups");
+                for strategy in Strategy::ALL {
+                    let plan = AccessPlan::new(layouts.clone(), strategy);
+                    let at = format!("{layout} key {ki} filter {fi} {}", strategy.name());
+                    let op = compile(rel.catalog(), &plan, &serial_q).unwrap();
+                    assert_eq!(execute(rel.catalog(), &op).unwrap(), want, "{at}");
+                    if layout != "two-groups" {
+                        continue;
+                    }
+                    let op = compile(rel.catalog(), &plan, &policy_q).unwrap();
+                    for (pname, policy) in policies() {
+                        let got = execute_with_policy(rel.catalog(), &op, &policy).unwrap();
+                        assert_eq!(got, want_dyadic, "{at} policy {pname}");
+                    }
+                }
+            }
+        }
+    }
+}
