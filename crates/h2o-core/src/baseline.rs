@@ -167,6 +167,17 @@ mod tests {
     }
 
     #[test]
+    fn bare_count_star_without_a_filter() {
+        // No attribute referenced: the column store reads no column.
+        let (row, col) = engines(4, 3_000);
+        let q = Query::aggregate([Aggregate::count()], Conjunction::always()).unwrap();
+        assert!(col.plan(&q).unwrap().layouts.is_empty());
+        for engine in [&row, &col] {
+            assert_eq!(engine.execute(&q).unwrap().data(), &[3_000]);
+        }
+    }
+
+    #[test]
     fn plans_reflect_fixed_designs() {
         let (row, col) = engines(6, 50);
         let q = Query::project([Expr::col(2u32)], Conjunction::always()).unwrap();

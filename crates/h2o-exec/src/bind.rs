@@ -487,15 +487,19 @@ impl<'a> SlotAccessor<'_, 'a> {
     }
 
     /// A fetch of the lanes at `offset` for the ascending, non-empty
-    /// `rows`, when they all lie in one segment: `fetch(row)` is
-    /// [`Self::value`]`(row, offset)` at one slice index.
+    /// `rows`, when they all lie in one piece (a sealed segment or a tail
+    /// piece): `fetch(row)` is [`Self::value`]`(row, offset)` at one slice
+    /// index, for a `row` of `rows` only.
     #[inline]
     pub fn within(&self, rows: &[u32], offset: usize) -> Option<impl Fn(usize) -> Value + 'a> {
+        debug_assert!(rows.is_sorted(), "within needs ascending rows");
         let (first, last) = (*rows.first()? as usize, *rows.last()? as usize);
+        // The first row's chunk slice runs to the end of its piece.
+        let base = first & !self.mask;
         let seg = self.segs[first >> self.shift];
-        let (mask, width) = (self.mask, self.width);
-        (first >> self.shift == last >> self.shift)
-            .then_some(move |row| seg[(row & mask) * width + offset])
+        let width = self.width;
+        ((last - base + 1) * width <= seg.len())
+            .then_some(move |row| seg[(row - base) * width + offset])
     }
 
     /// The full tuple of `row` as a contiguous slice (tuples never
@@ -566,6 +570,35 @@ mod tests {
         let covered: usize = views.runs(1..10).map(|r| r.len()).sum();
         assert_eq!(covered, 9);
         assert!(views.runs(3..3).next().is_none());
+    }
+
+    #[test]
+    fn within_slices_only_rows_of_one_segment() {
+        // 10 rows of (a, 10a) at shift 2: segments [0..4), [4..8), [8..10).
+        let (a, b): (Vec<i64>, Vec<i64>) = (0..10).map(|r| (r, 10 * r)).unzip();
+        let g =
+            ColumnGroup::from_columns_with_shift(vec![AttrId(0), AttrId(1)], &[&a, &b], 2).unwrap();
+        let views = GroupViews::from_groups(&[&g]);
+        let acc = views.accessor(0);
+        let fetch = acc.within(&[4, 6, 7], 1).expect("one segment");
+        assert_eq!([4, 6, 7].map(fetch), [40, 60, 70]);
+        assert!(acc.within(&[3, 4], 0).is_none(), "two segments");
+        assert!(acc.within(&[], 0).is_none());
+        // 3 000 rows at shift 11: 1K-row chunks inside 2K-row segments.
+        let c: Vec<i64> = (0..3_000).collect();
+        let g = ColumnGroup::from_columns_with_shift(vec![AttrId(0)], &[&c], 11).unwrap();
+        let views = GroupViews::from_groups(&[&g]);
+        let acc = views.accessor(0);
+        let fetch = acc
+            .within(&[5, 1_023, 1_024, 2_047], 0)
+            .expect("one segment");
+        assert_eq!(
+            [5, 1_023, 1_024, 2_047].map(fetch),
+            [5, 1_023, 1_024, 2_047]
+        );
+        let fetch = acc.within(&[2_100, 2_999], 0).expect("the tail");
+        assert_eq!([2_100, 2_999].map(fetch), [2_100, 2_999]);
+        assert!(acc.within(&[2_047, 2_048], 0).is_none(), "two segments");
     }
 
     #[test]

@@ -156,18 +156,6 @@ impl CompiledJoinSide {
         &self.filter
     }
 
-    /// This side's qualifying row ids in `range`, 1K at a time by its
-    /// plan's strategy ([`kernels::qualifying_blocks`]), handed to `block`;
-    /// returns their count. The "find the rows" half of build and probe.
-    fn for_each_block(
-        &self,
-        views: &GroupViews<'_>,
-        range: Range<usize>,
-        block: impl FnMut(&[u32]),
-    ) -> usize {
-        kernels::qualifying_blocks(self.plan.strategy, views, &self.filter, range, block)
-    }
-
     /// Stage 1 of a block: the key lanes of `rows`, gathered column by
     /// column into `out`, row-major (`keys.len()` lanes per row).
     fn gather_keys(&self, views: &GroupViews<'_>, rows: &[u32], out: &mut Vec<Value>) {
@@ -651,17 +639,24 @@ pub fn run_join(
     let parts: Vec<BuildPart> = run_ranges(build_rows_total, build_views.seg_rows(), policy, |r| {
         let mut part = BuildPart::default();
         let mut keys = Vec::new();
-        op.build.for_each_block(&build_views, r, |rows| {
-            op.build.gather_keys(&build_views, rows, &mut keys);
-            part.hashes
-                .extend(keys.chunks_exact(key_width).map(hash_key));
-            part.keys.extend_from_slice(&keys);
-            for &row in rows {
-                for &(a, _) in &op.build.payload {
-                    part.payload.push(build_views.get(a, row as usize));
+        let build = &op.build;
+        kernels::qualifying_blocks(
+            build.plan.strategy,
+            &build_views,
+            &build.filter,
+            r,
+            |rows| {
+                build.gather_keys(&build_views, rows, &mut keys);
+                part.hashes
+                    .extend(keys.chunks_exact(key_width).map(hash_key));
+                part.keys.extend_from_slice(&keys);
+                for &row in rows {
+                    for &(a, _) in &build.payload {
+                        part.payload.push(build_views.get(a, row as usize));
+                    }
                 }
-            }
-        });
+            },
+        );
         part
     });
     let build_qualifying: usize = parts.iter().map(|p| p.hashes.len()).sum();
@@ -710,9 +705,14 @@ pub fn run_join(
     if let Some(bloom) = &bloom {
         let probe = run_ranges(probe_views.rows(), probe_views.seg_rows(), policy, |r| {
             let mut probe = Probe::new(op, &table);
-            let qual = op.probe.for_each_block(&probe_views, r, |rows| {
-                probe.block(&probe_views, bloom, rows)
-            });
+            let side = &op.probe;
+            let qual = kernels::qualifying_blocks(
+                side.plan.strategy,
+                &probe_views,
+                &side.filter,
+                r,
+                |rows| probe.block(&probe_views, bloom, rows),
+            );
             let rejects = probe.rejects;
             let (part, pairs) = probe.finish();
             (part, qual, pairs, rejects)

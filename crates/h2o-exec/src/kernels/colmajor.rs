@@ -272,9 +272,12 @@ pub fn agg_full_column_range(
     };
     let mut count: u64 = 0;
     for run in views.runs(range) {
-        let col = simd::RunCol::of(&run, attr);
         let n = run.len();
         count += n as u64;
+        if op.func == AggFunc::Count {
+            continue;
+        }
+        let col = simd::RunCol::of(&run, attr);
         match op.func {
             AggFunc::Sum | AggFunc::Avg => simd::fold_sum_run(op.ty, &mut acc, &col, n),
             AggFunc::Min => simd::fold_minmax_run(false, op.ty, &mut acc, &col, n),

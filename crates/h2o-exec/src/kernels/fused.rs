@@ -33,7 +33,8 @@ use std::ops::Range;
 /// The `(op, column)` pairs of an aggregate list whose every input is a
 /// bare column or a `count`'s, whatever it is — the shape
 /// [`aggregate_range`] folds; `None` otherwise. A `count` reads no lane:
-/// its column is slot 0's first, which every plan binds.
+/// its column is a placeholder (slot 0, offset 0) that no tier fetches,
+/// since a bare `count(*)` plan binds no slot at all.
 pub fn bare_columns(aggs: &[(AggOp, CompiledExpr)]) -> Option<Vec<(AggOp, BoundAttr)>> {
     aggs.iter()
         .map(|(f, e)| match e {
@@ -119,13 +120,17 @@ fn fold_columns(
     let mut matched: u64 = 0;
     for run in views.runs_pruned(range, filter) {
         let rf = simd::RunFilter::resolve(&run, filter);
-        let lanes: Vec<simd::RunCol<'_>> = cols
+        // The columns read, each with its accumulator: a `count`'s is the
+        // match count alone.
+        let mut lanes: Vec<(AggOp, &mut Value, simd::RunCol<'_>)> = cols
             .iter()
-            .map(|&(_, a)| simd::RunCol::of(&run, a))
+            .zip(acc.iter_mut())
+            .filter(|((f, _), _)| f.func != AggFunc::Count)
+            .map(|(&(f, a), acc)| (f, acc, simd::RunCol::of(&run, a)))
             .collect();
         let tail = rf.for_each_block(|start, masks| {
             matched += simd::popcount(masks);
-            for (((f, _), a), col) in cols.iter().zip(acc.iter_mut()).zip(&lanes) {
+            for (f, a, col) in lanes.iter_mut() {
                 let col = col.skip(start);
                 match f.func {
                     AggFunc::Max => simd::fold_minmax_masked(true, f.ty, a, &col, masks),
@@ -138,7 +143,7 @@ fn fold_columns(
         for i in tail {
             if rf.matches_row(i) {
                 matched += 1;
-                for (((f, _), a), col) in cols.iter().zip(acc.iter_mut()).zip(&lanes) {
+                for (f, a, col) in lanes.iter_mut() {
                     upd(*f, a, col.get(i));
                 }
             }
@@ -386,6 +391,41 @@ mod tests {
         for strategy in Strategy::ALL {
             let (got, want) = vs_interpreter(&q, strategy, false);
             assert_eq!(got, want, "{strategy:?} one group");
+        }
+    }
+
+    #[test]
+    fn count_star_over_a_plan_binding_no_slot() {
+        use crate::Strategy;
+        use h2o_expr::{Aggregate, Conjunction, Query};
+        use h2o_storage::{LayoutCatalog, Schema};
+        // `count(*)` references no attribute, so its cover is empty and
+        // its plan binds no slot: no tier may fetch the count's column.
+        let rows = 3_000;
+        let mut catalog = LayoutCatalog::new(Schema::with_width(2).into_shared(), rows);
+        let col: Vec<Value> = (0..rows as Value).collect();
+        catalog
+            .add_group(
+                ColumnGroup::from_columns(vec![AttrId(0), AttrId(1)], &[&col, &col]).unwrap(),
+            )
+            .unwrap();
+        let q = Query::aggregate([Aggregate::count()], Conjunction::always()).unwrap();
+        let want = h2o_expr::interpret(&catalog, &q).unwrap();
+        assert_eq!(want.data(), &[rows as Value]);
+        let split = crate::ExecPolicy {
+            parallelism: Some(2),
+            morsel_rows: 512,
+            serial_threshold: 0,
+        };
+        for strategy in Strategy::ALL {
+            let op =
+                crate::compile(&catalog, &crate::AccessPlan::new(vec![], strategy), &q).unwrap();
+            for policy in [crate::ExecPolicy::serial(), split] {
+                let got = crate::run(&catalog, &op, &crate::ExecCtx::new(policy))
+                    .unwrap()
+                    .0;
+                assert_eq!(got, want, "{strategy:?} {policy:?}");
+            }
         }
     }
 

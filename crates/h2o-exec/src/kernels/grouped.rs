@@ -37,9 +37,9 @@ const DENSE_SPAN: usize = 1024;
 /// A memo slot no key has filled yet.
 const NO_ID: u32 = u32::MAX;
 
-/// The pipeline's block buffers and its dense memo, kept with one table
-/// (a [`Partial`](crate::sink::Partial)'s) across every block and source
-/// fed to it.
+/// The pipeline's block buffers and its dense memo, kept beside one table
+/// (in a grouped [`Partial`](crate::sink::Partial)) across every block and
+/// source fed to it: the memo holds that table's ids.
 #[derive(Debug, Default)]
 pub(crate) struct GroupBlock {
     /// The block's key lanes, row-major.

@@ -70,16 +70,15 @@ pub struct Partial {
     /// Evaluation buffer of [`SelectProgram::push`] (the output row, or
     /// the key lanes followed by the aggregate-input lanes).
     scratch: Vec<Value>,
-    /// The grouped pipeline's buffers and dense memo, which belong to
-    /// this partial's table (empty until a grouped source is fed).
-    block: GroupBlock,
 }
 
 #[derive(Debug)]
 enum Acc {
     Rows(QueryResult),
     Aggs(Vec<AggState>),
-    Groups(GroupedAggs),
+    /// A grouped table with the block pipeline's buffers and dense memo,
+    /// which hold ids of this table only (empty until a source is fed).
+    Groups(GroupedAggs, Box<GroupBlock>),
 }
 
 impl From<QueryResult> for Partial {
@@ -96,7 +95,7 @@ impl From<Vec<AggState>> for Partial {
 
 impl From<GroupedAggs> for Partial {
     fn from(table: GroupedAggs) -> Partial {
-        Acc::Groups(table).into()
+        Acc::Groups(table, Box::default()).into()
     }
 }
 
@@ -105,7 +104,6 @@ impl From<Acc> for Partial {
         Partial {
             acc,
             scratch: Vec::new(),
-            block: GroupBlock::default(),
         }
     }
 }
@@ -201,14 +199,13 @@ impl SelectProgram {
                 key_types,
                 aggs,
             } => (
-                Acc::Groups(table_for(key_types, aggs)),
+                Acc::Groups(table_for(key_types, aggs), Box::default()),
                 keys.len() + aggs.len(),
             ),
         };
         Partial {
             acc,
             scratch: vec![0; scratch],
-            block: GroupBlock::default(),
         }
     }
 
@@ -228,7 +225,7 @@ impl SelectProgram {
             (SelectProgram::Aggregate(aggs), Acc::Aggs(states)) => {
                 aggregate_row(aggs, states, get, n)
             }
-            (SelectProgram::Grouped { keys, aggs, .. }, Acc::Groups(table)) => {
+            (SelectProgram::Grouped { keys, aggs, .. }, Acc::Groups(table, _)) => {
                 grouped_row(keys, aggs, table, scratch, get, n)
             }
             _ => unreachable!("partial belongs to a different select shape"),
@@ -277,8 +274,8 @@ impl SelectProgram {
                     None => source.for_each(views, &mut Aggregate(aggs, states)),
                 }
             }
-            (SelectProgram::Grouped { keys, aggs, .. }, Acc::Groups(table)) => {
-                grouped::feed(views, source, keys, aggs, table, &mut partial.block)
+            (SelectProgram::Grouped { keys, aggs, .. }, Acc::Groups(table, blk)) => {
+                grouped::feed(views, source, keys, aggs, table, blk)
             }
             _ => unreachable!("partial belongs to a different select shape"),
         }
@@ -345,9 +342,9 @@ impl SelectProgram {
                 out.push_row(&row);
                 out
             }
-            Acc::Groups(mut table) => {
+            Acc::Groups(mut table, _) => {
                 for part in parts {
-                    let Acc::Groups(part) = part else {
+                    let Acc::Groups(part, _) = part else {
                         unreachable!("{SHAPE}");
                     };
                     table.merge(part);

@@ -194,12 +194,8 @@ impl AggState {
     #[inline(always)]
     pub(crate) fn update_as(&mut self, op: AggOp, v: Value) {
         debug_assert_eq!(op, self.op);
-        let sum = |acc: Value| match op.ty {
-            LogicalType::F64 => f64_lane(lane_f64(acc) + lane_f64(v)),
-            _ => acc.wrapping_add(v),
-        };
         match op.func {
-            AggFunc::Sum => self.sum = sum(self.sum),
+            AggFunc::Sum => self.sum = add_sum(op.ty, self.sum, v),
             AggFunc::Min => {
                 self.min = self.min.min(op.ty.cmp_key(v));
                 self.count += 1;
@@ -210,7 +206,7 @@ impl AggState {
             }
             AggFunc::Count => self.count += 1,
             AggFunc::Avg => {
-                self.sum = sum(self.sum);
+                self.sum = add_sum(op.ty, self.sum, v);
                 self.count += 1;
             }
         }
@@ -254,14 +250,6 @@ impl AggState {
         }
     }
 
-    #[inline(always)]
-    fn add_to_sum(&self, v: Value) -> Value {
-        match self.op.ty {
-            LogicalType::F64 => f64_lane(lane_f64(self.sum) + lane_f64(v)),
-            _ => self.sum.wrapping_add(v),
-        }
-    }
-
     #[inline]
     fn add_n_to_sum(&self, v: Value, n: u64) -> Value {
         match self.op.ty {
@@ -293,7 +281,7 @@ impl AggState {
     /// the differential tests assert bit-identical results).
     pub fn merge(&mut self, other: &AggState) {
         debug_assert_eq!(self.op, other.op);
-        self.sum = self.add_to_sum(other.sum);
+        self.sum = add_sum(self.op.ty, self.sum, other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         self.count += other.count;
@@ -390,6 +378,17 @@ impl AggState {
     /// which do not need it).
     pub fn count(&self) -> u64 {
         self.count
+    }
+}
+
+/// The one sum step of every fold and merge: `acc + v` in `ty`'s lane
+/// domain (an `F64` add on the bit patterns, a wrapping integer add
+/// otherwise).
+#[inline(always)]
+fn add_sum(ty: LogicalType, acc: Value, v: Value) -> Value {
+    match ty {
+        LogicalType::F64 => f64_lane(lane_f64(acc) + lane_f64(v)),
+        _ => acc.wrapping_add(v),
     }
 }
 
