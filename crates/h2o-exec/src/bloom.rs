@@ -144,10 +144,77 @@ impl JoinFilter {
         self.blocks[block] & bits == bits
     }
 
+    /// Stage 3 of the join probe, over one block of keys (`width` lanes
+    /// each, row-major) and their [`hash_key`]s: writes the block
+    /// positions of the keys that pass both halves to the front of `out`,
+    /// ascending, and returns their count. Each position is written and
+    /// kept only if it passed, so no loop has a branch, and each range
+    /// test runs with its column's type and range resolved once per
+    /// block. A one-lane key runs range, bloom and compaction in one loop;
+    /// a wider key first marks each row's range test in `out`, column by
+    /// column, then tests the bloom bits and compacts in place.
+    pub fn survivors(&self, keys: &[Value], hashes: &[u64], out: &mut [u32]) -> usize {
+        let width = self.key_types.len();
+        let n = hashes.len();
+        debug_assert_eq!(keys.len(), n * width);
+        debug_assert!(out.len() >= n);
+        let mut kept = 0;
+        if width == 1 {
+            in_range_column(self.key_types[0], keys, 1, self.ranges[0], |i, ok| {
+                out[kept] = i as u32;
+                kept += usize::from(ok & self.test_hash(hashes[i]));
+            });
+            return kept;
+        }
+        out[..n].fill(1);
+        for (c, (&ty, &range)) in self.key_types.iter().zip(&self.ranges).enumerate() {
+            in_range_column(ty, &keys[c..], width, range, |i, ok| {
+                out[i] &= u32::from(ok);
+            });
+        }
+        for (i, &h) in hashes.iter().enumerate() {
+            let ok = (out[i] != 0) & self.test_hash(h);
+            out[kept] = i as u32;
+            kept += usize::from(ok);
+        }
+        kept
+    }
+
     /// Size of the bloom block array, in bytes (capacity planning and the
     /// cost model's footprint term).
     pub fn bytes(&self) -> usize {
         self.blocks.len() * std::mem::size_of::<u64>()
+    }
+}
+
+/// The range test of one key column — every `width`-th lane of `keys`,
+/// of type `ty` — against its inclusive `[lo, hi]` in comparator-key
+/// space: calls `test(row, in_range)` for each row, in order. The type is
+/// matched once, so each arm's loop is compiled for its key map.
+#[inline(always)]
+fn in_range_column(
+    ty: LogicalType,
+    keys: &[Value],
+    width: usize,
+    range: (Value, Value),
+    test: impl FnMut(usize, bool),
+) {
+    #[inline(always)]
+    fn run(
+        keys: &[Value],
+        width: usize,
+        (lo, hi): (Value, Value),
+        cmp_key: impl Fn(Value) -> Value,
+        mut test: impl FnMut(usize, bool),
+    ) {
+        for (i, &k) in keys.iter().step_by(width).enumerate() {
+            let c = cmp_key(k);
+            test(i, (lo <= c) & (c <= hi));
+        }
+    }
+    match ty {
+        LogicalType::F64 => run(keys, width, range, |k| LogicalType::F64.cmp_key(k), test),
+        LogicalType::I64 | LogicalType::Dict => run(keys, width, range, |k| k, test),
     }
 }
 

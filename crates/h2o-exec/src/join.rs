@@ -17,20 +17,26 @@
 //! pruning via [`GroupViews::runs_pruned`], the vectorized selection
 //! kernels, the range driver ([`run_ranges`]) and the select program's
 //! sink ([`crate::sink`] — blocks concatenated, aggregate partials merged,
-//! grouped tables merged, all in morsel order), so parallel join execution
-//! is bit-identical to serial for a fixed build side.
+//! grouped tables merged, all in morsel order). For a fixed build side, a
+//! parallel join is therefore bit-identical to a serial one wherever the
+//! fold does not depend on the morsel split: projections, integer sums,
+//! min/max, counts, and `F64` sums of values whose partial sums are exact
+//! (the dyadic grids every suite draws). A non-dyadic `F64` sum folds one
+//! chain per probe morsel and merges the chains in morsel order, so its
+//! last bits depend on the split (see [`AggState`]'s fold-order contract).
 //!
 //! # Build, probe, and determinism
 //!
 //! [`run_join`] hash-partitions the **build** side: each morsel gathers
-//! its qualifying rows' key and payload lanes in row order and hashes
-//! every key once ([`hash_key`], a fixed-seed splitmix64 chain). The
-//! per-morsel parts are inserted into one flat hash table ([`LaneMap`])
-//! sequentially in morsel order — identical to a serial row-order build —
-//! and folded into the probe prefilter, both with those same hashes. The
-//! table gives each distinct key a dense id; a stable counting sort then
-//! lays the payload rows out as one CSR row list, so key `id`'s build rows
-//! are one contiguous slice in build-row order. Keys hash and compare as
+//! its qualifying rows' key and payload lanes column by column, in row
+//! order, and hashes every key once ([`hash_key`], a fixed-seed
+//! splitmix64 chain). The per-morsel parts are inserted into one flat
+//! hash table ([`LaneMap`]) sequentially in morsel order — identical to a
+//! serial row-order build — and folded into the probe prefilter, both
+//! with those same hashes. The table gives each distinct key a dense id;
+//! a stable counting sort then lays the payload out as one CSR row list,
+//! column by column, so key `id`'s build rows are one contiguous span of
+//! every payload column, in build-row order. Keys hash and compare as
 //! **raw lane bits** (`f64` keys by bit pattern, dictionary keys by code —
 //! the join gate guarantees a shared dictionary), matching
 //! [`h2o_expr::interp::interpret_join`].
@@ -41,9 +47,7 @@
 //! `h2o_core::H2oEngine::run`), and an empty build side
 //! short-circuits the probe scan entirely. Output *row order* depends on
 //! the build side (pairs stream in probe-row order), so cross-build-side
-//! comparisons use the order-independent
-//! [`QueryResult::fingerprint`]; for a fixed build side, results are
-//! bit-identical serial vs parallel, segmented vs monolithic.
+//! comparisons use the order-independent [`QueryResult::fingerprint`].
 //!
 //! Joins participate in cooperative cancellation like single-relation
 //! scans ([`crate::cancel`]): [`run_join`] attaches
@@ -62,16 +66,23 @@
 //! selection vector otherwise. Every block runs five stages, for any key
 //! width:
 //!
-//! 1. gather the key lanes, column by column;
+//! 1. gather the key lanes, column by column, each from one segment slice
+//!    when the block's rows share one ([`SlotAccessor::within`]);
 //! 2. hash every key;
 //! 3. test every key against the [`JoinFilter`] — the exact `[min, max]`
-//!    range of each key column and a blocked bloom filter over the build
-//!    keys, sized from the post-prune build cardinality — and compact the
-//!    survivors into a list without a branch;
+//!    range of each key column, in comparator-key space, and a blocked
+//!    bloom filter over the build keys, sized from the post-prune build
+//!    cardinality — and compact the survivors into a list without a
+//!    branch ([`JoinFilter::survivors`]);
 //! 4. resolve the survivors' key ids in the table, with the same hash;
 //! 5. fold the hits, in ascending row order.
 //!
-//! The filter has no false negatives, so stage 3 drops only rows that
+//! A one-lane key — the common case — takes a tier of its own through
+//! stages 2–4: its hash is one mixer step, its filter loop is compiled per
+//! key type with the column's range hoisted out of it, and its table
+//! lookup compares each `[id, key]` slot inline. A wider key's range test
+//! runs column by column, each column's type and range hoisted the same
+//! way. The filter has no false negatives, so stage 3 drops only rows that
 //! match nothing ([`JoinExecStats::probe_bloom_rejects`] counts them), and
 //! stage 5 sees the hits in the order an unfiltered row walk would.
 //!
@@ -80,26 +91,34 @@
 //! Stage 5 follows the operator's [`FoldPlan`], which [`compile_join`]
 //! picks from the select clause and the build role. A sum over a join
 //! splits into per-key partial sums, so an aggregate never needs the
-//! joined stream when the sides it reads allow it:
+//! joined stream when the sides it reads allow it. The select program is
+//! lowered against each attribute's own side — a probe attribute reads
+//! its probe plan slot, a build attribute its lane of the CSR payload —
+//! so no plan stitches a combined tuple:
 //!
 //! * [`FoldPlan::ProbeOnly`] — no select expression reads the build side,
-//!   so a probe row's `n` matches are `n` identical tuples: the tuple
-//!   folds once with multiplicity `n`
-//!   ([`AggState::update_n`](h2o_expr::agg::AggState::update_n)).
+//!   so a probe row's `n` matches are `n` identical rows: the block's hit
+//!   rows gather each aggregate input column by column and fold once each
+//!   with multiplicity `n` ([`h2o_expr::agg::fold_column`], the column
+//!   fold grouped aggregation shares).
 //! * [`FoldPlan::BuildAggs`] — scalar aggregates that read only the build
-//!   side: the build folds each key's rows into partial states, the probe
-//!   only counts hits per key id, and the range end merges `partial ×
-//!   hits` ([`AggState::merge_n`](h2o_expr::agg::AggState::merge_n)).
+//!   side: the probe only counts hits per key id, and the join sums every
+//!   range's counts, then merges once: each reached key's build rows fold
+//!   column by column with the key's hit count as their multiplicity —
+//!   the key's partial state `× hits`, exact because the plan admits only
+//!   accumulators that associate, and never materialized per key.
 //! * [`FoldPlan::BuildGroups`] — group keys that read only the build
-//!   side, aggregates only the probe side: the build resolves each key to
-//!   its `(group, multiplicity)` list, the probe folds into a dense
-//!   per-range state array, and only the groups some probe row reached
-//!   enter the range's [`GroupedAggs`].
+//!   side, aggregates only the probe side: the build resolves its group
+//!   keys through the grouped pipeline's memo and each key id to its
+//!   `(group, multiplicity)` list (one flat entry per key when every key
+//!   reaches one group), and the probe folds its hit rows' aggregate
+//!   columns into a dense per-range state array; only the groups some
+//!   probe row reached enter the range's [`GroupedAggs`].
 //! * [`FoldPlan::PerPair`] — everything else (projections, expressions
 //!   that read both sides, and `F64` `sum`/`avg` over build values): each
-//!   matched pair is stitched into one combined tuple and pushed
-//!   through the select program's one per-row step, the one every scan
-//!   source feeds ([`SelectProgram::push`], fetching `|a| tuple[a.offset]`).
+//!   matched pair is pushed through the select program's one per-row
+//!   step ([`SelectProgram::push`]), fetching probe lanes from the probe
+//!   views and build lanes from the payload.
 //!
 //! Every plan folds exactly what the per-pair walk folds: multiplicity
 //! updates of `F64` sums add in sequence, the build-side partials are
@@ -112,37 +131,42 @@
 //! build filter's zone maps disprove are never read —
 //! [`JoinExecStats::build_segments_skipped`] /
 //! [`JoinExecStats::probe_segments_skipped`] report the per-side skips.
+//! [`run_join_staged`] runs the same join and also reports the time of
+//! every build and probe stage ([`JoinStages`]).
 
-use crate::bind::{BoundAttr, GroupViews};
+use crate::bind::{BoundAttr, GroupViews, SlotAccessor};
 use crate::bloom::JoinFilter;
 use crate::compile::{plan_binder, ExecCtx, ExecError};
 use crate::filter::CompiledFilter;
 use crate::kernels;
+use crate::kernels::grouped::{gather, gather_col, GroupBlock};
 use crate::kernels::simd::BLOCK_ROWS;
 use crate::parallel::{run_chunks, run_ranges, ExecPolicy};
 use crate::plan::AccessPlan;
 use crate::program::CompiledExpr;
 use crate::sink::{table_for, Partial, SelectProgram};
-use h2o_expr::agg::{AggFunc, AggOp, AggState};
+use h2o_expr::agg::{fold_column, AggFunc, AggOp, AggState};
 use h2o_expr::lanemap::hash_key;
-use h2o_expr::typecheck::{JoinTypes, SelectTypes, TypedPredicate};
+use h2o_expr::typecheck::{JoinTypes, SelectTypes};
 use h2o_expr::{Expr, GroupedAggs, JoinQuery, LaneMap, QueryResult, Select, Side};
 use h2o_storage::{AttrId, LayoutCatalog, LogicalType, Value};
-use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
+
+/// The plan slot of a build payload lane in the join's select program:
+/// `BoundAttr { slot: BUILD_SLOT, offset: c }` reads payload column `c`
+/// of the build row (every other slot is a probe plan slot).
+const BUILD_SLOT: u32 = u32::MAX;
 
 /// One compiled side of a join: which groups to scan (the side's access
-/// plan), the side's residual filter, and the offset-resolved key and
-/// payload references.
+/// plan), the side's residual filter, and the offset-resolved keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledJoinSide {
     plan: AccessPlan,
     filter: CompiledFilter,
     /// Bound key attributes, in `on` order.
     keys: Vec<BoundAttr>,
-    /// `(bound attribute, combined-tuple position)` per payload value this
-    /// side contributes to the stitched output tuple.
-    payload: Vec<(BoundAttr, u32)>,
 }
 
 impl CompiledJoinSide {
@@ -155,27 +179,6 @@ impl CompiledJoinSide {
     pub fn filter(&self) -> &CompiledFilter {
         &self.filter
     }
-
-    /// Stage 1 of a block: the key lanes of `rows`, gathered column by
-    /// column into `out`, row-major (`keys.len()` lanes per row).
-    fn gather_keys(&self, views: &GroupViews<'_>, rows: &[u32], out: &mut Vec<Value>) {
-        let w = self.keys.len();
-        out.resize(rows.len() * w, 0);
-        for (c, &k) in self.keys.iter().enumerate() {
-            let col = views.accessor(k.slot);
-            for (slot, &row) in out[c..].iter_mut().step_by(w).zip(rows) {
-                *slot = col.value(row as usize, k.offset as usize);
-            }
-        }
-    }
-
-    /// Writes `row`'s payload lanes into their combined-tuple positions.
-    #[inline(always)]
-    fn stitch(&self, views: &GroupViews<'_>, row: usize, tuple: &mut [Value]) {
-        for &(a, p) in &self.payload {
-            tuple[p as usize] = views.get(a, row);
-        }
-    }
 }
 
 /// How the probe folds a probe row's matches into the select clause —
@@ -183,17 +186,16 @@ impl CompiledJoinSide {
 /// clause and the build role (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FoldPlan {
-    /// Every matched (build row, probe row) pair is stitched into one
-    /// combined tuple and pushed: projections, expressions that read both
-    /// sides, and `F64` `sum`/`avg` over build values (whose fold order is
-    /// pinned).
+    /// Every matched (build row, probe row) pair is pushed through the
+    /// select program: projections, expressions that read both sides, and
+    /// `F64` `sum`/`avg` over build values (whose fold order is pinned).
     PerPair,
-    /// No select expression reads the build side: the probe tuple folds
+    /// No select expression reads the build side: each hit probe row folds
     /// once, with its match count as the multiplicity.
     ProbeOnly,
-    /// Scalar aggregates that read only the build side: per-key partial
-    /// states folded at build time, hits counted per key id by the probe,
-    /// `partial × hits` merged at the range end.
+    /// Scalar aggregates that read only the build side: hits counted per
+    /// key id by the probe, and each reached key's build rows folded once
+    /// per join with its hit count as their multiplicity.
     BuildAggs,
     /// Group keys that read only the build side and aggregates that read
     /// only the probe side: each build key resolves to `(group,
@@ -204,10 +206,10 @@ pub enum FoldPlan {
 }
 
 /// A fully generated join operator: two compiled sides (already assigned
-/// build/probe roles), plus the select program lowered against the
-/// **combined tuple buffer** — every select expression's attributes are
-/// resolved to positions in the stitched tuple, so the probe's inner loop
-/// never consults a side or a schema.
+/// build/probe roles) and the select program, lowered against each
+/// attribute's own side — a probe attribute to its probe plan slot and
+/// offset, a build attribute to its lane of the build payload — so the
+/// probe's inner loops never consult a side or a schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledJoinOp {
     build: CompiledJoinSide,
@@ -215,9 +217,9 @@ pub struct CompiledJoinOp {
     /// Whether the build side is the query's *left* relation.
     build_is_left: bool,
     select: SelectProgram,
-    /// Width of the stitched combined tuple (= number of distinct
-    /// combined-space attributes the select clause reads).
-    tuple_width: usize,
+    /// The build-side attributes the select clause reads, bound on the
+    /// build plan: payload column `c` holds `payload[c]`'s lanes.
+    payload: Vec<BoundAttr>,
     /// Shared key type per `on` pair (drives the probe prefilter's
     /// comparator-key range tests).
     key_types: Vec<LogicalType>,
@@ -255,7 +257,8 @@ impl CompiledJoinOp {
         }
     }
 
-    /// The compiled select program (combined-tuple offsets).
+    /// The compiled select program (probe attributes at their probe plan
+    /// slot, build attributes at their build payload lane).
     pub fn select(&self) -> &SelectProgram {
         &self.select
     }
@@ -307,38 +310,123 @@ pub struct JoinExecStats {
     pub build_is_left: bool,
 }
 
-/// Compiles one side: resolves its filter predicates, join keys and
-/// payload attributes against the side's plan groups.
+/// The stages of [`run_join`], in the order they run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Each build range's qualifying rows: key and payload lanes, hashes.
+    BuildGather,
+    /// The keys into the table, in range order.
+    BuildInsert,
+    /// The counting sort of the payload into the CSR row list.
+    BuildCsr,
+    /// The fold plan's per-key build folds.
+    BuildFold,
+    /// The probe prefilter over the build keys.
+    BuildBloom,
+    /// Probe stage 1 (with the walk that finds the block's rows).
+    ProbeGather,
+    /// Probe stage 2.
+    ProbeHash,
+    /// Probe stage 3.
+    ProbeFilter,
+    /// Probe stage 4.
+    ProbeResolve,
+    /// Probe stage 5.
+    ProbeFold,
+    /// Each probe range's partial, the once-per-join merge and the sink's
+    /// finish.
+    ProbeFinish,
+}
+
+impl Stage {
+    /// Every stage, in run order.
+    pub const ALL: [Stage; 11] = [
+        Stage::BuildGather,
+        Stage::BuildInsert,
+        Stage::BuildCsr,
+        Stage::BuildFold,
+        Stage::BuildBloom,
+        Stage::ProbeGather,
+        Stage::ProbeHash,
+        Stage::ProbeFilter,
+        Stage::ProbeResolve,
+        Stage::ProbeFold,
+        Stage::ProbeFinish,
+    ];
+
+    /// The stage's name in reports (`build.gather`, `probe.filter`, …).
+    pub fn name(self) -> &'static str {
+        [
+            "build.gather",
+            "build.insert",
+            "build.csr",
+            "build.fold",
+            "build.bloom",
+            "probe.gather",
+            "probe.hash",
+            "probe.filter",
+            "probe.resolve",
+            "probe.fold",
+            "probe.finish",
+        ][self as usize]
+    }
+}
+
+/// Nanoseconds spent in each [`Stage`] by [`run_join_staged`], summed over
+/// the workers (CPU time, not wall time, under a parallel policy) and
+/// accumulated across the joins run with it.
+#[derive(Debug, Default)]
+pub struct JoinStages {
+    ns: [AtomicU64; Stage::ALL.len()],
+}
+
+impl JoinStages {
+    /// Nanoseconds spent in `stage`.
+    pub fn ns(&self, stage: Stage) -> u64 {
+        self.ns[stage as usize].load(Ordering::Relaxed)
+    }
+}
+
+/// A lap timer over the stages: each [`Lap::mark`] charges the time since
+/// the previous mark to a stage. Without [`JoinStages`] it reads no clock.
+struct Lap<'s>(Option<(&'s JoinStages, Instant)>);
+
+impl<'s> Lap<'s> {
+    fn start(stages: Option<&'s JoinStages>) -> Lap<'s> {
+        Lap(stages.map(|s| (s, Instant::now())))
+    }
+
+    #[inline(always)]
+    fn mark(&mut self, stage: Stage) {
+        if let Some((stages, at)) = &mut self.0 {
+            let now = Instant::now();
+            let ns = now.duration_since(*at).as_nanos() as u64;
+            stages.ns[stage as usize].fetch_add(ns, Ordering::Relaxed);
+            *at = now;
+        }
+    }
+}
+
+/// Compiles one side's residual filter and keys against its plan groups.
 fn compile_side(
-    catalog: &LayoutCatalog,
     plan: &AccessPlan,
     q: &JoinQuery,
     side: Side,
-    preds: &[TypedPredicate],
-    pos: &HashMap<AttrId, u32>,
+    checked: &JoinTypes,
+    bind: impl Fn(AttrId) -> Result<BoundAttr, ExecError>,
 ) -> Result<CompiledJoinSide, ExecError> {
-    let bind = plan_binder(catalog, &plan.layouts)?;
-    let filter = CompiledFilter::lower(q.filter(side), preds, &bind)?;
-    let keys = q
-        .key_attrs(side)
-        .into_iter()
-        .map(&bind)
-        .collect::<Result<Vec<_>, _>>()?;
-    // Combined-tuple positions are assigned over the sorted combined
-    // attribute set, so they are identical for either build-side choice.
-    let mut payload = Vec::new();
-    for (&combined, &p) in pos {
-        let (s, local) = q.side_of(combined);
-        if s == side {
-            payload.push((bind(local)?, p));
-        }
-    }
-    payload.sort_by_key(|&(_, p)| p);
+    let preds = match side {
+        Side::Left => &checked.left_predicates,
+        Side::Right => &checked.right_predicates,
+    };
     Ok(CompiledJoinSide {
         plan: plan.clone(),
-        filter,
-        keys,
-        payload,
+        filter: CompiledFilter::lower(q.filter(side), preds, &bind)?,
+        keys: q
+            .key_attrs(side)
+            .into_iter()
+            .map(&bind)
+            .collect::<Result<_, _>>()?,
     })
 }
 
@@ -390,114 +478,134 @@ pub fn compile_join(
     checked: &JoinTypes,
     build_is_left: bool,
 ) -> Result<CompiledJoinOp, ExecError> {
-    let select_attrs = q.select_clause().attrs();
-    let tuple_width = select_attrs.len();
-    let pos: HashMap<AttrId, u32> = select_attrs
-        .iter()
-        .enumerate()
-        .map(|(i, a)| (a, i as u32))
-        .collect();
-
-    let lhs = compile_side(
-        left,
-        left_plan,
-        q,
-        Side::Left,
-        &checked.left_predicates,
-        &pos,
-    )?;
-    let rhs = compile_side(
-        right,
-        right_plan,
-        q,
-        Side::Right,
-        &checked.right_predicates,
-        &pos,
-    )?;
-
-    // Lower select expressions against combined-tuple positions: the
-    // bound `offset` indexes the stitched buffer and `slot` is unused —
-    // the probe pushes with the fetch `|a| tuple[a.offset]`.
-    let select = SelectProgram::lower(q.select_clause(), &checked.select, |attr| {
-        Ok(BoundAttr {
-            slot: 0,
-            offset: pos[&attr],
-        })
-    })?;
-
-    let (build, probe) = if build_is_left {
-        (lhs, rhs)
+    let lbind = plan_binder(left, &left_plan.layouts)?;
+    let rbind = plan_binder(right, &right_plan.layouts)?;
+    let lhs = compile_side(left_plan, q, Side::Left, checked, &lbind)?;
+    let rhs = compile_side(right_plan, q, Side::Right, checked, &rbind)?;
+    let (build, probe, build_side) = if build_is_left {
+        (lhs, rhs, Side::Left)
     } else {
-        (rhs, lhs)
+        (rhs, lhs, Side::Right)
     };
+    let bind_on = |side: Side, local| match side {
+        Side::Left => lbind(local),
+        Side::Right => rbind(local),
+    };
+
+    // The build attributes the select reads become the payload columns,
+    // in combined-attribute order; a probe attribute binds on its plan.
+    let mut payload = Vec::new();
+    let mut lanes = Vec::new();
+    for attr in q.select_clause().attrs().iter() {
+        let (side, local) = q.side_of(attr);
+        if side == build_side {
+            lanes.push(attr);
+            payload.push(bind_on(side, local)?);
+        }
+    }
+    let select = SelectProgram::lower(q.select_clause(), &checked.select, |attr| {
+        let (side, local) = q.side_of(attr);
+        match lanes.iter().position(|&a| a == attr) {
+            Some(c) => Ok(BoundAttr {
+                slot: BUILD_SLOT,
+                offset: c as u32,
+            }),
+            None => bind_on(side, local),
+        }
+    })?;
     Ok(CompiledJoinOp {
         build,
         probe,
         build_is_left,
         select,
-        tuple_width,
+        payload,
         key_types: checked.key_types.clone(),
         plan: fold_plan(q, &checked.select, build_is_left),
     })
 }
 
+/// One slot accessor per plan slot of `views`.
+fn accessors<'v, 'a>(views: &'v GroupViews<'a>) -> Vec<SlotAccessor<'v, 'a>> {
+    (0..views.len() as u32).map(|s| views.accessor(s)).collect()
+}
+
+/// Stage 1: the lanes of `keys` at the ascending `rows` into `out`,
+/// column by column, row-major (`keys.len()` lanes per row).
+fn gather_keys(
+    slots: &[SlotAccessor<'_, '_>],
+    keys: &[BoundAttr],
+    rows: &[u32],
+    out: &mut [Value],
+) {
+    match keys {
+        &[k] => gather_col(slots, k, rows, out.iter_mut()),
+        _ => {
+            for (c, &k) in keys.iter().enumerate() {
+                gather_col(slots, k, rows, out[c..].iter_mut().step_by(keys.len()));
+            }
+        }
+    }
+}
+
+/// Stage 2: appends the [`hash_key`] of every `width`-lane key of `keys`.
+fn hash_keys(keys: &[Value], width: usize, out: &mut Vec<u64>) {
+    match width {
+        1 => out.extend(keys.iter().map(|&k| hash_key(&[k]))),
+        _ => out.extend(keys.chunks_exact(width).map(hash_key)),
+    }
+}
+
 /// One build range's qualifying rows, in row order: their key lanes
-/// (`key width` per row), each key's [`hash_key`], and their payload
-/// lanes (`payload width` per row).
-#[derive(Default)]
+/// (`key width` per row), each key's [`hash_key`], and one column per
+/// payload attribute.
 struct BuildPart {
     keys: Vec<Value>,
     hashes: Vec<u64>,
-    payload: Vec<Value>,
+    payload: Vec<Vec<Value>>,
 }
 
-/// The per-key folds a [`FoldPlan`] prepares at build time.
-enum BuildFolds {
-    /// [`FoldPlan::PerPair`] and [`FoldPlan::ProbeOnly`] fold at the probe.
-    None,
-    /// [`FoldPlan::BuildAggs`]: the aggregates' states over each key's
-    /// build rows, `aggs.len()` per key id.
-    Partials(Vec<AggState>),
-    /// [`FoldPlan::BuildGroups`]: key `id`'s `(group id, multiplicity)`
-    /// pairs are `list[starts[id]..starts[id + 1]]`; `keys` holds the group
-    /// key vectors by dense group id.
-    Groups {
-        keys: LaneMap,
-        starts: Vec<u32>,
-        list: Vec<(u32, u32)>,
-    },
+/// [`FoldPlan::BuildGroups`]'s build-side groups: key `id`'s `(group
+/// id, multiplicity)` pairs are `list[starts[id]..starts[id + 1]]`, or
+/// `list[id]` alone when `starts` is `None` (every key reaches one
+/// group); `keys` holds the group key vectors by dense group id.
+struct GroupLists {
+    keys: LaneMap,
+    starts: Option<Vec<u32>>,
+    list: Vec<(u32, u32)>,
 }
 
 /// The build-side hash table: a [`LaneMap`] from raw-lane key vectors to
-/// dense key ids, one CSR row list over the ids, and the fold plan's
-/// per-key folds. Key `id`'s build rows are payload rows `starts[id]..
-/// starts[id + 1]` of `rows`, in build (= morsel, then row) order.
+/// dense key ids, one CSR row list over the ids, and
+/// [`FoldPlan::BuildGroups`]'s group lists. Key `id`'s build rows are CSR
+/// rows `starts[id]..starts[id + 1]`, in build (= morsel, then row)
+/// order.
 struct JoinTable {
     keys: LaneMap,
-    /// `keys.len() + 1` offsets into the payload rows.
+    /// `keys.len() + 1` offsets into the CSR rows.
     starts: Vec<u32>,
-    /// Payload lanes of the qualifying build rows, `width` per row,
-    /// grouped by key id.
-    rows: Vec<Value>,
-    width: usize,
-    folds: BuildFolds,
+    /// The payload lanes of the CSR rows, column by column: lane `c` of
+    /// CSR row `r` is `payload[c * rows + r]`.
+    payload: Vec<Value>,
+    /// Qualifying build rows.
+    rows: usize,
+    groups: Option<GroupLists>,
 }
 
 impl JoinTable {
     /// Inserts the gathered build parts in range order with their
     /// precomputed hashes, lays the payloads out by key id with a stable
-    /// counting sort, then prepares `op`'s per-key folds. `build_rows` is
-    /// the observed post-prune build cardinality, which sizes the map
+    /// counting sort, then resolves the group plan's lists. `rows` is the
+    /// observed post-prune build cardinality, which sizes the map
     /// (distinct keys can only be fewer).
-    fn build(parts: &[BuildPart], op: &CompiledJoinOp, build_rows: usize) -> JoinTable {
+    fn build(parts: &[BuildPart], op: &CompiledJoinOp, rows: usize, lap: &mut Lap) -> JoinTable {
         let key_width = op.build.keys.len();
-        let width = op.build.payload.len();
-        let mut keys = LaneMap::with_capacity(key_width, build_rows);
+        let mut keys = LaneMap::with_capacity(key_width, rows);
         let ids: Vec<u32> = parts
             .iter()
             .flat_map(|p| p.keys.chunks_exact(key_width).zip(&p.hashes))
             .map(|(key, &h)| keys.insert_hashed(key, h))
             .collect();
+        lap.mark(Stage::BuildInsert);
         let mut starts = vec![0u32; keys.len() + 1];
         for &id in &ids {
             starts[id as usize + 1] += 1;
@@ -505,98 +613,152 @@ impl JoinTable {
         for i in 1..starts.len() {
             starts[i] += starts[i - 1];
         }
-        let mut rows = vec![0; build_rows * width];
-        if width > 0 {
+        let mut payload = Vec::with_capacity(rows * op.payload.len());
+        if keys.len() == rows {
+            // Every key is new, so ids run 0, 1, 2, … in build order: the
+            // CSR order is the build order.
+            for c in 0..op.payload.len() {
+                parts
+                    .iter()
+                    .for_each(|p| payload.extend_from_slice(&p.payload[c]));
+            }
+        } else if !op.payload.is_empty() {
             let mut next = starts.clone();
-            let payloads = parts.iter().flat_map(|p| p.payload.chunks_exact(width));
-            for (payload, &id) in payloads.zip(&ids) {
-                let at = next[id as usize] as usize * width;
-                next[id as usize] += 1;
-                rows[at..at + width].copy_from_slice(payload);
+            let at: Vec<u32> = ids
+                .iter()
+                .map(|&id| {
+                    next[id as usize] += 1;
+                    next[id as usize] - 1
+                })
+                .collect();
+            payload.resize(rows * op.payload.len(), 0);
+            for (c, out) in payload.chunks_exact_mut(rows).enumerate() {
+                let lanes = parts.iter().flat_map(|p| &p.payload[c]);
+                for (&v, &r) in lanes.zip(&at) {
+                    out[r as usize] = v;
+                }
             }
         }
+        lap.mark(Stage::BuildCsr);
         let mut table = JoinTable {
             keys,
             starts,
+            payload,
             rows,
-            width,
-            folds: BuildFolds::None,
+            groups: None,
         };
-        table.folds = table.fold_build(op);
+        if let (FoldPlan::BuildGroups, SelectProgram::Grouped { keys, .. }) = (op.plan, &op.select)
+        {
+            table.groups = Some(table.group_lists(keys));
+        }
+        lap.mark(Stage::BuildFold);
         table
     }
 
-    /// The payload-row indices of key `id`'s build rows.
+    /// The CSR rows of key `id`.
     #[inline(always)]
     fn span(&self, id: u32) -> Range<usize> {
         self.starts[id as usize] as usize..self.starts[id as usize + 1] as usize
     }
 
-    /// Writes build row `r`'s (of the CSR order) `payload` lanes into
-    /// their combined-tuple positions.
+    /// The number of build rows of key `id`.
     #[inline(always)]
-    fn stitch(&self, r: usize, payload: &[(BoundAttr, u32)], tuple: &mut [Value]) {
-        let lanes = &self.rows[r * self.width..(r + 1) * self.width];
-        for (&v, &(_, p)) in lanes.iter().zip(payload) {
-            tuple[p as usize] = v;
+    fn span_len(&self, id: u32) -> u32 {
+        self.starts[id as usize + 1] - self.starts[id as usize]
+    }
+
+    /// Payload column `c`, in CSR row order.
+    #[inline(always)]
+    fn column(&self, c: u32) -> &[Value] {
+        &self.payload[c as usize * self.rows..(c as usize + 1) * self.rows]
+    }
+
+    /// Evaluates `e`, which reads only build attributes, at the CSR rows
+    /// `rows` into `out`: a bare column reads its payload column, any
+    /// other expression evaluates per row.
+    fn eval_build<'o>(
+        &self,
+        e: &CompiledExpr,
+        rows: impl Iterator<Item = usize>,
+        out: impl Iterator<Item = &'o mut Value>,
+    ) {
+        match e {
+            CompiledExpr::Col(a) => {
+                let col = self.column(a.offset);
+                out.zip(rows).for_each(|(o, r)| *o = col[r]);
+            }
+            e => out.zip(rows).for_each(|(o, r)| {
+                *o = e.eval(|a| self.payload[a.offset as usize * self.rows + r]);
+            }),
         }
     }
 
-    /// Prepares the per-key folds of `op`'s plan over the laid-out build
-    /// rows: each row's payload is stitched into a combined tuple and the
-    /// select's build-side expressions evaluate against it.
-    fn fold_build(&self, op: &CompiledJoinOp) -> BuildFolds {
-        let mut tuple = vec![0; op.tuple_width];
-        let ids = 0..self.keys.len() as u32;
-        match (op.plan, &op.select) {
-            (FoldPlan::BuildAggs, SelectProgram::Aggregate(aggs)) => {
-                let mut partials = Vec::with_capacity(self.keys.len() * aggs.len());
-                for id in ids {
-                    let at = partials.len();
-                    partials.extend(aggs.iter().map(|&(f, _)| AggState::new(f)));
-                    for r in self.span(id) {
-                        self.stitch(r, &op.build.payload, &mut tuple);
-                        for (st, (_, e)) in partials[at..].iter_mut().zip(aggs) {
-                            st.update(e.eval(|a| tuple[a.offset as usize]));
-                        }
-                    }
+    /// Resolves the group `keys` over the CSR rows into
+    /// [`FoldPlan::BuildGroups`]'s per-key group lists.
+    fn group_lists(&self, keys: &[CompiledExpr]) -> GroupLists {
+        // Each CSR row's group id, resolved a block at a time through the
+        // grouped pipeline (a dense memo for a narrow one-lane key, else
+        // hash-then-probe).
+        let mut groups = LaneMap::new(keys.len());
+        let mut blk = GroupBlock::default();
+        let mut group_of = Vec::with_capacity(self.rows);
+        for lo in (0..self.rows).step_by(BLOCK_ROWS) {
+            let rows = lo..(lo + BLOCK_ROWS).min(self.rows);
+            let gather = |kbuf: &mut [Value]| {
+                for (c, e) in keys.iter().enumerate() {
+                    let out = kbuf[c..].iter_mut().step_by(keys.len());
+                    self.eval_build(e, rows.clone(), out);
                 }
-                BuildFolds::Partials(partials)
-            }
-            (FoldPlan::BuildGroups, SelectProgram::Grouped { keys, .. }) => {
-                let mut groups = LaneMap::new(keys.len());
-                let mut key = vec![0; keys.len()];
-                let mut starts = vec![0u32];
-                let mut list: Vec<(u32, u32)> = Vec::new();
-                // Per group, the index of its latest `list` entry.
-                let mut latest: Vec<usize> = Vec::new();
-                for id in ids {
-                    let at = list.len();
-                    for r in self.span(id) {
-                        self.stitch(r, &op.build.payload, &mut tuple);
-                        for (slot, k) in key.iter_mut().zip(keys) {
-                            *slot = k.eval(|a| tuple[a.offset as usize]);
-                        }
-                        let g = groups.insert(&key);
-                        match latest.get(g as usize) {
-                            Some(&i) if i >= at => list[i].1 += 1,
-                            _ => {
-                                latest.resize(latest.len().max(g as usize + 1), 0);
-                                latest[g as usize] = list.len();
-                                list.push((g, 1));
-                            }
-                        }
-                    }
-                    starts.push(list.len() as u32);
-                }
-                BuildFolds::Groups {
-                    keys: groups,
-                    starts,
-                    list,
-                }
-            }
-            _ => BuildFolds::None,
+            };
+            let id = |key: &[Value], h| groups.insert_hashed(key, h);
+            group_of.extend_from_slice(blk.resolve_with(keys.len(), rows.len(), gather, id));
         }
+        let mut starts = vec![0u32];
+        let mut list: Vec<(u32, u32)> = Vec::new();
+        // Per group, the index of its latest `list` entry.
+        let mut latest: Vec<usize> = vec![0; groups.len()];
+        for id in 0..self.keys.len() as u32 {
+            let at = list.len();
+            for &g in &group_of[self.span(id)] {
+                let i = latest[g as usize];
+                if i >= at && list.get(i).is_some_and(|e| e.0 == g) {
+                    list[i].1 += 1;
+                } else {
+                    latest[g as usize] = list.len();
+                    list.push((g, 1));
+                }
+            }
+            starts.push(list.len() as u32);
+        }
+        GroupLists {
+            keys: groups,
+            starts: (list.len() != self.keys.len()).then_some(starts),
+            list,
+        }
+    }
+
+    /// [`FoldPlan::BuildAggs`]'s one merge per join: `hits[id]` probe rows
+    /// reached key `id` over every range, so each of the key's build rows
+    /// folds `hits[id]` times ([`AggState::fold_column_n`]) — for the
+    /// wrapping sums, min/max and counts the plan admits, exactly the
+    /// key's partial state merged `hits[id]` times. Returns the aggregate
+    /// states and the matched-pair count.
+    fn merge_hits(&self, aggs: &[(AggOp, CompiledExpr)], hits: &[u32]) -> (Partial, usize) {
+        let (mut rows, mut mults) = (Vec::new(), Vec::new());
+        for (id, &h) in hits.iter().enumerate().filter(|(_, &h)| h > 0) {
+            let span = self.span(id as u32);
+            mults.extend(std::iter::repeat_n(h, span.len()));
+            rows.extend(span);
+        }
+        let mut col = vec![0; rows.len()];
+        let mut states: Vec<AggState> = aggs.iter().map(|&(f, _)| AggState::new(f)).collect();
+        for (st, (f, e)) in states.iter_mut().zip(aggs) {
+            if f.func != AggFunc::Count {
+                self.eval_build(e, rows.iter().copied(), col.iter_mut());
+            }
+            st.fold_column_n(&col, &mults);
+        }
+        (states.into(), mults.iter().map(|&m| m as usize).sum())
     }
 }
 
@@ -606,9 +768,10 @@ impl JoinTable {
 /// Build and probe are each one source of the shared range driver
 /// ([`run_ranges`]): morsels under a parallel policy, per-range partials
 /// re-assembled in range order (see the module docs), so for a fixed
-/// `build_is_left` the result is bit-identical across policies — and a
-/// serial policy probes **one** range, so `F64` sums fold the same single
-/// row-order chain as [`h2o_expr::interp::interpret_join`].
+/// `build_is_left` the result does not depend on the policy wherever the
+/// fold does not depend on the morsel split — and a serial policy probes
+/// **one** range, so `F64` sums fold the same single row-order chain as
+/// [`h2o_expr::interp::interpret_join`].
 ///
 /// `ctx.cancel` is attached to both the build and the probe scan, each of
 /// which polls it per segment run and charges the token's morsel budget, if
@@ -620,6 +783,28 @@ pub fn run_join(
     right: &LayoutCatalog,
     op: &CompiledJoinOp,
     ctx: &ExecCtx<'_>,
+) -> Result<(QueryResult, JoinExecStats), ExecError> {
+    join(left, right, op, ctx, None)
+}
+
+/// [`run_join`] that also charges the time of every [`Stage`] to
+/// `stages` (one clock read per stage and block; `run_join` reads none).
+pub fn run_join_staged(
+    left: &LayoutCatalog,
+    right: &LayoutCatalog,
+    op: &CompiledJoinOp,
+    ctx: &ExecCtx<'_>,
+    stages: &JoinStages,
+) -> Result<(QueryResult, JoinExecStats), ExecError> {
+    join(left, right, op, ctx, Some(stages))
+}
+
+fn join(
+    left: &LayoutCatalog,
+    right: &LayoutCatalog,
+    op: &CompiledJoinOp,
+    ctx: &ExecCtx<'_>,
+    stages: Option<&JoinStages>,
 ) -> Result<(QueryResult, JoinExecStats), ExecError> {
     let (build_cat, probe_cat) = if op.build_is_left {
         (left, right)
@@ -637,26 +822,32 @@ pub fn run_join(
     let key_width = op.build.keys.len();
     let build_rows_total = build_views.rows();
     let parts: Vec<BuildPart> = run_ranges(build_rows_total, build_views.seg_rows(), policy, |r| {
-        let mut part = BuildPart::default();
-        let mut keys = Vec::new();
+        let mut lap = Lap::start(stages);
         let build = &op.build;
+        let slots = accessors(&build_views);
+        let mut part = BuildPart {
+            keys: Vec::new(),
+            hashes: Vec::new(),
+            payload: vec![Vec::new(); op.payload.len()],
+        };
         kernels::qualifying_blocks(
             build.plan.strategy,
             &build_views,
             &build.filter,
             r,
             |rows| {
-                build.gather_keys(&build_views, rows, &mut keys);
-                part.hashes
-                    .extend(keys.chunks_exact(key_width).map(hash_key));
-                part.keys.extend_from_slice(&keys);
-                for &row in rows {
-                    for &(a, _) in &build.payload {
-                        part.payload.push(build_views.get(a, row as usize));
-                    }
+                let at = part.keys.len();
+                part.keys.resize(at + rows.len() * key_width, 0);
+                gather_keys(&slots, &build.keys, rows, &mut part.keys[at..]);
+                hash_keys(&part.keys[at..], key_width, &mut part.hashes);
+                for (col, &a) in part.payload.iter_mut().zip(&op.payload) {
+                    let at = col.len();
+                    col.resize(at + rows.len(), 0);
+                    gather_col(&slots, a, rows, col[at..].iter_mut());
                 }
             },
         );
+        lap.mark(Stage::BuildGather);
         part
     });
     let build_qualifying: usize = parts.iter().map(|p| p.hashes.len()).sum();
@@ -664,7 +855,7 @@ pub fn run_join(
     // structures: the hash table's slot array and the bloom filter's
     // block count (a filter sized for the raw relation would waste cache
     // on heavily filtered builds).
-    let table = JoinTable::build(&parts, op, build_qualifying);
+    let table = JoinTable::build(&parts, op, build_qualifying, &mut Lap::start(stages));
     // Derive the probe prefilter from the gathered parts and their
     // hashes: one partial filter per chunk of build ranges, OR-merged in
     // chunk order (the merge is commutative, so the result is independent
@@ -673,18 +864,22 @@ pub fn run_join(
     let bloom = (build_qualifying > 0).then(|| {
         let new = || JoinFilter::with_capacity(build_qualifying, op.key_types.clone());
         let partials = run_chunks(&parts, policy, |chunk| {
+            let mut lap = Lap::start(stages);
             let mut f = new();
             for part in chunk {
                 for (key, &h) in part.keys.chunks_exact(key_width).zip(&part.hashes) {
                     f.insert(key, h);
                 }
             }
+            lap.mark(Stage::BuildBloom);
             f
         });
+        let mut lap = Lap::start(stages);
         let mut filter = new();
         for p in &partials {
             filter.merge(p);
         }
+        lap.mark(Stage::BuildBloom);
         filter
     });
     drop(parts);
@@ -701,30 +896,48 @@ pub fn run_join(
     // side short-circuits the probe scan entirely (greedy early-exit): no
     // partials finish as the empty-match result, which coincides with the
     // interpreter's conventions.
-    let mut parts = Vec::new();
-    if let Some(bloom) = &bloom {
-        let probe = run_ranges(probe_views.rows(), probe_views.seg_rows(), policy, |r| {
-            let mut probe = Probe::new(op, &table);
+    let ranges = match &bloom {
+        Some(bloom) => run_ranges(probe_views.rows(), probe_views.seg_rows(), policy, |r| {
+            let mut probe = Probe::new(op, &table, bloom, accessors(&probe_views));
             let side = &op.probe;
+            let mut lap = Lap::start(stages);
             let qual = kernels::qualifying_blocks(
                 side.plan.strategy,
                 &probe_views,
                 &side.filter,
                 r,
-                |rows| probe.block(&probe_views, bloom, rows),
+                |rows| probe.block(rows, &mut lap),
             );
             let rejects = probe.rejects;
-            let (part, pairs) = probe.finish();
-            (part, qual, pairs, rejects)
-        });
-        for (part, qual, pairs, rejects) in probe {
-            stats.probe_rows += qual;
-            stats.output_pairs += pairs;
-            stats.probe_bloom_rejects += rejects;
-            parts.push(part);
+            let (folded, pairs) = probe.finish();
+            lap.mark(Stage::ProbeFinish);
+            (folded, qual, pairs, rejects)
+        }),
+        None => Vec::new(),
+    };
+    let mut lap = Lap::start(stages);
+    let (mut parts, mut key_hits) = (Vec::new(), None::<Vec<u32>>);
+    for (folded, qual, pairs, rejects) in ranges {
+        stats.probe_rows += qual;
+        stats.output_pairs += pairs;
+        stats.probe_bloom_rejects += rejects;
+        match (folded, &mut key_hits) {
+            (Folded::Partial(part), _) => parts.push(part),
+            (Folded::KeyHits(hits), None) => key_hits = Some(hits),
+            (Folded::KeyHits(hits), Some(sum)) => {
+                for (s, h) in sum.iter_mut().zip(hits) {
+                    *s += h;
+                }
+            }
         }
     }
+    if let (Some(hits), SelectProgram::Aggregate(aggs)) = (key_hits, &op.select) {
+        let (part, pairs) = table.merge_hits(aggs, &hits);
+        stats.output_pairs += pairs;
+        parts.push(part);
+    }
     let result = op.select.finish(parts);
+    lap.mark(Stage::ProbeFinish);
     ctx.check()?;
     stats.build_segments_skipped = build_views.segments_skipped();
     stats.probe_segments_skipped = probe_views.segments_skipped();
@@ -744,66 +957,96 @@ pub fn execute_join_with_policy(
 /// What one probe range folds into, by [`FoldPlan`].
 enum RangeFold<'a> {
     /// [`FoldPlan::PerPair`] and [`FoldPlan::ProbeOnly`]: the select
-    /// program's partial, fed stitched tuples.
-    Tuples(Partial),
+    /// program's partial.
+    Partial(Partial),
     /// [`FoldPlan::BuildAggs`]: hits per build key id.
     KeyHits(Vec<u32>),
-    /// [`FoldPlan::BuildGroups`]: `aggs.len()` states per group id, which
-    /// groups a probe row reached, and one row's aggregate inputs.
+    /// [`FoldPlan::BuildGroups`]: the build's group lists, `aggs.len()`
+    /// states per group id, and which groups a probe row reached.
     Groups {
+        key_types: &'a [LogicalType],
         aggs: &'a [(AggOp, CompiledExpr)],
+        lists: &'a GroupLists,
         states: Vec<AggState>,
         hit: Vec<bool>,
-        vals: Vec<Value>,
     },
+}
+
+/// A probe range's contribution: a sink partial, or
+/// [`FoldPlan::BuildAggs`]'s hits per key id, which the join sums over
+/// its ranges before its one merge.
+enum Folded {
+    Partial(Partial),
+    KeyHits(Vec<u32>),
 }
 
 /// One probe range's running state: the block pipeline's buffers, the
 /// range's fold, and its matched-pair and filter-reject counts.
-struct Probe<'a> {
+struct Probe<'a, 'v, 'g> {
     op: &'a CompiledJoinOp,
     table: &'a JoinTable,
+    filter: &'a JoinFilter,
+    slots: Vec<SlotAccessor<'v, 'g>>,
     /// The block's key lanes, row-major.
     keys: Vec<Value>,
     /// The block's key hashes.
     hashes: Vec<u64>,
     /// Block positions of the keys that passed the filter.
     survivors: Vec<u32>,
-    /// `(block position, key id)` of the survivors the table holds.
-    hits: Vec<(u32, u32)>,
-    /// The stitched combined tuple.
-    tuple: Vec<Value>,
+    /// The probe rows the table holds a key of, and that key's id.
+    hit_rows: Vec<u32>,
+    hit_ids: Vec<u32>,
+    /// The rows, group ids and multiplicities a fold runs over.
+    fold_rows: Vec<u32>,
+    fold_ids: Vec<u32>,
+    mults: Vec<u32>,
+    /// One aggregate's input column over `fold_rows`.
+    vals: Vec<Value>,
     fold: RangeFold<'a>,
     pairs: usize,
     rejects: u64,
 }
 
-impl<'a> Probe<'a> {
-    fn new(op: &'a CompiledJoinOp, table: &'a JoinTable) -> Probe<'a> {
-        let fold = match (op.plan, &op.select, &table.folds) {
+impl<'a, 'v, 'g> Probe<'a, 'v, 'g> {
+    fn new(
+        op: &'a CompiledJoinOp,
+        table: &'a JoinTable,
+        filter: &'a JoinFilter,
+        slots: Vec<SlotAccessor<'v, 'g>>,
+    ) -> Probe<'a, 'v, 'g> {
+        let fold = match (op.plan, &op.select, &table.groups) {
             (FoldPlan::BuildAggs, ..) => RangeFold::KeyHits(vec![0; table.keys.len()]),
             (
-                FoldPlan::BuildGroups,
-                SelectProgram::Grouped { aggs, .. },
-                BuildFolds::Groups { keys, .. },
+                _,
+                SelectProgram::Grouped {
+                    key_types, aggs, ..
+                },
+                Some(lists),
             ) => RangeFold::Groups {
+                key_types,
                 aggs,
-                states: (0..keys.len())
+                lists,
+                states: (0..lists.keys.len())
                     .flat_map(|_| aggs.iter().map(|&(f, _)| AggState::new(f)))
                     .collect(),
-                hit: vec![false; keys.len()],
-                vals: vec![0; aggs.len()],
+                hit: vec![false; lists.keys.len()],
             },
-            _ => RangeFold::Tuples(op.select.partial()),
+            _ => RangeFold::Partial(op.select.partial()),
         };
         Probe {
             op,
             table,
+            filter,
+            slots,
             keys: Vec::with_capacity(BLOCK_ROWS * op.probe.keys.len()),
             hashes: Vec::with_capacity(BLOCK_ROWS),
-            survivors: Vec::with_capacity(BLOCK_ROWS),
-            hits: Vec::with_capacity(BLOCK_ROWS),
-            tuple: vec![0; op.tuple_width],
+            survivors: vec![0; BLOCK_ROWS],
+            hit_rows: Vec::with_capacity(BLOCK_ROWS),
+            hit_ids: Vec::with_capacity(BLOCK_ROWS),
+            fold_rows: Vec::new(),
+            fold_ids: Vec::new(),
+            mults: Vec::with_capacity(BLOCK_ROWS),
+            vals: Vec::new(),
             fold,
             pairs: 0,
             rejects: 0,
@@ -811,126 +1054,146 @@ impl<'a> Probe<'a> {
     }
 
     /// Runs the five stages (module docs) over one block of qualifying
-    /// probe rows, ascending.
-    fn block(&mut self, views: &GroupViews<'_>, filter: &JoinFilter, rows: &[u32]) {
+    /// probe rows, ascending. `lap` was last marked where the walk that
+    /// found the block began, or at the previous block's end.
+    fn block(&mut self, rows: &[u32], lap: &mut Lap) {
         let (op, table) = (self.op, self.table);
         let w = op.probe.keys.len();
         // 1–2: gather and hash every key.
-        op.probe.gather_keys(views, rows, &mut self.keys);
+        self.keys.resize(rows.len() * w, 0);
+        gather_keys(&self.slots, &op.probe.keys, rows, &mut self.keys);
+        lap.mark(Stage::ProbeGather);
         self.hashes.clear();
-        self.hashes.extend(self.keys.chunks_exact(w).map(hash_key));
-        // 3: range and bloom test every key; survivors compact without a
-        // branch (each position is written, and kept only if it passed).
-        self.survivors.resize(rows.len(), 0);
-        let mut kept = 0;
-        for (i, (key, &h)) in self.keys.chunks_exact(w).zip(&self.hashes).enumerate() {
-            self.survivors[kept] = i as u32;
-            kept += usize::from(filter.in_range(key) & filter.test_hash(h));
-        }
+        hash_keys(&self.keys, w, &mut self.hashes);
+        lap.mark(Stage::ProbeHash);
+        // 3: range and bloom test every key.
+        let kept = self
+            .filter
+            .survivors(&self.keys, &self.hashes, &mut self.survivors);
         self.rejects += (rows.len() - kept) as u64;
+        lap.mark(Stage::ProbeFilter);
         // 4: the survivors' key ids.
-        self.hits.clear();
+        self.hit_rows.clear();
+        self.hit_ids.clear();
         for &i in &self.survivors[..kept] {
             let i = i as usize;
             if let Some(id) = table
                 .keys
                 .get(&self.keys[i * w..(i + 1) * w], self.hashes[i])
             {
-                self.hits.push((i as u32, id));
+                self.hit_rows.push(rows[i]);
+                self.hit_ids.push(id);
             }
         }
+        lap.mark(Stage::ProbeResolve);
         // 5: fold, in ascending row order.
+        if !self.hit_rows.is_empty() {
+            self.fold();
+        }
+        lap.mark(Stage::ProbeFold);
+    }
+
+    /// Stage 5 over the block's hits.
+    fn fold(&mut self) {
+        let (op, table) = (self.op, self.table);
+        let hits = self.hit_rows.iter().zip(&self.hit_ids);
         match &mut self.fold {
-            RangeFold::KeyHits(hits) => {
-                for &(_, id) in &self.hits {
-                    hits[id as usize] += 1;
+            RangeFold::KeyHits(counts) => {
+                for &id in &self.hit_ids {
+                    counts[id as usize] += 1;
                 }
             }
-            RangeFold::Tuples(acc) => {
-                let per_pair = op.plan == FoldPlan::PerPair;
-                for &(i, id) in &self.hits {
-                    op.probe
-                        .stitch(views, rows[i as usize] as usize, &mut self.tuple);
+            RangeFold::Partial(acc) if op.plan == FoldPlan::PerPair => {
+                let slots = &self.slots;
+                for (&row, &id) in hits {
                     let span = table.span(id);
                     self.pairs += span.len();
-                    if !per_pair {
-                        op.select
-                            .push(acc, |a| self.tuple[a.offset as usize], span.len() as u64);
-                        continue;
-                    }
                     for r in span {
-                        table.stitch(r, &op.build.payload, &mut self.tuple);
-                        op.select.push(acc, |a| self.tuple[a.offset as usize], 1);
+                        let lane = |a: BoundAttr| match a.slot {
+                            BUILD_SLOT => table.payload[a.offset as usize * table.rows + r],
+                            s => slots[s as usize].value(row as usize, a.offset as usize),
+                        };
+                        op.select.push(acc, lane, 1);
                     }
                 }
+            }
+            RangeFold::Partial(acc) => {
+                self.mults.clear();
+                self.mults
+                    .extend(self.hit_ids.iter().map(|&id| table.span_len(id)));
+                self.pairs += self.mults.iter().map(|&m| m as usize).sum::<usize>();
+                op.select
+                    .fold_hits(&self.slots, &self.hit_rows, &self.mults, acc);
             }
             RangeFold::Groups {
                 aggs,
+                lists: GroupLists { starts, list, .. },
                 states,
                 hit,
-                vals,
+                ..
             } => {
-                let BuildFolds::Groups { starts, list, .. } = &table.folds else {
-                    unreachable!("the group plan builds group lists");
-                };
-                let n = aggs.len();
-                for &(i, id) in &self.hits {
-                    op.probe
-                        .stitch(views, rows[i as usize] as usize, &mut self.tuple);
-                    for (v, (_, e)) in vals.iter_mut().zip(aggs.iter()) {
-                        *v = e.eval(|a| self.tuple[a.offset as usize]);
-                    }
-                    let id = id as usize;
-                    for &(g, mult) in &list[starts[id] as usize..starts[id + 1] as usize] {
-                        let g = g as usize;
-                        hit[g] = true;
-                        self.pairs += mult as usize;
-                        for (st, &v) in states[g * n..(g + 1) * n].iter_mut().zip(vals.iter()) {
-                            st.update_n(v, u64::from(mult));
+                // Each hit row once per group its key reaches: with one
+                // group per key, the hit rows themselves.
+                self.fold_ids.clear();
+                self.mults.clear();
+                let rows = match starts {
+                    None => {
+                        for &id in &self.hit_ids {
+                            let (g, m) = list[id as usize];
+                            self.fold_ids.push(g);
+                            self.mults.push(m);
                         }
+                        &self.hit_rows
                     }
+                    Some(starts) => {
+                        self.fold_rows.clear();
+                        for (&row, &id) in hits {
+                            let (lo, hi) = (starts[id as usize], starts[id as usize + 1]);
+                            for &(g, m) in &list[lo as usize..hi as usize] {
+                                self.fold_rows.push(row);
+                                self.fold_ids.push(g);
+                                self.mults.push(m);
+                            }
+                        }
+                        &self.fold_rows
+                    }
+                };
+                for &g in &self.fold_ids {
+                    hit[g as usize] = true;
+                }
+                self.pairs += self.mults.iter().map(|&m| m as usize).sum::<usize>();
+                let n = aggs.len();
+                self.vals.resize(rows.len(), 0);
+                for (j, (f, e)) in aggs.iter().enumerate() {
+                    if f.func != AggFunc::Count {
+                        gather(&self.slots, e, rows, self.vals.iter_mut());
+                    }
+                    let (ids, mults) = (&self.fold_ids, Some(&self.mults[..]));
+                    fold_column(&mut states[j..], n, *f, ids, &self.vals, mults);
                 }
             }
         }
     }
 
-    /// The range's sink partial and matched-pair count.
-    fn finish(self) -> (Partial, usize) {
-        let table = self.table;
+    /// The range's contribution and matched-pair count
+    /// ([`FoldPlan::BuildAggs`] counts its pairs at the join's merge).
+    fn finish(self) -> (Folded, usize) {
         match self.fold {
-            RangeFold::Tuples(acc) => (acc, self.pairs),
-            RangeFold::KeyHits(hits) => {
-                let (SelectProgram::Aggregate(aggs), BuildFolds::Partials(partials)) =
-                    (&self.op.select, &table.folds)
-                else {
-                    unreachable!("the build-aggregate plan builds partials");
-                };
-                let n = aggs.len();
-                let mut states: Vec<AggState> =
-                    aggs.iter().map(|&(f, _)| AggState::new(f)).collect();
-                let mut pairs = 0;
-                for (id, &h) in hits.iter().enumerate().filter(|(_, &h)| h > 0) {
-                    pairs += h as usize * table.span(id as u32).len();
-                    for (st, p) in states.iter_mut().zip(&partials[id * n..(id + 1) * n]) {
-                        st.merge_n(p, u64::from(h));
-                    }
-                }
-                (states.into(), pairs)
-            }
+            RangeFold::Partial(acc) => (Folded::Partial(acc), self.pairs),
+            RangeFold::KeyHits(hits) => (Folded::KeyHits(hits), 0),
             RangeFold::Groups {
-                aggs, states, hit, ..
+                key_types,
+                aggs,
+                lists,
+                states,
+                hit,
             } => {
-                let (SelectProgram::Grouped { key_types, .. }, BuildFolds::Groups { keys, .. }) =
-                    (&self.op.select, &table.folds)
-                else {
-                    unreachable!("the group plan builds group lists");
-                };
                 let n = aggs.len();
                 let mut out: GroupedAggs = table_for(key_types, aggs);
                 for (g, _) in hit.iter().enumerate().filter(|(_, &h)| h) {
-                    out.merge_group(keys.key(g as u32), &states[g * n..(g + 1) * n]);
+                    out.merge_group(lists.keys.key(g as u32), &states[g * n..(g + 1) * n]);
                 }
-                (out.into(), self.pairs)
+                (Folded::Partial(out.into()), self.pairs)
             }
         }
     }

@@ -413,6 +413,7 @@ pub fn grouped_ids_columnar(
                     }
                 }
             },
+            None,
         );
     }
     table

@@ -21,9 +21,14 @@
 //!    and folds its column into the groups' states in row order, so each
 //!    group's `F64` sum stays one chain in row order and a serial run is
 //!    bit-identical to the interpreter's per-row fold.
+//!
+//! The join reuses the stages: a probe-only grouped fold runs a block of
+//! hit rows through them with each row's match count as its multiplicity,
+//! and the build resolves its group keys through stages 1–2 alone
+//! (`GroupBlock::resolve_with`); both gather columns through [`gather`].
 
 use super::RowSource;
-use crate::bind::{GroupViews, SlotAccessor};
+use crate::bind::{BoundAttr, GroupViews, SlotAccessor};
 use crate::program::CompiledExpr;
 use h2o_expr::agg::{AggFunc, AggOp};
 use h2o_expr::lanemap::hash_key;
@@ -60,7 +65,7 @@ impl GroupBlock {
     /// Runs one block of `n` rows into `table`: sizes the buffers, lets
     /// `gather` fill them (stage 1: the key lanes row-major, the aggregate
     /// inputs one `n`-lane column each), then resolves (stage 2) and folds
-    /// (stage 3).
+    /// (stage 3), each row `mults[i]` times when multiplicities are given.
     pub(crate) fn run(
         &mut self,
         table: &mut GroupedAggs,
@@ -68,16 +73,36 @@ impl GroupBlock {
         aggs: usize,
         n: usize,
         gather: impl FnOnce(&mut [Value], &mut [Value]),
+        mults: Option<&[u32]>,
     ) {
         self.keys.resize(n * key_width, 0);
         self.vals.resize(n * aggs, 0);
         gather(&mut self.keys, &mut self.vals);
-        self.resolve(table, key_width);
-        table.fold_block(&self.ids, &self.vals);
+        self.resolve(key_width, |key, h| table.id_hashed(key, h));
+        table.fold_block(&self.ids, &self.vals, mults);
+    }
+
+    /// Stages 1 and 2 alone, for ids another structure keeps: lets
+    /// `gather` fill the key lanes of `n` rows (row-major), then resolves
+    /// them through `id` (a key and its [`hash_key`] to its dense id) and
+    /// returns the block's ids. The memo then holds `id`'s ids, so one
+    /// `GroupBlock` serves one id space. The join build resolves its
+    /// build-side group keys here.
+    pub(crate) fn resolve_with(
+        &mut self,
+        key_width: usize,
+        n: usize,
+        gather: impl FnOnce(&mut [Value]),
+        id: impl FnMut(&[Value], u64) -> u32,
+    ) -> &[u32] {
+        self.keys.resize(n * key_width, 0);
+        gather(&mut self.keys);
+        self.resolve(key_width, id);
+        &self.ids
     }
 
     /// Stage 2: the group id of every key of the block, in row order.
-    fn resolve(&mut self, table: &mut GroupedAggs, key_width: usize) {
+    fn resolve(&mut self, key_width: usize, mut id: impl FnMut(&[Value], u64) -> u32) {
         self.ids.clear();
         if key_width == 1 && !self.keys.is_empty() {
             let (lo, hi) = self
@@ -99,12 +124,12 @@ impl GroupBlock {
                     self.memo.resize(DENSE_SPAN, NO_ID);
                 }
                 self.ids.resize(self.keys.len(), 0);
-                for (id, &k) in self.ids.iter_mut().zip(&self.keys) {
+                for (out, &k) in self.ids.iter_mut().zip(&self.keys) {
                     let slot = &mut self.memo[offset(k, self.base)];
                     if *slot == NO_ID {
-                        *slot = table.id(&[k]);
+                        *slot = id(&[k], hash_key(&[k]));
                     }
-                    *id = *slot;
+                    *out = *slot;
                 }
                 return;
             }
@@ -113,7 +138,7 @@ impl GroupBlock {
         self.hashes
             .extend(self.keys.chunks_exact(key_width).map(hash_key));
         for (key, &h) in self.keys.chunks_exact(key_width).zip(&self.hashes) {
-            self.ids.push(table.id_hashed(key, h));
+            self.ids.push(id(key, h));
         }
     }
 }
@@ -132,49 +157,79 @@ pub(crate) fn feed(
     let slots: Vec<SlotAccessor<'_, '_>> =
         (0..views.len() as u32).map(|s| views.accessor(s)).collect();
     source.for_each_block(views, |rows| {
-        blk.run(table, keys.len(), aggs.len(), rows.len(), |kbuf, vbuf| {
-            match keys {
-                [e] => gather(&slots, e, rows, kbuf.iter_mut()),
-                _ => {
-                    for (c, e) in keys.iter().enumerate() {
-                        gather(&slots, e, rows, kbuf[c..].iter_mut().step_by(keys.len()));
-                    }
-                }
-            }
-            for ((f, e), out) in aggs.iter().zip(vbuf.chunks_exact_mut(rows.len())) {
-                if f.func != AggFunc::Count {
-                    gather(&slots, e, rows, out.iter_mut());
-                }
-            }
-        })
+        blk.run(
+            table,
+            keys.len(),
+            aggs.len(),
+            rows.len(),
+            |kbuf, vbuf| gather_block(&slots, keys, aggs, rows, kbuf, vbuf),
+            None,
+        )
     });
 }
 
-/// Evaluates `e` over the ascending `rows` into `out`: a bare column is
-/// one strided gather (from one segment slice when the rows share one),
-/// any other expression is evaluated per row.
+/// Stage 1 of a block of the ascending `rows`: every key expression into
+/// `kbuf` (row-major) and every aggregate input but a `count`'s into its
+/// `rows.len()`-lane column of `vbuf`.
 #[inline]
-fn gather<'o>(
+pub(crate) fn gather_block(
+    slots: &[SlotAccessor<'_, '_>],
+    keys: &[CompiledExpr],
+    aggs: &[(AggOp, CompiledExpr)],
+    rows: &[u32],
+    kbuf: &mut [Value],
+    vbuf: &mut [Value],
+) {
+    match keys {
+        [e] => gather(slots, e, rows, kbuf.iter_mut()),
+        _ => {
+            for (c, e) in keys.iter().enumerate() {
+                gather(slots, e, rows, kbuf[c..].iter_mut().step_by(keys.len()));
+            }
+        }
+    }
+    for ((f, e), out) in aggs.iter().zip(vbuf.chunks_exact_mut(rows.len())) {
+        if f.func != AggFunc::Count {
+            gather(slots, e, rows, out.iter_mut());
+        }
+    }
+}
+
+/// Evaluates `e` over the ascending `rows` into `out`: a bare column is
+/// one gather ([`gather_col`]), any other expression is evaluated per row.
+#[inline]
+pub(crate) fn gather<'o>(
     slots: &[SlotAccessor<'_, '_>],
     e: &CompiledExpr,
     rows: &[u32],
     out: impl Iterator<Item = &'o mut Value>,
 ) {
     match e {
-        CompiledExpr::Col(a) => {
-            let (col, off) = (&slots[a.slot as usize], a.offset as usize);
-            match col.within(rows, off) {
-                Some(seg) => out.zip(rows).for_each(|(o, &r)| *o = seg(r as usize)),
-                None => out
-                    .zip(rows)
-                    .for_each(|(o, &r)| *o = col.value(r as usize, off)),
-            }
-        }
+        CompiledExpr::Col(a) => gather_col(slots, *a, rows, out),
         e => {
             for (o, &r) in out.zip(rows) {
                 *o = e.eval(|a| slots[a.slot as usize].value(r as usize, a.offset as usize));
             }
         }
+    }
+}
+
+/// The lanes of `a` at the ascending `rows` into `out`: one strided read
+/// of one segment slice when the rows share one
+/// ([`SlotAccessor::within`]), else a segment lookup per row.
+#[inline]
+pub(crate) fn gather_col<'o>(
+    slots: &[SlotAccessor<'_, '_>],
+    a: BoundAttr,
+    rows: &[u32],
+    out: impl Iterator<Item = &'o mut Value>,
+) {
+    let (col, off) = (&slots[a.slot as usize], a.offset as usize);
+    match col.within(rows, off) {
+        Some(seg) => out.zip(rows).for_each(|(o, &r)| *o = seg(r as usize)),
+        None => out
+            .zip(rows)
+            .for_each(|(o, &r)| *o = col.value(r as usize, off)),
     }
 }
 
@@ -192,12 +247,17 @@ mod tests {
         let mut blk = GroupBlock::default();
         for (b, keys) in blocks.iter().enumerate() {
             let n = keys.len() / key_width;
-            blk.run(&mut got, key_width, 1, n, |kbuf, _| {
-                kbuf.copy_from_slice(keys)
-            });
+            blk.run(
+                &mut got,
+                key_width,
+                1,
+                n,
+                |kbuf, _| kbuf.copy_from_slice(keys),
+                None,
+            );
             let ids: Vec<u32> = keys.chunks(key_width).map(|k| want.id(k)).collect();
             assert_eq!(blk.ids, ids, "block {b}");
-            want.fold_block(&ids, &vec![0; n]);
+            want.fold_block(&ids, &vec![0; n], None);
         }
         assert_eq!(got.finish(), want.finish());
     }
@@ -251,7 +311,7 @@ mod tests {
     fn empty_blocks_resolve_nothing() {
         let mut table = GroupedAggs::new(vec![LogicalType::I64], vec![]);
         let mut blk = GroupBlock::default();
-        blk.run(&mut table, 1, 0, 0, |_, _| {});
+        blk.run(&mut table, 1, 0, 0, |_, _| {}, None);
         assert!(table.is_empty());
         assert!(blk.memo.is_empty(), "no memo for an empty block");
     }

@@ -100,8 +100,8 @@ pub use compile::{
 };
 pub use filter::CompiledFilter;
 pub use join::{
-    compile_join, execute_join_with_policy, run_join, CompiledJoinOp, CompiledJoinSide, FoldPlan,
-    JoinExecStats,
+    compile_join, execute_join_with_policy, run_join, run_join_staged, CompiledJoinOp,
+    CompiledJoinSide, FoldPlan, JoinExecStats, JoinStages, Stage,
 };
 pub use opcache::{CompileCostModel, OperatorCache, OperatorKey};
 pub use parallel::ExecPolicy;

@@ -14,9 +14,16 @@
 //! re-assembled in morsel order (projection blocks concatenated, selection
 //! vectors stitched, aggregate partials merged through
 //! [`AggState::merge`](h2o_expr::agg::AggState::merge), whose operations —
-//! wrapping sums, min/max, counts — are associative), so parallel execution
-//! returns **bit-identical** results to serial execution. The differential
-//! test suite asserts this for every strategy × query shape.
+//! wrapping sums, min/max, counts — are associative), so a policy always
+//! returns the same bits, and parallel execution returns **bit-identical**
+//! results to serial execution for projections, integer sums, min/max,
+//! counts and `F64` sums whose partial sums are exact (the dyadic grids
+//! every suite draws). A non-dyadic `F64` sum is the exception: it folds
+//! one chain per morsel and merges the chains in morsel order, so its last
+//! bits depend on the morsel split (a 300K-row sum measured 426 ulps apart
+//! under two workers), until the sum is made order-independent. The
+//! differential suites assert bit-identity for every strategy × query
+//! shape on dyadic data.
 //!
 //! [`ExecPolicy`] carries the knobs: worker count, morsel size, and a serial
 //! fallback threshold so tiny relations never pay fork/join overhead.

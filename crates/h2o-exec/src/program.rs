@@ -129,10 +129,10 @@ impl CompiledExpr {
 
     /// Evaluates the expression for one row, whose lanes `get` fetches
     /// by bound attribute (the idiom of [`h2o_expr::Expr::eval`]). Every
-    /// caller supplies its own fetch: a stitched tuple (`|a|
-    /// t[a.offset]`), or the row of a fused scan's run or of a selection
-    /// vector's id chunk, from one slot or many (`kernels::scan_rows`,
-    /// `kernels::id_rows`).
+    /// caller supplies its own fetch: the row of a fused scan's run or of a
+    /// selection vector's id chunk, from one slot or many
+    /// (`kernels::scan_rows`, `kernels::id_rows`), or a joined pair's lanes
+    /// from their two sides.
     #[inline(always)]
     pub fn eval(&self, get: impl Fn(BoundAttr) -> Value) -> Value {
         match self {

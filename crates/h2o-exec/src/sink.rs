@@ -18,17 +18,18 @@
 //! * the column-major strategy hands qualifying-id chunks to its own
 //!   kernels (`SelectProgram::columnar`), whose intermediate columns are
 //!   the DSM cost structure (§2.1);
-//! * the join probe folds matches by its fold plan: stitched tuples
-//!   pushed (`|a| tuple[a.offset]`), with a multiplicity, into a fresh
-//!   [`SelectProgram::partial`], or aggregate states and grouped tables it
-//!   assembles from per-key build-side folds (`Partial::from`).
+//! * the join probe folds matches by its fold plan: matched pairs pushed
+//!   one at a time (each lane fetched from its own side), blocks of hit
+//!   rows folded column by column with their match counts as
+//!   multiplicities (`SelectProgram::fold_hits`), or aggregate states and
+//!   grouped tables it assembles from build-side folds (`Partial::from`).
 //!
 //! [`SelectProgram::finish`] concatenates projection blocks, merges
 //! aggregate states and merges grouped tables — all in range order, which
 //! is what pins the `F64` fold order (see [`AggState`]) and makes a serial
 //! run (one range, nothing to merge) bit-identical to the interpreter.
 
-use crate::bind::{BoundAttr, GroupViews};
+use crate::bind::{BoundAttr, GroupViews, SlotAccessor};
 use crate::compile::ExecError;
 use crate::filter::CompiledFilter;
 use crate::kernels::grouped::{self, GroupBlock};
@@ -111,9 +112,9 @@ impl From<Acc> for Partial {
 impl SelectProgram {
     /// Generates the program for a select clause with its plan-time typing:
     /// `bind` resolves each attribute reference — to a plan slot and group
-    /// offset for a scan and the fused reorganization, to a stitched-tuple
-    /// position for the join probe. An unbound attribute fails the lowering
-    /// with `bind`'s error.
+    /// offset for a scan and the fused reorganization, to a probe plan slot
+    /// or a build payload lane for the join. An unbound attribute fails the
+    /// lowering with `bind`'s error.
     pub(crate) fn lower(
         select: &Select,
         types: &SelectTypes,
@@ -278,6 +279,44 @@ impl SelectProgram {
                 grouped::feed(views, source, keys, aggs, table, blk)
             }
             _ => unreachable!("partial belongs to a different select shape"),
+        }
+    }
+
+    /// The join's probe-only fold of one block of hit rows: probe row
+    /// `rows[i]` (ascending, its lanes fetched through `slots`) folds
+    /// `mults[i]` times, column at a time. Each aggregate input is
+    /// gathered over the block and folded into its state
+    /// ([`AggState::fold_column_n`]); a grouped program first resolves
+    /// the block's group ids through its pipeline. Aggregate shapes only
+    /// (a projection folds per pair); `partial` must come from this
+    /// program's [`Self::partial`].
+    pub(crate) fn fold_hits(
+        &self,
+        slots: &[SlotAccessor<'_, '_>],
+        rows: &[u32],
+        mults: &[u32],
+        partial: &mut Partial,
+    ) {
+        match (self, &mut partial.acc) {
+            (SelectProgram::Aggregate(aggs), Acc::Aggs(states)) => {
+                let col = &mut partial.scratch;
+                col.resize(rows.len(), 0);
+                for (st, (op, e)) in states.iter_mut().zip(aggs) {
+                    if op.func != AggFunc::Count {
+                        grouped::gather(slots, e, rows, col.iter_mut());
+                    }
+                    st.fold_column_n(col, mults);
+                }
+            }
+            (SelectProgram::Grouped { keys, aggs, .. }, Acc::Groups(table, blk)) => blk.run(
+                table,
+                keys.len(),
+                aggs.len(),
+                rows.len(),
+                |kbuf, vbuf| grouped::gather_block(slots, keys, aggs, rows, kbuf, vbuf),
+                Some(mults),
+            ),
+            _ => unreachable!("a projection folds per pair"),
         }
     }
 

@@ -229,42 +229,32 @@ impl AggState {
     /// exact bit pattern of the unfused loop.
     #[inline]
     pub fn update_n(&mut self, v: Value, n: u64) {
-        if n == 0 {
-            return;
+        if n > 0 {
+            self.update_n_as(self.op, v, n);
         }
-        match self.op.func {
-            AggFunc::Sum => self.sum = self.add_n_to_sum(v, n),
+    }
+
+    /// [`Self::update_n`] through `op` (this state's own, as in
+    /// [`Self::update_as`]) for an `n` of at least one.
+    #[inline(always)]
+    fn update_n_as(&mut self, op: AggOp, v: Value, n: u64) {
+        debug_assert_eq!(op, self.op);
+        debug_assert!(n > 0);
+        match op.func {
+            AggFunc::Sum => self.sum = add_n_to_sum(op.ty, self.sum, v, n),
             AggFunc::Min => {
-                self.min = self.min.min(self.op.ty.cmp_key(v));
+                self.min = self.min.min(op.ty.cmp_key(v));
                 self.count += n;
             }
             AggFunc::Max => {
-                self.max = self.max.max(self.op.ty.cmp_key(v));
+                self.max = self.max.max(op.ty.cmp_key(v));
                 self.count += n;
             }
             AggFunc::Count => self.count += n,
             AggFunc::Avg => {
-                self.sum = self.add_n_to_sum(v, n);
+                self.sum = add_n_to_sum(op.ty, self.sum, v, n);
                 self.count += n;
             }
-        }
-    }
-
-    #[inline]
-    fn add_n_to_sum(&self, v: Value, n: u64) -> Value {
-        match self.op.ty {
-            LogicalType::F64 => {
-                // n sequential additions: IEEE-754 rounding makes a + n*v
-                // differ from ((a+v)+v)+... in general, and the fused path
-                // must be bit-identical to the unfused per-pair loop.
-                let mut a = lane_f64(self.sum);
-                let x = lane_f64(v);
-                for _ in 0..n {
-                    a += x;
-                }
-                f64_lane(a)
-            }
-            _ => self.sum.wrapping_add(v.wrapping_mul(n as Value)),
         }
     }
 
@@ -285,27 +275,6 @@ impl AggState {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         self.count += other.count;
-    }
-
-    /// Merges `other` `n` times — bit-identical to `n` calls of
-    /// [`Self::merge`] with the same `other`, at `O(1)` cost for every
-    /// function except the `F64` sum (which adds `other`'s sum `n` times in
-    /// sequence, as [`Self::update_n`] does). This is the build-side half
-    /// of factorized join aggregation: a build key's rows fold into one
-    /// partial state at build time, and a probe range that hits the key
-    /// `n` times merges the partial `n` times. For integer sums, min/max
-    /// and counts that equals folding every matched pair; for `F64` sums it
-    /// does not (the pairs' fold order is pinned), so the join keeps those
-    /// on its per-pair plan.
-    pub fn merge_n(&mut self, other: &AggState, n: u64) {
-        debug_assert_eq!(self.op, other.op);
-        if n == 0 {
-            return;
-        }
-        self.sum = self.add_n_to_sum(other.sum, n);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.count += other.count * n;
     }
 
     /// Reconstructs an accumulator from a kernel's raw partial: `raw` is
@@ -389,6 +358,109 @@ fn add_sum(ty: LogicalType, acc: Value, v: Value) -> Value {
     match ty {
         LogicalType::F64 => f64_lane(lane_f64(acc) + lane_f64(v)),
         _ => acc.wrapping_add(v),
+    }
+}
+
+/// `acc + v` added `n` times in `ty`'s lane domain: `v * n` for a wrapping
+/// integer sum (the same bits modulo 2^64), `n` sequential additions for
+/// `F64`, whose rounding makes `a + n*v` differ from `((a+v)+v)+…` — a
+/// multiplicity fold must equal the per-pair loop bit for bit.
+#[inline(always)]
+fn add_n_to_sum(ty: LogicalType, acc: Value, v: Value, n: u64) -> Value {
+    match ty {
+        LogicalType::F64 => {
+            let (mut a, x) = (lane_f64(acc), lane_f64(v));
+            for _ in 0..n {
+                a += x;
+            }
+            f64_lane(a)
+        }
+        _ => acc.wrapping_add(v.wrapping_mul(n as Value)),
+    }
+}
+
+/// The one column fold of every block pipeline: folds row `i` of one
+/// aggregate's input column `col` into `states[ids[i] * stride]`, in row
+/// order, `mults[i]` times when multiplicities are given (each at least
+/// one; [`AggState::update_n`]) and once otherwise ([`AggState::update`]).
+/// Every state it reaches must have the op `op`, which is dispatched once
+/// per call, not per row, so the row loop holds one function's step. A
+/// `count` never reads `col`. Folding row by row in order keeps each
+/// state's `F64` sum one chain, so the column folds bit-identically to the
+/// per-row updates.
+///
+/// [`GroupedAggs::fold_block`](crate::GroupedAggs::fold_block) folds its
+/// groups' columns through it, and the join probe its hit rows into the
+/// groups a build key reaches; [`AggState::fold_column_n`] is the same
+/// fold into one state.
+pub fn fold_column(
+    states: &mut [AggState],
+    stride: usize,
+    op: AggOp,
+    ids: &[u32],
+    col: &[Value],
+    mults: Option<&[u32]>,
+) {
+    with_const_func(op, |op| match (op.func, mults) {
+        (AggFunc::Count, None) => {
+            for &id in ids {
+                states[id as usize * stride].update_as(op, 0);
+            }
+        }
+        (AggFunc::Count, Some(m)) => {
+            for (&id, &m) in ids.iter().zip(m) {
+                states[id as usize * stride].update_n_as(op, 0, u64::from(m));
+            }
+        }
+        (_, None) => {
+            for (&id, &v) in ids.iter().zip(col) {
+                states[id as usize * stride].update_as(op, v);
+            }
+        }
+        (_, Some(m)) => {
+            for ((&id, &v), &m) in ids.iter().zip(col).zip(m) {
+                states[id as usize * stride].update_n_as(op, v, u64::from(m));
+            }
+        }
+    });
+}
+
+/// Calls `f` with `op`, whose function is a constant at each of the five
+/// call sites, so a row loop inside `f` is compiled once per aggregate
+/// function and holds that function's step alone.
+#[inline(always)]
+fn with_const_func(op: AggOp, mut f: impl FnMut(AggOp)) {
+    let with = |func| AggOp { func, ..op };
+    match op.func {
+        AggFunc::Sum => f(with(AggFunc::Sum)),
+        AggFunc::Min => f(with(AggFunc::Min)),
+        AggFunc::Max => f(with(AggFunc::Max)),
+        AggFunc::Avg => f(with(AggFunc::Avg)),
+        AggFunc::Count => f(with(AggFunc::Count)),
+    }
+}
+
+impl AggState {
+    /// [`fold_column`] into this one state: folds `col[i]` `mults[i]`
+    /// times (each at least one), in order — bit-identical to one
+    /// [`Self::update_n`] per row. The join probe folds the hit rows of a
+    /// block of a scalar aggregate this way, and the build-aggregate plan
+    /// its hit keys' build rows.
+    pub fn fold_column_n(&mut self, col: &[Value], mults: &[u32]) {
+        let mut st = *self;
+        with_const_func(self.op, |op| match op.func {
+            AggFunc::Count => {
+                for &m in mults {
+                    st.update_n_as(op, 0, u64::from(m));
+                }
+            }
+            _ => {
+                for (&v, &m) in col.iter().zip(mults) {
+                    st.update_n_as(op, v, u64::from(m));
+                }
+            }
+        });
+        *self = st;
     }
 }
 
@@ -655,47 +727,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn merge_n_is_bit_identical_to_repeated_merge() {
-        // A partial over a few values (wrapping and extreme ones included)
-        // merged n times into a running state.
-        for f in [
-            AggFunc::Sum,
-            AggFunc::Min,
-            AggFunc::Max,
-            AggFunc::Count,
-            AggFunc::Avg,
-        ] {
-            let mut partial = AggState::new(f);
-            for v in [7, i64::MAX, -3] {
-                partial.update(v);
-            }
-            for n in [0u64, 1, 2, 5, 1000] {
-                let mut fused = AggState::new(f);
-                fused.update(13);
-                let mut looped = fused;
-                fused.merge_n(&partial, n);
-                for _ in 0..n {
-                    looped.merge(&partial);
-                }
-                assert_eq!(fused, looped, "{} n={n}", f.name());
-            }
-        }
-        // F64 sums merge n times in sequence, like `update_n`.
-        let op = AggOp::new(AggFunc::Sum, LogicalType::F64);
-        let mut partial = AggState::new(op);
-        partial.update(f64_lane(0.1));
-        partial.update(f64_lane(1.0 / 3.0));
-        let mut fused = AggState::new(op);
-        fused.update(f64_lane(1e16));
-        let mut looped = fused;
-        fused.merge_n(&partial, 17);
-        for _ in 0..17 {
-            looped.merge(&partial);
-        }
-        assert_eq!(fused, looped);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! the input into morsels — and any strategy — yields a bit-identical
 //! [`QueryResult`].
 
-use crate::agg::{AggFunc, AggOp, AggState};
+use crate::agg::{fold_column, AggOp, AggState};
 use crate::lanemap::{hash_key, LaneMap};
 use crate::result::QueryResult;
 use h2o_storage::{LogicalType, Value};
@@ -100,38 +100,20 @@ impl GroupedAggs {
     /// Folds one block of tuples whose group ids ([`Self::id`]) are `ids`,
     /// in order: `vals` holds the aggregate inputs column by column,
     /// `ids.len()` lanes per aggregate in the constructor's order (a
-    /// `count`'s column is never read). Each aggregate dispatches once
-    /// and folds its column into its state of each row's group, in row
-    /// order — so every group's `F64` sum stays one chain in row order and
-    /// the block folds bit-identically to one [`Self::update`] per tuple.
-    pub fn fold_block(&mut self, ids: &[u32], vals: &[Value]) {
+    /// `count`'s column is never read), and `mults`, when given, each
+    /// tuple's multiplicity (at least one; the join folds a probe row once
+    /// per build group it reaches). Each aggregate folds its column through
+    /// [`fold_column`] into its state of each row's group, in row order —
+    /// so every group's `F64` sum stays one chain in row order and the
+    /// block folds bit-identically to one [`Self::update_n`] per tuple.
+    pub fn fold_block(&mut self, ids: &[u32], vals: &[Value], mults: Option<&[u32]>) {
         let (w, n) = (self.ops.len(), ids.len());
         debug_assert_eq!(vals.len(), w * n);
         if n == 0 {
             return;
         }
-        /// One aggregate's column: `op` is a constant of each call site
-        /// below, so the row loop holds that function's step alone.
-        #[inline(always)]
-        fn column(states: &mut [AggState], w: usize, op: AggOp, ids: &[u32], col: &[Value]) {
-            for (&id, &v) in ids.iter().zip(col) {
-                states[id as usize * w].update_as(op, v);
-            }
-        }
         for (j, (&op, col)) in self.ops.iter().zip(vals.chunks_exact(n)).enumerate() {
-            let states = &mut self.states[j..];
-            let with = |func| AggOp { func, ..op };
-            match op.func {
-                AggFunc::Sum => column(states, w, with(AggFunc::Sum), ids, col),
-                AggFunc::Min => column(states, w, with(AggFunc::Min), ids, col),
-                AggFunc::Max => column(states, w, with(AggFunc::Max), ids, col),
-                AggFunc::Avg => column(states, w, with(AggFunc::Avg), ids, col),
-                AggFunc::Count => {
-                    for &id in ids {
-                        states[id as usize * w].update_as(op, 0);
-                    }
-                }
-            }
+            fold_column(&mut self.states[j..], w, op, ids, col, mults);
         }
     }
 
@@ -346,20 +328,26 @@ mod tests {
                 )
             })
             .collect();
-        let mut per_tuple = GroupedAggs::new(vec![I64], ops.clone());
-        for &(k, x, v) in &rows {
-            per_tuple.update(&[k], &[x, x, x, v, 0, v]);
-        }
-        let mut blocked = GroupedAggs::new(vec![I64], ops.clone());
-        for block in rows.chunks(64) {
-            let ids: Vec<u32> = block.iter().map(|&(k, ..)| blocked.id(&[k])).collect();
-            let mut vals = Vec::new();
-            for j in 0..ops.len() {
-                vals.extend(block.iter().map(|&(_, x, v)| [x, x, x, v, 0, v][j]));
+        // Without multiplicities, and with each row's multiplicity 1..=3.
+        for mult in [None, Some(|i: usize| (i % 3) as u32 + 1)] {
+            let mut per_tuple = GroupedAggs::new(vec![I64], ops.clone());
+            for (i, &(k, x, v)) in rows.iter().enumerate() {
+                let n = mult.map_or(1, |m| m(i));
+                per_tuple.update_n(&[k], &[x, x, x, v, 0, v], u64::from(n));
             }
-            blocked.fold_block(&ids, &vals);
+            let mut blocked = GroupedAggs::new(vec![I64], ops.clone());
+            for (b, block) in rows.chunks(64).enumerate() {
+                let ids: Vec<u32> = block.iter().map(|&(k, ..)| blocked.id(&[k])).collect();
+                let mut vals = Vec::new();
+                for j in 0..ops.len() {
+                    vals.extend(block.iter().map(|&(_, x, v)| [x, x, x, v, 0, v][j]));
+                }
+                let mults: Option<Vec<u32>> =
+                    mult.map(|m| (0..block.len()).map(|i| m(b * 64 + i)).collect());
+                blocked.fold_block(&ids, &vals, mults.as_deref());
+            }
+            assert_eq!(blocked.finish(), per_tuple.finish());
         }
-        assert_eq!(blocked.finish(), per_tuple.finish());
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! splitmix64 chain over the key lanes; the join's bloom filter derives
 //! its bits from the same hash, so a key is hashed once for both: a build
 //! key for its insert ([`LaneMap::insert_hashed`]) and its filter bits, a
-//! probe key for its filter test and its lookup ([`LaneMap::get`]).
+//! probe key for its filter test and its lookup ([`LaneMap::get`]). A
+//! one-lane key — most join and group keys — probes through its own find,
+//! which compares each `[id, key]` slot inline with no per-lane loop.
 //! Nothing about the table depends on the process or the run: the same
 //! insert sequence yields the same ids on every strategy and policy.
 
@@ -144,6 +146,9 @@ impl LaneMap {
     #[inline(always)]
     fn find(&self, key: &[Value], h: u64) -> Result<u32, usize> {
         debug_assert_eq!(key.len(), self.width);
+        if let [k] = *key {
+            return self.find_one_lane(k, h);
+        }
         let stride = self.width + 1;
         let mut i = h as usize & self.mask;
         loop {
@@ -153,6 +158,25 @@ impl LaneMap {
             }
             if slot[1..].iter().zip(key).all(|(a, b)| a == b) {
                 return Ok(slot[0] as u32);
+            }
+            i = (i + 1) & self.mask;
+        }
+    }
+
+    /// [`Self::find`] of a one-lane key: each slot is the pair `[id, key]`,
+    /// compared inline.
+    #[inline(always)]
+    fn find_one_lane(&self, key: Value, h: u64) -> Result<u32, usize> {
+        let mut i = h as usize & self.mask;
+        loop {
+            let &[id, k] = &self.slots[2 * i..2 * i + 2] else {
+                unreachable!("one-lane slots are two lanes");
+            };
+            if id == VACANT {
+                return Err(i);
+            }
+            if k == key {
+                return Ok(id as u32);
             }
             i = (i + 1) & self.mask;
         }

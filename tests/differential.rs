@@ -87,15 +87,16 @@ fn agreement_survives_explicit_reorganizations() {
 }
 
 /// Integer `sum`/`avg` wrap modulo 2^64 — in the interpreter, in every
-/// strategy's kernels, and in the join's factorized folds
-/// (`AggState::update_n` and `AggState::merge_n` multiply instead of
-/// adding `n` times) — so at the `i64::MAX` boundary they all still agree
-/// bit for bit.
+/// strategy's kernels, and in the join's factorized folds (a
+/// multiplicity `n` multiplies instead of adding `n` times) — so at the
+/// `i64::MAX` boundary they all still agree bit for bit: scalar, grouped,
+/// `BuildAggs` and `ProbeOnly` sums, under every policy (the 4-row
+/// morsels split even the 12-row dimension into 3 probe ranges, so the
+/// join's one merge sums several ranges' hit counts).
 #[test]
 fn integer_aggregates_wrap_identically_at_the_i64_boundary() {
     use h2o::exec::{
-        compile, compile_join, execute, run_join, AccessPlan, ExecCtx, ExecPolicy, FoldPlan,
-        Strategy,
+        compile, compile_join, run, run_join, AccessPlan, ExecCtx, ExecPolicy, FoldPlan, Strategy,
     };
     use h2o::expr::{check_join, interpret_join, JoinQuery};
     use h2o::storage::LogicalType;
@@ -130,6 +131,17 @@ fn integer_aggregates_wrap_identically_at_the_i64_boundary() {
         .try_fold(0i64, |s, &v| s.checked_add(v))
         .is_none());
     let schema = Schema::with_width(3).into_shared();
+    let policy = |parallelism: usize, morsel_rows: usize| ExecPolicy {
+        parallelism: Some(parallelism),
+        morsel_rows,
+        serial_threshold: 0,
+    };
+    let policies = [
+        ExecPolicy::serial(),
+        policy(2, 64),
+        policy(4, 100),
+        policy(3, 4),
+    ];
     for rel in [
         Relation::columnar(schema.clone(), columns.clone()).unwrap(),
         Relation::row_major(schema, columns.clone()).unwrap(),
@@ -139,16 +151,23 @@ fn integer_aggregates_wrap_identically_at_the_i64_boundary() {
             for strategy in Strategy::ALL {
                 let plan = AccessPlan::new(rel.catalog().layout_ids(), strategy);
                 let op = compile(rel.catalog(), &plan, q).unwrap();
-                let got = execute(rel.catalog(), &op).unwrap();
-                assert_eq!(got.data(), want.data(), "{} on {q}", strategy.name());
+                for policy in &policies {
+                    let (got, _) = run(rel.catalog(), &op, &ExecCtx::new(*policy)).unwrap();
+                    assert_eq!(
+                        got.data(),
+                        want.data(),
+                        "{} on {q} {policy:?}",
+                        strategy.name()
+                    );
+                }
             }
         }
     }
 
     // Join: every dimension key appears three times, so when the dimension
-    // builds, each fact row folds with multiplicity 3 through `update_n`;
-    // when the fact side builds, each fact key's partial sums merge once
-    // per matching dimension row through `merge_n`.
+    // builds, each fact row folds with multiplicity 3; when the fact side
+    // builds, each fact row folds once per probe hit on its key, summed
+    // over the probe ranges.
     let typed = |names: [&'static str; 2]| {
         Schema::typed(names.map(|n| (n, LogicalType::I64))).into_shared()
     };
@@ -201,14 +220,16 @@ fn integer_aggregates_wrap_identically_at_the_i64_boundary() {
                 FoldPlan::BuildAggs
             };
             assert_eq!(op.fold_plan(), want_plan);
-            let ctx = ExecCtx::new(ExecPolicy::serial());
-            let (got, _) = run_join(dim.catalog(), fact.catalog(), &op, &ctx).unwrap();
-            assert_eq!(
-                got.data(),
-                want.data(),
-                "{} build_is_left={build_is_left}",
-                strategy.name()
-            );
+            for policy in &policies {
+                let ctx = ExecCtx::new(*policy);
+                let (got, _) = run_join(dim.catalog(), fact.catalog(), &op, &ctx).unwrap();
+                assert_eq!(
+                    got.data(),
+                    want.data(),
+                    "{} build_is_left={build_is_left} {policy:?}",
+                    strategy.name()
+                );
+            }
         }
     }
 }
