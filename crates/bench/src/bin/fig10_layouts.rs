@@ -17,44 +17,60 @@
 //! (intermediate materialization) and rows; (d–f) groups best across the
 //! selectivity range for projections/expressions, columns competitive for
 //! aggregations at low selectivity.
+//!
+//! Every timed operator's answer is checked against the interpreter's
+//! before it is timed.
 
 use h2o_bench::{csv_header, fmt_s, time_hot, Args};
 use h2o_exec::{compile, execute, AccessPlan, Strategy};
-use h2o_expr::Query;
-use h2o_storage::{AttrId, LayoutCatalog, Relation, Schema};
+use h2o_expr::interp::interpret;
+use h2o_expr::{Query, QueryResult};
+use h2o_storage::{AttrId, LayoutCatalog, LayoutId, Relation, Schema};
 use h2o_workload::micro::{QueryGen, Template};
 use h2o_workload::synth::gen_columns;
 
+/// Times `q` over `layouts` of `catalog` under `strategy`, after checking
+/// its answer against `want` (the interpreter's).
+fn timed(
+    catalog: &LayoutCatalog,
+    layouts: Vec<LayoutId>,
+    strategy: Strategy,
+    q: &Query,
+    want: &QueryResult,
+) -> f64 {
+    let op = compile(catalog, &AccessPlan::new(layouts, strategy), q).unwrap();
+    assert_eq!(
+        &execute(catalog, &op).unwrap(),
+        want,
+        "{} {q}",
+        strategy.name()
+    );
+    time_hot(3, || execute(catalog, &op).unwrap())
+}
+
 /// Executes `q` on the row-major relation with the fused strategy.
-fn run_row(rel: &Relation, q: &Query) -> f64 {
-    let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::FusedVolcano);
-    let op = compile(rel.catalog(), &plan, q).unwrap();
-    time_hot(3, || execute(rel.catalog(), &op).unwrap())
+fn run_row(rel: &Relation, q: &Query, want: &QueryResult) -> f64 {
+    let layouts = rel.catalog().layout_ids();
+    timed(rel.catalog(), layouts, Strategy::FusedVolcano, q, want)
 }
 
 /// Executes `q` on the columnar relation with the DSM strategy.
-fn run_column(rel: &Relation, q: &Query) -> f64 {
-    let ids = rel.catalog().cover(&q.all_attrs()).unwrap();
-    let plan = AccessPlan::new(ids, Strategy::ColumnMajor);
-    let op = compile(rel.catalog(), &plan, q).unwrap();
-    time_hot(3, || execute(rel.catalog(), &op).unwrap())
+fn run_column(rel: &Relation, q: &Query, want: &QueryResult) -> f64 {
+    let layouts = rel.catalog().cover(&q.all_attrs()).unwrap();
+    timed(rel.catalog(), layouts, Strategy::ColumnMajor, q, want)
 }
 
 /// Executes `q` on a freshly materialized exact column group. The group
 /// layout has "no unique execution strategy" (§3.3) — H2O picks per query —
 /// so we report the better of the fused and selection-vector strategies.
-fn run_group(source: &Relation, q: &Query) -> f64 {
+fn run_group(source: &Relation, q: &Query, want: &QueryResult) -> f64 {
     let attrs: Vec<AttrId> = q.all_attrs().to_vec();
     let group = h2o_exec::reorg::materialize(source.catalog(), &attrs).unwrap();
     let mut catalog = LayoutCatalog::new(source.schema().clone(), source.rows());
     let id = catalog.add_group(group).unwrap();
     [Strategy::FusedVolcano, Strategy::SelVector]
         .into_iter()
-        .map(|strategy| {
-            let plan = AccessPlan::new(vec![id], strategy);
-            let op = compile(&catalog, &plan, q).unwrap();
-            time_hot(3, || execute(&catalog, &op).unwrap())
-        })
+        .map(|strategy| timed(&catalog, vec![id], strategy, q, want))
         .fold(f64::INFINITY, f64::min)
 }
 
@@ -87,9 +103,10 @@ fn main() {
         for &k in &widths {
             let attrs = gen.random_attrs(k.min(args.attrs));
             let (q, _) = QueryGen::build(template, &attrs, &[], 1.0);
-            let t_row = run_row(&row_rel, &q);
-            let t_grp = run_group(&col_rel, &q);
-            let t_col = run_column(&col_rel, &q);
+            let want = interpret(col_rel.catalog(), &q).unwrap();
+            let t_row = run_row(&row_rel, &q, &want);
+            let t_grp = run_group(&col_rel, &q, &want);
+            let t_col = run_column(&col_rel, &q, &want);
             println!(
                 "{panel},{},{k},1.0,{},{},{}",
                 template.name(),
@@ -111,9 +128,10 @@ fn main() {
         let attrs = gen.random_attrs(20);
         for &sel in &sels {
             let (q, _) = QueryGen::build(template, &attrs[1..], &attrs[..1], sel);
-            let t_row = run_row(&row_rel, &q);
-            let t_grp = run_group(&col_rel, &q);
-            let t_col = run_column(&col_rel, &q);
+            let want = interpret(col_rel.catalog(), &q).unwrap();
+            let t_row = run_row(&row_rel, &q, &want);
+            let t_grp = run_group(&col_rel, &q, &want);
+            let t_col = run_column(&col_rel, &q, &want);
             println!(
                 "{panel},{},20,{sel},{},{},{}",
                 template.name(),

@@ -215,12 +215,6 @@ impl<'a> GroupViews<'a> {
         seg[(row & s.mask) * s.width + attr.offset as usize]
     }
 
-    /// Width (values per tuple) of plan slot `slot`.
-    #[inline]
-    pub fn width(&self, slot: u32) -> usize {
-        self.slots[slot as usize].width
-    }
-
     /// A random-access cursor over one plan slot, for gather loops that
     /// walk selection vectors (resolves the slot once; each access is a
     /// shift, a mask and two indexed loads).
@@ -233,6 +227,11 @@ impl<'a> GroupViews<'a> {
             shift: s.shift,
             mask: s.mask,
         }
+    }
+
+    /// One [`Self::accessor`] per plan slot, in slot order.
+    pub fn accessors(&self) -> Vec<SlotAccessor<'_, 'a>> {
+        (0..self.len() as u32).map(|s| self.accessor(s)).collect()
     }
 
     /// Splits `range` into maximal segment runs: each run lies within a
@@ -464,6 +463,37 @@ impl<'a> SegRun<'_, 'a> {
     }
 }
 
+/// One slot's lanes over the rows of one piece ([`SlotAccessor::piece`]):
+/// a row's value is one slice index, with no segment lookup.
+#[derive(Clone, Copy)]
+pub(crate) struct Piece<'a> {
+    data: &'a [Value],
+    /// The first row of `data`.
+    base: usize,
+    width: usize,
+}
+
+impl Piece<'_> {
+    /// The first row past the piece.
+    #[inline]
+    pub(crate) fn end(&self) -> usize {
+        self.base + self.data.len() / self.width
+    }
+
+    /// The value at `(row, offset)`, for a `row` of the piece.
+    #[inline(always)]
+    pub(crate) fn value(&self, row: usize, offset: usize) -> Value {
+        self.data[(row - self.base) * self.width + offset]
+    }
+
+    /// The tuple of `row`, for a `row` of the piece.
+    #[inline(always)]
+    pub(crate) fn tuple(&self, row: usize) -> &[Value] {
+        let at = (row - self.base) * self.width;
+        &self.data[at..at + self.width]
+    }
+}
+
 /// Random-access cursor over one plan slot (see [`GroupViews::accessor`]).
 #[derive(Clone, Copy)]
 pub struct SlotAccessor<'v, 'a> {
@@ -474,40 +504,33 @@ pub struct SlotAccessor<'v, 'a> {
 }
 
 impl<'a> SlotAccessor<'_, 'a> {
-    /// Values per tuple of this slot.
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// The value at `(row, offset)`.
     #[inline(always)]
     pub fn value(&self, row: usize, offset: usize) -> Value {
         self.segs[row >> self.shift][(row & self.mask) * self.width + offset]
     }
 
+    /// The piece holding `row` (a sealed segment or a tail piece), from
+    /// `row`'s chunk to the piece's end.
+    #[inline]
+    pub(crate) fn piece(&self, row: usize) -> Piece<'a> {
+        Piece {
+            data: self.segs[row >> self.shift],
+            base: row & !self.mask,
+            width: self.width,
+        }
+    }
+
     /// A fetch of the lanes at `offset` for the ascending, non-empty
-    /// `rows`, when they all lie in one piece (a sealed segment or a tail
-    /// piece): `fetch(row)` is [`Self::value`]`(row, offset)` at one slice
-    /// index, for a `row` of `rows` only.
+    /// `rows`, when they all lie in one piece: `fetch(row)` is
+    /// [`Self::value`]`(row, offset)` at one slice index, for a `row` of
+    /// `rows` only.
     #[inline]
     pub fn within(&self, rows: &[u32], offset: usize) -> Option<impl Fn(usize) -> Value + 'a> {
         debug_assert!(rows.is_sorted(), "within needs ascending rows");
         let (first, last) = (*rows.first()? as usize, *rows.last()? as usize);
-        // The first row's chunk slice runs to the end of its piece.
-        let base = first & !self.mask;
-        let seg = self.segs[first >> self.shift];
-        let width = self.width;
-        ((last - base + 1) * width <= seg.len())
-            .then_some(move |row| seg[(row - base) * width + offset])
-    }
-
-    /// The full tuple of `row` as a contiguous slice (tuples never
-    /// straddle pieces).
-    #[inline(always)]
-    pub fn tuple(&self, row: usize) -> &'a [Value] {
-        let base = (row & self.mask) * self.width;
-        &self.segs[row >> self.shift][base..base + self.width]
+        let piece = self.piece(first);
+        (last < piece.end()).then_some(move |row| piece.value(row, offset))
     }
 }
 
@@ -547,7 +570,6 @@ mod tests {
         assert_eq!(views.get(BoundAttr { slot: 0, offset: 0 }, 2), 7);
         let acc = views.accessor(0);
         assert_eq!(acc.value(1, 0), 6);
-        assert_eq!(acc.tuple(2), &[7]);
     }
 
     #[test]

@@ -10,15 +10,18 @@
 use crate::bind::{BoundAttr, GroupViews};
 use crate::cancel::{CancelReason, CancelToken};
 use crate::filter::CompiledFilter;
-use crate::kernels::{self, RowSource};
+use crate::kernels::simd::BLOCK_ROWS;
+use crate::kernels::{self, colmajor, RowSource};
 use crate::parallel::{run_ranges, ExecPolicy};
 use crate::plan::{AccessPlan, Strategy};
+use crate::program::CompiledExpr;
 use crate::selvec::SelVec;
 use crate::sink::SelectProgram;
 use h2o_expr::typecheck::{self, QueryTypes};
 use h2o_expr::{Query, QueryError, QueryResult};
 use h2o_storage::{AttrId, ColumnGroup, LayoutCatalog, LayoutId, StorageError, Value};
 use std::fmt;
+use std::ops::Range;
 
 /// Errors from operator compilation or execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -274,16 +277,20 @@ pub fn execute_with_policy_stats(
 }
 
 /// The scan driver over pre-resolved views. The strategies differ only in
-/// the **source** of each range's [`Partial`](crate::sink::Partial) —
+/// the **source** of each range's [`Partial`](crate::sink::Partial), and
+/// every source folds through the select program's one batch step —
 ///
-/// * fused: the filtered rows of a row range, in one pass;
+/// * fused: the filtered rows of a row range, in one pass
+///   ([`SelectProgram::feed`] over [`RowSource::Scan`]);
 /// * selection-vector: row range → qualifying ids, stitched in range
 ///   order, then the rows of each id chunk (chunking by *qualifying* rows
-///   keeps phase 2 balanced at any selectivity) — both fed to the select
-///   program's one per-row step ([`SelectProgram::feed`]);
-/// * column-major: the same id chunks, evaluated column at a time
-///   ([`SelectProgram::columnar`]). Its no-filter bare-column aggregate
-///   streams row ranges directly — no selection vector exists to chunk;
+///   keeps phase 2 balanced at any selectivity), fed the same way
+///   ([`RowSource::Ids`]);
+/// * column-major: the same id chunks, evaluated column at a time through
+///   intermediate columns (`colmajor::eval_ids`) — over the whole chunk,
+///   or 1K-id blocks of it for grouped aggregation. Its no-filter
+///   bare-column aggregate streams row ranges directly — no selection
+///   vector exists to chunk;
 ///
 /// — and the select shape's sink finishes the partials in range order.
 /// Ranges come from [`run_ranges`]: one range under a serial policy, so
@@ -315,19 +322,30 @@ pub(crate) fn scan(
         let sel = stitch(run_ranges(rows, seg_rows, policy, |r| {
             kernels::qualifying_ids(columnar, views, filter, r)
         }));
+        let block = match select {
+            SelectProgram::Grouped { .. } => BLOCK_ROWS,
+            _ => usize::MAX,
+        };
         // Phase 2 walks ids, not segment runs, so its cancellation poll
         // happens here at chunk boundaries; a tripped token yields empty
         // partials the caller discards.
         run_ranges(sel.len(), seg_rows, policy, |r| {
-            if views.cancel_stopped() {
-                return select.partial();
-            }
-            let ids = &sel.ids()[r];
-            if columnar {
-                return select.columnar(views, ids);
-            }
             let mut part = select.partial();
-            select.feed(views, &RowSource::Ids(ids), &mut part);
+            let ids = &sel.ids()[r];
+            if views.cancel_stopped() {
+                return part;
+            }
+            if columnar {
+                for ids in ids.chunks(block) {
+                    let eval =
+                        |es: &[&CompiledExpr], r: Range<usize>, out: &mut [Value], layout| {
+                            colmajor::eval_ids(views, &ids[r], es, out, layout)
+                        };
+                    select.fold(&mut part, ids.len(), eval, None);
+                }
+            } else {
+                select.feed(views, &RowSource::Ids(ids), &mut part);
+            }
             part
         })
     };

@@ -14,8 +14,10 @@
 //! * **column-major** — ids come from the DSM column-at-a-time filter.
 //!
 //! Both sides reuse the single-relation machinery end-to-end: zone-map
-//! pruning via [`GroupViews::runs_pruned`], the vectorized selection
-//! kernels, the range driver ([`run_ranges`]) and the select program's
+//! pruning via
+//! [`GroupViews::runs_pruned`](crate::GroupViews::runs_pruned), the
+//! vectorized selection kernels, the range driver ([`run_ranges`]) and
+//! the select program's
 //! sink ([`crate::sink`] — blocks concatenated, aggregate partials merged,
 //! grouped tables merged, all in morsel order). For a fixed build side, a
 //! parallel join is therefore bit-identical to a serial one wherever the
@@ -98,27 +100,28 @@
 //!
 //! * [`FoldPlan::ProbeOnly`] — no select expression reads the build side,
 //!   so a probe row's `n` matches are `n` identical rows: the block's hit
-//!   rows gather each aggregate input column by column and fold once each
-//!   with multiplicity `n` ([`h2o_expr::agg::fold_column`], the column
-//!   fold grouped aggregation shares).
+//!   rows fold through the select program's batch step once each, with
+//!   multiplicity `n`.
 //! * [`FoldPlan::BuildAggs`] — scalar aggregates that read only the build
 //!   side: the probe only counts hits per key id, and the join sums every
 //!   range's counts, then merges once: each reached key's build rows fold
-//!   column by column with the key's hit count as their multiplicity —
-//!   the key's partial state `× hits`, exact because the plan admits only
-//!   accumulators that associate, and never materialized per key.
+//!   through the batch step with the key's hit count as their
+//!   multiplicity — the key's partial state `× hits`, exact because the
+//!   plan admits only accumulators that associate, and never materialized
+//!   per key.
 //! * [`FoldPlan::BuildGroups`] — group keys that read only the build
 //!   side, aggregates only the probe side: the build resolves its group
 //!   keys through the grouped pipeline's memo and each key id to its
 //!   `(group, multiplicity)` list (one flat entry per key when every key
 //!   reaches one group), and the probe folds its hit rows' aggregate
-//!   columns into a dense per-range state array; only the groups some
-//!   probe row reached enter the range's [`GroupedAggs`].
+//!   columns ([`h2o_expr::agg::fold_column`]) into a dense per-range state
+//!   array; only the groups some probe row reached enter the range's
+//!   [`GroupedAggs`].
 //! * [`FoldPlan::PerPair`] — everything else (projections, expressions
-//!   that read both sides, and `F64` `sum`/`avg` over build values): each
-//!   matched pair is pushed through the select program's one per-row
-//!   step ([`SelectProgram::push`]), fetching probe lanes from the probe
-//!   views and build lanes from the payload.
+//!   that read both sides, and `F64` `sum`/`avg` over build values): the
+//!   matched pairs are expanded in order, up to 1K at a time, and each
+//!   batch folds through the batch step with probe lanes read from the
+//!   probe views and build lanes from the payload.
 //!
 //! Every plan folds exactly what the per-pair walk folds: multiplicity
 //! updates of `F64` sums add in sequence, the build-side partials are
@@ -127,23 +130,23 @@
 //! a serial run stays bit-identical to the interpreter.
 //!
 //! Build-side zone-map pruning comes with the scans: all three strategies
-//! scan via [`GroupViews::runs_pruned`], so segment runs the
-//! build filter's zone maps disprove are never read —
+//! scan via [`GroupViews::runs_pruned`](crate::GroupViews::runs_pruned),
+//! so segment runs the build filter's zone maps disprove are never read —
 //! [`JoinExecStats::build_segments_skipped`] /
 //! [`JoinExecStats::probe_segments_skipped`] report the per-side skips.
 //! [`run_join_staged`] runs the same join and also reports the time of
 //! every build and probe stage ([`JoinStages`]).
 
-use crate::bind::{BoundAttr, GroupViews, SlotAccessor};
+use crate::bind::{BoundAttr, SlotAccessor};
 use crate::bloom::JoinFilter;
 use crate::compile::{plan_binder, ExecCtx, ExecError};
 use crate::filter::CompiledFilter;
-use crate::kernels;
-use crate::kernels::grouped::{gather, gather_col, GroupBlock};
+use crate::kernels::grouped::{gather_col, GroupBlock};
 use crate::kernels::simd::BLOCK_ROWS;
+use crate::kernels::{self, eval_rows, unbound};
 use crate::parallel::{run_chunks, run_ranges, ExecPolicy};
 use crate::plan::AccessPlan;
-use crate::program::CompiledExpr;
+use crate::program::{eval_batch, CompiledExpr, Layout};
 use crate::sink::{table_for, Partial, SelectProgram};
 use h2o_expr::agg::{fold_column, AggFunc, AggOp, AggState};
 use h2o_expr::lanemap::hash_key;
@@ -186,9 +189,10 @@ impl CompiledJoinSide {
 /// clause and the build role (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FoldPlan {
-    /// Every matched (build row, probe row) pair is pushed through the
-    /// select program: projections, expressions that read both sides, and
-    /// `F64` `sum`/`avg` over build values (whose fold order is pinned).
+    /// Every matched (build row, probe row) pair folds through the select
+    /// program, a block of pairs at a time: projections, expressions that
+    /// read both sides, and `F64` `sum`/`avg` over build values (whose
+    /// fold order is pinned).
     PerPair,
     /// No select expression reads the build side: each hit probe row folds
     /// once, with its match count as the multiplicity.
@@ -524,11 +528,6 @@ pub fn compile_join(
     })
 }
 
-/// One slot accessor per plan slot of `views`.
-fn accessors<'v, 'a>(views: &'v GroupViews<'a>) -> Vec<SlotAccessor<'v, 'a>> {
-    (0..views.len() as u32).map(|s| views.accessor(s)).collect()
-}
-
 /// Stage 1: the lanes of `keys` at the ascending `rows` into `out`,
 /// column by column, row-major (`keys.len()` lanes per row).
 fn gather_keys(
@@ -661,36 +660,11 @@ impl JoinTable {
         self.starts[id as usize] as usize..self.starts[id as usize + 1] as usize
     }
 
-    /// The number of build rows of key `id`.
+    /// The build lane `a` (`BoundAttr { slot: BUILD_SLOT, offset: c }`,
+    /// payload column `c`) of CSR row `r`.
     #[inline(always)]
-    fn span_len(&self, id: u32) -> u32 {
-        self.starts[id as usize + 1] - self.starts[id as usize]
-    }
-
-    /// Payload column `c`, in CSR row order.
-    #[inline(always)]
-    fn column(&self, c: u32) -> &[Value] {
-        &self.payload[c as usize * self.rows..(c as usize + 1) * self.rows]
-    }
-
-    /// Evaluates `e`, which reads only build attributes, at the CSR rows
-    /// `rows` into `out`: a bare column reads its payload column, any
-    /// other expression evaluates per row.
-    fn eval_build<'o>(
-        &self,
-        e: &CompiledExpr,
-        rows: impl Iterator<Item = usize>,
-        out: impl Iterator<Item = &'o mut Value>,
-    ) {
-        match e {
-            CompiledExpr::Col(a) => {
-                let col = self.column(a.offset);
-                out.zip(rows).for_each(|(o, r)| *o = col[r]);
-            }
-            e => out.zip(rows).for_each(|(o, r)| {
-                *o = e.eval(|a| self.payload[a.offset as usize * self.rows + r]);
-            }),
-        }
+    fn lane(&self, r: usize, a: BoundAttr) -> Value {
+        self.payload[a.offset as usize * self.rows + r]
     }
 
     /// Resolves the group `keys` over the CSR rows into
@@ -703,15 +677,15 @@ impl JoinTable {
         let mut blk = GroupBlock::default();
         let mut group_of = Vec::with_capacity(self.rows);
         for lo in (0..self.rows).step_by(BLOCK_ROWS) {
-            let rows = lo..(lo + BLOCK_ROWS).min(self.rows);
+            let n = BLOCK_ROWS.min(self.rows - lo);
+            let keys: Vec<&CompiledExpr> = keys.iter().collect();
             let gather = |kbuf: &mut [Value]| {
-                for (c, e) in keys.iter().enumerate() {
-                    let out = kbuf[c..].iter_mut().step_by(keys.len());
-                    self.eval_build(e, rows.clone(), out);
-                }
+                eval_batch(&keys, kbuf, Layout::Rows, 0..n, |i| {
+                    move |a| self.lane(lo + i, a)
+                })
             };
             let id = |key: &[Value], h| groups.insert_hashed(key, h);
-            group_of.extend_from_slice(blk.resolve_with(keys.len(), rows.len(), gather, id));
+            group_of.extend_from_slice(blk.resolve_with(keys.len(), n, gather, id));
         }
         let mut starts = vec![0u32];
         let mut list: Vec<(u32, u32)> = Vec::new();
@@ -739,26 +713,26 @@ impl JoinTable {
 
     /// [`FoldPlan::BuildAggs`]'s one merge per join: `hits[id]` probe rows
     /// reached key `id` over every range, so each of the key's build rows
-    /// folds `hits[id]` times ([`AggState::fold_column_n`]) — for the
-    /// wrapping sums, min/max and counts the plan admits, exactly the
-    /// key's partial state merged `hits[id]` times. Returns the aggregate
-    /// states and the matched-pair count.
-    fn merge_hits(&self, aggs: &[(AggOp, CompiledExpr)], hits: &[u32]) -> (Partial, usize) {
+    /// folds through the select program's batch step `hits[id]` times —
+    /// for the wrapping sums, min/max and counts the plan admits, exactly
+    /// the key's partial state merged `hits[id]` times. Returns the
+    /// aggregate states and the matched-pair count.
+    fn merge_hits(&self, select: &SelectProgram, hits: &[u32]) -> (Partial, usize) {
         let (mut rows, mut mults) = (Vec::new(), Vec::new());
         for (id, &h) in hits.iter().enumerate().filter(|(_, &h)| h > 0) {
             let span = self.span(id as u32);
             mults.extend(std::iter::repeat_n(h, span.len()));
             rows.extend(span);
         }
-        let mut col = vec![0; rows.len()];
-        let mut states: Vec<AggState> = aggs.iter().map(|&(f, _)| AggState::new(f)).collect();
-        for (st, (f, e)) in states.iter_mut().zip(aggs) {
-            if f.func != AggFunc::Count {
-                self.eval_build(e, rows.iter().copied(), col.iter_mut());
-            }
-            st.fold_column_n(&col, &mults);
-        }
-        (states.into(), mults.iter().map(|&m| m as usize).sum())
+        let (mut part, rows) = (select.partial(), &rows[..]);
+        let eval = |es: &[&CompiledExpr], r: Range<usize>, out: &mut [Value], layout| {
+            let rows = &rows[r];
+            eval_batch(es, out, layout, 0..rows.len(), |i| {
+                move |a| self.lane(rows[i], a)
+            })
+        };
+        select.fold(&mut part, rows.len(), eval, Some(&mults));
+        (part, mults.iter().map(|&m| m as usize).sum())
     }
 }
 
@@ -824,7 +798,7 @@ fn join(
     let parts: Vec<BuildPart> = run_ranges(build_rows_total, build_views.seg_rows(), policy, |r| {
         let mut lap = Lap::start(stages);
         let build = &op.build;
-        let slots = accessors(&build_views);
+        let slots = build_views.accessors();
         let mut part = BuildPart {
             keys: Vec::new(),
             hashes: Vec::new(),
@@ -851,10 +825,10 @@ fn join(
         part
     });
     let build_qualifying: usize = parts.iter().map(|p| p.hashes.len()).sum();
-    // The observed post-prune cardinality sizes both probe-phase
-    // structures: the hash table's slot array and the bloom filter's
-    // block count (a filter sized for the raw relation would waste cache
-    // on heavily filtered builds).
+    // The observed post-prune cardinality sizes the hash table's slot
+    // array (distinct keys can only be fewer), and the table's distinct
+    // keys size the bloom filter's block count (a filter sized for the raw
+    // relation, or for duplicate keys, would waste cache).
     let table = JoinTable::build(&parts, op, build_qualifying, &mut Lap::start(stages));
     // Derive the probe prefilter from the gathered parts and their
     // hashes: one partial filter per chunk of build ranges, OR-merged in
@@ -862,7 +836,7 @@ fn join(
     // of the policy). An empty build side needs none: its probe is
     // skipped below.
     let bloom = (build_qualifying > 0).then(|| {
-        let new = || JoinFilter::with_capacity(build_qualifying, op.key_types.clone());
+        let new = || JoinFilter::with_capacity(table.keys.len(), op.key_types.clone());
         let partials = run_chunks(&parts, policy, |chunk| {
             let mut lap = Lap::start(stages);
             let mut f = new();
@@ -898,7 +872,7 @@ fn join(
     // interpreter's conventions.
     let ranges = match &bloom {
         Some(bloom) => run_ranges(probe_views.rows(), probe_views.seg_rows(), policy, |r| {
-            let mut probe = Probe::new(op, &table, bloom, accessors(&probe_views));
+            let mut probe = Probe::new(op, &table, bloom, probe_views.accessors());
             let side = &op.probe;
             let mut lap = Lap::start(stages);
             let qual = kernels::qualifying_blocks(
@@ -931,8 +905,8 @@ fn join(
             }
         }
     }
-    if let (Some(hits), SelectProgram::Aggregate(aggs)) = (key_hits, &op.select) {
-        let (part, pairs) = table.merge_hits(aggs, &hits);
+    if let Some(hits) = key_hits {
+        let (part, pairs) = table.merge_hits(&op.select, &hits);
         stats.output_pairs += pairs;
         parts.push(part);
     }
@@ -996,7 +970,8 @@ struct Probe<'a, 'v, 'g> {
     /// The probe rows the table holds a key of, and that key's id.
     hit_rows: Vec<u32>,
     hit_ids: Vec<u32>,
-    /// The rows, group ids and multiplicities a fold runs over.
+    /// The rows, group ids (or the pairs' CSR rows) and multiplicities a
+    /// fold runs over.
     fold_rows: Vec<u32>,
     fold_ids: Vec<u32>,
     mults: Vec<u32>,
@@ -1104,26 +1079,37 @@ impl<'a, 'v, 'g> Probe<'a, 'v, 'g> {
                 }
             }
             RangeFold::Partial(acc) if op.plan == FoldPlan::PerPair => {
-                let slots = &self.slots;
+                // The hits' matched pairs in order, a block at a time.
+                let (probe, build) = (&mut self.fold_rows, &mut self.fold_ids);
+                probe.clear();
+                build.clear();
                 for (&row, &id) in hits {
-                    let span = table.span(id);
+                    let mut span = table.span(id);
                     self.pairs += span.len();
-                    for r in span {
-                        let lane = |a: BoundAttr| match a.slot {
-                            BUILD_SLOT => table.payload[a.offset as usize * table.rows + r],
-                            s => slots[s as usize].value(row as usize, a.offset as usize),
-                        };
-                        op.select.push(acc, lane, 1);
+                    while !span.is_empty() {
+                        let take = span.len().min(BLOCK_ROWS - probe.len());
+                        probe.extend(std::iter::repeat_n(row, take));
+                        build.extend(span.start as u32..(span.start + take) as u32);
+                        span.start += take;
+                        if probe.len() == BLOCK_ROWS {
+                            fold_pairs(op, table, &self.slots, probe, build, acc);
+                            probe.clear();
+                            build.clear();
+                        }
                     }
                 }
+                fold_pairs(op, table, &self.slots, probe, build, acc);
             }
             RangeFold::Partial(acc) => {
                 self.mults.clear();
                 self.mults
-                    .extend(self.hit_ids.iter().map(|&id| table.span_len(id)));
+                    .extend(self.hit_ids.iter().map(|&id| table.span(id).len() as u32));
                 self.pairs += self.mults.iter().map(|&m| m as usize).sum::<usize>();
-                op.select
-                    .fold_hits(&self.slots, &self.hit_rows, &self.mults, acc);
+                let (slots, rows) = (&self.slots, &self.hit_rows);
+                let eval = |es: &[&CompiledExpr], r: Range<usize>, out: &mut [Value], layout| {
+                    eval_rows(slots, &rows[r], es, out, layout, unbound)
+                };
+                op.select.fold(acc, rows.len(), eval, Some(&self.mults));
             }
             RangeFold::Groups {
                 aggs,
@@ -1166,7 +1152,8 @@ impl<'a, 'v, 'g> Probe<'a, 'v, 'g> {
                 self.vals.resize(rows.len(), 0);
                 for (j, (f, e)) in aggs.iter().enumerate() {
                     if f.func != AggFunc::Count {
-                        gather(&self.slots, e, rows, self.vals.iter_mut());
+                        let (e, out) = (&[e], &mut self.vals);
+                        eval_rows(&self.slots, rows, e, out, Layout::Columns, unbound);
                     }
                     let (ids, mults) = (&self.fold_ids, Some(&self.mults[..]));
                     fold_column(&mut states[j..], n, *f, ids, &self.vals, mults);
@@ -1197,6 +1184,26 @@ impl<'a, 'v, 'g> Probe<'a, 'v, 'g> {
             }
         }
     }
+}
+
+/// Folds a block of matched pairs — probe row `probe[i]` with CSR row
+/// `build[i]` — through the select program's batch step: probe lanes read
+/// from the probe slots, build lanes from the payload.
+fn fold_pairs(
+    op: &CompiledJoinOp,
+    table: &JoinTable,
+    slots: &[SlotAccessor<'_, '_>],
+    probe: &[u32],
+    build: &[u32],
+    acc: &mut Partial,
+) {
+    let eval = |es: &[&CompiledExpr], r: Range<usize>, out: &mut [Value], layout| {
+        let build = &build[r.clone()];
+        eval_rows(slots, &probe[r], es, out, layout, |i, a| {
+            table.lane(build[i] as usize, a)
+        })
+    };
+    op.select.fold(acc, probe.len(), eval, None);
 }
 
 #[cfg(test)]

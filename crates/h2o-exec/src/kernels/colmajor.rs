@@ -24,22 +24,20 @@
 //! (Figs. 10(a)/(c)).
 //!
 //! For morsel parallelism the filter phase splits by row range
-//! ([`build_selvec_columnar_range`]) and the evaluation phase by id chunk
-//! ([`project_ids_columnar`], [`aggregate_ids_columnar`],
-//! [`grouped_ids_columnar`]) — each chunk
-//! materializes its own (proportionally smaller) intermediate columns, so
-//! the strategy's cost structure is preserved per morsel.
+//! ([`build_selvec_columnar_range`]) and the evaluation phase by id chunk:
+//! the select program's batch step asks `eval_ids` to evaluate its
+//! expressions over a chunk (a 1K-id block of it for grouped
+//! aggregation), and each chunk materializes its own (proportionally
+//! smaller) intermediate columns, so the strategy's cost structure is
+//! preserved per morsel.
 
-use super::grouped::GroupBlock;
-use super::simd::{self, BLOCK_ROWS};
+use super::simd;
 use crate::bind::{BoundAttr, GroupViews};
 use crate::filter::CompiledFilter;
-use crate::program::{CompiledExpr, OpCode};
+use crate::program::{CompiledExpr, Layout, OpCode};
 use crate::selvec::SelVec;
-use crate::sink::table_for;
 use h2o_expr::agg::{AggFunc, AggOp, AggState};
-use h2o_expr::{GroupedAggs, QueryResult};
-use h2o_storage::{f64_lane, lane_f64, LogicalType, Value};
+use h2o_storage::{f64_lane, lane_f64, Value};
 use std::ops::Range;
 
 /// A column-at-a-time operand: a materialized intermediate column or a
@@ -52,11 +50,19 @@ enum ColVec {
 /// Gathers `attr` for the selected rows into a fresh intermediate column
 /// (slicing the segment once when the ascending ids share one).
 fn gather_attr(views: &GroupViews<'_>, attr: BoundAttr, ids: &[u32]) -> Vec<Value> {
+    let mut col = vec![0; ids.len()];
+    gather_into(views, attr, ids, &mut col);
+    col
+}
+
+/// [`gather_attr`] into a caller's column.
+fn gather_into(views: &GroupViews<'_>, attr: BoundAttr, ids: &[u32], out: &mut [Value]) {
     let acc = views.accessor(attr.slot);
     let off = attr.offset as usize;
+    let out = out.iter_mut().zip(ids);
     match acc.within(ids, off) {
-        Some(seg) => ids.iter().map(|&i| seg(i as usize)).collect(),
-        None => ids.iter().map(|&i| acc.value(i as usize, off)).collect(),
+        Some(seg) => out.for_each(|(o, &i)| *o = seg(i as usize)),
+        None => out.for_each(|(o, &i)| *o = acc.value(i as usize, off)),
     }
 }
 
@@ -239,13 +245,49 @@ fn eval_expr_columns(views: &GroupViews<'_>, ids: &[u32], expr: &CompiledExpr) -
     }
 }
 
-/// Materializes `expr` over the selected rows as one dense intermediate
-/// column (broadcast constants expanded to full length) — the §2.1
-/// materialization step of [`grouped_ids_columnar`].
-fn materialize_expr_column(views: &GroupViews<'_>, ids: &[u32], expr: &CompiledExpr) -> Vec<Value> {
-    match eval_expr_columns(views, ids, expr) {
-        ColVec::Mat(v) => v,
-        ColVec::Const(c) => vec![c; ids.len()],
+/// The column-major strategy's evaluator: each of `exprs` over the
+/// selected rows as one intermediate column per operator
+/// ([`eval_expr_columns`], §2.1), then laid out into `out` by `layout` —
+/// row by row for a projection, which is the tuple reconstruction (§3.3).
+pub(crate) fn eval_ids(
+    views: &GroupViews<'_>,
+    ids: &[u32],
+    exprs: &[&CompiledExpr],
+    out: &mut [Value],
+    layout: Layout,
+) {
+    let lane = |c: &ColVec, i: usize| match c {
+        ColVec::Mat(v) => v[i],
+        ColVec::Const(c) => *c,
+    };
+    match layout {
+        Layout::Rows => {
+            let cols: Vec<ColVec> = exprs
+                .iter()
+                .map(|e| eval_expr_columns(views, ids, e))
+                .collect();
+            for (i, row) in out.chunks_exact_mut(exprs.len()).enumerate() {
+                for (o, c) in row.iter_mut().zip(&cols) {
+                    *o = lane(c, i);
+                }
+            }
+        }
+        Layout::Columns => {
+            // A bare column's gather is its intermediate column.
+            let stride = out.len() / exprs.len();
+            for (e, col) in exprs.iter().zip(out.chunks_exact_mut(stride)) {
+                let col = &mut col[..ids.len()];
+                match e {
+                    CompiledExpr::Col(a) => gather_into(views, *a, ids, col),
+                    e => {
+                        let c = eval_expr_columns(views, ids, e);
+                        col.iter_mut()
+                            .enumerate()
+                            .for_each(|(i, o)| *o = lane(&c, i));
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -285,11 +327,6 @@ pub fn agg_full_column_range(
             AggFunc::Count => {}
         }
     }
-    // A bare `sum` never maintains its count (mirrors AggState::update),
-    // so the reconstructed partial is field-identical to the scalar fold.
-    if op.func == AggFunc::Sum {
-        count = 0;
-    }
     AggState::from_parts(op, acc, count)
 }
 
@@ -318,113 +355,12 @@ pub fn agg_full_column_range_scalar(
     st
 }
 
-fn fold_colvec(cv: &ColVec, n: usize, func: AggOp) -> AggState {
-    let mut st = AggState::new(func);
-    match cv {
-        ColVec::Mat(vs) => {
-            for &v in vs {
-                st.update(v);
-            }
-        }
-        ColVec::Const(c) => {
-            for _ in 0..n {
-                st.update(*c);
-            }
-        }
-    }
-    st
-}
-
-/// Column-at-a-time aggregation over one id chunk, returning mergeable
-/// partials (each chunk materializes its own intermediate columns).
-pub fn aggregate_ids_columnar(
-    views: &GroupViews<'_>,
-    ids: &[u32],
-    aggs: &[(AggOp, CompiledExpr)],
-) -> Vec<AggState> {
-    aggs.iter()
-        .map(|(f, e)| {
-            let cv = eval_expr_columns(views, ids, e);
-            fold_colvec(&cv, ids.len(), *f)
-        })
-        .collect()
-}
-
-/// Column-at-a-time projection over one id chunk: evaluate each select
-/// expression into a result column, then reconstruct tuples row-major.
-pub fn project_ids_columnar(
-    views: &GroupViews<'_>,
-    ids: &[u32],
-    exprs: &[CompiledExpr],
-) -> QueryResult {
-    let result_cols: Vec<ColVec> = exprs
-        .iter()
-        .map(|e| eval_expr_columns(views, ids, e))
-        .collect();
-    // Tuple reconstruction: transpose the result columns into the
-    // row-major output block (§3.3).
-    let width = exprs.len();
-    let n = ids.len();
-    let mut out = QueryResult::with_capacity(width, n);
-    let mut row_buf: Vec<Value> = vec![0; width];
-    for i in 0..n {
-        for (slot, cv) in row_buf.iter_mut().zip(&result_cols) {
-            *slot = match cv {
-                ColVec::Mat(vs) => vs[i],
-                ColVec::Const(c) => *c,
-            };
-        }
-        out.push_row(&row_buf);
-    }
-    out
-}
-
-/// Column-at-a-time grouped aggregation over one id chunk, through the
-/// grouped block pipeline (`kernels::grouped`) one 1K-id block at a time:
-/// every key and aggregate-input expression is first materialized as an
-/// intermediate column over the block (the §2.1 execution model), then
-/// the block's group ids are resolved and each aggregate column folds
-/// into the chunk's table.
-pub fn grouped_ids_columnar(
-    views: &GroupViews<'_>,
-    ids: &[u32],
-    keys: &[CompiledExpr],
-    key_types: &[LogicalType],
-    aggs: &[(AggOp, CompiledExpr)],
-) -> GroupedAggs {
-    let mut table = table_for(key_types, aggs);
-    let mut blk = GroupBlock::default();
-    for ids in ids.chunks(BLOCK_ROWS) {
-        blk.run(
-            &mut table,
-            keys.len(),
-            aggs.len(),
-            ids.len(),
-            |kbuf, vbuf| {
-                for (c, e) in keys.iter().enumerate() {
-                    let col = materialize_expr_column(views, ids, e);
-                    for (slot, v) in kbuf[c..].iter_mut().step_by(keys.len()).zip(col) {
-                        *slot = v;
-                    }
-                }
-                for ((f, e), out) in aggs.iter().zip(vbuf.chunks_exact_mut(ids.len())) {
-                    if f.func != AggFunc::Count {
-                        out.copy_from_slice(&materialize_expr_column(views, ids, e));
-                    }
-                }
-            },
-            None,
-        );
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::filter::CompiledPred;
     use crate::sink::SelectProgram;
-    use h2o_expr::{AggFunc, CmpOp};
+    use h2o_expr::{AggFunc, CmpOp, QueryResult};
     use h2o_storage::LogicalType;
     use h2o_storage::{AttrId, ColumnGroup};
 
@@ -666,28 +602,26 @@ mod tests {
             }
         }
         assert_eq!(stitched.ids(), full.ids());
-        // Aggregate phase by id chunk.
-        let aggs = vec![
+        // Aggregate phase by id chunk: each chunk's intermediates are its
+        // own, and the chunks' partials merge to the whole.
+        let select = SelectProgram::Aggregate(vec![
             (
                 AggFunc::Sum.into(),
                 CompiledExpr::SumCols(vec![ba(0), ba(2)]),
             ),
             (AggFunc::Max.into(), CompiledExpr::Col(ba(2))),
-        ];
-        let want: Vec<Value> = aggregate_ids_columnar(&views, full.ids(), &aggs)
-            .iter()
-            .map(|s| s.finish())
-            .collect();
-        let mut merged: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
-        for chunk in full.ids().chunks(1) {
-            for (m, p) in merged
-                .iter_mut()
-                .zip(aggregate_ids_columnar(&views, chunk, &aggs))
-            {
-                m.merge(&p);
-            }
-        }
-        let got: Vec<Value> = merged.iter().map(|s| s.finish()).collect();
+        ]);
+        let chunk = |ids: &[u32]| {
+            let mut part = select.partial();
+            let eval = |es: &[&CompiledExpr], r: Range<usize>, out: &mut [Value], layout| {
+                eval_ids(&views, &ids[r], es, out, layout)
+            };
+            select.fold(&mut part, ids.len(), eval, None);
+            part
+        };
+        let want = select.finish(vec![chunk(full.ids())]);
+        assert_eq!(want.row(0), &[2 + 8 + 4 + 6, 8]);
+        let got = select.finish(full.ids().chunks(1).map(chunk).collect());
         assert_eq!(got, want);
         // Streaming fast path by range.
         let whole = agg_full_column_range(&views, ba(0), AggFunc::Sum, 0..4);

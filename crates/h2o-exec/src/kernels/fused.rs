@@ -1,17 +1,17 @@
-//! The fused volcano kernel (paper Fig. 5) and the bare-column aggregate
-//! tiers.
+//! The fused volcano kernel (paper Fig. 5) and the per-column
+//! bare-column aggregate tier.
 //!
 //! The fused scan is one pass over the relation: the where-clause is
 //! evaluated (both predicates in one step) and every qualifying tuple's
 //! select-items are computed immediately. No selection vector, no
-//! intermediate columns — the access pattern the paper generates. Its
-//! per-row step is the select program's own
-//! ([`SelectProgram::push`](crate::sink::SelectProgram::push)), the one
-//! the selection-vector strategy's phase 2 and the join probe run too;
+//! intermediate results — the access pattern the paper generates.
 //! [`RowSource::Scan`] finds the qualifying rows in 1K-row blocks of 8-row
-//! chunk masks, over one column group or several (§3.3, Fig. 12). What
-//! stays specialized here is the aggregate whose every input is a bare
-//! column ([`aggregate_range`]).
+//! chunk masks, over one column group or several (§3.3, Fig. 12), and
+//! each block folds through the select program's one batch step, the one
+//! the selection-vector strategy's phase 2, the column-major strategy and
+//! the join run too. What stays specialized here is the aggregate whose
+//! every input is a bare column at adjacent offsets of one slot
+//! ([`aggregate_range`]'s per-column tier).
 //!
 //! Every fold is parameterized by a row **range** (or id chunk) and
 //! continues a caller-owned accumulator, so the morsel-parallel driver
@@ -21,10 +21,11 @@
 //! ([`crate::reorg`]) can run a range in the 1K-row chunks it stitches,
 //! every chunk continuing the range's one accumulator.
 
-use super::{simd, upd_max, upd_min, upd_sum, RowBody, RowSource};
+use super::{simd, upd_max, upd_min, upd_sum, RowSource};
 use crate::bind::{BoundAttr, GroupViews};
 use crate::filter::CompiledFilter;
 use crate::program::CompiledExpr;
+use crate::sink::{Partial, SelectProgram};
 use h2o_expr::agg::{AggOp, AggState};
 use h2o_expr::AggFunc;
 use h2o_storage::Value;
@@ -45,32 +46,11 @@ pub fn bare_columns(aggs: &[(AggOp, CompiledExpr)]) -> Option<Vec<(AggOp, BoundA
         .collect()
 }
 
-/// Bare-column aggregation (template ii) over the rows of `source`,
-/// continuing `states` (one per column, in order): a range split in
-/// pieces folds exactly like the whole, `F64` sums included.
-///
-/// The columns fold into raw accumulators ([`AggState::raw`]: min/max in
-/// comparator-key space, sum/avg in the lane domain) under one shared
-/// match count, in one of two tiers:
-///
-/// * a scan whose columns sit at adjacent offsets of one slot (the exact
-///   shape of `select max(a_j), ..., max(a_{j+k})` over a tailored group):
-///   each column folds its masked chunks a 1K-row block at a time
-///   (`fold_columns`), while the block is cache-resident;
-/// * any other set, or an id chunk — scattered offsets of a wide
-///   row-major group, several groups, a selection vector — updates every
-///   accumulator per qualifying row (`fold_rows`), touching each tuple
-///   once.
-///
-/// Each column stays one fold chain in row order in both tiers, so `F64`
-/// sums are bit-identical whichever tier runs.
-pub fn aggregate_range(
-    views: &GroupViews<'_>,
-    source: &RowSource<'_>,
-    cols: &[(AggOp, BoundAttr)],
-    states: &mut [AggState],
-) {
-    let mut acc: Vec<Value> = states.iter().map(AggState::raw).collect();
+/// [`bare_columns`] when the columns read sit at adjacent offsets of one
+/// slot (the exact shape of `select max(a_j), ..., max(a_{j+k})` over a
+/// tailored group): the shape the per-column tier folds under a scan.
+pub(crate) fn adjacent_columns(aggs: &[(AggOp, CompiledExpr)]) -> Option<Vec<(AggOp, BoundAttr)>> {
+    let cols = bare_columns(aggs)?;
     // Adjacency is over the columns read: a `count`'s reads none.
     let read = || {
         cols.iter()
@@ -81,15 +61,27 @@ pub fn aggregate_range(
     let hi = read().map(|a| a.offset).max().unwrap_or(0);
     let slot = read().next().map_or(0, |a| a.slot);
     let adjacent = read().all(|a| a.slot == slot) && ((hi - lo) as usize) < read().count();
-    let matched = match source {
-        RowSource::Scan(filter, range) if adjacent => {
-            fold_columns(views, filter, range.clone(), cols, &mut acc)
-        }
-        _ => fold_rows(views, source, cols, &mut acc),
-    };
-    for ((st, (f, _)), &raw) in states.iter_mut().zip(cols).zip(&acc) {
-        *st = AggState::from_parts(*f, raw, st.count() + matched);
-    }
+    adjacent.then_some(cols)
+}
+
+/// A scalar aggregate over the rows of `source`, continuing `states` (one
+/// per aggregate, in order) exactly as the fused scan and the
+/// selection-vector strategy fold it (`SelectProgram::feed`): a scan
+/// whose inputs are bare columns at adjacent offsets of one slot takes the
+/// per-column tier (`fold_columns`), every other aggregate the batch step
+/// over the walker's blocks. Each column stays one fold chain in row
+/// order in both, so `F64` sums are bit-identical whichever runs, and
+/// either leaves states field-identical to [`aggregate_range_scalar`]'s.
+pub fn aggregate_range(
+    views: &GroupViews<'_>,
+    source: &RowSource<'_>,
+    aggs: &[(AggOp, CompiledExpr)],
+    states: &mut [AggState],
+) {
+    let select = SelectProgram::Aggregate(aggs.to_vec());
+    let mut part = Partial::from(states.to_vec());
+    select.feed(views, source, &mut part);
+    states.copy_from_slice(part.states());
 }
 
 /// One scalar update of a raw accumulator (the per-column tier's tail).
@@ -103,20 +95,25 @@ fn upd(f: AggOp, acc: &mut Value, v: Value) {
     }
 }
 
-/// The per-column tier of [`aggregate_range`]: per run, the conjunction is
-/// evaluated into chunk masks one 1K-row block at a time (shared by every
-/// column), then each column folds the block's masked chunks with the
-/// shared lane primitives — integer sums/min/max lane-split, `F64` sums
-/// one in-order chain (the fold-order contract of
+/// The per-column tier of [`aggregate_range`], for the columns of
+/// [`adjacent_columns`], continuing `states`: they fold into raw
+/// accumulators ([`AggState::raw`]: min/max in comparator-key space,
+/// sum/avg in the lane domain) under one shared match count. Per run, the
+/// conjunction is evaluated into chunk masks one 1K-row block at a time
+/// (shared by every column), then each column folds the block's masked
+/// chunks with the shared lane primitives while the block is
+/// cache-resident — integer sums/min/max lane-split, `F64` sums one
+/// in-order chain (the fold-order contract of
 /// [`h2o_expr::agg::AggState`]). Each column's chain continues from block
-/// to block and into the run's scalar tail. Returns the match count.
-fn fold_columns(
+/// to block and into the run's scalar tail.
+pub(crate) fn fold_columns(
     views: &GroupViews<'_>,
     filter: &CompiledFilter,
     range: Range<usize>,
     cols: &[(AggOp, BoundAttr)],
-    acc: &mut [Value],
-) -> u64 {
+    states: &mut [AggState],
+) {
+    let mut acc: Vec<Value> = states.iter().map(AggState::raw).collect();
     let mut matched: u64 = 0;
     for run in views.runs_pruned(range, filter) {
         let rf = simd::RunFilter::resolve(&run, filter);
@@ -149,65 +146,9 @@ fn fold_columns(
             }
         }
     }
-    matched
-}
-
-/// The per-row tier of [`aggregate_range`]: aggregates are grouped by
-/// function so the row step contains no per-value dispatch, and every
-/// accumulator is updated once per row of `source`. Returns the match
-/// count.
-fn fold_rows(
-    views: &GroupViews<'_>,
-    source: &RowSource<'_>,
-    cols: &[(AggOp, BoundAttr)],
-    acc: &mut [Value],
-) -> u64 {
-    struct Rows<'a> {
-        // (typed op, [(accumulator index, bound column)])
-        groups: Vec<(AggOp, Vec<(usize, BoundAttr)>)>,
-        acc: &'a mut [Value],
-        matched: u64,
+    for ((st, (f, _)), &raw) in states.iter_mut().zip(cols).zip(&acc) {
+        *st = AggState::from_parts(*f, raw, st.count() + matched);
     }
-    impl RowBody for Rows<'_> {
-        #[inline(always)]
-        fn row(&mut self, get: impl Fn(BoundAttr) -> Value) {
-            self.matched += 1;
-            for (f, items) in &self.groups {
-                match f.func {
-                    AggFunc::Max => {
-                        for &(i, a) in items {
-                            upd_max(f.ty, &mut self.acc[i], get(a));
-                        }
-                    }
-                    AggFunc::Min => {
-                        for &(i, a) in items {
-                            upd_min(f.ty, &mut self.acc[i], get(a));
-                        }
-                    }
-                    AggFunc::Sum | AggFunc::Avg => {
-                        for &(i, a) in items {
-                            upd_sum(f.ty, &mut self.acc[i], get(a));
-                        }
-                    }
-                    AggFunc::Count => {}
-                }
-            }
-        }
-    }
-    let mut groups: Vec<(AggOp, Vec<(usize, BoundAttr)>)> = Vec::new();
-    for (i, &(f, a)) in cols.iter().enumerate() {
-        match groups.iter_mut().find(|(gf, _)| *gf == f) {
-            Some((_, items)) => items.push((i, a)),
-            None => groups.push((f, vec![(i, a)])),
-        }
-    }
-    let mut body = Rows {
-        groups,
-        acc,
-        matched: 0,
-    };
-    source.for_each(views, &mut body);
-    body.matched
 }
 
 /// Scalar reference for [`aggregate_range`]: every row of the range is
@@ -513,17 +454,14 @@ mod tests {
                     (AggOp::new(f, LogicalType::F64), CompiledExpr::Col(ba(1))),
                     (AggOp::new(f, LogicalType::F64), CompiledExpr::Col(ba(2))),
                 ];
-                let cols = bare_columns(&aggs).unwrap();
                 let fold = |source: RowSource<'_>, states: &mut Vec<AggState>| {
-                    aggregate_range(&views, &source, &cols, states)
+                    aggregate_range(&views, &source, &aggs, states)
                 };
                 for range in [0..27, 0..8, 5..23, 24..27] {
                     let mut vec_states = fresh(&aggs);
                     fold(RowSource::Scan(filter, range.clone()), &mut vec_states);
                     let ref_states = aggregate_range_scalar(&views, filter, &aggs, range.clone());
-                    let vec_row: Vec<Value> = vec_states.iter().map(|s| s.finish()).collect();
-                    let ref_row: Vec<Value> = ref_states.iter().map(|s| s.finish()).collect();
-                    assert_eq!(vec_row, ref_row, "{} over {range:?}", f.name());
+                    assert_eq!(vec_states, ref_states, "{} over {range:?}", f.name());
                 }
                 // Continuing one accumulator over pieces is the whole fold,
                 // bit for bit (the F64 fold-order contract).
@@ -534,7 +472,7 @@ mod tests {
                     fold(RowSource::Scan(filter, r), &mut pieces);
                 }
                 assert_eq!(pieces, whole, "{} continued", f.name());
-                // The per-row tier over the qualifying ids folds the same.
+                // The batch step over the qualifying ids folds the same.
                 let mut by_ids = fresh(&aggs);
                 for chunk in ids.ids().chunks(4) {
                     fold(RowSource::Ids(chunk), &mut by_ids);

@@ -1,15 +1,13 @@
 //! The grouped-aggregation block pipeline.
 //!
-//! Qualifying rows arrive up to 1K
-//! ([`BLOCK_ROWS`](super::simd::BLOCK_ROWS)) at a time — from the block
-//! walker ([`RowSource::for_each_block`]) for the fused scan and the
-//! selection-vector strategy, from the id chunks of the column-major
-//! strategy — and each block runs three stages:
+//! A batch of rows arrives through the select program's batch step
+//! (`SelectProgram::fold`) — a block of the fused scan's or a selection
+//! vector's walker, a 1K-id block of the column-major strategy, a join's
+//! hit rows or matched pairs — and runs three stages:
 //!
-//! 1. **gather**: every key expression and every aggregate input is
-//!    evaluated over the block's rows into a block buffer (per row for a
-//!    row source, column at a time with intermediate columns for the
-//!    column-major strategy); a `count`'s input is not evaluated;
+//! 1. **evaluate**: the source evaluates every key expression into the
+//!    block's key lanes (row-major) and every aggregate input but a
+//!    `count`'s into its column;
 //! 2. **resolve**: the block's group ids, in one pass of one of two
 //!    tiers. A one-lane key whose block spans fewer than `DENSE_SPAN` raw
 //!    lane values reads a direct-index memo (lane value → group id) that
@@ -18,19 +16,16 @@
 //!    keys (NaN payloads, `-0.0`) need no special case. Every other block
 //!    hashes all its keys, then probes with the hashes;
 //! 3. **fold**: [`GroupedAggs::fold_block`] dispatches once per aggregate
-//!    and folds its column into the groups' states in row order, so each
+//!    and folds its column into the groups' states in row order (each
+//!    row `mults[i]` times when the source gives multiplicities), so each
 //!    group's `F64` sum stays one chain in row order and a serial run is
 //!    bit-identical to the interpreter's per-row fold.
 //!
-//! The join reuses the stages: a probe-only grouped fold runs a block of
-//! hit rows through them with each row's match count as its multiplicity,
-//! and the build resolves its group keys through stages 1–2 alone
-//! (`GroupBlock::resolve_with`); both gather columns through [`gather`].
+//! The join build resolves its group keys through stages 1–2 alone
+//! (`GroupBlock::resolve_with`), and gathers its keys and payload through
+//! [`gather_col`].
 
-use super::RowSource;
-use crate::bind::{BoundAttr, GroupViews, SlotAccessor};
-use crate::program::CompiledExpr;
-use h2o_expr::agg::{AggFunc, AggOp};
+use crate::bind::{BoundAttr, SlotAccessor};
 use h2o_expr::lanemap::hash_key;
 use h2o_expr::GroupedAggs;
 use h2o_storage::Value;
@@ -66,6 +61,8 @@ impl GroupBlock {
     /// `gather` fill them (stage 1: the key lanes row-major, the aggregate
     /// inputs one `n`-lane column each), then resolves (stage 2) and folds
     /// (stage 3), each row `mults[i]` times when multiplicities are given.
+    /// The block's evaluation is the caller's; [`Self::run`] never reads a
+    /// column group.
     pub(crate) fn run(
         &mut self,
         table: &mut GroupedAggs,
@@ -139,77 +136,6 @@ impl GroupBlock {
             .extend(self.keys.chunks_exact(key_width).map(hash_key));
         for (key, &h) in self.keys.chunks_exact(key_width).zip(&self.hashes) {
             self.ids.push(id(key, h));
-        }
-    }
-}
-
-/// Folds every row of `source` into `table` through the pipeline, a block
-/// of the walker at a time, each expression gathered over the block's
-/// rows through its plan slot's [`SlotAccessor`].
-pub(crate) fn feed(
-    views: &GroupViews<'_>,
-    source: &RowSource<'_>,
-    keys: &[CompiledExpr],
-    aggs: &[(AggOp, CompiledExpr)],
-    table: &mut GroupedAggs,
-    blk: &mut GroupBlock,
-) {
-    let slots: Vec<SlotAccessor<'_, '_>> =
-        (0..views.len() as u32).map(|s| views.accessor(s)).collect();
-    source.for_each_block(views, |rows| {
-        blk.run(
-            table,
-            keys.len(),
-            aggs.len(),
-            rows.len(),
-            |kbuf, vbuf| gather_block(&slots, keys, aggs, rows, kbuf, vbuf),
-            None,
-        )
-    });
-}
-
-/// Stage 1 of a block of the ascending `rows`: every key expression into
-/// `kbuf` (row-major) and every aggregate input but a `count`'s into its
-/// `rows.len()`-lane column of `vbuf`.
-#[inline]
-pub(crate) fn gather_block(
-    slots: &[SlotAccessor<'_, '_>],
-    keys: &[CompiledExpr],
-    aggs: &[(AggOp, CompiledExpr)],
-    rows: &[u32],
-    kbuf: &mut [Value],
-    vbuf: &mut [Value],
-) {
-    match keys {
-        [e] => gather(slots, e, rows, kbuf.iter_mut()),
-        _ => {
-            for (c, e) in keys.iter().enumerate() {
-                gather(slots, e, rows, kbuf[c..].iter_mut().step_by(keys.len()));
-            }
-        }
-    }
-    for ((f, e), out) in aggs.iter().zip(vbuf.chunks_exact_mut(rows.len())) {
-        if f.func != AggFunc::Count {
-            gather(slots, e, rows, out.iter_mut());
-        }
-    }
-}
-
-/// Evaluates `e` over the ascending `rows` into `out`: a bare column is
-/// one gather ([`gather_col`]), any other expression is evaluated per row.
-#[inline]
-pub(crate) fn gather<'o>(
-    slots: &[SlotAccessor<'_, '_>],
-    e: &CompiledExpr,
-    rows: &[u32],
-    out: impl Iterator<Item = &'o mut Value>,
-) {
-    match e {
-        CompiledExpr::Col(a) => gather_col(slots, *a, rows, out),
-        e => {
-            for (o, &r) in out.zip(rows) {
-                *o = e.eval(|a| slots[a.slot as usize].value(r as usize, a.offset as usize));
-            }
         }
     }
 }

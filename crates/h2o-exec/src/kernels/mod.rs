@@ -16,19 +16,20 @@
 //!
 //! Kernels operate on [`GroupViews`] (raw slices)
 //! and offset-resolved programs; nothing in a per-tuple loop consults a
-//! schema or expression tree. The fused scan and the
-//! selection-vector strategy's phase 2 differ only in how they find the
-//! qualifying rows: a [`RowSource`] hands each row to one per-row step
-//! (`RowBody`) as a lane-fetch closure — `scan_rows` for a filtered row
-//! range, `id_rows` for a chunk of qualifying ids — and the step is the
-//! select program's ([`crate::sink::SelectProgram::push`]) or a
-//! bare-column aggregate fold ([`fused::aggregate_range`]). These two
-//! functions are the only place a plan's group count matters. Grouped
-//! aggregation and both join sides take the same rows a block at a time
-//! instead, from the block walker (`RowSource::for_each_block`, 1K row
-//! ids per block): the `grouped` pipeline gathers a block's key and
-//! aggregate-input columns, resolves all its group ids in one pass (a
-//! dense memo or a hash-then-probe pass) and folds each aggregate column.
+//! schema or expression tree. Every source folds its rows through the
+//! select program's one batch step
+//! (`SelectProgram::fold`), which asks the source to evaluate the select
+//! expressions over a batch. The fused scan and the selection-vector
+//! strategy's phase 2 differ only in how they find the qualifying rows:
+//! the block walker (`RowSource::for_each_block`, 1K row ids per block)
+//! collects them from a filtered row range or a chunk of qualifying ids,
+//! and `eval_rows` evaluates over each block. The column-major strategy
+//! evaluates its id chunks through intermediate columns
+//! (`colmajor::eval_ids`); both join sides find their rows with the same
+//! walker. What stays specialized is the two bare-column aggregate tiers
+//! a plan selects: adjacent columns of one slot under a scan
+//! (`fused::fold_columns`) and column-major's no-filter streaming fold
+//! ([`colmajor::agg_full_column_range`]).
 
 pub mod colmajor;
 pub mod fused;
@@ -36,22 +37,17 @@ pub(crate) mod grouped;
 pub mod selvector;
 pub mod simd;
 
-use crate::bind::{BoundAttr, GroupViews, SlotAccessor};
+use crate::bind::{BoundAttr, GroupViews, Piece, SlotAccessor};
 use crate::filter::CompiledFilter;
 use crate::plan::Strategy;
+use crate::program::{eval_batch, CompiledExpr, Layout};
 use crate::selvec::SelVec;
 use h2o_storage::{LogicalType, Value};
 use simd::BLOCK_ROWS;
 use std::ops::Range;
 
-/// A per-row step: what one qualifying row does, given a closure that
-/// fetches its lanes by bound attribute.
-pub(crate) trait RowBody {
-    fn row(&mut self, get: impl Fn(BoundAttr) -> Value);
-}
-
-/// Where a per-row step's qualifying rows come from, in ascending row
-/// order.
+/// Where a fused scan's or a selection vector's qualifying rows come
+/// from, in ascending row order.
 #[derive(Debug)]
 pub enum RowSource<'s> {
     /// The rows of a row range that pass a filter (the fused scan and the
@@ -63,22 +59,13 @@ pub enum RowSource<'s> {
 }
 
 impl RowSource<'_> {
-    /// Hands every row of the source to `body`.
-    #[inline]
-    pub(crate) fn for_each(&self, views: &GroupViews<'_>, body: &mut impl RowBody) {
-        match self {
-            RowSource::Scan(filter, range) => scan_rows(views, filter, range.clone(), body),
-            RowSource::Ids(ids) => id_rows(views, ids, body),
-        }
-    }
-
     /// The block walker: hands the source's rows to `block` as row ids,
     /// ascending and up to [`BLOCK_ROWS`] at a time (a block may be
     /// shorter, never empty), and returns their count. A scan collects the
     /// rows of the fused walker ([`simd::RunFilter::for_each_row`]) over
     /// the pruned segment runs; an id chunk is cut into blocks as it is.
-    /// The grouped-aggregation pipeline ([`grouped`]) and both join sides
-    /// find their rows here.
+    /// The select program's row-source fold (`SelectProgram::feed`) and
+    /// both join sides find their rows here.
     pub(crate) fn for_each_block(
         &self,
         views: &GroupViews<'_>,
@@ -130,58 +117,64 @@ pub(crate) fn qualifying_blocks(
     RowSource::Ids(sel.ids()).for_each_block(views, block)
 }
 
-/// The fused scan, for one column group or many: walks the pruned segment
-/// runs of `range`, finds each run's qualifying rows with the block walker
-/// ([`simd::RunFilter::for_each_row`]: 8-row chunk masks, 1K rows at a
-/// time) and hands them to `body` in ascending row order. One slot slices
-/// the row's tuple from the run once and fetches `tuple[offset]`, many
-/// slots pick the run's slice of `attr.slot` per fetch, and `body` is
-/// compiled once for each.
-pub(crate) fn scan_rows(
-    views: &GroupViews<'_>,
-    filter: &CompiledFilter,
-    range: Range<usize>,
-    body: &mut impl RowBody,
+/// The row sources' evaluator: evaluates `exprs` over the ascending
+/// `rows` of `slots` into `out`, laid out by `layout` ([`eval_batch`]).
+/// Each stretch of rows that lies in one piece of every slot slices each
+/// slot once ([`SlotAccessor::piece`]), so a lane is one slice index and
+/// no segment lookup, and over one slot a row's tuple is located once for
+/// all its lanes; a batch that straddles a piece end splits there. A lane
+/// of a slot past `slots` is `other(i, attr)` for the batch's row `i` (the
+/// join's build payload; [`unbound`] for a scan).
+pub(crate) fn eval_rows(
+    slots: &[SlotAccessor<'_, '_>],
+    rows: &[u32],
+    exprs: &[&CompiledExpr],
+    out: &mut [Value],
+    layout: Layout,
+    other: impl Fn(usize, BoundAttr) -> Value,
 ) {
-    let mut slots: Vec<(&[Value], usize)> = Vec::with_capacity(views.len());
-    for run in views.runs_pruned(range, filter) {
-        let rf = simd::RunFilter::resolve(&run, filter);
-        slots.clear();
-        slots.extend((0..views.len() as u32).map(|s| run.view(s)));
-        match slots[..] {
-            [(data, width)] => rf.for_each_row(|i| {
-                let tuple = &data[i * width..(i + 1) * width];
-                body.row(|a| tuple[a.offset as usize])
+    let other = &other;
+    // Over one slot that every lane reads, a row's tuple is located once.
+    let one_slot = slots.len() == 1 && exprs.iter().all(|e| e.slots().all(|s| s == 0));
+    let mut pieces = Vec::with_capacity(slots.len());
+    let mut at = 0;
+    while at < rows.len() {
+        pieces.clear();
+        pieces.extend(slots.iter().map(|s| s.piece(rows[at] as usize)));
+        let end = pieces.iter().map(Piece::end).min().unwrap_or(usize::MAX);
+        let next = at + rows[at..].partition_point(|&r| (r as usize) < end);
+        let row = |i: usize| rows[i] as usize;
+        // A bare column is one gather loop over its slot's piece.
+        if let [CompiledExpr::Col(a)] = exprs {
+            if let Some(p) = pieces.get(a.slot as usize) {
+                let (out, here) = (&mut out[at..next], &rows[at..next]);
+                let off = a.offset as usize;
+                out.iter_mut()
+                    .zip(here)
+                    .for_each(|(o, &r)| *o = p.value(r as usize, off));
+                at = next;
+                continue;
+            }
+        }
+        match pieces[..] {
+            [p] if one_slot => eval_batch(exprs, out, layout, at..next, |i| {
+                let t = p.tuple(row(i));
+                move |a: BoundAttr| t[a.offset as usize]
             }),
-            ref many => rf.for_each_row(|i| {
-                body.row(|a| {
-                    let (data, width) = many[a.slot as usize];
-                    data[i * width + a.offset as usize]
-                })
+            ref many => eval_batch(exprs, out, layout, at..next, |i| {
+                move |a: BoundAttr| match many.get(a.slot as usize) {
+                    Some(p) => p.value(row(i), a.offset as usize),
+                    None => other(i, a),
+                }
             }),
         }
+        at = next;
     }
 }
 
-/// The selection-vector source: hands the rows of an id chunk to `body`
-/// in chunk order. One slot fetches the row's tuple once and reads
-/// `tuple[offset]`; many slots read through one [`SlotAccessor`] each.
-pub(crate) fn id_rows(views: &GroupViews<'_>, ids: &[u32], body: &mut impl RowBody) {
-    let slots: Vec<SlotAccessor<'_, '_>> =
-        (0..views.len() as u32).map(|s| views.accessor(s)).collect();
-    match slots[..] {
-        [slot] => {
-            for &row in ids {
-                let tuple = slot.tuple(row as usize);
-                body.row(|a| tuple[a.offset as usize]);
-            }
-        }
-        ref many => {
-            for &row in ids {
-                body.row(|a| many[a.slot as usize].value(row as usize, a.offset as usize));
-            }
-        }
-    }
+/// [`eval_rows`]'s `other` for a source whose every slot is bound.
+pub(crate) fn unbound(_: usize, a: BoundAttr) -> Value {
+    unreachable!("slot {} is not bound", a.slot)
 }
 
 /// Phase 1 of the two id-based strategies over one row range: the

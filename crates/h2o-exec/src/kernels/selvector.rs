@@ -4,8 +4,9 @@
 //! over the group(s) storing the where-clause attributes that
 //! materializes the qualifying row ids. Phase 2, `q1_compute_expression`,
 //! has no kernel of its own: it walks the selection vector in id chunks
-//! ([`RowSource::Ids`](super::RowSource)) and runs the select program's
-//! per-row step, the one the fused scan runs, on each row. The paper
+//! ([`RowSource::Ids`](super::RowSource)) and folds their rows, a block
+//! at a time, through the select program's batch step, the one the fused
+//! scan runs. The paper
 //! notes the trade-off explicitly: computation is avoided for
 //! non-qualifying tuples, "on the other hand, the materialization of the
 //! selection vector is required".

@@ -30,8 +30,9 @@
 //! * [`Strategy::SelVector`](plan::Strategy) — phase 1 evaluates the
 //!   where-clause on the group(s) storing the predicate attributes and
 //!   materializes a selection vector of qualifying row ids; phase 2 walks
-//!   it in id chunks and runs the fused scan's per-row step on each row,
-//!   reading the select-clause group(s) (Fig. 6).
+//!   it in id chunks and folds their rows a block at a time through the
+//!   batch step the fused scan runs, reading the select-clause group(s)
+//!   (Fig. 6).
 //! * [`Strategy::ColumnMajor`](plan::Strategy) — pure DSM processing:
 //!   column-at-a-time predicate evaluation refining the selection vector,
 //!   and column-at-a-time expression evaluation that **materializes

@@ -23,6 +23,7 @@
 use crate::bind::BoundAttr;
 use h2o_expr::{ArithOp, Expr};
 use h2o_storage::{f64_lane, lane_f64, LogicalType, Value};
+use std::ops::Range;
 
 /// A postfix opcode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,12 +128,23 @@ impl CompiledExpr {
         CompiledExpr::Program { ops, stack: max }
     }
 
+    /// The plan slots the expression reads, one per lane it loads.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = u32> + '_ {
+        let (cols, ops): (&[BoundAttr], &[OpCode]) = match self {
+            CompiledExpr::Col(a) => (std::slice::from_ref(a), &[]),
+            CompiledExpr::SumCols(cols) | CompiledExpr::SumColsF(cols) => (cols, &[]),
+            CompiledExpr::Program { ops, .. } => (&[], ops),
+        };
+        let loads = ops.iter().filter_map(|op| match op {
+            OpCode::Load(a) => Some(a),
+            _ => None,
+        });
+        cols.iter().chain(loads).map(|a| a.slot)
+    }
+
     /// Evaluates the expression for one row, whose lanes `get` fetches
-    /// by bound attribute (the idiom of [`h2o_expr::Expr::eval`]). Every
-    /// caller supplies its own fetch: the row of a fused scan's run or of a
-    /// selection vector's id chunk, from one slot or many
-    /// (`kernels::scan_rows`, `kernels::id_rows`), or a joined pair's lanes
-    /// from their two sides.
+    /// by bound attribute (the idiom of [`h2o_expr::Expr::eval`]); a batch
+    /// of rows evaluates through `eval_batch`.
     #[inline(always)]
     pub fn eval(&self, get: impl Fn(BoundAttr) -> Value) -> Value {
         match self {
@@ -161,6 +173,101 @@ impl CompiledExpr {
                 } else {
                     let mut heap = vec![0 as Value; *stack];
                     eval_program(ops, get, &mut heap)
+                }
+            }
+        }
+    }
+}
+
+/// Where a batch evaluation puts lane `i` of `exprs[j]` in its `out`: one
+/// row after another (the output block of a projection, a grouped block's
+/// key lanes) or one column after another (aggregate inputs, each folded
+/// down its column).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Layout {
+    /// `out[i * exprs.len() + j]`.
+    Rows,
+    /// `out[j * stride + i]`, `stride = out.len() / exprs.len()`: at
+    /// least the batch's rows, and more where columns are padded apart.
+    Columns,
+}
+
+/// Evaluates `exprs` over the rows `rows` of a batch into `out`, laid out
+/// by `layout`. `row(i)` is the source's fetch of row `i`'s lanes — a
+/// tuple of a scan's or a selection vector's block, a joined pair's lanes
+/// from their two sides, a build row of the join's payload — made once
+/// per row, so a row's tuple is located once for all its lanes. One
+/// expression is evaluated a column at a time (a bare column is one
+/// gather loop), several a row at a time, so a wide batch reads each
+/// tuple once.
+#[inline]
+pub(crate) fn eval_batch<F: Fn(BoundAttr) -> Value>(
+    exprs: &[&CompiledExpr],
+    out: &mut [Value],
+    layout: Layout,
+    rows: Range<usize>,
+    row: impl Fn(usize) -> F,
+) {
+    let (k, slice) = (exprs.len(), rows.clone());
+    match exprs {
+        [] => return,
+        [CompiledExpr::Col(a)] => {
+            let out = out[slice].iter_mut().zip(rows);
+            return out.for_each(|(o, i)| *o = row(i)(*a));
+        }
+        [e] => {
+            return out[slice]
+                .iter_mut()
+                .zip(rows)
+                .for_each(|(o, i)| *o = e.eval(row(i)))
+        }
+        _ => {}
+    }
+    let stride = out.len() / k;
+    // Bare columns skip the per-lane expression dispatch.
+    let cols: Option<Vec<BoundAttr>> = exprs
+        .iter()
+        .map(|e| match e {
+            CompiledExpr::Col(a) => Some(*a),
+            _ => None,
+        })
+        .collect();
+    match (layout, cols) {
+        (Layout::Rows, Some(cols)) => {
+            for (i, o) in out
+                .chunks_exact_mut(k)
+                .enumerate()
+                .take(rows.end)
+                .skip(rows.start)
+            {
+                let get = row(i);
+                o.iter_mut().zip(&cols).for_each(|(o, &a)| *o = get(a));
+            }
+        }
+        (Layout::Rows, None) => {
+            for (i, o) in out
+                .chunks_exact_mut(k)
+                .enumerate()
+                .take(rows.end)
+                .skip(rows.start)
+            {
+                let get = row(i);
+                o.iter_mut().zip(exprs).for_each(|(o, e)| *o = e.eval(&get));
+            }
+        }
+        (Layout::Columns, Some(cols)) => {
+            for i in rows {
+                let get = row(i);
+                for (col, &a) in out.chunks_exact_mut(stride).zip(&cols) {
+                    col[i] = get(a);
+                }
+            }
+        }
+        (Layout::Columns, None) => {
+            for i in rows {
+                let get = row(i);
+                for (col, e) in out.chunks_exact_mut(stride).zip(exprs) {
+                    col[i] = e.eval(&get);
                 }
             }
         }

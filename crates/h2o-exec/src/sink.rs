@@ -4,41 +4,55 @@
 //! The operator generator emits one loop per *(layout combination,
 //! strategy)*; what that loop feeds is orthogonal to it. Every execution
 //! path is therefore a **source** producing [`Partial`]s, one per row
-//! range, and the sink finishing them in range order. One per-row step,
-//! [`SelectProgram::push`], computes the select-items of every shape from
-//! a lane-fetch closure, whatever source feeds it:
+//! range, and the sink finishing them in range order. One batch step,
+//! `SelectProgram::fold`, folds `n` rows of every shape into a partial:
+//! it asks the source to evaluate the select expressions over the batch,
+//! each into a column of a row-major block, and takes optional per-row
+//! multiplicities. A projection appends the block's rows, a scalar
+//! aggregate folds each input column into its state ([`AggState::fold`]),
+//! and a grouped aggregate runs the block pipeline (`kernels::grouped`).
+//! The sources differ only in how they find rows and evaluate over them:
 //!
-//! * the fused scan and the selection-vector strategy's phase 2 hand their
-//!   rows to `SelectProgram::feed` — a filtered row range or a chunk of
-//!   qualifying ids ([`RowSource`]) — and the fused reorganization
-//!   operator hands it each freshly stitched chunk of a range, continuing
-//!   the range's one partial. Bare-column aggregates take their
-//!   specialized tiers there ([`fused::aggregate_range`]), and grouped
-//!   aggregates the block pipeline (`kernels::grouped`);
-//! * the column-major strategy hands qualifying-id chunks to its own
-//!   kernels (`SelectProgram::columnar`), whose intermediate columns are
-//!   the DSM cost structure (§2.1);
-//! * the join probe folds matches by its fold plan: matched pairs pushed
-//!   one at a time (each lane fetched from its own side), blocks of hit
-//!   rows folded column by column with their match counts as
-//!   multiplicities (`SelectProgram::fold_hits`), or aggregate states and
-//!   grouped tables it assembles from build-side folds (`Partial::from`).
+//! * the fused scan and the selection-vector strategy's phase 2 fold each
+//!   block of the walker — a filtered row range or a chunk of qualifying
+//!   ids ([`RowSource`]) — and the fused reorganization operator each
+//!   freshly stitched chunk of a range, continuing the range's one partial
+//!   (`SelectProgram::feed`, each slot sliced once per block);
+//! * the column-major strategy evaluates its id chunks through one
+//!   intermediate column per operator (`colmajor::eval_ids`, §2.1);
+//! * the join folds its hit probe rows with their match counts as
+//!   multiplicities, its matched pairs a block at a time (probe lanes
+//!   from the probe views, build lanes from the payload), and its reached
+//!   build rows with their hit counts — or assembles grouped tables from
+//!   build-side folds (`Partial::from`).
+//!
+//! Two bare-column aggregate tiers stay beside the step, each picked by
+//! the plan: a scan over adjacent columns of one slot folds per column
+//! per block (`fused::fold_columns`), and column-major's no-filter
+//! aggregate streams whole columns
+//! ([`agg_full_column_range`](crate::kernels::colmajor::agg_full_column_range)).
 //!
 //! [`SelectProgram::finish`] concatenates projection blocks, merges
 //! aggregate states and merges grouped tables — all in range order, which
 //! is what pins the `F64` fold order (see [`AggState`]) and makes a serial
 //! run (one range, nothing to merge) bit-identical to the interpreter.
 
-use crate::bind::{BoundAttr, GroupViews, SlotAccessor};
+use crate::bind::{BoundAttr, GroupViews};
 use crate::compile::ExecError;
 use crate::filter::CompiledFilter;
-use crate::kernels::grouped::{self, GroupBlock};
-use crate::kernels::{colmajor, fused, RowBody, RowSource};
-use crate::program::CompiledExpr;
+use crate::kernels::grouped::GroupBlock;
+use crate::kernels::simd::{BLOCK_ROWS, LANES};
+use crate::kernels::{self, fused, RowSource};
+use crate::program::{CompiledExpr, Layout};
 use h2o_expr::agg::{AggFunc, AggOp, AggState};
 use h2o_expr::grouped::GroupedAggs;
 use h2o_expr::{QueryResult, Select, SelectTypes};
 use h2o_storage::{AttrId, LogicalType, Value};
+use std::ops::Range;
+
+/// Lanes in one tile of a scalar aggregate's input columns: 128 KB, so
+/// the tile stays in L2 between its evaluation and its folds.
+const TILE_LANES: usize = 16_384;
 
 /// The select-clause half of a compiled operator. Aggregates carry their
 /// typed op ([`AggOp`]) and grouped programs their key types — the types
@@ -62,49 +76,39 @@ pub enum SelectProgram {
 
 /// One row range's (or id chunk's) contribution to a result, in the form
 /// its shape merges: a projection block, aggregate states, or a grouped
-/// table. Row sources start from [`SelectProgram::partial`]; the
-/// column-major kernels and the join's factorized folds produce one from
-/// their native return type (`into()`).
+/// table. Sources start from [`SelectProgram::partial`]; the join's
+/// factorized folds produce one from their native return type (`into()`).
 #[derive(Debug)]
-pub struct Partial {
-    acc: Acc,
-    /// Evaluation buffer of [`SelectProgram::push`] (the output row, or
-    /// the key lanes followed by the aggregate-input lanes).
-    scratch: Vec<Value>,
-}
+pub struct Partial(Acc);
 
 #[derive(Debug)]
 enum Acc {
     Rows(QueryResult),
-    Aggs(Vec<AggState>),
+    /// The states and one aggregate input column of the batch step.
+    Aggs(Vec<AggState>, Vec<Value>),
     /// A grouped table with the block pipeline's buffers and dense memo,
     /// which hold ids of this table only (empty until a source is fed).
     Groups(GroupedAggs, Box<GroupBlock>),
 }
 
-impl From<QueryResult> for Partial {
-    fn from(block: QueryResult) -> Partial {
-        Acc::Rows(block).into()
-    }
-}
-
 impl From<Vec<AggState>> for Partial {
     fn from(states: Vec<AggState>) -> Partial {
-        Acc::Aggs(states).into()
+        Partial(Acc::Aggs(states, Vec::new()))
     }
 }
 
 impl From<GroupedAggs> for Partial {
     fn from(table: GroupedAggs) -> Partial {
-        Acc::Groups(table, Box::default()).into()
+        Partial(Acc::Groups(table, Box::default()))
     }
 }
 
-impl From<Acc> for Partial {
-    fn from(acc: Acc) -> Partial {
-        Partial {
-            acc,
-            scratch: Vec::new(),
+impl Partial {
+    /// A scalar aggregate's states, in aggregate order.
+    pub(crate) fn states(&self) -> &[AggState] {
+        match &self.0 {
+            Acc::Aggs(states, _) => states,
+            _ => unreachable!("not a scalar aggregate's partial"),
         }
     }
 }
@@ -152,26 +156,6 @@ impl SelectProgram {
         })
     }
 
-    /// Values per output row.
-    pub fn width(&self) -> usize {
-        match self {
-            SelectProgram::Project(es) => es.len(),
-            SelectProgram::Aggregate(aggs) => aggs.len(),
-            SelectProgram::Grouped { keys, aggs, .. } => keys.len() + aggs.len(),
-        }
-    }
-
-    /// The compiled expressions, regardless of kind.
-    pub fn exprs(&self) -> Box<dyn Iterator<Item = &CompiledExpr> + '_> {
-        match self {
-            SelectProgram::Project(es) => Box::new(es.iter()),
-            SelectProgram::Aggregate(aggs) => Box::new(aggs.iter().map(|(_, e)| e)),
-            SelectProgram::Grouped { keys, aggs, .. } => {
-                Box::new(keys.iter().chain(aggs.iter().map(|(_, e)| e)))
-            }
-        }
-    }
-
     /// The `(op, column)` pairs of the no-filter bare-column aggregate
     /// shape, which the column-major strategy streams one contiguous
     /// column at a time with no selection vector at all (the Fig. 10(b)
@@ -186,48 +170,94 @@ impl SelectProgram {
         }
     }
 
-    /// An empty partial to [`Self::push`] rows (or `Self::feed` sources)
-    /// into.
+    /// An empty partial for [`Self::finish`], to fold batches into.
     pub fn partial(&self) -> Partial {
-        let (acc, scratch) = match self {
-            SelectProgram::Project(es) => (Acc::Rows(QueryResult::new(es.len())), es.len()),
-            SelectProgram::Aggregate(aggs) => (
-                Acc::Aggs(aggs.iter().map(|(f, _)| AggState::new(*f)).collect()),
-                0,
+        Partial(match self {
+            SelectProgram::Project(es) => Acc::Rows(QueryResult::new(es.len())),
+            SelectProgram::Aggregate(aggs) => Acc::Aggs(
+                aggs.iter().map(|(f, _)| AggState::new(*f)).collect(),
+                Vec::new(),
             ),
             SelectProgram::Grouped {
-                keys,
-                key_types,
-                aggs,
-            } => (
-                Acc::Groups(table_for(key_types, aggs), Box::default()),
-                keys.len() + aggs.len(),
-            ),
-        };
-        Partial {
-            acc,
-            scratch: vec![0; scratch],
-        }
+                key_types, aggs, ..
+            } => Acc::Groups(table_for(key_types, aggs), Box::default()),
+        })
     }
 
-    /// The one per-row step of every select shape: computes the
-    /// select-items of one row, whose lanes `get` fetches by bound
-    /// attribute, into `partial`, `n` times — `n` output rows, or one fold
-    /// with multiplicity `n` ([`AggState::update_n`], bit-identical to `n`
-    /// single folds; a grouped row probes its table once). `partial` must
-    /// come from this program's [`Self::partial`].
-    #[inline(always)]
-    pub fn push(&self, partial: &mut Partial, get: impl Fn(BoundAttr) -> Value, n: u64) {
-        let scratch = &mut partial.scratch;
-        match (self, &mut partial.acc) {
+    /// The one batch step of every select shape: folds `n` rows into
+    /// `partial` (from this program's [`Self::partial`]). `eval(exprs,
+    /// rows, out, layout)` is the source's evaluator: `exprs` over the
+    /// batch's rows `rows` into `out`, laid out by `layout`. A projection
+    /// evaluates its row block straight into the output, a scalar
+    /// aggregate evaluates its input columns and folds each
+    /// ([`AggState::fold`]), a grouped aggregate evaluates its key lanes
+    /// and input columns and runs the block pipeline. With `mults`, row
+    /// `i` folds `mults[i]` times (each at least one, bit-identical to
+    /// that many rows) — aggregate shapes only: a projection's source
+    /// expands its rows.
+    pub(crate) fn fold(
+        &self,
+        partial: &mut Partial,
+        n: usize,
+        mut eval: impl FnMut(&[&CompiledExpr], Range<usize>, &mut [Value], Layout),
+        mults: Option<&[u32]>,
+    ) {
+        if n == 0 {
+            return;
+        }
+        match (self, &mut partial.0) {
             (SelectProgram::Project(exprs), Acc::Rows(out)) => {
-                project_row(exprs, out, scratch, get, n)
+                debug_assert!(mults.is_none(), "a projection's source expands its rows");
+                let exprs: Vec<&CompiledExpr> = exprs.iter().collect();
+                eval(&exprs, 0..n, out.extend_rows(n), Layout::Rows);
             }
-            (SelectProgram::Aggregate(aggs), Acc::Aggs(states)) => {
-                aggregate_row(aggs, states, get, n)
+            (SelectProgram::Aggregate(aggs), Acc::Aggs(states, buf)) => {
+                // A batch of at most a block evaluates its inputs a tile of
+                // rows at a time, every input of the tile in one pass over
+                // its rows (a wide tuple is read once) and the tile's
+                // columns cached. A larger batch (a column-major chunk, the
+                // join's merge) evaluates one input over all its rows at a
+                // time, so its buffer holds one column.
+                let inputs: Vec<usize> = (0..aggs.len())
+                    .filter(|&j| aggs[j].0.func != AggFunc::Count)
+                    .collect();
+                let (per_call, tile) = if n <= BLOCK_ROWS {
+                    (inputs.len(), (TILE_LANES / inputs.len().max(1)).max(LANES))
+                } else {
+                    (1, n)
+                };
+                for group in inputs.chunks(per_call.max(1)) {
+                    let exprs: Vec<&CompiledExpr> = group.iter().map(|&j| &aggs[j].1).collect();
+                    for lo in (0..n).step_by(tile) {
+                        let rows = lo..(lo + tile).min(n);
+                        // A cache line between columns: columns a power of
+                        // two apart would put a row's lanes in one L1 set.
+                        let stride = rows.len() + LANES;
+                        buf.resize(stride * group.len(), 0);
+                        eval(&exprs, rows.clone(), buf, Layout::Columns);
+                        let m = mults.map(|m| &m[rows.clone()]);
+                        for (&j, col) in group.iter().zip(buf.chunks_exact(stride)) {
+                            states[j].fold(rows.len(), &col[..rows.len()], m);
+                        }
+                    }
+                }
+                for (st, (f, _)) in states.iter_mut().zip(aggs) {
+                    if f.func == AggFunc::Count {
+                        st.fold(n, &[], mults);
+                    }
+                }
             }
-            (SelectProgram::Grouped { keys, aggs, .. }, Acc::Groups(table, _)) => {
-                grouped_row(keys, aggs, table, scratch, get, n)
+            (SelectProgram::Grouped { keys, aggs, .. }, Acc::Groups(table, blk)) => {
+                let gather = |kbuf: &mut [Value], vbuf: &mut [Value]| {
+                    let keys: Vec<&CompiledExpr> = keys.iter().collect();
+                    eval(&keys, 0..n, kbuf, Layout::Rows);
+                    for ((f, e), col) in aggs.iter().zip(vbuf.chunks_exact_mut(n)) {
+                        if f.func != AggFunc::Count {
+                            eval(&[e], 0..n, col, Layout::Columns);
+                        }
+                    }
+                };
+                blk.run(table, keys.len(), aggs.len(), n, gather, mults)
             }
             _ => unreachable!("partial belongs to a different select shape"),
         }
@@ -235,108 +265,34 @@ impl SelectProgram {
 
     /// Folds every row of `source` into `partial` (from this program's
     /// [`Self::partial`]), so consecutive ranges or id chunks continue one
-    /// fold chain: bare-column aggregates through their specialized tiers
-    /// ([`fused::aggregate_range`]), grouped aggregates through the block
-    /// pipeline ([`grouped::feed`]: 1K-row blocks, one id-resolving pass
-    /// and one fold per aggregate column each, never one table lookup per
-    /// row and aggregate), projections and other aggregates through their
-    /// [`Self::push`] step, once per row. The shape is matched once per
-    /// source, not per row, so each source's row loop is compiled for
-    /// each shape's step (matching per row cost 2–9% on fused
-    /// projections, rollups and expression aggregates when measured).
+    /// fold chain: a block of the walker ([`RowSource::for_each_block`])
+    /// at a time through [`Self::fold`], each slot of the block sliced
+    /// once (`kernels::eval_rows`). A scan of a scalar aggregate over
+    /// adjacent bare columns of one slot takes the per-column tier
+    /// instead (`fused::fold_columns`).
     pub(crate) fn feed(
         &self,
         views: &GroupViews<'_>,
         source: &RowSource<'_>,
         partial: &mut Partial,
     ) {
-        struct Project<'p>(&'p [CompiledExpr], &'p mut QueryResult, &'p mut [Value]);
-        impl RowBody for Project<'_> {
-            #[inline(always)]
-            fn row(&mut self, get: impl Fn(BoundAttr) -> Value) {
-                project_row(self.0, self.1, self.2, get, 1)
+        if let (
+            SelectProgram::Aggregate(aggs),
+            Acc::Aggs(states, _),
+            RowSource::Scan(filter, range),
+        ) = (self, &mut partial.0, source)
+        {
+            if let Some(cols) = fused::adjacent_columns(aggs) {
+                return fused::fold_columns(views, filter, range.clone(), &cols, states);
             }
         }
-        struct Aggregate<'p>(&'p [(AggOp, CompiledExpr)], &'p mut [AggState]);
-        impl RowBody for Aggregate<'_> {
-            #[inline(always)]
-            fn row(&mut self, get: impl Fn(BoundAttr) -> Value) {
-                aggregate_row(self.0, self.1, get, 1)
-            }
-        }
-        let scratch = &mut partial.scratch;
-        match (self, &mut partial.acc) {
-            (SelectProgram::Project(exprs), Acc::Rows(out)) => {
-                source.for_each(views, &mut Project(exprs, out, scratch))
-            }
-            (SelectProgram::Aggregate(aggs), Acc::Aggs(states)) => {
-                match fused::bare_columns(aggs) {
-                    Some(cols) => fused::aggregate_range(views, source, &cols, states),
-                    None => source.for_each(views, &mut Aggregate(aggs, states)),
-                }
-            }
-            (SelectProgram::Grouped { keys, aggs, .. }, Acc::Groups(table, blk)) => {
-                grouped::feed(views, source, keys, aggs, table, blk)
-            }
-            _ => unreachable!("partial belongs to a different select shape"),
-        }
-    }
-
-    /// The join's probe-only fold of one block of hit rows: probe row
-    /// `rows[i]` (ascending, its lanes fetched through `slots`) folds
-    /// `mults[i]` times, column at a time. Each aggregate input is
-    /// gathered over the block and folded into its state
-    /// ([`AggState::fold_column_n`]); a grouped program first resolves
-    /// the block's group ids through its pipeline. Aggregate shapes only
-    /// (a projection folds per pair); `partial` must come from this
-    /// program's [`Self::partial`].
-    pub(crate) fn fold_hits(
-        &self,
-        slots: &[SlotAccessor<'_, '_>],
-        rows: &[u32],
-        mults: &[u32],
-        partial: &mut Partial,
-    ) {
-        match (self, &mut partial.acc) {
-            (SelectProgram::Aggregate(aggs), Acc::Aggs(states)) => {
-                let col = &mut partial.scratch;
-                col.resize(rows.len(), 0);
-                for (st, (op, e)) in states.iter_mut().zip(aggs) {
-                    if op.func != AggFunc::Count {
-                        grouped::gather(slots, e, rows, col.iter_mut());
-                    }
-                    st.fold_column_n(col, mults);
-                }
-            }
-            (SelectProgram::Grouped { keys, aggs, .. }, Acc::Groups(table, blk)) => blk.run(
-                table,
-                keys.len(),
-                aggs.len(),
-                rows.len(),
-                |kbuf, vbuf| grouped::gather_block(slots, keys, aggs, rows, kbuf, vbuf),
-                Some(mults),
-            ),
-            _ => unreachable!("a projection folds per pair"),
-        }
-    }
-
-    /// Phase 2 of the column-major strategy: computes the select-items for
-    /// one contiguous chunk of qualifying ids column at a time, through
-    /// materialized intermediate columns.
-    pub(crate) fn columnar(&self, views: &GroupViews<'_>, ids: &[u32]) -> Partial {
-        match self {
-            SelectProgram::Project(exprs) => {
-                colmajor::project_ids_columnar(views, ids, exprs).into()
-            }
-            SelectProgram::Aggregate(aggs) => {
-                colmajor::aggregate_ids_columnar(views, ids, aggs).into()
-            }
-            SelectProgram::Grouped {
-                keys,
-                key_types,
-                aggs,
-            } => colmajor::grouped_ids_columnar(views, ids, keys, key_types, aggs).into(),
-        }
+        let slots = views.accessors();
+        source.for_each_block(views, |rows| {
+            let eval = |es: &[&CompiledExpr], r: Range<usize>, out: &mut [Value], layout| {
+                kernels::eval_rows(&slots, &rows[r], es, out, layout, kernels::unbound)
+            };
+            self.fold(partial, rows.len(), eval, None)
+        });
     }
 
     /// Finishes per-range partials, **in range order**, into the result:
@@ -346,8 +302,8 @@ impl SelectProgram {
     /// conventions: empty block, neutral aggregate row, zero groups.
     pub fn finish(&self, parts: Vec<Partial>) -> QueryResult {
         const SHAPE: &str = "partials of one program share a shape";
-        let mut parts = parts.into_iter().map(|p| p.acc);
-        match parts.next().unwrap_or_else(|| self.partial().acc) {
+        let mut parts = parts.into_iter().map(|p| p.0);
+        match parts.next().unwrap_or_else(|| self.partial().0) {
             Acc::Rows(first) => {
                 let rest: Vec<QueryResult> = parts
                     .map(|p| match p {
@@ -367,9 +323,9 @@ impl SelectProgram {
                 }
                 out
             }
-            Acc::Aggs(mut states) => {
+            Acc::Aggs(mut states, _) => {
                 for part in parts {
-                    let Acc::Aggs(part) = part else {
+                    let Acc::Aggs(part, _) = part else {
                         unreachable!("{SHAPE}");
                     };
                     for (t, p) in states.iter_mut().zip(&part) {
@@ -391,77 +347,6 @@ impl SelectProgram {
                 table.finish()
             }
         }
-    }
-}
-
-/// [`SelectProgram::push`] for a projection: appends the row's
-/// select-items `n` times. The dominant single-expression template
-/// (`select a+b+c ...`) skips the row buffer.
-#[inline(always)]
-fn project_row(
-    exprs: &[CompiledExpr],
-    out: &mut QueryResult,
-    scratch: &mut [Value],
-    get: impl Fn(BoundAttr) -> Value,
-    n: u64,
-) {
-    if let [e] = exprs {
-        let v = e.eval(get);
-        for _ in 0..n {
-            out.push1(v);
-        }
-        return;
-    }
-    for (slot, e) in scratch.iter_mut().zip(exprs) {
-        *slot = e.eval(&get);
-    }
-    for _ in 0..n {
-        out.push_row(scratch);
-    }
-}
-
-/// [`SelectProgram::push`] for a scalar aggregate: folds each input with
-/// multiplicity `n`.
-#[inline(always)]
-fn aggregate_row(
-    aggs: &[(AggOp, CompiledExpr)],
-    states: &mut [AggState],
-    get: impl Fn(BoundAttr) -> Value,
-    n: u64,
-) {
-    for (st, (f, e)) in states.iter_mut().zip(aggs) {
-        st.update_n(input(*f, e, &get), n);
-    }
-}
-
-/// [`SelectProgram::push`] for a grouped aggregate: evaluates the keys and
-/// the aggregate inputs into `scratch` (keys first) and folds them with
-/// multiplicity `n` in one table probe.
-#[inline(always)]
-fn grouped_row(
-    keys: &[CompiledExpr],
-    aggs: &[(AggOp, CompiledExpr)],
-    table: &mut GroupedAggs,
-    scratch: &mut [Value],
-    get: impl Fn(BoundAttr) -> Value,
-    n: u64,
-) {
-    let (key, vals) = scratch.split_at_mut(keys.len());
-    for (slot, k) in key.iter_mut().zip(keys) {
-        *slot = k.eval(&get);
-    }
-    for (slot, (f, e)) in vals.iter_mut().zip(aggs) {
-        *slot = input(*f, e, &get);
-    }
-    table.update_n(key, vals, n);
-}
-
-/// An aggregate's input lane for one row: `count` reads none.
-#[inline(always)]
-fn input(f: AggOp, e: &CompiledExpr, get: impl Fn(BoundAttr) -> Value) -> Value {
-    match f.func {
-        AggFunc::Count => 0,
-        _ => e.eval(get),
     }
 }
 
@@ -531,9 +416,61 @@ mod tests {
         let sel = build_selvec_range(&views, &filter, 0..5);
         assert_eq!(sel.ids(), &[0, 1, 2, 3]);
         let by_ids = select.finish(vec![feed(&select, &views, RowSource::Ids(sel.ids()))]);
-        let columnar = select.finish(vec![select.columnar(&views, sel.ids())]);
+        let mut part = select.partial();
+        let eval = |es: &[&CompiledExpr], r: Range<usize>, out: &mut [Value], layout| {
+            crate::kernels::colmajor::eval_ids(&views, &sel.ids()[r], es, out, layout)
+        };
+        select.fold(&mut part, sel.len(), eval, None);
+        let columnar = select.finish(vec![part]);
         assert_eq!(by_ids, fused);
         assert_eq!(columnar, fused);
+    }
+
+    /// The scalar batch step over many inputs splits a block into tiles
+    /// (here 20 inputs: 819-row tiles) and over a batch past a block
+    /// evaluates one input at a time; with multiplicities or without, every
+    /// state ends field-identical to one `update` per row and repetition.
+    /// The inputs are non-dyadic `F64` sums and integer aggregates over a
+    /// row-major batch `lane(i, a) = f(i, a.offset)`.
+    #[test]
+    fn tiled_aggregate_fold_matches_per_row_updates() {
+        use crate::program::eval_batch;
+        use h2o_storage::f64_lane;
+        let funcs = [AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg];
+        let aggs: Vec<(AggOp, CompiledExpr)> = (0..21u32)
+            .map(|j| match j {
+                20 => (AggFunc::Count.into(), CompiledExpr::Col(ba(0))),
+                _ => {
+                    let ty = [LogicalType::I64, LogicalType::F64][j as usize % 2];
+                    let op = AggOp::new(funcs[j as usize % 4], ty);
+                    (op, CompiledExpr::Col(ba(j)))
+                }
+            })
+            .collect();
+        let lane = |i: usize, a: BoundAttr| match a.offset % 2 {
+            0 => (i as Value * 7919 + a.offset as Value) % 1013 - 500,
+            _ => f64_lane(i as f64 * 0.37 + a.offset as f64 * 0.001),
+        };
+        let select = SelectProgram::Aggregate(aggs.clone());
+        for (n, with_mults) in [(1_024, false), (1_024, true), (1_025, false), (3_000, true)] {
+            let mults: Vec<u32> = (0..n).map(|i| (i * 7 % 5) as u32 + 1).collect();
+            let mults = with_mults.then_some(&mults[..]);
+            let mut part = select.partial();
+            let eval = |es: &[&CompiledExpr], r: Range<usize>, out: &mut [Value], layout| {
+                let lo = r.start;
+                eval_batch(es, out, layout, 0..r.len(), |i| move |a| lane(lo + i, a))
+            };
+            select.fold(&mut part, n, eval, mults);
+            let mut want: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
+            for i in 0..n {
+                for _ in 0..mults.map_or(1, |m| m[i]) {
+                    for (st, (_, e)) in want.iter_mut().zip(&aggs) {
+                        st.update(e.eval(|a| lane(i, a)));
+                    }
+                }
+            }
+            assert_eq!(part.states(), &want[..], "n {n} mults {with_mults}");
+        }
     }
 
     #[test]

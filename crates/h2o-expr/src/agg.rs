@@ -150,8 +150,10 @@ impl From<AggFunc> for AggOp {
 /// reorganization operator, and join probes alike), so "serial ≡
 /// interpreter bit-for-bit" holds for `F64` sums on arbitrary values, and
 /// it holds for joins too (`tests/joins.rs` pins it on non-dyadic data).
-/// The fused reorganization operator's chunks of a range continue one
-/// accumulator ([`Self::raw`]) instead of merging per-chunk partials.
+/// Within a range, every batch (a scan's 1K-row block, an id chunk, a
+/// reorganization chunk) continues the range's states — [`Self::fold`],
+/// or the per-column tier through [`Self::raw`] — instead of merging
+/// per-batch partials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AggState {
     op: AggOp,
@@ -212,32 +214,14 @@ impl AggState {
         }
     }
 
-    /// Folds one input lane `n` times — **bit-identical** to calling
-    /// [`Self::update`] `n` times with the same `v`, at `O(1)` cost for
-    /// every function except the `F64` sum. This is the probe-side
-    /// primitive of factorized join aggregation: a probe row whose key
-    /// matches `n` build rows contributes `n` identical updates, which
-    /// collapse to one `update_n` (and a build group reached `n` times
-    /// folds the probe value once with multiplicity `n`).
-    ///
-    /// Integer sums use `v * n` (exact modulo 2^64, same bits as `n`
-    /// wrapping adds); min/max/count fold the extremum once and advance
-    /// the count by `n`. The `F64` sum is the one accumulator whose fold
-    /// order is pinned (module docs), and repeated addition of the same
-    /// value is *not* expressible as one multiply under IEEE-754 rounding
-    /// — so it performs the `n` additions sequentially, preserving the
-    /// exact bit pattern of the unfused loop.
-    #[inline]
-    pub fn update_n(&mut self, v: Value, n: u64) {
-        if n > 0 {
-            self.update_n_as(self.op, v, n);
-        }
-    }
-
-    /// [`Self::update_n`] through `op` (this state's own, as in
-    /// [`Self::update_as`]) for an `n` of at least one.
+    /// [`Self::update_as`] `n` times (`n` at least one), bit for bit, at
+    /// `O(1)` cost for every function but the `F64` sum: a wrapping
+    /// integer sum adds `v * n`, min/max fold the extremum once, counts
+    /// advance by `n`, and an `F64` sum adds `v` `n` times in sequence
+    /// (one multiply would round differently). The multiplicity step of
+    /// [`Self::fold`] and [`fold_column`].
     #[inline(always)]
-    fn update_n_as(&mut self, op: AggOp, v: Value, n: u64) {
+    fn update_times(&mut self, op: AggOp, v: Value, n: u64) {
         debug_assert_eq!(op, self.op);
         debug_assert!(n > 0);
         match op.func {
@@ -281,13 +265,17 @@ impl AggState {
     /// the specialized loop's accumulator value — the sum lane for
     /// `sum`/`avg`, the extremum **in comparator-key space** for
     /// `min`/`max` (identical to the raw lane for `I64`), ignored for
-    /// `count` — and `count` the number of folded values. Bridges the
+    /// `count` — and `count` the number of folded values, which a `sum`
+    /// drops (it keeps none, as in [`Self::update`]), so the state is
+    /// field-identical to the scalar fold's. Bridges the
     /// offset-specialized kernels — which accumulate into flat `Value`
     /// slots rather than `AggState`s — into the mergeable form the
     /// parallel driver combines.
     pub fn from_parts<O: Into<AggOp>>(op: O, raw: Value, count: u64) -> AggState {
         let mut st = AggState::new(op);
-        st.count = count;
+        if st.op.func != AggFunc::Sum {
+            st.count = count;
+        }
         match st.op.func {
             AggFunc::Sum | AggFunc::Avg => st.sum = raw,
             AggFunc::Min => st.min = raw,
@@ -379,20 +367,20 @@ fn add_n_to_sum(ty: LogicalType, acc: Value, v: Value, n: u64) -> Value {
     }
 }
 
-/// The one column fold of every block pipeline: folds row `i` of one
-/// aggregate's input column `col` into `states[ids[i] * stride]`, in row
-/// order, `mults[i]` times when multiplicities are given (each at least
-/// one; [`AggState::update_n`]) and once otherwise ([`AggState::update`]).
-/// Every state it reaches must have the op `op`, which is dispatched once
-/// per call, not per row, so the row loop holds one function's step. A
-/// `count` never reads `col`. Folding row by row in order keeps each
-/// state's `F64` sum one chain, so the column folds bit-identically to the
-/// per-row updates.
+/// The grouped column fold: folds row `i` of one aggregate's input column
+/// `col` into `states[ids[i] * stride]`, in row order, `mults[i]` times
+/// when multiplicities are given (each at least one, bit-identical to that
+/// many [`AggState::update`]s) and once otherwise. Every state it reaches
+/// must have the op `op`, which is dispatched once per call, not per row,
+/// so the row loop holds one function's step. A `count` never reads
+/// `col`. Folding row by row in order keeps each state's `F64` sum one
+/// chain, so the column folds bit-identically to the per-row updates.
 ///
-/// [`GroupedAggs::fold_block`](crate::GroupedAggs::fold_block) folds its
-/// groups' columns through it, and the join probe its hit rows into the
-/// groups a build key reaches; [`AggState::fold_column_n`] is the same
-/// fold into one state.
+/// Its callers are [`GroupedAggs::fold_block`](crate::GroupedAggs::fold_block),
+/// the grouped half of every block pipeline (scan blocks, id chunks, the
+/// join's hit rows and matched pairs), and the join's build-groups plan,
+/// which folds its hit rows into the groups a build key reaches.
+/// [`AggState::fold`] is the same fold into one state, the scalar half.
 pub fn fold_column(
     states: &mut [AggState],
     stride: usize,
@@ -409,7 +397,7 @@ pub fn fold_column(
         }
         (AggFunc::Count, Some(m)) => {
             for (&id, &m) in ids.iter().zip(m) {
-                states[id as usize * stride].update_n_as(op, 0, u64::from(m));
+                states[id as usize * stride].update_times(op, 0, u64::from(m));
             }
         }
         (_, None) => {
@@ -419,7 +407,7 @@ pub fn fold_column(
         }
         (_, Some(m)) => {
             for ((&id, &v), &m) in ids.iter().zip(col).zip(m) {
-                states[id as usize * stride].update_n_as(op, v, u64::from(m));
+                states[id as usize * stride].update_times(op, v, u64::from(m));
             }
         }
     });
@@ -441,22 +429,21 @@ fn with_const_func(op: AggOp, mut f: impl FnMut(AggOp)) {
 }
 
 impl AggState {
-    /// [`fold_column`] into this one state: folds `col[i]` `mults[i]`
-    /// times (each at least one), in order — bit-identical to one
-    /// [`Self::update_n`] per row. The join probe folds the hit rows of a
-    /// block of a scalar aggregate this way, and the build-aggregate plan
-    /// its hit keys' build rows.
-    pub fn fold_column_n(&mut self, col: &[Value], mults: &[u32]) {
+    /// [`fold_column`] into this one state: folds `n` rows, row `i`'s
+    /// input `col[i]` in order, `mults[i]` times when multiplicities are
+    /// given (each at least one) and once otherwise — bit-identical to
+    /// that many [`Self::update`]s. A `count` reads no lane (`col` may be
+    /// empty). The batch step of a scalar aggregate folds each input
+    /// column this way, whatever source evaluated it.
+    pub fn fold(&mut self, n: usize, col: &[Value], mults: Option<&[u32]>) {
         let mut st = *self;
-        with_const_func(self.op, |op| match op.func {
-            AggFunc::Count => {
-                for &m in mults {
-                    st.update_n_as(op, 0, u64::from(m));
-                }
-            }
-            _ => {
-                for (&v, &m) in col.iter().zip(mults) {
-                    st.update_n_as(op, v, u64::from(m));
+        with_const_func(self.op, |op| match (op.func, mults) {
+            (AggFunc::Count, None) => st.count += n as u64,
+            (AggFunc::Count, Some(m)) => st.count += m.iter().map(|&m| u64::from(m)).sum::<u64>(),
+            (_, None) => col.iter().for_each(|&v| st.update_as(op, v)),
+            (_, Some(m)) => {
+                for (&v, &m) in col.iter().zip(m) {
+                    st.update_times(op, v, u64::from(m));
                 }
             }
         });
@@ -687,45 +674,54 @@ mod tests {
     }
 
     #[test]
-    fn update_n_is_bit_identical_to_repeated_update() {
-        // Integer functions, including the wrapping edge.
-        for f in [
+    fn multiplicity_fold_is_bit_identical_to_repeated_update() {
+        // One state folds a column with multiplicities (the join's
+        // factorized folds), and without (every other batch): the same
+        // state as one `update` per repetition, in order.
+        let fold_vs_loop = |op: AggOp, col: &[Value], mults: Option<&[u32]>, ctx: &str| {
+            let mut fused = AggState::new(op);
+            fused.update(f64_lane(1e16));
+            let mut looped = fused;
+            fused.fold(col.len(), col, mults);
+            for (i, &v) in col.iter().enumerate() {
+                for _ in 0..mults.map_or(1, |m| m[i]) {
+                    looped.update(v);
+                }
+            }
+            assert_eq!(fused, looped, "{} {ctx}", op.func.name());
+        };
+        let funcs = [
             AggFunc::Sum,
             AggFunc::Min,
             AggFunc::Max,
             AggFunc::Count,
             AggFunc::Avg,
-        ] {
+        ];
+        // Integer functions, including the wrapping edge.
+        for f in funcs {
+            let op = AggOp::from(f);
             for v in [0 as Value, 7, -3, i64::MAX, i64::MIN] {
-                for n in [0u64, 1, 2, 5, 1000] {
-                    let mut fused = AggState::new(f);
-                    fused.update(13);
-                    let mut looped = fused;
-                    fused.update_n(v, n);
-                    for _ in 0..n {
-                        looped.update(v);
-                    }
-                    assert_eq!(fused, looped, "{} v={v} n={n}", f.name());
+                for n in [1u32, 2, 5, 1000] {
+                    fold_vs_loop(op, &[v], Some(&[n]), &format!("v={v} n={n}"));
                 }
             }
+            let col = [3, i64::MAX, -8, 1, i64::MIN, 0];
+            fold_vs_loop(op, &col, None, "column");
+            fold_vs_loop(op, &col, Some(&[1, 4, 2, 1, 3, 7]), "column x mults");
         }
         // F64 sums: repeated addition must keep the exact rounding of the
         // sequential loop (1e16 absorbs 1.0 once per add — a multiply
         // would not reproduce those bits).
-        for f in [AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max] {
+        for f in funcs {
+            let op = AggOp::new(f, LogicalType::F64);
             for v in [1.0f64, 0.1, -2.5e15, f64::NAN] {
-                for n in [0u64, 1, 3, 17] {
-                    let op = AggOp::new(f, LogicalType::F64);
-                    let mut fused = AggState::new(op);
-                    fused.update(f64_lane(1e16));
-                    let mut looped = fused;
-                    fused.update_n(f64_lane(v), n);
-                    for _ in 0..n {
-                        looped.update(f64_lane(v));
-                    }
-                    assert_eq!(fused, looped, "{} v={v} n={n}", f.name());
+                for n in [1u32, 3, 17] {
+                    fold_vs_loop(op, &[f64_lane(v)], Some(&[n]), &format!("v={v} n={n}"));
                 }
             }
+            let col = [1.0, 0.1, -2.5e15, 3.0, 1e16].map(f64_lane);
+            fold_vs_loop(op, &col, None, "f64 column");
+            fold_vs_loop(op, &col, Some(&[3, 1, 2, 9, 1]), "f64 column x mults");
         }
     }
 

@@ -1,9 +1,9 @@
 //! Grouped-aggregation state: the flat hash table ([`LaneMap`]) every
 //! execution strategy folds qualifying tuples through — a tuple at a time
-//! ([`GroupedAggs::update`], the interpreter and the join's per-pair
-//! folds) or a block at a time: the kernels' block pipeline resolves a
-//! block's group ids ([`GroupedAggs::id`] / [`GroupedAggs::id_hashed`])
-//! and folds each aggregate column ([`GroupedAggs::fold_block`]).
+//! ([`GroupedAggs::update`], the interpreter) or a block at a time: the
+//! kernels' block pipeline resolves a block's group ids
+//! ([`GroupedAggs::id`] / [`GroupedAggs::id_hashed`]) and folds each
+//! aggregate column ([`GroupedAggs::fold_block`]).
 //!
 //! The engine-wide determinism convention for grouped queries mirrors the
 //! scalar one ([`AggState`]): each strategy — the
@@ -105,7 +105,8 @@ impl GroupedAggs {
     /// per build group it reaches). Each aggregate folds its column through
     /// [`fold_column`] into its state of each row's group, in row order —
     /// so every group's `F64` sum stays one chain in row order and the
-    /// block folds bit-identically to one [`Self::update_n`] per tuple.
+    /// block folds bit-identically to one [`Self::update`] per tuple and
+    /// repetition.
     pub fn fold_block(&mut self, ids: &[u32], vals: &[Value], mults: Option<&[u32]>) {
         let (w, n) = (self.ops.len(), ids.len());
         debug_assert_eq!(vals.len(), w * n);
@@ -125,23 +126,6 @@ impl GroupedAggs {
         debug_assert_eq!(vals.len(), self.ops.len());
         for (st, &v) in self.states_mut(key).iter_mut().zip(vals) {
             st.update(v);
-        }
-    }
-
-    /// Folds one qualifying tuple `n` times — bit-identical to `n` calls
-    /// of [`Self::update`] with the same key/vals, at one table lookup and
-    /// `O(1)` per-aggregate cost (except pinned-order `F64` sums; see
-    /// [`AggState::update_n`]). The grouped half of the join's probe-only
-    /// fold plan: a probe row matching `n` build rows folds once with
-    /// multiplicity `n` instead of walking the matched pairs.
-    #[inline]
-    pub fn update_n(&mut self, key: &[Value], vals: &[Value], n: u64) {
-        debug_assert_eq!(vals.len(), self.ops.len());
-        if n == 0 {
-            return;
-        }
-        for (st, &v) in self.states_mut(key).iter_mut().zip(vals) {
-            st.update_n(v, n);
         }
     }
 
@@ -287,9 +271,9 @@ mod tests {
     }
 
     #[test]
-    fn update_n_matches_repeated_update() {
-        let tuples: Vec<(Value, Value, u64)> = (0..30)
-            .map(|i| (i % 4, i * 5 - 11, (i % 3) as u64))
+    fn multiplicity_fold_matches_repeated_update() {
+        let tuples: Vec<(Value, Value, u32)> = (0..30)
+            .map(|i| (i % 4, i * 5 - 11, (i % 3) as u32 + 1))
             .collect();
         let mut looped = GroupedAggs::untyped(1, [AggFunc::Sum, AggFunc::Min, AggFunc::Count]);
         let mut fused = GroupedAggs::untyped(1, [AggFunc::Sum, AggFunc::Min, AggFunc::Count]);
@@ -297,13 +281,10 @@ mod tests {
             for _ in 0..n {
                 looped.update(&[k], &[v, v, v]);
             }
-            fused.update_n(&[k], &[v, v, v], n);
+            let id = fused.id(&[k]);
+            fused.fold_block(&[id], &[v, v, v], Some(&[n]));
         }
         assert_eq!(fused.finish(), looped.finish());
-        // n = 0 creates no group.
-        let mut t = GroupedAggs::untyped(1, [AggFunc::Count]);
-        t.update_n(&[99], &[1], 0);
-        assert!(t.is_empty());
     }
 
     #[test]
@@ -332,8 +313,9 @@ mod tests {
         for mult in [None, Some(|i: usize| (i % 3) as u32 + 1)] {
             let mut per_tuple = GroupedAggs::new(vec![I64], ops.clone());
             for (i, &(k, x, v)) in rows.iter().enumerate() {
-                let n = mult.map_or(1, |m| m(i));
-                per_tuple.update_n(&[k], &[x, x, x, v, 0, v], u64::from(n));
+                for _ in 0..mult.map_or(1, |m| m(i)) {
+                    per_tuple.update(&[k], &[x, x, x, v, 0, v]);
+                }
             }
             let mut blocked = GroupedAggs::new(vec![I64], ops.clone());
             for (b, block) in rows.chunks(64).enumerate() {

@@ -69,11 +69,14 @@ impl QueryResult {
         self.data.extend_from_slice(row);
     }
 
-    /// Appends a single-value row (the common `select <one expr>` case).
+    /// Appends `n` zeroed rows and returns their lanes, row-major, to be
+    /// filled in place (a batch evaluates its output rows straight into
+    /// the block).
     #[inline]
-    pub fn push1(&mut self, v: Value) {
-        debug_assert_eq!(self.width, 1);
-        self.data.push(v);
+    pub fn extend_rows(&mut self, n: usize) -> &mut [Value] {
+        let at = self.data.len();
+        self.data.resize(at + n * self.width, 0);
+        &mut self.data[at..]
     }
 
     /// Appends all rows of `other` (same width) — the stitch step of
@@ -187,10 +190,10 @@ mod tests {
     }
 
     #[test]
-    fn push1_single_width() {
+    fn single_width_rows() {
         let mut r = QueryResult::with_capacity(1, 4);
-        r.push1(7);
-        r.push1(9);
+        r.push_row(&[7]);
+        r.push_row(&[9]);
         assert_eq!(r.data(), &[7, 9]);
         assert!(!r.is_empty());
     }
@@ -222,16 +225,16 @@ mod tests {
     #[test]
     fn fingerprint_distinguishes_contents() {
         let mut a = QueryResult::new(1);
-        a.push1(1);
+        a.push_row(&[1]);
         let mut b = QueryResult::new(1);
-        b.push1(2);
+        b.push_row(&[2]);
         assert_ne!(a.fingerprint(), b.fingerprint());
         // Row-boundary sensitivity: [1,2] as one row vs two rows.
         let mut c = QueryResult::new(2);
         c.push_row(&[1, 2]);
         let mut d = QueryResult::new(1);
-        d.push1(1);
-        d.push1(2);
+        d.push_row(&[1]);
+        d.push_row(&[2]);
         assert_ne!(c.fingerprint(), d.fingerprint());
     }
 

@@ -221,6 +221,16 @@ impl NaiveGroups {
     }
 }
 
+/// Folds one tuple `n` times through the block fold, as the join's
+/// factorized plans do (a one-row block with multiplicity `n`); `n = 0`
+/// folds nothing and creates no group.
+fn fold_n(t: &mut GroupedAggs, key: &[Value], vals: &[Value], n: u64) {
+    if n > 0 {
+        let id = t.id(key);
+        t.fold_block(&[id], vals, Some(&[n as u32]));
+    }
+}
+
 /// `GroupedAggs` equals the naive fold over every key family, for one
 /// table and for the same rows split into partials and merged in order.
 /// One merge takes a small target and a partial with many new keys, so
@@ -291,7 +301,7 @@ fn grouped_aggs_match_a_naive_fold() {
             if *n == 1 {
                 whole.update(key, vals);
             } else {
-                whole.update_n(key, vals, *n);
+                fold_n(&mut whole, key, vals, *n);
             }
         }
         let want = naive.finish();
@@ -304,7 +314,7 @@ fn grouped_aggs_match_a_naive_fold() {
         for part in rows.chunks(chunk) {
             let mut partial = GroupedAggs::new(key_types.clone(), ops.clone());
             for (key, vals, n) in part {
-                partial.update_n(key, vals, *n);
+                fold_n(&mut partial, key, vals, *n);
             }
             merged.merge(partial);
         }
@@ -317,7 +327,7 @@ fn grouped_aggs_match_a_naive_fold() {
         let mut rest = GroupedAggs::new(key_types.clone(), ops.clone());
         for (i, (key, vals, n)) in rows.iter().enumerate() {
             let t = if i < head { &mut small } else { &mut rest };
-            t.update_n(key, vals, *n);
+            fold_n(t, key, vals, *n);
         }
         let before = small.groups();
         small.merge(rest);

@@ -234,6 +234,256 @@ fn integer_aggregates_wrap_identically_at_the_i64_boundary() {
     }
 }
 
+/// The batch step's edges: every select shape through every source at
+/// 1,023, 1,024 and 1,025 qualifying rows — one short of a 1K-row batch,
+/// exactly one, one past. `a0` permutes the row ids, so `a0 < n` spreads
+/// the qualifying rows over every 512-row segment and each batch straddles
+/// segment pieces. Sources: the fused scan, selection-vector and
+/// column-major strategies over two groups and over one row-major group,
+/// the fused reorganization operator, and a join under each fold plan
+/// (probe-only hits, the build-aggregates merge, build groups, per-pair).
+/// Serial runs equal the interpreter bit for bit (the doubles of `a1` are
+/// non-dyadic, so a sum that split its chain at a batch edge would show);
+/// parallel runs equal it by fingerprint wherever no non-dyadic sum makes
+/// the morsel merge round.
+#[test]
+fn batch_edges_match_the_interpreter_for_every_source() {
+    use h2o::exec::{
+        compile, compile_join, reorg, run, run_join, AccessPlan, ExecCtx, ExecPolicy, Strategy,
+    };
+    use h2o::expr::{check_join, interpret_join, JoinQuery};
+    use h2o::storage::{f64_lane, LogicalType};
+
+    let rows = 3_000usize;
+    let cols: Vec<Vec<Value>> = vec![
+        (0..rows).map(|i| (i * 7_919 % rows) as Value).collect(),
+        (0..rows)
+            .map(|i| f64_lane(i as f64 * 0.37 + 0.001))
+            .collect(),
+        (0..rows).map(|i| (i * 31 % 97) as Value - 40).collect(),
+        (0..rows).map(|i| (i * 13 % 11) as Value).collect(),
+        (0..rows)
+            .map(|i| f64_lane((i % 50) as f64 * 0.25))
+            .collect(),
+    ];
+    let (i64_, f64_) = (LogicalType::I64, LogicalType::F64);
+    let schema = Schema::typed([
+        ("a0", i64_),
+        ("a1", f64_),
+        ("a2", i64_),
+        ("a3", i64_),
+        ("a4", f64_),
+    ])
+    .into_shared();
+    let attrs = |ids: &[u32]| ids.iter().map(|&a| AttrId(a)).collect::<Vec<_>>();
+    let layouts = [
+        Relation::partitioned_with_shift(
+            schema.clone(),
+            cols.clone(),
+            vec![attrs(&[0, 1, 2]), attrs(&[3, 4])],
+            9,
+        )
+        .unwrap(),
+        Relation::partitioned_with_shift(schema.clone(), cols, vec![attrs(&[0, 1, 2, 3, 4])], 9)
+            .unwrap(),
+    ];
+    let policy = |threads, morsel_rows| ExecPolicy {
+        parallelism: Some(threads),
+        morsel_rows,
+        serial_threshold: 0,
+    };
+    let parallel = [policy(2, 512), policy(3, 1_000)];
+    let c = |a: u32| Expr::col(a);
+    // (select clause as a query over `a0 < n`, exact in parallel)
+    let shapes = |n: Value| {
+        let f = || Conjunction::of([Predicate::lt(0u32, n)]);
+        [
+            (Query::project([c(2)], f()).unwrap(), true),
+            (
+                Query::project([c(1), c(2).add(c(3)), c(4).mul(Expr::lit(2.0))], f()).unwrap(),
+                true,
+            ),
+            (
+                Query::aggregate(
+                    [
+                        Aggregate::sum(c(2).add(c(3))),
+                        Aggregate::max(c(1)),
+                        Aggregate::avg(c(4)),
+                        Aggregate::count(),
+                    ],
+                    f(),
+                )
+                .unwrap(),
+                true,
+            ),
+            // Bare columns of both groups: the batch step.
+            (
+                Query::aggregate([Aggregate::sum(c(1)), Aggregate::min(c(3))], f()).unwrap(),
+                false,
+            ),
+            // Adjacent bare columns of one slot: the per-column tier.
+            (
+                Query::aggregate([Aggregate::max(c(1)), Aggregate::sum(c(2))], f()).unwrap(),
+                true,
+            ),
+            (
+                Query::grouped(
+                    [c(3)],
+                    [
+                        Aggregate::sum(c(1)),
+                        Aggregate::count(),
+                        Aggregate::min(c(2)),
+                    ],
+                    f(),
+                )
+                .unwrap(),
+                false,
+            ),
+            (
+                Query::grouped(
+                    [c(3), c(2)],
+                    [Aggregate::sum(c(4)), Aggregate::max(c(1))],
+                    f(),
+                )
+                .unwrap(),
+                true,
+            ),
+        ]
+    };
+    for n in [1_023, 1_024, 1_025] {
+        for (layout, rel) in layouts.iter().enumerate() {
+            let catalog = rel.catalog();
+            for (q, exact_in_parallel) in shapes(n) {
+                let want = interpret(catalog, &q).unwrap();
+                let ctx = |what: &str| format!("{what} n={n} layout {layout} {q}");
+                let check = |got: &QueryResult, policy: &ExecPolicy, what: &str| {
+                    if policy.parallelism.is_none() {
+                        assert_eq!(got.data(), want.data(), "{} serial", ctx(what));
+                    } else if exact_in_parallel {
+                        assert_eq!(got.fingerprint(), want.fingerprint(), "{}", ctx(what));
+                    }
+                };
+                for strategy in Strategy::ALL {
+                    let op = compile(
+                        catalog,
+                        &AccessPlan::new(catalog.layout_ids(), strategy),
+                        &q,
+                    )
+                    .unwrap();
+                    for policy in [ExecPolicy::serial()].iter().chain(&parallel) {
+                        let (got, _) = run(catalog, &op, &ExecCtx::new(*policy)).unwrap();
+                        check(&got, policy, strategy.name());
+                    }
+                }
+                for policy in [ExecPolicy::serial()].iter().chain(&parallel) {
+                    let target = attrs(&[1, 2]);
+                    let (_, got) =
+                        reorg::reorg_and_execute(catalog, &target, &q, &ExecCtx::new(*policy))
+                            .unwrap();
+                    check(&got, policy, "online reorganization");
+                }
+            }
+        }
+    }
+
+    // Joins on `a0 = fk`: `fk < n` qualifies n fact rows, each matching
+    // one row of the relation, so a probe of the fact side has n hits and
+    // a fact build n reached build rows. The relation probes through two
+    // groups or one (whose one-slot fetch must still read build lanes
+    // from the payload).
+    let fact = Relation::columnar(
+        Schema::typed([("fk", i64_), ("v", i64_), ("w", f64_)]).into_shared(),
+        vec![
+            (0..rows as Value).rev().collect(),
+            (0..rows).map(|j| (j * 17 % 23) as Value).collect(),
+            (0..rows).map(|j| f64_lane(j as f64 * 0.5)).collect(),
+        ],
+    )
+    .unwrap();
+    let b = || {
+        JoinQuery::builder(
+            ("rel", schema.clone()),
+            ("fact", fact.catalog().schema().clone()),
+        )
+    };
+    let col = |name| b().col(name).unwrap();
+    for (n, rel) in [1_023, 1_024, 1_025]
+        .into_iter()
+        .flat_map(|n| layouts.iter().map(move |r| (n, r)))
+    {
+        let on = || {
+            b().on("a0", "fk")
+                .unwrap()
+                .filter_right(Conjunction::of([Predicate::lt(0u32, n)]))
+        };
+        let queries = [
+            // Probe-only hits when the relation builds; the build-aggregates
+            // merge when the fact side does.
+            on().aggregate([Aggregate::sum(col("v")), Aggregate::count()])
+                .unwrap(),
+            // Probe-only grouped hits, or build groups.
+            on().grouped([col("v")], [Aggregate::count()]).unwrap(),
+            // Per-pair either way.
+            on().project([col("a1"), col("w"), col("a2").add(col("v"))])
+                .unwrap(),
+            on().aggregate([
+                Aggregate::sum(col("a2").mul(col("v"))),
+                Aggregate::max(col("a1").add(col("w"))),
+            ])
+            .unwrap(),
+            on().grouped(
+                [col("a3")],
+                [
+                    Aggregate::sum(col("a2").add(col("v"))),
+                    Aggregate::min(col("w")),
+                ],
+            )
+            .unwrap(),
+        ];
+        for q in &queries {
+            let checked = check_join(q).unwrap();
+            let want = interpret_join(rel.catalog(), fact.catalog(), q).unwrap();
+            for strategy in Strategy::ALL {
+                let lplan = AccessPlan::new(rel.catalog().layout_ids(), strategy);
+                let rplan = AccessPlan::new(fact.catalog().layout_ids(), strategy);
+                for build_is_left in [true, false] {
+                    let op = compile_join(
+                        rel.catalog(),
+                        fact.catalog(),
+                        &lplan,
+                        &rplan,
+                        q,
+                        &checked,
+                        build_is_left,
+                    )
+                    .unwrap();
+                    let ctx = format!(
+                        "n={n} {} build_is_left={build_is_left} {:?} {q}",
+                        strategy.name(),
+                        op.fold_plan()
+                    );
+                    let serial = ExecCtx::new(ExecPolicy::serial());
+                    let (got, stats) =
+                        run_join(rel.catalog(), fact.catalog(), &op, &serial).unwrap();
+                    assert_eq!(stats.output_pairs, n as usize, "{ctx}");
+                    // The interpreter builds the left side: with it
+                    // building too, the pairs stream in its order.
+                    if build_is_left {
+                        assert_eq!(got.data(), want.data(), "{ctx}");
+                    } else {
+                        assert_eq!(got.fingerprint(), want.fingerprint(), "{ctx}");
+                    }
+                    for policy in &parallel {
+                        let ctx2 = ExecCtx::new(*policy);
+                        let (par, _) = run_join(rel.catalog(), fact.catalog(), &op, &ctx2).unwrap();
+                        assert_eq!(par.fingerprint(), want.fingerprint(), "{ctx} {policy:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

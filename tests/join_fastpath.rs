@@ -523,9 +523,10 @@ fn build_groups_fold_multiplicities_and_skip_unreached_groups() {
 }
 
 /// `probe_bloom_rejects` and `output_pairs` are exact: they equal a naive
-/// per-row count (the same filter tested key by key, the matches counted
-/// by a scan of the build keys), for one- and two-column keys, over 2,500
-/// probe rows — two full 1K-row blocks and a partial last block.
+/// per-row count (the same filter, sized by the distinct build keys and
+/// tested key by key, the matches counted by a scan of the build keys),
+/// for one- and two-column keys, over 2,500 probe rows — two full 1K-row
+/// blocks and a partial last block.
 #[test]
 fn probe_counters_match_a_naive_count_across_block_edges() {
     let dim_rows = 300;
@@ -563,7 +564,11 @@ fn probe_counters_match_a_naive_count_across_block_edges() {
             [0, 2][..width].iter().map(|&c| cols[c][row]).collect()
         };
         let build: Vec<Vec<Value>> = (0..dim_rows).map(|r| key_of(&dim_cols, r)).collect();
-        let mut filter = JoinFilter::with_capacity(dim_rows, vec![LogicalType::I64; width]);
+        // Sized, as the join sizes it, by the distinct build keys (250 of
+        // the 300 rows' one-column keys).
+        let distinct = build.iter().collect::<std::collections::HashSet<_>>().len();
+        assert_eq!(distinct, [250, 300][width - 1]);
+        let mut filter = JoinFilter::with_capacity(distinct, vec![LogicalType::I64; width]);
         for key in &build {
             filter.insert(key, hash_key(key));
         }

@@ -10,7 +10,9 @@
 //! key+payload column group.
 
 use h2o::core::{EngineConfig, H2oEngine};
-use h2o::exec::{compile_join, execute_join_with_policy, AccessPlan, ExecPolicy, Strategy};
+use h2o::exec::{
+    compile_join, execute_join_with_policy, AccessPlan, ExecPolicy, FoldPlan, Strategy,
+};
 use h2o::expr::{check_join, interpret_join, JoinQuery, Side};
 use h2o::prelude::*;
 use h2o::storage::LogicalType;
@@ -333,6 +335,138 @@ fn serial_join_f64_sums_are_bit_identical_to_the_interpreter() {
         let want =
             interpret_join(db.relation("R").unwrap(), db.relation("spec").unwrap(), &q).unwrap();
         assert_eq!(out.result.data(), want.data(), "engine, query {q}");
+    }
+}
+
+/// The per-pair plan expands a probe row's matched pairs a block at a
+/// time, so one probe key matching 3,000 build rows spans three 1K-pair
+/// blocks. A projection, a mixed-side aggregate, a mixed-side grouped
+/// aggregate and an `F64` sum over non-dyadic build values each run
+/// every strategy × build side: serially they equal [`interpret_join`]
+/// bit for bit (keys ascend on both sides, so pairs stream in the
+/// interpreter's order whichever side builds); in parallel they equal it
+/// by fingerprint (the non-dyadic sums aside, whose morsel merges round).
+#[test]
+fn per_pair_blocks_span_one_probe_key_with_3000_build_rows() {
+    let non_dyadic = |i: usize| h2o::storage::f64_lane(i as f64 * 0.37 + 0.001);
+    // Photo rows 0..3000 share key 7; rows 3000.. carry their own index.
+    let photo_rows = 4_100usize;
+    let photo_cols: Vec<Vec<Value>> = vec![
+        (0..photo_rows as Value)
+            .map(|i| if i < 3_000 { 7 } else { i })
+            .collect(),
+        (0..photo_rows).map(non_dyadic).collect(),
+        (0..photo_rows)
+            .map(|i| h2o::storage::f64_lane((i % 64) as f64 * 0.25))
+            .collect(),
+        (0..photo_rows).map(|i| ((i * 13) % 32) as Value).collect(),
+    ];
+    // Spec row 0 is the one probe row of key 7; rows 1..1025 match photo
+    // rows 3001..; the rest match nothing.
+    let spec_rows = 1_400usize;
+    let spec_cols: Vec<Vec<Value>> = vec![
+        (0..spec_rows as Value)
+            .map(|j| match j {
+                0 => 7,
+                1..=1_024 => 3_000 + j,
+                _ => 100_000 + j,
+            })
+            .collect(),
+        (0..spec_rows)
+            .map(|j| h2o::storage::f64_lane(j as f64 * 0.5))
+            .collect(),
+        (0..spec_rows).map(|j| ((j * 5) % 6) as Value).collect(),
+    ];
+    let b = || {
+        JoinQuery::builder(("photo", photo_schema()), ("spec", spec_schema()))
+            .on("objID", "bestObjID")
+            .unwrap()
+    };
+    let col = |name| b().col(name).unwrap();
+    // (shape, query, exact in parallel)
+    let shapes = [
+        (
+            "projection",
+            b().project([col("ra"), col("z"), col("flags").add(col("specClass"))])
+                .unwrap(),
+            true,
+        ),
+        (
+            "mixed-side aggregate",
+            b().aggregate([
+                Aggregate::sum(col("flags").mul(col("specClass"))),
+                Aggregate::max(col("mag").add(col("z"))),
+                Aggregate::count(),
+            ])
+            .unwrap(),
+            true,
+        ),
+        (
+            "mixed-side grouped",
+            b().grouped(
+                [col("specClass")],
+                [
+                    Aggregate::sum(col("flags").add(col("specClass"))),
+                    Aggregate::min(col("mag")),
+                ],
+            )
+            .unwrap(),
+            true,
+        ),
+        (
+            "non-dyadic build sum",
+            b().aggregate([Aggregate::sum(col("ra")), Aggregate::avg(col("ra"))])
+                .unwrap(),
+            false,
+        ),
+    ];
+    let photo = Relation::partitioned_with_shift(
+        photo_schema(),
+        photo_cols,
+        vec![vec![AttrId(0), AttrId(1)], vec![AttrId(2), AttrId(3)]],
+        10,
+    )
+    .unwrap();
+    let spec = Relation::columnar(spec_schema(), spec_cols).unwrap();
+    for (shape, q, exact_in_parallel) in shapes {
+        let checked = check_join(&q).unwrap();
+        let want = interpret_join(photo.catalog(), spec.catalog(), &q).unwrap();
+        for strategy in Strategy::ALL {
+            let lplan = AccessPlan::new(photo.catalog().layout_ids(), strategy);
+            let rplan = AccessPlan::new(spec.catalog().layout_ids(), strategy);
+            for build_is_left in [true, false] {
+                let op = compile_join(
+                    photo.catalog(),
+                    spec.catalog(),
+                    &lplan,
+                    &rplan,
+                    &q,
+                    &checked,
+                    build_is_left,
+                )
+                .unwrap();
+                let ctx = format!("{shape} {} build_is_left={build_is_left}", strategy.name());
+                // The build-value sum is a probe-value sum when spec builds.
+                let plan = if exact_in_parallel || build_is_left {
+                    FoldPlan::PerPair
+                } else {
+                    FoldPlan::ProbeOnly
+                };
+                assert_eq!(op.fold_plan(), plan, "{ctx}");
+                let run = |policy| {
+                    execute_join_with_policy(photo.catalog(), spec.catalog(), &op, &policy).unwrap()
+                };
+                let (serial, stats) = run(ExecPolicy::serial());
+                assert_eq!(stats.output_pairs, 3_000 + 1_024, "{ctx}");
+                assert_eq!(serial.data(), want.data(), "{ctx}");
+                if exact_in_parallel {
+                    for (pname, policy) in policies() {
+                        let (par, _) = run(policy);
+                        assert_eq!(par.fingerprint(), want.fingerprint(), "{ctx} {pname}");
+                    }
+                }
+            }
+        }
     }
 }
 

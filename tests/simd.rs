@@ -136,11 +136,12 @@ proptest! {
         }
     }
 
-    /// Fused specialized aggregation and the columnar streaming fold agree
-    /// bit-for-bit with their scalar references for every aggregate
-    /// function over both lane types — over one group, and over a wide
-    /// group plus a narrow one at different segment shifts whose runs
-    /// split into 1K-row blocks, in both bare-column tiers.
+    /// Fused bare-column aggregation and the columnar streaming fold leave
+    /// states field-identical to their scalar references for every
+    /// aggregate function over both lane types — over one group, and over
+    /// a wide group plus a narrow one at different segment shifts whose
+    /// runs split into 1K-row blocks, in both tiers (the per-column tier
+    /// and the batch step).
     #[test]
     fn aggregate_folds_match_scalar(
         rows in 1usize..300,
@@ -168,12 +169,9 @@ proptest! {
                 (AggOp::new(f, LogicalType::F64), CompiledExpr::Col(BoundAttr { slot: 0, offset: 1 })),
             ];
             let mut vec_states: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
-            let cols = fused::bare_columns(&aggs).unwrap();
-            fused::aggregate_range(&views, &RowSource::Scan(&filter, 0..rows), &cols, &mut vec_states);
-            let vec_fin: Vec<Value> = vec_states.iter().map(|s| s.finish()).collect();
-            let ref_fin: Vec<Value> = fused::aggregate_range_scalar(&views, &filter, &aggs, 0..rows)
-                .iter().map(|s| s.finish()).collect();
-            prop_assert_eq!(vec_fin, ref_fin, "fused {} filtered={}", f.name(), !filter.is_always_true());
+            fused::aggregate_range(&views, &RowSource::Scan(&filter, 0..rows), &aggs, &mut vec_states);
+            let ref_states = fused::aggregate_range_scalar(&views, &filter, &aggs, 0..rows);
+            prop_assert_eq!(vec_states, ref_states, "fused {} filtered={}", f.name(), !filter.is_always_true());
         }
         // Two groups: the wide one (6 attributes, I64/F64 alternating) and
         // the narrow one (I64, F64), each at its own segment shift.
@@ -188,7 +186,7 @@ proptest! {
             vec![col(0, 2), col(0, 3), col(0, 4)],
             vec![col(1, 1), col(1, 0)],
             // Scattered offsets of the wide group, and both groups: the
-            // per-row tier.
+            // batch step.
             vec![col(0, 5), col(0, 0), col(0, 3)],
             vec![col(0, 1), col(1, 1), col(1, 0)],
         ];
@@ -214,11 +212,8 @@ proptest! {
             for filter in &filters {
                 for range in &ranges {
                     let mut got: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
-                    let cols = fused::bare_columns(aggs).unwrap();
-                    fused::aggregate_range(&two, &RowSource::Scan(filter, range.clone()), &cols, &mut got);
-                    let got: Vec<Value> = got.iter().map(|s| s.finish()).collect();
-                    let want: Vec<Value> = fused::aggregate_range_scalar(&two, filter, aggs, range.clone())
-                        .iter().map(|s| s.finish()).collect();
+                    fused::aggregate_range(&two, &RowSource::Scan(filter, range.clone()), aggs, &mut got);
+                    let want = fused::aggregate_range_scalar(&two, filter, aggs, range.clone());
                     prop_assert_eq!(got, want, "two groups {} {:?} over {:?}", f.name(), aggs, range);
                 }
             }
