@@ -5,15 +5,22 @@
 //! say which stage it moved.
 //!
 //! * **Joins.** A dimension of 4K / 16K / 64K / 1M unique build keys (one
-//!   lane, or two), probed by a 262,144-row fact side at 1% and 50%
-//!   match; the misses lie between real keys, so the bloom bits, not the
-//!   key range, reject them. Each cell runs three select shapes, one per
-//!   factorized fold plan: `probe_only` (`sum(fact.v), count(*)`),
-//!   `build_aggs` (`sum(dim.w), count(*)`) and `build_groups`
+//!   lane, every 2nd value; or two lanes), probed by a 262,144-row fact
+//!   side at 1% and 50% match; the misses lie between real keys, so the
+//!   bloom bits or the rank bitmap, not the key range, reject them. Each
+//!   cell runs three select shapes, one per factorized fold plan:
+//!   `probe_only` (`sum(fact.v), count(*)`), `build_aggs`
+//!   (`sum(dim.w), count(*)`) and `build_groups`
 //!   (`sum(fact.v), count(*) group by dim.cat`, 8 groups). Every
 //!   repetition runs [`h2o_exec::run_join_staged`] serially (the
-//!   dimension builds), and the cell reports the median ns/row of each
-//!   stage: build stages per build row, probe stages per probe row.
+//!   dimension builds) on a cold build, and the cell reports the median
+//!   ns/row of each stage: build stages per build row, probe stages per
+//!   probe row; `reused.probe.total` is the probe's total when the
+//!   operator reuses the build it holds. The *stride* cells repeat the
+//!   three shapes at 50% match over one-lane keys every 1st, 14th and
+//!   256th value at 16K and 1M build keys (misses between keys, or past
+//!   the last key at stride 1). Every cell records the key index its
+//!   build chose: `rank` (dense one-lane keys) or `hashed`.
 //! * **Grouped aggregation.** `sum(v), count(*) group by k` over 262,144
 //!   rows with 8 / 4K / 64K / 262K distinct one-lane keys, or two-lane
 //!   keys of the same cardinalities, through [`h2o_exec::run`] serially:
@@ -21,14 +28,15 @@
 //!
 //! Every cell's answer is checked against the interpreter before it is
 //! timed. The binary prints one JSON document to stdout and a table to
-//! stderr. Flags: `--quick` (4K / 16K build keys, 32K probe rows, 8 / 4K
-//! group keys, 3 repetitions — the CI smoke), `--reps N`, `--seed N`.
+//! stderr. Flags: `--quick` (4K / 16K build keys, stride cells at 4K, 32K
+//! probe rows, 8 / 4K group keys, 3 repetitions — the CI smoke),
+//! `--reps N`, `--seed N`.
 //! To compare two builds, run each build's binary in its own process,
 //! alternating them.
 
 use h2o_exec::{
-    compile, compile_join, run, run_join_staged, AccessPlan, ExecCtx, ExecPolicy, JoinStages,
-    Stage, Strategy,
+    compile, compile_join, run, run_join_staged, AccessPlan, CompiledJoinOp, ExecCtx, ExecPolicy,
+    JoinStages, Stage, Strategy,
 };
 use h2o_expr::interp::interpret_join;
 use h2o_expr::{check_join, interpret, Aggregate, Conjunction, Expr, JoinQuery, Query};
@@ -98,14 +106,24 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// Build key `i` as `lanes` lanes: even values (one lane), or an even
-/// high lane and a low lane (two); `miss` makes it a key between real
-/// ones that no build row holds.
-fn key(i: usize, lanes: usize, miss: bool) -> [Value; 2] {
-    let i = i as Value;
-    match lanes {
-        1 => [i * 2 + Value::from(miss), 0],
-        _ => [(i >> 6) * 2 + Value::from(miss), i & 63],
+/// How a cell's keys are laid out: one lane every `stride`-th value, or
+/// (`lanes == 2`) an even high lane and a low lane.
+#[derive(Clone, Copy)]
+struct Keys {
+    lanes: usize,
+    stride: Value,
+}
+
+impl Keys {
+    /// Build key `i` of `n`; `miss` makes it a key no build row holds:
+    /// between real keys, or past the last one when they are adjacent.
+    fn key(self, i: usize, n: usize, miss: bool) -> [Value; 2] {
+        let (i, m) = (i as Value, Value::from(miss));
+        match (self.lanes, self.stride) {
+            (1, 1) => [i + m * n as Value, 0],
+            (1, s) => [i * s + m, 0],
+            _ => [(i >> 6) * 2 + m, i & 63],
+        }
     }
 }
 
@@ -114,11 +132,13 @@ fn key(i: usize, lanes: usize, miss: bool) -> [Value; 2] {
 fn join_relations(
     build_keys: usize,
     probe_rows: usize,
-    lanes: usize,
+    shape: Keys,
     match_rate: f64,
     rng: &mut Rng,
 ) -> (Relation, Relation) {
-    let keys: Vec<[Value; 2]> = (0..build_keys).map(|i| key(i, lanes, false)).collect();
+    let keys: Vec<[Value; 2]> = (0..build_keys)
+        .map(|i| shape.key(i, build_keys, false))
+        .collect();
     let dim = vec![
         keys.iter().map(|k| k[0]).collect(),
         keys.iter().map(|k| k[1]).collect(),
@@ -128,7 +148,7 @@ fn join_relations(
     let fks: Vec<[Value; 2]> = (0..probe_rows)
         .map(|_| {
             let hit = (rng.next() >> 11) as f64 / (1u64 << 53) as f64 <= match_rate;
-            key(rng.below(build_keys), lanes, !hit)
+            shape.key(rng.below(build_keys), build_keys, !hit)
         })
         .collect();
     let fact = vec![
@@ -168,8 +188,15 @@ fn join_query(shape: &str, lanes: usize) -> JoinQuery {
 }
 
 /// Times one join cell: the median ns/row of every stage over `reps`
-/// repetitions (after one warm-up), its answer checked first.
-fn join_cell(dim: &Relation, fact: &Relation, q: &JoinQuery, reps: usize) -> Vec<(String, f64)> {
+/// repetitions on a cold build each (after one warm-up), then the probe's
+/// total over `reps` repetitions that reuse the held build, its answer
+/// checked first. Also returns whether the build took the rank index.
+fn join_cell(
+    dim: &Relation,
+    fact: &Relation,
+    q: &JoinQuery,
+    reps: usize,
+) -> (Vec<(String, f64)>, bool) {
     let checked = check_join(q).expect("join typechecks");
     let (d, f) = (dim.catalog(), fact.catalog());
     let dplan = AccessPlan::new(d.layout_ids(), Strategy::FusedVolcano);
@@ -177,19 +204,23 @@ fn join_cell(dim: &Relation, fact: &Relation, q: &JoinQuery, reps: usize) -> Vec
     let op = compile_join(d, f, &dplan, &fplan, q, &checked, true).expect("join compiles");
     let ctx = ExecCtx::new(ExecPolicy::serial());
     let want = interpret_join(d, f, q).expect("interpreter");
-    let runs: Vec<JoinStages> = (0..=reps)
-        .map(|_| {
-            let stages = JoinStages::default();
-            let (got, _) = run_join_staged(d, f, &op, &ctx, &stages).expect("join runs");
-            assert_eq!(
-                got.data(),
-                want.data(),
-                "join {q} differs from the interpreter"
-            );
-            stages
-        })
-        .collect();
-    let runs = &runs[1..];
+    let mut ranked = false;
+    let mut run = |op: &CompiledJoinOp, reused: bool| {
+        let stages = JoinStages::default();
+        let (got, stats) = run_join_staged(d, f, op, &ctx, &stages).expect("join runs");
+        assert_eq!(
+            got.data(),
+            want.data(),
+            "join {q} differs from the interpreter"
+        );
+        assert_eq!(stats.build_reused, reused);
+        ranked = stats.rank_index;
+        stages
+    };
+    let cold: Vec<JoinStages> = (0..=reps).map(|_| run(&op.cold_copy(), false)).collect();
+    run(&op, false);
+    let reused: Vec<JoinStages> = (0..reps).map(|_| run(&op, true)).collect();
+    let cold = &cold[1..];
     let (build_rows, probe_rows) = (d.rows() as f64, f.rows() as f64);
     let per_row = |s: Stage| {
         if s.name().starts_with("build") {
@@ -201,11 +232,11 @@ fn join_cell(dim: &Relation, fact: &Relation, q: &JoinQuery, reps: usize) -> Vec
     let mut out: Vec<(String, f64)> = Stage::ALL
         .iter()
         .map(|&s| {
-            let ns = runs.iter().map(|r| r.ns(s) as f64 / per_row(s)).collect();
+            let ns = cold.iter().map(|r| r.ns(s) as f64 / per_row(s)).collect();
             (s.name().to_string(), median(ns))
         })
         .collect();
-    for (side, rows) in [("build", build_rows), ("probe", probe_rows)] {
+    let total = |runs: &[JoinStages], side: &str, rows: f64| {
         let totals = runs
             .iter()
             .map(|r| {
@@ -213,16 +244,24 @@ fn join_cell(dim: &Relation, fact: &Relation, q: &JoinQuery, reps: usize) -> Vec
                 stages.map(|&s| r.ns(s)).sum::<u64>() as f64 / rows
             })
             .collect();
-        out.push((format!("{side}.total"), median(totals)));
+        median(totals)
+    };
+    for (side, rows) in [("build", build_rows), ("probe", probe_rows)] {
+        out.push((format!("{side}.total"), total(cold, side, rows)));
     }
-    out
+    out.push((
+        "reused.probe.total".to_string(),
+        total(&reused, "probe", probe_rows),
+    ));
+    (out, ranked)
 }
 
 /// Times `sum(v), count(*) group by k` over `rows` rows with `keys`
 /// distinct keys of `lanes` lanes: the median ns/row end to end.
 fn grouped_cell(rows: usize, keys: usize, lanes: usize, reps: usize, rng: &mut Rng) -> f64 {
+    let shape = Keys { lanes, stride: 2 };
     let ks: Vec<[Value; 2]> = (0..rows)
-        .map(|_| key(rng.below(keys), lanes, false))
+        .map(|_| shape.key(rng.below(keys), keys, false))
         .collect();
     let cols = vec![
         ks.iter().map(|k| k[0]).collect(),
@@ -276,42 +315,64 @@ fn main() {
                 262_144,
             )
         };
-    let mut joins = Vec::new();
-    eprintln!("join cell (build keys, match, lanes, shape): build / probe ns per row");
+    let stride_sizes: &[usize] = if opts.quick {
+        &[4_096]
+    } else {
+        &[16_384, 1 << 20]
+    };
+    // (build keys, match, key layout): the main grid, then the stride
+    // cells.
+    let mut cells = Vec::new();
     for &build_keys in build_sizes {
         for match_rate in [0.01, 0.5] {
             for lanes in [1, 2] {
-                let (dim, fact) =
-                    join_relations(build_keys, probe_rows, lanes, match_rate, &mut rng);
-                for shape in ["probe_only", "build_aggs", "build_groups"] {
-                    // A 1M-key build is 4x the probe: fewer repetitions.
-                    let reps = if build_keys > probe_rows {
-                        opts.reps.div_ceil(3)
-                    } else {
-                        opts.reps
-                    };
-                    let q = join_query(shape, lanes);
-                    let stages = join_cell(&dim, &fact, &q, reps.max(1));
-                    let total = |side: &str| {
-                        let key = format!("{side}.total");
-                        stages
-                            .iter()
-                            .find(|(k, _)| *k == key)
-                            .map_or(0.0, |(_, v)| *v)
-                    };
-                    eprintln!(
-                        "  {build_keys:>8} {match_rate:>5} {lanes} {shape:<13} {:>8.2} / {:>6.2}",
-                        total("build"),
-                        total("probe")
-                    );
-                    joins.push(format!(
-                        "{{\"build_keys\":{build_keys},\"probe_rows\":{probe_rows},\
-                         \"match\":{match_rate},\"lanes\":{lanes},\"shape\":\"{shape}\",\
-                         \"reps\":{reps},\"checked\":true,\"ns_per_row\":{}}}",
-                        json_map(&stages)
-                    ));
-                }
+                cells.push((build_keys, match_rate, Keys { lanes, stride: 2 }));
             }
+        }
+    }
+    for &build_keys in stride_sizes {
+        for stride in [1, 14, 256] {
+            cells.push((build_keys, 0.5, Keys { lanes: 1, stride }));
+        }
+    }
+    let mut joins = Vec::new();
+    eprintln!(
+        "join cell (build keys, match, lanes, stride, shape, index): \
+         build / probe / reused probe ns per row"
+    );
+    for (build_keys, match_rate, keys) in cells {
+        let (dim, fact) = join_relations(build_keys, probe_rows, keys, match_rate, &mut rng);
+        let (lanes, stride) = (keys.lanes, keys.stride);
+        for shape in ["probe_only", "build_aggs", "build_groups"] {
+            // A 1M-key build is 4x the probe: fewer repetitions.
+            let reps = if build_keys > probe_rows {
+                opts.reps.div_ceil(3)
+            } else {
+                opts.reps
+            };
+            let q = join_query(shape, lanes);
+            let (stages, ranked) = join_cell(&dim, &fact, &q, reps.max(1));
+            let index = if ranked { "rank" } else { "hashed" };
+            let total = |key: &str| {
+                stages
+                    .iter()
+                    .find(|(k, _)| k == key)
+                    .map_or(0.0, |(_, v)| *v)
+            };
+            eprintln!(
+                "  {build_keys:>8} {match_rate:>5} {lanes} {stride:>4} {shape:<13} {index:<6} \
+                 {:>8.2} / {:>6.2} / {:>6.2}",
+                total("build.total"),
+                total("probe.total"),
+                total("reused.probe.total")
+            );
+            joins.push(format!(
+                "{{\"build_keys\":{build_keys},\"probe_rows\":{probe_rows},\
+                 \"match\":{match_rate},\"lanes\":{lanes},\"stride\":{stride},\
+                 \"shape\":\"{shape}\",\"index\":\"{index}\",\"reps\":{reps},\
+                 \"checked\":true,\"ns_per_row\":{}}}",
+                json_map(&stages)
+            ));
         }
     }
     let mut grouped = Vec::new();

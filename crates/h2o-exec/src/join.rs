@@ -29,19 +29,45 @@
 //!
 //! # Build, probe, and determinism
 //!
-//! [`run_join`] hash-partitions the **build** side: each morsel gathers
-//! its qualifying rows' key and payload lanes column by column, in row
-//! order, and hashes every key once ([`hash_key`], a fixed-seed
-//! splitmix64 chain). The per-morsel parts are inserted into one flat
-//! hash table ([`LaneMap`]) sequentially in morsel order — identical to a
-//! serial row-order build — and folded into the probe prefilter, both
-//! with those same hashes. The table gives each distinct key a dense id;
-//! a stable counting sort then lays the payload out as one CSR row list,
+//! [`run_join`] indexes the **build** side: each morsel gathers its
+//! qualifying rows' key and payload lanes column by column, in row order,
+//! and hashes every key once ([`hash_key`], a fixed-seed splitmix64
+//! chain). The per-morsel parts are indexed sequentially in morsel order
+//! — identical to a serial row-order build — giving each distinct key a
+//! dense id, by one of two key tiers:
+//!
+//! * the **rank index** (`rank.rs`) for a one-lane `I64` or `Dict`
+//!   key whose build values are dense: a presence bitmap over
+//!   `[min, max]` with a `u32` rank prefix per 64-bit word (12 bytes per
+//!   64 key slots), taken whenever it is no larger than the slot array
+//!   of the hash table it replaces. A key's id is its rank, so ids run in
+//!   key order;
+//! * otherwise the **hashed** tier: one flat hash table ([`LaneMap`],
+//!   ids in first-appearance order) and the probe prefilter, both fed the
+//!   same hashes.
+//!
+//! A stable counting sort then lays the payload out as one CSR row list,
 //! column by column, so key `id`'s build rows are one contiguous span of
-//! every payload column, in build-row order. Keys hash and compare as
-//! **raw lane bits** (`f64` keys by bit pattern, dictionary keys by code —
-//! the join gate guarantees a shared dictionary), matching
+//! every payload column, in build-row order. No fold plan depends on the
+//! order of the ids: a probe row's pairs take its key's span in build-row
+//! order, and the per-key and per-group merges admit only accumulators
+//! that associate and commute. Keys compare as **raw lane bits** (`f64`
+//! keys by bit pattern, dictionary keys by code — the join gate
+//! guarantees a shared dictionary), matching
 //! [`h2o_expr::interp::interpret_join`].
+//!
+//! A build is a function of the build relation's rows and the build
+//! filter's constants alone — the operator fixes the plan, keys, payload
+//! and fold plan — so an operator **holds its last completed build** in a
+//! slot its clones share (the operator cache's entry and every copy
+//! handed out from it) and drops with them. [`run_join`] reuses it when
+//! the build catalog's [`lineage`](LayoutCatalog::lineage) and
+//! [`data_version`](LayoutCatalog::data_version) and the build filter's
+//! bound constants all match what it was built from
+//! ([`JoinExecStats::build_reused`]); otherwise it builds and, once the
+//! build has completed without a stop, holds the new one in its place.
+//! A reused build reports the counters its scan reported, so selectivity
+//! feedback reads the same cardinalities either way.
 //!
 //! Which side builds is the **caller's** choice ([`compile_join`]'s
 //! `build_is_left`): the engine picks the side it observes to be smaller
@@ -58,7 +84,7 @@
 //! segment-run granularity in either phase. As everywhere else, the
 //! contract is result-level: partials are drained and discarded, and the
 //! driver returns a typed [`ExecError`] — nothing observable is
-//! published from a stopped join.
+//! published from a stopped join, and a stopped build is never held.
 //!
 //! # The probe: one block pipeline
 //!
@@ -73,20 +99,23 @@
 //! 2. hash every key;
 //! 3. test every key against the [`JoinFilter`] — the exact `[min, max]`
 //!    range of each key column, in comparator-key space, and a blocked
-//!    bloom filter over the build keys, sized from the post-prune build
-//!    cardinality — and compact the survivors into a list without a
-//!    branch ([`JoinFilter::survivors`]);
+//!    bloom filter over the build keys, sized by the distinct build keys
+//!    — and compact the survivors into a list without a branch
+//!    ([`JoinFilter::survivors`]);
 //! 4. resolve the survivors' key ids in the table, with the same hash;
 //! 5. fold the hits, in ascending row order.
 //!
-//! A one-lane key — the common case — takes a tier of its own through
-//! stages 2–4: its hash is one mixer step, its filter loop is compiled per
-//! key type with the column's range hoisted out of it, and its table
-//! lookup compares each `[id, key]` slot inline. A wider key's range test
-//! runs column by column, each column's type and range hoisted the same
-//! way. The filter has no false negatives, so stage 3 drops only rows that
-//! match nothing ([`JoinExecStats::probe_bloom_rejects`] counts them), and
-//! stage 5 sees the hits in the order an unfiltered row walk would.
+//! A rank-indexed build runs stages 2–4 as one lookup per key: the key's
+//! bit rejects it exactly or its rank is its id, with no hash and no bloom
+//! test, compacted without a branch. A hashed one-lane key still takes a
+//! tier of its own: its hash is one mixer step, its filter loop is
+//! compiled per key type with the column's range hoisted out of it, and
+//! its table lookup compares each `[id, key]` slot inline. A wider key's
+//! range test runs column by column, each column's type and range
+//! hoisted the same way. Neither prefilter has false negatives, so only
+//! rows that match nothing are dropped
+//! ([`JoinExecStats::probe_bloom_rejects`] counts them), and stage 5 sees
+//! the hits in the order an unfiltered row walk would.
 //!
 //! # Fold plans: factorized join aggregation
 //!
@@ -137,7 +166,7 @@
 //! [`run_join_staged`] runs the same join and also reports the time of
 //! every build and probe stage ([`JoinStages`]).
 
-use crate::bind::{BoundAttr, SlotAccessor};
+use crate::bind::{BoundAttr, GroupViews, SlotAccessor};
 use crate::bloom::JoinFilter;
 use crate::compile::{plan_binder, ExecCtx, ExecError};
 use crate::filter::CompiledFilter;
@@ -147,14 +176,17 @@ use crate::kernels::{self, eval_rows, unbound};
 use crate::parallel::{run_chunks, run_ranges, ExecPolicy};
 use crate::plan::AccessPlan;
 use crate::program::{eval_batch, CompiledExpr, Layout};
+use crate::rank::RankIndex;
 use crate::sink::{table_for, Partial, SelectProgram};
 use h2o_expr::agg::{fold_column, AggFunc, AggOp, AggState};
 use h2o_expr::lanemap::hash_key;
 use h2o_expr::typecheck::{JoinTypes, SelectTypes};
 use h2o_expr::{Expr, GroupedAggs, JoinQuery, LaneMap, QueryResult, Select, Side};
 use h2o_storage::{AttrId, LayoutCatalog, LogicalType, Value};
+use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The plan slot of a build payload lane in the join's select program:
@@ -214,7 +246,11 @@ pub enum FoldPlan {
 /// attribute's own side — a probe attribute to its probe plan slot and
 /// offset, a build attribute to its lane of the build payload — so the
 /// probe's inner loops never consult a side or a schema.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Clones share one build slot: the last build the operator completed,
+/// reused while the build relation's rows and the build filter's constants
+/// stay what it was built from (see the module docs).
+#[derive(Debug, Clone)]
 pub struct CompiledJoinOp {
     build: CompiledJoinSide,
     probe: CompiledJoinSide,
@@ -229,6 +265,8 @@ pub struct CompiledJoinOp {
     key_types: Vec<LogicalType>,
     /// How the probe folds matches.
     plan: FoldPlan,
+    /// The last completed build, shared by every clone.
+    slot: Arc<BuildSlot>,
 }
 
 impl CompiledJoinOp {
@@ -272,6 +310,16 @@ impl CompiledJoinOp {
         self.plan
     }
 
+    /// A copy that shares no build slot with this operator and holds no
+    /// build: its first run scans the build side (a cold-build timing, a
+    /// stop test that must meet a build scan).
+    pub fn cold_copy(&self) -> CompiledJoinOp {
+        CompiledJoinOp {
+            slot: Arc::default(),
+            ..self.clone()
+        }
+    }
+
     /// Re-parameterizes both sides' residual-filter constants (raw lane
     /// words, in each side's clause order) — operator-cache reuse, exactly
     /// as [`CompiledOp::rebind_constants`](crate::CompiledOp::rebind_constants).
@@ -307,11 +355,20 @@ pub struct JoinExecStats {
     pub build_segments_skipped: u64,
     /// Probe-side segment runs skipped by zone-map pruning.
     pub probe_segments_skipped: u64,
-    /// Qualifying probe rows whose hash lookup was skipped because the
-    /// build filter (range or bloom) proved the key absent.
+    /// Qualifying probe rows the prefilter proved to have no build key,
+    /// so no table lookup ran for them: the range and bloom tests of a
+    /// hashed build (which pass some absent keys on to the table), or the
+    /// rank index, which rejects every absent key exactly.
     pub probe_bloom_rejects: u64,
     /// Whether the build side was the query's left relation.
     pub build_is_left: bool,
+    /// Whether the join reused the operator's held build instead of
+    /// scanning the build side; the build counters above are then the
+    /// held build's, as a fresh scan would count them.
+    pub build_reused: bool,
+    /// Whether the build keys were indexed by rank (one dense integer
+    /// lane) rather than hashed.
+    pub rank_index: bool,
 }
 
 /// The stages of [`run_join`], in the order they run.
@@ -319,21 +376,22 @@ pub struct JoinExecStats {
 pub enum Stage {
     /// Each build range's qualifying rows: key and payload lanes, hashes.
     BuildGather,
-    /// The keys into the table, in range order.
+    /// The keys into the key index, in range order: the hash table, or
+    /// the rank index and each row's id.
     BuildInsert,
     /// The counting sort of the payload into the CSR row list.
     BuildCsr,
     /// The fold plan's per-key build folds.
     BuildFold,
-    /// The probe prefilter over the build keys.
+    /// The hashed tier's probe prefilter over the build keys.
     BuildBloom,
     /// Probe stage 1 (with the walk that finds the block's rows).
     ProbeGather,
-    /// Probe stage 2.
+    /// Probe stage 2 (hashed tier).
     ProbeHash,
-    /// Probe stage 3.
+    /// Probe stage 3 (hashed tier).
     ProbeFilter,
-    /// Probe stage 4.
+    /// Probe stage 4; a rank-indexed build's one lookup for stages 2–4.
     ProbeResolve,
     /// Probe stage 5.
     ProbeFold,
@@ -525,6 +583,7 @@ pub fn compile_join(
         payload,
         key_types: checked.key_types.clone(),
         plan: fold_plan(q, &checked.select, build_is_left),
+        slot: Arc::default(),
     })
 }
 
@@ -567,19 +626,41 @@ struct BuildPart {
 /// id, multiplicity)` pairs are `list[starts[id]..starts[id + 1]]`, or
 /// `list[id]` alone when `starts` is `None` (every key reaches one
 /// group); `keys` holds the group key vectors by dense group id.
+#[derive(Debug)]
 struct GroupLists {
     keys: LaneMap,
     starts: Option<Vec<u32>>,
     list: Vec<(u32, u32)>,
 }
 
-/// The build-side hash table: a [`LaneMap`] from raw-lane key vectors to
-/// dense key ids, one CSR row list over the ids, and
-/// [`FoldPlan::BuildGroups`]'s group lists. Key `id`'s build rows are CSR
-/// rows `starts[id]..starts[id + 1]`, in build (= morsel, then row)
-/// order.
+/// The build keys' index: each distinct key vector's dense id.
+#[derive(Debug)]
+enum KeyIndex {
+    /// A [`LaneMap`] (ids in first-appearance order) behind the probe
+    /// prefilter over the same keys.
+    Hashed { map: LaneMap, filter: JoinFilter },
+    /// One dense integer lane: ids in key order, absent keys rejected by
+    /// the same lookup.
+    Ranked(RankIndex),
+}
+
+impl KeyIndex {
+    /// Number of distinct build keys.
+    fn len(&self) -> usize {
+        match self {
+            KeyIndex::Hashed { map, .. } => map.len(),
+            KeyIndex::Ranked(index) => index.len(),
+        }
+    }
+}
+
+/// The build-side table: the key index, one CSR row list over the key
+/// ids, and [`FoldPlan::BuildGroups`]'s group lists. Key `id`'s build
+/// rows are CSR rows `starts[id]..starts[id + 1]`, in build (= morsel,
+/// then row) order.
+#[derive(Debug)]
 struct JoinTable {
-    keys: LaneMap,
+    keys: KeyIndex,
     /// `keys.len() + 1` offsets into the CSR rows.
     starts: Vec<u32>,
     /// The payload lanes of the CSR rows, column by column: lane `c` of
@@ -590,21 +671,127 @@ struct JoinTable {
     groups: Option<GroupLists>,
 }
 
+/// What a build was made from: the build relation's lineage and data
+/// version (which name its rows) and the build filter with its bound
+/// constants. The operator fixes everything else a build reads.
+#[derive(Debug, PartialEq)]
+struct BuildSource {
+    lineage: u64,
+    version: u64,
+    filter: CompiledFilter,
+}
+
+/// A completed build: its table, its source, and the build-side counters
+/// its scan reported.
+#[derive(Debug)]
+struct Build {
+    source: BuildSource,
+    table: JoinTable,
+    stats: JoinExecStats,
+}
+
+/// A compiled join operator's one held build, shared by its clones (the
+/// operator cache's entry and every copy handed out from it), and dropped
+/// with the last of them.
+#[derive(Debug, Default)]
+struct BuildSlot(Mutex<Option<Arc<Build>>>);
+
+impl BuildSlot {
+    /// The held build, if it was made from `source`.
+    fn get(&self, source: &BuildSource) -> Option<Arc<Build>> {
+        let held = self.0.lock();
+        held.as_ref().filter(|b| b.source == *source).cloned()
+    }
+
+    /// Holds `build` in place of the previous one, which is freed after
+    /// the lock is released.
+    fn put(&self, build: Arc<Build>) {
+        let old = self.0.lock().replace(build);
+        drop(old);
+    }
+}
+
+/// The hashed tier's probe prefilter over the gathered parts' keys and
+/// their hashes, sized by the `distinct` keys the map holds (a filter
+/// sized for the raw relation, or for duplicate keys, would waste cache):
+/// one partial filter per chunk of build ranges, OR-merged in chunk order
+/// (the merge is commutative, so the result is independent of the
+/// policy).
+fn prefilter(
+    parts: &[BuildPart],
+    distinct: usize,
+    op: &CompiledJoinOp,
+    policy: &ExecPolicy,
+    stages: Option<&JoinStages>,
+) -> JoinFilter {
+    let key_width = op.build.keys.len();
+    let new = || JoinFilter::with_capacity(distinct, op.key_types.clone());
+    let partials = run_chunks(parts, policy, |chunk| {
+        let mut lap = Lap::start(stages);
+        let mut f = new();
+        for part in chunk {
+            for (key, &h) in part.keys.chunks_exact(key_width).zip(&part.hashes) {
+                f.insert(key, h);
+            }
+        }
+        lap.mark(Stage::BuildBloom);
+        f
+    });
+    let mut lap = Lap::start(stages);
+    let mut filter = new();
+    for p in &partials {
+        filter.merge(p);
+    }
+    lap.mark(Stage::BuildBloom);
+    filter
+}
+
 impl JoinTable {
-    /// Inserts the gathered build parts in range order with their
-    /// precomputed hashes, lays the payloads out by key id with a stable
-    /// counting sort, then resolves the group plan's lists. `rows` is the
-    /// observed post-prune build cardinality, which sizes the map
-    /// (distinct keys can only be fewer).
-    fn build(parts: &[BuildPart], op: &CompiledJoinOp, rows: usize, lap: &mut Lap) -> JoinTable {
+    /// Indexes the gathered build parts' keys in range order, lays the
+    /// payloads out by key id with a stable counting sort, then resolves
+    /// the group plan's lists. `rows` is the observed post-prune build
+    /// cardinality, which sizes the hashed tier's map (distinct keys can
+    /// only be fewer) and bounds the rank index: a one-lane integer key
+    /// takes the index when it is no larger than that map's slot array.
+    fn build(
+        parts: &[BuildPart],
+        op: &CompiledJoinOp,
+        rows: usize,
+        policy: &ExecPolicy,
+        stages: Option<&JoinStages>,
+    ) -> JoinTable {
+        let mut lap = Lap::start(stages);
         let key_width = op.build.keys.len();
-        let mut keys = LaneMap::with_capacity(key_width, rows);
-        let ids: Vec<u32> = parts
-            .iter()
-            .flat_map(|p| p.keys.chunks_exact(key_width).zip(&p.hashes))
-            .map(|(key, &h)| keys.insert_hashed(key, h))
-            .collect();
-        lap.mark(Stage::BuildInsert);
+        let lanes = || parts.iter().flat_map(|p| p.keys.iter().copied());
+        let ranked = match op.key_types[..] {
+            [ty] if ty != LogicalType::F64 && rows > 0 => {
+                let (min, max) = lanes().fold((Value::MAX, Value::MIN), |(lo, hi), k| {
+                    (lo.min(k), hi.max(k))
+                });
+                (RankIndex::bytes(min, max) <= LaneMap::slot_bytes(1, rows) as u64)
+                    .then(|| RankIndex::new(min, max, lanes()))
+            }
+            _ => None,
+        };
+        let (keys, ids): (KeyIndex, Vec<u32>) = match ranked {
+            Some(index) => {
+                let ids = lanes().map(|k| index.lookup(k).1).collect();
+                lap.mark(Stage::BuildInsert);
+                (KeyIndex::Ranked(index), ids)
+            }
+            None => {
+                let mut map = LaneMap::with_capacity(key_width, rows);
+                let ids = parts
+                    .iter()
+                    .flat_map(|p| p.keys.chunks_exact(key_width).zip(&p.hashes))
+                    .map(|(key, &h)| map.insert_hashed(key, h))
+                    .collect();
+                lap.mark(Stage::BuildInsert);
+                let filter = prefilter(parts, map.len(), op, policy, stages);
+                lap = Lap::start(stages);
+                (KeyIndex::Hashed { map, filter }, ids)
+            }
+        };
         let mut starts = vec![0u32; keys.len() + 1];
         for &id in &ids {
             starts[id as usize + 1] += 1;
@@ -613,9 +800,10 @@ impl JoinTable {
             starts[i] += starts[i - 1];
         }
         let mut payload = Vec::with_capacity(rows * op.payload.len());
-        if keys.len() == rows {
-            // Every key is new, so ids run 0, 1, 2, … in build order: the
-            // CSR order is the build order.
+        if ids.iter().enumerate().all(|(i, &id)| id as usize == i) {
+            // Ids run 0, 1, 2, … in build order (every key distinct and
+            // new, or ranked in ascending order): the CSR order is the
+            // build order.
             for c in 0..op.payload.len() {
                 parts
                     .iter()
@@ -789,90 +977,39 @@ fn join(
     let probe_views = ctx.views(probe_cat, &op.probe.plan.layouts)?;
     let policy = &ctx.policy;
 
-    // Phase 1 — build: per-range gather of qualifying (key, hash,
-    // payload) lanes in row order, then a sequential range-order insert
-    // (identical to a serial row-order build, so the table — and every
-    // downstream result — is independent of the parallelism policy).
-    let key_width = op.build.keys.len();
-    let build_rows_total = build_views.rows();
-    let parts: Vec<BuildPart> = run_ranges(build_rows_total, build_views.seg_rows(), policy, |r| {
-        let mut lap = Lap::start(stages);
-        let build = &op.build;
-        let slots = build_views.accessors();
-        let mut part = BuildPart {
-            keys: Vec::new(),
-            hashes: Vec::new(),
-            payload: vec![Vec::new(); op.payload.len()],
-        };
-        kernels::qualifying_blocks(
-            build.plan.strategy,
-            &build_views,
-            &build.filter,
-            r,
-            |rows| {
-                let at = part.keys.len();
-                part.keys.resize(at + rows.len() * key_width, 0);
-                gather_keys(&slots, &build.keys, rows, &mut part.keys[at..]);
-                hash_keys(&part.keys[at..], key_width, &mut part.hashes);
-                for (col, &a) in part.payload.iter_mut().zip(&op.payload) {
-                    let at = col.len();
-                    col.resize(at + rows.len(), 0);
-                    gather_col(&slots, a, rows, col[at..].iter_mut());
-                }
-            },
-        );
-        lap.mark(Stage::BuildGather);
-        part
-    });
-    let build_qualifying: usize = parts.iter().map(|p| p.hashes.len()).sum();
-    // The observed post-prune cardinality sizes the hash table's slot
-    // array (distinct keys can only be fewer), and the table's distinct
-    // keys size the bloom filter's block count (a filter sized for the raw
-    // relation, or for duplicate keys, would waste cache).
-    let table = JoinTable::build(&parts, op, build_qualifying, &mut Lap::start(stages));
-    // Derive the probe prefilter from the gathered parts and their
-    // hashes: one partial filter per chunk of build ranges, OR-merged in
-    // chunk order (the merge is commutative, so the result is independent
-    // of the policy). An empty build side needs none: its probe is
-    // skipped below.
-    let bloom = (build_qualifying > 0).then(|| {
-        let new = || JoinFilter::with_capacity(table.keys.len(), op.key_types.clone());
-        let partials = run_chunks(&parts, policy, |chunk| {
-            let mut lap = Lap::start(stages);
-            let mut f = new();
-            for part in chunk {
-                for (key, &h) in part.keys.chunks_exact(key_width).zip(&part.hashes) {
-                    f.insert(key, h);
-                }
-            }
-            lap.mark(Stage::BuildBloom);
-            f
-        });
-        let mut lap = Lap::start(stages);
-        let mut filter = new();
-        for p in &partials {
-            filter.merge(p);
+    // Phase 1 — build, or reuse the operator's held build when it was made
+    // from these rows under this filter.
+    let source = BuildSource {
+        lineage: build_cat.lineage(),
+        version: build_cat.data_version(),
+        filter: op.build.filter.clone(),
+    };
+    let (build, build_reused) = match op.slot.get(&source) {
+        Some(build) => (build, true),
+        None => {
+            let build = Arc::new(build_side(op, &build_views, source, policy, stages));
+            // A stopped scan drains early: its table is partial, so only a
+            // build that ran to completion is held.
+            ctx.check()?;
+            op.slot.put(build.clone());
+            (build, false)
         }
-        lap.mark(Stage::BuildBloom);
-        filter
-    });
-    drop(parts);
-
+    };
+    let table = &build.table;
     let mut stats = JoinExecStats {
-        build_input_rows: build_rows_total,
-        build_rows: build_qualifying,
         probe_input_rows: probe_views.rows(),
-        build_is_left: op.build_is_left,
-        ..JoinExecStats::default()
+        build_reused,
+        ..build.stats
     };
 
     // Phase 2 — probe, feeding the select program's sink. An empty build
     // side short-circuits the probe scan entirely (greedy early-exit): no
     // partials finish as the empty-match result, which coincides with the
     // interpreter's conventions.
-    let ranges = match &bloom {
-        Some(bloom) => run_ranges(probe_views.rows(), probe_views.seg_rows(), policy, |r| {
-            let mut probe = Probe::new(op, &table, bloom, probe_views.accessors());
+    let ranges = match table.rows {
+        0 => Vec::new(),
+        _ => run_ranges(probe_views.rows(), probe_views.seg_rows(), policy, |r| {
+            let mut probe = Probe::new(op, table, probe_views.accessors());
             let side = &op.probe;
             let mut lap = Lap::start(stages);
             let qual = kernels::qualifying_blocks(
@@ -887,7 +1024,6 @@ fn join(
             lap.mark(Stage::ProbeFinish);
             (folded, qual, pairs, rejects)
         }),
-        None => Vec::new(),
     };
     let mut lap = Lap::start(stages);
     let (mut parts, mut key_hits) = (Vec::new(), None::<Vec<u32>>);
@@ -913,9 +1049,59 @@ fn join(
     let result = op.select.finish(parts);
     lap.mark(Stage::ProbeFinish);
     ctx.check()?;
-    stats.build_segments_skipped = build_views.segments_skipped();
     stats.probe_segments_skipped = probe_views.segments_skipped();
     Ok((result, stats))
+}
+
+/// Phase 1: each build range's qualifying (key, hash, payload) lanes
+/// gathered in row order, then indexed in range order — identical to a
+/// serial row-order build, so the table, and every downstream result, is
+/// independent of the parallelism policy.
+fn build_side(
+    op: &CompiledJoinOp,
+    views: &GroupViews<'_>,
+    source: BuildSource,
+    policy: &ExecPolicy,
+    stages: Option<&JoinStages>,
+) -> Build {
+    let key_width = op.build.keys.len();
+    let parts: Vec<BuildPart> = run_ranges(views.rows(), views.seg_rows(), policy, |r| {
+        let mut lap = Lap::start(stages);
+        let build = &op.build;
+        let slots = views.accessors();
+        let mut part = BuildPart {
+            keys: Vec::new(),
+            hashes: Vec::new(),
+            payload: vec![Vec::new(); op.payload.len()],
+        };
+        kernels::qualifying_blocks(build.plan.strategy, views, &build.filter, r, |rows| {
+            let at = part.keys.len();
+            part.keys.resize(at + rows.len() * key_width, 0);
+            gather_keys(&slots, &build.keys, rows, &mut part.keys[at..]);
+            hash_keys(&part.keys[at..], key_width, &mut part.hashes);
+            for (col, &a) in part.payload.iter_mut().zip(&op.payload) {
+                let at = col.len();
+                col.resize(at + rows.len(), 0);
+                gather_col(&slots, a, rows, col[at..].iter_mut());
+            }
+        });
+        lap.mark(Stage::BuildGather);
+        part
+    });
+    let rows: usize = parts.iter().map(|p| p.hashes.len()).sum();
+    let table = JoinTable::build(&parts, op, rows, policy, stages);
+    Build {
+        source,
+        stats: JoinExecStats {
+            build_input_rows: views.rows(),
+            build_rows: rows,
+            build_segments_skipped: views.segments_skipped(),
+            build_is_left: op.build_is_left,
+            rank_index: matches!(table.keys, KeyIndex::Ranked(_)),
+            ..JoinExecStats::default()
+        },
+        table,
+    }
 }
 
 /// [`run_join`] under a parallelism policy, no stop token.
@@ -959,7 +1145,6 @@ enum Folded {
 struct Probe<'a, 'v, 'g> {
     op: &'a CompiledJoinOp,
     table: &'a JoinTable,
-    filter: &'a JoinFilter,
     slots: Vec<SlotAccessor<'v, 'g>>,
     /// The block's key lanes, row-major.
     keys: Vec<Value>,
@@ -986,7 +1171,6 @@ impl<'a, 'v, 'g> Probe<'a, 'v, 'g> {
     fn new(
         op: &'a CompiledJoinOp,
         table: &'a JoinTable,
-        filter: &'a JoinFilter,
         slots: Vec<SlotAccessor<'v, 'g>>,
     ) -> Probe<'a, 'v, 'g> {
         let fold = match (op.plan, &op.select, &table.groups) {
@@ -1011,7 +1195,6 @@ impl<'a, 'v, 'g> Probe<'a, 'v, 'g> {
         Probe {
             op,
             table,
-            filter,
             slots,
             keys: Vec::with_capacity(BLOCK_ROWS * op.probe.keys.len()),
             hashes: Vec::with_capacity(BLOCK_ROWS),
@@ -1034,30 +1217,45 @@ impl<'a, 'v, 'g> Probe<'a, 'v, 'g> {
     fn block(&mut self, rows: &[u32], lap: &mut Lap) {
         let (op, table) = (self.op, self.table);
         let w = op.probe.keys.len();
-        // 1–2: gather and hash every key.
+        // 1: gather every key.
         self.keys.resize(rows.len() * w, 0);
         gather_keys(&self.slots, &op.probe.keys, rows, &mut self.keys);
         lap.mark(Stage::ProbeGather);
-        self.hashes.clear();
-        hash_keys(&self.keys, w, &mut self.hashes);
-        lap.mark(Stage::ProbeHash);
-        // 3: range and bloom test every key.
-        let kept = self
-            .filter
-            .survivors(&self.keys, &self.hashes, &mut self.survivors);
-        self.rejects += (rows.len() - kept) as u64;
-        lap.mark(Stage::ProbeFilter);
-        // 4: the survivors' key ids.
-        self.hit_rows.clear();
-        self.hit_ids.clear();
-        for &i in &self.survivors[..kept] {
-            let i = i as usize;
-            if let Some(id) = table
-                .keys
-                .get(&self.keys[i * w..(i + 1) * w], self.hashes[i])
-            {
-                self.hit_rows.push(rows[i]);
-                self.hit_ids.push(id);
+        match &table.keys {
+            KeyIndex::Hashed { map, filter } => {
+                // 2: hash every key.
+                self.hashes.clear();
+                hash_keys(&self.keys, w, &mut self.hashes);
+                lap.mark(Stage::ProbeHash);
+                // 3: range and bloom test every key.
+                let kept = filter.survivors(&self.keys, &self.hashes, &mut self.survivors);
+                self.rejects += (rows.len() - kept) as u64;
+                lap.mark(Stage::ProbeFilter);
+                // 4: the survivors' key ids.
+                self.hit_rows.clear();
+                self.hit_ids.clear();
+                for &i in &self.survivors[..kept] {
+                    let i = i as usize;
+                    if let Some(id) = map.get(&self.keys[i * w..(i + 1) * w], self.hashes[i]) {
+                        self.hit_rows.push(rows[i]);
+                        self.hit_ids.push(id);
+                    }
+                }
+            }
+            KeyIndex::Ranked(index) => {
+                // 2–4 in one lookup per key, compacted without a branch.
+                self.hit_rows.resize(rows.len(), 0);
+                self.hit_ids.resize(rows.len(), 0);
+                let mut hits = 0;
+                for (&row, &k) in rows.iter().zip(&self.keys) {
+                    let (hit, id) = index.lookup(k);
+                    self.hit_rows[hits] = row;
+                    self.hit_ids[hits] = id;
+                    hits += usize::from(hit);
+                }
+                self.hit_rows.truncate(hits);
+                self.hit_ids.truncate(hits);
+                self.rejects += (rows.len() - hits) as u64;
             }
         }
         lap.mark(Stage::ProbeResolve);
@@ -1612,22 +1810,26 @@ mod tests {
                 for strategy in Strategy::ALL {
                     let lp = AccessPlan::new(photo.catalog().layout_ids(), strategy);
                     let rp = AccessPlan::new(spec.catalog().layout_ids(), strategy);
-                    let op = compile_join(
-                        photo.catalog(),
-                        spec.catalog(),
-                        &lp,
-                        &rp,
-                        &q,
-                        &checked,
-                        true,
-                    )
-                    .unwrap();
+                    // Each stop meets a cold build: a fresh operator holds
+                    // none.
+                    let cold = || {
+                        compile_join(
+                            photo.catalog(),
+                            spec.catalog(),
+                            &lp,
+                            &rp,
+                            &q,
+                            &checked,
+                            true,
+                        )
+                        .unwrap()
+                    };
                     // A live token that never trips: bit-identical results.
                     let live = CancelToken::new();
                     let (got, _) = execute_join_with_policy_cancel(
                         photo.catalog(),
                         spec.catalog(),
-                        &op,
+                        &cold(),
                         &par_policy(),
                         &live,
                     )
@@ -1639,7 +1841,7 @@ mod tests {
                     let err = execute_join_with_policy_cancel(
                         photo.catalog(),
                         spec.catalog(),
-                        &op,
+                        &cold(),
                         &par_policy(),
                         &cancelled,
                     )
@@ -1651,7 +1853,7 @@ mod tests {
                     let err = execute_join_with_policy_cancel(
                         photo.catalog(),
                         spec.catalog(),
-                        &op,
+                        &cold(),
                         &par_policy(),
                         &expired,
                     )
@@ -1664,7 +1866,7 @@ mod tests {
                     let err = execute_join_with_policy_cancel(
                         photo.catalog(),
                         spec.catalog(),
-                        &op,
+                        &cold(),
                         &ExecPolicy::serial(),
                         &broke,
                     )

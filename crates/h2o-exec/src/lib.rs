@@ -88,6 +88,7 @@ pub mod opcache;
 pub mod parallel;
 pub mod plan;
 pub mod program;
+mod rank;
 pub mod reorg;
 pub mod selvec;
 pub mod sink;

@@ -9,6 +9,14 @@
 //! queries differing only in constants share one operator. On a hit the
 //! cached operator is cloned and re-parameterized.
 //!
+//! A cached join operator also carries the one build it last completed
+//! (its key index, CSR payload, build-group lists and build counters), in
+//! a slot the entry shares with every clone handed out from it, so the
+//! next query of the shape skips the build scan when the build relation's
+//! lineage and data version and the build filter's constants are
+//! unchanged ([`crate::join`]'s module docs). The build goes when the
+//! entry is evicted, invalidated or cleared and its last clone finishes.
+//!
 //! # Compile time
 //!
 //! The paper generates C++ and invokes an external compiler: "the
@@ -578,12 +586,31 @@ mod tests {
         // And the per-side rebinding is effective: every fact row matches a
         // dim row, so the count is the number of rows below the cutoff.
         let serial = crate::ExecPolicy::serial();
-        let (r1, _) =
-            crate::execute_join_with_policy(dim.catalog(), fact.catalog(), &op1, &serial).unwrap();
-        let (r2, _) =
-            crate::execute_join_with_policy(dim.catalog(), fact.catalog(), &op2, &serial).unwrap();
+        let run = |op: &CompiledJoinOp| {
+            crate::execute_join_with_policy(dim.catalog(), fact.catalog(), op, &serial)
+        };
+        let (r1, s1) = run(&op1).unwrap();
+        let (r2, s2) = run(&op2).unwrap();
         assert_eq!(r1.row(0), &[5]);
         assert_eq!(r2.row(0), &[11]);
+        // The hit shares the entry's held build: only the probe side's
+        // constant moved, so the second query skips the build scan.
+        assert!(!s1.build_reused && s2.build_reused);
+        // The build goes with the entry.
+        cache.clear();
+        let op3 = cache
+            .get_or_compile_join(
+                dim.catalog(),
+                fact.catalog(),
+                &dplan,
+                &fplan,
+                &q2,
+                &c2,
+                true,
+            )
+            .unwrap();
+        let (r3, s3) = run(&op3).unwrap();
+        assert_eq!((r3.row(0), s3.build_reused), (&[11][..], false));
     }
 
     #[test]

@@ -80,13 +80,25 @@ impl LaneMap {
     /// keys fit without growing.
     pub fn with_capacity(width: usize, keys: usize) -> LaneMap {
         assert!(width > 0, "a lane map key has at least one lane");
-        let slots = (keys * 2).next_power_of_two().max(MIN_SLOTS);
+        let slots = Self::slots_for(keys);
         LaneMap {
             width,
             slots: vec![VACANT; slots * (width + 1)],
             mask: slots - 1,
             slot_of: Vec::with_capacity(keys),
         }
+    }
+
+    /// Slot count of a table sized for `keys` keys: at most half full.
+    fn slots_for(keys: usize) -> usize {
+        (keys * 2).next_power_of_two().max(MIN_SLOTS)
+    }
+
+    /// Bytes of the slot array [`Self::with_capacity`] allocates for
+    /// `keys` keys of `width` lanes (the join build weighs its dense-key
+    /// index against it).
+    pub fn slot_bytes(width: usize, keys: usize) -> usize {
+        Self::slots_for(keys) * (width + 1) * std::mem::size_of::<Value>()
     }
 
     /// Number of distinct keys inserted.
@@ -253,6 +265,8 @@ mod tests {
     fn sized_table_does_not_grow() {
         let mut m = LaneMap::with_capacity(1, 100);
         let slots = m.mask + 1;
+        assert_eq!(LaneMap::slot_bytes(1, 100), m.slots.len() * 8);
+        assert_eq!(LaneMap::slot_bytes(1, 16_384), 512 << 10);
         for k in 0..100 {
             m.insert(&[k]);
         }

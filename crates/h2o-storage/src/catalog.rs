@@ -110,7 +110,11 @@ pub struct LayoutCatalog {
     groups: BTreeMap<LayoutId, Arc<ColumnGroup>>,
     next_id: u32,
     lineage: u64,
+    data_version: u64,
 }
+
+/// The process-wide counter [`LayoutCatalog::data_version`] draws from.
+static NEXT_DATA_VERSION: AtomicU64 = AtomicU64::new(0);
 
 impl LayoutCatalog {
     /// Creates an empty catalog. The caller must add groups covering the
@@ -124,6 +128,7 @@ impl LayoutCatalog {
             groups: BTreeMap::new(),
             next_id: 0,
             lineage: NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed),
+            data_version: NEXT_DATA_VERSION.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -131,6 +136,17 @@ impl LayoutCatalog {
     /// reorganizations: layout ids are numbered per lineage.
     pub fn lineage(&self) -> u64 {
         self.lineage
+    }
+
+    /// Names the catalog's rows: drawn from one process-wide counter by
+    /// [`Self::new`] and by every non-empty [`Self::append_rows`], kept by
+    /// clones, [`Self::add_group`] and [`Self::drop_group`] (a layout
+    /// stores rows the catalog already has). Two catalogs with the same
+    /// version hold the same rows, so anything derived from the rows alone
+    /// — a join's build side — can be kept until the version moves; two
+    /// clones that append different batches part versions.
+    pub fn data_version(&self) -> u64 {
+        self.data_version
     }
 
     /// The relation schema.
@@ -315,6 +331,7 @@ impl LayoutCatalog {
             delta.absorb(Arc::make_mut(g).append_projected(tuples));
         }
         self.rows += tuples.len();
+        self.data_version = NEXT_DATA_VERSION.fetch_add(1, Ordering::Relaxed);
         Ok(delta)
     }
 }
@@ -522,5 +539,35 @@ mod tests {
         let g = ColumnGroup::from_columns(vec![AttrId(0)], &[&[0, 0]]).unwrap();
         let new_id = cat.add_group(g).unwrap();
         assert_ne!(new_id, first);
+    }
+
+    #[test]
+    fn data_version_moves_with_the_rows_only() {
+        let mut cat = catalog_with(&[&[0], &[0, 1]], 2);
+        let v0 = cat.data_version();
+        assert_ne!(
+            catalog_with(&[&[0, 1]], 2).data_version(),
+            v0,
+            "fresh per new"
+        );
+        // Layouts store rows the catalog already has.
+        let g = ColumnGroup::from_columns(vec![AttrId(1)], &[&[5, 6]]).unwrap();
+        let id = cat.add_group(g).unwrap();
+        assert_eq!(cat.data_version(), v0);
+        cat.drop_group(id).unwrap();
+        assert_eq!(cat.data_version(), v0);
+        // An empty batch appends nothing; a failed one changes nothing.
+        cat.append_rows(&[]).unwrap();
+        assert!(cat.append_rows(&[vec![1]]).is_err());
+        assert_eq!(cat.data_version(), v0);
+        // Two clones that append different rows part versions.
+        let (mut a, mut b) = (cat.clone(), cat.clone());
+        assert_eq!((a.data_version(), b.data_version()), (v0, v0));
+        a.append_rows(&[vec![1, 2]]).unwrap();
+        b.append_rows(&[vec![3, 4]]).unwrap();
+        assert!(a.data_version() != v0 && b.data_version() != v0);
+        assert_ne!(a.data_version(), b.data_version());
+        assert_eq!(cat.data_version(), v0, "the source keeps its version");
+        assert_eq!(a.lineage(), b.lineage());
     }
 }

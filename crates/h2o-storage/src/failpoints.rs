@@ -107,11 +107,13 @@ mod imp {
         param: AtomicU64::new(0),
         seed: AtomicU64::new(0),
     };
-    static SITES: [Site; SITE_NAMES.len()] = [SITE_INIT; SITE_NAMES.len()];
+    static SITES: [Site; SITE_NAMES.len() + TEST_SITES.len()] =
+        [SITE_INIT; SITE_NAMES.len() + TEST_SITES.len()];
 
     fn index(site: &str) -> usize {
         SITE_NAMES
             .iter()
+            .chain(&TEST_SITES)
             .position(|s| *s == site)
             .unwrap_or_else(|| panic!("unknown failpoint site {site:?}"))
     }
@@ -231,44 +233,54 @@ mod imp {
     pub fn fired_total() -> u64 {
         SITES.iter().map(|s| s.fired.load(Ordering::Relaxed)).sum()
     }
+
+    /// Sites only this module's unit tests reach: arming them cannot fire
+    /// inside another test that appends, seals or schedules concurrently.
+    #[cfg(test)]
+    pub(super) const TEST_SITES: [&str; 2] = ["test_nth", "test_probability"];
+    #[cfg(not(test))]
+    const TEST_SITES: [&str; 0] = [];
 }
 
 #[cfg(all(test, feature = "failpoints"))]
 mod tests {
+    use super::imp::TEST_SITES;
     use super::*;
 
     // Failpoint state is process-global, so exercise everything in one
-    // test to avoid cross-test interference under the parallel harness.
+    // test. It arms only the test-only sites, which no other code
+    // reaches: the crate's other tests append and seal (hitting the real
+    // sites) concurrently under the parallel harness, and never fire.
     #[test]
     fn schedules_are_deterministic_and_resettable() {
+        let [nth, prob] = TEST_SITES;
         disarm_all();
 
         // nth-hit: fires on exactly the 3rd hit, then disarms.
-        arm_nth("segment_seal", 3);
-        hit("segment_seal");
-        hit("segment_seal");
-        let err =
-            std::panic::catch_unwind(|| hit("segment_seal")).expect_err("third hit must fire");
+        arm_nth(nth, 3);
+        hit(nth);
+        hit(nth);
+        let err = std::panic::catch_unwind(|| hit(nth)).expect_err("third hit must fire");
         let msg = err.downcast_ref::<String>().expect("string payload");
         assert!(msg.starts_with(PANIC_PREFIX), "got {msg:?}");
-        assert_eq!(fired("segment_seal"), 1);
-        hit("segment_seal"); // disarmed after firing
-        assert_eq!(fired("segment_seal"), 1);
-        assert_eq!(hits("segment_seal"), 4);
+        assert_eq!(fired(nth), 1);
+        hit(nth); // disarmed after firing
+        assert_eq!(fired(nth), 1);
+        assert_eq!(hits(nth), 4);
 
         // nth-hit counts from the current hit count, so re-arming with
         // n=1 fires on the very next hit.
-        arm_nth("segment_seal", 1);
-        assert!(std::panic::catch_unwind(|| hit("segment_seal")).is_err());
+        arm_nth(nth, 1);
+        assert!(std::panic::catch_unwind(|| hit(nth)).is_err());
 
         // Probability mode: the schedule is a pure function of
         // (seed, site, hit index) — replaying the same seed over the
         // same hit range fires at the same hit indices.
         let schedule = |seed: u64| -> Vec<u64> {
             disarm_all();
-            arm_probability("cow_clone", seed, 0.2);
+            arm_probability(prob, seed, 0.2);
             (1..=64)
-                .filter(|_| std::panic::catch_unwind(|| hit("cow_clone")).is_err())
+                .filter(|_| std::panic::catch_unwind(|| hit(prob)).is_err())
                 .collect()
         };
         let a = schedule(0xDEADBEEF);
@@ -280,7 +292,7 @@ mod tests {
 
         disarm_all();
         assert_eq!(fired_total(), 0);
-        for site in SITE_NAMES {
+        for site in SITE_NAMES.into_iter().chain(TEST_SITES) {
             hit(site); // disarmed: counts but never fires
             assert_eq!(fired(site), 0);
         }

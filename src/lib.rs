@@ -220,14 +220,18 @@
 //!   table insert and for the
 //!   [`JoinFilter`](h2o_exec::JoinFilter) (morsel-parallel, OR-merged in
 //!   morsel order): a blocked bloom filter plus an exact per-key
-//!   `[min,max]` range in comparator-key space, sized from the
-//!   post-prune build cardinality. Probe rows arrive 1K at a time; every
-//!   key of a block is gathered, hashed, range- and bloom-tested, and the
-//!   survivors are compacted without a branch *before* the table lookup,
-//!   so low-match-rate probes skip the random-access lookup
+//!   `[min,max]` range in comparator-key space, sized by the distinct
+//!   build keys. Probe rows arrive 1K at a time; every key of a block is
+//!   gathered, hashed, range- and bloom-tested, and the survivors are
+//!   compacted without a branch *before* the table lookup, so
+//!   low-match-rate probes skip the random-access lookup
 //!   ([`JoinExecStats::probe_bloom_rejects`](h2o_exec::JoinExecStats)
-//!   counts the savings). No false negatives ⇒ bit-identical to the
-//!   interpreter (`tests/join_fastpath.rs` proptests it).
+//!   counts the savings). A one-lane integer key whose build values are
+//!   dense takes a rank index instead of the table and the filter: a
+//!   presence bitmap with a rank prefix per word, whose one lookup
+//!   rejects an absent key exactly or yields a present key's id. No
+//!   false negatives ⇒ bit-identical to the interpreter
+//!   (`tests/join_fastpath.rs` proptests it).
 //! * *Factorized fold plans* — [`compile_join`](h2o_exec::compile_join)
 //!   picks a [`FoldPlan`](h2o_exec::FoldPlan) from the select clause and
 //!   the build side
@@ -245,6 +249,11 @@
 //!   segment runs before hashing, the surviving cardinality sizes the
 //!   hash table and filter, and the `h2o-cost` model prices the filter
 //!   build and per-probe test so build-side choice stays honest.
+//! * *Build reuse* — a compiled join operator, and so its operator-cache
+//!   entry, holds its last completed build and reuses it while the build
+//!   relation's data version and the build filter's constants are
+//!   unchanged
+//!   ([`JoinExecStats::build_reused`](h2o_exec::JoinExecStats)).
 //!
 //! All are always on; `tests/join_fastpath.rs` asserts that they engage
 //! (exact reject counts, the expected plan per query and build side) and

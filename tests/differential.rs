@@ -221,7 +221,9 @@ fn integer_aggregates_wrap_identically_at_the_i64_boundary() {
             };
             assert_eq!(op.fold_plan(), want_plan);
             for policy in &policies {
+                // A cold build per policy: each policy builds its own.
                 let ctx = ExecCtx::new(*policy);
+                let op = op.cold_copy();
                 let (got, _) = run_join(dim.catalog(), fact.catalog(), &op, &ctx).unwrap();
                 assert_eq!(
                     got.data(),
@@ -475,6 +477,7 @@ fn batch_edges_match_the_interpreter_for_every_source() {
                     }
                     for policy in &parallel {
                         let ctx2 = ExecCtx::new(*policy);
+                        let op = op.cold_copy();
                         let (par, _) = run_join(rel.catalog(), fact.catalog(), &op, &ctx2).unwrap();
                         assert_eq!(par.fingerprint(), want.fingerprint(), "{ctx} {policy:?}");
                     }

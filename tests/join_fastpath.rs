@@ -3,14 +3,16 @@
 //!
 //! The fast paths are pure execution shortcuts, always on — a blocked
 //! bloom filter plus exact key range that skips hash lookups for
-//! provably-absent keys, and fold plans that fold a probe row's matches
+//! provably-absent keys (or, for a dense one-lane integer key, the rank
+//! index that replaces both), fold plans that fold a probe row's matches
 //! with a multiplicity, per build key or per build group instead of per
-//! matched pair. Both must be bit-invisible: this suite checks that they
-//! engage (exact filter-reject counts, the expected fold plan per query
-//! and build side) and holds every answer to the nested-loop interpreter
-//! across all three strategies × serial/parallel × both build sides, then
-//! proptests the same over random match rates, key skew, and empty build
-//! sides.
+//! matched pair, and the build an operator holds for its next run. All
+//! must be bit-invisible: this suite checks that they engage (exact
+//! filter-reject counts per key tier, the expected fold plan per query
+//! and build side, a reused build) and holds every answer to the
+//! nested-loop interpreter across all three strategies × serial/parallel
+//! × both build sides × both key tiers, then proptests the same over
+//! random match rates, key skew, key density, and empty build sides.
 
 use h2o::exec::{
     compile_join, run_join, AccessPlan, CompiledJoinOp, ExecCtx, ExecPolicy, FoldPlan,
@@ -42,21 +44,30 @@ fn fact_schema() -> Arc<Schema> {
     .into_shared()
 }
 
-/// Dimension/fact columns with *in-domain* misses: dim keys are sparse
-/// (even), fact foreign keys that miss are odd values between real keys
-/// — the `[min,max]` range check alone cannot reject them, so the bloom
-/// bits carry the filtering. Payload `f64`s live on a dyadic grid, so
-/// any fold order sums exactly.
+/// Dim keys every 2nd value of their range: dense enough for the rank
+/// index.
+const DENSE: Value = 2;
+/// Dim keys every 2,000th value: too sparse for the rank index, so the
+/// build hashes its keys and the bloom filter runs.
+const SPARSE: Value = 2_000;
+
+/// Dimension/fact columns with *in-domain* misses: dim keys are multiples
+/// of the even `stride` ([`DENSE`] or [`SPARSE`]), fact foreign keys that
+/// miss are odd values between real keys — the `[min,max]` range check
+/// alone cannot reject them, so the bloom bits or the rank index's bitmap
+/// carry the filtering. Payload `f64`s live on a dyadic grid, so any fold
+/// order sums exactly.
 fn dim_fact_columns(
     dim_rows: usize,
     fact_rows: usize,
     match_rate: f64,
     skew: f64,
     seed: u64,
+    stride: Value,
 ) -> (Vec<Vec<Value>>, Vec<Vec<Value>>) {
     let keys: Vec<Value> = gen_key_column(dim_rows, (dim_rows as u64).max(1) * 4, seed)
         .into_iter()
-        .map(|v| v * 2)
+        .map(|v| v * stride)
         .collect();
     let dim = vec![
         keys.clone(),
@@ -187,7 +198,13 @@ fn expected_plan(op: &CompiledJoinOp, plans: [FoldPlan; 2]) -> FoldPlan {
 /// pairs, and are bit-identical serial vs parallel.
 #[test]
 fn fused_aggregates_match_two_phase_and_interpreter() {
-    let (dim_cols, fact_cols) = dim_fact_columns(600, 4_000, 0.35, 0.4, 23);
+    for stride in [DENSE, SPARSE] {
+        fused_aggregates_agree(stride);
+    }
+}
+
+fn fused_aggregates_agree(stride: Value) {
+    let (dim_cols, fact_cols) = dim_fact_columns(600, 4_000, 0.35, 0.4, 23, stride);
     let dim = Relation::columnar(dim_schema(), dim_cols).unwrap();
     let fact = Relation::columnar(fact_schema(), fact_cols).unwrap();
     let parallel = ExecPolicy {
@@ -220,16 +237,22 @@ fn fused_aggregates_match_two_phase_and_interpreter() {
                     expected_plan(&op, plans),
                     "{shape} build_is_left={build_is_left}: fold plan"
                 );
-                let run = |policy| {
-                    run_join(dim.catalog(), fact.catalog(), &op, &ExecCtx::new(policy)).unwrap()
+                let run = |op: &CompiledJoinOp, policy| {
+                    run_join(dim.catalog(), fact.catalog(), op, &ExecCtx::new(policy)).unwrap()
                 };
-                let (serial, stats) = run(ExecPolicy::serial());
-                let label = format!("{shape} {} build_is_left={build_is_left}", strategy.name());
+                let (serial, stats) = run(&op, ExecPolicy::serial());
+                let label = format!(
+                    "{shape} {} build_is_left={build_is_left} stride {stride}",
+                    strategy.name()
+                );
                 assert_eq!(serial.fingerprint(), want, "{label}");
-                let (par, par_stats) = run(parallel);
+                // A cold parallel build, then the serial build reused.
+                let (par, par_stats) = run(&op.cold_copy(), parallel);
                 assert_eq!(par.data(), serial.data(), "{label}: serial vs parallel");
-                assert_eq!(par_stats.output_pairs, stats.output_pairs);
-                assert_eq!(par_stats.probe_rows, stats.probe_rows);
+                assert_eq!(par_stats, stats, "{label}: serial vs parallel");
+                let (again, again_stats) = run(&op, parallel);
+                assert_eq!(again.data(), serial.data(), "{label}: reused build");
+                assert!(again_stats.build_reused && !stats.build_reused, "{label}");
                 pairs.push(stats.output_pairs);
             }
             assert_eq!(
@@ -241,12 +264,12 @@ fn fused_aggregates_match_two_phase_and_interpreter() {
 }
 
 /// The 35%-match fixture actually exercises the filter: with the bloom
-/// on, a majority of the qualifying probe rows skip their hash lookup
-/// (misses are in-range, so the exact `[min,max]` check alone cannot
-/// claim the credit).
+/// on (sparse keys, so the build hashes them), a majority of the
+/// qualifying probe rows skip their hash lookup (misses are in-range, so
+/// the exact `[min,max]` check alone cannot claim the credit).
 #[test]
 fn in_domain_misses_are_rejected_by_bloom_bits_not_the_range() {
-    let (dim_cols, fact_cols) = dim_fact_columns(600, 4_000, 0.35, 0.4, 23);
+    let (dim_cols, fact_cols) = dim_fact_columns(600, 4_000, 0.35, 0.4, 23, SPARSE);
     let dim = Relation::columnar(dim_schema(), dim_cols).unwrap();
     let fact = Relation::columnar(fact_schema(), fact_cols).unwrap();
     let (_, q, _) = plan_queries().remove(0);
@@ -270,6 +293,7 @@ fn in_domain_misses_are_rejected_by_bloom_bits_not_the_range() {
         &ExecCtx::new(ExecPolicy::serial()),
     )
     .unwrap();
+    assert!(!stats.rank_index, "sparse keys are hashed");
     let misses = stats.probe_rows - stats.output_pairs.min(stats.probe_rows);
     assert!(stats.probe_bloom_rejects > 0, "the filter must engage");
     assert!(
@@ -289,8 +313,10 @@ fn bloom_filtered_joins_agree(
     match_rate: f64,
     skew: f64,
     seed: u64,
+    stride: Value,
 ) {
-    let (dim_cols, fact_cols) = dim_fact_columns(dim_rows, fact_rows, match_rate, skew, seed);
+    let (dim_cols, fact_cols) =
+        dim_fact_columns(dim_rows, fact_rows, match_rate, skew, seed, stride);
     let dim = Relation::columnar(dim_schema(), dim_cols).unwrap();
     let fact = Relation::columnar(fact_schema(), fact_cols).unwrap();
     let par = ExecPolicy {
@@ -319,9 +345,14 @@ fn bloom_filtered_joins_agree(
                 .unwrap();
                 prop_assert_eq!(op.fold_plan(), expected_plan(&op, plans));
                 let run = |policy| {
-                    run_join(dim.catalog(), fact.catalog(), &op, &ExecCtx::new(policy))
-                        .unwrap()
-                        .0
+                    run_join(
+                        dim.catalog(),
+                        fact.catalog(),
+                        &op.cold_copy(),
+                        &ExecCtx::new(policy),
+                    )
+                    .unwrap()
+                    .0
                 };
                 let serial = run(ExecPolicy::serial());
                 prop_assert_eq!(
@@ -348,9 +379,9 @@ fn bloom_filtered_joins_agree(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Bloom-filtered joins match the interpreter under every fold plan,
-    /// for any match rate, key skew, and relation size —
-    /// including empty build and probe sides.
+    /// Bloom-filtered and rank-indexed joins match the interpreter under
+    /// every fold plan, for any match rate, key skew, key density and
+    /// relation size — including empty build and probe sides.
     #[test]
     fn bloom_filtered_joins_match_the_interpreter(
         seed in 0u64..1000,
@@ -358,16 +389,19 @@ proptest! {
         fact_rows in 0usize..250,
         match_rate in 0.0f64..=1.0,
         skew in 0.0f64..=1.0,
+        dense in any::<bool>(),
     ) {
-        bloom_filtered_joins_agree(dim_rows, fact_rows, match_rate, skew, seed);
+        let stride = if dense { DENSE } else { SPARSE };
+        bloom_filtered_joins_agree(dim_rows, fact_rows, match_rate, skew, seed, stride);
     }
 }
 
 /// Runs `q` with the left relation building under every strategy,
 /// asserting the fold plan; per strategy, returns the serial and the
-/// parallel (3 workers, 512-row morsels) result and stats. The parallel
-/// run merges `F64` sums in morsel order, so only its counters are held
-/// to the serial run's here.
+/// parallel (3 workers, 512-row morsels) result and stats, each from a
+/// cold build. The parallel run merges `F64` sums in morsel order, so
+/// only its counters are held to the serial run's here; a third, serial
+/// run reuses the serial run's build and must repeat it exactly.
 fn run_left_build(
     left: &Relation,
     right: &Relation,
@@ -396,11 +430,19 @@ fn run_left_build(
             )
             .unwrap();
             assert_eq!(op.fold_plan(), plan, "{}", strategy.name());
-            let run = |policy| {
-                run_join(left.catalog(), right.catalog(), &op, &ExecCtx::new(policy)).unwrap()
+            let run = |op: &CompiledJoinOp, policy| {
+                run_join(left.catalog(), right.catalog(), op, &ExecCtx::new(policy)).unwrap()
             };
-            let (serial, par) = (run(ExecPolicy::serial()), run(parallel));
+            let serial = run(&op, ExecPolicy::serial());
+            let par = run(&op.cold_copy(), parallel);
             assert_eq!(par.1, serial.1, "{}: parallel stats", strategy.name());
+            let (again, stats) = run(&op, ExecPolicy::serial());
+            assert_eq!(again.data(), serial.0.data(), "{}: reused", strategy.name());
+            let reused = JoinExecStats {
+                build_reused: true,
+                ..serial.1
+            };
+            assert_eq!(stats, reused, "{}: reused stats", strategy.name());
             [serial, par]
         })
         .collect()
@@ -523,35 +565,42 @@ fn build_groups_fold_multiplicities_and_skip_unreached_groups() {
 }
 
 /// `probe_bloom_rejects` and `output_pairs` are exact: they equal a naive
-/// per-row count (the same filter, sized by the distinct build keys and
-/// tested key by key, the matches counted by a scan of the build keys),
-/// for one- and two-column keys, over 2,500 probe rows — two full 1K-row
-/// blocks and a partial last block.
+/// per-row count, for each key tier, over 2,500 probe rows — two full
+/// 1K-row blocks and a partial last block. A dense one-lane key takes the
+/// rank index, which rejects exactly the probe rows with no build key; a
+/// sparse one-lane key and a two-column key are hashed, and their rejects
+/// are the rows the same bloom filter (sized by the distinct build keys,
+/// tested key by key) and range disprove. The matches are counted by a
+/// scan of the build keys.
 #[test]
 fn probe_counters_match_a_naive_count_across_block_edges() {
     let dim_rows = 300;
-    let dim_cols = vec![
-        (0..dim_rows).map(|i| (i as Value % 250) * 2).collect(),
-        vec![f64_lane(1.0); dim_rows],
-        (0..dim_rows)
-            .map(|i| (i % 3) as Value)
-            .collect::<Vec<Value>>(),
-    ];
-    // Hits, in-range misses (odd keys), and out-of-range keys on both
-    // sides of the build range; the second key column misses on its own.
-    let fact_rows = 2_500;
-    let fact_cols = vec![
-        (0..fact_rows)
-            .map(|i| (i as Value * 7919) % 620 - 10)
-            .collect(),
-        vec![f64_lane(2.0); fact_rows],
-        (0..fact_rows)
-            .map(|i| (i % 4) as Value)
-            .collect::<Vec<Value>>(),
-    ];
-    let dim = Relation::columnar(dim_schema(), dim_cols.clone()).unwrap();
-    let fact = Relation::columnar(fact_schema(), fact_cols.clone()).unwrap();
-    for width in [1, 2] {
+    // (key columns, scale of the first key column, expected tier).
+    for (width, scale, ranked) in [(1, 1, true), (1, 1_000, false), (2, 1, false)] {
+        let dim_cols = vec![
+            (0..dim_rows)
+                .map(|i| (i as Value % 250) * 2 * scale)
+                .collect(),
+            vec![f64_lane(1.0); dim_rows],
+            (0..dim_rows)
+                .map(|i| (i % 3) as Value)
+                .collect::<Vec<Value>>(),
+        ];
+        // Hits, in-range misses (odd keys), and out-of-range keys on both
+        // sides of the build range; the second key column misses on its
+        // own.
+        let fact_rows = 2_500;
+        let fact_cols = vec![
+            (0..fact_rows)
+                .map(|i| ((i as Value * 7919) % 620 - 10) * scale)
+                .collect(),
+            vec![f64_lane(2.0); fact_rows],
+            (0..fact_rows)
+                .map(|i| (i % 4) as Value)
+                .collect::<Vec<Value>>(),
+        ];
+        let dim = Relation::columnar(dim_schema(), dim_cols.clone()).unwrap();
+        let fact = Relation::columnar(fact_schema(), fact_cols.clone()).unwrap();
         let mut b = JoinQuery::builder(("dim", dim_schema()), ("fact", fact_schema()))
             .on("key", "fk")
             .unwrap();
@@ -572,21 +621,27 @@ fn probe_counters_match_a_naive_count_across_block_edges() {
         for key in &build {
             filter.insert(key, hash_key(key));
         }
-        let (mut rejects, mut pairs) = (0u64, 0usize);
+        let (mut rejects, mut misses, mut pairs) = (0u64, 0u64, 0usize);
         for row in 0..fact_rows {
             let key = key_of(&fact_cols, row);
             if !(filter.in_range(&key) && filter.test_hash(hash_key(&key))) {
                 rejects += 1;
             }
-            pairs += build.iter().filter(|k| **k == key).count();
+            let matches = build.iter().filter(|k| **k == key).count();
+            misses += u64::from(matches == 0);
+            pairs += matches;
         }
         assert!(rejects > 0 && pairs > 0);
+        assert!(rejects < misses, "some in-range misses pass the bloom bits");
+        let want_rejects = if ranked { misses } else { rejects };
+        let label = format!("width {width} scale {scale}");
         for [(got, stats), (par, _)] in run_left_build(&dim, &fact, &q, FoldPlan::ProbeOnly) {
-            assert_eq!(par.data(), got.data(), "width {width}");
-            assert_eq!(stats.probe_rows, fact_rows, "width {width}");
-            assert_eq!(stats.probe_bloom_rejects, rejects, "width {width}");
-            assert_eq!(stats.output_pairs, pairs, "width {width}");
-            assert_eq!(got.row(0), [pairs as Value], "width {width}");
+            assert_eq!(par.data(), got.data(), "{label}");
+            assert_eq!(stats.rank_index, ranked, "{label}");
+            assert_eq!(stats.probe_rows, fact_rows, "{label}");
+            assert_eq!(stats.probe_bloom_rejects, want_rejects, "{label}");
+            assert_eq!(stats.output_pairs, pairs, "{label}");
+            assert_eq!(got.row(0), [pairs as Value], "{label}");
         }
     }
 }

@@ -1,22 +1,27 @@
 //! Key-tier differential suite for the join's specialized paths: **the
-//! one-lane key tier and the column-at-a-time folds never change an
-//! answer.**
+//! key tiers, the column-at-a-time folds and a reused build never change
+//! an answer.**
 //!
 //! A one-lane key hashes, range-tests and looks up through loops compiled
-//! per key type; the probe folds its hits column by column; the
-//! build-aggregate plan merges once per join over the hit counts of every
-//! probe range. This suite holds each of them to
-//! [`interpret_join`] for every key family the tiers tell apart — `F64`
-//! keys (negatives, both zeros, two NaN payloads; the filter's range is
-//! kept in comparator-key space), `I64` keys at `i64::MIN` / `i64::MAX`,
-//! dictionary codes, and a two-lane key — across every fold plan ×
-//! strategy × build side × policy, segmented and monolithic. Whichever
-//! side probes, one policy cuts it into at least 5 ranges (up to 38), so
-//! the build-aggregate merge sums several ranges' hit counts. Every family
-//! reaches all four fold plans (asserted), one group per build key and
-//! several, and a build whose keys are all distinct.
+//! per key type — or, when it is an integer whose build values are dense,
+//! resolves through the rank index with no hash at all; the probe folds
+//! its hits column by column; the build-aggregate plan merges once per
+//! join over the hit counts of every probe range. This suite holds each
+//! of them to [`interpret_join`] for every key family the tiers tell apart
+//! — `F64` keys (negatives, both zeros, two NaN payloads; the filter's
+//! range is kept in comparator-key space), `I64` keys at `i64::MIN` /
+//! `i64::MAX`, dense `I64` keys next to either end (where `key − min`
+//! wraps), negative keys, a single key, dictionary codes, two domains at
+//! and just past the rank index's size limit, and a two-lane key —
+//! across every fold plan × build side × policy (every strategy, segmented
+//! and monolithic, for the families that differ in key type or width),
+//! each policy on a cold build and the last run on a reused one. Whichever side probes, one policy cuts it into at least 5 ranges
+//! (up to 38), so the build-aggregate merge sums several ranges' hit
+//! counts. Every family reaches all four fold plans (asserted), one group
+//! per build key and several, and a build whose keys are all distinct.
 
 use h2o::exec::{compile_join, run_join, AccessPlan, ExecCtx, ExecPolicy, FoldPlan, Strategy};
+use h2o::expr::LaneMap;
 use h2o::expr::{check_join, interpret_join, JoinBuilder, JoinQuery};
 use h2o::prelude::*;
 use h2o::storage::{f64_lane, Dictionary, LogicalType};
@@ -27,14 +32,43 @@ const LEFT_ROWS: usize = 160;
 const RIGHT_ROWS: usize = 1_200;
 
 /// One key family: the lane type of each key column, the keys both sides
-/// draw from, and keys only the probe side holds (inside the build's key
-/// range, so only the bloom bits or the table can reject them).
+/// draw from, keys only the probe side holds (inside the build's key
+/// range, so only the bloom bits, the table or the rank bitmap can reject
+/// them, or just outside it), whether a build of every left row takes the
+/// rank index, and whether the family runs under every strategy on both
+/// layouts. Strategies and segments only change which rows qualify, so
+/// the families that differ from another only in their key values run
+/// the fused strategy on the monolithic layout.
 struct Family {
     name: &'static str,
     types: Vec<LogicalType>,
     keys: Vec<Vec<Value>>,
     misses: Vec<Vec<Value>>,
     dict: Option<Arc<Dictionary>>,
+    ranked: bool,
+    every_walker: bool,
+}
+
+/// The widest span of one-lane keys a build of all [`LEFT_ROWS`] rows
+/// indexes by rank: 12 index bytes per 64 key slots, no more bytes than
+/// the hashed tier's slot array for that many rows.
+fn rank_limit() -> Value {
+    (LaneMap::slot_bytes(1, LEFT_ROWS) / 12 * 64) as Value
+}
+
+/// A one-lane `I64` family of key values: the fused strategy on the
+/// monolithic layout.
+fn int_family(name: &'static str, keys: &[Value], misses: &[Value], ranked: bool) -> Family {
+    let one = |ks: &[Value]| ks.iter().map(|&k| vec![k]).collect();
+    Family {
+        name,
+        types: vec![LogicalType::I64],
+        keys: one(keys),
+        misses: one(misses),
+        dict: None,
+        ranked,
+        every_walker: false,
+    }
 }
 
 fn f64_keys(bits: &[u64]) -> Vec<Value> {
@@ -64,6 +98,8 @@ fn families() -> Vec<Family> {
     let codes: Vec<Value> = labels.iter().map(|l| dict.intern(l)).collect();
     let dict_miss = dict.intern("maple");
     let one = |ks: &[Value]| ks.iter().map(|&k| vec![k]).collect::<Vec<_>>();
+    let (min, max) = (i64::MIN, i64::MAX);
+    let limit = rank_limit();
     vec![
         Family {
             name: "f64",
@@ -71,20 +107,55 @@ fn families() -> Vec<Family> {
             keys: one(&floats),
             misses: one(&float_misses),
             dict: None,
+            ranked: false,
+            every_walker: true,
         },
         Family {
-            name: "i64-edges",
-            types: vec![LogicalType::I64],
-            keys: one(&ints),
-            misses: one(&[1, -6, i64::MAX - 2]),
-            dict: None,
+            every_walker: true,
+            ..int_family("i64-edges", &ints, &[1, -6, i64::MAX - 2], false)
         },
+        // Dense keys at either end of the domain: `min − 1` and `max + 1`
+        // wrap to the other end.
+        int_family(
+            "i64-near-min",
+            &[min, min + 1, min + 3, min + 64, min + 100],
+            &[min + 2, min + 65, max, min + 101],
+            true,
+        ),
+        int_family(
+            "i64-near-max",
+            &[max - 100, max - 64, max - 3, max - 1, max],
+            &[max - 2, max - 63, max - 101, min],
+            true,
+        ),
+        int_family(
+            "negative",
+            &[-50, -49, -30, -7, -1],
+            &[-48, -8, -51, 0],
+            true,
+        ),
+        int_family("single-key", &[42], &[41, 43], true),
+        // Spans of exactly the size limit and one key past it.
+        int_family(
+            "at-rank-limit",
+            &[0, 1, 64, 1_000, limit / 2, limit - 2, limit - 1],
+            &[2, limit - 3, -1, limit],
+            true,
+        ),
+        int_family(
+            "past-rank-limit",
+            &[0, 1, 64, 1_000, limit / 2, limit - 1, limit],
+            &[2, limit - 2, -1, limit + 1],
+            false,
+        ),
         Family {
             name: "dict",
             types: vec![LogicalType::Dict],
             keys: one(&codes[..6]),
             misses: one(&[codes[6], dict_miss]),
             dict: Some(dict),
+            ranked: true,
+            every_walker: true,
         },
         Family {
             name: "two-lane",
@@ -96,6 +167,8 @@ fn families() -> Vec<Family> {
                 .collect(),
             misses: vec![vec![floats[0], 7], vec![float_misses[1], 0]],
             dict: None,
+            ranked: false,
+            every_walker: true,
         },
     ]
 }
@@ -285,14 +358,19 @@ fn policies() -> Vec<(&'static str, ExecPolicy)> {
 fn key_tiers_and_column_folds_match_the_interpreter() {
     for fam in families() {
         let mut plans = BTreeSet::new();
-        for segmented in [false, true] {
+        let (layouts, strategies): (&[bool], &[Strategy]) = if fam.every_walker {
+            (&[false, true], &Strategy::ALL)
+        } else {
+            (&[false], &[Strategy::FusedVolcano])
+        };
+        for &segmented in layouts {
             let (left, right) = relations(&fam, segmented);
             let (lc, rc) = (left.catalog(), right.catalog());
             for (shape, q) in queries(&fam) {
                 let checked = check_join(&q).unwrap();
                 let want = interpret_join(lc, rc, &q).unwrap();
                 assert!(want.rows() > 0, "{} {shape} must match something", fam.name);
-                for strategy in Strategy::ALL {
+                for &strategy in strategies {
                     let lplan = AccessPlan::new(lc.layout_ids(), strategy);
                     let rplan = AccessPlan::new(rc.layout_ids(), strategy);
                     for build_is_left in [true, false] {
@@ -307,9 +385,22 @@ fn key_tiers_and_column_folds_match_the_interpreter() {
                             op.fold_plan()
                         );
                         let mut serial = None;
-                        for (pname, policy) in policies() {
+                        // Each policy on a cold build — the serial one on
+                        // the operator itself, which then holds it — and
+                        // the last policy again on the held build.
+                        let (_, last) = policies().pop().unwrap();
+                        let runs = policies()
+                            .into_iter()
+                            .enumerate()
+                            .map(|(i, (pname, policy))| {
+                                let op = if i == 0 { op.clone() } else { op.cold_copy() };
+                                (pname, policy, op)
+                            })
+                            .chain([("reused", last, op.clone())]);
+                        for (pname, policy, op) in runs {
                             let (got, stats) =
                                 run_join(lc, rc, &op, &ExecCtx::new(policy)).unwrap();
+                            assert_eq!(stats.build_reused, pname == "reused", "{label} {pname}");
                             // Building the left side, pairs stream in the
                             // interpreter's order: the bytes match.
                             if build_is_left {
@@ -333,6 +424,7 @@ fn key_tiers_and_column_folds_match_the_interpreter() {
                                         stats.probe_bloom_rejects, st.probe_bloom_rejects,
                                         "{label} {pname}"
                                     );
+                                    assert_eq!(stats.rank_index, st.rank_index, "{label} {pname}");
                                 }
                             }
                         }
@@ -347,11 +439,13 @@ fn key_tiers_and_column_folds_match_the_interpreter() {
     }
 }
 
-/// The probe-only misses lie inside the build's key range, so with the
-/// left side building the filter rejects them by their bloom bits or the
-/// table misses them; either way every miss is a row no pair counts. A
-/// negative `F64` key tested against its raw lane bits instead of its
-/// comparator key would fall outside the range and lose its pairs.
+/// With the left side building all its rows, each family takes its
+/// expected key tier. Most probe-only misses lie inside the build's key
+/// range, so a hashed build rejects them by their bloom bits or the table
+/// misses them, and the rank index rejects every one; either way every
+/// miss is a row no pair counts. A negative `F64` key tested against its
+/// raw lane bits instead of its comparator key would fall outside the
+/// range and lose its pairs.
 #[test]
 fn every_probe_row_with_a_build_key_is_counted() {
     for fam in families() {
@@ -377,10 +471,20 @@ fn every_probe_row_with_a_build_key_is_counted() {
         let hit_rows = hits.len();
         assert_eq!(stats.output_pairs, pairs, "{}", fam.name);
         assert_eq!(stats.probe_rows, RIGHT_ROWS, "{}", fam.name);
+        assert_eq!(stats.rank_index, fam.ranked, "{}: key tier", fam.name);
         assert!(
             stats.probe_bloom_rejects as usize <= RIGHT_ROWS - hit_rows,
             "{}: the filter rejected a row with a build key",
             fam.name
         );
+        if fam.ranked {
+            // The rank index rejects every row without a build key.
+            assert_eq!(
+                stats.probe_bloom_rejects as usize,
+                RIGHT_ROWS - hit_rows,
+                "{}",
+                fam.name
+            );
+        }
     }
 }

@@ -11,11 +11,12 @@
 
 use h2o::core::{EngineConfig, H2oEngine};
 use h2o::exec::{
-    compile_join, execute_join_with_policy, AccessPlan, ExecPolicy, FoldPlan, Strategy,
+    compile_join, execute_join_with_policy, AccessPlan, CompiledJoinOp, ExecPolicy, FoldPlan,
+    JoinExecStats, Strategy,
 };
 use h2o::expr::{check_join, interpret_join, JoinQuery, Side};
 use h2o::prelude::*;
-use h2o::storage::LogicalType;
+use h2o::storage::{LayoutCatalog, LogicalType};
 use h2o::workload::{gen_f64_column, gen_fk_column, skyserver_join_workload};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -222,6 +223,8 @@ fn join_strategy_layout_parallelism_sweep() {
                         strategy.name()
                     );
                     for (pname, policy) in policies() {
+                        // A cold build per policy: each policy builds its own.
+                        let op = op.cold_copy();
                         let (par, _) =
                             execute_join_with_policy(photo.catalog(), spec.catalog(), &op, &policy)
                                 .unwrap();
@@ -454,6 +457,7 @@ fn per_pair_blocks_span_one_probe_key_with_3000_build_rows() {
                 };
                 assert_eq!(op.fold_plan(), plan, "{ctx}");
                 let run = |policy| {
+                    let op = op.cold_copy();
                     execute_join_with_policy(photo.catalog(), spec.catalog(), &op, &policy).unwrap()
                 };
                 let (serial, stats) = run(ExecPolicy::serial());
@@ -618,6 +622,7 @@ fn f64_special_join_keys_match_the_interpreter() {
                 }
                 assert!(stats.probe_bloom_rejects > 0 || !build_is_left, "{label}");
                 for (pname, policy) in policies() {
+                    let op = op.cold_copy();
                     let (par, _) =
                         execute_join_with_policy(left.catalog(), right.catalog(), &op, &policy)
                             .unwrap();
@@ -892,4 +897,228 @@ fn rebinding_a_relation_drops_its_cached_join_operators() {
     }
     let cache = e.opcache_stats();
     assert_eq!((cache.hits, cache.misses), (0, 2), "the rebind must miss");
+}
+
+/// The reuse fixture: a 64-row-segment dimension (`k` dense keys, `w`
+/// payload, `c` a filterable class) and a fact side probing it; and a
+/// grouped rollup over the two whose dimension filter `c < bound` is the
+/// build side's constant.
+fn reuse_fixture() -> (Relation, Relation, JoinQuery, impl Fn(Value) -> JoinQuery) {
+    let dim = Schema::typed([
+        ("k", LogicalType::I64),
+        ("w", LogicalType::I64),
+        ("c", LogicalType::I64),
+    ])
+    .into_shared();
+    let fact = Schema::typed([("fk", LogicalType::I64), ("v", LogicalType::I64)]).into_shared();
+    let dim_rows = 700;
+    let dim_rel = Relation::partitioned_with_shift(
+        dim.clone(),
+        vec![
+            (0..dim_rows).map(|i| (i * 3 % 500) as Value).collect(),
+            (0..dim_rows).map(|i| (i * 7 % 31) as Value).collect(),
+            (0..dim_rows).map(|i| (i % 10) as Value).collect(),
+        ],
+        vec![vec![AttrId(0), AttrId(1)], vec![AttrId(2)]],
+        6,
+    )
+    .unwrap();
+    let fact_rows = 3_000;
+    let fact_rel = Relation::columnar(
+        fact.clone(),
+        vec![
+            (0..fact_rows).map(|i| (i * 11 % 1_600) as Value).collect(),
+            (0..fact_rows).map(|i| (i % 97) as Value).collect(),
+        ],
+    )
+    .unwrap();
+    let query = move |bound: Value| {
+        let b = JoinQuery::builder(("R", fact.clone()), ("dim", dim.clone()));
+        let (w, v) = (b.rcol("w").unwrap(), b.lcol("v").unwrap());
+        b.on("fk", "k")
+            .unwrap()
+            .filter_right(Conjunction::of([Predicate::lt(2u32, bound)]))
+            .grouped([w], [Aggregate::sum(v), Aggregate::count()])
+            .unwrap()
+    };
+    (fact_rel, dim_rel, query(7), query)
+}
+
+/// Compiles `q` with the dimension (right) side building.
+fn dim_builds(fact: &LayoutCatalog, dim: &LayoutCatalog, q: &JoinQuery) -> CompiledJoinOp {
+    let fplan = AccessPlan::new(fact.layout_ids(), Strategy::FusedVolcano);
+    let dplan = AccessPlan::new(dim.layout_ids(), Strategy::FusedVolcano);
+    compile_join(fact, dim, &fplan, &dplan, q, &check_join(q).unwrap(), false).unwrap()
+}
+
+/// Runs `op` serially and holds the answer to the interpreter on the same
+/// catalogs; returns whether the run reused a held build.
+fn run_checked(
+    fact: &LayoutCatalog,
+    dim: &LayoutCatalog,
+    op: &CompiledJoinOp,
+    q: &JoinQuery,
+) -> bool {
+    let (got, stats) = execute_join_with_policy(fact, dim, op, &ExecPolicy::serial()).unwrap();
+    let want = interpret_join(fact, dim, q).unwrap();
+    assert_eq!(got.fingerprint(), want.fingerprint(), "query {q}");
+    assert!(got.rows() > 0);
+    stats.build_reused
+}
+
+/// A held build is reused only while the build relation's rows and the
+/// build filter's constants are what it was built from: an append moves
+/// the data version, a snapshot pinned before the append still sees its
+/// own rows after the operator holds the newer build, alternating
+/// constants rebuild every time, and a catalog of another lineage never
+/// reads the held build. Every answer equals the interpreter's on the
+/// catalogs it ran on.
+#[test]
+fn a_held_build_is_reused_only_for_its_own_rows_and_constants() {
+    let (fact, dim, q, query) = reuse_fixture();
+    let (f, pinned) = (fact.catalog(), dim.catalog());
+    let mut op = dim_builds(f, pinned, &q);
+    assert!(!run_checked(f, pinned, &op, &q));
+    assert!(run_checked(f, pinned, &op, &q), "same rows, same constants");
+
+    // An append to the build relation.
+    let mut appended = pinned.clone();
+    appended
+        .append_rows(&[vec![1, 30, 0], vec![499, 29, 3], vec![777, 28, 1]])
+        .unwrap();
+    assert!(!run_checked(f, &appended, &op, &q), "appended rows rebuild");
+    assert!(run_checked(f, &appended, &op, &q));
+    // The snapshot pinned before the append, after the operator holds the
+    // appended build.
+    assert!(!run_checked(f, pinned, &op, &q), "the pinned rows rebuild");
+    assert!(!run_checked(f, &appended, &op, &q));
+
+    // Two rebinds whose build-side constants alternate.
+    for bound in [3, 9, 3, 9] {
+        op.rebind_constants(&[], &[bound]);
+        assert!(
+            !run_checked(f, &appended, &op, &query(bound)),
+            "bound {bound}"
+        );
+    }
+    assert!(run_checked(f, &appended, &op, &query(9)));
+
+    // The same rows and layouts under another lineage.
+    let (_, twin, _, _) = reuse_fixture();
+    assert_ne!(twin.catalog().lineage(), pinned.lineage());
+    op.rebind_constants(&[], &[7]);
+    assert!(!run_checked(f, twin.catalog(), &op, &q), "another lineage");
+}
+
+/// A stopped cold build holds nothing: a cancelled run and a run whose
+/// morsel budget runs out inside the build scan (the dimension spans
+/// eleven 64-row segments) are typed errors, and the next run builds
+/// again and answers exactly.
+#[test]
+fn a_stopped_build_is_not_held() {
+    use h2o::exec::{run_join, ExecCtx, ExecError};
+    let (fact, dim, q, _) = reuse_fixture();
+    let (f, d) = (fact.catalog(), dim.catalog());
+    let op = dim_builds(f, d, &q);
+    let stop = |token: &CancelToken| {
+        let ctx = ExecCtx {
+            cancel: Some(token),
+            ..ExecCtx::new(ExecPolicy::serial())
+        };
+        run_join(f, d, &op, &ctx).unwrap_err()
+    };
+    let cancelled = CancelToken::new();
+    cancelled.cancel();
+    assert_eq!(stop(&cancelled), ExecError::Cancelled);
+    let broke = CancelToken::new();
+    broke.set_budget(2);
+    assert_eq!(stop(&broke), ExecError::BudgetExhausted);
+    assert!(!run_checked(f, d, &op, &q), "nothing was held");
+    assert!(run_checked(f, d, &op, &q));
+}
+
+/// Through the engine: a repeated join on an unchanged build relation
+/// reports a reused build with the cold build's counters (so selectivity
+/// feedback does not move); an insert into the build relation, rebinding
+/// the relation under its name, and stopped requests all lead to a fresh
+/// build; and two threads running the one join shape while a third
+/// appends to the build relation each match the interpreter on their own
+/// snapshot.
+#[test]
+fn the_engine_reuses_a_join_build_until_its_relation_changes() {
+    use h2o::core::EngineError;
+    let (fact, dim, q, _) = reuse_fixture();
+    let e = H2oEngine::new(fact, EngineConfig::default());
+    e.add_relation("dim", dim).unwrap();
+    let run = |e: &H2oEngine| {
+        let out = e.run(Request::join(&q).build_side(Side::Right)).unwrap();
+        let db = &out.snapshot;
+        let want =
+            interpret_join(db.relation("R").unwrap(), db.relation("dim").unwrap(), &q).unwrap();
+        assert_eq!(out.result.fingerprint(), want.fingerprint());
+        out.report.join().unwrap().exec
+    };
+    let cold = run(&e);
+    let warm = run(&e);
+    assert!(!cold.build_reused && warm.build_reused);
+    assert_eq!(
+        (
+            warm.build_rows,
+            warm.build_input_rows,
+            warm.build_segments_skipped
+        ),
+        (
+            cold.build_rows,
+            cold.build_input_rows,
+            cold.build_segments_skipped
+        )
+    );
+    assert_eq!(
+        warm,
+        JoinExecStats {
+            build_reused: true,
+            ..cold
+        }
+    );
+
+    e.insert_into("dim", &[vec![2, 5, 1]]).unwrap();
+    assert!(!run(&e).build_reused, "an insert moves the build relation");
+    assert!(run(&e).build_reused);
+
+    // Stopped requests hold nothing.
+    assert_eq!(
+        e.run(Request::join(&q).build_side(Side::Right).budget(0))
+            .map(Outcome::into_result),
+        Err(EngineError::BudgetExhausted)
+    );
+    assert!(
+        run(&e).build_reused,
+        "the held build survives a stopped run"
+    );
+
+    // Rebinding the name binds a new lineage.
+    let (_, dim2, _, _) = reuse_fixture();
+    e.add_relation("dim", dim2).unwrap();
+    assert!(!run(&e).build_reused, "a rebound relation builds");
+
+    // Both readers and the writer start together.
+    let start = std::sync::Barrier::new(3);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..12 {
+                    run(&e);
+                }
+            });
+        }
+        s.spawn(|| {
+            start.wait();
+            for i in 0..6 {
+                e.insert_into("dim", &[vec![i * 5, i, i % 10]]).unwrap();
+            }
+        });
+    });
+    run(&e);
+    assert!(run(&e).build_reused);
 }
