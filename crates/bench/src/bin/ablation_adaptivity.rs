@@ -13,6 +13,13 @@
 //!
 //! This quantifies the paper's three pillars separately: adaptive layouts,
 //! adaptive windows, and operator caching.
+//!
+//! All four variants run in one process by default, and every variant's
+//! answers must match the first's. `--variant NAME` runs one variant
+//! alone: variants that share a process share its allocator and cache
+//! state, so timings compare fairly only when each runs in its own
+//! process, alternated (`--variant full`, then `--variant
+//! no_adaptation`, ...).
 
 #![allow(clippy::field_reassign_with_default)] // configs are tweaked from defaults on purpose
 
@@ -24,7 +31,13 @@ use h2o_workload::sequence::fig7_sequence;
 use h2o_workload::synth::gen_columns;
 
 fn main() {
-    let args = Args::parse(500_000, 150, 200);
+    let mut argv: Vec<String> = std::env::args().collect();
+    let only = argv.iter().position(|a| a == "--variant").map(|i| {
+        let name = argv.get(i + 1).cloned().expect("--variant needs a name");
+        argv.drain(i..i + 2);
+        name
+    });
+    let args = Args::parse_from(argv, 500_000, 150, 200);
     eprintln!(
         "ablation: {} tuples x {} attrs, {} queries",
         args.tuples, args.attrs, args.queries
@@ -51,6 +64,15 @@ fn main() {
             c
         }),
     ];
+
+    let variants: Vec<(&str, EngineConfig)> = match &only {
+        None => variants,
+        Some(name) => {
+            let one: Vec<_> = variants.into_iter().filter(|(n, _)| n == name).collect();
+            assert!(!one.is_empty(), "unknown variant {name}");
+            one
+        }
+    };
 
     csv_header(&[
         "variant",

@@ -32,8 +32,8 @@ fn split(attrs: &[AttrId], k: usize) -> Vec<Vec<AttrId>> {
     }
 }
 
-/// Times `q` over the groups `parts` (best of both strategies), after
-/// checking each strategy's answer against the interpreter's.
+/// Times `q` over the groups `parts` with the fused strategy, after
+/// checking its answer against the interpreter's.
 fn timed_on_groups(source: &Relation, parts: &[Vec<AttrId>], q: &Query) -> f64 {
     let want = interpret(source.catalog(), q).unwrap();
     let mut catalog = LayoutCatalog::new(source.schema().clone(), source.rows());
@@ -42,18 +42,13 @@ fn timed_on_groups(source: &Relation, parts: &[Vec<AttrId>], q: &Query) -> f64 {
         let group = h2o_exec::reorg::materialize(source.catalog(), part).unwrap();
         ids.push(catalog.add_group(group).unwrap());
     }
-    // H2O picks the best execution strategy per (layout, query); report
-    // best-of for each configuration (fused Fig. 5 vs sel-vector Fig. 6).
-    [Strategy::FusedVolcano, Strategy::SelVector]
-        .into_iter()
-        .map(|strategy| {
-            let plan = AccessPlan::new(ids.clone(), strategy);
-            let op = compile(&catalog, &plan, q).unwrap();
-            let got = execute(&catalog, &op).unwrap();
-            assert_eq!(got, want, "{} over {} groups", strategy.name(), parts.len());
-            time_hot(5, || execute(&catalog, &op).unwrap())
-        })
-        .fold(f64::INFINITY, f64::min)
+    // The fused scan over several groups is the paper's Fig. 5 loop with
+    // a stitch per group (§3.3, Fig. 12).
+    let plan = AccessPlan::new(ids, Strategy::FusedVolcano);
+    let op = compile(&catalog, &plan, q).unwrap();
+    let got = execute(&catalog, &op).unwrap();
+    assert_eq!(got, want, "fused over {} groups", parts.len());
+    time_hot(5, || execute(&catalog, &op).unwrap())
 }
 
 fn main() {

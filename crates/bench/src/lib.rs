@@ -25,13 +25,24 @@ impl Args {
     /// Parses `--tuples N --attrs N --queries N --seed N` from argv,
     /// starting from the given defaults.
     pub fn parse(default_tuples: usize, default_attrs: usize, default_queries: usize) -> Args {
+        let argv = std::env::args().collect();
+        Args::parse_from(argv, default_tuples, default_attrs, default_queries)
+    }
+
+    /// [`Args::parse`] over an explicit argv (program name first), for a
+    /// binary that takes flags of its own out of it first.
+    pub fn parse_from(
+        argv: Vec<String>,
+        default_tuples: usize,
+        default_attrs: usize,
+        default_queries: usize,
+    ) -> Args {
         let mut args = Args {
             tuples: default_tuples,
             attrs: default_attrs,
             queries: default_queries,
             seed: 42,
         };
-        let argv: Vec<String> = std::env::args().collect();
         let mut i = 1;
         while i + 1 < argv.len() {
             let value = || -> u64 {

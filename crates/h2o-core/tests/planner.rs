@@ -112,9 +112,7 @@ mod reference {
             }
         }
         if let Some(sup) = find_superset(catalog, &needed) {
-            for strategy in [Strategy::FusedVolcano, Strategy::SelVector] {
-                plans.push(AccessPlan::new(vec![sup], strategy));
-            }
+            plans.push(AccessPlan::new(vec![sup], Strategy::FusedVolcano));
         }
         plans.dedup();
 

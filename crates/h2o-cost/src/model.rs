@@ -199,7 +199,7 @@ impl CostModel {
         };
         // Grouped aggregation pays one hash-table probe (key hash + bucket
         // compare + accumulator update) per qualifying tuple. The charge is
-        // strategy-independent — all three strategies fold through the same
+        // strategy-independent — both strategies fold through the same
         // table — so relative plan choice stays driven by scan/gather
         // costs, exactly as for scalar aggregates.
         let group_cost = if pat.is_grouped {
@@ -230,9 +230,11 @@ impl CostModel {
                 total += n * active_groups.saturating_sub(1) as f64 * CPU_STITCH_SECONDS;
                 // Select-item compute only for qualifying tuples.
                 total += selected * pat.select_ops as f64 * CPU_OP_SECONDS;
-                total + out_cost
-            }
-            Strategy::SelVector => {
+                let one_pass = total + out_cost;
+                // The scan folds its rows a 1K-row block at a time, the
+                // two-phase plan of Fig. 6 with a block for its selection
+                // vector, so it also takes that plan's price when cheaper
+                // (ROADMAP item 4(b) re-prices the scan).
                 let mut total = 0.0;
                 // Phase 1: full scan of groups holding where attributes.
                 for g in groups {
@@ -260,7 +262,7 @@ impl CostModel {
                 }
                 total += selected * gather_groups.saturating_sub(1) as f64 * CPU_STITCH_SECONDS;
                 total += selected * pat.select_ops as f64 * CPU_OP_SECONDS;
-                total + out_cost
+                one_pass.min(total + out_cost)
             }
             Strategy::ColumnMajor => {
                 // Column-at-a-time processing reads each attribute through
@@ -491,13 +493,13 @@ mod tests {
     }
 
     #[test]
-    fn selectivity_lowers_selvector_cost() {
+    fn selectivity_lowers_fused_cost() {
         let m = CostModel;
         let (a, b) = (aset(&[0, 1, 2]), aset(&[3]));
         let plan = |sel: f64| {
             m.plan_cost(
                 &pattern(&[0, 1, 2], &[3], sel),
-                Strategy::SelVector,
+                Strategy::FusedVolcano,
                 &[&a, &b],
                 ROWS,
             )
@@ -561,7 +563,7 @@ mod tests {
         // the probe role only the table probe.
         let m = CostModel;
         let pat = pattern(&[0, 1], &[2], 0.5);
-        let plan = m.plan_cost(&pat, Strategy::SelVector, &[&aset(&[0, 1, 2])], ROWS);
+        let plan = m.plan_cost(&pat, Strategy::FusedVolcano, &[&aset(&[0, 1, 2])], ROWS);
         let build = m.join_side_cost(&pat, plan, ROWS, JoinRole::Build);
         let probe = m.join_side_cost(&pat, plan, ROWS, JoinRole::Probe);
         assert!(

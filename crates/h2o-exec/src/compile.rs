@@ -10,8 +10,8 @@
 use crate::bind::{BoundAttr, GroupViews};
 use crate::cancel::{CancelReason, CancelToken};
 use crate::filter::CompiledFilter;
+use crate::kernels::colmajor;
 use crate::kernels::simd::BLOCK_ROWS;
-use crate::kernels::{self, colmajor, RowSource};
 use crate::parallel::{run_ranges, ExecPolicy};
 use crate::plan::{AccessPlan, Strategy};
 use crate::program::CompiledExpr;
@@ -280,15 +280,13 @@ pub fn execute_with_policy_stats(
 /// the **source** of each range's [`Partial`](crate::sink::Partial), and
 /// every source folds through the select program's one batch step —
 ///
-/// * fused: the filtered rows of a row range, in one pass
-///   ([`SelectProgram::feed`] over [`RowSource::Scan`]);
-/// * selection-vector: row range → qualifying ids, stitched in range
-///   order, then the rows of each id chunk (chunking by *qualifying* rows
-///   keeps phase 2 balanced at any selectivity), fed the same way
-///   ([`RowSource::Ids`]);
-/// * column-major: the same id chunks, evaluated column at a time through
-///   intermediate columns (`colmajor::eval_ids`) — over the whole chunk,
-///   or 1K-id blocks of it for grouped aggregation. Its no-filter
+/// * fused: the filtered rows of a row range, a 1K-row block at a time
+///   ([`SelectProgram::feed`]);
+/// * column-major: row range → qualifying ids, stitched in range order,
+///   then chunks of the ids (chunking by *qualifying* rows keeps the
+///   evaluation balanced at any selectivity) evaluated column at a time
+///   through intermediate columns (`colmajor::eval_ids`) — over the whole
+///   chunk, or 1K-id blocks of it for grouped aggregation. Its no-filter
 ///   bare-column aggregate streams row ranges directly — no selection
 ///   vector exists to chunk;
 ///
@@ -303,48 +301,40 @@ pub(crate) fn scan(
     policy: &ExecPolicy,
 ) -> QueryResult {
     let (rows, seg_rows) = (views.rows(), views.seg_rows());
-    let columnar = strategy == Strategy::ColumnMajor;
-    let streaming = columnar.then(|| select.streaming_cols(filter)).flatten();
     let parts = if strategy == Strategy::FusedVolcano {
         run_ranges(rows, seg_rows, policy, |r| {
             let mut part = select.partial();
-            select.feed(views, &RowSource::Scan(filter, r), &mut part);
+            select.feed(views, filter, r, &mut part);
             part
         })
-    } else if let Some(cols) = streaming {
+    } else if let Some(cols) = select.streaming_cols(filter) {
         run_ranges(rows, seg_rows, policy, |r| {
             cols.iter()
-                .map(|&(f, a)| kernels::colmajor::agg_full_column_range(views, a, f, r.clone()))
+                .map(|&(f, a)| colmajor::agg_full_column_range(views, a, f, r.clone()))
                 .collect::<Vec<_>>()
                 .into()
         })
     } else {
         let sel = stitch(run_ranges(rows, seg_rows, policy, |r| {
-            kernels::qualifying_ids(columnar, views, filter, r)
+            colmajor::build_selvec_columnar_range(views, filter, r)
         }));
         let block = match select {
             SelectProgram::Grouped { .. } => BLOCK_ROWS,
             _ => usize::MAX,
         };
-        // Phase 2 walks ids, not segment runs, so its cancellation poll
-        // happens here at chunk boundaries; a tripped token yields empty
-        // partials the caller discards.
+        // The evaluation walks ids, not segment runs, so its cancellation
+        // poll happens here at chunk boundaries; a tripped token yields
+        // empty partials the caller discards.
         run_ranges(sel.len(), seg_rows, policy, |r| {
             let mut part = select.partial();
-            let ids = &sel.ids()[r];
             if views.cancel_stopped() {
                 return part;
             }
-            if columnar {
-                for ids in ids.chunks(block) {
-                    let eval =
-                        |es: &[&CompiledExpr], r: Range<usize>, out: &mut [Value], layout| {
-                            colmajor::eval_ids(views, &ids[r], es, out, layout)
-                        };
-                    select.fold(&mut part, ids.len(), eval, None);
-                }
-            } else {
-                select.feed(views, &RowSource::Ids(ids), &mut part);
+            for ids in sel.ids()[r].chunks(block) {
+                let eval = |es: &[&CompiledExpr], r: Range<usize>, out: &mut [Value], layout| {
+                    colmajor::eval_ids(views, &ids[r], es, out, layout)
+                };
+                select.fold(&mut part, ids.len(), eval, None);
             }
             part
         })

@@ -1,17 +1,16 @@
 //! Hash-join execution: morsel-parallel build + probe over segment runs,
 //! specialized per execution strategy.
 //!
-//! The paper's evaluation is single-relation; this module extends each of
-//! its three execution strategies (§3.3) to the two-table equi-join shape
+//! The paper's evaluation is single-relation; this module extends both
+//! execution strategies (§3.3) to the two-table equi-join shape
 //! ([`h2o_expr::JoinQuery`]) while preserving their cost structure:
 //!
 //! * **fused** — qualifying rows of each side are found by the one-pass
 //!   scan's block walker (filter fused into the segment-run loop, no
 //!   selection vector), and the probe folds them block by block;
-//! * **selection-vector** — each side's where-clause materializes a
-//!   per-morsel selection vector first (the Fig. 6 phase split), and the
-//!   build gather / probe walk consume its ids;
-//! * **column-major** — ids come from the DSM column-at-a-time filter.
+//! * **column-major** — each side's where-clause materializes a
+//!   per-morsel selection vector with the DSM column-at-a-time filter,
+//!   and the build gather / probe walk consume its ids in 1K-id chunks.
 //!
 //! Both sides reuse the single-relation machinery end-to-end: zone-map
 //! pruning via
@@ -30,9 +29,8 @@
 //! # Build, probe, and determinism
 //!
 //! [`run_join`] indexes the **build** side: each morsel gathers its
-//! qualifying rows' key and payload lanes column by column, in row order,
-//! and hashes every key once ([`hash_key`], a fixed-seed splitmix64
-//! chain). The per-morsel parts are indexed sequentially in morsel order
+//! qualifying rows' key and payload lanes column by column, in row order.
+//! The per-morsel parts are indexed sequentially in morsel order
 //! — identical to a serial row-order build — giving each distinct key a
 //! dense id, by one of two key tiers:
 //!
@@ -44,7 +42,8 @@
 //!   key order;
 //! * otherwise the **hashed** tier: one flat hash table ([`LaneMap`],
 //!   ids in first-appearance order) and the probe prefilter, both fed the
-//!   same hashes.
+//!   same hashes — each key hashed once ([`hash_key`], a fixed-seed
+//!   splitmix64 chain), by this tier alone.
 //!
 //! A stable counting sort then lays the payload out as one CSR row list,
 //! column by column, so key `id`'s build rows are one contiguous span of
@@ -374,10 +373,10 @@ pub struct JoinExecStats {
 /// The stages of [`run_join`], in the order they run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Each build range's qualifying rows: key and payload lanes, hashes.
+    /// Each build range's qualifying rows: key and payload lanes.
     BuildGather,
-    /// The keys into the key index, in range order: the hash table, or
-    /// the rank index and each row's id.
+    /// The keys into the key index, in range order: each key's hash and
+    /// the hash table, or the rank index and each row's id.
     BuildInsert,
     /// The counting sort of the payload into the CSR row list.
     BuildCsr,
@@ -614,13 +613,15 @@ fn hash_keys(keys: &[Value], width: usize, out: &mut Vec<u64>) {
 }
 
 /// One build range's qualifying rows, in row order: their key lanes
-/// (`key width` per row), each key's [`hash_key`], and one column per
-/// payload attribute.
+/// (`key width` per row) and one column per payload attribute.
 struct BuildPart {
     keys: Vec<Value>,
-    hashes: Vec<u64>,
     payload: Vec<Vec<Value>>,
 }
+
+/// The hashed tier's view of one [`BuildPart`]: its key lanes and each
+/// key's [`hash_key`].
+type HashedKeys<'p> = (&'p [Value], Vec<u64>);
 
 /// [`FoldPlan::BuildGroups`]'s build-side groups: key `id`'s `(group
 /// id, multiplicity)` pairs are `list[starts[id]..starts[id + 1]]`, or
@@ -712,13 +713,13 @@ impl BuildSlot {
 }
 
 /// The hashed tier's probe prefilter over the gathered parts' keys and
-/// their hashes, sized by the `distinct` keys the map holds (a filter
+/// their hashes ([`HashedKeys`]), sized by the `distinct` keys the map holds (a filter
 /// sized for the raw relation, or for duplicate keys, would waste cache):
 /// one partial filter per chunk of build ranges, OR-merged in chunk order
 /// (the merge is commutative, so the result is independent of the
 /// policy).
 fn prefilter(
-    parts: &[BuildPart],
+    parts: &[HashedKeys<'_>],
     distinct: usize,
     op: &CompiledJoinOp,
     policy: &ExecPolicy,
@@ -729,8 +730,8 @@ fn prefilter(
     let partials = run_chunks(parts, policy, |chunk| {
         let mut lap = Lap::start(stages);
         let mut f = new();
-        for part in chunk {
-            for (key, &h) in part.keys.chunks_exact(key_width).zip(&part.hashes) {
+        for (keys, hashes) in chunk {
+            for (key, &h) in keys.chunks_exact(key_width).zip(hashes) {
                 f.insert(key, h);
             }
         }
@@ -780,14 +781,24 @@ impl JoinTable {
                 (KeyIndex::Ranked(index), ids)
             }
             None => {
-                let mut map = LaneMap::with_capacity(key_width, rows);
-                let ids = parts
+                // Only this tier reads key hashes: each key hashes once,
+                // for the map insert and the prefilter alike.
+                let hashed: Vec<HashedKeys<'_>> = parts
                     .iter()
-                    .flat_map(|p| p.keys.chunks_exact(key_width).zip(&p.hashes))
+                    .map(|p| {
+                        let mut hashes = Vec::with_capacity(p.keys.len() / key_width);
+                        hash_keys(&p.keys, key_width, &mut hashes);
+                        (&p.keys[..], hashes)
+                    })
+                    .collect();
+                let mut map = LaneMap::with_capacity(key_width, rows);
+                let ids = hashed
+                    .iter()
+                    .flat_map(|(keys, hashes)| keys.chunks_exact(key_width).zip(hashes))
                     .map(|(key, &h)| map.insert_hashed(key, h))
                     .collect();
                 lap.mark(Stage::BuildInsert);
-                let filter = prefilter(parts, map.len(), op, policy, stages);
+                let filter = prefilter(&hashed, map.len(), op, policy, stages);
                 lap = Lap::start(stages);
                 (KeyIndex::Hashed { map, filter }, ids)
             }
@@ -1053,8 +1064,8 @@ fn join(
     Ok((result, stats))
 }
 
-/// Phase 1: each build range's qualifying (key, hash, payload) lanes
-/// gathered in row order, then indexed in range order — identical to a
+/// Phase 1: each build range's qualifying (key, payload) lanes gathered
+/// in row order, then indexed in range order — identical to a
 /// serial row-order build, so the table, and every downstream result, is
 /// independent of the parallelism policy.
 fn build_side(
@@ -1071,14 +1082,12 @@ fn build_side(
         let slots = views.accessors();
         let mut part = BuildPart {
             keys: Vec::new(),
-            hashes: Vec::new(),
             payload: vec![Vec::new(); op.payload.len()],
         };
         kernels::qualifying_blocks(build.plan.strategy, views, &build.filter, r, |rows| {
             let at = part.keys.len();
             part.keys.resize(at + rows.len() * key_width, 0);
             gather_keys(&slots, &build.keys, rows, &mut part.keys[at..]);
-            hash_keys(&part.keys[at..], key_width, &mut part.hashes);
             for (col, &a) in part.payload.iter_mut().zip(&op.payload) {
                 let at = col.len();
                 col.resize(at + rows.len(), 0);
@@ -1088,7 +1097,7 @@ fn build_side(
         lap.mark(Stage::BuildGather);
         part
     });
-    let rows: usize = parts.iter().map(|p| p.hashes.len()).sum();
+    let rows: usize = parts.iter().map(|p| p.keys.len() / key_width).sum();
     let table = JoinTable::build(&parts, op, rows, policy, stages);
     Build {
         source,
@@ -1761,8 +1770,8 @@ mod tests {
         for q in &shapes {
             let checked = check_join(q).unwrap();
             let want = interpret_join(photo.catalog(), spec.catalog(), q).unwrap();
-            let lp = AccessPlan::new(photo.catalog().layout_ids(), Strategy::SelVector);
-            let rp = AccessPlan::new(spec.catalog().layout_ids(), Strategy::SelVector);
+            let lp = AccessPlan::new(photo.catalog().layout_ids(), Strategy::FusedVolcano);
+            let rp = AccessPlan::new(spec.catalog().layout_ids(), Strategy::FusedVolcano);
             let op =
                 compile_join(photo.catalog(), spec.catalog(), &lp, &rp, q, &checked, true).unwrap();
             let (got, stats) = execute_join_with_policy(

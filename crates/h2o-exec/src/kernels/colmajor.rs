@@ -100,7 +100,7 @@ pub fn build_selvec_columnar_range(
         masks.resize(full, 0);
         masks.fill(0xff);
         simd::and_pred_masks(&col, first, &mut masks);
-        simd::push_mask_ids(&masks, run.start(), &mut sel);
+        simd::for_each_set_bit(&masks, |i| sel.push((run.start() + i) as u32));
         for i in full * simd::LANES..n {
             if first.matches_lane(col.get(i)) {
                 sel.push((run.start() + i) as u32);
@@ -117,14 +117,7 @@ pub fn build_selvec_columnar_range(
         masks.fill(0xff);
         simd::and_pred_masks(&col, p, &mut masks);
         let mut next = SelVec::with_capacity(candidates.len());
-        for (k, &m) in masks.iter().enumerate() {
-            let mut bits = m as u32;
-            while bits != 0 {
-                let j = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                next.push(sel.ids()[k * simd::LANES + j]);
-            }
-        }
+        simd::for_each_set_bit(&masks, |i| next.push(sel.ids()[i]));
         let tail = full * simd::LANES;
         for (i, &v) in candidates.iter().enumerate().skip(tail) {
             if p.matches_lane(v) {
@@ -595,7 +588,7 @@ mod tests {
         ]);
         // Filter phase by range.
         let full = build_selvec_columnar(&views, &filter);
-        let mut stitched = SelVec::new();
+        let mut stitched = SelVec::default();
         for r in [0..2, 2..4] {
             for &id in build_selvec_columnar_range(&views, &filter, r).ids() {
                 stitched.push(id);

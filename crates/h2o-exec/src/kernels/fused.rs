@@ -5,15 +5,19 @@
 //! evaluated (both predicates in one step) and every qualifying tuple's
 //! select-items are computed immediately. No selection vector, no
 //! intermediate results — the access pattern the paper generates.
-//! [`RowSource::Scan`] finds the qualifying rows in 1K-row blocks of 8-row
-//! chunk masks, over one column group or several (§3.3, Fig. 12), and
-//! each block folds through the select program's one batch step, the one
-//! the selection-vector strategy's phase 2, the column-major strategy and
-//! the join run too. What stays specialized here is the aggregate whose
-//! every input is a bare column at adjacent offsets of one slot
-//! ([`aggregate_range`]'s per-column tier).
+//! The block walker ([`kernels::for_each_block`](super::for_each_block))
+//! finds the qualifying rows in 1K-row blocks of 8-row chunk masks, over
+//! one column group or several (§3.3, Fig. 12), and each block folds
+//! through the select program's one batch step, the one the column-major
+//! strategy and the join run too. The paper's two-phase selection-vector
+//! plan (Fig. 6) is this scan with a morsel's ids held instead of a
+//! block's, so it has no kernel of its own. What stays specialized here
+//! is the aggregate whose every input is one of a few bare columns at
+//! adjacent offsets of one slot ([`aggregate_range`]'s per-column tier):
+//! a dense block folds each column over the block's masks, a sparse one
+//! folds its set bits a row at a time.
 //!
-//! Every fold is parameterized by a row **range** (or id chunk) and
+//! Every fold is parameterized by a row **range** and
 //! continues a caller-owned accumulator, so the morsel-parallel driver
 //! (`crate::parallel`) can run disjoint row ranges on worker threads —
 //! [`AggState`] partials merged in morsel order; a serial execution is
@@ -21,7 +25,7 @@
 //! ([`crate::reorg`]) can run a range in the 1K-row chunks it stitches,
 //! every chunk continuing the range's one accumulator.
 
-use super::{simd, upd_max, upd_min, upd_sum, RowSource};
+use super::{simd, upd_max, upd_min, upd_sum};
 use crate::bind::{BoundAttr, GroupViews};
 use crate::filter::CompiledFilter;
 use crate::program::CompiledExpr;
@@ -46,9 +50,39 @@ pub fn bare_columns(aggs: &[(AggOp, CompiledExpr)]) -> Option<Vec<(AggOp, BoundA
         .collect()
 }
 
+/// Most columns the per-column tier folds. A masked fold re-reads its
+/// block once per column, while the batch step reads each qualifying
+/// tuple once, so past a few columns the batch step wins. In the
+/// `cost_trial` grid (`results/COST_39.json`: 200K rows × 40 attributes,
+/// `max` over adjacent columns of a row-major or an exact group; at the
+/// parent, `fused` ran the tier on every block and `selvec` the batch
+/// step) the tier took 0.57–0.73× the batch step's time over 2 columns
+/// at 100% selectivity, 0.80× (row-major) to 1.18× (exact group) over
+/// 8 columns, and 3.1–3.8× over 39 columns at 1%.
+pub const TIER_MAX_COLS: usize = 4;
+
+/// A block takes the masked per-column folds when at least
+/// `1 / TIER_DENSITY` of its rows qualify; a sparser block folds its set
+/// bits one row at a time, since a masked fold walks every chunk of the
+/// block whatever its mask. In the same grid the tier ran 1.27–1.40×
+/// the batch step's time over 2 columns at 10% selectivity and
+/// 0.75–0.92× at 50%; with this rule the 2-column cells at 10% took
+/// 0.74–0.79× the parent's best (the grid's `tier_variants` section
+/// times the alternatives, per-column limits 2 / 4 / 8 and thresholds
+/// 1/1, 1/2, 1/4 and "any set bit").
+pub const TIER_DENSITY: usize = 4;
+
+/// Whether a block of `rows` rows, `set` of them qualifying, folds its
+/// columns masked ([`TIER_DENSITY`]).
+#[inline]
+pub(crate) fn dense_block(set: u64, rows: usize) -> bool {
+    set as usize * TIER_DENSITY >= rows
+}
+
 /// [`bare_columns`] when the columns read sit at adjacent offsets of one
-/// slot (the exact shape of `select max(a_j), ..., max(a_{j+k})` over a
-/// tailored group): the shape the per-column tier folds under a scan.
+/// slot and number at most [`TIER_MAX_COLS`] (the exact shape of
+/// `select max(a_j), ..., max(a_{j+k})` over a tailored group): the shape
+/// the per-column tier folds under a scan.
 pub(crate) fn adjacent_columns(aggs: &[(AggOp, CompiledExpr)]) -> Option<Vec<(AggOp, BoundAttr)>> {
     let cols = bare_columns(aggs)?;
     // Adjacency is over the columns read: a `count`'s reads none.
@@ -61,30 +95,32 @@ pub(crate) fn adjacent_columns(aggs: &[(AggOp, CompiledExpr)]) -> Option<Vec<(Ag
     let hi = read().map(|a| a.offset).max().unwrap_or(0);
     let slot = read().next().map_or(0, |a| a.slot);
     let adjacent = read().all(|a| a.slot == slot) && ((hi - lo) as usize) < read().count();
-    adjacent.then_some(cols)
+    (adjacent && read().count() <= TIER_MAX_COLS).then_some(cols)
 }
 
-/// A scalar aggregate over the rows of `source`, continuing `states` (one
-/// per aggregate, in order) exactly as the fused scan and the
-/// selection-vector strategy fold it (`SelectProgram::feed`): a scan
-/// whose inputs are bare columns at adjacent offsets of one slot takes the
-/// per-column tier (`fold_columns`), every other aggregate the batch step
-/// over the walker's blocks. Each column stays one fold chain in row
+/// A scalar aggregate over the rows of `range` that pass `filter`,
+/// continuing `states` (one per aggregate, in order) exactly as the fused
+/// scan folds it (`SelectProgram::feed`): inputs that are bare columns at
+/// adjacent offsets of one slot, at most [`TIER_MAX_COLS`] of them, take
+/// the per-column tier (`fold_columns`), every other aggregate the batch
+/// step over the walker's blocks. Each column stays one fold chain in row
 /// order in both, so `F64` sums are bit-identical whichever runs, and
 /// either leaves states field-identical to [`aggregate_range_scalar`]'s.
 pub fn aggregate_range(
     views: &GroupViews<'_>,
-    source: &RowSource<'_>,
+    filter: &CompiledFilter,
+    range: Range<usize>,
     aggs: &[(AggOp, CompiledExpr)],
     states: &mut [AggState],
 ) {
     let select = SelectProgram::Aggregate(aggs.to_vec());
     let mut part = Partial::from(states.to_vec());
-    select.feed(views, source, &mut part);
+    select.feed(views, filter, range, &mut part);
     states.copy_from_slice(part.states());
 }
 
-/// One scalar update of a raw accumulator (the per-column tier's tail).
+/// One scalar update of a raw accumulator (the per-column tier's sparse
+/// blocks and tail).
 #[inline(always)]
 fn upd(f: AggOp, acc: &mut Value, v: Value) {
     match f.func {
@@ -100,12 +136,13 @@ fn upd(f: AggOp, acc: &mut Value, v: Value) {
 /// accumulators ([`AggState::raw`]: min/max in comparator-key space,
 /// sum/avg in the lane domain) under one shared match count. Per run, the
 /// conjunction is evaluated into chunk masks one 1K-row block at a time
-/// (shared by every column), then each column folds the block's masked
-/// chunks with the shared lane primitives while the block is
-/// cache-resident — integer sums/min/max lane-split, `F64` sums one
-/// in-order chain (the fold-order contract of
-/// [`h2o_expr::agg::AggState`]). Each column's chain continues from block
-/// to block and into the run's scalar tail.
+/// (shared by every column). A dense block ([`dense_block`]) then folds
+/// each column's masked chunks with the shared lane primitives while the
+/// block is cache-resident — integer sums/min/max lane-split, `F64` sums
+/// one in-order chain (the fold-order contract of
+/// [`h2o_expr::agg::AggState`]); a sparse block folds its set bits one
+/// row at a time, every column of the row in turn. Each column's chain
+/// continues from block to block and into the run's scalar tail.
 pub(crate) fn fold_columns(
     views: &GroupViews<'_>,
     filter: &CompiledFilter,
@@ -126,7 +163,16 @@ pub(crate) fn fold_columns(
             .map(|(&(f, a), acc)| (f, acc, simd::RunCol::of(&run, a)))
             .collect();
         let tail = rf.for_each_block(|start, masks| {
-            matched += simd::popcount(masks);
+            let set = simd::popcount(masks);
+            matched += set;
+            if !dense_block(set, masks.len() * simd::LANES) {
+                simd::for_each_set_bit(masks, |i| {
+                    for (f, a, col) in lanes.iter_mut() {
+                        upd(*f, a, col.get(start + i));
+                    }
+                });
+                return;
+            }
             for (f, a, col) in lanes.iter_mut() {
                 let col = col.skip(start);
                 match f.func {
@@ -447,39 +493,49 @@ mod tests {
             ]),
         ];
         for filter in &filters {
-            let ids = crate::kernels::selvector::build_selvec_range(&views, filter, 0..27);
             for f in [AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg] {
                 // Dense shape: one function over offsets 1..=2 (both F64).
                 let aggs = vec![
                     (AggOp::new(f, LogicalType::F64), CompiledExpr::Col(ba(1))),
                     (AggOp::new(f, LogicalType::F64), CompiledExpr::Col(ba(2))),
                 ];
-                let fold = |source: RowSource<'_>, states: &mut Vec<AggState>| {
-                    aggregate_range(&views, &source, &aggs, states)
+                let fold = |range: Range<usize>, states: &mut Vec<AggState>| {
+                    aggregate_range(&views, filter, range, &aggs, states)
                 };
                 for range in [0..27, 0..8, 5..23, 24..27] {
                     let mut vec_states = fresh(&aggs);
-                    fold(RowSource::Scan(filter, range.clone()), &mut vec_states);
+                    fold(range.clone(), &mut vec_states);
                     let ref_states = aggregate_range_scalar(&views, filter, &aggs, range.clone());
                     assert_eq!(vec_states, ref_states, "{} over {range:?}", f.name());
                 }
                 // Continuing one accumulator over pieces is the whole fold,
                 // bit for bit (the F64 fold-order contract).
                 let mut whole = fresh(&aggs);
-                fold(RowSource::Scan(filter, 0..27), &mut whole);
+                fold(0..27, &mut whole);
                 let mut pieces = fresh(&aggs);
                 for r in [0..5, 5..19, 19..27] {
-                    fold(RowSource::Scan(filter, r), &mut pieces);
+                    fold(r, &mut pieces);
                 }
                 assert_eq!(pieces, whole, "{} continued", f.name());
-                // The batch step over the qualifying ids folds the same.
-                let mut by_ids = fresh(&aggs);
-                for chunk in ids.ids().chunks(4) {
-                    fold(RowSource::Ids(chunk), &mut by_ids);
-                }
-                assert_eq!(by_ids, whole, "{} over ids", f.name());
             }
         }
+    }
+
+    #[test]
+    fn tier_choice_edges() {
+        // A block at exactly the density threshold folds masked, one row
+        // fewer folds its set bits.
+        let rows = 1024;
+        assert!(dense_block((rows / TIER_DENSITY) as u64, rows));
+        assert!(!dense_block((rows / TIER_DENSITY - 1) as u64, rows));
+        // A tier at the column limit, and one column past it.
+        let aggs = |n: u32| -> Vec<(AggOp, CompiledExpr)> {
+            (0..n)
+                .map(|o| (AggFunc::Max.into(), CompiledExpr::Col(ba(o))))
+                .collect()
+        };
+        assert!(adjacent_columns(&aggs(TIER_MAX_COLS as u32)).is_some());
+        assert!(adjacent_columns(&aggs(TIER_MAX_COLS as u32 + 1)).is_none());
     }
 
     #[test]
@@ -496,7 +552,7 @@ mod tests {
         let feed = |select: &SelectProgram, splits: &[usize]| {
             let mut part = select.partial();
             for w in splits.windows(2) {
-                select.feed(&views, &RowSource::Scan(&filter, w[0]..w[1]), &mut part);
+                select.feed(&views, &filter, w[0]..w[1], &mut part);
             }
             part
         };

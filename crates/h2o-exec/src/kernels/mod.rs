@@ -3,106 +3,105 @@
 //! Each submodule is one of the paper's generated-code templates (§3.4):
 //!
 //! * [`fused`] — Fig. 5: one loop, predicates and select-items fused, no
-//!   intermediate results (and the bare-column aggregate tiers);
-//! * [`selvector`] — Fig. 6: `q1_sel_vector`, phase 1 of the two-phase
-//!   plan, materializing a selection vector;
+//!   intermediate results (and the bare-column aggregate tier);
 //! * [`colmajor`] — the pure column-store execution model of §2.1, with
 //!   per-operator intermediate materialization.
 //!
+//! The paper's third template, the two-phase selection-vector plan of
+//! Fig. 6, has no kernel of its own: its phase 1 found rows with the
+//! fused scan's mask walker and its phase 2 folded them through the same
+//! batch step, so it was the fused scan with a morsel's ids held instead
+//! of a block's (`cost_trial` times both; ROADMAP item 4(c)).
+//!
 //! [`simd`] holds the chunked lane primitives (masked compares, masked
-//! folds, id emission) the three strategies' inner loops share; see its
-//! docs for the lane/tail contract that keeps vectorized results
-//! bit-identical to scalar ones.
+//! folds, id emission) the strategies' inner loops share; see its docs
+//! for the lane/tail contract that keeps vectorized results bit-identical
+//! to scalar ones.
 //!
 //! Kernels operate on [`GroupViews`] (raw slices)
 //! and offset-resolved programs; nothing in a per-tuple loop consults a
 //! schema or expression tree. Every source folds its rows through the
 //! select program's one batch step
 //! (`SelectProgram::fold`), which asks the source to evaluate the select
-//! expressions over a batch. The fused scan and the selection-vector
-//! strategy's phase 2 differ only in how they find the qualifying rows:
-//! the block walker (`RowSource::for_each_block`, 1K row ids per block)
-//! collects them from a filtered row range or a chunk of qualifying ids,
-//! and `eval_rows` evaluates over each block. The column-major strategy
+//! expressions over a batch. The fused scan finds its qualifying rows
+//! with the block walker ([`for_each_block`], 1K row ids per block) and
+//! evaluates over each block with `eval_rows`; the column-major strategy
 //! evaluates its id chunks through intermediate columns
-//! (`colmajor::eval_ids`); both join sides find their rows with the same
-//! walker. What stays specialized is the two bare-column aggregate tiers
-//! a plan selects: adjacent columns of one slot under a scan
+//! (`colmajor::eval_ids`). Both join sides find their rows through
+//! `qualifying_blocks`: the walker, or column-major's ids in 1K-id
+//! chunks. What stays specialized is the two bare-column aggregate tiers
+//! a plan selects: a few adjacent columns of one slot under a scan
 //! (`fused::fold_columns`) and column-major's no-filter streaming fold
 //! ([`colmajor::agg_full_column_range`]).
 
 pub mod colmajor;
 pub mod fused;
 pub(crate) mod grouped;
-pub mod selvector;
 pub mod simd;
 
 use crate::bind::{BoundAttr, GroupViews, Piece, SlotAccessor};
 use crate::filter::CompiledFilter;
 use crate::plan::Strategy;
 use crate::program::{eval_batch, CompiledExpr, Layout};
-use crate::selvec::SelVec;
 use h2o_storage::{LogicalType, Value};
 use simd::BLOCK_ROWS;
 use std::ops::Range;
 
-/// Where a fused scan's or a selection vector's qualifying rows come
-/// from, in ascending row order.
-#[derive(Debug)]
-pub enum RowSource<'s> {
-    /// The rows of a row range that pass a filter (the fused scan and the
-    /// online reorganization's chunks).
-    Scan(&'s CompiledFilter, Range<usize>),
-    /// A chunk of qualifying ids (the selection-vector strategy's
-    /// phase 2).
-    Ids(&'s [u32]),
-}
-
-impl RowSource<'_> {
-    /// The block walker: hands the source's rows to `block` as row ids,
-    /// ascending and up to [`BLOCK_ROWS`] at a time (a block may be
-    /// shorter, never empty), and returns their count. A scan collects the
-    /// rows of the fused walker ([`simd::RunFilter::for_each_row`]) over
-    /// the pruned segment runs; an id chunk is cut into blocks as it is.
-    /// The select program's row-source fold (`SelectProgram::feed`) and
-    /// both join sides find their rows here.
-    pub(crate) fn for_each_block(
-        &self,
-        views: &GroupViews<'_>,
-        mut block: impl FnMut(&[u32]),
-    ) -> usize {
-        let (filter, range) = match self {
-            RowSource::Ids(ids) => {
-                ids.chunks(BLOCK_ROWS).for_each(block);
-                return ids.len();
-            }
-            RowSource::Scan(filter, range) => (filter, range.clone()),
-        };
-        // A fixed buffer and a local fill count: the per-row append stays
-        // in registers.
-        let (mut ids, mut len, mut n) = ([0u32; BLOCK_ROWS], 0, 0);
-        for run in views.runs_pruned(range, filter) {
-            let start = run.start();
-            simd::RunFilter::resolve(&run, filter).for_each_row(|i| {
-                ids[len] = (start + i) as u32;
-                len += 1;
+/// The block walker: hands the rows of `range` that pass `filter` to
+/// `block` as row ids, ascending and up to 1,024 at a time (a
+/// block may be shorter, never empty), and returns their count. It
+/// collects the rows of the fused walker (`simd::RunFilter::for_each_row`)
+/// over the pruned segment runs; without predicates every row of a run
+/// passes, and its ids are filled a stretch at a time. The run iterator
+/// polls the stop token and charges the morsel budget either way. The
+/// select program's scan fold (`SelectProgram::feed`) and both fused join
+/// sides find their rows here.
+pub fn for_each_block(
+    views: &GroupViews<'_>,
+    filter: &CompiledFilter,
+    range: Range<usize>,
+    mut block: impl FnMut(&[u32]),
+) -> usize {
+    // A fixed buffer and a local fill count: the per-row append stays in
+    // registers.
+    let (mut ids, mut len, mut n) = ([0u32; BLOCK_ROWS], 0, 0);
+    let always = filter.is_always_true();
+    for run in views.runs_pruned(range, filter) {
+        let start = run.start();
+        if always {
+            let mut at = start;
+            while at < start + run.len() {
+                let k = (start + run.len() - at).min(BLOCK_ROWS - len);
+                let fill = ids[len..len + k].iter_mut();
+                fill.zip(at as u32..).for_each(|(id, row)| *id = row);
+                (at, len) = (at + k, len + k);
                 if len == BLOCK_ROWS {
                     block(&ids);
                     (n, len) = (n + len, 0);
                 }
-            });
+            }
+            continue;
         }
-        if len > 0 {
-            block(&ids[..len]);
-        }
-        n + len
+        simd::RunFilter::resolve(&run, filter).for_each_row(|i| {
+            ids[len] = (start + i) as u32;
+            len += 1;
+            if len == BLOCK_ROWS {
+                block(&ids);
+                (n, len) = (n + len, 0);
+            }
+        });
     }
+    if len > 0 {
+        block(&ids[..len]);
+    }
+    n + len
 }
 
-/// The qualifying rows of `range` under `strategy`, through the block
-/// walker ([`RowSource::for_each_block`]): the fused scan's walker, or
-/// the chunks of the range's selection vector ([`qualifying_ids`]).
-/// Returns their count.
+/// The qualifying rows of `range` under `strategy`, a block at a time:
+/// the fused walker ([`for_each_block`]), or column-major's qualifying
+/// ids ([`colmajor::build_selvec_columnar_range`]) cut into
+/// [`BLOCK_ROWS`]-id chunks. Returns their count. Both join sides find
+/// their rows here.
 pub(crate) fn qualifying_blocks(
     strategy: Strategy,
     views: &GroupViews<'_>,
@@ -111,10 +110,11 @@ pub(crate) fn qualifying_blocks(
     block: impl FnMut(&[u32]),
 ) -> usize {
     if strategy == Strategy::FusedVolcano {
-        return RowSource::Scan(filter, range).for_each_block(views, block);
+        return for_each_block(views, filter, range, block);
     }
-    let sel = qualifying_ids(strategy == Strategy::ColumnMajor, views, filter, range);
-    RowSource::Ids(sel.ids()).for_each_block(views, block)
+    let sel = colmajor::build_selvec_columnar_range(views, filter, range);
+    sel.ids().chunks(BLOCK_ROWS).for_each(block);
+    sel.len()
 }
 
 /// The row sources' evaluator: evaluates `exprs` over the ascending
@@ -175,23 +175,6 @@ pub(crate) fn eval_rows(
 /// [`eval_rows`]'s `other` for a source whose every slot is bound.
 pub(crate) fn unbound(_: usize, a: BoundAttr) -> Value {
     unreachable!("slot {} is not bound", a.slot)
-}
-
-/// Phase 1 of the two id-based strategies over one row range: the
-/// qualifying ids within `range`, ascending — by the one-pass conjunction
-/// scan ([`selvector::build_selvec_range`]) or, when `columnar`, by
-/// column-at-a-time refinement ([`colmajor::build_selvec_columnar_range`]).
-pub(crate) fn qualifying_ids(
-    columnar: bool,
-    views: &GroupViews<'_>,
-    filter: &CompiledFilter,
-    range: Range<usize>,
-) -> SelVec {
-    if columnar {
-        colmajor::build_selvec_columnar_range(views, filter, range)
-    } else {
-        selvector::build_selvec_range(views, filter, range)
-    }
 }
 
 /// Typed accumulator micro-ops shared by the specialized (flat-slot)

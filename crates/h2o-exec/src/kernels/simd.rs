@@ -207,8 +207,7 @@ pub(crate) fn and_pred_masks(col: &RunCol<'_>, pred: &CompiledPred, masks: &mut 
 /// plan slot, so the chunked mask build and the scalar tail touch raw
 /// slices with no per-row segment lookup. It is the one qualifying-row
 /// walker ([`Self::for_each_block`], [`Self::for_each_row`]) of every
-/// fused scan, of the join sides and of the selection-vector strategy's
-/// phase 1.
+/// fused scan and of the fused join sides.
 pub(crate) struct RunFilter<'a> {
     preds: Vec<(RunCol<'a>, CompiledPred)>,
     /// Rows in the run.
@@ -262,13 +261,7 @@ impl<'a> RunFilter<'a> {
             return;
         }
         let tail = self.for_each_block(|start, masks| {
-            for (k, &m) in masks.iter().enumerate() {
-                let mut bits = m as u32;
-                while bits != 0 {
-                    f(start + k * LANES + bits.trailing_zeros() as usize);
-                    bits &= bits - 1;
-                }
-            }
+            for_each_set_bit(masks, |i| f(start + i));
         });
         for i in tail {
             if self.matches_row(i) {
@@ -285,19 +278,16 @@ impl<'a> RunFilter<'a> {
     }
 }
 
-/// Appends the global row ids of every set mask bit to `sel`, in
-/// ascending order (`base` is the run's first global row id). Set bits
-/// are walked with `trailing_zeros` / clear-lowest, so sparse chunks cost
-/// one test and dense chunks no branches per id.
-pub(crate) fn push_mask_ids(masks: &[u8], base: usize, sel: &mut crate::selvec::SelVec) {
+/// Calls `f` with the index of every set bit of the chunk masks (chunk
+/// `k`'s bit `j` is row `k * LANES + j`), ascending. Set bits are walked
+/// with `trailing_zeros` / clear-lowest, so sparse chunks cost one test
+/// and dense chunks no branches per row.
+#[inline(always)]
+pub(crate) fn for_each_set_bit(masks: &[u8], mut f: impl FnMut(usize)) {
     for (k, &m) in masks.iter().enumerate() {
-        if m == 0 {
-            continue;
-        }
-        let row0 = (base + k * LANES) as u32;
         let mut bits = m as u32;
         while bits != 0 {
-            sel.push(row0 + bits.trailing_zeros());
+            f(k * LANES + bits.trailing_zeros() as usize);
             bits &= bits - 1;
         }
     }
@@ -461,7 +451,6 @@ pub(crate) fn fold_minmax_run(
 mod tests {
     use super::*;
     use crate::bind::BoundAttr;
-    use crate::selvec::SelVec;
     use h2o_storage::f64_lane;
 
     #[test]
@@ -535,11 +524,11 @@ mod tests {
     }
 
     #[test]
-    fn push_mask_ids_decodes_every_bit_ascending() {
+    fn set_bits_decode_ascending() {
         let masks = [0b1000_0001u8, 0, 0b0101_0000];
-        let mut sel = SelVec::new();
-        push_mask_ids(&masks, 100, &mut sel);
-        assert_eq!(sel.ids(), &[100, 107, 120, 122]);
+        let mut rows = Vec::new();
+        for_each_set_bit(&masks, |i| rows.push(i));
+        assert_eq!(rows, [0, 7, 20, 22]);
         assert_eq!(popcount(&masks), 4);
     }
 

@@ -22,17 +22,17 @@
 //! paper's 10–150 ms external compiler, §4) and the cache reports the
 //! measured total.
 //!
-//! The three execution strategies (paper §3.3):
+//! The paper's operator generator picks among three access strategies
+//! (§3.3); this crate runs two of them:
 //!
 //! * [`Strategy::FusedVolcano`](plan::Strategy) — one pass over one or more
-//!   groups, predicates pushed into the scan, select-items computed directly
-//!   per qualifying tuple; no intermediate results (Fig. 5).
-//! * [`Strategy::SelVector`](plan::Strategy) — phase 1 evaluates the
-//!   where-clause on the group(s) storing the predicate attributes and
-//!   materializes a selection vector of qualifying row ids; phase 2 walks
-//!   it in id chunks and folds their rows a block at a time through the
-//!   batch step the fused scan runs, reading the select-clause group(s)
-//!   (Fig. 6).
+//!   groups, predicates pushed into the scan, select-items computed per
+//!   1K-row block of qualifying tuples; no intermediate results (Fig. 5).
+//!   It also covers the paper's two-phase selection-vector plan (Fig. 6):
+//!   that plan found its rows with the same mask walker and folded them
+//!   through the same batch step, holding a morsel's ids where the fused
+//!   scan holds a block's, and a timed grid found nothing it won
+//!   (`cost_trial`, ROADMAP item 4(c)).
 //! * [`Strategy::ColumnMajor`](plan::Strategy) — pure DSM processing:
 //!   column-at-a-time predicate evaluation refining the selection vector,
 //!   and column-at-a-time expression evaluation that **materializes
@@ -54,9 +54,9 @@
 //! * **aggregates**: per-morsel
 //!   [`AggState`](h2o_expr::agg::AggState) partials merged in morsel order
 //!   (wrapping sums, min/max and counts are associative);
-//! * **selection vectors**: per-range ascending id segments stitched by
-//!   concatenation, then *consumed* in qualifying-id chunks so phase-2
-//!   work stays balanced at any selectivity.
+//! * **selection vectors** (column-major): per-range ascending id
+//!   segments stitched by concatenation, then *consumed* in qualifying-id
+//!   chunks so the evaluation phase stays balanced at any selectivity.
 //!
 //! There is **one execution path** per operator kind — [`run`] for
 //! single-relation operators, [`run_join`] for joins,
@@ -66,7 +66,7 @@
 //! [`reorg::materialize`]'s loop and runs the scan kernels' fused source
 //! over each chunk. A serial policy is the same driver over the single
 //! range `0..rows` ([`parallel::run_ranges`]), so parallel execution returns
-//! **bit-identical** results to serial for all three strategies, and serial
+//! **bit-identical** results to serial for both strategies, and serial
 //! execution is bit-identical to the reference interpreter; the top-level
 //! differential tests assert both. ([`execute`], [`execute_with_policy`],
 //! [`execute_with_policy_stats`] and [`execute_join_with_policy`] are

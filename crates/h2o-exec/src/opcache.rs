@@ -391,7 +391,7 @@ mod tests {
     fn same_shape_different_constants_hits() {
         let rel = rel();
         let cache = OperatorCache::new(16, CompileCostModel::ZERO);
-        let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::SelVector);
+        let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::FusedVolcano);
         let op1 = cache
             .get_or_compile(rel.catalog(), &plan, &count_below(5))
             .unwrap();
@@ -409,7 +409,7 @@ mod tests {
     fn different_shape_misses() {
         let rel = rel();
         let cache = OperatorCache::new(16, CompileCostModel::ZERO);
-        let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::SelVector);
+        let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::FusedVolcano);
         cache
             .get_or_compile(rel.catalog(), &plan, &count_below(5))
             .unwrap();
@@ -431,13 +431,6 @@ mod tests {
         cache
             .get_or_compile(
                 rel.catalog(),
-                &AccessPlan::new(ids.clone(), Strategy::SelVector),
-                &q,
-            )
-            .unwrap();
-        cache
-            .get_or_compile(
-                rel.catalog(),
                 &AccessPlan::new(ids.clone(), Strategy::FusedVolcano),
                 &q,
             )
@@ -445,7 +438,14 @@ mod tests {
         cache
             .get_or_compile(
                 rel.catalog(),
-                &AccessPlan::new(vec![ids[0]], Strategy::SelVector),
+                &AccessPlan::new(ids.clone(), Strategy::ColumnMajor),
+                &q,
+            )
+            .unwrap();
+        cache
+            .get_or_compile(
+                rel.catalog(),
+                &AccessPlan::new(vec![ids[0]], Strategy::FusedVolcano),
                 &q,
             )
             .unwrap();
@@ -456,7 +456,7 @@ mod tests {
     fn compile_time_is_measured_on_misses_only() {
         let rel = rel();
         let cache = OperatorCache::new(16, CompileCostModel::ZERO);
-        let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::SelVector);
+        let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::FusedVolcano);
         assert_eq!(cache.stats().compile_time, Duration::ZERO);
         cache
             .get_or_compile(rel.catalog(), &plan, &count_below(5))
@@ -474,7 +474,7 @@ mod tests {
         let rel = rel();
         let cache = OperatorCache::new(16, CompileCostModel::ZERO);
         let ids = rel.catalog().layout_ids();
-        let plan = AccessPlan::new(ids.clone(), Strategy::SelVector);
+        let plan = AccessPlan::new(ids.clone(), Strategy::FusedVolcano);
         cache
             .get_or_compile(rel.catalog(), &plan, &count_below(5))
             .unwrap();
@@ -495,7 +495,7 @@ mod tests {
             for _ in 0..threads {
                 s.spawn(|| {
                     for i in 0..per_thread {
-                        let strategy = Strategy::ALL[i % 3];
+                        let strategy = Strategy::ALL[i % Strategy::ALL.len()];
                         let plan = AccessPlan::new(rel.catalog().layout_ids(), strategy);
                         let op = cache
                             .get_or_compile(rel.catalog(), &plan, &count_below(5))
@@ -507,7 +507,11 @@ mod tests {
         });
         let stats = cache.stats();
         assert_eq!(stats.hits + stats.misses, (threads * per_thread) as u64);
-        assert_eq!(cache.len(), 3, "one operator per strategy");
+        assert_eq!(
+            cache.len(),
+            Strategy::ALL.len(),
+            "one operator per strategy"
+        );
     }
 
     fn join_fixture() -> (Relation, Relation) {
@@ -553,8 +557,8 @@ mod tests {
     fn join_same_shape_different_constants_hits() {
         let (dim, fact) = join_fixture();
         let cache = OperatorCache::new(16, CompileCostModel::ZERO);
-        let dplan = AccessPlan::new(dim.catalog().layout_ids(), Strategy::SelVector);
-        let fplan = AccessPlan::new(fact.catalog().layout_ids(), Strategy::SelVector);
+        let dplan = AccessPlan::new(dim.catalog().layout_ids(), Strategy::FusedVolcano);
+        let fplan = AccessPlan::new(fact.catalog().layout_ids(), Strategy::FusedVolcano);
         let q1 = join_count_below(&dim, &fact, 5);
         let c1 = h2o_expr::check_join(&q1).unwrap();
         let op1 = cache
@@ -617,8 +621,8 @@ mod tests {
     fn join_flipped_build_side_misses() {
         let (dim, fact) = join_fixture();
         let cache = OperatorCache::new(16, CompileCostModel::ZERO);
-        let dplan = AccessPlan::new(dim.catalog().layout_ids(), Strategy::SelVector);
-        let fplan = AccessPlan::new(fact.catalog().layout_ids(), Strategy::SelVector);
+        let dplan = AccessPlan::new(dim.catalog().layout_ids(), Strategy::FusedVolcano);
+        let fplan = AccessPlan::new(fact.catalog().layout_ids(), Strategy::FusedVolcano);
         let q = join_count_below(&dim, &fact, 5);
         let c = h2o_expr::check_join(&q).unwrap();
         for build_is_left in [true, false] {
@@ -644,8 +648,8 @@ mod tests {
     fn invalidate_layout_drops_join_dependents_on_either_side() {
         let (dim, fact) = join_fixture();
         let cache = OperatorCache::new(16, CompileCostModel::ZERO);
-        let dplan = AccessPlan::new(dim.catalog().layout_ids(), Strategy::SelVector);
-        let fplan = AccessPlan::new(fact.catalog().layout_ids(), Strategy::SelVector);
+        let dplan = AccessPlan::new(dim.catalog().layout_ids(), Strategy::FusedVolcano);
+        let fplan = AccessPlan::new(fact.catalog().layout_ids(), Strategy::FusedVolcano);
         let q = join_count_below(&dim, &fact, 5);
         let c = h2o_expr::check_join(&q).unwrap();
         cache
@@ -679,8 +683,8 @@ mod tests {
         q: &h2o_expr::JoinQuery,
         build_is_left: bool,
     ) -> CompiledJoinOp {
-        let dplan = AccessPlan::new(dim.catalog().layout_ids(), Strategy::SelVector);
-        let fplan = AccessPlan::new(fact.catalog().layout_ids(), Strategy::SelVector);
+        let dplan = AccessPlan::new(dim.catalog().layout_ids(), Strategy::FusedVolcano);
+        let fplan = AccessPlan::new(fact.catalog().layout_ids(), Strategy::FusedVolcano);
         let c = h2o_expr::check_join(q).unwrap();
         cache
             .get_or_compile_join(
@@ -721,7 +725,7 @@ mod tests {
         assert_eq!(r.row(0), &[5]);
         // A clone keeps its lineage, so every version of pair A still hits.
         let dim_version = dim.catalog().clone();
-        let plan = |c: &LayoutCatalog| AccessPlan::new(c.layout_ids(), Strategy::SelVector);
+        let plan = |c: &LayoutCatalog| AccessPlan::new(c.layout_ids(), Strategy::FusedVolcano);
         let checked = h2o_expr::check_join(&q).unwrap();
         let (dplan, fplan) = (plan(&dim_version), plan(fact.catalog()));
         cache
@@ -747,7 +751,7 @@ mod tests {
         join_op(&cache, &dim, &fact, &q, true);
         join_op(&cache, &dim, &fact, &q, false);
         assert_eq!(cache.len(), 2);
-        let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::SelVector);
+        let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::FusedVolcano);
         cache
             .get_or_compile(rel.catalog(), &plan, &count_below(5))
             .unwrap();
@@ -760,7 +764,7 @@ mod tests {
         let rel = rel();
         let (dim, fact) = join_fixture();
         let cache = OperatorCache::new(16, CompileCostModel::ZERO);
-        let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::SelVector);
+        let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::FusedVolcano);
         cache
             .get_or_compile(rel.catalog(), &plan, &count_below(5))
             .unwrap();
@@ -778,12 +782,12 @@ mod tests {
         let rel = rel();
         let (dim, fact) = join_fixture();
         let cache = OperatorCache::new(16, CompileCostModel::ZERO);
-        let scan_plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::SelVector);
+        let scan_plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::FusedVolcano);
         let scan = count_below(5);
         let q = join_count_below(&dim, &fact, 5);
         // Plant the other kind under each lookup's key.
-        let dplan = AccessPlan::new(dim.catalog().layout_ids(), Strategy::SelVector);
-        let fplan = AccessPlan::new(fact.catalog().layout_ids(), Strategy::SelVector);
+        let dplan = AccessPlan::new(dim.catalog().layout_ids(), Strategy::FusedVolcano);
+        let fplan = AccessPlan::new(fact.catalog().layout_ids(), Strategy::FusedVolcano);
         let join_key =
             OperatorKey::for_join(&q, [dim.catalog(), fact.catalog()], &dplan, &fplan, true);
         let scan_key = OperatorKey::new(&scan, &scan_plan);

@@ -11,13 +11,13 @@ use h2o_storage::LayoutId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Single pass, predicates pushed into the scan, select-items computed
-    /// per qualifying tuple, no intermediate results (volcano-style; the
-    /// natural strategy for row-major and column-group layouts — Fig. 5).
+    /// per block of qualifying tuples, no intermediate results beyond a
+    /// 1K-id block (volcano-style; the natural strategy for row-major and
+    /// column-group layouts — Fig. 5). It also stands in for the paper's
+    /// two-phase selection-vector plan (Fig. 6): that plan found its rows
+    /// with the same walker and folded them through the same batch step,
+    /// differing only in holding a morsel's ids instead of a block's.
     FusedVolcano,
-    /// Two phases through a materialized selection vector: filter the
-    /// where-clause group(s), then gather/compute from the select-clause
-    /// group(s) (the column-store-like strategy for groups — Fig. 6).
-    SelVector,
     /// Pure DSM processing: column-at-a-time filtering that refines the
     /// selection vector and column-at-a-time expression evaluation with
     /// **materialized intermediate columns** (§2.1). The strategy of the
@@ -27,17 +27,12 @@ pub enum Strategy {
 
 impl Strategy {
     /// All strategies, for planner enumeration.
-    pub const ALL: [Strategy; 3] = [
-        Strategy::FusedVolcano,
-        Strategy::SelVector,
-        Strategy::ColumnMajor,
-    ];
+    pub const ALL: [Strategy; 2] = [Strategy::FusedVolcano, Strategy::ColumnMajor];
 
     /// Short name for logs and harness output.
     pub fn name(self) -> &'static str {
         match self {
             Strategy::FusedVolcano => "fused",
-            Strategy::SelVector => "selvec",
             Strategy::ColumnMajor => "colmajor",
         }
     }
@@ -70,15 +65,14 @@ mod tests {
     #[test]
     fn strategy_names() {
         assert_eq!(Strategy::FusedVolcano.name(), "fused");
-        assert_eq!(Strategy::SelVector.name(), "selvec");
         assert_eq!(Strategy::ColumnMajor.name(), "colmajor");
-        assert_eq!(Strategy::ALL.len(), 3);
+        assert_eq!(Strategy::ALL.len(), 2);
     }
 
     #[test]
     fn plan_construction() {
-        let p = AccessPlan::new(vec![LayoutId(1), LayoutId(2)], Strategy::SelVector);
+        let p = AccessPlan::new(vec![LayoutId(1), LayoutId(2)], Strategy::ColumnMajor);
         assert_eq!(p.group_count(), 2);
-        assert_eq!(p.strategy, Strategy::SelVector);
+        assert_eq!(p.strategy, Strategy::ColumnMajor);
     }
 }

@@ -31,7 +31,6 @@
 use crate::bind::{BoundAttr, GroupViews, SegRun};
 use crate::compile::{plan_binder, ExecCtx, ExecError};
 use crate::filter::CompiledFilter;
-use crate::kernels::RowSource;
 use crate::parallel::{run_ranges, ExecPolicy};
 use crate::sink::SelectProgram;
 use h2o_expr::typecheck;
@@ -240,7 +239,7 @@ pub fn reorg_and_execute(
             let rows = chunk.len() / width;
             let slots = [(chunk, width), (side, attrs.len() - width)];
             let view = GroupViews::from_slices(&slots[..slot_count], rows);
-            select.feed(&view, &RowSource::Scan(&filter, 0..rows), partial);
+            select.feed(&view, &filter, 0..rows, partial);
         },
     );
     // Before anything built from (possibly truncated) chunks escapes.

@@ -1,14 +1,16 @@
 //! Selection vectors: materialized lists of qualifying row ids.
 //!
-//! The column-oriented execution strategies materialize "vectors of matching
-//! positions" (paper §3.3) between the filter phase and the
-//! projection/aggregation phase. Row ids are `u32` — half the footprint of
-//! `usize`, which matters because the selection vector is itself an
-//! intermediate result whose materialization cost the paper charges to the
-//! column-style plans.
+//! The column-major strategy materializes "vectors of matching positions"
+//! (paper §3.3) between its column-at-a-time filter and its evaluation
+//! phase, and its join sides walk them in 1K-id chunks. (The fused scan
+//! holds one 1K-id block at a time instead, so the paper's two-phase
+//! selection-vector plan needs no vector of its own.) Row ids are `u32` —
+//! half the footprint of `usize`, which matters because the selection
+//! vector is itself an intermediate result whose materialization cost the
+//! paper charges to the column-style plans.
 
 use crate::bind::GroupViews;
-use h2o_storage::{Value, MAX_ROWS};
+use h2o_storage::MAX_ROWS;
 use std::ops::Range;
 
 /// A sorted list of qualifying row ids.
@@ -18,11 +20,6 @@ pub struct SelVec {
 }
 
 impl SelVec {
-    /// An empty selection vector.
-    pub fn new() -> Self {
-        SelVec { ids: Vec::new() }
-    }
-
     /// An empty selection vector with capacity for `n` ids.
     pub fn with_capacity(n: usize) -> Self {
         SelVec {
@@ -52,27 +49,11 @@ impl SelVec {
             range.end
         );
         if !views.charge_scan(range.len()) {
-            return SelVec::new();
+            return SelVec::default();
         }
         SelVec {
             ids: (range.start as u32..range.end as u32).collect(),
         }
-    }
-
-    /// Wraps a pre-built id list (must be sorted strictly ascending).
-    ///
-    /// Sortedness is what lets [`Self::extend_from`] stitch morsel results
-    /// by concatenation and lets consumers walk segments monotonically. The
-    /// invariant is checked with `debug_assert!` in normal release builds
-    /// (the check is O(n) on a hot construction path); under the
-    /// `failpoints` validation feature — the build CI runs the fault-matrix
-    /// suite with — it is promoted to a hard release-mode `assert!`.
-    pub fn from_ids(ids: Vec<u32>) -> Self {
-        #[cfg(feature = "failpoints")]
-        assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be sorted");
-        #[cfg(not(feature = "failpoints"))]
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be sorted");
-        SelVec { ids }
     }
 
     /// Appends a row id (callers append in ascending order).
@@ -86,10 +67,9 @@ impl SelVec {
     /// disjoint consecutive ranges) concatenate in morsel order into the
     /// exact vector a serial pass would build.
     ///
-    /// Like [`Self::from_ids`], the ascending-stitch invariant is a
-    /// `debug_assert!` normally and a hard `assert!` under the `failpoints`
-    /// feature (the check here is O(1), but it only guards the seam — full
-    /// validation lives in construction).
+    /// The ascending-stitch invariant is a `debug_assert!` normally and a
+    /// hard `assert!` under the `failpoints` validation feature (the build
+    /// CI runs the fault-matrix suite with).
     #[inline]
     pub fn extend_from(&mut self, other: &SelVec) {
         let ascending = self
@@ -120,54 +100,6 @@ impl SelVec {
     pub fn ids(&self) -> &[u32] {
         &self.ids
     }
-
-    /// Observed selectivity against a relation of `rows` tuples.
-    pub fn selectivity(&self, rows: usize) -> f64 {
-        if rows == 0 {
-            0.0
-        } else {
-            self.ids.len() as f64 / rows as f64
-        }
-    }
-
-    /// Gathers `column[id]` for every selected id into a fresh intermediate
-    /// column — the materialization step of DSM processing (paper §2.1).
-    ///
-    /// The loop is written over fixed `[u32; 8]` id chunks with the bounds
-    /// check hoisted to one `assert!` on the maximum id (ids are sorted, so
-    /// the last id is the maximum), letting the compiler vectorize the
-    /// index arithmetic and keep the loads unchecked.
-    pub fn gather(&self, column: &[Value]) -> Vec<Value> {
-        let Some(&max_id) = self.ids.last() else {
-            return Vec::new();
-        };
-        assert!(
-            (max_id as usize) < column.len(),
-            "gather id {max_id} out of bounds for column of {} rows",
-            column.len()
-        );
-        let mut out = Vec::with_capacity(self.ids.len());
-        let mut chunks = self.ids.chunks_exact(8);
-        for ch in &mut chunks {
-            let ids: [u32; 8] = ch.try_into().unwrap();
-            out.extend(ids.map(|i| column[i as usize]));
-        }
-        out.extend(chunks.remainder().iter().map(|&i| column[i as usize]));
-        out
-    }
-
-    /// Footprint in bytes (an intermediate-result term for the cost model).
-    pub fn bytes(&self) -> usize {
-        self.ids.len() * std::mem::size_of::<u32>()
-    }
-}
-
-impl FromIterator<u32> for SelVec {
-    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
-        SelVec {
-            ids: iter.into_iter().collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -178,6 +110,12 @@ mod tests {
         SelVec::identity(&GroupViews::from_groups(&[]), 0..rows)
     }
 
+    fn of(ids: &[u32]) -> SelVec {
+        let mut s = SelVec::with_capacity(ids.len());
+        ids.iter().for_each(|&id| s.push(id));
+        s
+    }
+
     #[test]
     fn identity_and_push() {
         let s = identity(4);
@@ -185,38 +123,18 @@ mod tests {
         assert_eq!(s.len(), 4);
         let s = SelVec::identity(&GroupViews::from_groups(&[]), 2..5);
         assert_eq!(s.ids(), &[2, 3, 4]);
-        let mut s = SelVec::new();
-        s.push(1);
-        s.push(5);
+        let s = of(&[1, 5]);
         assert_eq!(s.ids(), &[1, 5]);
         assert!(!s.is_empty());
-        assert!(SelVec::new().is_empty());
+        assert!(SelVec::default().is_empty());
     }
 
     #[test]
     fn extend_from_stitches_ranges() {
-        let mut s = SelVec::from_ids(vec![0, 2]);
-        s.extend_from(&SelVec::from_ids(vec![5, 6]));
-        s.extend_from(&SelVec::new());
+        let mut s = of(&[0, 2]);
+        s.extend_from(&of(&[5, 6]));
+        s.extend_from(&SelVec::default());
         assert_eq!(s.ids(), &[0, 2, 5, 6]);
-    }
-
-    #[test]
-    fn gather_materializes_intermediate() {
-        let col = [10, 20, 30, 40];
-        let s = SelVec::from_ids(vec![0, 2, 3]);
-        assert_eq!(s.gather(&col), vec![10, 30, 40]);
-    }
-
-    #[test]
-    fn gather_crosses_chunk_boundaries() {
-        // 19 ids: two full 8-id chunks plus a 3-id tail.
-        let col: Vec<Value> = (0..40).map(|i| i * 100).collect();
-        let ids: Vec<u32> = (0..19).map(|i| i * 2).collect();
-        let s = SelVec::from_ids(ids.clone());
-        let expect: Vec<Value> = ids.iter().map(|&i| col[i as usize]).collect();
-        assert_eq!(s.gather(&col), expect);
-        assert_eq!(SelVec::new().gather(&col), Vec::<Value>::new());
     }
 
     #[test]
@@ -238,28 +156,9 @@ mod tests {
 
     #[cfg(feature = "failpoints")]
     #[test]
-    #[should_panic(expected = "ids must be sorted")]
-    fn from_ids_rejects_unsorted_under_failpoints() {
-        let _ = SelVec::from_ids(vec![3, 1, 2]);
-    }
-
-    #[cfg(feature = "failpoints")]
-    #[test]
     #[should_panic(expected = "must stay ascending")]
     fn extend_from_rejects_overlap_under_failpoints() {
-        let mut s = SelVec::from_ids(vec![5, 9]);
-        s.extend_from(&SelVec::from_ids(vec![7]));
-    }
-
-    #[test]
-    fn selectivity() {
-        let s = SelVec::from_ids(vec![0, 1]);
-        assert!((s.selectivity(8) - 0.25).abs() < 1e-12);
-        assert_eq!(SelVec::new().selectivity(0), 0.0);
-    }
-
-    #[test]
-    fn bytes_footprint() {
-        assert_eq!(identity(10).bytes(), 40);
+        let mut s = of(&[5, 9]);
+        s.extend_from(&of(&[7]));
     }
 }

@@ -13,11 +13,11 @@
 //! and a grouped aggregate runs the block pipeline (`kernels::grouped`).
 //! The sources differ only in how they find rows and evaluate over them:
 //!
-//! * the fused scan and the selection-vector strategy's phase 2 fold each
-//!   block of the walker — a filtered row range or a chunk of qualifying
-//!   ids ([`RowSource`]) — and the fused reorganization operator each
-//!   freshly stitched chunk of a range, continuing the range's one partial
-//!   (`SelectProgram::feed`, each slot sliced once per block);
+//! * the fused scan folds each block of the walker — the rows of a row
+//!   range that pass the filter, up to 1K at a time
+//!   ([`kernels::for_each_block`]) — and the fused reorganization operator
+//!   each freshly stitched chunk of a range, continuing the range's one
+//!   partial (`SelectProgram::feed`, each slot sliced once per block);
 //! * the column-major strategy evaluates its id chunks through one
 //!   intermediate column per operator (`colmajor::eval_ids`, §2.1);
 //! * the join folds its hit probe rows with their match counts as
@@ -27,8 +27,9 @@
 //!   build-side folds (`Partial::from`).
 //!
 //! Two bare-column aggregate tiers stay beside the step, each picked by
-//! the plan: a scan over adjacent columns of one slot folds per column
-//! per block (`fused::fold_columns`), and column-major's no-filter
+//! the plan: a scan over a few adjacent columns of one slot folds a
+//! dense block per column and a sparse one per set bit
+//! (`fused::fold_columns`), and column-major's no-filter
 //! aggregate streams whole columns
 //! ([`agg_full_column_range`](crate::kernels::colmajor::agg_full_column_range)).
 //!
@@ -42,7 +43,7 @@ use crate::compile::ExecError;
 use crate::filter::CompiledFilter;
 use crate::kernels::grouped::GroupBlock;
 use crate::kernels::simd::{BLOCK_ROWS, LANES};
-use crate::kernels::{self, fused, RowSource};
+use crate::kernels::{self, fused};
 use crate::program::{CompiledExpr, Layout};
 use h2o_expr::agg::{AggFunc, AggOp, AggState};
 use h2o_expr::grouped::GroupedAggs;
@@ -263,31 +264,27 @@ impl SelectProgram {
         }
     }
 
-    /// Folds every row of `source` into `partial` (from this program's
-    /// [`Self::partial`]), so consecutive ranges or id chunks continue one
-    /// fold chain: a block of the walker ([`RowSource::for_each_block`])
+    /// Folds the rows of `range` that pass `filter` into `partial` (from
+    /// this program's [`Self::partial`]), so consecutive ranges continue
+    /// one fold chain: a block of the walker ([`kernels::for_each_block`])
     /// at a time through [`Self::fold`], each slot of the block sliced
-    /// once (`kernels::eval_rows`). A scan of a scalar aggregate over
-    /// adjacent bare columns of one slot takes the per-column tier
-    /// instead (`fused::fold_columns`).
+    /// once (`kernels::eval_rows`). A scalar aggregate over a few adjacent
+    /// bare columns of one slot takes the per-column tier instead
+    /// (`fused::fold_columns`).
     pub(crate) fn feed(
         &self,
         views: &GroupViews<'_>,
-        source: &RowSource<'_>,
+        filter: &CompiledFilter,
+        range: Range<usize>,
         partial: &mut Partial,
     ) {
-        if let (
-            SelectProgram::Aggregate(aggs),
-            Acc::Aggs(states, _),
-            RowSource::Scan(filter, range),
-        ) = (self, &mut partial.0, source)
-        {
+        if let (SelectProgram::Aggregate(aggs), Acc::Aggs(states, _)) = (self, &mut partial.0) {
             if let Some(cols) = fused::adjacent_columns(aggs) {
-                return fused::fold_columns(views, filter, range.clone(), &cols, states);
+                return fused::fold_columns(views, filter, range, &cols, states);
             }
         }
         let slots = views.accessors();
-        source.for_each_block(views, |rows| {
+        kernels::for_each_block(views, filter, range, |rows| {
             let eval = |es: &[&CompiledExpr], r: Range<usize>, out: &mut [Value], layout| {
                 kernels::eval_rows(&slots, &rows[r], es, out, layout, kernels::unbound)
             };
@@ -361,7 +358,6 @@ pub(crate) fn table_for(key_types: &[LogicalType], aggs: &[(AggOp, CompiledExpr)
 mod tests {
     use super::*;
     use crate::filter::CompiledPred;
-    use crate::kernels::selvector::build_selvec_range;
     use h2o_expr::{AggFunc, CmpOp};
     use h2o_storage::{ColumnGroup, LogicalType};
 
@@ -391,9 +387,14 @@ mod tests {
         }
     }
 
-    fn feed(select: &SelectProgram, views: &GroupViews<'_>, source: RowSource<'_>) -> Partial {
+    fn feed(
+        select: &SelectProgram,
+        views: &GroupViews<'_>,
+        filter: &CompiledFilter,
+        range: Range<usize>,
+    ) -> Partial {
         let mut part = select.partial();
-        select.feed(views, &source, &mut part);
+        select.feed(views, filter, range, &mut part);
         part
     }
 
@@ -409,20 +410,18 @@ mod tests {
             value: 4,
         }]);
         // Qualifying rows 0..=3: key 1 -> {10, 30}, key 2 -> {20, 40}.
-        let fused = select.finish(vec![feed(&select, &views, RowSource::Scan(&filter, 0..5))]);
+        let fused = select.finish(vec![feed(&select, &views, &filter, 0..5)]);
         assert_eq!(fused.rows(), 2);
         assert_eq!(fused.row(0), &[1, 40, 2]);
         assert_eq!(fused.row(1), &[2, 60, 2]);
-        let sel = build_selvec_range(&views, &filter, 0..5);
+        let sel = crate::kernels::colmajor::build_selvec_columnar_range(&views, &filter, 0..5);
         assert_eq!(sel.ids(), &[0, 1, 2, 3]);
-        let by_ids = select.finish(vec![feed(&select, &views, RowSource::Ids(sel.ids()))]);
         let mut part = select.partial();
         let eval = |es: &[&CompiledExpr], r: Range<usize>, out: &mut [Value], layout| {
             crate::kernels::colmajor::eval_ids(&views, &sel.ids()[r], es, out, layout)
         };
         select.fold(&mut part, sel.len(), eval, None);
         let columnar = select.finish(vec![part]);
-        assert_eq!(by_ids, fused);
         assert_eq!(columnar, fused);
     }
 
@@ -479,10 +478,10 @@ mod tests {
         let views = GroupViews::from_groups(&[&g]);
         let select = program();
         let always = CompiledFilter::always();
-        let full = select.finish(vec![feed(&select, &views, RowSource::Scan(&always, 0..5))]);
+        let full = select.finish(vec![feed(&select, &views, &always, 0..5)]);
         let partials = [0..2, 2..3, 3..5]
             .into_iter()
-            .map(|r| feed(&select, &views, RowSource::Scan(&always, r)))
+            .map(|r| feed(&select, &views, &always, r))
             .collect();
         assert_eq!(select.finish(partials), full);
     }
@@ -524,11 +523,9 @@ mod tests {
             )],
         };
         let always = CompiledFilter::always();
-        for source in [RowSource::Scan(&always, 0..3), RowSource::Ids(&[0, 1, 2])] {
-            let out = select.finish(vec![feed(&select, &views, source)]);
-            assert_eq!(out.rows(), 2);
-            assert_eq!(out.row(0), &[7, 2]);
-            assert_eq!(out.row(1), &[8, 3]);
-        }
+        let out = select.finish(vec![feed(&select, &views, &always, 0..3)]);
+        assert_eq!(out.rows(), 2);
+        assert_eq!(out.row(0), &[7, 2]);
+        assert_eq!(out.row(1), &[8, 3]);
     }
 }

@@ -84,8 +84,8 @@
 //! checker ([`expr::typecheck`]). `f64` ordering follows
 //! [`f64::total_cmp`] on every path; `f64` sums fold in row order within
 //! a morsel and merge in morsel order, and the workload generators draw
-//! doubles from dyadic grids so sums are exact — serial, parallel and all
-//! three strategies stay bit-identical on mixed-type workloads
+//! doubles from dyadic grids so sums are exact — serial, parallel and both
+//! strategies stay bit-identical on mixed-type workloads
 //! (`tests/mixed_types.rs`). Sealed 64K-row segments
 //! carry min/max **zone maps**; scans skip segments that cannot satisfy a
 //! conjunctive predicate (`EngineStats::segments_skipped`).
@@ -93,7 +93,7 @@
 //! ## Vectorized kernel inner loops (deviation from the paper)
 //!
 //! The paper's generated operators are scalar; this reproduction runs the
-//! hot inner loops — predicate evaluation, the selection-vector build,
+//! hot inner loops — predicate evaluation, the column-major selection-vector build,
 //! and the fused/column-major aggregate folds — in
 //! portable-SIMD style over the 64-bit comparator-key lanes
 //! (`h2o_exec::kernels::simd`). The **lane/tail contract**: every segment
@@ -115,8 +115,8 @@
 //! The paper's evaluation stops at select-project-aggregate; this
 //! reproduction adds `group by` as a first-class query class
 //! ([`Query::grouped`](h2o_expr::Query::grouped)): hash-grouped
-//! aggregation is implemented in **all three** kernel strategies (fused,
-//! selection-vector, column-major — the column-major kernel materializes
+//! aggregation is implemented in **both** kernel strategies (fused and
+//! column-major — the column-major kernel materializes
 //! key/input intermediates column-at-a-time, faithful to its §2.1 cost
 //! structure), morsel-parallel execution merges morsel-local hash tables
 //! through the associative [`GroupedAggs`](h2o_expr::GroupedAggs) merge,
@@ -184,7 +184,7 @@
 //! assert!(out.result.rows() > 0);
 //! ```
 //!
-//! Execution reuses the whole single-relation machinery: all three
+//! Execution reuses the whole single-relation machinery: both
 //! strategies implement the hash join over segment runs — a
 //! morsel-parallel build (partitioned tables merged in morsel order),
 //! a probe fused with the residual filter and select program, SIMD
@@ -317,8 +317,8 @@
 //! ## Parallel execution (deviation from the paper)
 //!
 //! The paper's prototype executes each query on one thread. This
-//! reproduction adds **morsel-driven intra-query parallelism** across all
-//! three execution strategies and the online-reorganization operator: scans
+//! reproduction adds **morsel-driven intra-query parallelism** across both
+//! execution strategies and the online-reorganization operator: scans
 //! split into fixed-size row morsels that worker threads claim greedily,
 //! and per-morsel partials are re-assembled deterministically (projection
 //! blocks concatenated in row order, aggregate accumulators merged, online

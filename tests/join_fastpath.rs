@@ -274,8 +274,8 @@ fn in_domain_misses_are_rejected_by_bloom_bits_not_the_range() {
     let fact = Relation::columnar(fact_schema(), fact_cols).unwrap();
     let (_, q, _) = plan_queries().remove(0);
     let checked = check_join(&q).unwrap();
-    let lplan = AccessPlan::new(dim.catalog().layout_ids(), Strategy::SelVector);
-    let rplan = AccessPlan::new(fact.catalog().layout_ids(), Strategy::SelVector);
+    let lplan = AccessPlan::new(dim.catalog().layout_ids(), Strategy::FusedVolcano);
+    let rplan = AccessPlan::new(fact.catalog().layout_ids(), Strategy::FusedVolcano);
     let op = compile_join(
         dim.catalog(),
         fact.catalog(),

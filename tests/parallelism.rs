@@ -259,7 +259,7 @@ fn parallelism_one_is_the_serial_path() {
     // absurd morsel configurations.
     let (_, rel) = relations().into_iter().next().unwrap();
     let q = queries().into_iter().next().unwrap();
-    let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::SelVector);
+    let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::FusedVolcano);
     let op = compile(rel.catalog(), &plan, &q).unwrap();
     let serial = execute(rel.catalog(), &op).unwrap();
     for morsel in [1usize, 3, ROWS, ROWS * 10] {

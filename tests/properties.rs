@@ -75,7 +75,7 @@ proptest! {
     fn partitioning_is_transparent(
         columns in arb_columns(),
         assignment_seed in arb_partition(6),
-        strategy_idx in 0usize..3,
+        strategy_idx in 0usize..ExecStrategy::ALL.len(),
         sel_value in -1000i64..1000,
     ) {
         let n = columns.len();

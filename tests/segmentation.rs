@@ -387,7 +387,7 @@ fn arb_ops(n_attrs: usize) -> impl Strategy<Value = Vec<Op>> {
             proptest::collection::vec(-1000i64..1000, n_attrs..=n_attrs),
             1..6,
         ),
-        0usize..3,
+        0usize..ExecStrategy::ALL.len(),
         0usize..n_attrs,
         -1000i64..1000,
         1u8..15,

@@ -3,12 +3,12 @@
 //! The `kernels::simd` rewrite must be **bit-identical** to the scalar
 //! reference bodies it replaced, across every place results could diverge:
 //! lane-chunk boundaries (`rows % 8`), segment-run boundaries, zone-map
-//! pruned runs, all three execution strategies, serial vs morsel-parallel
+//! pruned runs, both execution strategies, serial vs morsel-parallel
 //! execution, `F64` fold order (including non-dyadic values whose sums are
 //! inexact), and the capped runs a cancellation token induces at
 //! `CANCEL_CHECK_ROWS` boundaries.
 
-use h2o::exec::kernels::{colmajor, fused, selvector, RowSource};
+use h2o::exec::kernels::{self, colmajor, fused};
 use h2o::exec::{
     compile, execute, execute_with_policy, reorg, run, AccessPlan, BoundAttr, CancelToken, ExecCtx,
     ExecPolicy, GroupViews, Strategy,
@@ -97,13 +97,16 @@ const OPS: [CmpOp; 6] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Selection-vector and columnar filter builds agree with their scalar
-    /// references over arbitrary sub-ranges — including ranges that start
-    /// and end mid-chunk, mid-segment, and on empty slices.
+    /// The fused scan's block walker and the columnar filter build agree
+    /// with the rows [`CompiledFilter::matches`] accepts, one row at a
+    /// time, over arbitrary sub-ranges — including ranges that start and
+    /// end mid-chunk, mid-segment, across a 1K-row block edge, and empty
+    /// ones — for one predicate, two, or none. The walker's blocks are
+    /// non-empty, at most 1K ids long, and concatenate to the whole.
     #[test]
     fn filter_builds_match_scalar(
-        rows in 1usize..300,
-        shift in 3u32..6,
+        rows in 1usize..3000,
+        shift in 3u32..12,
         seed in 0u64..5000,
         op_i in 0usize..6,
         op_f in 0usize..6,
@@ -111,23 +114,31 @@ proptest! {
         c_f in -180i64..180,
         lo_frac in 0.0f64..1.0,
         hi_frac in 0.0f64..1.0,
-        two_preds in 0usize..2,
+        preds in 0usize..3,
     ) {
         let g = build_group(rows, shift, seed);
         let views = GroupViews::from_groups(&[&g]);
-        let mut preds = vec![pred(0, OPS[op_i], LogicalType::I64, c_i)];
-        if two_preds == 1 {
-            preds.push(pred(1, OPS[op_f], LogicalType::F64, f64_lane(c_f as f64 / 10.0)));
-        }
-        let filter = CompiledFilter::new(preds);
+        let mut conj = vec![pred(0, OPS[op_i], LogicalType::I64, c_i)];
+        conj.push(pred(1, OPS[op_f], LogicalType::F64, f64_lane(c_f as f64 / 10.0)));
+        conj.truncate(preds);
+        let filter = CompiledFilter::new(conj);
         let lo = (lo_frac * rows as f64) as usize;
         let hi = lo + (hi_frac * (rows - lo) as f64) as usize;
-        for range in [0..rows, lo..hi.min(rows)] {
-            prop_assert_eq!(
-                selvector::build_selvec_range(&views, &filter, range.clone()),
-                selvector::build_selvec_range_scalar(&views, &filter, range.clone()),
-                "selvector over {:?}", range
-            );
+        let seg = 1usize << shift;
+        let clamp = |r: std::ops::Range<usize>| r.start.min(rows)..r.end.min(rows);
+        for range in [0..rows, lo..hi, clamp(1020..1030), clamp(seg - 3..seg + 5)] {
+            let want: Vec<u32> = range
+                .clone()
+                .filter(|&r| filter.matches(|a| views.get(a, r)))
+                .map(|r| r as u32)
+                .collect();
+            let mut got = Vec::new();
+            let n = kernels::for_each_block(&views, &filter, range.clone(), |block| {
+                assert!(!block.is_empty() && block.len() <= 1024, "{} ids", block.len());
+                got.extend_from_slice(block);
+            });
+            prop_assert_eq!(n, want.len());
+            prop_assert_eq!(&got, &want, "walker over {:?}", range);
             prop_assert_eq!(
                 colmajor::build_selvec_columnar_range(&views, &filter, range.clone()),
                 colmajor::build_selvec_columnar_range_scalar(&views, &filter, range.clone()),
@@ -169,7 +180,7 @@ proptest! {
                 (AggOp::new(f, LogicalType::F64), CompiledExpr::Col(BoundAttr { slot: 0, offset: 1 })),
             ];
             let mut vec_states: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
-            fused::aggregate_range(&views, &RowSource::Scan(&filter, 0..rows), &aggs, &mut vec_states);
+            fused::aggregate_range(&views, &filter, 0..rows, &aggs, &mut vec_states);
             let ref_states = fused::aggregate_range_scalar(&views, &filter, &aggs, 0..rows);
             prop_assert_eq!(vec_states, ref_states, "fused {} filtered={}", f.name(), !filter.is_always_true());
         }
@@ -212,7 +223,7 @@ proptest! {
             for filter in &filters {
                 for range in &ranges {
                     let mut got: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
-                    fused::aggregate_range(&two, &RowSource::Scan(filter, range.clone()), aggs, &mut got);
+                    fused::aggregate_range(&two, filter, range.clone(), aggs, &mut got);
                     let want = fused::aggregate_range_scalar(&two, filter, aggs, range.clone());
                     prop_assert_eq!(got, want, "two groups {} {:?} over {:?}", f.name(), aggs, range);
                 }
@@ -404,6 +415,62 @@ fn f64_sum_bit_identity_on_non_dyadic_values() {
                 want.data(),
                 "bit-level f64 divergence in online reorg into {targets:?}, /{denom}"
             );
+        }
+    }
+}
+
+/// The per-column tier's two choices at their edges: a 1K-row block with
+/// exactly `1 / TIER_DENSITY` of its rows qualifying (folded masked) and
+/// one with a row fewer (folded a set bit at a time), under aggregates
+/// over exactly `TIER_MAX_COLS` adjacent columns (the tier) and one
+/// column more (the batch step). Non-dyadic `F64` sums and averages leave
+/// every state field-identical to the scalar reference, over the whole
+/// relation, a range that starts mid-block, and one ending in the run's
+/// scalar tail.
+#[test]
+fn tier_edges_fold_f64_sums_like_the_scalar_reference() {
+    let block = 1024;
+    let rows = 2 * block + 5;
+    let dense = block / fused::TIER_DENSITY;
+    // Block 0 qualifies `dense` rows, block 1 one fewer, the 5-row tail 3.
+    let flag: Vec<Value> = (0..rows)
+        .map(|i| match i / block {
+            0 => (i % block < dense) as Value,
+            1 => (i % block < dense - 1) as Value,
+            _ => (i % 2 == 0) as Value,
+        })
+        .collect();
+    let width = fused::TIER_MAX_COLS + 1;
+    let mut cols = vec![flag];
+    for c in 0..width {
+        let col = (0..rows).map(|i| f64_lane(((i * 7 + c * 13) % 97) as f64 / 10.0 - 4.1));
+        cols.push(col.collect());
+    }
+    let refs: Vec<&[Value]> = cols.iter().map(Vec::as_slice).collect();
+    let mut types = vec![LogicalType::I64];
+    types.extend(std::iter::repeat_n(LogicalType::F64, width));
+    let g =
+        ColumnGroup::from_columns_typed((0..=width as u32).map(AttrId).collect(), types, &refs, 11)
+            .unwrap();
+    let views = GroupViews::from_groups(&[&g]);
+    let flagged = CompiledFilter::new(vec![pred(0, CmpOp::Eq, LogicalType::I64, 1)]);
+    for filter in [flagged, CompiledFilter::always()] {
+        for func in [AggFunc::Sum, AggFunc::Avg] {
+            for n in [fused::TIER_MAX_COLS, fused::TIER_MAX_COLS + 1] {
+                let aggs: Vec<(AggOp, CompiledExpr)> = (1..=n as u32)
+                    .map(|offset| {
+                        let col = CompiledExpr::Col(BoundAttr { slot: 0, offset });
+                        (AggOp::new(func, LogicalType::F64), col)
+                    })
+                    .collect();
+                for range in [0..rows, 700..rows, 300..2 * block + 2] {
+                    let mut got: Vec<AggState> =
+                        aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
+                    fused::aggregate_range(&views, &filter, range.clone(), &aggs, &mut got);
+                    let want = fused::aggregate_range_scalar(&views, &filter, &aggs, range.clone());
+                    assert_eq!(got, want, "{} over {n} columns, {range:?}", func.name());
+                }
+            }
         }
     }
 }
