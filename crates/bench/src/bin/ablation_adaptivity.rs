@@ -5,7 +5,7 @@
 //! * **full** — the complete engine (dynamic window, adviser, lazy
 //!   reorganization, operator cache);
 //! * **no-adaptation** — layouts frozen at the initial column-major state;
-//!   only the cost-based strategy choice remains;
+//!   only the cost-based cover choice remains;
 //! * **static-window** — adaptation on, but the monitoring window never
 //!   shrinks or grows (no shift reaction);
 //! * **tiny-opcache** — adaptation on, but the operator cache holds a

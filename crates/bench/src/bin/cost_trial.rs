@@ -1,7 +1,7 @@
-//! `cost_trial` — what each execution strategy costs, cell by cell.
+//! `cost_trial` — what the scan costs, cell by cell.
 //!
-//! Not a paper figure: the measured side of the cost model's strategy
-//! choice (ROADMAP item 4(a)). A 200,000-row × 40-attribute relation is
+//! Not a paper figure: the measured side of the cost model's plan prices
+//! (ROADMAP items 4(a) and 6). A 200,000-row × 40-attribute relation is
 //! stored three ways — row-major (one group), column-major (one group per
 //! attribute) and, per query, one group of exactly the attributes it
 //! reads — and each layout runs four select shapes over 2 / 8 / 20 / 39
@@ -14,12 +14,10 @@
 //!   by a0` over a 64-value key `a0`.
 //!
 //! The filter is `a1 < c`, with `c` picked for the selectivity; the 100 %
-//! cells have no filter at all. Every strategy of [`Strategy::ALL`] runs
+//! cells have no filter at all. The one strategy, the fused scan, runs
 //! every cell serially over the layout's groups: its answer is checked
-//! against the interpreter first, then the strategies are timed in
-//! interleaved rounds (one execution of each per round, after one warm-up
-//! each, each round starting at the next strategy), and the cell reports
-//! each strategy's median milliseconds.
+//! against the interpreter first (the warm-up), then it is timed once per
+//! round, and the cell reports its median milliseconds under `ms.fused`.
 //!
 //! The binary prints one JSON document to stdout and a table to stderr.
 //! Flags: `--quick` (10,000 rows, 2 / 8 / 39 attributes, 1 % and 100 %,
@@ -102,36 +100,22 @@ fn query(shape: &str, width: usize, selectivity: f64) -> Query {
     QueryGen::build(template, &attrs, filter, selectivity).0
 }
 
-/// Each strategy's median milliseconds for `q` over `layouts` of
-/// `catalog`, after checking its answer against the interpreter's.
-fn cell(catalog: &LayoutCatalog, layouts: &[LayoutId], q: &Query, reps: usize) -> Vec<f64> {
+/// The scan's median milliseconds for `q` over `layouts` of `catalog`,
+/// after checking its answer against the interpreter's.
+fn cell(catalog: &LayoutCatalog, layouts: &[LayoutId], q: &Query, reps: usize) -> f64 {
     let want = interpret(catalog, q).expect("interpreter");
-    let ops: Vec<_> = Strategy::ALL
-        .iter()
-        .map(|&strategy| {
-            let op = compile(catalog, &AccessPlan::new(layouts.to_vec(), strategy), q).unwrap();
-            let got = execute(catalog, &op).unwrap();
-            assert_eq!(
-                got,
-                want,
-                "{} differs from the interpreter on {q}",
-                strategy.name()
-            );
-            op
+    let plan = AccessPlan::new(layouts.to_vec(), Strategy::FusedVolcano);
+    let op = compile(catalog, &plan, q).unwrap();
+    let got = execute(catalog, &op).unwrap();
+    assert_eq!(got, want, "the scan differs from the interpreter on {q}");
+    let ms = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(execute(catalog, &op).unwrap());
+            t0.elapsed().as_secs_f64() * 1e3
         })
         .collect();
-    // Each round starts at the next strategy, so none always runs right
-    // after the same one (whose freed result memory the next reuses).
-    let mut ms = vec![Vec::with_capacity(reps); ops.len()];
-    for round in 0..reps {
-        for k in 0..ops.len() {
-            let s = (round + k) % ops.len();
-            let t0 = Instant::now();
-            std::hint::black_box(execute(catalog, &ops[s]).unwrap());
-            ms[s].push(t0.elapsed().as_secs_f64() * 1e3);
-        }
-    }
-    ms.into_iter().map(median).collect()
+    median(ms)
 }
 
 fn main() {
@@ -146,12 +130,10 @@ fn main() {
     columns[0] = gen_key_column(rows, KEYS, opts.seed);
     let row = Relation::row_major(schema.clone(), columns.clone()).unwrap();
     let col = Relation::columnar(schema, columns).unwrap();
-    let names: Vec<&str> = Strategy::ALL.iter().map(|s| s.name()).collect();
     eprintln!(
         "cost_trial: {rows} x {ATTRS}, {} rounds; cell (layout, shape, width, selectivity): \
-         median ms of {}",
-        opts.reps,
-        names.join(" / ")
+         median ms",
+        opts.reps
     );
     let mut cells = Vec::new();
     for layout in ["row", "column", "group"] {
@@ -171,20 +153,10 @@ fn main() {
                         }
                     };
                     let ms = cell(&catalog, &layouts, &q, opts.reps);
-                    let shown: Vec<String> = ms.iter().map(|m| format!("{m:8.3}")).collect();
-                    eprintln!(
-                        "  {layout:<6} {shape:<11} {width:>2} {sel:>5} {}",
-                        shown.join(" / ")
-                    );
-                    let fields: Vec<String> = names
-                        .iter()
-                        .zip(&ms)
-                        .map(|(n, m)| format!("\"{n}\":{m:.4}"))
-                        .collect();
+                    eprintln!("  {layout:<6} {shape:<11} {width:>2} {sel:>5} {ms:8.3}");
                     cells.push(format!(
                         "{{\"layout\":\"{layout}\",\"shape\":\"{shape}\",\"width\":{width},\
-                         \"selectivity\":{sel},\"checked\":true,\"ms\":{{{}}}}}",
-                        fields.join(",")
+                         \"selectivity\":{sel},\"checked\":true,\"ms\":{{\"fused\":{ms:.4}}}}}"
                     ));
                 }
             }

@@ -47,7 +47,7 @@ fn main() {
     let partition: Vec<Vec<h2o_storage::AttrId>> = fragments.iter().map(|f| f.to_vec()).collect();
     let (ap_relation, t_ap_create) =
         time(|| Relation::partitioned(spec.schema.clone(), columns.clone(), partition).unwrap());
-    // Static engine over AutoPart's fragments: cost-based strategy choice,
+    // Static engine over AutoPart's fragments: cost-based cover choice,
     // adaptation off (the layout is fixed by the advisor).
     let mut ap_cfg = EngineConfig::non_adaptive();
     ap_cfg.parallelism = Some(1); // paper comparison: single-threaded

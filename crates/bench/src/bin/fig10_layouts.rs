@@ -6,22 +6,28 @@
 //! 145 (of 150). Panels (d–f): the same templates accessing 20 attributes
 //! with one predicate, sweeping selectivity 0.1%–100%.
 //!
-//! Layouts, per the paper's setup: row-major (fused volcano), a column
-//! group containing *exactly* the accessed attributes (fused volcano), and
-//! column-major (DSM with selection vectors and intermediates). Group
+//! Layouts, per the paper's setup: row-major, a column group containing
+//! *exactly* the accessed attributes, and column-major (one group per
+//! attribute, reading exactly the accessed columns). All three run the one
+//! fused kernel, so the curves differ only in layout (§4.1: "comparisons
+//! purely reflect the differences in data layouts"); over the column
+//! layout it folds bare-column aggregates and gathers bare columns and
+//! column sums a column at a time, with block-sized vectors where the
+//! paper's column-store materializes whole intermediate columns. Group
 //! creation cost is not measured ("the cost of creating each group of
 //! columns layout is not considered").
 //!
 //! Expected shapes: (a) groups best at every width, row converging at
 //! 100%; (b) pure columns best for aggregations; (c) groups beat columns
-//! (intermediate materialization) and rows; (d–f) groups best across the
-//! selectivity range for projections/expressions, columns competitive for
-//! aggregations at low selectivity.
+//! and rows; (d–f) groups best across the selectivity range for
+//! projections/expressions, columns competitive for aggregations at low
+//! selectivity.
 //!
 //! Every timed operator's answer is checked against the interpreter's
-//! before it is timed.
+//! before it is timed. Each cell is the median of 9 hot repetitions after
+//! one warm-up, printed with its interquartile range (`*_iqr`).
 
-use h2o_bench::{csv_header, fmt_s, time_hot, Args};
+use h2o_bench::{csv_header, fmt_s, time_hot_median, Args};
 use h2o_exec::{compile, execute, AccessPlan, Strategy};
 use h2o_expr::interp::interpret;
 use h2o_expr::{Query, QueryResult};
@@ -29,48 +35,56 @@ use h2o_storage::{AttrId, LayoutCatalog, LayoutId, Relation, Schema};
 use h2o_workload::micro::{QueryGen, Template};
 use h2o_workload::synth::gen_columns;
 
-/// Times `q` over `layouts` of `catalog` under `strategy`, after checking
-/// its answer against `want` (the interpreter's).
+/// Hot repetitions per cell.
+const REPS: usize = 9;
+
+/// The `(median, IQR)` seconds of `q` over `layouts` of `catalog`, after
+/// checking its answer against `want` (the interpreter's).
 fn timed(
     catalog: &LayoutCatalog,
     layouts: Vec<LayoutId>,
-    strategy: Strategy,
     q: &Query,
     want: &QueryResult,
-) -> f64 {
-    let op = compile(catalog, &AccessPlan::new(layouts, strategy), q).unwrap();
-    assert_eq!(
-        &execute(catalog, &op).unwrap(),
-        want,
-        "{} {q}",
-        strategy.name()
-    );
-    time_hot(3, || execute(catalog, &op).unwrap())
+) -> (f64, f64) {
+    let op = compile(
+        catalog,
+        &AccessPlan::new(layouts, Strategy::FusedVolcano),
+        q,
+    )
+    .unwrap();
+    assert_eq!(&execute(catalog, &op).unwrap(), want, "{q}");
+    time_hot_median(REPS, || execute(catalog, &op).unwrap())
 }
 
-/// Executes `q` on the row-major relation with the fused strategy.
-fn run_row(rel: &Relation, q: &Query, want: &QueryResult) -> f64 {
-    let layouts = rel.catalog().layout_ids();
-    timed(rel.catalog(), layouts, Strategy::FusedVolcano, q, want)
+/// Executes `q` on the row-major relation.
+fn run_row(rel: &Relation, q: &Query, want: &QueryResult) -> (f64, f64) {
+    timed(rel.catalog(), rel.catalog().layout_ids(), q, want)
 }
 
-/// Executes `q` on the columnar relation with the DSM strategy.
-fn run_column(rel: &Relation, q: &Query, want: &QueryResult) -> f64 {
+/// Executes `q` on the columnar relation, reading the columns it needs.
+fn run_column(rel: &Relation, q: &Query, want: &QueryResult) -> (f64, f64) {
     let layouts = rel.catalog().cover(&q.all_attrs()).unwrap();
-    timed(rel.catalog(), layouts, Strategy::ColumnMajor, q, want)
+    timed(rel.catalog(), layouts, q, want)
 }
 
-/// Executes `q` on a freshly materialized exact column group with the
-/// fused strategy. The paper's group layout has "no unique execution
-/// strategy" (§3.3) and picks between the fused and selection-vector
-/// plans per query; here both are one scan, the selection-vector plan
-/// holding a morsel's ids where the fused scan holds a block's.
-fn run_group(source: &Relation, q: &Query, want: &QueryResult) -> f64 {
+/// Executes `q` on a freshly materialized exact column group. The
+/// paper's group layout has "no unique execution strategy" (§3.3) and
+/// picks between the fused and selection-vector plans per query; here
+/// both are one scan, the selection-vector plan holding a morsel's ids
+/// where the fused scan holds a block's.
+fn run_group(source: &Relation, q: &Query, want: &QueryResult) -> (f64, f64) {
     let attrs: Vec<AttrId> = q.all_attrs().to_vec();
     let group = h2o_exec::reorg::materialize(source.catalog(), &attrs).unwrap();
     let mut catalog = LayoutCatalog::new(source.schema().clone(), source.rows());
     let id = catalog.add_group(group).unwrap();
-    timed(&catalog, vec![id], Strategy::FusedVolcano, q, want)
+    timed(&catalog, vec![id], q, want)
+}
+
+/// The CSV cells of one row: each layout's median, then each IQR.
+fn cells(times: [(f64, f64); 3]) -> String {
+    let medians = times.iter().map(|t| fmt_s(t.0));
+    let iqrs = times.iter().map(|t| fmt_s(t.1));
+    medians.chain(iqrs).collect::<Vec<_>>().join(",")
 }
 
 fn main() {
@@ -90,6 +104,9 @@ fn main() {
         "row_seconds",
         "group_seconds",
         "column_seconds",
+        "row_iqr",
+        "group_iqr",
+        "column_iqr",
     ]);
 
     // Panels (a)-(c): attribute sweep, no where clause.
@@ -106,13 +123,8 @@ fn main() {
             let t_row = run_row(&row_rel, &q, &want);
             let t_grp = run_group(&col_rel, &q, &want);
             let t_col = run_column(&col_rel, &q, &want);
-            println!(
-                "{panel},{},{k},1.0,{},{},{}",
-                template.name(),
-                fmt_s(t_row),
-                fmt_s(t_grp),
-                fmt_s(t_col)
-            );
+            let cells = cells([t_row, t_grp, t_col]);
+            println!("{panel},{},{k},1.0,{cells}", template.name());
         }
     }
 
@@ -131,13 +143,8 @@ fn main() {
             let t_row = run_row(&row_rel, &q, &want);
             let t_grp = run_group(&col_rel, &q, &want);
             let t_col = run_column(&col_rel, &q, &want);
-            println!(
-                "{panel},{},20,{sel},{},{},{}",
-                template.name(),
-                fmt_s(t_row),
-                fmt_s(t_grp),
-                fmt_s(t_col)
-            );
+            let cells = cells([t_row, t_grp, t_col]);
+            println!("{panel},{},20,{sel},{cells}", template.name());
         }
     }
 }

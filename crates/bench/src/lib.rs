@@ -86,6 +86,24 @@ pub fn time_hot<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     total / reps.max(1) as f64
 }
 
+/// Runs `f` once as warm-up, then `reps` timed repetitions, and returns
+/// the `(median, interquartile range)` of their seconds: a per-cell
+/// spread that says whether two cells differ by more than the host's
+/// noise.
+pub fn time_hot_median<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, f64) {
+    let _ = f(); // warm-up
+    let mut secs: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(f());
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    let at = |q: usize| secs[(secs.len() - 1) * q / 4];
+    (at(2), at(3) - at(1))
+}
+
 /// Prints a CSV header line to stdout.
 pub fn csv_header(cols: &[&str]) {
     println!("{}", cols.join(","));
@@ -105,6 +123,12 @@ mod tests {
         let (v, s) = time(|| (0..10_000).sum::<u64>());
         assert_eq!(v, 49995000);
         assert!(s >= 0.0);
+    }
+
+    #[test]
+    fn time_hot_median_orders_quartiles() {
+        let (median, iqr) = time_hot_median(9, || std::hint::black_box((0..1000).sum::<u64>()));
+        assert!(median >= 0.0 && iqr >= 0.0);
     }
 
     #[test]

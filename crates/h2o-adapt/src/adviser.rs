@@ -37,7 +37,7 @@
 //!   one exists, is the fewest-groups cover itself, so it intersects the
 //!   pattern too. So `best_plan` over a configuration equals `best_plan`
 //!   over the subsequence of its groups that intersect the pattern, and
-//!   that result (cost, cover *and* strategy) is memoised for the round
+//!   that result (cost and cover) is memoised for the round
 //!   under `(class, ordered ids of those groups)`.
 //! * **Totals are summed in window order.** f64 addition does not
 //!   associate, so the window total is still accumulated pattern by
@@ -274,7 +274,7 @@ impl<'a> Round<'a> {
     }
 
     /// Evaluates Eq. 1 for `current ∪ pool`: the window's total query cost
-    /// under best covers/strategies, plus transformation cost for every
+    /// under best covers, plus transformation cost for every
     /// *pool* group that at least one query's cover actually uses. Returns
     /// `(total, used)` where `used[i]` says `pool[i]` was used.
     fn window_cost(&mut self, pool: &[usize]) -> (f64, Vec<bool>) {

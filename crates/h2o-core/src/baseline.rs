@@ -7,15 +7,15 @@
 //! comparisons purely reflect the differences in data layouts and access
 //! patterns." (§4.1)
 //!
-//! * [`StaticKind::RowStore`] — single full-width group, fused
-//!   volcano-style execution with predicate push-down (§3.3 "Row-major").
-//! * [`StaticKind::ColumnStore`] — one group per attribute, pure DSM
-//!   column-at-a-time execution with selection vectors and intermediate
-//!   materialization (§3.3 "Column-major").
+//! * [`StaticKind::RowStore`] — single full-width group, read through its
+//!   one group (§3.3 "Row-major").
+//! * [`StaticKind::ColumnStore`] — one group per attribute, reading
+//!   exactly the referenced columns (§3.3 "Column-major"), which the fused
+//!   kernel folds and gathers a column at a time.
 //!
-//! Both share H2O's kernels and operator cache; the only differences are
-//! the fixed layout and the fixed strategy — exactly the experimental
-//! isolation the paper argues for.
+//! Both run H2O's one kernel and operator cache; the only difference is
+//! the fixed layout — exactly the experimental isolation the paper argues
+//! for ("comparisons purely reflect the differences in data layouts").
 
 use h2o_exec::{
     execute as exec_execute, AccessPlan, CompileCostModel, ExecError, OperatorCache, Strategy,
@@ -41,7 +41,7 @@ impl StaticKind {
     }
 }
 
-/// A fixed-layout, fixed-strategy engine. It executes serially, like the
+/// A fixed-layout engine. It executes serially, like the
 /// paper's single-threaded baselines.
 pub struct StaticEngine {
     relation: Relation,
@@ -90,12 +90,12 @@ impl StaticEngine {
             StaticKind::ColumnStore => {
                 // The column-store reads exactly the referenced columns.
                 let ids = catalog.cover(&q.all_attrs())?;
-                Ok(AccessPlan::new(ids, Strategy::ColumnMajor))
+                Ok(AccessPlan::new(ids, Strategy::FusedVolcano))
             }
         }
     }
 
-    /// Executes a query with the engine's fixed layout and strategy.
+    /// Executes a query with the engine's fixed layout.
     pub fn execute(&self, q: &Query) -> Result<QueryResult, ExecError> {
         let plan = self.plan(q)?;
         let op = self
@@ -185,7 +185,7 @@ mod tests {
         assert_eq!(rp.strategy, Strategy::FusedVolcano);
         assert_eq!(rp.layouts.len(), 1, "row store has one wide layout");
         let cp = col.plan(&q).unwrap();
-        assert_eq!(cp.strategy, Strategy::ColumnMajor);
+        assert_eq!(cp.strategy, Strategy::FusedVolcano);
         assert_eq!(cp.layouts.len(), 1, "only the referenced column");
     }
 

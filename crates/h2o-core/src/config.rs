@@ -24,7 +24,7 @@ pub struct EngineConfig {
     /// Operator cache capacity (number of generated operators retained).
     pub opcache_capacity: usize,
     /// Master switch for the adaptation mechanism. With `false` the engine
-    /// degenerates to a fixed-layout engine with cost-based strategy choice
+    /// degenerates to a fixed-layout engine with cost-based cover choice
     /// (useful for ablations).
     pub adaptive: bool,
     /// Intra-query worker threads (morsel-driven parallelism — a deviation

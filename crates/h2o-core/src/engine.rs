@@ -167,8 +167,8 @@ impl From<QueryError> for EngineError {
 /// pay the creation overhead").
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryReport {
-    /// Strategy of the executed plan (`FusedVolcano` for fused
-    /// reorganization queries).
+    /// Strategy of the executed plan (always `FusedVolcano`: one kernel
+    /// runs every plan).
     pub strategy: Strategy,
     /// Layouts the plan read.
     pub layouts: Vec<LayoutId>,
@@ -887,7 +887,7 @@ impl H2oEngine {
         }
     }
 
-    /// Picks the cheapest `(covering layouts, strategy)` plan for a
+    /// Picks the cheapest covering-layouts plan for a
     /// pattern against the current snapshot: the query-processor half of
     /// Fig. 3. Exposed for tests and the harness (`EXPLAIN`-style
     /// introspection).
@@ -911,7 +911,7 @@ impl H2oEngine {
             return Err(StorageError::NoCover(missing.unwrap_or(AttrId(0))).into());
         };
         let layouts = plan.cover.iter().map(|&i| groups[i].id()).collect();
-        Ok((AccessPlan::new(layouts, plan.strategy), plan.cost))
+        Ok((AccessPlan::new(layouts, Strategy::FusedVolcano), plan.cost))
     }
 
     /// Lazy materialization (§3.2), the one admission for both request

@@ -4,9 +4,9 @@
 //!
 //! * the **Data Layout Manager** (`h2o-storage`'s catalog),
 //! * the **Query Processor** ([`engine::H2oEngine::run`]): per query it
-//!   enumerates `(covering layout set, execution strategy)` alternatives,
-//!   prices them with the Eq. 2 cost model, and runs the winner through the
-//!   **Operator Generator** (`h2o-exec`'s compile + operator cache),
+//!   prices covering layout sets with the Eq. 2 cost model and runs the
+//!   winner through the **Operator Generator** (`h2o-exec`'s compile +
+//!   operator cache),
 //! * the **Adaptation Mechanism**: the dynamic monitoring window triggers
 //!   the adviser periodically; recommended layouts become *pending* and are
 //!   materialized **lazily** — the first query that can benefit from a

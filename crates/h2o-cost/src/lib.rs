@@ -20,8 +20,7 @@
 //!   ([`CostModel::transform_cost`]); the window sum, with amortization,
 //!   is the adviser's (`h2o-adapt`), and exists only there.
 //!
-//! [`CostModel::best_plan`] is the one place a cover and a strategy are
-//! chosen: the query planner runs the plan it returns, and the adviser,
+//! [`CostModel::best_plan`] is the one place a cover is chosen: the query planner runs the plan it returns, and the adviser,
 //! the engine's lazy "can it benefit" check and AutoPart price exactly
 //! that plan.
 //!

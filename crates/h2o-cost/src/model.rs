@@ -4,7 +4,6 @@
 //! sums over its monitoring window.
 
 use crate::pattern::AccessPattern;
-use h2o_exec::Strategy;
 use h2o_storage::{cover_fewest_groups, cover_least_excess, AttrSet, VALUE_BYTES};
 
 // Machine characteristics the model is parameterized on: order-of-magnitude
@@ -67,8 +66,6 @@ pub struct PricedPlan {
     /// The groups it reads, as positions in the configuration, in the
     /// order the cover picked them (the order the cost was summed in).
     pub cover: Vec<usize>,
-    /// How it executes.
-    pub strategy: Strategy,
 }
 
 /// Which role a relation plays in a hash join. The build side is scanned
@@ -172,18 +169,17 @@ impl CostModel {
     // ------------------------------------------------------------------
 
     /// Estimated cost of executing a query with `pat`'s access pattern
-    /// with `strategy` over `groups`, on a relation of `rows` tuples.
+    /// over `groups`, on a relation of `rows` tuples.
     ///
     /// Implements `q(L) = Σ cost_CPU` per layout (see [`CostModel`] on the
-    /// I/O term), plus strategy-specific intermediate-result and
-    /// output-materialization terms.
-    pub fn plan_cost(
-        &self,
-        pat: &AccessPattern,
-        strategy: Strategy,
-        groups: &[&AttrSet],
-        rows: usize,
-    ) -> f64 {
+    /// I/O term), plus intermediate-result and output-materialization
+    /// terms. The scan is priced as the cheapest of three formulas: one
+    /// pass (Fig. 5), two phases (Fig. 6) and a column at a time (§2.1).
+    /// It runs every plan with the one walker, but folds its rows a
+    /// block at a time — the two-phase plan with a block for its selection
+    /// vector — and over a column layout a column at a time, so each of the
+    /// three prices one of its shapes (ROADMAP item 6 re-derives them).
+    pub fn plan_cost(&self, pat: &AccessPattern, groups: &[&AttrSet], rows: usize) -> f64 {
         let n = rows as f64;
         let selected = n * pat.selectivity;
         let miss = CACHE_MISS_SECONDS;
@@ -199,7 +195,7 @@ impl CostModel {
         };
         // Grouped aggregation pays one hash-table probe (key hash + bucket
         // compare + accumulator update) per qualifying tuple. The charge is
-        // strategy-independent — both strategies fold through the same
+        // the same under each formula — every shape folds through the same
         // table — so relative plan choice stays driven by scan/gather
         // costs, exactly as for scalar aggregates.
         let group_cost = if pat.is_grouped {
@@ -209,102 +205,110 @@ impl CostModel {
         };
         let out_cost = self.materialize(out_bytes) + group_cost;
 
-        match strategy {
-            Strategy::FusedVolcano => {
-                // One pass over every group; all accessed attributes of a
-                // group are charged at scan rate (predicates force the
-                // stream regardless of selectivity).
-                let mut total = 0.0;
-                let mut active_groups = 0usize;
-                for g in groups {
-                    let acc_where = g.intersection_len(&pat.where_);
-                    let acc_all = g.intersection_len(&needed);
-                    if acc_all == 0 {
-                        continue;
-                    }
-                    active_groups += 1;
-                    total += self.scan_misses(rows, width_bytes(g), acc_all) * miss
-                        + n * acc_where as f64 * CPU_VALUE_SECONDS;
-                }
-                // Stitching across multiple groups in the same pass.
-                total += n * active_groups.saturating_sub(1) as f64 * CPU_STITCH_SECONDS;
-                // Select-item compute only for qualifying tuples.
-                total += selected * pat.select_ops as f64 * CPU_OP_SECONDS;
-                let one_pass = total + out_cost;
-                // The scan folds its rows a 1K-row block at a time, the
-                // two-phase plan of Fig. 6 with a block for its selection
-                // vector, so it also takes that plan's price when cheaper
-                // (ROADMAP item 4(b) re-prices the scan).
-                let mut total = 0.0;
-                // Phase 1: full scan of groups holding where attributes.
-                for g in groups {
-                    let acc = g.intersection_len(&pat.where_);
-                    if acc == 0 {
-                        continue;
-                    }
-                    total += self.scan_misses(rows, width_bytes(g), acc) * miss
-                        + n * acc as f64 * CPU_VALUE_SECONDS;
-                }
-                // Selection-vector materialization (u32 ids).
-                if pat.has_filter() {
-                    total += self.materialize(selected * 4.0);
-                }
-                // Phase 2: gather from groups holding select attributes.
-                let mut gather_groups = 0usize;
-                for g in groups {
-                    let acc = g.intersection_len(&pat.select);
-                    if acc == 0 {
-                        continue;
-                    }
-                    gather_groups += 1;
-                    let misses = self.gather_misses(selected, rows, width_bytes(g), acc);
-                    total += misses * miss + selected * acc as f64 * CPU_VALUE_SECONDS;
-                }
-                total += selected * gather_groups.saturating_sub(1) as f64 * CPU_STITCH_SECONDS;
-                total += selected * pat.select_ops as f64 * CPU_OP_SECONDS;
-                one_pass.min(total + out_cost)
+        // One pass over every group; all accessed attributes of a
+        // group are charged at scan rate (predicates force the
+        // stream regardless of selectivity).
+        let mut total = 0.0;
+        let mut active_groups = 0usize;
+        for g in groups {
+            let acc_where = g.intersection_len(&pat.where_);
+            let acc_all = g.intersection_len(&needed);
+            if acc_all == 0 {
+                continue;
             }
-            Strategy::ColumnMajor => {
-                // Column-at-a-time processing reads each attribute through
-                // whatever group physically stores it; on non-unit-width
-                // groups every per-attribute pass pays strided access.
-                let width_of = |attr: h2o_storage::AttrId| -> f64 {
-                    groups
-                        .iter()
-                        .find(|g| g.contains(attr))
-                        .map(|g| width_bytes(g))
-                        .unwrap_or(VALUE_BYTES as f64)
-                };
-                let col_width = VALUE_BYTES as f64;
-                let mut total = 0.0;
-                // Predicates: first predicate scans its column fully; each
-                // further predicate gathers candidates and materializes the
-                // intermediate candidate column.
-                for (i, attr) in pat.where_.iter().enumerate() {
-                    let w = width_of(attr);
-                    if i == 0 {
-                        total += self.scan_misses(rows, w, 1) * miss + n * CPU_VALUE_SECONDS;
-                    } else {
-                        let misses = self.gather_misses(selected, rows, w, 1);
-                        let cpu = misses * miss + selected * CPU_VALUE_SECONDS;
-                        total += cpu + self.materialize(selected * col_width);
-                    }
-                }
-                // Source column reads: one gather per select attribute.
-                for attr in pat.select.iter() {
-                    let misses = self.gather_misses(selected, rows, width_of(attr), 1);
-                    total += misses * miss + selected * CPU_VALUE_SECONDS;
-                }
-                // Intermediate materializations: one fresh column per
-                // operator beyond the raw loads (§2.1: "a+b+c results into
-                // the materialization of two intermediate columns"), each
-                // both written and re-read.
-                let intermediates = pat.select_ops.saturating_sub(pat.select.len());
-                total += intermediates as f64 * 2.0 * self.materialize(selected * col_width);
-                total += selected * pat.select_ops as f64 * CPU_OP_SECONDS;
-                total + out_cost
+            active_groups += 1;
+            total += self.scan_misses(rows, width_bytes(g), acc_all) * miss
+                + n * acc_where as f64 * CPU_VALUE_SECONDS;
+        }
+        // Stitching across multiple groups in the same pass.
+        total += n * active_groups.saturating_sub(1) as f64 * CPU_STITCH_SECONDS;
+        // Select-item compute only for qualifying tuples.
+        total += selected * pat.select_ops as f64 * CPU_OP_SECONDS;
+        let one_pass = total + out_cost;
+        // Two phases (Fig. 6): the scan folds its rows a 1K-row block at
+        // a time, the two-phase plan with a block for its selection
+        // vector (ROADMAP item 4(b) re-prices the scan).
+        let mut total = 0.0;
+        // Phase 1: full scan of groups holding where attributes.
+        for g in groups {
+            let acc = g.intersection_len(&pat.where_);
+            if acc == 0 {
+                continue;
+            }
+            total += self.scan_misses(rows, width_bytes(g), acc) * miss
+                + n * acc as f64 * CPU_VALUE_SECONDS;
+        }
+        // Selection-vector materialization (u32 ids).
+        if pat.has_filter() {
+            total += self.materialize(selected * 4.0);
+        }
+        // Phase 2: gather from groups holding select attributes.
+        let mut gather_groups = 0usize;
+        for g in groups {
+            let acc = g.intersection_len(&pat.select);
+            if acc == 0 {
+                continue;
+            }
+            gather_groups += 1;
+            let misses = self.gather_misses(selected, rows, width_bytes(g), acc);
+            total += misses * miss + selected * acc as f64 * CPU_VALUE_SECONDS;
+        }
+        total += selected * gather_groups.saturating_sub(1) as f64 * CPU_STITCH_SECONDS;
+        total += selected * pat.select_ops as f64 * CPU_OP_SECONDS;
+        let two_phase = total + out_cost;
+        let columns = self.column_at_a_time(pat, groups, rows) + out_cost;
+        one_pass.min(two_phase).min(columns)
+    }
+
+    /// [`Self::plan_cost`]'s column-at-a-time price without its output
+    /// term: the formula of the column-store execution model (§2.1), each
+    /// attribute read through whatever group stores it, every predicate
+    /// past the first and every operator past the raw loads paying a
+    /// materialized intermediate column. The scan no longer builds those
+    /// intermediates (it reads a column layout a column at a time with
+    /// block-sized vectors), but the formula keeps every plan the model
+    /// chose while it did; ROADMAP item 6 re-derives it.
+    fn column_at_a_time(&self, pat: &AccessPattern, groups: &[&AttrSet], rows: usize) -> f64 {
+        let n = rows as f64;
+        let selected = n * pat.selectivity;
+        let miss = CACHE_MISS_SECONDS;
+        // On non-unit-width groups every per-attribute pass pays strided
+        // access.
+        let width_of = |attr: h2o_storage::AttrId| -> f64 {
+            groups
+                .iter()
+                .find(|g| g.contains(attr))
+                .map(|g| width_bytes(g))
+                .unwrap_or(VALUE_BYTES as f64)
+        };
+        let col_width = VALUE_BYTES as f64;
+        let mut total = 0.0;
+        // Predicates: first predicate scans its column fully; each
+        // further predicate gathers candidates and materializes the
+        // intermediate candidate column.
+        for (i, attr) in pat.where_.iter().enumerate() {
+            let w = width_of(attr);
+            if i == 0 {
+                total += self.scan_misses(rows, w, 1) * miss + n * CPU_VALUE_SECONDS;
+            } else {
+                let misses = self.gather_misses(selected, rows, w, 1);
+                let cpu = misses * miss + selected * CPU_VALUE_SECONDS;
+                total += cpu + self.materialize(selected * col_width);
             }
         }
+        // Source column reads: one gather per select attribute.
+        for attr in pat.select.iter() {
+            let misses = self.gather_misses(selected, rows, width_of(attr), 1);
+            total += misses * miss + selected * CPU_VALUE_SECONDS;
+        }
+        // Intermediate materializations: one fresh column per operator
+        // beyond the raw loads (§2.1: "a+b+c results into the
+        // materialization of two intermediate columns"), each both
+        // written and re-read.
+        let intermediates = pat.select_ops.saturating_sub(pat.select.len());
+        total += intermediates as f64 * 2.0 * self.materialize(selected * col_width);
+        total += selected * pat.select_ops as f64 * CPU_OP_SECONDS;
+        total
     }
 
     /// Estimated cost of one **side** of a hash join whose own plan costs
@@ -343,8 +347,8 @@ impl CostModel {
     ///
     /// The candidates are the two greedy covers of the pattern's attributes
     /// ([`cover_fewest_groups`], then [`cover_least_excess`] if it
-    /// differs), each under every strategy of [`Strategy::ALL`]; the first
-    /// strictly cheapest wins. The narrowest single group holding every
+    /// differs), each priced by [`Self::plan_cost`]; the first strictly
+    /// cheapest wins. The narrowest single group holding every
     /// attribute needs no candidate of its own: when one exists, it is the
     /// whole fewest-groups cover (most covered, then least excess, then
     /// earliest).
@@ -364,26 +368,20 @@ impl CostModel {
         let least_excess = cover_least_excess(config, &needed).filter(|c| *c != fewest);
         let covers = [Some(fewest), least_excess];
 
-        let mut best: Option<(f64, usize, Strategy)> = None;
+        let mut best: Option<(f64, usize)> = None;
         let mut groups = Vec::new();
         for (k, cover) in covers.iter().enumerate() {
             let Some(cover) = cover else { continue };
             groups.clear();
             groups.extend(cover.iter().map(|&i| config[i]));
-            for strategy in Strategy::ALL {
-                let cost = self.plan_cost(pat, strategy, &groups, rows);
-                if best.is_none_or(|(c, ..)| cost < c) {
-                    best = Some((cost, k, strategy));
-                }
+            let cost = self.plan_cost(pat, &groups, rows);
+            if best.is_none_or(|(c, _)| cost < c) {
+                best = Some((cost, k));
             }
         }
-        let (cost, k, strategy) = best?;
+        let (cost, k) = best?;
         let cover = covers.into_iter().nth(k)??;
-        Some(PricedPlan {
-            cost,
-            cover,
-            strategy,
-        })
+        Some(PricedPlan { cost, cover })
     }
 
     // ------------------------------------------------------------------
@@ -464,9 +462,9 @@ mod tests {
 
     #[test]
     fn wide_access_prefers_row_major_over_columns() {
-        // Query touching 120 of 150 attrs with an expression: row-major
-        // fused must cost less than column-at-a-time (the crossover of
-        // Figs. 1–2 at high projectivity).
+        // Query touching 120 of 150 attrs with an expression: the row-major
+        // plan must cost less than the best price over the column layout
+        // (the crossover of Figs. 1–2 at high projectivity).
         let m = CostModel;
         let attrs: Vec<usize> = (0..120).collect();
         let mut pat = pattern(&attrs, &[120], 0.4);
@@ -476,11 +474,11 @@ mod tests {
         let row = span(150);
         let cols: Vec<AttrSet> = (0..121).map(|i| aset(&[i])).collect();
         let col_refs: Vec<&AttrSet> = cols.iter().collect();
-        let row_fused = m.plan_cost(&pat, Strategy::FusedVolcano, &[&row], ROWS);
-        let col_dsm = m.plan_cost(&pat, Strategy::ColumnMajor, &col_refs, ROWS);
+        let row_cost = m.plan_cost(&pat, &[&row], ROWS);
+        let col_cost = m.plan_cost(&pat, &col_refs, ROWS);
         assert!(
-            row_fused < col_dsm,
-            "row fused {row_fused} should beat columnar {col_dsm} at high projectivity"
+            row_cost < col_cost,
+            "row-major {row_cost} should beat columnar {col_cost} at high projectivity"
         );
     }
 
@@ -496,14 +494,7 @@ mod tests {
     fn selectivity_lowers_fused_cost() {
         let m = CostModel;
         let (a, b) = (aset(&[0, 1, 2]), aset(&[3]));
-        let plan = |sel: f64| {
-            m.plan_cost(
-                &pattern(&[0, 1, 2], &[3], sel),
-                Strategy::FusedVolcano,
-                &[&a, &b],
-                ROWS,
-            )
-        };
+        let plan = |sel: f64| m.plan_cost(&pattern(&[0, 1, 2], &[3], sel), &[&a, &b], ROWS);
         assert!(plan(0.01) < plan(0.5));
         assert!(plan(0.5) < plan(1.0));
     }
@@ -524,7 +515,7 @@ mod tests {
         // The hash probe makes grouped strictly costlier on the same plan...
         assert!(cost(&grouped, &narrow) > cost(&scalar, &narrow));
         // ...but layout preference is unchanged: the charge is
-        // strategy/layout-independent.
+        // layout-independent.
         assert!(cost(&grouped, &narrow) < cost(&grouped, &wide));
     }
 
@@ -563,7 +554,7 @@ mod tests {
         // the probe role only the table probe.
         let m = CostModel;
         let pat = pattern(&[0, 1], &[2], 0.5);
-        let plan = m.plan_cost(&pat, Strategy::FusedVolcano, &[&aset(&[0, 1, 2])], ROWS);
+        let plan = m.plan_cost(&pat, &[&aset(&[0, 1, 2])], ROWS);
         let build = m.join_side_cost(&pat, plan, ROWS, JoinRole::Build);
         let probe = m.join_side_cost(&pat, plan, ROWS, JoinRole::Probe);
         assert!(
@@ -574,46 +565,41 @@ mod tests {
 
     #[test]
     fn join_ordering_prefers_selective_build_side() {
-        // Two sides with very different observed selectivity: under every
-        // strategy, building on the selective (small post-filter) side is
-        // cheaper — the greedy ordering rule the engine applies.
+        // Two sides with very different observed selectivity: building on
+        // the selective (small post-filter) side is cheaper — the greedy
+        // ordering rule the engine applies.
         let m = CostModel;
         let selective = pattern(&[0, 1], &[2], 0.05);
         let broad = pattern(&[0, 1], &[2], 0.8);
         let group = aset(&[0, 1, 2]);
-        for &strategy in Strategy::ALL.iter() {
-            let side = |pat, role| {
-                let plan = m.plan_cost(pat, strategy, &[&group], ROWS);
-                m.join_side_cost(pat, plan, ROWS, role)
-            };
-            let order_a = side(&selective, JoinRole::Build) + side(&broad, JoinRole::Probe);
-            let order_b = side(&broad, JoinRole::Build) + side(&selective, JoinRole::Probe);
-            assert!(
-                order_a < order_b,
-                "{strategy:?}: selective build {order_a} must beat broad build {order_b}"
-            );
-        }
+        let side = |pat, role| {
+            let plan = m.plan_cost(pat, &[&group], ROWS);
+            m.join_side_cost(pat, plan, ROWS, role)
+        };
+        let order_a = side(&selective, JoinRole::Build) + side(&broad, JoinRole::Probe);
+        let order_b = side(&broad, JoinRole::Build) + side(&selective, JoinRole::Probe);
+        assert!(
+            order_a < order_b,
+            "selective build {order_a} must beat broad build {order_b}"
+        );
     }
 
     #[test]
     fn join_side_cost_prefers_key_payload_group() {
         // A join side reading keys {0} + payload {1} behind a filter on {2}:
-        // under every strategy and role, a tailored key+payload group beats
+        // in either role, a tailored key+payload group beats
         // the wide row-major group — the gradient the adviser follows
         // toward join-shaped column groups.
         let m = CostModel;
         let pat = pattern(&[0, 1], &[2], 0.2);
         let (tailored, wide) = (aset(&[0, 1, 2]), span(150));
-        for &strategy in Strategy::ALL.iter() {
-            for role in [JoinRole::Build, JoinRole::Probe] {
-                let side =
-                    |g| m.join_side_cost(&pat, m.plan_cost(&pat, strategy, &[g], ROWS), ROWS, role);
-                let (narrow_cost, wide_cost) = (side(&tailored), side(&wide));
-                assert!(
-                    narrow_cost < wide_cost,
-                    "{strategy:?} {role:?}: {narrow_cost} vs {wide_cost}"
-                );
-            }
+        for role in [JoinRole::Build, JoinRole::Probe] {
+            let side = |g| m.join_side_cost(&pat, m.plan_cost(&pat, &[g], ROWS), ROWS, role);
+            let (narrow_cost, wide_cost) = (side(&tailored), side(&wide));
+            assert!(
+                narrow_cost < wide_cost,
+                "{role:?}: {narrow_cost} vs {wide_cost}"
+            );
         }
     }
 
@@ -633,7 +619,7 @@ mod tests {
         assert!(plan.cost < wide_only.cost);
         // The cost is the chosen plan's, bit for bit.
         let refs = [&config[1], &config[2]];
-        let again = m.plan_cost(&pat, plan.strategy, &refs, ROWS);
+        let again = m.plan_cost(&pat, &refs, ROWS);
         assert_eq!(plan.cost.to_bits(), again.to_bits());
         // Uncoverable pattern yields None.
         let refs: Vec<&AttrSet> = config.iter().collect();
@@ -662,7 +648,6 @@ mod tests {
             full.cover,
             sub.cover.iter().map(|&i| back[i]).collect::<Vec<_>>()
         );
-        assert_eq!(full.strategy, sub.strategy);
         assert_eq!(full.cost.to_bits(), sub.cost.to_bits());
         // A pattern touching no attribute is served by the empty cover.
         let count_star = pattern(&[], &[], 1.0);

@@ -18,7 +18,7 @@
 //! are powers of two, so boundaries nest) and, inside an unsealed tail,
 //! within a single piece. Within a run, [`SegRun::view`] hands back
 //! exactly the old contiguous `(&[Value], width)` pair and the tight loops
-//! are unchanged. Random access by row id (selection-vector consumers) goes
+//! are unchanged. Random access by row id (the block walker's consumers) goes
 //! through [`GroupViews::get`] / [`SlotAccessor`], which add one shift, one
 //! mask and one extra indexed load per access.
 
@@ -68,7 +68,7 @@ pub struct GroupViews<'a> {
     skipped: AtomicU64,
     /// Cooperative cancellation: when set, segment-run iteration caps runs
     /// at [`CANCEL_CHECK_ROWS`] rows and polls the token between runs, so
-    /// every kernel strategy observes cancellation without changing its
+    /// every kernel observes cancellation without changing its
     /// tight loops. `None` (the default) costs nothing.
     cancel: Option<CancelToken>,
 }
@@ -107,9 +107,10 @@ impl<'a> GroupViews<'a> {
     ///
     /// Re-checks the engine-wide row-id capacity
     /// ([`h2o_storage::MAX_ROWS`]) before binding: every execution entry
-    /// point funnels through here, so a relation too large for 32-bit
-    /// selection-vector ids surfaces as a typed
-    /// [`StorageError::RelationFull`] instead of a wrapped id downstream.
+    /// point funnels through here, and the block walker and the join hand
+    /// rows on as `u32` ids, so a relation too large for them surfaces as
+    /// a typed [`StorageError::RelationFull`] instead of a wrapped id
+    /// downstream.
     pub fn resolve(
         catalog: &'a LayoutCatalog,
         layouts: &[LayoutId],
@@ -169,20 +170,16 @@ impl<'a> GroupViews<'a> {
         self.cancel = Some(token);
     }
 
-    /// Whether the attached token (if any) has requested a stop. Drivers
-    /// use this to short-circuit selection-vector consumers between
-    /// chunks.
-    #[inline]
-    pub fn cancel_stopped(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|t| t.should_stop().is_some())
-    }
-
     /// Number of tuples (identical across groups of one relation).
     #[inline]
     pub fn rows(&self) -> usize {
         self.rows
+    }
+
+    /// Values per tuple of plan slot `slot`'s group.
+    #[inline]
+    pub fn width(&self, slot: u32) -> usize {
+        self.slots[slot as usize].width
     }
 
     /// Number of bound groups.
@@ -215,9 +212,9 @@ impl<'a> GroupViews<'a> {
         seg[(row & s.mask) * s.width + attr.offset as usize]
     }
 
-    /// A random-access cursor over one plan slot, for gather loops that
-    /// walk selection vectors (resolves the slot once; each access is a
-    /// shift, a mask and two indexed loads).
+    /// A random-access cursor over one plan slot, for gather loops over
+    /// row ids (resolves the slot once; each access is a shift, a mask and
+    /// two indexed loads).
     #[inline]
     pub fn accessor(&self, slot: u32) -> SlotAccessor<'_, 'a> {
         let s = &self.slots[slot as usize];
@@ -297,28 +294,6 @@ impl<'a> GroupViews<'a> {
     /// (summed across all scans and morsel workers that shared it).
     pub fn segments_skipped(&self) -> u64 {
         self.skipped.load(Ordering::Relaxed)
-    }
-
-    /// Charges `rows` rows of scan-equivalent work against the attached
-    /// token's morsel budget, in [`CANCEL_CHECK_ROWS`]-row units. Fast
-    /// paths that bypass segment-run iteration (identity selection
-    /// vectors for always-true filters) call this so budgeted queries
-    /// account for their gather work too. Returns `false` once the
-    /// budget is exhausted — the caller should drain quickly; the
-    /// execution driver discards the partial and reports the typed
-    /// error.
-    pub fn charge_scan(&self, rows: usize) -> bool {
-        let Some(token) = self.cancel.as_ref() else {
-            return true;
-        };
-        if rows == 0 || !token.has_budget() {
-            return true;
-        }
-        let mut ok = true;
-        for _ in 0..rows.div_ceil(CANCEL_CHECK_ROWS) {
-            ok &= token.charge_unit();
-        }
-        ok
     }
 }
 
@@ -510,6 +485,12 @@ impl<'a> SlotAccessor<'_, 'a> {
         self.segs[row >> self.shift][(row & self.mask) * self.width + offset]
     }
 
+    /// Values per tuple of the slot's group.
+    #[inline]
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
     /// The piece holding `row` (a sealed segment or a tail piece), from
     /// `row`'s chunk to the piece's end.
     #[inline]
@@ -519,18 +500,6 @@ impl<'a> SlotAccessor<'_, 'a> {
             base: row & !self.mask,
             width: self.width,
         }
-    }
-
-    /// A fetch of the lanes at `offset` for the ascending, non-empty
-    /// `rows`, when they all lie in one piece: `fetch(row)` is
-    /// [`Self::value`]`(row, offset)` at one slice index, for a `row` of
-    /// `rows` only.
-    #[inline]
-    pub fn within(&self, rows: &[u32], offset: usize) -> Option<impl Fn(usize) -> Value + 'a> {
-        debug_assert!(rows.is_sorted(), "within needs ascending rows");
-        let (first, last) = (*rows.first()? as usize, *rows.last()? as usize);
-        let piece = self.piece(first);
-        (last < piece.end()).then_some(move |row| piece.value(row, offset))
     }
 }
 
@@ -595,32 +564,30 @@ mod tests {
     }
 
     #[test]
-    fn within_slices_only_rows_of_one_segment() {
+    fn pieces_slice_one_segment_or_one_tail_chunk() {
         // 10 rows of (a, 10a) at shift 2: segments [0..4), [4..8), [8..10).
         let (a, b): (Vec<i64>, Vec<i64>) = (0..10).map(|r| (r, 10 * r)).unzip();
         let g =
             ColumnGroup::from_columns_with_shift(vec![AttrId(0), AttrId(1)], &[&a, &b], 2).unwrap();
         let views = GroupViews::from_groups(&[&g]);
-        let acc = views.accessor(0);
-        let fetch = acc.within(&[4, 6, 7], 1).expect("one segment");
-        assert_eq!([4, 6, 7].map(fetch), [40, 60, 70]);
-        assert!(acc.within(&[3, 4], 0).is_none(), "two segments");
-        assert!(acc.within(&[], 0).is_none());
+        let piece = views.accessor(0).piece(6);
+        assert_eq!(piece.end(), 8, "the segment [4..8)");
+        assert_eq!([4, 6, 7].map(|r| piece.value(r, 1)), [40, 60, 70]);
+        assert_eq!(piece.tuple(5), &[5, 50]);
         // 3 000 rows at shift 11: 1K-row chunks inside 2K-row segments.
         let c: Vec<i64> = (0..3_000).collect();
         let g = ColumnGroup::from_columns_with_shift(vec![AttrId(0)], &[&c], 11).unwrap();
         let views = GroupViews::from_groups(&[&g]);
         let acc = views.accessor(0);
-        let fetch = acc
-            .within(&[5, 1_023, 1_024, 2_047], 0)
-            .expect("one segment");
+        let piece = acc.piece(5);
+        assert_eq!(piece.end(), 2_048, "a sealed segment is one piece");
         assert_eq!(
-            [5, 1_023, 1_024, 2_047].map(fetch),
+            [5, 1_023, 1_024, 2_047].map(|r| piece.value(r, 0)),
             [5, 1_023, 1_024, 2_047]
         );
-        let fetch = acc.within(&[2_100, 2_999], 0).expect("the tail");
-        assert_eq!([2_100, 2_999].map(fetch), [2_100, 2_999]);
-        assert!(acc.within(&[2_047, 2_048], 0).is_none(), "two segments");
+        let piece = acc.piece(2_100);
+        assert_eq!(piece.end(), 3_000, "the tail");
+        assert_eq!([2_100, 2_999].map(|r| piece.value(r, 0)), [2_100, 2_999]);
     }
 
     #[test]

@@ -10,18 +10,13 @@
 use crate::bind::{BoundAttr, GroupViews};
 use crate::cancel::{CancelReason, CancelToken};
 use crate::filter::CompiledFilter;
-use crate::kernels::colmajor;
-use crate::kernels::simd::BLOCK_ROWS;
 use crate::parallel::{run_ranges, ExecPolicy};
-use crate::plan::{AccessPlan, Strategy};
-use crate::program::CompiledExpr;
-use crate::selvec::SelVec;
+use crate::plan::AccessPlan;
 use crate::sink::SelectProgram;
 use h2o_expr::typecheck::{self, QueryTypes};
 use h2o_expr::{Query, QueryError, QueryResult};
 use h2o_storage::{AttrId, ColumnGroup, LayoutCatalog, LayoutId, StorageError, Value};
 use std::fmt;
-use std::ops::Range;
 
 /// Errors from operator compilation or execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -231,7 +226,7 @@ impl ExecCtx<'_> {
 
 /// Executes a compiled operator against the catalog — the one
 /// single-relation entry point. Results are bit-identical for every
-/// strategy, query shape and policy (see `crate::parallel`), and a serial
+/// layout, query shape and policy (see `crate::parallel`), and a serial
 /// policy is bit-identical to the reference interpreter. Also returns the
 /// execution counters (zone-map segment skips) the engine folds into
 /// `EngineStats`.
@@ -241,13 +236,7 @@ pub fn run(
     ctx: &ExecCtx<'_>,
 ) -> Result<(QueryResult, ExecStats), ExecError> {
     let views = ctx.views(catalog, &op.plan.layouts)?;
-    let result = scan(
-        &views,
-        op.plan.strategy,
-        &op.filter,
-        &op.select,
-        &ctx.policy,
-    );
+    let result = scan(&views, &op.filter, &op.select, &ctx.policy);
     ctx.check()?;
     let segments_skipped = views.segments_skipped();
     Ok((result, ExecStats { segments_skipped }))
@@ -276,88 +265,30 @@ pub fn execute_with_policy_stats(
     run(catalog, op, &ExecCtx::new(*policy))
 }
 
-/// The scan driver over pre-resolved views. The strategies differ only in
-/// the **source** of each range's [`Partial`](crate::sink::Partial), and
-/// every source folds through the select program's one batch step —
-///
-/// * fused: the filtered rows of a row range, a 1K-row block at a time
-///   ([`SelectProgram::feed`]);
-/// * column-major: row range → qualifying ids, stitched in range order,
-///   then chunks of the ids (chunking by *qualifying* rows keeps the
-///   evaluation balanced at any selectivity) evaluated column at a time
-///   through intermediate columns (`colmajor::eval_ids`) — over the whole
-///   chunk, or 1K-id blocks of it for grouped aggregation. Its no-filter
-///   bare-column aggregate streams row ranges directly — no selection
-///   vector exists to chunk;
-///
-/// — and the select shape's sink finishes the partials in range order.
-/// Ranges come from [`run_ranges`]: one range under a serial policy, so
-/// there is no separate serial path.
+/// The scan driver over pre-resolved views: each row range's
+/// [`Partial`](crate::sink::Partial) comes from the filtered rows of the
+/// range, a 1K-row block at a time ([`SelectProgram::feed`]), and the
+/// select shape's sink finishes the partials in range order. Ranges come
+/// from [`run_ranges`]: one range under a serial policy, so there is no
+/// separate serial path.
 pub(crate) fn scan(
     views: &GroupViews<'_>,
-    strategy: Strategy,
     filter: &CompiledFilter,
     select: &SelectProgram,
     policy: &ExecPolicy,
 ) -> QueryResult {
-    let (rows, seg_rows) = (views.rows(), views.seg_rows());
-    let parts = if strategy == Strategy::FusedVolcano {
-        run_ranges(rows, seg_rows, policy, |r| {
-            let mut part = select.partial();
-            select.feed(views, filter, r, &mut part);
-            part
-        })
-    } else if let Some(cols) = select.streaming_cols(filter) {
-        run_ranges(rows, seg_rows, policy, |r| {
-            cols.iter()
-                .map(|&(f, a)| colmajor::agg_full_column_range(views, a, f, r.clone()))
-                .collect::<Vec<_>>()
-                .into()
-        })
-    } else {
-        let sel = stitch(run_ranges(rows, seg_rows, policy, |r| {
-            colmajor::build_selvec_columnar_range(views, filter, r)
-        }));
-        let block = match select {
-            SelectProgram::Grouped { .. } => BLOCK_ROWS,
-            _ => usize::MAX,
-        };
-        // The evaluation walks ids, not segment runs, so its cancellation
-        // poll happens here at chunk boundaries; a tripped token yields
-        // empty partials the caller discards.
-        run_ranges(sel.len(), seg_rows, policy, |r| {
-            let mut part = select.partial();
-            if views.cancel_stopped() {
-                return part;
-            }
-            for ids in sel.ids()[r].chunks(block) {
-                let eval = |es: &[&CompiledExpr], r: Range<usize>, out: &mut [Value], layout| {
-                    colmajor::eval_ids(views, &ids[r], es, out, layout)
-                };
-                select.fold(&mut part, ids.len(), eval, None);
-            }
-            part
-        })
-    };
+    let parts = run_ranges(views.rows(), views.seg_rows(), policy, |r| {
+        let mut part = select.partial();
+        select.feed(views, filter, r, &mut part);
+        part
+    });
     select.finish(parts)
-}
-
-/// Stitches per-range selection vectors in range order (a single range's
-/// vector is already the whole).
-fn stitch(mut parts: Vec<SelVec>) -> SelVec {
-    if parts.len() <= 1 {
-        return parts.pop().unwrap_or_default();
-    }
-    let mut out = SelVec::with_capacity(parts.iter().map(|p| p.len()).sum());
-    for part in &parts {
-        out.extend_from(part);
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::Strategy;
     use h2o_expr::{interpret, Aggregate, Conjunction, Expr, Predicate};
     use h2o_storage::{Relation, Schema};
 
@@ -430,11 +361,11 @@ mod tests {
         ]
     }
 
-    /// All strategies over all layouts must equal the reference interpreter
+    /// The scan over every layout must equal the reference interpreter
     /// — on a populated and on a zero-row relation, serially and under odd
     /// morsel tails.
     #[test]
-    fn differential_all_strategies_all_layouts() {
+    fn differential_all_layouts() {
         let partitions: Vec<Vec<Vec<AttrId>>> = vec![
             (0..6).map(|i| vec![AttrId(i)]).collect(),   // columnar
             vec![(0u32..6).map(AttrId::from).collect()], // row-major
@@ -452,24 +383,16 @@ mod tests {
             let layouts = rel.catalog().layout_ids();
             for q in queries() {
                 let want = interpret(rel.catalog(), &q).unwrap();
-                for strategy in Strategy::ALL {
-                    let plan = AccessPlan::new(layouts.clone(), strategy);
-                    let op = compile(rel.catalog(), &plan, &q).unwrap();
-                    let got = execute(rel.catalog(), &op).unwrap();
-                    assert_eq!(
-                        got.fingerprint(),
-                        want.fingerprint(),
-                        "strategy {} rows {rows} query {q}",
-                        strategy.name()
-                    );
-                    let par = execute_with_policy(rel.catalog(), &op, &odd_morsels()).unwrap();
-                    assert_eq!(
-                        par,
-                        got,
-                        "odd morsels: strategy {} rows {rows} query {q}",
-                        strategy.name()
-                    );
-                }
+                let plan = AccessPlan::new(layouts.clone(), Strategy::FusedVolcano);
+                let op = compile(rel.catalog(), &plan, &q).unwrap();
+                let got = execute(rel.catalog(), &op).unwrap();
+                assert_eq!(
+                    got.fingerprint(),
+                    want.fingerprint(),
+                    "rows {rows} query {q}"
+                );
+                let par = execute_with_policy(rel.catalog(), &op, &odd_morsels()).unwrap();
+                assert_eq!(par, got, "odd morsels: rows {rows} query {q}");
             }
         }
     }
@@ -481,39 +404,37 @@ mod tests {
         let policy = ExecPolicy::serial();
         for q in queries() {
             let want = interpret(rel.catalog(), &q).unwrap();
-            for strategy in Strategy::ALL {
-                let plan = AccessPlan::new(layouts.clone(), strategy);
-                let op = compile(rel.catalog(), &plan, &q).unwrap();
-                // A live token that never trips: bit-identical results.
-                let live = CancelToken::new();
-                let (got, _) = run(rel.catalog(), &op, &cancellable(&policy, &live)).unwrap();
-                assert_eq!(got.fingerprint(), want.fingerprint());
-                // Pre-cancelled: typed error, nothing runs.
-                let cancelled = CancelToken::new();
-                cancelled.cancel();
-                assert_eq!(
-                    run(rel.catalog(), &op, &cancellable(&policy, &cancelled)).unwrap_err(),
-                    ExecError::Cancelled
-                );
-                // Expired deadline: the other typed error.
-                let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
-                assert_eq!(
-                    run(rel.catalog(), &op, &cancellable(&policy, &expired)).unwrap_err(),
-                    ExecError::DeadlineExpired
-                );
-                // Zero morsel budget: stopped before the first run.
-                let broke = CancelToken::new();
-                broke.set_budget(0);
-                assert_eq!(
-                    run(rel.catalog(), &op, &cancellable(&policy, &broke)).unwrap_err(),
-                    ExecError::BudgetExhausted
-                );
-                // A generous budget never trips: bit-identical results.
-                let rich = CancelToken::new();
-                rich.set_budget(1 << 20);
-                let (got, _) = run(rel.catalog(), &op, &cancellable(&policy, &rich)).unwrap();
-                assert_eq!(got.fingerprint(), want.fingerprint());
-            }
+            let plan = AccessPlan::new(layouts.clone(), Strategy::FusedVolcano);
+            let op = compile(rel.catalog(), &plan, &q).unwrap();
+            // A live token that never trips: bit-identical results.
+            let live = CancelToken::new();
+            let (got, _) = run(rel.catalog(), &op, &cancellable(&policy, &live)).unwrap();
+            assert_eq!(got.fingerprint(), want.fingerprint());
+            // Pre-cancelled: typed error, nothing runs.
+            let cancelled = CancelToken::new();
+            cancelled.cancel();
+            assert_eq!(
+                run(rel.catalog(), &op, &cancellable(&policy, &cancelled)).unwrap_err(),
+                ExecError::Cancelled
+            );
+            // Expired deadline: the other typed error.
+            let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
+            assert_eq!(
+                run(rel.catalog(), &op, &cancellable(&policy, &expired)).unwrap_err(),
+                ExecError::DeadlineExpired
+            );
+            // Zero morsel budget: stopped before the first run.
+            let broke = CancelToken::new();
+            broke.set_budget(0);
+            assert_eq!(
+                run(rel.catalog(), &op, &cancellable(&policy, &broke)).unwrap_err(),
+                ExecError::BudgetExhausted
+            );
+            // A generous budget never trips: bit-identical results.
+            let rich = CancelToken::new();
+            rich.set_budget(1 << 20);
+            let (got, _) = run(rel.catalog(), &op, &cancellable(&policy, &rich)).unwrap();
+            assert_eq!(got.fingerprint(), want.fingerprint());
         }
     }
 

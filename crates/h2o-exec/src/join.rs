@@ -1,16 +1,11 @@
-//! Hash-join execution: morsel-parallel build + probe over segment runs,
-//! specialized per execution strategy.
+//! Hash-join execution: morsel-parallel build + probe over segment runs.
 //!
-//! The paper's evaluation is single-relation; this module extends both
-//! execution strategies (§3.3) to the two-table equi-join shape
-//! ([`h2o_expr::JoinQuery`]) while preserving their cost structure:
-//!
-//! * **fused** — qualifying rows of each side are found by the one-pass
-//!   scan's block walker (filter fused into the segment-run loop, no
-//!   selection vector), and the probe folds them block by block;
-//! * **column-major** — each side's where-clause materializes a
-//!   per-morsel selection vector with the DSM column-at-a-time filter,
-//!   and the build gather / probe walk consume its ids in 1K-id chunks.
+//! The paper's evaluation is single-relation; this module extends its
+//! fused scan (§3.3) to the two-table equi-join shape
+//! ([`h2o_expr::JoinQuery`]): the qualifying rows of each side are found
+//! by the scan's block walker (filter fused into the segment-run loop, no
+//! selection vector), the build gathers them a block at a time, and the
+//! probe folds them block by block.
 //!
 //! Both sides reuse the single-relation machinery end-to-end: zone-map
 //! pruning via
@@ -88,13 +83,11 @@
 //! # The probe: one block pipeline
 //!
 //! Qualifying probe rows arrive 1K at a time (the last block of a range
-//! may be shorter), from the walkers the scans already use: the fused
-//! scan's block walker over the pruned segment runs, 1K-id chunks of the
-//! selection vector otherwise. Every block runs five stages, for any key
-//! width:
+//! may be shorter), from the scan's block walker over the pruned segment
+//! runs. Every block runs five stages, for any key width:
 //!
-//! 1. gather the key lanes, column by column, each from one segment slice
-//!    when the block's rows share one ([`SlotAccessor::within`]);
+//! 1. gather the key lanes, column by column, each stretch of rows in one
+//!    segment piece from its slice ([`SlotAccessor`]);
 //! 2. hash every key;
 //! 3. test every key against the [`JoinFilter`] — the exact `[min, max]`
 //!    range of each key column, in comparator-key space, and a blocked
@@ -157,7 +150,7 @@
 //! counts), and `F64` sums over the build side keep the pairs' order — so
 //! a serial run stays bit-identical to the interpreter.
 //!
-//! Build-side zone-map pruning comes with the scans: all three strategies
+//! Build-side zone-map pruning comes with the scans: both sides
 //! scan via [`GroupViews::runs_pruned`](crate::GroupViews::runs_pruned),
 //! so segment runs the build filter's zone maps disprove are never read —
 //! [`JoinExecStats::build_segments_skipped`] /
@@ -169,9 +162,9 @@ use crate::bind::{BoundAttr, GroupViews, SlotAccessor};
 use crate::bloom::JoinFilter;
 use crate::compile::{plan_binder, ExecCtx, ExecError};
 use crate::filter::CompiledFilter;
-use crate::kernels::grouped::{gather_col, GroupBlock};
+use crate::kernels::grouped::GroupBlock;
 use crate::kernels::simd::BLOCK_ROWS;
-use crate::kernels::{self, eval_rows, unbound};
+use crate::kernels::{self, eval_rows, gather_col, unbound};
 use crate::parallel::{run_chunks, run_ranges, ExecPolicy};
 use crate::plan::AccessPlan;
 use crate::program::{eval_batch, CompiledExpr, Layout};
@@ -1023,13 +1016,9 @@ fn join(
             let mut probe = Probe::new(op, table, probe_views.accessors());
             let side = &op.probe;
             let mut lap = Lap::start(stages);
-            let qual = kernels::qualifying_blocks(
-                side.plan.strategy,
-                &probe_views,
-                &side.filter,
-                r,
-                |rows| probe.block(rows, &mut lap),
-            );
+            let qual = kernels::for_each_block(&probe_views, &side.filter, r, |rows| {
+                probe.block(rows, &mut lap)
+            });
             let rejects = probe.rejects;
             let (folded, pairs) = probe.finish();
             lap.mark(Stage::ProbeFinish);
@@ -1084,7 +1073,7 @@ fn build_side(
             keys: Vec::new(),
             payload: vec![Vec::new(); op.payload.len()],
         };
-        kernels::qualifying_blocks(build.plan.strategy, views, &build.filter, r, |rows| {
+        kernels::for_each_block(views, &build.filter, r, |rows| {
             let at = part.keys.len();
             part.keys.resize(at + rows.len() * key_width, 0);
             gather_keys(&slots, &build.keys, rows, &mut part.keys[at..]);
@@ -1567,7 +1556,7 @@ mod tests {
     }
 
     #[test]
-    fn differential_all_strategies_build_sides_and_policies() {
+    fn differential_all_build_sides_and_policies() {
         // Populated, and with either side zero-row (empty build short
         // circuit / empty probe scan, per build side).
         let fixtures = [
@@ -1581,40 +1570,32 @@ mod tests {
             for q in queries() {
                 let checked = check_join(&q).unwrap();
                 let want = interpret_join(photo.catalog(), spec.catalog(), &q).unwrap();
-                for strategy in Strategy::ALL {
-                    let lp = AccessPlan::new(photo.catalog().layout_ids(), strategy);
-                    let rp = AccessPlan::new(spec.catalog().layout_ids(), strategy);
-                    for build_is_left in [true, false] {
-                        let op = compile_join(
-                            photo.catalog(),
-                            spec.catalog(),
-                            &lp,
-                            &rp,
-                            &q,
-                            &checked,
-                            build_is_left,
-                        )
-                        .unwrap();
-                        let serial = execute_join(photo.catalog(), spec.catalog(), &op).unwrap();
-                        assert_eq!(
-                            serial.fingerprint(),
-                            want.fingerprint(),
-                            "strategy {} build_is_left {build_is_left} segmented {segmented} \
-                             query {q}",
-                            strategy.name()
-                        );
-                        // Parallel is bit-identical (not just fingerprint-
-                        // equal) for a fixed build side.
-                        for policy in [par_policy(), odd_morsels()] {
-                            let (par, _) = execute_join_with_policy(
-                                photo.catalog(),
-                                spec.catalog(),
-                                &op,
-                                &policy,
-                            )
-                            .unwrap();
-                            assert_eq!(par.data(), serial.data());
-                        }
+                let lp = AccessPlan::new(photo.catalog().layout_ids(), Strategy::FusedVolcano);
+                let rp = AccessPlan::new(spec.catalog().layout_ids(), Strategy::FusedVolcano);
+                for build_is_left in [true, false] {
+                    let op = compile_join(
+                        photo.catalog(),
+                        spec.catalog(),
+                        &lp,
+                        &rp,
+                        &q,
+                        &checked,
+                        build_is_left,
+                    )
+                    .unwrap();
+                    let serial = execute_join(photo.catalog(), spec.catalog(), &op).unwrap();
+                    assert_eq!(
+                        serial.fingerprint(),
+                        want.fingerprint(),
+                        "build_is_left {build_is_left} segmented {segmented} query {q}"
+                    );
+                    // Parallel is bit-identical (not just fingerprint-
+                    // equal) for a fixed build side.
+                    for policy in [par_policy(), odd_morsels()] {
+                        let (par, _) =
+                            execute_join_with_policy(photo.catalog(), spec.catalog(), &op, &policy)
+                                .unwrap();
+                        assert_eq!(par.data(), serial.data());
                     }
                 }
             }
@@ -1691,55 +1672,52 @@ mod tests {
         for (q, build_is_left) in cases {
             let checked = check_join(&q).unwrap();
             let want = interpret_join(photo.catalog(), spec.catalog(), &q).unwrap();
-            for strategy in Strategy::ALL {
-                let lp = AccessPlan::new(photo.catalog().layout_ids(), strategy);
-                let rp = AccessPlan::new(spec.catalog().layout_ids(), strategy);
-                let op = compile_join(
-                    photo.catalog(),
-                    spec.catalog(),
-                    &lp,
-                    &rp,
-                    &q,
-                    &checked,
-                    build_is_left,
-                )
-                .unwrap();
-                assert_eq!(op.fold_plan(), FoldPlan::ProbeOnly);
-                // The flipped roles put the select's attrs on the build
-                // side: the F64 sum keeps the per-pair fold, the rollup
-                // (build-side keys, a count) folds per build group.
-                let flipped = compile_join(
-                    photo.catalog(),
-                    spec.catalog(),
-                    &lp,
-                    &rp,
-                    &q,
-                    &checked,
-                    !build_is_left,
-                )
-                .unwrap();
-                let want_plan = if q.select_clause().is_grouped() {
-                    FoldPlan::BuildGroups
-                } else {
-                    FoldPlan::PerPair
+            let lp = AccessPlan::new(photo.catalog().layout_ids(), Strategy::FusedVolcano);
+            let rp = AccessPlan::new(spec.catalog().layout_ids(), Strategy::FusedVolcano);
+            let op = compile_join(
+                photo.catalog(),
+                spec.catalog(),
+                &lp,
+                &rp,
+                &q,
+                &checked,
+                build_is_left,
+            )
+            .unwrap();
+            assert_eq!(op.fold_plan(), FoldPlan::ProbeOnly);
+            // The flipped roles put the select's attrs on the build
+            // side: the F64 sum keeps the per-pair fold, the rollup
+            // (build-side keys, a count) folds per build group.
+            let flipped = compile_join(
+                photo.catalog(),
+                spec.catalog(),
+                &lp,
+                &rp,
+                &q,
+                &checked,
+                !build_is_left,
+            )
+            .unwrap();
+            let want_plan = if q.select_clause().is_grouped() {
+                FoldPlan::BuildGroups
+            } else {
+                FoldPlan::PerPair
+            };
+            assert_eq!(flipped.fold_plan(), want_plan);
+            for policy in [ExecPolicy::serial(), par_policy()] {
+                let run = |op| {
+                    execute_join_with_policy(photo.catalog(), spec.catalog(), op, &policy).unwrap()
                 };
-                assert_eq!(flipped.fold_plan(), want_plan);
-                for policy in [ExecPolicy::serial(), par_policy()] {
-                    let run = |op| {
-                        execute_join_with_policy(photo.catalog(), spec.catalog(), op, &policy)
-                            .unwrap()
-                    };
-                    let (fast, fstats) = run(&op);
-                    let (slow, sstats) = run(&flipped);
-                    assert_eq!(fast.fingerprint(), want.fingerprint());
-                    assert_eq!(slow.fingerprint(), want.fingerprint());
-                    assert_eq!(fstats.output_pairs, sstats.output_pairs);
-                    // With photo building, spec rows with bestObjID in
-                    // 8..12 fall outside the build key range [0, 7] and
-                    // are rejected before the hash lookup.
-                    if build_is_left {
-                        assert!(fstats.probe_bloom_rejects >= 8, "stats {fstats:?}");
-                    }
+                let (fast, fstats) = run(&op);
+                let (slow, sstats) = run(&flipped);
+                assert_eq!(fast.fingerprint(), want.fingerprint());
+                assert_eq!(slow.fingerprint(), want.fingerprint());
+                assert_eq!(fstats.output_pairs, sstats.output_pairs);
+                // With photo building, spec rows with bestObjID in
+                // 8..12 fall outside the build key range [0, 7] and
+                // are rejected before the hash lookup.
+                if build_is_left {
+                    assert!(fstats.probe_bloom_rejects >= 8, "stats {fstats:?}");
                 }
             }
         }
@@ -1794,8 +1772,8 @@ mod tests {
         let (photo, spec) = fixture(false);
         let q = &queries()[0];
         let checked = check_join(q).unwrap();
-        let lp = AccessPlan::new(photo.catalog().layout_ids(), Strategy::ColumnMajor);
-        let rp = AccessPlan::new(spec.catalog().layout_ids(), Strategy::ColumnMajor);
+        let lp = AccessPlan::new(photo.catalog().layout_ids(), Strategy::FusedVolcano);
+        let rp = AccessPlan::new(spec.catalog().layout_ids(), Strategy::FusedVolcano);
         let mut op =
             compile_join(photo.catalog(), spec.catalog(), &lp, &rp, q, &checked, true).unwrap();
         let before = execute_join(photo.catalog(), spec.catalog(), &op).unwrap();
@@ -1816,72 +1794,70 @@ mod tests {
             for q in queries() {
                 let checked = check_join(&q).unwrap();
                 let want = interpret_join(photo.catalog(), spec.catalog(), &q).unwrap();
-                for strategy in Strategy::ALL {
-                    let lp = AccessPlan::new(photo.catalog().layout_ids(), strategy);
-                    let rp = AccessPlan::new(spec.catalog().layout_ids(), strategy);
-                    // Each stop meets a cold build: a fresh operator holds
-                    // none.
-                    let cold = || {
-                        compile_join(
-                            photo.catalog(),
-                            spec.catalog(),
-                            &lp,
-                            &rp,
-                            &q,
-                            &checked,
-                            true,
-                        )
-                        .unwrap()
-                    };
-                    // A live token that never trips: bit-identical results.
-                    let live = CancelToken::new();
-                    let (got, _) = execute_join_with_policy_cancel(
+                let lp = AccessPlan::new(photo.catalog().layout_ids(), Strategy::FusedVolcano);
+                let rp = AccessPlan::new(spec.catalog().layout_ids(), Strategy::FusedVolcano);
+                // Each stop meets a cold build: a fresh operator holds
+                // none.
+                let cold = || {
+                    compile_join(
                         photo.catalog(),
                         spec.catalog(),
-                        &cold(),
-                        &par_policy(),
-                        &live,
+                        &lp,
+                        &rp,
+                        &q,
+                        &checked,
+                        true,
                     )
-                    .unwrap();
-                    assert_eq!(got.fingerprint(), want.fingerprint());
-                    // Pre-cancelled: typed error, nothing runs.
-                    let cancelled = CancelToken::new();
-                    cancelled.cancel();
-                    let err = execute_join_with_policy_cancel(
-                        photo.catalog(),
-                        spec.catalog(),
-                        &cold(),
-                        &par_policy(),
-                        &cancelled,
-                    )
-                    .unwrap_err();
-                    assert_eq!(err, ExecError::Cancelled);
-                    // Expired deadline observed mid-join (first poll is in
-                    // the build scan): typed error.
-                    let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
-                    let err = execute_join_with_policy_cancel(
-                        photo.catalog(),
-                        spec.catalog(),
-                        &cold(),
-                        &par_policy(),
-                        &expired,
-                    )
-                    .unwrap_err();
-                    assert_eq!(err, ExecError::DeadlineExpired);
-                    // A budget of one run covers (part of) the build but
-                    // never the probe: exhausted mid-join, typed error.
-                    let broke = CancelToken::new();
-                    broke.set_budget(1);
-                    let err = execute_join_with_policy_cancel(
-                        photo.catalog(),
-                        spec.catalog(),
-                        &cold(),
-                        &ExecPolicy::serial(),
-                        &broke,
-                    )
-                    .unwrap_err();
-                    assert_eq!(err, ExecError::BudgetExhausted);
-                }
+                    .unwrap()
+                };
+                // A live token that never trips: bit-identical results.
+                let live = CancelToken::new();
+                let (got, _) = execute_join_with_policy_cancel(
+                    photo.catalog(),
+                    spec.catalog(),
+                    &cold(),
+                    &par_policy(),
+                    &live,
+                )
+                .unwrap();
+                assert_eq!(got.fingerprint(), want.fingerprint());
+                // Pre-cancelled: typed error, nothing runs.
+                let cancelled = CancelToken::new();
+                cancelled.cancel();
+                let err = execute_join_with_policy_cancel(
+                    photo.catalog(),
+                    spec.catalog(),
+                    &cold(),
+                    &par_policy(),
+                    &cancelled,
+                )
+                .unwrap_err();
+                assert_eq!(err, ExecError::Cancelled);
+                // Expired deadline observed mid-join (first poll is in
+                // the build scan): typed error.
+                let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
+                let err = execute_join_with_policy_cancel(
+                    photo.catalog(),
+                    spec.catalog(),
+                    &cold(),
+                    &par_policy(),
+                    &expired,
+                )
+                .unwrap_err();
+                assert_eq!(err, ExecError::DeadlineExpired);
+                // A budget of one run covers (part of) the build but
+                // never the probe: exhausted mid-join, typed error.
+                let broke = CancelToken::new();
+                broke.set_budget(1);
+                let err = execute_join_with_policy_cancel(
+                    photo.catalog(),
+                    spec.catalog(),
+                    &cold(),
+                    &ExecPolicy::serial(),
+                    &broke,
+                )
+                .unwrap_err();
+                assert_eq!(err, ExecError::BudgetExhausted);
             }
         }
     }

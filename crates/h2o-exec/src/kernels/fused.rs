@@ -8,14 +8,18 @@
 //! The block walker ([`kernels::for_each_block`](super::for_each_block))
 //! finds the qualifying rows in 1K-row blocks of 8-row chunk masks, over
 //! one column group or several (§3.3, Fig. 12), and each block folds
-//! through the select program's one batch step, the one the column-major
-//! strategy and the join run too. The paper's two-phase selection-vector
-//! plan (Fig. 6) is this scan with a morsel's ids held instead of a
-//! block's, so it has no kernel of its own. What stays specialized here
-//! is the aggregate whose every input is one of a few bare columns at
-//! adjacent offsets of one slot ([`aggregate_range`]'s per-column tier):
-//! a dense block folds each column over the block's masks, a sparse one
-//! folds its set bits a row at a time.
+//! through the select program's one batch step, the one the join runs
+//! too. It runs every plan: the paper's two-phase selection-vector plan
+//! (Fig. 6) is this scan with a morsel's ids held instead of a block's,
+//! and its column-at-a-time plan (§2.1) keeps its loop over one
+//! contiguous array here, in the per-column tier (`fold_columns`) and
+//! the scan's evaluator (`kernels::eval_scan`).
+//!
+//! The tier folds an aggregate whose every input is a bare column, when
+//! the columns are a few at adjacent offsets of one slot or each fill a
+//! slot of width one (`tier_columns`). Under a filter each 1K-row
+//! block's qualifying rows are decoded once and each column folds them;
+//! without one, each column folds unmasked over every run.
 //!
 //! Every fold is parameterized by a row **range** and
 //! continues a caller-owned accumulator, so the morsel-parallel driver
@@ -50,9 +54,11 @@ pub fn bare_columns(aggs: &[(AggOp, CompiledExpr)]) -> Option<Vec<(AggOp, BoundA
         .collect()
 }
 
-/// Most columns the per-column tier folds. A masked fold re-reads its
-/// block once per column, while the batch step reads each qualifying
-/// tuple once, so past a few columns the batch step wins. In the
+/// Most columns of one slot the per-column tier folds. The tier reads a
+/// block's rows once per column, while the batch step reads each
+/// qualifying tuple once, so past a few columns the batch step wins.
+/// Columns that each fill a slot of width one share no tuple, so they
+/// take the tier whatever their number. In the
 /// `cost_trial` grid (`results/COST_39.json`: 200K rows × 40 attributes,
 /// `max` over adjacent columns of a row-major or an exact group; at the
 /// parent, `fused` ran the tier on every block and `selvec` the batch
@@ -61,51 +67,50 @@ pub fn bare_columns(aggs: &[(AggOp, CompiledExpr)]) -> Option<Vec<(AggOp, BoundA
 /// 8 columns, and 3.1–3.8× over 39 columns at 1%.
 pub const TIER_MAX_COLS: usize = 4;
 
-/// A block takes the masked per-column folds when at least
-/// `1 / TIER_DENSITY` of its rows qualify; a sparser block folds its set
-/// bits one row at a time, since a masked fold walks every chunk of the
-/// block whatever its mask. In the same grid the tier ran 1.27–1.40×
-/// the batch step's time over 2 columns at 10% selectivity and
-/// 0.75–0.92× at 50%; with this rule the 2-column cells at 10% took
-/// 0.74–0.79× the parent's best (the grid's `tier_variants` section
-/// times the alternatives, per-column limits 2 / 4 / 8 and thresholds
-/// 1/1, 1/2, 1/4 and "any set bit").
-pub const TIER_DENSITY: usize = 4;
-
-/// Whether a block of `rows` rows, `set` of them qualifying, folds its
-/// columns masked ([`TIER_DENSITY`]).
-#[inline]
-pub(crate) fn dense_block(set: u64, rows: usize) -> bool {
-    set as usize * TIER_DENSITY >= rows
+/// [`bare_columns`] when the per-column tier folds them: the columns
+/// read sit at adjacent offsets of one slot and number at most
+/// [`TIER_MAX_COLS`] (the exact shape of `select max(a_j), ...,
+/// max(a_{j+k})` over a tailored group), or each fills a slot of width
+/// one, any number of them (a column layout's arrays, which the tier
+/// reads contiguously). A `count`'s reads no column, so `count(*)` alone
+/// takes the tier.
+pub(crate) fn tier_columns(
+    views: &GroupViews<'_>,
+    aggs: &[(AggOp, CompiledExpr)],
+) -> Option<Vec<(AggOp, BoundAttr)>> {
+    let cols = bare_columns(aggs)?;
+    let read: Vec<BoundAttr> = cols
+        .iter()
+        .filter(|(f, _)| f.func != AggFunc::Count)
+        .map(|&(_, a)| a)
+        .collect();
+    if read.iter().all(|a| views.width(a.slot) == 1) {
+        return Some(cols);
+    }
+    adjacent(&read).then_some(cols)
 }
 
-/// [`bare_columns`] when the columns read sit at adjacent offsets of one
-/// slot and number at most [`TIER_MAX_COLS`] (the exact shape of
-/// `select max(a_j), ..., max(a_{j+k})` over a tailored group): the shape
-/// the per-column tier folds under a scan.
-pub(crate) fn adjacent_columns(aggs: &[(AggOp, CompiledExpr)]) -> Option<Vec<(AggOp, BoundAttr)>> {
-    let cols = bare_columns(aggs)?;
-    // Adjacency is over the columns read: a `count`'s reads none.
-    let read = || {
-        cols.iter()
-            .filter(|(f, _)| f.func != AggFunc::Count)
-            .map(|(_, a)| a)
+/// Whether the columns `read` sit at adjacent offsets of one slot and
+/// number at most [`TIER_MAX_COLS`].
+pub(crate) fn adjacent(read: &[BoundAttr]) -> bool {
+    let Some(first) = read.first() else {
+        return false;
     };
-    let lo = read().map(|a| a.offset).min().unwrap_or(0);
-    let hi = read().map(|a| a.offset).max().unwrap_or(0);
-    let slot = read().next().map_or(0, |a| a.slot);
-    let adjacent = read().all(|a| a.slot == slot) && ((hi - lo) as usize) < read().count();
-    (adjacent && read().count() <= TIER_MAX_COLS).then_some(cols)
+    let lo = read.iter().map(|a| a.offset).min().unwrap_or(0);
+    let hi = read.iter().map(|a| a.offset).max().unwrap_or(0);
+    read.iter().all(|a| a.slot == first.slot)
+        && ((hi - lo) as usize) < read.len()
+        && read.len() <= TIER_MAX_COLS
 }
 
 /// A scalar aggregate over the rows of `range` that pass `filter`,
 /// continuing `states` (one per aggregate, in order) exactly as the fused
-/// scan folds it (`SelectProgram::feed`): inputs that are bare columns at
-/// adjacent offsets of one slot, at most [`TIER_MAX_COLS`] of them, take
-/// the per-column tier (`fold_columns`), every other aggregate the batch
-/// step over the walker's blocks. Each column stays one fold chain in row
-/// order in both, so `F64` sums are bit-identical whichever runs, and
-/// either leaves states field-identical to [`aggregate_range_scalar`]'s.
+/// scan folds it (`SelectProgram::feed`): inputs of `tier_columns`'s
+/// shape take the per-column tier (`fold_columns`), every other
+/// aggregate the batch step over the walker's blocks. Each column stays
+/// one fold chain in row order in both, so `F64` sums are bit-identical
+/// whichever runs, and either leaves states field-identical to one
+/// [`AggState::update`] per qualifying row.
 pub fn aggregate_range(
     views: &GroupViews<'_>,
     filter: &CompiledFilter,
@@ -119,8 +124,8 @@ pub fn aggregate_range(
     states.copy_from_slice(part.states());
 }
 
-/// One scalar update of a raw accumulator (the per-column tier's sparse
-/// blocks and tail).
+/// One scalar update of a raw accumulator (the per-column tier's run
+/// tails).
 #[inline(always)]
 fn upd(f: AggOp, acc: &mut Value, v: Value) {
     match f.func {
@@ -131,18 +136,33 @@ fn upd(f: AggOp, acc: &mut Value, v: Value) {
     }
 }
 
+/// Folds the local `rows` of `col` (ascending) into `acc`: one column of
+/// a block, its accumulator in a register and its function dispatched
+/// once.
+fn fold_rows(f: AggOp, acc: &mut Value, col: &simd::RunCol<'_>, rows: &[u32]) {
+    let mut a = *acc;
+    let lanes = rows.iter().map(|&i| col.get(i as usize));
+    match f.func {
+        AggFunc::Max => lanes.for_each(|v| upd_max(f.ty, &mut a, v)),
+        AggFunc::Min => lanes.for_each(|v| upd_min(f.ty, &mut a, v)),
+        AggFunc::Sum | AggFunc::Avg => lanes.for_each(|v| upd_sum(f.ty, &mut a, v)),
+        AggFunc::Count => {}
+    }
+    *acc = a;
+}
+
 /// The per-column tier of [`aggregate_range`], for the columns of
-/// [`adjacent_columns`], continuing `states`: they fold into raw
+/// `tier_columns`, continuing `states`: they fold into raw
 /// accumulators ([`AggState::raw`]: min/max in comparator-key space,
-/// sum/avg in the lane domain) under one shared match count. Per run, the
-/// conjunction is evaluated into chunk masks one 1K-row block at a time
-/// (shared by every column). A dense block ([`dense_block`]) then folds
-/// each column's masked chunks with the shared lane primitives while the
-/// block is cache-resident — integer sums/min/max lane-split, `F64` sums
-/// one in-order chain (the fold-order contract of
-/// [`h2o_expr::agg::AggState`]); a sparse block folds its set bits one
-/// row at a time, every column of the row in turn. Each column's chain
-/// continues from block to block and into the run's scalar tail.
+/// sum/avg in the lane domain) under one shared match count, one column
+/// at a time. Without a filter every row of a run qualifies, and each
+/// column folds unmasked over the run with the shared lane primitives —
+/// integer sums/min/max lane-split, `F64` sums one in-order chain (the
+/// fold-order contract of [`h2o_expr::agg::AggState`]). Otherwise, per
+/// run, the conjunction is evaluated into chunk masks one 1K-row block at
+/// a time, the block's qualifying rows are decoded once, and each column
+/// folds them in row order ([`fold_rows`]) while the block is
+/// cache-resident; the run's scalar tail follows, row by row.
 pub(crate) fn fold_columns(
     views: &GroupViews<'_>,
     filter: &CompiledFilter,
@@ -152,8 +172,9 @@ pub(crate) fn fold_columns(
 ) {
     let mut acc: Vec<Value> = states.iter().map(AggState::raw).collect();
     let mut matched: u64 = 0;
+    let always = filter.is_always_true();
+    let mut rows = [0u32; simd::BLOCK_ROWS];
     for run in views.runs_pruned(range, filter) {
-        let rf = simd::RunFilter::resolve(&run, filter);
         // The columns read, each with its accumulator: a `count`'s is the
         // match count alone.
         let mut lanes: Vec<(AggOp, &mut Value, simd::RunCol<'_>)> = cols
@@ -162,25 +183,29 @@ pub(crate) fn fold_columns(
             .filter(|((f, _), _)| f.func != AggFunc::Count)
             .map(|(&(f, a), acc)| (f, acc, simd::RunCol::of(&run, a)))
             .collect();
-        let tail = rf.for_each_block(|start, masks| {
-            let set = simd::popcount(masks);
-            matched += set;
-            if !dense_block(set, masks.len() * simd::LANES) {
-                simd::for_each_set_bit(masks, |i| {
-                    for (f, a, col) in lanes.iter_mut() {
-                        upd(*f, a, col.get(start + i));
-                    }
-                });
-                return;
-            }
+        if always {
+            let n = run.len();
+            matched += n as u64;
             for (f, a, col) in lanes.iter_mut() {
-                let col = col.skip(start);
                 match f.func {
-                    AggFunc::Max => simd::fold_minmax_masked(true, f.ty, a, &col, masks),
-                    AggFunc::Min => simd::fold_minmax_masked(false, f.ty, a, &col, masks),
-                    AggFunc::Sum | AggFunc::Avg => simd::fold_sum_masked(f.ty, a, &col, masks),
+                    AggFunc::Max => simd::fold_minmax_run(true, f.ty, a, col, n),
+                    AggFunc::Min => simd::fold_minmax_run(false, f.ty, a, col, n),
+                    AggFunc::Sum | AggFunc::Avg => simd::fold_sum_run(f.ty, a, col, n),
                     AggFunc::Count => {}
                 }
+            }
+            continue;
+        }
+        let rf = simd::RunFilter::resolve(&run, filter);
+        let tail = rf.for_each_block(|start, masks| {
+            let mut n = 0;
+            simd::for_each_set_bit(masks, |i| {
+                rows[n] = (start + i) as u32;
+                n += 1;
+            });
+            matched += n as u64;
+            for (f, a, col) in lanes.iter_mut() {
+                fold_rows(*f, a, col, &rows[..n]);
             }
         });
         for i in tail {
@@ -197,28 +222,6 @@ pub(crate) fn fold_columns(
     }
 }
 
-/// Scalar reference for [`aggregate_range`]: every row of the range is
-/// tested with [`CompiledFilter::matches`] and folded per aggregate
-/// through the segment-resolving accessor — no masks, blocks or tiers.
-/// Kept as the oracle of `tests/simd.rs`.
-pub fn aggregate_range_scalar(
-    views: &GroupViews<'_>,
-    filter: &CompiledFilter,
-    aggs: &[(AggOp, CompiledExpr)],
-    range: Range<usize>,
-) -> Vec<AggState> {
-    let mut states: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
-    for row in range {
-        let get = |a| views.get(a, row);
-        if filter.matches(get) {
-            for (st, (_, e)) in states.iter_mut().zip(aggs) {
-                st.update(e.eval(get));
-            }
-        }
-    }
-    states
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,16 +231,10 @@ mod tests {
     use h2o_storage::LogicalType;
     use h2o_storage::{AttrId, ColumnGroup};
 
-    /// The fused strategy, serially, through the one driver.
+    /// The scan, serially, through the one driver.
     fn run(views: &GroupViews<'_>, filter: &CompiledFilter, select: &SelectProgram) -> QueryResult {
         let policy = crate::ExecPolicy::serial();
-        crate::compile::scan(
-            views,
-            crate::Strategy::FusedVolcano,
-            filter,
-            select,
-            &policy,
-        )
+        crate::compile::scan(views, filter, select, &policy)
     }
 
     fn sample_group() -> h2o_storage::ColumnGroup {
@@ -255,6 +252,22 @@ mod tests {
 
     fn fresh(aggs: &[(AggOp, CompiledExpr)]) -> Vec<AggState> {
         aggs.iter().map(|(f, _)| AggState::new(*f)).collect()
+    }
+
+    /// One [`AggState::update`] per qualifying row of `range`.
+    fn per_row(
+        views: &GroupViews<'_>,
+        filter: &CompiledFilter,
+        aggs: &[(AggOp, CompiledExpr)],
+        range: Range<usize>,
+    ) -> Vec<AggState> {
+        let mut states = fresh(aggs);
+        for row in range.filter(|&row| filter.matches(|a| views.get(a, row))) {
+            for (st, (_, e)) in states.iter_mut().zip(aggs) {
+                st.update(e.eval(|a| views.get(a, row)));
+            }
+        }
+        states
     }
 
     #[test]
@@ -325,9 +338,8 @@ mod tests {
     }
 
     #[test]
-    fn scans_match_the_interpreter_across_blocks_for_every_strategy() {
+    fn scans_match_the_interpreter_across_blocks() {
         use crate::kernels::testing::vs_interpreter;
-        use crate::Strategy;
         use h2o_expr::{Aggregate, Conjunction, Expr, Predicate, Query};
         let col = Expr::col::<u32>;
         let filtered = || Conjunction::of([Predicate::lt(2u32, 60), Predicate::gt(0u32, 0)]);
@@ -362,12 +374,10 @@ mod tests {
             )
             .unwrap(),
         ];
-        for strategy in Strategy::ALL {
-            for q in &queries {
-                let (got, want) = vs_interpreter(q, strategy, true);
-                assert!(!got.is_empty());
-                assert_eq!(got, want, "{strategy:?} {q:?}");
-            }
+        for q in &queries {
+            let (got, want) = vs_interpreter(q, true);
+            assert!(!got.is_empty());
+            assert_eq!(got, want, "{q:?}");
         }
         // One group: the one-slot branch of each row source.
         let q = Query::aggregate(
@@ -375,15 +385,12 @@ mod tests {
             filtered(),
         )
         .unwrap();
-        for strategy in Strategy::ALL {
-            let (got, want) = vs_interpreter(&q, strategy, false);
-            assert_eq!(got, want, "{strategy:?} one group");
-        }
+        let (got, want) = vs_interpreter(&q, false);
+        assert_eq!(got, want, "one group");
     }
 
     #[test]
     fn count_star_over_a_plan_binding_no_slot() {
-        use crate::Strategy;
         use h2o_expr::{Aggregate, Conjunction, Query};
         use h2o_storage::{LayoutCatalog, Schema};
         // `count(*)` references no attribute, so its cover is empty and
@@ -404,22 +411,19 @@ mod tests {
             morsel_rows: 512,
             serial_threshold: 0,
         };
-        for strategy in Strategy::ALL {
-            let op =
-                crate::compile(&catalog, &crate::AccessPlan::new(vec![], strategy), &q).unwrap();
-            for policy in [crate::ExecPolicy::serial(), split] {
-                let got = crate::run(&catalog, &op, &crate::ExecCtx::new(policy))
-                    .unwrap()
-                    .0;
-                assert_eq!(got, want, "{strategy:?} {policy:?}");
-            }
+        let plan = crate::AccessPlan::new(vec![], crate::Strategy::FusedVolcano);
+        let op = crate::compile(&catalog, &plan, &q).unwrap();
+        for policy in [crate::ExecPolicy::serial(), split] {
+            let got = crate::run(&catalog, &op, &crate::ExecCtx::new(policy))
+                .unwrap()
+                .0;
+            assert_eq!(got, want, "{policy:?}");
         }
     }
 
     #[test]
     fn count_star_is_bare_and_matches_the_interpreter() {
         use crate::kernels::testing::vs_interpreter;
-        use crate::Strategy;
         use h2o_expr::{Aggregate, Conjunction, Expr, Predicate, Query};
         // `count(*)` is `count(lit 1)`: an expression program, never read.
         let count = CompiledExpr::lower(&Aggregate::count().expr, |_| ba(0));
@@ -437,11 +441,9 @@ mod tests {
             Conjunction::of([Predicate::gt(0u32, 0)]),
         )
         .unwrap();
-        for strategy in Strategy::ALL {
-            for split in [false, true] {
-                let (got, want) = vs_interpreter(&q, strategy, split);
-                assert_eq!(got, want, "{strategy:?} split {split}");
-            }
+        for split in [false, true] {
+            let (got, want) = vs_interpreter(&q, split);
+            assert_eq!(got, want, "split {split}");
         }
     }
 
@@ -458,7 +460,7 @@ mod tests {
     fn vectorized_dense_tier_matches_scalar_reference() {
         use h2o_storage::{f64_lane, LogicalType};
         // 27 rows of (i64, f64, f64) across 8-row segments — exercises the
-        // masked chunk folds, strided loads, and run tails.
+        // decoded block folds, strided loads, and run tails.
         let c0: Vec<Value> = (0..27).map(|i| (i * 13) % 19 - 4).collect();
         let c1: Vec<Value> = (0..27)
             .map(|i| f64_lane(((i * 7) % 11) as f64 / 4.0 - 1.0))
@@ -505,7 +507,7 @@ mod tests {
                 for range in [0..27, 0..8, 5..23, 24..27] {
                     let mut vec_states = fresh(&aggs);
                     fold(range.clone(), &mut vec_states);
-                    let ref_states = aggregate_range_scalar(&views, filter, &aggs, range.clone());
+                    let ref_states = per_row(&views, filter, &aggs, range.clone());
                     assert_eq!(vec_states, ref_states, "{} over {range:?}", f.name());
                 }
                 // Continuing one accumulator over pieces is the whole fold,
@@ -523,19 +525,34 @@ mod tests {
 
     #[test]
     fn tier_choice_edges() {
-        // A block at exactly the density threshold folds masked, one row
-        // fewer folds its set bits.
-        let rows = 1024;
-        assert!(dense_block((rows / TIER_DENSITY) as u64, rows));
-        assert!(!dense_block((rows / TIER_DENSITY - 1) as u64, rows));
         // A tier at the column limit, and one column past it.
-        let aggs = |n: u32| -> Vec<(AggOp, CompiledExpr)> {
-            (0..n)
-                .map(|o| (AggFunc::Max.into(), CompiledExpr::Col(ba(o))))
-                .collect()
-        };
-        assert!(adjacent_columns(&aggs(TIER_MAX_COLS as u32)).is_some());
-        assert!(adjacent_columns(&aggs(TIER_MAX_COLS as u32 + 1)).is_none());
+        let cols = |n: u32| -> Vec<BoundAttr> { (0..n).map(ba).collect() };
+        assert!(adjacent(&cols(TIER_MAX_COLS as u32)));
+        assert!(!adjacent(&cols(TIER_MAX_COLS as u32 + 1)));
+        // Columns that each fill a slot of width one take the tier, any
+        // number of them; past the limit in one wide slot they do not.
+        let n = TIER_MAX_COLS as u32 + 2;
+        let singles: Vec<ColumnGroup> = (0..n)
+            .map(|a| ColumnGroup::from_columns(vec![AttrId(a)], &[&[1, 2, 3]]).unwrap())
+            .collect();
+        let views = GroupViews::from_groups(&singles.iter().collect::<Vec<_>>());
+        let max = |a| (AggFunc::Max.into(), CompiledExpr::Col(a));
+        let own: Vec<_> = (0..n)
+            .map(|slot| max(BoundAttr { slot, offset: 0 }))
+            .collect();
+        assert_eq!(
+            tier_columns(&views, &own).map(|c| c.len()),
+            Some(n as usize)
+        );
+        let cols: Vec<Vec<Value>> = (0..n).map(|_| vec![1, 2, 3]).collect();
+        let refs: Vec<&[Value]> = cols.iter().map(Vec::as_slice).collect();
+        let wide = ColumnGroup::from_columns((0..n).map(AttrId).collect(), &refs).unwrap();
+        let views = GroupViews::from_groups(&[&wide]);
+        let packed: Vec<_> = (0..n).map(|o| max(ba(o))).collect();
+        assert!(tier_columns(&views, &packed).is_none());
+        // `count(*)` alone reads no column: the tier counts.
+        let count = [(AggFunc::Count.into(), CompiledExpr::Col(ba(0)))];
+        assert!(tier_columns(&GroupViews::from_groups(&[]), &count).is_some());
     }
 
     #[test]

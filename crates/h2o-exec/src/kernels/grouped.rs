@@ -1,9 +1,8 @@
 //! The grouped-aggregation block pipeline.
 //!
 //! A batch of rows arrives through the select program's batch step
-//! (`SelectProgram::fold`) — a block of the fused scan's or a selection
-//! vector's walker, a 1K-id block of the column-major strategy, a join's
-//! hit rows or matched pairs — and runs three stages:
+//! (`SelectProgram::fold`) — a block of the scan's walker, a join's hit
+//! rows or matched pairs — and runs three stages:
 //!
 //! 1. **evaluate**: the source evaluates every key expression into the
 //!    block's key lanes (row-major) and every aggregate input but a
@@ -23,9 +22,8 @@
 //!
 //! The join build resolves its group keys through stages 1–2 alone
 //! (`GroupBlock::resolve_with`), and gathers its keys and payload through
-//! [`gather_col`].
+//! [`gather_col`](super::gather_col).
 
-use crate::bind::{BoundAttr, SlotAccessor};
 use h2o_expr::lanemap::hash_key;
 use h2o_expr::GroupedAggs;
 use h2o_storage::Value;
@@ -137,25 +135,6 @@ impl GroupBlock {
         for (key, &h) in self.keys.chunks_exact(key_width).zip(&self.hashes) {
             self.ids.push(id(key, h));
         }
-    }
-}
-
-/// The lanes of `a` at the ascending `rows` into `out`: one strided read
-/// of one segment slice when the rows share one
-/// ([`SlotAccessor::within`]), else a segment lookup per row.
-#[inline]
-pub(crate) fn gather_col<'o>(
-    slots: &[SlotAccessor<'_, '_>],
-    a: BoundAttr,
-    rows: &[u32],
-    out: impl Iterator<Item = &'o mut Value>,
-) {
-    let (col, off) = (&slots[a.slot as usize], a.offset as usize);
-    match col.within(rows, off) {
-        Some(seg) => out.zip(rows).for_each(|(o, &r)| *o = seg(r as usize)),
-        None => out
-            .zip(rows)
-            .for_each(|(o, &r)| *o = col.value(r as usize, off)),
     }
 }
 

@@ -1,7 +1,7 @@
 //! Chunked (auto-vectorizable) lane primitives shared by every kernel.
 //!
-//! The hot inner loops of the engine — predicate evaluation, selection-
-//! vector build, and the flat aggregation folds — all operate on the fixed
+//! The hot inner loops of the engine — predicate evaluation, the block
+//! walker's id emission, and the flat aggregation folds — all operate on the fixed
 //! 64-bit lane arrays that segments store. This module rewrites those loops
 //! in a *portable-SIMD style*: fixed-width `[Value; 8]` chunks
 //! ([`LANES`]) with the bounds checks hoisted into a single up-front
@@ -15,7 +15,7 @@
 //! Every run of rows splits into `len / LANES` full chunks, walked in
 //! 1K-row blocks (`BLOCK_ROWS`), plus a scalar tail of `len % LANES`
 //! rows after the last block. Chunks are processed with branch-free
-//! masked arithmetic; the tail re-uses the same scalar predicate/fold the
+//! mask arithmetic; the tail re-uses the same scalar predicate/fold the
 //! interpreter semantics define. Because the engine's accumulators are
 //! either **associative and commutative in their lane domain** (wrapping
 //! `i64` sums, comparator-key min/max, counts) or **kept in row order**
@@ -29,10 +29,10 @@
 //! and change low-order bits between the vectorized and scalar paths —
 //! and between serial and parallel runs, which the engine promises are
 //! bit-identical (see [`h2o_expr::agg::AggState`]'s fold-order contract).
-//! So `fold_sum_masked` vectorizes the *gather* (mask scan, position
-//! decode) but performs the `F64` additions one at a time in ascending
-//! row order — exactly the order the scalar kernel uses. Integer sums
-//! wrap ([`i64::wrapping_add`]) and are reassociated freely.
+//! So `fold_sum_run` splits integer sums across lanes but performs the
+//! `F64` additions one at a time in ascending row order — exactly the
+//! order the scalar kernel uses. Integer sums wrap
+//! ([`i64::wrapping_add`]) and are reassociated freely.
 //!
 //! # Branch-free key mapping
 //!
@@ -97,9 +97,8 @@ impl<'a> RunCol<'a> {
         RunCol { data, stride }
     }
 
-    /// Wraps a contiguous lane slice (stride 1) — e.g. a gathered
-    /// intermediate column.
-    #[inline]
+    /// Wraps a contiguous lane slice (stride 1).
+    #[cfg(test)]
     pub fn contiguous(data: &'a [Value]) -> RunCol<'a> {
         RunCol { data, stride: 1 }
     }
@@ -205,9 +204,9 @@ pub(crate) fn and_pred_masks(col: &RunCol<'_>, pred: &CompiledPred, masks: &mut 
 /// A [`CompiledFilter`] resolved against one [`SegRun`]: every predicate's
 /// attribute becomes a strided [`RunCol`] over the run's lanes, for any
 /// plan slot, so the chunked mask build and the scalar tail touch raw
-/// slices with no per-row segment lookup. It is the one qualifying-row
-/// walker ([`Self::for_each_block`], [`Self::for_each_row`]) of every
-/// fused scan and of the fused join sides.
+/// slices with no per-row segment lookup. Its masks
+/// ([`Self::for_each_block`]) are what the block walker
+/// (`kernels::for_each_block`) and the per-column tier read.
 pub(crate) struct RunFilter<'a> {
     preds: Vec<(RunCol<'a>, CompiledPred)>,
     /// Rows in the run.
@@ -250,26 +249,6 @@ impl<'a> RunFilter<'a> {
         full..n
     }
 
-    /// Calls `f` with every local row of the run that passes the
-    /// conjunction, ascending: the set mask bits of each block
-    /// ([`Self::for_each_block`]), then the scalar tail. Without
-    /// predicates every row passes and no mask is built.
-    #[inline]
-    pub fn for_each_row(&self, mut f: impl FnMut(usize)) {
-        if self.preds.is_empty() {
-            (0..self.rows).for_each(f);
-            return;
-        }
-        let tail = self.for_each_block(|start, masks| {
-            for_each_set_bit(masks, |i| f(start + i));
-        });
-        for i in tail {
-            if self.matches_row(i) {
-                f(i);
-            }
-        }
-    }
-
     /// Scalar conjunction for local row `i` — the tail path, semantically
     /// identical to the chunked masks.
     #[inline(always)]
@@ -293,94 +272,8 @@ pub(crate) fn for_each_set_bit(masks: &[u8], mut f: impl FnMut(usize)) {
     }
 }
 
-/// Total set bits across the chunk masks (qualifying rows in the chunked
-/// prefix of a run).
-#[inline]
-pub(crate) fn popcount(masks: &[u8]) -> u64 {
-    masks.iter().map(|&m| m.count_ones() as u64).sum()
-}
-
-/// Masked sum of `col`'s chunked prefix folded into `acc`, bit-identical
-/// to scalar [`upd_sum`](super::upd_sum) over the same qualifying rows in
-/// row order.
-///
-/// Integer sums wrap and are associative+commutative, so they lane-split:
-/// 8 independent accumulators, each adding `v & keep` (where `keep` is
-/// the bit's sign-extended mask), reduced at the end. `F64` sums must
-/// keep the scalar fold order (module docs), so only the qualifying-row
-/// *scan* is vectorized; additions run one at a time, ascending.
-pub(crate) fn fold_sum_masked(ty: LogicalType, acc: &mut Value, col: &RunCol<'_>, masks: &[u8]) {
-    col.check(masks.len());
-    if ty == LogicalType::F64 {
-        let mut a = lane_f64(*acc);
-        for (k, &m) in masks.iter().enumerate() {
-            if m == 0 {
-                continue;
-            }
-            let base = k * LANES;
-            let mut bits = m as u32;
-            while bits != 0 {
-                let j = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                a += lane_f64(col.get(base + j));
-            }
-        }
-        *acc = h2o_storage::f64_lane(a);
-        return;
-    }
-    let mut lanes = [0 as Value; LANES];
-    for (k, &m) in masks.iter().enumerate() {
-        let vs = col.load(k);
-        for (j, l) in lanes.iter_mut().enumerate() {
-            let keep = -(((m >> j) & 1) as Value);
-            *l = l.wrapping_add(vs[j] & keep);
-        }
-    }
-    for l in lanes {
-        *acc = acc.wrapping_add(l);
-    }
-}
-
-/// Masked comparator-key min/max of `col`'s chunked prefix folded into
-/// `acc` (which lives in key space, like every min/max accumulator —
-/// see [`h2o_expr::agg::AggState::from_parts`]). Lane-split is exact:
-/// min/max are associative, commutative and idempotent.
-///
-/// Non-qualifying lanes are replaced branch-free with the fold identity
-/// (`i64::MAX` for min, `i64::MIN` for max) before the compare.
-pub(crate) fn fold_minmax_masked(
-    is_max: bool,
-    ty: LogicalType,
-    acc: &mut Value,
-    col: &RunCol<'_>,
-    masks: &[u8],
-) {
-    col.check(masks.len());
-    let kmask = key_mask(ty);
-    let ident = if is_max { Value::MIN } else { Value::MAX };
-    let mut lanes = [ident; LANES];
-    for (k, &m) in masks.iter().enumerate() {
-        if m == 0 {
-            continue;
-        }
-        let vs = col.load(k);
-        for (j, l) in lanes.iter_mut().enumerate() {
-            let keep = -(((m >> j) & 1) as Value);
-            let key = (lane_key(vs[j], kmask) & keep) | (ident & !keep);
-            *l = if is_max { key.max(*l) } else { key.min(*l) };
-        }
-    }
-    for l in lanes {
-        if is_max {
-            *acc = (*acc).max(l);
-        } else {
-            *acc = (*acc).min(l);
-        }
-    }
-}
-
 /// Unmasked sum over the first `n` rows of a run, folded into `acc` —
-/// the no-filter streaming-aggregate path. Chunks lane-split for integer
+/// the per-column tier without a filter. Chunks lane-split for integer
 /// types; `F64` stays a plain in-order scalar fold (its reduction cannot
 /// be reassociated — module docs), and the `n % LANES` tail is scalar.
 pub(crate) fn fold_sum_run(ty: LogicalType, acc: &mut Value, col: &RunCol<'_>, n: usize) {
@@ -529,58 +422,6 @@ mod tests {
         let mut rows = Vec::new();
         for_each_set_bit(&masks, |i| rows.push(i));
         assert_eq!(rows, [0, 7, 20, 22]);
-        assert_eq!(popcount(&masks), 4);
-    }
-
-    #[test]
-    fn masked_i64_sum_matches_scalar_fold() {
-        let data: Vec<Value> = (0..19).map(|i| i * i - 40).collect();
-        let col = RunCol::contiguous(&data);
-        let masks = [0b1011_0110u8, 0b0000_1111];
-        let mut acc = 7;
-        fold_sum_masked(LogicalType::I64, &mut acc, &col, &masks);
-        let mut want = 7;
-        for i in 0..16 {
-            if masks[i / 8] >> (i % 8) & 1 == 1 {
-                want += data[i];
-            }
-        }
-        assert_eq!(acc, want);
-    }
-
-    #[test]
-    fn masked_f64_sum_keeps_row_fold_order() {
-        // 1e16 absorbs a single 1.0; summed in row order the result is
-        // exactly 1e16 + 2.0 only if additions happen one at a time in
-        // ascending row order.
-        let vals = [1e16, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0, 1.0];
-        let data: Vec<Value> = vals.iter().map(|&v| f64_lane(v)).collect();
-        let col = RunCol::contiguous(&data);
-        let masks = [0b0000_0111u8]; // rows 0, 1, 2
-        let mut acc = f64_lane(0.0);
-        fold_sum_masked(LogicalType::F64, &mut acc, &col, &masks);
-        let want = ((0.0 + 1e16) + 1.0) + 1.0;
-        assert_eq!(acc, f64_lane(want), "must match the scalar fold bits");
-    }
-
-    #[test]
-    fn masked_minmax_matches_scalar_fold() {
-        let vals = [-2.0, f64::NAN, 3.5, -0.0, 0.0, 9.0, -9.0, 1.0];
-        let data: Vec<Value> = vals.iter().map(|&v| f64_lane(v)).collect();
-        let col = RunCol::contiguous(&data);
-        let masks = [0b1101_1011u8];
-        let (mut mn, mut mx) = (Value::MAX, Value::MIN);
-        fold_minmax_masked(false, LogicalType::F64, &mut mn, &col, &masks);
-        fold_minmax_masked(true, LogicalType::F64, &mut mx, &col, &masks);
-        let (mut smn, mut smx) = (Value::MAX, Value::MIN);
-        for (i, &v) in data.iter().enumerate() {
-            if masks[0] >> i & 1 == 1 {
-                super::super::upd_min(LogicalType::F64, &mut smn, v);
-                super::super::upd_max(LogicalType::F64, &mut smx, v);
-            }
-        }
-        assert_eq!(mn, smn);
-        assert_eq!(mx, smx);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! # h2o-exec — execution strategies and on-the-fly operator generation
+//! # h2o-exec — the execution kernel and on-the-fly operator generation
 //!
 //! This crate is H2O's *Operator Generator* and execution engine (SIGMOD
 //! 2014 §3.3–§3.4). The paper generates C++ source per (query shape, layout
@@ -9,8 +9,8 @@
 //!    only the work of the query, with operator/expression dispatch resolved
 //!    *outside* the loop;
 //! 2. **layout-tailored access patterns** — a different loop per layout
-//!    combination (fused scan over one group or several, selection-vector
-//!    two-phase plan, column-at-a-time with intermediates);
+//!    combination (a scan over one group or several, a column at a time
+//!    over a column layout's arrays);
 //! 3. **an operator cache** amortizing generation cost across queries.
 //!
 //! We reproduce (1) and (2) with *monomorphized kernels*: compiled Rust
@@ -23,21 +23,17 @@
 //! measured total.
 //!
 //! The paper's operator generator picks among three access strategies
-//! (§3.3); this crate runs two of them:
-//!
-//! * [`Strategy::FusedVolcano`](plan::Strategy) — one pass over one or more
-//!   groups, predicates pushed into the scan, select-items computed per
-//!   1K-row block of qualifying tuples; no intermediate results (Fig. 5).
-//!   It also covers the paper's two-phase selection-vector plan (Fig. 6):
-//!   that plan found its rows with the same mask walker and folded them
-//!   through the same batch step, holding a morsel's ids where the fused
-//!   scan holds a block's, and a timed grid found nothing it won
-//!   (`cost_trial`, ROADMAP item 4(c)).
-//! * [`Strategy::ColumnMajor`](plan::Strategy) — pure DSM processing:
-//!   column-at-a-time predicate evaluation refining the selection vector,
-//!   and column-at-a-time expression evaluation that **materializes
-//!   intermediate columns** (§2.1's description of column-store processing;
-//!   this materialization cost is what Figs. 10(c)/(f) measure).
+//! (§3.3); this crate runs one, [`Strategy::FusedVolcano`](plan::Strategy):
+//! one pass over one or more groups, predicates pushed into the scan,
+//! select-items computed per 1K-row block of qualifying tuples, no
+//! intermediate results (Fig. 5). The other two are this pass with a
+//! different unit of work. The two-phase selection-vector plan (Fig. 6)
+//! found its rows with the same walker and folded them through the same
+//! batch step, holding a morsel's ids where the scan holds a block's. The
+//! column-at-a-time plan of a column layout (§2.1) kept one strength, a
+//! loop over one contiguous array; the scan keeps it with block-sized
+//! vectors (see [`kernels`]), so nothing needs whole-morsel intermediate
+//! columns.
 //!
 //! # Morsel-driven parallelism (deviation from the paper)
 //!
@@ -54,9 +50,7 @@
 //! * **aggregates**: per-morsel
 //!   [`AggState`](h2o_expr::agg::AggState) partials merged in morsel order
 //!   (wrapping sums, min/max and counts are associative);
-//! * **selection vectors** (column-major): per-range ascending id
-//!   segments stitched by concatenation, then *consumed* in qualifying-id
-//!   chunks so the evaluation phase stays balanced at any selectivity.
+//! * **grouped aggregates**: per-morsel tables merged in morsel order.
 //!
 //! There is **one execution path** per operator kind — [`run`] for
 //! single-relation operators, [`run_join`] for joins,
@@ -66,7 +60,7 @@
 //! [`reorg::materialize`]'s loop and runs the scan kernels' fused source
 //! over each chunk. A serial policy is the same driver over the single
 //! range `0..rows` ([`parallel::run_ranges`]), so parallel execution returns
-//! **bit-identical** results to serial for both strategies, and serial
+//! **bit-identical** results to serial for every layout, and serial
 //! execution is bit-identical to the reference interpreter; the top-level
 //! differential tests assert both. ([`execute`], [`execute_with_policy`],
 //! [`execute_with_policy_stats`] and [`execute_join_with_policy`] are
@@ -90,7 +84,6 @@ pub mod plan;
 pub mod program;
 mod rank;
 pub mod reorg;
-pub mod selvec;
 pub mod sink;
 
 pub use bind::{BoundAttr, GroupViews, SegRun, SlotAccessor};
@@ -109,5 +102,4 @@ pub use opcache::{CompileCostModel, OperatorCache, OperatorKey};
 pub use parallel::ExecPolicy;
 pub use plan::{AccessPlan, Strategy};
 pub use program::CompiledExpr;
-pub use selvec::SelVec;
 pub use sink::SelectProgram;

@@ -49,8 +49,8 @@ impl CompileCostModel {
     pub const ZERO: CompileCostModel = CompileCostModel;
 }
 
-/// Cache key: query *shape* (constants excluded from the filter), plan
-/// layouts and strategy.
+/// Cache key: query *shape* (constants excluded from the filter) and plan
+/// (layouts and strategy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OperatorKey(u64);
 
@@ -423,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn different_strategy_or_layouts_miss() {
+    fn different_layouts_miss() {
         let rel = rel();
         let cache = OperatorCache::new(16, CompileCostModel::ZERO);
         let ids = rel.catalog().layout_ids();
@@ -438,18 +438,11 @@ mod tests {
         cache
             .get_or_compile(
                 rel.catalog(),
-                &AccessPlan::new(ids.clone(), Strategy::ColumnMajor),
-                &q,
-            )
-            .unwrap();
-        cache
-            .get_or_compile(
-                rel.catalog(),
                 &AccessPlan::new(vec![ids[0]], Strategy::FusedVolcano),
                 &q,
             )
             .unwrap();
-        assert_eq!(cache.stats().misses, 3);
+        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]
@@ -494,9 +487,9 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..threads {
                 s.spawn(|| {
-                    for i in 0..per_thread {
-                        let strategy = Strategy::ALL[i % Strategy::ALL.len()];
-                        let plan = AccessPlan::new(rel.catalog().layout_ids(), strategy);
+                    for _ in 0..per_thread {
+                        let plan =
+                            AccessPlan::new(rel.catalog().layout_ids(), Strategy::FusedVolcano);
                         let op = cache
                             .get_or_compile(rel.catalog(), &plan, &count_below(5))
                             .unwrap();
@@ -507,11 +500,7 @@ mod tests {
         });
         let stats = cache.stats();
         assert_eq!(stats.hits + stats.misses, (threads * per_thread) as u64);
-        assert_eq!(
-            cache.len(),
-            Strategy::ALL.len(),
-            "one operator per strategy"
-        );
+        assert_eq!(cache.len(), 1, "one operator per plan and shape");
     }
 
     fn join_fixture() -> (Relation, Relation) {
@@ -666,12 +655,10 @@ mod tests {
         let rel = rel();
         let cache = OperatorCache::new(2, CompileCostModel::ZERO);
         let ids = rel.catalog().layout_ids();
-        for strategy in Strategy::ALL {
-            let plan = AccessPlan::new(ids.clone(), strategy);
-            cache
-                .get_or_compile(rel.catalog(), &plan, &count_below(5))
-                .unwrap();
-        }
+        let plan = AccessPlan::new(ids.clone(), Strategy::FusedVolcano);
+        cache
+            .get_or_compile(rel.catalog(), &plan, &count_below(5))
+            .unwrap();
         assert!(cache.len() <= 2);
     }
 

@@ -22,7 +22,7 @@
 //! one chain per morsel and merges the chains in morsel order, so its last
 //! bits depend on the morsel split (a 300K-row sum measured 426 ulps apart
 //! under two workers), until the sum is made order-independent. The
-//! differential suites assert bit-identity for every strategy × query
+//! differential suites assert bit-identity for every layout × query
 //! shape on dyadic data.
 //!
 //! [`ExecPolicy`] carries the knobs: worker count, morsel size, and a serial
@@ -259,9 +259,9 @@ where
 }
 
 /// Runs `f` over morsel-sized contiguous chunks of `items` and returns the
-/// per-chunk results in order. Used for the phase-2 consumers that walk a
-/// selection vector rather than raw row ranges: the chunking unit is
-/// *qualifying rows*, so work stays balanced at any selectivity.
+/// per-chunk results in order. Used where the work is a list of items
+/// rather than raw row ranges (the join's build parts): the chunking unit
+/// is the item, so work stays balanced however the items were found.
 pub fn run_chunks<I, T, F>(items: &[I], policy: &ExecPolicy, f: F) -> Vec<T>
 where
     I: Sync,

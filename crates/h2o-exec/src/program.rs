@@ -57,7 +57,8 @@ pub enum CompiledExpr {
     /// A left-deep wrapping `i64` sum of attributes.
     SumCols(Vec<BoundAttr>),
     /// A left-deep `f64` sum of attributes (lanes are bit patterns;
-    /// addition folds left-to-right, the engine's ordered-sum convention).
+    /// addition folds left-to-right from the first attribute, the
+    /// engine's ordered-sum convention).
     SumColsF(Vec<BoundAttr>),
     /// General postfix program with its required stack depth.
     Program { ops: Vec<OpCode>, stack: usize },
@@ -157,8 +158,10 @@ impl CompiledExpr {
                 acc
             }
             CompiledExpr::SumColsF(cols) => {
-                let mut acc = 0.0f64;
-                for &c in cols {
+                // From the first column, as the interpreter adds: a sum of
+                // `-0.0`s is `-0.0`, which `0.0 + -0.0` is not.
+                let mut acc = lane_f64(get(cols[0]));
+                for &c in &cols[1..] {
                     acc += lane_f64(get(c));
                 }
                 f64_lane(acc)
@@ -194,7 +197,7 @@ pub(crate) enum Layout {
 
 /// Evaluates `exprs` over the rows `rows` of a batch into `out`, laid out
 /// by `layout`. `row(i)` is the source's fetch of row `i`'s lanes — a
-/// tuple of a scan's or a selection vector's block, a joined pair's lanes
+/// tuple of a scan's block, a joined pair's lanes
 /// from their two sides, a build row of the join's payload — made once
 /// per row, so a row's tuple is located once for all its lanes. One
 /// expression is evaluated a column at a time (a bare column is one

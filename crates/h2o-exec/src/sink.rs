@@ -1,8 +1,8 @@
 //! The select-clause **sink** — the one place that knows whether a query
 //! projects, folds, or folds per group.
 //!
-//! The operator generator emits one loop per *(layout combination,
-//! strategy)*; what that loop feeds is orthogonal to it. Every execution
+//! The operator generator emits one loop per layout combination; what
+//! that loop feeds is orthogonal to it. Every execution
 //! path is therefore a **source** producing [`Partial`]s, one per row
 //! range, and the sink finishing them in range order. One batch step,
 //! `SelectProgram::fold`, folds `n` rows of every shape into a partial:
@@ -17,21 +17,20 @@
 //!   range that pass the filter, up to 1K at a time
 //!   ([`kernels::for_each_block`]) — and the fused reorganization operator
 //!   each freshly stitched chunk of a range, continuing the range's one
-//!   partial (`SelectProgram::feed`, each slot sliced once per block);
-//! * the column-major strategy evaluates its id chunks through one
-//!   intermediate column per operator (`colmajor::eval_ids`, §2.1);
+//!   partial (`SelectProgram::feed`, each slot sliced once per block, and
+//!   bare columns and column sums over several slots gathered a column at
+//!   a time, `kernels::eval_scan`);
 //! * the join folds its hit probe rows with their match counts as
 //!   multiplicities, its matched pairs a block at a time (probe lanes
 //!   from the probe views, build lanes from the payload), and its reached
 //!   build rows with their hit counts — or assembles grouped tables from
 //!   build-side folds (`Partial::from`).
 //!
-//! Two bare-column aggregate tiers stay beside the step, each picked by
-//! the plan: a scan over a few adjacent columns of one slot folds a
-//! dense block per column and a sparse one per set bit
-//! (`fused::fold_columns`), and column-major's no-filter
-//! aggregate streams whole columns
-//! ([`agg_full_column_range`](crate::kernels::colmajor::agg_full_column_range)).
+//! One bare-column aggregate tier stays beside the step
+//! (`fused::fold_columns`): a scan over a few adjacent columns of one
+//! slot, or over columns that each fill a slot of width one, folds one
+//! column at a time — each block's qualifying rows, decoded once, under
+//! a filter, and whole runs unmasked without one.
 //!
 //! [`SelectProgram::finish`] concatenates projection blocks, merges
 //! aggregate states and merges grouped tables — all in range order, which
@@ -157,20 +156,6 @@ impl SelectProgram {
         })
     }
 
-    /// The `(op, column)` pairs of the no-filter bare-column aggregate
-    /// shape, which the column-major strategy streams one contiguous
-    /// column at a time with no selection vector at all (the Fig. 10(b)
-    /// fast path); `None` for every other shape.
-    pub(crate) fn streaming_cols(
-        &self,
-        filter: &CompiledFilter,
-    ) -> Option<Vec<(AggOp, BoundAttr)>> {
-        match self {
-            SelectProgram::Aggregate(aggs) if filter.is_always_true() => fused::bare_columns(aggs),
-            _ => None,
-        }
-    }
-
     /// An empty partial for [`Self::finish`], to fold batches into.
     pub fn partial(&self) -> Partial {
         Partial(match self {
@@ -216,9 +201,9 @@ impl SelectProgram {
                 // A batch of at most a block evaluates its inputs a tile of
                 // rows at a time, every input of the tile in one pass over
                 // its rows (a wide tuple is read once) and the tile's
-                // columns cached. A larger batch (a column-major chunk, the
-                // join's merge) evaluates one input over all its rows at a
-                // time, so its buffer holds one column.
+                // columns cached. A larger batch (the join's merge)
+                // evaluates one input over all its rows at a time, so its
+                // buffer holds one column.
                 let inputs: Vec<usize> = (0..aggs.len())
                     .filter(|&j| aggs[j].0.func != AggFunc::Count)
                     .collect();
@@ -268,9 +253,9 @@ impl SelectProgram {
     /// this program's [`Self::partial`]), so consecutive ranges continue
     /// one fold chain: a block of the walker ([`kernels::for_each_block`])
     /// at a time through [`Self::fold`], each slot of the block sliced
-    /// once (`kernels::eval_rows`). A scalar aggregate over a few adjacent
-    /// bare columns of one slot takes the per-column tier instead
-    /// (`fused::fold_columns`).
+    /// once (`kernels::eval_scan`). A scalar aggregate over bare columns
+    /// of the tier's shape takes the per-column tier instead
+    /// (`fused::tier_columns`, `fused::fold_columns`).
     pub(crate) fn feed(
         &self,
         views: &GroupViews<'_>,
@@ -279,14 +264,14 @@ impl SelectProgram {
         partial: &mut Partial,
     ) {
         if let (SelectProgram::Aggregate(aggs), Acc::Aggs(states, _)) = (self, &mut partial.0) {
-            if let Some(cols) = fused::adjacent_columns(aggs) {
+            if let Some(cols) = fused::tier_columns(views, aggs) {
                 return fused::fold_columns(views, filter, range, &cols, states);
             }
         }
         let slots = views.accessors();
         kernels::for_each_block(views, filter, range, |rows| {
             let eval = |es: &[&CompiledExpr], r: Range<usize>, out: &mut [Value], layout| {
-                kernels::eval_rows(&slots, &rows[r], es, out, layout, kernels::unbound)
+                kernels::eval_scan(&slots, &rows[r], es, out, layout)
             };
             self.fold(partial, rows.len(), eval, None)
         });
@@ -414,15 +399,15 @@ mod tests {
         assert_eq!(fused.rows(), 2);
         assert_eq!(fused.row(0), &[1, 40, 2]);
         assert_eq!(fused.row(1), &[2, 60, 2]);
-        let sel = crate::kernels::colmajor::build_selvec_columnar_range(&views, &filter, 0..5);
-        assert_eq!(sel.ids(), &[0, 1, 2, 3]);
+        // The same rows handed to the batch step directly.
+        let slots = views.accessors();
+        let rows = [0, 1, 2, 3];
         let mut part = select.partial();
         let eval = |es: &[&CompiledExpr], r: Range<usize>, out: &mut [Value], layout| {
-            crate::kernels::colmajor::eval_ids(&views, &sel.ids()[r], es, out, layout)
+            crate::kernels::eval_rows(&slots, &rows[r], es, out, layout, crate::kernels::unbound)
         };
-        select.fold(&mut part, sel.len(), eval, None);
-        let columnar = select.finish(vec![part]);
-        assert_eq!(columnar, fused);
+        select.fold(&mut part, rows.len(), eval, None);
+        assert_eq!(select.finish(vec![part]), fused);
     }
 
     /// The scalar batch step over many inputs splits a block into tiles
@@ -502,11 +487,9 @@ mod tests {
             Conjunction::of([Predicate::lt(2u32, 60)]),
         )
         .unwrap();
-        for strategy in crate::Strategy::ALL {
-            let (got, want) = crate::kernels::testing::vs_interpreter(&q, strategy, true);
-            assert_eq!(got.rows(), 5);
-            assert_eq!(got, want, "{strategy:?}");
-        }
+        let (got, want) = crate::kernels::testing::vs_interpreter(&q, true);
+        assert_eq!(got.rows(), 5);
+        assert_eq!(got, want);
     }
 
     #[test]

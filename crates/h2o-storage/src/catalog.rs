@@ -41,7 +41,7 @@ pub fn check_row_capacity(rows: usize) -> Result<(), StorageError> {
 /// Greedy cover of `attrs` by `groups` that prefers the **fewest groups**:
 /// each step takes the group covering the most still-uncovered attributes,
 /// ties to the least excess (stored attributes `attrs` does not need).
-/// Fewer groups means fewer stitching / selection-vector passes.
+/// Fewer groups means fewer stitched slots per scanned tuple.
 ///
 /// Returns positions into `groups` in pick order, or `None` when their
 /// union misses an attribute of `attrs`. Greedy set cover is the standard

@@ -23,9 +23,9 @@ pub const VALUE_BYTES: usize = std::mem::size_of::<Value>();
 
 /// Maximum number of rows a relation may hold.
 ///
-/// Selection vectors (`h2o-exec`'s `SelVec`) store row ids as `u32` —
-/// half the footprint of `usize`, an intermediate-result cost the paper
-/// charges to the column-style plans — so the engine-wide row-id domain is
+/// The block walker (`h2o-exec`'s `kernels::for_each_block`) and the join
+/// hand rows on as `u32` ids — half the footprint of `usize` — so the
+/// engine-wide row-id domain is
 /// `0..=u32::MAX - 1`. The cap is enforced at append time
 /// ([`check_row_capacity`](crate::catalog::check_row_capacity)) and again
 /// when execution binds views, so a relation can never silently wrap a

@@ -84,8 +84,8 @@
 //! checker ([`expr::typecheck`]). `f64` ordering follows
 //! [`f64::total_cmp`] on every path; `f64` sums fold in row order within
 //! a morsel and merge in morsel order, and the workload generators draw
-//! doubles from dyadic grids so sums are exact — serial, parallel and both
-//! strategies stay bit-identical on mixed-type workloads
+//! doubles from dyadic grids so sums are exact — serial, parallel and every
+//! layout stay bit-identical on mixed-type workloads
 //! (`tests/mixed_types.rs`). Sealed 64K-row segments
 //! carry min/max **zone maps**; scans skip segments that cannot satisfy a
 //! conjunctive predicate (`EngineStats::segments_skipped`).
@@ -93,15 +93,17 @@
 //! ## Vectorized kernel inner loops (deviation from the paper)
 //!
 //! The paper's generated operators are scalar; this reproduction runs the
-//! hot inner loops — predicate evaluation, the column-major selection-vector build,
-//! and the fused/column-major aggregate folds — in
+//! hot inner loops — predicate evaluation, the block walker's id emission
+//! and the aggregate folds — in
 //! portable-SIMD style over the 64-bit comparator-key lanes
 //! (`h2o_exec::kernels::simd`). The **lane/tail contract**: every segment
 //! run is processed as fixed-width 8-lane chunks (bounds checks hoisted
 //! into one up-front assert so the chunk loop autovectorizes) plus a
 //! scalar tail for the remaining `rows % 8`, and both paths must be
-//! bit-identical to the retained `*_scalar` reference bodies — pinned by
-//! the `tests/simd.rs` differential suite. Associative accumulators
+//! bit-identical to a per-row scalar reference (the walker against
+//! `CompiledFilter::matches`, the aggregate tiers against one
+//! `AggState::update` per qualifying row) — pinned by the `tests/simd.rs`
+//! differential suite, which holds those references itself. Associative accumulators
 //! (wrapping integer sums, comparator-key `min`/`max`, counts) may split
 //! across the eight lanes; **`f64` sums stay in fold order** — one
 //! in-row-order reduction chain with only the surrounding scan
@@ -115,17 +117,15 @@
 //! The paper's evaluation stops at select-project-aggregate; this
 //! reproduction adds `group by` as a first-class query class
 //! ([`Query::grouped`](h2o_expr::Query::grouped)): hash-grouped
-//! aggregation is implemented in **both** kernel strategies (fused and
-//! column-major — the column-major kernel materializes
-//! key/input intermediates column-at-a-time, faithful to its §2.1 cost
-//! structure), morsel-parallel execution merges morsel-local hash tables
+//! aggregation runs in the one kernel over 1K-row blocks,
+//! morsel-parallel execution merges morsel-local hash tables
 //! through the associative [`GroupedAggs`](h2o_expr::GroupedAggs) merge,
-//! and every strategy emits rows sorted ascending by key vector, so
-//! results are bit-identical across strategies and serial/parallel
+//! and rows are emitted sorted ascending by key vector, so
+//! results are bit-identical across layouts and serial/parallel
 //! execution. Group-key columns count as hot select-clause attributes for
 //! the adaptation mechanism, so grouped workloads drive layout convergence
 //! like any other (see `examples/grouped_analytics.rs`); `tests/grouped.rs`
-//! pins the cross-strategy identity.
+//! pins the cross-layout identity.
 //!
 //! ## Multi-relation queries (deviation from the paper)
 //!
@@ -184,13 +184,13 @@
 //! assert!(out.result.rows() > 0);
 //! ```
 //!
-//! Execution reuses the whole single-relation machinery: both
-//! strategies implement the hash join over segment runs — a
+//! Execution reuses the whole single-relation machinery: the
+//! hash join runs over segment runs — a
 //! morsel-parallel build (partitioned tables merged in morsel order),
 //! a probe fused with the residual filter and select program, SIMD
-//! mask/selection-vector reuse and zone-map pruning on both sides, an
+//! mask and block-walker reuse and zone-map pruning on both sides, an
 //! early exit when the build side is empty — so for a fixed build side
-//! results are bit-identical across strategies, layouts and
+//! results are bit-identical across layouts and
 //! serial/parallel execution (`tests/joins.rs` pins this against the
 //! interpreter).
 //!
@@ -213,7 +213,7 @@
 //! phases.
 //!
 //! **The probe.** One block pipeline serves every key width and
-//! strategy, and three execution shortcuts keep it cheap without
+//! layout, and three execution shortcuts keep it cheap without
 //! changing a single output bit:
 //!
 //! * *Bloom-filtered probes* — the build hashes each key once, for its
@@ -317,8 +317,8 @@
 //! ## Parallel execution (deviation from the paper)
 //!
 //! The paper's prototype executes each query on one thread. This
-//! reproduction adds **morsel-driven intra-query parallelism** across both
-//! execution strategies and the online-reorganization operator: scans
+//! reproduction adds **morsel-driven intra-query parallelism** across the
+//! scan kernel and the online-reorganization operator: scans
 //! split into fixed-size row morsels that worker threads claim greedily,
 //! and per-morsel partials are re-assembled deterministically (projection
 //! blocks concatenated in row order, aggregate accumulators merged, online
@@ -395,7 +395,7 @@
 //! |---|---|
 //! | [`storage`] | column groups, layout catalog (Data Layout Manager) |
 //! | [`expr`] | queries (single-relation and join), expressions, the interpreted generic + join operators |
-//! | [`exec`] | execution strategies, specialized kernels (incl. hash join), operator cache |
+//! | [`exec`] | the execution kernel, specialized tiers (incl. hash join), operator cache |
 //! | [`cost`] | Eq. 1 / Eq. 2 cost model (cache-miss CPU model) + join build/probe pricing |
 //! | [`adapt`] | monitoring window, affinity matrices, candidate adviser |
 //! | [`partition`] | AutoPart offline baseline, brute-force oracle |

@@ -1,4 +1,4 @@
-//! The engine's core invariant: **every execution strategy, every layout
+//! The engine's core invariant: **every layout
 //! combination, and every adaptation state returns the same answer.**
 //!
 //! Random relations + random query workloads are run through the adaptive
@@ -86,8 +86,8 @@ fn agreement_survives_explicit_reorganizations() {
     assert!(h2o.catalog().group_count() >= 14);
 }
 
-/// Integer `sum`/`avg` wrap modulo 2^64 — in the interpreter, in every
-/// strategy's kernels, and in the join's factorized folds (a
+/// Integer `sum`/`avg` wrap modulo 2^64 — in the interpreter, in the
+/// scan's kernels, and in the join's factorized folds (a
 /// multiplicity `n` multiplies instead of adding `n` times) — so at the
 /// `i64::MAX` boundary they all still agree bit for bit: scalar, grouped,
 /// `BuildAggs` and `ProbeOnly` sums, under every policy (the 4-row
@@ -148,18 +148,11 @@ fn integer_aggregates_wrap_identically_at_the_i64_boundary() {
     ] {
         for q in &queries {
             let want = interpret(rel.catalog(), q).unwrap();
-            for strategy in Strategy::ALL {
-                let plan = AccessPlan::new(rel.catalog().layout_ids(), strategy);
-                let op = compile(rel.catalog(), &plan, q).unwrap();
-                for policy in &policies {
-                    let (got, _) = run(rel.catalog(), &op, &ExecCtx::new(*policy)).unwrap();
-                    assert_eq!(
-                        got.data(),
-                        want.data(),
-                        "{} on {q} {policy:?}",
-                        strategy.name()
-                    );
-                }
+            let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::FusedVolcano);
+            let op = compile(rel.catalog(), &plan, q).unwrap();
+            for policy in &policies {
+                let (got, _) = run(rel.catalog(), &op, &ExecCtx::new(*policy)).unwrap();
+                assert_eq!(got.data(), want.data(), "on {q} {policy:?}");
             }
         }
     }
@@ -197,41 +190,38 @@ fn integer_aggregates_wrap_identically_at_the_i64_boundary() {
         .unwrap();
     let checked = check_join(&q).unwrap();
     let want = interpret_join(dim.catalog(), fact.catalog(), &q).unwrap();
-    for strategy in Strategy::ALL {
-        let lplan = AccessPlan::new(dim.catalog().layout_ids(), strategy);
-        let rplan = AccessPlan::new(fact.catalog().layout_ids(), strategy);
-        for build_is_left in [true, false] {
-            let op = compile_join(
-                dim.catalog(),
-                fact.catalog(),
-                &lplan,
-                &rplan,
-                &q,
-                &checked,
-                build_is_left,
-            )
-            .unwrap();
-            // The dimension side has no payload: building it, the probe
-            // folds each fact row once with its multiplicity. Building the
-            // fact side, the integer aggregates fold per build key.
-            let want_plan = if build_is_left {
-                FoldPlan::ProbeOnly
-            } else {
-                FoldPlan::BuildAggs
-            };
-            assert_eq!(op.fold_plan(), want_plan);
-            for policy in &policies {
-                // A cold build per policy: each policy builds its own.
-                let ctx = ExecCtx::new(*policy);
-                let op = op.cold_copy();
-                let (got, _) = run_join(dim.catalog(), fact.catalog(), &op, &ctx).unwrap();
-                assert_eq!(
-                    got.data(),
-                    want.data(),
-                    "{} build_is_left={build_is_left} {policy:?}",
-                    strategy.name()
-                );
-            }
+    let lplan = AccessPlan::new(dim.catalog().layout_ids(), Strategy::FusedVolcano);
+    let rplan = AccessPlan::new(fact.catalog().layout_ids(), Strategy::FusedVolcano);
+    for build_is_left in [true, false] {
+        let op = compile_join(
+            dim.catalog(),
+            fact.catalog(),
+            &lplan,
+            &rplan,
+            &q,
+            &checked,
+            build_is_left,
+        )
+        .unwrap();
+        // The dimension side has no payload: building it, the probe
+        // folds each fact row once with its multiplicity. Building the
+        // fact side, the integer aggregates fold per build key.
+        let want_plan = if build_is_left {
+            FoldPlan::ProbeOnly
+        } else {
+            FoldPlan::BuildAggs
+        };
+        assert_eq!(op.fold_plan(), want_plan);
+        for policy in &policies {
+            // A cold build per policy: each policy builds its own.
+            let ctx = ExecCtx::new(*policy);
+            let op = op.cold_copy();
+            let (got, _) = run_join(dim.catalog(), fact.catalog(), &op, &ctx).unwrap();
+            assert_eq!(
+                got.data(),
+                want.data(),
+                "build_is_left={build_is_left} {policy:?}"
+            );
         }
     }
 }
@@ -240,8 +230,8 @@ fn integer_aggregates_wrap_identically_at_the_i64_boundary() {
 /// 1,023, 1,024 and 1,025 qualifying rows — one short of a 1K-row batch,
 /// exactly one, one past. `a0` permutes the row ids, so `a0 < n` spreads
 /// the qualifying rows over every 512-row segment and each batch straddles
-/// segment pieces. Sources: the fused scan, selection-vector and
-/// column-major strategies over two groups and over one row-major group,
+/// segment pieces. Sources: the scan over two groups and over one
+/// row-major group,
 /// the fused reorganization operator, and a join under each fold plan
 /// (probe-only hits, the build-aggregates merge, build groups, per-pair).
 /// Serial runs equal the interpreter bit for bit (the doubles of `a1` are
@@ -365,17 +355,15 @@ fn batch_edges_match_the_interpreter_for_every_source() {
                         assert_eq!(got.fingerprint(), want.fingerprint(), "{}", ctx(what));
                     }
                 };
-                for strategy in Strategy::ALL {
-                    let op = compile(
-                        catalog,
-                        &AccessPlan::new(catalog.layout_ids(), strategy),
-                        &q,
-                    )
-                    .unwrap();
-                    for policy in [ExecPolicy::serial()].iter().chain(&parallel) {
-                        let (got, _) = run(catalog, &op, &ExecCtx::new(*policy)).unwrap();
-                        check(&got, policy, strategy.name());
-                    }
+                let op = compile(
+                    catalog,
+                    &AccessPlan::new(catalog.layout_ids(), Strategy::FusedVolcano),
+                    &q,
+                )
+                .unwrap();
+                for policy in [ExecPolicy::serial()].iter().chain(&parallel) {
+                    let (got, _) = run(catalog, &op, &ExecCtx::new(*policy)).unwrap();
+                    check(&got, policy, "scan");
                 }
                 for policy in [ExecPolicy::serial()].iter().chain(&parallel) {
                     let target = attrs(&[1, 2]);
@@ -445,42 +433,38 @@ fn batch_edges_match_the_interpreter_for_every_source() {
         for q in &queries {
             let checked = check_join(q).unwrap();
             let want = interpret_join(rel.catalog(), fact.catalog(), q).unwrap();
-            for strategy in Strategy::ALL {
-                let lplan = AccessPlan::new(rel.catalog().layout_ids(), strategy);
-                let rplan = AccessPlan::new(fact.catalog().layout_ids(), strategy);
-                for build_is_left in [true, false] {
-                    let op = compile_join(
-                        rel.catalog(),
-                        fact.catalog(),
-                        &lplan,
-                        &rplan,
-                        q,
-                        &checked,
-                        build_is_left,
-                    )
-                    .unwrap();
-                    let ctx = format!(
-                        "n={n} {} build_is_left={build_is_left} {:?} {q}",
-                        strategy.name(),
-                        op.fold_plan()
-                    );
-                    let serial = ExecCtx::new(ExecPolicy::serial());
-                    let (got, stats) =
-                        run_join(rel.catalog(), fact.catalog(), &op, &serial).unwrap();
-                    assert_eq!(stats.output_pairs, n as usize, "{ctx}");
-                    // The interpreter builds the left side: with it
-                    // building too, the pairs stream in its order.
-                    if build_is_left {
-                        assert_eq!(got.data(), want.data(), "{ctx}");
-                    } else {
-                        assert_eq!(got.fingerprint(), want.fingerprint(), "{ctx}");
-                    }
-                    for policy in &parallel {
-                        let ctx2 = ExecCtx::new(*policy);
-                        let op = op.cold_copy();
-                        let (par, _) = run_join(rel.catalog(), fact.catalog(), &op, &ctx2).unwrap();
-                        assert_eq!(par.fingerprint(), want.fingerprint(), "{ctx} {policy:?}");
-                    }
+            let lplan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::FusedVolcano);
+            let rplan = AccessPlan::new(fact.catalog().layout_ids(), Strategy::FusedVolcano);
+            for build_is_left in [true, false] {
+                let op = compile_join(
+                    rel.catalog(),
+                    fact.catalog(),
+                    &lplan,
+                    &rplan,
+                    q,
+                    &checked,
+                    build_is_left,
+                )
+                .unwrap();
+                let ctx = format!(
+                    "n={n} build_is_left={build_is_left} {:?} {q}",
+                    op.fold_plan()
+                );
+                let serial = ExecCtx::new(ExecPolicy::serial());
+                let (got, stats) = run_join(rel.catalog(), fact.catalog(), &op, &serial).unwrap();
+                assert_eq!(stats.output_pairs, n as usize, "{ctx}");
+                // The interpreter builds the left side: with it
+                // building too, the pairs stream in its order.
+                if build_is_left {
+                    assert_eq!(got.data(), want.data(), "{ctx}");
+                } else {
+                    assert_eq!(got.fingerprint(), want.fingerprint(), "{ctx}");
+                }
+                for policy in &parallel {
+                    let ctx2 = ExecCtx::new(*policy);
+                    let op = op.cold_copy();
+                    let (par, _) = run_join(rel.catalog(), fact.catalog(), &op, &ctx2).unwrap();
+                    assert_eq!(par.fingerprint(), want.fingerprint(), "{ctx} {policy:?}");
                 }
             }
         }

@@ -3,7 +3,7 @@
 //! Every grouped query must return **bit-identical** results (same rows,
 //! same ascending-by-key order, same values) across:
 //!
-//! * all three kernel strategies (fused / selvector / colmajor),
+//! * every layout (row-major, column groups, columns) the one kernel reads,
 //! * serial vs morsel-parallel execution under any policy,
 //! * the specialized kernels vs the reference interpreter,
 //! * the adaptive engine through layout reorganization.
@@ -144,27 +144,18 @@ fn grouped_matches_interpreter_for_every_strategy_layout_and_policy() {
         let layouts = rel.catalog().layout_ids();
         for (qi, q) in grouped_queries().iter().enumerate() {
             let want = interpret(rel.catalog(), q).unwrap();
-            for strategy in Strategy::ALL {
-                let plan = AccessPlan::new(layouts.clone(), strategy);
-                let op = compile(rel.catalog(), &plan, q).unwrap();
-                let serial = execute(rel.catalog(), &op).unwrap();
-                // Bit-identical (not just fingerprint): grouped output is
-                // canonically sorted by key vector in every strategy.
+            let plan = AccessPlan::new(layouts.clone(), Strategy::FusedVolcano);
+            let op = compile(rel.catalog(), &plan, q).unwrap();
+            let serial = execute(rel.catalog(), &op).unwrap();
+            // Bit-identical (not just fingerprint): grouped output is
+            // canonically sorted by key vector.
+            assert_eq!(serial, want, "layout {layout} query {qi}");
+            for (pname, policy) in policies() {
+                let parallel = execute_with_policy(rel.catalog(), &op, &policy).unwrap();
                 assert_eq!(
-                    serial,
-                    want,
-                    "layout {layout} strategy {} query {qi}",
-                    strategy.name()
+                    parallel, serial,
+                    "layout {layout} query {qi} policy {pname}"
                 );
-                for (pname, policy) in policies() {
-                    let parallel = execute_with_policy(rel.catalog(), &op, &policy).unwrap();
-                    assert_eq!(
-                        parallel,
-                        serial,
-                        "layout {layout} strategy {} query {qi} policy {pname}",
-                        strategy.name()
-                    );
-                }
             }
         }
     }
@@ -209,7 +200,7 @@ fn grouped_engine_stays_correct_through_adaptation() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random group keys, cardinalities and filters: all three strategies
+    /// Random group keys, cardinalities and filters: the scan
     /// and a parallel policy agree bit-for-bit with the interpreter.
     #[test]
     fn random_grouped_queries_agree_everywhere(
@@ -258,14 +249,12 @@ proptest! {
             morsel_rows: 37,
             serial_threshold: 0,
         };
-        for strategy in Strategy::ALL {
-            let plan = AccessPlan::new(rel.catalog().layout_ids(), strategy);
-            let op = compile(rel.catalog(), &plan, &q).unwrap();
-            let serial = execute(rel.catalog(), &op).unwrap();
-            prop_assert_eq!(&serial, &want, "strategy {}", strategy.name());
-            let parallel = execute_with_policy(rel.catalog(), &op, &policy).unwrap();
-            prop_assert_eq!(&parallel, &want, "parallel {}", strategy.name());
-        }
+        let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::FusedVolcano);
+        let op = compile(rel.catalog(), &plan, &q).unwrap();
+        let serial = execute(rel.catalog(), &op).unwrap();
+        prop_assert_eq!(&serial, &want);
+        let parallel = execute_with_policy(rel.catalog(), &op, &policy).unwrap();
+        prop_assert_eq!(&parallel, &want, "parallel");
     }
 }
 
@@ -318,22 +307,18 @@ fn stress_seeded_grouped_sweep() {
             morsel_rows: rng.gen_range(32..512),
             serial_threshold: 0,
         };
-        for strategy in Strategy::ALL {
-            let plan = AccessPlan::new(rel.catalog().layout_ids(), strategy);
-            let op = compile(rel.catalog(), &plan, &q).unwrap();
-            assert_eq!(
-                execute(rel.catalog(), &op).unwrap(),
-                want,
-                "round {round} strategy {} (H2O_STRESS_SEED={seed})",
-                strategy.name()
-            );
-            assert_eq!(
-                execute_with_policy(rel.catalog(), &op, &policy).unwrap(),
-                want,
-                "round {round} parallel {} (H2O_STRESS_SEED={seed})",
-                strategy.name()
-            );
-        }
+        let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::FusedVolcano);
+        let op = compile(rel.catalog(), &plan, &q).unwrap();
+        assert_eq!(
+            execute(rel.catalog(), &op).unwrap(),
+            want,
+            "round {round} (H2O_STRESS_SEED={seed})"
+        );
+        assert_eq!(
+            execute_with_policy(rel.catalog(), &op, &policy).unwrap(),
+            want,
+            "round {round} parallel (H2O_STRESS_SEED={seed})"
+        );
     }
 }
 
@@ -433,7 +418,7 @@ fn block_relations() -> Vec<(&'static str, Relation)> {
 /// The grouped pipeline across block boundaries: every key shape of
 /// [`block_relations`] (and a two-lane key), with `F64` `sum`/`avg`,
 /// `min`, `max` and `count`, unfiltered and filtered, bit-identical to the
-/// interpreter under all three strategies — serially over the non-dyadic
+/// interpreter — serially over the non-dyadic
 /// measure (one fold chain per group, in row order) on both layouts, and
 /// under every policy of the suite over the dyadic one (morsel partials
 /// merge, so only order-free sums can match a single chain) on the
@@ -469,19 +454,17 @@ fn grouped_blocks_match_interpreter_across_key_tiers() {
                 let want = interpret(rel.catalog(), &serial_q).unwrap();
                 let want_dyadic = interpret(rel.catalog(), &policy_q).unwrap();
                 assert!(want.rows() > 1, "key {ki} groups");
-                for strategy in Strategy::ALL {
-                    let plan = AccessPlan::new(layouts.clone(), strategy);
-                    let at = format!("{layout} key {ki} filter {fi} {}", strategy.name());
-                    let op = compile(rel.catalog(), &plan, &serial_q).unwrap();
-                    assert_eq!(execute(rel.catalog(), &op).unwrap(), want, "{at}");
-                    if layout != "two-groups" {
-                        continue;
-                    }
-                    let op = compile(rel.catalog(), &plan, &policy_q).unwrap();
-                    for (pname, policy) in policies() {
-                        let got = execute_with_policy(rel.catalog(), &op, &policy).unwrap();
-                        assert_eq!(got, want_dyadic, "{at} policy {pname}");
-                    }
+                let plan = AccessPlan::new(layouts.clone(), Strategy::FusedVolcano);
+                let at = format!("{layout} key {ki} filter {fi}");
+                let op = compile(rel.catalog(), &plan, &serial_q).unwrap();
+                assert_eq!(execute(rel.catalog(), &op).unwrap(), want, "{at}");
+                if layout != "two-groups" {
+                    continue;
+                }
+                let op = compile(rel.catalog(), &plan, &policy_q).unwrap();
+                for (pname, policy) in policies() {
+                    let got = execute_with_policy(rel.catalog(), &op, &policy).unwrap();
+                    assert_eq!(got, want_dyadic, "{at} policy {pname}");
                 }
             }
         }

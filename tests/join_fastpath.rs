@@ -10,7 +10,7 @@
 //! must be bit-invisible: this suite checks that they engage (exact
 //! filter-reject counts per key tier, the expected fold plan per query
 //! and build side, a reused build) and holds every answer to the
-//! nested-loop interpreter across all three strategies × serial/parallel
+//! nested-loop interpreter across serial/parallel
 //! × both build sides × both key tiers, then proptests the same over
 //! random match rates, key skew, key density, and empty build sides.
 
@@ -193,7 +193,7 @@ fn expected_plan(op: &CompiledJoinOp, plans: [FoldPlan; 2]) -> FoldPlan {
 }
 
 /// Every fold plan agrees with the per-pair fold and the interpreter:
-/// 3 strategies × serial/parallel × both build sides, each taking its
+/// serial/parallel × both build sides, each taking its
 /// expected plan. Both build sides match the interpreter, count the same
 /// pairs, and are bit-identical serial vs parallel.
 #[test]
@@ -217,49 +217,44 @@ fn fused_aggregates_agree(stride: Value) {
         let want = interpret_join(dim.catalog(), fact.catalog(), &q)
             .unwrap()
             .fingerprint();
-        for strategy in Strategy::ALL {
-            let lplan = AccessPlan::new(dim.catalog().layout_ids(), strategy);
-            let rplan = AccessPlan::new(fact.catalog().layout_ids(), strategy);
-            let mut pairs = Vec::new();
-            for build_is_left in [true, false] {
-                let op = compile_join(
-                    dim.catalog(),
-                    fact.catalog(),
-                    &lplan,
-                    &rplan,
-                    &q,
-                    &checked,
-                    build_is_left,
-                )
-                .unwrap();
-                assert_eq!(
-                    op.fold_plan(),
-                    expected_plan(&op, plans),
-                    "{shape} build_is_left={build_is_left}: fold plan"
-                );
-                let run = |op: &CompiledJoinOp, policy| {
-                    run_join(dim.catalog(), fact.catalog(), op, &ExecCtx::new(policy)).unwrap()
-                };
-                let (serial, stats) = run(&op, ExecPolicy::serial());
-                let label = format!(
-                    "{shape} {} build_is_left={build_is_left} stride {stride}",
-                    strategy.name()
-                );
-                assert_eq!(serial.fingerprint(), want, "{label}");
-                // A cold parallel build, then the serial build reused.
-                let (par, par_stats) = run(&op.cold_copy(), parallel);
-                assert_eq!(par.data(), serial.data(), "{label}: serial vs parallel");
-                assert_eq!(par_stats, stats, "{label}: serial vs parallel");
-                let (again, again_stats) = run(&op, parallel);
-                assert_eq!(again.data(), serial.data(), "{label}: reused build");
-                assert!(again_stats.build_reused && !stats.build_reused, "{label}");
-                pairs.push(stats.output_pairs);
-            }
+        let lplan = AccessPlan::new(dim.catalog().layout_ids(), Strategy::FusedVolcano);
+        let rplan = AccessPlan::new(fact.catalog().layout_ids(), Strategy::FusedVolcano);
+        let mut pairs = Vec::new();
+        for build_is_left in [true, false] {
+            let op = compile_join(
+                dim.catalog(),
+                fact.catalog(),
+                &lplan,
+                &rplan,
+                &q,
+                &checked,
+                build_is_left,
+            )
+            .unwrap();
             assert_eq!(
-                pairs[0], pairs[1],
-                "{shape}: both build sides count the same pairs"
+                op.fold_plan(),
+                expected_plan(&op, plans),
+                "{shape} build_is_left={build_is_left}: fold plan"
             );
+            let run = |op: &CompiledJoinOp, policy| {
+                run_join(dim.catalog(), fact.catalog(), op, &ExecCtx::new(policy)).unwrap()
+            };
+            let (serial, stats) = run(&op, ExecPolicy::serial());
+            let label = format!("{shape} build_is_left={build_is_left} stride {stride}");
+            assert_eq!(serial.fingerprint(), want, "{label}");
+            // A cold parallel build, then the serial build reused.
+            let (par, par_stats) = run(&op.cold_copy(), parallel);
+            assert_eq!(par.data(), serial.data(), "{label}: serial vs parallel");
+            assert_eq!(par_stats, stats, "{label}: serial vs parallel");
+            let (again, again_stats) = run(&op, parallel);
+            assert_eq!(again.data(), serial.data(), "{label}: reused build");
+            assert!(again_stats.build_reused && !stats.build_reused, "{label}");
+            pairs.push(stats.output_pairs);
         }
+        assert_eq!(
+            pairs[0], pairs[1],
+            "{shape}: both build sides count the same pairs"
+        );
     }
 }
 
@@ -304,7 +299,7 @@ fn in_domain_misses_are_rejected_by_bloom_bits_not_the_range() {
     );
 }
 
-/// One proptest case: every query shape × strategy × build side ×
+/// One proptest case: every query shape × build side ×
 /// serial/parallel matches the interpreter, and parallel is
 /// byte-identical to serial.
 fn bloom_filtered_joins_agree(
@@ -329,49 +324,45 @@ fn bloom_filtered_joins_agree(
         let want = interpret_join(dim.catalog(), fact.catalog(), &q)
             .unwrap()
             .fingerprint();
-        for strategy in Strategy::ALL {
-            let lplan = AccessPlan::new(dim.catalog().layout_ids(), strategy);
-            let rplan = AccessPlan::new(fact.catalog().layout_ids(), strategy);
-            for build_is_left in [true, false] {
-                let op = compile_join(
+        let lplan = AccessPlan::new(dim.catalog().layout_ids(), Strategy::FusedVolcano);
+        let rplan = AccessPlan::new(fact.catalog().layout_ids(), Strategy::FusedVolcano);
+        for build_is_left in [true, false] {
+            let op = compile_join(
+                dim.catalog(),
+                fact.catalog(),
+                &lplan,
+                &rplan,
+                &q,
+                &checked,
+                build_is_left,
+            )
+            .unwrap();
+            prop_assert_eq!(op.fold_plan(), expected_plan(&op, plans));
+            let run = |policy| {
+                run_join(
                     dim.catalog(),
                     fact.catalog(),
-                    &lplan,
-                    &rplan,
-                    &q,
-                    &checked,
-                    build_is_left,
+                    &op.cold_copy(),
+                    &ExecCtx::new(policy),
                 )
-                .unwrap();
-                prop_assert_eq!(op.fold_plan(), expected_plan(&op, plans));
-                let run = |policy| {
-                    run_join(
-                        dim.catalog(),
-                        fact.catalog(),
-                        &op.cold_copy(),
-                        &ExecCtx::new(policy),
-                    )
-                    .unwrap()
-                    .0
-                };
-                let serial = run(ExecPolicy::serial());
-                prop_assert_eq!(
-                    serial.fingerprint(),
-                    want,
-                    "{} {} build_is_left={}",
-                    shape,
-                    strategy.name(),
-                    build_is_left
-                );
-                prop_assert_eq!(
-                    run(par).data(),
-                    serial.data(),
-                    "{} {} build_is_left={} parallel",
-                    shape,
-                    strategy.name(),
-                    build_is_left
-                );
-            }
+                .unwrap()
+                .0
+            };
+            let serial = run(ExecPolicy::serial());
+            prop_assert_eq!(
+                serial.fingerprint(),
+                want,
+                "{} build_is_left={}",
+                shape,
+                build_is_left
+            );
+            prop_assert_eq!(
+                run(par).data(),
+                serial.data(),
+                "{} build_is_left={} parallel",
+                shape,
+                build_is_left
+            );
         }
     }
 }
@@ -396,56 +387,51 @@ proptest! {
     }
 }
 
-/// Runs `q` with the left relation building under every strategy,
-/// asserting the fold plan; per strategy, returns the serial and the
-/// parallel (3 workers, 512-row morsels) result and stats, each from a
-/// cold build. The parallel run merges `F64` sums in morsel order, so
-/// only its counters are held to the serial run's here; a third, serial
-/// run reuses the serial run's build and must repeat it exactly.
+/// Runs `q` with the left relation building, asserting the fold plan;
+/// returns the serial and the parallel (3 workers, 512-row morsels)
+/// result and stats, each from a cold build. The parallel run merges
+/// `F64` sums in morsel order, so only its counters are held to the serial
+/// run's here; a third, serial run reuses the serial run's build and must
+/// repeat it exactly.
 fn run_left_build(
     left: &Relation,
     right: &Relation,
     q: &JoinQuery,
     plan: FoldPlan,
-) -> Vec<[(QueryResult, JoinExecStats); 2]> {
+) -> [(QueryResult, JoinExecStats); 2] {
     let checked = check_join(q).unwrap();
     let parallel = ExecPolicy {
         parallelism: Some(3),
         morsel_rows: 512,
         serial_threshold: 0,
     };
-    Strategy::ALL
-        .iter()
-        .map(|&strategy| {
-            let lplan = AccessPlan::new(left.catalog().layout_ids(), strategy);
-            let rplan = AccessPlan::new(right.catalog().layout_ids(), strategy);
-            let op = compile_join(
-                left.catalog(),
-                right.catalog(),
-                &lplan,
-                &rplan,
-                q,
-                &checked,
-                true,
-            )
-            .unwrap();
-            assert_eq!(op.fold_plan(), plan, "{}", strategy.name());
-            let run = |op: &CompiledJoinOp, policy| {
-                run_join(left.catalog(), right.catalog(), op, &ExecCtx::new(policy)).unwrap()
-            };
-            let serial = run(&op, ExecPolicy::serial());
-            let par = run(&op.cold_copy(), parallel);
-            assert_eq!(par.1, serial.1, "{}: parallel stats", strategy.name());
-            let (again, stats) = run(&op, ExecPolicy::serial());
-            assert_eq!(again.data(), serial.0.data(), "{}: reused", strategy.name());
-            let reused = JoinExecStats {
-                build_reused: true,
-                ..serial.1
-            };
-            assert_eq!(stats, reused, "{}: reused stats", strategy.name());
-            [serial, par]
-        })
-        .collect()
+    let lplan = AccessPlan::new(left.catalog().layout_ids(), Strategy::FusedVolcano);
+    let rplan = AccessPlan::new(right.catalog().layout_ids(), Strategy::FusedVolcano);
+    let op = compile_join(
+        left.catalog(),
+        right.catalog(),
+        &lplan,
+        &rplan,
+        q,
+        &checked,
+        true,
+    )
+    .unwrap();
+    assert_eq!(op.fold_plan(), plan);
+    let run = |op: &CompiledJoinOp, policy| {
+        run_join(left.catalog(), right.catalog(), op, &ExecCtx::new(policy)).unwrap()
+    };
+    let serial = run(&op, ExecPolicy::serial());
+    let par = run(&op.cold_copy(), parallel);
+    assert_eq!(par.1, serial.1, "parallel stats");
+    let (again, stats) = run(&op, ExecPolicy::serial());
+    assert_eq!(again.data(), serial.0.data(), "reused");
+    let reused = JoinExecStats {
+        build_reused: true,
+        ..serial.1
+    };
+    assert_eq!(stats, reused, "reused stats");
+    [serial, par]
 }
 
 /// A build-side `F64` `sum`/`avg` over duplicate keys folds per pair:
@@ -489,13 +475,12 @@ fn build_side_f64_sums_fold_per_pair_bit_identically() {
         ])
         .unwrap();
     let want = interpret_join(dim.catalog(), fact.catalog(), &q).unwrap();
-    for [(got, stats), _] in run_left_build(&dim, &fact, &q, FoldPlan::PerPair) {
-        assert!(
-            stats.output_pairs > fact_rows,
-            "keys repeat on the build side"
-        );
-        assert_eq!(got.data(), want.data());
-    }
+    let [(got, stats), _] = run_left_build(&dim, &fact, &q, FoldPlan::PerPair);
+    assert!(
+        stats.output_pairs > fact_rows,
+        "keys repeat on the build side"
+    );
+    assert_eq!(got.data(), want.data());
 }
 
 /// The build-group plan: build key 1 reaches group 10 twice and group 20
@@ -551,17 +536,16 @@ fn build_groups_fold_multiplicities_and_skip_unreached_groups() {
     let want = interpret_join(dim.catalog(), fact.catalog(), &q).unwrap();
     let groups: Vec<Value> = (0..want.rows()).map(|r| want.row(r)[0]).collect();
     assert_eq!(groups, [10, 20, 40], "group 30 is never reached");
-    for [(serial, _), (par, _)] in run_left_build(&dim, &fact, &q, FoldPlan::BuildGroups) {
-        assert_eq!(serial.data(), want.data());
-        // Morsel-order F64 merges aside, the parallel run has the same
-        // groups, minima and counts.
-        let exact = |r: &QueryResult| -> Vec<[Value; 3]> {
-            (0..r.rows())
-                .map(|i| [r.row(i)[0], r.row(i)[2], r.row(i)[3]])
-                .collect()
-        };
-        assert_eq!(exact(&par), exact(&want));
-    }
+    let [(serial, _), (par, _)] = run_left_build(&dim, &fact, &q, FoldPlan::BuildGroups);
+    assert_eq!(serial.data(), want.data());
+    // Morsel-order F64 merges aside, the parallel run has the same
+    // groups, minima and counts.
+    let exact = |r: &QueryResult| -> Vec<[Value; 3]> {
+        (0..r.rows())
+            .map(|i| [r.row(i)[0], r.row(i)[2], r.row(i)[3]])
+            .collect()
+    };
+    assert_eq!(exact(&par), exact(&want));
 }
 
 /// `probe_bloom_rejects` and `output_pairs` are exact: they equal a naive
@@ -635,13 +619,12 @@ fn probe_counters_match_a_naive_count_across_block_edges() {
         assert!(rejects < misses, "some in-range misses pass the bloom bits");
         let want_rejects = if ranked { misses } else { rejects };
         let label = format!("width {width} scale {scale}");
-        for [(got, stats), (par, _)] in run_left_build(&dim, &fact, &q, FoldPlan::ProbeOnly) {
-            assert_eq!(par.data(), got.data(), "{label}");
-            assert_eq!(stats.rank_index, ranked, "{label}");
-            assert_eq!(stats.probe_rows, fact_rows, "{label}");
-            assert_eq!(stats.probe_bloom_rejects, want_rejects, "{label}");
-            assert_eq!(stats.output_pairs, pairs, "{label}");
-            assert_eq!(got.row(0), [pairs as Value], "{label}");
-        }
+        let [(got, stats), (par, _)] = run_left_build(&dim, &fact, &q, FoldPlan::ProbeOnly);
+        assert_eq!(par.data(), got.data(), "{label}");
+        assert_eq!(stats.rank_index, ranked, "{label}");
+        assert_eq!(stats.probe_rows, fact_rows, "{label}");
+        assert_eq!(stats.probe_bloom_rejects, want_rejects, "{label}");
+        assert_eq!(stats.output_pairs, pairs, "{label}");
+        assert_eq!(got.row(0), [pairs as Value], "{label}");
     }
 }

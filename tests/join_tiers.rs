@@ -13,7 +13,7 @@
 //! `i64::MAX`, dense `I64` keys next to either end (where `key − min`
 //! wraps), negative keys, a single key, dictionary codes, two domains at
 //! and just past the rank index's size limit, and a two-lane key —
-//! across every fold plan × build side × policy (every strategy, segmented
+//! across every fold plan × build side × policy (segmented
 //! and monolithic, for the families that differ in key type or width),
 //! each policy on a cold build and the last run on a reused one. Whichever side probes, one policy cuts it into at least 5 ranges
 //! (up to 38), so the build-aggregate merge sums several ranges' hit
@@ -35,10 +35,9 @@ const RIGHT_ROWS: usize = 1_200;
 /// draw from, keys only the probe side holds (inside the build's key
 /// range, so only the bloom bits, the table or the rank bitmap can reject
 /// them, or just outside it), whether a build of every left row takes the
-/// rank index, and whether the family runs under every strategy on both
-/// layouts. Strategies and segments only change which rows qualify, so
-/// the families that differ from another only in their key values run
-/// the fused strategy on the monolithic layout.
+/// rank index, and whether the family runs on both layouts. Segments only
+/// change which rows qualify, so the families that differ from another
+/// only in their key values run on the monolithic layout.
 struct Family {
     name: &'static str,
     types: Vec<LogicalType>,
@@ -46,7 +45,7 @@ struct Family {
     misses: Vec<Vec<Value>>,
     dict: Option<Arc<Dictionary>>,
     ranked: bool,
-    every_walker: bool,
+    both_layouts: bool,
 }
 
 /// The widest span of one-lane keys a build of all [`LEFT_ROWS`] rows
@@ -56,8 +55,7 @@ fn rank_limit() -> Value {
     (LaneMap::slot_bytes(1, LEFT_ROWS) / 12 * 64) as Value
 }
 
-/// A one-lane `I64` family of key values: the fused strategy on the
-/// monolithic layout.
+/// A one-lane `I64` family of key values, on the monolithic layout.
 fn int_family(name: &'static str, keys: &[Value], misses: &[Value], ranked: bool) -> Family {
     let one = |ks: &[Value]| ks.iter().map(|&k| vec![k]).collect();
     Family {
@@ -67,7 +65,7 @@ fn int_family(name: &'static str, keys: &[Value], misses: &[Value], ranked: bool
         misses: one(misses),
         dict: None,
         ranked,
-        every_walker: false,
+        both_layouts: false,
     }
 }
 
@@ -108,10 +106,10 @@ fn families() -> Vec<Family> {
             misses: one(&float_misses),
             dict: None,
             ranked: false,
-            every_walker: true,
+            both_layouts: true,
         },
         Family {
-            every_walker: true,
+            both_layouts: true,
             ..int_family("i64-edges", &ints, &[1, -6, i64::MAX - 2], false)
         },
         // Dense keys at either end of the domain: `min − 1` and `max + 1`
@@ -155,7 +153,7 @@ fn families() -> Vec<Family> {
             misses: one(&[codes[6], dict_miss]),
             dict: Some(dict),
             ranked: true,
-            every_walker: true,
+            both_layouts: true,
         },
         Family {
             name: "two-lane",
@@ -168,7 +166,7 @@ fn families() -> Vec<Family> {
             misses: vec![vec![floats[0], 7], vec![float_misses[1], 0]],
             dict: None,
             ranked: false,
-            every_walker: true,
+            both_layouts: true,
         },
     ]
 }
@@ -358,10 +356,10 @@ fn policies() -> Vec<(&'static str, ExecPolicy)> {
 fn key_tiers_and_column_folds_match_the_interpreter() {
     for fam in families() {
         let mut plans = BTreeSet::new();
-        let (layouts, strategies): (&[bool], &[Strategy]) = if fam.every_walker {
-            (&[false, true], &Strategy::ALL)
+        let layouts: &[bool] = if fam.both_layouts {
+            &[false, true]
         } else {
-            (&[false], &[Strategy::FusedVolcano])
+            &[false]
         };
         for &segmented in layouts {
             let (left, right) = relations(&fam, segmented);
@@ -370,62 +368,51 @@ fn key_tiers_and_column_folds_match_the_interpreter() {
                 let checked = check_join(&q).unwrap();
                 let want = interpret_join(lc, rc, &q).unwrap();
                 assert!(want.rows() > 0, "{} {shape} must match something", fam.name);
-                for &strategy in strategies {
-                    let lplan = AccessPlan::new(lc.layout_ids(), strategy);
-                    let rplan = AccessPlan::new(rc.layout_ids(), strategy);
-                    for build_is_left in [true, false] {
-                        let op = compile_join(lc, rc, &lplan, &rplan, &q, &checked, build_is_left)
-                            .unwrap();
-                        plans.insert(format!("{:?}", op.fold_plan()));
-                        let label = format!(
-                            "{} {shape} segmented={segmented} {} build_is_left={build_is_left} \
-                             plan={:?}",
-                            fam.name,
-                            strategy.name(),
-                            op.fold_plan()
-                        );
-                        let mut serial = None;
-                        // Each policy on a cold build — the serial one on
-                        // the operator itself, which then holds it — and
-                        // the last policy again on the held build.
-                        let (_, last) = policies().pop().unwrap();
-                        let runs = policies()
-                            .into_iter()
-                            .enumerate()
-                            .map(|(i, (pname, policy))| {
-                                let op = if i == 0 { op.clone() } else { op.cold_copy() };
-                                (pname, policy, op)
-                            })
-                            .chain([("reused", last, op.clone())]);
-                        for (pname, policy, op) in runs {
-                            let (got, stats) =
-                                run_join(lc, rc, &op, &ExecCtx::new(policy)).unwrap();
-                            assert_eq!(stats.build_reused, pname == "reused", "{label} {pname}");
-                            // Building the left side, pairs stream in the
-                            // interpreter's order: the bytes match.
-                            if build_is_left {
-                                assert_eq!(got.data(), want.data(), "{label} {pname}");
-                            } else {
+                let lplan = AccessPlan::new(lc.layout_ids(), Strategy::FusedVolcano);
+                let rplan = AccessPlan::new(rc.layout_ids(), Strategy::FusedVolcano);
+                for build_is_left in [true, false] {
+                    let op =
+                        compile_join(lc, rc, &lplan, &rplan, &q, &checked, build_is_left).unwrap();
+                    plans.insert(format!("{:?}", op.fold_plan()));
+                    let label = format!(
+                        "{} {shape} segmented={segmented} build_is_left={build_is_left} \
+                         plan={:?}",
+                        fam.name,
+                        op.fold_plan()
+                    );
+                    let mut serial = None;
+                    // Each policy on a cold build — the serial one on
+                    // the operator itself, which then holds it — and
+                    // the last policy again on the held build.
+                    let (_, last) = policies().pop().unwrap();
+                    let runs = policies()
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, (pname, policy))| {
+                            let op = if i == 0 { op.clone() } else { op.cold_copy() };
+                            (pname, policy, op)
+                        })
+                        .chain([("reused", last, op.clone())]);
+                    for (pname, policy, op) in runs {
+                        let (got, stats) = run_join(lc, rc, &op, &ExecCtx::new(policy)).unwrap();
+                        assert_eq!(stats.build_reused, pname == "reused", "{label} {pname}");
+                        // Building the left side, pairs stream in the
+                        // interpreter's order: the bytes match.
+                        if build_is_left {
+                            assert_eq!(got.data(), want.data(), "{label} {pname}");
+                        } else {
+                            assert_eq!(got.fingerprint(), want.fingerprint(), "{label} {pname}");
+                        }
+                        match &serial {
+                            None => serial = Some((got, stats)),
+                            Some((s, st)) => {
+                                assert_eq!(got.data(), s.data(), "{label} {pname}");
+                                assert_eq!(stats.output_pairs, st.output_pairs, "{label} {pname}");
                                 assert_eq!(
-                                    got.fingerprint(),
-                                    want.fingerprint(),
+                                    stats.probe_bloom_rejects, st.probe_bloom_rejects,
                                     "{label} {pname}"
                                 );
-                            }
-                            match &serial {
-                                None => serial = Some((got, stats)),
-                                Some((s, st)) => {
-                                    assert_eq!(got.data(), s.data(), "{label} {pname}");
-                                    assert_eq!(
-                                        stats.output_pairs, st.output_pairs,
-                                        "{label} {pname}"
-                                    );
-                                    assert_eq!(
-                                        stats.probe_bloom_rejects, st.probe_bloom_rejects,
-                                        "{label} {pname}"
-                                    );
-                                    assert_eq!(stats.rank_index, st.rank_index, "{label} {pname}");
-                                }
+                                assert_eq!(stats.rank_index, st.rank_index, "{label} {pname}");
                             }
                         }
                     }

@@ -1,7 +1,7 @@
 //! Multi-relation differential suite: **every hash-join execution path
 //! returns the bit-identical answer of the nested-loop interpreter.**
 //!
-//! Sweeps all three execution strategies × serial/parallel policies ×
+//! Sweeps serial/parallel policies ×
 //! segmented/monolithic layouts × both build sides against
 //! [`interpret_join`], proptests random typed relations (key skew, match
 //! rate, empty and fully-selective sides), replays an
@@ -168,7 +168,7 @@ fn policies() -> Vec<(&'static str, ExecPolicy)> {
     ]
 }
 
-/// All three strategies × serial/parallel × segmented/monolithic × both
+/// Serial/parallel × segmented/monolithic × both
 /// build sides, fingerprint-identical to the interpreter.
 #[test]
 fn join_strategy_layout_parallelism_sweep() {
@@ -193,48 +193,44 @@ fn join_strategy_layout_parallelism_sweep() {
             let want = interpret_join(photo.catalog(), spec.catalog(), &q)
                 .unwrap()
                 .fingerprint();
-            for strategy in Strategy::ALL {
-                let lplan = AccessPlan::new(photo.catalog().layout_ids(), strategy);
-                let rplan = AccessPlan::new(spec.catalog().layout_ids(), strategy);
-                for build_is_left in [true, false] {
-                    let op = compile_join(
-                        photo.catalog(),
-                        spec.catalog(),
-                        &lplan,
-                        &rplan,
-                        &q,
-                        &checked,
-                        build_is_left,
-                    )
-                    .unwrap();
-                    // Serial and parallel runs of the same operator must
-                    // return identical bytes, not just fingerprints.
-                    let (serial, _) = execute_join_with_policy(
-                        photo.catalog(),
-                        spec.catalog(),
-                        &op,
-                        &ExecPolicy::serial(),
-                    )
-                    .unwrap();
+            let lplan = AccessPlan::new(photo.catalog().layout_ids(), Strategy::FusedVolcano);
+            let rplan = AccessPlan::new(spec.catalog().layout_ids(), Strategy::FusedVolcano);
+            for build_is_left in [true, false] {
+                let op = compile_join(
+                    photo.catalog(),
+                    spec.catalog(),
+                    &lplan,
+                    &rplan,
+                    &q,
+                    &checked,
+                    build_is_left,
+                )
+                .unwrap();
+                // Serial and parallel runs of the same operator must
+                // return identical bytes, not just fingerprints.
+                let (serial, _) = execute_join_with_policy(
+                    photo.catalog(),
+                    spec.catalog(),
+                    &op,
+                    &ExecPolicy::serial(),
+                )
+                .unwrap();
+                assert_eq!(
+                    serial.fingerprint(),
+                    want,
+                    "{layout} {shape} build_is_left={build_is_left}"
+                );
+                for (pname, policy) in policies() {
+                    // A cold build per policy: each policy builds its own.
+                    let op = op.cold_copy();
+                    let (par, _) =
+                        execute_join_with_policy(photo.catalog(), spec.catalog(), &op, &policy)
+                            .unwrap();
                     assert_eq!(
-                        serial.fingerprint(),
-                        want,
-                        "{layout} {shape} {} build_is_left={build_is_left}",
-                        strategy.name()
+                        par.data(),
+                        serial.data(),
+                        "{layout} {shape} {pname} build_is_left={build_is_left}"
                     );
-                    for (pname, policy) in policies() {
-                        // A cold build per policy: each policy builds its own.
-                        let op = op.cold_copy();
-                        let (par, _) =
-                            execute_join_with_policy(photo.catalog(), spec.catalog(), &op, &policy)
-                                .unwrap();
-                        assert_eq!(
-                            par.data(),
-                            serial.data(),
-                            "{layout} {shape} {} {pname} build_is_left={build_is_left}",
-                            strategy.name()
-                        );
-                    }
                 }
             }
         }
@@ -291,34 +287,31 @@ fn serial_join_f64_sums_are_bit_identical_to_the_interpreter() {
     for q in shapes("photo") {
         let checked = check_join(&q).unwrap();
         let want = interpret_join(photo.catalog(), spec.catalog(), &q).unwrap();
-        for strategy in Strategy::ALL {
-            let lplan = AccessPlan::new(photo.catalog().layout_ids(), strategy);
-            let rplan = AccessPlan::new(spec.catalog().layout_ids(), strategy);
-            for build_is_left in [true, false] {
-                let op = compile_join(
-                    photo.catalog(),
-                    spec.catalog(),
-                    &lplan,
-                    &rplan,
-                    &q,
-                    &checked,
-                    build_is_left,
-                )
-                .unwrap();
-                let (got, _) = execute_join_with_policy(
-                    photo.catalog(),
-                    spec.catalog(),
-                    &op,
-                    &ExecPolicy::serial(),
-                )
-                .unwrap();
-                assert_eq!(
-                    got.data(),
-                    want.data(),
-                    "{} build_is_left={build_is_left} query {q}",
-                    strategy.name()
-                );
-            }
+        let lplan = AccessPlan::new(photo.catalog().layout_ids(), Strategy::FusedVolcano);
+        let rplan = AccessPlan::new(spec.catalog().layout_ids(), Strategy::FusedVolcano);
+        for build_is_left in [true, false] {
+            let op = compile_join(
+                photo.catalog(),
+                spec.catalog(),
+                &lplan,
+                &rplan,
+                &q,
+                &checked,
+                build_is_left,
+            )
+            .unwrap();
+            let (got, _) = execute_join_with_policy(
+                photo.catalog(),
+                spec.catalog(),
+                &op,
+                &ExecPolicy::serial(),
+            )
+            .unwrap();
+            assert_eq!(
+                got.data(),
+                want.data(),
+                "build_is_left={build_is_left} query {q}"
+            );
         }
     }
     // And through the engine: a single-threaded engine's join answers are
@@ -345,7 +338,7 @@ fn serial_join_f64_sums_are_bit_identical_to_the_interpreter() {
 /// time, so one probe key matching 3,000 build rows spans three 1K-pair
 /// blocks. A projection, a mixed-side aggregate, a mixed-side grouped
 /// aggregate and an `F64` sum over non-dyadic build values each run
-/// every strategy × build side: serially they equal [`interpret_join`]
+/// every build side: serially they equal [`interpret_join`]
 /// bit for bit (keys ascend on both sides, so pairs stream in the
 /// interpreter's order whichever side builds); in parallel they equal it
 /// by fingerprint (the non-dyadic sums aside, whose morsel merges round).
@@ -434,40 +427,38 @@ fn per_pair_blocks_span_one_probe_key_with_3000_build_rows() {
     for (shape, q, exact_in_parallel) in shapes {
         let checked = check_join(&q).unwrap();
         let want = interpret_join(photo.catalog(), spec.catalog(), &q).unwrap();
-        for strategy in Strategy::ALL {
-            let lplan = AccessPlan::new(photo.catalog().layout_ids(), strategy);
-            let rplan = AccessPlan::new(spec.catalog().layout_ids(), strategy);
-            for build_is_left in [true, false] {
-                let op = compile_join(
-                    photo.catalog(),
-                    spec.catalog(),
-                    &lplan,
-                    &rplan,
-                    &q,
-                    &checked,
-                    build_is_left,
-                )
-                .unwrap();
-                let ctx = format!("{shape} {} build_is_left={build_is_left}", strategy.name());
-                // The build-value sum is a probe-value sum when spec builds.
-                let plan = if exact_in_parallel || build_is_left {
-                    FoldPlan::PerPair
-                } else {
-                    FoldPlan::ProbeOnly
-                };
-                assert_eq!(op.fold_plan(), plan, "{ctx}");
-                let run = |policy| {
-                    let op = op.cold_copy();
-                    execute_join_with_policy(photo.catalog(), spec.catalog(), &op, &policy).unwrap()
-                };
-                let (serial, stats) = run(ExecPolicy::serial());
-                assert_eq!(stats.output_pairs, 3_000 + 1_024, "{ctx}");
-                assert_eq!(serial.data(), want.data(), "{ctx}");
-                if exact_in_parallel {
-                    for (pname, policy) in policies() {
-                        let (par, _) = run(policy);
-                        assert_eq!(par.fingerprint(), want.fingerprint(), "{ctx} {pname}");
-                    }
+        let lplan = AccessPlan::new(photo.catalog().layout_ids(), Strategy::FusedVolcano);
+        let rplan = AccessPlan::new(spec.catalog().layout_ids(), Strategy::FusedVolcano);
+        for build_is_left in [true, false] {
+            let op = compile_join(
+                photo.catalog(),
+                spec.catalog(),
+                &lplan,
+                &rplan,
+                &q,
+                &checked,
+                build_is_left,
+            )
+            .unwrap();
+            let ctx = format!("{shape} build_is_left={build_is_left}");
+            // The build-value sum is a probe-value sum when spec builds.
+            let plan = if exact_in_parallel || build_is_left {
+                FoldPlan::PerPair
+            } else {
+                FoldPlan::ProbeOnly
+            };
+            assert_eq!(op.fold_plan(), plan, "{ctx}");
+            let run = |policy| {
+                let op = op.cold_copy();
+                execute_join_with_policy(photo.catalog(), spec.catalog(), &op, &policy).unwrap()
+            };
+            let (serial, stats) = run(ExecPolicy::serial());
+            assert_eq!(stats.output_pairs, 3_000 + 1_024, "{ctx}");
+            assert_eq!(serial.data(), want.data(), "{ctx}");
+            if exact_in_parallel {
+                for (pname, policy) in policies() {
+                    let (par, _) = run(policy);
+                    assert_eq!(par.fingerprint(), want.fingerprint(), "{ctx} {pname}");
                 }
             }
         }
@@ -476,7 +467,7 @@ fn per_pair_blocks_span_one_probe_key_with_3000_build_rows() {
 
 /// `F64` join keys compare by bit pattern on both sides: `-0.0` and
 /// `+0.0` are different keys, every NaN payload is its own key, and
-/// `±inf` join like any other value. Every strategy × build side ×
+/// `±inf` join like any other value. Every build side ×
 /// policy matches [`interpret_join`], over a single `F64` key and a
 /// two-lane (`F64`, `I64`) key. Build keys repeat across morsel and
 /// segment boundaries, so the projection also pins the build table's
@@ -590,44 +581,39 @@ fn f64_special_join_keys_match_the_interpreter() {
         let checked = check_join(q).unwrap();
         let want = interpret_join(left.catalog(), right.catalog(), q).unwrap();
         assert!(want.rows() > 0, "query {q} must match something");
-        for strategy in Strategy::ALL {
-            let lplan = AccessPlan::new(left.catalog().layout_ids(), strategy);
-            let rplan = AccessPlan::new(right.catalog().layout_ids(), strategy);
-            for build_is_left in [true, false] {
-                let op = compile_join(
-                    left.catalog(),
-                    right.catalog(),
-                    &lplan,
-                    &rplan,
-                    q,
-                    &checked,
-                    build_is_left,
-                )
-                .unwrap();
-                let label = format!(
-                    "{} build_is_left={build_is_left} query {q}",
-                    strategy.name()
-                );
-                let (serial, stats) = execute_join_with_policy(
-                    left.catalog(),
-                    right.catalog(),
-                    &op,
-                    &ExecPolicy::serial(),
-                )
-                .unwrap();
-                if build_is_left {
-                    assert_eq!(serial.data(), want.data(), "{label}");
-                } else {
-                    assert_eq!(serial.fingerprint(), want.fingerprint(), "{label}");
-                }
-                assert!(stats.probe_bloom_rejects > 0 || !build_is_left, "{label}");
-                for (pname, policy) in policies() {
-                    let op = op.cold_copy();
-                    let (par, _) =
-                        execute_join_with_policy(left.catalog(), right.catalog(), &op, &policy)
-                            .unwrap();
-                    assert_eq!(par.data(), serial.data(), "{label} {pname}");
-                }
+        let lplan = AccessPlan::new(left.catalog().layout_ids(), Strategy::FusedVolcano);
+        let rplan = AccessPlan::new(right.catalog().layout_ids(), Strategy::FusedVolcano);
+        for build_is_left in [true, false] {
+            let op = compile_join(
+                left.catalog(),
+                right.catalog(),
+                &lplan,
+                &rplan,
+                q,
+                &checked,
+                build_is_left,
+            )
+            .unwrap();
+            let label = format!("build_is_left={build_is_left} query {q}");
+            let (serial, stats) = execute_join_with_policy(
+                left.catalog(),
+                right.catalog(),
+                &op,
+                &ExecPolicy::serial(),
+            )
+            .unwrap();
+            if build_is_left {
+                assert_eq!(serial.data(), want.data(), "{label}");
+            } else {
+                assert_eq!(serial.fingerprint(), want.fingerprint(), "{label}");
+            }
+            assert!(stats.probe_bloom_rejects > 0 || !build_is_left, "{label}");
+            for (pname, policy) in policies() {
+                let op = op.cold_copy();
+                let (par, _) =
+                    execute_join_with_policy(left.catalog(), right.catalog(), &op, &policy)
+                        .unwrap();
+                assert_eq!(par.data(), serial.data(), "{label} {pname}");
             }
         }
     }

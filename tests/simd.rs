@@ -3,12 +3,13 @@
 //! The `kernels::simd` rewrite must be **bit-identical** to the scalar
 //! reference bodies it replaced, across every place results could diverge:
 //! lane-chunk boundaries (`rows % 8`), segment-run boundaries, zone-map
-//! pruned runs, both execution strategies, serial vs morsel-parallel
-//! execution, `F64` fold order (including non-dyadic values whose sums are
-//! inexact), and the capped runs a cancellation token induces at
+//! pruned runs, the per-column tier and the batch step, column-at-a-time
+//! and row-at-a-time evaluation, serial vs morsel-parallel execution,
+//! `F64` fold order (including non-dyadic values whose sums are inexact),
+//! and the capped runs a cancellation token induces at
 //! `CANCEL_CHECK_ROWS` boundaries.
 
-use h2o::exec::kernels::{self, colmajor, fused};
+use h2o::exec::kernels::{self, fused};
 use h2o::exec::{
     compile, execute, execute_with_policy, reorg, run, AccessPlan, BoundAttr, CancelToken, ExecCtx,
     ExecPolicy, GroupViews, Strategy,
@@ -81,6 +82,42 @@ fn build_wide_group(rows: usize, shift: u32, seed: u64) -> h2o::storage::ColumnG
     .unwrap()
 }
 
+/// Scalar reference for [`fused::aggregate_range`]: every row of the
+/// range is tested with [`CompiledFilter::matches`] and folded per
+/// aggregate through the segment-resolving accessor — no masks, blocks or
+/// tiers.
+fn aggregate_range_scalar(
+    views: &GroupViews<'_>,
+    filter: &CompiledFilter,
+    aggs: &[(AggOp, CompiledExpr)],
+    range: std::ops::Range<usize>,
+) -> Vec<AggState> {
+    let mut states: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
+    for row in range {
+        let get = |a| views.get(a, row);
+        if filter.matches(get) {
+            for (st, (_, e)) in states.iter_mut().zip(aggs) {
+                st.update(e.eval(get));
+            }
+        }
+    }
+    states
+}
+
+/// [`build_group`]'s two columns as two groups of one column each (a
+/// column layout), at segment shift `shift`.
+fn build_columns(rows: usize, shift: u32, seed: u64) -> Vec<ColumnGroup> {
+    let g = build_group(rows, shift, seed);
+    let cols = g.collect_values();
+    (0..2u32)
+        .map(|c| {
+            let col: Vec<Value> = cols.iter().skip(c as usize).step_by(2).copied().collect();
+            ColumnGroup::from_columns_typed(vec![AttrId(c)], vec![wide_type(c)], &[&col], shift)
+                .unwrap()
+        })
+        .collect()
+}
+
 fn pred(offset: u32, op: CmpOp, ty: LogicalType, lane: Value) -> CompiledPred {
     CompiledPred::from_lane(BoundAttr { slot: 0, offset }, op, ty, lane)
 }
@@ -97,9 +134,8 @@ const OPS: [CmpOp; 6] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The fused scan's block walker and the columnar filter build agree
-    /// with the rows [`CompiledFilter::matches`] accepts, one row at a
-    /// time, over arbitrary sub-ranges — including ranges that start and
+    /// The block walker agrees with the rows [`CompiledFilter::matches`]
+    /// accepts, one row at a time, over arbitrary sub-ranges — including ranges that start and
     /// end mid-chunk, mid-segment, across a 1K-row block edge, and empty
     /// ones — for one predicate, two, or none. The walker's blocks are
     /// non-empty, at most 1K ids long, and concatenate to the whole.
@@ -139,20 +175,18 @@ proptest! {
             });
             prop_assert_eq!(n, want.len());
             prop_assert_eq!(&got, &want, "walker over {:?}", range);
-            prop_assert_eq!(
-                colmajor::build_selvec_columnar_range(&views, &filter, range.clone()),
-                colmajor::build_selvec_columnar_range_scalar(&views, &filter, range.clone()),
-                "colmajor over {:?}", range
-            );
         }
     }
 
-    /// Fused bare-column aggregation and the columnar streaming fold leave
-    /// states field-identical to their scalar references for every
-    /// aggregate function over both lane types — over one group, and over
-    /// a wide group plus a narrow one at different segment shifts whose
-    /// runs split into 1K-row blocks, in both tiers (the per-column tier
-    /// and the batch step).
+    /// Bare-column aggregation leaves states field-identical to the
+    /// scalar reference for every aggregate function over both lane types
+    /// — over one group; over a wide group plus a narrow one at different
+    /// segment shifts whose runs split into 1K-row blocks, in both tiers
+    /// (the per-column tier and the batch step); and over a column layout
+    /// (one column per slot) at segment shifts 3–11, where the tier folds
+    /// any number of columns, unmasked without a filter: `count(*)` alone,
+    /// `count` beside columns, and non-dyadic `F64` sums and averages,
+    /// over sub-ranges that straddle segment edges.
     #[test]
     fn aggregate_folds_match_scalar(
         rows in 1usize..300,
@@ -166,6 +200,7 @@ proptest! {
         narrow_shift in 11u32..15,
         lo_frac in 0.0f64..1.0,
         hi_frac in 0.0f64..1.0,
+        col_shift in 3u32..12,
     ) {
         let funcs = [AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Count, AggFunc::Avg];
         let f = funcs[func_i];
@@ -181,7 +216,7 @@ proptest! {
             ];
             let mut vec_states: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
             fused::aggregate_range(&views, &filter, 0..rows, &aggs, &mut vec_states);
-            let ref_states = fused::aggregate_range_scalar(&views, &filter, &aggs, 0..rows);
+            let ref_states = aggregate_range_scalar(&views, &filter, &aggs, 0..rows);
             prop_assert_eq!(vec_states, ref_states, "fused {} filtered={}", f.name(), !filter.is_always_true());
         }
         // Two groups: the wide one (6 attributes, I64/F64 alternating) and
@@ -224,20 +259,35 @@ proptest! {
                 for range in &ranges {
                     let mut got: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
                     fused::aggregate_range(&two, filter, range.clone(), aggs, &mut got);
-                    let want = fused::aggregate_range_scalar(&two, filter, aggs, range.clone());
+                    let want = aggregate_range_scalar(&two, filter, aggs, range.clone());
                     prop_assert_eq!(got, want, "two groups {} {:?} over {:?}", f.name(), aggs, range);
                 }
             }
         }
-        // Streaming columnar fold (no filter): full AggState equality, not
-        // just the finished lane.
-        for (off, ty) in [(0u32, LogicalType::I64), (1u32, LogicalType::F64)] {
-            let a = BoundAttr { slot: 0, offset: off };
-            prop_assert_eq!(
-                colmajor::agg_full_column_range(&views, a, AggOp::new(f, ty), 0..rows),
-                colmajor::agg_full_column_range_scalar(&views, a, AggOp::new(f, ty), 0..rows),
-                "colmajor stream {} {:?}", f.name(), ty
-            );
+        // A column layout: every column in a slot of width one.
+        let columns = build_columns(big_rows, col_shift, seed);
+        let cols = GroupViews::from_groups(&columns.iter().collect::<Vec<_>>());
+        let own = |slot: u32, f: AggFunc| {
+            (AggOp::new(f, wide_type(slot)), CompiledExpr::Col(BoundAttr { slot, offset: 0 }))
+        };
+        let count = (AggOp::from(AggFunc::Count), CompiledExpr::Col(BoundAttr { slot: 0, offset: 0 }));
+        let sets = [
+            vec![count.clone()],
+            vec![own(0, f), count.clone(), own(1, f)],
+            vec![own(1, AggFunc::Sum), own(1, AggFunc::Avg), own(0, f)],
+        ];
+        let seg = 1usize << col_shift;
+        let clamp = |r: std::ops::Range<usize>| r.start.min(big_rows)..r.end.min(big_rows);
+        let ranges = [0..big_rows, lo..hi, clamp(seg - 3..seg + 5), clamp(seg + 1..3 * seg - 1)];
+        for aggs in &sets {
+            for filter in &filters[..2] {
+                for range in &ranges {
+                    let mut got: Vec<AggState> = aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
+                    fused::aggregate_range(&cols, filter, range.clone(), aggs, &mut got);
+                    let want = aggregate_range_scalar(&cols, filter, aggs, range.clone());
+                    prop_assert_eq!(got, want, "columns {} {:?} over {:?}", f.name(), aggs, range);
+                }
+            }
         }
     }
 }
@@ -295,7 +345,7 @@ fn queries(rows: usize) -> Vec<Query> {
     ]
 }
 
-/// All three strategies, serial and parallel, against the interpreter —
+/// The scan, serial and parallel, against the interpreter —
 /// over a relation where zone maps prune most runs and the floats are
 /// non-dyadic (so any fold-order deviation in an F64 sum shows up as a
 /// fingerprint mismatch).
@@ -311,19 +361,16 @@ fn strategies_agree_on_pruned_segmented_relation() {
     };
     for (qi, q) in queries(rows).iter().enumerate() {
         let want = interpret(rel.catalog(), q).unwrap();
-        for strategy in Strategy::ALL {
-            let plan = AccessPlan::new(layouts.clone(), strategy);
-            let op = compile(rel.catalog(), &plan, q).unwrap();
-            let serial = execute(rel.catalog(), &op).unwrap();
-            assert_eq!(
-                serial.fingerprint(),
-                want.fingerprint(),
-                "serial {} query {qi}",
-                strategy.name()
-            );
-            let parallel = execute_with_policy(rel.catalog(), &op, &policy).unwrap();
-            assert_eq!(parallel, serial, "parallel {} query {qi}", strategy.name());
-        }
+        let plan = AccessPlan::new(layouts.clone(), Strategy::FusedVolcano);
+        let op = compile(rel.catalog(), &plan, q).unwrap();
+        let serial = execute(rel.catalog(), &op).unwrap();
+        assert_eq!(
+            serial.fingerprint(),
+            want.fingerprint(),
+            "serial query {qi}"
+        );
+        let parallel = execute_with_policy(rel.catalog(), &op, &policy).unwrap();
+        assert_eq!(parallel, serial, "parallel query {qi}");
     }
 }
 
@@ -358,21 +405,19 @@ fn capped_runs_under_live_cancel_token_are_identical() {
         Conjunction::of([Predicate::lt(0u32, 100)]),
     )
     .unwrap();
-    for strategy in Strategy::ALL {
-        let plan = AccessPlan::new(layouts.clone(), strategy);
-        let op = compile(rel.catalog(), &plan, &q).unwrap();
-        let plain = execute(rel.catalog(), &op).unwrap();
-        let live = CancelToken::new();
-        let ctx = ExecCtx {
-            cancel: Some(&live),
-            ..ExecCtx::new(policy)
-        };
-        let (capped, _) = run(rel.catalog(), &op, &ctx).unwrap();
-        assert_eq!(capped, plain, "strategy {}", strategy.name());
-    }
+    let plan = AccessPlan::new(layouts.clone(), Strategy::FusedVolcano);
+    let op = compile(rel.catalog(), &plan, &q).unwrap();
+    let plain = execute(rel.catalog(), &op).unwrap();
+    let live = CancelToken::new();
+    let ctx = ExecCtx {
+        cancel: Some(&live),
+        ..ExecCtx::new(policy)
+    };
+    let (capped, _) = run(rel.catalog(), &op, &ctx).unwrap();
+    assert_eq!(capped, plain);
 }
 
-/// Serial F64 sums are bit-identical across all three strategies and the
+/// Serial F64 sums are bit-identical between the scan and the
 /// interpreter even for non-dyadic inputs, where only exact row-order
 /// folding can agree (the fold-order contract pins this).
 #[test]
@@ -393,17 +438,14 @@ fn f64_sum_bit_identity_on_non_dyadic_values() {
         let rel = pruned_relation(rows, denom);
         let layouts = rel.catalog().layout_ids();
         let want = interpret(rel.catalog(), &q).unwrap();
-        for strategy in Strategy::ALL {
-            let plan = AccessPlan::new(layouts.clone(), strategy);
-            let op = compile(rel.catalog(), &plan, &q).unwrap();
-            let got = execute(rel.catalog(), &op).unwrap();
-            assert_eq!(
-                got.data(),
-                want.data(),
-                "bit-level f64 divergence in {}, /{denom}",
-                strategy.name()
-            );
-        }
+        let plan = AccessPlan::new(layouts.clone(), Strategy::FusedVolcano);
+        let op = compile(rel.catalog(), &plan, &q).unwrap();
+        let got = execute(rel.catalog(), &op).unwrap();
+        assert_eq!(
+            got.data(),
+            want.data(),
+            "bit-level f64 divergence, /{denom}"
+        );
         // Online reorganization folds all its stitched chunks in one
         // chain: with the filter attribute inside the new group, and
         // outside it.
@@ -419,19 +461,18 @@ fn f64_sum_bit_identity_on_non_dyadic_values() {
     }
 }
 
-/// The per-column tier's two choices at their edges: a 1K-row block with
-/// exactly `1 / TIER_DENSITY` of its rows qualifying (folded masked) and
-/// one with a row fewer (folded a set bit at a time), under aggregates
-/// over exactly `TIER_MAX_COLS` adjacent columns (the tier) and one
-/// column more (the batch step). Non-dyadic `F64` sums and averages leave
-/// every state field-identical to the scalar reference, over the whole
-/// relation, a range that starts mid-block, and one ending in the run's
-/// scalar tail.
+/// The per-column tier at its edges: a 1K-row block with exactly a
+/// quarter of its rows qualifying and one with a row fewer, under
+/// aggregates over exactly `TIER_MAX_COLS` adjacent columns (the tier)
+/// and one column more (the batch step).
+/// Non-dyadic `F64` sums and averages leave every state field-identical
+/// to the scalar reference, over the whole relation, a range that starts
+/// mid-block, and one ending in the run's scalar tail.
 #[test]
 fn tier_edges_fold_f64_sums_like_the_scalar_reference() {
     let block = 1024;
     let rows = 2 * block + 5;
-    let dense = block / fused::TIER_DENSITY;
+    let dense = block / 4;
     // Block 0 qualifies `dense` rows, block 1 one fewer, the 5-row tail 3.
     let flag: Vec<Value> = (0..rows)
         .map(|i| match i / block {
@@ -467,10 +508,94 @@ fn tier_edges_fold_f64_sums_like_the_scalar_reference() {
                     let mut got: Vec<AggState> =
                         aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
                     fused::aggregate_range(&views, &filter, range.clone(), &aggs, &mut got);
-                    let want = fused::aggregate_range_scalar(&views, &filter, &aggs, range.clone());
+                    let want = aggregate_range_scalar(&views, &filter, &aggs, range.clone());
                     assert_eq!(got, want, "{} over {n} columns, {range:?}", func.name());
                 }
             }
+        }
+    }
+}
+
+/// Bare columns and column sums whose lanes lie in several slots are
+/// evaluated a column at a time: projections (row-major output),
+/// aggregate inputs (column-major tiles) and grouped keys, over a column
+/// layout and over a mix of groups, at a segment shift that splits
+/// batches at piece ends. The `F64` sums mix magnitudes so that any other
+/// association or column order changes their bits, and some rows are all
+/// `-0.0`, whose sum is `-0.0` only when it starts from its first column;
+/// every answer must equal the interpreter's, bit for bit.
+#[test]
+fn column_at_a_time_evaluation_matches_the_interpreter() {
+    use LogicalType::{F64, I64};
+    let rows = 3_000;
+    let types = [I64, F64, I64, F64, F64];
+    let lane = |i: usize, a: usize| -> Value {
+        if i % 10 == 3 && types[a] == F64 {
+            return f64_lane(-0.0);
+        }
+        match a {
+            0 => (i * 7 % 23) as Value - 11,
+            1 => f64_lane((1 + i % 3) as f64 * 1e16 + (i % 7) as f64 / 10.0),
+            2 => (i * 13 % 31) as Value,
+            3 => f64_lane(1.0 + (i % 5) as f64 / 10.0),
+            _ => f64_lane((i % 9) as f64 / 3.0 - 1.0),
+        }
+    };
+    let cols: Vec<Vec<Value>> = (0..5)
+        .map(|a| (0..rows).map(|i| lane(i, a)).collect())
+        .collect();
+    let schema = Schema::typed([
+        ("a0", I64),
+        ("a1", F64),
+        ("a2", I64),
+        ("a3", F64),
+        ("a4", F64),
+    ]);
+    let schema = schema.into_shared();
+    let columns = vec![
+        vec![AttrId(0)],
+        vec![AttrId(1)],
+        vec![AttrId(2)],
+        vec![AttrId(3)],
+        vec![AttrId(4)],
+    ];
+    let mixed = vec![
+        vec![AttrId(0), AttrId(1)],
+        vec![AttrId(2), AttrId(3)],
+        vec![AttrId(4)],
+    ];
+    let c = Expr::col::<u32>;
+    let f = || Conjunction::of([Predicate::lt(0u32, 6)]);
+    let queries = [
+        Query::project([c(0), c(2), c(1), c(4)], f()).unwrap(),
+        Query::project([c(1).add(c(3)).add(c(4))], Conjunction::always()).unwrap(),
+        Query::project([c(0).add(c(2)), c(4).add(c(3)).add(c(1))], f()).unwrap(),
+        Query::aggregate(
+            [
+                Aggregate::sum(c(1).add(c(3)).add(c(4))),
+                Aggregate::max(c(0).add(c(2))),
+                Aggregate::min(c(3).add(c(4))),
+            ],
+            f(),
+        )
+        .unwrap(),
+        Query::grouped([c(0), c(2)], [Aggregate::sum(c(3).add(c(4)))], f()).unwrap(),
+    ];
+    for partition in [columns, mixed] {
+        let rel =
+            Relation::partitioned_with_shift(schema.clone(), cols.clone(), partition.clone(), 7)
+                .unwrap();
+        for q in &queries {
+            let want = interpret(rel.catalog(), q).unwrap();
+            let plan = AccessPlan::new(
+                rel.catalog().cover(&q.all_attrs()).unwrap(),
+                Strategy::FusedVolcano,
+            );
+            assert!(plan.layouts.len() > 1, "{q} reads several slots");
+            let op = compile(rel.catalog(), &plan, q).unwrap();
+            let got = execute(rel.catalog(), &op).unwrap();
+            assert!(!got.is_empty());
+            assert_eq!(got, want, "{partition:?} {q}");
         }
     }
 }
