@@ -7,10 +7,10 @@
 //! * **Joins.** A dimension of 4K / 16K / 64K / 1M unique build keys (one
 //!   lane, every 2nd value; or two lanes), probed by a 262,144-row fact
 //!   side at 1% and 50% match; the misses lie between real keys, so the
-//!   bloom bits or the rank bitmap, not the key range, reject them. Each
-//!   cell runs three select shapes, one per factorized fold plan:
-//!   `probe_only` (`sum(fact.v), count(*)`), `build_aggs`
-//!   (`sum(dim.w), count(*)`) and `build_groups`
+//!   bloom bits or the rank bitmap reject them. Each cell runs three
+//!   select shapes, one per factorized fold plan: `probe_only`
+//!   (`sum(fact.v), count(*)`), `build_aggs` (`sum(dim.w), count(*)`)
+//!   and `build_groups`
 //!   (`sum(fact.v), count(*) group by dim.cat`, 8 groups). Every
 //!   repetition runs [`h2o_exec::run_join_staged`] serially (the
 //!   dimension builds) on a cold build, and the cell reports the median

@@ -35,9 +35,9 @@ pub struct EngineStats {
     /// skip whole segments no predicate of the conjunction can match in.
     pub segments_skipped: u64,
     /// Qualifying join-probe rows the build-side prefilter proved to have
-    /// no build key, so no table lookup ran for them: the join filter
-    /// (blocked bloom + exact key range) of a hashed build, or the rank
-    /// index, which rejects every absent key exactly.
+    /// no build key, so no table lookup ran for them: the blocked bloom
+    /// filter of a hashed build, or the rank index, which rejects every
+    /// absent key exactly.
     pub probe_bloom_rejects: u64,
     /// Workload shifts detected by the monitoring window.
     pub shifts_detected: u64,

@@ -86,14 +86,14 @@ const HASH_PROBE_OPS: f64 = 8.0;
 /// growth. Charged per qualifying build-side tuple.
 const HASH_INSERT_OPS: f64 = 12.0;
 
-/// Join-filter build: one hash of the key lanes plus a blocked-bloom word
-/// OR and the range min/max fold. Charged per qualifying build-side tuple
-/// (the filter is derived from the same gathered parts the table is built
-/// from, so there is no extra scan).
+/// Join-filter build: one blocked-bloom word OR per key, from the hash
+/// the table insert already computed. Charged per qualifying build-side
+/// tuple (the filter is filled from the same gathered parts the table is
+/// built from, so there is no extra scan).
 const BLOOM_BUILD_OPS: f64 = 2.0;
 
-/// Join-filter test: the range compares plus one blocked-bloom word
-/// probe, paid per qualifying probe-side tuple *before* the hash lookup.
+/// Join-filter test: one blocked-bloom word probe, paid per qualifying
+/// probe-side tuple *before* the hash lookup.
 /// Deliberately priced below [`HASH_PROBE_OPS`]: the filter touches one
 /// cache-resident word where the table probe takes a random access.
 const BLOOM_TEST_OPS: f64 = 2.0;

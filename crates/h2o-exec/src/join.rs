@@ -89,23 +89,20 @@
 //! 1. gather the key lanes, column by column, each stretch of rows in one
 //!    segment piece from its slice ([`SlotAccessor`]);
 //! 2. hash every key;
-//! 3. test every key against the [`JoinFilter`] — the exact `[min, max]`
-//!    range of each key column, in comparator-key space, and a blocked
-//!    bloom filter over the build keys, sized by the distinct build keys
-//!    — and compact the survivors into a list without a branch
+//! 3. test every hash against the [`JoinFilter`] — a blocked bloom
+//!    filter over the build keys' hashes, sized by the distinct build
+//!    keys — and compact the survivors into a list without a branch
 //!    ([`JoinFilter::survivors`]);
 //! 4. resolve the survivors' key ids in the table, with the same hash;
 //! 5. fold the hits, in ascending row order.
 //!
 //! A rank-indexed build runs stages 2–4 as one lookup per key: the key's
 //! bit rejects it exactly or its rank is its id, with no hash and no bloom
-//! test, compacted without a branch. A hashed one-lane key still takes a
-//! tier of its own: its hash is one mixer step, its filter loop is
-//! compiled per key type with the column's range hoisted out of it, and
-//! its table lookup compares each `[id, key]` slot inline. A wider key's
-//! range test runs column by column, each column's type and range
-//! hoisted the same way. Neither prefilter has false negatives, so only
-//! rows that match nothing are dropped
+//! test, compacted without a branch. A hashed one-lane key's hash is one
+//! mixer step and its table lookup compares each `[id, key]` slot
+//! inline; the filter test is the same loop for every key width.
+//! Neither prefilter has false negatives, so only rows that match nothing
+//! are dropped
 //! ([`JoinExecStats::probe_bloom_rejects`] counts them), and stage 5 sees
 //! the hits in the order an unfiltered row walk would.
 //!
@@ -165,7 +162,7 @@ use crate::filter::CompiledFilter;
 use crate::kernels::grouped::GroupBlock;
 use crate::kernels::simd::BLOCK_ROWS;
 use crate::kernels::{self, eval_rows, gather_col, unbound};
-use crate::parallel::{run_chunks, run_ranges, ExecPolicy};
+use crate::parallel::{run_ranges, ExecPolicy};
 use crate::plan::AccessPlan;
 use crate::program::{eval_batch, CompiledExpr, Layout};
 use crate::rank::RankIndex;
@@ -252,8 +249,7 @@ pub struct CompiledJoinOp {
     /// The build-side attributes the select clause reads, bound on the
     /// build plan: payload column `c` holds `payload[c]`'s lanes.
     payload: Vec<BoundAttr>,
-    /// Shared key type per `on` pair (drives the probe prefilter's
-    /// comparator-key range tests).
+    /// Shared key type per `on` pair (picks the build's key tier).
     key_types: Vec<LogicalType>,
     /// How the probe folds matches.
     plan: FoldPlan,
@@ -348,9 +344,9 @@ pub struct JoinExecStats {
     /// Probe-side segment runs skipped by zone-map pruning.
     pub probe_segments_skipped: u64,
     /// Qualifying probe rows the prefilter proved to have no build key,
-    /// so no table lookup ran for them: the range and bloom tests of a
-    /// hashed build (which pass some absent keys on to the table), or the
-    /// rank index, which rejects every absent key exactly.
+    /// so no table lookup ran for them: the bloom test of a hashed build
+    /// (which passes some absent keys on to the table), or the rank
+    /// index, which rejects every absent key exactly.
     pub probe_bloom_rejects: u64,
     /// Whether the build side was the query's left relation.
     pub build_is_left: bool,
@@ -368,15 +364,14 @@ pub struct JoinExecStats {
 pub enum Stage {
     /// Each build range's qualifying rows: key and payload lanes.
     BuildGather,
-    /// The keys into the key index, in range order: each key's hash and
-    /// the hash table, or the rank index and each row's id.
+    /// The keys into the key index, in range order: each key's hash, the
+    /// hash table and the probe prefilter, or the rank index and each
+    /// row's id.
     BuildInsert,
     /// The counting sort of the payload into the CSR row list.
     BuildCsr,
     /// The fold plan's per-key build folds.
     BuildFold,
-    /// The hashed tier's probe prefilter over the build keys.
-    BuildBloom,
     /// Probe stage 1 (with the walk that finds the block's rows).
     ProbeGather,
     /// Probe stage 2 (hashed tier).
@@ -394,12 +389,11 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in run order.
-    pub const ALL: [Stage; 11] = [
+    pub const ALL: [Stage; 10] = [
         Stage::BuildGather,
         Stage::BuildInsert,
         Stage::BuildCsr,
         Stage::BuildFold,
-        Stage::BuildBloom,
         Stage::ProbeGather,
         Stage::ProbeHash,
         Stage::ProbeFilter,
@@ -415,7 +409,6 @@ impl Stage {
             "build.insert",
             "build.csr",
             "build.fold",
-            "build.bloom",
             "probe.gather",
             "probe.hash",
             "probe.filter",
@@ -612,10 +605,6 @@ struct BuildPart {
     payload: Vec<Vec<Value>>,
 }
 
-/// The hashed tier's view of one [`BuildPart`]: its key lanes and each
-/// key's [`hash_key`].
-type HashedKeys<'p> = (&'p [Value], Vec<u64>);
-
 /// [`FoldPlan::BuildGroups`]'s build-side groups: key `id`'s `(group
 /// id, multiplicity)` pairs are `list[starts[id]..starts[id + 1]]`, or
 /// `list[id]` alone when `starts` is `None` (every key reaches one
@@ -705,41 +694,6 @@ impl BuildSlot {
     }
 }
 
-/// The hashed tier's probe prefilter over the gathered parts' keys and
-/// their hashes ([`HashedKeys`]), sized by the `distinct` keys the map holds (a filter
-/// sized for the raw relation, or for duplicate keys, would waste cache):
-/// one partial filter per chunk of build ranges, OR-merged in chunk order
-/// (the merge is commutative, so the result is independent of the
-/// policy).
-fn prefilter(
-    parts: &[HashedKeys<'_>],
-    distinct: usize,
-    op: &CompiledJoinOp,
-    policy: &ExecPolicy,
-    stages: Option<&JoinStages>,
-) -> JoinFilter {
-    let key_width = op.build.keys.len();
-    let new = || JoinFilter::with_capacity(distinct, op.key_types.clone());
-    let partials = run_chunks(parts, policy, |chunk| {
-        let mut lap = Lap::start(stages);
-        let mut f = new();
-        for (keys, hashes) in chunk {
-            for (key, &h) in keys.chunks_exact(key_width).zip(hashes) {
-                f.insert(key, h);
-            }
-        }
-        lap.mark(Stage::BuildBloom);
-        f
-    });
-    let mut lap = Lap::start(stages);
-    let mut filter = new();
-    for p in &partials {
-        filter.merge(p);
-    }
-    lap.mark(Stage::BuildBloom);
-    filter
-}
-
 impl JoinTable {
     /// Indexes the gathered build parts' keys in range order, lays the
     /// payloads out by key id with a stable counting sort, then resolves
@@ -747,11 +701,13 @@ impl JoinTable {
     /// cardinality, which sizes the hashed tier's map (distinct keys can
     /// only be fewer) and bounds the rank index: a one-lane integer key
     /// takes the index when it is no larger than that map's slot array.
+    /// The hashed tier's prefilter is sized by the distinct keys the map
+    /// holds (a filter sized for the raw relation, or for duplicate keys,
+    /// would waste cache).
     fn build(
         parts: &[BuildPart],
         op: &CompiledJoinOp,
         rows: usize,
-        policy: &ExecPolicy,
         stages: Option<&JoinStages>,
     ) -> JoinTable {
         let mut lap = Lap::start(stages);
@@ -776,23 +732,26 @@ impl JoinTable {
             None => {
                 // Only this tier reads key hashes: each key hashes once,
                 // for the map insert and the prefilter alike.
-                let hashed: Vec<HashedKeys<'_>> = parts
+                let hashes: Vec<Vec<u64>> = parts
                     .iter()
                     .map(|p| {
                         let mut hashes = Vec::with_capacity(p.keys.len() / key_width);
                         hash_keys(&p.keys, key_width, &mut hashes);
-                        (&p.keys[..], hashes)
+                        hashes
                     })
                     .collect();
                 let mut map = LaneMap::with_capacity(key_width, rows);
-                let ids = hashed
+                let ids = parts
                     .iter()
-                    .flat_map(|(keys, hashes)| keys.chunks_exact(key_width).zip(hashes))
+                    .zip(&hashes)
+                    .flat_map(|(p, hashes)| p.keys.chunks_exact(key_width).zip(hashes))
                     .map(|(key, &h)| map.insert_hashed(key, h))
                     .collect();
+                let mut filter = JoinFilter::with_capacity(map.len());
+                for &h in hashes.iter().flatten() {
+                    filter.insert(h);
+                }
                 lap.mark(Stage::BuildInsert);
-                let filter = prefilter(&hashed, map.len(), op, policy, stages);
-                lap = Lap::start(stages);
                 (KeyIndex::Hashed { map, filter }, ids)
             }
         };
@@ -1087,7 +1046,7 @@ fn build_side(
         part
     });
     let rows: usize = parts.iter().map(|p| p.keys.len() / key_width).sum();
-    let table = JoinTable::build(&parts, op, rows, policy, stages);
+    let table = JoinTable::build(&parts, op, rows, stages);
     Build {
         source,
         stats: JoinExecStats {
@@ -1225,8 +1184,8 @@ impl<'a, 'v, 'g> Probe<'a, 'v, 'g> {
                 self.hashes.clear();
                 hash_keys(&self.keys, w, &mut self.hashes);
                 lap.mark(Stage::ProbeHash);
-                // 3: range and bloom test every key.
-                let kept = filter.survivors(&self.keys, &self.hashes, &mut self.survivors);
+                // 3: bloom test every hash.
+                let kept = filter.survivors(&self.hashes, &mut self.survivors);
                 self.rejects += (rows.len() - kept) as u64;
                 lap.mark(Stage::ProbeFilter);
                 // 4: the survivors' key ids.
@@ -1713,9 +1672,9 @@ mod tests {
                 assert_eq!(fast.fingerprint(), want.fingerprint());
                 assert_eq!(slow.fingerprint(), want.fingerprint());
                 assert_eq!(fstats.output_pairs, sstats.output_pairs);
-                // With photo building, spec rows with bestObjID in
-                // 8..12 fall outside the build key range [0, 7] and
-                // are rejected before the hash lookup.
+                // With photo building (dense keys 0..=7, so the rank
+                // index), spec rows with bestObjID in 8..12 have no build
+                // key and are rejected by the index's bitmap.
                 if build_is_left {
                     assert!(fstats.probe_bloom_rejects >= 8, "stats {fstats:?}");
                 }

@@ -258,19 +258,6 @@ where
     run_morsels(rows, &policy.aligned_to(seg_rows), f)
 }
 
-/// Runs `f` over morsel-sized contiguous chunks of `items` and returns the
-/// per-chunk results in order. Used where the work is a list of items
-/// rather than raw row ranges (the join's build parts): the chunking unit
-/// is the item, so work stays balanced however the items were found.
-pub fn run_chunks<I, T, F>(items: &[I], policy: &ExecPolicy, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&[I]) -> T + Sync,
-{
-    run_morsels(items.len(), policy, |range| f(&items[range]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,15 +324,6 @@ mod tests {
         // One morsel ⇒ serial regardless of thread count.
         let q = policy(8, 1_000_000);
         assert!(q.is_serial_for(500_000));
-    }
-
-    #[test]
-    fn run_chunks_concatenates_in_order() {
-        let items: Vec<u32> = (0..1000).collect();
-        let p = policy(3, 13);
-        let chunks = run_chunks(&items, &p, |c| c.to_vec());
-        let flat: Vec<u32> = chunks.into_iter().flatten().collect();
-        assert_eq!(flat, items);
     }
 
     #[test]

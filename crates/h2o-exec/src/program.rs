@@ -330,6 +330,29 @@ mod tests {
         assert!(matches!(p, CompiledExpr::Program { .. }));
     }
 
+    /// `Expr::sum_of` (the paper's template (iii), `scan_steady`'s
+    /// `expr_1pct`) builds a left-deep chain and lowers to the column-sum
+    /// forms; a right-nested sum adds in another order and lowers to a
+    /// program, which evaluates its tree as written.
+    #[test]
+    fn only_left_deep_sums_lower_to_column_sums() {
+        let chain = Expr::sum_of([AttrId(2), AttrId(3), AttrId(4)]);
+        let want = [2u32, 3, 4].map(|a| direct_bind(AttrId(a))).to_vec();
+        match CompiledExpr::lower(&chain, direct_bind) {
+            CompiledExpr::SumCols(cols) => assert_eq!(cols, want),
+            other => panic!("sum_of lowered to {other:?}"),
+        }
+        match CompiledExpr::lower_typed(&chain, LogicalType::F64, direct_bind) {
+            CompiledExpr::SumColsF(cols) => assert_eq!(cols, want),
+            other => panic!("F64 sum_of lowered to {other:?}"),
+        }
+        let right_nested = Expr::col(2u32).add(Expr::col(3u32).add(Expr::col(4u32)));
+        for ty in [LogicalType::I64, LogicalType::F64] {
+            let p = CompiledExpr::lower_typed(&right_nested, ty, direct_bind);
+            assert!(matches!(p, CompiledExpr::Program { .. }), "{ty:?}");
+        }
+    }
+
     #[test]
     fn eval_matches_interpreter_for_all_variants() {
         let g = one_group_views(&[&[5, -2], &[7, 11], &[1, 100]]);

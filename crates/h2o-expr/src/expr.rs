@@ -227,10 +227,12 @@ impl Expr {
         }
     }
 
-    /// Whether the expression is a left-deep sum of distinct columns
-    /// (`a + b + ... + k`). The specialized kernels fast-path this shape,
-    /// mirroring the paper's generated code for Q1 (Figs. 5–6). Returns the
-    /// columns in order if so.
+    /// Whether the expression is a left-deep sum of columns
+    /// (`((a + b) + ...) + k`, every right operand a bare column). The
+    /// specialized kernels fast-path this shape, mirroring the paper's
+    /// generated code for Q1 (Figs. 5–6), and add the columns left to
+    /// right — the interpreter's order for this tree alone, which matters
+    /// for `F64` sums. Returns the columns in order if so.
     pub fn as_column_sum(&self) -> Option<Vec<AttrId>> {
         fn walk(e: &Expr, out: &mut Vec<AttrId>) -> bool {
             match e {
@@ -242,7 +244,14 @@ impl Expr {
                     op: ArithOp::Add,
                     lhs,
                     rhs,
-                } => walk(lhs, out) && walk(rhs, out),
+                } => match rhs.as_col() {
+                    Some(a) => {
+                        let ok = walk(lhs, out);
+                        out.push(a);
+                        ok
+                    }
+                    None => false,
+                },
                 _ => false,
             }
         }
@@ -317,6 +326,13 @@ mod tests {
             .is_none());
         assert!(Expr::col(0u32).add(Expr::lit(1)).as_column_sum().is_none());
         assert_eq!(Expr::col(4u32).as_column_sum().unwrap(), vec![AttrId(4)]);
+        // A right-nested sum adds in another order: not a column sum.
+        let right_nested = Expr::col(0u32).add(Expr::col(1u32).add(Expr::col(2u32)));
+        assert!(right_nested.as_column_sum().is_none());
+        let mixed = Expr::col(0u32)
+            .add(Expr::col(1u32))
+            .add(Expr::col(2u32).add(Expr::col(3u32)));
+        assert!(mixed.as_column_sum().is_none());
     }
 
     #[test]

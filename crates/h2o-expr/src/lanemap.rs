@@ -15,10 +15,10 @@
 //! at most 50%. Each slot holds its id lane followed by the key lanes,
 //! inline in one `Vec<Value>`, so a probe that hits reads one contiguous
 //! slot. The slot index is the low bits of [`hash_key`], a fixed-seed
-//! splitmix64 chain over the key lanes; the join's bloom filter derives
-//! its bits from the same hash, so a key is hashed once for both: a build
-//! key for its insert ([`LaneMap::insert_hashed`]) and its filter bits, a
-//! probe key for its filter test and its lookup ([`LaneMap::get`]). A
+//! splitmix64 chain over the key lanes; the join's bloom filter is a
+//! filter over the same hashes alone, so a key is hashed once for both: a
+//! build key for its insert ([`LaneMap::insert_hashed`]) and its filter
+//! bits, a probe key for its filter test and its lookup ([`LaneMap::get`]). A
 //! one-lane key — most join and group keys — probes through its own find,
 //! which compares each `[id, key]` slot inline with no per-lane loop.
 //! Nothing about the table depends on the process or the run: the same

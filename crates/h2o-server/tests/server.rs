@@ -219,8 +219,8 @@ fn stats_kind_reports_engine_and_server_counters() {
     let handle = start(5_000, ServerConfig::default());
     let mut c = Client::connect(handle.addr());
     // The join probes R against dim's keys (multiples of four, max 252):
-    // most of R's ids fall outside the build filter's key range or miss
-    // the bloom, so the engine's reject counter must move.
+    // most of R's ids have no build key and the build's prefilter rejects
+    // them, so the engine's reject counter must move.
     assert_checked_ok(&c.roundtrip(JOIN));
     let stats = c.roundtrip(r#"{"id":9,"kind":"stats"}"#);
     let engine = stats.get("ok").get("engine");

@@ -218,11 +218,10 @@
 //!
 //! * *Bloom-filtered probes* — the build hashes each key once, for its
 //!   table insert and for the
-//!   [`JoinFilter`](h2o_exec::JoinFilter) (morsel-parallel, OR-merged in
-//!   morsel order): a blocked bloom filter plus an exact per-key
-//!   `[min,max]` range in comparator-key space, sized by the distinct
-//!   build keys. Probe rows arrive 1K at a time; every key of a block is
-//!   gathered, hashed, range- and bloom-tested, and the survivors are
+//!   [`JoinFilter`](h2o_exec::JoinFilter): a blocked bloom filter over
+//!   the key hashes, sized by the distinct build keys. Probe rows arrive
+//!   1K at a time; every key of a block is gathered and hashed, every
+//!   hash bloom-tested, and the survivors are
 //!   compacted without a branch *before* the table lookup, so
 //!   low-match-rate probes skip the random-access lookup
 //!   ([`JoinExecStats::probe_bloom_rejects`](h2o_exec::JoinExecStats)

@@ -2,9 +2,9 @@
 //! factorized fold plans never change an answer.**
 //!
 //! The fast paths are pure execution shortcuts, always on — a blocked
-//! bloom filter plus exact key range that skips hash lookups for
-//! provably-absent keys (or, for a dense one-lane integer key, the rank
-//! index that replaces both), fold plans that fold a probe row's matches
+//! bloom filter that skips hash lookups for provably-absent keys (or, for
+//! a dense one-lane integer key, the rank index that replaces the filter
+//! and the table), fold plans that fold a probe row's matches
 //! with a multiplicity, per build key or per build group instead of per
 //! matched pair, and the build an operator holds for its next run. All
 //! must be bit-invisible: this suite checks that they engage (exact
@@ -53,10 +53,9 @@ const SPARSE: Value = 2_000;
 
 /// Dimension/fact columns with *in-domain* misses: dim keys are multiples
 /// of the even `stride` ([`DENSE`] or [`SPARSE`]), fact foreign keys that
-/// miss are odd values between real keys — the `[min,max]` range check
-/// alone cannot reject them, so the bloom bits or the rank index's bitmap
-/// carry the filtering. Payload `f64`s live on a dyadic grid, so any fold
-/// order sums exactly.
+/// miss are odd values between real keys, so the bloom bits or the rank
+/// index's bitmap carry the filtering. Payload `f64`s live on a dyadic
+/// grid, so any fold order sums exactly.
 fn dim_fact_columns(
     dim_rows: usize,
     fact_rows: usize,
@@ -260,8 +259,8 @@ fn fused_aggregates_agree(stride: Value) {
 
 /// The 35%-match fixture actually exercises the filter: with the bloom
 /// on (sparse keys, so the build hashes them), a majority of the
-/// qualifying probe rows skip their hash lookup (misses are in-range, so
-/// the exact `[min,max]` check alone cannot claim the credit).
+/// qualifying probe rows skip their hash lookup (the misses lie between
+/// real keys, inside the build's key span).
 #[test]
 fn in_domain_misses_are_rejected_by_bloom_bits_not_the_range() {
     let (dim_cols, fact_cols) = dim_fact_columns(600, 4_000, 0.35, 0.4, 23, SPARSE);
@@ -553,8 +552,8 @@ fn build_groups_fold_multiplicities_and_skip_unreached_groups() {
 /// 1K-row blocks and a partial last block. A dense one-lane key takes the
 /// rank index, which rejects exactly the probe rows with no build key; a
 /// sparse one-lane key and a two-column key are hashed, and their rejects
-/// are the rows the same bloom filter (sized by the distinct build keys,
-/// tested key by key) and range disprove. The matches are counted by a
+/// are the rows whose bloom bits the same filter (sized by the distinct
+/// build keys, tested key by key) lacks. The matches are counted by a
 /// scan of the build keys.
 #[test]
 fn probe_counters_match_a_naive_count_across_block_edges() {
@@ -601,14 +600,14 @@ fn probe_counters_match_a_naive_count_across_block_edges() {
         // the 300 rows' one-column keys).
         let distinct = build.iter().collect::<std::collections::HashSet<_>>().len();
         assert_eq!(distinct, [250, 300][width - 1]);
-        let mut filter = JoinFilter::with_capacity(distinct, vec![LogicalType::I64; width]);
+        let mut filter = JoinFilter::with_capacity(distinct);
         for key in &build {
-            filter.insert(key, hash_key(key));
+            filter.insert(hash_key(key));
         }
         let (mut rejects, mut misses, mut pairs) = (0u64, 0u64, 0usize);
         for row in 0..fact_rows {
             let key = key_of(&fact_cols, row);
-            if !(filter.in_range(&key) && filter.test_hash(hash_key(&key))) {
+            if !filter.test_hash(hash_key(&key)) {
                 rejects += 1;
             }
             let matches = build.iter().filter(|k| **k == key).count();
@@ -616,7 +615,7 @@ fn probe_counters_match_a_naive_count_across_block_edges() {
             pairs += matches;
         }
         assert!(rejects > 0 && pairs > 0);
-        assert!(rejects < misses, "some in-range misses pass the bloom bits");
+        assert!(rejects < misses, "some misses pass the bloom bits");
         let want_rejects = if ranked { misses } else { rejects };
         let label = format!("width {width} scale {scale}");
         let [(got, stats), (par, _)] = run_left_build(&dim, &fact, &q, FoldPlan::ProbeOnly);

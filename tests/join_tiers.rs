@@ -8,10 +8,10 @@
 //! its hits column by column; the build-aggregate plan merges once per
 //! join over the hit counts of every probe range. This suite holds each
 //! of them to [`interpret_join`] for every key family the tiers tell apart
-//! — `F64` keys (negatives, both zeros, two NaN payloads; the filter's
-//! range is kept in comparator-key space), `I64` keys at `i64::MIN` /
-//! `i64::MAX`, dense `I64` keys next to either end (where `key − min`
-//! wraps), negative keys, a single key, dictionary codes, two domains at
+//! — `F64` keys (negatives, both zeros, two NaN payloads, and probe-only
+//! misses below and above every build key in comparator-key order),
+//! `I64` keys at `i64::MIN` / `i64::MAX`, dense `I64` keys next to either
+//! end (where `key − min` wraps), negative keys, a single key, dictionary codes, two domains at
 //! and just past the rank index's size limit, and a two-lane key —
 //! across every fold plan × build side × policy (segmented
 //! and monolithic, for the families that differ in key type or width),
@@ -32,9 +32,9 @@ const LEFT_ROWS: usize = 160;
 const RIGHT_ROWS: usize = 1_200;
 
 /// One key family: the lane type of each key column, the keys both sides
-/// draw from, keys only the probe side holds (inside the build's key
-/// range, so only the bloom bits, the table or the rank bitmap can reject
-/// them, or just outside it), whether a build of every left row takes the
+/// draw from, keys only the probe side holds (between build keys or
+/// outside their span; the bloom bits, the table or the rank bitmap
+/// reject them), whether a build of every left row takes the
 /// rank index, and whether the family runs on both layouts. Segments only
 /// change which rows qualify, so the families that differ from another
 /// only in their key values run on the monolithic layout.
@@ -85,10 +85,17 @@ fn families() -> Vec<Family> {
         0x7FF8_DEAD_0000_0000, // another NaN payload
         f64::INFINITY.to_bits(),
     ]);
+    // Between build keys, then outside the build keys' span in
+    // comparator-key order: -inf and a NaN with the sign bit set (which
+    // sorts below -inf) under the least key, and the largest NaN above
+    // +inf and every NaN payload the build holds.
     let float_misses = f64_keys(&[
         (-1.25f64).to_bits(),
         0.5f64.to_bits(),
         0x7FF8_0000_0000_0003,
+        f64::NEG_INFINITY.to_bits(),
+        0xFFF8_0000_0000_0000,
+        0x7FFF_FFFF_FFFF_FFFF,
     ]);
     let ints = vec![i64::MIN, i64::MIN + 1, -7, 0, 5, i64::MAX - 1, i64::MAX];
     let dict = Dictionary::new().into_shared();
@@ -163,7 +170,13 @@ fn families() -> Vec<Family> {
                 .enumerate()
                 .map(|(i, &f)| vec![f, (i % 3) as Value - 1])
                 .collect(),
-            misses: vec![vec![floats[0], 7], vec![float_misses[1], 0]],
+            misses: vec![
+                vec![floats[0], 7],
+                vec![float_misses[1], 0],
+                vec![float_misses[3], 0],
+                vec![float_misses[4], 1],
+                vec![float_misses[5], -1],
+            ],
             dict: None,
             ranked: false,
             both_layouts: true,
@@ -427,12 +440,10 @@ fn key_tiers_and_column_folds_match_the_interpreter() {
 }
 
 /// With the left side building all its rows, each family takes its
-/// expected key tier. Most probe-only misses lie inside the build's key
-/// range, so a hashed build rejects them by their bloom bits or the table
-/// misses them, and the rank index rejects every one; either way every
-/// miss is a row no pair counts. A negative `F64` key tested against its
-/// raw lane bits instead of its comparator key would fall outside the
-/// range and lose its pairs.
+/// expected key tier. A hashed build rejects a probe-only miss by its
+/// bloom bits or the table misses it, and the rank index rejects every
+/// one; either way every miss is a row no pair counts, and no row with a
+/// build key is rejected.
 #[test]
 fn every_probe_row_with_a_build_key_is_counted() {
     for fam in families() {

@@ -18,8 +18,10 @@
 //! `H2O_STRESS_SEED`-seeded sweep that replays a CI run exactly.
 
 use h2o::core::{EngineConfig, EngineError, H2oEngine};
-use h2o::exec::{compile, execute, execute_with_policy, AccessPlan, ExecPolicy, Strategy};
-use h2o::expr::{interpret, typecheck, Datum, QueryError};
+use h2o::exec::{
+    compile, execute, execute_with_policy, run, AccessPlan, ExecCtx, ExecPolicy, Strategy,
+};
+use h2o::expr::{interpret, query_from_json, query_to_json, typecheck, Datum, Json, QueryError};
 use h2o::prelude::*;
 use h2o::storage::{f64_lane, lane_f64, LogicalType, DEFAULT_SEG_SHIFT};
 use h2o::workload::{gen_dict_column, gen_f64_column, gen_key_column, F64_GRID};
@@ -279,6 +281,55 @@ fn nan_ordering_pinned_to_total_cmp() {
                 execute_with_policy(rel.catalog(), &op, &policy).unwrap(),
                 want
             );
+        }
+    }
+}
+
+/// A right-nested `F64` sum `a + (b + c)` adds in its own tree order on
+/// every layout: with a = 1e16 and b = c = 1.0 the interpreter returns
+/// 1e16 + 2, while a left-deep fold `(a + b) + c` would lose both ones.
+/// The wire keeps the client's tree shape, so the query decoded from its
+/// JSON runs the same way.
+#[test]
+fn right_nested_f64_sums_add_in_tree_order() {
+    let schema = Schema::typed([
+        ("a", LogicalType::F64),
+        ("b", LogicalType::F64),
+        ("c", LogicalType::F64),
+    ])
+    .into_shared();
+    let rows = 2;
+    let cols = vec![
+        vec![f64_lane(1e16); rows],
+        vec![f64_lane(1.0); rows],
+        vec![f64_lane(1.0); rows],
+    ];
+    let nested = Expr::col(0u32).add(Expr::col(1u32).add(Expr::col(2u32)));
+    let queries = [
+        Query::project([nested.clone()], Conjunction::always()).unwrap(),
+        Query::aggregate([Aggregate::sum(nested)], Conjunction::always()).unwrap(),
+    ];
+    for rel in [
+        Relation::columnar(schema.clone(), cols.clone()).unwrap(),
+        Relation::row_major(schema.clone(), cols.clone()).unwrap(),
+    ] {
+        let catalog = rel.catalog();
+        for q in &queries {
+            let want = interpret(catalog, q).unwrap();
+            let per_row = if q.select_clause().is_aggregate() {
+                rows as f64
+            } else {
+                1.0
+            };
+            assert_eq!(lane_f64(want.row(0)[0]), (1e16 + 2.0) * per_row, "{q}");
+            let text = query_to_json(q, &schema).to_string();
+            let decoded = query_from_json(&Json::parse(&text).unwrap(), &schema).unwrap();
+            for q in [q.clone(), decoded] {
+                let plan = AccessPlan::new(catalog.layout_ids(), Strategy::FusedVolcano);
+                let op = compile(catalog, &plan, &q).unwrap();
+                let (got, _) = run(catalog, &op, &ExecCtx::new(ExecPolicy::serial())).unwrap();
+                assert_eq!(got, want, "{q}");
+            }
         }
     }
 }
